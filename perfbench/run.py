@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the DirQ benchmark from the root of a checkout.
 
-    python3 perfbench/run.py --workload build_50k|run_20k|serve_mixed \
+    python3 perfbench/run.py --workload run_20k|serve_mixed \
         --seed N --seconds S --trace 0|1
 
 Builds `perfbench/` (a Cargo package of its own, offline, release) into

@@ -1,17 +1,18 @@
-//! The engine workloads.
+//! The engine workload `run_20k`: the stress_20000 preset (200 epochs)
+//! as registered, in lifetimes of `Engine::new`, one `step_epoch` per
+//! epoch, then `run()`. The run loop dominates.
 //!
-//! * `build_50k` — the stress_50000 golden scenario (24 epochs) at every
-//!   worker knob = nproc: `Engine::new`, one `step_epoch` per epoch, then
-//!   `run()`. Construction dominates.
-//! * `run_20k` — the stress_20000 preset (200 epochs), once with every
-//!   worker knob = nproc and once with every knob = 1. The run loop
-//!   dominates.
+//! The end-to-end figures are the CPU time of single-worker lifetimes:
+//! with every worker knob = 1 the engine runs on the calling thread
+//! alone, and that thread's CPU clock leaves out the time the host gives
+//! to other work. What the host still takes — busier shared caches and
+//! memory — is taken out by scaling to the reference speed
+//! ([`crate::refspeed`]). Traced runs step one lifetime at nproc workers and one
+//! at one worker, so the wall-clock phase split and the sharding payoff
+//! are per-layer metrics.
 //!
-//! Both run the registered deployments whatever `--seed` says, so the
-//! fingerprint pins gate every run, and so set-up does the same work in
-//! every run: at 50 000 nodes one deploy attempt costs over a second, and
-//! how many attempts a deployment needs depends on its seed (nine for the
-//! pinned one).
+//! The registered deployment runs whatever `--seed` says, so the
+//! fingerprint pin gates every run and every run does the same work.
 //!
 //! Traced runs also replay `Engine::new`'s construction call for call
 //! ([`replay_setup`]) to split set-up time across the layers, and take
@@ -32,18 +33,23 @@ use dirq::net::radio::UnitDisk;
 use dirq::net::{NodeId, SpanningTree, Topology};
 use dirq::sim::RngFactory;
 
+use crate::refspeed::{around, kernel_s, scale};
 use crate::stats::{median, tail};
 use crate::trace::Tracer;
-use crate::{alloc_counters, nproc, Args, Report};
+use crate::{alloc_counters, nproc, thread_cpu_s, Args, Report};
 
 /// `RunResult::stable_fingerprint` of `run_20k` (the stress_20000 preset
 /// as registered, 200 epochs). Worker knobs never change it.
 const RUN_20K_FINGERPRINT: u64 = 0x9C08_8BFD_93F0_E266;
 
-/// Constructions `run_20k` times beyond its lifetimes', so `setup_s` is
-/// a median of seven: one construction takes well under a second and
-/// spreads widely from run to run.
-const RUN_20K_EXTRA_SETUPS: usize = 4;
+/// Single-worker lifetimes an untraced run measures: one per this many
+/// seconds of `--seconds`, at least two. A lifetime takes about 12 s on
+/// the recording box.
+const SECONDS_PER_LIFETIME: f64 = 5.0;
+
+/// Constructions timed beyond the lifetimes', so that `setup_s` is the
+/// median of at least seven.
+const EXTRA_SETUPS: usize = 5;
 
 /// Deploy attempts `Engine::new` allows before giving up.
 const DEPLOY_ATTEMPTS: usize = 500;
@@ -101,7 +107,16 @@ fn preset_config(name: &str) -> ScenarioConfig {
 /// `run()` to finalise what is still in flight.
 struct Lifetime {
     setup_s: f64,
+    /// CPU seconds of the constructing thread in `Engine::new`.
+    setup_cpu_s: f64,
+    /// The same at the reference speed (measured lifetimes only).
+    setup_ref_s: f64,
     steps: Vec<f64>,
+    /// CPU seconds of the calling thread per step; the whole step only
+    /// at one worker.
+    steps_cpu: Vec<f64>,
+    /// The same at the reference speed (measured lifetimes only).
+    steps_ref: Vec<f64>,
     /// Summed phase seconds over the steps (phase timing on only).
     phases: [f64; 9],
     /// `(calls, bytes)` allocated during the steps.
@@ -115,31 +130,57 @@ impl Lifetime {
     }
 }
 
+/// How a lifetime is timed: `Measured` lifetimes (untraced runs) run the
+/// reference kernel around the construction and after every step;
+/// `PhaseTimed` ones (traced runs) turn on the engine's phase timing.
+#[derive(Clone, Copy, PartialEq)]
+enum Timing {
+    Measured,
+    PhaseTimed,
+}
+
 fn lifetime(
     cfg: &ScenarioConfig,
     tracer: &mut Tracer,
-    phase_timing: bool,
+    timing: Timing,
     inspect: impl FnOnce(&Engine) -> Result<(), String>,
 ) -> Result<Lifetime, String> {
+    let measured = timing == Timing::Measured;
     let span = tracer.begin("core.Engine::new");
-    let t = Instant::now();
-    let mut engine = Engine::new(cfg.clone());
-    let setup_s = t.elapsed().as_secs_f64();
+    let (mut engine, setup_s, setup_cpu_s, setup_ref_s) = if measured {
+        let ((engine, wall), cpu, cpu_ref) = around(thread_cpu_s, || {
+            let t = Instant::now();
+            (Engine::new(cfg.clone()), t.elapsed().as_secs_f64())
+        });
+        (engine, wall, cpu, cpu_ref)
+    } else {
+        let (t, c) = (Instant::now(), thread_cpu_s());
+        let engine = Engine::new(cfg.clone());
+        let cpu = thread_cpu_s() - c;
+        (engine, t.elapsed().as_secs_f64(), cpu, cpu)
+    };
     tracer.end(span);
     inspect(&engine)?;
-    if phase_timing {
+    if timing == Timing::PhaseTimed {
         engine.enable_phase_timing();
     }
     let mut steps = Vec::with_capacity(cfg.epochs as usize);
+    let mut steps_cpu = Vec::with_capacity(cfg.epochs as usize);
+    let mut steps_ref = Vec::with_capacity(cfg.epochs as usize);
     let mut phases = [0.0; 9];
     let mut prev = [0.0; 9];
     let a0 = alloc_counters();
     for _ in 0..cfg.epochs {
         let span = tracer.begin("core.step_epoch");
-        let t = Instant::now();
+        let (t, c) = (Instant::now(), thread_cpu_s());
         engine.step_epoch();
+        let cpu = thread_cpu_s() - c;
         steps.push(t.elapsed().as_secs_f64());
         tracer.end(span);
+        steps_cpu.push(cpu);
+        if measured {
+            steps_ref.push(scale(cpu, kernel_s()));
+        }
         if let Some(p) = engine.phase_timings() {
             let now = phase_array(&p);
             let mut at = tracer.start_of(span);
@@ -156,7 +197,17 @@ fn lifetime(
     let span = tracer.begin("core.run");
     let result = engine.run();
     tracer.end(span);
-    Ok(Lifetime { setup_s, steps, phases, allocs: (a1.0 - a0.0, a1.1 - a0.1), result })
+    Ok(Lifetime {
+        setup_s,
+        setup_cpu_s,
+        setup_ref_s,
+        steps,
+        steps_cpu,
+        steps_ref,
+        phases,
+        allocs: (a1.0 - a0.0, a1.1 - a0.1),
+        result,
+    })
 }
 
 /// `count` lifetimes of `cfg`.
@@ -168,24 +219,21 @@ fn lifetimes(
     (0..count)
         .map(|i| {
             let span = tracer.begin("bench.lifetime");
-            let life = lifetime(cfg, tracer, false, |_| Ok(()))?;
+            let life = lifetime(cfg, tracer, Timing::Measured, |_| Ok(()))?;
             tracer.end(span);
             eprintln!(
-                "perfbench: lifetime {i}: setup {:.3} s, {:.2} epochs/s, median step {:.2} ms",
+                "perfbench: lifetime {i} at {} workers: setup {:.3} s ({:.3} CPU s), \
+                 {:.2} epochs/s, {:.3} CPU ms/epoch ({:.3} at the reference speed)",
+                cfg.lmac.workers,
                 life.setup_s,
+                life.setup_cpu_s,
                 life.epochs_per_s(),
-                median(&life.steps) * 1e3
+                mean(&life.steps_cpu) * 1e3,
+                mean(&life.steps_ref) * 1e3
             );
             Ok(life)
         })
         .collect()
-}
-
-/// Lifetimes a run measures: one per `per_lifetime_s` of `--seconds`,
-/// at least two. A fixed count keeps the sample set, and with it the
-/// tail percentile, the same from run to run.
-fn lifetime_count(args: &Args, per_lifetime_s: f64) -> usize {
-    ((args.seconds / per_lifetime_s).round() as usize).max(2)
 }
 
 /// Every lifetime must end on the pinned fingerprint.
@@ -199,27 +247,39 @@ fn check_fingerprints(lives: &[&Lifetime], pinned: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The end-to-end metrics of an engine workload, from its nproc
-/// lifetimes. The trajectory is the same in every lifetime, so epoch `e`
-/// is the same work each time, and interference from the rest of the
-/// host only ever slows it: throughput and the median come from each
-/// epoch's best time across lifetimes, which drops a stall that hit one
-/// lifetime. The tail comes from every step. `setup_s` is the median of
-/// the lifetimes' constructions and `extra_setups`.
+fn mean(samples: &[f64]) -> f64 {
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+/// Each epoch's least value of `per_step` across lifetimes. The
+/// trajectory is the same in every lifetime, so epoch `e` is the same
+/// work each time, and interference from the rest of the host only ever
+/// slows it: the least drops a stall that hit one lifetime.
+fn best_profile(lives: &[Lifetime], per_step: impl Fn(&Lifetime) -> &[f64]) -> Vec<f64> {
+    (0..lives[0].steps.len())
+        .map(|e| lives.iter().map(|l| per_step(l)[e]).fold(f64::INFINITY, f64::min))
+        .collect()
+}
+
+/// The end-to-end metrics of the single-worker lifetimes, CPU time at
+/// the reference speed: `setup_s` is the median of their constructions
+/// and `extra_setups`, `cpu_ms_per_op` the mean over every `step_epoch`.
+/// Raw CPU and wall-clock figures are printed beside them.
 fn end_to_end(report: &mut Report, lives: &[Lifetime], extra_setups: &[f64]) {
     let setups: Vec<f64> =
-        lives.iter().map(|l| l.setup_s).chain(extra_setups.iter().copied()).collect();
-    let profile: Vec<f64> = (0..lives[0].steps.len())
-        .map(|e| lives.iter().map(|l| l.steps[e]).fold(f64::INFINITY, f64::min))
-        .collect();
-    let steps: Vec<f64> = lives.iter().flat_map(|l| l.steps.iter().copied()).collect();
-    let eps = profile.len() as f64 / profile.iter().sum::<f64>();
+        lives.iter().map(|l| l.setup_ref_s).chain(extra_setups.iter().copied()).collect();
+    let scaled: Vec<f64> = lives.iter().flat_map(|l| l.steps_ref.iter().copied()).collect();
+    let cpu = best_profile(lives, |l| &l.steps_cpu);
+    let wall = best_profile(lives, |l| &l.steps);
     report.put("setup_s", median(&setups), "s");
-    report.put("throughput_per_s", eps, "1/s");
-    report.put("p50_ms", median(&profile) * 1e3, "ms");
-    report.put("tail_ms", tail(&steps) * 1e3, "ms");
-    report.put("epochs_per_s", eps, "epochs/s");
-    report.put("step_samples", steps.len() as f64, "count");
+    report.put("cpu_ms_per_op", mean(&scaled) * 1e3, "ms");
+    report.put("epoch_cpu_ms_p50", median(&scaled) * 1e3, "ms");
+    report.put("epoch_cpu_ms_tail", tail(&scaled) * 1e3, "ms");
+    report.put("epoch_raw_cpu_ms", mean(&cpu) * 1e3, "ms");
+    report.put("setup_wall_s", median(&lives.iter().map(|l| l.setup_s).collect::<Vec<_>>()), "s");
+    report.put("epochs_per_s_1w", wall.len() as f64 / wall.iter().sum::<f64>(), "epochs/s");
+    report.put("step_ms_p50_1w", median(&wall) * 1e3, "ms");
+    report.put("step_ms_tail_1w", tail(&wall) * 1e3, "ms");
 }
 
 /// Operation tally: every construction, step and `run()` is one attempt.
@@ -409,23 +469,22 @@ fn world_alone_ms(world: &mut SensorWorld, workers: usize, tracer: &mut Tracer) 
 }
 
 /// Traced engine pass: replay the set-up, time the world alone, then one
-/// phase-timed lifetime of `cfg` checked against the replay, plus (when
-/// given) one phase-timed lifetime of `cfg_1w`.
+/// phase-timed lifetime of `cfg` checked against the replay, and one of
+/// `cfg_1w`.
 fn traced(
     cfg: &ScenarioConfig,
-    cfg_1w: Option<&ScenarioConfig>,
+    cfg_1w: &ScenarioConfig,
     pinned: u64,
     tracer: &mut Tracer,
 ) -> Result<Report, String> {
     let mut report = Report::default();
     let (split, topo, tree, mut world) = replay_setup(cfg, tracer)?;
     report.put("data.world_alone_ms", world_alone_ms(&mut world, nproc(), tracer), "ms");
-    if cfg_1w.is_some() {
-        report.put("data.world_alone_ms_1w", world_alone_ms(&mut world, 1, tracer), "ms");
-    }
+    report.put("data.world_alone_ms_1w", world_alone_ms(&mut world, 1, tracer), "ms");
     drop(world);
 
-    let life = lifetime(cfg, tracer, true, |engine| check_replay(engine, &topo, &tree))?;
+    let life =
+        lifetime(cfg, tracer, Timing::PhaseTimed, |engine| check_replay(engine, &topo, &tree))?;
     report.put("net.deploy_s", split.deploy_s, "s");
     report.put("net.deploy_attempts", split.attempts as f64, "count");
     report.put("net.tree_s", split.tree_s, "s");
@@ -436,54 +495,46 @@ fn traced(
     report.put("analytic.costs_s", split.costs_s, "s");
     report.put("core.setup_other_s", life.setup_s - split.named_total(), "s");
     lifetime_layers(&mut report, &life, "");
-    let mut lives = vec![life];
-    if let Some(cfg_1w) = cfg_1w {
-        let one = lifetime(cfg_1w, tracer, true, |_| Ok(()))?;
-        lifetime_layers(&mut report, &one, "_1w");
-        report.put("sim.shard_speedup", lives[0].epochs_per_s() / one.epochs_per_s(), "ratio");
-        lives.push(one);
-    }
-    let refs: Vec<&Lifetime> = lives.iter().collect();
+    let one = lifetime(cfg_1w, tracer, Timing::PhaseTimed, |_| Ok(()))?;
+    lifetime_layers(&mut report, &one, "_1w");
+    report.put("sim.shard_speedup", life.epochs_per_s() / one.epochs_per_s(), "ratio");
+    let refs = [&life, &one];
     check_fingerprints(&refs, pinned)?;
     tally(&mut report, &refs);
     Ok(report)
 }
 
-/// `build_50k`: construction-dominated.
-pub fn build_50k(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
-    let cfg = with_workers(dirq::goldens::stress_50000_scenario(), nproc());
-    let pinned = dirq::goldens::GOLDEN_STRESS_50000;
-    if args.trace {
-        return traced(&cfg, None, pinned, tracer);
-    }
-    let lives = lifetimes(&cfg, lifetime_count(args, 20.0), tracer)?;
-    let refs: Vec<&Lifetime> = lives.iter().collect();
-    check_fingerprints(&refs, pinned)?;
-    let mut report = Report::default();
-    tally(&mut report, &refs);
-    end_to_end(&mut report, &lives, &[]);
-    Ok(report)
+/// CPU seconds at the reference speed of `count` constructions of `cfg`
+/// beyond the lifetimes'.
+fn extra_setups(cfg: &ScenarioConfig, count: usize, tracer: &mut Tracer) -> Vec<f64> {
+    (0..count)
+        .map(|_| {
+            let (engine, _, cpu_ref) = around(thread_cpu_s, || {
+                timed(tracer, "core.Engine::new", || Engine::new(cfg.clone())).0
+            });
+            drop(engine);
+            cpu_ref
+        })
+        .collect()
 }
 
-/// `run_20k`: run-loop-dominated, at nproc workers and at one.
+/// `run_20k`: run-loop-dominated. Untraced runs step it at one worker;
+/// traced runs at nproc and at one, gating both fingerprints.
 pub fn run_20k(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
     let base = preset_config("stress_20000");
     let full = with_workers(base.clone(), nproc());
     let one = with_workers(base, 1);
     if args.trace {
-        return traced(&full, Some(&one), RUN_20K_FINGERPRINT, tracer);
+        return traced(&full, &one, RUN_20K_FINGERPRINT, tracer);
     }
-    let fulls = lifetimes(&full, lifetime_count(args, 7.0), tracer)?;
-    let ones = lifetimes(&one, 1, tracer)?;
-    let extra_setups: Vec<f64> = (0..RUN_20K_EXTRA_SETUPS)
-        .map(|_| timed(tracer, "core.Engine::new", || Engine::new(full.clone())).1)
-        .collect();
-    let refs: Vec<&Lifetime> = fulls.iter().chain(&ones).collect();
+    let count = ((args.seconds / SECONDS_PER_LIFETIME).round() as usize).max(2);
+    let lives = lifetimes(&one, count, tracer)?;
+    let extra_setups = extra_setups(&one, EXTRA_SETUPS, tracer);
+    let refs: Vec<&Lifetime> = lives.iter().collect();
     check_fingerprints(&refs, RUN_20K_FINGERPRINT)?;
     let mut report = Report::default();
     tally(&mut report, &refs);
-    report.attempted += RUN_20K_EXTRA_SETUPS as u64;
-    end_to_end(&mut report, &fulls, &extra_setups);
-    report.put("epochs_per_s_1w", ones[0].epochs_per_s(), "epochs/s");
+    report.attempted += EXTRA_SETUPS as u64;
+    end_to_end(&mut report, &lives, &extra_setups);
     Ok(report)
 }

@@ -2,7 +2,7 @@
 //! serving, measured end to end and per layer from outside the program.
 //!
 //! ```text
-//! dirq-perfbench --workload build_50k|run_20k|serve_mixed
+//! dirq-perfbench --workload run_20k|serve_mixed
 //!                --seed N --seconds S --trace 0|1
 //! ```
 //!
@@ -16,6 +16,7 @@
 //! `perfbench/README.md` for the metric definitions.
 
 mod engine;
+mod refspeed;
 mod serve;
 mod stats;
 mod trace;
@@ -68,9 +69,65 @@ pub fn peak_rss_mb() -> f64 {
     kib / 1024.0
 }
 
-/// Worker threads the host offers; every "= nproc" knob uses this.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    fn sched_getcpu() -> i32;
+    fn sched_setaffinity(pid: i32, mask_bytes: usize, mask: *const u64) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+fn cpu_clock_s(clock: i32) -> f64 {
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// CPU seconds the calling thread has run. Time the host took the CPU
+/// away (steal) and time spent waiting for a core do not count, so a
+/// single-threaded figure reads the same on a busy host as on an idle one.
+pub fn thread_cpu_s() -> f64 {
+    cpu_clock_s(CLOCK_THREAD_CPUTIME_ID)
+}
+
+/// CPU seconds every thread of the process has run, on the same terms.
+pub fn process_cpu_s() -> f64 {
+    cpu_clock_s(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// Worker threads the host offers; every "= nproc" knob uses this. Read
+/// once, before [`pin_to_one_cpu`] can narrow what the process sees.
 pub fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static NPROC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *NPROC
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// Keep every thread of the process, and every thread it starts later,
+/// on the CPU it runs on now. Hand-offs between threads then cost the
+/// same in every run instead of depending on whether the scheduler put
+/// the two threads on one CPU or on two, and no thread migrates away
+/// from its warm cache mid-measurement.
+fn pin_to_one_cpu() -> Result<usize, String> {
+    // SAFETY: plain libc call.
+    let cpu = unsafe { sched_getcpu() };
+    let cpu = usize::try_from(cpu).map_err(|_| "sched_getcpu failed".to_string())?;
+    let mut mask = [0u64; 16];
+    *mask.get_mut(cpu / 64).ok_or("CPU index beyond the affinity mask")? |= 1 << (cpu % 64);
+    // SAFETY: `mask` is a valid 1024-bit CPU set for the whole call.
+    if unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) } != 0 {
+        return Err(format!("sched_setaffinity to CPU {cpu} failed"));
+    }
+    Ok(cpu)
 }
 
 /// Command-line settings of one run.
@@ -123,14 +180,10 @@ impl Report {
 }
 
 /// End-to-end metrics every untraced run reports, with units, in
-/// `BENCHMARK.json` order.
-pub const END_TO_END: &[(&str, &str)] = &[
-    ("setup_s", "s"),
-    ("throughput_per_s", "1/s"),
-    ("p50_ms", "ms"),
-    ("tail_ms", "ms"),
-    ("peak_rss_mb", "MiB"),
-];
+/// `BENCHMARK.json` order. The two times are CPU time, so that the
+/// rest of a shared host does not move them.
+pub const END_TO_END: &[(&str, &str)] =
+    &[("setup_s", "s"), ("cpu_ms_per_op", "ms"), ("peak_rss_mb", "MiB")];
 
 /// Per-layer metrics every traced run reports, with units; a layer a
 /// workload does not exercise reports 0.
@@ -221,7 +274,6 @@ pub const OUT_DIR: &str = ".bench_out";
 fn run(args: &Args) -> Result<Report, String> {
     let mut tracer = trace::Tracer::new(args.trace);
     let mut report = match args.workload.as_str() {
-        "build_50k" => engine::build_50k(args, &mut tracer)?,
         "run_20k" => engine::run_20k(args, &mut tracer)?,
         "serve_mixed" => serve::serve_mixed(args, &mut tracer)?,
         other => return Err(format!("unknown workload {other:?}")),
@@ -269,7 +321,7 @@ fn main() {
         Err(e) => {
             eprintln!("perfbench: {e}");
             eprintln!(
-                "usage: dirq-perfbench --workload build_50k|run_20k|serve_mixed --seed N \
+                "usage: dirq-perfbench --workload run_20k|serve_mixed --seed N \
                  --seconds S --trace 0|1"
             );
             std::process::exit(2);
@@ -278,6 +330,18 @@ fn main() {
     if let Err(e) = std::fs::create_dir_all(OUT_DIR) {
         eprintln!("perfbench: create {OUT_DIR}: {e}");
         std::process::exit(1);
+    }
+    eprintln!("perfbench: nproc {}", nproc());
+    // Untraced runs measure CPU time on one CPU; traced runs keep every
+    // CPU, since their wall-clock figures at nproc workers need them.
+    if !args.trace {
+        match pin_to_one_cpu() {
+            Ok(cpu) => eprintln!("perfbench: pinned to CPU {cpu}"),
+            Err(e) => {
+                eprintln!("perfbench: {e}");
+                std::process::exit(1);
+            }
+        }
     }
     let line = run(&args).and_then(|report| {
         for (name, value, unit) in &report.metrics {

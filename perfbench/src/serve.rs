@@ -7,18 +7,26 @@
 //! Phases, in order:
 //! 1. a barriered prefix whose epochs-to-answer must equal
 //!    `loadmodel::reference_epochs_histogram`;
-//! 2. an open loop of async queries at [`OPEN_RATE_QPS`] on a schedule
-//!    drawn from `--seed` (one connection submits on schedule, one
-//!    drains), latency measured from each query's due time;
-//! 3. a closed-loop saturation phase (one submitter backing off on
-//!    `queue_full`, one drainer), reported as completions per second;
-//! 4. a snapshot of one deployment and its restore, which must
+//! 2. the CPU phase: rounds of blocking queries, one at a time, drawn
+//!    from `--seed`. Each query is its deployment's only work, so the
+//!    epochs it costs do not depend on timing, and the process CPU time
+//!    per query at the reference speed (`cpu_ms_per_op`, see
+//!    [`crate::refspeed`]) is the daemon's serving cost;
+//! 3. (traced runs) an open loop of async queries at [`OPEN_RATE_QPS`]
+//!    on a schedule drawn from `--seed` (one connection submits on
+//!    schedule, one drains), latency measured from each query's due time;
+//! 4. (traced runs) a closed-loop saturation phase (one submitter backing
+//!    off on `queue_full`, one drainer), reported as completions per
+//!    second;
+//! 5. a snapshot of one deployment and its restore, which must
 //!    fingerprint equal.
 //!
 //! Set-up (spawn, deploys, warm-up), snapshot, restore and status
 //! requests run outside the timed phases. The generator never uses more
 //! than two threads or two connections at once: in a loaded phase the
-//! control connection drains.
+//! control connection drains. The wall-clock phases 3 and 4 depend on
+//! how busy the rest of the host is, so their figures are per-layer
+//! metrics and untraced runs skip them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,9 +40,10 @@ use dirqd::loadmodel::{hist_query, reference_epochs_histogram, HIST_QUERIES};
 use dirqd::protocol::{read_line, write_line, IMAGE_EXTENSION};
 use dirqd::{Client, ClientError, Daemon, DaemonOptions, DeployOptions};
 
+use crate::refspeed::{around, kernel_s, scale};
 use crate::stats::{median, percentile, tail};
 use crate::trace::Tracer;
-use crate::{nproc, Args, Report, OUT_DIR};
+use crate::{nproc, process_cpu_s, Args, Report, OUT_DIR};
 
 /// One hosted deployment.
 struct Dep {
@@ -71,8 +80,19 @@ const LATE_LIMIT_MS: f64 = 5.0 * SLO_MS;
 /// Equal slices of the saturation window; `serve_qps_sat` is the median
 /// slice's completion rate.
 const SAT_SLICES: usize = 6;
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 9;
+/// Set-ups per run; `setup_s` is the median of their CPU times at the
+/// reference speed.
+const SETUP_REPEATS: usize = 31;
+/// Rounds of the CPU phase per second of `--seconds` (a round takes
+/// about 45 ms on the recording box), at least [`CPU_MIN_ROUNDS`];
+/// `cpu_ms_per_op` is the median round's CPU time per query at the
+/// reference speed.
+const CPU_ROUNDS_PER_S: f64 = 12.0;
+const CPU_MIN_ROUNDS: usize = 20;
+/// Blocking queries per round of the CPU phase: one pass over
+/// [`ROTATION`].
+const CPU_ROUND_QUERIES: usize = ROTATION.len();
+
 /// Pause of the drainer between sweeps over every deployment.
 const DRAIN_PAUSE: Duration = Duration::from_millis(1);
 /// Longest a phase may wait for its last completions.
@@ -97,15 +117,31 @@ const ROTATION: [usize; 8] = [0, 2, 3, 2, 1, 3, 2, 3];
 /// One query: `(deployment index, stype, lo, hi)`.
 type Query = (usize, u8, f64, f64);
 
+/// `(stype, lo, hi)` of the queries: each pass over [`ROTATION`] sends
+/// every template once, in an order drawn from the seed, so every pass
+/// asks for the same amount of work.
+const TEMPLATES: [(u8, f64, f64); 8] = [
+    (0, 12.0, 18.0),
+    (1, 13.0, 20.5),
+    (0, 14.5, 21.0),
+    (1, 15.0, 23.0),
+    (0, 16.5, 23.5),
+    (1, 17.0, 24.5),
+    (0, 18.5, 25.0),
+    (1, 19.5, 27.0),
+];
+
 /// Deterministic draws from the benchmark seed.
 struct Draws {
     state: u64,
     sent: usize,
+    /// Template order of the current pass.
+    order: [usize; 8],
 }
 
 impl Draws {
     fn new(seed: u64) -> Draws {
-        Draws { state: seed ^ 0x5EED_D1A9_0000_0001, sent: 0 }
+        Draws { state: seed ^ 0x5EED_D1A9_0000_0001, sent: 0, order: [0, 1, 2, 3, 4, 5, 6, 7] }
     }
 
     /// Uniform in `[0, 1)`.
@@ -114,11 +150,17 @@ impl Draws {
     }
 
     fn query(&mut self) -> Query {
-        let dep = ROTATION[self.sent % ROTATION.len()];
+        let k = self.sent % ROTATION.len();
+        if k == 0 {
+            // Fisher–Yates over the templates.
+            for i in (1..self.order.len()).rev() {
+                let j = (self.next() * (i + 1) as f64) as usize;
+                self.order.swap(i, j.min(i));
+            }
+        }
         self.sent += 1;
-        let stype = u8::from(self.next() < 0.5);
-        let lo = 12.0 + 8.0 * self.next();
-        (dep, stype, lo, lo + 6.0 + 3.0 * self.next())
+        let (stype, lo, hi) = TEMPLATES[self.order[k]];
+        (ROTATION[k], stype, lo, hi)
     }
 }
 
@@ -225,6 +267,36 @@ fn barriered_prefix(control: &mut Client, tracer: &mut Tracer) -> Result<Vec<u64
         all.extend(epochs);
     }
     Ok(all)
+}
+
+/// Phase 2: `rounds` rounds of [`CPU_ROUND_QUERIES`] blocking queries
+/// on the control connection, each followed by the reference kernel.
+/// Returns the process CPU ms per query of each round at the reference
+/// speed and the epochs-to-answer of every query.
+fn cpu_rounds(
+    control: &mut Client,
+    draws: &mut Draws,
+    rounds: usize,
+    tracer: &mut Tracer,
+) -> Result<(Vec<f64>, Vec<u64>), String> {
+    let mut per_query_ms = Vec::with_capacity(rounds);
+    let mut epochs = Vec::with_capacity(rounds * CPU_ROUND_QUERIES);
+    for _ in 0..rounds {
+        let queries: Vec<Query> = (0..CPU_ROUND_QUERIES).map(|_| draws.query()).collect();
+        let c = process_cpu_s();
+        for (d, stype, lo, hi) in queries {
+            let span = tracer.begin("dirqd.Client::query");
+            let report = control
+                .query(DEPLOYMENTS[d].name, stype, lo, hi, None)
+                .map_err(client_err("blocking query"))?;
+            tracer.set_request(span, report.id);
+            tracer.end(span);
+            epochs.push(report.epochs_to_answer);
+        }
+        let ms = (process_cpu_s() - c) * 1e3 / CPU_ROUND_QUERIES as f64;
+        per_query_ms.push(scale(ms, kernel_s()));
+    }
+    Ok((per_query_ms, epochs))
 }
 
 /// What one loaded phase recorded.
@@ -544,13 +616,18 @@ pub fn serve_mixed(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
 
     // Set-up, several times; the last daemon serves the phases.
     let mut setup_s = Vec::new();
+    let mut setup_wall_s = Vec::new();
     let mut deploy_ms = Vec::new();
     let mut served = None;
     for i in 0..SETUP_REPEATS {
         let span = tracer.begin("bench.setup");
-        let t = Instant::now();
-        let (s, ms) = set_up(&ckpt, tracer)?;
-        setup_s.push(since(t));
+        let (result, _, cpu_ref) = around(process_cpu_s, || {
+            let t = Instant::now();
+            set_up(&ckpt, tracer).map(|up| (up, since(t)))
+        });
+        let ((s, ms), wall_s) = result?;
+        setup_s.push(cpu_ref);
+        setup_wall_s.push(wall_s);
         tracer.end(span);
         deploy_ms.extend(ms);
         if i + 1 < SETUP_REPEATS {
@@ -567,10 +644,89 @@ pub fn serve_mixed(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
     tracer.end(span);
     report.attempted += 2 * prefix.len() as u64;
 
-    // Open loop at the fixed offered rate.
     let mut draws = Draws::new(args.seed);
+    let span = tracer.begin("bench.cpu_rounds");
+    let rounds = CPU_MIN_ROUNDS.max((args.seconds * CPU_ROUNDS_PER_S) as usize);
+    let (cpu_ms, cpu_epochs) = cpu_rounds(&mut served.control, &mut draws, rounds, tracer)?;
+    tracer.end(span);
+    report.attempted += cpu_epochs.len() as u64;
+    eprintln!(
+        "perfbench: CPU phase: {rounds} rounds of {CPU_ROUND_QUERIES} queries, CPU ms per query \
+         from {:.3} to {:.3} at the reference speed",
+        percentile(&cpu_ms, 0.0),
+        percentile(&cpu_ms, 100.0)
+    );
+
+    report.put("setup_s", median(&setup_s), "s");
+    report.put("cpu_ms_per_op", median(&cpu_ms), "ms");
+    report.put("setup_wall_s", median(&setup_wall_s), "s");
+    report.put("dirqd.deploy_ms", median(&deploy_ms), "ms");
+    let mut answered: Vec<f64> = cpu_epochs.iter().map(|&e| e as f64).collect();
+    let mut codec_sample = None;
+    if args.trace {
+        codec_sample =
+            Some(loaded_phases(&mut served, &mut draws, args, &mut report, &mut answered, tracer)?);
+    }
+
+    // Snapshot one deployment and restore it.
+    let image = scratch.0.join(format!("dense-b.{IMAGE_EXTENSION}")).to_string_lossy().into_owned();
+    let control = &mut served.control;
+    let span = tracer.begin("sim.Client::snapshot");
+    let t = Instant::now();
+    let snap = control.snapshot("dense-b", &image).map_err(client_err("snapshot"))?;
+    let snapshot_ms = since(t) * 1e3;
+    tracer.end(span);
+    let span = tracer.begin("sim.Client::restore");
+    let t = Instant::now();
+    control
+        .restore("dense-b@restored", &image, &DeployOptions::default())
+        .map_err(client_err("restore"))?;
+    let restore_ms = since(t) * 1e3;
+    tracer.end(span);
+    let (_, restored_fp) =
+        control.fingerprint("dense-b@restored").map_err(client_err("fingerprint"))?;
+    if restored_fp != snap.fingerprint {
+        return Err(format!(
+            "restored fingerprint {restored_fp:#018X} differs from the snapshot's {:#018X}",
+            snap.fingerprint
+        ));
+    }
+    let checkpoints = scan_checkpoint_dir(&ckpt_dir).map_err(|e| format!("scan {ckpt}: {e}"))?;
+    if checkpoints.is_empty() {
+        return Err("the checkpointing deployment wrote no checkpoint".into());
+    }
+    report.attempted += 3;
+
+    if let Some((open_heads, schedule)) = codec_sample {
+        let (parse_us, render_us) = wire_codec_us(control, &open_heads, &schedule, tracer)?;
+        report.put("sim.json_parse_us", parse_us, "us");
+        report.put("sim.json_render_us", render_us, "us");
+    }
+    served.shutdown()?;
+
+    report.put("dirqd.epochs_to_answer_p50", median(&answered), "count");
+    report.put("sim.snapshot_ms", snapshot_ms, "ms");
+    report.put("sim.restore_ms", restore_ms, "ms");
+    report.put("sim.image_bytes", snap.bytes as f64, "bytes");
+    Ok(report)
+}
+
+/// Phases 3 and 4, the wall-clock ones: the open loop at the fixed
+/// offered rate, then closed-loop saturation. Puts their metrics into
+/// `report`, adds every drained query's epochs-to-answer to `answered`,
+/// and returns the open loop's log heads and schedule for the wire codec
+/// sample.
+fn loaded_phases(
+    served: &mut Served,
+    draws: &mut Draws,
+    args: &Args,
+    report: &mut Report,
+    answered: &mut Vec<f64>,
+    tracer: &mut Tracer,
+) -> Result<(Vec<u64>, Vec<(f64, Query)>), String> {
+    // Open loop at the fixed offered rate.
     let n_open = OPEN_MIN_QUERIES.max((OPEN_RATE_QPS * args.seconds * 0.6) as usize);
-    let schedule = open_schedule(&mut draws, n_open);
+    let schedule = open_schedule(draws, n_open);
     let open_heads = heads(&mut served.control)?;
     let open = loaded_phase(
         &served.addr,
@@ -603,7 +759,7 @@ pub fn serve_mixed(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
         &served.addr,
         &mut served.control,
         &sat_heads,
-        Load::Closed { window, draws: &mut draws },
+        Load::Closed { window, draws },
         tracer,
     )?;
     let epochs_after = total_epochs(&mut served.control)?;
@@ -619,57 +775,16 @@ pub fn serve_mixed(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
     let qps_sat = median(&per_slice);
     let epochs_advanced = (epochs_after - epochs_before) as f64;
 
-    // Snapshot one deployment and restore it.
-    let image = scratch.0.join(format!("dense-b.{IMAGE_EXTENSION}")).to_string_lossy().into_owned();
-    let control = &mut served.control;
-    let span = tracer.begin("sim.Client::snapshot");
-    let t = Instant::now();
-    let snap = control.snapshot("dense-b", &image).map_err(client_err("snapshot"))?;
-    let snapshot_ms = since(t) * 1e3;
-    tracer.end(span);
-    let span = tracer.begin("sim.Client::restore");
-    let t = Instant::now();
-    control
-        .restore("dense-b@restored", &image, &DeployOptions::default())
-        .map_err(client_err("restore"))?;
-    let restore_ms = since(t) * 1e3;
-    tracer.end(span);
-    let (_, restored_fp) =
-        control.fingerprint("dense-b@restored").map_err(client_err("fingerprint"))?;
-    if restored_fp != snap.fingerprint {
-        return Err(format!(
-            "restored fingerprint {restored_fp:#018X} differs from the snapshot's {:#018X}",
-            snap.fingerprint
-        ));
-    }
-    let checkpoints = scan_checkpoint_dir(&ckpt_dir).map_err(|e| format!("scan {ckpt}: {e}"))?;
-    if checkpoints.is_empty() {
-        return Err("the checkpointing deployment wrote no checkpoint".into());
-    }
-    report.attempted += 3;
-
-    if args.trace {
-        let (parse_us, render_us) = wire_codec_us(control, &open_heads, &schedule, tracer)?;
-        report.put("sim.json_parse_us", parse_us, "us");
-        report.put("sim.json_render_us", render_us, "us");
-    }
-    served.shutdown()?;
-
     report.attempted += open.ops() + sat.ops();
     report.failed += open.failed() + sat.failed();
-    let answered: Vec<f64> = open.drained.iter().chain(&sat.drained).map(|r| r.3 as f64).collect();
+    answered.extend(open.drained.iter().chain(&sat.drained).map(|r| r.3 as f64));
     let yields = (open.drained.len() + sat.drained.len()) as f64
         / (open.drain_calls + sat.drain_calls) as f64;
 
-    report.put("setup_s", median(&setup_s), "s");
-    report.put("throughput_per_s", qps_sat, "1/s");
-    report.put("p50_ms", median(&latency_ms), "ms");
-    report.put("tail_ms", tail(&latency_ms), "ms");
     report.put("dirqd.serve_qps_sat", qps_sat, "q/s");
     report.put("dirqd.serve_p50_ms", median(&latency_ms), "ms");
     report.put("dirqd.serve_p99_ms", percentile(&latency_ms, 99.0), "ms");
     report.put("dirqd.serve_slo_ratio", within / n_open as f64, "ratio");
-    report.put("dirqd.deploy_ms", median(&deploy_ms), "ms");
     report.put("dirqd.submit_ms_p50", median(&open.submit_ms), "ms");
     report.put("dirqd.submit_ms_tail", tail(&open.submit_ms), "ms");
     report.put("dirqd.drain_ms_p50", median(&open.drain_ms), "ms");
@@ -686,13 +801,9 @@ pub fn serve_mixed(args: &Args, tracer: &mut Tracer) -> Result<Report, String> {
         "epochs/s",
     );
     report.put("dirqd.queries_per_epoch", sat.drained.len() as f64 / epochs_advanced, "count");
-    report.put("dirqd.epochs_to_answer_p50", median(&answered), "count");
-    report.put("sim.snapshot_ms", snapshot_ms, "ms");
-    report.put("sim.restore_ms", restore_ms, "ms");
-    report.put("sim.image_bytes", snap.bytes as f64, "bytes");
     report.put("bench.gen_late_ms_tail", late_tail, "ms");
     report.put("bench.open_queries", n_open as f64, "count");
     report.put("bench.open_misses", open.refused.len() as f64, "count");
     report.put("bench.sat_completions", sat.drained.len() as f64, "count");
-    Ok(report)
+    Ok((open_heads, schedule))
 }
