@@ -93,8 +93,7 @@ fn cpu_clock_s(clock: i32) -> f64 {
 }
 
 /// CPU seconds the calling thread has run. Time the host took the CPU
-/// away (steal) and time spent waiting for a core do not count, so a
-/// single-threaded figure reads the same on a busy host as on an idle one.
+/// away (steal) and time spent waiting for a core do not count.
 pub fn thread_cpu_s() -> f64 {
     cpu_clock_s(CLOCK_THREAD_CPUTIME_ID)
 }
@@ -180,8 +179,9 @@ impl Report {
 }
 
 /// End-to-end metrics every untraced run reports, with units, in
-/// `BENCHMARK.json` order. The two times are CPU time, so that the
-/// rest of a shared host does not move them.
+/// `BENCHMARK.json` order. The two times are CPU time at the reference
+/// speed ([`refspeed`]), which the rest of a shared host moves far less
+/// than wall time.
 pub const END_TO_END: &[(&str, &str)] =
     &[("setup_s", "s"), ("cpu_ms_per_op", "ms"), ("peak_rss_mb", "MiB")];
 
