@@ -395,22 +395,27 @@ impl<P> LmacNetwork<P> {
             alive_mask.insert(NodeId::from_index(i));
         }
         // Edge-aligned mirror positions (see the field docs). Rows are
-        // ascending, so the reverse position comes from one binary search
-        // per directed edge, once.
-        let mut mirror_pos =
-            vec![
-                0u32;
-                topo.row_start(NodeId::from_index(n.saturating_sub(1)))
-                    + topo.neighbors(NodeId::from_index(n.saturating_sub(1))).len()
-            ];
+        // ascending and links symmetric, so walking `u` in ascending order
+        // meets each `v`'s row entries in row order: a per-node cursor
+        // gives every reverse position without a search.
+        let mut mirror_pos = vec![0u32; 2 * topo.link_count()];
+        let mut cursor = vec![0u32; n];
         for i in 0..n {
             let u = NodeId::from_index(i);
             let base = topo.row_start(u);
             for (p, &v) in topo.neighbors(u).iter().enumerate() {
-                let back = topo.neighbors(v).binary_search(&u).expect("undirected edge");
-                mirror_pos[base + p] = back as u32;
+                let back = &mut cursor[v.index()];
+                debug_assert_eq!(topo.neighbors(v)[*back as usize], u, "undirected edge");
+                mirror_pos[base + p] = *back;
+                *back += 1;
             }
         }
+        // Each row consumed exactly: every mirror position lies inside its
+        // row, which the unchecked sharded reception path relies on.
+        assert!(
+            topo.nodes().all(|v| cursor[v.index()] as usize == topo.degree(v)),
+            "topology rows must be symmetric"
+        );
         // Colour-class parallelism: the colouring and the worker pool are
         // set up once per topology epoch, and only when asked for.
         let (shard_of, pool, shards) = if cfg.workers > 1 {
@@ -454,66 +459,69 @@ impl<P> LmacNetwork<P> {
     ///
     /// # Panics
     /// Panics if `slots_per_frame` is too small for some 2-hop
-    /// neighbourhood.
+    /// neighbourhood, or if a node already holds a slot (the assignment
+    /// runs once, on a network that has not advanced a frame).
     pub fn assign_slots_greedy(&mut self) {
-        for i in 0..self.nodes.len() {
+        assert_eq!(
+            self.unslotted_alive,
+            self.alive_mask.len(),
+            "greedy assignment runs before any node holds a slot"
+        );
+        // A dense slot table, and per node the slots held so far in its
+        // closed neighbourhood (itself and its neighbours), extended as
+        // each slot is assigned. A node's 2-hop occupancy is then the
+        // union over its neighbours: O(degree) instead of a 2-hop walk.
+        // No node holds a slot beforehand, so that union never contains
+        // the node's own slot.
+        let mut slot = vec![0u16; self.nodes.len()];
+        let mut held = vec![SlotSet::EMPTY; self.nodes.len()];
+        for i in 0..slot.len() {
             let node = NodeId::from_index(i);
-            if !self.nodes[i].alive {
+            if !self.alive_mask.contains(node) {
                 continue;
             }
             let mut forbidden = SlotSet::EMPTY;
             for &nb in self.topo.neighbors(node) {
-                if let Some(s) = self.nodes[nb.index()].my_slot {
-                    forbidden.insert(s);
-                }
-                for &nb2 in self.topo.neighbors(nb) {
-                    if nb2 != node {
-                        if let Some(s) = self.nodes[nb2.index()].my_slot {
-                            forbidden.insert(s);
-                        }
-                    }
-                }
+                forbidden.union_with(held[nb.index()]);
             }
-            let free = forbidden.free_slots(self.cfg.slots_per_frame);
-            let slot = *free.first().unwrap_or_else(|| {
+            let s = forbidden.first_free(self.cfg.slots_per_frame).unwrap_or_else(|| {
                 panic!(
                     "no free slot for {node}: {} slots/frame too few for its 2-hop degree",
                     self.cfg.slots_per_frame
                 )
             });
-            self.nodes[i].my_slot = Some(slot);
+            slot[i] = s;
+            held[i].insert(s);
+            for &nb in self.topo.neighbors(node) {
+                held[nb.index()].insert(s);
+            }
+            self.nodes[i].my_slot = Some(s);
             self.nodes[i].listen_remaining = 0;
             self.unslotted_alive -= 1;
-            self.slot_owners[slot as usize].push(node);
+            self.slot_owners[s as usize].push(node);
         }
         // Pre-populate neighbour tables as if a full frame had elapsed.
-        for i in 0..self.nodes.len() {
-            let node = NodeId::from_index(i);
-            if !self.nodes[i].alive {
-                continue;
-            }
-            for &nb in self.topo.neighbors(node) {
-                if self.nodes[nb.index()].alive {
-                    let slot = self.nodes[nb.index()].my_slot;
-                    self.arena.heard(node, nb, slot, SlotSet::EMPTY, u16::MAX, self.frame);
-                }
-            }
+        // Gateway distances settle within a few frames of real traffic;
+        // seed them from graph hop counts, which is what LMAC converges to.
+        // Arena rows are the topology rows, so a neighbour's row position
+        // is its index in `neighbors(node)`; every alive neighbour now has
+        // its entry in `slot`.
+        if slot.is_empty() {
+            return; // no root to measure hops from
         }
-        // Gateway distances settle within a few frames of real traffic; seed
-        // them from graph hop counts, which is what LMAC converges to.
-        let hops = self.topo.hop_distances(NodeId::ROOT, |n| self.nodes[n.index()].alive);
-        for i in 0..self.nodes.len() {
+        let hops = self.topo.hop_distances(NodeId::ROOT, |v| self.alive_mask.contains(v));
+        for i in 0..slot.len() {
             let node = NodeId::from_index(i);
-            if !self.nodes[i].alive {
+            if !self.alive_mask.contains(node) {
                 continue;
             }
-            for &nb in self.topo.neighbors(node) {
-                if self.nodes[nb.index()].alive {
+            for (p, &nb) in self.topo.neighbors(node).iter().enumerate() {
+                if self.alive_mask.contains(nb) {
                     let d = hops[nb.index()];
                     let d16 =
                         if d == u32::MAX { u16::MAX } else { d.min(u16::MAX as u32 - 1) as u16 };
-                    let slot = self.nodes[nb.index()].my_slot;
-                    self.arena.heard(node, nb, slot, SlotSet::EMPTY, d16, self.frame);
+                    let s = Some(slot[nb.index()]);
+                    self.arena.heard_at(node, p, nb, s, SlotSet::EMPTY, d16, self.frame);
                 }
             }
         }
@@ -1287,11 +1295,65 @@ mod tests {
     }
 
     #[test]
+    fn empty_topology_builds_a_network() {
+        let mut net = Net::new(LmacConfig::default(), Topology::from_edges(0, &[]));
+        net.assign_slots_greedy();
+        assert!(net.all_converged());
+        assert!(net.schedule_conflicts().is_empty());
+    }
+
+    #[test]
     fn greedy_assignment_is_conflict_free() {
         let mut net = Net::new(LmacConfig::default(), random_topo(50, 1));
         net.assign_slots_greedy();
         assert!(net.all_converged());
         assert!(net.schedule_conflicts().is_empty());
+    }
+
+    #[test]
+    fn greedy_assignment_is_first_fit_and_seeds_rows() {
+        // Each alive node takes the lowest slot not held by an alive node
+        // within two hops that precedes it, and its row holds every alive
+        // neighbour's slot and graph hop distance.
+        for seed in 0..4 {
+            let topo = random_topo(50, 40 + seed);
+            let mut net = Net::new(LmacConfig::default(), topo.clone());
+            for v in (3..50).step_by(7) {
+                net.set_alive(NodeId::from_index(v), false);
+            }
+            net.assign_slots_greedy();
+            let alive = |v: NodeId| net.is_alive(v);
+            let hops = topo.hop_distances(NodeId::ROOT, alive);
+            for u in topo.nodes().filter(|&u| alive(u)) {
+                let mut taken = SlotSet::EMPTY;
+                for &v in topo.neighbors(u) {
+                    for w in std::iter::once(v).chain(topo.neighbors(v).iter().copied()) {
+                        if w < u && alive(w) {
+                            taken.insert(net.slot_of(w).unwrap());
+                        }
+                    }
+                }
+                assert_eq!(net.slot_of(u), taken.first_free(net.config().slots_per_frame));
+                for &v in topo.neighbors(u) {
+                    let info = net.neighbor_table(u).get(v);
+                    if alive(v) {
+                        let info = info.expect("alive neighbour seeded");
+                        let d = hops[v.index()].min(u32::from(u16::MAX)) as u16;
+                        assert_eq!((info.slot, info.gateway_dist), (net.slot_of(v), d));
+                    } else {
+                        assert!(info.is_none(), "dead neighbour {v} seeded into {u}'s row");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before any node holds a slot")]
+    fn greedy_assignment_runs_once() {
+        let mut net = Net::new(LmacConfig::default(), line_topo(3));
+        net.assign_slots_greedy();
+        net.assign_slots_greedy();
     }
 
     #[test]

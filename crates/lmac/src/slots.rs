@@ -86,6 +86,15 @@ impl SlotSet {
         (0..frame_len).filter(|&s| !self.contains(s)).collect()
     }
 
+    /// The lowest slot in `0..frame_len` *not* present in this set — the
+    /// first entry of [`SlotSet::free_slots`], found with one bit scan.
+    #[inline]
+    pub fn first_free(&self, frame_len: u16) -> Option<u16> {
+        assert!(frame_len <= MAX_SLOTS, "frame too long");
+        let slot = (!self.0).trailing_zeros() as u16;
+        (slot < frame_len).then_some(slot)
+    }
+
     /// Iterator over occupied slots in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
         (0..MAX_SLOTS).filter(move |&s| self.contains(s))
@@ -133,6 +142,10 @@ mod tests {
         let s: SlotSet = [0u16, 2].into_iter().collect();
         assert_eq!(s.free_slots(4), vec![1, 3]);
         assert_eq!(SlotSet::EMPTY.free_slots(3), vec![0, 1, 2]);
+        assert_eq!(s.first_free(4), Some(1));
+        assert_eq!(s.first_free(1), None);
+        assert_eq!(SlotSet::from_bits(u128::MAX).first_free(MAX_SLOTS), None);
+        assert_eq!(SlotSet::from_bits(u128::MAX >> 1).first_free(MAX_SLOTS), Some(127));
     }
 
     #[test]
@@ -149,11 +162,12 @@ mod tests {
     }
 
     proptest! {
-        /// free_slots and the set partition 0..frame_len.
+        /// free_slots and the set partition 0..frame_len, and first_free
+        /// is free_slots' first entry, over the whole u128 range.
         #[test]
         fn prop_free_slots_partition(
-            slots in proptest::collection::btree_set(0u16..64, 0..32),
-            frame_len in 1u16..=64,
+            slots in proptest::collection::btree_set(0u16..MAX_SLOTS, 0..MAX_SLOTS as usize),
+            frame_len in 1u16..=MAX_SLOTS,
         ) {
             let s: SlotSet = slots.iter().copied().collect();
             let free = s.free_slots(frame_len);
@@ -162,6 +176,7 @@ mod tests {
                 let in_free = free.contains(&slot);
                 prop_assert!(in_set ^ in_free, "slot {slot} must be in exactly one side");
             }
+            prop_assert_eq!(s.first_free(frame_len), free.first().copied());
         }
 
         /// Union is commutative and idempotent.

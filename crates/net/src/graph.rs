@@ -15,6 +15,23 @@
 //! single bit test on every deployment size the paper's experiments use
 //! (and far beyond); larger graphs fall back to binary search over the CSR
 //! row.
+//!
+//! ## Construction
+//!
+//! [`Topology::from_positions`] finds the radio links through a uniform
+//! **cell grid** instead of testing all `n²/2` node pairs. The grid's square
+//! cells are never narrower than [`RadioModel::max_range`], whose contract
+//! is that `connected(a, b)` implies `distance(a, b) ≤ max_range()`, so
+//! every link joins nodes in the same or adjacent cells. The cell side
+//! carries a relative slack of 1e-9 so that floating-point rounding in
+//! the bucket index can never put a linked pair two cells apart, and it
+//! widens as needed to keep the grid at O(n) cells. Nodes are
+//! bucketed by a counting sort; each unordered pair of same-or-adjacent
+//! cells is visited once, and every candidate pair is tested as
+//! `connected(lo, .., hi, ..)` with `lo < hi`, exactly as the all-pairs scan
+//! did. The CSR rows are sorted, so the `Topology` is bit-identical to the
+//! all-pairs one. A model with no finite bound (the `f64::INFINITY`
+//! default) gets a single cell, which is the all-pairs scan.
 
 use dirq_sim::SimRng;
 
@@ -26,6 +43,71 @@ use crate::radio::RadioModel;
 /// Largest node count for which a dense link bit-matrix is kept
 /// (`n²` bits — 2 MiB at 4096 nodes).
 pub const DENSE_LINK_MAX_NODES: usize = 4096;
+
+/// Relative widening of the grid's cell side over
+/// [`RadioModel::max_range`]: rounding in the bucket index stays far below
+/// it, so a linked pair always lands in the same or adjacent cells.
+const CELL_SLACK: f64 = 1e-9;
+
+/// Node indices bucketed into square cells at least
+/// [`RadioModel::max_range`] wide (see the module docs), in CSR form.
+struct CellGrid {
+    cols: usize,
+    rows: usize,
+    /// Cell `(x, y)` holds `members[start[c]..start[c + 1]]`, `c = y·cols + x`.
+    start: Vec<u32>,
+    /// Node indices grouped by cell, ascending within each cell.
+    members: Vec<u32>,
+}
+
+impl CellGrid {
+    fn new(positions: &[Position], max_range: f64) -> CellGrid {
+        let n = positions.len();
+        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in positions {
+            (x0, y0, x1, y1) = (x0.min(p.x), y0.min(p.y), x1.max(p.x), y1.max(p.y));
+        }
+        let (w, h) = (x1 - x0, y1 - y0);
+        // Widening the side past `max_range` where the field is sparse
+        // bounds the grid at (w/side + 1)(h/side + 1) ≤ 3n + 1 cells.
+        let m = n.max(1) as f64;
+        let side = (max_range * (1.0 + CELL_SLACK)).max((w * h / m).sqrt()).max(w / m).max(h / m);
+        // `as usize` saturates and maps NaN to 0, so an empty or
+        // non-finite extent still gets one cell along its axis.
+        let cols = (w / side) as usize + 1;
+        let rows = (h / side) as usize + 1;
+        let cell_of: Vec<u32> = positions
+            .iter()
+            .map(|p| {
+                let x = (((p.x - x0) / side) as usize).min(cols - 1);
+                let y = (((p.y - y0) / side) as usize).min(rows - 1);
+                (y * cols + x) as u32
+            })
+            .collect();
+
+        // Counting sort by cell; ascending node order within each cell.
+        let mut start = vec![0u32; cols * rows + 1];
+        for &c in &cell_of {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..cols * rows {
+            start[c + 1] += start[c];
+        }
+        let mut cursor: Vec<u32> = start[..cols * rows].to_vec();
+        let mut members = vec![0u32; n];
+        for (i, &c) in cell_of.iter().enumerate() {
+            members[cursor[c as usize] as usize] = i as u32;
+            cursor[c as usize] += 1;
+        }
+        CellGrid { cols, rows, start, members }
+    }
+
+    fn cell(&self, x: usize, y: usize) -> &[u32] {
+        let c = y * self.cols + x;
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+}
 
 /// An immutable radio connectivity graph in CSR layout.
 #[derive(Clone, Debug)]
@@ -71,14 +153,37 @@ impl Topology {
         Topology::build(positions, &edges, false)
     }
 
-    /// The undirected edges `radio` induces over `positions` (`i < j`).
+    /// The undirected edges `radio` induces over `positions` (`i < j`),
+    /// found through the cell grid (see the module docs).
     fn geometric_edges<R: RadioModel>(positions: &[Position], radio: &R) -> Vec<(NodeId, NodeId)> {
-        let n = positions.len();
+        let grid = CellGrid::new(positions, radio.max_range());
         let mut edges = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if radio.connected(i, &positions[i], j, &positions[j]) {
-                    edges.push((NodeId::from_index(i), NodeId::from_index(j)));
+        let mut try_link = |a: u32, b: u32| {
+            let (lo, hi) = if a < b { (a as usize, b as usize) } else { (b as usize, a as usize) };
+            if radio.connected(lo, &positions[lo], hi, &positions[hi]) {
+                edges.push((NodeId::from_index(lo), NodeId::from_index(hi)));
+            }
+        };
+        for y in 0..grid.rows {
+            for x in 0..grid.cols {
+                let here = grid.cell(x, y);
+                for (k, &a) in here.iter().enumerate() {
+                    for &b in &here[k + 1..] {
+                        try_link(a, b);
+                    }
+                }
+                // The forward half of the 8-neighbourhood visits each
+                // unordered pair of adjacent cells once (`x - 1` wraps to
+                // an out-of-range column at `x = 0`).
+                for (nx, ny) in [(x + 1, y), (x.wrapping_sub(1), y + 1), (x, y + 1), (x + 1, y + 1)]
+                {
+                    if nx < grid.cols && ny < grid.rows {
+                        for &a in here {
+                            for &b in grid.cell(nx, ny) {
+                                try_link(a, b);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -361,8 +466,179 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::UnitDisk;
+    use crate::radio::{LogDistance, UnitDisk};
     use dirq_sim::RngFactory;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The all-pairs scan the cell grid replaced, kept as its reference.
+    fn all_pairs_edges<R: RadioModel>(positions: &[Position], radio: &R) -> Vec<(NodeId, NodeId)> {
+        let n = positions.len();
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if radio.connected(i, &positions[i], j, &positions[j]) {
+                    edges.push((NodeId::from_index(i), NodeId::from_index(j)));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Whether the grid's edge set and the topology built from it equal
+    /// the all-pairs reference; `Err` names the first difference.
+    fn grid_vs_all_pairs<R: RadioModel>(positions: &[Position], radio: &R) -> Result<(), String> {
+        let n = positions.len();
+        let grid = CellGrid::new(positions, radio.max_range());
+        if grid.cols * grid.rows > 3 * n.max(1) + 1 {
+            return Err(format!("{}×{} cells for {n} nodes", grid.cols, grid.rows));
+        }
+        let mut edges = Topology::geometric_edges(positions, radio);
+        edges.sort_unstable();
+        let reference_edges = all_pairs_edges(positions, radio);
+        if edges != reference_edges {
+            return Err(format!(
+                "grid found {} edges, all-pairs {}",
+                edges.len(),
+                reference_edges.len()
+            ));
+        }
+        let t = Topology::from_positions(positions.to_vec(), radio);
+        let r = Topology::build(positions.to_vec(), &reference_edges, false);
+        if t.link_count() != r.link_count() {
+            return Err(format!("link_count {} != {}", t.link_count(), r.link_count()));
+        }
+        for a in r.nodes() {
+            if t.neighbors(a) != r.neighbors(a) {
+                return Err(format!("CSR row of {a} differs"));
+            }
+            if let Some(b) = r.nodes().find(|&b| t.has_link(a, b) != r.has_link(a, b)) {
+                return Err(format!("has_link({a}, {b}) differs"));
+            }
+        }
+        Ok(())
+    }
+
+    /// `n` positions of field `shape` at radio scale `range`, drawn from
+    /// `seed`.
+    fn field(shape: u8, n: usize, range: f64, seed: u64) -> Vec<Position> {
+        let mut rng = RngFactory::new(seed).stream("grid-field");
+        // Mean degree from about 0.8 to about 35.
+        let side = range * (n as f64).sqrt().max(1.0) * rng.gen_range(0.3..2.0);
+        let mut uniform = |w: f64, h: f64| -> Vec<Position> {
+            (0..n).map(|_| Position::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h))).collect()
+        };
+        match shape {
+            0 => uniform(side, side),
+            // A corridor one cell tall.
+            1 => uniform(4.0 * side, 0.9 * range),
+            // Sparse: side ≫ range·√n, so the cell count hits its O(n) cap.
+            2 => uniform(100.0 * range * (n as f64 + 1.0), 100.0 * range * (n as f64 + 1.0)),
+            // Gaussian clusters.
+            3 => {
+                let centres = uniform(side, side);
+                let mut rng = RngFactory::new(seed).stream("grid-clusters");
+                (0..n)
+                    .map(|i| {
+                        let c = centres[i % (n / 40 + 1)];
+                        let dx = dirq_sim::rng::sample_normal(&mut rng, 0.0, 2.0 * range);
+                        let dy = dirq_sim::rng::sample_normal(&mut rng, 0.0, 2.0 * range);
+                        Position::new(c.x + dx, c.y + dy)
+                    })
+                    .collect()
+            }
+            // A jittered grid at about the range's spacing, in negative
+            // coordinates.
+            4 => {
+                let cols = (n as f64).sqrt().ceil().max(1.0) as usize;
+                let step = range * rng.gen_range(0.7..1.3);
+                (0..n)
+                    .map(|i| {
+                        let jx = rng.gen_range(-0.3..0.3) * step;
+                        let jy = rng.gen_range(-0.3..0.3) * step;
+                        let x = -1234.5 - side + (i % cols) as f64 * step + jx;
+                        let y = -0.25 * side + (i / cols) as f64 * step + jy;
+                        Position::new(x, y)
+                    })
+                    .collect()
+            }
+            // Coincident points: every node on one of a few sites.
+            _ => {
+                let sites = uniform(side, side);
+                (0..n).map(|i| sites[(i * 7) % (n / 8 + 1)]).collect()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The cell grid finds exactly the all-pairs edge set, so the
+        /// built topology is bit-identical, on every field shape and under
+        /// both radio models.
+        #[test]
+        fn prop_grid_matches_all_pairs(
+            shape in 0u8..6,
+            n in 0usize..300,
+            range in 1.0f64..60.0,
+            log_distance in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let positions = field(shape, n, range, seed);
+            let checked = if log_distance == 1 {
+                grid_vs_all_pairs(&positions, &LogDistance::forest(seed))
+            } else {
+                grid_vs_all_pairs(&positions, &UnitDisk::new(range))
+            };
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn grid_matches_all_pairs_on_small_and_boundary_cases() {
+        let radio = UnitDisk::new(10.0);
+        let p = Position::new;
+        // (positions, pairs that must link). The later cases place pairs
+        // exactly one range apart across cell boundaries (cells are
+        // anchored at the field's lower-left corner and ~10 m wide): along
+        // x, along y, and on 6-8-10 diagonals, also at negative
+        // coordinates. In the `edge` case, a cell even 1e-9 narrower than
+        // the range would put the linked pair two cells apart.
+        let edge = 10.0 - 2f64.powi(-26);
+        let cases = [
+            (vec![], vec![]),
+            (vec![p(3.0, 4.0)], vec![]),
+            (vec![p(3.0, 4.0), p(3.0, 4.0)], vec![(0, 1)]),
+            (vec![p(0.0, 0.0), p(10.0, 1e-7)], vec![]),
+            (vec![p(0.0, 0.0), p(edge, 0.0), p(edge + 10.0, 0.0)], vec![(1, 2)]),
+            (
+                vec![
+                    p(0.0, 0.0),
+                    p(10.0, 0.0),
+                    p(20.0, 0.0),
+                    p(4.5, 0.0),
+                    p(14.5, 0.0),
+                    p(0.0, 10.0),
+                    p(0.0, 20.0),
+                    p(6.0, 28.0),
+                    p(12.0, 36.0),
+                ],
+                vec![(0, 1), (1, 2), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)],
+            ),
+            (
+                vec![p(-20.0, -20.0), p(-14.0, -12.0), p(-8.0, -4.0), p(-2.0, 4.0)],
+                vec![(0, 1), (1, 2), (2, 3)],
+            ),
+        ];
+        for (positions, links) in &cases {
+            assert_eq!(grid_vs_all_pairs(positions, &radio), Ok(()), "{positions:?}");
+            assert_eq!(grid_vs_all_pairs(positions, &LogDistance::forest(3)), Ok(()));
+            let t = Topology::from_positions(positions.clone(), &radio);
+            for &(a, b) in links {
+                assert!(t.has_link(NodeId(a), NodeId(b)), "{a}-{b} in {positions:?}");
+            }
+        }
+    }
 
     fn line(n: usize) -> Topology {
         let edges: Vec<(NodeId, NodeId)> =

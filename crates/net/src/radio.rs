@@ -22,6 +22,18 @@ pub trait RadioModel {
     /// Nominal communication range in metres (used by deployment helpers to
     /// pick sensible densities).
     fn nominal_range(&self) -> f64;
+
+    /// An upper bound on link length, in metres: `connected(ia, a, ib, b)`
+    /// must imply `a.distance(b) <= max_range()`.
+    ///
+    /// [`Topology::from_positions`](crate::Topology::from_positions)
+    /// buckets nodes into grid cells no narrower than this bound and tests
+    /// only pairs in the same or adjacent cells, so an understated bound
+    /// silently drops links. The default, `f64::INFINITY`, claims no bound:
+    /// the grid collapses to one cell and every pair is tested.
+    fn max_range(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// Binary unit-disk model: connected iff within `range` metres.
@@ -46,6 +58,10 @@ impl RadioModel for UnitDisk {
     }
 
     fn nominal_range(&self) -> f64 {
+        self.range
+    }
+
+    fn max_range(&self) -> f64 {
         self.range
     }
 }
@@ -126,6 +142,9 @@ impl RadioModel for LogDistance {
     fn nominal_range(&self) -> f64 {
         self.mean_range()
     }
+
+    // `max_range` keeps the unbounded default: shadowing lets a pair well
+    // beyond the mean range still close its link budget.
 }
 
 #[cfg(test)]
@@ -139,6 +158,8 @@ mod tests {
         assert!(r.connected(0, &o, 1, &Position::new(10.0, 0.0)));
         assert!(!r.connected(0, &o, 1, &Position::new(10.0001, 0.0)));
         assert_eq!(r.nominal_range(), 10.0);
+        assert_eq!(r.max_range(), 10.0);
+        assert_eq!(LogDistance::forest(1).max_range(), f64::INFINITY);
     }
 
     #[test]
