@@ -27,9 +27,8 @@
 //! entirely.
 //!
 //! Usage: `scenario_matrix [--preset NAME] [--epoch-scale F] [--quick]
-//! [--threads T] [--mac-workers W] [--world-workers W]
-//! [--dispatch-workers W] [--upkeep-workers W] [--replicates R]
-//! [--perf-floor F] [--out PATH] [--smoke] [--list]`
+//! [--threads T] [--workers W] [--replicates R] [--perf-floor F]
+//! [--out PATH] [--smoke] [--list]`
 
 use dirq_bench::matrix;
 use dirq_scenario::{registry, run_matrix_report, ScenarioSpec, SweepConfig};
@@ -41,8 +40,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: scenario_matrix [--preset NAME] [--epoch-scale F] [--quick] \
-         [--threads T] [--mac-workers W] [--world-workers W] [--dispatch-workers W] \
-         [--upkeep-workers W] [--replicates R] [--perf-floor F] [--out PATH] \
+         [--threads T] [--workers W] [--replicates R] [--perf-floor F] [--out PATH] \
          [--smoke] [--list]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -84,29 +82,11 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--threads needs a number"))
             }
-            "--mac-workers" => {
-                cfg.mac_workers = args
+            "--workers" => {
+                cfg.workers = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--mac-workers needs a number"))
-            }
-            "--world-workers" => {
-                cfg.world_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--world-workers needs a number"))
-            }
-            "--dispatch-workers" => {
-                cfg.dispatch_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--dispatch-workers needs a number"))
-            }
-            "--upkeep-workers" => {
-                cfg.upkeep_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--upkeep-workers needs a number"))
+                    .unwrap_or_else(|| usage("--workers needs a number"))
             }
             "--replicates" => {
                 cfg.replicates = args
@@ -168,21 +148,14 @@ fn main() {
 /// round-trip, a staleness check of the checked-in `BENCH_2.json`, and
 /// the perf-trajectory tripwire. Any failure exits non-zero.
 ///
-/// Only the worker knobs (`--mac-workers`/`--world-workers`/
-/// `--dispatch-workers`/`--upkeep-workers`) flow in from the command
-/// line — the CI worker matrix exercises the parallel MAC,
-/// world-generation, protocol dispatch and protocol upkeep paths, and
-/// none may move a fingerprint. Budget knobs
+/// Only the worker knob (`--workers`) flows in from the command line —
+/// the CI worker matrix exercises the parallel MAC, world-generation and
+/// protocol-upkeep paths, and none may move a fingerprint. Budget knobs
 /// (`--epoch-scale`, `--quick`, `--replicates`) are deliberately
 /// ignored: the smoke goldens are recorded at fixed budgets.
 fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
-    let base_cfg = &SweepConfig {
-        mac_workers: cli_cfg.mac_workers,
-        world_workers: cli_cfg.world_workers,
-        dispatch_workers: cli_cfg.dispatch_workers,
-        upkeep_workers: cli_cfg.upkeep_workers,
-        ..SweepConfig::default()
-    };
+    let workers = cli_cfg.workers.max(1);
+    let base_cfg = &SweepConfig { workers, ..SweepConfig::default() };
     // The recorded artifact must match the registry golden — catching PRs
     // that change behaviour (or the registry) without re-running the
     // matrix and re-recording BENCH_2.json.
@@ -231,56 +204,27 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
         );
         std::process::exit(1);
     }
-    // Golden worker-invariance gate for the parallel MAC, world,
-    // protocol-dispatch and protocol-upkeep paths: the whole registry
-    // (scaled to smoke
-    // budgets) serial vs with the requested intra-run worker knobs
-    // engaged — identical report fingerprints. Only meaningful when a
-    // worker knob is > 1, so the serial CI matrix leg skips the two
-    // extra registry sweeps.
-    let workers = base_cfg
-        .mac_workers
-        .max(base_cfg.world_workers)
-        .max(base_cfg.dispatch_workers)
-        .max(base_cfg.upkeep_workers)
-        .max(1);
+    // Golden worker-invariance gate for the parallel MAC, world and
+    // protocol-upkeep paths: the whole registry (scaled to smoke budgets)
+    // serial vs with the requested intra-run workers engaged — identical
+    // report fingerprints. Only meaningful at more than one worker, so
+    // the serial CI matrix leg skips the two extra registry sweeps.
     if workers > 1 {
         let registry_scale = 0.1;
         let reg1 = run_matrix_report(
             &registry::registry(),
-            &SweepConfig {
-                threads: 1,
-                mac_workers: 1,
-                world_workers: 1,
-                dispatch_workers: 1,
-                upkeep_workers: 1,
-                epoch_scale: registry_scale,
-                ..SweepConfig::default()
-            },
+            &SweepConfig { threads: 1, epoch_scale: registry_scale, ..SweepConfig::default() },
         );
         let reg_sharded = run_matrix_report(
             &registry::registry(),
-            &SweepConfig {
-                threads: 4,
-                mac_workers: base_cfg.mac_workers.max(1),
-                world_workers: base_cfg.world_workers.max(1),
-                dispatch_workers: base_cfg.dispatch_workers.max(1),
-                upkeep_workers: base_cfg.upkeep_workers.max(1),
-                epoch_scale: registry_scale,
-                ..SweepConfig::default()
-            },
+            &SweepConfig { threads: 4, epoch_scale: registry_scale, ..*base_cfg },
         );
         if reg1.stable_fingerprint() != reg_sharded.stable_fingerprint() {
             eprintln!(
                 "FAIL: registry diverges across worker counts: {:#018X} (serial) vs \
-                 {:#018X} (4 sweep threads x {} MAC workers x {} world workers x {} \
-                 dispatch workers x {} upkeep workers)",
+                 {:#018X} (4 sweep threads x {workers} intra-run workers)",
                 reg1.stable_fingerprint(),
                 reg_sharded.stable_fingerprint(),
-                base_cfg.mac_workers.max(1),
-                base_cfg.world_workers.max(1),
-                base_cfg.dispatch_workers.max(1),
-                base_cfg.upkeep_workers.max(1),
             );
             std::process::exit(1);
         }
@@ -289,7 +233,7 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
             reg1.stable_fingerprint()
         );
     } else {
-        println!("registry worker-invariance skipped (serial leg; run with worker knobs > 1)");
+        println!("registry worker-invariance skipped (serial leg; run with --workers > 1)");
     }
 
     // Perf-trajectory tripwire: fresh short runs of the large presets

@@ -1,7 +1,8 @@
 //! # dirq-bench — the reproduction harness
 //!
 //! One binary per figure/result of the paper's evaluation (Section 5 and
-//! Section 7), plus Criterion microbenchmarks of the hot data structures.
+//! Section 7), plus the scenario-matrix, perf-baseline and golden-record
+//! tools.
 //!
 //! | Paper artefact | Binary | What it prints |
 //! |---|---|---|
@@ -11,9 +12,6 @@
 //! | Section 5 worked example + Eqs. 3–9 | `tab_analytic` | closed-form cost tables and simulated validation |
 //! | §1/§7 headline (45–55 % of flooding) | `cost_ratio` | measured DirQ/flooding cost ratios |
 //! | design-choice sensitivity (DESIGN.md §6) | `ablations` | update rule / tree / world / sampling / MAC perturbations |
-//!
-//! (`probe` is a development-time calibration scratchpad, not a published
-//! figure.)
 //!
 //! Every binary accepts `--epochs N`, `--seed S` and `--quick` (a short
 //! 4 000-epoch run for smoke testing); defaults reproduce the paper's

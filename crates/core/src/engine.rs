@@ -18,7 +18,7 @@ use dirq_data::sensor::SensorAssignment;
 use dirq_data::workload::CalibratedQuery;
 use dirq_data::{QueryGenerator, QueryId, SensorCatalog, SensorWorld, WorldConfig};
 use dirq_lmac::network::MacStats;
-use dirq_lmac::{Destination, LmacConfig, LmacNetwork, MacIndication, PayloadHandle};
+use dirq_lmac::{Destination, LmacConfig, LmacNetwork, MacIndication};
 use dirq_net::churn::ChurnPlan;
 use dirq_net::placement::{Placement, SinkPlacement};
 use dirq_net::radio::{LogDistance, UnitDisk};
@@ -164,12 +164,14 @@ pub struct ScenarioConfig {
     pub world: Option<WorldConfig>,
     /// Worker threads for the per-epoch world advance (split per-node RNG
     /// streams shard over node ranges). Like `lmac.workers`, never affects
-    /// results — the sharded advance is bit-identical at any count.
+    /// results — the sharded advance is bit-identical at any count. The
+    /// scenario sweep's one `workers` knob sets `lmac.workers`, this field
+    /// and `upkeep_workers` together.
     pub world_workers: usize,
-    /// Worker threads for protocol-plane indication dispatch between MAC
-    /// slots (listener-aligned chunks over a worker pool, with the shared
-    /// effects replayed in slot order). Like `lmac.workers`, never affects
-    /// results — the sharded dispatch is bit-identical at any count.
+    /// Inert: nothing in the workspace reads or sets it. Indication
+    /// dispatch between MAC slots is always serial. The field stays only
+    /// because the benchmark under `perfbench/` assigns it by name; drop
+    /// it once the benchmark stops setting it.
     pub dispatch_workers: usize,
     /// Worker threads for the per-node protocol-upkeep passes (sensor
     /// sampling and tree-repair scans shard over contiguous node ranges,
@@ -337,9 +339,10 @@ impl RunResult {
 }
 
 /// Wall-clock split of a run across the engine's per-epoch phases,
-/// collected when [`Engine::enable_phase_timing`] is on (the
-/// `dispatch_probe` bin reports it). Purely observational — timing never
-/// feeds back into the simulation.
+/// collected when [`Engine::enable_phase_timing`] is on (a traced
+/// benchmark run, `perfbench/run.py --trace 1`, reports it as per-phase
+/// `*_ms` metrics). Purely observational — timing never feeds back into
+/// the simulation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Seconds advancing the synthetic world.
@@ -362,15 +365,6 @@ pub struct PhaseTimings {
     pub dispatch: f64,
     /// Seconds in end-of-epoch housekeeping, including query finalisation.
     pub finalize: f64,
-}
-
-impl PhaseTimings {
-    /// Total protocol-plane upkeep — the sum of the churn, repair, EHr,
-    /// sampling and injection sub-phases (the single `protocol` bucket
-    /// before the split).
-    pub fn protocol(&self) -> f64 {
-        self.churn + self.repair + self.ehr + self.sampling + self.injection
-    }
 }
 
 /// The simulation engine.
@@ -415,19 +409,9 @@ pub struct Engine {
     /// Scratch: true-source membership bits for [`Engine::finalize_query`]
     /// (set and cleared per query).
     source_mark: Vec<bool>,
-    /// Worker pool for sharded indication dispatch (`None` = serial; the
-    /// `dispatch_workers` knob resolves here against the host parallelism
-    /// and a node-count floor).
-    dispatch_pool: Option<WorkerPool>,
-    /// Per-worker effect buffers for sharded dispatch; empty when serial.
-    dispatch_shards: Vec<DispatchShard>,
-    /// Scratch: listener-aligned `[start, end)` chunk bounds per worker.
-    dispatch_chunks: Vec<(u32, u32)>,
-    /// Test hook: shard every slot regardless of the size thresholds.
-    force_sharded: bool,
     /// Worker pool for the sharded protocol-upkeep passes (sampling and
-    /// repair scans); `None` = serial. Resolved from the `upkeep_workers`
-    /// knob like `dispatch_pool`.
+    /// repair scans); `None` = serial. The `upkeep_workers` knob resolves
+    /// here against the host parallelism and a node-count floor.
     upkeep_pool: Option<WorkerPool>,
     /// Per-worker decision/effect buffers for sharded upkeep; empty when
     /// serial.
@@ -706,18 +690,10 @@ impl Engine {
             .map(|f| f * (analytic0.n.saturating_sub(1)) as f64 * queries_per_hour)
             .unwrap_or(0.0);
 
-        // Sharded dispatch engages only when the knob asks for several
+        // Sharded upkeep engages only when the knob asks for several
         // workers, the deployment is big enough to feed them and the host
         // actually has the cores (WorkerPool clamps to the hardware) — a
-        // 1-core box resolves to the serial loop.
-        let dispatch_pool = (cfg.dispatch_workers.max(1) > 1 && n >= DISPATCH_MIN_NODES)
-            .then(|| WorkerPool::new(cfg.dispatch_workers))
-            .filter(|p| p.workers() > 1);
-        let dispatch_shards: Vec<DispatchShard> = match &dispatch_pool {
-            Some(p) => (0..p.workers()).map(|_| DispatchShard::default()).collect(),
-            None => Vec::new(),
-        };
-        // Same engagement rule for the protocol-upkeep passes.
+        // 1-core box resolves to the serial loops.
         let upkeep_pool = (cfg.upkeep_workers.max(1) > 1 && n >= UPKEEP_MIN_NODES)
             .then(|| WorkerPool::new(cfg.upkeep_workers))
             .filter(|p| p.workers() > 1);
@@ -747,10 +723,6 @@ impl Engine {
             ind_buf: Vec::with_capacity(64),
             finalize_buf: Vec::new(),
             source_mark: vec![false; n],
-            dispatch_pool,
-            dispatch_shards,
-            dispatch_chunks: Vec::new(),
-            force_sharded: false,
             upkeep_pool,
             upkeep_shards,
             upkeep_chunks: Vec::new(),
@@ -817,19 +789,6 @@ impl Engine {
     /// Accumulated per-phase timings, when enabled.
     pub fn phase_timings(&self) -> Option<PhaseTimings> {
         self.timing.as_deref().copied()
-    }
-
-    /// Test hook: shard indication dispatch over `workers` shards on every
-    /// slot, bypassing the size thresholds (the differential suite pins
-    /// this path bit-equal to the serial reference). On hosts with fewer
-    /// cores the pool degrades to the caller draining all chunks — the
-    /// chunk/merge logic still runs in full.
-    #[doc(hidden)]
-    pub fn force_sharded_dispatch(&mut self, workers: usize) {
-        assert!(workers > 1, "forcing sharded dispatch requires at least two shards");
-        self.dispatch_pool = Some(WorkerPool::new(workers));
-        self.dispatch_shards = (0..workers).map(|_| DispatchShard::default()).collect();
-        self.force_sharded = true;
     }
 
     /// Test hook: shard the protocol-upkeep passes (sampling + repair)
@@ -1610,13 +1569,8 @@ impl Engine {
     }
 
     fn sample_sensors(&mut self) {
-        // The carrier mask (and so the index) covers the first 64 type
-        // ids; catalogs beyond that (the u8 id space allows up to 256)
-        // fall back to the original full scan with per-pair lookups.
-        if self.world.catalog().len() > 64 {
-            self.sample_sensors_unindexed();
-            return;
-        }
+        // The carrier masks cover the first 64 type ids, which is enough:
+        // `Engine::new` pins the catalog to the 4 environmental types.
         self.refresh_sample_index();
         if self.upkeep_shards.len() > 1
             && (self.force_upkeep || self.sample_index.carriers.len() >= UPKEEP_MIN_ITEMS)
@@ -1650,8 +1604,8 @@ impl Engine {
 
     /// The serial sampling loop over the carrier index — the production
     /// path at one worker and the differential reference for the sharded
-    /// path. Visits exactly the `(node, type)` pairs the full scan in
-    /// [`Engine::sample_sensors_unindexed`] visits, in the same order.
+    /// path. Visits exactly the `(node, type)` pairs a full `1..n` ×
+    /// catalog scan would, in the same order.
     fn sample_sensors_serial(&mut self) {
         let index = std::mem::take(&mut self.sample_index);
         for &ci in &index.carriers {
@@ -1686,7 +1640,7 @@ impl Engine {
     /// Sharded sampling: carrier chunks run the full per-node decision
     /// path (adaptive gate, world read, node state update) in place —
     /// samplers and nodes are per-node-disjoint — and defer the
-    /// shared-state mutations (MAC enqueues + tallies) as [`Effect`]s
+    /// shared-state mutations (MAC enqueues + tx tallies) as [`Effect`]s
     /// replayed in chunk order, i.e. exactly the serial order.
     fn sample_sensors_sharded(&mut self) {
         let index = std::mem::take(&mut self.sample_index);
@@ -1716,57 +1670,15 @@ impl Engine {
         }
         self.upkeep_pool = Some(pool);
         for shard in shards.iter_mut().take(nchunks) {
-            let mut effects = std::mem::take(&mut shard.effects);
-            for e in effects.drain(..) {
-                self.apply_effect(e);
+            for e in shard.effects.drain(..) {
+                if self.mac.enqueue(e.from, e.dest, e.msg) {
+                    self.record_tx_parts(e.category, e.query);
+                }
             }
-            shard.effects = effects;
         }
         self.upkeep_shards = shards;
         self.upkeep_chunks = chunks;
         self.sample_index = index;
-    }
-
-    /// The original full-scan sampling loop, kept for catalogs past the
-    /// 64-type mask space.
-    fn sample_sensors_unindexed(&mut self) {
-        let small_catalog = self.world.catalog().len() <= 64;
-        for i in 1..self.nodes.len() {
-            let node = NodeId::from_index(i);
-            if !self.alive[i] {
-                continue;
-            }
-            // One row fetch per node; the per-type test is then a bit probe.
-            let carried = self.world.assignment().carried_mask(i);
-            if carried == 0 && small_catalog {
-                continue;
-            }
-            for stype in self.world.catalog().types() {
-                let idx = stype.index();
-                let carries = if idx < 64 {
-                    carried & (1 << idx) != 0
-                } else {
-                    self.world.assignment().has(i, stype)
-                };
-                if carries {
-                    if let Some(samplers) = &mut self.samplers {
-                        if !samplers[i][stype.index()].should_sample() {
-                            continue;
-                        }
-                    }
-                    let Some(reading) = self.world.reading(i, stype) else { continue };
-                    let outs = self.nodes[i].sample(stype, reading);
-                    self.dispatch_outgoing(node, outs);
-                    if let Some(samplers) = &mut self.samplers {
-                        let window = self.nodes[i]
-                            .table(stype)
-                            .and_then(|t| t.own())
-                            .map(|e| (e.min, e.max));
-                        samplers[i][stype.index()].on_sampled(reading, window);
-                    }
-                }
-            }
-        }
     }
 
     fn inject_query(&mut self) {
@@ -1817,111 +1729,12 @@ impl Engine {
             self.mac.advance_slot_into(&mut self.mac_rng, &mut buf);
             self.phase_lap(t0, |t| &mut t.mac);
             let t0 = self.phase_start();
-            self.dispatch_slot(&mut buf);
+            for ind in buf.drain(..) {
+                self.dispatch_indication(ind);
+            }
             self.phase_lap(t0, |t| &mut t.dispatch);
         }
         self.ind_buf = buf;
-    }
-
-    /// Dispatch one slot's indications: the sharded path when several
-    /// dispatch shards are configured and the slot's shardable prefix is
-    /// worth the fan-out, the serial reference loop otherwise.
-    fn dispatch_slot(&mut self, buf: &mut Vec<MacIndication<DirqMessage>>) {
-        if self.dispatch_shards.len() > 1 {
-            let prefix = dispatch_prefix_len(buf);
-            if prefix > 0 && (self.force_sharded || prefix >= DISPATCH_MIN_PREFIX) {
-                self.dispatch_slot_sharded(buf, prefix);
-                return;
-            }
-        }
-        for ind in buf.drain(..) {
-            self.dispatch_indication(ind);
-        }
-    }
-
-    /// Shard the slot's Delivered/NeighborNew prefix over the worker pool
-    /// in listener-aligned chunks, then replay the collected shared-state
-    /// effects in chunk order — bit-identical to the serial loop at any
-    /// worker count. The tail past the prefix (undeliverables,
-    /// frame-boundary death notices) always runs serially.
-    fn dispatch_slot_sharded(&mut self, buf: &mut Vec<MacIndication<DirqMessage>>, prefix: usize) {
-        let nshards = self.dispatch_shards.len();
-        let mut chunks = std::mem::take(&mut self.dispatch_chunks);
-        chunks.clear();
-        let mut start = 0usize;
-        while start < prefix {
-            let k = chunks.len();
-            let mut end =
-                if k + 1 >= nshards { prefix } else { (prefix * (k + 1) / nshards).max(start + 1) };
-            // Never split an equal-listener run: per-node handler state
-            // must stay inside one chunk.
-            while end < prefix && dispatch_listener(&buf[end]) == dispatch_listener(&buf[end - 1]) {
-                end += 1;
-            }
-            chunks.push((start as u32, end as u32));
-            start = end;
-        }
-        let nchunks = chunks.len();
-
-        let mut shards = std::mem::take(&mut self.dispatch_shards);
-        let mut pool = self.dispatch_pool.take().expect("sharded dispatch requires a pool");
-        {
-            let phase = DispatchPhase {
-                nodes: self.nodes.as_mut_ptr(),
-                flood: self.flood.as_mut_ptr(),
-                shards: shards.as_mut_ptr(),
-                inds: &buf[..prefix],
-                chunks: &chunks,
-            };
-            pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
-        }
-        self.dispatch_pool = Some(pool);
-        // Replay the shared-state effects in chunk order — exactly the
-        // order the serial loop would have produced them in.
-        for shard in shards.iter_mut().take(nchunks) {
-            let mut effects = std::mem::take(&mut shard.effects);
-            for e in effects.drain(..) {
-                self.apply_effect(e);
-            }
-            shard.effects = effects;
-        }
-        self.dispatch_shards = shards;
-        self.dispatch_chunks = chunks;
-        for ind in buf.drain(prefix..) {
-            self.dispatch_indication(ind);
-        }
-        buf.clear();
-    }
-
-    /// Apply one shared-state effect collected by a dispatch shard. Each
-    /// arm mirrors its serial counterpart in [`Engine::dispatch_indication`]
-    /// / [`Engine::dispatch_outgoing`] verbatim.
-    fn apply_effect(&mut self, e: Effect) {
-        match e {
-            Effect::Rx { category, query } => {
-                self.metrics.on_rx(category, self.epoch);
-                if let Some(id) = query {
-                    if let Some(p) = self.pending.get_mut(id) {
-                        p.rx += 1;
-                    }
-                }
-            }
-            Effect::MarkReceived { query, node } => {
-                if let Some(p) = self.pending.get_mut(query) {
-                    p.received[node.index()] = true;
-                }
-            }
-            Effect::Enqueue { from, dest, msg, category, query } => {
-                if self.mac.enqueue(from, dest, msg) {
-                    self.record_tx_parts(category, query);
-                }
-            }
-            Effect::EnqueueShared { from, payload, query } => {
-                if self.mac.enqueue_shared(from, Destination::Broadcast, payload) {
-                    self.record_tx_parts(MessageCategory::Query, Some(query));
-                }
-            }
-        }
     }
 
     fn end_epoch_housekeeping(&mut self) {
@@ -2147,185 +1960,45 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
     }
 }
 
-// --- sharded indication dispatch ---------------------------------------------
+// --- sharded protocol upkeep -------------------------------------------------
 //
-// Between MAC slots the engine dispatches each slot's indications to the
-// protocol handlers. The MAC emits them in a fixed shape: a prefix of
-// Delivered/NeighborNew events in non-decreasing listener order (the
-// listener phase scans listeners ascending), then per-transmitter
-// Undeliverable batches, with NeighborDied only at the frame boundary.
-// Handlers touch only their own node's protocol state, so the prefix can
-// be cut into listener-disjoint chunks and run concurrently — everything
-// that touches *shared* state (metrics, pending tallies, MAC enqueues) is
-// collected per chunk as [`Effect`]s and replayed on the engine in chunk
-// order, reproducing the serial loop bit for bit. The serial
-// [`Engine::dispatch_indication`] stays as the reference implementation;
-// `tests/dispatch_differential.rs` pins the two paths against each other.
+// The per-node upkeep passes — sensor sampling and the tree-repair scans —
+// are per-node-disjoint exactly like the world advance: each node's
+// decisions read shared state (the world, the MAC neighbour tables, the
+// pre-pass attachment) but mutate only its own protocol/sampler state.
+// Sampling shards run the real decision path in place and defer the MAC
+// enqueues as [`Effect`]s replayed in chunk order. Repair shards compute
+// per-node *decisions* only — the adoptions replay serially in ascending
+// node order with a live cycle re-validate. Both serial loops stay as the
+// reference implementations; `tests/upkeep_differential.rs` pins the
+// paths against each other.
 
-/// Below this many shardable indications in a slot the fan-out costs more
-/// than the work; the serial loop runs instead.
-const DISPATCH_MIN_PREFIX: usize = 64;
+/// Epochs a node stays detached before the repair fallback adopts an
+/// attached MAC neighbour directly.
+const DETACH_FALLBACK_EPOCHS: u64 = 25;
 
-/// Deployments below this node count never produce slots dense enough to
-/// shard; skip even creating the pool.
-const DISPATCH_MIN_NODES: usize = 512;
+/// Deployments below this node count never have upkeep passes dense
+/// enough to shard; skip even creating the pool.
+const UPKEEP_MIN_NODES: usize = 512;
 
-/// A shared-state mutation collected inside a dispatch chunk, replayed on
-/// the engine in order. Each variant mirrors one serial-path site.
-enum Effect {
-    /// [`Engine::record_rx`] for a delivered payload.
-    Rx { category: MessageCategory, query: Option<QueryId> },
-    /// Mark `node` as having received `query` (the pending tally).
-    MarkReceived { query: QueryId, node: NodeId },
-    /// [`Engine::dispatch_outgoing`]'s enqueue + tx record.
-    Enqueue {
-        from: NodeId,
-        dest: Destination,
-        msg: DirqMessage,
-        category: MessageCategory,
-        query: Option<QueryId>,
-    },
-    /// The zero-copy flooding rebroadcast (enqueue of the interned payload
-    /// handle + tx record).
-    EnqueueShared { from: NodeId, payload: PayloadHandle<DirqMessage>, query: QueryId },
-}
+/// Below this many per-pass work items (carrier nodes to sample, nodes to
+/// scan for repair) the fan-out costs more than the work; the serial
+/// loops run even when an upkeep pool exists.
+const UPKEEP_MIN_ITEMS: usize = 256;
 
-/// One worker's effect buffer, reused across slots.
-#[derive(Default)]
-struct DispatchShard {
-    effects: Vec<Effect>,
-}
-
-/// Shared view of the engine state a dispatch fan-out needs. Raw pointers
-/// because chunks write disjoint `nodes`/`flood`/`shards` elements — the
-/// borrow checker cannot see the listener partition.
-struct DispatchPhase<'a> {
-    nodes: *mut DirqNode,
-    flood: *mut FloodingNode,
-    shards: *mut DispatchShard,
-    inds: &'a [MacIndication<DirqMessage>],
-    chunks: &'a [(u32, u32)],
-}
-
-// SAFETY: `run_chunk(k)` for distinct `k` touches disjoint state — chunk
-// bounds never split an equal-listener run and listeners are
-// non-decreasing, so the node/flood entries written by different chunks
-// never alias, and shard `k` is written by chunk `k` alone.
-unsafe impl Sync for DispatchPhase<'_> {}
-
-impl DispatchPhase<'_> {
-    /// Process chunk `k`'s indications into shard `k`'s effect buffer.
-    ///
-    /// SAFETY: the caller must run each `k < chunks.len()` at most once
-    /// per phase (the worker pool's claim protocol guarantees exactly
-    /// once), with `chunks` a listener-aligned partition of `inds`.
-    unsafe fn run_chunk(&self, k: usize) {
-        let (start, end) = self.chunks[k];
-        let shard = &mut *self.shards.add(k);
-        shard.effects.clear();
-        for ind in &self.inds[start as usize..end as usize] {
-            // NeighborNew — the only other variant in the shardable
-            // prefix — is a protocol-plane no-op (attachment is
-            // initiated by the joining node).
-            if let MacIndication::Delivered { to, from, payload } = ind {
-                let node = &mut *self.nodes.add(to.index());
-                let flood = &mut *self.flood.add(to.index());
-                delivered_effects(node, flood, *to, *from, payload, &mut shard.effects);
-            }
-        }
-    }
-}
-
-/// The listener a shardable indication targets; `None` ends the prefix.
-fn dispatch_listener(ind: &MacIndication<DirqMessage>) -> Option<NodeId> {
-    match ind {
-        MacIndication::Delivered { to, .. } => Some(*to),
-        MacIndication::NeighborNew { observer, .. } => Some(*observer),
-        _ => None,
-    }
-}
-
-/// Length of the leading run of Delivered/NeighborNew indications with
-/// non-decreasing listeners — the region whose handlers touch disjoint
-/// per-node state. The MAC emits the whole listener phase in this shape;
-/// the check is defensive so correctness never depends on that invariant.
-fn dispatch_prefix_len(inds: &[MacIndication<DirqMessage>]) -> usize {
-    let mut prev: Option<NodeId> = None;
-    for (i, ind) in inds.iter().enumerate() {
-        match dispatch_listener(ind) {
-            Some(l) if prev.is_none_or(|p| p <= l) => prev = Some(l),
-            _ => return i,
-        }
-    }
-    inds.len()
-}
-
-/// The sharded replica of [`Engine::dispatch_indication`]'s `Delivered`
-/// arm: run the per-node handlers in place, collect every shared-state
-/// mutation as effects in the exact order the serial arm performs them.
-fn delivered_effects(
-    node: &mut DirqNode,
-    flood: &mut FloodingNode,
-    to: NodeId,
+/// A MAC enqueue deferred by a sampling shard: [`Engine::dispatch_outgoing`]'s
+/// enqueue + tx record, replayed on the engine in chunk order.
+struct Effect {
     from: NodeId,
-    payload: &PayloadHandle<DirqMessage>,
-    effects: &mut Vec<Effect>,
-) {
-    effects.push(Effect::Rx { category: payload.category(), query: query_id_of(payload) });
-    match &**payload {
-        DirqMessage::Update { stype, min, max } => {
-            let outs = node.on_update(from, *stype, *min, *max);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::Retract { stype } => {
-            let outs = node.on_retract(from, *stype);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::Attach => {
-            if node.parent() != Some(from) {
-                node.on_attach(from);
-            }
-        }
-        DirqMessage::Detach => {
-            let outs = node.on_child_lost(from);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::GeoAdvert(rect) => {
-            let outs = node.on_geo_advert(from, *rect);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::Ehr(msg) => {
-            let outs = node.on_ehr(*msg);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::Query(q) => {
-            if !to.is_root() {
-                effects.push(Effect::MarkReceived { query: q.id, node: to });
-            }
-            let outs = node.on_query(q);
-            queue_outgoing(node, to, outs, effects);
-        }
-        DirqMessage::FloodQuery(q) => {
-            let qid = q.id;
-            if !to.is_root() {
-                effects.push(Effect::MarkReceived { query: qid, node: to });
-            }
-            // The duplicate filter is per-node state — resolved in-shard;
-            // only the actual enqueue is deferred.
-            if flood.should_rebroadcast(qid) {
-                effects.push(Effect::EnqueueShared {
-                    from: to,
-                    payload: payload.clone(),
-                    query: qid,
-                });
-            }
-        }
-    }
+    dest: Destination,
+    msg: DirqMessage,
+    category: MessageCategory,
+    query: Option<QueryId>,
 }
 
 /// The sharded replica of [`Engine::dispatch_outgoing`]: resolve
-/// addressing against the handler node's state (parents cannot change
-/// inside a slot's shardable prefix) and defer the enqueue as an effect.
+/// addressing against the sampling node's own state (no other handler
+/// runs on it inside the pass) and defer the enqueue as an effect.
 fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &mut Vec<Effect>) {
     for out in outs {
         match out {
@@ -2334,7 +2007,7 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
                     continue;
                 };
                 let (category, query) = (msg.category(), query_id_of(&msg));
-                effects.push(Effect::Enqueue {
+                effects.push(Effect {
                     from,
                     dest: Destination::unicast(parent),
                     msg,
@@ -2347,7 +2020,7 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
                     continue;
                 }
                 let (category, query) = (msg.category(), query_id_of(&msg));
-                effects.push(Effect::Enqueue {
+                effects.push(Effect {
                     from,
                     dest: Destination::Multicast(dests),
                     msg,
@@ -2362,33 +2035,6 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
         }
     }
 }
-
-// --- sharded protocol upkeep -------------------------------------------------
-//
-// The per-node upkeep passes — sensor sampling and the tree-repair scans —
-// are per-node-disjoint exactly like the world advance: each node's
-// decisions read shared state (the world, the MAC neighbour tables, the
-// pre-pass attachment) but mutate only its own protocol/sampler state.
-// Sampling shards run the real decision path in place and defer the
-// shared-state mutations as [`Effect`]s replayed in chunk order (the PR 6
-// dispatch pattern). Repair shards compute per-node *decisions* only —
-// the adoptions replay serially in ascending node order with a live
-// cycle re-validate. Both serial loops stay as the reference
-// implementations; `tests/upkeep_differential.rs` pins the paths against
-// each other.
-
-/// Epochs a node stays detached before the repair fallback adopts an
-/// attached MAC neighbour directly.
-const DETACH_FALLBACK_EPOCHS: u64 = 25;
-
-/// Deployments below this node count never have upkeep passes dense
-/// enough to shard; skip even creating the pool.
-const UPKEEP_MIN_NODES: usize = 512;
-
-/// Below this many per-pass work items (carrier nodes to sample, nodes to
-/// scan for repair) the fan-out costs more than the work; the serial
-/// loops run even when an upkeep pool exists.
-const UPKEEP_MIN_ITEMS: usize = 256;
 
 /// One worker's buffers for the upkeep passes, reused across epochs:
 /// deferred sampling effects plus the repair scan's per-node decisions.
@@ -2419,15 +2065,16 @@ struct OrphanPlan {
 /// Carrier index over the sensor assignment: the ascending list of nodes
 /// carrying at least one sensor plus their carried-type masks, rebuilt
 /// only when the assignment version changes. Iterating carriers node-outer
-/// with mask bits ascending visits exactly the `(node, type)` pairs the
+/// with mask bits ascending visits exactly the `(node, type)` pairs a
 /// full `1..n` × catalog scan visits, in the same order — so the indexed
-/// paths stay bit-identical to the original loop while skipping
-/// non-carriers entirely.
+/// paths stay bit-identical to that scan while skipping non-carriers
+/// entirely.
 #[derive(Default)]
 struct SampleIndex {
     /// Assignment version the index was built against.
     version: Option<u64>,
-    /// Carried-type mask per node (bit `t.index()`, first 64 type ids).
+    /// Carried-type mask per node (bit `t.index()`; the environmental
+    /// catalog `Engine::new` pins has 4 types).
     masks: Vec<u64>,
     /// Ascending node indices with a non-zero mask (the root excluded).
     carriers: Vec<u32>,

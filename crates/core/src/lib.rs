@@ -23,7 +23,7 @@
 //!   companion paper with the original internals is unavailable).
 //! * [`flooding`] — the Section 5.1 baseline.
 //! * [`metrics`] — per-query outcomes, Fig. 6 time series, cost ledgers.
-//! * [`engine`] — the scenario engine wiring the DES, LMAC, world and
+//! * [`engine`] — the scenario engine wiring LMAC, the world and the
 //!   protocol together; [`engine::run_scenario`] is the main entry point.
 
 #![warn(missing_docs)]

@@ -7,7 +7,6 @@
 //!   deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N]
 //!          [--policy fifo|rr] [--queue-cap N] [--admit-per-epoch N]
 //!          [--checkpoint-every EPOCHS --checkpoint-dir DIR]
-//!          [--upkeep-workers N]
 //!   query DEPLOYMENT STYPE LO HI [--region X0 Y0 X1 Y1] [--async] [--client TAG]
 //!   poll DEPLOYMENT ID
 //!   drain DEPLOYMENT [CURSOR]
@@ -35,7 +34,6 @@ commands:
   deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N]
          [--policy fifo|rr] [--queue-cap N] [--admit-per-epoch N]
          [--checkpoint-every EPOCHS --checkpoint-dir DIR]
-         [--upkeep-workers N]
   query DEPLOYMENT STYPE LO HI [--region X0 Y0 X1 Y1] [--async] [--client TAG]
   poll DEPLOYMENT ID
   drain DEPLOYMENT [CURSOR]
@@ -122,9 +120,6 @@ fn main() {
                         req.set("checkpoint_every_epochs", parse_u64(value, "--checkpoint-every"))
                     }
                     "--checkpoint-dir" => req.set("checkpoint_dir", Json::Str(value.clone())),
-                    "--upkeep-workers" => {
-                        req.set("upkeep_workers", parse_u64(value, "--upkeep-workers"))
-                    }
                     _ => usage_exit(),
                 };
             }

@@ -191,7 +191,6 @@ impl DeploymentInfo {
         obj.set("queue_cap", Json::from_u64(self.serving.queue_cap as u64));
         obj.set("admit_per_epoch", Json::from_u64(self.serving.admit_per_epoch as u64));
         obj.set("checkpoint_every_epochs", Json::from_u64(self.serving.checkpoint_every_epochs));
-        obj.set("upkeep_workers", Json::from_u64(self.serving.upkeep_workers as u64));
         if let Some(r) = &self.recovered {
             let mut rec = Json::object();
             rec.set("slot", Json::from_u64(r.slot));
@@ -599,10 +598,6 @@ fn serving_options(request: &Json) -> Result<ServingOptions, Json> {
     if opts.checkpoint_every_epochs > 0 && opts.checkpoint_dir.is_none() {
         return Err(bad("checkpoint_every_epochs requires checkpoint_dir"));
     }
-    if let Some(w) = opt_u64_field(request, "upkeep_workers")? {
-        opts.upkeep_workers =
-            usize::try_from(w).map_err(|_| bad("upkeep_workers out of range"))?.max(1);
-    }
     Ok(opts)
 }
 
@@ -759,8 +754,7 @@ fn install(
             return err_response(kind::EXISTS, &format!("deployment {name:?} already exists"));
         }
     }
-    let mut cfg = spec.config(scheme, seed);
-    cfg.upkeep_workers = serving.upkeep_workers.max(1);
+    let cfg = spec.config(scheme, seed);
     let info = DeploymentInfo {
         name: name.to_string(),
         preset: preset.to_string(),

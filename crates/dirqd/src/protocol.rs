@@ -235,10 +235,6 @@ pub struct ServingOptions {
     /// Directory rotating checkpoint images are written into (required
     /// when `checkpoint_every_epochs > 0`).
     pub checkpoint_dir: Option<String>,
-    /// Intra-engine protocol-upkeep workers
-    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]); never affects
-    /// results, only epoch wall time.
-    pub upkeep_workers: usize,
 }
 
 impl Default for ServingOptions {
@@ -249,7 +245,6 @@ impl Default for ServingOptions {
             admit_per_epoch: 0,
             checkpoint_every_epochs: 0,
             checkpoint_dir: None,
-            upkeep_workers: 1,
         }
     }
 }
@@ -265,7 +260,6 @@ impl ServingOptions {
         if let Some(dir) = &self.checkpoint_dir {
             obj.set("checkpoint_dir", Json::Str(dir.clone()));
         }
-        obj.set("upkeep_workers", Json::from_u64(self.upkeep_workers as u64));
         obj
     }
 
@@ -287,7 +281,6 @@ impl ServingOptions {
             admit_per_epoch: u64_field("admit_per_epoch")? as usize,
             checkpoint_every_epochs: u64_field("checkpoint_every_epochs")?,
             checkpoint_dir: doc.get("checkpoint_dir").and_then(Json::as_str).map(str::to_string),
-            upkeep_workers: u64_field("upkeep_workers")?.max(1) as usize,
         })
     }
 }
@@ -429,7 +422,6 @@ mod tests {
             admit_per_epoch: 3,
             checkpoint_every_epochs: 10,
             checkpoint_dir: Some("/tmp/ckpt".into()),
-            upkeep_workers: 2,
         };
         let header = ImageHeader {
             preset: "dense_grid_100".into(),
@@ -452,6 +444,29 @@ mod tests {
         let mut broken = header.to_json();
         broken.set("serving", Json::Str("fifo".into()));
         assert!(ImageHeader::from_json(&broken).is_err());
+    }
+
+    #[test]
+    fn image_headers_with_the_retired_upkeep_workers_key_still_parse() {
+        // Images checkpointed while deployments carried a per-deployment
+        // `upkeep_workers` knob embed it in their serving recipe; the key
+        // is ignored now that deployments build their engines at one worker.
+        let old = r#"{"preset": "dense_grid_100", "scale": 0.1, "scheme": "dirq-atc",
+            "seed": 7, "epoch": 20, "nodes": 100,
+            "serving": {"policy": "rr", "queue_cap": 17, "admit_per_epoch": 3,
+                        "checkpoint_every_epochs": 10, "checkpoint_dir": "ckpt",
+                        "upkeep_workers": 2}}"#;
+        let serving = ServingOptions {
+            policy: AdmissionPolicy::RoundRobin,
+            queue_cap: 17,
+            admit_per_epoch: 3,
+            checkpoint_every_epochs: 10,
+            checkpoint_dir: Some("ckpt".into()),
+        };
+        let parsed = ImageHeader::from_json(&Json::parse(old).unwrap()).unwrap();
+        // The same options as the recipe without the key.
+        assert_eq!(ServingOptions::from_json(&serving.to_json()).unwrap(), serving);
+        assert_eq!(parsed.serving, Some(serving));
     }
 
     #[test]

@@ -23,42 +23,20 @@ pub struct SweepConfig {
     pub replicates: usize,
     /// Multiplier on every spec's epoch budget (quick runs / CI smoke).
     pub epoch_scale: f64,
-    /// Intra-run MAC workers ([`dirq_lmac::LmacConfig::workers`]): the
-    /// colour-class parallel slot loop inside each simulation. Like
-    /// `threads`, never affects results — the parallel frame is
-    /// bit-identical, and the CI smoke gate enforces it.
-    pub mac_workers: usize,
-    /// Intra-run world-generation workers
-    /// ([`dirq_core::ScenarioConfig::world_workers`]): the split-stream
-    /// parallel world advance inside each simulation. Never affects
-    /// results — bit-identical at any count, enforced by the CI smoke
-    /// worker matrix and the world differential suite.
-    pub world_workers: usize,
-    /// Intra-run protocol-dispatch workers
-    /// ([`dirq_core::ScenarioConfig::dispatch_workers`]): sharded
-    /// indication dispatch between MAC slots inside each simulation.
-    /// Never affects results — bit-identical at any count, enforced by
-    /// the CI smoke worker matrix and the dispatch differential suite.
-    pub dispatch_workers: usize,
-    /// Intra-run protocol-upkeep workers
-    /// ([`dirq_core::ScenarioConfig::upkeep_workers`]): sharded sensor
-    /// sampling and tree-repair scans inside each simulation. Never
-    /// affects results — bit-identical at any count, enforced by the CI
-    /// smoke worker matrix and the upkeep differential suite.
-    pub upkeep_workers: usize,
+    /// Intra-run workers inside each simulation: sets
+    /// [`dirq_lmac::LmacConfig::workers`] (the colour-class parallel slot
+    /// loop), [`dirq_core::ScenarioConfig::world_workers`] (the
+    /// split-stream world advance) and
+    /// [`dirq_core::ScenarioConfig::upkeep_workers`] (the sampling and
+    /// tree-repair scans). Like `threads`, never affects results — every
+    /// sharded path is bit-identical, and the CI smoke worker matrix
+    /// enforces it.
+    pub workers: usize,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig {
-            threads: 0,
-            replicates: 1,
-            epoch_scale: 1.0,
-            mac_workers: 1,
-            world_workers: 1,
-            dispatch_workers: 1,
-            upkeep_workers: 1,
-        }
+        SweepConfig { threads: 0, replicates: 1, epoch_scale: 1.0, workers: 1 }
     }
 }
 
@@ -83,10 +61,10 @@ pub fn run_matrix_report(specs: &[ScenarioSpec], cfg: &SweepConfig) -> ScenarioR
         let scheme = spec.schemes[ki];
         let seed = replicate_seed(spec.seed, rep);
         let mut run_cfg = spec.config(scheme, seed);
-        run_cfg.lmac.workers = cfg.mac_workers.max(1);
-        run_cfg.world_workers = cfg.world_workers.max(1);
-        run_cfg.dispatch_workers = cfg.dispatch_workers.max(1);
-        run_cfg.upkeep_workers = cfg.upkeep_workers.max(1);
+        let workers = cfg.workers.max(1);
+        run_cfg.lmac.workers = workers;
+        run_cfg.world_workers = workers;
+        run_cfg.upkeep_workers = workers;
         let run = run_scenario(run_cfg);
         ScenarioOutcome::from_run(&spec.name, &scheme.label(), seed, &run)
     });
@@ -145,58 +123,18 @@ mod tests {
     }
 
     #[test]
-    fn mac_workers_are_result_invariant() {
-        // The colour-class parallel slot loop must never change a report:
-        // same fingerprint with the serial MAC and with 4 workers.
+    fn workers_are_result_invariant() {
+        // The intra-run worker knob must never change a report: same
+        // fingerprint serial and with 4 workers. (The tiny matrix sits
+        // below the world and upkeep sharding floors, so this pins their
+        // serial resolution; on a multi-core host it engages the MAC's
+        // parallel slot loop. The sharded world and upkeep paths are
+        // pinned by their differential suites, the grid_2000 golden and
+        // the scenario_matrix smoke.)
         let specs = vec![tiny_matrix().remove(1)];
         let serial = run_matrix_report(&specs, &SweepConfig::default());
         let sharded =
-            run_matrix_report(&specs, &SweepConfig { mac_workers: 4, ..SweepConfig::default() });
-        assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
-    }
-
-    #[test]
-    fn world_workers_are_result_invariant() {
-        // The world_workers knob must never change a report: same
-        // fingerprint serial and with 4 world workers. (The tiny matrix
-        // sits below the world's sharding threshold, so this pins the
-        // knob's serial resolution; the sharded advance itself is pinned
-        // by tests/world_differential.rs and the scenario_matrix smoke.)
-        let specs = vec![tiny_matrix().remove(1)];
-        let serial = run_matrix_report(&specs, &SweepConfig::default());
-        let sharded =
-            run_matrix_report(&specs, &SweepConfig { world_workers: 4, ..SweepConfig::default() });
-        assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
-    }
-
-    #[test]
-    fn dispatch_workers_are_result_invariant() {
-        // The dispatch_workers knob must never change a report: same
-        // fingerprint serial and with 4 dispatch workers. (The tiny matrix
-        // sits below the dispatch sharding node floor, so this pins the
-        // knob's serial resolution; the sharded dispatch itself is pinned
-        // by tests/dispatch_differential.rs and the scenario_matrix smoke.)
-        let specs = vec![tiny_matrix().remove(1)];
-        let serial = run_matrix_report(&specs, &SweepConfig::default());
-        let sharded = run_matrix_report(
-            &specs,
-            &SweepConfig { dispatch_workers: 4, ..SweepConfig::default() },
-        );
-        assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
-    }
-
-    #[test]
-    fn upkeep_workers_are_result_invariant() {
-        // The upkeep_workers knob must never change a report: same
-        // fingerprint serial and with 4 upkeep workers. (The tiny matrix
-        // sits below the upkeep sharding node floor, so this pins the
-        // knob's serial resolution; the sharded passes themselves are
-        // pinned by tests/upkeep_differential.rs and the scenario_matrix
-        // smoke.)
-        let specs = vec![tiny_matrix().remove(1)];
-        let serial = run_matrix_report(&specs, &SweepConfig::default());
-        let sharded =
-            run_matrix_report(&specs, &SweepConfig { upkeep_workers: 4, ..SweepConfig::default() });
+            run_matrix_report(&specs, &SweepConfig { workers: 4, ..SweepConfig::default() });
         assert_eq!(serial.stable_fingerprint(), sharded.stable_fingerprint());
     }
 

@@ -5,8 +5,9 @@
 //! S. De Luigi, P. Havinga — ICPP Workshops 2006), including every
 //! substrate the paper runs on:
 //!
-//! * [`sim`] — a deterministic discrete-event simulation kernel (the
-//!   paper used OMNeT++),
+//! * [`sim`] — the deterministic simulation substrate: seeded RNG
+//!   streams, clock, statistics, worker pools, JSON and snapshots (the
+//!   paper used the OMNeT++ discrete-event simulator),
 //! * [`net`] — node placement, radio models, topology graphs, spanning
 //!   trees, unit-cost energy accounting, churn schedules,
 //! * [`lmac`] — the LMAC TDMA MAC protocol with distributed slot

@@ -102,24 +102,18 @@ fn report_identical_across_thread_counts() {
 
 #[test]
 fn report_identical_across_intra_run_workers() {
-    // MAC colour-class workers, world-generation workers and protocol
-    // dispatch workers shard inside one simulation; none may move the
-    // report fingerprint. (At this preset's 100 nodes the world and
-    // dispatch knobs resolve to the serial loops — the sharded paths
-    // themselves are pinned by world_differential.rs and
-    // dispatch_differential.rs; the smoke-scaled registry gate in
-    // `scenario_matrix --smoke` covers the ≥2 000-node presets where the
-    // shard paths really engage.)
+    // MAC colour-class workers, world-generation workers and
+    // protocol-upkeep workers shard inside one simulation; none may move
+    // the report fingerprint. (At this preset's 100 nodes the world and
+    // upkeep pools resolve to the serial loops — the sharded paths
+    // themselves are pinned by world_differential.rs,
+    // upkeep_differential.rs and the grid_2000 golden at two workers; the
+    // smoke-scaled registry gate in `scenario_matrix --smoke` covers the
+    // ≥2 000-node presets where the shard paths really engage.)
     let serial = report_for(small_spec(), 1);
     let sharded = run_matrix_report(
         &[small_spec()],
-        &SweepConfig {
-            threads: 1,
-            mac_workers: 4,
-            world_workers: 4,
-            dispatch_workers: 4,
-            ..SweepConfig::default()
-        },
+        &SweepConfig { threads: 1, workers: 4, ..SweepConfig::default() },
     );
     assert_eq!(
         serial.stable_fingerprint(),
