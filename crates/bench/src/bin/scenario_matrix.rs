@@ -150,7 +150,7 @@ fn main() {
 ///
 /// Only the worker knob (`--workers`) flows in from the command line —
 /// the CI worker matrix exercises the parallel MAC, world-generation and
-/// protocol-upkeep paths, and none may move a fingerprint. Budget knobs
+/// sensor-sampling paths, and none may move a fingerprint. Budget knobs
 /// (`--epoch-scale`, `--quick`, `--replicates`) are deliberately
 /// ignored: the smoke goldens are recorded at fixed budgets.
 fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
@@ -205,7 +205,7 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
         std::process::exit(1);
     }
     // Golden worker-invariance gate for the parallel MAC, world and
-    // protocol-upkeep paths: the whole registry (scaled to smoke budgets)
+    // sensor-sampling paths: the whole registry (scaled to smoke budgets)
     // serial vs with the requested intra-run workers engaged — identical
     // report fingerprints. Only meaningful at more than one worker, so
     // the serial CI matrix leg skips the two extra registry sweeps.

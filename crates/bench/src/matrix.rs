@@ -39,7 +39,7 @@ pub fn history_with(path: &str, report: &ScenarioReport, wall: f64) -> Json {
 }
 
 /// Run-loop epochs/s of one preset at `threads` intra-run workers (MAC
-/// colour-class shards, world-generation shards *and* protocol-upkeep
+/// colour-class shards, world-generation shards *and* sensor-sampling
 /// shards), best of `repeats`.
 /// Returns `(epochs_per_sec, epochs, fingerprint)`.
 pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -> (f64, u64, u64) {

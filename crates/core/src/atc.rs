@@ -129,11 +129,6 @@ impl AtcController {
         self.budget_per_epoch
     }
 
-    /// Smoothed observed update rate (updates/epoch).
-    pub fn observed_rate(&self) -> Option<f64> {
-        self.rate.value()
-    }
-
     /// Record that this node transmitted one Update/Retract message.
     pub fn on_update_sent(&mut self) {
         self.sent_in_window += 1;

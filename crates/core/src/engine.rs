@@ -173,11 +173,11 @@ pub struct ScenarioConfig {
     /// because the benchmark under `perfbench/` assigns it by name; drop
     /// it once the benchmark stops setting it.
     pub dispatch_workers: usize,
-    /// Worker threads for the per-node protocol-upkeep passes (sensor
-    /// sampling and tree-repair scans shard over contiguous node ranges,
-    /// with the shared-state mutations replayed in chunk order). Like
-    /// `lmac.workers`, never affects results — the sharded upkeep is
-    /// bit-identical at any count.
+    /// Worker threads for sensor sampling, the only sharded protocol-upkeep
+    /// pass (carrier chunks run in place, with the MAC enqueues replayed in
+    /// chunk order; tree repair is always serial). Like `lmac.workers`,
+    /// never affects results — sharded sampling is bit-identical at any
+    /// count.
     pub upkeep_workers: usize,
     /// Epochs to wait after injection before scoring a query.
     pub completion_window: u64,
@@ -350,7 +350,8 @@ pub struct PhaseTimings {
     /// Seconds applying scripted churn events.
     pub churn: f64,
     /// Seconds in tree repair: attachment recompute, orphan adoption and
-    /// the detach fallback.
+    /// the detach fallback. Always serial; sampling is the only sharded
+    /// upkeep pass.
     pub repair: f64,
     /// Seconds computing and flooding the hourly `EHr` budget.
     pub ehr: f64,
@@ -409,24 +410,21 @@ pub struct Engine {
     /// Scratch: true-source membership bits for [`Engine::finalize_query`]
     /// (set and cleared per query).
     source_mark: Vec<bool>,
-    /// Worker pool for the sharded protocol-upkeep passes (sampling and
-    /// repair scans); `None` = serial. The `upkeep_workers` knob resolves
-    /// here against the host parallelism and a node-count floor.
+    /// Worker pool for sharded sensor sampling, the only sharded upkeep
+    /// pass; `None` = serial. The `upkeep_workers` knob resolves here
+    /// against the host parallelism and a node-count floor.
     upkeep_pool: Option<WorkerPool>,
-    /// Per-worker decision/effect buffers for sharded upkeep; empty when
-    /// serial.
+    /// Per-worker effect buffers for sharded sampling; empty when serial.
     upkeep_shards: Vec<UpkeepShard>,
     /// Scratch: `[start, end)` chunk bounds per upkeep worker.
     upkeep_chunks: Vec<(u32, u32)>,
-    /// Test hook: shard the upkeep passes regardless of size thresholds.
+    /// Test hook: shard sampling regardless of size thresholds.
     force_upkeep: bool,
     /// Scratch: churn events due this epoch (reused across epochs).
     churn_buf: Vec<dirq_net::churn::ChurnEvent>,
     /// Scratch: per-orphan `(gateway_dist, neighbour)` candidates for the
-    /// serial repair path (reused across orphans and epochs).
+    /// repair pass (reused across orphans and epochs).
     repair_candidates: Vec<(u16, NodeId)>,
-    /// Scratch: pre-pass parent snapshot for the sharded repair scan.
-    parent_snapshot: Vec<Option<NodeId>>,
     /// Carrier index over the sensor assignment (see [`SampleIndex`]).
     sample_index: SampleIndex,
     /// Per-phase wall-clock accumulators (`None` = timing off).
@@ -690,7 +688,7 @@ impl Engine {
             .map(|f| f * (analytic0.n.saturating_sub(1)) as f64 * queries_per_hour)
             .unwrap_or(0.0);
 
-        // Sharded upkeep engages only when the knob asks for several
+        // Sharded sampling engages only when the knob asks for several
         // workers, the deployment is big enough to feed them and the host
         // actually has the cores (WorkerPool clamps to the hardware) — a
         // 1-core box resolves to the serial loops.
@@ -729,7 +727,6 @@ impl Engine {
             force_upkeep: false,
             churn_buf: Vec::new(),
             repair_candidates: Vec::new(),
-            parent_snapshot: Vec::new(),
             sample_index: SampleIndex::default(),
             timing: None,
             delta_trace: Vec::new(),
@@ -791,7 +788,7 @@ impl Engine {
         self.timing.as_deref().copied()
     }
 
-    /// Test hook: shard the protocol-upkeep passes (sampling + repair)
+    /// Test hook: shard sensor sampling, the only sharded upkeep pass,
     /// over `workers` shards every epoch, bypassing the size thresholds
     /// (the upkeep differential suite pins this path bit-equal to the
     /// serial reference). On hosts with fewer cores the pool degrades to
@@ -948,7 +945,9 @@ impl Engine {
     ///
     /// # Panics
     /// Panics when `region` is given but the scenario has
-    /// `location_enabled = false` (nodes hold no positions to scope by).
+    /// `location_enabled = false` (nodes hold no positions to scope by),
+    /// and when `stype` is not in the world's sensor catalog (it indexes
+    /// the per-type readings).
     pub fn submit_external_query(
         &mut self,
         stype: dirq_data::SensorType,
@@ -1316,19 +1315,12 @@ impl Engine {
     /// attached (sending a Detach to its still-alive old parent). In a real
     /// deployment the same information comes from LMAC's gateway-distance
     /// field aging out; the simulator takes the direct route.
+    ///
+    /// Serial at every worker count: on the registry presets large enough
+    /// to shard, the pass finds no orphan and no detached node at their
+    /// full budgets (PERFORMANCE.md), so sharding it would only split an
+    /// empty loop.
     fn repair_orphans(&mut self) {
-        if self.upkeep_shards.len() > 1
-            && (self.force_upkeep || self.nodes.len() >= UPKEEP_MIN_ITEMS)
-        {
-            self.repair_orphans_sharded();
-        } else {
-            self.repair_orphans_serial();
-        }
-    }
-
-    /// The serial repair loop — the production path at one worker and the
-    /// differential reference the sharded path is pinned against.
-    fn repair_orphans_serial(&mut self) {
         self.compute_attachment();
 
         // Track how long each alive node has been detached from the root.
@@ -1401,89 +1393,6 @@ impl Engine {
             let outs = self.nodes[i].set_parent(Some(new_parent));
             self.dispatch_outgoing(node, outs);
         }
-    }
-
-    /// Sharded repair: the read-only scans — detached-since tracking,
-    /// per-orphan candidate selection and the fallback choice — run over
-    /// contiguous node chunks on the upkeep pool; the adoptions replay
-    /// serially in ascending node order.
-    ///
-    /// Bit-equality with [`Engine::repair_orphans_serial`] rests on one
-    /// invariant: during the primary loop, parent pointers change only
-    /// `None → Some` (an orphan adopting), so every `Some` edge in the
-    /// pre-pass snapshot is also a live edge when the serial loop reaches
-    /// the same node. A candidate the snapshot walk rejects as a cycle is
-    /// therefore rejected by the live walk too — the replay only has to
-    /// re-validate from the first snapshot-acceptable candidate onwards.
-    /// The fallback choice depends only on pre-pass state (attach depths
-    /// and the neighbour tables, neither touched by adoptions); its live
-    /// checks — the same-parent skip and the Detach notice — replay
-    /// serially after all primary adoptions, exactly like the serial
-    /// phase order.
-    fn repair_orphans_sharded(&mut self) {
-        self.compute_attachment();
-        self.parent_snapshot.clear();
-        self.parent_snapshot.extend(self.nodes.iter().map(|nd| nd.parent()));
-
-        let mut chunks = std::mem::take(&mut self.upkeep_chunks);
-        fill_chunks(&mut chunks, self.nodes.len() - 1, self.upkeep_shards.len());
-        let nchunks = chunks.len();
-        let mut shards = std::mem::take(&mut self.upkeep_shards);
-        let mut pool = self.upkeep_pool.take().expect("sharded upkeep requires a pool");
-        {
-            let phase = RepairPhase {
-                detached: self.detached_since.as_mut_ptr(),
-                shards: shards.as_mut_ptr(),
-                mac: &self.mac,
-                alive: &self.alive,
-                attach_depth: &self.attach_depth,
-                parents: &self.parent_snapshot,
-                epoch: self.epoch,
-                chunks: &chunks,
-            };
-            pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
-        }
-        self.upkeep_pool = Some(pool);
-
-        // Primary adoptions in ascending node order, re-validated against
-        // the live parent chains.
-        for shard in shards.iter().take(nchunks) {
-            for plan in &shard.orphans {
-                let node = plan.node;
-                let cands = &shard.cand_pool[plan.first_ok as usize..plan.cand_end as usize];
-                let Some(parent) =
-                    cands.iter().map(|&(_, c)| c).find(|&c| !self.would_cycle(node, c))
-                else {
-                    continue;
-                };
-                let outs = self.nodes[node.index()].set_parent(Some(parent));
-                self.dispatch_outgoing(node, outs);
-            }
-        }
-
-        // Fallback adoptions after every primary adoption is visible,
-        // mirroring the serial loop body verbatim.
-        for shard in shards.iter().take(nchunks) {
-            for &(node, new_parent) in &shard.fallbacks {
-                let i = node.index();
-                if self.nodes[i].parent() == Some(new_parent) {
-                    continue;
-                }
-                // Tell the old parent (if any, still alive) to drop us.
-                if let Some(old) = self.nodes[i].parent() {
-                    if self.alive[old.index()]
-                        && self.mac.enqueue(node, Destination::unicast(old), DirqMessage::Detach)
-                    {
-                        self.record_tx(&DirqMessage::Detach);
-                    }
-                }
-                self.detached_since[i] = None;
-                let outs = self.nodes[i].set_parent(Some(new_parent));
-                self.dispatch_outgoing(node, outs);
-            }
-        }
-        self.upkeep_shards = shards;
-        self.upkeep_chunks = chunks;
     }
 
     /// Recompute the protocol tree's attachment depths into the scratch
@@ -1962,28 +1871,25 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
 
 // --- sharded protocol upkeep -------------------------------------------------
 //
-// The per-node upkeep passes — sensor sampling and the tree-repair scans —
-// are per-node-disjoint exactly like the world advance: each node's
-// decisions read shared state (the world, the MAC neighbour tables, the
-// pre-pass attachment) but mutate only its own protocol/sampler state.
-// Sampling shards run the real decision path in place and defer the MAC
-// enqueues as [`Effect`]s replayed in chunk order. Repair shards compute
-// per-node *decisions* only — the adoptions replay serially in ascending
-// node order with a live cycle re-validate. Both serial loops stay as the
-// reference implementations; `tests/upkeep_differential.rs` pins the
-// paths against each other.
+// Sensor sampling is the one sharded upkeep pass. It is per-node-disjoint
+// exactly like the world advance: each carrier's decisions read shared
+// state (the world readings) but mutate only its own protocol/sampler
+// state. Shards run the real decision path in place and defer the MAC
+// enqueues as [`Effect`]s replayed in chunk order. The serial loop stays
+// as the reference implementation; `tests/upkeep_differential.rs` pins
+// the two paths against each other. Tree repair is always serial (see
+// [`Engine::repair_orphans`]).
 
 /// Epochs a node stays detached before the repair fallback adopts an
 /// attached MAC neighbour directly.
 const DETACH_FALLBACK_EPOCHS: u64 = 25;
 
-/// Deployments below this node count never have upkeep passes dense
+/// Deployments below this node count never have a sampling pass dense
 /// enough to shard; skip even creating the pool.
 const UPKEEP_MIN_NODES: usize = 512;
 
-/// Below this many per-pass work items (carrier nodes to sample, nodes to
-/// scan for repair) the fan-out costs more than the work; the serial
-/// loops run even when an upkeep pool exists.
+/// Below this many carrier nodes to sample the fan-out costs more than
+/// the work; the serial loop runs even when an upkeep pool exists.
 const UPKEEP_MIN_ITEMS: usize = 256;
 
 /// A MAC enqueue deferred by a sampling shard: [`Engine::dispatch_outgoing`]'s
@@ -2036,30 +1942,11 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
     }
 }
 
-/// One worker's buffers for the upkeep passes, reused across epochs:
-/// deferred sampling effects plus the repair scan's per-node decisions.
+/// One worker's buffer for sharded sampling, reused across epochs.
 #[derive(Default)]
 struct UpkeepShard {
-    /// Sampling: shared-state mutations to replay in chunk order.
+    /// Shared-state mutations to replay in chunk order.
     effects: Vec<Effect>,
-    /// Repair: flat `(gateway_dist, neighbour)` candidate storage, sorted
-    /// per orphan; [`OrphanPlan`]s index ranges of it.
-    cand_pool: Vec<(u16, NodeId)>,
-    /// Repair: per-orphan adoption plans, in ascending node order.
-    orphans: Vec<OrphanPlan>,
-    /// Repair: long-detached nodes and their chosen attached neighbour,
-    /// in ascending node order.
-    fallbacks: Vec<(NodeId, NodeId)>,
-}
-
-/// One orphan's candidate scan result: `cand_pool[first_ok..cand_end]`
-/// holds its sorted candidates from the first one the pre-pass snapshot
-/// accepts (everything before that is rejected by the live walk too —
-/// see [`Engine::repair_orphans_sharded`]).
-struct OrphanPlan {
-    node: NodeId,
-    cand_end: u32,
-    first_ok: u32,
 }
 
 /// Carrier index over the sensor assignment: the ascending list of nodes
@@ -2145,120 +2032,6 @@ impl SamplePhase<'_> {
             }
         }
     }
-}
-
-/// Shared view of the engine state the repair scan needs. The MAC goes in
-/// as a raw pointer because `NeighborArena` holds per-node `Cell` caches
-/// that make it `!Sync`; the scan only calls `neighbor_table(..).nodes()`
-/// / `.get(..)`, which never touch those cells. `detached` entries are
-/// written by the owning node's chunk alone.
-struct RepairPhase<'a> {
-    detached: *mut Option<u64>,
-    shards: *mut UpkeepShard,
-    mac: *const LmacNetwork<DirqMessage>,
-    alive: &'a [bool],
-    attach_depth: &'a [Option<u32>],
-    /// Pre-pass parent snapshot (the live parents at phase start).
-    parents: &'a [Option<NodeId>],
-    epoch: u64,
-    chunks: &'a [(u32, u32)],
-}
-
-// SAFETY: chunks cover disjoint node ranges, each node's `detached` slot
-// is written only by its own chunk, shard `k` is written by chunk `k`
-// alone, and the MAC access is restricted to the Cell-free read-only
-// neighbour-view methods (see the struct doc).
-unsafe impl Sync for RepairPhase<'_> {}
-
-impl RepairPhase<'_> {
-    /// Scan chunk `k`'s nodes (`1 + start .. 1 + end`): detached-since
-    /// tracking plus the orphan/fallback decisions, recorded into shard
-    /// `k` in ascending node order.
-    ///
-    /// SAFETY: the caller must run each `k < chunks.len()` at most once
-    /// per phase, with `chunks` a partition of `0..n-1` (offset by the
-    /// root).
-    unsafe fn run_chunk(&self, k: usize) {
-        let (start, end) = self.chunks[k];
-        let shard = &mut *self.shards.add(k);
-        shard.cand_pool.clear();
-        shard.orphans.clear();
-        shard.fallbacks.clear();
-        for i in (1 + start as usize)..(1 + end as usize) {
-            let node = NodeId::from_index(i);
-            let detached = &mut *self.detached.add(i);
-            // Tracking: the same per-node rule as the serial loop (safe to
-            // fuse — no later repair step reads another node's slot).
-            if !self.alive[i] || self.attach_depth[i].is_some() {
-                *detached = None;
-            } else if detached.is_none() {
-                *detached = Some(self.epoch);
-            }
-            if !self.alive[i] {
-                continue;
-            }
-            // Primary scan: orphan candidates against the parent snapshot.
-            if self.parents[i].is_none() {
-                let table = (*self.mac).neighbor_table(node);
-                let cand_start = shard.cand_pool.len() as u32;
-                shard.cand_pool.extend(table.nodes().filter_map(|nb| {
-                    let info = table.get(nb).expect("listed neighbour");
-                    (info.gateway_dist != u16::MAX).then_some((info.gateway_dist, nb))
-                }));
-                let cands = &mut shard.cand_pool[cand_start as usize..];
-                cands.sort_unstable();
-                let first_ok = cands
-                    .iter()
-                    .position(|&(_, c)| !snapshot_would_cycle(self.parents, node, c))
-                    .unwrap_or(cands.len());
-                shard.orphans.push(OrphanPlan {
-                    node,
-                    cand_end: shard.cand_pool.len() as u32,
-                    first_ok: cand_start + first_ok as u32,
-                });
-            }
-            // Fallback scan: the choice depends only on pre-pass state;
-            // the live checks replay serially.
-            if let Some(since) = *detached {
-                if self.epoch.saturating_sub(since) >= DETACH_FALLBACK_EPOCHS {
-                    let attach_depth = self.attach_depth;
-                    let choice = (*self.mac)
-                        .neighbor_table(node)
-                        .nodes()
-                        .filter(|&nb| attach_depth[nb.index()].is_some())
-                        .min_by_key(|&nb| (attach_depth[nb.index()].unwrap_or(u32::MAX), nb));
-                    if let Some(new_parent) = choice {
-                        shard.fallbacks.push((node, new_parent));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`Engine::would_cycle`] against a parent snapshot instead of the live
-/// nodes. Because parents only change `None → Some` during the primary
-/// adoptions, every `Some` edge here is also a live edge — so a `true`
-/// from this walk implies a `true` from the live walk at any later point
-/// in the pass.
-fn snapshot_would_cycle(
-    parents: &[Option<NodeId>],
-    node: NodeId,
-    candidate_parent: NodeId,
-) -> bool {
-    let mut cur = Some(candidate_parent);
-    let mut steps = 0;
-    while let Some(p) = cur {
-        if p == node {
-            return true;
-        }
-        steps += 1;
-        if steps > parents.len() {
-            return true;
-        }
-        cur = parents[p.index()];
-    }
-    false
 }
 
 /// Split `items` work items into at most `nshards` contiguous non-empty

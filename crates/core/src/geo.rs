@@ -112,11 +112,6 @@ impl GeoTable {
         self.last_tx = Some(rect);
     }
 
-    /// The most recently advertised hull.
-    pub fn last_advertised(&self) -> Option<Rect> {
-        self.last_tx
-    }
-
     /// Write the full table state to `w`.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         w.bool(self.own.is_some());

@@ -10,7 +10,6 @@
 
 use dirq_data::{QueryId, SensorType};
 use dirq_sim::stats::{TimeSeries, Welford};
-use dirq_sim::SimTime;
 
 use crate::messages::MessageCategory;
 
@@ -141,7 +140,7 @@ impl Metrics {
     /// Record one data-message transmission of `category` at `epoch`.
     pub fn on_tx(&mut self, category: MessageCategory, epoch: u64) {
         if category == MessageCategory::Update {
-            self.updates_per_bucket.record_event(SimTime(epoch));
+            self.updates_per_bucket.record_event(epoch);
         }
         if epoch < self.measure_from_epoch {
             return;

@@ -421,7 +421,7 @@ impl SensorWorld {
 
     /// Configure the parallel advance: shard the per-epoch generation over
     /// `workers` threads (1 disables the pool). No pool is spawned below
-    /// [`PARALLEL_MIN_NODES`] — the sharded path would never engage, so
+    /// `PARALLEL_MIN_NODES` — the sharded path would never engage, so
     /// small worlds skip the helper threads entirely. The pool's helpers
     /// are clamped to the machine's available parallelism, and a pool
     /// without a runnable helper (the 1-core case) falls back to the

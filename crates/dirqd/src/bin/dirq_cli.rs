@@ -4,8 +4,7 @@
 //! dirq-cli [--addr HOST:PORT] [--raw FIELD] <command> [args…]
 //!
 //! commands:
-//!   deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N]
-//!          [--policy fifo|rr] [--queue-cap N] [--admit-per-epoch N]
+//!   deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N] [--queue-cap N]
 //!          [--checkpoint-every EPOCHS --checkpoint-dir DIR]
 //!   query DEPLOYMENT STYPE LO HI [--region X0 Y0 X1 Y1] [--async] [--client TAG]
 //!   poll DEPLOYMENT ID
@@ -31,8 +30,7 @@ use dirqd::Client;
 const USAGE: &str = "usage: dirq-cli [--addr HOST:PORT] [--raw FIELD] <command> [args…]
   --raw FIELD   print only that top-level response field (for scripts)
 commands:
-  deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N]
-         [--policy fifo|rr] [--queue-cap N] [--admit-per-epoch N]
+  deploy NAME PRESET [--scale F] [--scheme LABEL] [--seed N] [--queue-cap N]
          [--checkpoint-every EPOCHS --checkpoint-dir DIR]
   query DEPLOYMENT STYPE LO HI [--region X0 Y0 X1 Y1] [--async] [--client TAG]
   poll DEPLOYMENT ID
@@ -111,11 +109,7 @@ fn main() {
                     "--scale" => req.set("scale", Json::Num(parse_num(value, "--scale"))),
                     "--scheme" => req.set("scheme", Json::Str(value.clone())),
                     "--seed" => req.set("seed", parse_u64(value, "--seed")),
-                    "--policy" => req.set("policy", Json::Str(value.clone())),
                     "--queue-cap" => req.set("queue_cap", parse_u64(value, "--queue-cap")),
-                    "--admit-per-epoch" => {
-                        req.set("admit_per_epoch", parse_u64(value, "--admit-per-epoch"))
-                    }
                     "--checkpoint-every" => {
                         req.set("checkpoint_every_epochs", parse_u64(value, "--checkpoint-every"))
                     }

@@ -13,7 +13,7 @@
 //!    `record_goldens --check` re-derives it),
 //! 2. measures snapshot and restore round trips (image size + latency)
 //!    and asserts the restored deployment fingerprints equal,
-//! 3. runs the barriered latency-histogram phase ([`loadmodel`]):
+//! 3. runs the barriered latency-histogram phase ([`dirqd::loadmodel`]):
 //!    per-query wall-ms percentiles plus the deterministic
 //!    epochs-to-answer histogram, verified against the engine-level
 //!    reference replay,

@@ -99,12 +99,8 @@ pub struct DeployOptions {
     pub scheme: Option<String>,
     /// Engine seed (u64, carried losslessly).
     pub seed: Option<u64>,
-    /// Admission policy: `"fifo"` or `"rr"`.
-    pub policy: Option<String>,
     /// Admission-queue bound (0 rejects every submission).
     pub queue_cap: Option<u64>,
-    /// Submissions admitted per epoch boundary (0 = all waiting).
-    pub admit_per_epoch: Option<u64>,
     /// Auto-checkpoint period in epochs (0 = off).
     pub checkpoint_every_epochs: Option<u64>,
     /// Directory rotating checkpoints are written into.
@@ -122,14 +118,8 @@ impl DeployOptions {
         if let Some(v) = self.seed {
             req.set("seed", Json::from_u64(v));
         }
-        if let Some(v) = &self.policy {
-            req.set("policy", Json::Str(v.clone()));
-        }
         if let Some(v) = self.queue_cap {
             req.set("queue_cap", Json::from_u64(v));
-        }
-        if let Some(v) = self.admit_per_epoch {
-            req.set("admit_per_epoch", Json::from_u64(v));
         }
         if let Some(v) = self.checkpoint_every_epochs {
             req.set("checkpoint_every_epochs", Json::from_u64(v));
@@ -157,8 +147,6 @@ pub struct DeploySummary {
     pub epochs: u64,
     /// Current epoch.
     pub epoch: u64,
-    /// Admission policy label.
-    pub policy: String,
     /// `(slot, epoch)` of the checkpoint image this deployment was
     /// resumed from, when the daemon recovered it at startup.
     pub recovered: Option<(u64, u64)>,
@@ -185,7 +173,6 @@ impl DeploySummary {
             nodes: int("nodes")? as usize,
             epochs: int("epochs")?,
             epoch: int("epoch")?,
-            policy: text("policy").unwrap_or_else(|_| "fifo".to_string()),
             recovered: doc.get("recovered").and_then(|r| {
                 Some((
                     r.get("slot").and_then(Json::as_u64)?,
@@ -382,8 +369,8 @@ impl Client {
     /// Submit one range query without waiting for the outcome: returns
     /// `(id, injection_epoch)` once the query is injected. Fetch the
     /// outcome later with [`Client::poll`] or [`Client::drain`]. The
-    /// optional `client` tag feeds the daemon's round-robin admission
-    /// policy.
+    /// optional `client` tag breaks ties when the daemon orders an
+    /// admission round by content.
     pub fn query_async(
         &mut self,
         deployment: &str,

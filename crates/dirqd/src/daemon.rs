@@ -1,6 +1,6 @@
 //! The daemon: named live deployments behind a TCP protocol endpoint.
 //!
-//! Deployments are passive [`Slot`] state objects multiplexed over a
+//! Deployments are passive `Slot` state objects multiplexed over a
 //! fixed-size **serving pool** (`--serving-threads N`, default one
 //! worker per available hardware thread), so thousands of deployments
 //! cost thousands of structs, not thousands of OS threads. Connection
@@ -30,12 +30,13 @@
 //!
 //! External queries pass through a per-deployment **admission queue**
 //! (bounded at [`ServingOptions::queue_cap`]; beyond it submissions are
-//! rejected with `queue_full`). Blocking queries reply at completion;
-//! `async` queries reply with their id at injection and resolve later
-//! through `poll`/`drain`. Because every admission round is injected
-//! content-ordered, a fixed sequence of barriered rounds drives the
-//! engine along a reproducible trajectory regardless of socket
-//! scheduling, submission policy, or when results are polled.
+//! rejected with `queue_full`), and each turn admits everything queued.
+//! Blocking queries reply at completion; `async` queries reply with
+//! their id at injection and resolve later through `poll`/`drain`.
+//! Because every admission round is injected content-ordered, a fixed
+//! sequence of barriered rounds drives the engine along a reproducible
+//! trajectory regardless of socket scheduling or when results are
+//! polled.
 //!
 //! ## Crash recovery
 //!
@@ -48,7 +49,7 @@
 //! aborting startup; recovered ones carry a `recovered` object naming
 //! the slot and epoch they resumed from.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -58,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dirq_core::{CompletedQuery, Engine, Protocol};
+use dirq_core::{CompletedQuery, Engine};
 use dirq_data::SensorType;
 use dirq_net::{Position, Rect};
 use dirq_scenario::Scheme;
@@ -70,7 +71,7 @@ use crate::protocol::{
     resolve_deployment, write_line, ImageHeader, IMAGE_EXTENSION,
 };
 
-pub use crate::protocol::{AdmissionPolicy, ServingOptions, DEFAULT_QUEUE_CAP};
+pub use crate::protocol::{ServingOptions, DEFAULT_QUEUE_CAP};
 
 /// Most results one `drain` response returns (the client loops).
 pub const DRAIN_MAX_RESULTS: usize = 512;
@@ -88,7 +89,7 @@ struct Submission {
     lo: f64,
     hi: f64,
     region: Option<[f64; 4]>,
-    /// Client tag for round-robin scheduling (empty when the request
+    /// Client tag, the content-order tie-break (empty when the request
     /// carried none).
     client: String,
     /// Async submissions get their id at injection; blocking ones get
@@ -170,6 +171,9 @@ pub struct DeploymentInfo {
     pub epochs: u64,
     /// Whether nodes carry positions (spatially scoped queries allowed).
     pub location_enabled: bool,
+    /// Sensor types in the engine's catalog; a query's `stype` must be
+    /// below it.
+    pub sensor_types: usize,
     /// Serving knobs this deployment was installed with.
     pub serving: ServingOptions,
     /// Set when this deployment was resumed by `--recover`.
@@ -187,9 +191,7 @@ impl DeploymentInfo {
         obj.set("nodes", Json::from_u64(self.nodes as u64));
         obj.set("epochs", Json::from_u64(self.epochs));
         obj.set("epoch", Json::from_u64(epoch));
-        obj.set("policy", Json::Str(self.serving.policy.label().to_string()));
         obj.set("queue_cap", Json::from_u64(self.serving.queue_cap as u64));
-        obj.set("admit_per_epoch", Json::from_u64(self.serving.admit_per_epoch as u64));
         obj.set("checkpoint_every_epochs", Json::from_u64(self.serving.checkpoint_every_epochs));
         if let Some(r) = &self.recovered {
             let mut rec = Json::object();
@@ -580,16 +582,8 @@ fn opt_str_field(doc: &Json, key: &str) -> Result<Option<String>, Json> {
 /// Parse the serving knobs a `deploy`/`restore` request may carry.
 fn serving_options(request: &Json) -> Result<ServingOptions, Json> {
     let mut opts = ServingOptions::default();
-    if let Some(label) = opt_str_field(request, "policy")? {
-        opts.policy = AdmissionPolicy::parse(&label)
-            .ok_or_else(|| bad(&format!("unknown admission policy {label:?} (fifo|rr)")))?;
-    }
     if let Some(cap) = opt_u64_field(request, "queue_cap")? {
         opts.queue_cap = usize::try_from(cap).map_err(|_| bad("queue_cap out of range"))?;
-    }
-    if let Some(n) = opt_u64_field(request, "admit_per_epoch")? {
-        opts.admit_per_epoch =
-            usize::try_from(n).map_err(|_| bad("admit_per_epoch out of range"))?;
     }
     if let Some(every) = opt_u64_field(request, "checkpoint_every_epochs")? {
         opts.checkpoint_every_epochs = every;
@@ -755,24 +749,26 @@ fn install(
         }
     }
     let cfg = spec.config(scheme, seed);
-    let info = DeploymentInfo {
-        name: name.to_string(),
-        preset: preset.to_string(),
-        scale,
-        scheme: scheme.label(),
-        seed,
-        nodes: cfg.n_nodes,
-        epochs: cfg.epochs,
-        location_enabled: cfg.location_enabled,
-        serving,
-        recovered,
-    };
+    let (nodes, epochs, location_enabled) = (cfg.n_nodes, cfg.epochs, cfg.location_enabled);
     let mut engine = Engine::new(cfg);
     if let Some(body) = body {
         if let Err(e) = engine.restore(body) {
             return err_response(kind::BAD_IMAGE, &format!("restore: {e}"));
         }
     }
+    let info = DeploymentInfo {
+        name: name.to_string(),
+        preset: preset.to_string(),
+        scale,
+        scheme: scheme.label(),
+        seed,
+        nodes,
+        epochs,
+        location_enabled,
+        sensor_types: engine.world().catalog().len(),
+        serving,
+        recovered,
+    };
     engine.enable_completed_log();
     let epoch = Arc::new(AtomicU64::new(engine.epoch()));
     let current = epoch.load(Ordering::SeqCst);
@@ -784,7 +780,6 @@ fn install(
             epoch: Arc::clone(&epoch),
             queue: VecDeque::new(),
             inflight: HashMap::new(),
-            rr_round: 0,
             results: VecDeque::new(),
             next_result_seq: 0,
         }),
@@ -859,6 +854,12 @@ fn handle_query(request: &Json, shared: &Shared) -> Json {
                 "deployment {deployment:?} has no location extension; spatial queries unsupported"
             ),
         );
+    }
+    if usize::from(stype) >= slot.info.sensor_types {
+        return bad(&format!(
+            "stype {stype} is not in deployment {deployment:?}'s catalog of {} sensor types",
+            slot.info.sensor_types
+        ));
     }
     if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
         return bad("query window must satisfy lo <= hi (finite)");
@@ -1181,8 +1182,6 @@ struct Serving {
     queue: VecDeque<Submission>,
     /// Injected, not yet finalised, by query id.
     inflight: HashMap<u64, Inflight>,
-    /// Rotating start index for round-robin admission.
-    rr_round: u64,
     /// Cursor into the engine's completed log (internal workload
     /// completions are swept past; external ones land in `results`).
     sweep_cursor: u64,
@@ -1250,51 +1249,15 @@ impl Serving {
         }
     }
 
-    /// Draw one admission round from the queue under the deployment's
-    /// policy.
-    fn admit(&mut self) -> Vec<Submission> {
-        let cap = self.info.serving.admit_per_epoch;
-        let take = if cap == 0 { self.queue.len() } else { cap.min(self.queue.len()) };
-        if take == 0 {
-            return Vec::new();
-        }
-        match self.info.serving.policy {
-            AdmissionPolicy::Fifo => self.queue.drain(..take).collect(),
-            AdmissionPolicy::RoundRobin => {
-                // One per client per turn, clients visited in sorted-name
-                // order; the start position rotates round-by-round so the
-                // alphabetically first client is not structurally ahead.
-                let clients: Vec<String> = self
-                    .queue
-                    .iter()
-                    .map(|s| s.client.clone())
-                    .collect::<BTreeSet<_>>()
-                    .into_iter()
-                    .collect();
-                let start = (self.rr_round % clients.len() as u64) as usize;
-                self.rr_round = self.rr_round.wrapping_add(1);
-                let mut admitted = Vec::with_capacity(take);
-                let mut turn = 0usize;
-                while admitted.len() < take {
-                    let client = &clients[(start + turn) % clients.len()];
-                    turn += 1;
-                    if let Some(pos) = self.queue.iter().position(|s| &s.client == client) {
-                        admitted.push(self.queue.remove(pos).expect("position just found"));
-                    }
-                }
-                admitted
-            }
-        }
-    }
-
-    /// Admit one round and inject it, ordered by content (client tag as
-    /// tiebreak) so the trajectory is arrival-order-invariant. Async
-    /// submissions are answered here with their assigned id.
+    /// Admit every queued submission and inject them ordered by content
+    /// (client tag as tiebreak) so the trajectory is
+    /// arrival-order-invariant. Async submissions are answered here with
+    /// their assigned id.
     fn admit_and_inject(&mut self) {
-        let mut admitted = self.admit();
-        if admitted.is_empty() {
+        if self.queue.is_empty() {
             return;
         }
+        let mut admitted: Vec<Submission> = self.queue.drain(..).collect();
         admitted.sort_by(|a, b| a.key().cmp(&b.key()).then_with(|| a.client.cmp(&b.client)));
         let boundary = self.engine.epoch();
         for s in admitted {
@@ -1447,15 +1410,6 @@ fn merge_fields(dst: &mut Json, src: &Json) {
         for (k, v) in fields {
             dst.set(k, v.clone());
         }
-    }
-}
-
-/// The protocol scheme label of an engine's configured protocol — a
-/// display helper for the CLI.
-pub fn protocol_label(p: Protocol) -> &'static str {
-    match p {
-        Protocol::Dirq => "dirq",
-        Protocol::Flooding => "flooding",
     }
 }
 

@@ -43,4 +43,4 @@ pub use client::{
     StatusReport,
 };
 pub use daemon::{Daemon, DaemonOptions, DeploymentInfo, RecoveredFrom};
-pub use protocol::{AdmissionPolicy, ImageHeader, ServingOptions, MAX_LINE_BYTES};
+pub use protocol::{ImageHeader, ServingOptions, MAX_LINE_BYTES};

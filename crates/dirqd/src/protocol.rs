@@ -8,34 +8,41 @@
 //!
 //! ## Commands
 //!
+//! Optional request fields are in brackets.
+//!
 //! | `cmd`         | request fields                                              | response fields |
 //! |---------------|-------------------------------------------------------------|-----------------|
-//! | `deploy`      | `name`, `preset`, [`scale`], [`scheme`], [`seed`], [`policy`], [`queue_cap`], [`admit_per_epoch`], [`checkpoint_every_epochs`], [`checkpoint_dir`] | `name`, `preset`, `scheme`, `seed`, `scale`, `nodes`, `epochs`, `epoch`, `policy`, `queue_cap`, `admit_per_epoch`, `checkpoint_every_epochs` |
-//! | `query`       | `deployment`, `stype`, `lo`, `hi`, [`region`: `[x0,y0,x1,y1]`], [`async`: bool], [`client`], [`timeout_ms`] | blocking: `id`, `epoch`, `answered_epoch`, `epochs_to_answer`, `true_sources`, `sources_reached`, `should_receive`, `received_should`, `received_should_not`, `recall`, `tx`, `rx`; async: `id`, `epoch` |
-//! | `poll`        | `deployment`, `id`, [`timeout_ms`]                          | `done` (+ the blocking-query fields when `done` is true, else `epoch`) |
-//! | `drain`       | `deployment`, [`cursor`], [`timeout_ms`]                    | `results` (array of completed queries, each + `seq`), `cursor`, `pending`, `epoch` |
-//! | `step`        | `deployment`, `epochs`, [`timeout_ms`]                      | `epoch` |
+//! | `deploy`      | `name`, `preset`, \[`scale`\], \[`scheme`\], \[`seed`\], \[`queue_cap`\], \[`checkpoint_every_epochs`\], \[`checkpoint_dir`\] | `name`, `preset`, `scheme`, `seed`, `scale`, `nodes`, `epochs`, `epoch`, `queue_cap`, `checkpoint_every_epochs` |
+//! | `query`       | `deployment`, `stype`, `lo`, `hi`, \[`region`: `[x0,y0,x1,y1]`\], \[`async`: bool\], \[`client`\], \[`timeout_ms`\] | blocking: `id`, `epoch`, `answered_epoch`, `epochs_to_answer`, `true_sources`, `sources_reached`, `should_receive`, `received_should`, `received_should_not`, `recall`, `tx`, `rx`; async: `id`, `epoch` |
+//! | `poll`        | `deployment`, `id`, \[`timeout_ms`\]                        | `done` (+ the blocking-query fields when `done` is true, else `epoch`) |
+//! | `drain`       | `deployment`, \[`cursor`\], \[`timeout_ms`\]                | `results` (array of completed queries, each + `seq`), `cursor`, `pending`, `epoch` |
+//! | `step`        | `deployment`, `epochs`, \[`timeout_ms`\]                    | `epoch` |
 //! | `status`      | —                                                           | `deployments`: array of deploy summaries |
-//! | `fingerprint` | `deployment`, [`timeout_ms`]                                | `epoch`, `fingerprint` (hex string) |
-//! | `snapshot`    | `deployment`, `path`, [`timeout_ms`]                        | `path`, `bytes`, `epoch`, `fingerprint` |
-//! | `restore`     | `name`, `path`, [`policy`], [`queue_cap`], [`admit_per_epoch`], [`checkpoint_every_epochs`], [`checkpoint_dir`] | like `deploy`, at the captured `epoch` |
-//! | `debug_stall` | `deployment`, `ms`, [`timeout_ms`]                          | `epoch` (diagnostics: occupies the engine thread for `ms`) |
+//! | `fingerprint` | `deployment`, \[`timeout_ms`\]                              | `epoch`, `fingerprint` (hex string) |
+//! | `snapshot`    | `deployment`, `path`, \[`timeout_ms`\]                      | `path`, `bytes`, `epoch`, `fingerprint` |
+//! | `restore`     | `name`, `path`, \[`queue_cap`\], \[`checkpoint_every_epochs`\], \[`checkpoint_dir`\] | like `deploy`, at the captured `epoch` |
+//! | `debug_stall` | `deployment`, `ms`, \[`timeout_ms`\]                        | `epoch` (diagnostics: occupies the engine thread for `ms`) |
 //! | `shutdown`    | —                                                           | — |
 //!
+//! `query`'s `stype` must name a sensor type in the deployment's
+//! catalog (the environmental presets carry types 0–3); any other value
+//! is a `bad_request`. `deploy` and `restore` requests written for
+//! older daemons may still carry `policy` and `admit_per_epoch`; both
+//! keys are ignored.
+//!
 //! Query submissions pass through a per-deployment **admission
-//! scheduler**: submissions wait in a bounded queue (`queue_cap`,
-//! rejected with a `queue_full` error beyond it) and are admitted at
-//! epoch boundaries — up to `admit_per_epoch` per boundary (0 = all) —
-//! under the deployment's `policy` (`fifo` or `rr`, per-client
-//! round-robin keyed by the request's `client` tag). Each admitted set
-//! is injected ordered by **content** (not arrival time), so a fixed
-//! sequence of barriered batches drives the engine along a reproducible
-//! trajectory regardless of socket scheduling — the property the load
-//! generator's fingerprint checks pin. Blocking queries reply once the
-//! query completes; `async: true` queries reply with the assigned id at
-//! injection, and the outcome is fetched later via `poll` (one id) or
-//! `drain` (every completion since a client-held cursor, backed by the
-//! engine's bounded completed-query log).
+//! queue**: submissions wait in a bounded queue (`queue_cap`, rejected
+//! with a `queue_full` error beyond it) and every queued submission is
+//! admitted at the next epoch boundary. Each admitted set is injected
+//! ordered by **content** (not arrival time), with the request's
+//! `client` tag as the tie-break, so a fixed sequence of barriered
+//! batches drives the engine along a reproducible trajectory regardless
+//! of socket scheduling — the property the load generator's fingerprint
+//! checks pin. Blocking queries reply once the query completes;
+//! `async: true` queries reply with the assigned id at injection, and
+//! the outcome is fetched later via `poll` (one id) or `drain` (every
+//! completion since a client-held cursor, backed by the engine's bounded
+//! completed-query log).
 //!
 //! ## Typed errors
 //!
@@ -186,50 +193,14 @@ pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<Json>> {
     }
 }
 
-/// How query submissions are drawn from the admission queue at each
-/// epoch boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Arrival order across all clients.
-    Fifo,
-    /// One per client per turn, clients visited in sorted-name order
-    /// from a start position that rotates each round, so no client name
-    /// is structurally favoured.
-    RoundRobin,
-}
-
-impl AdmissionPolicy {
-    /// Wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionPolicy::Fifo => "fifo",
-            AdmissionPolicy::RoundRobin => "rr",
-        }
-    }
-
-    /// Parse a wire label.
-    pub fn parse(s: &str) -> Option<AdmissionPolicy> {
-        match s {
-            "fifo" => Some(AdmissionPolicy::Fifo),
-            "rr" => Some(AdmissionPolicy::RoundRobin),
-            _ => None,
-        }
-    }
-}
-
 /// Per-deployment serving knobs, set at `deploy`/`restore` time and
 /// embedded in auto-checkpoint image headers so `--recover` can resume
 /// a deployment under the knobs it was running with.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServingOptions {
-    /// Admission scheduling policy.
-    pub policy: AdmissionPolicy,
     /// Admission-queue bound; `0` rejects every submission (useful as a
     /// deterministic `queue_full` probe).
     pub queue_cap: usize,
-    /// Submissions admitted per epoch boundary; `0` admits everything
-    /// waiting.
-    pub admit_per_epoch: usize,
     /// Auto-checkpoint period in epochs; `0` disables.
     pub checkpoint_every_epochs: u64,
     /// Directory rotating checkpoint images are written into (required
@@ -240,9 +211,7 @@ pub struct ServingOptions {
 impl Default for ServingOptions {
     fn default() -> ServingOptions {
         ServingOptions {
-            policy: AdmissionPolicy::Fifo,
             queue_cap: DEFAULT_QUEUE_CAP,
-            admit_per_epoch: 0,
             checkpoint_every_epochs: 0,
             checkpoint_dir: None,
         }
@@ -253,9 +222,7 @@ impl ServingOptions {
     /// Render as the `serving` object an image header embeds.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::object();
-        obj.set("policy", Json::Str(self.policy.label().to_string()));
         obj.set("queue_cap", Json::from_u64(self.queue_cap as u64));
-        obj.set("admit_per_epoch", Json::from_u64(self.admit_per_epoch as u64));
         obj.set("checkpoint_every_epochs", Json::from_u64(self.checkpoint_every_epochs));
         if let Some(dir) = &self.checkpoint_dir {
             obj.set("checkpoint_dir", Json::Str(dir.clone()));
@@ -264,21 +231,16 @@ impl ServingOptions {
     }
 
     /// Parse a `serving` object written by [`ServingOptions::to_json`].
+    /// Keys of retired knobs that older images still carry
+    /// (`upkeep_workers`, `policy`, `admit_per_epoch`) are ignored.
     pub fn from_json(doc: &Json) -> Result<ServingOptions, String> {
         let u64_field = |k: &str| {
             doc.get(k)
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("serving recipe: missing integer field {k:?}"))
         };
-        let label = doc
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "serving recipe: missing string field \"policy\"".to_string())?;
         Ok(ServingOptions {
-            policy: AdmissionPolicy::parse(label)
-                .ok_or_else(|| format!("serving recipe: unknown policy {label:?}"))?,
             queue_cap: u64_field("queue_cap")? as usize,
-            admit_per_epoch: u64_field("admit_per_epoch")? as usize,
             checkpoint_every_epochs: u64_field("checkpoint_every_epochs")?,
             checkpoint_dir: doc.get("checkpoint_dir").and_then(Json::as_str).map(str::to_string),
         })
@@ -303,7 +265,7 @@ pub struct ImageHeader {
     pub nodes: usize,
     /// Serving knobs the deployment ran with — written since the
     /// serving-pool refactor, absent in older images. `--recover` uses
-    /// it to resume a deployment under its original admission and
+    /// it to resume a deployment under its original queue bound and
     /// checkpoint configuration.
     pub serving: Option<ServingOptions>,
 }
@@ -417,9 +379,7 @@ mod tests {
     #[test]
     fn image_headers_round_trip_the_serving_recipe() {
         let serving = ServingOptions {
-            policy: AdmissionPolicy::RoundRobin,
             queue_cap: 17,
-            admit_per_epoch: 3,
             checkpoint_every_epochs: 10,
             checkpoint_dir: Some("/tmp/ckpt".into()),
         };
@@ -442,31 +402,40 @@ mod tests {
         assert_eq!(ImageHeader::from_json(&bare).unwrap().serving, None);
         // A mistyped recipe is an error, not a silent default.
         let mut broken = header.to_json();
-        broken.set("serving", Json::Str("fifo".into()));
+        broken.set("serving", Json::Num(17.0));
         assert!(ImageHeader::from_json(&broken).is_err());
     }
 
     #[test]
-    fn image_headers_with_the_retired_upkeep_workers_key_still_parse() {
-        // Images checkpointed while deployments carried a per-deployment
-        // `upkeep_workers` knob embed it in their serving recipe; the key
-        // is ignored now that deployments build their engines at one worker.
-        let old = r#"{"preset": "dense_grid_100", "scale": 0.1, "scheme": "dirq-atc",
-            "seed": 7, "epoch": 20, "nodes": 100,
-            "serving": {"policy": "rr", "queue_cap": 17, "admit_per_epoch": 3,
-                        "checkpoint_every_epochs": 10, "checkpoint_dir": "ckpt",
-                        "upkeep_workers": 2}}"#;
+    fn image_headers_with_retired_serving_keys_still_parse() {
+        // Images checkpointed by older daemons embed retired knobs in their
+        // serving recipe: a per-deployment `upkeep_workers` (deployments now
+        // build their engines at one worker), an admission `policy` and an
+        // `admit_per_epoch` cap (every turn now admits the whole queue).
+        // The first header predates the `upkeep_workers` retirement, the
+        // second only the admission one; both parse with the keys ignored.
+        let headers = [
+            r#"{"preset": "dense_grid_100", "scale": 0.1, "scheme": "dirq-atc",
+                "seed": 7, "epoch": 20, "nodes": 100,
+                "serving": {"policy": "rr", "queue_cap": 17, "admit_per_epoch": 3,
+                            "checkpoint_every_epochs": 10, "checkpoint_dir": "ckpt",
+                            "upkeep_workers": 2}}"#,
+            r#"{"preset": "dense_grid_100", "scale": 0.1, "scheme": "dirq-atc",
+                "seed": 7, "epoch": 20, "nodes": 100,
+                "serving": {"policy": "rr", "queue_cap": 17, "admit_per_epoch": 3,
+                            "checkpoint_every_epochs": 10, "checkpoint_dir": "ckpt"}}"#,
+        ];
         let serving = ServingOptions {
-            policy: AdmissionPolicy::RoundRobin,
             queue_cap: 17,
-            admit_per_epoch: 3,
             checkpoint_every_epochs: 10,
             checkpoint_dir: Some("ckpt".into()),
         };
-        let parsed = ImageHeader::from_json(&Json::parse(old).unwrap()).unwrap();
-        // The same options as the recipe without the key.
+        // The same options as the recipe without the keys.
         assert_eq!(ServingOptions::from_json(&serving.to_json()).unwrap(), serving);
-        assert_eq!(parsed.serving, Some(serving));
+        for old in headers {
+            let parsed = ImageHeader::from_json(&Json::parse(old).unwrap()).unwrap();
+            assert_eq!(parsed.serving.as_ref(), Some(&serving), "{old}");
+        }
     }
 
     #[test]

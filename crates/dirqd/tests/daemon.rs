@@ -46,7 +46,6 @@ fn daemon_end_to_end() {
         assert_eq!(info.nodes, 100);
         assert_eq!(info.epoch, 0);
         assert_eq!(info.epochs, 400, "dense_grid_100 at 0.1 scale");
-        assert_eq!(info.policy, "fifo", "default admission policy");
         assert_eq!(c.step("a", 25).expect("step"), 25);
 
         // Deterministic: a second identical deployment fingerprints equal.
@@ -272,10 +271,6 @@ fn wire_validation_rejects_what_it_used_to_truncate() {
         });
         assert_eq!(remote_kind(c.call(&req), "zero scale"), "bad_request");
         // Serving knobs validate at deploy time.
-        let req = deploy(&|r: &mut Json| {
-            r.set("policy", Json::Str("lifo".into()));
-        });
-        assert_eq!(remote_kind(c.call(&req), "unknown policy"), "bad_request");
         let req = deploy(&|r: &mut Json| {
             r.set("checkpoint_every_epochs", Json::from_u64(10));
         });
@@ -652,6 +647,29 @@ fn torn_newest_checkpoint_falls_back_to_the_older_slot() {
         assert_eq!(fp_t, fp_clean, "fallback state diverged from a straight run");
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sensor type outside the deployment's catalog is a typed
+/// `bad_request` at the wire. It used to reach the engine, whose
+/// per-type readings it indexed out of bounds: the serving-pool worker
+/// panicked, the caller got `shutdown`, and on a one-thread pool every
+/// deployment then answered `timeout`.
+#[test]
+fn out_of_catalog_stypes_are_rejected_and_the_pool_keeps_serving() {
+    let options = DaemonOptions { serving_threads: 1, ..DaemonOptions::default() };
+    with_daemon_opts(options, |_, c| {
+        c.deploy("a", "dense_grid_100", &scaled(0.1)).expect("deploy a");
+        c.deploy("b", "dense_grid_100", &scaled(0.1)).expect("deploy b");
+        let mut req = Json::object();
+        req.set("cmd", Json::Str("query".into()));
+        req.set("deployment", Json::Str("a".into()));
+        req.set("stype", Json::Num(4.0));
+        req.set("lo", Json::Num(10.0));
+        req.set("hi", Json::Num(20.0));
+        assert_eq!(remote_kind(c.call(&req), "stype 4"), "bad_request");
+        c.query("a", 0, 10.0, 20.0, None).expect("blocking query on a");
+        assert_eq!(c.step("b", 5).expect("step b"), 5);
+    });
 }
 
 /// Engine round trips are bounded: a wedged deployment produces an

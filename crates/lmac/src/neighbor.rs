@@ -23,7 +23,7 @@
 //! ## Parallel discipline
 //!
 //! The colour-class parallel listener phase mutates rows of *distinct*
-//! listeners concurrently through [`ArenaRaw`], a raw-pointer handle derived
+//! listeners concurrently through `ArenaRaw`, a raw-pointer handle derived
 //! from the single `&mut NeighborArena`. Every mutating entry point funnels
 //! through the same raw implementation, so the serial and sharded paths
 //! share one arena-mutation core (the listener-loop protocol around it
@@ -180,7 +180,7 @@ impl NeighborArena {
     /// # Panics
     /// Panics when `pos` lies outside `listener`'s row (this is a safe
     /// entry point; the unchecked variant is the crate-internal
-    /// [`ArenaRaw`]).
+    /// `ArenaRaw`).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn heard_at(

@@ -15,7 +15,7 @@
 //!   by every per-receiver indication instead of cloned;
 //! * per-slot working state (transmitter set, listener set, collision set,
 //!   audible list, per-transmitter records) lives in a persistent
-//!   [`FrameScratch`] of flat vectors and [`NodeBits`] bitsets, reused
+//!   `FrameScratch` of flat vectors and [`NodeBits`] bitsets, reused
 //!   across slots;
 //! * membership tests (is transmitting? has collided?) are O(1) bit tests
 //!   rather than linear `Vec::contains` scans, and listener iteration runs
@@ -24,9 +24,8 @@
 //! * audibility is resolved from the *listener's* side: each listener walks
 //!   its own CSR neighbour slice and probes a node→transmission index
 //!   (`tx_index`), instead of testing `has_link` against every concurrent
-//!   transmitter — the listeners × transmitters link-matrix scan that
-//!   dominated dense frames (and degenerates to a binary search per probe
-//!   above `DENSE_LINK_MAX_NODES`) is gone;
+//!   transmitter — the listeners × transmitters scan of `has_link`
+//!   probes that dominated dense frames is gone;
 //! * neighbour knowledge is network-owned in an **edge-aligned
 //!   [`NeighborArena`]** (`Topology::row_start(listener) + mirror_pos`),
 //!   so the listener loop's stores land sequentially in listener order on
@@ -548,16 +547,6 @@ impl<P> LmacNetwork<P> {
         &self.cfg
     }
 
-    /// Current frame number.
-    pub fn current_frame(&self) -> u64 {
-        self.frame
-    }
-
-    /// Current slot within the frame.
-    pub fn current_slot(&self) -> u16 {
-        self.slot
-    }
-
     /// Whether `node` is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.nodes[node.index()].alive
@@ -587,11 +576,6 @@ impl<P> LmacNetwork<P> {
     /// Paper-comparable data-message energy ledger.
     pub fn data_ledger(&self) -> &EnergyLedger {
         &self.data_ledger
-    }
-
-    /// Mutable access (for per-phase resets in experiments).
-    pub fn data_ledger_mut(&mut self) -> &mut EnergyLedger {
-        &mut self.data_ledger
     }
 
     /// LMAC's own control-traffic ledger (excluded from the paper's cost

@@ -10,11 +10,8 @@
 //! Adjacency is stored in **CSR form** (`offsets`/`targets`): neighbour
 //! lookup is a single slice over one contiguous array, so the per-slot MAC
 //! loops walk memory linearly instead of chasing one heap allocation per
-//! node. Link membership additionally keeps a dense bit matrix for graphs
-//! up to [`DENSE_LINK_MAX_NODES`] nodes, making [`Topology::has_link`] a
-//! single bit test on every deployment size the paper's experiments use
-//! (and far beyond); larger graphs fall back to binary search over the CSR
-//! row.
+//! node. Rows are sorted, so [`Topology::has_link`] is a binary search over
+//! one row; the CSR arrays are the only adjacency structure.
 //!
 //! ## Construction
 //!
@@ -39,10 +36,6 @@ use crate::geometry::Position;
 use crate::ids::NodeId;
 use crate::placement::{Placement, SinkPlacement};
 use crate::radio::RadioModel;
-
-/// Largest node count for which a dense link bit-matrix is kept
-/// (`n²` bits — 2 MiB at 4096 nodes).
-pub const DENSE_LINK_MAX_NODES: usize = 4096;
 
 /// Relative widening of the grid's cell side over
 /// [`RadioModel::max_range`]: rounding in the bucket index stays far below
@@ -117,10 +110,6 @@ pub struct Topology {
     offsets: Vec<u32>,
     /// Concatenated sorted neighbour lists.
     targets: Vec<NodeId>,
-    /// Row-major adjacency bit matrix (`words_per_row` words per node);
-    /// empty when `len() > DENSE_LINK_MAX_NODES`.
-    link_bits: Vec<u64>,
-    words_per_row: usize,
     link_count: usize,
 }
 
@@ -288,21 +277,7 @@ impl Topology {
             }
         }
 
-        // Dense membership matrix for O(1) has_link on practical sizes.
-        let (words_per_row, link_bits) = if n <= DENSE_LINK_MAX_NODES {
-            let wpr = n.div_ceil(64).max(1);
-            let mut bits = vec![0u64; wpr * n];
-            for &(a, b) in edges {
-                let (ai, bi) = (a.index(), b.index());
-                bits[ai * wpr + bi / 64] |= 1 << (bi % 64);
-                bits[bi * wpr + ai / 64] |= 1 << (ai % 64);
-            }
-            (wpr, bits)
-        } else {
-            (0, Vec::new())
-        };
-
-        Topology { positions, offsets, targets, link_bits, words_per_row, link_count: edges.len() }
+        Topology { positions, offsets, targets, link_count: edges.len() }
     }
 
     /// Number of nodes.
@@ -357,15 +332,11 @@ impl Topology {
         (0..self.len()).map(|i| (self.offsets[i + 1] - self.offsets[i]) as usize).max().unwrap_or(0)
     }
 
-    /// Whether an undirected link `a`–`b` exists.
+    /// Whether an undirected link `a`–`b` exists: a binary search over
+    /// `a`'s sorted CSR row.
     #[inline]
     pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
-        if self.words_per_row > 0 {
-            let bi = b.index();
-            self.link_bits[a.index() * self.words_per_row + bi / 64] & (1 << (bi % 64)) != 0
-        } else {
-            self.neighbors(a).binary_search(&b).is_ok()
-        }
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Iterator over all node ids.
@@ -691,29 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn has_link_agrees_with_neighbor_lists() {
-        let mut rng = RngFactory::new(77).stream("csr");
-        let t = Topology::deploy_connected(
-            40,
-            &Placement::UniformRandom { side: 100.0 },
-            SinkPlacement::Corner,
-            &UnitDisk::new(30.0),
-            &mut rng,
-            100,
-        )
-        .unwrap();
-        for a in t.nodes() {
-            for b in t.nodes() {
-                assert_eq!(
-                    t.has_link(a, b),
-                    t.neighbors(a).binary_search(&b).is_ok(),
-                    "bit matrix and CSR disagree on {a}-{b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reachability_respects_passability() {
         let t = line(5);
         // Node 2 impassable cuts the line.
@@ -772,10 +720,8 @@ mod tests {
         assert!(t.is_empty());
     }
 
-    /// Ring + long chords, defined purely by index arithmetic so the edge
-    /// set among the first `k` nodes is identical for every graph size
-    /// ≥ `k` (enabling dense-vs-sparse parity checks across the
-    /// [`DENSE_LINK_MAX_NODES`] boundary without O(n²) geometry).
+    /// Ring + long chords, defined purely by index arithmetic, so a large
+    /// graph needs no O(n²) geometry.
     fn chord_edges(n: usize) -> Vec<(NodeId, NodeId)> {
         let mut edges = Vec::new();
         for i in 0..n {
@@ -789,38 +735,43 @@ mod tests {
         edges
     }
 
+    /// `has_link` holds both ways on every input edge and fails on
+    /// sampled non-edges: on a 40-node deployment (edges from the
+    /// all-pairs reference scan) and on the 4 200-node chord graph.
     #[test]
-    fn sparse_fallback_above_dense_limit() {
-        let big = DENSE_LINK_MAX_NODES + 104; // 4200: CSR binary-search path
-        let small = DENSE_LINK_MAX_NODES; // 4096: dense bit-matrix path
-        let t_sparse = Topology::from_edges(big, &chord_edges(big));
-        let t_dense = Topology::from_edges(small, &chord_edges(small));
-
-        // Every edge among the first `small` nodes exists in both graphs;
-        // the two membership implementations must agree on all of them,
-        // and on a deterministic sample of non-edges.
-        for (a, b) in chord_edges(small) {
-            assert!(t_sparse.has_link(a, b) && t_sparse.has_link(b, a));
-            assert_eq!(t_sparse.has_link(a, b), t_dense.has_link(a, b), "{a}-{b}");
-        }
-        let mut x: u64 = 0x243F6A8885A308D3;
-        for _ in 0..50_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = NodeId::from_index((x >> 33) as usize % small);
-            let b = NodeId::from_index((x >> 11) as usize % small);
-            if a == b {
-                continue;
+    fn has_link_matches_the_input_edges() {
+        let radio = UnitDisk::new(30.0);
+        let mut rng = RngFactory::new(77).stream("csr");
+        let deployed = Topology::deploy_connected(
+            40,
+            &Placement::UniformRandom { side: 100.0 },
+            SinkPlacement::Corner,
+            &radio,
+            &mut rng,
+            100,
+        )
+        .unwrap();
+        let deployed_edges = all_pairs_edges(deployed.positions(), &radio);
+        let chords = Topology::from_edges(4_200, &chord_edges(4_200));
+        for (t, edges) in [(&deployed, deployed_edges), (&chords, chord_edges(4_200))] {
+            let mut edge_set = std::collections::HashSet::new();
+            for &(a, b) in &edges {
+                assert!(t.has_link(a, b) && t.has_link(b, a), "missing link {a}-{b}");
+                edge_set.insert((a.min(b), a.max(b)));
             }
-            assert_eq!(
-                t_sparse.has_link(a, b),
-                t_dense.has_link(a, b),
-                "dense and sparse membership disagree on {a}-{b}"
-            );
-            assert_eq!(
-                t_sparse.has_link(a, b),
-                t_sparse.neighbors(a).binary_search(&b).is_ok(),
-                "sparse has_link inconsistent with its own CSR row at {a}-{b}"
-            );
+            let mut x: u64 = 0x243F6A8885A308D3;
+            let mut non_edges = 0;
+            for _ in 0..50_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let a = NodeId::from_index((x >> 33) as usize % t.len());
+                let b = NodeId::from_index((x >> 11) as usize % t.len());
+                if edge_set.contains(&(a.min(b), a.max(b))) {
+                    continue;
+                }
+                assert!(!t.has_link(a, b), "phantom link {a}-{b}");
+                non_edges += 1;
+            }
+            assert!(non_edges > 1_000, "too few non-edges sampled ({non_edges})");
         }
     }
 
@@ -927,7 +878,7 @@ mod tests {
 
     #[test]
     fn large_graph_neighbor_slices_stay_sorted_and_symmetric() {
-        let n = DENSE_LINK_MAX_NODES + 104;
+        let n = 4_200;
         let t = Topology::from_edges(n, &chord_edges(n));
         assert_eq!(t.len(), n);
         assert!(t.is_connected());
@@ -942,8 +893,8 @@ mod tests {
             }
         }
         assert_eq!(degree_sum, 2 * t.link_count());
-        // Hop distances stay exact on the fallback path: node i sits
-        // (roughly) i/97 chord hops from the root.
+        // Hop distances stay exact: node i sits (roughly) i/97 chord hops
+        // from the root.
         let d = t.hop_distances(NodeId::ROOT, |_| true);
         assert_eq!(d[97], 1);
         assert_eq!(d[2 * 97], 2);

@@ -20,13 +20,11 @@
 //!   transmission, 1 unit per reception).
 //! * [`churn`] — birth/death schedules driving the topology-dynamics
 //!   experiments.
-//! * [`dot`] — Graphviz export for debugging and documentation.
 
 #![warn(missing_docs)]
 
 pub mod bits;
 pub mod churn;
-pub mod dot;
 pub mod energy;
 pub mod geometry;
 pub mod graph;

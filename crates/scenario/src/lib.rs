@@ -9,7 +9,7 @@
 //!   test, epoch budget, seed) with a builder API. Churn and measurement
 //!   windows are run-relative, so a spec scales to quick smoke runs and
 //!   full-budget sweeps without changing shape.
-//! * [`registry`] — named presets spanning 100–5 000 nodes: dense grid,
+//! * [`registry`](mod@registry) — named presets spanning 100–5 000 nodes: dense grid,
 //!   sparse random, corridor, clustered hotspot workload, heavy churn,
 //!   heterogeneous sensor types, a flooding head-to-head and the
 //!   5 000-node stress deployment.

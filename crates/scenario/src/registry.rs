@@ -188,8 +188,8 @@ pub fn grid_2000() -> ScenarioSpec {
         .build()
 }
 
-/// 5 000 nodes uniformly random — above the dense link-matrix limit, so
-/// this also exercises the CSR fallback paths end to end.
+/// 5 000 nodes uniformly random: the smallest stress deployment, run end
+/// to end inside tier-1 `cargo test`.
 pub fn stress_5000() -> ScenarioSpec {
     ScenarioSpec::builder("stress_5000", 5_000)
         .placement(Placement::UniformRandom { side: 1_000.0 }, SinkPlacement::Corner)

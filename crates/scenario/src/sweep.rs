@@ -27,10 +27,10 @@ pub struct SweepConfig {
     /// [`dirq_lmac::LmacConfig::workers`] (the colour-class parallel slot
     /// loop), [`dirq_core::ScenarioConfig::world_workers`] (the
     /// split-stream world advance) and
-    /// [`dirq_core::ScenarioConfig::upkeep_workers`] (the sampling and
-    /// tree-repair scans). Like `threads`, never affects results — every
-    /// sharded path is bit-identical, and the CI smoke worker matrix
-    /// enforces it.
+    /// [`dirq_core::ScenarioConfig::upkeep_workers`] (sensor sampling,
+    /// the only sharded upkeep pass). Like `threads`, never affects
+    /// results — every sharded path is bit-identical, and the CI smoke
+    /// worker matrix enforces it.
     pub workers: usize,
 }
 

@@ -5,12 +5,11 @@
 //! (`dirq-core`) steps one LMAC frame per epoch and drives the MAC slot
 //! by slot. This crate provides the substrate every layer shares:
 //!
-//! * [`time`] — a discrete simulation clock ([`SimTime`], [`SimDuration`]).
 //! * [`rng`] — reproducible hierarchical random-number streams so that every
 //!   component (radio, data generator, workload, …) draws from an
 //!   independent, seed-derived stream.
-//! * [`stats`] — counters, EWMAs, Welford accumulators, histograms and
-//!   bucketed time series used by the measurement harness.
+//! * [`stats`] — EWMAs, Welford accumulators and bucketed time series
+//!   used by the measurement harness.
 //! * [`runner`] — a parallel parameter-sweep/matrix executor (one
 //!   simulation per thread, deterministic output ordering, seed
 //!   replication) and the worker pool behind the sharded engine phases.
@@ -30,10 +29,8 @@ pub mod rng;
 pub mod runner;
 pub mod snap;
 pub mod stats;
-pub mod time;
 
 pub use fingerprint::Fnv;
 pub use json::Json;
 pub use rng::{split_key, RngFactory, SimRng, StreamRng};
 pub use snap::{SnapError, SnapReader, SnapWriter};
-pub use time::{SimDuration, SimTime};

@@ -4,22 +4,16 @@
 //! overshoot percentages, update-rate time series — flows through these
 //! primitives:
 //!
-//! * [`Counter`] — saturating event counter with snapshot/delta support.
 //! * [`Ewma`] — exponentially weighted moving average (ATC's estimate of
 //!   local signal variability and of a node's own update rate).
 //! * [`Welford`] — numerically stable running mean/variance.
-//! * [`Histogram`] — fixed-width binning with quantile queries.
 //! * [`TimeSeries`] — per-bucket accumulation (the paper's
 //!   "updates per 100 epochs" curves in Fig. 6).
 
-mod counter;
 mod ewma;
-mod histogram;
 mod timeseries;
 mod welford;
 
-pub use counter::Counter;
 pub use ewma::Ewma;
-pub use histogram::Histogram;
 pub use timeseries::TimeSeries;
 pub use welford::Welford;

@@ -2,11 +2,9 @@
 //!
 //! Fig. 6 of the paper plots "total number of update messages transmitted
 //! every 100 epochs" over a 20 000-epoch run; [`TimeSeries`] is exactly that
-//! data structure: values are accumulated into fixed-width time buckets.
+//! data structure: values are accumulated into fixed-width epoch buckets.
 
-use crate::time::SimTime;
-
-/// Accumulates `f64` contributions into fixed-width time buckets.
+/// Accumulates `f64` contributions into fixed-width epoch buckets.
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
     bucket_width: u64,
@@ -15,7 +13,7 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Create a series whose buckets span `bucket_width` ticks each.
+    /// Create a series whose buckets span `bucket_width` epochs each.
     ///
     /// # Panics
     /// Panics if `bucket_width` is zero.
@@ -24,14 +22,14 @@ impl TimeSeries {
         TimeSeries { bucket_width, sums: Vec::new(), counts: Vec::new() }
     }
 
-    /// Bucket width in ticks.
+    /// Bucket width in epochs.
     pub fn bucket_width(&self) -> u64 {
         self.bucket_width
     }
 
-    /// Add `value` to the bucket containing `t`.
-    pub fn record(&mut self, t: SimTime, value: f64) {
-        let idx = (t.ticks() / self.bucket_width) as usize;
+    /// Add `value` to the bucket containing `epoch`.
+    pub fn record(&mut self, epoch: u64, value: f64) {
+        let idx = (epoch / self.bucket_width) as usize;
         if idx >= self.sums.len() {
             self.sums.resize(idx + 1, 0.0);
             self.counts.resize(idx + 1, 0);
@@ -40,9 +38,10 @@ impl TimeSeries {
         self.counts[idx] += 1;
     }
 
-    /// Convenience: add 1.0 to the bucket containing `t` (event counting).
-    pub fn record_event(&mut self, t: SimTime) {
-        self.record(t, 1.0);
+    /// Convenience: add 1.0 to the bucket containing `epoch` (event
+    /// counting).
+    pub fn record_event(&mut self, epoch: u64) {
+        self.record(epoch, 1.0);
     }
 
     /// Number of materialised buckets (trailing empty buckets may be absent).
@@ -71,7 +70,7 @@ impl TimeSeries {
         (c > 0).then(|| self.sum(idx) / c as f64)
     }
 
-    /// Iterator over `(bucket_start_tick, sum)` pairs, padded so every
+    /// Iterator over `(bucket_start_epoch, sum)` pairs, padded so every
     /// bucket up to the last materialised one appears.
     pub fn iter_sums(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.sums.iter().enumerate().map(move |(i, &s)| (i as u64 * self.bucket_width, s))
@@ -115,10 +114,10 @@ mod tests {
     #[test]
     fn events_fall_into_expected_buckets() {
         let mut ts = TimeSeries::new(100);
-        ts.record_event(SimTime(0));
-        ts.record_event(SimTime(99));
-        ts.record_event(SimTime(100));
-        ts.record_event(SimTime(250));
+        ts.record_event(0);
+        ts.record_event(99);
+        ts.record_event(100);
+        ts.record_event(250);
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.sum(0), 2.0);
         assert_eq!(ts.sum(1), 1.0);
@@ -129,8 +128,8 @@ mod tests {
     #[test]
     fn values_accumulate_and_average() {
         let mut ts = TimeSeries::new(10);
-        ts.record(SimTime(5), 2.0);
-        ts.record(SimTime(7), 4.0);
+        ts.record(5, 2.0);
+        ts.record(7, 4.0);
         assert_eq!(ts.sum(0), 6.0);
         assert_eq!(ts.count(0), 2);
         assert_eq!(ts.mean(0), Some(3.0));
@@ -140,7 +139,7 @@ mod tests {
     #[test]
     fn sparse_recording_pads_intermediate_buckets() {
         let mut ts = TimeSeries::new(10);
-        ts.record_event(SimTime(95));
+        ts.record_event(95);
         assert_eq!(ts.len(), 10);
         for i in 0..9 {
             assert_eq!(ts.sum(i), 0.0);

@@ -2,9 +2,10 @@
 //!
 //! A *golden pin* is a fixed-seed fingerprint of an observable —
 //! a complete [`RunResult`](crate::core::RunResult) or a sweep
-//! [`ScenarioReport`] — recorded once and asserted on every test run, so
-//! behaviour drift fails loudly. The scenario constructors and the pinned
-//! constants both live here; the workspace golden tests
+//! [`ScenarioReport`](crate::scenario::ScenarioReport) — recorded once
+//! and asserted on every test run, so behaviour drift fails loudly. The
+//! scenario constructors and the pinned constants both live here; the
+//! workspace golden tests
 //! (`tests/determinism_golden.rs`, `tests/scenario_golden.rs`) assert
 //! against this manifest, and the `record_goldens` bench binary
 //! regenerates it (plus `crates/scenario/src/registry.rs` and
@@ -59,13 +60,13 @@ fn preset_scenario(name: &str, epochs: u64) -> ScenarioConfig {
     ScenarioConfig { epochs, measure_from_epoch: epochs / 5, ..spec.config(scheme, spec.seed) }
 }
 
-/// 2 000-node jittered grid, 40 epochs (dense link-matrix `has_link`).
+/// 2 000-node jittered grid, 40 epochs.
 pub fn grid_2000_scenario() -> ScenarioConfig {
     preset_scenario("grid_2000", 40)
 }
 
-/// 5 000-node uniform deployment, 24 epochs — above `DENSE_LINK_MAX_NODES`,
-/// pinning the CSR-fallback topology path at engine level.
+/// 5 000-node uniform deployment, 24 epochs — the largest deployment a
+/// debug-tier test pins at engine level.
 pub fn stress_5000_scenario() -> ScenarioConfig {
     preset_scenario("stress_5000", 24)
 }
@@ -130,8 +131,8 @@ pub fn large_spec() -> ScenarioSpec {
 }
 
 /// Extra-large: the 5 000-node stress deployment at the scaling floor
-/// (80 epochs) — the full report pipeline over a >`DENSE_LINK_MAX_NODES`
-/// topology, inside tier-1 `cargo test`.
+/// (80 epochs) — the full report pipeline over a 5 000-node topology,
+/// inside tier-1 `cargo test`.
 pub fn xlarge_spec() -> ScenarioSpec {
     registry::stress_5000().scaled(0.1)
 }

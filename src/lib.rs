@@ -6,8 +6,8 @@
 //! substrate the paper runs on:
 //!
 //! * [`sim`] — the deterministic simulation substrate: seeded RNG
-//!   streams, clock, statistics, worker pools, JSON and snapshots (the
-//!   paper used the OMNeT++ discrete-event simulator),
+//!   streams, statistics, worker pools, JSON and snapshots (the paper
+//!   used the OMNeT++ discrete-event simulator),
 //! * [`net`] — node placement, radio models, topology graphs, spanning
 //!   trees, unit-cost energy accounting, churn schedules,
 //! * [`lmac`] — the LMAC TDMA MAC protocol with distributed slot
@@ -75,7 +75,7 @@ pub mod prelude {
         preset, registry, run_matrix_report, ChurnProfile, ScenarioReport, ScenarioSpec, Scheme,
         SweepConfig,
     };
-    pub use dirq_sim::{RngFactory, SimDuration, SimTime};
+    pub use dirq_sim::RngFactory;
 }
 
 #[cfg(test)]

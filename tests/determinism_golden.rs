@@ -42,9 +42,9 @@ fn atc_churn_metrics_match_golden() {
 fn grid_2000_metrics_match_golden() {
     // At 2 000 nodes every intra-run pool is past its sharding floor, so
     // two workers engage the MAC's parallel slot loop, the sharded world
-    // advance and the sharded sampling and repair scans on their own (no
-    // test hook) on a multi-core host; a 1-core host clamps each pool to
-    // the serial path. Either way the fingerprint is the serial golden.
+    // advance and sharded sensor sampling on their own (no test hook) on
+    // a multi-core host; a 1-core host clamps each pool to the serial
+    // path. Either way the fingerprint is the serial golden.
     for workers in [1, 2] {
         let mut cfg = grid_2000_scenario();
         cfg.lmac.workers = workers;

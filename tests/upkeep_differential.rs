@@ -1,13 +1,12 @@
 //! Differential property tests for the sharded protocol upkeep.
 //!
-//! With `upkeep_workers > 1` the per-node upkeep passes shard over the
-//! worker pool: sensor sampling runs the real decision path per carrier
-//! chunk and replays the shared-state effects in chunk order, and the
-//! tree-repair scans (detached-since tracking, orphan candidate
-//! selection, the fallback choice) run per node chunk with the adoptions
-//! replayed serially under a live cycle re-validate. The serial loops
-//! are the reference implementations. 256 sampled cases pin, across
-//! churn × adaptive-sampling × multi-sink scenario families:
+//! With `upkeep_workers > 1` sensor sampling, the only sharded upkeep
+//! pass, runs the real decision path per carrier chunk over the worker
+//! pool and replays the shared-state effects in chunk order; the serial
+//! loop is the reference implementation. Tree repair is serial at every
+//! worker count, so under churn the suite also checks that sharded
+//! sampling leaves the repair outcomes untouched. 256 sampled cases pin,
+//! across churn × adaptive-sampling × multi-sink scenario families:
 //!
 //! * **sharded ≡ serial** — engines with 2 and 4 forced-sharded upkeep
 //!   workers stay bit-equal to the serial reference at every epoch on
@@ -67,8 +66,8 @@ proptest! {
                 SamplingStrategy::EveryEpoch
             },
             churn: if churn {
-                // Deaths orphan subtrees, exercising both repair paths
-                // (the detach fallback needs long-detached regions, which
+                // Deaths orphan subtrees, exercising both the primary and
+                // the fallback repair path (the detach fallback needs long-detached regions, which
                 // early deaths plus short runs still produce via the
                 // count-to-infinity staleness).
                 ChurnSpec::RandomDeaths { deaths: 3, from_epoch: 3, until_epoch: 15 }
