@@ -20,6 +20,17 @@
 //! lazily only when an update could have changed them; in steady state the
 //! caches never invalidate.
 //!
+//! ## Implicit liveness
+//!
+//! While the MAC's control plane sits at its fixed point, no frame writes
+//! the arena: every alive listener hears each present neighbour exactly
+//! once per frame, in the neighbour's slot. A present entry's
+//! `last_heard_frame` is then implied by its stored slot and the MAC's
+//! position in the frame (`SteadyClock`). Views and snapshots taken
+//! through the MAC report that value; when the MAC leaves the fixed point
+//! it writes the value back into every present entry
+//! (`NeighborArena::settle`).
+//!
 //! ## Parallel discipline
 //!
 //! The colour-class parallel listener phase mutates rows of *distinct*
@@ -34,7 +45,7 @@
 
 use std::cell::Cell;
 
-use dirq_net::{NodeId, Topology};
+use dirq_net::{EnergyLedger, NodeId, Topology};
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::slots::SlotSet;
@@ -51,6 +62,41 @@ pub struct NeighborInfo {
     pub gateway_dist: u16,
     /// Frame number in which the neighbour was last heard.
     pub last_heard_frame: u64,
+}
+
+/// What one reception did to the listener's entry for the transmitter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Heard {
+    /// The neighbour was not in the row (LMAC's new-neighbour upcall).
+    New,
+    /// The entry's slot or gateway distance changed.
+    Changed,
+    /// Neither changed. The advertised occupancy may have: no
+    /// advertisement is computed from it, so it cannot propagate.
+    Refreshed,
+}
+
+/// The MAC's position in a frame at the control plane's fixed point,
+/// from which every present entry's `last_heard_frame` follows.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SteadyClock {
+    /// The current frame; at least 1, because the fixed point is only
+    /// entered at a frame boundary.
+    pub(crate) frame: u64,
+    /// The next slot to run: neighbours owning a lower slot have already
+    /// been heard in `frame`.
+    pub(crate) slot: u16,
+}
+
+impl SteadyClock {
+    /// When a neighbour that transmits in `slot` was last heard.
+    #[inline]
+    fn last_heard(self, slot: Option<u16>) -> u64 {
+        match slot {
+            Some(s) if s < self.slot => self.frame,
+            _ => self.frame - 1,
+        }
+    }
 }
 
 /// One edge-aligned arena slot: listener `l`'s knowledge of
@@ -72,6 +118,17 @@ impl EdgeEntry {
                 last_heard_frame: 0,
             },
         }
+    }
+
+    /// The entry's knowledge, with `last_heard_frame` taken from `clock`
+    /// when the MAC is at its fixed point.
+    #[inline]
+    fn info_at(&self, clock: Option<SteadyClock>) -> NeighborInfo {
+        let mut info = self.info;
+        if let Some(c) = clock {
+            info.last_heard_frame = c.last_heard(info.slot);
+        }
+        info
     }
 }
 
@@ -137,10 +194,23 @@ impl NeighborArena {
         (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize)
     }
 
-    /// Typed read view over `node`'s row.
+    /// Typed read view over `node`'s row, reporting the stored
+    /// `last_heard_frame`.
     #[inline]
     pub fn view(&self, node: NodeId) -> NeighborView<'_> {
-        NeighborView { arena: self, node }
+        self.view_at(node, None)
+    }
+
+    /// [`NeighborArena::view`] reporting `last_heard_frame` from `clock`
+    /// when the MAC is at its fixed point.
+    #[inline]
+    pub(crate) fn view_at(&self, node: NodeId, clock: Option<SteadyClock>) -> NeighborView<'_> {
+        NeighborView { arena: self, node, clock }
+    }
+
+    /// Present entries across every row.
+    pub(crate) fn present_total(&self) -> u64 {
+        self.present.iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Forget everything `node`'s row knows (death/rebirth reset).
@@ -154,10 +224,10 @@ impl NeighborArena {
         self.gw_cache[node.index()].set(None);
     }
 
-    /// Record `listener` hearing `node` in `frame`; returns `true` when the
-    /// neighbour is new to the row (triggering LMAC's new-neighbour
-    /// upcall). Resolves the row position by binary search — the cold path;
-    /// the reception hot loop uses [`NeighborArena::heard_at`].
+    /// Record `listener` hearing `node` in `frame` and report what that
+    /// changed ([`Heard::New`] triggers LMAC's new-neighbour upcall).
+    /// Resolves the row position by binary search — the cold path; the
+    /// reception hot loop uses [`NeighborArena::heard_at`].
     pub fn heard(
         &mut self,
         listener: NodeId,
@@ -166,7 +236,7 @@ impl NeighborArena {
         occupied: SlotSet,
         gateway_dist: u16,
         frame: u64,
-    ) -> bool {
+    ) -> Heard {
         // SAFETY: `&mut self` gives exclusive access; the raw core resolves
         // (and validates) the row position itself.
         unsafe { self.raw().heard(listener, node, slot, occupied, gateway_dist, frame) }
@@ -192,7 +262,7 @@ impl NeighborArena {
         occupied: SlotSet,
         gateway_dist: u16,
         frame: u64,
-    ) -> bool {
+    ) -> Heard {
         let (lo, hi) = self.row_bounds(listener);
         assert!(pos < hi - lo, "heard_at position {pos} outside {listener}'s row");
         // SAFETY: bounds just checked; `&mut self` gives exclusive access.
@@ -218,12 +288,14 @@ impl NeighborArena {
 
     /// Append `listener`'s neighbours unheard since `frame - max_missed`
     /// (exclusive) — candidates for a dead-neighbour upcall — to a
-    /// caller-owned buffer, ascending.
-    pub fn collect_stale(
+    /// caller-owned buffer, ascending. `clock` supplies `last_heard_frame`
+    /// at the MAC's fixed point.
+    pub(crate) fn collect_stale(
         &self,
         listener: NodeId,
         frame: u64,
         max_missed: u32,
+        clock: Option<SteadyClock>,
         out: &mut Vec<NodeId>,
     ) {
         if self.present[listener.index()] == 0 {
@@ -231,32 +303,69 @@ impl NeighborArena {
         }
         let (lo, hi) = self.row_bounds(listener);
         for (e, &id) in self.entries[lo..hi].iter().zip(&self.ids[lo..hi]) {
-            if e.present && frame.saturating_sub(e.info.last_heard_frame) > u64::from(max_missed) {
+            if e.present
+                && frame.saturating_sub(e.info_at(clock).last_heard_frame) > u64::from(max_missed)
+            {
                 out.push(id);
             }
         }
     }
 
-    /// Write every edge entry to `w`. Row structure is topology-derived
-    /// and not serialized; only the dynamic knowledge is.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    /// Credit `ledger` with one reception per present entry whose
+    /// neighbour transmits below slot `before`, or per present entry when
+    /// `before` is `None`: what the listeners of a frame at the fixed
+    /// point have heard by then.
+    pub(crate) fn credit_receptions(&self, ledger: &mut EnergyLedger, before: Option<u16>) {
+        for (i, &count) in self.present.iter().enumerate() {
+            let heard = match before {
+                None => u64::from(count),
+                Some(s) => {
+                    let (lo, hi) = (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize);
+                    self.entries[lo..hi]
+                        .iter()
+                        .filter(|e| e.present && e.info.slot.is_some_and(|t| t < s))
+                        .count() as u64
+                }
+            };
+            ledger.record_rx_many(NodeId::from_index(i), heard);
+        }
+    }
+
+    /// Store `clock`'s implied `last_heard_frame` in every present entry:
+    /// the MAC is leaving its fixed point and will write entries again.
+    pub(crate) fn settle(&mut self, clock: SteadyClock) {
+        for e in self.entries.iter_mut().filter(|e| e.present) {
+            e.info.last_heard_frame = clock.last_heard(e.info.slot);
+        }
+    }
+
+    /// Write every edge entry to `w`, with `last_heard_frame` from `clock`
+    /// at the MAC's fixed point. Row structure is topology-derived and not
+    /// serialized; only the dynamic knowledge is.
+    pub(crate) fn snap(&self, w: &mut SnapWriter, clock: Option<SteadyClock>) {
         w.tag(b"ARNA");
         w.len_of(self.entries.len());
         for e in &self.entries {
             w.bool(e.present);
             if e.present {
-                w.opt_u16(e.info.slot);
-                w.u128(e.info.occupied.bits());
-                w.u16(e.info.gateway_dist);
-                w.u64(e.info.last_heard_frame);
+                let info = e.info_at(clock);
+                w.opt_u16(info.slot);
+                w.u128(info.occupied.bits());
+                w.u16(info.gateway_dist);
+                w.u64(info.last_heard_frame);
             }
         }
     }
 
     /// Overlay entries captured by [`NeighborArena::snap`] onto this
-    /// arena (which must be built over the same topology). Per-row
-    /// presence counts are recomputed and all caches marked dirty.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// arena (which must be built over the same topology). A present
+    /// entry's slot must lie below `slots_per_frame`. Per-row presence
+    /// counts are recomputed and all caches marked dirty.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        slots_per_frame: u16,
+    ) -> Result<(), SnapError> {
         r.tag(b"ARNA")?;
         let pos = r.position();
         let n = r.seq_len(1)?;
@@ -266,8 +375,13 @@ impl NeighborArena {
         for e in &mut self.entries {
             e.present = r.bool()?;
             e.info = if e.present {
+                let pos = r.position();
+                let slot = r.opt_u16()?;
+                if slot.is_some_and(|s| s >= slots_per_frame) {
+                    return Err(SnapError::Malformed { pos, what: "neighbour slot out of range" });
+                }
                 NeighborInfo {
-                    slot: r.opt_u16()?,
+                    slot,
                     occupied: SlotSet::from_bits(r.u128()?),
                     gateway_dist: r.u16()?,
                     last_heard_frame: r.u64()?,
@@ -330,7 +444,7 @@ impl ArenaRaw {
         occupied: SlotSet,
         gateway_dist: u16,
         frame: u64,
-    ) -> bool {
+    ) -> Heard {
         let li = listener.index();
         let lo = *self.row_offsets.add(li) as usize;
         debug_assert!(
@@ -345,25 +459,29 @@ impl ArenaRaw {
         let e = &mut *self.entries.add(lo + pos);
         let occ = &*self.occ_cache.add(li);
         let gw = &*self.gw_cache.add(li);
-        let is_new = !e.present;
-        if is_new {
+        let heard = if !e.present {
             e.present = true;
             *self.present.add(li) += 1;
             occ.set(None);
             gw.set(None);
+            Heard::New
         } else {
+            let mut heard = Heard::Refreshed;
             if e.info.slot != slot {
                 occ.set(None);
+                heard = Heard::Changed;
             }
             if e.info.gateway_dist != gateway_dist {
                 gw.set(None);
+                heard = Heard::Changed;
             }
-        }
+            heard
+        };
         e.info.slot = slot;
         e.info.occupied = occupied;
         e.info.gateway_dist = gateway_dist;
         e.info.last_heard_frame = frame;
-        is_new
+        heard
     }
 
     /// [`ArenaRaw::heard_at`] resolving the row position by binary search
@@ -380,7 +498,7 @@ impl ArenaRaw {
         occupied: SlotSet,
         gateway_dist: u16,
         frame: u64,
-    ) -> bool {
+    ) -> Heard {
         let li = listener.index();
         let lo = *self.row_offsets.add(li) as usize;
         let hi = *self.row_offsets.add(li + 1) as usize;
@@ -398,6 +516,9 @@ impl ArenaRaw {
 pub struct NeighborView<'a> {
     arena: &'a NeighborArena,
     node: NodeId,
+    /// The MAC's position at its fixed point, which `last_heard_frame`
+    /// follows from; `None` reports the stored value.
+    clock: Option<SteadyClock>,
 }
 
 impl NeighborView<'_> {
@@ -414,7 +535,8 @@ impl NeighborView<'_> {
     /// Look up a neighbour.
     pub fn get(&self, node: NodeId) -> Option<NeighborInfo> {
         let (entries, ids) = self.row();
-        ids.binary_search(&node).ok().map(|p| &entries[p]).filter(|e| e.present).map(|e| e.info)
+        let e = ids.binary_search(&node).ok().map(|p| &entries[p]).filter(|e| e.present)?;
+        Some(e.info_at(self.clock))
     }
 
     /// All known neighbour ids, ascending.
@@ -436,7 +558,7 @@ impl NeighborView<'_> {
     /// candidates for a dead-neighbour upcall at `frame`.
     pub fn stale(&self, frame: u64, max_missed: u32) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.arena.collect_stale(self.node, frame, max_missed, &mut out);
+        self.arena.collect_stale(self.node, frame, max_missed, self.clock, &mut out);
         out
     }
 
@@ -501,8 +623,8 @@ mod tests {
         let mut a = NeighborArena::new(&topo);
         assert!(a.view(NodeId(0)).is_empty());
         assert!(a.view(NodeId(0)).get(NodeId(3)).is_none(), "vacant entries are invisible");
-        assert!(a.heard(NodeId(0), NodeId(3), Some(5), SlotSet::EMPTY, 2, 10));
-        assert!(!a.heard(NodeId(0), NodeId(3), Some(6), SlotSet::EMPTY, 1, 11));
+        assert_eq!(a.heard(NodeId(0), NodeId(3), Some(5), SlotSet::EMPTY, 2, 10), Heard::New);
+        assert_eq!(a.heard(NodeId(0), NodeId(3), Some(6), SlotSet::EMPTY, 1, 11), Heard::Changed);
         let info = a.view(NodeId(0)).get(NodeId(3)).unwrap();
         assert_eq!(info.slot, Some(6));
         assert_eq!(info.gateway_dist, 1);
@@ -517,8 +639,9 @@ mod tests {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
         // Node 0's row is [1, 2, 3, 4]; position 2 addresses NodeId(3).
-        assert!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0));
-        assert!(!a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 1));
+        assert_eq!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0), Heard::New);
+        let occupied = [1u16].into_iter().collect();
+        assert_eq!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), occupied, 2, 1), Heard::Refreshed);
         assert_eq!(a.view(NodeId(0)).get(NodeId(3)).unwrap().last_heard_frame, 1);
         assert_eq!(a.view(NodeId(0)).nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
     }
@@ -538,7 +661,7 @@ mod tests {
         let mut a = NeighborArena::new(&topo);
         for l in topo.nodes() {
             for (p, &nb) in topo.neighbors(l).iter().enumerate() {
-                assert!(a.heard_at(l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1));
+                assert_eq!(a.heard_at(l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1), Heard::New);
             }
         }
         for l in topo.nodes() {

@@ -58,7 +58,7 @@ use rand::Rng;
 
 use crate::config::LmacConfig;
 use crate::indication::{Destination, MacIndication, PayloadHandle};
-use crate::neighbor::{ArenaRaw, NeighborArena, NeighborView};
+use crate::neighbor::{ArenaRaw, Heard, NeighborArena, NeighborView, SteadyClock};
 use crate::slots::SlotSet;
 
 /// Aggregate MAC statistics for a run.
@@ -137,6 +137,9 @@ struct FrameScratch<P> {
     tx_index: Vec<u32>,
     /// Stale-neighbour collection buffer for the frame boundary.
     stale_buf: Vec<NodeId>,
+    /// A steady slot's data deliveries as (listener, message index into
+    /// `tx_data`, tx index), sorted into the listener loop's order.
+    deliveries: Vec<(NodeId, u32, u32)>,
 }
 
 impl<P> FrameScratch<P> {
@@ -157,6 +160,7 @@ impl<P> FrameScratch<P> {
             audible_tx: vec![AUDIBLE_NONE; n],
             tx_index: vec![u32::MAX; n],
             stale_buf: Vec::with_capacity(width),
+            deliveries: Vec::with_capacity(width),
         }
     }
 
@@ -174,6 +178,7 @@ impl<P> FrameScratch<P> {
             audible_tx: Vec::new(),
             tx_index: Vec::new(),
             stale_buf: Vec::new(),
+            deliveries: Vec::new(),
         }
     }
 }
@@ -198,6 +203,9 @@ struct ShardScratch<P> {
     delivered: u64,
     new_neighbors: u64,
     collisions: u64,
+    receptions: u64,
+    /// Whether any entry's slot or gateway distance changed.
+    changed: bool,
     /// Merge cursor into `out`.
     cursor: usize,
 }
@@ -211,6 +219,8 @@ impl<P> ShardScratch<P> {
             delivered: 0,
             new_neighbors: 0,
             collisions: 0,
+            receptions: 0,
+            changed: false,
             cursor: 0,
         }
     }
@@ -259,6 +269,8 @@ impl<P: Send + Sync> ListenerPhase<'_, P> {
         shard.delivered = 0;
         shard.new_neighbors = 0;
         shard.collisions = 0;
+        shard.receptions = 0;
+        shard.changed = false;
         shard.cursor = 0;
         let s = self.slot;
         for l in self.listener_mark.iter() {
@@ -289,7 +301,8 @@ impl<P: Send + Sync> ListenerPhase<'_, P> {
             }
             let tx = &self.txs[audible[0] as usize];
             *self.control_rx.add(l.index()) += 1;
-            let is_new = if resolved == AUDIBLE_COLLIDED {
+            shard.receptions += 1;
+            let heard = if resolved == AUDIBLE_COLLIDED {
                 self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
             } else {
                 self.arena.heard_at(
@@ -302,7 +315,10 @@ impl<P: Send + Sync> ListenerPhase<'_, P> {
                     self.frame,
                 )
             };
-            if is_new {
+            if heard != Heard::Refreshed {
+                shard.changed = true;
+            }
+            if heard == Heard::New {
                 shard.new_neighbors += 1;
                 shard.out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
             }
@@ -375,6 +391,18 @@ pub struct LmacNetwork<P> {
     /// Run the sharded listener phase even when the pool has no runnable
     /// helper (test hook; results are identical either way).
     force_sharded: bool,
+    /// Whether the control plane is at its fixed point: the last full
+    /// frame changed nothing (see [`LmacNetwork::frame_boundary`]) and no
+    /// `set_alive` or `restore` came after it. Slots then skip the
+    /// per-edge control pass.
+    steady: bool,
+    /// Whether the current frame has changed nothing in the control plane
+    /// so far: no entry's slot, gateway distance or presence, no
+    /// collision, surrender, pick or death, no `set_alive`, and it began at
+    /// slot 0 after the last `restore`.
+    frame_quiet: bool,
+    /// Control receptions in the current frame.
+    frame_rx: u64,
 }
 
 impl<P> LmacNetwork<P> {
@@ -442,6 +470,9 @@ impl<P> LmacNetwork<P> {
             pool,
             shards,
             force_sharded: false,
+            steady: false,
+            frame_quiet: true,
+            frame_rx: 0,
             unslotted_alive: n,
             cfg,
             topo,
@@ -560,7 +591,7 @@ impl<P> LmacNetwork<P> {
     /// The node's MAC neighbour view (cross-layer read access — this is
     /// the information DirQ uses to repair its tree).
     pub fn neighbor_table(&self, node: NodeId) -> NeighborView<'_> {
-        self.arena.view(node)
+        self.arena.view_at(node, self.clock())
     }
 
     /// Hop distance to the gateway as the MAC currently believes it
@@ -579,7 +610,10 @@ impl<P> LmacNetwork<P> {
     }
 
     /// LMAC's own control-traffic ledger (excluded from the paper's cost
-    /// comparison; identical for DirQ and flooding).
+    /// comparison; identical for DirQ and flooding). Exact at frame
+    /// boundaries. Inside a frame at the fixed point, its receptions lag:
+    /// they accrue at the frame boundary, or when the MAC leaves the fixed
+    /// point.
     pub fn control_ledger(&self) -> &EnergyLedger {
         &self.control_ledger
     }
@@ -625,6 +659,7 @@ impl<P> LmacNetwork<P> {
         if self.nodes[idx].alive == alive {
             return;
         }
+        self.leave_fixed_point();
         if alive {
             self.nodes[idx] = MacNode::offline();
             self.nodes[idx].alive = true;
@@ -665,7 +700,16 @@ impl<P> LmacNetwork<P> {
             w.u64(v);
         }
         self.data_ledger.snap(w);
-        self.control_ledger.snap(w);
+        match self.clock() {
+            // Mid-frame at the fixed point: add the receptions of the
+            // slots already run, as the per-edge loop would have.
+            Some(clock) if clock.slot > 0 => {
+                let mut ledger = self.control_ledger.clone();
+                self.arena.credit_receptions(&mut ledger, Some(clock.slot));
+                ledger.snap(w);
+            }
+            _ => self.control_ledger.snap(w),
+        }
         w.len_of(self.nodes.len());
         for node in &self.nodes {
             w.bool(node.alive);
@@ -693,22 +737,33 @@ impl<P> LmacNetwork<P> {
                 w.u32(id.index() as u32);
             }
         }
-        self.arena.snap(w);
+        self.arena.snap(w, self.clock());
     }
 
     /// Overlay state captured by [`LmacNetwork::snap`] onto this network,
     /// which must be freshly built over the same configuration and
     /// topology. The liveness bitmap and unslotted-alive count are
     /// recomputed; slot advancement resumes exactly where the snapshot
-    /// left off.
+    /// left off, outside the fixed point.
+    ///
+    /// Every slot in the image must lie below `slots_per_frame` (the
+    /// current slot, each node's slot and each present neighbour entry's),
+    /// and each slot's owner list must hold exactly the nodes that own the
+    /// slot, once each; otherwise restore fails with
+    /// [`SnapError::Malformed`].
     pub fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
         mut decode: impl FnMut(&mut SnapReader<'_>) -> Result<P, SnapError>,
     ) -> Result<(), SnapError> {
         r.tag(b"LMAC")?;
+        let spf = self.cfg.slots_per_frame;
         self.frame = r.u64()?;
+        let pos = r.position();
         self.slot = r.u16()?;
+        if self.slot >= spf {
+            return Err(SnapError::Malformed { pos, what: "MAC slot out of range" });
+        }
         self.stats.delivered = r.u64()?;
         self.stats.undeliverable = r.u64()?;
         self.stats.collisions = r.u64()?;
@@ -734,7 +789,11 @@ impl<P> LmacNetwork<P> {
         };
         for node in self.nodes.iter_mut() {
             node.alive = r.bool()?;
+            let pos = r.position();
             node.my_slot = r.opt_u16()?;
+            if node.my_slot.is_some_and(|s| s >= spf) {
+                return Err(SnapError::Malformed { pos, what: "node slot out of range" });
+            }
             node.listen_remaining = r.u32()?;
             node.tx_queue.clear();
             let q = r.seq_len(2)?;
@@ -763,14 +822,33 @@ impl<P> LmacNetwork<P> {
         if r.seq_len(8)? != self.slot_owners.len() {
             return Err(SnapError::Malformed { pos, what: "slot count mismatch" });
         }
-        for owners in self.slot_owners.iter_mut() {
-            owners.clear();
-            let m = r.seq_len(4)?;
-            for _ in 0..m {
-                owners.push(read_node_id(r)?);
+        // Each owner list holds exactly its slot's holders, once each:
+        // every listed node owns the slot, and the list is as long as the
+        // number of nodes that own it.
+        let mut holders = vec![0usize; self.slot_owners.len()];
+        for node in &self.nodes {
+            if let Some(s) = node.my_slot {
+                holders[s as usize] += 1;
             }
         }
-        self.arena.restore(r)?;
+        let mut listed = NodeBits::new(n);
+        for (s, owners) in self.slot_owners.iter_mut().enumerate() {
+            owners.clear();
+            let pos = r.position();
+            let m = r.seq_len(4)?;
+            for _ in 0..m {
+                let id = read_node_id(r)?;
+                if self.nodes[id.index()].my_slot != Some(s as u16) || listed.contains(id) {
+                    return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
+                }
+                listed.insert(id);
+                owners.push(id);
+            }
+            if m != holders[s] {
+                return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
+            }
+        }
+        self.arena.restore(r, spf)?;
         self.alive_mask = NodeBits::new(n);
         self.unslotted_alive = 0;
         for i in 0..n {
@@ -781,7 +859,40 @@ impl<P> LmacNetwork<P> {
                 }
             }
         }
+        // The image says nothing about the frames before it: the gate
+        // reopens after a full frame observed from here.
+        self.steady = false;
+        self.frame_quiet = self.slot == 0;
+        self.frame_rx = 0;
         Ok(())
+    }
+
+    /// The MAC's position in the frame while the control plane is at its
+    /// fixed point.
+    fn clock(&self) -> Option<SteadyClock> {
+        self.steady.then_some(SteadyClock { frame: self.frame, slot: self.slot })
+    }
+
+    /// Whether the control plane is at its fixed point (test accessor; not
+    /// part of [`MacStats`], which feeds fingerprints and images).
+    #[cfg(test)]
+    pub(crate) fn at_fixed_point(&self) -> bool {
+        self.steady
+    }
+
+    /// Close the gate before a change the fixed point does not cover:
+    /// credit the receptions of the slots already run in this frame,
+    /// store every present entry's implied `last_heard_frame`, and keep
+    /// the gate closed at least until the next frame boundary.
+    fn leave_fixed_point(&mut self) {
+        if let Some(clock) = self.clock() {
+            if clock.slot > 0 {
+                self.arena.credit_receptions(&mut self.control_ledger, Some(clock.slot));
+            }
+            self.arena.settle(clock);
+            self.steady = false;
+        }
+        self.frame_quiet = false;
     }
 }
 
@@ -825,6 +936,11 @@ impl<P: Send + Sync> LmacNetwork<P> {
         out: &mut Vec<MacIndication<P>>,
         full_scan: bool,
     ) {
+        if full_scan {
+            // The reference never takes the fast path: each of its slots
+            // keeps the gate closed.
+            self.leave_fixed_point();
+        }
         let s = self.slot;
 
         // Slot-occupancy index: a slot with no alive owner carries no
@@ -833,7 +949,11 @@ impl<P: Send + Sync> LmacNetwork<P> {
         // (Owner lists are maintained by `set_alive`/joins; typically 0 or
         // 1 entries, so the alive probe is O(1) in practice.)
         let occupied = self.slot_owners[s as usize].iter().any(|&t| self.alive_mask.contains(t));
-        if occupied || full_scan {
+        if self.steady {
+            if occupied {
+                self.run_steady_slot(out);
+            }
+        } else if occupied || full_scan {
             self.run_slot_traffic(rng, out, full_scan);
         }
 
@@ -844,6 +964,134 @@ impl<P: Send + Sync> LmacNetwork<P> {
             self.frame += 1;
             self.frame_boundary(rng, out);
         }
+    }
+
+    /// Collect the current slot's alive transmitters and send each one's
+    /// control section and up to `data_messages_per_slot` queued data
+    /// messages. `adverts` computes the control sections' occupancy and
+    /// gateway distance, which only the per-edge listener loop reads.
+    fn transmit(&mut self, scratch: &mut FrameScratch<P>, adverts: bool) {
+        let FrameScratch { transmitters, tx_mark, txs, tx_data, tx_index, .. } = scratch;
+        transmitters.clear();
+        tx_mark.clear();
+        txs.clear();
+        tx_data.clear();
+        for &t in &self.slot_owners[self.slot as usize] {
+            if self.alive_mask.contains(t) {
+                tx_index[t.index()] = transmitters.len() as u32;
+                transmitters.push(t);
+                tx_mark.insert(t);
+            }
+        }
+        for &t in transmitters.iter() {
+            let (occupied, gw) = if adverts {
+                (self.arena.view(t).one_hop_occupancy(), self.gateway_distance(t))
+            } else {
+                (SlotSet::EMPTY, u16::MAX)
+            };
+            let node = &mut self.nodes[t.index()];
+            let data_start = tx_data.len() as u32;
+            for _ in 0..self.cfg.data_messages_per_slot {
+                match node.tx_queue.pop_front() {
+                    Some(m) => tx_data.push(m),
+                    None => break,
+                }
+            }
+            let data_end = tx_data.len() as u32;
+            self.control_ledger.record_tx(t);
+            for _ in data_start..data_end {
+                self.data_ledger.record_tx(t);
+            }
+            txs.push(TxRecord { from: t, occupied, gateway_dist: gw, data_start, data_end });
+        }
+    }
+
+    /// Multicast destinations that did not hear the message — dead, out
+    /// of range, transmitting or colliding — surface to the upper layer
+    /// in transmitter order; the payload handle is shared, not copied.
+    /// Then the slot's sent payloads drop and its `tx_index` entries
+    /// reset (O(|txs|), never an O(n) fill).
+    fn finish_slot(&mut self, scratch: &mut FrameScratch<P>, out: &mut Vec<MacIndication<P>>) {
+        let FrameScratch { transmitters, tx_mark, txs, tx_data, collided_mark, tx_index, .. } =
+            scratch;
+        for tx in txs.iter() {
+            for (dest, payload) in &tx_data[tx.data_start as usize..tx.data_end as usize] {
+                if let Destination::Multicast(list) = dest {
+                    for &d in list.as_slice() {
+                        let heard = self.alive_mask.contains(d)
+                            && self.topo.has_link(tx.from, d)
+                            && !tx_mark.contains(d)
+                            && !collided_mark.contains(tx.from);
+                        if !heard {
+                            self.stats.undeliverable += 1;
+                            out.push(MacIndication::Undeliverable {
+                                from: tx.from,
+                                to: d,
+                                payload: payload.clone(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        tx_data.clear();
+        for &t in transmitters.iter() {
+            tx_index[t.index()] = u32::MAX;
+        }
+    }
+
+    /// One slot at the control plane's fixed point. The previous frame's
+    /// control traffic repeats: every listener hears exactly one
+    /// transmitter and writes what its entry already holds. So the slot
+    /// only delivers data — to each destination that is alive, linked and
+    /// not transmitting — in the listener loop's order, with no arena
+    /// write, collision check or control-rx tally (those accrue at the
+    /// frame boundary).
+    fn run_steady_slot(&mut self, out: &mut Vec<MacIndication<P>>) {
+        let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
+        self.transmit(&mut scratch, false);
+        {
+            let FrameScratch { tx_mark, txs, tx_data, collided_mark, deliveries, .. } =
+                &mut scratch;
+            collided_mark.clear();
+            deliveries.clear();
+            let hears = |d: NodeId| self.alive_mask.contains(d) && !tx_mark.contains(d);
+            for (ti, tx) in txs.iter().enumerate() {
+                for k in tx.data_start..tx.data_end {
+                    match &tx_data[k as usize].0 {
+                        Destination::Broadcast => {
+                            for &d in self.topo.neighbors(tx.from) {
+                                if hears(d) {
+                                    deliveries.push((d, k, ti as u32));
+                                }
+                            }
+                        }
+                        Destination::Multicast(list) => {
+                            for &d in list.as_slice() {
+                                if hears(d) && self.topo.has_link(tx.from, d) {
+                                    deliveries.push((d, k, ti as u32));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // Ascending listener, then message order; a destination listed
+            // twice still hears the message once.
+            deliveries.sort_unstable();
+            deliveries.dedup();
+            for &(l, k, ti) in deliveries.iter() {
+                self.data_ledger.record_rx(l);
+                self.stats.delivered += 1;
+                out.push(MacIndication::Delivered {
+                    to: l,
+                    from: txs[ti as usize].from,
+                    payload: tx_data[k as usize].1.clone(),
+                });
+            }
+        }
+        self.finish_slot(&mut scratch, out);
+        self.scratch = scratch;
     }
 
     /// Transmission + reception + collision resolution for the current
@@ -860,9 +1108,9 @@ impl<P: Send + Sync> LmacNetwork<P> {
         // The scratch moves out of `self` for the duration of the slot so
         // its buffers can be borrowed independently of the node table.
         let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
+        self.transmit(&mut scratch, true);
         {
             let FrameScratch {
-                transmitters,
                 tx_mark,
                 txs,
                 tx_data,
@@ -871,45 +1119,11 @@ impl<P: Send + Sync> LmacNetwork<P> {
                 audible,
                 audible_tx,
                 tx_index,
-                stale_buf: _,
+                ..
             } = &mut scratch;
 
-            transmitters.clear();
-            tx_mark.clear();
-            txs.clear();
-            tx_data.clear();
             listener_mark.clear();
             collided_mark.clear();
-
-            for &t in &self.slot_owners[s as usize] {
-                if self.alive_mask.contains(t) {
-                    tx_index[t.index()] = transmitters.len() as u32;
-                    transmitters.push(t);
-                    tx_mark.insert(t);
-                }
-            }
-
-            // --- Transmission phase --------------------------------------------
-            // Each transmitter sends one control section plus up to
-            // `data_messages_per_slot` queued data messages.
-            for &t in transmitters.iter() {
-                let gw = self.gateway_distance(t);
-                let occupied = self.arena.view(t).one_hop_occupancy();
-                let node = &mut self.nodes[t.index()];
-                let data_start = tx_data.len() as u32;
-                for _ in 0..self.cfg.data_messages_per_slot {
-                    match node.tx_queue.pop_front() {
-                        Some(m) => tx_data.push(m),
-                        None => break,
-                    }
-                }
-                let data_end = tx_data.len() as u32;
-                self.control_ledger.record_tx(t);
-                for _ in data_start..data_end {
-                    self.data_ledger.record_tx(t);
-                }
-                txs.push(TxRecord { from: t, occupied, gateway_dist: gw, data_start, data_end });
-            }
 
             // --- Reception phase -----------------------------------------------
             // Listeners are the alive neighbours of transmitters (half-duplex:
@@ -980,6 +1194,10 @@ impl<P: Send + Sync> LmacNetwork<P> {
                     self.stats.collisions += sh.collisions;
                     self.stats.delivered += sh.delivered;
                     self.stats.new_neighbors_detected += sh.new_neighbors;
+                    self.frame_rx += sh.receptions;
+                    if sh.changed || sh.collisions > 0 {
+                        self.frame_quiet = false;
+                    }
                     for &t in &sh.collided_from {
                         collided_mark.insert(t);
                     }
@@ -1015,31 +1233,9 @@ impl<P: Send + Sync> LmacNetwork<P> {
                     tx_data,
                 );
             }
-
-            // Multicast destinations that did not hear the message: dead, out
-            // of range, or currently colliding. Surface them to the upper
-            // layer — the payload handle is shared, not copied.
-            for tx in txs.iter() {
-                for (dest, payload) in &tx_data[tx.data_start as usize..tx.data_end as usize] {
-                    if let Destination::Multicast(list) = dest {
-                        for &d in list.as_slice() {
-                            let heard = self.alive_mask.contains(d)
-                                && self.topo.has_link(tx.from, d)
-                                && !tx_mark.contains(d)
-                                && !collided_mark.contains(tx.from);
-                            if !heard {
-                                self.stats.undeliverable += 1;
-                                out.push(MacIndication::Undeliverable {
-                                    from: tx.from,
-                                    to: d,
-                                    payload: payload.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-
+        }
+        {
+            let FrameScratch { collided_mark, .. } = &scratch;
             // Collision resolution: surrender and re-join after a random
             // backoff, in ascending id order (as the sorted list used to be).
             for t in collided_mark.iter() {
@@ -1051,15 +1247,8 @@ impl<P: Send + Sync> LmacNetwork<P> {
                         self.cfg.listen_frames_before_pick + rng.gen_range(0..2u32);
                 }
             }
-
-            // Sent payload handles drop here; a handle survives only inside
-            // the indications that reference it. The tx_index entries are
-            // reset transmitter-by-transmitter, keeping the wipe O(|txs|).
-            tx_data.clear();
-            for &t in transmitters.iter() {
-                tx_index[t.index()] = u32::MAX;
-            }
         }
+        self.finish_slot(&mut scratch, out);
         self.scratch = scratch;
     }
 
@@ -1109,6 +1298,7 @@ impl<P: Send + Sync> LmacNetwork<P> {
                 // Collision: l hears garbage and will advertise it; every
                 // audible transmitter must surrender its slot.
                 self.stats.collisions += 1;
+                self.frame_quiet = false;
                 for &i in audible.iter() {
                     collided_mark.insert(txs[i as usize].from);
                 }
@@ -1116,7 +1306,8 @@ impl<P: Send + Sync> LmacNetwork<P> {
             }
             let tx = &txs[audible[0] as usize];
             self.control_ledger.record_rx(l);
-            let is_new = if full_scan || resolved == AUDIBLE_COLLIDED {
+            self.frame_rx += 1;
+            let heard = if full_scan || resolved == AUDIBLE_COLLIDED {
                 // Cold paths resolve by id, as the pre-index loop did.
                 self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
             } else {
@@ -1130,7 +1321,10 @@ impl<P: Send + Sync> LmacNetwork<P> {
                     self.frame,
                 )
             };
-            if is_new {
+            if heard != Heard::Refreshed {
+                self.frame_quiet = false;
+            }
+            if heard == Heard::New {
                 self.stats.new_neighbors_detected += 1;
                 out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
             }
@@ -1158,7 +1352,25 @@ impl<P: Send + Sync> LmacNetwork<P> {
         out
     }
 
+    /// Liveness, the fixed-point gate and slot selection, once per frame.
+    ///
+    /// The gate opens when the frame just ended changed nothing
+    /// (`frame_quiet`), every alive node holds a slot, and its control
+    /// receptions equal the present entries across all rows. A quiet frame
+    /// writes no new slot, gateway distance or presence, so every node's
+    /// next advertisement repeats this frame's; the RNG is drawn only on
+    /// collisions and joins. The reception count means every present entry
+    /// was heard this frame: none belongs to a dead or inaudible
+    /// neighbour, and every advertised occupancy is current. The next
+    /// frame therefore repeats this one, and so does every frame after it
+    /// until `set_alive` or `restore`.
     fn frame_boundary(&mut self, rng: &mut SimRng, out: &mut Vec<MacIndication<P>>) {
+        if self.steady {
+            // Every alive listener heard each present neighbour once; no
+            // entry can be stale and no node is joining.
+            self.arena.credit_receptions(&mut self.control_ledger, None);
+            return;
+        }
         // Liveness: stale neighbours are declared dead (cross-layer upcall).
         let mut stale_buf = std::mem::take(&mut self.scratch.stale_buf);
         for i in 0..self.nodes.len() {
@@ -1171,16 +1383,24 @@ impl<P: Send + Sync> LmacNetwork<P> {
                 observer,
                 self.frame,
                 self.cfg.max_missed_frames,
+                None,
                 &mut stale_buf,
             );
             for &dead in &stale_buf {
                 self.arena.remove(observer, dead);
                 self.stats.deaths_detected += 1;
+                self.frame_quiet = false;
                 out.push(MacIndication::NeighborDied { observer, dead });
             }
         }
         stale_buf.clear();
         self.scratch.stale_buf = stale_buf;
+
+        self.steady = self.frame_quiet
+            && self.unslotted_alive == 0
+            && self.frame_rx == self.arena.present_total();
+        self.frame_quiet = true;
+        self.frame_rx = 0;
 
         // Slot selection for joining nodes (skipped outright when every
         // alive node is placed — the steady state).

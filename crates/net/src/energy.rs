@@ -40,6 +40,12 @@ impl EnergyLedger {
         self.rx[node.index()] += 1;
     }
 
+    /// Record `count` receptions by `node`.
+    #[inline]
+    pub fn record_rx_many(&mut self, node: NodeId, count: u64) {
+        self.rx[node.index()] += count;
+    }
+
     /// Raw per-node reception tallies, indexed by node. Exists for
     /// row-disjoint parallel recording (the MAC's colour-class listener
     /// shards): workers touching disjoint nodes may increment their slots
