@@ -1,5 +1,5 @@
-//! Design-choice ablations (DESIGN.md §6): quantify each mechanism the
-//! paper's design relies on by perturbing it in isolation —
+//! Design-choice ablations: quantify each mechanism the paper's design
+//! relies on by perturbing it in isolation —
 //!
 //! * the Fig. 3 update hysteresis (δ transmission threshold off / doubled),
 //! * the spanning-tree construction (bounded random vs shortest-path BFS),

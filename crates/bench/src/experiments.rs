@@ -315,7 +315,7 @@ pub fn cost_ratio(args: &HarnessArgs) -> Table {
     table
 }
 
-/// Design-choice ablations (see DESIGN.md §6): each row perturbs one
+/// Design-choice ablations (the `ablations` binary): each row perturbs one
 /// mechanism against the paper-faithful default and reports its effect on
 /// update traffic, cost, accuracy and (where applicable) sensor-sampling
 /// savings.

@@ -11,7 +11,7 @@
 //! | Fig. 7 (overshoot vs time) | `fig7_overshoot` | per-interval overshoot for δ = 3/5/9 % and ATC at 20 % relevance |
 //! | Section 5 worked example + Eqs. 3–9 | `tab_analytic` | closed-form cost tables and simulated validation |
 //! | §1/§7 headline (45–55 % of flooding) | `cost_ratio` | measured DirQ/flooding cost ratios |
-//! | design-choice sensitivity (DESIGN.md §6) | `ablations` | update rule / tree / world / sampling / MAC perturbations |
+//! | design-choice sensitivity (see the `ablations` bin) | `ablations` | update rule / tree / world / sampling / MAC perturbations |
 //!
 //! Every binary accepts `--epochs N`, `--seed S` and `--quick` (a short
 //! 4 000-epoch run for smoke testing); defaults reproduce the paper's

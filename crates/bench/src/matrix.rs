@@ -38,9 +38,9 @@ pub fn history_with(path: &str, report: &ScenarioReport, wall: f64) -> Json {
     Json::Arr(entries)
 }
 
-/// Run-loop epochs/s of one preset at `threads` intra-run workers (MAC
-/// colour-class shards, world-generation shards *and* sensor-sampling
-/// shards), best of `repeats`.
+/// Run-loop epochs/s of one preset at `threads` intra-run workers
+/// (world-generation shards and sensor-sampling shards; the MAC is
+/// serial), best of `repeats`.
 /// Returns `(epochs_per_sec, epochs, fingerprint)`.
 pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -> (f64, u64, u64) {
     let scheme = spec.schemes[0];
@@ -49,7 +49,6 @@ pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -
     let mut epochs = 0u64;
     for _ in 0..repeats.max(1) {
         let mut run_cfg = spec.config(scheme, spec.seed);
-        run_cfg.lmac.workers = threads;
         run_cfg.world_workers = threads;
         run_cfg.upkeep_workers = threads;
         let engine = Engine::new(run_cfg);

@@ -163,10 +163,10 @@ pub struct ScenarioConfig {
     /// scenario when `None`).
     pub world: Option<WorldConfig>,
     /// Worker threads for the per-epoch world advance (split per-node RNG
-    /// streams shard over node ranges). Like `lmac.workers`, never affects
-    /// results — the sharded advance is bit-identical at any count. The
-    /// scenario sweep's one `workers` knob sets `lmac.workers`, this field
-    /// and `upkeep_workers` together.
+    /// streams shard over node ranges). Never affects results — the
+    /// sharded advance is bit-identical at any count. The scenario sweep's
+    /// one `workers` knob sets this field and `upkeep_workers` together;
+    /// the MAC's slot loop is serial (`lmac.workers` is inert).
     pub world_workers: usize,
     /// Inert: nothing in the workspace reads or sets it. Indication
     /// dispatch between MAC slots is always serial. The field stays only
@@ -175,7 +175,7 @@ pub struct ScenarioConfig {
     pub dispatch_workers: usize,
     /// Worker threads for sensor sampling, the only sharded protocol-upkeep
     /// pass (carrier chunks run in place, with the MAC enqueues replayed in
-    /// chunk order; tree repair is always serial). Like `lmac.workers`,
+    /// chunk order; tree repair is always serial). Like `world_workers`,
     /// never affects results — sharded sampling is bit-identical at any
     /// count.
     pub upkeep_workers: usize,

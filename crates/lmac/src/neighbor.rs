@@ -30,18 +30,6 @@
 //! through the MAC report that value; when the MAC leaves the fixed point
 //! it writes the value back into every present entry
 //! (`NeighborArena::settle`).
-//!
-//! ## Parallel discipline
-//!
-//! The colour-class parallel listener phase mutates rows of *distinct*
-//! listeners concurrently through `ArenaRaw`, a raw-pointer handle derived
-//! from the single `&mut NeighborArena`. Every mutating entry point funnels
-//! through the same raw implementation, so the serial and sharded paths
-//! share one arena-mutation core (the listener-loop protocol around it
-//! exists in both `serial_listener_loop` and the sharded phase, pinned
-//! bit-equal by the 256-case differential suite); disjointness (one worker
-//! per listener row, and per-row caches/counters indexed by the same
-//! listener) is what makes the unsynchronised stores race-free.
 
 use std::cell::Cell;
 
@@ -237,9 +225,11 @@ impl NeighborArena {
         gateway_dist: u16,
         frame: u64,
     ) -> Heard {
-        // SAFETY: `&mut self` gives exclusive access; the raw core resolves
-        // (and validates) the row position itself.
-        unsafe { self.raw().heard(listener, node, slot, occupied, gateway_dist, frame) }
+        let (lo, hi) = self.row_bounds(listener);
+        let pos = self.ids[lo..hi]
+            .binary_search(&node)
+            .unwrap_or_else(|_| panic!("{node} is not in {listener}'s topology row"));
+        self.heard_at(listener, pos, node, slot, occupied, gateway_dist, frame)
     }
 
     /// [`NeighborArena::heard`] with the entry position already known (the
@@ -248,9 +238,7 @@ impl NeighborArena {
     /// `node`'s entry.
     ///
     /// # Panics
-    /// Panics when `pos` lies outside `listener`'s row (this is a safe
-    /// entry point; the unchecked variant is the crate-internal
-    /// `ArenaRaw`).
+    /// Panics when `pos` lies outside `listener`'s row.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn heard_at(
@@ -263,10 +251,31 @@ impl NeighborArena {
         gateway_dist: u16,
         frame: u64,
     ) -> Heard {
+        let li = listener.index();
         let (lo, hi) = self.row_bounds(listener);
         assert!(pos < hi - lo, "heard_at position {pos} outside {listener}'s row");
-        // SAFETY: bounds just checked; `&mut self` gives exclusive access.
-        unsafe { self.raw().heard_at(listener, pos, node, slot, occupied, gateway_dist, frame) }
+        debug_assert_eq!(self.ids[lo + pos], node, "heard_at position does not address {node}");
+        let e = &mut self.entries[lo + pos];
+        let heard = if !e.present {
+            e.present = true;
+            self.present[li] += 1;
+            self.occ_cache[li].set(None);
+            self.gw_cache[li].set(None);
+            Heard::New
+        } else {
+            let mut heard = Heard::Refreshed;
+            if e.info.slot != slot {
+                self.occ_cache[li].set(None);
+                heard = Heard::Changed;
+            }
+            if e.info.gateway_dist != gateway_dist {
+                self.gw_cache[li].set(None);
+                heard = Heard::Changed;
+            }
+            heard
+        };
+        e.info = NeighborInfo { slot, occupied, gateway_dist, last_heard_frame: frame };
+        heard
     }
 
     /// Remove `node` from `listener`'s row; returns whether it was present.
@@ -397,116 +406,6 @@ impl NeighborArena {
             self.gw_cache[i].set(None);
         }
         Ok(())
-    }
-
-    /// Row-disjoint raw mutation handle (see the module docs). The caller
-    /// must guarantee that no two concurrent users touch the same
-    /// listener's row.
-    pub(crate) fn raw(&mut self) -> ArenaRaw {
-        ArenaRaw {
-            row_offsets: self.row_offsets.as_ptr(),
-            ids: self.ids.as_ptr(),
-            entries: self.entries.as_mut_ptr(),
-            present: self.present.as_mut_ptr(),
-            occ_cache: self.occ_cache.as_ptr(),
-            gw_cache: self.gw_cache.as_ptr(),
-        }
-    }
-}
-
-/// Raw-pointer cursor into the arena used by both the serial reception
-/// loop (via the safe wrappers) and the colour-class parallel listener
-/// phase. All mutating arena logic lives here so the two paths cannot
-/// drift apart.
-#[derive(Clone, Copy)]
-pub(crate) struct ArenaRaw {
-    row_offsets: *const u32,
-    ids: *const NodeId,
-    entries: *mut EdgeEntry,
-    present: *mut u32,
-    occ_cache: *const Cell<Option<SlotSet>>,
-    gw_cache: *const Cell<Option<u16>>,
-}
-
-impl ArenaRaw {
-    /// # Safety
-    /// The caller must have exclusive access to `listener`'s row (no other
-    /// thread may read or write it concurrently), and `pos` must be inside
-    /// the row and address `node`'s entry.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) unsafe fn heard_at(
-        &self,
-        listener: NodeId,
-        pos: usize,
-        node: NodeId,
-        slot: Option<u16>,
-        occupied: SlotSet,
-        gateway_dist: u16,
-        frame: u64,
-    ) -> Heard {
-        let li = listener.index();
-        let lo = *self.row_offsets.add(li) as usize;
-        debug_assert!(
-            lo + pos < *self.row_offsets.add(li + 1) as usize,
-            "heard_at position outside {listener}'s row"
-        );
-        debug_assert_eq!(
-            *self.ids.add(lo + pos),
-            node,
-            "heard_at position does not address the neighbour"
-        );
-        let e = &mut *self.entries.add(lo + pos);
-        let occ = &*self.occ_cache.add(li);
-        let gw = &*self.gw_cache.add(li);
-        let heard = if !e.present {
-            e.present = true;
-            *self.present.add(li) += 1;
-            occ.set(None);
-            gw.set(None);
-            Heard::New
-        } else {
-            let mut heard = Heard::Refreshed;
-            if e.info.slot != slot {
-                occ.set(None);
-                heard = Heard::Changed;
-            }
-            if e.info.gateway_dist != gateway_dist {
-                gw.set(None);
-                heard = Heard::Changed;
-            }
-            heard
-        };
-        e.info.slot = slot;
-        e.info.occupied = occupied;
-        e.info.gateway_dist = gateway_dist;
-        e.info.last_heard_frame = frame;
-        heard
-    }
-
-    /// [`ArenaRaw::heard_at`] resolving the row position by binary search
-    /// (the cold reception paths: full-scan reference, collision
-    /// transients).
-    ///
-    /// # Safety
-    /// As [`ArenaRaw::heard_at`]; `node` must be in `listener`'s row.
-    pub(crate) unsafe fn heard(
-        &self,
-        listener: NodeId,
-        node: NodeId,
-        slot: Option<u16>,
-        occupied: SlotSet,
-        gateway_dist: u16,
-        frame: u64,
-    ) -> Heard {
-        let li = listener.index();
-        let lo = *self.row_offsets.add(li) as usize;
-        let hi = *self.row_offsets.add(li + 1) as usize;
-        let row = std::slice::from_raw_parts(self.ids.add(lo), hi - lo);
-        let pos = row
-            .binary_search(&node)
-            .unwrap_or_else(|_| panic!("{node} is not in {listener}'s topology row"));
-        self.heard_at(listener, pos, node, slot, occupied, gateway_dist, frame)
     }
 }
 

@@ -30,12 +30,12 @@
 //!   [`NeighborArena`]** (`Topology::row_start(listener) + mirror_pos`),
 //!   so the listener loop's stores land sequentially in listener order on
 //!   one contiguous array instead of hopping through per-node heap vecs;
-//! * with `LmacConfig::workers > 1` the listener phase is **sharded across
-//!   precomputed 2-hop colour classes** (same-colour nodes share no
-//!   neighbour, so shards touch disjoint arena rows) on a persistent
-//!   work-stealing pool, and the per-shard output is merged back in
-//!   ascending listener order — indications, statistics and ledgers stay
-//!   bit-identical at every worker count;
+//! * at the control plane's **fixed point** — once a full frame changed
+//!   no neighbour entry's slot, gateway distance or presence — slots skip
+//!   the per-edge control pass altogether: they deliver queued data to
+//!   its destinations, control receptions accrue at the frame boundary in
+//!   one O(n) pass and `last_heard_frame` is implied by the clock (see
+//!   `frame_boundary` for the gate);
 //! * the slot-occupancy index (`slot_owners` + the per-slot alive check)
 //!   short-circuits slots nobody owns: an empty slot advances the clock
 //!   without touching the scratch buffers at all;
@@ -45,20 +45,20 @@
 //!
 //! [`LmacNetwork::advance_slot_full_scan_into`] keeps the pre-index
 //! reference semantics (scan every transmitter per listener, process empty
-//! slots) for the differential property tests; both paths must produce
-//! identical indication streams, statistics and ledgers.
+//! slots, never take the fixed-point path) for the differential property
+//! tests; both paths must produce identical indication streams,
+//! statistics, ledgers, neighbour views and snapshots.
 
 use std::collections::VecDeque;
 
 use dirq_net::{EnergyLedger, NodeBits, NodeId, Topology};
-use dirq_sim::runner::WorkerPool;
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dirq_sim::SimRng;
 use rand::Rng;
 
 use crate::config::LmacConfig;
 use crate::indication::{Destination, MacIndication, PayloadHandle};
-use crate::neighbor::{ArenaRaw, Heard, NeighborArena, NeighborView, SteadyClock};
+use crate::neighbor::{Heard, NeighborArena, NeighborView, SteadyClock};
 use crate::slots::SlotSet;
 
 /// Aggregate MAC statistics for a run.
@@ -183,170 +183,6 @@ impl<P> FrameScratch<P> {
     }
 }
 
-/// Per-shard working state of the colour-class parallel listener phase.
-/// Shard `k` owns the listeners whose 2-hop colour class is congruent to
-/// `k` modulo the shard count. Any partition of the listeners would make
-/// the per-listener writes (arena row, audibility slot, rx tallies)
-/// disjoint; colour classes are the key because same-colour listeners
-/// also never hear the same transmitter, which spreads each
-/// transmitter's listener burst across shards and keeps the door open to
-/// sharding transmitter-side state later without changing the partition.
-struct ShardScratch<P> {
-    /// Indications produced by this shard, ascending by listener.
-    out: Vec<MacIndication<P>>,
-    /// Transmitters audible at a collided listener (must surrender).
-    collided_from: Vec<NodeId>,
-    /// Per-listener audible-set scratch.
-    audible: Vec<u32>,
-    /// Statistics deltas, summed into [`MacStats`] at the merge. Plain
-    /// counter additions, so shard totals equal the serial totals.
-    delivered: u64,
-    new_neighbors: u64,
-    collisions: u64,
-    receptions: u64,
-    /// Whether any entry's slot or gateway distance changed.
-    changed: bool,
-    /// Merge cursor into `out`.
-    cursor: usize,
-}
-
-impl<P> ShardScratch<P> {
-    fn new() -> Self {
-        ShardScratch {
-            out: Vec::new(),
-            collided_from: Vec::new(),
-            audible: Vec::with_capacity(8),
-            delivered: 0,
-            new_neighbors: 0,
-            collisions: 0,
-            receptions: 0,
-            changed: false,
-            cursor: 0,
-        }
-    }
-}
-
-/// The published state of one parallel listener phase: everything a shard
-/// needs, behind raw pointers where shards write disjointly (arena rows,
-/// audibility slots, per-listener ledger tallies, their own scratch) and
-/// shared borrows where they only read.
-struct ListenerPhase<'a, P> {
-    arena: ArenaRaw,
-    audible_tx: *mut u64,
-    shards: *mut ShardScratch<P>,
-    control_rx: *mut u64,
-    data_rx: *mut u64,
-    topo: &'a Topology,
-    shard_of: &'a [u32],
-    listener_mark: &'a NodeBits,
-    txs: &'a [TxRecord],
-    tx_data: &'a [(Destination, PayloadHandle<P>)],
-    tx_index: &'a [u32],
-    slot: u16,
-    frame: u64,
-}
-
-// SAFETY: shards access disjoint state — shard `k` touches only its own
-// `ShardScratch` and the arena rows / `audible_tx` slots / rx tallies of
-// its own listeners, and every write is indexed by the listener, which
-// belongs to exactly one shard (the colour classes partition the nodes).
-unsafe impl<P: Send + Sync> Sync for ListenerPhase<'_, P> {}
-
-impl<P: Send + Sync> ListenerPhase<'_, P> {
-    /// Process shard `k`: resolve audibility, update the listeners' arena
-    /// rows, record receptions in the (listener-indexed, hence disjoint)
-    /// ledger tallies and collect this shard's indications. Mirrors the
-    /// serial listener loop exactly; only the ordered indication stream is
-    /// left for the merge.
-    ///
-    /// # Safety
-    /// `k` must be a valid shard index, and each shard must be executed by exactly one
-    /// thread per slot (the pool guarantees exactly-once item execution).
-    unsafe fn run_shard(&self, k: usize) {
-        let shard = &mut *self.shards.add(k);
-        shard.out.clear();
-        shard.collided_from.clear();
-        shard.delivered = 0;
-        shard.new_neighbors = 0;
-        shard.collisions = 0;
-        shard.receptions = 0;
-        shard.changed = false;
-        shard.cursor = 0;
-        let s = self.slot;
-        for l in self.listener_mark.iter() {
-            if self.shard_of[l.index()] != k as u32 {
-                continue;
-            }
-            let resolved = std::mem::replace(&mut *self.audible_tx.add(l.index()), AUDIBLE_NONE);
-            let audible = &mut shard.audible;
-            audible.clear();
-            if resolved == AUDIBLE_COLLIDED {
-                // Rare join transient: recover the full audible set from
-                // the listener's CSR row (links are symmetric).
-                for &nb in self.topo.neighbors(l) {
-                    let ti = self.tx_index[nb.index()];
-                    if ti != u32::MAX {
-                        audible.push(ti);
-                    }
-                }
-            } else {
-                audible.push((resolved >> 32) as u32);
-            }
-            if audible.len() > 1 {
-                shard.collisions += 1;
-                for &i in audible.iter() {
-                    shard.collided_from.push(self.txs[i as usize].from);
-                }
-                continue;
-            }
-            let tx = &self.txs[audible[0] as usize];
-            *self.control_rx.add(l.index()) += 1;
-            shard.receptions += 1;
-            let heard = if resolved == AUDIBLE_COLLIDED {
-                self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
-            } else {
-                self.arena.heard_at(
-                    l,
-                    (resolved & 0xFFFF_FFFF) as usize,
-                    tx.from,
-                    Some(s),
-                    tx.occupied,
-                    tx.gateway_dist,
-                    self.frame,
-                )
-            };
-            if heard != Heard::Refreshed {
-                shard.changed = true;
-            }
-            if heard == Heard::New {
-                shard.new_neighbors += 1;
-                shard.out.push(MacIndication::NeighborNew { observer: l, new: tx.from });
-            }
-            for (dest, payload) in &self.tx_data[tx.data_start as usize..tx.data_end as usize] {
-                if dest.includes(l) {
-                    *self.data_rx.add(l.index()) += 1;
-                    shard.delivered += 1;
-                    shard.out.push(MacIndication::Delivered {
-                        to: l,
-                        from: tx.from,
-                        payload: payload.clone(),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// The listener an indication belongs to, for the merge's k-way walk.
-fn indication_listener<P>(ind: &MacIndication<P>) -> NodeId {
-    match ind {
-        MacIndication::Delivered { to, .. } => *to,
-        MacIndication::NeighborNew { observer, .. } => *observer,
-        // Shards only emit the two variants above.
-        _ => unreachable!("unexpected indication variant in a listener shard"),
-    }
-}
-
 /// The simulated LMAC network.
 ///
 /// Generic over the upper-layer payload `P`; the MAC never inspects it.
@@ -379,18 +215,6 @@ pub struct LmacNetwork<P> {
     /// reception loop update the listener's row with a direct indexed
     /// store instead of a per-event search.
     mirror_pos: Vec<u32>,
-    /// Shard per node: the precomputed 2-hop colour class reduced modulo
-    /// the worker count — the sharding key of the parallel listener
-    /// phase. Computed once per topology epoch; empty when
-    /// `cfg.workers == 1`.
-    shard_of: Vec<u32>,
-    /// Persistent work-stealing pool (`None` when `cfg.workers == 1`).
-    pool: Option<WorkerPool>,
-    /// Per-shard output buffers for the parallel listener phase.
-    shards: Vec<ShardScratch<P>>,
-    /// Run the sharded listener phase even when the pool has no runnable
-    /// helper (test hook; results are identical either way).
-    force_sharded: bool,
     /// Whether the control plane is at its fixed point: the last full
     /// frame changed nothing (see [`LmacNetwork::frame_boundary`]) and no
     /// `set_alive` or `restore` came after it. Slots then skip the
@@ -398,8 +222,8 @@ pub struct LmacNetwork<P> {
     steady: bool,
     /// Whether the current frame has changed nothing in the control plane
     /// so far: no entry's slot, gateway distance or presence, no
-    /// collision, surrender, pick or death, no `set_alive`, and it began at
-    /// slot 0 after the last `restore`.
+    /// collision, surrender, pick or death, and no `set_alive`. A frame
+    /// that a `restore` entered mid-way is never quiet.
     frame_quiet: bool,
     /// Control receptions in the current frame.
     frame_rx: u64,
@@ -438,26 +262,11 @@ impl<P> LmacNetwork<P> {
             }
         }
         // Each row consumed exactly: every mirror position lies inside its
-        // row, which the unchecked sharded reception path relies on.
+        // row.
         assert!(
             topo.nodes().all(|v| cursor[v.index()] as usize == topo.degree(v)),
             "topology rows must be symmetric"
         );
-        // Colour-class parallelism: the colouring and the worker pool are
-        // set up once per topology epoch, and only when asked for.
-        let (shard_of, pool, shards) = if cfg.workers > 1 {
-            let mut coloring = topo.two_hop_coloring();
-            for c in &mut coloring {
-                *c %= cfg.workers as u32;
-            }
-            (
-                coloring,
-                Some(WorkerPool::new(cfg.workers)),
-                (0..cfg.workers).map(|_| ShardScratch::new()).collect(),
-            )
-        } else {
-            (Vec::new(), None, Vec::new())
-        };
         LmacNetwork {
             slot_owners: vec![Vec::new(); cfg.slots_per_frame as usize],
             data_ledger: EnergyLedger::new(n),
@@ -466,10 +275,6 @@ impl<P> LmacNetwork<P> {
             arena: NeighborArena::new(&topo),
             alive_mask,
             mirror_pos,
-            shard_of,
-            pool,
-            shards,
-            force_sharded: false,
             steady: false,
             frame_quiet: true,
             frame_rx: 0,
@@ -560,17 +365,6 @@ impl<P> LmacNetwork<P> {
     /// The radio graph.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Force the colour-class sharded listener phase even when the worker
-    /// pool was clamped to a single runnable thread (e.g. a 1-core CI
-    /// host). Results are bit-identical either way; the differential
-    /// suites call this so the sharded path is exercised on any machine.
-    /// Requires `workers > 1` in the configuration.
-    #[doc(hidden)]
-    pub fn force_sharded_listeners(&mut self) {
-        assert!(self.cfg.workers > 1, "sharding requires workers > 1");
-        self.force_sharded = true;
     }
 
     /// Configuration in use.
@@ -873,13 +667,6 @@ impl<P> LmacNetwork<P> {
         self.steady.then_some(SteadyClock { frame: self.frame, slot: self.slot })
     }
 
-    /// Whether the control plane is at its fixed point (test accessor; not
-    /// part of [`MacStats`], which feeds fingerprints and images).
-    #[cfg(test)]
-    pub(crate) fn at_fixed_point(&self) -> bool {
-        self.steady
-    }
-
     /// Close the gate before a change the fixed point does not cover:
     /// credit the receptions of the slots already run in this frame,
     /// store every present entry's implied `last_heard_frame`, and keep
@@ -894,12 +681,7 @@ impl<P> LmacNetwork<P> {
         }
         self.frame_quiet = false;
     }
-}
 
-/// The slot machinery. `P: Send + Sync` because the colour-class sharded
-/// listener phase may hand payload handles to pool workers; construction,
-/// configuration and queueing above stay available for any payload.
-impl<P: Send + Sync> LmacNetwork<P> {
     /// Advance one slot, returning the upcalls generated in it.
     ///
     /// Convenience wrapper over [`LmacNetwork::advance_slot_into`]; hot
@@ -916,12 +698,14 @@ impl<P: Send + Sync> LmacNetwork<P> {
         self.advance_slot_impl(rng, out, false);
     }
 
-    /// Reference implementation of one slot with the occupancy-index and
-    /// listener-side audibility shortcuts disabled: every slot is processed
-    /// and every listener scans the full per-slot transmitter list through
-    /// `Topology::has_link`, exactly as the pre-index loop did. Kept for
-    /// the differential property tests — indications, statistics and
-    /// ledgers must match [`LmacNetwork::advance_slot_into`] bit for bit.
+    /// Reference implementation of one slot with the occupancy-index,
+    /// listener-side audibility and fixed-point shortcuts disabled: every
+    /// slot is processed, every listener scans the full per-slot
+    /// transmitter list through `Topology::has_link`, exactly as the
+    /// pre-index loop did, and every frame ends in the full stale scan.
+    /// Kept for the differential property tests — indications, statistics,
+    /// ledgers, neighbour views and snapshots must match
+    /// [`LmacNetwork::advance_slot_into`] bit for bit.
     pub fn advance_slot_full_scan_into(
         &mut self,
         rng: &mut SimRng,
@@ -1095,8 +879,10 @@ impl<P: Send + Sync> LmacNetwork<P> {
     }
 
     /// Transmission + reception + collision resolution for the current
-    /// slot. Split out of [`LmacNetwork::advance_slot_impl`] so empty slots
-    /// can bypass it entirely.
+    /// slot, walking every edge from a transmitter to its listeners. Split
+    /// out of [`LmacNetwork::advance_slot_impl`] so empty slots can bypass
+    /// it entirely; `advance_slot_full_scan_into` flows through here with
+    /// `full_scan` set.
     fn run_slot_traffic(
         &mut self,
         rng: &mut SimRng,
@@ -1109,168 +895,47 @@ impl<P: Send + Sync> LmacNetwork<P> {
         // its buffers can be borrowed independently of the node table.
         let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
         self.transmit(&mut scratch, true);
-        {
-            let FrameScratch {
-                tx_mark,
-                txs,
-                tx_data,
-                listener_mark,
-                collided_mark,
-                audible,
-                audible_tx,
-                tx_index,
-                ..
-            } = &mut scratch;
+        let FrameScratch {
+            tx_mark,
+            txs,
+            tx_data,
+            listener_mark,
+            collided_mark,
+            audible,
+            audible_tx,
+            tx_index,
+            ..
+        } = &mut scratch;
+        listener_mark.clear();
+        collided_mark.clear();
 
-            listener_mark.clear();
-            collided_mark.clear();
-
-            // --- Reception phase -----------------------------------------------
-            // Listeners are the alive neighbours of transmitters (half-duplex:
-            // a transmitter cannot listen in its own slot). The bitset yields
-            // them deduplicated in ascending id order. The same pass resolves
-            // audibility: with a converged 2-hop schedule each listener hears
-            // exactly one transmitter, so a single node→tx slot suffices and
-            // the collided sentinel flags the (rare) join transients.
-            for (ti, tx) in txs.iter().enumerate() {
-                let base = self.topo.row_start(tx.from);
-                for (p, &nb) in self.topo.neighbors(tx.from).iter().enumerate() {
-                    if self.alive_mask.contains(nb) && !tx_mark.contains(nb) {
-                        listener_mark.insert(nb);
-                        let slot_entry = &mut audible_tx[nb.index()];
-                        // Pack (tx index, the transmitter's position in the
-                        // listener's row) for the delivery hot path.
-                        *slot_entry = if *slot_entry == AUDIBLE_NONE {
-                            ((ti as u64) << 32) | u64::from(self.mirror_pos[base + p])
-                        } else {
-                            AUDIBLE_COLLIDED
-                        };
-                    }
-                }
-            }
-
-            // The sharded path helps only when the pool really has more
-            // than one runnable worker (helpers are clamped to the
-            // hardware); both paths are bit-identical, so this is purely a
-            // speed decision. `force_sharded` lets the differential suites
-            // cover the sharded path on any host.
-            let sharded = !full_scan
-                && (self.force_sharded || self.pool.as_ref().is_some_and(|p| p.workers() > 1));
-            if sharded {
-                // --- Colour-class parallel listener phase ------------------
-                // Shard the listener loop across the precomputed 2-hop
-                // colour classes: shards touch disjoint arena rows,
-                // audibility slots and rx tallies, statistics merge as
-                // plain sums, and the sparse indication streams are merged
-                // back in ascending listener order — bit-identical to the
-                // serial loop below at any worker count.
-                let nshards = self.shards.len();
-                let phase = ListenerPhase {
-                    arena: self.arena.raw(),
-                    audible_tx: audible_tx.as_mut_ptr(),
-                    shards: self.shards.as_mut_ptr(),
-                    control_rx: self.control_ledger.rx_tallies_mut().as_mut_ptr(),
-                    data_rx: self.data_ledger.rx_tallies_mut().as_mut_ptr(),
-                    topo: &self.topo,
-                    shard_of: &self.shard_of,
-                    listener_mark,
-                    txs,
-                    tx_data,
-                    tx_index,
-                    slot: s,
-                    frame: self.frame,
-                };
-                let pool = self.pool.as_mut().expect("sharded path requires the pool");
-                // SAFETY: shard `k` is executed exactly once and shards
-                // touch disjoint state (see `ListenerPhase`).
-                pool.run(nshards, &|k| unsafe { phase.run_shard(k) });
-
-                // Deterministic merge. Statistics: sum the shard deltas in
-                // shard order. Indications: a k-way merge by listener id —
-                // every listener lives in exactly one shard and each
-                // shard's stream is ascending, so the result reproduces
-                // the serial loop's ascending interleaving exactly.
-                for sh in &mut self.shards {
-                    self.stats.collisions += sh.collisions;
-                    self.stats.delivered += sh.delivered;
-                    self.stats.new_neighbors_detected += sh.new_neighbors;
-                    self.frame_rx += sh.receptions;
-                    if sh.changed || sh.collisions > 0 {
-                        self.frame_quiet = false;
-                    }
-                    for &t in &sh.collided_from {
-                        collided_mark.insert(t);
-                    }
-                }
-                loop {
-                    let mut best: Option<(NodeId, usize)> = None;
-                    for k in 0..nshards {
-                        let sh = &self.shards[k];
-                        if sh.cursor < sh.out.len() {
-                            let l = indication_listener(&sh.out[sh.cursor]);
-                            if best.is_none_or(|(b, _)| l < b) {
-                                best = Some((l, k));
-                            }
-                        }
-                    }
-                    let Some((_, k)) = best else { break };
-                    let sh = &mut self.shards[k];
-                    // A refcount bump, not a payload copy (manual Clone).
-                    out.push(sh.out[sh.cursor].clone());
-                    sh.cursor += 1;
-                }
-            } else {
-                self.serial_listener_loop(
-                    s,
-                    out,
-                    full_scan,
-                    listener_mark,
-                    collided_mark,
-                    audible,
-                    audible_tx,
-                    tx_index,
-                    txs,
-                    tx_data,
-                );
-            }
-        }
-        {
-            let FrameScratch { collided_mark, .. } = &scratch;
-            // Collision resolution: surrender and re-join after a random
-            // backoff, in ascending id order (as the sorted list used to be).
-            for t in collided_mark.iter() {
-                if let Some(slot) = self.nodes[t.index()].my_slot.take() {
-                    self.slot_owners[slot as usize].retain(|&n| n != t);
-                    self.stats.slots_surrendered += 1;
-                    self.unslotted_alive += 1;
-                    self.nodes[t.index()].listen_remaining =
-                        self.cfg.listen_frames_before_pick + rng.gen_range(0..2u32);
+        // --- Reception phase -----------------------------------------------
+        // Listeners are the alive neighbours of transmitters (half-duplex:
+        // a transmitter cannot listen in its own slot). The bitset yields
+        // them deduplicated in ascending id order. The same pass resolves
+        // audibility: with a converged 2-hop schedule each listener hears
+        // exactly one transmitter, so a single node→tx slot suffices and
+        // the collided sentinel flags the (rare) join transients.
+        for (ti, tx) in txs.iter().enumerate() {
+            let base = self.topo.row_start(tx.from);
+            for (p, &nb) in self.topo.neighbors(tx.from).iter().enumerate() {
+                if self.alive_mask.contains(nb) && !tx_mark.contains(nb) {
+                    listener_mark.insert(nb);
+                    let slot_entry = &mut audible_tx[nb.index()];
+                    // Pack (tx index, the transmitter's position in the
+                    // listener's row) for the delivery hot path.
+                    *slot_entry = if *slot_entry == AUDIBLE_NONE {
+                        ((ti as u64) << 32) | u64::from(self.mirror_pos[base + p])
+                    } else {
+                        AUDIBLE_COLLIDED
+                    };
                 }
             }
         }
-        self.finish_slot(&mut scratch, out);
-        self.scratch = scratch;
-    }
 
-    /// The serial listener phase: reception, arena-row updates, collision
-    /// detection, statistics and ledgers for every marked listener, in
-    /// ascending id order straight off the bitset. The parallel path must
-    /// reproduce this loop's output bit for bit; `advance_slot_full_scan_into`
-    /// flows through here with `full_scan` set.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_listener_loop(
-        &mut self,
-        s: u16,
-        out: &mut Vec<MacIndication<P>>,
-        full_scan: bool,
-        listener_mark: &NodeBits,
-        collided_mark: &mut NodeBits,
-        audible: &mut Vec<u32>,
-        audible_tx: &mut [u64],
-        tx_index: &[u32],
-        txs: &[TxRecord],
-        tx_data: &[(Destination, PayloadHandle<P>)],
-    ) {
+        // Every marked listener in ascending id order: audibility,
+        // collision detection, the arena-row update, statistics and
+        // ledgers.
         for l in listener_mark.iter() {
             let resolved = std::mem::replace(&mut audible_tx[l.index()], AUDIBLE_NONE);
             audible.clear();
@@ -1340,6 +1005,20 @@ impl<P: Send + Sync> LmacNetwork<P> {
                 }
             }
         }
+
+        // Collision resolution: surrender and re-join after a random
+        // backoff, in ascending id order (as the sorted list used to be).
+        for t in collided_mark.iter() {
+            if let Some(slot) = self.nodes[t.index()].my_slot.take() {
+                self.slot_owners[slot as usize].retain(|&n| n != t);
+                self.stats.slots_surrendered += 1;
+                self.unslotted_alive += 1;
+                self.nodes[t.index()].listen_remaining =
+                    self.cfg.listen_frames_before_pick + rng.gen_range(0..2u32);
+            }
+        }
+        self.finish_slot(&mut scratch, out);
+        self.scratch = scratch;
     }
 
     /// Advance a whole frame (`slots_per_frame` slots).
@@ -1467,6 +1146,15 @@ impl<P: Send + Sync> LmacNetwork<P> {
     /// Whether every alive node currently owns a slot.
     pub fn all_converged(&self) -> bool {
         self.nodes.iter().all(|n| !n.alive || n.my_slot.is_some())
+    }
+}
+
+#[cfg(test)]
+impl<P> LmacNetwork<P> {
+    /// Whether the control plane is at its fixed point (a test accessor,
+    /// not a [`MacStats`] field: statistics feed fingerprints and images).
+    pub(crate) fn at_fixed_point(&self) -> bool {
+        self.steady
     }
 }
 
@@ -1875,55 +1563,124 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_the_indication_stream() {
-        // The colour-class parallel listener phase must be bit-identical
-        // to the serial loop: same indications in the same order, same
-        // statistics, same ledgers — across joins, traffic and churn.
-        let topo = random_topo(40, 33);
-        let mut nets: Vec<Net> = [1usize, 2, 4]
-            .iter()
-            .map(|&w| {
-                let mut net =
-                    Net::new(LmacConfig { workers: w, ..LmacConfig::default() }, topo.clone());
-                if w > 1 {
-                    net.force_sharded_listeners();
-                }
-                net
-            })
-            .collect();
-        let mut rngs: Vec<_> =
-            (0..nets.len()).map(|_| RngFactory::new(33).stream("workers")).collect();
-        for net in &mut nets {
-            net.enqueue(NodeId(0), Destination::Broadcast, 7);
-            net.enqueue(NodeId(3), Destination::unicast(NodeId(5)), 9);
-        }
-        let slots = nets[0].config().slots_per_frame;
-        let mut streams: Vec<Vec<MacIndication<u32>>> = vec![Vec::new(); nets.len()];
-        for frame in 0..8u32 {
-            if frame == 2 {
-                for net in &mut nets {
-                    net.set_alive(NodeId(7), false);
-                    net.set_alive(NodeId(11), false);
-                }
-            }
-            if frame == 5 {
-                for net in &mut nets {
-                    net.set_alive(NodeId(7), true);
-                }
-            }
-            for _ in 0..slots {
-                for (i, net) in nets.iter_mut().enumerate() {
-                    net.advance_slot_into(&mut rngs[i], &mut streams[i]);
-                }
+    fn fixed_point_gate_opens_closes_and_reopens() {
+        let mut rng = RngFactory::new(33).stream("gate");
+        let cfg = LmacConfig { max_missed_frames: 2, ..LmacConfig::default() };
+        let mut net = Net::new(cfg, random_topo(40, 33));
+        net.assign_slots_greedy();
+        assert!(!net.at_fixed_point(), "the gate opens only at a frame boundary");
+        net.advance_frame(&mut rng);
+        assert!(net.at_fixed_point(), "one frame from the greedy schedule reaches it");
+        net.enqueue(NodeId(3), Destination::Broadcast, 1);
+        net.advance_frame(&mut rng);
+        assert!(net.at_fixed_point(), "data traffic does not leave it");
+
+        // A death closes the gate until every neighbour has declared it.
+        let victim = NodeId(7);
+        net.set_alive(victim, false);
+        assert!(!net.at_fixed_point(), "set_alive closes the gate");
+        let mut died = 0;
+        for frame in 0.. {
+            assert!(frame < 8, "the gate never reopened");
+            died += net
+                .advance_frame(&mut rng)
+                .iter()
+                .filter(
+                    |i| matches!(i, MacIndication::NeighborDied { dead, .. } if *dead == victim),
+                )
+                .count();
+            if net.at_fixed_point() {
+                break;
             }
         }
-        assert_eq!(streams[0], streams[1], "2 workers diverged from serial");
-        assert_eq!(streams[0], streams[2], "4 workers diverged from serial");
-        let reference = format!("{:?}", nets[0].stats());
-        for net in &nets[1..] {
-            assert_eq!(format!("{:?}", net.stats()), reference);
-            assert_eq!(format!("{:?}", net.data_ledger()), format!("{:?}", nets[0].data_ledger()));
+        assert_eq!(died, net.topology().degree(victim), "reopened before the death was detected");
+
+        // A restored network starts outside the fixed point, reopens after
+        // one frame and runs that frame exactly as the original does.
+        let mut w = SnapWriter::new();
+        net.snap(&mut w, |w, p| w.u32(*p));
+        let image = w.finish();
+        let mut restored = Net::new(cfg, net.topology().clone());
+        restored.restore(&mut SnapReader::new(&image), |r| r.u32()).expect("own image");
+        assert!(!restored.at_fixed_point(), "restore closes the gate");
+        let mut rng_restored = rng.clone();
+        assert_eq!(restored.advance_frame(&mut rng_restored), net.advance_frame(&mut rng));
+        assert!(restored.at_fixed_point());
+    }
+
+    /// A mid-frame network at the fixed point, with data queued.
+    fn mid_frame_net() -> Net {
+        let mut rng = RngFactory::new(12).stream("restore");
+        let mut net = Net::new(LmacConfig::default(), random_topo(20, 12));
+        net.assign_slots_greedy();
+        net.enqueue(NodeId(2), Destination::Broadcast, 1);
+        for _ in 0..45 {
+            net.advance_slot(&mut rng);
         }
+        net
+    }
+
+    /// Restore `net`'s image into a fresh network over its topology.
+    fn restore_image(net: &Net) -> Result<(), SnapError> {
+        let mut w = SnapWriter::new();
+        net.snap(&mut w, |w, p| w.u32(*p));
+        let image = w.finish();
+        let mut fresh = Net::new(*net.config(), net.topology().clone());
+        fresh.restore(&mut SnapReader::new(&image), |r| r.u32())
+    }
+
+    fn malformed(result: Result<(), SnapError>) -> &'static str {
+        match result {
+            Err(SnapError::Malformed { what, .. }) => what,
+            other => panic!("expected a malformed image, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_slots() {
+        assert!(restore_image(&mid_frame_net()).is_ok());
+
+        let mut net = mid_frame_net();
+        net.slot = 500;
+        assert_eq!(malformed(restore_image(&net)), "MAC slot out of range");
+
+        let mut net = mid_frame_net();
+        net.nodes[5].my_slot = Some(net.cfg.slots_per_frame);
+        assert_eq!(malformed(restore_image(&net)), "node slot out of range");
+
+        let mut net = mid_frame_net();
+        let (l, nb) = (NodeId(4), net.topology().neighbors(NodeId(4))[0]);
+        assert!(net.neighbor_table(l).get(nb).is_some(), "a present entry to patch");
+        let _ = net.arena.heard(l, nb, Some(200), SlotSet::EMPTY, 1, 0);
+        assert_eq!(malformed(restore_image(&net)), "neighbour slot out of range");
+    }
+
+    #[test]
+    fn restore_rejects_owner_lists_that_disagree_with_node_slots() {
+        let owned =
+            |net: &Net| (0..net.slot_owners.len()).find(|&s| !net.slot_owners[s].is_empty());
+
+        // A holder listed twice.
+        let mut net = mid_frame_net();
+        let s = owned(&net).expect("an owned slot");
+        let holder = net.slot_owners[s][0];
+        net.slot_owners[s].push(holder);
+        assert_eq!(malformed(restore_image(&net)), "slot owner list mismatch");
+
+        // A holder missing from its slot's list.
+        let mut net = mid_frame_net();
+        let s = owned(&net).expect("an owned slot");
+        net.slot_owners[s].clear();
+        assert_eq!(malformed(restore_image(&net)), "slot owner list mismatch");
+
+        // A node listed under a slot it does not own.
+        let mut net = mid_frame_net();
+        let s = owned(&net).expect("an owned slot");
+        let other = NodeId::from_index(
+            (0..20).find(|&i| net.nodes[i].my_slot != Some(s as u16)).expect("another node"),
+        );
+        net.slot_owners[s].push(other);
+        assert_eq!(malformed(restore_image(&net)), "slot owner list mismatch");
     }
 
     #[test]

@@ -380,8 +380,9 @@ impl Topology {
     /// at least three hops apart and no third node hears both.
     ///
     /// This is the interference structure LMAC's slot schedule converges
-    /// to; the MAC computes it once per topology epoch and shards its
-    /// parallel listener phase across the colour classes.
+    /// to. Nothing in the workspace calls it: the MAC's slot loop is
+    /// serial. It stays only because the benchmark under `perfbench/`
+    /// times it by name; drop it once the benchmark stops calling it.
     pub fn two_hop_coloring(&self) -> Vec<u32> {
         let n = self.len();
         let mut color = vec![0u32; n];

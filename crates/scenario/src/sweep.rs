@@ -24,13 +24,12 @@ pub struct SweepConfig {
     /// Multiplier on every spec's epoch budget (quick runs / CI smoke).
     pub epoch_scale: f64,
     /// Intra-run workers inside each simulation: sets
-    /// [`dirq_lmac::LmacConfig::workers`] (the colour-class parallel slot
-    /// loop), [`dirq_core::ScenarioConfig::world_workers`] (the
-    /// split-stream world advance) and
-    /// [`dirq_core::ScenarioConfig::upkeep_workers`] (sensor sampling,
-    /// the only sharded upkeep pass). Like `threads`, never affects
-    /// results — every sharded path is bit-identical, and the CI smoke
-    /// worker matrix enforces it.
+    /// [`dirq_core::ScenarioConfig::world_workers`] (the split-stream
+    /// world advance) and [`dirq_core::ScenarioConfig::upkeep_workers`]
+    /// (sensor sampling, the only sharded upkeep pass); the MAC's slot
+    /// loop is serial. Like `threads`, never affects results — every
+    /// sharded path is bit-identical, and the CI smoke worker matrix
+    /// enforces it.
     pub workers: usize,
 }
 
@@ -62,7 +61,6 @@ pub fn run_matrix_report(specs: &[ScenarioSpec], cfg: &SweepConfig) -> ScenarioR
         let seed = replicate_seed(spec.seed, rep);
         let mut run_cfg = spec.config(scheme, seed);
         let workers = cfg.workers.max(1);
-        run_cfg.lmac.workers = workers;
         run_cfg.world_workers = workers;
         run_cfg.upkeep_workers = workers;
         let run = run_scenario(run_cfg);

@@ -41,13 +41,12 @@ fn atc_churn_metrics_match_golden() {
 #[test]
 fn grid_2000_metrics_match_golden() {
     // At 2 000 nodes every intra-run pool is past its sharding floor, so
-    // two workers engage the MAC's parallel slot loop, the sharded world
-    // advance and sharded sensor sampling on their own (no test hook) on
-    // a multi-core host; a 1-core host clamps each pool to the serial
-    // path. Either way the fingerprint is the serial golden.
+    // two workers engage the sharded world advance and sharded sensor
+    // sampling on their own (no test hook) on a multi-core host; a 1-core
+    // host clamps each pool to the serial path. Either way the fingerprint
+    // is the serial golden.
     for workers in [1, 2] {
         let mut cfg = grid_2000_scenario();
-        cfg.lmac.workers = workers;
         cfg.world_workers = workers;
         cfg.upkeep_workers = workers;
         let r = run_scenario(cfg);

@@ -102,11 +102,10 @@ fn report_identical_across_thread_counts() {
 
 #[test]
 fn report_identical_across_intra_run_workers() {
-    // MAC colour-class workers, world-generation workers and
-    // protocol-upkeep workers shard inside one simulation; none may move
-    // the report fingerprint. (At this preset's 100 nodes the world and
-    // upkeep pools resolve to the serial loops — the sharded paths
-    // themselves are pinned by world_differential.rs,
+    // World-generation workers and protocol-upkeep workers shard inside
+    // one simulation; neither may move the report fingerprint. (At this
+    // preset's 100 nodes both pools resolve to the serial loops — the
+    // sharded paths themselves are pinned by world_differential.rs,
     // upkeep_differential.rs and the grid_2000 golden at two workers; the
     // smoke-scaled registry gate in `scenario_matrix --smoke` covers the
     // ≥2 000-node presets where the shard paths really engage.)

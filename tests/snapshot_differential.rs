@@ -258,6 +258,29 @@ fn malformed_bodies_fail_loudly() {
     assert_eq!(ok.state_fingerprint(), donor.state_fingerprint());
 }
 
+/// A body whose MAC slot lies outside the frame is a typed error at
+/// restore (the daemon answers `bad_image`), not a panic at the next
+/// step.
+#[test]
+fn restore_rejects_an_out_of_range_mac_slot() {
+    let mut donor = Engine::new(variant_config(17, 0, 60));
+    for _ in 0..10 {
+        donor.step_epoch();
+    }
+    let mut body = donor.snapshot();
+    // The body opens with "ENGN", the epoch (u64), "LMAC", the MAC frame
+    // (u64) and the MAC slot (u16).
+    assert_eq!(&body[12..16], b"LMAC");
+    body[24..26].copy_from_slice(&500u16.to_le_bytes());
+    assert!(
+        matches!(
+            Engine::new(variant_config(17, 0, 60)).restore(&body),
+            Err(SnapError::Malformed { what: "MAC slot out of range", .. })
+        ),
+        "an out-of-range MAC slot restored"
+    );
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]

@@ -15,16 +15,19 @@
 //!   path must produce the identical indication stream, statistics and
 //!   energy ledgers on arbitrary topologies, traffic and churn.
 //!
-//! The same full-scan reference also pins the **edge-aligned neighbour
-//! arena + colour-class parallel frame**: networks running the sharded
-//! listener phase at 1, 2 and 4 workers must be bit-equal to the serial
-//! reference on indications, statistics, ledgers, schedules and every
-//! per-node neighbour aggregate (`arena_parallel_frames_match_reference`).
+//! The same full-scan reference also pins the **fixed-point control
+//! plane** (`arena_parallel_frames_match_reference`): once a frame changes
+//! nothing, the fast path skips the per-edge control pass, while the
+//! reference never does. Cases leave and re-enter the fixed point through
+//! cold starts, scarce slots, births and mid-frame deaths, and every frame
+//! boundary compares statistics, ledgers, neighbour entries and snapshot
+//! bytes.
 
 use std::collections::BTreeMap;
 
 use dirq::core::{RangeEntry, RangeTable};
 use dirq::prelude::*;
+use dirq::sim::SnapWriter;
 use proptest::prelude::*;
 
 // --- Range Table vs naive BTreeMap model --------------------------------
@@ -282,128 +285,151 @@ proptest! {
     }
 }
 
-// --- Arena + colour-class parallel frame vs full-scan reference ----------
+// --- Fixed-point fast path vs full-scan reference ------------------------
 
-/// Per-node neighbour-aggregate snapshot, for bit-equality across paths.
-fn neighbor_aggregates(net: &Net, n: usize) -> Vec<String> {
+/// Every node's neighbour knowledge as the MAC reports it: each present
+/// entry's `NeighborInfo` (with `last_heard_frame`) and the row
+/// aggregates, including the neighbours stale at `frame`.
+fn neighbor_knowledge(net: &Net, n: usize, frame: u64) -> Vec<String> {
     (0..n)
         .map(|i| {
             let v = net.neighbor_table(NodeId(i as u32));
+            let entries: Vec<String> =
+                v.nodes().map(|nb| format!("{nb}: {:?}", v.get(nb).expect("listed"))).collect();
             format!(
-                "{:?}|{:?}|{}|{:?}|{:?}|{:?}",
-                v.nodes().collect::<Vec<_>>(),
+                "{entries:?}|{}|{}|{:?}|{:?}|{:?}",
                 v.len(),
                 v.min_gateway_dist(),
                 v.one_hop_occupancy(),
                 v.two_hop_occupancy(),
-                v.stale(1_000_000, 3),
+                v.stale(frame, 1),
             )
         })
         .collect()
 }
 
-fn build_net_with_workers(topo: &Topology, workers: usize) -> Net {
-    let cfg = LmacConfig { slots_per_frame: 48, workers: workers.max(1), ..LmacConfig::default() };
-    let mut net = Net::new(cfg, topo.clone());
-    if workers > 1 {
-        // Exercise the sharded listener phase even on 1-core hosts.
-        net.force_sharded_listeners();
-    }
-    net.assign_slots_greedy();
-    net
+/// The network's snapshot bytes.
+fn image(net: &Net) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    net.snap(&mut w, |w, p| w.u32(*p));
+    w.finish()
 }
+
+/// Frames each differential case runs: enough for the gate to open,
+/// close on churn and reopen once deaths are detected.
+const FRAMES: u32 = 14;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Arena-backed frames at 1, 2 and 4 colour-class workers are
-    /// bit-equal to the serial full-scan reference — indication streams
-    /// (same nodes, same order), statistics, both energy ledgers,
-    /// schedules, liveness and every per-node neighbour aggregate — on
-    /// arbitrary topologies with arbitrary traffic and mid-run churn.
+    /// A network driven by `advance_slot_into`, which skips the per-edge
+    /// control pass once the control plane reaches its fixed point, is
+    /// bit-equal to the full-scan reference, which never does: the same
+    /// indications in every slot and, at every frame boundary, the same
+    /// statistics, both energy ledgers, neighbour entries (including
+    /// `last_heard_frame`), schedules and snapshot bytes. Cases start from
+    /// the greedy schedule or cold through the join protocol (collisions,
+    /// surrenders, picks), with scarce slots, nodes born after the start,
+    /// `set_alive` in the middle of a frame and traffic in any frame.
     #[test]
     fn arena_parallel_frames_match_reference(
         n in 4usize..24,
         raw_edges in proptest::collection::vec((0u32..64, 0u32..64), 4..60),
-        messages in proptest::collection::vec((0u32..64, 0u32..64, 0u8..3), 0..20),
-        deaths in proptest::collection::vec(0u32..64, 0..4),
+        messages in proptest::collection::vec((0u32..64, 0u32..64, 0u8..4, 0u32..FRAMES), 0..30),
+        start in 0u8..3,
+        unborn in proptest::collection::vec((0u32..64, 1u32..FRAMES), 0..3),
+        churn in proptest::collection::vec((0u32..64, 0u32..FRAMES, 0u16..48, 0u8..2), 0..5),
         seed in 0u64..1_000_000,
     ) {
         let topo = sampled_topology(n, &raw_edges);
-        let mut reference = build_net(&topo);
-        let mut nets: Vec<Net> =
-            [1usize, 2, 4].iter().map(|&w| build_net_with_workers(&topo, w)).collect();
-        let mut rng_ref = RngFactory::new(seed).stream("mac-differential");
-        let mut rngs: Vec<_> =
-            (0..nets.len()).map(|_| RngFactory::new(seed).stream("mac-differential")).collect();
-
-        for &(from, to, kind) in &messages {
-            let from = NodeId((from as usize % n) as u32);
-            let to = NodeId((to as usize % n) as u32);
-            let dest = match kind {
-                0 => Destination::Broadcast,
-                1 => Destination::unicast(to),
-                _ => Destination::multicast([to, NodeId((to.index() + 1) as u32 % n as u32)]),
-            };
-            let payload = from.index() as u32 * 1000 + to.index() as u32;
-            reference.enqueue(from, dest.clone(), payload);
-            for net in &mut nets {
-                net.enqueue(from, dest.clone(), payload);
-            }
+        // 0: greedy schedule; 1: cold start; 2: cold start, scarce slots.
+        let slots_per_frame = if start == 2 { 8 } else { 48 };
+        let cfg = LmacConfig { slots_per_frame, ..LmacConfig::default() };
+        let mut fast = Net::new(cfg, topo.clone());
+        let mut reference = Net::new(cfg, topo.clone());
+        let node = |raw: u32| NodeId((raw as usize % n) as u32);
+        for &(v, _) in &unborn {
+            fast.set_alive(node(v), false);
+            reference.set_alive(node(v), false);
         }
+        if start == 0 {
+            fast.assign_slots_greedy();
+            reference.assign_slots_greedy();
+        }
+        let mut rng_fast = RngFactory::new(seed).stream("mac-differential");
+        let mut rng_ref = RngFactory::new(seed).stream("mac-differential");
 
-        let slots_per_frame = reference.config().slots_per_frame;
+        let mut out_fast: Vec<MacIndication<u32>> = Vec::new();
         let mut out_ref: Vec<MacIndication<u32>> = Vec::new();
-        let mut out_net: Vec<MacIndication<u32>> = Vec::new();
-        for frame in 0..6u32 {
-            if frame == 1 || frame == 4 {
-                let alive = frame == 4;
-                for &d in &deaths {
-                    let v = NodeId((d as usize % n) as u32);
-                    if !v.is_root() {
-                        reference.set_alive(v, alive);
-                        for net in &mut nets {
-                            net.set_alive(v, alive);
-                        }
+        for frame in 0..FRAMES {
+            for &(from, to, kind, at) in &messages {
+                if at != frame {
+                    continue;
+                }
+                let (from, to) = (node(from), node(to));
+                let dest = match kind {
+                    0 => Destination::Broadcast,
+                    1 => Destination::unicast(to),
+                    2 => Destination::multicast([to, node(to.0 + 1)]),
+                    // A destination listed twice hears the message once.
+                    _ => Destination::multicast([to, to]),
+                };
+                let payload = frame * 1_000_000 + from.0 * 1000 + to.0;
+                prop_assert_eq!(
+                    fast.enqueue(from, dest.clone(), payload),
+                    reference.enqueue(from, dest, payload)
+                );
+            }
+            for &(v, born) in &unborn {
+                if born == frame {
+                    fast.set_alive(node(v), true);
+                    reference.set_alive(node(v), true);
+                }
+            }
+            for s in 0..slots_per_frame {
+                for &(v, at, slot, alive) in &churn {
+                    if at == frame && slot % slots_per_frame == s {
+                        // Mid-frame images agree too, also at the fixed point.
+                        prop_assert!(image(&fast) == image(&reference), "images diverged mid-frame");
+                        fast.set_alive(node(v), alive == 1);
+                        reference.set_alive(node(v), alive == 1);
                     }
                 }
-            }
-            for _ in 0..slots_per_frame {
+                out_fast.clear();
                 out_ref.clear();
+                fast.advance_slot_into(&mut rng_fast, &mut out_fast);
                 reference.advance_slot_full_scan_into(&mut rng_ref, &mut out_ref);
-                for (i, net) in nets.iter_mut().enumerate() {
-                    out_net.clear();
-                    net.advance_slot_into(&mut rngs[i], &mut out_net);
-                    prop_assert_eq!(&out_net, &out_ref, "indications diverged (net {})", i);
-                }
+                prop_assert_eq!(
+                    &out_fast, &out_ref, "indications diverged in frame {} slot {}", frame, s
+                );
             }
-        }
 
-        let ref_aggregates = neighbor_aggregates(&reference, n);
-        for (i, net) in nets.iter().enumerate() {
+            let at = u64::from(frame) + 1;
             prop_assert_eq!(
-                format!("{:?}", net.stats()),
+                format!("{:?}", fast.stats()),
                 format!("{:?}", reference.stats()),
-                "stats diverged (net {})", i
+                "stats diverged after frame {}", frame
             );
             prop_assert_eq!(
-                format!("{:?}", net.data_ledger()),
+                format!("{:?}", fast.data_ledger()),
                 format!("{:?}", reference.data_ledger())
             );
             prop_assert_eq!(
-                format!("{:?}", net.control_ledger()),
-                format!("{:?}", reference.control_ledger())
+                format!("{:?}", fast.control_ledger()),
+                format!("{:?}", reference.control_ledger()),
+                "control ledgers diverged after frame {}", frame
             );
             prop_assert_eq!(
-                &neighbor_aggregates(net, n),
-                &ref_aggregates,
-                "neighbour aggregates diverged (net {})", i
+                neighbor_knowledge(&fast, n, at),
+                neighbor_knowledge(&reference, n, at),
+                "neighbour knowledge diverged after frame {}", frame
             );
-            for j in 0..n {
-                let node = NodeId(j as u32);
-                prop_assert_eq!(net.slot_of(node), reference.slot_of(node));
-                prop_assert_eq!(net.is_alive(node), reference.is_alive(node));
+            for i in 0..n {
+                let v = NodeId(i as u32);
+                prop_assert_eq!(fast.slot_of(v), reference.slot_of(v));
+                prop_assert_eq!(fast.is_alive(v), reference.is_alive(v));
             }
+            prop_assert!(image(&fast) == image(&reference), "images diverged after frame {}", frame);
         }
     }
 }
