@@ -149,8 +149,8 @@ fn main() {
 /// the perf-trajectory tripwire. Any failure exits non-zero.
 ///
 /// Only the worker knob (`--workers`) flows in from the command line —
-/// the CI worker matrix exercises the parallel MAC, world-generation and
-/// sensor-sampling paths, and none may move a fingerprint. Budget knobs
+/// the CI worker matrix exercises the parallel world-generation and
+/// sensor-sampling paths, and neither may move a fingerprint. Budget knobs
 /// (`--epoch-scale`, `--quick`, `--replicates`) are deliberately
 /// ignored: the smoke goldens are recorded at fixed budgets.
 fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
@@ -204,7 +204,7 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
         );
         std::process::exit(1);
     }
-    // Golden worker-invariance gate for the parallel MAC, world and
+    // Golden worker-invariance gate for the parallel world and
     // sensor-sampling paths: the whole registry (scaled to smoke budgets)
     // serial vs with the requested intra-run workers engaged — identical
     // report fingerprints. Only meaningful at more than one worker, so

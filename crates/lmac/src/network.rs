@@ -617,20 +617,14 @@ impl<P> LmacNetwork<P> {
             return Err(SnapError::Malformed { pos, what: "slot count mismatch" });
         }
         // Each owner list holds exactly its slot's holders, once each:
-        // every listed node owns the slot, and the list is as long as the
-        // number of nodes that own it.
-        let mut holders = vec![0usize; self.slot_owners.len()];
-        for node in &self.nodes {
-            if let Some(s) = node.my_slot {
-                holders[s as usize] += 1;
-            }
-        }
+        // every listed node owns the slot it is listed under, no node is
+        // listed twice, and every slot holder is listed.
         let mut listed = NodeBits::new(n);
         for (s, owners) in self.slot_owners.iter_mut().enumerate() {
             owners.clear();
-            let pos = r.position();
             let m = r.seq_len(4)?;
             for _ in 0..m {
+                let pos = r.position();
                 let id = read_node_id(r)?;
                 if self.nodes[id.index()].my_slot != Some(s as u16) || listed.contains(id) {
                     return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
@@ -638,9 +632,10 @@ impl<P> LmacNetwork<P> {
                 listed.insert(id);
                 owners.push(id);
             }
-            if m != holders[s] {
-                return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
-            }
+        }
+        if listed.len() != self.nodes.iter().filter(|node| node.my_slot.is_some()).count() {
+            let pos = r.position();
+            return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
         }
         self.arena.restore(r, spf)?;
         self.alive_mask = NodeBits::new(n);
