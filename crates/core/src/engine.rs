@@ -14,6 +14,8 @@
 //! * **oracle state** — the generator's world readings and liveness flags,
 //!   used solely for ground truth and measurement.
 
+use std::sync::Arc;
+
 use dirq_data::sensor::SensorAssignment;
 use dirq_data::workload::CalibratedQuery;
 use dirq_data::{QueryGenerator, QueryId, SensorCatalog, SensorWorld, WorldConfig};
@@ -36,6 +38,7 @@ use crate::metrics::{Metrics, QueryOutcome};
 use crate::node::{DirqNode, NodeConfig, Outgoing};
 use crate::pending::{PendingQuery, PendingSet};
 use crate::sampling::{Sampler, SamplingStrategy};
+use crate::sensing::{self, SensingPlane, SensorCell};
 
 /// Which dissemination protocol a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,13 +353,15 @@ pub struct PhaseTimings {
     /// Seconds applying scripted churn events.
     pub churn: f64,
     /// Seconds in tree repair: attachment recompute, orphan adoption and
-    /// the detach fallback. Always serial; sampling is the only sharded
-    /// upkeep pass.
+    /// the detach fallback. Always serial, and near zero while the tree is
+    /// unchanged since a pass found every alive node attached (the pass is
+    /// skipped; see `Engine::repair_orphans`).
     pub repair: f64,
     /// Seconds computing and flooding the hourly `EHr` budget.
     pub ehr: f64,
-    /// Seconds in sensor sampling: the adaptive gate, world reads and the
-    /// resulting Update flow.
+    /// Seconds in sensor sampling: the adaptive gate, world reads, the
+    /// sensing-plane pass and the Update flow of the readings that escaped
+    /// their own tuple. The only sharded upkeep pass.
     pub sampling: f64,
     /// Seconds generating, calibrating and injecting queries.
     pub injection: f64,
@@ -364,7 +369,8 @@ pub struct PhaseTimings {
     pub mac: f64,
     /// Seconds dispatching MAC indications to the protocol handlers.
     pub dispatch: f64,
-    /// Seconds in end-of-epoch housekeeping, including query finalisation.
+    /// Seconds in end-of-epoch housekeeping: the per-node ATC step (under
+    /// adaptive δ only), query finalisation and the δ trace.
     pub finalize: f64,
 }
 
@@ -375,6 +381,10 @@ pub struct Engine {
     mac: LmacNetwork<DirqMessage>,
     world: SensorWorld,
     nodes: Vec<DirqNode>,
+    /// The configuration every protocol node shares (births reuse it).
+    node_cfg: Arc<NodeConfig>,
+    /// Per-(node, type) sampling state; see [`crate::sensing`].
+    plane: SensingPlane,
     flood: Vec<FloodingNode>,
     alive: Vec<bool>,
     qgen: QueryGenerator,
@@ -395,6 +405,12 @@ pub struct Engine {
     /// Epoch at which each node lost its path to the root (`None` =
     /// currently attached); drives the repair fallback.
     detached_since: Vec<Option<u64>>,
+    /// Bumped at every site that can change a parent pointer, a child list
+    /// or liveness.
+    tree_version: u64,
+    /// `tree_version` as of the last repair pass that found every alive
+    /// node attached; while it still matches, repair has nothing to do.
+    repaired_version: Option<u64>,
     /// Predictive samplers per (node, sensor type); `None` under
     /// [`SamplingStrategy::EveryEpoch`].
     samplers: Option<Vec<Vec<Sampler>>>,
@@ -414,7 +430,8 @@ pub struct Engine {
     /// pass; `None` = serial. The `upkeep_workers` knob resolves here
     /// against the host parallelism and a node-count floor.
     upkeep_pool: Option<WorkerPool>,
-    /// Per-worker effect buffers for sharded sampling; empty when serial.
+    /// Per-chunk effect buffers for sampling, one per upkeep worker and
+    /// at least one: the serial pass uses the first.
     upkeep_shards: Vec<UpkeepShard>,
     /// Scratch: `[start, end)` chunk bounds per upkeep worker.
     upkeep_chunks: Vec<(u32, u32)>,
@@ -661,14 +678,14 @@ impl Engine {
                 .with_spatial_fraction(cfg.spatial_query_fraction);
 
         // --- protocol nodes ------------------------------------------------------
-        let node_cfg = NodeConfig {
+        let node_cfg = Arc::new(NodeConfig {
             delta_policy: cfg.delta_policy,
             reference_spans: world_cfg.reference_spans(),
             variability_alpha: 0.2,
             tx_threshold_factor: cfg.tx_threshold_factor,
-        };
+        });
         let mut nodes: Vec<DirqNode> =
-            (0..n).map(|i| DirqNode::new(NodeId::from_index(i), node_cfg.clone())).collect();
+            (0..n).map(|i| DirqNode::new(NodeId::from_index(i), Arc::clone(&node_cfg))).collect();
         // Quiet tree initialisation: both endpoints already agree, so the
         // Attach handshakes are skipped.
         for (i, node) in nodes.iter_mut().enumerate() {
@@ -695,10 +712,10 @@ impl Engine {
         let upkeep_pool = (cfg.upkeep_workers.max(1) > 1 && n >= UPKEEP_MIN_NODES)
             .then(|| WorkerPool::new(cfg.upkeep_workers))
             .filter(|p| p.workers() > 1);
-        let upkeep_shards: Vec<UpkeepShard> = match &upkeep_pool {
-            Some(p) => (0..p.workers()).map(|_| UpkeepShard::default()).collect(),
-            None => Vec::new(),
-        };
+        let upkeep_shards: Vec<UpkeepShard> =
+            (0..upkeep_pool.as_ref().map_or(1, WorkerPool::workers))
+                .map(|_| UpkeepShard::default())
+                .collect();
 
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
@@ -708,6 +725,10 @@ impl Engine {
             budget_multiplier: 1.0,
             updates_at_last_ehr: 0.0,
             detached_since: vec![None; n],
+            tree_version: 0,
+            repaired_version: None,
+            plane: SensingPlane::new(n, world.catalog().len()),
+            node_cfg,
             samplers: match cfg.sampling {
                 SamplingStrategy::EveryEpoch => None,
                 SamplingStrategy::Predictive(pc) => Some(
@@ -857,6 +878,9 @@ impl Engine {
     pub fn remove_sensor(&mut self, node: NodeId, stype: dirq_data::SensorType) {
         self.world.assignment_mut().remove(node.index(), stype);
         let outs = self.nodes[node.index()].drop_own_sensor(stype);
+        if let Some(cell) = self.plane.row_mut(node.index()).get_mut(stype.index()) {
+            cell.set_window(None);
+        }
         self.dispatch_outgoing(node, outs);
     }
 
@@ -1020,8 +1044,8 @@ impl Engine {
         self.mac.snap(&mut w, |w, p: &DirqMessage| p.snap(w));
         self.world.snap(&mut w);
         w.len_of(self.nodes.len());
-        for node in &self.nodes {
-            node.snap(&mut w);
+        for (i, node) in self.nodes.iter().enumerate() {
+            node.snap(&mut w, self.plane.row(i));
         }
         for f in &self.flood {
             f.snap(&mut w);
@@ -1064,6 +1088,7 @@ impl Engine {
     /// the snapshotted one would have.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.topo.len();
+        self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
         self.epoch = r.u64()?;
@@ -1073,8 +1098,8 @@ impl Engine {
         if r.seq_len(1)? != n {
             return Err(SnapError::Malformed { pos, what: "engine node count mismatch" });
         }
-        for node in &mut self.nodes {
-            node.restore(&mut r)?;
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.restore(&mut r, self.plane.row_mut(i), n)?;
         }
         for f in &mut self.flood {
             f.restore(&mut r)?;
@@ -1086,7 +1111,7 @@ impl Engine {
         }
         self.alive = alive;
         self.qgen.restore(&mut r)?;
-        self.pending.restore(&mut r)?;
+        self.pending.restore(&mut r, n)?;
         let pos = r.position();
         let metrics = Metrics::unsnap(&mut r)?;
         if metrics.measure_from_epoch != self.cfg.measure_from_epoch {
@@ -1266,6 +1291,9 @@ impl Engine {
         let mut events = std::mem::take(&mut self.churn_buf);
         events.clear();
         events.extend(self.churn.at_epoch(self.epoch));
+        if !events.is_empty() {
+            self.tree_version += 1;
+        }
         for ev in events.drain(..) {
             match ev {
                 dirq_net::churn::ChurnEvent::Death(node) => {
@@ -1277,18 +1305,8 @@ impl Engine {
                     self.alive[node.index()] = true;
                     self.mac.set_alive(node, true);
                     // Fresh protocol state: the node joins from scratch.
-                    let cfg = NodeConfig {
-                        delta_policy: self.cfg.delta_policy,
-                        reference_spans: self
-                            .cfg
-                            .world
-                            .clone()
-                            .unwrap_or_else(|| WorldConfig::environmental(self.cfg.side))
-                            .reference_spans(),
-                        variability_alpha: 0.2,
-                        tx_threshold_factor: self.cfg.tx_threshold_factor,
-                    };
-                    self.nodes[node.index()] = DirqNode::new(node, cfg);
+                    self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
+                    self.plane.row_mut(node.index()).fill(SensorCell::EMPTY);
                     if self.cfg.location_enabled {
                         let pos = self.topo.position(node);
                         // Orphan: the advert flows on attach.
@@ -1316,20 +1334,48 @@ impl Engine {
     /// deployment the same information comes from LMAC's gateway-distance
     /// field aging out; the simulator takes the direct route.
     ///
+    /// Gated on the tree: a pass that finds every alive node attached
+    /// changes nothing (every `detached_since` is `None`, there is no
+    /// orphan and no fallback), and so does every later pass until
+    /// something bumps `tree_version` — a death or birth, a restore, an
+    /// adoption here, or a dispatched `Attach`, `Detach`, `GeoAdvert`,
+    /// `NeighborDied` or child-adding `Update`. Those passes return at
+    /// once; debug builds still recompute the attachment and assert it.
+    ///
     /// Serial at every worker count: on the registry presets large enough
     /// to shard, the pass finds no orphan and no detached node at their
     /// full budgets (PERFORMANCE.md), so sharding it would only split an
     /// empty loop.
     fn repair_orphans(&mut self) {
+        if self.repaired_version == Some(self.tree_version) {
+            #[cfg(debug_assertions)]
+            {
+                self.compute_attachment();
+                debug_assert!(
+                    (1..self.nodes.len()).all(|i| !self.alive[i] || self.attach_depth[i].is_some()),
+                    "repair skipped with a detached node at epoch {}",
+                    self.epoch
+                );
+            }
+            return;
+        }
         self.compute_attachment();
 
         // Track how long each alive node has been detached from the root.
+        let mut all_attached = true;
         for i in 1..self.nodes.len() {
             if !self.alive[i] || self.attach_depth[i].is_some() {
                 self.detached_since[i] = None;
-            } else if self.detached_since[i].is_none() {
-                self.detached_since[i] = Some(self.epoch);
+            } else {
+                all_attached = false;
+                if self.detached_since[i].is_none() {
+                    self.detached_since[i] = Some(self.epoch);
+                }
             }
+        }
+        if all_attached {
+            self.repaired_version = Some(self.tree_version);
+            return;
         }
 
         // Primary: orphans (no parent at all) use the MAC gateway metric.
@@ -1354,6 +1400,7 @@ impl Engine {
                 continue;
             };
             let outs = self.nodes[i].set_parent(Some(parent));
+            self.tree_version += 1;
             self.dispatch_outgoing(node, outs);
         }
         self.repair_candidates = candidates;
@@ -1391,8 +1438,16 @@ impl Engine {
             }
             self.detached_since[i] = None;
             let outs = self.nodes[i].set_parent(Some(new_parent));
+            self.tree_version += 1;
             self.dispatch_outgoing(node, outs);
         }
+    }
+
+    /// Whether the next repair pass would be skipped: no tree change since
+    /// a pass found every alive node attached.
+    #[cfg(test)]
+    fn repair_gate_open(&self) -> bool {
+        self.repaired_version == Some(self.tree_version)
     }
 
     /// Recompute the protocol tree's attachment depths into the scratch
@@ -1492,17 +1547,19 @@ impl Engine {
 
     /// Rebuild the carrier index when the sensor assignment has changed
     /// (runtime `add_sensor`/`remove_sensor`; one version probe otherwise).
+    /// Only types the world has readings for — the plane's width — count.
     fn refresh_sample_index(&mut self) {
         let version = self.world.assignment().version();
         if self.sample_index.version == Some(version) {
             return;
         }
         let n = self.nodes.len();
+        let sampled = u64::MAX >> (64 - self.plane.width().clamp(1, 64));
         self.sample_index.masks.clear();
         self.sample_index.masks.resize(n, 0);
         self.sample_index.carriers.clear();
         for i in 1..n {
-            let mask = self.world.assignment().carried_mask(i);
+            let mask = self.world.assignment().carried_mask(i) & sampled;
             self.sample_index.masks[i] = mask;
             if mask != 0 {
                 self.sample_index.carriers.push(i as u32);
@@ -1511,83 +1568,77 @@ impl Engine {
         self.sample_index.version = Some(version);
     }
 
-    /// The serial sampling loop over the carrier index — the production
-    /// path at one worker and the differential reference for the sharded
-    /// path. Visits exactly the `(node, type)` pairs a full `1..n` ×
-    /// catalog scan would, in the same order.
+    /// The serial sampling pass: every carrier in index order, each one's
+    /// MAC enqueues replayed right after it. Visits exactly the
+    /// `(node, type)` pairs a full `1..n` × catalog scan would, in the
+    /// same order.
     fn sample_sensors_serial(&mut self) {
-        let index = std::mem::take(&mut self.sample_index);
-        for &ci in &index.carriers {
+        let rows = reading_rows(&self.world);
+        let inputs = SampleInputs {
+            alive: &self.alive,
+            masks: &self.sample_index.masks,
+            rows: &rows,
+            spans: &self.node_cfg.reference_spans,
+            alpha: self.node_cfg.variability_alpha,
+        };
+        let effects = &mut self.upkeep_shards[0].effects;
+        for &ci in &self.sample_index.carriers {
             let i = ci as usize;
-            if !self.alive[i] {
-                continue;
-            }
-            let node = NodeId::from_index(i);
-            let mut mask = index.masks[i];
-            while mask != 0 {
-                let idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let stype = dirq_data::SensorType(idx as u8);
-                if let Some(samplers) = &mut self.samplers {
-                    if !samplers[i][idx].should_sample() {
-                        continue;
-                    }
-                }
-                let Some(reading) = self.world.reading(i, stype) else { continue };
-                let outs = self.nodes[i].sample(stype, reading);
-                self.dispatch_outgoing(node, outs);
-                if let Some(samplers) = &mut self.samplers {
-                    let window =
-                        self.nodes[i].table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max));
-                    samplers[i][idx].on_sampled(reading, window);
-                }
+            let samplers = self.samplers.as_mut().map(|rows| rows[i].as_mut_slice());
+            inputs.sample_carrier(i, &mut self.nodes[i], self.plane.row_mut(i), samplers, effects);
+            for e in effects.drain(..) {
+                e.apply(&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
             }
         }
-        self.sample_index = index;
     }
 
-    /// Sharded sampling: carrier chunks run the full per-node decision
-    /// path (adaptive gate, world read, node state update) in place —
-    /// samplers and nodes are per-node-disjoint — and defer the
-    /// shared-state mutations (MAC enqueues + tx tallies) as [`Effect`]s
-    /// replayed in chunk order, i.e. exactly the serial order.
+    /// Sharded sampling: carrier chunks run the same per-carrier path as
+    /// the serial pass, in place — nodes, plane rows and samplers are
+    /// per-node-disjoint — each deferring its MAC enqueues into its own
+    /// shard, replayed in chunk order: the serial order. Sampling reads no
+    /// MAC, metrics or pending state, so deferring changes nothing.
     fn sample_sensors_sharded(&mut self) {
-        let index = std::mem::take(&mut self.sample_index);
-        let mut chunks = std::mem::take(&mut self.upkeep_chunks);
-        fill_chunks(&mut chunks, index.carriers.len(), self.upkeep_shards.len());
-        let nchunks = chunks.len();
-        let types: Vec<dirq_data::SensorType> = self.world.catalog().types().collect();
-        let rows: Vec<&[f64]> = types.iter().map(|&t| self.world.readings(t)).collect();
         let mut shards = std::mem::take(&mut self.upkeep_shards);
+        let mut chunks = std::mem::take(&mut self.upkeep_chunks);
+        fill_chunks(&mut chunks, self.sample_index.carriers.len(), shards.len());
+        let nchunks = chunks.len();
         let mut pool = self.upkeep_pool.take().expect("sharded upkeep requires a pool");
         {
+            let rows = reading_rows(&self.world);
             let phase = SamplePhase {
                 nodes: self.nodes.as_mut_ptr(),
+                cells: self.plane.cells_ptr(),
+                width: self.plane.width(),
                 samplers: self
                     .samplers
                     .as_mut()
                     .map_or(std::ptr::null_mut(), |rows| rows.as_mut_ptr()),
                 shards: shards.as_mut_ptr(),
-                carriers: &index.carriers,
-                masks: &index.masks,
-                alive: &self.alive,
-                rows: &rows,
-                types: &types,
+                carriers: &self.sample_index.carriers,
                 chunks: &chunks,
+                inputs: SampleInputs {
+                    alive: &self.alive,
+                    masks: &self.sample_index.masks,
+                    rows: &rows,
+                    spans: &self.node_cfg.reference_spans,
+                    alpha: self.node_cfg.variability_alpha,
+                },
             };
+            // SAFETY: the pool runs each chunk index below `nchunks` once;
+            // `fill_chunks` partitions the carrier list into at most
+            // `shards.len()` chunks, and the carrier index lists node
+            // indices below `nodes.len()`, which the plane and the sampler
+            // rows were sized to.
             pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
         }
         self.upkeep_pool = Some(pool);
         for shard in shards.iter_mut().take(nchunks) {
             for e in shard.effects.drain(..) {
-                if self.mac.enqueue(e.from, e.dest, e.msg) {
-                    self.record_tx_parts(e.category, e.query);
-                }
+                e.apply(&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
             }
         }
         self.upkeep_shards = shards;
         self.upkeep_chunks = chunks;
-        self.sample_index = index;
     }
 
     fn inject_query(&mut self) {
@@ -1647,10 +1698,14 @@ impl Engine {
     }
 
     fn end_epoch_housekeeping(&mut self) {
-        if self.cfg.protocol == Protocol::Dirq {
+        // Only ATC has per-node epoch-end work; under fixed δ the node
+        // pass would compute σ̂ and discard it.
+        if self.cfg.protocol == Protocol::Dirq
+            && matches!(self.cfg.delta_policy, DeltaPolicy::Adaptive(_))
+        {
             for i in 1..self.nodes.len() {
                 if self.alive[i] {
-                    self.nodes[i].end_epoch();
+                    self.nodes[i].end_epoch(self.plane.sigma_hat_pct(i));
                 }
             }
         }
@@ -1740,7 +1795,12 @@ impl Engine {
                 self.record_rx(&payload);
                 match &*payload {
                     DirqMessage::Update { stype, min, max } => {
-                        let outs = self.nodes[to.index()].on_update(from, *stype, *min, *max);
+                        let node = &mut self.nodes[to.index()];
+                        let children = node.children().len();
+                        let outs = node.on_update(from, *stype, *min, *max);
+                        if node.children().len() != children {
+                            self.tree_version += 1;
+                        }
                         self.dispatch_outgoing(to, outs);
                     }
                     DirqMessage::Retract { stype } => {
@@ -1748,15 +1808,18 @@ impl Engine {
                         self.dispatch_outgoing(to, outs);
                     }
                     DirqMessage::Attach => {
+                        self.tree_version += 1;
                         if self.nodes[to.index()].parent() != Some(from) {
                             self.nodes[to.index()].on_attach(from);
                         }
                     }
                     DirqMessage::Detach => {
+                        self.tree_version += 1;
                         let outs = self.nodes[to.index()].on_child_lost(from);
                         self.dispatch_outgoing(to, outs);
                     }
                     DirqMessage::GeoAdvert(rect) => {
+                        self.tree_version += 1;
                         let outs = self.nodes[to.index()].on_geo_advert(from, *rect);
                         self.dispatch_outgoing(to, outs);
                     }
@@ -1797,6 +1860,7 @@ impl Engine {
                 if self.cfg.protocol != Protocol::Dirq {
                     return;
                 }
+                self.tree_version += 1;
                 if self.nodes[observer.index()].parent() == Some(dead) {
                     let outs = self.nodes[observer.index()].set_parent(None);
                     self.dispatch_outgoing(observer, outs);
@@ -1869,16 +1933,16 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
     }
 }
 
-// --- sharded protocol upkeep -------------------------------------------------
+// --- sensor sampling and the sharded upkeep ---------------------------------
 //
 // Sensor sampling is the one sharded upkeep pass. It is per-node-disjoint
 // exactly like the world advance: each carrier's decisions read shared
-// state (the world readings) but mutate only its own protocol/sampler
-// state. Shards run the real decision path in place and defer the MAC
-// enqueues as [`Effect`]s replayed in chunk order. The serial loop stays
-// as the reference implementation; `tests/upkeep_differential.rs` pins
-// the two paths against each other. Tree repair is always serial (see
-// [`Engine::repair_orphans`]).
+// state (the world readings) but mutate only its own plane row, protocol
+// node and samplers. Every pass — the serial one and each shard — runs
+// [`SampleInputs::sample_carrier`] in place and defers the MAC enqueues
+// as [`Effect`]s replayed in chunk order; `tests/upkeep_differential.rs`
+// pins the sharded split against the serial pass. Tree repair is always
+// serial (see [`Engine::repair_orphans`]).
 
 /// Epochs a node stays detached before the repair fallback adopts an
 /// attached MAC neighbour directly.
@@ -1892,7 +1956,7 @@ const UPKEEP_MIN_NODES: usize = 512;
 /// the work; the serial loop runs even when an upkeep pool exists.
 const UPKEEP_MIN_ITEMS: usize = 256;
 
-/// A MAC enqueue deferred by a sampling shard: [`Engine::dispatch_outgoing`]'s
+/// A MAC enqueue deferred by a sampling pass: [`Engine::dispatch_outgoing`]'s
 /// enqueue + tx record, replayed on the engine in chunk order.
 struct Effect {
     from: NodeId,
@@ -1902,7 +1966,27 @@ struct Effect {
     query: Option<QueryId>,
 }
 
-/// The sharded replica of [`Engine::dispatch_outgoing`]: resolve
+impl Effect {
+    /// Enqueue the message and, if the MAC takes it, record the
+    /// transmission as [`Engine::record_tx_parts`] does — on the engine
+    /// parts it touches, so a pass can replay while it holds the rest.
+    fn apply(
+        self,
+        mac: &mut LmacNetwork<DirqMessage>,
+        metrics: &mut Metrics,
+        pending: &mut PendingSet,
+        epoch: u64,
+    ) {
+        if mac.enqueue(self.from, self.dest, self.msg) {
+            metrics.on_tx(self.category, epoch);
+            if let Some(p) = self.query.and_then(|id| pending.get_mut(id)) {
+                p.tx += 1;
+            }
+        }
+    }
+}
+
+/// The sampling pass's replica of [`Engine::dispatch_outgoing`]: resolve
 /// addressing against the sampling node's own state (no other handler
 /// runs on it inside the pass) and defer the enqueue as an effect.
 fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &mut Vec<Effect>) {
@@ -1942,7 +2026,7 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
     }
 }
 
-/// One worker's buffer for sharded sampling, reused across epochs.
+/// One sampling chunk's effect buffer, reused across epochs.
 #[derive(Default)]
 struct UpkeepShard {
     /// Shared-state mutations to replay in chunk order.
@@ -1967,71 +2051,118 @@ struct SampleIndex {
     carriers: Vec<u32>,
 }
 
+/// What every carrier of one sampling pass reads.
+struct SampleInputs<'a> {
+    alive: &'a [bool],
+    /// Carried-type mask per node (see [`SampleIndex`]).
+    masks: &'a [u64],
+    /// Current readings per type id (`NaN` = no reading), mirroring
+    /// `SensorWorld::reading`.
+    rows: &'a [&'a [f64]],
+    /// Reference span per type id (δ and the variability are relative to
+    /// it).
+    spans: &'a [f64],
+    /// The variability EWMA's smoothing factor.
+    alpha: f64,
+}
+
+impl SampleInputs<'_> {
+    /// Sample carrier `i`'s sensors in type order: the predictive gate,
+    /// the world read, the plane step — entering `node` only for a reading
+    /// that escapes its own tuple — and the sampler's update from the
+    /// cell's window. MAC enqueues are deferred into `effects`.
+    fn sample_carrier(
+        &self,
+        i: usize,
+        node: &mut DirqNode,
+        row: &mut [SensorCell],
+        mut samplers: Option<&mut [Sampler]>,
+        effects: &mut Vec<Effect>,
+    ) {
+        if !self.alive[i] {
+            return;
+        }
+        let mut mask = self.masks[i];
+        while mask != 0 {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if let Some(s) = samplers.as_deref_mut() {
+                if !s[idx].should_sample() {
+                    continue;
+                }
+            }
+            let reading = self.rows[idx][i];
+            if reading.is_nan() {
+                continue;
+            }
+            let stype = dirq_data::SensorType(idx as u8);
+            let cell = &mut row[idx];
+            let outs = sensing::sample(node, cell, stype, reading, self.spans[idx], self.alpha);
+            if !outs.is_empty() {
+                queue_outgoing(node, NodeId::from_index(i), outs, effects);
+            }
+            if let Some(s) = samplers.as_deref_mut() {
+                s[idx].on_sampled(reading, cell.window());
+            }
+        }
+    }
+}
+
 /// Shared view of the engine state a sampling fan-out needs. Raw pointers
-/// because chunks write disjoint `nodes`/`samplers`/`shards` elements —
-/// the carrier chunks partition the node set.
+/// because chunks write disjoint `nodes`/`cells`/`samplers`/`shards`
+/// elements — the carrier chunks partition the node set.
 struct SamplePhase<'a> {
     nodes: *mut DirqNode,
+    /// The sensing plane's cells, `width` per node.
+    cells: *mut SensorCell,
+    width: usize,
     /// Per-node sampler rows; null under [`SamplingStrategy::EveryEpoch`].
     samplers: *mut Vec<Sampler>,
     shards: *mut UpkeepShard,
     carriers: &'a [u32],
-    masks: &'a [u64],
-    alive: &'a [bool],
-    /// Current readings per type id (`NaN` = no reading), mirroring
-    /// `SensorWorld::reading`.
-    rows: &'a [&'a [f64]],
-    types: &'a [dirq_data::SensorType],
     chunks: &'a [(u32, u32)],
+    inputs: SampleInputs<'a>,
 }
 
 // SAFETY: `run_chunk(k)` for distinct `k` touches disjoint state — the
 // chunks partition the carrier list and carriers are distinct node
-// indices, so the node/sampler entries written by different chunks never
-// alias, and shard `k` is written by chunk `k` alone.
+// indices, so the node/plane-row/sampler entries written by different
+// chunks never alias, and shard `k` is written by chunk `k` alone.
 unsafe impl Sync for SamplePhase<'_> {}
 
 impl SamplePhase<'_> {
-    /// Run chunk `k`'s carriers through the sampling decision path,
+    /// Run chunk `k`'s carriers through [`SampleInputs::sample_carrier`],
     /// deferring shared-state mutations into shard `k`.
     ///
-    /// SAFETY: the caller must run each `k < chunks.len()` at most once
-    /// per phase, with `chunks` a partition of `carriers`.
+    /// # Safety
+    /// The caller must run each `k < chunks.len()` at most once per phase,
+    /// with `chunks` a partition of `carriers`, every carrier a node index
+    /// below the node count the pointers were taken over (`n` nodes, `n`
+    /// plane rows of `width` cells and, when present, `n` sampler rows),
+    /// and `shards` holding at least `chunks.len()` elements.
     unsafe fn run_chunk(&self, k: usize) {
         let (start, end) = self.chunks[k];
         let shard = &mut *self.shards.add(k);
         shard.effects.clear();
         for &ci in &self.carriers[start as usize..end as usize] {
             let i = ci as usize;
-            if !self.alive[i] {
-                continue;
-            }
-            let node_id = NodeId::from_index(i);
-            let node = &mut *self.nodes.add(i);
-            let mut sampler_row = (!self.samplers.is_null()).then(|| &mut *self.samplers.add(i));
-            let mut mask = self.masks[i];
-            while mask != 0 {
-                let idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(row) = sampler_row.as_deref_mut() {
-                    if !row[idx].should_sample() {
-                        continue;
-                    }
-                }
-                let reading = self.rows[idx][i];
-                if reading.is_nan() {
-                    continue;
-                }
-                let stype = self.types[idx];
-                let outs = node.sample(stype, reading);
-                queue_outgoing(node, node_id, outs, &mut shard.effects);
-                if let Some(row) = sampler_row.as_deref_mut() {
-                    let window = node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max));
-                    row[idx].on_sampled(reading, window);
-                }
-            }
+            let row = std::slice::from_raw_parts_mut(self.cells.add(i * self.width), self.width);
+            let samplers =
+                (!self.samplers.is_null()).then(|| (*self.samplers.add(i)).as_mut_slice());
+            self.inputs.sample_carrier(
+                i,
+                &mut *self.nodes.add(i),
+                row,
+                samplers,
+                &mut shard.effects,
+            );
         }
     }
+}
+
+/// `world`'s current readings per type id (`NaN` = no reading).
+fn reading_rows(world: &SensorWorld) -> Vec<&[f64]> {
+    world.catalog().types().map(|t| world.readings(t)).collect()
 }
 
 /// Split `items` work items into at most `nshards` contiguous non-empty
@@ -2193,6 +2324,94 @@ mod tests {
         assert!(!late.is_empty());
         let mean = late.iter().sum::<f64>() / late.len() as f64;
         assert!(mean > 0.85, "post-churn recall {mean:.3} too low");
+    }
+
+    #[test]
+    fn repair_runs_only_after_the_tree_changes() {
+        use dirq_net::churn::ChurnEvent;
+        let base = ScenarioConfig { tree: TreeKind::Bfs, ..small(31) };
+        // A relay whose death orphans its children, and a leaf that is
+        // offline until its birth; without both the deployment stays
+        // connected, so every alive node can reattach.
+        let probe = Engine::new(base.clone());
+        let topo = probe.topology();
+        let connected_without = |a: NodeId, b: NodeId| {
+            let reach = topo.reachable_from(NodeId::ROOT, |u| u != a && u != b);
+            topo.nodes().all(|u| u == a || u == b || reach[u.index()])
+        };
+        let (victim, newborn) = topo
+            .nodes()
+            .skip(1)
+            .filter(|&v| !probe.node(v).children().is_empty())
+            .flat_map(|v| topo.nodes().skip(1).map(move |l| (v, l)))
+            .find(|&(v, l)| {
+                l != v && probe.node(l).children().is_empty() && connected_without(v, l)
+            })
+            .expect("a relay and a leaf that leave the deployment connected");
+        let cfg = ScenarioConfig {
+            churn: ChurnSpec::Explicit(ChurnPlan::new(vec![
+                (30, ChurnEvent::Death(victim)),
+                (150, ChurnEvent::Birth(newborn)),
+            ])),
+            ..base
+        };
+        // Step until the gate opens, then check that open means attached.
+        fn settle(e: &mut Engine) {
+            let start = e.epoch();
+            while !e.repair_gate_open() {
+                assert!(e.epoch() < start + 80, "the repair gate never reopened");
+                e.step_epoch();
+            }
+            let tree = e.protocol_tree();
+            for i in 1..e.nodes.len() {
+                assert!(!e.alive[i] || tree.is_attached(NodeId::from_index(i)));
+            }
+        }
+
+        let mut e = Engine::new(cfg.clone());
+        assert!(!e.repair_gate_open(), "a fresh engine has not repaired yet");
+        e.step_epoch();
+        assert!(e.repair_gate_open(), "the first quiet pass opens the gate");
+        while e.epoch() < 30 {
+            e.step_epoch();
+            assert!(e.repair_gate_open(), "quiet epoch {} closed the gate", e.epoch());
+        }
+        e.step_epoch();
+        assert!(!e.repair_gate_open(), "a death closes the gate");
+        settle(&mut e);
+
+        // A re-parenting: a node hears its (alive) parent die, orphans
+        // itself and adopts a parent again through the repair pass.
+        let child = (1..e.nodes.len())
+            .map(NodeId::from_index)
+            .find(|c| {
+                e.alive[c.index()] && e.nodes[c.index()].parent().is_some_and(|p| !p.is_root())
+            })
+            .expect("a node below a relay");
+        let parent = e.nodes[child.index()].parent().unwrap();
+        e.dispatch_indication(MacIndication::NeighborDied { observer: child, dead: parent });
+        assert_eq!(e.nodes[child.index()].parent(), None);
+        assert!(!e.repair_gate_open(), "an orphaned node closes the gate");
+        settle(&mut e);
+        assert!(e.nodes[child.index()].parent().is_some(), "the orphan re-parented");
+
+        while e.epoch() < 150 {
+            e.step_epoch();
+        }
+        e.step_epoch();
+        assert!(!e.repair_gate_open(), "a birth closes the gate");
+        settle(&mut e);
+
+        // Restore closes the gate of an engine that had it open; the first
+        // pass after it reopens it.
+        let body = e.snapshot();
+        let mut restored = Engine::new(cfg);
+        restored.step_epoch();
+        assert!(restored.repair_gate_open());
+        restored.restore(&body).expect("a fresh snapshot restores");
+        assert!(!restored.repair_gate_open(), "restore closes the gate");
+        restored.step_epoch();
+        assert!(restored.repair_gate_open());
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * [`messages`] — the wire messages (Update, Retract, Query, EHr, …).
 //! * [`range_table`] — Section 4.1's data structure and update rule.
 //! * [`node`] — the per-node protocol state machine.
+//! * `sensing` (crate-private) — the dense per-(node, type) sampling
+//!   state the engine owns; a node is entered only when a reading escapes
+//!   its own tuple.
 //! * [`atc`] — Section 6's Adaptive Threshold Control (reconstructed; the
 //!   companion paper with the original internals is unavailable).
 //! * [`flooding`] — the Section 5.1 baseline.
@@ -38,6 +41,7 @@ pub mod node;
 mod pending;
 pub mod range_table;
 pub mod sampling;
+mod sensing;
 
 pub use atc::{AtcConfig, AtcController, DeltaPolicy};
 pub use engine::{

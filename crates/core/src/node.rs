@@ -1,27 +1,32 @@
 //! The per-node DirQ protocol state machine.
 //!
-//! [`DirqNode`] holds everything a node stores: its place in the spanning
+//! [`DirqNode`] holds a node's protocol state: its place in the spanning
 //! tree (parent + children), one [`RangeTable`] per sensor type with range
 //! information anywhere in its subtree, and the threshold controller. All
 //! handlers are pure state transitions returning [`Outgoing`] actions; the
 //! scenario engine maps those onto LMAC transmissions. This keeps the
 //! protocol unit-testable without a simulator.
 //!
-//! Per-type state (tables, variability EWMA, last reading) is stored in
-//! dense arrays indexed by [`SensorType::index`] rather than `BTreeMap`s:
-//! the per-epoch sampling scan touches every carried `(node, type)` pair,
-//! and an indexed load replaces a tree walk on that path. Iteration over
-//! types ascends the index, which is exactly the `BTreeMap` visit order the
-//! protocol used before, so message emission order is unchanged.
+//! What every sample touches — the last reading, the variability estimate
+//! and a copy of the own tuple — lives in the engine's dense sensing plane
+//! (the crate-private `sensing` module), and a node is entered only when a
+//! reading escapes its own tuple ([`DirqNode::sample`]). The range tables
+//! are a dense array indexed by [`SensorType::index`]; iteration over types
+//! ascends the index, so message emission order follows the type order.
+//! Every node of a deployment shares one [`NodeConfig`].
+
+use std::sync::Arc;
 
 use dirq_data::{QueryId, RangeQuery, SensorType};
 use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
+use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 use crate::atc::{AtcController, DeltaPolicy};
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
 use crate::range_table::{RangeEntry, RangeTable};
+use crate::sensing::SensorCell;
 
 /// An action requested by a protocol handler.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,19 +75,13 @@ pub struct DirqNode {
     tables: Vec<Option<RangeTable>>,
     delta_pct: f64,
     atc: Option<AtcController>,
-    /// Per-type EWMA of |Δreading| per epoch, in percent of reference span,
-    /// indexed by `SensorType::index`.
-    variability: Vec<Option<Ewma>>,
-    /// Last reading per type (`NaN`: none yet), indexed by
-    /// `SensorType::index`.
-    last_reading: Vec<f64>,
     /// Query ids already processed (duplicate suppression after repairs).
     seen_queries: Vec<QueryId>,
     /// Location extension: subtree bounding boxes (empty when localisation
     /// is unavailable — DirQ works without it).
     geo: GeoTable,
     updates_sent: u64,
-    cfg: NodeConfig,
+    cfg: Arc<NodeConfig>,
 }
 
 /// Bound on the duplicate-suppression memory.
@@ -90,7 +89,7 @@ const SEEN_QUERIES_CAP: usize = 64;
 
 impl DirqNode {
     /// Fresh node with no tree links and empty tables.
-    pub fn new(id: NodeId, cfg: NodeConfig) -> Self {
+    pub fn new(id: NodeId, cfg: Arc<NodeConfig>) -> Self {
         let (delta_pct, atc) = match cfg.delta_policy {
             DeltaPolicy::Fixed(pct) => {
                 assert!(pct > 0.0, "fixed δ must be positive");
@@ -101,8 +100,8 @@ impl DirqNode {
                 (c.delta_pct(), Some(c))
             }
         };
-        // Pre-size the per-type arrays from the configured spans; types
-        // registered after deployment grow them on demand.
+        // Pre-size the table array from the configured spans; types
+        // registered after deployment grow it on demand.
         let n_types = cfg.reference_spans.len();
         DirqNode {
             id,
@@ -111,8 +110,6 @@ impl DirqNode {
             tables: vec![None; n_types],
             delta_pct,
             atc,
-            variability: vec![None; n_types],
-            last_reading: vec![f64::NAN; n_types],
             seen_queries: Vec::new(),
             geo: GeoTable::new(),
             updates_sent: 0,
@@ -120,13 +117,11 @@ impl DirqNode {
         }
     }
 
-    /// Grow the per-type arrays so `idx` is addressable (late-registered
+    /// Grow the table array so `idx` is addressable (late-registered
     /// sensor types).
     fn ensure_type(&mut self, idx: usize) {
         if self.tables.len() <= idx {
             self.tables.resize(idx + 1, None);
-            self.variability.resize(idx + 1, None);
-            self.last_reading.resize(idx + 1, f64::NAN);
         }
     }
 
@@ -173,16 +168,6 @@ impl DirqNode {
             .enumerate()
             .filter(|(_, t)| t.is_some())
             .map(|(i, _)| SensorType(i as u8))
-    }
-
-    /// Smoothed signal variability for ATC, in percent of span (max over
-    /// carried types: the most volatile sensor drives the update rate).
-    pub fn sigma_hat_pct(&self) -> Option<f64> {
-        self.variability
-            .iter()
-            .flatten()
-            .filter_map(|e| e.value())
-            .fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.max(v))))
     }
 
     // --- tree maintenance ---------------------------------------------------
@@ -286,20 +271,14 @@ impl DirqNode {
 
     // --- sensing ------------------------------------------------------------
 
-    /// Process this epoch's reading for a carried sensor type.
+    /// A reading of a carried sensor type escaped the node's own tuple
+    /// (Fig. 1): replace the tuple and flush the table (Fig. 3). The
+    /// engine's sensing plane filters the readings that stay inside and
+    /// keeps the last reading and variability; a contained reading is a
+    /// no-op here too.
     pub fn sample(&mut self, stype: SensorType, reading: f64) -> Vec<Outgoing> {
         let idx = stype.index();
         self.ensure_type(idx);
-        // Variability estimate (percent of span per epoch) for ATC.
-        let span = self.cfg.reference_span(stype);
-        let prev = std::mem::replace(&mut self.last_reading[idx], reading);
-        if !prev.is_nan() {
-            let pct = ((reading - prev).abs() / span) * 100.0;
-            self.variability[idx]
-                .get_or_insert_with(|| Ewma::new(self.cfg.variability_alpha))
-                .observe(pct);
-        }
-
         let delta = self.delta_abs(stype);
         let table = self.tables[idx].get_or_insert_with(RangeTable::new);
         if table.observe_own(reading, delta) {
@@ -430,9 +409,10 @@ impl DirqNode {
         }
     }
 
-    /// End-of-epoch housekeeping: drive the ATC adjustment.
-    pub fn end_epoch(&mut self) {
-        let sigma = self.sigma_hat_pct();
+    /// End-of-epoch housekeeping: drive the ATC adjustment from `sigma`,
+    /// the node's smoothed signal variability in percent of span (the
+    /// sensing plane's maximum over the node's carried types).
+    pub fn end_epoch(&mut self, sigma: Option<f64>) {
         if let Some(atc) = &mut self.atc {
             if let Some(new_delta) = atc.on_epoch_end(sigma) {
                 self.delta_pct = new_delta;
@@ -442,10 +422,12 @@ impl DirqNode {
 
     // --- snapshot -------------------------------------------------------------
 
-    /// Write the node's full dynamic state to `w`. Static configuration
-    /// (id, spans, threshold policy) is rebuilt by the engine constructor
-    /// and not captured.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    /// Write the node's full dynamic state to `w`, with its sensing-plane
+    /// `row` in the variability and last-reading records (each present
+    /// variability as an EWMA record at the configured α). Static
+    /// configuration (id, spans, threshold policy) is rebuilt by the
+    /// engine constructor and not captured.
+    pub(crate) fn snap(&self, w: &mut SnapWriter, row: &[SensorCell]) {
         w.tag(b"NODE");
         w.bool(self.parent.is_some());
         if let Some(p) = self.parent {
@@ -467,14 +449,18 @@ impl DirqNode {
         if let Some(atc) = &self.atc {
             atc.snap(w);
         }
-        w.len_of(self.variability.len());
-        for slot in &self.variability {
-            w.bool(slot.is_some());
-            if let Some(e) = slot {
-                e.snap(w);
+        w.len_of(row.len());
+        for cell in row {
+            w.bool(!cell.variability.is_nan());
+            if !cell.variability.is_nan() {
+                w.f64(self.cfg.variability_alpha);
+                w.opt_f64(Some(cell.variability));
             }
         }
-        w.f64s(&self.last_reading);
+        w.len_of(row.len());
+        for cell in row {
+            w.f64(cell.last);
+        }
         w.len_of(self.seen_queries.len());
         for q in &self.seen_queries {
             w.u64(q.0);
@@ -484,9 +470,20 @@ impl DirqNode {
     }
 
     /// Overlay state captured by [`DirqNode::snap`] onto a node built with
-    /// the same id and config.
-    pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
+    /// the same id and config, and onto its sensing-plane `row`, whose
+    /// escape windows are rebuilt from the restored tables. An image that
+    /// names a node id outside the `n_nodes` deployment, or whose sensing
+    /// records do not fit the row and the configured α, is malformed.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        row: &mut [SensorCell],
+        n_nodes: usize,
+    ) -> Result<(), SnapError> {
+        const OUTSIDE: &str = "node id outside the deployment";
+        let inside = |id: &NodeId| id.index() < n_nodes;
         r.tag(b"NODE")?;
+        let pos = r.position();
         self.parent = if r.bool()? { Some(NodeId(r.u32()?)) } else { None };
         let n = r.seq_len(4)?;
         self.children = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
@@ -495,11 +492,16 @@ impl DirqNode {
         for _ in 0..n {
             tables.push(if r.bool()? { Some(RangeTable::unsnap(r)?) } else { None });
         }
+        if !(self.parent.iter().chain(&self.children).all(inside)
+            && tables.iter().flatten().all(|t: &RangeTable| t.child_ids().iter().all(inside)))
+        {
+            return Err(SnapError::Malformed { pos, what: OUTSIDE });
+        }
         self.tables = tables;
         self.delta_pct = r.f64()?;
         let pos = r.position();
         if r.bool()? != self.atc.is_some() {
-            return Err(dirq_sim::SnapError::Malformed {
+            return Err(SnapError::Malformed {
                 pos,
                 what: "ATC presence disagrees with the threshold policy",
             });
@@ -507,18 +509,49 @@ impl DirqNode {
         if let Some(atc) = &mut self.atc {
             atc.restore(r)?;
         }
-        let n = r.seq_len(1)?;
-        let mut variability = Vec::with_capacity(n);
-        for _ in 0..n {
-            variability.push(if r.bool()? { Some(Ewma::unsnap(r)?) } else { None });
+        let pos = r.position();
+        if r.seq_len(1)? != row.len() {
+            return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
         }
-        self.variability = variability;
-        self.last_reading = r.f64s()?;
+        for cell in row.iter_mut() {
+            cell.variability = f64::NAN;
+            if r.bool()? {
+                let pos = r.position();
+                let e = Ewma::unsnap(r)?;
+                match e.value() {
+                    Some(v) if !v.is_nan() && e.alpha() == self.cfg.variability_alpha => {
+                        cell.variability = v;
+                    }
+                    _ => {
+                        return Err(SnapError::Malformed {
+                            pos,
+                            what: "variability record disagrees with the node config",
+                        })
+                    }
+                }
+            }
+        }
+        let pos = r.position();
+        if r.seq_len(8)? != row.len() {
+            return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
+        }
+        for cell in row.iter_mut() {
+            cell.last = r.f64()?;
+        }
         let n = r.seq_len(8)?;
         self.seen_queries =
             (0..n).map(|_| r.u64().map(dirq_data::QueryId)).collect::<Result<_, _>>()?;
+        let pos = r.position();
         self.geo = GeoTable::unsnap(r)?;
+        if !self.geo.children().iter().all(|(c, _)| inside(c)) {
+            return Err(SnapError::Malformed { pos, what: OUTSIDE });
+        }
         self.updates_sent = r.u64()?;
+        for (idx, cell) in row.iter_mut().enumerate() {
+            cell.set_window(
+                self.tables.get(idx).and_then(Option::as_ref).and_then(RangeTable::own),
+            );
+        }
         Ok(())
     }
 
@@ -566,13 +599,13 @@ mod tests {
     use super::*;
     use dirq_data::QueryId;
 
-    fn cfg() -> NodeConfig {
-        NodeConfig {
+    fn cfg() -> Arc<NodeConfig> {
+        Arc::new(NodeConfig {
             delta_policy: DeltaPolicy::Fixed(5.0),
             reference_spans: vec![20.0, 40.0],
             variability_alpha: 0.2,
             tx_threshold_factor: 1.0,
-        }
+        })
     }
 
     fn t0() -> SensorType {
@@ -785,16 +818,6 @@ mod tests {
         let out = n.sample(t0(), 40.0);
         assert!(out.is_empty());
         assert!(n.table(t0()).is_some());
-    }
-
-    #[test]
-    fn variability_estimate_tracks_changes() {
-        let mut n = mk(1);
-        assert_eq!(n.sigma_hat_pct(), None);
-        n.sample(t0(), 20.0);
-        n.sample(t0(), 21.0); // |Δ| = 1.0 = 5% of span 20
-        let sigma = n.sigma_hat_pct().unwrap();
-        assert!((sigma - 5.0).abs() < 1e-9, "sigma {sigma}");
     }
 
     #[test]

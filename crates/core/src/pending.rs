@@ -214,10 +214,13 @@ impl PendingSet {
     /// re-inserting each entry in the captured order. Re-insertion
     /// recomputes each entry's due epoch from the (identical) window, and
     /// `insert` appends to `order`, so the finalisation-order contract is
-    /// reproduced exactly. The set must be empty (freshly constructed).
+    /// reproduced exactly. The set must be empty (freshly constructed),
+    /// and every entry must describe the `n_nodes` deployment: sources
+    /// below `n_nodes` and one involved and received flag per node.
     pub(crate) fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
+        n_nodes: usize,
     ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"PEND")?;
         let pos = r.position();
@@ -231,8 +234,21 @@ impl PendingSet {
         for _ in 0..n {
             let query = RangeQuery::unsnap(r)?;
             let epoch = r.u64()?;
+            let pos = r.position();
             let truth = GroundTruth::unsnap(r)?;
             let received = r.bools()?;
+            if truth.sources.iter().any(|s| s.index() >= n_nodes) {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "query source outside the deployment",
+                });
+            }
+            if truth.involved.len() != n_nodes || received.len() != n_nodes {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "query node flags disagree with the deployment size",
+                });
+            }
             let tx = r.u64()?;
             let rx = r.u64()?;
             self.insert(PendingQuery { query, epoch, truth, received, tx, rx });

@@ -21,7 +21,10 @@
 //! mode recomputes every pin fresh and fails CI when a stale golden (or a
 //! stale `BENCH_2.json`) was left behind.
 
-use dirq_core::{run_scenario, AtcConfig, ChurnSpec, DeltaPolicy, ScenarioConfig};
+use dirq_core::{
+    run_scenario, AtcConfig, ChurnSpec, DeltaPolicy, PredictiveConfig, SamplingStrategy,
+    ScenarioConfig,
+};
 use dirq_scenario::registry;
 use dirq_scenario::{run_matrix_report, ScenarioSpec, SweepConfig};
 
@@ -48,6 +51,21 @@ pub fn atc_churn_scenario() -> ScenarioConfig {
         delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
         churn: ChurnSpec::RandomDeaths { deaths: 4, from_epoch: 300, until_epoch: 600 },
         ..ScenarioConfig::paper(64_002)
+    }
+}
+
+/// 64-node predictive-sampling scenario with churn: the Section 8 sampler
+/// gates acquisitions and reads each carried sensor's escape window, so
+/// the skip path, births of fresh sampler rows and repair all run.
+pub fn predictive_scenario() -> ScenarioConfig {
+    ScenarioConfig {
+        n_nodes: 64,
+        epochs: 1_200,
+        measure_from_epoch: 200,
+        delta_policy: DeltaPolicy::Fixed(5.0),
+        sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
+        churn: ChurnSpec::RandomDeaths { deaths: 4, from_epoch: 300, until_epoch: 600 },
+        ..ScenarioConfig::paper(64_003)
     }
 }
 
@@ -171,6 +189,9 @@ pub const GOLDEN_FIXED: u64 = 0x5A2824B6634C0AD8;
 /// Golden fingerprint of [`atc_churn_scenario`].
 pub const GOLDEN_ATC_CHURN: u64 = 0x7B0B79719F5C46E1;
 
+/// Golden fingerprint of [`predictive_scenario`].
+pub const GOLDEN_PREDICTIVE: u64 = 0x93944E10E69BEE27;
+
 /// Golden fingerprint of [`grid_2000_scenario`].
 pub const GOLDEN_GRID_2000: u64 = 0xC6B4B398470A2A93;
 
@@ -243,6 +264,12 @@ pub fn pins() -> Vec<GoldenPin> {
             file: GOLDENS_FILE,
             recorded: GOLDEN_ATC_CHURN,
             compute: || run_scenario(atc_churn_scenario()).stable_fingerprint(),
+        },
+        GoldenPin {
+            name: "GOLDEN_PREDICTIVE",
+            file: GOLDENS_FILE,
+            recorded: GOLDEN_PREDICTIVE,
+            compute: || run_scenario(predictive_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_SNAPSHOT_STATE",

@@ -13,8 +13,9 @@
 //! `cargo run --release -p dirq-bench --bin record_goldens`
 
 use dirq::goldens::{
-    atc_churn_scenario, fixed_delta_scenario, grid_2000_scenario, stress_5000_scenario,
-    GOLDEN_ATC_CHURN, GOLDEN_FIXED, GOLDEN_GRID_2000, GOLDEN_STRESS_5000,
+    atc_churn_scenario, fixed_delta_scenario, grid_2000_scenario, predictive_scenario,
+    stress_5000_scenario, GOLDEN_ATC_CHURN, GOLDEN_FIXED, GOLDEN_GRID_2000, GOLDEN_PREDICTIVE,
+    GOLDEN_STRESS_5000,
 };
 use dirq::prelude::*;
 
@@ -35,6 +36,20 @@ fn atc_churn_metrics_match_golden() {
         r.stable_fingerprint(),
         GOLDEN_ATC_CHURN,
         "fixed-seed ATC/churn metrics drifted from the recorded golden run"
+    );
+}
+
+#[test]
+fn predictive_sampling_metrics_match_golden() {
+    // The predictive sampler reads each carried sensor's escape window
+    // after every acquisition; deaths exercise repair around skipping
+    // nodes.
+    let r = run_scenario(predictive_scenario());
+    assert!(r.samples_skipped > 0, "the predictive sampler must skip some acquisitions");
+    assert_eq!(
+        r.stable_fingerprint(),
+        GOLDEN_PREDICTIVE,
+        "fixed-seed predictive-sampling metrics drifted from the recorded golden run"
     );
 }
 

@@ -281,6 +281,77 @@ fn restore_rejects_an_out_of_range_mac_slot() {
     );
 }
 
+/// Byte offsets of every occurrence of `tag` in a snapshot body.
+fn tag_offsets(body: &[u8], tag: &[u8; 4]) -> Vec<usize> {
+    body.windows(4).enumerate().filter(|(_, w)| w == tag).map(|(i, _)| i).collect()
+}
+
+/// A `paper_small` body (fixed δ, 50 nodes) snapshotted at `epoch`, with
+/// the node-state records located: one `NODE` tag per node, root first.
+fn body_at(epoch: u64) -> (Vec<u8>, Vec<usize>) {
+    let mut donor = Engine::new(variant_config(17, 0, 60));
+    for _ in 0..epoch {
+        donor.step_epoch();
+    }
+    let body = donor.snapshot();
+    let nodes = tag_offsets(&body, b"NODE");
+    assert_eq!(nodes.len(), 50, "one NODE record per node");
+    (body, nodes)
+}
+
+/// Restoring `body` fails with the typed error `what` (the engine would
+/// otherwise index past the deployment on its next step).
+fn assert_rejected(body: &[u8], what: &str) {
+    match Engine::new(variant_config(17, 0, 60)).restore(body) {
+        Err(SnapError::Malformed { what: got, .. }) => assert_eq!(got, what),
+        other => panic!("a node id outside the deployment restored: {other:?}"),
+    }
+}
+
+/// A parent pointer outside the deployment is a typed error at restore.
+#[test]
+fn restore_rejects_a_parent_outside_the_deployment() {
+    let (mut body, nodes) = body_at(10);
+    // Node 1's record: "NODE", the parent flag, then the parent id (u32).
+    let at = nodes[1] + 4;
+    assert_eq!(body[at], 1, "node 1 has a parent");
+    body[at + 1..at + 5].copy_from_slice(&60_000u32.to_le_bytes());
+    assert_rejected(&body, "node id outside the deployment");
+}
+
+/// A child id outside the deployment is a typed error at restore.
+#[test]
+fn restore_rejects_a_child_outside_the_deployment() {
+    let (mut body, nodes) = body_at(10);
+    // The root's record: "NODE", the parent flag (none), the child count
+    // (u64), then the child ids (u32).
+    let at = nodes[0] + 4;
+    assert_eq!(body[at], 0, "the root has no parent");
+    assert!(u64::from_le_bytes(body[at + 1..at + 9].try_into().unwrap()) > 0);
+    body[at + 9..at + 13].copy_from_slice(&60_000u32.to_le_bytes());
+    assert_rejected(&body, "node id outside the deployment");
+}
+
+/// A pending query whose ground truth names a source outside the
+/// deployment is a typed error at restore.
+#[test]
+fn restore_rejects_a_query_source_outside_the_deployment() {
+    // At epoch 25 the query injected at epoch 20 is still in flight.
+    let (mut body, _) = body_at(25);
+    let pend = tag_offsets(&body, b"PEND");
+    assert_eq!(pend.len(), 1);
+    // "PEND", the entry count (u64); the first entry's query: id (u64),
+    // type (u8), bounds (2 × f64), region flag; its epoch (u64); then the
+    // ground truth: the source count (u64) and the source ids (u32).
+    let at = pend[0] + 4;
+    assert!(u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) > 0, "a query in flight");
+    assert_eq!(body[at + 33], 0, "a value query has no region");
+    let sources = at + 42;
+    assert!(u64::from_le_bytes(body[sources..sources + 8].try_into().unwrap()) > 0);
+    body[sources + 8..sources + 12].copy_from_slice(&60_000u32.to_le_bytes());
+    assert_rejected(&body, "query source outside the deployment");
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
