@@ -54,9 +54,9 @@ pub fn atc_churn_scenario() -> ScenarioConfig {
     }
 }
 
-/// 64-node predictive-sampling scenario with churn: the Section 8 sampler
+/// 64-node predictive-sampling scenario with deaths: the Section 8 sampler
 /// gates acquisitions and reads each carried sensor's escape window, so
-/// the skip path, births of fresh sampler rows and repair all run.
+/// the skip path runs next to tree repair around the dead nodes.
 pub fn predictive_scenario() -> ScenarioConfig {
     ScenarioConfig {
         n_nodes: 64,
