@@ -124,7 +124,7 @@ pub fn run_and_record(specs: &[ScenarioSpec], cfg: &SweepConfig, out: &str) -> S
         doc.set("throughput", Json::Arr(throughput));
     }
     // Carry the recorded trajectory forward: previous (wall, fingerprint)
-    // pairs stay in the artifact so the scale history reads like BENCH_1.
+    // pairs stay in the artifact as its scale history.
     doc.set("history", history_with(out, &report, wall));
     std::fs::write(out, doc.render_pretty()).expect("write scenario matrix json");
     println!("wrote {out}");

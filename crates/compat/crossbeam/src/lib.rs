@@ -1,9 +1,13 @@
 //! Offline drop-in subset of the `crossbeam` API.
 //!
-//! The workspace only uses `crossbeam::channel::unbounded`; this local
-//! crate maps it onto `std::sync::mpsc`, which has the same semantics for
-//! the sweep-runner's fan-in pattern (clonable senders, receiver iteration
-//! ending when every sender is dropped).
+//! Nothing in the workspace calls this crate any more: the sweep runner
+//! that used `crossbeam::channel::unbounded` now fans out over scoped
+//! threads. It stays only because `dirq-sim`'s manifest still names it
+//! and the benchmark's lockfile (`perfbench/Cargo.lock`) records it;
+//! dropping the manifest line rewrites that lockfile, so both go together
+//! in a change to the benchmark. The channel maps onto `std::sync::mpsc`
+//! (clonable senders, receiver iteration ending when every sender is
+//! dropped).
 
 pub mod channel {
     //! MPMC-ish channels (MPSC is all the workspace needs).

@@ -25,7 +25,7 @@ use dirq_net::churn::ChurnPlan;
 use dirq_net::placement::{Placement, SinkPlacement};
 use dirq_net::radio::{LogDistance, UnitDisk};
 use dirq_net::{NodeId, SpanningTree, Topology};
-use dirq_sim::runner::WorkerPool;
+use dirq_sim::runner;
 use dirq_sim::stats::Ewma;
 use dirq_sim::{RngFactory, SimRng, SnapError, SnapReader, SnapWriter};
 
@@ -166,10 +166,13 @@ pub struct ScenarioConfig {
     /// scenario when `None`).
     pub world: Option<WorldConfig>,
     /// Worker threads for the per-epoch world advance (split per-node RNG
-    /// streams shard over node ranges). Never affects results — the
-    /// sharded advance is bit-identical at any count. The scenario sweep's
-    /// one `workers` knob sets this field and `upkeep_workers` together;
-    /// the MAC's slot loop is serial (`lmac.workers` is inert).
+    /// streams shard over node ranges, on scoped threads started for each
+    /// advance). Resolved once at construction: 1 below 512 nodes,
+    /// otherwise clamped to the host's available parallelism. Never
+    /// affects results — the sharded advance is bit-identical at any
+    /// count. The scenario sweep's one `workers` knob sets this field and
+    /// `upkeep_workers` together; the MAC's slot loop is serial
+    /// (`lmac.workers` is inert).
     pub world_workers: usize,
     /// Inert: nothing in the workspace reads or sets it. Indication
     /// dispatch between MAC slots is always serial. The field stays only
@@ -177,10 +180,10 @@ pub struct ScenarioConfig {
     /// it once the benchmark stops setting it.
     pub dispatch_workers: usize,
     /// Worker threads for sensor sampling, the only sharded protocol-upkeep
-    /// pass (carrier chunks run in place, with the MAC enqueues replayed in
-    /// chunk order; tree repair is always serial). Like `world_workers`,
-    /// never affects results — sharded sampling is bit-identical at any
-    /// count.
+    /// pass (carrier chunks run in place on scoped threads, with the MAC
+    /// enqueues replayed in chunk order; tree repair is always serial).
+    /// Resolved like `world_workers`, and like it never affects results —
+    /// sharded sampling is bit-identical at any count.
     pub upkeep_workers: usize,
     /// Epochs to wait after injection before scoring a query.
     pub completion_window: u64,
@@ -426,12 +429,10 @@ pub struct Engine {
     /// Scratch: true-source membership bits for [`Engine::finalize_query`]
     /// (set and cleared per query).
     source_mark: Vec<bool>,
-    /// Worker pool for sharded sensor sampling, the only sharded upkeep
-    /// pass; `None` = serial. The `upkeep_workers` knob resolves here
-    /// against the host parallelism and a node-count floor.
-    upkeep_pool: Option<WorkerPool>,
-    /// Per-chunk effect buffers for sampling, one per upkeep worker and
-    /// at least one: the serial pass uses the first.
+    /// Per-chunk effect buffers for sensor sampling, the only sharded
+    /// upkeep pass: one per upkeep worker, and one alone runs the serial
+    /// pass. The `upkeep_workers` knob resolves to this count against the
+    /// host parallelism and a node-count floor.
     upkeep_shards: Vec<UpkeepShard>,
     /// Scratch: `[start, end)` chunk bounds per upkeep worker.
     upkeep_chunks: Vec<(u32, u32)>,
@@ -707,15 +708,14 @@ impl Engine {
 
         // Sharded sampling engages only when the knob asks for several
         // workers, the deployment is big enough to feed them and the host
-        // actually has the cores (WorkerPool clamps to the hardware) — a
-        // 1-core box resolves to the serial loops.
-        let upkeep_pool = (cfg.upkeep_workers.max(1) > 1 && n >= UPKEEP_MIN_NODES)
-            .then(|| WorkerPool::new(cfg.upkeep_workers))
-            .filter(|p| p.workers() > 1);
-        let upkeep_shards: Vec<UpkeepShard> =
-            (0..upkeep_pool.as_ref().map_or(1, WorkerPool::workers))
-                .map(|_| UpkeepShard::default())
-                .collect();
+        // actually has the cores — a 1-core box resolves to the serial
+        // loop. The host is queried only when the first two hold.
+        let upkeep_workers = if cfg.upkeep_workers > 1 && n >= UPKEEP_MIN_NODES {
+            cfg.upkeep_workers.min(runner::host_threads())
+        } else {
+            1
+        };
+        let upkeep_shards = (0..upkeep_workers).map(|_| UpkeepShard::default()).collect();
 
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
@@ -742,7 +742,6 @@ impl Engine {
             ind_buf: Vec::with_capacity(64),
             finalize_buf: Vec::new(),
             source_mark: vec![false; n],
-            upkeep_pool,
             upkeep_shards,
             upkeep_chunks: Vec::new(),
             force_upkeep: false,
@@ -810,15 +809,12 @@ impl Engine {
     }
 
     /// Test hook: shard sensor sampling, the only sharded upkeep pass,
-    /// over `workers` shards every epoch, bypassing the size thresholds
-    /// (the upkeep differential suite pins this path bit-equal to the
-    /// serial reference). On hosts with fewer cores the pool degrades to
-    /// the caller draining all chunks — the chunk/merge logic still runs
-    /// in full.
+    /// over `workers` shards and threads every epoch, bypassing the size
+    /// thresholds and the host's core count (the upkeep differential suite
+    /// pins this path bit-equal to the serial reference).
     #[doc(hidden)]
     pub fn force_sharded_upkeep(&mut self, workers: usize) {
         assert!(workers > 1, "forcing sharded upkeep requires at least two shards");
-        self.upkeep_pool = Some(WorkerPool::new(workers));
         self.upkeep_shards = (0..workers).map(|_| UpkeepShard::default()).collect();
         self.force_upkeep = true;
     }
@@ -1029,7 +1025,7 @@ impl Engine {
     /// Serialize the engine's full dynamic state to a snapshot body.
     ///
     /// Static structure — topology, tree construction, churn plan, world
-    /// fields, node configuration, worker pools — is rebuilt
+    /// fields, node configuration, worker counts — is rebuilt
     /// deterministically by [`Engine::new`] from the same
     /// [`ScenarioConfig`], so only the state that evolves per epoch is
     /// captured: the MAC (with in-flight frames), the world's stochastic
@@ -1111,7 +1107,7 @@ impl Engine {
         }
         self.alive = alive;
         self.qgen.restore(&mut r)?;
-        self.pending.restore(&mut r, n)?;
+        self.pending.restore(&mut r, n, self.qgen.next_id())?;
         let pos = r.position();
         let metrics = Metrics::unsnap(&mut r)?;
         if metrics.measure_from_epoch != self.cfg.measure_from_epoch {
@@ -1593,52 +1589,55 @@ impl Engine {
     }
 
     /// Sharded sampling: carrier chunks run the same per-carrier path as
-    /// the serial pass, in place — nodes, plane rows and samplers are
-    /// per-node-disjoint — each deferring its MAC enqueues into its own
-    /// shard, replayed in chunk order: the serial order. Sampling reads no
-    /// MAC, metrics or pending state, so deferring changes nothing.
+    /// the serial pass, in place — chunk k owns the nodes, plane rows and
+    /// samplers up to the next chunk's first carrier — each deferring its
+    /// MAC enqueues into its own shard, replayed in chunk order: the serial
+    /// order. Sampling reads no MAC, metrics or pending state, so deferring
+    /// changes nothing.
     fn sample_sensors_sharded(&mut self) {
-        let mut shards = std::mem::take(&mut self.upkeep_shards);
-        let mut chunks = std::mem::take(&mut self.upkeep_chunks);
-        fill_chunks(&mut chunks, self.sample_index.carriers.len(), shards.len());
-        let nchunks = chunks.len();
-        let mut pool = self.upkeep_pool.take().expect("sharded upkeep requires a pool");
+        let carriers = &self.sample_index.carriers;
+        let threads = self.upkeep_shards.len();
+        fill_chunks(&mut self.upkeep_chunks, carriers.len(), threads);
+        let rows = reading_rows(&self.world);
+        let inputs = SampleInputs {
+            alive: &self.alive,
+            masks: &self.sample_index.masks,
+            rows: &rows,
+            spans: &self.node_cfg.reference_spans,
+            alpha: self.node_cfg.variability_alpha,
+        };
+        let n = self.nodes.len();
+        let width = self.plane.width();
+        let mut nodes = &mut self.nodes[..];
+        let mut cells = self.plane.cells_mut();
+        let mut samplers = self.samplers.as_deref_mut();
+        let mut chunks = Vec::with_capacity(self.upkeep_chunks.len());
+        let mut first = 0;
+        for (k, (&(start, end), shard)) in
+            self.upkeep_chunks.iter().zip(&mut self.upkeep_shards).enumerate()
         {
-            let rows = reading_rows(&self.world);
-            let phase = SamplePhase {
-                nodes: self.nodes.as_mut_ptr(),
-                cells: self.plane.cells_ptr(),
-                width: self.plane.width(),
-                samplers: self
-                    .samplers
-                    .as_mut()
-                    .map_or(std::ptr::null_mut(), |rows| rows.as_mut_ptr()),
-                shards: shards.as_mut_ptr(),
-                carriers: &self.sample_index.carriers,
-                chunks: &chunks,
-                inputs: SampleInputs {
-                    alive: &self.alive,
-                    masks: &self.sample_index.masks,
-                    rows: &rows,
-                    spans: &self.node_cfg.reference_spans,
-                    alpha: self.node_cfg.variability_alpha,
-                },
-            };
-            // SAFETY: the pool runs each chunk index below `nchunks` once;
-            // `fill_chunks` partitions the carrier list into at most
-            // `shards.len()` chunks, and the carrier index lists node
-            // indices below `nodes.len()`, which the plane and the sampler
-            // rows were sized to.
-            pool.run(nchunks, &|k| unsafe { phase.run_chunk(k) });
+            let next = self
+                .upkeep_chunks
+                .get(k + 1)
+                .map_or(n, |&(next_start, _)| carriers[next_start as usize] as usize);
+            let len = next - first;
+            chunks.push(SampleChunk {
+                first,
+                width,
+                carriers: &carriers[start as usize..end as usize],
+                nodes: split_front(&mut nodes, len),
+                cells: split_front(&mut cells, len * width),
+                samplers: samplers.as_mut().map(|rows| split_front(rows, len)),
+                effects: &mut shard.effects,
+            });
+            first = next;
         }
-        self.upkeep_pool = Some(pool);
-        for shard in shards.iter_mut().take(nchunks) {
+        runner::for_each_mut(&mut chunks, threads, |chunk| chunk.sample(&inputs));
+        for shard in &mut self.upkeep_shards[..self.upkeep_chunks.len()] {
             for e in shard.effects.drain(..) {
                 e.apply(&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
             }
         }
-        self.upkeep_shards = shards;
-        self.upkeep_chunks = chunks;
     }
 
     fn inject_query(&mut self) {
@@ -1949,11 +1948,11 @@ fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
 const DETACH_FALLBACK_EPOCHS: u64 = 25;
 
 /// Deployments below this node count never have a sampling pass dense
-/// enough to shard; skip even creating the pool.
+/// enough to shard; their upkeep worker count resolves to 1.
 const UPKEEP_MIN_NODES: usize = 512;
 
 /// Below this many carrier nodes to sample the fan-out costs more than
-/// the work; the serial loop runs even when an upkeep pool exists.
+/// the work; the serial loop runs at any upkeep worker count.
 const UPKEEP_MIN_ITEMS: usize = 256;
 
 /// A MAC enqueue deferred by a sampling pass: [`Engine::dispatch_outgoing`]'s
@@ -2108,56 +2107,40 @@ impl SampleInputs<'_> {
     }
 }
 
-/// Shared view of the engine state a sampling fan-out needs. Raw pointers
-/// because chunks write disjoint `nodes`/`cells`/`samplers`/`shards`
-/// elements — the carrier chunks partition the node set.
-struct SamplePhase<'a> {
-    nodes: *mut DirqNode,
-    /// The sensing plane's cells, `width` per node.
-    cells: *mut SensorCell,
+/// One sampling chunk's share of the engine: the state of nodes
+/// `first..first + nodes.len()` (`width` plane cells per node), the
+/// chunk's carriers among them, and its shard's effect buffer.
+struct SampleChunk<'a> {
+    first: usize,
     width: usize,
-    /// Per-node sampler rows; null under [`SamplingStrategy::EveryEpoch`].
-    samplers: *mut Vec<Sampler>,
-    shards: *mut UpkeepShard,
     carriers: &'a [u32],
-    chunks: &'a [(u32, u32)],
-    inputs: SampleInputs<'a>,
+    nodes: &'a mut [DirqNode],
+    cells: &'a mut [SensorCell],
+    /// Per-node sampler rows; `None` under [`SamplingStrategy::EveryEpoch`].
+    samplers: Option<&'a mut [Vec<Sampler>]>,
+    effects: &'a mut Vec<Effect>,
 }
 
-// SAFETY: `run_chunk(k)` for distinct `k` touches disjoint state — the
-// chunks partition the carrier list and carriers are distinct node
-// indices, so the node/plane-row/sampler entries written by different
-// chunks never alias, and shard `k` is written by chunk `k` alone.
-unsafe impl Sync for SamplePhase<'_> {}
-
-impl SamplePhase<'_> {
-    /// Run chunk `k`'s carriers through [`SampleInputs::sample_carrier`],
-    /// deferring shared-state mutations into shard `k`.
-    ///
-    /// # Safety
-    /// The caller must run each `k < chunks.len()` at most once per phase,
-    /// with `chunks` a partition of `carriers`, every carrier a node index
-    /// below the node count the pointers were taken over (`n` nodes, `n`
-    /// plane rows of `width` cells and, when present, `n` sampler rows),
-    /// and `shards` holding at least `chunks.len()` elements.
-    unsafe fn run_chunk(&self, k: usize) {
-        let (start, end) = self.chunks[k];
-        let shard = &mut *self.shards.add(k);
-        shard.effects.clear();
-        for &ci in &self.carriers[start as usize..end as usize] {
+impl SampleChunk<'_> {
+    /// Run the chunk's carriers through [`SampleInputs::sample_carrier`],
+    /// deferring shared-state mutations into the chunk's effects.
+    fn sample(&mut self, inputs: &SampleInputs<'_>) {
+        self.effects.clear();
+        for &ci in self.carriers {
             let i = ci as usize;
-            let row = std::slice::from_raw_parts_mut(self.cells.add(i * self.width), self.width);
-            let samplers =
-                (!self.samplers.is_null()).then(|| (*self.samplers.add(i)).as_mut_slice());
-            self.inputs.sample_carrier(
-                i,
-                &mut *self.nodes.add(i),
-                row,
-                samplers,
-                &mut shard.effects,
-            );
+            let j = i - self.first;
+            let row = &mut self.cells[j * self.width..(j + 1) * self.width];
+            let samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
+            inputs.sample_carrier(i, &mut self.nodes[j], row, samplers, self.effects);
         }
     }
+}
+
+/// Split the first `len` elements off `rest`, leaving the remainder there.
+fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(len);
+    *rest = back;
+    front
 }
 
 /// `world`'s current readings per type id (`NaN` = no reading).

@@ -7,9 +7,11 @@
 //! swap_remove sweep per epoch — with three indexes:
 //!
 //! * a **slab** of entries with a free list, so entries never move;
-//! * a **dense by-id map** (query ids are assigned sequentially by
-//!   [`dirq_data::QueryGenerator`]), making [`PendingSet::get_mut`] O(1)
-//!   — the single accessor behind every tally site;
+//! * a **by-id hash index**, making [`PendingSet::get_mut`] O(1) — the
+//!   single accessor behind every tally site. It is sparse, so no
+//!   allocation is sized by a query id (a restored image can carry any
+//!   id), and only ever looked up, never iterated, so no order depends
+//!   on it;
 //! * an **epoch-bucketed expiry ring**: an entry injected at epoch `e`
 //!   lands in bucket `(e + window) % ring_len`, so the per-epoch expiry
 //!   check is one bucket probe instead of a scan over the pending set.
@@ -21,6 +23,8 @@
 //! vec-equivalent sequence, mutated by the same `swap_remove` steps);
 //! the property tests below pin ring mode, linear mode and the legacy
 //! vec model against each other.
+
+use std::collections::HashMap;
 
 use dirq_data::workload::GroundTruth;
 use dirq_data::RangeQuery;
@@ -43,9 +47,6 @@ pub(crate) struct PendingQuery {
 /// hand-built configurations.
 const MAX_RING_WINDOW: u64 = 4_096;
 
-/// Sentinel in the by-id map: no pending entry for this id.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Id-indexed slab of in-flight queries with an epoch-bucketed expiry
 /// ring. See the module docs for the determinism contract.
 ///
@@ -58,9 +59,8 @@ pub(crate) struct PendingSet {
     slots: Vec<Option<PendingQuery>>,
     /// Free slot indices.
     free: Vec<u32>,
-    /// `by_id[query.id]` → slot ([`NO_SLOT`] = absent). Dense: the
-    /// generator assigns ids sequentially from 0.
-    by_id: Vec<u32>,
+    /// Query id → slot of every entry in flight.
+    by_id: HashMap<QueryId, u32>,
     /// Slot indices in the legacy vec's order (including its historical
     /// `swap_remove` shuffles) — the finalisation order contract.
     order: Vec<u32>,
@@ -78,7 +78,7 @@ impl PendingSet {
             window,
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: Vec::new(),
+            by_id: HashMap::new(),
             order: Vec::new(),
             pos_in_order: Vec::new(),
             ring,
@@ -103,7 +103,7 @@ impl PendingSet {
     /// order relies on it only when several entries share an epoch, where
     /// the sweep fallback keeps the legacy order anyway).
     pub(crate) fn insert(&mut self, p: PendingQuery) {
-        let id = p.query.id.0 as usize;
+        let id = p.query.id;
         let due = p.epoch.saturating_add(self.window);
         let slot = match self.free.pop() {
             Some(s) => {
@@ -115,11 +115,8 @@ impl PendingSet {
                 (self.slots.len() - 1) as u32
             }
         };
-        if id >= self.by_id.len() {
-            self.by_id.resize(id + 1, NO_SLOT);
-        }
-        debug_assert_eq!(self.by_id[id], NO_SLOT, "duplicate pending query id");
-        self.by_id[id] = slot;
+        let previous = self.by_id.insert(id, slot);
+        debug_assert!(previous.is_none(), "duplicate pending query id");
         if self.pos_in_order.len() <= slot as usize {
             self.pos_in_order.resize(slot as usize + 1, 0);
         }
@@ -133,10 +130,7 @@ impl PendingSet {
 
     /// The single lookup accessor: the entry for `id`, if still pending.
     pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut PendingQuery> {
-        let slot = *self.by_id.get(id.0 as usize)?;
-        if slot == NO_SLOT {
-            return None;
-        }
+        let slot = *self.by_id.get(&id)?;
         self.slots[slot as usize].as_mut()
     }
 
@@ -173,10 +167,9 @@ impl PendingSet {
         let order = std::mem::take(&mut self.order);
         let mut out = Vec::with_capacity(order.len());
         for slot in order {
-            let p = self.slots[slot as usize].take().expect("ordered slots are occupied");
-            self.by_id[p.query.id.0 as usize] = NO_SLOT;
-            out.push(p);
+            out.push(self.slots[slot as usize].take().expect("ordered slots are occupied"));
         }
+        self.by_id.clear();
         self.slots.clear();
         self.free.clear();
         self.pos_in_order.clear();
@@ -216,11 +209,14 @@ impl PendingSet {
     /// `insert` appends to `order`, so the finalisation-order contract is
     /// reproduced exactly. The set must be empty (freshly constructed),
     /// and every entry must describe the `n_nodes` deployment: sources
-    /// below `n_nodes` and one involved and received flag per node.
+    /// below `n_nodes` and one involved and received flag per node. Ids
+    /// must be distinct and below `id_cursor`, the restored generator's
+    /// next id, as every id the generator handed out is.
     pub(crate) fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
         n_nodes: usize,
+        id_cursor: u64,
     ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"PEND")?;
         let pos = r.position();
@@ -232,7 +228,20 @@ impl PendingSet {
         }
         let n = r.seq_len(1)?;
         for _ in 0..n {
+            let pos = r.position();
             let query = RangeQuery::unsnap(r)?;
+            if query.id.0 >= id_cursor {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "in-flight query id not below the id cursor",
+                });
+            }
+            if self.by_id.contains_key(&query.id) {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "duplicate in-flight query id",
+                });
+            }
             let epoch = r.u64()?;
             let pos = r.position();
             let truth = GroundTruth::unsnap(r)?;
@@ -282,7 +291,7 @@ impl PendingSet {
             self.pos_in_order[self.order[pos] as usize] = pos as u32;
         }
         let p = self.slots[slot as usize].take().expect("ordered slots are occupied");
-        self.by_id[p.query.id.0 as usize] = NO_SLOT;
+        self.by_id.remove(&p.query.id);
         self.free.push(slot);
         p
     }

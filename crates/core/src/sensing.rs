@@ -96,9 +96,10 @@ impl SensingPlane {
         &mut self.cells[i * self.width..(i + 1) * self.width]
     }
 
-    /// The cell array, for chunks that each own a disjoint set of rows.
-    pub(crate) fn cells_ptr(&mut self) -> *mut SensorCell {
-        self.cells.as_mut_ptr()
+    /// Every row, node-major, for chunks that each own a disjoint run of
+    /// rows.
+    pub(crate) fn cells_mut(&mut self) -> &mut [SensorCell] {
+        &mut self.cells
     }
 
     /// Node `i`'s smoothed signal variability for ATC, in percent of span:

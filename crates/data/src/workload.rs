@@ -247,6 +247,11 @@ pub struct CalibratedQuery {
     pub truth: GroundTruth,
 }
 
+/// The largest id cursor a restored generator accepts. No run hands out
+/// 2^63 ids, so a cursor past it comes only from a corrupt image, and
+/// every accepted cursor has 2^63 increments left before it overflows.
+const MAX_ID_CURSOR: u64 = 1 << 63;
+
 /// Cold-start calibration: candidate window centres per query.
 const COLD_CANDIDATES: usize = 8;
 /// Cold-start calibration: bisection steps per candidate.
@@ -327,6 +332,12 @@ impl QueryGenerator {
         id
     }
 
+    /// The id the generator hands out next; every id handed out so far is
+    /// below it.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
     /// Write the dynamic state (id cursor, RNG position, warm-start
     /// widths, probe tally) to `w`. Targets, periods and candidate counts
     /// are configuration and are rebuilt by the constructor.
@@ -347,10 +358,17 @@ impl QueryGenerator {
 
     /// Overlay state captured by [`QueryGenerator::snap`]. Calibration
     /// scratch buffers are transient and keep their current (reusable)
-    /// allocation.
+    /// allocation. An id cursor past `MAX_ID_CURSOR` is a typed error.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"QGEN")?;
+        let pos = r.position();
         self.next_id = r.u64()?;
+        if self.next_id > MAX_ID_CURSOR {
+            return Err(dirq_sim::SnapError::Malformed {
+                pos,
+                what: "query id cursor out of range",
+            });
+        }
         self.rng = r.rng()?;
         self.probes = r.u64()?;
         let n = r.seq_len(1)?;

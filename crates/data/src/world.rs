@@ -26,15 +26,15 @@
 //!   draws, and skipping it cannot shift any other stream;
 //! * **stream isolation** — adding/removing a sensor (or churn) never
 //!   perturbs another `(node, type)` sequence;
-//! * **order-free parallelism** — the per-epoch advance shards across the
-//!   [`WorkerPool`] by node range and is **bit-identical at any worker
-//!   count by construction**: each cell's value is a pure function of its
-//!   own key, epoch and local AR(1) state, and the "merge" is the indexed
-//!   write into `readings[type][node]`.
+//! * **order-free parallelism** — the per-epoch advance shards by node
+//!   range over scoped threads ([`runner::for_each_mut`]) and is
+//!   **bit-identical at any worker count by construction**: each cell's
+//!   value is a pure function of its own key, epoch and local AR(1) state,
+//!   and each range writes its own slice of `readings[type]`.
 
 use dirq_net::Topology;
 use dirq_sim::rng::sample_std_normal_pair;
-use dirq_sim::runner::WorkerPool;
+use dirq_sim::runner;
 use dirq_sim::{split_key, RngFactory, SimRng, StreamRng};
 
 use crate::field::SpatialField;
@@ -217,9 +217,9 @@ impl WorldConfig {
 /// epoch's window.
 const DRAW_BUDGET_LOG2: u32 = 3;
 
-/// Below this node count the sharded advance is not worth the dispatch
-/// (the whole epoch is a few microseconds); the serial loop is used even
-/// when a pool is configured. Results are identical either way.
+/// Below this node count the sharded advance is not worth starting
+/// threads for (the whole epoch is a few microseconds); the serial loop
+/// runs at any worker count. Results are identical either way.
 const PARALLEL_MIN_NODES: usize = 512;
 
 /// Per-type dynamic state.
@@ -255,10 +255,11 @@ pub struct SensorWorld {
     mask_cache: Vec<u64>,
     /// Assignment version [`SensorAssignment::version`] the cache mirrors.
     mask_version: Option<u64>,
-    /// Worker pool for the sharded advance (`None` below 2 workers).
-    pool: Option<WorkerPool>,
-    /// Run the sharded advance even when the pool has no runnable helper
-    /// or the world is small (test hook; results are identical).
+    /// Threads for the sharded advance, resolved by
+    /// [`SensorWorld::set_workers`]; 1 runs the serial loop.
+    workers: usize,
+    /// Run the sharded advance even at one thread or in a small world
+    /// (test hook; results are identical).
     force_sharded: bool,
 }
 
@@ -279,66 +280,44 @@ fn generate_cell(
     let mut rng = StreamRng::at(key, epoch << DRAW_BUDGET_LOG2);
     let (z_innovation, z_noise) = sample_std_normal_pair(&mut rng);
     let local_value = local.step_std(z_innovation);
-    // Float addition is not associative: serial and sharded paths must
-    // both evaluate exactly this expression (they do — both call here)
-    // or fixed-seed runs stop being bit-identical across worker counts.
+    // Float addition is not associative: every path must evaluate exactly
+    // this expression (the serial and sharded advance both call here) or
+    // fixed-seed runs stop being bit-identical across worker counts.
     field + shared + local_value + noise_sigma * z_noise
 }
 
-/// Raw per-type pointers for the sharded advance. Shards process disjoint
-/// node ranges, so the indexed stores into `readings` and `locals` never
-/// alias; `field` and `node_keys` are read-only.
-struct TypePtrs {
-    readings: *mut f64,
-    locals: *mut Ar1,
-    field: *const f64,
-    node_keys: *const u64,
+/// One sensor type's cells over one node range: the unit the advance
+/// generates, serially or on any thread.
+struct CellRange<'a> {
+    /// The range's carried-type masks.
+    masks: &'a [u64],
+    /// The type's bit in `masks`.
+    bit: u64,
+    readings: &'a mut [f64],
+    local: &'a mut [Ar1],
+    field: &'a [f64],
+    node_keys: &'a [u64],
+    /// The type's diurnal and regional components this epoch.
     shared: f64,
     noise_sigma: f64,
 }
 
-/// The sharded advance job: per-type pointer bundles plus the shared
-/// read-only inputs each chunk needs.
-struct AdvanceShards<'a> {
-    types: Vec<TypePtrs>,
-    masks: &'a [u64],
-    epoch: u64,
-    n: usize,
-    chunk: usize,
-}
-
-// SAFETY: the raw pointers target disjoint per-node slots across chunks
-// (chunk k owns node range [k·chunk, (k+1)·chunk)); everything else is
-// read-only shared state.
-unsafe impl Sync for AdvanceShards<'_> {}
-
-impl AdvanceShards<'_> {
-    /// Generate every `(node, type)` cell of chunk `k`. Type-outer loop:
-    /// within a type every array access walks the chunk's node range
-    /// sequentially.
-    ///
-    /// # Safety
-    /// Each chunk index must be claimed at most once per epoch (the
-    /// worker pool guarantees exactly-once execution).
-    unsafe fn run_chunk(&self, k: usize) {
-        let lo = k * self.chunk;
-        let hi = (lo + self.chunk).min(self.n);
-        for (t, tp) in self.types.iter().enumerate() {
-            let bit = 1u64 << t;
-            for node in lo..hi {
-                *tp.readings.add(node) = if self.masks[node] & bit != 0 {
-                    generate_cell(
-                        &mut *tp.locals.add(node),
-                        *tp.node_keys.add(node),
-                        self.epoch,
-                        *tp.field.add(node),
-                        tp.shared,
-                        tp.noise_sigma,
-                    )
-                } else {
-                    f64::NAN
-                };
-            }
+impl CellRange<'_> {
+    /// Generate every cell of the range in node order.
+    fn generate_chunk(&mut self, epoch: u64) {
+        for (node, &mask) in self.masks.iter().enumerate() {
+            self.readings[node] = if mask & self.bit != 0 {
+                generate_cell(
+                    &mut self.local[node],
+                    self.node_keys[node],
+                    epoch,
+                    self.field[node],
+                    self.shared,
+                    self.noise_sigma,
+                )
+            } else {
+                f64::NAN
+            };
         }
     }
 }
@@ -412,7 +391,7 @@ impl SensorWorld {
             epoch: 0,
             mask_cache: Vec::new(),
             mask_version: None,
-            pool: None,
+            workers: 1,
             force_sharded: false,
         };
         world.regenerate_readings();
@@ -420,32 +399,27 @@ impl SensorWorld {
     }
 
     /// Configure the parallel advance: shard the per-epoch generation over
-    /// `workers` threads (1 disables the pool). No pool is spawned below
-    /// `PARALLEL_MIN_NODES` — the sharded path would never engage, so
-    /// small worlds skip the helper threads entirely. The pool's helpers
-    /// are clamped to the machine's available parallelism, and a pool
-    /// without a runnable helper (the 1-core case) falls back to the
-    /// serial loop — worker counts only ever change speed, never results.
+    /// `workers` threads (1 keeps the serial loop). Worlds below
+    /// `PARALLEL_MIN_NODES` nodes always run serially, and the count is
+    /// clamped to the machine's available parallelism, so a 1-core host
+    /// runs serially too — worker counts only ever change speed, never
+    /// results.
     pub fn set_workers(&mut self, workers: usize) {
-        self.pool = if workers > 1 && self.assignment.len() >= PARALLEL_MIN_NODES {
-            Some(WorkerPool::new(workers))
+        self.workers = if workers > 1 && self.assignment.len() >= PARALLEL_MIN_NODES {
+            workers.min(runner::host_threads())
         } else {
-            None
+            1
         };
     }
 
-    /// Threads the advance can use (1 when no pool is configured).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
-    }
-
-    /// Run the sharded advance at `workers` threads even on 1-core hosts
-    /// and below the small-world threshold. Differential-test hook;
-    /// results are identical to the serial loop either way.
+    /// Run the sharded advance at `workers` threads (clamped to the
+    /// host) even on 1-core hosts and below the small-world threshold.
+    /// Differential-test hook; results are identical to the serial loop
+    /// either way.
     #[doc(hidden)]
     pub fn force_sharded_advance(&mut self, workers: usize) {
         assert!(workers > 1, "sharded advance requires more than one worker");
-        self.pool = Some(WorkerPool::new(workers));
+        self.workers = workers.min(runner::host_threads());
         self.force_sharded = true;
     }
 
@@ -556,9 +530,9 @@ impl SensorWorld {
 
     /// Draw this epoch's readings. Carriers step their local AR(1) and
     /// noise on the cell's own stream; non-carriers never draw and their
-    /// local process stays frozen. Serial and sharded paths produce
-    /// bit-identical output (each cell is independent), so the path choice
-    /// is purely a speed decision.
+    /// local process stays frozen. The serial and the sharded advance run
+    /// the same chunk generator over different node ranges; each cell is
+    /// independent, so the split is purely a speed decision.
     fn regenerate_readings(&mut self) {
         let n = self.assignment.len();
         let epoch = self.epoch;
@@ -566,58 +540,31 @@ impl SensorWorld {
             self.mask_cache = (0..n).map(|i| self.assignment.carried_mask(i)).collect();
             self.mask_version = Some(self.assignment.version());
         }
-        let sharded = self.pool.is_some()
-            && (self.force_sharded
-                || (n >= PARALLEL_MIN_NODES
-                    && self.pool.as_ref().is_some_and(|p| p.workers() > 1)));
-        if !sharded {
-            // Type-outer loop: the mask, local-state, key, field and
-            // reading arrays all walk node order sequentially.
-            let masks = &self.mask_cache;
-            for (t, state) in self.states.iter_mut().enumerate() {
-                let bit = 1u64 << t;
-                let shared = state.diurnal.value(epoch) + state.regional.value();
-                let row = &mut self.readings[t];
-                for node in 0..n {
-                    row[node] = if masks[node] & bit != 0 {
-                        generate_cell(
-                            &mut state.local[node],
-                            state.node_keys[node],
-                            epoch,
-                            state.field_at_node[node],
-                            shared,
-                            state.noise_sigma,
-                        )
-                    } else {
-                        f64::NAN
-                    };
-                }
-            }
-            return;
+        // The serial advance is one range per type over every node. The
+        // sharded one cuts chunks of at least 64 nodes, ~4 per worker for
+        // balance.
+        let chunk = if self.force_sharded || self.workers > 1 {
+            n.div_ceil(self.workers * 4).max(64)
+        } else {
+            n.max(1)
+        };
+        let masks = &self.mask_cache;
+        let mut ranges = Vec::new();
+        for (t, (state, row)) in self.states.iter_mut().zip(&mut self.readings).enumerate() {
+            let bit = 1u64 << t;
+            let shared = state.diurnal.value(epoch) + state.regional.value();
+            let noise_sigma = state.noise_sigma;
+            let slices = row
+                .chunks_mut(chunk)
+                .zip(state.local.chunks_mut(chunk))
+                .zip(state.field_at_node.chunks(chunk))
+                .zip(state.node_keys.chunks(chunk))
+                .zip(masks.chunks(chunk));
+            ranges.extend(slices.map(|((((readings, local), field), node_keys), masks)| {
+                CellRange { masks, bit, readings, local, field, node_keys, shared, noise_sigma }
+            }));
         }
-        // Sharded: contiguous node chunks fan out over the pool. The
-        // per-type pointer bundles give each chunk aliasing-free indexed
-        // access to its own node range.
-        let types: Vec<TypePtrs> = self
-            .states
-            .iter_mut()
-            .zip(self.readings.iter_mut())
-            .map(|(state, row)| TypePtrs {
-                readings: row.as_mut_ptr(),
-                locals: state.local.as_mut_ptr(),
-                field: state.field_at_node.as_ptr(),
-                node_keys: state.node_keys.as_ptr(),
-                shared: state.diurnal.value(epoch) + state.regional.value(),
-                noise_sigma: state.noise_sigma,
-            })
-            .collect();
-        let pool = self.pool.as_mut().expect("sharded advance requires the pool");
-        // Chunks of at least 64 nodes, ~4 per worker for balance.
-        let chunk = n.div_ceil(pool.workers() * 4).max(64);
-        let shards = AdvanceShards { types, masks: &self.mask_cache, epoch, n, chunk };
-        // SAFETY: the pool executes each chunk exactly once, and chunks
-        // touch disjoint node ranges (see `AdvanceShards`).
-        pool.run(n.div_ceil(chunk), &|k| unsafe { shards.run_chunk(k) });
+        runner::for_each_mut(&mut ranges, self.workers, |r| r.generate_chunk(epoch));
     }
 
     /// The reading node `node` acquired this epoch for `t`

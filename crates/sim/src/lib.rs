@@ -12,7 +12,8 @@
 //!   used by the measurement harness.
 //! * [`runner`] — a parallel parameter-sweep/matrix executor (one
 //!   simulation per thread, deterministic output ordering, seed
-//!   replication) and the worker pool behind the sharded engine phases.
+//!   replication) over the scoped-thread fan-out that also shards the
+//!   engine's world advance and sensor sampling.
 //! * [`report`] — tiny CSV/ASCII-table emitters for experiment output.
 //! * [`json`] — a deterministic JSON writer/parser for bench artifacts,
 //!   scenario reports and the daemon wire protocol.

@@ -1,15 +1,57 @@
-//! Parallel parameter-sweep executor.
+//! Deterministic fan-out over threads.
 //!
 //! Each figure in the paper sweeps a parameter (threshold δ, relevant-node
 //! percentage, …) over full 20 000-epoch simulations. Individual simulations
 //! are single-threaded and deterministic; the sweep fans the parameter
 //! points across worker threads and returns results in input order, so
 //! parallel and sequential execution produce byte-identical reports.
+//!
+//! Every fan-out in the workspace — the sweep and the engine's two sharded
+//! passes, the world advance and sensor sampling — goes through
+//! [`for_each_mut`]: scoped threads claim the items of one `&mut` slice in
+//! order, so the borrow checker proves that no two threads touch the same
+//! item, and the threads are started and joined within the call.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crossbeam::channel;
+/// Run `f` on every element of `items`, each exactly once, on the calling
+/// thread and `threads − 1` scoped threads (no more threads than items),
+/// which claim items in order. Which thread runs which item varies from
+/// call to call, so `f` must make each item's result depend on that item
+/// alone.
+///
+/// With `threads ≤ 1`, or at most one item, every item runs inline on the
+/// caller and no thread starts. A panicking item propagates to the caller
+/// once every thread has stopped; the other items still run.
+///
+/// ```
+/// let mut cells = [1u64, 2, 3, 4];
+/// dirq_sim::runner::for_each_mut(&mut cells, 2, |x| *x *= *x);
+/// assert_eq!(cells, [1, 4, 9, 16]);
+/// ```
+pub fn for_each_mut<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut());
+    let work = || loop {
+        // Claim in a statement of its own, so `f` runs with the lock
+        // released.
+        let item = queue.lock().expect("nothing panics while holding the claim lock").next();
+        let Some(item) = item else {
+            break;
+        };
+        f(item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
 
 /// Run `f` over every element of `params`, in parallel, preserving order.
 ///
@@ -26,52 +68,14 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    if params.is_empty() {
-        return Vec::new();
-    }
-    let threads = effective_threads(threads, params.len());
-    if threads <= 1 {
-        return params.iter().map(&f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, R)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= params.len() {
-                        break;
-                    }
-                    let r = f(&params[i]);
-                    // The receiver lives as long as the scope; send can only
-                    // fail if the main thread panicked, in which case the
-                    // whole scope unwinds anyway.
-                    let _ = tx.send((i, r));
-                }
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<R>> = (0..params.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker thread panicked before producing a result"))
-            .collect()
-    })
+    let mut cells: Vec<(&P, Option<R>)> = params.iter().map(|p| (p, None)).collect();
+    for_each_mut(&mut cells, effective_threads(threads, params.len()), |(p, r)| *r = Some(f(p)));
+    cells.into_iter().map(|(_, r)| r.expect("every sweep cell ran")).collect()
 }
 
 /// Run a parameter matrix with seed replication: every element of
 /// `params` is evaluated `replicates` times (`f(param, replicate)`), all
-/// cells fanned out over one worker pool, and the results returned as
+/// cells fanned out in one [`run_sweep`], and the results returned as
 /// `out[param_index][replicate]`.
 ///
 /// Like [`run_sweep`], output ordering is independent of `threads`, so a
@@ -101,246 +105,14 @@ where
 
 /// Decide how many worker threads to use for `jobs` work items.
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let t = if requested == 0 { hw } else { requested };
+    let t = if requested == 0 { host_threads() } else { requested };
     t.min(jobs).max(1)
 }
 
-/// Generation tag mask of [`PoolInner::cursor`] (high 32 bits).
-const GEN_MASK: u64 = 0xFFFF_FFFF_0000_0000;
-
-/// An erased [`WorkerPool`] job: the item closure (a raw pointer, so the
-/// cell may legally outlive the closure between generations), the item
-/// count, and the generation tag the job belongs to. Carrying the tag
-/// *inside* the job pins closure, count and generation together: a
-/// helper that reads a newer job than the `seq` it woke on simply claims
-/// against the newer generation (or finds the cursor tag mismatched and
-/// retires) — it can never pair an old count with a new cursor. The
-/// pointer is re-borrowed only under a successful same-generation claim,
-/// which guarantees the closure is still alive (`run` has not returned).
-type Job = (*const (dyn Fn(usize) + Sync), usize, u64);
-
-/// A persistent work-stealing worker pool for **fine-grained, repeated**
-/// fan-outs — the reuse primitive the per-slot MAC parallelism is built
-/// on. [`run_sweep`] spawns scoped threads per call, which is fine for
-/// second-long simulation jobs but prohibitive for the microsecond-scale
-/// work inside one MAC slot; a `WorkerPool` spawns its helpers once and
-/// re-dispatches to them tens of thousands of times per second.
-///
-/// ## Execution model
-///
-/// [`WorkerPool::run`] publishes `items` independent work items; the
-/// calling thread and every helper claim items **dynamically** through an
-/// atomic cursor and `run` returns once all items completed. Two
-/// consequences:
-///
-/// * **No stragglers by construction** — on a machine with fewer cores
-///   than workers (including the degenerate 1-core case) the caller
-///   simply claims every item itself and never blocks on a helper; a
-///   helper that wakes late finds the cursor exhausted and goes back to
-///   sleep off the critical path.
-/// * **Scheduling-independent results are the caller's contract** — items
-///   may execute on any thread in any interleaving, so callers that need
-///   determinism must make items independent and merge their outputs in a
-///   fixed order (the MAC merges per-listener output in listener order).
-///
-/// The cursor carries a generation tag so a helper parked through several
-/// `run` calls can never claim (or double-claim) items from a generation
-/// it did not observe; claims use compare-and-swap, so a stale helper
-/// never consumes another generation's item slot.
-pub struct WorkerPool {
-    inner: Arc<PoolInner>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct PoolInner {
-    /// Packed claim cursor: high 32 bits = generation, low 32 = next item.
-    cursor: AtomicU64,
-    /// Items completed in the current generation.
-    completed: AtomicUsize,
-    /// Current generation; stored after the job is published.
-    seq: AtomicU64,
-    stop: AtomicBool,
-    /// Set by a panicking item of the **current** generation; cleared at
-    /// the start of every `run`.
-    poisoned: AtomicBool,
-    /// First panic payload of the current generation, re-raised by `run`.
-    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The published job: erased closure + item count. Behind a mutex so
-    /// a helper waking on a stale generation can never read the cell
-    /// concurrently with the next `run`'s overwrite; a helper that reads
-    /// a job it did not observe the generation of is stopped by the
-    /// cursor's generation tag before it can execute anything.
-    job: Mutex<Option<Job>>,
-}
-
-// SAFETY: the raw closure pointer inside `job` is only dereferenced under
-// a same-generation cursor claim, and `run` does not return until every
-// claimed item completed — so the pointee is alive at every dereference
-// (the pointer itself may dangle between generations, which is fine for a
-// raw pointer). Everything else in `PoolInner` is Sync.
-unsafe impl Send for PoolInner {}
-unsafe impl Sync for PoolInner {}
-
-impl WorkerPool {
-    /// Pool targeting `workers` total threads (the caller of
-    /// [`WorkerPool::run`] counts as one). Helper threads are clamped to
-    /// the machine's available parallelism — extra logical workers change
-    /// nothing about results, so there is no point paying wake-ups for
-    /// helpers the hardware cannot run.
-    pub fn new(workers: usize) -> Self {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let helpers = workers.min(hw).saturating_sub(1);
-        let inner = Arc::new(PoolInner {
-            cursor: AtomicU64::new(0),
-            completed: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            job: Mutex::new(None),
-        });
-        let handles = (0..helpers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || helper_loop(&inner))
-            })
-            .collect();
-        WorkerPool { inner, handles }
-    }
-
-    /// Total threads that can claim items (helpers + the caller).
-    pub fn workers(&self) -> usize {
-        self.handles.len() + 1
-    }
-
-    /// Execute `f(0), …, f(items - 1)`, each exactly once, distributed
-    /// over the caller and the helper threads; returns when every item has
-    /// completed. Panics if any item of **this** call panicked (after all
-    /// items finished, so borrowed data stays valid throughout); the pool
-    /// remains usable afterwards.
-    ///
-    /// Takes `&mut self`: one job at a time per pool — concurrent `run`
-    /// calls would race the generation protocol.
-    pub fn run(&mut self, items: usize, f: &(dyn Fn(usize) + Sync)) {
-        assert!(items < u32::MAX as usize, "item count exceeds the cursor's range");
-        if items == 0 {
-            return;
-        }
-        let inner = &*self.inner;
-        let seq = inner.seq.load(Ordering::Relaxed).wrapping_add(1);
-        let gen = (seq & 0xFFFF_FFFF) << 32;
-        // The lifetime erasure is sound because the pointer is only
-        // re-borrowed under a same-generation claim, and `run` does not
-        // return until every claimed item completed (see the struct docs).
-        let f_erased: *const (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(f) };
-        *inner.job.lock().expect("pool job mutex poisoned") = Some((f_erased, items, gen));
-        inner.poisoned.store(false, Ordering::Relaxed);
-        *inner.panic_payload.lock().expect("pool panic mutex poisoned") = None;
-        inner.completed.store(0, Ordering::Relaxed);
-        inner.cursor.store(gen, Ordering::Release);
-        inner.seq.store(seq, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        claim_items(inner, gen, items, f_erased);
-        let mut spins = 0u32;
-        while inner.completed.load(Ordering::Acquire) < items {
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                // A helper still owns an item; give it the core.
-                std::thread::yield_now();
-            }
-        }
-        if inner.poisoned.load(Ordering::Acquire) {
-            // Re-raise the first failed item's panic with its original
-            // payload so the real assertion message survives. (Take it and
-            // release the lock *before* unwinding, or the mutex poisons.)
-            let payload = inner.panic_payload.lock().expect("pool panic mutex poisoned").take();
-            match payload {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => panic!("a WorkerPool item panicked"),
-            }
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Claim and execute items of generation `gen` until the cursor leaves the
-/// generation or exhausts. CAS (not fetch-add) so a stale claimer can
-/// never consume a slot of a generation it does not belong to.
-fn claim_items(inner: &PoolInner, gen: u64, items: usize, f: *const (dyn Fn(usize) + Sync)) {
-    loop {
-        let cur = inner.cursor.load(Ordering::Acquire);
-        let i = (cur & !GEN_MASK) as usize;
-        if cur & GEN_MASK != gen || i >= items {
-            return;
-        }
-        if inner
-            .cursor
-            .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            continue;
-        }
-        // SAFETY: a successful same-generation claim means the publishing
-        // `run` is still waiting on `completed`, so the closure is alive.
-        let f = unsafe { &*f };
-        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-            let mut slot = inner.panic_payload.lock().expect("pool panic mutex poisoned");
-            slot.get_or_insert(payload);
-            drop(slot);
-            inner.poisoned.store(true, Ordering::Release);
-        }
-        inner.completed.fetch_add(1, Ordering::Release);
-    }
-}
-
-fn helper_loop(inner: &PoolInner) {
-    let mut last_seq = 0u64;
-    loop {
-        // Wait for a new generation: spin briefly (dispatches arrive every
-        // few microseconds mid-frame), then park.
-        let mut spins = 0u32;
-        let seq = loop {
-            let s = inner.seq.load(Ordering::Acquire);
-            if s != last_seq {
-                break s;
-            }
-            if inner.stop.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins < 4_096 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
-        };
-        last_seq = seq;
-        // The mutex makes this read safe against a concurrent republish by
-        // a later `run`. The generation comes from the job itself, never
-        // from the observed `seq`: reading a newer job than the wake-up
-        // seq just means claiming against the newer generation.
-        let Some((f, items, gen)) = *inner.job.lock().expect("pool job mutex poisoned") else {
-            continue;
-        };
-        claim_items(inner, gen, items, f);
-    }
+/// The host's available parallelism (1 when it cannot be read). A query
+/// costs tens of microseconds, so callers resolve a worker count once.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -432,58 +204,48 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_every_item_exactly_once() {
-        let mut pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(hits.len(), &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pool_reuse_across_many_generations() {
-        // The MAC dispatches per slot: tens of thousands of tiny runs on
-        // one pool. Totals must stay exact across generations.
-        let mut pool = WorkerPool::new(3);
-        let total = AtomicUsize::new(0);
-        for round in 0..5_000usize {
-            let items = 1 + round % 7;
-            pool.run(items, &|i| {
-                total.fetch_add(i + 1, Ordering::Relaxed);
-            });
+    fn for_each_mut_runs_every_item_exactly_once() {
+        for len in [0usize, 1, 7, 97] {
+            let expected: Vec<(usize, u64)> = (0..len).map(|i| (1, (i as u64) * 31 + 7)).collect();
+            for threads in [1usize, 2, 3, 8] {
+                // (index, runs, value): the value is written from the item alone.
+                let mut items: Vec<(usize, usize, u64)> = (0..len).map(|i| (i, 0, 0)).collect();
+                for_each_mut(&mut items, threads, |(i, runs, value)| {
+                    *runs += 1;
+                    *value = (*i as u64) * 31 + 7;
+                });
+                let got: Vec<(usize, u64)> = items.iter().map(|&(_, r, v)| (r, v)).collect();
+                assert_eq!(got, expected, "{len} items at {threads} threads");
+            }
         }
-        let expected: usize = (0..5_000).map(|r| (1..=(1 + r % 7)).sum::<usize>()).sum();
-        assert_eq!(total.load(Ordering::Relaxed), expected);
     }
 
     #[test]
-    fn pool_zero_items_is_a_noop_and_drop_joins() {
-        let mut pool = WorkerPool::new(2);
-        pool.run(0, &|_| panic!("must not be called"));
-        assert!(pool.workers() >= 1);
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn pool_item_panic_propagates_after_completion() {
-        let mut pool = WorkerPool::new(2);
-        let done = AtomicUsize::new(0);
+    fn for_each_mut_propagates_a_panic_and_stays_usable() {
+        let mut items: Vec<u32> = (0..16).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(8, &|i| {
-                if i == 3 {
+            for_each_mut(&mut items, 3, |x| {
+                if *x == 5 {
                     panic!("boom");
                 }
-                done.fetch_add(1, Ordering::Relaxed);
+                *x += 100;
             });
         }));
-        assert!(result.is_err(), "pool must surface the item panic");
-        assert_eq!(done.load(Ordering::Relaxed), 7, "other items still complete");
-        // Poisoning is per-run: a later, healthy generation must succeed.
-        let ok = AtomicUsize::new(0);
-        pool.run(5, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 5, "pool must stay usable after a panic");
+        assert!(result.is_err(), "the item's panic must reach the caller");
+        for (i, &x) in items.iter().enumerate() {
+            let want = if i == 5 { 5 } else { i as u32 + 100 };
+            assert_eq!(x, want, "item {i}: every other item still runs");
+        }
+        let mut again: Vec<u32> = (0..16).collect();
+        for_each_mut(&mut again, 3, |x| *x *= 2);
+        assert_eq!(again, (0..16).map(|x| x * 2).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn for_each_mut_at_one_thread_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let mut ran_on: Vec<Option<std::thread::ThreadId>> = vec![None; 9];
+        for_each_mut(&mut ran_on, 1, |t| *t = Some(std::thread::current().id()));
+        assert!(ran_on.iter().all(|&t| t == Some(caller)));
     }
 }

@@ -6,8 +6,8 @@
 //! substrate the paper runs on:
 //!
 //! * [`sim`] — the deterministic simulation substrate: seeded RNG
-//!   streams, statistics, worker pools, JSON and snapshots (the paper
-//!   used the OMNeT++ discrete-event simulator),
+//!   streams, statistics, a scoped-thread fan-out, JSON and snapshots
+//!   (the paper used the OMNeT++ discrete-event simulator),
 //! * [`net`] — node placement, radio models, topology graphs, spanning
 //!   trees, unit-cost energy accounting, churn schedules,
 //! * [`lmac`] — the LMAC TDMA MAC protocol with distributed slot

@@ -300,11 +300,11 @@ fn body_at(epoch: u64) -> (Vec<u8>, Vec<usize>) {
 }
 
 /// Restoring `body` fails with the typed error `what` (the engine would
-/// otherwise index past the deployment on its next step).
+/// otherwise index past the deployment, or panic, on a later step).
 fn assert_rejected(body: &[u8], what: &str) {
     match Engine::new(variant_config(17, 0, 60)).restore(body) {
         Err(SnapError::Malformed { what: got, .. }) => assert_eq!(got, what),
-        other => panic!("a node id outside the deployment restored: {other:?}"),
+        other => panic!("expected the typed error {what:?}, got {other:?}"),
     }
 }
 
@@ -350,6 +350,84 @@ fn restore_rejects_a_query_source_outside_the_deployment() {
     assert!(u64::from_le_bytes(body[sources..sources + 8].try_into().unwrap()) > 0);
     body[sources + 8..sources + 12].copy_from_slice(&60_000u32.to_le_bytes());
     assert_rejected(&body, "query source outside the deployment");
+}
+
+/// Offset of the first in-flight query's id in a `body_at` body: "PEND",
+/// the entry count (u64), then the entry's query, which opens with its id
+/// (u64).
+fn first_pending_id_at(body: &[u8]) -> usize {
+    let pend = tag_offsets(body, b"PEND");
+    assert_eq!(pend.len(), 1);
+    let at = pend[0] + 4;
+    assert!(u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) > 0, "a query in flight");
+    at + 8
+}
+
+/// An in-flight query id at or past the generator's cursor is a typed
+/// error at restore, not an allocation sized by the id.
+#[test]
+fn restore_rejects_a_huge_in_flight_query_id() {
+    let (mut body, _) = body_at(25);
+    let id = first_pending_id_at(&body);
+    body[id..id + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+    assert_rejected(&body, "in-flight query id not below the id cursor");
+}
+
+/// Two in-flight entries with one id are a typed error at restore.
+#[test]
+fn restore_rejects_a_duplicate_in_flight_query_id() {
+    // At epoch 25 the query injected at epoch 20 is in flight; an
+    // external query joins it.
+    let mut donor = Engine::new(variant_config(17, 0, 60));
+    for _ in 0..25 {
+        donor.step_epoch();
+    }
+    let (lo, hi) = (17.25f64, 22.75f64);
+    let second = donor.submit_external_query(SensorType(0), lo, hi, None);
+    let mut body = donor.snapshot();
+    let first = first_pending_id_at(&body);
+    assert_eq!(u64::from_le_bytes(body[first - 8..first].try_into().unwrap()), 2);
+    // The second entry's query: id (u64), type (u8), then the bounds. The
+    // MAC's queued copy of the query lies before the pending set.
+    let mut pattern = second.0.to_le_bytes().to_vec();
+    pattern.push(0);
+    pattern.extend_from_slice(&lo.to_le_bytes());
+    pattern.extend_from_slice(&hi.to_le_bytes());
+    let at: Vec<usize> = body
+        .windows(pattern.len())
+        .enumerate()
+        .filter(|&(i, w)| i > first && w == &pattern[..])
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "the external query's pending record is found once");
+    let first_id: [u8; 8] = body[first..first + 8].try_into().unwrap();
+    body[at[0]..at[0] + 8].copy_from_slice(&first_id);
+    assert_rejected(&body, "duplicate in-flight query id");
+}
+
+/// A query-id cursor at `u64::MAX` is a typed error at restore, not an
+/// overflow at the next injection.
+#[test]
+fn restore_rejects_an_exhausted_query_id_cursor() {
+    let (mut body, _) = body_at(25);
+    let qgen = tag_offsets(&body, b"QGEN");
+    assert_eq!(qgen.len(), 1);
+    // "QGEN", then the id cursor (u64).
+    let at = qgen[0] + 4;
+    body[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut engine = Engine::new(variant_config(17, 0, 60));
+    let restored = engine.restore(&body);
+    if restored.is_ok() {
+        // Twenty steps reach the epoch-40 injection, which allocates an
+        // id from the cursor.
+        for _ in 0..20 {
+            engine.step_epoch();
+        }
+    }
+    assert!(
+        matches!(restored, Err(SnapError::Malformed { what: "query id cursor out of range", .. })),
+        "an exhausted id cursor restored: {restored:?}"
+    );
 }
 
 /// The on-disk image format: magic, version, JSON header, byte-exact

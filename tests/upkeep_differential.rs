@@ -1,9 +1,9 @@
 //! Differential property tests for the sharded protocol upkeep.
 //!
 //! With `upkeep_workers > 1` sensor sampling, the only sharded upkeep
-//! pass, runs the real decision path per carrier chunk over the worker
-//! pool and replays the shared-state effects in chunk order; the serial
-//! loop is the reference implementation. Tree repair is serial at every
+//! pass, runs the real decision path per carrier chunk on scoped threads
+//! and replays the shared-state effects in chunk order; the serial loop
+//! is the reference implementation. Tree repair is serial at every
 //! worker count, so under churn the suite also checks that sharded
 //! sampling leaves the repair outcomes untouched. 256 sampled cases pin,
 //! across churn × adaptive-sampling × multi-sink scenario families:

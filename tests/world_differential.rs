@@ -1,7 +1,8 @@
 //! Differential property tests for the split-stream world generator.
 //!
 //! The per-epoch advance of [`SensorWorld`] shards `(node, type)` cells
-//! over the worker pool; the serial loop is the reference implementation.
+//! by node range over scoped threads; the serial advance, one range over
+//! every node, is the reference implementation.
 //! 256 sampled cases pin, on arbitrary deployments, sensor coverage and
 //! assignment churn:
 //!
