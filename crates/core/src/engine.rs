@@ -409,7 +409,8 @@ pub struct Engine {
     /// currently attached); drives the repair fallback.
     detached_since: Vec<Option<u64>>,
     /// Bumped at every site that can change a parent pointer, a child list
-    /// or liveness.
+    /// or liveness. Keys the repair gate (`repaired_version`) and the query
+    /// parents (`attach_version`).
     tree_version: u64,
     /// `tree_version` as of the last repair pass that found every alive
     /// node attached; while it still matches, repair has nothing to do.
@@ -420,6 +421,13 @@ pub struct Engine {
     /// Scratch: per-node depth in the protocol tree (`None` = detached),
     /// recomputed in place by [`Engine::compute_attachment`].
     attach_depth: Vec<Option<u32>>,
+    /// Scratch: per-node parent in the protocol tree (`None` for the root
+    /// and detached nodes), recomputed with `attach_depth`. Query
+    /// calibration and ground truth read it (see [`Engine::query_parents`]).
+    attach_parent: Vec<Option<NodeId>>,
+    /// `tree_version` as of the last [`Engine::compute_attachment`]; while
+    /// it still matches, the attachment scratch is current.
+    attach_version: Option<u64>,
     /// Scratch: BFS worklist for [`Engine::compute_attachment`].
     attach_queue: Vec<NodeId>,
     /// Reusable MAC indication buffer for [`Engine::run_mac_frame`].
@@ -438,6 +446,11 @@ pub struct Engine {
     upkeep_chunks: Vec<(u32, u32)>,
     /// Test hook: shard sampling regardless of size thresholds.
     force_upkeep: bool,
+    /// Test hook: at every [`Engine::query_parents`], the parents handed to
+    /// calibration or ground truth, paired with the protocol tree at that
+    /// moment.
+    #[cfg(test)]
+    query_parents_log: Vec<(Vec<Option<NodeId>>, SpanningTree)>,
     /// Scratch: churn events due this epoch (reused across epochs).
     churn_buf: Vec<dirq_net::churn::ChurnEvent>,
     /// Scratch: per-orphan `(gateway_dist, neighbour)` candidates for the
@@ -738,6 +751,8 @@ impl Engine {
                 ),
             },
             attach_depth: vec![None; n],
+            attach_parent: vec![None; n],
+            attach_version: None,
             attach_queue: Vec::with_capacity(n),
             ind_buf: Vec::with_capacity(64),
             finalize_buf: Vec::new(),
@@ -745,6 +760,8 @@ impl Engine {
             upkeep_shards,
             upkeep_chunks: Vec::new(),
             force_upkeep: false,
+            #[cfg(test)]
+            query_parents_log: Vec::new(),
             churn_buf: Vec::new(),
             repair_candidates: Vec::new(),
             sample_index: SampleIndex::default(),
@@ -881,7 +898,9 @@ impl Engine {
     }
 
     /// Reconstruct the spanning tree implied by the protocol state
-    /// (children lists + matching parent pointers), used for ground truth.
+    /// (children lists + matching parent pointers). Query ground truth
+    /// reads the same traversal's parents from the attachment scratch
+    /// instead of building this tree.
     pub fn protocol_tree(&self) -> SpanningTree {
         let n = self.topo.len();
         let mut tree = SpanningTree::new(n, NodeId::ROOT);
@@ -983,12 +1002,12 @@ impl Engine {
         if let Some(r) = region {
             query = query.with_region(r);
         }
-        let tree = self.protocol_tree();
+        self.query_parents();
         let alive = &self.alive;
         let truth = dirq_data::workload::ground_truth_for_query(
             self.world.readings(stype),
             self.topo.positions(),
-            &tree,
+            &self.attach_parent,
             &query,
             |n: NodeId| alive[n.index()],
         );
@@ -1446,12 +1465,16 @@ impl Engine {
         self.repaired_version == Some(self.tree_version)
     }
 
-    /// Recompute the protocol tree's attachment depths into the scratch
-    /// buffers — the same traversal as [`Engine::protocol_tree`] (children
-    /// lists + matching parent pointers) without building a tree or
-    /// allocating. Runs once per epoch for the repair pass.
+    /// Recompute the protocol tree's attachment depths and parents into the
+    /// scratch buffers — the same traversal as [`Engine::protocol_tree`]
+    /// (children lists + matching parent pointers) without building a tree
+    /// or allocating — and record the `tree_version` they reflect. Runs for
+    /// every repair pass that is not gated off, and for a query injection
+    /// when the tree has changed since ([`Engine::query_parents`]).
     fn compute_attachment(&mut self) {
         self.attach_depth.fill(None);
+        self.attach_parent.fill(None);
+        self.attach_version = Some(self.tree_version);
         self.attach_queue.clear();
         self.attach_depth[NodeId::ROOT.index()] = Some(0);
         self.attach_queue.push(NodeId::ROOT);
@@ -1466,10 +1489,28 @@ impl Engine {
                     && self.nodes[c.index()].parent() == Some(u)
                 {
                     self.attach_depth[c.index()] = Some(du + 1);
+                    self.attach_parent[c.index()] = Some(u);
                     self.attach_queue.push(c);
                 }
             }
         }
+    }
+
+    /// Bring `attach_parent` up to date for query calibration and ground
+    /// truth: recompute the attachment only when `tree_version` has moved
+    /// since the last [`Engine::compute_attachment`]. Debug builds check
+    /// the scratch against [`Engine::protocol_tree`] at every use.
+    fn query_parents(&mut self) {
+        if self.attach_version != Some(self.tree_version) {
+            self.compute_attachment();
+        }
+        debug_assert!(
+            self.attach_parent == self.protocol_tree().parents(),
+            "stale attachment scratch at epoch {}",
+            self.epoch
+        );
+        #[cfg(test)]
+        self.query_parents_log.push((self.attach_parent.clone(), self.protocol_tree()));
     }
 
     fn would_cycle(&self, node: NodeId, candidate_parent: NodeId) -> bool {
@@ -1641,12 +1682,14 @@ impl Engine {
     }
 
     fn inject_query(&mut self) {
-        let tree = self.protocol_tree();
+        self.query_parents();
         let alive = &self.alive;
         let positions: &[dirq_net::Position] =
             if self.cfg.location_enabled { self.topo.positions() } else { &[] };
         let Some(CalibratedQuery { query, truth }) =
-            self.qgen.generate(&self.world, positions, &tree, |n: NodeId| alive[n.index()])
+            self.qgen.generate(&self.world, positions, &self.attach_parent, |n: NodeId| {
+                alive[n.index()]
+            })
         else {
             return;
         };
@@ -2395,6 +2438,47 @@ mod tests {
         assert!(!restored.repair_gate_open(), "restore closes the gate");
         restored.step_epoch();
         assert!(restored.repair_gate_open());
+    }
+
+    /// Across deaths and births, the parents that every query injection and
+    /// every external query calibrate against equal the protocol tree's at
+    /// that moment, whether the attachment scratch was reused or recomputed:
+    /// under DirQ, where the repair pass also refreshes it and the MAC
+    /// frame's attaches and detaches move the tree after it, and under
+    /// flooding, where no repair pass runs.
+    #[test]
+    fn query_parents_match_the_protocol_tree_under_churn() {
+        use dirq_net::churn::ChurnEvent;
+        for protocol in [Protocol::Dirq, Protocol::Flooding] {
+            let base = ScenarioConfig { tree: TreeKind::Bfs, protocol, ..small(33) };
+            let probe = Engine::new(base.clone());
+            let (relays, leaves): (Vec<NodeId>, Vec<NodeId>) = probe
+                .topology()
+                .nodes()
+                .skip(1)
+                .partition(|&v| !probe.node(v).children().is_empty());
+            // Relays die at 25, 65 and 105; offline leaves are born 20
+            // epochs later. Queries fire every 20 epochs, external ones
+            // after every step.
+            let plan = (0..3)
+                .flat_map(|k| {
+                    let at = 25 + 40 * k as u64;
+                    [(at, ChurnEvent::Death(relays[k])), (at + 20, ChurnEvent::Birth(leaves[k]))]
+                })
+                .collect();
+            let cfg = ScenarioConfig { churn: ChurnSpec::Explicit(ChurnPlan::new(plan)), ..base };
+            let mut e = Engine::new(cfg);
+            while e.epoch() < 160 {
+                e.step_epoch();
+                e.submit_external_query(dirq_data::SensorType(0), 15.0, 25.0, None);
+            }
+            let log = &e.query_parents_log;
+            assert!(log.len() >= 7 + 160, "{protocol:?}: only {} parent reads", log.len());
+            for (i, (used, tree)) in log.iter().enumerate() {
+                assert_eq!(used, tree.parents(), "{protocol:?}: parent read {i} was stale");
+            }
+            assert!(log.windows(2).any(|w| w[0].0 != w[1].0), "{protocol:?}: no parent moved");
+        }
     }
 
     #[test]

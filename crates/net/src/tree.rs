@@ -175,6 +175,12 @@ impl SpanningTree {
         self.parent[node.index()]
     }
 
+    /// Parent pointers indexed by node (`None` for the root and for
+    /// detached nodes).
+    pub fn parents(&self) -> &[Option<NodeId>] {
+        &self.parent
+    }
+
     /// Children of `node`, in attachment order.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
         &self.children[node.index()]

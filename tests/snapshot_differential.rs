@@ -430,6 +430,48 @@ fn restore_rejects_an_exhausted_query_id_cursor() {
     );
 }
 
+/// A negative warm region half-size is a typed error at restore, not a
+/// panic in `Rect::centered` (debug) or an inverted bisection bracket
+/// (release) at the next spatial injection.
+#[test]
+fn restore_rejects_a_negative_warm_half() {
+    let cfg = registry::hotspot_workload_200().config(Scheme::DirqFixed(5.0), 1_004);
+    let mut donor = Engine::new(cfg.clone());
+    for _ in 0..85 {
+        donor.step_epoch();
+    }
+    let mut body = donor.snapshot();
+    let qgen = tag_offsets(&body, b"QGEN");
+    assert_eq!(qgen.len(), 1);
+    // "QGEN", the id cursor (u64), the RNG (4 × u64) and the probe tally
+    // (u64); then the warm widths and the warm halves, each a count (u64)
+    // followed by entries of a presence byte plus an f64 when present.
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let entry_len = |presence: u8| if presence == 1 { 9 } else { 1 };
+    let mut at = qgen[0] + 4 + 8 + 32 + 8;
+    let widths = u64_at(at);
+    at += 8;
+    for _ in 0..widths {
+        at += entry_len(body[at]);
+    }
+    let halves = u64_at(at);
+    at += 8;
+    let mut half = None;
+    for _ in 0..halves {
+        if body[at] == 1 && half.is_none() {
+            half = Some(at + 1);
+        }
+        at += entry_len(body[at]);
+    }
+    let half = half.expect("a spatial query set a warm half-size by epoch 85");
+    assert!(f64::from_le_bytes(body[half..half + 8].try_into().unwrap()) > 0.0);
+    body[half..half + 8].copy_from_slice(&(-5.0f64).to_le_bytes());
+    match Engine::new(cfg).restore(&body) {
+        Err(SnapError::Malformed { what, .. }) => assert_eq!(what, "warm half-size out of range"),
+        other => panic!("a negative warm half-size restored: {other:?}"),
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
