@@ -432,6 +432,9 @@ pub struct Engine {
     attach_queue: Vec<NodeId>,
     /// Reusable MAC indication buffer for [`Engine::run_mac_frame`].
     ind_buf: Vec<MacIndication<DirqMessage>>,
+    /// Reusable buffer every protocol handler appends to (see
+    /// [`Engine::handle`]); empty between handler calls.
+    outgoing: Vec<Outgoing>,
     /// Scratch: queries due for finalisation this epoch.
     finalize_buf: Vec<PendingQuery>,
     /// Scratch: true-source membership bits for [`Engine::finalize_query`]
@@ -702,10 +705,12 @@ impl Engine {
             (0..n).map(|i| DirqNode::new(NodeId::from_index(i), Arc::clone(&node_cfg))).collect();
         // Quiet tree initialisation: both endpoints already agree, so the
         // Attach handshakes are skipped.
+        let mut quiet = Vec::new();
         for (i, node) in nodes.iter_mut().enumerate() {
             let id = NodeId::from_index(i);
             if let Some(p) = tree.parent(id) {
-                let _ = node.set_parent(Some(p));
+                node.set_parent(Some(p), &mut quiet);
+                quiet.clear();
             }
             for &c in tree.children(id) {
                 node.add_child(c);
@@ -755,6 +760,7 @@ impl Engine {
             attach_version: None,
             attach_queue: Vec::with_capacity(n),
             ind_buf: Vec::with_capacity(64),
+            outgoing: Vec::new(),
             finalize_buf: Vec::new(),
             source_mark: vec![false; n],
             upkeep_shards,
@@ -890,11 +896,10 @@ impl Engine {
     /// its advertisement accordingly.
     pub fn remove_sensor(&mut self, node: NodeId, stype: dirq_data::SensorType) {
         self.world.assignment_mut().remove(node.index(), stype);
-        let outs = self.nodes[node.index()].drop_own_sensor(stype);
+        self.handle(node, |n, out| n.drop_own_sensor(stype, out));
         if let Some(cell) = self.plane.row_mut(node.index()).get_mut(stype.index()) {
             cell.set_window(None);
         }
-        self.dispatch_outgoing(node, outs);
     }
 
     /// Reconstruct the spanning tree implied by the protocol state
@@ -1021,10 +1026,7 @@ impl Engine {
             rx: 0,
         });
         match self.cfg.protocol {
-            Protocol::Dirq => {
-                let outs = self.nodes[0].on_query(&query);
-                self.dispatch_outgoing(NodeId::ROOT, outs);
-            }
+            Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
             Protocol::Flooding => {
                 self.flood[0].should_rebroadcast(query.id);
                 if self.mac.enqueue(
@@ -1173,7 +1175,12 @@ impl Engine {
     /// the daemon's cheap state-equality check (two engines with equal
     /// fingerprints are byte-for-byte the same dynamic state).
     pub fn state_fingerprint(&self) -> u64 {
-        let body = self.snapshot();
+        Engine::body_fingerprint(&self.snapshot())
+    }
+
+    /// [`Engine::state_fingerprint`] of the engine that wrote `body` with
+    /// [`Engine::snapshot`], for a caller that already holds the body.
+    pub fn body_fingerprint(body: &[u8]) -> u64 {
         let mut h = crate::metrics::Fnv::new();
         h.u64(body.len() as u64);
         let mut words = body.chunks_exact(8);
@@ -1248,8 +1255,7 @@ impl Engine {
                     let node = NodeId::from_index(i);
                     if self.alive[i] {
                         let pos = self.topo.position(node);
-                        let outs = self.nodes[i].set_position(pos);
-                        self.dispatch_outgoing(node, outs);
+                        self.handle(node, |n, out| n.set_position(pos, out));
                     }
                 }
             }
@@ -1324,8 +1330,8 @@ impl Engine {
                     self.plane.row_mut(node.index()).fill(SensorCell::EMPTY);
                     if self.cfg.location_enabled {
                         let pos = self.topo.position(node);
-                        // Orphan: the advert flows on attach.
-                        let _ = self.nodes[node.index()].set_position(pos);
+                        // Orphan: nothing is sent; the advert flows on attach.
+                        self.handle(node, |n, out| n.set_position(pos, out));
                     }
                     self.flood[node.index()] = FloodingNode::new();
                 }
@@ -1414,9 +1420,8 @@ impl Engine {
             else {
                 continue;
             };
-            let outs = self.nodes[i].set_parent(Some(parent));
+            self.handle(node, |n, out| n.set_parent(Some(parent), out));
             self.tree_version += 1;
-            self.dispatch_outgoing(node, outs);
         }
         self.repair_candidates = candidates;
 
@@ -1452,9 +1457,8 @@ impl Engine {
                 }
             }
             self.detached_since[i] = None;
-            let outs = self.nodes[i].set_parent(Some(new_parent));
+            self.handle(node, |n, out| n.set_parent(Some(new_parent), out));
             self.tree_version += 1;
-            self.dispatch_outgoing(node, outs);
         }
     }
 
@@ -1565,8 +1569,7 @@ impl Engine {
             self.budget_multiplier * updates_per_query / (self.cfg.query_period as f64 * n_sensing);
 
         let msg = EhrMessage { queries_per_hour, per_node_budget_per_epoch };
-        let outs = self.nodes[0].on_ehr(msg);
-        self.dispatch_outgoing(NodeId::ROOT, outs);
+        self.handle(NodeId::ROOT, |n, out| n.on_ehr(msg, out));
     }
 
     fn sample_sensors(&mut self) {
@@ -1618,12 +1621,12 @@ impl Engine {
             spans: &self.node_cfg.reference_spans,
             alpha: self.node_cfg.variability_alpha,
         };
-        let effects = &mut self.upkeep_shards[0].effects;
+        let shard = &mut self.upkeep_shards[0];
         for &ci in &self.sample_index.carriers {
             let i = ci as usize;
             let samplers = self.samplers.as_mut().map(|rows| rows[i].as_mut_slice());
-            inputs.sample_carrier(i, &mut self.nodes[i], self.plane.row_mut(i), samplers, effects);
-            for e in effects.drain(..) {
+            inputs.sample_carrier(i, &mut self.nodes[i], self.plane.row_mut(i), samplers, shard);
+            for e in shard.effects.drain(..) {
                 e.apply(&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
             }
         }
@@ -1669,7 +1672,7 @@ impl Engine {
                 nodes: split_front(&mut nodes, len),
                 cells: split_front(&mut cells, len * width),
                 samplers: samplers.as_mut().map(|rows| split_front(rows, len)),
-                effects: &mut shard.effects,
+                shard,
             });
             first = next;
         }
@@ -1703,10 +1706,7 @@ impl Engine {
             rx: 0,
         });
         match self.cfg.protocol {
-            Protocol::Dirq => {
-                let outs = self.nodes[0].on_query(&query);
-                self.dispatch_outgoing(NodeId::ROOT, outs);
-            }
+            Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
             Protocol::Flooding => {
                 self.flood[0].should_rebroadcast(query.id);
                 if self.mac.enqueue(
@@ -1801,8 +1801,18 @@ impl Engine {
         }
     }
 
-    fn dispatch_outgoing(&mut self, from: NodeId, outs: Vec<Outgoing>) {
-        for out in outs {
+    /// Run one protocol handler on node `at` over the engine's reused
+    /// outgoing buffer, then dispatch what it appended.
+    fn handle(&mut self, at: NodeId, handler: impl FnOnce(&mut DirqNode, &mut Vec<Outgoing>)) {
+        let mut outs = std::mem::take(&mut self.outgoing);
+        handler(&mut self.nodes[at.index()], &mut outs);
+        self.dispatch_outgoing(at, &mut outs);
+        self.outgoing = outs;
+    }
+
+    /// Drain `outs`, node `from`'s handler output, into the MAC.
+    fn dispatch_outgoing(&mut self, from: NodeId, outs: &mut Vec<Outgoing>) {
+        for out in outs.drain(..) {
             match out {
                 Outgoing::ToParent(msg) => {
                     let Some(parent) = self.nodes[from.index()].parent() else {
@@ -1837,17 +1847,14 @@ impl Engine {
                 self.record_rx(&payload);
                 match &*payload {
                     DirqMessage::Update { stype, min, max } => {
-                        let node = &mut self.nodes[to.index()];
-                        let children = node.children().len();
-                        let outs = node.on_update(from, *stype, *min, *max);
-                        if node.children().len() != children {
+                        let children = self.nodes[to.index()].children().len();
+                        self.handle(to, |n, out| n.on_update(from, *stype, *min, *max, out));
+                        if self.nodes[to.index()].children().len() != children {
                             self.tree_version += 1;
                         }
-                        self.dispatch_outgoing(to, outs);
                     }
                     DirqMessage::Retract { stype } => {
-                        let outs = self.nodes[to.index()].on_retract(from, *stype);
-                        self.dispatch_outgoing(to, outs);
+                        self.handle(to, |n, out| n.on_retract(from, *stype, out));
                     }
                     DirqMessage::Attach => {
                         self.tree_version += 1;
@@ -1857,17 +1864,14 @@ impl Engine {
                     }
                     DirqMessage::Detach => {
                         self.tree_version += 1;
-                        let outs = self.nodes[to.index()].on_child_lost(from);
-                        self.dispatch_outgoing(to, outs);
+                        self.handle(to, |n, out| n.on_child_lost(from, out));
                     }
                     DirqMessage::GeoAdvert(rect) => {
                         self.tree_version += 1;
-                        let outs = self.nodes[to.index()].on_geo_advert(from, *rect);
-                        self.dispatch_outgoing(to, outs);
+                        self.handle(to, |n, out| n.on_geo_advert(from, *rect, out));
                     }
                     DirqMessage::Ehr(msg) => {
-                        let outs = self.nodes[to.index()].on_ehr(*msg);
-                        self.dispatch_outgoing(to, outs);
+                        self.handle(to, |n, out| n.on_ehr(*msg, out));
                     }
                     DirqMessage::Query(q) => {
                         if !to.is_root() {
@@ -1875,8 +1879,7 @@ impl Engine {
                                 p.received[to.index()] = true;
                             }
                         }
-                        let outs = self.nodes[to.index()].on_query(q);
-                        self.dispatch_outgoing(to, outs);
+                        self.handle(to, |n, out| n.on_query(q, out));
                     }
                     DirqMessage::FloodQuery(q) => {
                         // The root hears rebroadcasts too (that reception is
@@ -1904,11 +1907,9 @@ impl Engine {
                 }
                 self.tree_version += 1;
                 if self.nodes[observer.index()].parent() == Some(dead) {
-                    let outs = self.nodes[observer.index()].set_parent(None);
-                    self.dispatch_outgoing(observer, outs);
+                    self.handle(observer, |n, out| n.set_parent(None, out));
                 } else if self.nodes[observer.index()].children().contains(&dead) {
-                    let outs = self.nodes[observer.index()].on_child_lost(dead);
-                    self.dispatch_outgoing(observer, outs);
+                    self.handle(observer, |n, out| n.on_child_lost(dead, out));
                 }
             }
             MacIndication::NeighborNew { .. } => {
@@ -2028,11 +2029,17 @@ impl Effect {
     }
 }
 
-/// The sampling pass's replica of [`Engine::dispatch_outgoing`]: resolve
-/// addressing against the sampling node's own state (no other handler
-/// runs on it inside the pass) and defer the enqueue as an effect.
-fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &mut Vec<Effect>) {
-    for out in outs {
+/// The sampling pass's replica of [`Engine::dispatch_outgoing`]: drain
+/// `outs`, resolving addressing against the sampling node's own state (no
+/// other handler runs on it inside the pass), and defer each enqueue as an
+/// effect.
+fn queue_outgoing(
+    node: &DirqNode,
+    from: NodeId,
+    outs: &mut Vec<Outgoing>,
+    effects: &mut Vec<Effect>,
+) {
+    for out in outs.drain(..) {
         match out {
             Outgoing::ToParent(msg) => {
                 let Some(parent) = node.parent() else {
@@ -2068,11 +2075,14 @@ fn queue_outgoing(node: &DirqNode, from: NodeId, outs: Vec<Outgoing>, effects: &
     }
 }
 
-/// One sampling chunk's effect buffer, reused across epochs.
+/// One sampling chunk's buffers, reused across epochs.
 #[derive(Default)]
 struct UpkeepShard {
     /// Shared-state mutations to replay in chunk order.
     effects: Vec<Effect>,
+    /// What the escape handler appends; drained into `effects` after each
+    /// reading.
+    outgoing: Vec<Outgoing>,
 }
 
 /// Carrier index over the sensor assignment: the ascending list of nodes
@@ -2112,14 +2122,14 @@ impl SampleInputs<'_> {
     /// Sample carrier `i`'s sensors in type order: the predictive gate,
     /// the world read, the plane step — entering `node` only for a reading
     /// that escapes its own tuple — and the sampler's update from the
-    /// cell's window. MAC enqueues are deferred into `effects`.
+    /// cell's window. MAC enqueues are deferred into the shard's effects.
     fn sample_carrier(
         &self,
         i: usize,
         node: &mut DirqNode,
         row: &mut [SensorCell],
         mut samplers: Option<&mut [Sampler]>,
-        effects: &mut Vec<Effect>,
+        shard: &mut UpkeepShard,
     ) {
         if !self.alive[i] {
             return;
@@ -2139,9 +2149,10 @@ impl SampleInputs<'_> {
             }
             let stype = dirq_data::SensorType(idx as u8);
             let cell = &mut row[idx];
-            let outs = sensing::sample(node, cell, stype, reading, self.spans[idx], self.alpha);
+            let outs = &mut shard.outgoing;
+            sensing::sample(node, cell, stype, reading, self.spans[idx], self.alpha, outs);
             if !outs.is_empty() {
-                queue_outgoing(node, NodeId::from_index(i), outs, effects);
+                queue_outgoing(node, NodeId::from_index(i), outs, &mut shard.effects);
             }
             if let Some(s) = samplers.as_deref_mut() {
                 s[idx].on_sampled(reading, cell.window());
@@ -2152,7 +2163,7 @@ impl SampleInputs<'_> {
 
 /// One sampling chunk's share of the engine: the state of nodes
 /// `first..first + nodes.len()` (`width` plane cells per node), the
-/// chunk's carriers among them, and its shard's effect buffer.
+/// chunk's carriers among them, and its shard's buffers.
 struct SampleChunk<'a> {
     first: usize,
     width: usize,
@@ -2161,20 +2172,20 @@ struct SampleChunk<'a> {
     cells: &'a mut [SensorCell],
     /// Per-node sampler rows; `None` under [`SamplingStrategy::EveryEpoch`].
     samplers: Option<&'a mut [Vec<Sampler>]>,
-    effects: &'a mut Vec<Effect>,
+    shard: &'a mut UpkeepShard,
 }
 
 impl SampleChunk<'_> {
     /// Run the chunk's carriers through [`SampleInputs::sample_carrier`],
     /// deferring shared-state mutations into the chunk's effects.
     fn sample(&mut self, inputs: &SampleInputs<'_>) {
-        self.effects.clear();
+        self.shard.effects.clear();
         for &ci in self.carriers {
             let i = ci as usize;
             let j = i - self.first;
             let row = &mut self.cells[j * self.width..(j + 1) * self.width];
             let samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
-            inputs.sample_carrier(i, &mut self.nodes[j], row, samplers, self.effects);
+            inputs.sample_carrier(i, &mut self.nodes[j], row, samplers, self.shard);
         }
     }
 }

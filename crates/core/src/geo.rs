@@ -30,8 +30,13 @@ pub struct GeoTable {
 
 impl GeoTable {
     /// Empty table (no localisation).
-    pub fn new() -> Self {
-        GeoTable::default()
+    pub const fn new() -> Self {
+        GeoTable { own: None, children: Vec::new(), last_tx: None }
+    }
+
+    /// Whether the table holds no position, no child box and no advert.
+    pub fn is_empty(&self) -> bool {
+        self.own.is_none() && self.children.is_empty() && self.last_tx.is_none()
     }
 
     /// Set this node's own (static) position.

@@ -3,9 +3,16 @@
 //! [`DirqNode`] holds a node's protocol state: its place in the spanning
 //! tree (parent + children), one [`RangeTable`] per sensor type with range
 //! information anywhere in its subtree, and the threshold controller. All
-//! handlers are pure state transitions returning [`Outgoing`] actions; the
-//! scenario engine maps those onto LMAC transmissions. This keeps the
-//! protocol unit-testable without a simulator.
+//! handlers are pure state transitions that append [`Outgoing`] actions to
+//! a caller-owned buffer; the scenario engine maps those onto LMAC
+//! transmissions and reuses one buffer for every handler call. This keeps
+//! the protocol unit-testable without a simulator.
+//!
+//! Every Update and query reads a cold node, so the node stays within 128
+//! bytes: the ATC controller is boxed and allocated only under
+//! [`DeltaPolicy::Adaptive`], and the location table is boxed and
+//! allocated on its first write (a position, a child's advert or a
+//! restored non-empty table). Without one, reads see an empty table.
 //!
 //! What every sample touches — the last reading, the variability estimate
 //! and a copy of the own tuple — lives in the engine's dense sensing plane
@@ -74,18 +81,23 @@ pub struct DirqNode {
     /// (`None`: no table — the type is absent from this node's subtree).
     tables: Vec<Option<RangeTable>>,
     delta_pct: f64,
-    atc: Option<AtcController>,
+    /// The threshold controller; only [`DeltaPolicy::Adaptive`] has one.
+    atc: Option<Box<AtcController>>,
     /// Query ids already processed (duplicate suppression after repairs).
     seen_queries: Vec<QueryId>,
-    /// Location extension: subtree bounding boxes (empty when localisation
-    /// is unavailable — DirQ works without it).
-    geo: GeoTable,
+    /// Location extension: subtree bounding boxes, allocated on the first
+    /// write (`None` reads as an empty table — DirQ works without
+    /// localisation). Read it through [`DirqNode::geo`].
+    geo: Option<Box<GeoTable>>,
     updates_sent: u64,
     cfg: Arc<NodeConfig>,
 }
 
 /// Bound on the duplicate-suppression memory.
 const SEEN_QUERIES_CAP: usize = 64;
+
+/// What a node without a location table reads.
+static NO_GEO: GeoTable = GeoTable::new();
 
 impl DirqNode {
     /// Fresh node with no tree links and empty tables.
@@ -97,7 +109,7 @@ impl DirqNode {
             }
             DeltaPolicy::Adaptive(acfg) => {
                 let c = AtcController::new(acfg);
-                (c.delta_pct(), Some(c))
+                (c.delta_pct(), Some(Box::new(c)))
             }
         };
         // Pre-size the table array from the configured spans; types
@@ -111,7 +123,7 @@ impl DirqNode {
             delta_pct,
             atc,
             seen_queries: Vec::new(),
-            geo: GeoTable::new(),
+            geo: None,
             updates_sent: 0,
             cfg,
         }
@@ -172,14 +184,14 @@ impl DirqNode {
 
     // --- tree maintenance ---------------------------------------------------
 
-    /// Adopt a new parent (or become an orphan with `None`). Returns the
+    /// Adopt a new parent (or become an orphan with `None`). Appends the
     /// messages to send to the new parent: an `Attach` followed by a full
     /// re-advertisement of every non-empty table aggregate.
-    pub fn set_parent(&mut self, parent: Option<NodeId>) -> Vec<Outgoing> {
+    pub fn set_parent(&mut self, parent: Option<NodeId>, out: &mut Vec<Outgoing>) {
         self.parent = parent;
-        let mut out = Vec::new();
         if parent.is_some() {
             out.push(Outgoing::ToParent(DirqMessage::Attach));
+            let mut sent = 0;
             for (idx, slot) in self.tables.iter_mut().enumerate() {
                 let Some(table) = slot else { continue };
                 if let Some(agg) = table.aggregate() {
@@ -189,58 +201,61 @@ impl DirqNode {
                         min: agg.min,
                         max: agg.max,
                     }));
+                    sent += 1;
                 }
             }
-            self.updates_sent += out.len() as u64 - 1;
+            self.updates_sent += sent;
             if let Some(atc) = &mut self.atc {
-                for _ in 1..out.len() {
+                for _ in 0..sent {
                     atc.on_update_sent();
                 }
             }
-            if let Some(rect) = self.geo.aggregate() {
-                self.geo.mark_advertised(rect);
-                out.push(Outgoing::ToParent(DirqMessage::GeoAdvert(rect)));
+            if let Some(geo) = &mut self.geo {
+                if let Some(rect) = geo.aggregate() {
+                    geo.mark_advertised(rect);
+                    out.push(Outgoing::ToParent(DirqMessage::GeoAdvert(rect)));
+                }
             }
         }
-        out
     }
 
     /// Location extension: record this node's own (static) position and
     /// advertise the resulting subtree hull.
-    pub fn set_position(&mut self, pos: Position) -> Vec<Outgoing> {
-        self.geo.set_own(pos);
-        self.flush_geo()
+    pub fn set_position(&mut self, pos: Position, out: &mut Vec<Outgoing>) {
+        self.geo.get_or_insert_default().set_own(pos);
+        self.flush_geo(out);
     }
 
     /// This node's position, if localised.
     pub fn position(&self) -> Option<Position> {
-        self.geo.own()
+        self.geo().own()
     }
 
     /// The location table (read access for tests/diagnostics).
     pub fn geo_table(&self) -> &GeoTable {
-        &self.geo
+        self.geo()
+    }
+
+    /// The location table, or an empty one when none was written.
+    fn geo(&self) -> &GeoTable {
+        self.geo.as_deref().unwrap_or(&NO_GEO)
     }
 
     /// A child advertised its subtree bounding box.
-    pub fn on_geo_advert(&mut self, from: NodeId, rect: dirq_net::Rect) -> Vec<Outgoing> {
+    pub fn on_geo_advert(&mut self, from: NodeId, rect: dirq_net::Rect, out: &mut Vec<Outgoing>) {
         self.add_child(from);
-        if self.geo.set_child(from, rect) {
-            self.flush_geo()
-        } else {
-            Vec::new()
+        if self.geo.get_or_insert_default().set_child(from, rect) {
+            self.flush_geo(out);
         }
     }
 
-    fn flush_geo(&mut self) -> Vec<Outgoing> {
-        let Some(rect) = self.geo.pending_advert() else {
-            return Vec::new();
-        };
-        self.geo.mark_advertised(rect);
-        if self.id.is_root() || self.parent.is_none() {
-            return Vec::new();
+    fn flush_geo(&mut self, out: &mut Vec<Outgoing>) {
+        let Some(geo) = &mut self.geo else { return };
+        let Some(rect) = geo.pending_advert() else { return };
+        geo.mark_advertised(rect);
+        if !self.id.is_root() && self.parent.is_some() {
+            out.push(Outgoing::ToParent(DirqMessage::GeoAdvert(rect)));
         }
-        vec![Outgoing::ToParent(DirqMessage::GeoAdvert(rect))]
     }
 
     /// Register `child` (idempotent).
@@ -252,21 +267,19 @@ impl DirqNode {
 
     /// A child vanished (death or re-parenting): drop it from the child
     /// list and every table, cascading updates/retracts upward.
-    pub fn on_child_lost(&mut self, child: NodeId) -> Vec<Outgoing> {
+    pub fn on_child_lost(&mut self, child: NodeId, out: &mut Vec<Outgoing>) {
         if let Ok(i) = self.children.binary_search(&child) {
             self.children.remove(i);
         }
-        let mut out = Vec::new();
         for idx in 0..self.tables.len() {
             let changed = self.tables[idx].as_mut().map(|t| t.remove_child(child)).unwrap_or(false);
             if changed {
-                out.extend(self.flush_table(SensorType(idx as u8)));
+                self.flush_table(SensorType(idx as u8), out);
             }
         }
-        if self.geo.remove_child(child) {
-            out.extend(self.flush_geo());
+        if self.geo.as_mut().is_some_and(|g| g.remove_child(child)) {
+            self.flush_geo(out);
         }
-        out
     }
 
     // --- sensing ------------------------------------------------------------
@@ -276,20 +289,18 @@ impl DirqNode {
     /// engine's sensing plane filters the readings that stay inside and
     /// keeps the last reading and variability; a contained reading is a
     /// no-op here too.
-    pub fn sample(&mut self, stype: SensorType, reading: f64) -> Vec<Outgoing> {
+    pub fn sample(&mut self, stype: SensorType, reading: f64, out: &mut Vec<Outgoing>) {
         let idx = stype.index();
         self.ensure_type(idx);
         let delta = self.delta_abs(stype);
         let table = self.tables[idx].get_or_insert_with(RangeTable::new);
         if table.observe_own(reading, delta) {
-            self.flush_table(stype)
-        } else {
-            Vec::new()
+            self.flush_table(stype, out);
         }
     }
 
     /// The node's sensor for `stype` was removed.
-    pub fn drop_own_sensor(&mut self, stype: SensorType) -> Vec<Outgoing> {
+    pub fn drop_own_sensor(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
         let changed = self
             .tables
             .get_mut(stype.index())
@@ -297,9 +308,7 @@ impl DirqNode {
             .map(|t| t.clear_own())
             .unwrap_or(false);
         if changed {
-            self.flush_table(stype)
-        } else {
-            Vec::new()
+            self.flush_table(stype, out);
         }
     }
 
@@ -312,20 +321,19 @@ impl DirqNode {
         stype: SensorType,
         min: f64,
         max: f64,
-    ) -> Vec<Outgoing> {
+        out: &mut Vec<Outgoing>,
+    ) {
         self.add_child(from);
         self.ensure_type(stype.index());
         let table = self.tables[stype.index()].get_or_insert_with(RangeTable::new);
         let changed = table.set_child(from, RangeEntry { min, max });
         if changed {
-            self.flush_table(stype)
-        } else {
-            Vec::new()
+            self.flush_table(stype, out);
         }
     }
 
     /// A Retract arrived from a child.
-    pub fn on_retract(&mut self, from: NodeId, stype: SensorType) -> Vec<Outgoing> {
+    pub fn on_retract(&mut self, from: NodeId, stype: SensorType, out: &mut Vec<Outgoing>) {
         let changed = self
             .tables
             .get_mut(stype.index())
@@ -333,9 +341,7 @@ impl DirqNode {
             .map(|t| t.remove_child(from))
             .unwrap_or(false);
         if changed {
-            self.flush_table(stype)
-        } else {
-            Vec::new()
+            self.flush_table(stype, out);
         }
     }
 
@@ -344,27 +350,27 @@ impl DirqNode {
         self.add_child(from);
     }
 
-    /// A query arrived (or was injected, at the root). Returns the local
+    /// A query arrived (or was injected, at the root). Appends the local
     /// delivery (if the node's own advertised range matches) and the
     /// forwarding multicast to the children whose aggregates overlap.
     ///
     /// Duplicate query ids (possible transiently after tree repairs) are
     /// ignored.
-    pub fn on_query(&mut self, query: &RangeQuery) -> Vec<Outgoing> {
+    pub fn on_query(&mut self, query: &RangeQuery, out: &mut Vec<Outgoing>) {
         if self.seen_queries.contains(&query.id) {
-            return Vec::new();
+            return;
         }
         if self.seen_queries.len() == SEEN_QUERIES_CAP {
             self.seen_queries.remove(0);
         }
         self.seen_queries.push(query.id);
 
-        let mut out = Vec::new();
         if let Some(table) = self.table(query.stype) {
+            let geo = self.geo();
             if let Some(own) = table.own() {
                 // Local delivery: value overlap, plus (when both the query
                 // and the node are localised) the region must contain us.
-                let in_region = match (query.region, self.geo.own()) {
+                let in_region = match (query.region, geo.own()) {
                     (Some(r), Some(pos)) => r.contains(&pos),
                     _ => true, // no region, or no localisation: cannot prune
                 };
@@ -372,7 +378,7 @@ impl DirqNode {
                     out.push(Outgoing::DeliverLocal(*query));
                 }
             }
-            // Batched interval-overlap sweep over the table's SoA arrays;
+            // Interval-overlap sweep over the table's child tuples;
             // candidates that survive it are filtered by child-list
             // membership (only forward to nodes we still consider children)
             // and spatial pruning (skip children whose advertised subtree
@@ -381,7 +387,7 @@ impl DirqNode {
             let mut relevant = NodeList::default();
             table.for_overlapping_children(query.lo, query.hi, |c| {
                 if self.children.binary_search(&c).is_ok()
-                    && match (query.region, self.geo.child_rect(c)) {
+                    && match (query.region, geo.child_rect(c)) {
                         (Some(region), Some(rect)) => rect.intersects(&region),
                         _ => true,
                     }
@@ -393,19 +399,16 @@ impl DirqNode {
                 out.push(Outgoing::ToChildren(relevant, DirqMessage::Query(*query)));
             }
         }
-        out
     }
 
     /// The hourly EHr/budget message arrived: update ATC and forward the
     /// message to all children.
-    pub fn on_ehr(&mut self, msg: EhrMessage) -> Vec<Outgoing> {
+    pub fn on_ehr(&mut self, msg: EhrMessage, out: &mut Vec<Outgoing>) {
         if let Some(atc) = &mut self.atc {
             atc.on_budget(msg.per_node_budget_per_epoch);
         }
-        if self.children.is_empty() {
-            Vec::new()
-        } else {
-            vec![Outgoing::ToChildren(self.children.as_slice().into(), DirqMessage::Ehr(msg))]
+        if !self.children.is_empty() {
+            out.push(Outgoing::ToChildren(self.children.as_slice().into(), DirqMessage::Ehr(msg)));
         }
     }
 
@@ -465,7 +468,7 @@ impl DirqNode {
         for q in &self.seen_queries {
             w.u64(q.0);
         }
-        self.geo.snap(w);
+        self.geo().snap(w);
         w.u64(self.updates_sent);
     }
 
@@ -493,7 +496,7 @@ impl DirqNode {
             tables.push(if r.bool()? { Some(RangeTable::unsnap(r)?) } else { None });
         }
         if !(self.parent.iter().chain(&self.children).all(inside)
-            && tables.iter().flatten().all(|t: &RangeTable| t.child_ids().iter().all(inside)))
+            && tables.iter().flatten().all(|t: &RangeTable| t.child_ids().all(|c| inside(&c))))
         {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
@@ -542,10 +545,11 @@ impl DirqNode {
         self.seen_queries =
             (0..n).map(|_| r.u64().map(dirq_data::QueryId)).collect::<Result<_, _>>()?;
         let pos = r.position();
-        self.geo = GeoTable::unsnap(r)?;
-        if !self.geo.children().iter().all(|(c, _)| inside(c)) {
+        let geo = GeoTable::unsnap(r)?;
+        if !geo.children().iter().all(|(c, _)| inside(c)) {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
+        self.geo = (!geo.is_empty()).then(|| Box::new(geo));
         self.updates_sent = r.u64()?;
         for (idx, cell) in row.iter_mut().enumerate() {
             cell.set_window(
@@ -560,12 +564,11 @@ impl DirqNode {
     /// After a table mutation: emit an Update or Retract to the parent per
     /// the Fig. 3 rule. The root marks aggregates transmitted without
     /// sending (its "parent" is the wired server).
-    fn flush_table(&mut self, stype: SensorType) -> Vec<Outgoing> {
+    fn flush_table(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
         let delta = self.delta_abs(stype) * self.cfg.tx_threshold_factor;
         let Some(table) = self.tables.get_mut(stype.index()).and_then(|t| t.as_mut()) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         if table.pending_retract() {
             table.mark_retracted();
             self.tables[stype.index()] = None;
@@ -590,7 +593,6 @@ impl DirqNode {
                 }));
             }
         }
-        out
     }
 }
 
@@ -620,9 +622,80 @@ mod tests {
         let mut n = DirqNode::new(NodeId(id), cfg());
         if id != 0 {
             // Give non-root nodes a parent so updates are emitted.
-            let _ = n.set_parent(Some(NodeId(0)));
+            n.set_parent(Some(NodeId(0)), &mut Vec::new());
         }
         n
+    }
+
+    /// Run one handler on a fresh buffer and return what it appended.
+    fn run(handler: impl FnOnce(&mut Vec<Outgoing>)) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        handler(&mut out);
+        out
+    }
+
+    /// Every Update and query pulls a node, and a range table, into cache;
+    /// a new inline field must not silently undo the budget.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn layout_budget() {
+        let node = std::mem::size_of::<DirqNode>();
+        let table = std::mem::size_of::<RangeTable>();
+        assert!(node <= 128, "DirqNode is {node} bytes, over its 128-byte budget");
+        assert!(table <= 72, "RangeTable is {table} bytes, over its 72-byte budget");
+    }
+
+    #[test]
+    fn handlers_append_to_the_buffer() {
+        let mut n = mk(1);
+        n.sample(t0(), 20.0, &mut Vec::new());
+        n.on_update(NodeId(8), SensorType(1), 5.0, 6.0, &mut Vec::new());
+        let before = n.updates_sent();
+        let mut out = vec![Outgoing::DeliverLocal(query(1, 0.0, 1.0))];
+        n.set_parent(Some(NodeId(2)), &mut out);
+        assert_eq!(out.len(), 4, "the earlier entry stays: {out:?}");
+        assert_eq!(out[0], Outgoing::DeliverLocal(query(1, 0.0, 1.0)));
+        assert_eq!(out[1], Outgoing::ToParent(DirqMessage::Attach));
+        assert_eq!(n.updates_sent(), before + 2, "two tables re-advertised");
+    }
+
+    #[test]
+    fn geo_table_is_allocated_on_first_write() {
+        use dirq_net::{Position, Rect};
+        let mut n = mk(1);
+        n.sample(t0(), 20.0, &mut Vec::new());
+        n.on_update(NodeId(3), t0(), 0.0, 1.0, &mut Vec::new());
+        let out = run(|o| n.on_child_lost(NodeId(3), o));
+        assert!(!out.iter().any(|o| matches!(o, Outgoing::ToParent(DirqMessage::GeoAdvert(_)))));
+        assert!(n.geo.is_none(), "no location write, no table");
+        assert!(n.geo_table().is_empty());
+        assert_eq!(n.position(), None);
+
+        // An absent table snaps as an empty one and restores as absent.
+        let row = [SensorCell::EMPTY; 2];
+        let mut w = SnapWriter::new();
+        n.snap(&mut w, &row);
+        let image = w.finish();
+        let mut boxed = n.clone();
+        boxed.geo = Some(Box::default());
+        let mut w = SnapWriter::new();
+        boxed.snap(&mut w, &row);
+        assert!(w.finish() == image, "an absent table snaps as an empty one");
+        let mut copy = DirqNode::new(NodeId(1), cfg());
+        copy.restore(&mut SnapReader::new(&image), &mut row.clone(), 8).expect("own image");
+        assert!(copy.geo.is_none());
+
+        let mut other = mk(2);
+        other.on_geo_advert(NodeId(4), Rect::point(Position::new(1.0, 2.0)), &mut Vec::new());
+        assert!(other.geo.is_some());
+        n.set_position(Position::new(3.0, 4.0), &mut Vec::new());
+        assert_eq!(n.position(), Some(Position::new(3.0, 4.0)));
+        let mut w = SnapWriter::new();
+        n.snap(&mut w, &row);
+        let image = w.finish();
+        let mut copy = DirqNode::new(NodeId(1), cfg());
+        copy.restore(&mut SnapReader::new(&image), &mut row.clone(), 8).expect("own image");
+        assert_eq!(copy.position(), Some(Position::new(3.0, 4.0)));
     }
 
     #[test]
@@ -636,7 +709,7 @@ mod tests {
     #[test]
     fn first_sample_emits_update() {
         let mut n = mk(1);
-        let out = n.sample(t0(), 20.0);
+        let out = run(|o| n.sample(t0(), 20.0, o));
         assert_eq!(
             out,
             vec![Outgoing::ToParent(DirqMessage::Update { stype: t0(), min: 19.0, max: 21.0 })]
@@ -647,19 +720,20 @@ mod tests {
     #[test]
     fn small_changes_suppressed() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
+        n.sample(t0(), 20.0, &mut Vec::new());
         // Inside the ±1.0 window: no tuple replacement, no update.
-        assert!(n.sample(t0(), 20.5).is_empty());
-        assert!(n.sample(t0(), 19.2).is_empty());
+        assert!(run(|o| n.sample(t0(), 20.5, o)).is_empty());
+        assert!(run(|o| n.sample(t0(), 19.2, o)).is_empty());
         assert_eq!(n.updates_sent(), 1);
     }
 
     #[test]
     fn escape_triggers_update_beyond_delta() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // tx [19, 21]
-                              // Escape to 22.5: own tuple [21.5, 23.5]; aggregate moved by 2.5 > 1.
-        let out = n.sample(t0(), 22.5);
+        n.sample(t0(), 20.0, &mut Vec::new()); // tx [19, 21]
+
+        // Escape to 22.5: own tuple [21.5, 23.5]; aggregate moved by 2.5 > 1.
+        let out = run(|o| n.sample(t0(), 22.5, o));
         assert_eq!(
             out,
             vec![Outgoing::ToParent(DirqMessage::Update { stype: t0(), min: 21.5, max: 23.5 })]
@@ -669,39 +743,40 @@ mod tests {
     #[test]
     fn escape_within_delta_of_last_tx_is_silent() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // own [19,21], tx [19,21]
-                              // Escape to 21.8: own tuple becomes [20.8, 22.8]; min moved +1.8 > δ?
-                              // min 19→20.8 = 1.8 > 1 → fires. Pick an escape that moves both ends
-                              // by ≤ δ: reading 21.9 → [20.9, 22.9]: max moved 1.9 > 1 — fires too.
-                              // With this δ the paper's rule can only stay silent when the
-                              // aggregate is dominated by children; verify via a child update.
+        n.sample(t0(), 20.0, &mut Vec::new()); // own [19,21], tx [19,21]
+
+        // Escape to 21.8: own tuple becomes [20.8, 22.8]; min moved +1.8 > δ?
+        // min 19→20.8 = 1.8 > 1 → fires. Pick an escape that moves both ends
+        // by ≤ δ: reading 21.9 → [20.9, 22.9]: max moved 1.9 > 1 — fires too.
+        // With this δ the paper's rule can only stay silent when the
+        // aggregate is dominated by children; verify via a child update.
         let mut p = mk(2);
-        p.on_update(NodeId(5), t0(), 0.0, 100.0);
+        p.on_update(NodeId(5), t0(), 0.0, 100.0, &mut Vec::new());
         // p transmitted [0,100]. A tiny own reading inside: aggregate
         // unchanged → silent.
-        let out = p.sample(t0(), 50.0);
+        let out = run(|o| p.sample(t0(), 50.0, o));
         assert!(out.is_empty(), "aggregate [0,100] swallowed [49,51]: {out:?}");
     }
 
     #[test]
     fn child_update_cascades_when_significant() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // tx [19, 21]
-        let out = n.on_update(NodeId(7), t0(), 5.0, 8.0);
+        n.sample(t0(), 20.0, &mut Vec::new()); // tx [19, 21]
+        let out = run(|o| n.on_update(NodeId(7), t0(), 5.0, 8.0, o));
         assert_eq!(
             out,
             vec![Outgoing::ToParent(DirqMessage::Update { stype: t0(), min: 5.0, max: 21.0 })]
         );
         assert_eq!(n.children(), &[NodeId(7)]);
         // A further child change inside the transmitted aggregate: silent.
-        let out = n.on_update(NodeId(7), t0(), 5.5, 8.0);
+        let out = run(|o| n.on_update(NodeId(7), t0(), 5.5, 8.0, o));
         assert!(out.is_empty());
     }
 
     #[test]
     fn root_absorbs_updates_without_sending() {
         let mut root = DirqNode::new(NodeId::ROOT, cfg());
-        let out = root.on_update(NodeId(3), t0(), 1.0, 2.0);
+        let out = run(|o| root.on_update(NodeId(3), t0(), 1.0, 2.0, o));
         assert!(out.is_empty(), "root has no parent to update");
         assert_eq!(root.updates_sent(), 0);
         // But it stores the information for routing.
@@ -711,8 +786,8 @@ mod tests {
     #[test]
     fn retract_on_last_entry_removed() {
         let mut n = mk(1);
-        n.on_update(NodeId(9), t0(), 1.0, 2.0);
-        let out = n.on_child_lost(NodeId(9));
+        n.on_update(NodeId(9), t0(), 1.0, 2.0, &mut Vec::new());
+        let out = run(|o| n.on_child_lost(NodeId(9), o));
         assert_eq!(out, vec![Outgoing::ToParent(DirqMessage::Retract { stype: t0() })]);
         assert!(n.table(t0()).is_none(), "empty table dropped");
         assert!(n.children().is_empty());
@@ -721,9 +796,9 @@ mod tests {
     #[test]
     fn child_loss_with_remaining_data_updates() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // [19,21]
-        n.on_update(NodeId(9), t0(), 0.0, 50.0); // tx [0,50]
-        let out = n.on_child_lost(NodeId(9));
+        n.sample(t0(), 20.0, &mut Vec::new()); // [19,21]
+        n.on_update(NodeId(9), t0(), 0.0, 50.0, &mut Vec::new()); // tx [0,50]
+        let out = run(|o| n.on_child_lost(NodeId(9), o));
         // Aggregate shrinks back to [19,21]: both ends moved > δ.
         assert_eq!(
             out,
@@ -734,10 +809,10 @@ mod tests {
     #[test]
     fn query_routing_to_overlapping_children_only() {
         let mut n = mk(1);
-        n.on_update(NodeId(3), t0(), 0.0, 10.0);
-        n.on_update(NodeId(4), t0(), 20.0, 30.0);
-        n.on_update(NodeId(5), t0(), 40.0, 50.0);
-        let out = n.on_query(&query(1, 25.0, 45.0));
+        n.on_update(NodeId(3), t0(), 0.0, 10.0, &mut Vec::new());
+        n.on_update(NodeId(4), t0(), 20.0, 30.0, &mut Vec::new());
+        n.on_update(NodeId(5), t0(), 40.0, 50.0, &mut Vec::new());
+        let out = run(|o| n.on_query(&query(1, 25.0, 45.0), o));
         assert_eq!(
             out,
             vec![Outgoing::ToChildren(
@@ -750,28 +825,28 @@ mod tests {
     #[test]
     fn query_delivers_locally_on_own_overlap() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // own [19, 21]
-        let out = n.on_query(&query(2, 20.5, 30.0));
+        n.sample(t0(), 20.0, &mut Vec::new()); // own [19, 21]
+        let out = run(|o| n.on_query(&query(2, 20.5, 30.0), o));
         assert_eq!(out, vec![Outgoing::DeliverLocal(query(2, 20.5, 30.0))]);
         // Own range [19,21] vs [30,40]: no delivery, no children: nothing.
-        let out = n.on_query(&query(3, 30.0, 40.0));
+        let out = run(|o| n.on_query(&query(3, 30.0, 40.0), o));
         assert!(out.is_empty());
     }
 
     #[test]
     fn duplicate_queries_suppressed() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
-        assert_eq!(n.on_query(&query(7, 0.0, 100.0)).len(), 1);
-        assert!(n.on_query(&query(7, 0.0, 100.0)).is_empty());
+        n.sample(t0(), 20.0, &mut Vec::new());
+        assert_eq!(run(|o| n.on_query(&query(7, 0.0, 100.0), o)).len(), 1);
+        assert!(run(|o| n.on_query(&query(7, 0.0, 100.0), o)).is_empty());
     }
 
     #[test]
     fn query_for_unknown_type_goes_nowhere() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
+        n.sample(t0(), 20.0, &mut Vec::new());
         let q = RangeQuery::value(QueryId(9), SensorType(3), 0.0, 1.0);
-        assert!(n.on_query(&q).is_empty());
+        assert!(run(|o| n.on_query(&q, o)).is_empty());
     }
 
     #[test]
@@ -780,22 +855,22 @@ mod tests {
         n.add_child(NodeId(2));
         n.add_child(NodeId(3));
         let msg = EhrMessage { queries_per_hour: 20.0, per_node_budget_per_epoch: 0.1 };
-        let out = n.on_ehr(msg);
+        let out = run(|o| n.on_ehr(msg, o));
         assert_eq!(
             out,
             vec![Outgoing::ToChildren([NodeId(2), NodeId(3)].into(), DirqMessage::Ehr(msg))]
         );
         // Leaf: absorbed silently.
         let mut leaf = mk(4);
-        assert!(leaf.on_ehr(msg).is_empty());
+        assert!(run(|o| leaf.on_ehr(msg, o)).is_empty());
     }
 
     #[test]
     fn set_parent_readvertises_tables() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
-        n.on_update(NodeId(8), SensorType(1), 5.0, 6.0);
-        let out = n.set_parent(Some(NodeId(2)));
+        n.sample(t0(), 20.0, &mut Vec::new());
+        n.on_update(NodeId(8), SensorType(1), 5.0, 6.0, &mut Vec::new());
+        let out = run(|o| n.set_parent(Some(NodeId(2)), o));
         assert_eq!(out.len(), 3); // Attach + 2 table advertisements
         assert_eq!(out[0], Outgoing::ToParent(DirqMessage::Attach));
         assert!(matches!(
@@ -811,11 +886,11 @@ mod tests {
     #[test]
     fn orphan_emits_nothing_and_buffers_state() {
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
-        let out = n.set_parent(None);
+        n.sample(t0(), 20.0, &mut Vec::new());
+        let out = run(|o| n.set_parent(None, o));
         assert!(out.is_empty());
         // Sampling while orphaned mutates the table but sends nothing.
-        let out = n.sample(t0(), 40.0);
+        let out = run(|o| n.sample(t0(), 40.0, o));
         assert!(out.is_empty());
         assert!(n.table(t0()).is_some());
     }
@@ -824,23 +899,23 @@ mod tests {
     fn geo_advert_flows_and_prunes_routing() {
         use dirq_net::{Position, Rect};
         let mut n = mk(1);
-        n.sample(t0(), 20.0);
+        n.sample(t0(), 20.0, &mut Vec::new());
         // Two children with identical value ranges but disjoint regions.
-        n.on_update(NodeId(3), t0(), 0.0, 100.0);
-        n.on_update(NodeId(4), t0(), 0.0, 100.0);
+        n.on_update(NodeId(3), t0(), 0.0, 100.0, &mut Vec::new());
+        n.on_update(NodeId(4), t0(), 0.0, 100.0, &mut Vec::new());
         let west = Rect::new(Position::new(0.0, 0.0), Position::new(10.0, 10.0));
         let east = Rect::new(Position::new(50.0, 0.0), Position::new(60.0, 10.0));
-        let out = n.on_geo_advert(NodeId(3), west);
+        let out = run(|o| n.on_geo_advert(NodeId(3), west, o));
         assert!(
             matches!(out.as_slice(), [Outgoing::ToParent(DirqMessage::GeoAdvert(_))]),
             "hull change must be advertised: {out:?}"
         );
-        n.on_geo_advert(NodeId(4), east);
+        n.on_geo_advert(NodeId(4), east, &mut Vec::new());
 
         // A query scoped to the west region must skip the east child.
         let q = query(11, 0.0, 100.0)
             .with_region(Rect::new(Position::new(0.0, 0.0), Position::new(20.0, 20.0)));
-        let out = n.on_query(&q);
+        let out = run(|o| n.on_query(&q, o));
         let forwarded: Vec<NodeId> = out
             .iter()
             .find_map(|o| match o {
@@ -855,24 +930,28 @@ mod tests {
     fn geo_local_delivery_requires_region_membership() {
         use dirq_net::{Position, Rect};
         let mut n = mk(1);
-        n.set_position(Position::new(30.0, 30.0));
-        n.sample(t0(), 20.0);
+        n.set_position(Position::new(30.0, 30.0), &mut Vec::new());
+        n.sample(t0(), 20.0, &mut Vec::new());
         let inside =
             query(21, 0.0, 100.0).with_region(Rect::centered(Position::new(30.0, 30.0), 5.0));
-        assert!(n.on_query(&inside).iter().any(|o| matches!(o, Outgoing::DeliverLocal(_))));
+        assert!(run(|o| n.on_query(&inside, o))
+            .iter()
+            .any(|o| matches!(o, Outgoing::DeliverLocal(_))));
         let outside =
             query(22, 0.0, 100.0).with_region(Rect::centered(Position::new(90.0, 90.0), 5.0));
-        assert!(!n.on_query(&outside).iter().any(|o| matches!(o, Outgoing::DeliverLocal(_))));
+        assert!(!run(|o| n.on_query(&outside, o))
+            .iter()
+            .any(|o| matches!(o, Outgoing::DeliverLocal(_))));
     }
 
     #[test]
     fn unlocalised_node_ignores_region_conservatively() {
         use dirq_net::{Position, Rect};
         let mut n = mk(1);
-        n.sample(t0(), 20.0); // no set_position
+        n.sample(t0(), 20.0, &mut Vec::new()); // no set_position
         let q = query(31, 0.0, 100.0).with_region(Rect::centered(Position::new(90.0, 90.0), 1.0));
         // Cannot prune without knowing its own position: delivers locally.
-        assert!(n.on_query(&q).iter().any(|o| matches!(o, Outgoing::DeliverLocal(_))));
+        assert!(run(|o| n.on_query(&q, o)).iter().any(|o| matches!(o, Outgoing::DeliverLocal(_))));
     }
 
     #[test]
@@ -880,8 +959,8 @@ mod tests {
         // Paper Fig. 4: a node keeps tables for types it does not carry
         // itself when they exist in its subtree.
         let mut n = mk(1);
-        n.on_update(NodeId(2), SensorType(0), 0.0, 1.0);
-        n.on_update(NodeId(3), SensorType(1), 5.0, 6.0);
+        n.on_update(NodeId(2), SensorType(0), 0.0, 1.0, &mut Vec::new());
+        n.on_update(NodeId(3), SensorType(1), 5.0, 6.0, &mut Vec::new());
         assert_eq!(n.table_types().count(), 2);
         assert!(n.table(SensorType(0)).unwrap().own().is_none());
     }

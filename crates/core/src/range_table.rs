@@ -14,14 +14,14 @@
 //!
 //! ## Layout
 //!
-//! Child tuples are stored struct-of-arrays: `child_ids[]` / `child_min[]`
-//! / `child_max[]`, kept sorted by child id. The two routing hot loops —
-//! the aggregate recomputation after every table mutation and the
-//! per-query child-overlap test — become branch-light sweeps over dense
-//! `f64` arrays the compiler can vectorise, instead of walking
-//! `(NodeId, RangeEntry)` pairs. Both sweeps visit children in ascending
-//! id order, exactly as the old pair-vector did, so observable behaviour
-//! (merge order, emitted child lists) is bit-identical.
+//! Child tuples are one `Vec` of `{ id, min, max }` records kept sorted by
+//! child id: one allocation per table, and a child's id and bounds share a
+//! cache line. A table has about one child in the paper's trees, so the
+//! parallel arrays the routing sweeps once ran over bought no
+//! vectorisation, only two more allocations and cold lines per message.
+//! The aggregate recomputation and the per-query child-overlap test both
+//! visit children in ascending id order, so merge order and emitted child
+//! lists are bit-identical to any earlier layout.
 
 use dirq_net::NodeId;
 
@@ -65,19 +65,21 @@ impl RangeEntry {
     }
 }
 
+/// One child's advertised aggregate tuple.
+#[derive(Clone, Copy, Debug)]
+struct ChildEntry {
+    id: NodeId,
+    min: f64,
+    max: f64,
+}
+
 /// The per-sensor-type Range Table of one node.
 #[derive(Clone, Debug, Default)]
 pub struct RangeTable {
     /// This node's own tuple (`None`: the node does not carry the sensor).
     own: Option<RangeEntry>,
-    /// Child ids, ascending. `child_min`/`child_max` are parallel arrays:
-    /// `[child_min[i], child_max[i]]` is the aggregate tuple advertised by
-    /// `child_ids[i]`.
-    child_ids: Vec<NodeId>,
-    /// Per-child `THmin`, parallel to `child_ids`.
-    child_min: Vec<f64>,
-    /// Per-child `THmax`, parallel to `child_ids`.
-    child_max: Vec<f64>,
+    /// The aggregate tuple advertised by each child, ascending by child id.
+    children: Vec<ChildEntry>,
     /// The aggregate most recently transmitted up the tree
     /// (`prev_min(THmin)`, `prev_max(THmax)` in the paper).
     last_tx: Option<RangeEntry>,
@@ -112,23 +114,25 @@ impl RangeTable {
         self.own
     }
 
+    fn find(&self, child: NodeId) -> Result<usize, usize> {
+        self.children.binary_search_by_key(&child, |c| c.id)
+    }
+
     /// Insert or replace a child's aggregate tuple. Returns `true` if the
     /// stored value changed.
     pub fn set_child(&mut self, child: NodeId, entry: RangeEntry) -> bool {
-        match self.child_ids.binary_search(&child) {
+        match self.find(child) {
             Ok(i) => {
-                if self.child_min[i] == entry.min && self.child_max[i] == entry.max {
+                let c = &mut self.children[i];
+                if c.min == entry.min && c.max == entry.max {
                     false
                 } else {
-                    self.child_min[i] = entry.min;
-                    self.child_max[i] = entry.max;
+                    (c.min, c.max) = (entry.min, entry.max);
                     true
                 }
             }
             Err(i) => {
-                self.child_ids.insert(i, child);
-                self.child_min.insert(i, entry.min);
-                self.child_max.insert(i, entry.max);
+                self.children.insert(i, ChildEntry { id: child, min: entry.min, max: entry.max });
                 true
             }
         }
@@ -136,11 +140,9 @@ impl RangeTable {
 
     /// Remove a child's tuple; returns whether it was present.
     pub fn remove_child(&mut self, child: NodeId) -> bool {
-        match self.child_ids.binary_search(&child) {
+        match self.find(child) {
             Ok(i) => {
-                self.child_ids.remove(i);
-                self.child_min.remove(i);
-                self.child_max.remove(i);
+                self.children.remove(i);
                 true
             }
             Err(_) => false,
@@ -149,35 +151,29 @@ impl RangeTable {
 
     /// A child's stored tuple.
     pub fn child_entry(&self, child: NodeId) -> Option<RangeEntry> {
-        self.child_ids
-            .binary_search(&child)
-            .ok()
-            .map(|i| RangeEntry { min: self.child_min[i], max: self.child_max[i] })
+        self.find(child).ok().map(|i| {
+            let c = &self.children[i];
+            RangeEntry { min: c.min, max: c.max }
+        })
     }
 
     /// Child ids with a stored tuple, ascending.
-    pub fn child_ids(&self) -> &[NodeId] {
-        &self.child_ids
+    pub fn child_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.children.iter().map(|c| c.id)
     }
 
     /// All child tuples in ascending id order.
     pub fn child_entries(&self) -> impl Iterator<Item = (NodeId, RangeEntry)> + '_ {
-        self.child_ids
-            .iter()
-            .zip(self.child_min.iter().zip(&self.child_max))
-            .map(|(&id, (&min, &max))| (id, RangeEntry { min, max }))
+        self.children.iter().map(|c| (c.id, RangeEntry { min: c.min, max: c.max }))
     }
 
     /// Visit every child whose tuple overlaps `[lo, hi]` — DirQ's per-query
-    /// routing test — in ascending id order. The interval compares run as a
-    /// branch-light sweep over the parallel `child_min`/`child_max` arrays.
+    /// routing test — in ascending id order.
     #[inline]
     pub fn for_overlapping_children(&self, lo: f64, hi: f64, mut visit: impl FnMut(NodeId)) {
-        for i in 0..self.child_ids.len() {
-            // Non-short-circuiting `&` keeps the test a pair of compares the
-            // compiler can batch; the branch is on the combined mask only.
-            if (self.child_min[i] <= hi) & (self.child_max[i] >= lo) {
-                visit(self.child_ids[i]);
+        for c in &self.children {
+            if c.min <= hi && c.max >= lo {
+                visit(c.id);
             }
         }
     }
@@ -185,16 +181,16 @@ impl RangeTable {
     /// Fig. 2: `min(THmin)` / `max(THmax)` over the own tuple and all
     /// child tuples. `None` when the table holds nothing.
     pub fn aggregate(&self) -> Option<RangeEntry> {
-        if self.child_ids.is_empty() {
+        if self.children.is_empty() {
             return self.own;
         }
         let mut min = f64::INFINITY;
-        for &m in &self.child_min {
-            min = min.min(m);
+        for c in &self.children {
+            min = min.min(c.min);
         }
         let mut max = f64::NEG_INFINITY;
-        for &m in &self.child_max {
-            max = max.max(m);
+        for c in &self.children {
+            max = max.max(c.max);
         }
         let children = RangeEntry { min, max };
         Some(match self.own {
@@ -238,23 +234,30 @@ impl RangeTable {
 
     /// Whether the table holds neither an own tuple nor child tuples.
     pub fn is_empty(&self) -> bool {
-        self.own.is_none() && self.child_ids.is_empty()
+        self.own.is_none() && self.children.is_empty()
     }
 
     /// Number of tuples stored (own + children) — the paper's `n + 1`.
     pub fn len(&self) -> usize {
-        usize::from(self.own.is_some()) + self.child_ids.len()
+        usize::from(self.own.is_some()) + self.children.len()
     }
 
-    /// Write the full table state to `w`.
+    /// Write the full table state to `w`: the own tuple, then the child
+    /// ids, mins and maxes as three sequences, then the last transmission.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         snap_entry(w, self.own);
-        w.len_of(self.child_ids.len());
-        for id in &self.child_ids {
-            w.u32(id.0);
+        w.len_of(self.children.len());
+        for c in &self.children {
+            w.u32(c.id.0);
         }
-        w.f64s(&self.child_min);
-        w.f64s(&self.child_max);
+        w.len_of(self.children.len());
+        for c in &self.children {
+            w.f64(c.min);
+        }
+        w.len_of(self.children.len());
+        for c in &self.children {
+            w.f64(c.max);
+        }
         snap_entry(w, self.last_tx);
     }
 
@@ -279,8 +282,13 @@ impl RangeTable {
                 what: "range table child ids not strictly ascending",
             });
         }
+        let children = child_ids
+            .into_iter()
+            .zip(child_min.into_iter().zip(child_max))
+            .map(|(id, (min, max))| ChildEntry { id, min, max })
+            .collect();
         let last_tx = unsnap_entry(r)?;
-        Ok(RangeTable { own, child_ids, child_min, child_max, last_tx })
+        Ok(RangeTable { own, children, last_tx })
     }
 }
 

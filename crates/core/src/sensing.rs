@@ -116,8 +116,9 @@ impl SensingPlane {
 
 /// Run one reading of `stype` through `cell`, entering `node` only when
 /// the reading escapes its own tuple. The escape handler's messages are
-/// returned and the window is refreshed from the node's new own tuple; a
-/// contained reading returns nothing and leaves the node untouched.
+/// appended to `out` and the window is refreshed from the node's new own
+/// tuple; a contained reading appends nothing and leaves the node
+/// untouched.
 #[inline]
 pub(crate) fn sample(
     node: &mut DirqNode,
@@ -126,7 +127,8 @@ pub(crate) fn sample(
     reading: f64,
     span: f64,
     alpha: f64,
-) -> Vec<Outgoing> {
+    out: &mut Vec<Outgoing>,
+) {
     if !cell.observe(reading, span, alpha) {
         debug_assert_eq!(
             cell.window(),
@@ -134,11 +136,10 @@ pub(crate) fn sample(
             "escape window out of step with node {:?}'s own tuple",
             node.id()
         );
-        return Vec::new();
+        return;
     }
-    let outs = node.sample(stype, reading);
+    node.sample(stype, reading, out);
     cell.set_window(node.table(stype).and_then(|t| t.own()));
-    outs
 }
 
 #[cfg(test)]
@@ -168,8 +169,15 @@ mod tests {
     /// A node with a parent, so escapes emit Updates.
     fn attached(cfg: &Arc<NodeConfig>) -> DirqNode {
         let mut n = DirqNode::new(NodeId(1), Arc::clone(cfg));
-        let _ = n.set_parent(Some(NodeId(0)));
+        n.set_parent(Some(NodeId(0)), &mut Vec::new());
         n
+    }
+
+    /// Run one handler on a fresh buffer and return what it appended.
+    fn run(handler: impl FnOnce(&mut Vec<Outgoing>)) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        handler(&mut out);
+        out
     }
 
     /// The sampling state a node kept before the plane existed: the last
@@ -199,7 +207,7 @@ mod tests {
                 let pct = ((reading - prev).abs() / span) * 100.0;
                 self.variability[idx].get_or_insert_with(|| Ewma::new(ALPHA)).observe(pct);
             }
-            self.node.sample(stype, reading)
+            run(|o| self.node.sample(stype, reading, o))
         }
 
         fn sigma_hat_pct(&self) -> Option<f64> {
@@ -232,8 +240,8 @@ mod tests {
                 match kind {
                     // Drop the own sensor: the window clears with the tuple.
                     10 => {
-                        let want = model.node.drop_own_sensor(stype);
-                        let got = node.drop_own_sensor(stype);
+                        let want = run(|o| model.node.drop_own_sensor(stype, o));
+                        let got = run(|o| node.drop_own_sensor(stype, o));
                         prop_assert_eq!(got, want, "step {}: drop_own_sensor", k);
                         row[idx].set_window(node.table(stype).and_then(|t| t.own()));
                     }
@@ -247,8 +255,8 @@ mod tests {
                     // own tuple and the window stay.
                     12 => {
                         let (min, max) = (SPANS[idx] * raw, SPANS[idx] * (raw + 0.2));
-                        let want = model.node.on_update(NodeId(7), stype, min, max);
-                        let got = node.on_update(NodeId(7), stype, min, max);
+                        let want = run(|o| model.node.on_update(NodeId(7), stype, min, max, o));
+                        let got = run(|o| node.on_update(NodeId(7), stype, min, max, o));
                         prop_assert_eq!(got, want, "step {}: child update", k);
                     }
                     _ => {
@@ -269,8 +277,9 @@ mod tests {
                         // same step; probe it on a copy first.
                         let mut probe = row[idx];
                         let escaped = probe.observe(reading, SPANS[idx], ALPHA);
-                        let got =
-                            sample(&mut node, &mut row[idx], stype, reading, SPANS[idx], ALPHA);
+                        let got = run(|o| {
+                            sample(&mut node, &mut row[idx], stype, reading, SPANS[idx], ALPHA, o)
+                        });
                         prop_assert_eq!(escaped, escapes, "step {}: escape decision", k);
                         prop_assert_eq!(got, want, "step {}: messages", k);
                     }
@@ -309,10 +318,11 @@ mod tests {
         let mut node = attached(&cfg(5.0));
         assert_eq!(plane.sigma_hat_pct(1), None);
         let t0 = SensorType(0);
-        let _ = sample(&mut node, &mut plane.row_mut(1)[0], t0, 20.0, SPANS[0], ALPHA);
+        sample(&mut node, &mut plane.row_mut(1)[0], t0, 20.0, SPANS[0], ALPHA, &mut Vec::new());
         assert_eq!(plane.sigma_hat_pct(1), None, "one reading has no change yet");
         // |Δ| = 1.0 = 5 % of span 20, inside the ±1.0 tuple: no escape.
-        let out = sample(&mut node, &mut plane.row_mut(1)[0], t0, 21.0, SPANS[0], ALPHA);
+        let out =
+            run(|o| sample(&mut node, &mut plane.row_mut(1)[0], t0, 21.0, SPANS[0], ALPHA, o));
         assert!(out.is_empty());
         let sigma = plane.sigma_hat_pct(1).unwrap();
         assert!((sigma - 5.0).abs() < 1e-9, "sigma {sigma}");

@@ -1311,14 +1311,13 @@ impl Serving {
         }
     }
 
-    /// Write one rotating checkpoint image. Failures are logged, never
+    /// Write one rotating checkpoint image: encode and write, with no
+    /// fingerprint, since nothing reads one. Failures are logged, never
     /// fatal — checkpointing is a recovery aid, not a serving dependency.
     fn write_checkpoint(&self, slot: u64) {
         let dir = self.info.serving.checkpoint_dir.as_deref().unwrap_or(".");
         let path = format!("{dir}/{name}.{slot}.{IMAGE_EXTENSION}", name = self.info.name);
-        let result = write_snapshot(&self.engine, &self.info, &path);
-        if result.get("ok") != Some(&Json::Bool(true)) {
-            let why = result.get("error").and_then(Json::as_str).unwrap_or("unknown error");
+        if let Err(why) = write_image(&self.engine, &self.info, &path) {
             eprintln!("dirqd: checkpoint {path:?} failed: {why}");
         }
     }
@@ -1361,8 +1360,13 @@ impl Serving {
 
 /// Serialize, frame and persist a snapshot image. The header embeds the
 /// deployment's serving recipe so `--recover` resumes it under the
-/// knobs it was running with.
-fn write_snapshot(engine: &Engine, info: &DeploymentInfo, path: &str) -> Json {
+/// knobs it was running with. Returns the engine's snapshot body and the
+/// image's size, or what failed.
+fn write_image(
+    engine: &Engine,
+    info: &DeploymentInfo,
+    path: &str,
+) -> Result<(Vec<u8>, usize), String> {
     let header = ImageHeader {
         preset: info.preset.clone(),
         scale: info.scale,
@@ -1372,15 +1376,25 @@ fn write_snapshot(engine: &Engine, info: &DeploymentInfo, path: &str) -> Json {
         nodes: info.nodes,
         serving: Some(info.serving.clone()),
     };
-    let image = frame_image(&header.to_json(), &engine.snapshot());
-    if let Err(e) = std::fs::write(path, &image) {
-        return err_response(kind::IO, &format!("write {path:?}: {e}"));
-    }
+    let body = engine.snapshot();
+    let image = frame_image(&header.to_json(), &body);
+    std::fs::write(path, &image).map_err(|e| format!("write {path:?}: {e}"))?;
+    Ok((body, image.len()))
+}
+
+/// The `snapshot` command: write the image and reply with its path, size,
+/// epoch and fingerprint — the hash of the body just written, equal to
+/// [`Engine::state_fingerprint`] without encoding the engine again.
+fn write_snapshot(engine: &Engine, info: &DeploymentInfo, path: &str) -> Json {
+    let (body, bytes) = match write_image(engine, info, path) {
+        Ok(written) => written,
+        Err(why) => return err_response(kind::IO, &why),
+    };
     let mut ok = ok_response();
     ok.set("path", Json::Str(path.to_string()));
-    ok.set("bytes", Json::from_u64(image.len() as u64));
+    ok.set("bytes", Json::from_u64(bytes as u64));
     ok.set("epoch", Json::from_u64(engine.epoch()));
-    ok.set("fingerprint", Json::Str(fingerprint_hex(engine.state_fingerprint())));
+    ok.set("fingerprint", Json::Str(fingerprint_hex(Engine::body_fingerprint(&body))));
     ok
 }
 

@@ -32,10 +32,15 @@
 //!   one contiguous array instead of hopping through per-node heap vecs;
 //! * at the control plane's **fixed point** — once a full frame changed
 //!   no neighbour entry's slot, gateway distance or presence — slots skip
-//!   the per-edge control pass altogether: they deliver queued data to
-//!   its destinations, control receptions accrue at the frame boundary in
-//!   one O(n) pass and `last_heard_frame` is implied by the clock (see
-//!   `frame_boundary` for the gate);
+//!   the per-edge control pass altogether and carry data only: every
+//!   alive owner still marks itself transmitting (half-duplex), but only
+//!   owners with queued data (the `queued` mirror of the non-empty
+//!   queues) touch their queue, the data ledger or a transmission record;
+//! * at the fixed point, control transmissions (one per alive slot owner)
+//!   and control receptions accrue at the frame boundary in one O(n)
+//!   pass, or for the slots already run when the MAC leaves the fixed
+//!   point or snaps mid-frame, and `last_heard_frame` is implied by the
+//!   clock (see `frame_boundary` for the gate);
 //! * the slot-occupancy index (`slot_owners` + the per-slot alive check)
 //!   short-circuits slots nobody owns: an empty slot advances the clock
 //!   without touching the scratch buffers at all;
@@ -97,6 +102,28 @@ impl<P> MacNode<P> {
     }
 }
 
+/// Credit one control transmission to every `alive` owner of a slot below
+/// `before` (of every slot with `None`): the control sections that
+/// data-only slots at the fixed point left unrecorded. Owners and liveness
+/// cannot change at the fixed point, so they are the owners those slots
+/// ran with. `before` may exceed the frame: an image's slot is checked on
+/// restore, not on snap.
+fn credit_transmissions(
+    slot_owners: &[Vec<NodeId>],
+    alive: &NodeBits,
+    ledger: &mut EnergyLedger,
+    before: Option<u16>,
+) {
+    let before = before.map_or(slot_owners.len(), usize::from);
+    for owners in slot_owners.iter().take(before) {
+        for &t in owners {
+            if alive.contains(t) {
+                ledger.record_tx(t);
+            }
+        }
+    }
+}
+
 /// `FrameScratch::audible_tx` sentinel: no transmitter audible yet.
 const AUDIBLE_NONE: u64 = u64::MAX;
 /// `FrameScratch::audible_tx` sentinel: two or more transmitters audible.
@@ -114,8 +141,7 @@ struct TxRecord {
 
 /// Persistent per-slot working state (see the module docs).
 struct FrameScratch<P> {
-    transmitters: Vec<NodeId>,
-    /// Membership mirror of `transmitters`.
+    /// This slot's alive owners: they transmit, so they do not listen.
     tx_mark: NodeBits,
     txs: Vec<TxRecord>,
     /// Flat storage for all data messages sent in this slot.
@@ -131,9 +157,8 @@ struct FrameScratch<P> {
     /// single tx index, or `AUDIBLE_COLLIDED`. Written while marking
     /// listeners, consumed (and reset) by the listener loop.
     audible_tx: Vec<u64>,
-    /// node → index into `txs` for this slot (`u32::MAX` = not
-    /// transmitting). Reset by iterating `transmitters`, never by an O(n)
-    /// fill.
+    /// node → index into `txs` for this slot (`u32::MAX` = no record).
+    /// Reset by iterating `txs`, never by an O(n) fill.
     tx_index: Vec<u32>,
     /// Stale-neighbour collection buffer for the frame boundary.
     stale_buf: Vec<NodeId>,
@@ -150,7 +175,6 @@ impl<P> FrameScratch<P> {
         // safe, topology-derived capacity for every per-slot list.
         let width = topo.max_degree().max(8);
         FrameScratch {
-            transmitters: Vec::with_capacity(width),
             tx_mark: NodeBits::new(n),
             txs: Vec::with_capacity(width),
             tx_data: Vec::with_capacity(width * cfg.data_messages_per_slot),
@@ -168,7 +192,6 @@ impl<P> FrameScratch<P> {
     /// out to satisfy the borrow checker).
     fn placeholder() -> Self {
         FrameScratch {
-            transmitters: Vec::new(),
             tx_mark: NodeBits::new(0),
             txs: Vec::new(),
             tx_data: Vec::new(),
@@ -227,6 +250,10 @@ pub struct LmacNetwork<P> {
     frame_quiet: bool,
     /// Control receptions in the current frame.
     frame_rx: u64,
+    /// Mirror of the non-empty transmit queues: set on enqueue, cleared
+    /// when a queue drains or `set_alive` empties it, rebuilt on restore.
+    /// A slot at the fixed point visits only these owners' queues.
+    queued: NodeBits,
 }
 
 impl<P> LmacNetwork<P> {
@@ -278,6 +305,7 @@ impl<P> LmacNetwork<P> {
             steady: false,
             frame_quiet: true,
             frame_rx: 0,
+            queued: NodeBits::new(n),
             unslotted_alive: n,
             cfg,
             topo,
@@ -405,9 +433,9 @@ impl<P> LmacNetwork<P> {
 
     /// LMAC's own control-traffic ledger (excluded from the paper's cost
     /// comparison; identical for DirQ and flooding). Exact at frame
-    /// boundaries. Inside a frame at the fixed point, its receptions lag:
-    /// they accrue at the frame boundary, or when the MAC leaves the fixed
-    /// point.
+    /// boundaries. Inside a frame at the fixed point, its transmissions
+    /// and receptions lag: they accrue at the frame boundary, or when the
+    /// MAC leaves the fixed point. Snapshots carry the exact tallies.
     pub fn control_ledger(&self) -> &EnergyLedger {
         &self.control_ledger
     }
@@ -442,6 +470,7 @@ impl<P> LmacNetwork<P> {
             return false;
         }
         node.tx_queue.push_back((dest, payload));
+        self.queued.insert(from);
         true
     }
 
@@ -471,6 +500,8 @@ impl<P> LmacNetwork<P> {
             self.arena.reset_row(node);
             self.alive_mask.remove(node);
         }
+        // Either way the node's queue is now empty.
+        self.queued.remove(node);
     }
 
     /// Write the dynamic MAC state (clock, statistics, ledgers, per-node
@@ -495,11 +526,14 @@ impl<P> LmacNetwork<P> {
         }
         self.data_ledger.snap(w);
         match self.clock() {
-            // Mid-frame at the fixed point: add the receptions of the
-            // slots already run, as the per-edge loop would have.
+            // Mid-frame at the fixed point: add the transmissions and
+            // receptions of the slots already run, as the per-edge loop
+            // would have.
             Some(clock) if clock.slot > 0 => {
                 let mut ledger = self.control_ledger.clone();
-                self.arena.credit_receptions(&mut ledger, Some(clock.slot));
+                let before = Some(clock.slot);
+                credit_transmissions(&self.slot_owners, &self.alive_mask, &mut ledger, before);
+                self.arena.credit_receptions(&mut ledger, before);
                 ledger.snap(w);
             }
             _ => self.control_ledger.snap(w),
@@ -639,8 +673,12 @@ impl<P> LmacNetwork<P> {
         }
         self.arena.restore(r, spf)?;
         self.alive_mask = NodeBits::new(n);
+        self.queued = NodeBits::new(n);
         self.unslotted_alive = 0;
         for i in 0..n {
+            if !self.nodes[i].tx_queue.is_empty() {
+                self.queued.insert(NodeId::from_index(i));
+            }
             if self.nodes[i].alive {
                 self.alive_mask.insert(NodeId::from_index(i));
                 if self.nodes[i].my_slot.is_none() {
@@ -663,13 +701,16 @@ impl<P> LmacNetwork<P> {
     }
 
     /// Close the gate before a change the fixed point does not cover:
-    /// credit the receptions of the slots already run in this frame,
-    /// store every present entry's implied `last_heard_frame`, and keep
-    /// the gate closed at least until the next frame boundary.
+    /// credit the control transmissions and receptions of the slots
+    /// already run in this frame, store every present entry's implied
+    /// `last_heard_frame`, and keep the gate closed at least until the
+    /// next frame boundary.
     fn leave_fixed_point(&mut self) {
         if let Some(clock) = self.clock() {
             if clock.slot > 0 {
-                self.arena.credit_receptions(&mut self.control_ledger, Some(clock.slot));
+                let (ledger, before) = (&mut self.control_ledger, Some(clock.slot));
+                credit_transmissions(&self.slot_owners, &self.alive_mask, ledger, before);
+                self.arena.credit_receptions(ledger, before);
             }
             self.arena.settle(clock);
             self.steady = false;
@@ -747,23 +788,33 @@ impl<P> LmacNetwork<P> {
 
     /// Collect the current slot's alive transmitters and send each one's
     /// control section and up to `data_messages_per_slot` queued data
-    /// messages. `adverts` computes the control sections' occupancy and
-    /// gateway distance, which only the per-edge listener loop reads.
+    /// messages. `adverts` (every slot outside the fixed point) computes
+    /// the control sections' occupancy and gateway distance, which only the
+    /// per-edge listener loop reads, and records the control
+    /// transmissions. Without it the slot carries data only: every alive
+    /// owner is marked transmitting, but only queued owners get a record,
+    /// and control transmissions accrue through `credit_transmissions`.
     fn transmit(&mut self, scratch: &mut FrameScratch<P>, adverts: bool) {
-        let FrameScratch { transmitters, tx_mark, txs, tx_data, tx_index, .. } = scratch;
-        transmitters.clear();
+        let FrameScratch { tx_mark, txs, tx_data, tx_index, .. } = scratch;
         tx_mark.clear();
         txs.clear();
         tx_data.clear();
         for &t in &self.slot_owners[self.slot as usize] {
-            if self.alive_mask.contains(t) {
-                tx_index[t.index()] = transmitters.len() as u32;
-                transmitters.push(t);
-                tx_mark.insert(t);
+            if !self.alive_mask.contains(t) {
+                continue;
             }
-        }
-        for &t in transmitters.iter() {
+            tx_mark.insert(t);
+            let queued = self.queued.contains(t);
+            debug_assert_eq!(
+                queued,
+                !self.nodes[t.index()].tx_queue.is_empty(),
+                "queued mirror out of step with {t}'s transmit queue"
+            );
+            if !adverts && !queued {
+                continue;
+            }
             let (occupied, gw) = if adverts {
+                self.control_ledger.record_tx(t);
                 (self.arena.view(t).one_hop_occupancy(), self.gateway_distance(t))
             } else {
                 (SlotSet::EMPTY, u16::MAX)
@@ -776,11 +827,14 @@ impl<P> LmacNetwork<P> {
                     None => break,
                 }
             }
+            if node.tx_queue.is_empty() {
+                self.queued.remove(t);
+            }
             let data_end = tx_data.len() as u32;
-            self.control_ledger.record_tx(t);
             for _ in data_start..data_end {
                 self.data_ledger.record_tx(t);
             }
+            tx_index[t.index()] = txs.len() as u32;
             txs.push(TxRecord { from: t, occupied, gateway_dist: gw, data_start, data_end });
         }
     }
@@ -791,8 +845,7 @@ impl<P> LmacNetwork<P> {
     /// Then the slot's sent payloads drop and its `tx_index` entries
     /// reset (O(|txs|), never an O(n) fill).
     fn finish_slot(&mut self, scratch: &mut FrameScratch<P>, out: &mut Vec<MacIndication<P>>) {
-        let FrameScratch { transmitters, tx_mark, txs, tx_data, collided_mark, tx_index, .. } =
-            scratch;
+        let FrameScratch { tx_mark, txs, tx_data, collided_mark, tx_index, .. } = scratch;
         for tx in txs.iter() {
             for (dest, payload) in &tx_data[tx.data_start as usize..tx.data_end as usize] {
                 if let Destination::Multicast(list) = dest {
@@ -814,18 +867,18 @@ impl<P> LmacNetwork<P> {
             }
         }
         tx_data.clear();
-        for &t in transmitters.iter() {
-            tx_index[t.index()] = u32::MAX;
+        for tx in txs.iter() {
+            tx_index[tx.from.index()] = u32::MAX;
         }
     }
 
     /// One slot at the control plane's fixed point. The previous frame's
     /// control traffic repeats: every listener hears exactly one
     /// transmitter and writes what its entry already holds. So the slot
-    /// only delivers data — to each destination that is alive, linked and
-    /// not transmitting — in the listener loop's order, with no arena
-    /// write, collision check or control-rx tally (those accrue at the
-    /// frame boundary).
+    /// only delivers data — from each owner with queued data to each
+    /// destination that is alive, linked and not transmitting — in the
+    /// listener loop's order, with no arena write, collision check or
+    /// control tally (those accrue at the frame boundary).
     fn run_steady_slot(&mut self, out: &mut Vec<MacIndication<P>>) {
         let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
         self.transmit(&mut scratch, false);
@@ -1040,9 +1093,12 @@ impl<P> LmacNetwork<P> {
     /// until `set_alive` or `restore`.
     fn frame_boundary(&mut self, rng: &mut SimRng, out: &mut Vec<MacIndication<P>>) {
         if self.steady {
-            // Every alive listener heard each present neighbour once; no
-            // entry can be stale and no node is joining.
-            self.arena.credit_receptions(&mut self.control_ledger, None);
+            // Every alive owner sent its control section once and every
+            // alive listener heard each present neighbour once; no entry
+            // can be stale and no node is joining.
+            let ledger = &mut self.control_ledger;
+            credit_transmissions(&self.slot_owners, &self.alive_mask, ledger, None);
+            self.arena.credit_receptions(ledger, None);
             return;
         }
         // Liveness: stale neighbours are declared dead (cross-layer upcall).

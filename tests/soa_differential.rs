@@ -17,11 +17,12 @@
 //!
 //! The same full-scan reference also pins the **fixed-point control
 //! plane** (`arena_parallel_frames_match_reference`): once a frame changes
-//! nothing, the fast path skips the per-edge control pass, while the
-//! reference never does. Cases leave and re-enter the fixed point through
-//! cold starts, scarce slots, births and mid-frame deaths, and every frame
-//! boundary compares statistics, ledgers, neighbour entries and snapshot
-//! bytes.
+//! nothing, the fast path skips the per-edge control pass and serves only
+//! owners with queued data, while the reference never does. Cases leave
+//! and re-enter the fixed point through cold starts, scarce slots, births
+//! and mid-frame deaths, enqueue traffic in the middle of frames, and
+//! every frame boundary compares statistics, ledgers, neighbour entries
+//! and snapshot bytes.
 
 use std::collections::BTreeMap;
 
@@ -315,6 +316,23 @@ fn image(net: &Net) -> Vec<u8> {
     w.finish()
 }
 
+/// Enqueue one message on both networks. Their images must agree first,
+/// so every enqueue point, mid-frame ones included, is an image check.
+fn enqueue_both(
+    fast: &mut Net,
+    reference: &mut Net,
+    from: NodeId,
+    dest: Destination,
+    payload: u32,
+) -> Result<(), TestCaseError> {
+    prop_assert!(image(fast) == image(reference), "images diverged before an enqueue");
+    prop_assert_eq!(
+        fast.enqueue(from, dest.clone(), payload),
+        reference.enqueue(from, dest, payload)
+    );
+    Ok(())
+}
+
 /// Frames each differential case runs: enough for the gate to open,
 /// close on churn and reopen once deaths are detected.
 const FRAMES: u32 = 14;
@@ -330,12 +348,17 @@ proptest! {
     /// `last_heard_frame`), schedules and snapshot bytes. Cases start from
     /// the greedy schedule or cold through the join protocol (collisions,
     /// surrenders, picks), with scarce slots, nodes born after the start,
-    /// `set_alive` in the middle of a frame and traffic in any frame.
+    /// `set_alive` in the middle of a frame and traffic enqueued before any
+    /// slot of any frame, so before or after its sender's slot. One sender
+    /// gets more messages than a slot carries, half just before its slot
+    /// and half just after, so its backlog spans frames.
     #[test]
     fn arena_parallel_frames_match_reference(
         n in 4usize..24,
         raw_edges in proptest::collection::vec((0u32..64, 0u32..64), 4..60),
-        messages in proptest::collection::vec((0u32..64, 0u32..64, 0u8..4, 0u32..FRAMES), 0..30),
+        messages in proptest::collection::vec(
+            (0u32..64, 0u32..64, 0u8..4, 0u32..FRAMES, 0u16..48), 0..30),
+        burst in (0u32..64, 0u32..FRAMES, 1usize..8),
         start in 0u8..3,
         unborn in proptest::collection::vec((0u32..64, 1u32..FRAMES), 0..3),
         churn in proptest::collection::vec((0u32..64, 0u32..FRAMES, 0u16..48, 0u8..2), 0..5),
@@ -359,33 +382,28 @@ proptest! {
         let mut rng_fast = RngFactory::new(seed).stream("mac-differential");
         let mut rng_ref = RngFactory::new(seed).stream("mac-differential");
 
+        // The burst: sender, frame and how far it overfills one slot.
+        let (sender, burst_frame) = (node(burst.0), burst.1);
+        let burst_len = cfg.data_messages_per_slot + burst.2;
+        let burst_dest = |i: usize| {
+            if i.is_multiple_of(2) {
+                Destination::Broadcast
+            } else {
+                Destination::unicast(node(sender.0 + 1 + i as u32))
+            }
+        };
+
         let mut out_fast: Vec<MacIndication<u32>> = Vec::new();
         let mut out_ref: Vec<MacIndication<u32>> = Vec::new();
         for frame in 0..FRAMES {
-            for &(from, to, kind, at) in &messages {
-                if at != frame {
-                    continue;
-                }
-                let (from, to) = (node(from), node(to));
-                let dest = match kind {
-                    0 => Destination::Broadcast,
-                    1 => Destination::unicast(to),
-                    2 => Destination::multicast([to, node(to.0 + 1)]),
-                    // A destination listed twice hears the message once.
-                    _ => Destination::multicast([to, to]),
-                };
-                let payload = frame * 1_000_000 + from.0 * 1000 + to.0;
-                prop_assert_eq!(
-                    fast.enqueue(from, dest.clone(), payload),
-                    reference.enqueue(from, dest, payload)
-                );
-            }
             for &(v, born) in &unborn {
                 if born == frame {
                     fast.set_alive(node(v), true);
                     reference.set_alive(node(v), true);
                 }
             }
+            // The sender's slot this frame (slot 0 while it has none).
+            let burst_slot = fast.slot_of(sender).unwrap_or(0);
             for s in 0..slots_per_frame {
                 for &(v, at, slot, alive) in &churn {
                     if at == frame && slot % slots_per_frame == s {
@@ -395,6 +413,28 @@ proptest! {
                         reference.set_alive(node(v), alive == 1);
                     }
                 }
+                for &(from, to, kind, at, slot) in &messages {
+                    if at != frame || slot % slots_per_frame != s {
+                        continue;
+                    }
+                    let (from, to) = (node(from), node(to));
+                    let dest = match kind {
+                        0 => Destination::Broadcast,
+                        1 => Destination::unicast(to),
+                        2 => Destination::multicast([to, node(to.0 + 1)]),
+                        // A destination listed twice hears the message once.
+                        _ => Destination::multicast([to, to]),
+                    };
+                    let payload = frame * 1_000_000 + from.0 * 1000 + to.0;
+                    enqueue_both(&mut fast, &mut reference, from, dest, payload)?;
+                }
+                let burst_now = frame == burst_frame && s == burst_slot;
+                if burst_now {
+                    for i in 0..burst_len / 2 {
+                        let payload = 900_000_000 + i as u32;
+                        enqueue_both(&mut fast, &mut reference, sender, burst_dest(i), payload)?;
+                    }
+                }
                 out_fast.clear();
                 out_ref.clear();
                 fast.advance_slot_into(&mut rng_fast, &mut out_fast);
@@ -402,6 +442,12 @@ proptest! {
                 prop_assert_eq!(
                     &out_fast, &out_ref, "indications diverged in frame {} slot {}", frame, s
                 );
+                if burst_now {
+                    for i in burst_len / 2..burst_len {
+                        let payload = 900_000_000 + i as u32;
+                        enqueue_both(&mut fast, &mut reference, sender, burst_dest(i), payload)?;
+                    }
+                }
             }
 
             let at = u64::from(frame) + 1;
