@@ -228,16 +228,11 @@ impl DirqNode {
 
     /// This node's position, if localised.
     pub fn position(&self) -> Option<Position> {
-        self.geo().own()
+        self.geo_table().own()
     }
 
-    /// The location table (read access for tests/diagnostics).
+    /// The location table; an empty one stands in when none was written.
     pub fn geo_table(&self) -> &GeoTable {
-        self.geo()
-    }
-
-    /// The location table, or an empty one when none was written.
-    fn geo(&self) -> &GeoTable {
         self.geo.as_deref().unwrap_or(&NO_GEO)
     }
 
@@ -366,7 +361,7 @@ impl DirqNode {
         self.seen_queries.push(query.id);
 
         if let Some(table) = self.table(query.stype) {
-            let geo = self.geo();
+            let geo = self.geo_table();
             if let Some(own) = table.own() {
                 // Local delivery: value overlap, plus (when both the query
                 // and the node are localised) the region must contain us.
@@ -468,7 +463,7 @@ impl DirqNode {
         for q in &self.seen_queries {
             w.u64(q.0);
         }
-        self.geo().snap(w);
+        self.geo_table().snap(w);
         w.u64(self.updates_sent);
     }
 

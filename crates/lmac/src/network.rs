@@ -33,14 +33,11 @@
 //! * at the control plane's **fixed point** — once a full frame changed
 //!   no neighbour entry's slot, gateway distance or presence — slots skip
 //!   the per-edge control pass altogether and carry data only: every
-//!   alive owner still marks itself transmitting (half-duplex), but only
-//!   owners with queued data (the `queued` mirror of the non-empty
-//!   queues) touch their queue, the data ledger or a transmission record;
-//! * at the fixed point, control transmissions (one per alive slot owner)
-//!   and control receptions accrue at the frame boundary in one O(n)
-//!   pass, or for the slots already run when the MAC leaves the fixed
-//!   point or snaps mid-frame, and `last_heard_frame` is implied by the
-//!   clock (see `frame_boundary` for the gate);
+//!   alive owner still marks itself transmitting (half-duplex) and records
+//!   its control transmission, but only owners with queued data touch the
+//!   data ledger or get a transmission record; control receptions accrue
+//!   at the frame boundary in one O(n) pass and `last_heard_frame` is
+//!   implied by the clock (see `frame_boundary` for the gate);
 //! * the slot-occupancy index (`slot_owners` + the per-slot alive check)
 //!   short-circuits slots nobody owns: an empty slot advances the clock
 //!   without touching the scratch buffers at all;
@@ -99,28 +96,6 @@ struct MacNode<P> {
 impl<P> MacNode<P> {
     fn offline() -> Self {
         MacNode { alive: false, my_slot: None, listen_remaining: 0, tx_queue: VecDeque::new() }
-    }
-}
-
-/// Credit one control transmission to every `alive` owner of a slot below
-/// `before` (of every slot with `None`): the control sections that
-/// data-only slots at the fixed point left unrecorded. Owners and liveness
-/// cannot change at the fixed point, so they are the owners those slots
-/// ran with. `before` may exceed the frame: an image's slot is checked on
-/// restore, not on snap.
-fn credit_transmissions(
-    slot_owners: &[Vec<NodeId>],
-    alive: &NodeBits,
-    ledger: &mut EnergyLedger,
-    before: Option<u16>,
-) {
-    let before = before.map_or(slot_owners.len(), usize::from);
-    for owners in slot_owners.iter().take(before) {
-        for &t in owners {
-            if alive.contains(t) {
-                ledger.record_tx(t);
-            }
-        }
     }
 }
 
@@ -250,10 +225,6 @@ pub struct LmacNetwork<P> {
     frame_quiet: bool,
     /// Control receptions in the current frame.
     frame_rx: u64,
-    /// Mirror of the non-empty transmit queues: set on enqueue, cleared
-    /// when a queue drains or `set_alive` empties it, rebuilt on restore.
-    /// A slot at the fixed point visits only these owners' queues.
-    queued: NodeBits,
 }
 
 impl<P> LmacNetwork<P> {
@@ -305,7 +276,6 @@ impl<P> LmacNetwork<P> {
             steady: false,
             frame_quiet: true,
             frame_rx: 0,
-            queued: NodeBits::new(n),
             unslotted_alive: n,
             cfg,
             topo,
@@ -432,10 +402,10 @@ impl<P> LmacNetwork<P> {
     }
 
     /// LMAC's own control-traffic ledger (excluded from the paper's cost
-    /// comparison; identical for DirQ and flooding). Exact at frame
-    /// boundaries. Inside a frame at the fixed point, its transmissions
-    /// and receptions lag: they accrue at the frame boundary, or when the
-    /// MAC leaves the fixed point. Snapshots carry the exact tallies.
+    /// comparison; identical for DirQ and flooding). Transmissions are
+    /// exact at every slot, receptions at frame boundaries. Inside a frame
+    /// at the fixed point, its receptions lag: they accrue at the frame
+    /// boundary, or when the MAC leaves the fixed point.
     pub fn control_ledger(&self) -> &EnergyLedger {
         &self.control_ledger
     }
@@ -470,7 +440,6 @@ impl<P> LmacNetwork<P> {
             return false;
         }
         node.tx_queue.push_back((dest, payload));
-        self.queued.insert(from);
         true
     }
 
@@ -500,8 +469,6 @@ impl<P> LmacNetwork<P> {
             self.arena.reset_row(node);
             self.alive_mask.remove(node);
         }
-        // Either way the node's queue is now empty.
-        self.queued.remove(node);
     }
 
     /// Write the dynamic MAC state (clock, statistics, ledgers, per-node
@@ -526,14 +493,11 @@ impl<P> LmacNetwork<P> {
         }
         self.data_ledger.snap(w);
         match self.clock() {
-            // Mid-frame at the fixed point: add the transmissions and
-            // receptions of the slots already run, as the per-edge loop
-            // would have.
+            // Mid-frame at the fixed point: add the receptions of the
+            // slots already run, as the per-edge loop would have.
             Some(clock) if clock.slot > 0 => {
                 let mut ledger = self.control_ledger.clone();
-                let before = Some(clock.slot);
-                credit_transmissions(&self.slot_owners, &self.alive_mask, &mut ledger, before);
-                self.arena.credit_receptions(&mut ledger, before);
+                self.arena.credit_receptions(&mut ledger, Some(clock.slot));
                 ledger.snap(w);
             }
             _ => self.control_ledger.snap(w),
@@ -673,12 +637,8 @@ impl<P> LmacNetwork<P> {
         }
         self.arena.restore(r, spf)?;
         self.alive_mask = NodeBits::new(n);
-        self.queued = NodeBits::new(n);
         self.unslotted_alive = 0;
         for i in 0..n {
-            if !self.nodes[i].tx_queue.is_empty() {
-                self.queued.insert(NodeId::from_index(i));
-            }
             if self.nodes[i].alive {
                 self.alive_mask.insert(NodeId::from_index(i));
                 if self.nodes[i].my_slot.is_none() {
@@ -701,16 +661,13 @@ impl<P> LmacNetwork<P> {
     }
 
     /// Close the gate before a change the fixed point does not cover:
-    /// credit the control transmissions and receptions of the slots
-    /// already run in this frame, store every present entry's implied
-    /// `last_heard_frame`, and keep the gate closed at least until the
-    /// next frame boundary.
+    /// credit the receptions of the slots already run in this frame,
+    /// store every present entry's implied `last_heard_frame`, and keep
+    /// the gate closed at least until the next frame boundary.
     fn leave_fixed_point(&mut self) {
         if let Some(clock) = self.clock() {
             if clock.slot > 0 {
-                let (ledger, before) = (&mut self.control_ledger, Some(clock.slot));
-                credit_transmissions(&self.slot_owners, &self.alive_mask, ledger, before);
-                self.arena.credit_receptions(ledger, before);
+                self.arena.credit_receptions(&mut self.control_ledger, Some(clock.slot));
             }
             self.arena.settle(clock);
             self.steady = false;
@@ -790,10 +747,9 @@ impl<P> LmacNetwork<P> {
     /// control section and up to `data_messages_per_slot` queued data
     /// messages. `adverts` (every slot outside the fixed point) computes
     /// the control sections' occupancy and gateway distance, which only the
-    /// per-edge listener loop reads, and records the control
-    /// transmissions. Without it the slot carries data only: every alive
-    /// owner is marked transmitting, but only queued owners get a record,
-    /// and control transmissions accrue through `credit_transmissions`.
+    /// per-edge listener loop reads. Without it the slot carries data only:
+    /// every alive owner is marked transmitting and records its control
+    /// transmission, but only queued owners get a transmission record.
     fn transmit(&mut self, scratch: &mut FrameScratch<P>, adverts: bool) {
         let FrameScratch { tx_mark, txs, tx_data, tx_index, .. } = scratch;
         tx_mark.clear();
@@ -804,17 +760,11 @@ impl<P> LmacNetwork<P> {
                 continue;
             }
             tx_mark.insert(t);
-            let queued = self.queued.contains(t);
-            debug_assert_eq!(
-                queued,
-                !self.nodes[t.index()].tx_queue.is_empty(),
-                "queued mirror out of step with {t}'s transmit queue"
-            );
-            if !adverts && !queued {
+            self.control_ledger.record_tx(t);
+            if !adverts && self.nodes[t.index()].tx_queue.is_empty() {
                 continue;
             }
             let (occupied, gw) = if adverts {
-                self.control_ledger.record_tx(t);
                 (self.arena.view(t).one_hop_occupancy(), self.gateway_distance(t))
             } else {
                 (SlotSet::EMPTY, u16::MAX)
@@ -826,9 +776,6 @@ impl<P> LmacNetwork<P> {
                     Some(m) => tx_data.push(m),
                     None => break,
                 }
-            }
-            if node.tx_queue.is_empty() {
-                self.queued.remove(t);
             }
             let data_end = tx_data.len() as u32;
             for _ in data_start..data_end {
@@ -878,7 +825,7 @@ impl<P> LmacNetwork<P> {
     /// only delivers data — from each owner with queued data to each
     /// destination that is alive, linked and not transmitting — in the
     /// listener loop's order, with no arena write, collision check or
-    /// control tally (those accrue at the frame boundary).
+    /// control-rx tally (those accrue at the frame boundary).
     fn run_steady_slot(&mut self, out: &mut Vec<MacIndication<P>>) {
         let mut scratch = std::mem::replace(&mut self.scratch, FrameScratch::placeholder());
         self.transmit(&mut scratch, false);
@@ -1093,12 +1040,9 @@ impl<P> LmacNetwork<P> {
     /// until `set_alive` or `restore`.
     fn frame_boundary(&mut self, rng: &mut SimRng, out: &mut Vec<MacIndication<P>>) {
         if self.steady {
-            // Every alive owner sent its control section once and every
-            // alive listener heard each present neighbour once; no entry
-            // can be stale and no node is joining.
-            let ledger = &mut self.control_ledger;
-            credit_transmissions(&self.slot_owners, &self.alive_mask, ledger, None);
-            self.arena.credit_receptions(ledger, None);
+            // Every alive listener heard each present neighbour once; no
+            // entry can be stale and no node is joining.
+            self.arena.credit_receptions(&mut self.control_ledger, None);
             return;
         }
         // Liveness: stale neighbours are declared dead (cross-layer upcall).
