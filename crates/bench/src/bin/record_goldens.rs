@@ -2,33 +2,38 @@
 //!
 //! Recomputes **every** pinned fingerprint in the workspace — the
 //! engine-level and report-level pins of the [`dirq::goldens`] manifest,
-//! the smoke golden, and the full-budget registry golden — and either:
+//! the smoke golden, the full-budget registry golden and the serving
+//! goldens of `BENCH_3.json` — and either:
 //!
 //! * **default (record)** — rewrites the constants in place
-//!   (`src/goldens.rs`, `crates/scenario/src/registry.rs`) and
-//!   regenerates `BENCH_2.json` from the same full matrix run, so an
-//!   intentional behaviour break lands as one consistent commit; or
+//!   (`src/goldens.rs`, `crates/scenario/src/registry.rs`), regenerates
+//!   `BENCH_2.json` from the same full matrix run and rewrites
+//!   `BENCH_3.json` from the recipes it records, so an intentional
+//!   behaviour break lands as one consistent commit; or
 //! * **`--check`** — recomputes everything fresh, compares against the
 //!   checked-in values (constants, the `BENCH_2.json` report
-//!   fingerprint, and the deterministic `state_fingerprint` fields of
-//!   the loadgen's `BENCH_3.json`) and exits non-zero on any mismatch.
-//!   This is the CI staleness gate: a behaviour change cannot land with
-//!   half-recorded goldens.
+//!   fingerprint and the `BENCH_3.json` rows) and exits non-zero on any
+//!   mismatch. This is the CI staleness gate: a behaviour change cannot
+//!   land with half-recorded goldens.
 //!
 //! Usage: `record_goldens [--check] [--out PATH]`
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use dirq::goldens::{self, GoldenPin};
 use dirq::scenario::registry;
-use dirq_scenario::{run_matrix_report, SweepConfig};
+use dirq_bench::repo_root;
+use dirq_scenario::{run_matrix_report, Scheme, SweepConfig};
 use dirq_sim::json::Json;
+use dirq_sim::snap::SNAP_FORMAT_VERSION;
+use dirqd::loadmodel::{histogram_counts, reference_epochs_histogram};
 
-/// Workspace root, resolved from this crate's manifest directory so the
-/// tool works from any working directory.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
-}
+/// The serving goldens, at the workspace root.
+const BENCH3_FILE: &str = "BENCH_3.json";
+
+/// The schema [`refresh_bench3`] writes; bump it when the row fields
+/// change.
+const BENCH3_SCHEMA: &str = "dirqd-serving-goldens/3";
 
 /// Rewrite `const NAME: u64 = 0x…;` in `file` to `value`. Returns whether
 /// the stored value changed.
@@ -56,113 +61,108 @@ fn bench2_fingerprint(path: &Path) -> Option<String> {
     Some(doc.get("report")?.get("report_fingerprint")?.as_str()?.to_string())
 }
 
-/// Staleness check for the loadgen artifact: the wall-clock numbers
-/// (qps, latencies) are machine-specific, but the `state_fingerprint`
-/// and `epochs_to_answer` fields in `BENCH_3.json` are deterministic
-/// functions of the recorded deployment recipe — recompute both fresh
-/// (the latter through the [`dirqd::loadmodel`] replay the loadgen
-/// itself asserts against) and report drift. Also pins the recorded
-/// schema and image format version. Returns problem strings (empty =
-/// current). Re-record with
-/// `cargo run --release -p dirq-dirqd --bin loadgen`.
-fn bench3_stale_entries(path: &Path) -> Vec<String> {
-    use dirq_scenario::Scheme;
-    use dirqd::loadmodel::{histogram_counts, reference_epochs_histogram};
+/// One `BENCH_3.json` row's recipe, as the file records it.
+struct Bench3Recipe {
+    name: String,
+    preset: String,
+    scale: f64,
+    scheme: Scheme,
+    seed: u64,
+    warmup: u64,
+}
 
-    const SCHEMA: &str = "dirqd-loadgen/2";
+impl Bench3Recipe {
+    fn parse(row: &Json) -> Option<Self> {
+        Some(Bench3Recipe {
+            name: row.get("name")?.as_str()?.to_string(),
+            preset: row.get("preset")?.as_str()?.to_string(),
+            scale: row.get("scale")?.as_f64()?,
+            scheme: Scheme::parse(row.get("scheme")?.as_str()?)?,
+            // `as_u64` carries seeds losslessly.
+            seed: row.get("seed")?.as_u64()?,
+            warmup: row.get("warmup_epochs")?.as_u64()?,
+        })
+    }
+}
 
-    let name = "BENCH_3.json";
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return vec![format!("{name}: missing (re-run the loadgen)")];
-    };
-    let Ok(doc) = Json::parse(&text) else {
-        return vec![format!("{name}: unparseable")];
-    };
-    let mut problems = Vec::new();
-    let schema = doc.get("schema").and_then(Json::as_str);
-    if schema != Some(SCHEMA) {
-        problems.push(format!("{name}: schema {schema:?}, this build writes {SCHEMA:?}"));
-    }
-    let version = doc.get("image_format_version").and_then(Json::as_f64);
-    if version != Some(f64::from(dirq_sim::snap::SNAP_FORMAT_VERSION)) {
-        problems.push(format!(
-            "{name}: image_format_version {version:?}, this build writes {}",
-            dirq_sim::snap::SNAP_FORMAT_VERSION
-        ));
-    }
-    let Some(rows) = doc.get("deployments").and_then(Json::as_array) else {
-        problems.push(format!("{name}: no deployments array"));
-        return problems;
-    };
-    if rows.len() < 2 {
-        problems.push(format!("{name}: {} deployment(s), expected at least 2", rows.len()));
-    }
+/// Refresh `BENCH_3.json` (its text is `text`) from the recipe each row
+/// records — preset, scale, scheme, seed and warm-up. Per row it
+/// recomputes the engine's `state_fingerprint` after the warm-up and the
+/// epochs-to-answer histogram of the barriered [`dirqd::loadmodel`]
+/// sequence, replayed engine-level; the replay deploys the preset's
+/// default seed, so a row must record that seed.
+///
+/// Returns the refreshed document and one line per difference from
+/// `text`: a drifted gated field names its row, and anything else that
+/// record mode would rewrite (schema, image format version, field set)
+/// is one line. An unreadable file or recipe is an error.
+fn refresh_bench3(text: &str) -> Result<(Json, Vec<String>), String> {
+    let file = BENCH3_FILE;
+    let doc = Json::parse(text).map_err(|e| format!("{file}: unparseable: {e:?}"))?;
+    let rows = doc
+        .get("deployments")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{file}: no deployments array"))?;
+    let mut diffs = Vec::new();
+    let mut fresh_rows = Vec::with_capacity(rows.len());
     for row in rows {
-        let label = row.get("name").and_then(Json::as_str).unwrap_or("<unnamed>").to_string();
-        let fields = (|| {
-            let preset_name = row.get("preset")?.as_str()?.to_string();
-            let scale = row.get("scale")?.as_f64()?;
-            let scheme = Scheme::parse(row.get("scheme")?.as_str()?)?;
-            // Seeds are u64s carried losslessly; `as_u64` rejects what
-            // `as_f64 as u64` used to round.
-            let seed = row.get("seed")?.as_u64()?;
-            let warmup = row.get("warmup_epochs")?.as_u64()?;
-            let recorded = row.get("state_fingerprint")?.as_str()?.to_string();
-            let spec = dirq_scenario::preset(&preset_name)?;
-            let spec = if scale == 1.0 { spec } else { spec.scaled(scale) };
-            Some((preset_name, scale, spec, scheme, seed, warmup, recorded))
-        })();
-        let Some((preset_name, scale, spec, scheme, seed, warmup, recorded)) = fields else {
-            problems.push(format!("{name}: {label}: missing/invalid deployment fields"));
-            continue;
-        };
-        let mut engine = dirq_core::Engine::new(spec.config(scheme, seed));
-        for _ in 0..warmup {
+        let r = Bench3Recipe::parse(row)
+            .ok_or_else(|| format!("{file}: a row has a missing or invalid recipe field"))?;
+        let label = &r.name;
+        let spec = dirq_scenario::preset(&r.preset)
+            .ok_or_else(|| format!("{file}: {label}: unknown preset {:?}", r.preset))?;
+        let spec = if r.scale == 1.0 { spec } else { spec.scaled(r.scale) };
+        if r.seed != spec.seed {
+            return Err(format!(
+                "{file}: {label}: seed {} is not the preset default {}; the epochs-to-answer \
+                 replay deploys the default",
+                r.seed, spec.seed
+            ));
+        }
+        let mut engine = dirq_core::Engine::new(spec.config(r.scheme, r.seed));
+        for _ in 0..r.warmup {
             engine.step_epoch();
         }
-        let fresh = format!("{:#018X}", engine.state_fingerprint());
-        let status = if fresh == recorded { "ok" } else { "DRIFTED" };
-        println!("  {:<26} {fresh}  {status}", format!("BENCH_3:{label}"));
-        if fresh != recorded {
-            problems.push(format!("{name}: {label}: records {recorded}, fresh is {fresh}"));
+        let fingerprint = Json::Str(format!("{:#018X}", engine.state_fingerprint()));
+        let hist = histogram_counts(&reference_epochs_histogram(&r.preset, r.scale, r.warmup));
+        let hist = Json::Arr(
+            hist.into_iter()
+                .map(|(epochs, n)| Json::Arr(vec![Json::from_u64(epochs), Json::from_u64(n)]))
+                .collect(),
+        );
+        for (field, value) in [("state_fingerprint", &fingerprint), ("epochs_to_answer", &hist)] {
+            let recorded = row.get(field);
+            let status = if recorded == Some(value) { "ok" } else { "DRIFTED" };
+            println!("  {:<26} {}  {status}", format!("BENCH_3:{label}:{field}"), value.render());
+            if recorded != Some(value) {
+                let recorded = recorded.map_or_else(|| "nothing".to_string(), Json::render);
+                diffs.push(format!(
+                    "{file}: {label}: {field} records {recorded}, fresh is {}",
+                    value.render()
+                ));
+            }
         }
-
-        // The epochs-to-answer histogram is deterministic (unlike the
-        // wall-ms percentiles beside it): replay the barriered phase
-        // engine-level and compare the `(epochs, count)` pairs. Only
-        // default-seed recipes can be replayed — the loadgen always
-        // deploys with the preset default.
-        let recorded_hist = (|| {
-            row.get("epochs_to_answer")?
-                .as_array()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array()?;
-                    Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-                })
-                .collect::<Option<Vec<_>>>()
-        })();
-        let Some(recorded_hist) = recorded_hist else {
-            problems.push(format!("{name}: {label}: missing/invalid epochs_to_answer"));
-            continue;
-        };
-        if seed != spec.seed {
-            problems.push(format!(
-                "{name}: {label}: non-default seed {seed}; cannot replay epochs_to_answer"
-            ));
-            continue;
-        }
-        let fresh_hist = histogram_counts(&reference_epochs_histogram(&preset_name, scale, warmup));
-        let status = if fresh_hist == recorded_hist { "ok" } else { "DRIFTED" };
-        println!("  {:<26} {fresh_hist:?}  {status}", format!("BENCH_3:{label}:epochs"));
-        if fresh_hist != recorded_hist {
-            problems.push(format!(
-                "{name}: {label}: records epochs_to_answer {recorded_hist:?}, fresh is \
-                 {fresh_hist:?}"
-            ));
-        }
+        let mut fresh = Json::object();
+        fresh.set("name", Json::Str(r.name.clone()));
+        fresh.set("preset", Json::Str(r.preset.clone()));
+        fresh.set("scale", Json::Num(r.scale));
+        fresh.set("scheme", Json::Str(r.scheme.label()));
+        fresh.set("seed", Json::from_u64(r.seed));
+        fresh.set("warmup_epochs", Json::from_u64(r.warmup));
+        fresh.set("state_fingerprint", fingerprint);
+        fresh.set("epochs_to_answer", hist);
+        fresh_rows.push(fresh);
     }
-    problems
+    let mut fresh = Json::object();
+    fresh.set("schema", Json::Str(BENCH3_SCHEMA.to_string()));
+    fresh.set("image_format_version", Json::from_u64(u64::from(SNAP_FORMAT_VERSION)));
+    fresh.set("deployments", Json::Arr(fresh_rows));
+    if diffs.is_empty() && fresh.render_pretty() != text {
+        diffs.push(format!(
+            "{file}: the schema, image format version or field set differ from a fresh record"
+        ));
+    }
+    Ok((fresh, diffs))
 }
 
 fn main() {
@@ -227,10 +227,13 @@ fn main() {
                 recorded_artifact.as_deref().unwrap_or("<missing/unparseable>")
             ));
         }
-        // The loadgen artifact: deterministic fields only (wall-clock
-        // numbers are machine-specific and exempt). Re-record with the
-        // loadgen itself, not this tool.
-        mismatches.extend(bench3_stale_entries(&root.join("BENCH_3.json")));
+        match std::fs::read_to_string(root.join(BENCH3_FILE)) {
+            Ok(text) => match refresh_bench3(&text) {
+                Ok((_, diffs)) => mismatches.extend(diffs),
+                Err(e) => mismatches.push(e),
+            },
+            Err(e) => mismatches.push(format!("{BENCH3_FILE}: {e}")),
+        }
         if mismatches.is_empty() {
             println!("all goldens match a fresh record");
             return;
@@ -240,7 +243,6 @@ fn main() {
             eprintln!("  {m}");
         }
         eprintln!("re-record with: cargo run --release -p dirq-bench --bin record_goldens");
-        eprintln!("(BENCH_3.json entries: cargo run --release -p dirq-dirqd --bin loadgen)");
         std::process::exit(1);
     }
 
@@ -267,12 +269,47 @@ fn main() {
         println!("  patched REGISTRY_GOLDEN_FINGERPRINT in {}", goldens::REGISTRY_FILE);
         patched += 1;
     }
+    let bench3 = root.join(BENCH3_FILE);
+    let text = std::fs::read_to_string(&bench3)
+        .unwrap_or_else(|e| panic!("read {}: {e}", bench3.display()));
+    let (doc, diffs) = refresh_bench3(&text).unwrap_or_else(|e| panic!("{e}"));
+    std::fs::write(&bench3, doc.render_pretty())
+        .unwrap_or_else(|e| panic!("write {}: {e}", bench3.display()));
     println!(
         "done: {patched} constant(s) rewritten, {out} regenerated \
-         (fingerprint {:#018X})",
-        report.stable_fingerprint()
+         (fingerprint {:#018X}), {BENCH3_FILE} rewritten ({} difference(s))",
+        report.stable_fingerprint(),
+        diffs.len()
     );
     if patched > 0 {
         println!("note: rebuild + rerun tests to verify the new pins compile and hold");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The checked-in `BENCH_3.json` is current and in the form record
+    /// mode writes; a flipped fingerprint digit is exactly one difference,
+    /// named by its row, and the refresh restores the file.
+    #[test]
+    fn bench3_is_current_and_a_flipped_digit_is_named() {
+        let text = std::fs::read_to_string(repo_root().join(BENCH3_FILE)).expect("read");
+        let (fresh, diffs) = refresh_bench3(&text).expect("refresh");
+        assert!(diffs.is_empty(), "{BENCH3_FILE} is stale: {diffs:?}");
+        assert_eq!(fresh.render_pretty(), text);
+
+        let doc = Json::parse(&text).expect("parse");
+        let row = &doc.get("deployments").and_then(Json::as_array).expect("rows")[1];
+        let name = row.get("name").and_then(Json::as_str).expect("name");
+        let fp = row.get("state_fingerprint").and_then(Json::as_str).expect("fingerprint");
+        let flipped = if fp.ends_with('0') { '1' } else { '0' };
+        let copy = text.replacen(fp, &format!("{}{flipped}", &fp[..fp.len() - 1]), 1);
+        assert_ne!(copy, text);
+        let (refreshed, diffs) = refresh_bench3(&copy).expect("refresh copy");
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].contains(name), "{:?} does not name {name}", diffs[0]);
+        assert_eq!(refreshed.render_pretty(), text);
     }
 }

@@ -15,22 +15,26 @@
 //!   still carries the recorded full-registry fingerprint
 //!   ([`registry::REGISTRY_GOLDEN_FINGERPRINT`]), and that short
 //!   large-preset runs still clear the perf-trajectory floor (see
-//!   `--perf-floor`). Exits non-zero on any mismatch.
+//!   below). Exits non-zero on any mismatch.
 //! * `--list` — print the registry and exit.
 //!
 //! The smoke perf tripwire compares fresh short-run epochs/s of
 //! `grid_2000`/`stress_5000`/`stress_20000` against the throughput
 //! recorded in `BENCH_2.json` and fails below `floor × recorded`. The
 //! floor defaults to 0.35 (CI runners are slower and noisier than the
-//! recording box) and can be overridden with `--perf-floor F` or the
-//! `DIRQ_PERF_FLOOR` environment variable; `0` disables the tripwire
-//! entirely.
+//! recording box) and can be overridden with the `DIRQ_PERF_FLOOR`
+//! environment variable; `0` disables the tripwire entirely.
+//!
+//! `BENCH_2.json` and `--out` resolve against the workspace root, so the
+//! tool runs from any directory; an absolute `--out` is used as given.
 //!
 //! Usage: `scenario_matrix [--preset NAME] [--epoch-scale F] [--quick]
-//! [--threads T] [--workers W] [--replicates R] [--perf-floor F]
-//! [--out PATH] [--smoke] [--list]`
+//! [--threads T] [--workers W] [--replicates R] [--out PATH] [--smoke]
+//! [--list]`
 
-use dirq_bench::matrix;
+use std::path::Path;
+
+use dirq_bench::{matrix, repo_root};
 use dirq_scenario::{registry, run_matrix_report, ScenarioSpec, SweepConfig};
 use dirq_sim::json::Json;
 
@@ -40,21 +44,17 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: scenario_matrix [--preset NAME] [--epoch-scale F] [--quick] \
-         [--threads T] [--workers W] [--replicates R] [--perf-floor F] [--out PATH] \
-         [--smoke] [--list]"
+         [--threads T] [--workers W] [--replicates R] [--out PATH] [--smoke] [--list]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// The perf-trajectory floor: `--perf-floor` wins, then `DIRQ_PERF_FLOOR`,
-/// then the default of 0.35. `0` disables the tripwire (documented escape
-/// hatch for noisy or heavily shared runners). An unparseable environment
-/// value is a hard error — silently falling back to the default would
-/// defeat the override exactly when an operator reaches for it.
-fn perf_floor(flag: Option<f64>) -> f64 {
-    if let Some(f) = flag {
-        return f;
-    }
+/// The perf-trajectory floor: `DIRQ_PERF_FLOOR`, else the default of
+/// 0.35. `0` disables the tripwire (documented escape hatch for noisy or
+/// heavily shared runners). An unparseable value is a hard error —
+/// silently falling back to the default would defeat the override
+/// exactly when an operator reaches for it.
+fn perf_floor() -> f64 {
     match std::env::var("DIRQ_PERF_FLOOR") {
         Ok(v) => v.parse().unwrap_or_else(|_| {
             eprintln!(
@@ -72,7 +72,6 @@ fn main() {
     let mut only: Option<String> = None;
     let mut smoke = false;
     let mut list = false;
-    let mut floor_flag: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -104,13 +103,6 @@ fn main() {
             "--preset" => {
                 only = Some(args.next().unwrap_or_else(|| usage("--preset needs a name")))
             }
-            "--perf-floor" => {
-                floor_flag = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--perf-floor needs a fraction")),
-                )
-            }
             "--out" => out = args.next().unwrap_or_else(|| usage("--out needs a path")),
             "--smoke" => smoke = true,
             "--list" => list = true,
@@ -128,8 +120,10 @@ fn main() {
         return;
     }
 
+    let root = repo_root();
+    let out = root.join(out).to_string_lossy().into_owned();
     if smoke {
-        run_smoke(&out, &cfg, perf_floor(floor_flag));
+        run_smoke(&root, &out, &cfg, perf_floor());
         return;
     }
 
@@ -153,13 +147,14 @@ fn main() {
 /// sensor-sampling paths, and neither may move a fingerprint. Budget knobs
 /// (`--epoch-scale`, `--quick`, `--replicates`) are deliberately
 /// ignored: the smoke goldens are recorded at fixed budgets.
-fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
+fn run_smoke(root: &Path, out: &str, cli_cfg: &SweepConfig, floor: f64) {
     let workers = cli_cfg.workers.max(1);
     let base_cfg = &SweepConfig { workers, ..SweepConfig::default() };
     // The recorded artifact must match the registry golden — catching PRs
     // that change behaviour (or the registry) without re-running the
     // matrix and re-recording BENCH_2.json.
-    let bench2 = std::fs::read_to_string("BENCH_2.json").ok().and_then(|t| Json::parse(&t).ok());
+    let bench2 =
+        std::fs::read_to_string(root.join("BENCH_2.json")).ok().and_then(|t| Json::parse(&t).ok());
     match &bench2 {
         Some(doc) => {
             let recorded = doc
@@ -263,8 +258,8 @@ fn run_smoke(out: &str, cli_cfg: &SweepConfig, floor: f64) {
                 eprintln!(
                     "FAIL: {name} throughput {eps:.0} epochs/s fell below {threshold:.0} \
                      ({floor} × recorded {recorded:.0}).\n\
-                     Perf regression — or a noisy runner: override with --perf-floor F or \
-                     DIRQ_PERF_FLOOR=F (0 disables)."
+                     Perf regression — or a noisy runner: override with DIRQ_PERF_FLOOR=F \
+                     (0 disables)."
                 );
                 std::process::exit(1);
             }

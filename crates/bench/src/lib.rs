@@ -1,8 +1,8 @@
 //! # dirq-bench — the reproduction harness
 //!
 //! One binary per figure/result of the paper's evaluation (Section 5 and
-//! Section 7), plus the scenario-matrix, perf-baseline and golden-record
-//! tools.
+//! Section 7), plus the scenario-matrix (`scenario_matrix`) and
+//! golden-record (`record_goldens`) tools.
 //!
 //! | Paper artefact | Binary | What it prints |
 //! |---|---|---|
@@ -20,6 +20,15 @@
 
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
+
 pub mod args;
 pub mod experiments;
 pub mod matrix;
+
+/// The workspace root, resolved from this crate's manifest directory, so
+/// the tools read and write the checked-in artifacts from any working
+/// directory.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
+}

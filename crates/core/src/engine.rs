@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use dirq_data::sensor::SensorAssignment;
-use dirq_data::workload::CalibratedQuery;
+use dirq_data::workload::{CalibratedQuery, GroundTruth};
 use dirq_data::{QueryGenerator, QueryId, SensorCatalog, SensorWorld, WorldConfig};
 use dirq_lmac::network::MacStats;
 use dirq_lmac::{Destination, LmacConfig, LmacNetwork, MacIndication};
@@ -467,11 +467,10 @@ pub struct Engine {
     analytic0: TopologyCosts,
     delta_trace: Vec<(u64, f64)>,
     queries_injected: usize,
-    /// Finalised-query log for external consumers (the daemon); `None`
-    /// until [`Engine::enable_completed_log`]. Transient — never
-    /// snapshotted; cursor-addressed so several consumers can read it
-    /// independently (see [`Engine::completed_since`]).
-    completed: Option<CompletedLog>,
+    /// Queries finalised since the last [`Engine::drain_completed`], in
+    /// finalisation order; `None` until [`Engine::enable_completed_log`].
+    /// Transient — never snapshotted.
+    completed: Option<Vec<CompletedQuery>>,
 }
 
 /// A finalised query as reported to external consumers: the scored
@@ -489,37 +488,6 @@ pub struct CompletedQuery {
     /// Receptions attributed to this query while it was in flight.
     pub rx: u64,
 }
-
-/// Retention bound for the completed-query log: beyond this many
-/// undrained entries the oldest are discarded (their sequence numbers
-/// stay burnt, so cursors remain monotone).
-pub const COMPLETED_LOG_CAP: usize = 65_536;
-
-/// Bounded completed-query log addressed by monotone sequence numbers:
-/// entry `i` of `entries` has sequence `first_seq + i`.
-#[derive(Default)]
-struct CompletedLog {
-    entries: std::collections::VecDeque<CompletedQuery>,
-    first_seq: u64,
-}
-
-impl CompletedLog {
-    fn push(&mut self, entry: CompletedQuery) {
-        if self.entries.len() == COMPLETED_LOG_CAP {
-            self.entries.pop_front();
-            self.first_seq += 1;
-        }
-        self.entries.push_back(entry);
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.first_seq + self.entries.len() as u64
-    }
-}
-
-/// Borrow target for [`Engine::completed_since`] when the log is off.
-static EMPTY_COMPLETED: std::collections::VecDeque<CompletedQuery> =
-    std::collections::VecDeque::new();
 
 impl Engine {
     /// Build a fully initialised engine (topology deployed, tree built,
@@ -930,53 +898,23 @@ impl Engine {
         &self.cfg
     }
 
-    /// Collect finalised queries for external consumers from now on (see
-    /// [`Engine::take_completed`]). Purely observational — the log never
-    /// feeds back into the simulation.
+    /// Collect finalised queries for external consumers from now on.
+    /// The log holds what was finalised since the last
+    /// [`Engine::drain_completed`] and nothing else bounds it, so a
+    /// consumer drains it after every step, as `dirqd` does. Purely
+    /// observational — the log never feeds back into the simulation.
     pub fn enable_completed_log(&mut self) {
-        self.completed.get_or_insert_with(CompletedLog::default);
+        self.completed.get_or_insert_with(Vec::new);
     }
 
-    /// Drain the completed-query log (empty unless
-    /// [`Engine::enable_completed_log`] was called). Drained entries burn
-    /// their sequence numbers: [`Engine::completed_next_seq`] keeps
-    /// advancing, so mixing `take_completed` with cursor reads is safe.
-    pub fn take_completed(&mut self) -> Vec<CompletedQuery> {
-        match &mut self.completed {
-            Some(log) => {
-                log.first_seq = log.next_seq();
-                std::mem::take(&mut log.entries).into()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// The sequence number the next finalised query will receive — the
-    /// cursor a consumer starts from to observe only future completions.
-    pub fn completed_next_seq(&self) -> u64 {
-        self.completed.as_ref().map_or(0, CompletedLog::next_seq)
-    }
-
-    /// Every retained completed-log entry with sequence `>= cursor`, in
-    /// sequence order, paired with its sequence number. Entries older
-    /// than the retention bound ([`COMPLETED_LOG_CAP`]) are gone; callers
-    /// detect the gap by comparing the first returned sequence (or
-    /// [`Engine::completed_next_seq`]) against their cursor.
-    pub fn completed_since(&self, cursor: u64) -> impl Iterator<Item = (u64, &CompletedQuery)> {
-        let (first_seq, entries) = match &self.completed {
-            Some(log) => (log.first_seq, &log.entries),
-            None => (0, &EMPTY_COMPLETED),
-        };
-        let skip = cursor.saturating_sub(first_seq).min(entries.len() as u64) as usize;
-        entries.iter().enumerate().skip(skip).map(move |(i, e)| (first_seq + i as u64, e))
-    }
-
-    /// Look up a retained completed-log entry by query id (most recent
-    /// first, though external ids are unique in practice).
-    pub fn completed_by_id(&self, id: u64) -> Option<&CompletedQuery> {
-        self.completed
-            .as_ref()
-            .and_then(|log| log.entries.iter().rev().find(|e| e.outcome.id.0 == id))
+    /// Hand out every query finalised since the last drain, in
+    /// finalisation order, internal workload queries included; empty
+    /// unless [`Engine::enable_completed_log`] was called. Like
+    /// `Vec::drain`, dropping the iterator early discards the rest, and
+    /// the log keeps its capacity, so draining after every step
+    /// allocates nothing in the steady state.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = CompletedQuery> + '_ {
+        self.completed.as_mut().map(|log| log.drain(..)).into_iter().flatten()
     }
 
     /// Inject an externally supplied range query (the daemon's client
@@ -984,8 +922,8 @@ impl Engine {
     /// external queries never collide; ground truth is evaluated against
     /// the current world exactly as for generated queries, and the query
     /// disseminates during the next [`Engine::step_epoch`]. Returns the
-    /// assigned id; the outcome surfaces through the completed log once
-    /// the completion window elapses.
+    /// assigned id; the outcome surfaces through
+    /// [`Engine::drain_completed`] once the completion window elapses.
     ///
     /// # Panics
     /// Panics when `region` is given but the scenario has
@@ -1016,28 +954,7 @@ impl Engine {
             &query,
             |n: NodeId| alive[n.index()],
         );
-        self.queries_injected += 1;
-        self.pending.insert(PendingQuery {
-            query,
-            epoch: self.epoch,
-            truth,
-            received: vec![false; self.topo.len()],
-            tx: 0,
-            rx: 0,
-        });
-        match self.cfg.protocol {
-            Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
-            Protocol::Flooding => {
-                self.flood[0].should_rebroadcast(query.id);
-                if self.mac.enqueue(
-                    NodeId::ROOT,
-                    Destination::Broadcast,
-                    DirqMessage::FloodQuery(query),
-                ) {
-                    self.record_tx_parts(MessageCategory::Query, Some(query.id));
-                }
-            }
-        }
+        self.disseminate(query, truth);
         query.id
     }
 
@@ -1696,6 +1613,12 @@ impl Engine {
         else {
             return;
         };
+        self.disseminate(query, truth);
+    }
+
+    /// Count `query`, track it for scoring against `truth`, and hand it
+    /// to the root: DirQ's `on_query`, or a flooding broadcast.
+    fn disseminate(&mut self, query: dirq_data::RangeQuery, truth: GroundTruth) {
         self.queries_injected += 1;
         self.pending.insert(PendingQuery {
             query,
@@ -2490,6 +2413,32 @@ mod tests {
             }
             assert!(log.windows(2).any(|w| w[0].0 != w[1].0), "{protocol:?}: no parent moved");
         }
+    }
+
+    /// The completed log hands out every finalised query exactly once, in
+    /// the order the metrics record them, and nothing while it is off.
+    #[test]
+    fn drained_completions_match_the_outcome_log() {
+        let cfg = ScenarioConfig {
+            churn: ChurnSpec::RandomDeaths { deaths: 5, from_epoch: 30, until_epoch: 90 },
+            ..small(21)
+        };
+        let mut logged = Engine::new(cfg.clone());
+        logged.enable_completed_log();
+        let mut silent = Engine::new(cfg);
+        let mut drained = Vec::new();
+        while logged.epoch() < 150 {
+            for e in [&mut logged, &mut silent] {
+                e.step_epoch();
+                e.submit_external_query(dirq_data::SensorType(0), 15.0, 25.0, None);
+            }
+            drained.extend(logged.drain_completed().map(|c| c.outcome.id));
+            assert_eq!(logged.drain_completed().count(), 0, "a second drain must be empty");
+            assert_eq!(silent.drain_completed().count(), 0, "the log is off until enabled");
+        }
+        let outcomes: Vec<QueryId> = logged.metrics().outcomes.iter().map(|o| o.id).collect();
+        assert!(outcomes.len() > 100, "only {} queries finalised", outcomes.len());
+        assert_eq!(drained, outcomes);
     }
 
     #[test]

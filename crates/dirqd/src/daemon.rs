@@ -774,7 +774,6 @@ fn install(
     let current = epoch.load(Ordering::SeqCst);
     let slot = Arc::new(Slot {
         serving: Mutex::new(Serving {
-            sweep_cursor: engine.completed_next_seq(),
             engine,
             info: info.clone(),
             epoch: Arc::clone(&epoch),
@@ -1182,9 +1181,6 @@ struct Serving {
     queue: VecDeque<Submission>,
     /// Injected, not yet finalised, by query id.
     inflight: HashMap<u64, Inflight>,
-    /// Cursor into the engine's completed log (internal workload
-    /// completions are swept past; external ones land in `results`).
-    sweep_cursor: u64,
     /// Completed external queries: `(seq, query id, outcome fields)`.
     results: VecDeque<(u64, u64, Json)>,
     /// Sequence number the next completed result will receive.
@@ -1278,23 +1274,21 @@ impl Serving {
     }
 
     /// After every `step_epoch`, wherever it happens: publish the epoch,
-    /// sweep newly finalised queries out of the engine's completed log
-    /// (blocking callers are answered, everything external lands in the
-    /// results log), and maybe write an auto-checkpoint.
+    /// drain the queries the engine finalised (blocking callers are
+    /// answered, everything external lands in the results log), and
+    /// maybe write an auto-checkpoint.
     fn post_step(&mut self) {
         let now = self.engine.epoch();
         self.epoch.store(now, Ordering::SeqCst);
-        let mut finished: Vec<(u64, Json)> = Vec::new();
-        for (seq, done) in self.engine.completed_since(self.sweep_cursor) {
-            self.sweep_cursor = seq + 1;
+        for done in self.engine.drain_completed() {
             // The engine also finalises its own workload queries; only
-            // externally submitted ids leave the sweep.
-            if self.inflight.contains_key(&done.outcome.id.0) {
-                finished.push((done.outcome.id.0, outcome_fields(done)));
-            }
-        }
-        for (id, fields) in finished {
-            if let Some(Some(reply)) = self.inflight.remove(&id) {
+            // externally submitted ids reach the results log.
+            let id = done.outcome.id.0;
+            let Some(inflight) = self.inflight.remove(&id) else {
+                continue;
+            };
+            let fields = outcome_fields(&done);
+            if let Some(reply) = inflight {
                 let mut ok = ok_response();
                 merge_fields(&mut ok, &fields);
                 let _ = reply.send(ok);

@@ -18,8 +18,10 @@
 //!   snapshot image header.
 //!
 //! Binaries: `dirqd` (serve), `dirq-cli` (one-shot protocol calls from
-//! the shell) and `loadgen` (the throughput harness recording
-//! `BENCH_3.json`, plus the CI `--smoke` mode).
+//! the shell) and `loadgen` (the daemon's end-to-end smoke check, which
+//! CI runs; it takes no flags and writes nothing). The daemon's
+//! throughput and latency are measured by the benchmark's
+//! `serve_mixed` workload, not here.
 //!
 //! ## Determinism contract
 //!
@@ -29,7 +31,7 @@
 //! daemons fed the same barriered call sequence produce byte-identical
 //! engine state — `state_fingerprint` equality after a
 //! snapshot/restore round trip is asserted by the integration tests and
-//! the loadgen smoke mode.
+//! `loadgen`.
 
 #![warn(missing_docs)]
 

@@ -1,15 +1,15 @@
-//! The deterministic query-load model shared by the load generator and
-//! the golden recorder.
+//! The deterministic query-load model shared by `loadgen`, the golden
+//! recorder and the benchmark.
 //!
-//! The loadgen's latency-histogram phase drives [`HIST_QUERIES`]
-//! barriered queries (submit, wait for completion, submit the next)
-//! with content from [`hist_query`]. Because the daemon injects each
-//! barriered submission at the next epoch boundary and steps until it
-//! finalises, the *epochs-to-answer* of every query is a deterministic
-//! function of the deployment recipe — [`reference_epochs_histogram`]
-//! reproduces it engine-level, with no daemon involved, which is what
-//! lets `record_goldens --check` gate the recorded histogram while the
-//! wall-clock percentiles beside it stay machine-specific.
+//! The histogram sequence is [`HIST_QUERIES`] barriered queries
+//! (submit, wait for completion, submit the next) with content from
+//! [`hist_query`]. Because the daemon injects each barriered submission
+//! at the next epoch boundary and steps until it finalises, the
+//! *epochs-to-answer* of every query is a deterministic function of the
+//! deployment recipe. [`reference_epochs_histogram`] reproduces it
+//! engine-level, with no daemon involved: `loadgen` asserts the daemon
+//! against it, and `record_goldens` records and checks the
+//! `BENCH_3.json` histogram with it.
 
 use dirq_core::Engine;
 use dirq_data::SensorType;
@@ -52,7 +52,7 @@ pub fn reference_epochs_histogram(preset: &str, scale: f64, warmup: u64) -> Vec<
         let id = engine.submit_external_query(SensorType(stype), lo, hi, None);
         loop {
             engine.step_epoch();
-            if let Some(done) = engine.completed_by_id(id.0) {
+            if let Some(done) = engine.drain_completed().find(|done| done.outcome.id == id) {
                 latencies.push(done.answered_epoch - done.outcome.epoch);
                 break;
             }
@@ -102,7 +102,7 @@ pub fn replay_serving(
                 let id = engine.submit_external_query(SensorType(stype), lo, hi, None);
                 loop {
                     engine.step_epoch();
-                    if engine.completed_by_id(id.0).is_some() {
+                    if engine.drain_completed().any(|done| done.outcome.id == id) {
                         break;
                     }
                 }
@@ -122,18 +122,6 @@ pub fn histogram_counts(latencies: &[u64]) -> Vec<(u64, u64)> {
     counts.into_iter().collect()
 }
 
-/// The `p`-th percentile (0–100) of a sample, nearest-rank on a sorted
-/// copy. Returns 0.0 on an empty sample.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,15 +130,6 @@ mod tests {
     fn histogram_counts_accumulate_sorted() {
         assert_eq!(histogram_counts(&[3, 1, 3, 3, 2]), vec![(1, 1), (2, 1), (3, 3)]);
         assert!(histogram_counts(&[]).is_empty());
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&s, 50.0), 2.0);
-        assert_eq!(percentile(&s, 100.0), 4.0);
-        assert_eq!(percentile(&s, 1.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

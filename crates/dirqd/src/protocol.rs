@@ -41,8 +41,8 @@
 //! checks pin. Blocking queries reply once the query completes;
 //! `async: true` queries reply with the assigned id at injection, and
 //! the outcome is fetched later via `poll` (one id) or `drain` (every
-//! completion since a client-held cursor, backed by the engine's bounded
-//! completed-query log).
+//! completion since a client-held cursor, backed by the deployment's
+//! bounded results log).
 //!
 //! ## Typed errors
 //!

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over real TCP sockets: deploy, step, query
 //! (blocking and async), poll/drain, snapshot, restore, fingerprint
 //! equality, the typed protocol error surface and clean shutdowns — the
-//! same invariants `loadgen --smoke` gates in CI, at debug-tier scale.
+//! same invariants `loadgen` gates in CI, at debug-tier scale.
 
 use std::time::Duration;
 

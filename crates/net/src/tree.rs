@@ -275,22 +275,6 @@ impl SpanningTree {
         order
     }
 
-    /// Path from `node` up to the root (inclusive at both ends).
-    /// Returns `None` for detached nodes.
-    pub fn path_to_root(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        if !self.is_attached(node) {
-            return None;
-        }
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(*path.last().unwrap(), self.root);
-        Some(path)
-    }
-
     /// Validate the structural invariants (acyclicity, parent/child
     /// consistency, correct depths). Intended for tests and debug builds.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -452,13 +436,6 @@ mod tests {
         tree.attach(NodeId(3), NodeId(2));
         assert_eq!(tree.depth(NodeId(3)), Some(2));
         tree.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn path_to_root_walks_parents() {
-        let (_, tree) = SpanningTree::complete_kary(2, 3);
-        let path = tree.path_to_root(NodeId(11)).unwrap();
-        assert_eq!(path, vec![NodeId(11), NodeId(5), NodeId(2), NodeId(0)]);
     }
 
     #[test]

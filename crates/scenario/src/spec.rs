@@ -37,7 +37,7 @@ impl Scheme {
     }
 
     /// Invert [`Scheme::label`] — the daemon wire protocol and the
-    /// `BENCH_3.json` staleness check both name schemes by label.
+    /// `BENCH_3.json` recipes both name schemes by label.
     pub fn parse(label: &str) -> Option<Scheme> {
         match label {
             "dirq-atc" => Some(Scheme::DirqAtc),

@@ -112,11 +112,6 @@ pub fn fnum(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// Format a ratio as a percentage with `prec` decimals.
-pub fn fpct(x: f64, prec: usize) -> String {
-    format!("{:.prec$}%", x * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +154,5 @@ mod tests {
     #[test]
     fn numeric_formatters() {
         assert_eq!(fnum(12.3456, 2), "12.35");
-        assert_eq!(fpct(0.4567, 1), "45.7%");
     }
 }

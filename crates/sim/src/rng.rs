@@ -72,11 +72,6 @@ impl RngFactory {
         RngFactory { master }
     }
 
-    /// The master seed this factory derives from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// A stream identified by a label only.
     pub fn stream(&self, label: &str) -> SimRng {
         SimRng::from_seed(derive(self.master, label, 0))
@@ -95,16 +90,6 @@ impl RngFactory {
         let mut k = [0u8; 8];
         k.copy_from_slice(&bytes[..8]);
         u64::from_le_bytes(k)
-    }
-
-    /// Derive a sub-factory, e.g. one per replication of an experiment.
-    pub fn subfactory(&self, label: &str, index: u64) -> RngFactory {
-        let mut s = self.master ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03);
-        let _ = splitmix64(&mut s);
-        let bytes = derive(self.master, label, index);
-        let mut m = [0u8; 8];
-        m.copy_from_slice(&bytes[..8]);
-        RngFactory { master: u64::from_le_bytes(m) ^ s }
     }
 }
 
@@ -199,13 +184,6 @@ pub fn sample_std_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     (r * cos, r * sin)
 }
 
-/// Sample an exponentially distributed value with the given `rate` (λ).
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    debug_assert!(rate > 0.0, "rate must be positive");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,16 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn subfactory_differs_from_parent() {
-        let f = RngFactory::new(77);
-        let sub = f.subfactory("rep", 0);
-        assert_ne!(f.master_seed(), sub.master_seed());
-        let a: u64 = f.stream("s").gen();
-        let b: u64 = sub.stream("s").gen();
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn normal_sampler_moments() {
         let mut rng = RngFactory::new(5).stream("normal");
         let n = 20_000;
@@ -262,14 +230,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean} too far from 3.0");
         assert!((var - 4.0).abs() < 0.25, "variance {var} too far from 4.0");
-    }
-
-    #[test]
-    fn exponential_sampler_mean() {
-        let mut rng = RngFactory::new(5).stream("exp");
-        let n = 20_000;
-        let mean = (0..n).map(|_| sample_exponential(&mut rng, 0.5)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean {mean} too far from 1/λ = 2.0");
     }
 
     #[test]

@@ -23,12 +23,6 @@ impl Ewma {
         Ewma { alpha, value: None }
     }
 
-    /// Create an EWMA whose weight halves every `n` observations.
-    pub fn with_half_life(n: f64) -> Self {
-        assert!(n > 0.0, "half-life must be positive");
-        Ewma::new(1.0 - 0.5f64.powf(1.0 / n))
-    }
-
     /// Feed one observation; the first observation initialises the average.
     pub fn observe(&mut self, x: f64) {
         self.value = Some(match self.value {
@@ -101,19 +95,6 @@ mod tests {
         assert_eq!(e.value(), Some(4.0));
         e.observe(8.0); // 4 + 0.5*4 = 6
         assert_eq!(e.value(), Some(6.0));
-    }
-
-    #[test]
-    fn half_life_semantics() {
-        // After `n` observations of 0 starting from 1, the value should be
-        // 0.5 for half-life n.
-        let n = 10.0;
-        let mut e = Ewma::with_half_life(n);
-        e.observe(1.0);
-        for _ in 0..10 {
-            e.observe(0.0);
-        }
-        assert!((e.value().unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]

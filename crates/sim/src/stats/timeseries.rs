@@ -70,12 +70,6 @@ impl TimeSeries {
         (c > 0).then(|| self.sum(idx) / c as f64)
     }
 
-    /// Iterator over `(bucket_start_epoch, sum)` pairs, padded so every
-    /// bucket up to the last materialised one appears.
-    pub fn iter_sums(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.sums.iter().enumerate().map(move |(i, &s)| (i as u64 * self.bucket_width, s))
-    }
-
     /// Total across all buckets.
     pub fn total(&self) -> f64 {
         self.sums.iter().sum()
@@ -145,9 +139,6 @@ mod tests {
             assert_eq!(ts.sum(i), 0.0);
         }
         assert_eq!(ts.sum(9), 1.0);
-        let pairs: Vec<(u64, f64)> = ts.iter_sums().collect();
-        assert_eq!(pairs.len(), 10);
-        assert_eq!(pairs[9], (90, 1.0));
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl Welford {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -155,7 +146,6 @@ mod tests {
         w.observe(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     proptest! {

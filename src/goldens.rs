@@ -8,8 +8,9 @@
 //! workspace golden tests
 //! (`tests/determinism_golden.rs`, `tests/scenario_golden.rs`) assert
 //! against this manifest, and the `record_goldens` bench binary
-//! regenerates it (plus `crates/scenario/src/registry.rs` and
-//! `BENCH_2.json`) in one pass:
+//! regenerates it (plus `crates/scenario/src/registry.rs`,
+//! `BENCH_2.json` and the serving goldens of `BENCH_3.json`) in one
+//! pass:
 //!
 //! ```text
 //! cargo run --release -p dirq-bench --bin record_goldens            # re-record
@@ -19,7 +20,7 @@
 //! Intentional behaviour breaks (protocol changes, RNG stream changes)
 //! re-record everything in a single commit via the tool; the `--check`
 //! mode recomputes every pin fresh and fails CI when a stale golden (or a
-//! stale `BENCH_2.json`) was left behind.
+//! stale `BENCH_2.json` or `BENCH_3.json`) was left behind.
 
 use dirq_core::{
     run_scenario, AtcConfig, ChurnSpec, DeltaPolicy, PredictiveConfig, SamplingStrategy,

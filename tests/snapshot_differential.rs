@@ -145,8 +145,8 @@ fn snapshot_state_fingerprint_is_pinned() {
     );
 }
 
-/// External queries share the generator id space, resolve through the
-/// completed log, and leave the engine on the same deterministic
+/// External queries share the generator id space, come out of the
+/// drained completed log, and leave the engine on the same deterministic
 /// trajectory as an engine that received the identical call sequence.
 #[test]
 fn external_queries_complete_and_stay_deterministic() {
@@ -161,7 +161,7 @@ fn external_queries_complete_and_stay_deterministic() {
         let mut seen = Vec::new();
         while e.epoch() < 120 {
             e.step_epoch();
-            seen.extend(e.take_completed());
+            seen.extend(e.drain_completed());
         }
         (id, seen, e.state_fingerprint())
     };
@@ -182,7 +182,7 @@ fn external_queries_complete_and_stay_deterministic() {
     while silent.epoch() < 120 {
         silent.step_epoch();
     }
-    assert!(silent.take_completed().is_empty(), "log must stay off until enabled");
+    assert!(silent.drain_completed().next().is_none(), "log must stay off until enabled");
     assert_eq!(silent.state_fingerprint(), fp_a);
 }
 
