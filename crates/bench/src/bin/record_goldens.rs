@@ -95,7 +95,7 @@ impl Bench3Recipe {
 /// Returns the refreshed document and one line per difference from
 /// `text`: a drifted gated field names its row, and anything else that
 /// record mode would rewrite (schema, image format version, field set)
-/// is one line. An unreadable file or recipe is an error.
+/// is one line. Unparseable text or an invalid recipe is an error.
 fn refresh_bench3(text: &str) -> Result<(Json, Vec<String>), String> {
     let file = BENCH3_FILE;
     let doc = Json::parse(text).map_err(|e| format!("{file}: unparseable: {e:?}"))?;
