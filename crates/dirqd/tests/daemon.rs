@@ -6,7 +6,9 @@
 use std::time::Duration;
 
 use dirq_sim::json::Json;
+use dirq_sim::snap::frame_image;
 use dirqd::loadmodel::{replay_serving, ServingOp};
+use dirqd::protocol::ImageHeader;
 use dirqd::{Client, ClientError, Daemon, DaemonOptions, DeployOptions};
 
 /// Spawn a daemon, run `body` against a fresh client, then shut the
@@ -281,6 +283,434 @@ fn wire_validation_rejects_what_it_used_to_truncate() {
         // None of the rejected deploys may have registered a deployment.
         assert_eq!(c.status().expect("status").len(), 1);
     });
+}
+
+/// Send one raw request line and return the rejection's `(kind, message)`;
+/// panics if the daemon accepted it or the call failed client-side.
+fn rejection(c: &mut Client, request: &str) -> (String, String) {
+    let req = Json::parse(request).unwrap_or_else(|e| panic!("{request}: {e}"));
+    match c.call(&req) {
+        Err(ClientError::Remote { kind, message }) => (kind, message),
+        other => panic!("{request}: expected a remote error, got {:?}", other.map(|r| r.render())),
+    }
+}
+
+/// Every command's rejections, reply for reply: each row is one request
+/// and the exact kind and message it must get back, so the order in
+/// which a handler validates (its own fields, then `timeout_ms`, then the
+/// deployment lookup, then checks against the deployment) is pinned too.
+/// An `io` reply is pinned up to the OS error text.
+#[test]
+fn every_rejection_replies_with_its_pinned_kind_and_message() {
+    let dir = fresh_dir("reject");
+    let path = |file: &str| dir.join(file).to_string_lossy().into_owned();
+    let quoted = |p: &str| Json::Str(p.to_string()).render();
+    with_daemon(|_, c| {
+        let info = c.deploy("a", "dense_grid_100", &scaled(0.1)).expect("deploy");
+        let zero =
+            DeployOptions { scale: Some(0.1), queue_cap: Some(0), ..DeployOptions::default() };
+        c.deploy("full", "dense_grid_100", &zero).expect("deploy zero-cap");
+
+        let valid = path("valid.dirqsnap");
+        c.snapshot("a", &valid).expect("snapshot");
+        let garbage = path("garbage.dirqsnap");
+        std::fs::write(&garbage, b"not a snapshot").expect("write garbage");
+        let image = |file: &str, header: Json, body: &[u8]| {
+            let p = path(file);
+            std::fs::write(&p, frame_image(&header, body)).expect("write image");
+            p
+        };
+        let header = ImageHeader {
+            preset: "dense_grid_100".into(),
+            scale: 0.1,
+            scheme: info.scheme.clone(),
+            seed: 1,
+            epoch: 0,
+            nodes: 7,
+            serving: None,
+        };
+        let lying = image("lying.dirqsnap", header.to_json(), b"");
+        let empty_body =
+            image("empty.dirqsnap", ImageHeader { nodes: 100, ..header.clone() }.to_json(), b"");
+        let mut no_preset = header.to_json();
+        no_preset.set("preset", Json::Null);
+        let no_preset = image("no-preset.dirqsnap", no_preset, b"");
+        let unknown_preset = image(
+            "unknown-preset.dirqsnap",
+            ImageHeader { preset: "nope".into(), ..header.clone() }.to_json(),
+            b"",
+        );
+
+        const BAD: &str = "bad_request";
+        const NOT_FOUND: &str = "not_found";
+        const BAD_IMAGE: &str = "bad_image";
+        let missing_deployment = r#"missing string field "deployment""#;
+        let no_deployment = r#"no deployment named "missing""#;
+        let bad_timeout = "timeout_ms must be a non-negative integer";
+        let restore = |name: &str, p: &str| {
+            format!(r#"{{"cmd": "restore", "name": "{name}", "path": {}}}"#, quoted(p))
+        };
+        let rows: Vec<(String, &str, String)> = [
+            // The command itself.
+            (r#"{}"#.to_string(), BAD, r#"missing "cmd" field"#.to_string()),
+            (r#"{"cmd": "frobnicate"}"#.into(), BAD, r#"unknown command "frobnicate""#.into()),
+            // deploy
+            (
+                r#"{"cmd": "deploy", "preset": "dense_grid_100"}"#.into(),
+                BAD,
+                r#"missing string field "name""#.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": 7, "preset": "dense_grid_100"}"#.into(),
+                BAD,
+                r#"missing string field "name""#.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x"}"#.into(),
+                BAD,
+                r#"missing string field "preset""#.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "nope", "seed": -5}"#.into(),
+                NOT_FOUND,
+                r#"unknown preset "nope""#.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "scale": "big"}"#
+                    .into(),
+                BAD,
+                "scale must be a number".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "scale": -1}"#.into(),
+                BAD,
+                "scale must be a positive number, got -1".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "scheme": 5}"#.into(),
+                BAD,
+                "scheme must be a string".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "scheme": "bogus"}"#
+                    .into(),
+                NOT_FOUND,
+                r#"unknown scheme "bogus""#.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "seed": 1.5}"#.into(),
+                BAD,
+                "seed must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "queue_cap": "many"}"#
+                    .into(),
+                BAD,
+                "queue_cap must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100",
+                    "checkpoint_every_epochs": 10}"#
+                    .into(),
+                BAD,
+                "checkpoint_every_epochs requires checkpoint_dir".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "x", "preset": "dense_grid_100", "checkpoint_dir": 3}"#
+                    .into(),
+                BAD,
+                "checkpoint_dir must be a string".into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "a", "preset": "dense_grid_100", "scale": 0.1}"#.into(),
+                "exists",
+                r#"deployment "a" already exists"#.into(),
+            ),
+            // query
+            (
+                r#"{"cmd": "query", "stype": 0, "lo": 10, "hi": 20}"#.into(),
+                BAD,
+                missing_deployment.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "lo": 10, "hi": 20}"#.into(),
+                BAD,
+                r#"missing numeric field "stype""#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 300, "lo": 10, "hi": 20}"#.into(),
+                BAD,
+                "stype must be an integer in 0..=255, got 300".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "hi": 20}"#.into(),
+                BAD,
+                r#"missing numeric field "lo""#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": "x"}"#.into(),
+                BAD,
+                r#"missing numeric field "lo""#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 10}"#.into(),
+                BAD,
+                r#"missing numeric field "hi""#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 10, "hi": 20,
+                    "region": [0, 0, 9]}"#
+                    .into(),
+                BAD,
+                "region must be [x0, y0, x1, y1] (finite numbers)".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 10, "hi": 20,
+                    "async": "yes"}"#
+                    .into(),
+                BAD,
+                "async must be a boolean".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 10, "hi": 20,
+                    "client": 5}"#
+                    .into(),
+                BAD,
+                "client must be a string".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 10, "hi": 20,
+                    "timeout_ms": -5}"#
+                    .into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "missing", "stype": 0, "lo": 10, "hi": 20}"#
+                    .into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "missing", "stype": 1.5, "lo": 10, "hi": 20}"#
+                    .into(),
+                BAD,
+                "stype must be an integer in 0..=255, got 1.5".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "missing", "stype": 0, "lo": 10, "hi": 20,
+                    "timeout_ms": "soon"}"#
+                    .into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 4, "lo": 10, "hi": 20}"#.into(),
+                BAD,
+                r#"stype 4 is not in deployment "a"'s catalog of 4 sensor types"#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 4, "lo": 10, "hi": 20,
+                    "region": [0, 0, 50, 50]}"#
+                    .into(),
+                "unsupported",
+                r#"deployment "a" has no location extension; spatial queries unsupported"#.into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "a", "stype": 0, "lo": 20, "hi": 10}"#.into(),
+                BAD,
+                "query window must satisfy lo <= hi (finite)".into(),
+            ),
+            (
+                r#"{"cmd": "query", "deployment": "full", "stype": 0, "lo": 10, "hi": 20}"#.into(),
+                "queue_full",
+                "admission queue at capacity (0); resubmit later".into(),
+            ),
+            // poll
+            (r#"{"cmd": "poll", "id": 1}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "poll", "deployment": "a"}"#.into(),
+                BAD,
+                r#"missing integer field "id""#.into(),
+            ),
+            (
+                r#"{"cmd": "poll", "deployment": "missing", "id": "x"}"#.into(),
+                BAD,
+                "id must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "poll", "deployment": "missing", "id": 1, "timeout_ms": "soon"}"#.into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "poll", "deployment": "missing", "id": 1}"#.into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+            (
+                r#"{"cmd": "poll", "deployment": "a", "id": 999999}"#.into(),
+                NOT_FOUND,
+                "unknown or expired query id 999999".into(),
+            ),
+            // drain
+            (r#"{"cmd": "drain"}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "drain", "deployment": "missing", "cursor": -1}"#.into(),
+                BAD,
+                "cursor must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "drain", "deployment": "missing", "timeout_ms": "soon"}"#.into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (r#"{"cmd": "drain", "deployment": "missing"}"#.into(), NOT_FOUND, no_deployment.into()),
+            // step
+            (r#"{"cmd": "step", "epochs": 1}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "step", "deployment": "missing"}"#.into(),
+                BAD,
+                r#"missing integer field "epochs""#.into(),
+            ),
+            (
+                r#"{"cmd": "step", "deployment": "missing", "epochs": 1.5}"#.into(),
+                BAD,
+                "epochs must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "step", "deployment": "missing", "epochs": 1, "timeout_ms": -1}"#.into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "step", "deployment": "missing", "epochs": 1}"#.into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+            // fingerprint
+            (r#"{"cmd": "fingerprint"}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "fingerprint", "deployment": "missing", "timeout_ms": "soon"}"#.into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "fingerprint", "deployment": "missing"}"#.into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+            // snapshot
+            (r#"{"cmd": "snapshot", "path": "x"}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "snapshot", "deployment": "missing"}"#.into(),
+                BAD,
+                r#"missing string field "path""#.into(),
+            ),
+            (
+                r#"{"cmd": "snapshot", "deployment": "missing", "path": "x", "timeout_ms": "soon"}"#
+                    .into(),
+                BAD,
+                bad_timeout.into(),
+            ),
+            (
+                r#"{"cmd": "snapshot", "deployment": "missing", "path": "x"}"#.into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+            // restore
+            (
+                format!(r#"{{"cmd": "restore", "path": {}}}"#, quoted(&valid)),
+                BAD,
+                r#"missing string field "name""#.into(),
+            ),
+            (r#"{"cmd": "restore", "name": "x"}"#.into(), BAD, r#"missing string field "path""#.into()),
+            (
+                format!(r#"{{"cmd": "restore", "name": "x", "path": {}, "queue_cap": -1}}"#, quoted(&valid)),
+                BAD,
+                "queue_cap must be a non-negative integer".into(),
+            ),
+            (
+                format!(
+                    r#"{{"cmd": "restore", "name": "x", "path": {}, "checkpoint_every_epochs": 5}}"#,
+                    quoted(&valid)
+                ),
+                BAD,
+                "checkpoint_every_epochs requires checkpoint_dir".into(),
+            ),
+            (
+                restore("x", &garbage),
+                BAD_IMAGE,
+                format!("parse {garbage:?}: not a snapshot image (bad magic)"),
+            ),
+            (
+                restore("x", &no_preset),
+                BAD_IMAGE,
+                r#"image header: missing string field "preset""#.into(),
+            ),
+            (restore("x", &unknown_preset), BAD_IMAGE, r#"unknown preset "nope""#.into()),
+            (
+                restore("x", &lying),
+                BAD_IMAGE,
+                r#"image header claims 7 nodes but preset "dense_grid_100" deploys 100"#.into(),
+            ),
+            (
+                restore("x", &empty_body),
+                BAD_IMAGE,
+                "restore: snapshot truncated at byte 0 (needed 4 more)".into(),
+            ),
+            (restore("a", &valid), "exists", r#"deployment "a" already exists"#.into()),
+            // debug_stall
+            (r#"{"cmd": "debug_stall", "ms": 1}"#.into(), BAD, missing_deployment.into()),
+            (
+                r#"{"cmd": "debug_stall", "deployment": "missing"}"#.into(),
+                BAD,
+                r#"missing integer field "ms""#.into(),
+            ),
+            (
+                r#"{"cmd": "debug_stall", "deployment": "missing", "ms": "x"}"#.into(),
+                BAD,
+                "ms must be a non-negative integer".into(),
+            ),
+            (
+                r#"{"cmd": "debug_stall", "deployment": "missing", "ms": 1}"#.into(),
+                NOT_FOUND,
+                no_deployment.into(),
+            ),
+        ]
+        .into_iter()
+        .collect();
+        for (request, kind, message) in &rows {
+            let got = rejection(c, request);
+            assert_eq!((got.0.as_str(), got.1.as_str()), (*kind, message.as_str()), "{request}");
+        }
+
+        // `io` replies carry the OS's own error text after the path.
+        let unreadable = path("no-such.dirqsnap");
+        let unwritable = path("no-such-dir/x.dirqsnap");
+        let io_rows = [
+            (restore("x", &unreadable), format!("read {unreadable:?}: ")),
+            (
+                format!(
+                    r#"{{"cmd": "snapshot", "deployment": "a", "path": {}}}"#,
+                    quoted(&unwritable)
+                ),
+                format!("write {unwritable:?}: "),
+            ),
+        ];
+        for (request, prefix) in &io_rows {
+            let (kind, message) = rejection(c, request);
+            assert_eq!(kind, "io", "{request}");
+            assert!(message.starts_with(prefix.as_str()), "{request}: {message}");
+            assert!(message.len() > prefix.len(), "{request}: no OS error text");
+        }
+
+        // No rejected request registered or stepped a deployment.
+        let status = c.status().expect("status");
+        let names: Vec<(&str, u64)> = status.iter().map(|d| (d.name.as_str(), d.epoch)).collect();
+        assert_eq!(names, [("a", 0), ("full", 0)]);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The non-blocking path: submit returns an id immediately, `poll`
