@@ -35,6 +35,13 @@ raw() { "$CLI" --addr "$ADDR" --raw "$@"; }
 
 cli deploy a dense_grid_100 --scale 0.1
 test "$(raw epoch step a 20)" = 20
+
+# EPOCHS is an unsigned integer: a fraction is a usage error (exit 2)
+# raised before any request is sent, and the epoch stays where it was.
+STEP_EXIT=0
+cli step a 1.5 2> /dev/null || STEP_EXIT=$?
+test "$STEP_EXIT" = 2
+test "$(raw epoch fingerprint a)" = 20
 cli query a 0 12 26
 
 # Non-blocking path: submit returns the id immediately, poll resolves

@@ -201,14 +201,29 @@ impl AtcController {
     }
 
     /// Overlay state captured by [`AtcController::snap`] onto a controller
-    /// built with the same config.
+    /// built with the same config; a δ that is negative, NaN or infinite
+    /// is malformed.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
-        self.delta_pct = r.f64()?;
+        self.delta_pct = restore_delta(r)?;
         self.sent_in_window = r.u64()?;
         self.epochs_in_window = r.u64()?;
         self.rate = Ewma::unsnap(r)?;
         self.budget_per_epoch = r.opt_f64()?;
         Ok(())
+    }
+}
+
+/// Read a threshold δ captured by a `snap`, rejecting one that is
+/// negative, NaN or infinite: every reading's tuple `[R − δ, R + δ]`
+/// assumes a finite, non-negative δ.
+pub(crate) fn restore_delta(r: &mut dirq_sim::SnapReader<'_>) -> Result<f64, dirq_sim::SnapError> {
+    let pos = r.position();
+    match r.f64()? {
+        delta if delta.is_finite() && delta >= 0.0 => Ok(delta),
+        _ => Err(dirq_sim::SnapError::Malformed {
+            pos,
+            what: "threshold delta negative or not finite",
+        }),
     }
 }
 

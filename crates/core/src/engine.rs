@@ -1674,8 +1674,8 @@ impl Engine {
                 }
             }
         }
-        // Finalise queries whose completion window elapsed (one expiry-ring
-        // bucket probe per epoch; see `crate::pending`).
+        // Finalise queries whose completion window elapsed (one sweep of
+        // the short in-flight vec per epoch; see `crate::pending`).
         let mut due = std::mem::take(&mut self.finalize_buf);
         due.clear();
         self.pending.expire_due(self.epoch, &mut due);

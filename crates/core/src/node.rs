@@ -29,7 +29,7 @@ use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
-use crate::atc::{AtcController, DeltaPolicy};
+use crate::atc::{restore_delta, AtcController, DeltaPolicy};
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
 use crate::range_table::{RangeEntry, RangeTable};
@@ -470,8 +470,9 @@ impl DirqNode {
     /// Overlay state captured by [`DirqNode::snap`] onto a node built with
     /// the same id and config, and onto its sensing-plane `row`, whose
     /// escape windows are rebuilt from the restored tables. An image that
-    /// names a node id outside the `n_nodes` deployment, or whose sensing
-    /// records do not fit the row and the configured α, is malformed.
+    /// names a node id outside the `n_nodes` deployment, carries a δ that
+    /// is negative, NaN or infinite, or whose sensing records do not fit
+    /// the row and the configured α, is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -496,7 +497,7 @@ impl DirqNode {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
         self.tables = tables;
-        self.delta_pct = r.f64()?;
+        self.delta_pct = restore_delta(r)?;
         let pos = r.position();
         if r.bool()? != self.atc.is_some() {
             return Err(SnapError::Malformed {

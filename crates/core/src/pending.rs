@@ -2,27 +2,22 @@
 //!
 //! Every injected query is scored `completion_window` epochs after
 //! injection; until then it sits here accumulating tx/rx tallies and
-//! per-node reception marks. The store replaces the engine's original
-//! `Vec<PendingQuery>` — which paid a linear scan per tally and a
-//! swap_remove sweep per epoch — with three indexes:
+//! per-node reception marks. The store is the engine's original
+//! `Vec<PendingQuery>` plus a **by-id hash index** into it, making
+//! [`PendingSet::get_mut`] O(1) — the single accessor behind every tally
+//! site. The index is sparse, so no allocation is sized by a query id (a
+//! restored image can carry any id), and only ever looked up, never
+//! iterated, so no order depends on it.
 //!
-//! * a **slab** of entries with a free list, so entries never move;
-//! * a **by-id hash index**, making [`PendingSet::get_mut`] O(1) — the
-//!   single accessor behind every tally site. It is sparse, so no
-//!   allocation is sized by a query id (a restored image can carry any
-//!   id), and only ever looked up, never iterated, so no order depends
-//!   on it;
-//! * an **epoch-bucketed expiry ring**: an entry injected at epoch `e`
-//!   lands in bucket `(e + window) % ring_len`, so the per-epoch expiry
-//!   check is one bucket probe instead of a scan over the pending set.
-//!
-//! Determinism contract: the original vec's `swap_remove` sweep fixed
-//! the order in which simultaneously-expiring and leftover queries are
-//! finalised, and that order feeds the order-sensitive metrics
-//! fingerprint. The store replicates it exactly via `order` (the
-//! vec-equivalent sequence, mutated by the same `swap_remove` steps);
-//! the property tests below pin ring mode, linear mode and the legacy
-//! vec model against each other.
+//! Expiry is the original sweep, once per epoch: scan the vec ascending,
+//! `swap_remove` each due entry and re-examine the entry swapped into its
+//! place. The scan is short — the vec holds one completion window's
+//! queries: at most 9 in `stress_20000` (a query every 20 epochs, a
+//! 192-epoch window). Determinism contract: the sweep's `swap_remove`
+//! steps fix the order in which simultaneously-expiring and leftover
+//! queries are finalised, and that order feeds the order-sensitive
+//! metrics fingerprint; the property tests below pin the store against
+//! the plain-vec model.
 
 use std::collections::HashMap;
 
@@ -41,159 +36,79 @@ pub(crate) struct PendingQuery {
     pub(crate) rx: u64,
 }
 
-/// Windows past this many epochs skip the ring (its length is
-/// `window + 1` buckets) and fall back to the legacy linear sweep. Every
-/// preset's completion window is well below; the cap only guards exotic
-/// hand-built configurations.
-const MAX_RING_WINDOW: u64 = 4_096;
-
-/// Id-indexed slab of in-flight queries with an epoch-bucketed expiry
-/// ring. See the module docs for the determinism contract.
-///
-/// [`PendingSet::expire_due`] must be called once per epoch in
-/// increasing epoch order (the engine's housekeeping does) — the ring
-/// visits each due bucket exactly once.
+/// In-flight queries in finalisation order, indexed by id. See the
+/// module docs for the determinism contract.
 pub(crate) struct PendingSet {
     window: u64,
-    /// Entry slab; `None` slots are free.
-    slots: Vec<Option<PendingQuery>>,
-    /// Free slot indices.
-    free: Vec<u32>,
-    /// Query id → slot of every entry in flight.
-    by_id: HashMap<QueryId, u32>,
-    /// Slot indices in the legacy vec's order (including its historical
+    /// Entries in the legacy vec's order (including its historical
     /// `swap_remove` shuffles) — the finalisation order contract.
-    order: Vec<u32>,
-    /// `pos_in_order[slot]` → position in `order`.
-    pos_in_order: Vec<u32>,
-    /// `ring[due_epoch % ring.len()]` → slots due at that epoch; `None`
-    /// when `window` exceeds [`MAX_RING_WINDOW`] (linear-sweep mode).
-    ring: Option<Vec<Vec<u32>>>,
+    entries: Vec<PendingQuery>,
+    /// Query id → position in `entries` of every entry in flight.
+    by_id: HashMap<QueryId, u32>,
 }
 
 impl PendingSet {
     pub(crate) fn new(window: u64) -> Self {
-        let ring = (window < MAX_RING_WINDOW).then(|| (0..=window).map(|_| Vec::new()).collect());
-        PendingSet {
-            window,
-            slots: Vec::new(),
-            free: Vec::new(),
-            by_id: HashMap::new(),
-            order: Vec::new(),
-            pos_in_order: Vec::new(),
-            ring,
-        }
-    }
-
-    /// Linear-sweep mode regardless of window size — the property tests
-    /// pin it bit-equal to ring mode.
-    #[cfg(test)]
-    fn with_linear_sweep(window: u64) -> Self {
-        PendingSet { ring: None, ..PendingSet::new(window) }
+        PendingSet { window, entries: Vec::new(), by_id: HashMap::new() }
     }
 
     /// Entries currently in flight.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
-    /// Track a freshly injected query. At most one insert per epoch (the
-    /// engine injects at most one query per epoch; the ring's intra-bucket
-    /// order relies on it only when several entries share an epoch, where
-    /// the sweep fallback keeps the legacy order anyway).
+    /// Track a freshly injected query.
     pub(crate) fn insert(&mut self, p: PendingQuery) {
-        let id = p.query.id;
-        let due = p.epoch.saturating_add(self.window);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(p);
-                s
-            }
-            None => {
-                self.slots.push(Some(p));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let previous = self.by_id.insert(id, slot);
+        let previous = self.by_id.insert(p.query.id, self.entries.len() as u32);
         debug_assert!(previous.is_none(), "duplicate pending query id");
-        if self.pos_in_order.len() <= slot as usize {
-            self.pos_in_order.resize(slot as usize + 1, 0);
-        }
-        self.pos_in_order[slot as usize] = self.order.len() as u32;
-        self.order.push(slot);
-        if let Some(ring) = &mut self.ring {
-            let bucket = (due % ring.len() as u64) as usize;
-            ring[bucket].push(slot);
-        }
+        self.entries.push(p);
     }
 
     /// The single lookup accessor: the entry for `id`, if still pending.
     pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut PendingQuery> {
-        let slot = *self.by_id.get(&id)?;
-        self.slots[slot as usize].as_mut()
+        let at = *self.by_id.get(&id)?;
+        Some(&mut self.entries[at as usize])
     }
 
     /// Remove every entry whose completion window elapsed at `epoch`,
-    /// pushing them onto `out` in the legacy sweep's finalisation order.
+    /// pushing them onto `out` in finalisation order: the original
+    /// expiry loop, verbatim — scan ascending, `swap_remove` due entries
+    /// and re-examine the swapped-in tail.
     pub(crate) fn expire_due(&mut self, epoch: u64, out: &mut Vec<PendingQuery>) {
-        if let Some(ring) = &mut self.ring {
-            let bucket = (epoch % ring.len() as u64) as usize;
-            match ring[bucket].len() {
-                0 => return,
-                1 => {
-                    // The common case: one entry due this epoch. Removing
-                    // it directly matches the legacy sweep (the swapped-in
-                    // tail entry it would re-examine is not due).
-                    let slot = ring[bucket].pop().expect("checked length") as usize;
-                    if self.slots[slot].is_some() {
-                        let pos = self.pos_in_order[slot] as usize;
-                        out.push(self.remove_order_pos(pos));
-                    }
-                    return;
-                }
-                // Several entries share the due epoch: drain the bucket
-                // and run the exact legacy scan so the finalisation order
-                // (including its swap_remove re-checks) is preserved.
-                _ => ring[bucket].clear(),
+        let mut i = 0;
+        while i < self.entries.len() {
+            if epoch.saturating_sub(self.entries[i].epoch) < self.window {
+                i += 1;
+                continue;
             }
+            let p = self.entries.swap_remove(i);
+            self.by_id.remove(&p.query.id);
+            if let Some(moved) = self.entries.get(i) {
+                self.by_id.insert(moved.query.id, i as u32);
+            }
+            out.push(p);
         }
-        self.sweep_linear(epoch, out);
     }
 
     /// Drain every remaining entry in the legacy vec order (end-of-run
     /// leftover finalisation).
     pub(crate) fn take_all_in_order(&mut self) -> Vec<PendingQuery> {
-        let order = std::mem::take(&mut self.order);
-        let mut out = Vec::with_capacity(order.len());
-        for slot in order {
-            out.push(self.slots[slot as usize].take().expect("ordered slots are occupied"));
-        }
         self.by_id.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.pos_in_order.clear();
-        if let Some(ring) = &mut self.ring {
-            for bucket in ring {
-                bucket.clear();
-            }
-        }
-        out
+        std::mem::take(&mut self.entries)
     }
 
-    /// Entries in the legacy vec order (test observability).
+    /// Entries in the legacy vec order (the engine's test observability).
     pub(crate) fn iter_in_order(&self) -> impl Iterator<Item = &PendingQuery> {
-        self.order
-            .iter()
-            .map(|&slot| self.slots[slot as usize].as_ref().expect("ordered slots are occupied"))
+        self.entries.iter()
     }
 
     /// Write every in-flight entry (in the legacy vec order) to `w`. The
     /// window is construction-time config and not captured.
     pub(crate) fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         w.tag(b"PEND");
-        w.len_of(self.order.len());
-        for p in self.iter_in_order() {
+        w.len_of(self.entries.len());
+        for p in &self.entries {
             p.query.snap(w);
             w.u64(p.epoch);
             p.truth.snap(w);
@@ -204,14 +119,13 @@ impl PendingSet {
     }
 
     /// Rebuild the in-flight set captured by [`PendingSet::snap`] by
-    /// re-inserting each entry in the captured order. Re-insertion
-    /// recomputes each entry's due epoch from the (identical) window, and
-    /// `insert` appends to `order`, so the finalisation-order contract is
-    /// reproduced exactly. The set must be empty (freshly constructed),
-    /// and every entry must describe the `n_nodes` deployment: sources
-    /// below `n_nodes` and one involved and received flag per node. Ids
-    /// must be distinct and below `id_cursor`, the restored generator's
-    /// next id, as every id the generator handed out is.
+    /// re-inserting each entry in the captured order. `insert` appends,
+    /// so the finalisation-order contract is reproduced exactly. The set
+    /// must be empty (freshly constructed), and every entry must describe
+    /// the `n_nodes` deployment: sources below `n_nodes` and one involved
+    /// and received flag per node. Ids must be distinct and below
+    /// `id_cursor`, the restored generator's next id, as every id the
+    /// generator handed out is.
     pub(crate) fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
@@ -220,7 +134,7 @@ impl PendingSet {
     ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"PEND")?;
         let pos = r.position();
-        if !self.order.is_empty() {
+        if !self.entries.is_empty() {
             return Err(dirq_sim::SnapError::Malformed {
                 pos,
                 what: "pending set not empty before restore",
@@ -263,37 +177,6 @@ impl PendingSet {
             self.insert(PendingQuery { query, epoch, truth, received, tx, rx });
         }
         Ok(())
-    }
-
-    /// The original expiry loop, verbatim over `order`: scan ascending,
-    /// `swap_remove` due entries and re-examine the swapped-in tail.
-    fn sweep_linear(&mut self, epoch: u64, out: &mut Vec<PendingQuery>) {
-        let mut i = 0;
-        while i < self.order.len() {
-            let slot = self.order[i] as usize;
-            let due = {
-                let p = self.slots[slot].as_ref().expect("ordered slots are occupied");
-                epoch.saturating_sub(p.epoch) >= self.window
-            };
-            if due {
-                out.push(self.remove_order_pos(i));
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Remove the entry at `order[pos]` with the legacy `swap_remove`
-    /// step, fixing up the swapped entry's position.
-    fn remove_order_pos(&mut self, pos: usize) -> PendingQuery {
-        let slot = self.order.swap_remove(pos);
-        if pos < self.order.len() {
-            self.pos_in_order[self.order[pos] as usize] = pos as u32;
-        }
-        let p = self.slots[slot as usize].take().expect("ordered slots are occupied");
-        self.by_id.remove(&p.query.id);
-        self.free.push(slot);
-        p
     }
 }
 
@@ -346,41 +229,39 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Ring mode, linear mode and the legacy vec expire the same ids
-        /// in the same order at every epoch, and leave the same leftover
-        /// order — under arbitrary injection schedules (including several
-        /// inserts per epoch) and arbitrary windows.
+        /// The set and the legacy vec expire the same ids in the same
+        /// order at every epoch, and leave the same leftover order —
+        /// under arbitrary injection schedules (including several inserts
+        /// per epoch) and arbitrary windows — and the by-id index finds
+        /// every entry still in flight.
         #[test]
-        fn ring_matches_linear_matches_legacy(
+        fn expiry_matches_the_legacy_vec(
             window in 0u64..130,
             epochs in 1u64..160,
             inserts_per_epoch in proptest::collection::vec(0usize..3, 1..160),
         ) {
-            let mut ring = PendingSet::new(window);
-            let mut linear = PendingSet::with_linear_sweep(window);
+            let mut set = PendingSet::new(window);
             let mut legacy = LegacyVec { window, v: Vec::new() };
             let mut next_id = 0u64;
             for epoch in 0..epochs {
                 let k = inserts_per_epoch[(epoch % inserts_per_epoch.len() as u64) as usize];
                 for _ in 0..k {
-                    ring.insert(entry(next_id, epoch));
-                    linear.insert(entry(next_id, epoch));
+                    set.insert(entry(next_id, epoch));
                     legacy.v.push((next_id, epoch));
                     next_id += 1;
                 }
                 let want = legacy.expire(epoch);
-                prop_assert_eq!(&expired_ids(&mut ring, epoch), &want, "ring diverged at {}", epoch);
-                prop_assert_eq!(&expired_ids(&mut linear, epoch), &want, "linear diverged at {}", epoch);
-                prop_assert_eq!(ring.len(), legacy.v.len());
+                prop_assert_eq!(&expired_ids(&mut set, epoch), &want, "diverged at {}", epoch);
+                prop_assert_eq!(set.len(), legacy.v.len());
+                for &(id, _) in &legacy.v {
+                    prop_assert_eq!(set.get_mut(QueryId(id)).map(|p| p.query.id.0), Some(id));
+                }
             }
             // Leftovers drain in the legacy vec's (shuffled) order.
             let want: Vec<u64> = legacy.v.iter().map(|&(id, _)| id).collect();
-            let ring_left: Vec<u64> = ring.take_all_in_order().iter().map(|p| p.query.id.0).collect();
-            let linear_left: Vec<u64> =
-                linear.take_all_in_order().iter().map(|p| p.query.id.0).collect();
-            prop_assert_eq!(&ring_left, &want, "ring leftover order diverged");
-            prop_assert_eq!(&linear_left, &want, "linear leftover order diverged");
-            prop_assert_eq!(ring.len(), 0);
+            let left: Vec<u64> = set.take_all_in_order().iter().map(|p| p.query.id.0).collect();
+            prop_assert_eq!(&left, &want, "leftover order diverged");
+            prop_assert_eq!(set.len(), 0);
         }
 
         /// The by-id accessor finds exactly the live entries.
@@ -400,8 +281,9 @@ mod tests {
                     live.retain(|&id| id != p.query.id.0);
                 }
                 for id in 0..epochs {
-                    let found = set.get_mut(QueryId(id)).is_some();
-                    prop_assert_eq!(found, live.contains(&id), "id {} at epoch {}", id, epoch);
+                    let found = set.get_mut(QueryId(id)).map(|p| p.query.id.0);
+                    let want = live.contains(&id).then_some(id);
+                    prop_assert_eq!(found, want, "id {} at epoch {}", id, epoch);
                 }
             }
         }
@@ -410,7 +292,6 @@ mod tests {
     #[test]
     fn huge_window_falls_back_to_linear_sweep() {
         let mut set = PendingSet::new(u64::MAX);
-        assert!(set.ring.is_none());
         set.insert(entry(0, 5));
         let mut buf = Vec::new();
         set.expire_due(6, &mut buf);

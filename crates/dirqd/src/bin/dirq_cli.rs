@@ -55,7 +55,8 @@ fn parse_num(arg: &str, what: &str) -> f64 {
 }
 
 /// Parse an unsigned integer and wrap it losslessly for the wire —
-/// seeds and query ids are u64s and must not round through `f64`.
+/// seeds, query ids and epoch counts are u64s and must not round
+/// through `f64`.
 fn parse_u64(arg: &str, what: &str) -> Json {
     let v: u64 = arg.parse().unwrap_or_else(|_| {
         eprintln!("dirq-cli: {what} must be an unsigned integer, got {arg:?}");
@@ -170,7 +171,7 @@ fn main() {
                 usage_exit();
             }
             req.set("deployment", Json::Str(args[0].clone()));
-            req.set("epochs", Json::Num(parse_num(&args[1], "EPOCHS")));
+            req.set("epochs", parse_u64(&args[1], "EPOCHS"));
         }
         "status" | "shutdown" => {
             if !args.is_empty() {

@@ -88,6 +88,14 @@ impl From<io::Error> for ClientError {
 /// Shorthand for daemon-call results.
 pub type Result<T> = std::result::Result<T, ClientError>;
 
+/// Reply field `key` read through `get`; absent or mistyped is a
+/// [`ClientError::Protocol`] naming the field.
+fn field<'a, T>(doc: &'a Json, key: &str, get: impl FnOnce(&'a Json) -> Option<T>) -> Result<T> {
+    doc.get(key)
+        .and_then(get)
+        .ok_or_else(|| ClientError::Protocol(format!("missing field {key:?}")))
+}
+
 /// Optional `deploy`/`restore` parameters (see the protocol reference
 /// in [`crate::protocol`]); `None` everywhere means the daemon's
 /// defaults.
@@ -154,17 +162,8 @@ pub struct DeploySummary {
 
 impl DeploySummary {
     fn from_json(doc: &Json) -> Result<DeploySummary> {
-        let text = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
+        let text = |k: &str| field(doc, k, Json::as_str).map(str::to_string);
+        let int = |k: &str| field(doc, k, Json::as_u64);
         Ok(DeploySummary {
             name: text("name")?,
             preset: text("preset")?,
@@ -221,11 +220,7 @@ pub struct QueryReport {
 
 impl QueryReport {
     fn from_json(doc: &Json) -> Result<QueryReport> {
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
+        let int = |k: &str| field(doc, k, Json::as_u64);
         Ok(QueryReport {
             id: int("id")?,
             epoch: int("epoch")?,
@@ -233,10 +228,7 @@ impl QueryReport {
             epochs_to_answer: int("epochs_to_answer")?,
             true_sources: int("true_sources")? as usize,
             sources_reached: int("sources_reached")? as usize,
-            recall: doc
-                .get("recall")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ClientError::Protocol("missing field \"recall\"".into()))?,
+            recall: field(doc, "recall", Json::as_f64)?,
             tx: int("tx")?,
             rx: int("rx")?,
         })
@@ -386,12 +378,7 @@ impl Client {
             req.set("client", Json::Str(c.to_string()));
         }
         let doc = self.call(&req)?;
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
-        Ok((int("id")?, int("epoch")?))
+        Ok((field(&doc, "id", Json::as_u64)?, field(&doc, "epoch", Json::as_u64)?))
     }
 
     /// Check one submitted query: `Ok(Some(report))` once completed,
@@ -403,10 +390,10 @@ impl Client {
         req.set("deployment", Json::Str(deployment.to_string()));
         req.set("id", Json::from_u64(id));
         let doc = self.call(&req)?;
-        match doc.get("done").and_then(Json::as_bool) {
-            Some(true) => Ok(Some(QueryReport::from_json(&doc)?)),
-            Some(false) => Ok(None),
-            None => Err(ClientError::Protocol("missing field \"done\"".into())),
+        if field(&doc, "done", Json::as_bool)? {
+            Ok(Some(QueryReport::from_json(&doc)?))
+        } else {
+            Ok(None)
         }
     }
 
@@ -419,23 +406,11 @@ impl Client {
         req.set("deployment", Json::Str(deployment.to_string()));
         req.set("cursor", Json::from_u64(cursor));
         let doc = self.call(&req)?;
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
-        let mut results = Vec::new();
-        for item in doc
-            .get("results")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ClientError::Protocol("missing field \"results\"".into()))?
-        {
-            let seq = item
-                .get("seq")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol("drain result lacks \"seq\"".into()))?;
-            results.push((seq, QueryReport::from_json(item)?));
-        }
+        let int = |k: &str| field(&doc, k, Json::as_u64);
+        let results = field(&doc, "results", Json::as_array)?
+            .iter()
+            .map(|item| Ok((field(item, "seq", Json::as_u64)?, QueryReport::from_json(item)?)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(DrainReport {
             results,
             cursor: int("cursor")?,
@@ -449,10 +424,7 @@ impl Client {
         let mut req = Self::request("step");
         req.set("deployment", Json::Str(deployment.to_string()));
         req.set("epochs", Json::from_u64(epochs));
-        let doc = self.call(&req)?;
-        doc.get("epoch")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ClientError::Protocol("missing field \"epoch\"".into()))
+        field(&self.call(&req)?, "epoch", Json::as_u64)
     }
 
     /// List every deployment.
@@ -464,10 +436,7 @@ impl Client {
     /// the recovery scan's `unrecoverable` list.
     pub fn status_full(&mut self) -> Result<StatusReport> {
         let doc = self.call(&Self::request("status"))?;
-        let deployments = doc
-            .get("deployments")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ClientError::Protocol("missing field \"deployments\"".into()))?
+        let deployments = field(&doc, "deployments", Json::as_array)?
             .iter()
             .map(DeploySummary::from_json)
             .collect::<Result<Vec<_>>>()?;
@@ -498,16 +467,10 @@ impl Client {
         let mut req = Self::request("fingerprint");
         req.set("deployment", Json::Str(deployment.to_string()));
         let doc = self.call(&req)?;
-        let epoch = doc
-            .get("epoch")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ClientError::Protocol("missing field \"epoch\"".into()))?;
-        let fp = doc
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(parse_fingerprint)
-            .ok_or_else(|| ClientError::Protocol("missing field \"fingerprint\"".into()))?;
-        Ok((epoch, fp))
+        Ok((
+            field(&doc, "epoch", Json::as_u64)?,
+            field(&doc, "fingerprint", |v| v.as_str().and_then(parse_fingerprint))?,
+        ))
     }
 
     /// Capture a deployment to an image file on the daemon's filesystem.
@@ -516,20 +479,11 @@ impl Client {
         req.set("deployment", Json::Str(deployment.to_string()));
         req.set("path", Json::Str(path.to_string()));
         let doc = self.call(&req)?;
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing field {k:?}")))
-        };
         Ok(SnapshotReport {
             path: doc.get("path").and_then(Json::as_str).unwrap_or(path).to_string(),
-            bytes: int("bytes")?,
-            epoch: int("epoch")?,
-            fingerprint: doc
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .and_then(parse_fingerprint)
-                .ok_or_else(|| ClientError::Protocol("missing field \"fingerprint\"".into()))?,
+            bytes: field(&doc, "bytes", Json::as_u64)?,
+            epoch: field(&doc, "epoch", Json::as_u64)?,
+            fingerprint: field(&doc, "fingerprint", |v| v.as_str().and_then(parse_fingerprint))?,
         })
     }
 

@@ -4,11 +4,13 @@
 //! fixed-size **serving pool** (`--serving-threads N`, default one
 //! worker per available hardware thread), so thousands of deployments
 //! cost thousands of structs, not thousands of OS threads. Connection
-//! handlers never touch an engine directly — they push commands into a
-//! slot's mailbox, schedule the slot onto the pool, and wait (with a
-//! deadline) for the reply, so every deployment still processes exactly
-//! one command stream in a deterministic order and a wedged deployment
-//! costs its caller a typed `timeout` error, not a hung connection.
+//! handlers never touch an engine directly: every deployment command
+//! takes one path, `call` — read its fields, look the slot up, push the
+//! command into the slot's mailbox, schedule the slot onto the pool, and
+//! wait (with a deadline) for the reply — so every deployment still
+//! processes exactly one command stream in a deterministic order and a
+//! wedged deployment costs its caller a typed `timeout` error, not a
+//! hung connection.
 //!
 //! ## Scheduled turns
 //!
@@ -17,14 +19,18 @@
 //! query is queued or in flight — admit a scheduling round, inject it
 //! ordered **by content** (sensor type, window bounds, region, client
 //! tag) rather than arrival time, step one epoch, and sweep
-//! completions. A slot reschedules itself while it has backlog and goes
-//! idle otherwise; a tiny CAS state machine (idle → queued → running →
-//! dirty) guarantees a slot occupies at most one worker at a time and
-//! that a command arriving mid-turn re-queues it. Because a turn is the
-//! old engine-thread loop iteration verbatim, per-deployment
-//! trajectories are bit-identical to the thread-per-deployment daemon
-//! at **any** `--serving-threads` count — the property the differential
-//! tests pin against [`crate::loadmodel::replay_serving`].
+//! completions. A slot is scheduled under the mailbox lock that already
+//! orders its commands: a `scheduled` flag is set when a command reaches
+//! an unscheduled slot, which then joins the ready queue, and cleared
+//! only when a turn ends with no backlog and an empty mailbox — else the
+//! finishing worker re-queues the slot. So a slot occupies at most one
+//! worker at a time and a command arriving mid-turn is never dropped.
+//! Locks nest in one order: a slot's serving state, its mailbox, the
+//! ready queue. Because a turn is the old engine-thread loop iteration
+//! verbatim, per-deployment trajectories are bit-identical to the
+//! thread-per-deployment daemon at **any** `--serving-threads` count —
+//! the property the differential tests pin against
+//! [`crate::loadmodel::replay_serving`].
 //!
 //! ## The serving loop
 //!
@@ -47,14 +53,15 @@
 //! falls back to the older slot. Deployments whose slots are all
 //! unreadable are reported under `unrecoverable` in `status` instead of
 //! aborting startup; recovered ones carry a `recovered` object naming
-//! the slot and epoch they resumed from.
+//! the slot and epoch they resumed from. `restore` and `--recover`
+//! install an image through the same function.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -95,13 +102,69 @@ struct Submission {
     /// Async submissions get their id at injection; blocking ones get
     /// the full outcome at completion.
     is_async: bool,
-    reply: Sender<Json>,
 }
 
 impl Submission {
+    /// Read a `query` request's own fields.
+    fn parse(request: &Json) -> Result<Submission, Json> {
+        // Sensor types are u8s on the engine side: reject out-of-range
+        // values instead of silently wrapping them.
+        let stype = match num_field(request, "stype")? {
+            v if v.fract() == 0.0 && (0.0..=255.0).contains(&v) => v as u8,
+            v => return Err(bad(&format!("stype must be an integer in 0..=255, got {v}"))),
+        };
+        let lo = num_field(request, "lo")?;
+        let hi = num_field(request, "hi")?;
+        let region = match request.get("region") {
+            None | Some(Json::Null) => None,
+            Some(doc) => {
+                let corners: Option<Vec<f64>> = doc
+                    .as_array()
+                    .and_then(|v| v.iter().map(|c| c.as_f64().filter(|x| x.is_finite())).collect());
+                match corners.map(<[f64; 4]>::try_from) {
+                    Some(Ok(corners)) => Some(corners),
+                    _ => return Err(bad("region must be [x0, y0, x1, y1] (finite numbers)")),
+                }
+            }
+        };
+        Ok(Submission {
+            stype,
+            lo,
+            hi,
+            region,
+            is_async: opt_field(request, "async", "a boolean", Json::as_bool)?.unwrap_or(false),
+            client: opt_str_field(request, "client")?.unwrap_or_default(),
+        })
+    }
+
+    /// The checks that need the deployment: a region only where nodes
+    /// carry positions, a sensor type in its catalog, a finite window.
+    fn check(&self, info: &DeploymentInfo) -> Result<(), Json> {
+        let name = &info.name;
+        if self.region.is_some() && !info.location_enabled {
+            return Err(err_response(
+                kind::UNSUPPORTED,
+                &format!(
+                    "deployment {name:?} has no location extension; spatial queries unsupported"
+                ),
+            ));
+        }
+        if usize::from(self.stype) >= info.sensor_types {
+            return Err(bad(&format!(
+                "stype {} is not in deployment {name:?}'s catalog of {} sensor types",
+                self.stype, info.sensor_types
+            )));
+        }
+        if !(self.lo.is_finite() && self.hi.is_finite() && self.lo <= self.hi) {
+            return Err(bad("query window must satisfy lo <= hi (finite)"));
+        }
+        Ok(())
+    }
+
     /// Content ordering key — injection order within an admission round
-    /// must not depend on socket arrival time.
-    fn key(&self) -> (u8, u64, u64, u8, [u64; 4]) {
+    /// must not depend on socket arrival time; the client tag breaks
+    /// ties.
+    fn key(&self) -> (u8, u64, u64, u8, [u64; 4], &str) {
         let region_bits = self.region.map_or([0; 4], |r| r.map(f64::to_bits));
         (
             self.stype,
@@ -109,38 +172,23 @@ impl Submission {
             self.hi.to_bits(),
             u8::from(self.region.is_some()),
             region_bits,
+            &self.client,
         )
     }
 }
 
-/// Commands a connection handler can push into a slot's mailbox.
+/// Commands a connection handler can push into a slot's mailbox, which
+/// pairs each with the channel its reply goes to.
 enum EngineCmd {
     Submit(Submission),
-    Poll {
-        id: u64,
-        reply: Sender<Json>,
-    },
-    Drain {
-        cursor: u64,
-        reply: Sender<Json>,
-    },
-    Step {
-        epochs: u64,
-        reply: Sender<Json>,
-    },
-    Fingerprint {
-        reply: Sender<Json>,
-    },
-    SnapshotTo {
-        path: String,
-        reply: Sender<Json>,
-    },
-    /// Diagnostics: occupy the slot's turn for `ms` (bounded) — the
-    /// deterministic wedge the timeout tests use.
-    Stall {
-        ms: u64,
-        reply: Sender<Json>,
-    },
+    Poll(u64),
+    Drain(u64),
+    Step(u64),
+    Fingerprint,
+    SnapshotTo(String),
+    /// Diagnostics: occupy the slot's turn for this many ms (bounded) —
+    /// the deterministic wedge the timeout tests use.
+    Stall(u64),
 }
 
 /// Where a recovered deployment resumed from.
@@ -203,27 +251,28 @@ impl DeploymentInfo {
     }
 }
 
-// Slot scheduling states: a slot occupies at most one pool worker, and
-// a command arriving mid-turn marks it dirty so the finishing worker
-// re-queues it instead of dropping the wakeup.
-const SCHED_IDLE: u8 = 0;
-const SCHED_QUEUED: u8 = 1;
-const SCHED_RUNNING: u8 = 2;
-const SCHED_DIRTY: u8 = 3;
-
 /// One deployment: passive state scheduled onto pool workers in turns.
 struct Slot {
     info: DeploymentInfo,
     /// Last epoch boundary a turn published (lock-free `status` reads).
-    epoch: Arc<AtomicU64>,
-    /// Commands pushed by connection handlers, drained at turn start in
-    /// arrival order.
-    mailbox: Mutex<VecDeque<EngineCmd>>,
+    epoch: AtomicU64,
+    /// Commands pushed by connection handlers, and whether the slot is
+    /// scheduled.
+    mailbox: Mutex<Mailbox>,
     /// Engine + admission queue + results log; locked only by the one
     /// worker running this slot's turn.
     serving: Mutex<Serving>,
-    /// [`SCHED_IDLE`]/[`SCHED_QUEUED`]/[`SCHED_RUNNING`]/[`SCHED_DIRTY`].
-    sched: AtomicU8,
+}
+
+/// A slot's commands, each with its reply channel, drained at turn start
+/// in arrival order.
+#[derive(Default)]
+struct Mailbox {
+    cmds: VecDeque<(EngineCmd, Sender<Json>)>,
+    /// Set while the slot is on the ready queue or running a turn, so it
+    /// occupies at most one worker; a command arriving mid-turn leaves
+    /// the re-queue to the worker that ends the turn.
+    scheduled: bool,
 }
 
 /// A deployment with all its checkpoint slots unreadable at `--recover`.
@@ -353,8 +402,8 @@ impl Daemon {
         }
         // Stop the pool (under the ready lock so no worker misses the
         // flag between checking it and blocking on the condvar), join
-        // every worker, and drop the slots so serve() returning means
-        // the daemon's state is fully torn down.
+        // every worker, and drop the slots — queued ones too — so
+        // serve() returning means the daemon's state is fully torn down.
         {
             let _ready = self.shared.ready.lock().expect("ready queue");
             self.shared.stopping.store(true, Ordering::SeqCst);
@@ -363,6 +412,7 @@ impl Daemon {
         for w in self.workers {
             let _ = w.join();
         }
+        self.shared.ready.lock().expect("ready queue").clear();
         self.shared.deployments.lock().expect("deployment map").clear();
         Ok(())
     }
@@ -370,8 +420,7 @@ impl Daemon {
 
 // --- the serving pool -----------------------------------------------------
 
-/// A pool worker: pop a ready slot, run one turn, re-queue it if it
-/// still wants the CPU (backlog, or commands that arrived mid-turn).
+/// A pool worker: pop a ready slot and run one turn of it.
 fn worker_loop(shared: &Shared) {
     loop {
         let slot = {
@@ -386,102 +435,38 @@ fn worker_loop(shared: &Shared) {
                 ready = shared.work.wait(ready).expect("ready queue");
             }
         };
-        slot.sched.store(SCHED_RUNNING, Ordering::SeqCst);
-        let wants_more = run_turn(&slot);
-        finish_turn(shared, slot, wants_more);
+        run_turn(shared, &slot);
     }
 }
 
 /// One scheduled turn — exactly one iteration of the old
 /// thread-per-deployment serving loop: drain the mailbox in arrival
 /// order, process every command, then (with backlog) admit + inject a
-/// content-ordered round, step one epoch, and sweep completions.
-/// Returns whether the slot still has backlog and wants rescheduling.
-fn run_turn(slot: &Slot) -> bool {
+/// content-ordered round, step one epoch, and sweep completions. The
+/// slot stays scheduled, and goes back on the ready queue, while it has
+/// backlog or commands arrived during the turn.
+fn run_turn(shared: &Shared, slot: &Arc<Slot>) {
     let mut serving = slot.serving.lock().expect("slot serving state");
-    let cmds: Vec<EngineCmd> = {
-        let mut mailbox = slot.mailbox.lock().expect("slot mailbox");
-        mailbox.drain(..).collect()
-    };
-    for cmd in cmds {
-        serving.process(cmd);
+    let cmds = std::mem::take(&mut slot.mailbox.lock().expect("slot mailbox").cmds);
+    for (cmd, reply) in cmds {
+        serving.process(slot, cmd, reply);
     }
     if serving.backlog() > 0 {
         serving.admit_and_inject();
         serving.engine.step_epoch();
-        serving.post_step();
+        serving.post_step(slot);
     }
-    serving.backlog() > 0
-}
-
-/// Post-turn state transition. The running worker owns the RUNNING /
-/// DIRTY state; enqueuers can only flip RUNNING → DIRTY, so the CAS
-/// loop here terminates after at most one retry.
-fn finish_turn(shared: &Shared, slot: Arc<Slot>, wants_more: bool) {
-    loop {
-        let seen = slot.sched.load(Ordering::SeqCst);
-        let requeue = wants_more || seen == SCHED_DIRTY;
-        let target = if requeue { SCHED_QUEUED } else { SCHED_IDLE };
-        if slot.sched.compare_exchange(seen, target, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-            if requeue {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    // Shutdown: park the slot instead of spinning the
-                    // pool forever on leftover backlog.
-                    slot.sched.store(SCHED_IDLE, Ordering::SeqCst);
-                    return;
-                }
-                let mut ready = shared.ready.lock().expect("ready queue");
-                ready.push_back(slot);
-                shared.work.notify_one();
-            }
-            return;
-        }
+    let mut mailbox = slot.mailbox.lock().expect("slot mailbox");
+    mailbox.scheduled = serving.backlog() > 0 || !mailbox.cmds.is_empty();
+    if mailbox.scheduled {
+        make_ready(shared, slot);
     }
 }
 
-/// Make sure `slot` is (or will be) scheduled: idle slots are pushed
-/// onto the ready queue; a slot mid-turn is marked dirty so the worker
-/// re-queues it. Safe against lost wakeups because callers push into
-/// the mailbox *before* calling this, and `run_turn` drains the mailbox
-/// after the worker publishes RUNNING.
-fn schedule(shared: &Shared, slot: &Arc<Slot>) {
-    loop {
-        match slot.sched.load(Ordering::SeqCst) {
-            SCHED_QUEUED | SCHED_DIRTY => return,
-            SCHED_IDLE => {
-                if slot
-                    .sched
-                    .compare_exchange(SCHED_IDLE, SCHED_QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    let mut ready = shared.ready.lock().expect("ready queue");
-                    ready.push_back(Arc::clone(slot));
-                    shared.work.notify_one();
-                    return;
-                }
-            }
-            _ => {
-                if slot
-                    .sched
-                    .compare_exchange(
-                        SCHED_RUNNING,
-                        SCHED_DIRTY,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
-                {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Push `cmd` into the slot's mailbox and schedule it.
-fn enqueue(shared: &Shared, slot: &Arc<Slot>, cmd: EngineCmd) {
-    slot.mailbox.lock().expect("slot mailbox").push_back(cmd);
-    schedule(shared, slot);
+/// Put `slot` on the ready queue and wake one pool worker.
+fn make_ready(shared: &Shared, slot: &Arc<Slot>) {
+    shared.ready.lock().expect("ready queue").push_back(Arc::clone(slot));
+    shared.work.notify_one();
 }
 
 // --- connection handling --------------------------------------------------
@@ -507,26 +492,31 @@ fn handle_connection(
             Err(e) => return Err(e),
         };
         let cmd = request.get("cmd").and_then(Json::as_str).unwrap_or_default().to_string();
+        let req = &request;
         let response = match cmd.as_str() {
-            "deploy" => handle_deploy(&request, shared),
-            "query" => handle_query(&request, shared),
-            "poll" => handle_poll(&request, shared),
-            "drain" => handle_drain(&request, shared),
-            "step" => handle_step(&request, shared),
-            "status" => handle_status(shared),
-            "fingerprint" => handle_fingerprint(&request, shared),
-            "snapshot" => handle_snapshot(&request, shared),
-            "restore" => handle_restore(&request, shared),
-            "debug_stall" => handle_stall(&request, shared),
+            "deploy" => handle_deploy(req, shared),
+            "restore" => handle_restore(req, shared),
+            "status" => Ok(handle_status(shared)),
+            "query" => call(req, shared, |r| Submission::parse(r).map(EngineCmd::Submit)),
+            "poll" => call(req, shared, |r| Ok(EngineCmd::Poll(required_u64(r, "id")?))),
+            "drain" => call(req, shared, |r| {
+                Ok(EngineCmd::Drain(opt_u64_field(r, "cursor")?.unwrap_or(0)))
+            }),
+            "step" => call(req, shared, |r| Ok(EngineCmd::Step(required_u64(r, "epochs")?))),
+            "fingerprint" => call(req, shared, |_| Ok(EngineCmd::Fingerprint)),
+            "snapshot" => call(req, shared, |r| Ok(EngineCmd::SnapshotTo(str_field(r, "path")?))),
+            "debug_stall" => {
+                call(req, shared, |r| Ok(EngineCmd::Stall(required_u64(r, "ms")?.min(10_000))))
+            }
             "shutdown" => {
                 write_line(&mut writer, &ok_response())?;
                 initiate_shutdown(shared, daemon_addr);
                 return Ok(());
             }
-            "" => err_response(kind::BAD_REQUEST, "missing \"cmd\" field"),
-            other => err_response(kind::BAD_REQUEST, &format!("unknown command {other:?}")),
+            "" => Err(bad("missing \"cmd\" field")),
+            other => Err(bad(&format!("unknown command {other:?}"))),
         };
-        write_line(&mut writer, &response)?;
+        write_line(&mut writer, &response.unwrap_or_else(|e| e))?;
     }
 }
 
@@ -541,6 +531,10 @@ fn initiate_shutdown(shared: &Shared, daemon_addr: SocketAddr) {
 
 fn bad(msg: &str) -> Json {
     err_response(kind::BAD_REQUEST, msg)
+}
+
+fn bad_image(msg: &str) -> Json {
+    err_response(kind::BAD_IMAGE, msg)
 }
 
 fn str_field(doc: &Json, key: &str) -> Result<String, Json> {
@@ -575,6 +569,12 @@ fn opt_u64_field(doc: &Json, key: &str) -> Result<Option<u64>, Json> {
     opt_field(doc, key, "a non-negative integer", Json::as_u64)
 }
 
+/// A required integer field: absent is its own error, mistyped is
+/// [`opt_u64_field`]'s.
+fn required_u64(doc: &Json, key: &str) -> Result<u64, Json> {
+    opt_u64_field(doc, key)?.ok_or_else(|| bad(&format!("missing integer field {key:?}")))
+}
+
 fn opt_str_field(doc: &Json, key: &str) -> Result<Option<String>, Json> {
     opt_field(doc, key, "a string", |v| v.as_str().map(str::to_string))
 }
@@ -595,6 +595,25 @@ fn serving_options(request: &Json) -> Result<ServingOptions, Json> {
     Ok(opts)
 }
 
+/// The one path every deployment command takes: read `deployment`, then
+/// the command's own fields (`fields`), then `timeout_ms` — so a bad
+/// field wins over an unknown deployment — look the slot up, check a
+/// query against the deployment, and round-trip the command.
+fn call(
+    request: &Json,
+    shared: &Shared,
+    fields: impl FnOnce(&Json) -> Result<EngineCmd, Json>,
+) -> Result<Json, Json> {
+    let deployment = str_field(request, "deployment")?;
+    let cmd = fields(request)?;
+    let timeout = request_timeout(request).map_err(|msg| bad(&msg))?;
+    let slot = lookup(shared, &deployment)?;
+    if let EngineCmd::Submit(submission) = &cmd {
+        submission.check(&slot.info)?;
+    }
+    Ok(round_trip(shared, &slot, cmd, timeout))
+}
+
 /// Clone a deployment's slot handle under the map lock.
 fn lookup(shared: &Shared, name: &str) -> Result<Arc<Slot>, Json> {
     let deployments = shared.deployments.lock().expect("deployment map");
@@ -604,20 +623,23 @@ fn lookup(shared: &Shared, name: &str) -> Result<Arc<Slot>, Json> {
         .ok_or_else(|| err_response(kind::NOT_FOUND, &format!("no deployment named {name:?}")))
 }
 
-/// Enqueue `cmd` and wait for the slot's reply, bounded by `timeout` —
-/// a wedged deployment yields a typed `timeout` error instead of
-/// hanging the connection handler.
-fn round_trip(
-    shared: &Shared,
-    slot: &Arc<Slot>,
-    cmd: EngineCmd,
-    rx: Receiver<Json>,
-    timeout: Duration,
-) -> Json {
+/// Push `cmd` into the slot's mailbox, schedule the slot if it is not
+/// already, and wait for the reply, bounded by `timeout` — a wedged
+/// deployment yields a typed `timeout` error instead of hanging the
+/// connection handler.
+fn round_trip(shared: &Shared, slot: &Arc<Slot>, cmd: EngineCmd, timeout: Duration) -> Json {
     if shared.stopping.load(Ordering::SeqCst) {
         return err_response(kind::SHUTDOWN, "deployment is shutting down");
     }
-    enqueue(shared, slot, cmd);
+    let (reply, rx) = channel();
+    {
+        let mut mailbox = slot.mailbox.lock().expect("slot mailbox");
+        mailbox.cmds.push_back((cmd, reply));
+        if !mailbox.scheduled {
+            mailbox.scheduled = true;
+            make_ready(shared, slot);
+        }
+    }
     match rx.recv_timeout(timeout) {
         Ok(doc) => doc,
         Err(RecvTimeoutError::Timeout) => err_response(
@@ -630,37 +652,17 @@ fn round_trip(
     }
 }
 
-fn handle_deploy(request: &Json, shared: &Shared) -> Json {
-    let name = match str_field(request, "name") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let preset = match str_field(request, "preset") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let scale = match opt_field(request, "scale", "a number", Json::as_f64) {
-        Ok(v) => v.unwrap_or(1.0),
-        Err(e) => return e,
-    };
-    let scheme_label = match opt_str_field(request, "scheme") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (spec, scheme) = match resolve_deployment(&preset, scale, scheme_label.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => return deployment_resolution_error(&msg),
-    };
+fn handle_deploy(request: &Json, shared: &Shared) -> Result<Json, Json> {
+    let name = str_field(request, "name")?;
+    let preset = str_field(request, "preset")?;
+    let scale = opt_field(request, "scale", "a number", Json::as_f64)?.unwrap_or(1.0);
+    let scheme = opt_str_field(request, "scheme")?;
+    let (spec, scheme) = resolve_deployment(&preset, scale, scheme.as_deref())
+        .map_err(|msg| deployment_resolution_error(&msg))?;
     // Seeds are u64s: parse losslessly, and reject (rather than round)
     // negative or fractional values.
-    let seed = match opt_u64_field(request, "seed") {
-        Ok(v) => v.unwrap_or(spec.seed),
-        Err(e) => return e,
-    };
-    let serving = match serving_options(request) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
+    let seed = opt_u64_field(request, "seed")?.unwrap_or(spec.seed);
+    let serving = serving_options(request)?;
     install(shared, &name, &preset, scale, spec, scheme, seed, serving, None, None)
 }
 
@@ -674,56 +676,38 @@ fn deployment_resolution_error(msg: &str) -> Json {
     }
 }
 
-fn handle_restore(request: &Json, shared: &Shared) -> Json {
-    let name = match str_field(request, "name") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let path = match str_field(request, "path") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let serving = match serving_options(request) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => return err_response(kind::IO, &format!("read {path:?}: {e}")),
-    };
-    let (header_json, body) = match parse_image(&bytes) {
-        Ok(v) => v,
-        Err(e) => return err_response(kind::BAD_IMAGE, &format!("parse {path:?}: {e}")),
-    };
-    let header = match ImageHeader::from_json(&header_json) {
-        Ok(h) => h,
-        Err(msg) => return err_response(kind::BAD_IMAGE, &msg),
-    };
-    let (spec, scheme) = match header.resolve() {
-        Ok(v) => v,
-        Err(msg) => return err_response(kind::BAD_IMAGE, &msg),
-    };
+fn handle_restore(request: &Json, shared: &Shared) -> Result<Json, Json> {
+    let name = str_field(request, "name")?;
+    let path = str_field(request, "path")?;
+    let serving = serving_options(request)?;
+    let bytes =
+        std::fs::read(&path).map_err(|e| err_response(kind::IO, &format!("read {path:?}: {e}")))?;
+    let (header, body) =
+        parse_image(&bytes).map_err(|e| bad_image(&format!("parse {path:?}: {e}")))?;
+    let header = ImageHeader::from_json(&header).map_err(|msg| bad_image(&msg))?;
+    install_image(shared, &name, &header, body, serving, None)
+}
+
+/// Install a deployment from a snapshot image, for `restore` and
+/// `--recover` alike: resolve the header's recipe, check its node count
+/// against the preset, and overlay the body.
+fn install_image(
+    shared: &Shared,
+    name: &str,
+    header: &ImageHeader,
+    body: &[u8],
+    serving: ServingOptions,
+    recovered: Option<RecoveredFrom>,
+) -> Result<Json, Json> {
+    let (spec, scheme) = header.resolve().map_err(|msg| bad_image(&msg))?;
     if spec.n_nodes != header.nodes {
-        return err_response(
-            kind::BAD_IMAGE,
-            &format!(
-                "image header claims {} nodes but preset {:?} deploys {}",
-                header.nodes, header.preset, spec.n_nodes
-            ),
-        );
+        return Err(bad_image(&format!(
+            "image header claims {} nodes but preset {:?} deploys {}",
+            header.nodes, header.preset, spec.n_nodes
+        )));
     }
-    install(
-        shared,
-        &name,
-        &header.preset,
-        header.scale,
-        spec,
-        scheme,
-        header.seed,
-        serving,
-        Some(body),
-        None,
-    )
+    let (preset, scale, seed) = (&header.preset, header.scale, header.seed);
+    install(shared, name, preset, scale, spec, scheme, seed, serving, Some(body), recovered)
 }
 
 /// Build the engine (outside the map lock — deployment can take a
@@ -741,20 +725,16 @@ fn install(
     serving: ServingOptions,
     body: Option<&[u8]>,
     recovered: Option<RecoveredFrom>,
-) -> Json {
-    {
-        let deployments = shared.deployments.lock().expect("deployment map");
-        if deployments.contains_key(name) {
-            return err_response(kind::EXISTS, &format!("deployment {name:?} already exists"));
-        }
+) -> Result<Json, Json> {
+    let exists = || err_response(kind::EXISTS, &format!("deployment {name:?} already exists"));
+    if shared.deployments.lock().expect("deployment map").contains_key(name) {
+        return Err(exists());
     }
     let cfg = spec.config(scheme, seed);
     let (nodes, epochs, location_enabled) = (cfg.n_nodes, cfg.epochs, cfg.location_enabled);
     let mut engine = Engine::new(cfg);
     if let Some(body) = body {
-        if let Err(e) = engine.restore(body) {
-            return err_response(kind::BAD_IMAGE, &format!("restore: {e}"));
-        }
+        engine.restore(body).map_err(|e| bad_image(&format!("restore: {e}")))?;
     }
     let info = DeploymentInfo {
         name: name.to_string(),
@@ -770,172 +750,27 @@ fn install(
         recovered,
     };
     engine.enable_completed_log();
-    let epoch = Arc::new(AtomicU64::new(engine.epoch()));
-    let current = epoch.load(Ordering::SeqCst);
-    let slot = Arc::new(Slot {
+    let mut ok = ok_response();
+    merge_fields(&mut ok, &info.to_json(engine.epoch()));
+    let slot = Slot {
+        info,
+        epoch: AtomicU64::new(engine.epoch()),
+        mailbox: Mutex::default(),
         serving: Mutex::new(Serving {
             engine,
-            info: info.clone(),
-            epoch: Arc::clone(&epoch),
             queue: VecDeque::new(),
             inflight: HashMap::new(),
             results: VecDeque::new(),
             next_result_seq: 0,
         }),
-        info: info.clone(),
-        epoch,
-        mailbox: Mutex::new(VecDeque::new()),
-        sched: AtomicU8::new(SCHED_IDLE),
-    });
+    };
     let mut deployments = shared.deployments.lock().expect("deployment map");
     if deployments.contains_key(name) {
         // Raced another deploy of the same name; ours simply drops.
-        return err_response(kind::EXISTS, &format!("deployment {name:?} already exists"));
+        return Err(exists());
     }
-    deployments.insert(name.to_string(), slot);
-    let mut ok = ok_response();
-    merge_fields(&mut ok, &info.to_json(current));
-    ok
-}
-
-fn handle_query(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    // Sensor types are u8s on the engine side: reject out-of-range
-    // values instead of silently wrapping them.
-    let stype = match num_field(request, "stype") {
-        Ok(v) if v.fract() == 0.0 && (0.0..=255.0).contains(&v) => v as u8,
-        Ok(v) => return bad(&format!("stype must be an integer in 0..=255, got {v}")),
-        Err(e) => return e,
-    };
-    let (lo, hi) = match (num_field(request, "lo"), num_field(request, "hi")) {
-        (Ok(lo), Ok(hi)) => (lo, hi),
-        (Err(e), _) | (_, Err(e)) => return e,
-    };
-    let region = match request.get("region") {
-        None | Some(Json::Null) => None,
-        Some(doc) => match doc.as_array() {
-            Some(v) if v.len() == 4 => {
-                let mut corners = [0.0; 4];
-                for (slot, item) in corners.iter_mut().zip(v) {
-                    match item.as_f64() {
-                        Some(x) if x.is_finite() => *slot = x,
-                        _ => return bad("region must be [x0, y0, x1, y1] (finite numbers)"),
-                    }
-                }
-                Some(corners)
-            }
-            _ => return bad("region must be [x0, y0, x1, y1] (finite numbers)"),
-        },
-    };
-    let is_async = match opt_field(request, "async", "a boolean", Json::as_bool) {
-        Ok(v) => v.unwrap_or(false),
-        Err(e) => return e,
-    };
-    let client = match opt_str_field(request, "client") {
-        Ok(v) => v.unwrap_or_default(),
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    if region.is_some() && !slot.info.location_enabled {
-        return err_response(
-            kind::UNSUPPORTED,
-            &format!(
-                "deployment {deployment:?} has no location extension; spatial queries unsupported"
-            ),
-        );
-    }
-    if usize::from(stype) >= slot.info.sensor_types {
-        return bad(&format!(
-            "stype {stype} is not in deployment {deployment:?}'s catalog of {} sensor types",
-            slot.info.sensor_types
-        ));
-    }
-    if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-        return bad("query window must satisfy lo <= hi (finite)");
-    }
-    let (reply_tx, reply_rx) = channel();
-    round_trip(
-        shared,
-        &slot,
-        EngineCmd::Submit(Submission { stype, lo, hi, region, client, is_async, reply: reply_tx }),
-        reply_rx,
-        timeout,
-    )
-}
-
-fn handle_poll(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let id = match opt_u64_field(request, "id") {
-        Ok(Some(v)) => v,
-        Ok(None) => return bad("missing integer field \"id\""),
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::Poll { id, reply: reply_tx }, reply_rx, timeout)
-}
-
-fn handle_drain(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let cursor = match opt_u64_field(request, "cursor") {
-        Ok(v) => v.unwrap_or(0),
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::Drain { cursor, reply: reply_tx }, reply_rx, timeout)
-}
-
-fn handle_step(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let epochs = match opt_u64_field(request, "epochs") {
-        Ok(Some(v)) => v,
-        Ok(None) => return bad("missing integer field \"epochs\""),
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::Step { epochs, reply: reply_tx }, reply_rx, timeout)
+    deployments.insert(name.to_string(), Arc::new(slot));
+    Ok(ok)
 }
 
 fn handle_status(shared: &Shared) -> Json {
@@ -965,66 +800,6 @@ fn handle_status(shared: &Shared) -> Json {
     ok.set("deployments", Json::Arr(rows));
     ok.set("unrecoverable", Json::Arr(unrecoverable));
     ok
-}
-
-fn handle_fingerprint(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::Fingerprint { reply: reply_tx }, reply_rx, timeout)
-}
-
-fn handle_snapshot(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let path = match str_field(request, "path") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::SnapshotTo { path, reply: reply_tx }, reply_rx, timeout)
-}
-
-fn handle_stall(request: &Json, shared: &Shared) -> Json {
-    let deployment = match str_field(request, "deployment") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let ms = match opt_u64_field(request, "ms") {
-        Ok(Some(v)) => v.min(10_000),
-        Ok(None) => return bad("missing integer field \"ms\""),
-        Err(e) => return e,
-    };
-    let timeout = match request_timeout(request) {
-        Ok(v) => v,
-        Err(msg) => return bad(&msg),
-    };
-    let slot = match lookup(shared, &deployment) {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let (reply_tx, reply_rx) = channel();
-    round_trip(shared, &slot, EngineCmd::Stall { ms, reply: reply_tx }, reply_rx, timeout)
 }
 
 // --- crash recovery -------------------------------------------------------
@@ -1129,13 +904,6 @@ fn try_resume(
     dir: &str,
 ) -> Result<(), String> {
     let header = candidate.header.as_ref().map_err(String::clone)?;
-    let (spec, scheme) = header.resolve()?;
-    if spec.n_nodes != header.nodes {
-        return Err(format!(
-            "image header claims {} nodes but preset {:?} deploys {}",
-            header.nodes, header.preset, spec.n_nodes
-        ));
-    }
     let mut serving = header.serving.clone().unwrap_or_default();
     if serving.checkpoint_every_epochs > 0 {
         serving.checkpoint_dir = Some(dir.to_string());
@@ -1144,22 +912,9 @@ fn try_resume(
     let bytes = std::fs::read(&candidate.path).map_err(|e| format!("read: {e}"))?;
     let (_, body) = parse_image(&bytes).map_err(|e| e.to_string())?;
     let recovered = RecoveredFrom { slot: candidate.slot, epoch: header.epoch };
-    let response = install(
-        shared,
-        name,
-        &header.preset,
-        header.scale,
-        spec,
-        scheme,
-        header.seed,
-        serving,
-        Some(body),
-        Some(recovered),
-    );
-    if response.get("ok") == Some(&Json::Bool(true)) {
-        Ok(())
-    } else {
-        Err(response.get("error").and_then(Json::as_str).unwrap_or("install failed").to_string())
+    match install_image(shared, name, header, body, serving, Some(recovered)) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(e.get("error").and_then(Json::as_str).unwrap_or_default().to_string()),
     }
 }
 
@@ -1171,14 +926,13 @@ fn try_resume(
 type Inflight = Option<Sender<Json>>;
 
 /// A slot's serving state: engine, admission queue, in-flight set, and
-/// the bounded results log `poll`/`drain` read.
+/// the bounded results log `poll`/`drain` read. The slot's static facts
+/// and published epoch stay on the [`Slot`] the turn hands in.
 struct Serving {
     engine: Engine,
-    info: DeploymentInfo,
-    /// Published epoch-boundary mirror for lock-free `status` reads.
-    epoch: Arc<AtomicU64>,
-    /// Bounded admission queue, arrival order.
-    queue: VecDeque<Submission>,
+    /// Bounded admission queue, arrival order, each submission with its
+    /// reply channel.
+    queue: VecDeque<(Submission, Sender<Json>)>,
     /// Injected, not yet finalised, by query id.
     inflight: HashMap<u64, Inflight>,
     /// Completed external queries: `(seq, query id, outcome fields)`.
@@ -1194,69 +948,62 @@ impl Serving {
         self.queue.len() + self.inflight.len()
     }
 
-    /// Handle one command.
-    fn process(&mut self, cmd: EngineCmd) {
-        match cmd {
-            EngineCmd::Submit(s) => {
-                if self.queue.len() >= self.info.serving.queue_cap {
-                    let _ = s.reply.send(err_response(
-                        kind::QUEUE_FULL,
-                        &format!(
-                            "admission queue at capacity ({}); resubmit later",
-                            self.info.serving.queue_cap
-                        ),
-                    ));
-                } else {
-                    self.queue.push_back(s);
-                }
+    /// Handle one command: queue a submission (it replies later) or
+    /// answer on `reply` now.
+    fn process(&mut self, slot: &Slot, cmd: EngineCmd, reply: Sender<Json>) {
+        let cap = slot.info.serving.queue_cap;
+        let response = match cmd {
+            EngineCmd::Submit(s) if self.queue.len() < cap => {
+                self.queue.push_back((s, reply));
+                return;
             }
-            EngineCmd::Poll { id, reply } => {
-                let _ = reply.send(self.poll(id));
-            }
-            EngineCmd::Drain { cursor, reply } => {
-                let _ = reply.send(self.drain(cursor));
-            }
-            EngineCmd::Step { epochs, reply } => {
+            EngineCmd::Submit(_) => err_response(
+                kind::QUEUE_FULL,
+                &format!("admission queue at capacity ({cap}); resubmit later"),
+            ),
+            EngineCmd::Poll(id) => self.poll(id),
+            EngineCmd::Drain(cursor) => self.drain(cursor),
+            EngineCmd::Step(epochs) => {
                 // An explicit step never admits queued submissions —
                 // they inject after it, whenever they arrived.
                 for _ in 0..epochs {
                     self.engine.step_epoch();
-                    self.post_step();
+                    self.post_step(slot);
                 }
-                let mut ok = ok_response();
-                ok.set("epoch", Json::from_u64(self.engine.epoch()));
-                let _ = reply.send(ok);
+                self.epoch_reply()
             }
-            EngineCmd::Fingerprint { reply } => {
-                let mut ok = ok_response();
-                ok.set("epoch", Json::from_u64(self.engine.epoch()));
+            EngineCmd::Fingerprint => {
+                let mut ok = self.epoch_reply();
                 ok.set("fingerprint", Json::Str(fingerprint_hex(self.engine.state_fingerprint())));
-                let _ = reply.send(ok);
+                ok
             }
-            EngineCmd::SnapshotTo { path, reply } => {
-                let _ = reply.send(write_snapshot(&self.engine, &self.info, &path));
-            }
-            EngineCmd::Stall { ms, reply } => {
+            EngineCmd::SnapshotTo(path) => write_snapshot(&self.engine, &slot.info, &path),
+            EngineCmd::Stall(ms) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                let mut ok = ok_response();
-                ok.set("epoch", Json::from_u64(self.engine.epoch()));
-                let _ = reply.send(ok);
+                self.epoch_reply()
             }
-        }
+        };
+        let _ = reply.send(response);
+    }
+
+    /// `{ok, epoch}` at the engine's current epoch.
+    fn epoch_reply(&self) -> Json {
+        let mut ok = ok_response();
+        ok.set("epoch", Json::from_u64(self.engine.epoch()));
+        ok
     }
 
     /// Admit every queued submission and inject them ordered by content
-    /// (client tag as tiebreak) so the trajectory is
-    /// arrival-order-invariant. Async submissions are answered here with
-    /// their assigned id.
+    /// so the trajectory is arrival-order-invariant. Async submissions
+    /// are answered here with their assigned id.
     fn admit_and_inject(&mut self) {
         if self.queue.is_empty() {
             return;
         }
-        let mut admitted: Vec<Submission> = self.queue.drain(..).collect();
-        admitted.sort_by(|a, b| a.key().cmp(&b.key()).then_with(|| a.client.cmp(&b.client)));
+        let mut admitted: Vec<(Submission, Sender<Json>)> = self.queue.drain(..).collect();
+        admitted.sort_by(|a, b| a.0.key().cmp(&b.0.key()));
         let boundary = self.engine.epoch();
-        for s in admitted {
+        for (s, reply) in admitted {
             let region = s.region.map(|[x0, y0, x1, y1]| {
                 Rect::new(Position { x: x0, y: y0 }, Position { x: x1, y: y1 })
             });
@@ -1265,10 +1012,10 @@ impl Serving {
                 let mut ok = ok_response();
                 ok.set("id", Json::from_u64(id.0));
                 ok.set("epoch", Json::from_u64(boundary));
-                let _ = s.reply.send(ok);
+                let _ = reply.send(ok);
                 self.inflight.insert(id.0, None);
             } else {
-                self.inflight.insert(id.0, Some(s.reply));
+                self.inflight.insert(id.0, Some(reply));
             }
         }
     }
@@ -1277,9 +1024,9 @@ impl Serving {
     /// drain the queries the engine finalised (blocking callers are
     /// answered, everything external lands in the results log), and
     /// maybe write an auto-checkpoint.
-    fn post_step(&mut self) {
+    fn post_step(&mut self, slot: &Slot) {
         let now = self.engine.epoch();
-        self.epoch.store(now, Ordering::SeqCst);
+        slot.epoch.store(now, Ordering::SeqCst);
         for done in self.engine.drain_completed() {
             // The engine also finalises its own workload queries; only
             // externally submitted ids reach the results log.
@@ -1299,19 +1046,20 @@ impl Serving {
             self.results.push_back((self.next_result_seq, id, fields));
             self.next_result_seq += 1;
         }
-        let every = self.info.serving.checkpoint_every_epochs;
+        let every = slot.info.serving.checkpoint_every_epochs;
         if every > 0 && now.is_multiple_of(every) {
-            self.write_checkpoint(now / every % CHECKPOINT_SLOTS);
+            self.write_checkpoint(&slot.info, now / every % CHECKPOINT_SLOTS);
         }
     }
 
-    /// Write one rotating checkpoint image: encode and write, with no
-    /// fingerprint, since nothing reads one. Failures are logged, never
-    /// fatal — checkpointing is a recovery aid, not a serving dependency.
-    fn write_checkpoint(&self, slot: u64) {
-        let dir = self.info.serving.checkpoint_dir.as_deref().unwrap_or(".");
-        let path = format!("{dir}/{name}.{slot}.{IMAGE_EXTENSION}", name = self.info.name);
-        if let Err(why) = write_image(&self.engine, &self.info, &path) {
+    /// Write rotating checkpoint image `rotation`: encode and write, with
+    /// no fingerprint, since nothing reads one. Failures are logged,
+    /// never fatal — checkpointing is a recovery aid, not a serving
+    /// dependency.
+    fn write_checkpoint(&self, info: &DeploymentInfo, rotation: u64) {
+        let dir = info.serving.checkpoint_dir.as_deref().unwrap_or(".");
+        let path = format!("{dir}/{name}.{rotation}.{IMAGE_EXTENSION}", name = info.name);
+        if let Err(why) = write_image(&self.engine, info, &path) {
             eprintln!("dirqd: checkpoint {path:?} failed: {why}");
         }
     }

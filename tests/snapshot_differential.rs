@@ -472,6 +472,44 @@ fn restore_rejects_a_negative_warm_half() {
     }
 }
 
+/// A threshold δ that is negative, NaN or infinite — the node's own, or
+/// its ATC controller's — is a typed error at restore, not a panic in
+/// `RangeEntry::around` (debug) or a tuple built on it (release) at the
+/// next sample.
+#[test]
+fn restore_rejects_a_negative_or_non_finite_delta() {
+    // Fixed δ, then ATC: the node record alone, then the controller too.
+    for variant in [0, 1] {
+        let cfg = variant_config(17, variant, 60);
+        let body = Engine::new(cfg.clone()).snapshot();
+        let nodes = tag_offsets(&body, b"NODE");
+        // A fresh node holds no range table yet, so the first 5.0 in its
+        // record is its δ. Under ATC the controller's presence flag and
+        // the controller's own δ follow it.
+        let five = 5.0f64.to_le_bytes();
+        let record = &body[nodes[1]..nodes[2]];
+        let delta = nodes[1] + record.windows(8).position(|w| w == five).expect("node 1's δ");
+        let mut deltas = vec![delta];
+        if variant == 1 {
+            assert_eq!(body[delta + 8], 1, "node 1 carries an ATC controller");
+            assert_eq!(body[delta + 9..delta + 17], five, "the controller's δ");
+            deltas.push(delta + 9);
+        }
+        for at in deltas {
+            for bad in [-1.0f64, f64::NAN, f64::INFINITY] {
+                let mut patched = body.clone();
+                patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                match Engine::new(cfg.clone()).restore(&patched) {
+                    Err(SnapError::Malformed { what, .. }) => {
+                        assert_eq!(what, "threshold delta negative or not finite")
+                    }
+                    other => panic!("δ = {bad} at byte {at} restored: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
