@@ -418,6 +418,36 @@ impl DirqNode {
         }
     }
 
+    // --- read-ahead -------------------------------------------------------------
+    //
+    // The engine reads ahead of a batch of handler calls in three stages,
+    // each over the whole batch, so the loads of different nodes overlap
+    // instead of forming one dependent chain per message. Each stage
+    // returns a word built from what it loaded, for the caller to fold
+    // into `std::hint::black_box`; none changes state.
+
+    /// Stage one: the node itself — the words the later stages follow.
+    #[inline]
+    pub(crate) fn touch(&self) -> usize {
+        self.tables.len() ^ self.children.len() ^ self.seen_queries.len()
+    }
+
+    /// Stage two: the table slot for `stype`, the child list and, for a
+    /// query, the duplicate-suppression list.
+    #[inline]
+    pub(crate) fn touch_lists(&self, stype: SensorType, query: bool) -> usize {
+        let table = self.tables.get(stype.index()).map_or(0, |t| usize::from(t.is_some()));
+        let child = self.children.first().map_or(0, |c| c.index());
+        let seen = if query { self.seen_queries.first().map_or(0, |q| q.0 as usize) } else { 0 };
+        table ^ child ^ seen
+    }
+
+    /// Stage three: the first child tuple of the `stype` table.
+    #[inline]
+    pub(crate) fn touch_tuples(&self, stype: SensorType) -> usize {
+        self.table(stype).and_then(|t| t.child_ids().next()).map_or(0, |c| c.index())
+    }
+
     // --- snapshot -------------------------------------------------------------
 
     /// Write the node's full dynamic state to `w`, with its sensing-plane

@@ -7,8 +7,9 @@
 //! sample just replaces the last reading and feeds the variability
 //! estimate ATC reads. So that work lives here, one 32-byte
 //! [`SensorCell`] per `(node, type)`, and the protocol node ([`DirqNode`])
-//! is entered only when a reading escapes. [`sample`] is the per-reading
-//! step every sampling path runs.
+//! is entered only when a reading escapes. The engine's sampling pass runs
+//! [`SensorCell::observe`] on every reading and [`escape`] on the ones
+//! that leave the window.
 //!
 //! Each cell keeps a copy of its node's own tuple as the escape window.
 //! The own tuple changes only in the escape handler, when a sensor is
@@ -114,12 +115,26 @@ impl SensingPlane {
     }
 }
 
-/// Run one reading of `stype` through `cell`, entering `node` only when
-/// the reading escapes its own tuple. The escape handler's messages are
-/// appended to `out` and the window is refreshed from the node's new own
-/// tuple; a contained reading appends nothing and leaves the node
-/// untouched.
+/// Enter `node` with a reading of `stype` that escaped `cell`'s window:
+/// the escape handler appends its messages to `out`, and the window is
+/// refreshed from the node's new own tuple.
 #[inline]
+pub(crate) fn escape(
+    node: &mut DirqNode,
+    cell: &mut SensorCell,
+    stype: SensorType,
+    reading: f64,
+    out: &mut Vec<Outgoing>,
+) {
+    node.sample(stype, reading, out);
+    cell.set_window(node.table(stype).and_then(|t| t.own()));
+}
+
+/// Run one reading of `stype` through `cell`, entering `node` only when
+/// the reading escapes its own tuple; a contained reading appends nothing
+/// and leaves the node untouched. The one-reading form of the engine's
+/// sampling pass, kept as the model its tests compare against.
+#[cfg(test)]
 pub(crate) fn sample(
     node: &mut DirqNode,
     cell: &mut SensorCell,

@@ -71,7 +71,7 @@ use dirq_data::SensorType;
 use dirq_net::{Position, Rect};
 use dirq_scenario::Scheme;
 use dirq_sim::json::Json;
-use dirq_sim::snap::{check_image, frame_image, parse_image};
+use dirq_sim::snap::{check_image, encode_image, parse_image};
 
 use crate::protocol::{
     err_response, fingerprint_hex, kind, ok_response, read_line, request_timeout,
@@ -652,8 +652,24 @@ fn round_trip(shared: &Shared, slot: &Arc<Slot>, cmd: EngineCmd, timeout: Durati
     }
 }
 
-fn handle_deploy(request: &Json, shared: &Shared) -> Result<Json, Json> {
+/// Longest deployment name, in bytes. A name is part of its checkpoint
+/// file names (`{name}.{slot}.dirqsnap`), which must fit a file name.
+const MAX_NAME_BYTES: usize = 200;
+
+/// Read `deploy`'s or `restore`'s `name`: one that can name a checkpoint
+/// file — not empty (recovery could not find it), at most
+/// [`MAX_NAME_BYTES`] bytes, and without `/` or NUL (every write would
+/// fail).
+fn deployment_name(request: &Json) -> Result<String, Json> {
     let name = str_field(request, "name")?;
+    if name.is_empty() || name.len() > MAX_NAME_BYTES || name.contains(['/', '\0']) {
+        return Err(bad(&format!("name must be 1 to {MAX_NAME_BYTES} bytes, without '/' or NUL")));
+    }
+    Ok(name)
+}
+
+fn handle_deploy(request: &Json, shared: &Shared) -> Result<Json, Json> {
+    let name = deployment_name(request)?;
     let preset = str_field(request, "preset")?;
     let scale = opt_field(request, "scale", "a number", Json::as_f64)?.unwrap_or(1.0);
     let scheme = opt_str_field(request, "scheme")?;
@@ -677,7 +693,7 @@ fn deployment_resolution_error(msg: &str) -> Json {
 }
 
 fn handle_restore(request: &Json, shared: &Shared) -> Result<Json, Json> {
-    let name = str_field(request, "name")?;
+    let name = deployment_name(request)?;
     let path = str_field(request, "path")?;
     let serving = serving_options(request)?;
     let bytes =
@@ -762,6 +778,7 @@ fn install(
             inflight: HashMap::new(),
             results: VecDeque::new(),
             next_result_seq: 0,
+            last_body: 0,
         }),
     };
     let mut deployments = shared.deployments.lock().expect("deployment map");
@@ -939,6 +956,9 @@ struct Serving {
     results: VecDeque<(u64, u64, Json)>,
     /// Sequence number the next completed result will receive.
     next_result_seq: u64,
+    /// Body length of the last image written, checkpoint or snapshot; the
+    /// next image's buffer is sized from it.
+    last_body: usize,
 }
 
 impl Serving {
@@ -977,7 +997,7 @@ impl Serving {
                 ok.set("fingerprint", Json::Str(fingerprint_hex(self.engine.state_fingerprint())));
                 ok
             }
-            EngineCmd::SnapshotTo(path) => write_snapshot(&self.engine, &slot.info, &path),
+            EngineCmd::SnapshotTo(path) => self.write_snapshot(&slot.info, &path),
             EngineCmd::Stall(ms) => {
                 std::thread::sleep(Duration::from_millis(ms));
                 self.epoch_reply()
@@ -1056,12 +1076,56 @@ impl Serving {
     /// no fingerprint, since nothing reads one. Failures are logged,
     /// never fatal — checkpointing is a recovery aid, not a serving
     /// dependency.
-    fn write_checkpoint(&self, info: &DeploymentInfo, rotation: u64) {
+    fn write_checkpoint(&mut self, info: &DeploymentInfo, rotation: u64) {
         let dir = info.serving.checkpoint_dir.as_deref().unwrap_or(".");
         let path = format!("{dir}/{name}.{rotation}.{IMAGE_EXTENSION}", name = info.name);
-        if let Err(why) = write_image(&self.engine, info, &path) {
+        if let Err(why) = self.write_image(info, &path) {
             eprintln!("dirqd: checkpoint {path:?} failed: {why}");
         }
+    }
+
+    /// Encode the engine into one framed image buffer and persist it. The
+    /// header embeds the deployment's serving recipe so `--recover`
+    /// resumes it under the knobs it was running with. The buffer is sized
+    /// from the last image's body with an eighth to spare, as an image
+    /// grows with the deployment's age. Returns the image and the offset
+    /// of its body, or what failed.
+    fn write_image(
+        &mut self,
+        info: &DeploymentInfo,
+        path: &str,
+    ) -> Result<(Vec<u8>, usize), String> {
+        let header = ImageHeader {
+            preset: info.preset.clone(),
+            scale: info.scale,
+            scheme: info.scheme.clone(),
+            seed: info.seed,
+            epoch: self.engine.epoch(),
+            nodes: info.nodes,
+            serving: Some(info.serving.clone()),
+        };
+        let hint = self.last_body + self.last_body / 8;
+        let (image, body) = encode_image(&header.to_json(), hint, |w| self.engine.snapshot_into(w));
+        self.last_body = image.len() - body;
+        std::fs::write(path, &image).map_err(|e| format!("write {path:?}: {e}"))?;
+        Ok((image, body))
+    }
+
+    /// The `snapshot` command: write the image and reply with its path,
+    /// size, epoch and fingerprint — the hash of the body just written,
+    /// equal to [`Engine::state_fingerprint`] without encoding the engine
+    /// again.
+    fn write_snapshot(&mut self, info: &DeploymentInfo, path: &str) -> Json {
+        let (image, body) = match self.write_image(info, path) {
+            Ok(written) => written,
+            Err(why) => return err_response(kind::IO, &why),
+        };
+        let mut ok = ok_response();
+        ok.set("path", Json::Str(path.to_string()));
+        ok.set("bytes", Json::from_u64(image.len() as u64));
+        ok.set("epoch", Json::from_u64(self.engine.epoch()));
+        ok.set("fingerprint", Json::Str(fingerprint_hex(Engine::body_fingerprint(&image[body..]))));
+        ok
     }
 
     fn poll(&self, id: u64) -> Json {
@@ -1100,46 +1164,6 @@ impl Serving {
     }
 }
 
-/// Serialize, frame and persist a snapshot image. The header embeds the
-/// deployment's serving recipe so `--recover` resumes it under the
-/// knobs it was running with. Returns the engine's snapshot body and the
-/// image's size, or what failed.
-fn write_image(
-    engine: &Engine,
-    info: &DeploymentInfo,
-    path: &str,
-) -> Result<(Vec<u8>, usize), String> {
-    let header = ImageHeader {
-        preset: info.preset.clone(),
-        scale: info.scale,
-        scheme: info.scheme.clone(),
-        seed: info.seed,
-        epoch: engine.epoch(),
-        nodes: info.nodes,
-        serving: Some(info.serving.clone()),
-    };
-    let body = engine.snapshot();
-    let image = frame_image(&header.to_json(), &body);
-    std::fs::write(path, &image).map_err(|e| format!("write {path:?}: {e}"))?;
-    Ok((body, image.len()))
-}
-
-/// The `snapshot` command: write the image and reply with its path, size,
-/// epoch and fingerprint — the hash of the body just written, equal to
-/// [`Engine::state_fingerprint`] without encoding the engine again.
-fn write_snapshot(engine: &Engine, info: &DeploymentInfo, path: &str) -> Json {
-    let (body, bytes) = match write_image(engine, info, path) {
-        Ok(written) => written,
-        Err(why) => return err_response(kind::IO, &why),
-    };
-    let mut ok = ok_response();
-    ok.set("path", Json::Str(path.to_string()));
-    ok.set("bytes", Json::from_u64(bytes as u64));
-    ok.set("epoch", Json::from_u64(engine.epoch()));
-    ok.set("fingerprint", Json::Str(fingerprint_hex(Engine::body_fingerprint(&body))));
-    ok
-}
-
 /// Render one completed query's result fields (no `ok` envelope — the
 /// caller wraps for `query`/`poll` replies or embeds for `drain`).
 fn outcome_fields(done: &CompletedQuery) -> Json {
@@ -1171,6 +1195,8 @@ fn merge_fields(dst: &mut Json, src: &Json) {
 
 #[cfg(test)]
 mod tests {
+    use dirq_sim::snap::frame_image;
+
     use super::*;
 
     fn image(name: &str, slot: u64, epoch: u64, dir: &Path) -> PathBuf {
@@ -1186,6 +1212,63 @@ mod tests {
         let path = dir.join(format!("{name}.{slot}.{IMAGE_EXTENSION}"));
         std::fs::write(&path, frame_image(&header.to_json(), b"body")).expect("write image");
         path
+    }
+
+    /// Images are encoded in one buffer, whatever its size hint, byte-equal
+    /// to framing a separately encoded snapshot body.
+    #[test]
+    fn one_buffer_images_equal_framed_snapshots() {
+        let (spec, scheme) = resolve_deployment("dense_grid_100", 0.1, None).expect("preset");
+        let cfg = spec.config(scheme, 3);
+        let info = DeploymentInfo {
+            name: "one".into(),
+            preset: "dense_grid_100".into(),
+            scale: 0.1,
+            scheme: scheme.label(),
+            seed: 3,
+            nodes: cfg.n_nodes,
+            epochs: cfg.epochs,
+            location_enabled: cfg.location_enabled,
+            sensor_types: 4,
+            serving: ServingOptions::default(),
+            recovered: None,
+        };
+        let mut serving = Serving {
+            engine: Engine::new(cfg),
+            queue: VecDeque::new(),
+            inflight: HashMap::new(),
+            results: VecDeque::new(),
+            next_result_seq: 0,
+            last_body: 0,
+        };
+        let dir = std::env::temp_dir().join(format!("dirqd-image-{:x}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("one.dirqsnap").to_string_lossy().into_owned();
+        // No previous image, then the last one, then a far too short one.
+        for (epochs, last_body) in [(0, None), (5, None), (5, Some(1))] {
+            for _ in 0..epochs {
+                serving.engine.step_epoch();
+            }
+            if let Some(len) = last_body {
+                serving.last_body = len;
+            }
+            let (image, body) = serving.write_image(&info, &path).expect("write image");
+            let header = ImageHeader {
+                preset: info.preset.clone(),
+                scale: info.scale,
+                scheme: info.scheme.clone(),
+                seed: info.seed,
+                epoch: serving.engine.epoch(),
+                nodes: info.nodes,
+                serving: Some(info.serving.clone()),
+            };
+            let snapshot = serving.engine.snapshot();
+            assert!(image == frame_image(&header.to_json(), &snapshot), "epoch {epochs}");
+            assert!(image[body..] == snapshot[..], "body offset");
+            assert_eq!(serving.last_body, snapshot.len());
+            assert!(std::fs::read(&path).expect("read image") == image, "file bytes");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

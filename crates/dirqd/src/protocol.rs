@@ -26,6 +26,8 @@
 //!
 //! `query`'s `stype` must name a sensor type in the deployment's
 //! catalog (the environmental presets carry types 0–3); any other value
+//! is a `bad_request`. `deploy` and `restore` take a `name` that can
+//! name a checkpoint file: 1 to 200 bytes, without `/` or NUL; any other
 //! is a `bad_request`. `deploy` and `restore` requests written for
 //! older daemons may still carry `policy` and `admit_per_epoch`; both
 //! keys are ignored.

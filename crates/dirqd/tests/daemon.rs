@@ -350,6 +350,8 @@ fn every_rejection_replies_with_its_pinned_kind_and_message() {
         let restore = |name: &str, p: &str| {
             format!(r#"{{"cmd": "restore", "name": "{name}", "path": {}}}"#, quoted(p))
         };
+        let bad_name = "name must be 1 to 200 bytes, without '/' or NUL";
+        let (longest, too_long) = ("n".repeat(200), "n".repeat(201));
         let rows: Vec<(String, &str, String)> = [
             // The command itself.
             (r#"{}"#.to_string(), BAD, r#"missing "cmd" field"#.to_string()),
@@ -425,6 +427,29 @@ fn every_rejection_replies_with_its_pinned_kind_and_message() {
                 r#"{"cmd": "deploy", "name": "a", "preset": "dense_grid_100", "scale": 0.1}"#.into(),
                 "exists",
                 r#"deployment "a" already exists"#.into(),
+            ),
+            // Names a checkpoint file cannot carry; the longest allowed
+            // passes on to the next field.
+            (r#"{"cmd": "deploy", "name": "", "preset": "dense_grid_100"}"#.into(), BAD, bad_name.into()),
+            (
+                r#"{"cmd": "deploy", "name": "a/b", "preset": "dense_grid_100"}"#.into(),
+                BAD,
+                bad_name.into(),
+            ),
+            (
+                r#"{"cmd": "deploy", "name": "a\u0000b", "preset": "dense_grid_100"}"#.into(),
+                BAD,
+                bad_name.into(),
+            ),
+            (
+                format!(r#"{{"cmd": "deploy", "name": "{too_long}", "preset": "dense_grid_100"}}"#),
+                BAD,
+                bad_name.into(),
+            ),
+            (
+                format!(r#"{{"cmd": "deploy", "name": "{longest}"}}"#),
+                BAD,
+                r#"missing string field "preset""#.into(),
             ),
             // query
             (
@@ -660,6 +685,15 @@ fn every_rejection_replies_with_its_pinned_kind_and_message() {
                 "restore: snapshot truncated at byte 0 (needed 4 more)".into(),
             ),
             (restore("a", &valid), "exists", r#"deployment "a" already exists"#.into()),
+            (restore("", &valid), BAD, bad_name.into()),
+            (restore("a/b", &valid), BAD, bad_name.into()),
+            (restore("a\\u0000b", &valid), BAD, bad_name.into()),
+            (restore(&too_long, &valid), BAD, bad_name.into()),
+            (
+                format!(r#"{{"cmd": "restore", "name": "{longest}"}}"#),
+                BAD,
+                r#"missing string field "path""#.into(),
+            ),
             // debug_stall
             (r#"{"cmd": "debug_stall", "ms": 1}"#.into(), BAD, missing_deployment.into()),
             (

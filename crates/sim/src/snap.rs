@@ -11,7 +11,7 @@
 //! An on-disk *image* wraps one snapshot body with a magic, the format
 //! version and a JSON header describing what was captured (preset, scheme,
 //! seed, epoch), so tooling can inspect images without decoding the body;
-//! see [`frame_image`]/[`parse_image`].
+//! see [`encode_image`]/[`frame_image`]/[`parse_image`].
 //!
 //! Decoding is total: malformed input yields a typed [`SnapError`], never
 //! a panic. Section tags make layout drift fail loudly at the boundary
@@ -397,18 +397,34 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Frame a snapshot `body` into an on-disk image: magic, format version,
-/// length-prefixed JSON `header`, length-prefixed body.
-pub fn frame_image(header: &Json, body: &[u8]) -> Vec<u8> {
+/// Encode an on-disk image in one buffer: magic, format version,
+/// length-prefixed JSON `header`, then a body length that `encode` fills
+/// in by appending the body in place, and that is patched in afterwards.
+/// The buffer is sized for a body of `body_hint` bytes and grows if the
+/// body is longer. Returns the image and the offset its body starts at.
+pub fn encode_image(
+    header: &Json,
+    body_hint: usize,
+    encode: impl FnOnce(&mut SnapWriter),
+) -> (Vec<u8>, usize) {
     let header_text = header.render();
-    let mut out = Vec::with_capacity(8 + 4 + 8 + header_text.len() + 8 + body.len());
-    out.extend_from_slice(IMAGE_MAGIC);
-    out.extend_from_slice(&SNAP_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(header_text.len() as u64).to_le_bytes());
-    out.extend_from_slice(header_text.as_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    let mut w =
+        SnapWriter { buf: Vec::with_capacity(8 + 4 + 8 + header_text.len() + 8 + body_hint) };
+    w.buf.extend_from_slice(IMAGE_MAGIC);
+    w.u32(SNAP_FORMAT_VERSION);
+    w.str(&header_text);
+    let len_at = w.len();
+    w.u64(0);
+    let start = w.len();
+    encode(&mut w);
+    let body_len = (w.len() - start) as u64;
+    w.buf[len_at..start].copy_from_slice(&body_len.to_le_bytes());
+    (w.buf, start)
+}
+
+/// Frame a snapshot `body` into an on-disk image (see [`encode_image`]).
+pub fn frame_image(header: &Json, body: &[u8]) -> Vec<u8> {
+    encode_image(header, body.len(), |w| w.buf.extend_from_slice(body)).0
 }
 
 /// Structurally validate an image and return just its header: magic,
@@ -517,6 +533,27 @@ mod tests {
         // Trailing garbage.
         let r = SnapReader::new(&[0]);
         assert!(matches!(r.expect_eof(), Err(SnapError::TrailingBytes { .. })));
+    }
+
+    #[test]
+    fn encoded_images_frame_the_body_they_encode() {
+        let mut header = Json::object();
+        header.set("preset", Json::Str("smoke".into()));
+        let body: Vec<u8> = (0..100u8).collect();
+        for hint in [0, 10, 100, 4096] {
+            let (image, start) = encode_image(&header, hint, |w| {
+                w.tag(b"BODY");
+                w.f64s(&[1.5, -2.0]);
+                w.bytes(&body);
+            });
+            let mut w = SnapWriter::new();
+            w.tag(b"BODY");
+            w.f64s(&[1.5, -2.0]);
+            w.bytes(&body);
+            let alone = w.finish();
+            assert!(image == frame_image(&header, &alone), "hint {hint}");
+            assert_eq!(&image[start..], &alone[..], "hint {hint}");
+        }
     }
 
     #[test]
