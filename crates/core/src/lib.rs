@@ -41,7 +41,6 @@ pub mod node;
 mod pending;
 pub mod range_table;
 pub mod sampling;
-mod sensing;
 
 pub use atc::{AtcConfig, AtcController, DeltaPolicy};
 pub use engine::{

@@ -30,10 +30,10 @@ use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 use crate::atc::{restore_delta, AtcController, DeltaPolicy};
+use crate::engine::sensing::SensorCell;
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
 use crate::range_table::{RangeEntry, RangeTable};
-use crate::sensing::SensorCell;
 
 /// An action requested by a protocol handler.
 #[derive(Clone, Debug, PartialEq)]
