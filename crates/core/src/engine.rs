@@ -18,19 +18,17 @@ use std::sync::Arc;
 
 use dirq_analytic::TopologyCosts;
 use dirq_data::{QueryGenerator, SensorWorld};
-use dirq_lmac::{LmacNetwork, MacIndication};
+use dirq_lmac::LmacNetwork;
 use dirq_net::churn::ChurnPlan;
-#[cfg(test)]
-use dirq_net::SpanningTree;
-use dirq_net::{NodeId, Topology};
+use dirq_net::Topology;
 use dirq_sim::stats::Ewma;
 use dirq_sim::SimRng;
 
 use crate::flooding::FloodingNode;
 use crate::messages::DirqMessage;
 use crate::metrics::Metrics;
-use crate::node::{DirqNode, NodeConfig, Outgoing};
-use crate::pending::{PendingQuery, PendingSet};
+use crate::node::{DirqNode, NodeConfig};
+use crate::pending::PendingSet;
 use crate::sampling::Sampler;
 
 mod config;
@@ -46,7 +44,9 @@ pub use config::{
 };
 pub use run::run_scenario;
 
-use sensing::{SampleIndex, SensingPlane, UpkeepShard};
+use dispatch::DispatchScratch;
+use sensing::{SampleScratch, SensingPlane};
+use tree::TreeScratch;
 
 /// The simulation engine.
 pub struct Engine {
@@ -80,60 +80,27 @@ pub struct Engine {
     /// currently attached); drives the repair fallback.
     detached_since: Vec<Option<u64>>,
     /// Bumped at every site that can change a parent pointer, a child list
-    /// or liveness. Keys the repair gate (`repaired_version`) and the query
-    /// parents (`attach_version`).
+    /// or liveness. Keys the repair gate (`repaired_version`) and the
+    /// attachment scratch (see [`TreeScratch`]).
     tree_version: u64,
     /// `tree_version` as of the last repair pass that found every alive
     /// node attached; while it still matches, repair has nothing to do.
     repaired_version: Option<u64>,
     /// Predictive samplers per (node, sensor type); `None` under
-    /// [`SamplingStrategy::EveryEpoch`].
-    ///
-    /// [`SamplingStrategy::EveryEpoch`]: crate::sampling::SamplingStrategy::EveryEpoch
+    /// `SamplingStrategy::EveryEpoch`.
     samplers: Option<Vec<Vec<Sampler>>>,
-    /// Scratch: per-node depth in the protocol tree (`None` = detached),
-    /// recomputed in place by [`Engine::compute_attachment`].
-    attach_depth: Vec<Option<u32>>,
-    /// Scratch: per-node parent in the protocol tree (`None` for the root
-    /// and detached nodes), recomputed with `attach_depth`. Query
-    /// calibration and ground truth read it (see [`Engine::query_parents`]).
-    attach_parent: Vec<Option<NodeId>>,
-    /// `tree_version` as of the last [`Engine::compute_attachment`]; while
-    /// it still matches, the attachment scratch is current.
-    attach_version: Option<u64>,
-    /// Scratch: BFS worklist for [`Engine::compute_attachment`].
-    attach_queue: Vec<NodeId>,
-    /// Reusable MAC indication buffer for [`Engine::run_mac_frame`].
-    ind_buf: Vec<MacIndication<DirqMessage>>,
-    /// Reusable buffer every protocol handler appends to (see
-    /// [`Engine::handle`]); empty between handler calls.
-    outgoing: Vec<Outgoing>,
-    /// Scratch: queries due for finalisation this epoch.
-    finalize_buf: Vec<PendingQuery>,
-    /// Scratch: true-source membership bits for [`Engine::finalize_query`]
-    /// (set and cleared per query).
-    source_mark: Vec<bool>,
-    /// Per-chunk effect buffers for sensor sampling, the only sharded
-    /// upkeep pass: one per upkeep worker, and one alone runs the serial
-    /// pass. The `upkeep_workers` knob resolves to this count against the
-    /// host parallelism and a node-count floor.
-    upkeep_shards: Vec<UpkeepShard>,
-    /// Scratch: `[start, end)` chunk bounds per upkeep worker.
-    upkeep_chunks: Vec<(u32, u32)>,
-    /// Test hook: shard sampling regardless of size thresholds.
-    force_upkeep: bool,
+    /// The tree plane's attachment, churn and repair buffers.
+    tree_scratch: TreeScratch,
+    /// The dispatch plane's indication, handler-output and finalisation
+    /// buffers.
+    dispatch_scratch: DispatchScratch,
+    /// The sampling pass's carrier index and per-chunk buffers.
+    sample_scratch: SampleScratch,
     /// Test hook: at every [`Engine::query_parents`], the parents handed to
     /// calibration or ground truth, paired with the protocol tree at that
     /// moment.
     #[cfg(test)]
-    query_parents_log: Vec<(Vec<Option<NodeId>>, SpanningTree)>,
-    /// Scratch: churn events due this epoch (reused across epochs).
-    churn_buf: Vec<dirq_net::churn::ChurnEvent>,
-    /// Scratch: per-orphan `(gateway_dist, neighbour)` candidates for the
-    /// repair pass (reused across orphans and epochs).
-    repair_candidates: Vec<(u16, NodeId)>,
-    /// Carrier index over the sensor assignment (see [`SampleIndex`]).
-    sample_index: SampleIndex,
+    query_parents_log: Vec<(Vec<Option<dirq_net::NodeId>>, dirq_net::SpanningTree)>,
     /// Per-phase wall-clock accumulators (`None` = timing off).
     timing: Option<Box<PhaseTimings>>,
     u_max_per_hour: f64,
@@ -149,6 +116,8 @@ pub struct Engine {
 #[cfg(test)]
 mod tests {
     use dirq_data::QueryId;
+    use dirq_lmac::MacIndication;
+    use dirq_net::NodeId;
 
     use super::*;
     use crate::atc::DeltaPolicy;

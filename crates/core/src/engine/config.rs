@@ -317,12 +317,11 @@ impl RunResult {
 }
 
 /// Wall-clock split of a run across the engine's per-epoch phases,
-/// collected when [`Engine::enable_phase_timing`] is on (a traced
-/// benchmark run, `perfbench/run.py --trace 1`, reports it as per-phase
-/// `*_ms` metrics). Purely observational — timing never feeds back into
-/// the simulation.
-///
-/// [`Engine::enable_phase_timing`]: super::Engine::enable_phase_timing
+/// collected when
+/// [`Engine::enable_phase_timing`](super::Engine::enable_phase_timing) is
+/// on (a traced benchmark run, `perfbench/run.py --trace 1`, reports it as
+/// per-phase `*_ms` metrics). Purely observational — timing never feeds
+/// back into the simulation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Seconds advancing the synthetic world.

@@ -6,15 +6,15 @@ use std::hint::black_box;
 
 use dirq_analytic::TopologyCosts;
 use dirq_data::workload::{CalibratedQuery, GroundTruth};
-use dirq_data::QueryId;
-use dirq_lmac::{Destination, MacIndication};
+use dirq_data::{QueryId, SensorType};
+use dirq_lmac::{Destination, LmacNetwork, MacIndication, PayloadHandle};
 use dirq_net::NodeId;
 
 use crate::atc::DeltaPolicy;
-use crate::messages::{DirqMessage, EhrMessage, MessageCategory};
-use crate::metrics::QueryOutcome;
+use crate::messages::{DirqMessage, EhrMessage};
+use crate::metrics::{Metrics, QueryOutcome};
 use crate::node::{DirqNode, Outgoing};
-use crate::pending::PendingQuery;
+use crate::pending::{PendingQuery, PendingSet};
 
 use super::{CompletedQuery, Engine, Protocol};
 
@@ -24,6 +24,99 @@ use super::{CompletedQuery, Engine, Protocol};
 /// Measured per epoch at one worker, the stages cost 2–3 % on the 100- to
 /// 500-node presets and save 4–7 % on grid_2000 and stress_5000.
 const READ_AHEAD_MIN_NODES: usize = 1024;
+
+/// The dispatch plane's scratch, reused across epochs.
+#[derive(Default)]
+pub(super) struct DispatchScratch {
+    /// One MAC slot's indications ([`Engine::run_mac_frame`]).
+    indications: Vec<MacIndication<DirqMessage>>,
+    /// What a protocol handler appends (see [`Engine::handle`]); empty
+    /// between handler calls.
+    outgoing: Vec<Outgoing>,
+    /// Queries due for finalisation this epoch.
+    due: Vec<PendingQuery>,
+    /// True-source membership bits for [`Engine::finalize_query`] (set and
+    /// cleared per query).
+    source_mark: Vec<bool>,
+}
+
+impl DispatchScratch {
+    /// Scratch for `n` nodes.
+    pub(super) fn new(n: usize) -> Self {
+        let (indications, source_mark) = (Vec::with_capacity(64), vec![false; n]);
+        DispatchScratch { indications, source_mark, ..DispatchScratch::default() }
+    }
+}
+
+/// What a MAC enqueue touches: the MAC and, when it takes the message,
+/// the transmission tallies. [`Outbox::send`] is the engine's one enqueue.
+pub(super) struct Outbox<'a> {
+    pub(super) mac: &'a mut LmacNetwork<DirqMessage>,
+    pub(super) metrics: &'a mut Metrics,
+    pub(super) pending: &'a mut PendingSet,
+    pub(super) epoch: u64,
+}
+
+impl Outbox<'_> {
+    /// Queue `payload` at `from` for `dest` and, if the MAC takes it
+    /// (`from` is alive), count the transmission in the metrics and
+    /// against its query. A payload handle passes through as is, so a
+    /// rebroadcast forwards the handle it received.
+    pub(super) fn send(
+        &mut self,
+        from: NodeId,
+        dest: Destination,
+        payload: impl Into<PayloadHandle<DirqMessage>>,
+    ) {
+        let payload = payload.into();
+        let (category, query) = (payload.category(), query_id_of(&payload));
+        if self.mac.enqueue_shared(from, dest, payload) {
+            self.metrics.on_tx(category, self.epoch);
+            if let Some(p) = query.and_then(|id| self.pending.get_mut(id)) {
+                p.tx += 1;
+            }
+        }
+    }
+}
+
+/// Where one handler output of `node` goes: its parent for
+/// [`Outgoing::ToParent`] (nowhere while it is orphaned), the listed
+/// children for [`Outgoing::ToChildren`] (nowhere for an empty list), and
+/// nowhere for [`Outgoing::DeliverLocal`] — the node believes it is a
+/// source, its reception is already recorded, and true-source accounting
+/// happens at finalisation against ground truth.
+pub(super) fn route(node: &DirqNode, out: Outgoing) -> Option<(Destination, DirqMessage)> {
+    match out {
+        Outgoing::ToParent(msg) => Some((Destination::unicast(node.parent()?), msg)),
+        Outgoing::ToChildren(dests, msg) if !dests.is_empty() => {
+            Some((Destination::Multicast(dests), msg))
+        }
+        Outgoing::ToChildren(..) | Outgoing::DeliverLocal(_) => None,
+    }
+}
+
+/// Read ahead of a batch of handler calls in three stages, each over the
+/// whole batch, so the cache misses of different nodes overlap instead of
+/// each call walking its own chain of cold loads: every node of `nodes`;
+/// then, per `(node, type, query)` of `tables`, the node's table slot and
+/// child list (and its duplicate list for a query); then that table's
+/// first child tuple. It only reads, into `black_box`, so it cannot move
+/// a result. Dispatch runs it before each slot's deliveries, and the
+/// sampling pass before each block's escapes.
+pub(super) fn warm_up<'a, T>(nodes: impl Iterator<Item = &'a DirqNode>, tables: impl Fn() -> T)
+where
+    T: Iterator<Item = (&'a DirqNode, SensorType, bool)>,
+{
+    for node in nodes {
+        black_box(node.touch());
+    }
+    for (node, stype, query) in tables() {
+        black_box(node.touch_lists(stype, query));
+    }
+    for (node, stype, _) in tables() {
+        black_box(node.touch_tuples(stype));
+    }
+}
 
 impl Engine {
     /// Inject an externally supplied range query (the daemon's client
@@ -59,7 +152,7 @@ impl Engine {
         let truth = dirq_data::workload::ground_truth_for_query(
             self.world.readings(stype),
             self.topo.positions(),
-            &self.attach_parent,
+            &self.tree_scratch.parent,
             &query,
             |n: NodeId| alive[n.index()],
         );
@@ -111,14 +204,11 @@ impl Engine {
         let alive = &self.alive;
         let positions: &[dirq_net::Position] =
             if self.cfg.location_enabled { self.topo.positions() } else { &[] };
-        let Some(CalibratedQuery { query, truth }) =
-            self.qgen.generate(&self.world, positions, &self.attach_parent, |n: NodeId| {
-                alive[n.index()]
-            })
-        else {
-            return;
-        };
-        self.disseminate(query, truth);
+        let parents = &self.tree_scratch.parent;
+        let generated = self.qgen.generate(&self.world, positions, parents, |n| alive[n.index()]);
+        if let Some(CalibratedQuery { query, truth }) = generated {
+            self.disseminate(query, truth);
+        }
     }
 
     /// Count `query`, track it for scoring against `truth`, and hand it
@@ -137,13 +227,8 @@ impl Engine {
             Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
             Protocol::Flooding => {
                 self.flood[0].should_rebroadcast(query.id);
-                if self.mac.enqueue(
-                    NodeId::ROOT,
-                    Destination::Broadcast,
-                    DirqMessage::FloodQuery(query),
-                ) {
-                    self.record_tx_parts(MessageCategory::Query, Some(query.id));
-                }
+                let flood = DirqMessage::FloodQuery(query);
+                self.outbox().send(NodeId::ROOT, Destination::Broadcast, flood);
             }
         }
     }
@@ -152,23 +237,24 @@ impl Engine {
         let slots = self.cfg.lmac.slots_per_frame;
         // The buffer is moved out for the frame so dispatching (which may
         // re-enter the MAC, e.g. flooding rebroadcasts) can borrow `self`.
-        let mut buf = std::mem::take(&mut self.ind_buf);
+        let mut buf = std::mem::take(&mut self.dispatch_scratch.indications);
         let read_ahead = self.reads_ahead();
         for _ in 0..slots {
             buf.clear();
-            let t0 = self.phase_start();
-            self.mac.advance_slot_into(&mut self.mac_rng, &mut buf);
-            self.phase_lap(t0, |t| &mut t.mac);
-            let t0 = self.phase_start();
-            if read_ahead {
-                self.read_ahead(&buf);
-            }
-            for ind in buf.drain(..) {
-                self.dispatch_indication(ind);
-            }
-            self.phase_lap(t0, |t| &mut t.dispatch);
+            self.timed(|t| &mut t.mac, |e| e.mac.advance_slot_into(&mut e.mac_rng, &mut buf));
+            self.timed(
+                |t| &mut t.dispatch,
+                |e| {
+                    if read_ahead {
+                        e.read_ahead(&buf);
+                    }
+                    for ind in buf.drain(..) {
+                        e.dispatch_indication(ind);
+                    }
+                },
+            );
         }
-        self.ind_buf = buf;
+        self.dispatch_scratch.indications = buf;
     }
 
     /// Whether dispatch and sampling read ahead (see
@@ -177,13 +263,10 @@ impl Engine {
         self.nodes.len() >= READ_AHEAD_MIN_NODES
     }
 
-    /// Read ahead of one slot's deliveries in three stages, each over the
-    /// whole slot, so the cache misses of different deliveries overlap
-    /// instead of each delivery walking its own chain of cold loads: every
-    /// destination's protocol node and MAC queue; then, for Update, Retract
-    /// and Query payloads, the node's table slot and child list (and its
-    /// duplicate list for a query); then that table's child tuples. It only
-    /// reads, and dispatch then runs in its unchanged order.
+    /// Read ahead of one slot's deliveries through [`warm_up`]: every
+    /// destination's protocol node and MAC queue, and for Update, Retract
+    /// and Query payloads the destination's table for the payload's type.
+    /// Dispatch then runs in its unchanged order.
     fn read_ahead(&self, slot: &[MacIndication<DirqMessage>]) {
         let delivered = || {
             slot.iter().filter_map(|ind| match ind {
@@ -191,11 +274,11 @@ impl Engine {
                 _ => None,
             })
         };
-        for (to, _) in delivered() {
-            black_box(self.nodes[to.index()].touch());
+        let nodes = delivered().map(|(to, _)| {
             black_box(self.mac.queue_len(to));
-        }
-        let tables = || {
+            &self.nodes[to.index()]
+        });
+        warm_up(nodes, || {
             delivered().filter_map(|(to, msg)| match msg {
                 DirqMessage::Update { stype, .. } | DirqMessage::Retract { stype } => {
                     Some((&self.nodes[to.index()], *stype, false))
@@ -203,13 +286,7 @@ impl Engine {
                 DirqMessage::Query(q) => Some((&self.nodes[to.index()], q.stype, true)),
                 _ => None,
             })
-        };
-        for (node, stype, query) in tables() {
-            black_box(node.touch_lists(stype, query));
-        }
-        for (node, stype, _) in tables() {
-            black_box(node.touch_tuples(stype));
-        }
+        });
     }
 
     pub(super) fn end_epoch_housekeeping(&mut self) {
@@ -226,13 +303,13 @@ impl Engine {
         }
         // Finalise queries whose completion window elapsed (one sweep of
         // the short in-flight vec per epoch; see `crate::pending`).
-        let mut due = std::mem::take(&mut self.finalize_buf);
+        let mut due = std::mem::take(&mut self.dispatch_scratch.due);
         due.clear();
         self.pending.expire_due(self.epoch, &mut due);
         for p in due.drain(..) {
             self.finalize_query(p);
         }
-        self.finalize_buf = due;
+        self.dispatch_scratch.due = due;
         // δ trace every 100 epochs.
         if self.epoch.is_multiple_of(100) {
             let (sum, count) = self
@@ -248,78 +325,47 @@ impl Engine {
         }
     }
 
-    pub(super) fn record_tx(&mut self, msg: &DirqMessage) {
-        self.record_tx_parts(msg.category(), query_id_of(msg));
-    }
-
-    /// Like [`Engine::record_tx`] with the message parts pre-extracted, so
-    /// callers can hand the message itself to the MAC without cloning it.
-    fn record_tx_parts(&mut self, category: MessageCategory, query: Option<QueryId>) {
-        self.metrics.on_tx(category, self.epoch);
-        if let Some(id) = query {
-            if let Some(p) = self.pending.get_mut(id) {
-                p.tx += 1;
-            }
-        }
-    }
-
-    fn record_rx(&mut self, msg: &DirqMessage) {
-        self.metrics.on_rx(msg.category(), self.epoch);
-        if let Some(id) = query_id_of(msg) {
-            if let Some(p) = self.pending.get_mut(id) {
-                p.rx += 1;
-            }
+    /// The engine's [`Outbox`].
+    pub(super) fn outbox(&mut self) -> Outbox<'_> {
+        Outbox {
+            mac: &mut self.mac,
+            metrics: &mut self.metrics,
+            pending: &mut self.pending,
+            epoch: self.epoch,
         }
     }
 
     /// Run one protocol handler on node `at` over the engine's reused
-    /// outgoing buffer, then dispatch what it appended.
+    /// outgoing buffer, then route what it appended into the MAC.
     pub(super) fn handle(
         &mut self,
         at: NodeId,
         handler: impl FnOnce(&mut DirqNode, &mut Vec<Outgoing>),
     ) {
-        let mut outs = std::mem::take(&mut self.outgoing);
+        let mut outs = std::mem::take(&mut self.dispatch_scratch.outgoing);
         handler(&mut self.nodes[at.index()], &mut outs);
-        self.dispatch_outgoing(at, &mut outs);
-        self.outgoing = outs;
-    }
-
-    /// Drain `outs`, node `from`'s handler output, into the MAC.
-    fn dispatch_outgoing(&mut self, from: NodeId, outs: &mut Vec<Outgoing>) {
         for out in outs.drain(..) {
-            match out {
-                Outgoing::ToParent(msg) => {
-                    let Some(parent) = self.nodes[from.index()].parent() else {
-                        continue;
-                    };
-                    let (category, query) = (msg.category(), query_id_of(&msg));
-                    if self.mac.enqueue(from, Destination::unicast(parent), msg) {
-                        self.record_tx_parts(category, query);
-                    }
-                }
-                Outgoing::ToChildren(dests, msg) => {
-                    if dests.is_empty() {
-                        continue;
-                    }
-                    let (category, query) = (msg.category(), query_id_of(&msg));
-                    if self.mac.enqueue(from, Destination::Multicast(dests), msg) {
-                        self.record_tx_parts(category, query);
-                    }
-                }
-                Outgoing::DeliverLocal(_query) => {
-                    // The node believes it is a source. Reception has
-                    // already been recorded; true-source accounting happens
-                    // at finalisation against ground truth.
-                }
+            if let Some((dest, msg)) = route(&self.nodes[at.index()], out) {
+                self.outbox().send(at, dest, msg);
             }
         }
+        self.dispatch_scratch.outgoing = outs;
     }
 
     pub(super) fn dispatch_indication(&mut self, ind: MacIndication<DirqMessage>) {
         match ind {
             MacIndication::Delivered { to, from, payload } => {
-                self.record_rx(&payload);
+                self.metrics.on_rx(payload.category(), self.epoch);
+                if let Some(p) = query_id_of(&payload).and_then(|id| self.pending.get_mut(id)) {
+                    p.rx += 1;
+                    // The root hears flooding's rebroadcasts too (that
+                    // reception is part of flooding's 2·links cost) but
+                    // does not count as a *reached* node — it injected the
+                    // query.
+                    if !to.is_root() {
+                        p.received[to.index()] = true;
+                    }
+                }
                 match &*payload {
                     DirqMessage::Update { stype, min, max } => {
                         let children = self.nodes[to.index()].children().len();
@@ -349,29 +395,13 @@ impl Engine {
                         self.handle(to, |n, out| n.on_ehr(*msg, out));
                     }
                     DirqMessage::Query(q) => {
-                        if !to.is_root() {
-                            if let Some(p) = self.pending.get_mut(q.id) {
-                                p.received[to.index()] = true;
-                            }
-                        }
                         self.handle(to, |n, out| n.on_query(q, out));
                     }
                     DirqMessage::FloodQuery(q) => {
-                        // The root hears rebroadcasts too (that reception is
-                        // part of flooding's 2·links cost) but does not
-                        // count as a *reached* node — it injected the query.
-                        let qid = q.id;
-                        if !to.is_root() {
-                            if let Some(p) = self.pending.get_mut(qid) {
-                                p.received[to.index()] = true;
-                            }
-                        }
                         // Zero-copy rebroadcast: forward the interned
                         // payload handle instead of rebuilding the message.
-                        if self.flood[to.index()].should_rebroadcast(qid)
-                            && self.mac.enqueue_shared(to, Destination::Broadcast, payload.clone())
-                        {
-                            self.record_tx_parts(MessageCategory::Query, Some(qid));
+                        if self.flood[to.index()].should_rebroadcast(q.id) {
+                            self.outbox().send(to, Destination::Broadcast, payload.clone());
                         }
                     }
                 }
@@ -387,14 +417,10 @@ impl Engine {
                     self.handle(observer, |n, out| n.on_child_lost(dead, out));
                 }
             }
-            MacIndication::NeighborNew { .. } => {
-                // Attachment is initiated by the joining node via the
-                // repair loop; nothing to do on the observer side.
-            }
-            MacIndication::Undeliverable { .. } => {
-                // Lost messages heal through the liveness upcalls and the
-                // re-advertisement on re-attachment.
-            }
+            // Attachment is initiated by the joining node via the repair
+            // loop, and lost messages heal through the liveness upcalls and
+            // the re-advertisement on re-attachment.
+            MacIndication::NeighborNew { .. } | MacIndication::Undeliverable { .. } => {}
         }
     }
 
@@ -404,7 +430,7 @@ impl Engine {
         // instead of a scan of the source list (O(n) per query, not
         // O(n × sources)).
         for &s in &p.truth.sources {
-            self.source_mark[s.index()] = true;
+            self.dispatch_scratch.source_mark[s.index()] = true;
         }
         let mut received_should = 0;
         let mut sources_reached = 0;
@@ -412,12 +438,12 @@ impl Engine {
             if r && p.truth.involved[i] {
                 received_should += 1;
             }
-            if r && self.source_mark[i] {
+            if r && self.dispatch_scratch.source_mark[i] {
                 sources_reached += 1;
             }
         }
         for &s in &p.truth.sources {
-            self.source_mark[s.index()] = false;
+            self.dispatch_scratch.source_mark[s.index()] = false;
         }
         self.cqd_estimate.observe((p.tx + p.rx) as f64);
         let outcome = QueryOutcome {
@@ -444,7 +470,7 @@ impl Engine {
     }
 }
 
-pub(super) fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
+fn query_id_of(msg: &DirqMessage) -> Option<QueryId> {
     match msg {
         DirqMessage::Query(q) | DirqMessage::FloodQuery(q) => Some(q.id),
         _ => None,

@@ -8,7 +8,7 @@ use dirq_data::{QueryGenerator, SensorCatalog, SensorWorld, WorldConfig};
 use dirq_lmac::LmacNetwork;
 use dirq_net::churn::ChurnPlan;
 use dirq_net::placement::Placement;
-use dirq_net::radio::{LogDistance, UnitDisk};
+use dirq_net::radio::{LogDistance, RadioModel, UnitDisk};
 use dirq_net::{NodeId, SpanningTree, Topology};
 use dirq_sim::runner;
 use dirq_sim::stats::Ewma;
@@ -20,7 +20,9 @@ use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
 use crate::sampling::{Sampler, SamplingStrategy};
 
-use super::sensing::{SampleIndex, SensingPlane, UpkeepShard, UPKEEP_MIN_NODES};
+use super::dispatch::DispatchScratch;
+use super::sensing::{SampleScratch, SensingPlane};
+use super::tree::TreeScratch;
 use super::{
     ChurnSpec, CompletedQuery, Engine, PhaseTimings, Protocol, RadioSpec, RunResult,
     ScenarioConfig, TreeKind,
@@ -33,7 +35,7 @@ impl Engine {
         let factory = RngFactory::new(cfg.seed);
 
         // --- topology + initial tree ---------------------------------------
-        let (topo, mut tree_opt) = match cfg.tree {
+        let (topo, tree_opt) = match cfg.tree {
             TreeKind::CompleteKary { k, d } => {
                 assert_eq!(
                     cfg.extra_sinks, 0,
@@ -46,36 +48,6 @@ impl Engine {
                 let mut rng = factory.stream("deploy");
                 let placement =
                     cfg.placement.clone().unwrap_or(Placement::UniformRandom { side: cfg.side });
-                // Single- and multi-sink deployments share the retry loop;
-                // multi-sink pins nodes 1..=extra_sinks on spread sites and
-                // wires them to the root (see `ScenarioConfig::extra_sinks`).
-                fn deploy<R: dirq_net::radio::RadioModel>(
-                    cfg: &ScenarioConfig,
-                    placement: &Placement,
-                    radio: &R,
-                    rng: &mut SimRng,
-                ) -> Option<Topology> {
-                    if cfg.extra_sinks == 0 {
-                        Topology::deploy_connected(
-                            cfg.n_nodes,
-                            placement,
-                            cfg.sink,
-                            radio,
-                            rng,
-                            500,
-                        )
-                    } else {
-                        Topology::deploy_connected_multi_sink(
-                            cfg.n_nodes,
-                            placement,
-                            cfg.sink,
-                            radio,
-                            rng,
-                            500,
-                            cfg.extra_sinks,
-                        )
-                    }
-                }
                 let topo = match cfg.radio {
                     RadioSpec::UnitDisk => {
                         deploy(&cfg, &placement, &UnitDisk::new(cfg.radio_range), &mut rng)
@@ -133,25 +105,18 @@ impl Engine {
         }
 
         // --- spanning tree over the initially alive nodes --------------------
-        let tree = match (&mut tree_opt, cfg.tree) {
-            (Some(t), _) => std::mem::replace(t, SpanningTree::new(1, NodeId::ROOT)),
+        let tree = match (tree_opt, cfg.tree) {
+            (Some(t), _) => t,
             (None, TreeKind::Bfs) => {
                 SpanningTree::bfs_filtered(&topo, NodeId::ROOT, |v| alive[v.index()])
             }
             (None, TreeKind::BoundedRandom { k, d }) => {
                 let mut rng = factory.stream("tree");
-                let mut built = None;
-                for _ in 0..100 {
-                    if let Some(t) =
-                        SpanningTree::bounded_random(&topo, NodeId::ROOT, k, d, &mut rng)
-                    {
-                        built = Some(t);
-                        break;
-                    }
-                }
-                let mut t = built.unwrap_or_else(|| {
-                    panic!("bounded_random(k={k}, d={d}) failed 100 times on this topology")
-                });
+                let mut t = (0..100)
+                    .find_map(|_| SpanningTree::bounded_random(&topo, NodeId::ROOT, k, d, &mut rng))
+                    .unwrap_or_else(|| {
+                        panic!("bounded_random(k={k}, d={d}) failed 100 times on this topology")
+                    });
                 // Detach initially-offline nodes (and their subtrees — the
                 // orphans re-attach through the repair path once alive
                 // neighbours exist; for simplicity offline nodes are only
@@ -229,16 +194,7 @@ impl Engine {
             .map(|f| f * (analytic0.n.saturating_sub(1)) as f64 * queries_per_hour)
             .unwrap_or(0.0);
 
-        // Sharded sampling engages only when the knob asks for several
-        // workers, the deployment is big enough to feed them and the host
-        // actually has the cores — a 1-core box resolves to the serial
-        // loop. The host is queried only when the first two hold.
-        let upkeep_workers = if cfg.upkeep_workers > 1 && n >= UPKEEP_MIN_NODES {
-            cfg.upkeep_workers.min(runner::host_threads())
-        } else {
-            1
-        };
-        let upkeep_shards = (0..upkeep_workers).map(|_| UpkeepShard::default()).collect();
+        let upkeep_workers = runner::shard_workers(cfg.upkeep_workers, n);
 
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
@@ -260,22 +216,11 @@ impl Engine {
                         .collect(),
                 ),
             },
-            attach_depth: vec![None; n],
-            attach_parent: vec![None; n],
-            attach_version: None,
-            attach_queue: Vec::with_capacity(n),
-            ind_buf: Vec::with_capacity(64),
-            outgoing: Vec::new(),
-            finalize_buf: Vec::new(),
-            source_mark: vec![false; n],
-            upkeep_shards,
-            upkeep_chunks: Vec::new(),
-            force_upkeep: false,
+            tree_scratch: TreeScratch::new(n),
+            dispatch_scratch: DispatchScratch::new(n),
+            sample_scratch: SampleScratch::new(upkeep_workers),
             #[cfg(test)]
             query_parents_log: Vec::new(),
-            churn_buf: Vec::new(),
-            repair_candidates: Vec::new(),
-            sample_index: SampleIndex::default(),
             timing: None,
             delta_trace: Vec::new(),
             pending: PendingSet::new(cfg.completion_window),
@@ -343,8 +288,7 @@ impl Engine {
     #[doc(hidden)]
     pub fn force_sharded_upkeep(&mut self, workers: usize) {
         assert!(workers > 1, "forcing sharded upkeep requires at least two shards");
-        self.upkeep_shards = (0..workers).map(|_| UpkeepShard::default()).collect();
-        self.force_upkeep = true;
+        self.sample_scratch.force_sharded(workers);
     }
 
     /// Test observability: per-node upkeep state — `(parent + 1, children
@@ -359,12 +303,7 @@ impl Engine {
                 for &c in self.nodes[i].children() {
                     h.u64(c.index() as u64);
                 }
-                let (taken, skipped) = match &self.samplers {
-                    Some(rows) => rows[i]
-                        .iter()
-                        .fold((0, 0), |(t, k), s| (t + s.samples_taken(), k + s.samples_skipped())),
-                    None => (0, 0),
-                };
+                let (taken, skipped) = sample_counts(self.samplers.iter().flat_map(|r| &r[i]));
                 (
                     self.nodes[i].parent().map_or(0, |p| p.index() as u64 + 1),
                     h.finish(),
@@ -444,16 +383,10 @@ impl Engine {
             self.finalize_query(p);
         }
         let final_delta_pcts = self.nodes.iter().map(|n| n.delta_pct()).collect();
-        let (samples_taken, samples_skipped) = match &self.samplers {
-            None => {
-                // Every alive sensing (node, type) pair samples each epoch;
-                // exact bookkeeping is only kept for the predictive mode.
-                (0, 0)
-            }
-            Some(samplers) => samplers.iter().flatten().fold((0u64, 0u64), |(t, s), sm| {
-                (t + sm.samples_taken(), s + sm.samples_skipped())
-            }),
-        };
+        // Exact bookkeeping is kept only in the predictive mode; otherwise
+        // every alive sensing (node, type) pair samples each epoch.
+        let (samples_taken, samples_skipped) =
+            sample_counts(self.samplers.iter().flatten().flatten());
         RunResult {
             metrics: self.metrics,
             n_nodes: self.topo.len(),
@@ -475,67 +408,84 @@ impl Engine {
 
     /// Advance exactly one epoch (public for fine-grained tests).
     pub fn step_epoch(&mut self) {
-        let t0 = self.phase_start();
-        if self.epoch > 0 {
-            self.world.advance_epoch();
-        }
-        self.phase_lap(t0, |t| &mut t.world);
-
-        let t0 = self.phase_start();
-        self.apply_churn();
-        self.phase_lap(t0, |t| &mut t.churn);
-        if self.cfg.protocol == Protocol::Dirq {
-            let t0 = self.phase_start();
-            if self.epoch == 0 && self.cfg.location_enabled {
-                // Localisation bootstrap: every node learns its position and
-                // the bounding-box adverts converge through the first frames.
-                for i in 1..self.nodes.len() {
-                    let node = NodeId::from_index(i);
-                    if self.alive[i] {
-                        let pos = self.topo.position(node);
-                        self.handle(node, |n, out| n.set_position(pos, out));
-                    }
+        self.timed(
+            |t| &mut t.world,
+            |e| {
+                if e.epoch > 0 {
+                    e.world.advance_epoch();
                 }
-            }
-            self.repair_orphans();
-            self.phase_lap(t0, |t| &mut t.repair);
+            },
+        );
+        self.timed(|t| &mut t.churn, Engine::apply_churn);
+        if self.cfg.protocol == Protocol::Dirq {
+            self.timed(
+                |t| &mut t.repair,
+                |e| {
+                    if e.epoch == 0 && e.cfg.location_enabled {
+                        // Localisation bootstrap: every node learns its position
+                        // and the bounding-box adverts converge through the
+                        // first frames.
+                        for i in 1..e.nodes.len() {
+                            let node = NodeId::from_index(i);
+                            if e.alive[i] {
+                                let pos = e.topo.position(node);
+                                e.handle(node, |n, out| n.set_position(pos, out));
+                            }
+                        }
+                    }
+                    e.repair_orphans();
+                },
+            );
             if self.epoch.is_multiple_of(self.cfg.hour_epochs) {
-                let t0 = self.phase_start();
-                self.broadcast_ehr();
-                self.phase_lap(t0, |t| &mut t.ehr);
+                self.timed(|t| &mut t.ehr, Engine::broadcast_ehr);
             }
-            let t0 = self.phase_start();
-            self.sample_sensors();
-            self.phase_lap(t0, |t| &mut t.sampling);
+            self.timed(|t| &mut t.sampling, Engine::sample_sensors);
         }
         if self.qgen.should_fire(self.epoch) {
-            let t0 = self.phase_start();
-            self.inject_query();
-            self.phase_lap(t0, |t| &mut t.injection);
+            self.timed(|t| &mut t.injection, Engine::inject_query);
         }
         self.run_mac_frame();
-        let t0 = self.phase_start();
-        self.end_epoch_housekeeping();
-        self.phase_lap(t0, |t| &mut t.finalize);
+        self.timed(|t| &mut t.finalize, Engine::end_epoch_housekeeping);
         self.epoch += 1;
     }
 
-    /// Start a phase lap — `None` (no clock read at all) when timing is
-    /// off, so the hot path stays untouched.
-    pub(super) fn phase_start(&self) -> Option<std::time::Instant> {
-        self.timing.is_some().then(std::time::Instant::now)
-    }
-
-    /// Close a phase lap into the accumulator `pick` selects.
-    pub(super) fn phase_lap(
+    /// Run `phase` and add its wall-clock time to the accumulator `pick`
+    /// selects. With timing off no clock is read at all, so the hot path
+    /// stays untouched.
+    pub(super) fn timed(
         &mut self,
-        started: Option<std::time::Instant>,
         pick: fn(&mut PhaseTimings) -> &mut f64,
+        phase: impl FnOnce(&mut Self),
     ) {
-        if let (Some(t0), Some(t)) = (started, self.timing.as_deref_mut()) {
+        let t0 = self.timing.is_some().then(std::time::Instant::now);
+        phase(self);
+        if let (Some(t0), Some(t)) = (t0, self.timing.as_deref_mut()) {
             *pick(t) += t0.elapsed().as_secs_f64();
         }
     }
+}
+
+/// Deploy `cfg`'s nodes until the graph over `radio` is connected, within
+/// 500 placements. Single- and multi-sink deployments share the retry
+/// loop; multi-sink pins nodes 1..=extra_sinks on spread sites and wires
+/// them to the root (see `ScenarioConfig::extra_sinks`).
+fn deploy<R: RadioModel>(
+    cfg: &ScenarioConfig,
+    placement: &Placement,
+    radio: &R,
+    rng: &mut SimRng,
+) -> Option<Topology> {
+    let (n, sink, sinks) = (cfg.n_nodes, cfg.sink, cfg.extra_sinks);
+    if sinks == 0 {
+        Topology::deploy_connected(n, placement, sink, radio, rng, 500)
+    } else {
+        Topology::deploy_connected_multi_sink(n, placement, sink, radio, rng, 500, sinks)
+    }
+}
+
+/// Samples taken and skipped over `samplers`.
+fn sample_counts<'a>(samplers: impl Iterator<Item = &'a Sampler>) -> (u64, u64) {
+    samplers.fold((0, 0), |(t, k), s| (t + s.samples_taken(), k + s.samples_skipped()))
 }
 
 /// Convenience: build and run a scenario in one call.

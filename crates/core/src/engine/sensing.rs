@@ -16,21 +16,18 @@
 //! removed, when a node is born and on restore, and each of those sites
 //! refreshes the window.
 
-use std::hint::black_box;
-
-use dirq_data::{QueryId, SensorType, SensorWorld};
-use dirq_lmac::{Destination, LmacNetwork};
+use dirq_data::sensor::SensorAssignment;
+use dirq_data::{SensorType, SensorWorld};
+use dirq_lmac::Destination;
 use dirq_net::NodeId;
 use dirq_sim::runner;
 
-use crate::messages::{DirqMessage, MessageCategory};
-use crate::metrics::Metrics;
+use crate::messages::DirqMessage;
 use crate::node::{DirqNode, Outgoing};
-use crate::pending::PendingSet;
 use crate::range_table::RangeEntry;
 use crate::sampling::Sampler;
 
-use super::dispatch::query_id_of;
+use super::dispatch::{route, warm_up, Outbox};
 use super::Engine;
 
 /// One carried sensor's sampling state. `NaN` marks each field as absent.
@@ -142,272 +139,159 @@ pub(crate) fn escape(
     cell.set_window(node.table(stype).and_then(|t| t.own()));
 }
 
-/// Run one reading of `stype` through `cell`, entering `node` only when
-/// the reading escapes its own tuple; a contained reading appends nothing
-/// and leaves the node untouched. The one-reading form of the engine's
-/// sampling pass, kept as the model its tests compare against.
-#[cfg(test)]
-pub(crate) fn sample(
-    node: &mut DirqNode,
-    cell: &mut SensorCell,
-    stype: SensorType,
-    reading: f64,
-    span: f64,
-    alpha: f64,
-    out: &mut Vec<Outgoing>,
-) {
-    if !cell.observe(reading, span, alpha) {
-        debug_assert_eq!(
-            cell.window(),
-            node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
-            "escape window out of step with node {:?}'s own tuple",
-            node.id()
-        );
-        return;
-    }
-    node.sample(stype, reading, out);
-    cell.set_window(node.table(stype).and_then(|t| t.own()));
-}
-
-// --- sensor sampling and the sharded upkeep ---------------------------------
-//
-// Sensor sampling is the one sharded upkeep pass. It is per-node-disjoint
-// exactly like the world advance: each carrier's decisions read shared
-// state (the world readings) but mutate only its own plane row, protocol
-// node and samplers. Every pass — the serial one and each shard — runs
-// [`SampleChunk::sample`] in place and defers the MAC enqueues as
-// [`Effect`]s replayed in chunk order; `tests/upkeep_differential.rs`
-// pins the sharded split against the serial pass. Tree repair is always
-// serial (see [`Engine::repair_orphans`]).
-
-/// Deployments below this node count never have a sampling pass dense
-/// enough to shard; their upkeep worker count resolves to 1.
-pub(super) const UPKEEP_MIN_NODES: usize = 512;
+// --- the sampling pass: the one sharded upkeep pass ------------------------
 
 /// Below this many carrier nodes to sample the fan-out costs more than
 /// the work; the serial loop runs at any upkeep worker count.
 const UPKEEP_MIN_ITEMS: usize = 256;
 
+/// Carriers per sampling block. Its escape bits live on the stack, and in
+/// the serial pass each escape's enqueues are sent right away, so no
+/// buffer grows with the block.
+const SAMPLE_BLOCK: usize = 64;
+
 impl Engine {
+    /// Sample every carrier's sensors through [`sample_pass`], at the
+    /// resolved upkeep worker count once the pass has enough carriers to
+    /// feed them, and send the enqueues through the engine's [`Outbox`].
     pub(super) fn sample_sensors(&mut self) {
-        // The carrier masks cover the first 64 type ids, which is enough:
-        // `Engine::new` pins the catalog to the 4 environmental types.
-        self.refresh_sample_index();
-        if self.upkeep_shards.len() > 1
-            && (self.force_upkeep || self.sample_index.carriers.len() >= UPKEEP_MIN_ITEMS)
-        {
-            self.sample_sensors_sharded();
+        let read_ahead = self.reads_ahead();
+        let width = self.plane.width();
+        let scratch = &mut self.sample_scratch;
+        scratch.refresh(self.world.assignment(), self.nodes.len(), width);
+        let rows = reading_rows(&self.world);
+        let inputs = SampleInputs {
+            alive: &self.alive,
+            masks: &scratch.masks,
+            carriers: &scratch.carriers,
+            rows: &rows,
+            width,
+            spans: &self.node_cfg.reference_spans,
+            alpha: self.node_cfg.variability_alpha,
+            read_ahead,
+        };
+        let threads = if scratch.force || scratch.carriers.len() >= UPKEEP_MIN_ITEMS {
+            scratch.shards.len()
         } else {
-            self.sample_sensors_serial();
-        }
+            1
+        };
+        let mut outbox = Outbox {
+            mac: &mut self.mac,
+            metrics: &mut self.metrics,
+            pending: &mut self.pending,
+            epoch: self.epoch,
+        };
+        sample_pass(
+            &inputs,
+            &mut self.nodes,
+            self.plane.cells_mut(),
+            self.samplers.as_deref_mut(),
+            &mut scratch.shards[..threads],
+            |e| outbox.send(e.from, e.dest, e.msg),
+        );
+    }
+}
+
+/// The sampling plane's scratch, reused across epochs: the carrier index
+/// over the sensor assignment and one shard per upkeep worker.
+///
+/// The index lists the ascending nodes carrying at least one sensor plus
+/// their carried-type masks, rebuilt only when the assignment version
+/// changes. Iterating carriers node-outer with mask bits ascending visits
+/// exactly the `(node, type)` pairs a full `1..n` × catalog scan visits,
+/// in the same order — so the indexed pass stays bit-identical to that
+/// scan while skipping non-carriers entirely.
+#[derive(Default)]
+pub(super) struct SampleScratch {
+    /// Assignment version the index was built against.
+    version: Option<u64>,
+    /// Carried-type mask per node (bit `t.index()`; the environmental
+    /// catalog `Engine::new` pins has 4 types, and the masks cover the
+    /// first 64 type ids).
+    masks: Vec<u64>,
+    /// Ascending node indices with a non-zero mask (the root excluded).
+    carriers: Vec<u32>,
+    /// Per-chunk buffers: one per upkeep worker, and one alone runs the
+    /// serial pass. The `upkeep_workers` knob resolves to this count
+    /// through `runner::shard_workers`.
+    shards: Vec<UpkeepShard>,
+    /// Test hook: shard sampling regardless of size thresholds.
+    force: bool,
+}
+
+impl SampleScratch {
+    /// Scratch for `workers` upkeep workers, with no index built yet.
+    pub(super) fn new(workers: usize) -> Self {
+        let shards = (0..workers).map(|_| UpkeepShard::default()).collect();
+        SampleScratch { shards, ..SampleScratch::default() }
+    }
+
+    /// Shard every pass over `workers` chunks, bypassing the size
+    /// thresholds (see [`Engine::force_sharded_upkeep`]).
+    pub(super) fn force_sharded(&mut self, workers: usize) {
+        *self = SampleScratch { force: true, ..SampleScratch::new(workers) };
+    }
+
+    /// Rebuild the carrier index on the next pass: a restored assignment
+    /// may differ from the one it was built against.
+    pub(super) fn invalidate(&mut self) {
+        self.version = None;
     }
 
     /// Rebuild the carrier index when the sensor assignment has changed
     /// (runtime `add_sensor`/`remove_sensor`; one version probe otherwise).
-    /// Only types the world has readings for — the plane's width — count.
-    fn refresh_sample_index(&mut self) {
-        let version = self.world.assignment().version();
-        if self.sample_index.version == Some(version) {
+    /// Only types the world has readings for — the plane's `width` — count.
+    fn refresh(&mut self, assignment: &SensorAssignment, n: usize, width: usize) {
+        let version = assignment.version();
+        if self.version == Some(version) {
             return;
         }
-        let n = self.nodes.len();
-        let sampled = u64::MAX >> (64 - self.plane.width().clamp(1, 64));
-        self.sample_index.masks.clear();
-        self.sample_index.masks.resize(n, 0);
-        self.sample_index.carriers.clear();
+        let sampled = u64::MAX >> (64 - width.clamp(1, 64));
+        self.masks.clear();
+        self.masks.resize(n, 0);
+        self.carriers.clear();
         for i in 1..n {
-            let mask = self.world.assignment().carried_mask(i) & sampled;
-            self.sample_index.masks[i] = mask;
+            let mask = assignment.carried_mask(i) & sampled;
+            self.masks[i] = mask;
             if mask != 0 {
-                self.sample_index.carriers.push(i as u32);
+                self.carriers.push(i as u32);
             }
         }
-        self.sample_index.version = Some(version);
-    }
-
-    /// The serial sampling pass: the block routine over every carrier,
-    /// each escape's MAC enqueues replayed right after it. Visits exactly
-    /// the `(node, type)` pairs a full `1..n` × catalog scan would, in the
-    /// same order.
-    fn sample_sensors_serial(&mut self) {
-        let rows = reading_rows(&self.world);
-        let inputs = SampleInputs {
-            alive: &self.alive,
-            masks: &self.sample_index.masks,
-            rows: &rows,
-            spans: &self.node_cfg.reference_spans,
-            alpha: self.node_cfg.variability_alpha,
-            read_ahead: self.reads_ahead(),
-        };
-        let width = self.plane.width();
-        let mut chunk = SampleChunk {
-            first: 0,
-            width,
-            carriers: &self.sample_index.carriers,
-            nodes: &mut self.nodes,
-            cells: self.plane.cells_mut(),
-            samplers: self.samplers.as_deref_mut(),
-            shard: &mut self.upkeep_shards[0],
-        };
-        let (mac, metrics, pending, epoch) =
-            (&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
-        chunk.sample(&inputs, |effects| {
-            for e in effects.drain(..) {
-                e.apply(mac, metrics, pending, epoch);
-            }
-        });
-    }
-
-    /// Sharded sampling: carrier chunks run the same block routine as the
-    /// serial pass, in place — chunk k owns the nodes, plane rows and
-    /// samplers up to the next chunk's first carrier — each deferring its
-    /// MAC enqueues into its own shard, replayed in chunk order: the serial
-    /// order. Sampling reads no MAC, metrics or pending state, so deferring
-    /// changes nothing.
-    fn sample_sensors_sharded(&mut self) {
-        let threads = self.upkeep_shards.len();
-        fill_chunks(&mut self.upkeep_chunks, self.sample_index.carriers.len(), threads);
-        let rows = reading_rows(&self.world);
-        let inputs = SampleInputs {
-            alive: &self.alive,
-            masks: &self.sample_index.masks,
-            rows: &rows,
-            spans: &self.node_cfg.reference_spans,
-            alpha: self.node_cfg.variability_alpha,
-            read_ahead: self.reads_ahead(),
-        };
-        let width = self.plane.width();
-        let mut chunks = split_chunks(
-            &self.sample_index.carriers,
-            &self.upkeep_chunks,
-            &mut self.nodes,
-            self.plane.cells_mut(),
-            width,
-            self.samplers.as_deref_mut(),
-            &mut self.upkeep_shards,
-        );
-        runner::for_each_mut(&mut chunks, threads, |chunk| chunk.sample(&inputs, |_| {}));
-        for shard in &mut self.upkeep_shards[..self.upkeep_chunks.len()] {
-            for e in shard.effects.drain(..) {
-                e.apply(&mut self.mac, &mut self.metrics, &mut self.pending, self.epoch);
-            }
-        }
-    }
-}
-
-/// A MAC enqueue deferred by a sampling pass: [`Engine::dispatch_outgoing`]'s
-/// enqueue + tx record, replayed on the engine in chunk order.
-#[cfg_attr(test, derive(Debug, PartialEq))]
-struct Effect {
-    from: NodeId,
-    dest: Destination,
-    msg: DirqMessage,
-    category: MessageCategory,
-    query: Option<QueryId>,
-}
-
-impl Effect {
-    /// Enqueue the message and, if the MAC takes it, record the
-    /// transmission as [`Engine::record_tx_parts`] does — on the engine
-    /// parts it touches, so a pass can replay while it holds the rest.
-    fn apply(
-        self,
-        mac: &mut LmacNetwork<DirqMessage>,
-        metrics: &mut Metrics,
-        pending: &mut PendingSet,
-        epoch: u64,
-    ) {
-        if mac.enqueue(self.from, self.dest, self.msg) {
-            metrics.on_tx(self.category, epoch);
-            if let Some(p) = self.query.and_then(|id| pending.get_mut(id)) {
-                p.tx += 1;
-            }
-        }
-    }
-}
-
-/// The sampling pass's replica of [`Engine::dispatch_outgoing`]: drain
-/// `outs`, resolving addressing against the sampling node's own state (no
-/// other handler runs on it inside the pass), and defer each enqueue as an
-/// effect.
-fn queue_outgoing(
-    node: &DirqNode,
-    from: NodeId,
-    outs: &mut Vec<Outgoing>,
-    effects: &mut Vec<Effect>,
-) {
-    for out in outs.drain(..) {
-        match out {
-            Outgoing::ToParent(msg) => {
-                let Some(parent) = node.parent() else {
-                    continue;
-                };
-                let (category, query) = (msg.category(), query_id_of(&msg));
-                effects.push(Effect {
-                    from,
-                    dest: Destination::unicast(parent),
-                    msg,
-                    category,
-                    query,
-                });
-            }
-            Outgoing::ToChildren(dests, msg) => {
-                if dests.is_empty() {
-                    continue;
-                }
-                let (category, query) = (msg.category(), query_id_of(&msg));
-                effects.push(Effect {
-                    from,
-                    dest: Destination::Multicast(dests),
-                    msg,
-                    category,
-                    query,
-                });
-            }
-            Outgoing::DeliverLocal(_query) => {
-                // Same as the serial arm: source accounting happens at
-                // finalisation against ground truth.
-            }
-        }
+        self.version = Some(version);
     }
 }
 
 /// One sampling chunk's buffers, reused across epochs.
 #[derive(Default)]
 pub(super) struct UpkeepShard {
-    /// Shared-state mutations to replay in chunk order.
+    /// A sharded chunk's enqueues, sent in chunk order after the chunks
+    /// run.
     effects: Vec<Effect>,
-    /// What the escape handler appends; drained into `effects` after each
-    /// reading.
+    /// What the escape handler appends; routed after each reading.
     outgoing: Vec<Outgoing>,
 }
 
-/// Carrier index over the sensor assignment: the ascending list of nodes
-/// carrying at least one sensor plus their carried-type masks, rebuilt
-/// only when the assignment version changes. Iterating carriers node-outer
-/// with mask bits ascending visits exactly the `(node, type)` pairs a
-/// full `1..n` × catalog scan visits, in the same order — so the indexed
-/// paths stay bit-identical to that scan while skipping non-carriers
-/// entirely.
-#[derive(Default)]
-pub(super) struct SampleIndex {
-    /// Assignment version the index was built against.
-    pub(super) version: Option<u64>,
-    /// Carried-type mask per node (bit `t.index()`; the environmental
-    /// catalog `Engine::new` pins has 4 types).
-    masks: Vec<u64>,
-    /// Ascending node indices with a non-zero mask (the root excluded).
-    carriers: Vec<u32>,
+/// One MAC enqueue an escape queued: [`route`]'s destination and message
+/// for the escaping node.
+#[cfg_attr(test, derive(Debug, PartialEq))]
+pub(super) struct Effect {
+    from: NodeId,
+    dest: Destination,
+    msg: DirqMessage,
 }
 
 /// What every carrier of one sampling pass reads.
-struct SampleInputs<'a> {
+pub(super) struct SampleInputs<'a> {
     alive: &'a [bool],
-    /// Carried-type mask per node (see [`SampleIndex`]).
+    /// Carried-type mask per node (see [`SampleScratch`]).
     masks: &'a [u64],
+    /// The carriers to sample, ascending.
+    carriers: &'a [u32],
     /// Current readings per type id (`NaN` = no reading), mirroring
     /// `SensorWorld::reading`.
     rows: &'a [&'a [f64]],
+    /// Plane cells per node.
+    width: usize,
     /// Reference span per type id (δ and the variability are relative to
     /// it).
     spans: &'a [f64],
@@ -417,46 +301,71 @@ struct SampleInputs<'a> {
     read_ahead: bool,
 }
 
-/// Carriers per sampling block. Its escape bits live on the stack, and in
-/// the serial pass each escape's enqueues are replayed right away, so no
-/// buffer grows with the block.
-const SAMPLE_BLOCK: usize = 64;
+/// The one sampling pass, over explicit parts: sample every carrier of
+/// `inputs` against the state of every node — `nodes`, their plane
+/// `cells` and their `samplers` — and hand each MAC enqueue an escape
+/// queues to `send`, in carrier and type order.
+///
+/// With one shard, one chunk samples every carrier and `send` runs as
+/// each escape queues. With several, [`split_chunks`] splits the carriers
+/// over the shards; the chunks run in place on scoped threads, each
+/// deferring its enqueues into its shard, and `send` runs on them
+/// afterwards in chunk order — the serial order. Sampling reads no MAC,
+/// metrics or pending state, so deferring changes nothing.
+pub(super) fn sample_pass(
+    inputs: &SampleInputs<'_>,
+    nodes: &mut [DirqNode],
+    cells: &mut [SensorCell],
+    samplers: Option<&mut [Vec<Sampler>]>,
+    shards: &mut [UpkeepShard],
+    mut send: impl FnMut(Effect),
+) {
+    if let [shard] = shards {
+        let outgoing = &mut shard.outgoing;
+        let carriers = inputs.carriers;
+        SampleChunk { first: 0, carriers, nodes, cells, samplers, outgoing }.sample(inputs, send);
+        return;
+    }
+    let threads = shards.len();
+    let mut chunks = split_chunks(inputs, nodes, cells, samplers, shards);
+    runner::for_each_mut(&mut chunks, threads, |(chunk, effects)| {
+        chunk.sample(inputs, |e| effects.push(e));
+    });
+    for shard in shards {
+        shard.effects.drain(..).for_each(&mut send);
+    }
+}
 
 /// One sampling chunk's share of the engine: the state of nodes
 /// `first..first + nodes.len()` (`width` plane cells per node), the
-/// chunk's carriers among them, and its shard's buffers. The serial pass
-/// is one chunk over every node.
+/// chunk's carriers among them, and its shard's handler-output buffer.
+/// The serial pass is one chunk over every node.
 struct SampleChunk<'a> {
     first: usize,
-    width: usize,
     carriers: &'a [u32],
     nodes: &'a mut [DirqNode],
     cells: &'a mut [SensorCell],
-    /// Per-node sampler rows; `None` under [`SamplingStrategy::EveryEpoch`].
-    ///
-    /// [`SamplingStrategy::EveryEpoch`]: crate::sampling::SamplingStrategy::EveryEpoch
+    /// Per-node sampler rows; `None` under `SamplingStrategy::EveryEpoch`.
     samplers: Option<&'a mut [Vec<Sampler>]>,
-    shard: &'a mut UpkeepShard,
+    outgoing: &'a mut Vec<Outgoing>,
 }
 
 impl SampleChunk<'_> {
     /// Sample the chunk's carriers, the one sampling routine: per block of
     /// [`SAMPLE_BLOCK`] carriers, a plane pass over every carried cell,
-    /// then an escape pass over the readings that left their window. MAC
-    /// enqueues go to the shard's effects, and `replay` runs after each
-    /// escape that queued some (the serial pass applies them there).
+    /// then an escape pass over the readings that left their window, which
+    /// hands each enqueue to `emit`.
     ///
     /// This is bit-equal to sampling each carrier's types in one pass:
     /// a cell's step touches only that cell, its sampler and, on an
     /// escape, its node's table for that type, and sampling reads no MAC,
     /// metrics or pending state. Escapes still run in carrier and type
     /// order, so the enqueue order is the same too.
-    fn sample(&mut self, inputs: &SampleInputs<'_>, mut replay: impl FnMut(&mut Vec<Effect>)) {
-        self.shard.effects.clear();
+    fn sample(&mut self, inputs: &SampleInputs<'_>, mut emit: impl FnMut(Effect)) {
         for block in self.carriers.chunks(SAMPLE_BLOCK) {
             let mut escaped = [0u64; SAMPLE_BLOCK];
             self.plane_pass(inputs, block, &mut escaped);
-            self.escape_pass(inputs, block, &escaped, &mut replay);
+            self.escape_pass(inputs, block, &escaped, &mut emit);
         }
     }
 
@@ -470,13 +379,14 @@ impl SampleChunk<'_> {
         block: &[u32],
         escaped: &mut [u64; SAMPLE_BLOCK],
     ) {
+        let width = inputs.width;
         for (&ci, escaped) in block.iter().zip(escaped) {
             let i = ci as usize;
             if !inputs.alive[i] {
                 continue;
             }
             let j = i - self.first;
-            let row = &mut self.cells[j * self.width..(j + 1) * self.width];
+            let row = &mut self.cells[j * width..(j + 1) * width];
             let mut samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
             for idx in bits(inputs.masks[i]) {
                 if let Some(s) = samplers.as_deref_mut() {
@@ -508,19 +418,18 @@ impl SampleChunk<'_> {
         }
     }
 
-    /// Read ahead of the block's escaping nodes in three stages — the
-    /// nodes, then each escaping type's table slot and the child lists,
-    /// then those tables' child tuples — then, in carrier and type order,
-    /// run each escape through [`escape`], queue and `replay` its
-    /// enqueues, and update its sampler from the refreshed window.
+    /// Read ahead of the block's escaping nodes through [`warm_up`], then,
+    /// in carrier and type order, run each escape through [`escape`],
+    /// route its handler output to `emit`, and update its sampler from the
+    /// refreshed window.
     fn escape_pass(
         &mut self,
         inputs: &SampleInputs<'_>,
         block: &[u32],
         escaped: &[u64; SAMPLE_BLOCK],
-        replay: &mut impl FnMut(&mut Vec<Effect>),
+        emit: &mut impl FnMut(Effect),
     ) {
-        let first = self.first;
+        let (first, width) = (self.first, inputs.width);
         if inputs.read_ahead {
             let nodes = &*self.nodes;
             let escapes = || {
@@ -530,19 +439,11 @@ impl SampleChunk<'_> {
                     .filter(|&(_, &mask)| mask != 0)
                     .map(|(&ci, &mask)| (&nodes[ci as usize - first], mask))
             };
-            for (node, _) in escapes() {
-                black_box(node.touch());
-            }
-            for (node, mask) in escapes() {
-                for idx in bits(mask) {
-                    black_box(node.touch_lists(SensorType(idx as u8), false));
-                }
-            }
-            for (node, mask) in escapes() {
-                for idx in bits(mask) {
-                    black_box(node.touch_tuples(SensorType(idx as u8)));
-                }
-            }
+            warm_up(escapes().map(|(node, _)| node), || {
+                escapes().flat_map(|(node, mask)| {
+                    bits(mask).map(move |idx| (node, SensorType(idx as u8), false))
+                })
+            });
         }
         for (&ci, &mask) in block.iter().zip(escaped) {
             if mask == 0 {
@@ -551,16 +452,16 @@ impl SampleChunk<'_> {
             let i = ci as usize;
             let j = i - first;
             let node = &mut self.nodes[j];
-            let row = &mut self.cells[j * self.width..(j + 1) * self.width];
+            let row = &mut self.cells[j * width..(j + 1) * width];
             let mut samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
             for idx in bits(mask) {
                 let reading = inputs.rows[idx][i];
                 let cell = &mut row[idx];
-                let outs = &mut self.shard.outgoing;
-                escape(node, cell, SensorType(idx as u8), reading, outs);
-                if !outs.is_empty() {
-                    queue_outgoing(node, NodeId::from_index(i), outs, &mut self.shard.effects);
-                    replay(&mut self.shard.effects);
+                escape(node, cell, SensorType(idx as u8), reading, self.outgoing);
+                for out in self.outgoing.drain(..) {
+                    if let Some((dest, msg)) = route(node, out) {
+                        emit(Effect { from: node.id(), dest, msg });
+                    }
                 }
                 if let Some(s) = samplers.as_deref_mut() {
                     s[idx].on_sampled(reading, cell.window());
@@ -581,36 +482,38 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Split the sampling state at the carrier chunk bounds `ranges` (see
-/// [`fill_chunks`]): chunk k owns shard k and the nodes, plane rows and
-/// sampler rows from the end of chunk k − 1 up to chunk k + 1's first
-/// carrier.
+/// Split the sampling state over `shards`: shard k takes the k-th of
+/// near-equal contiguous runs of the carriers (none when there are fewer
+/// carriers than shards) and the nodes, plane rows and sampler rows from
+/// the end of the previous chunk up to the next chunk's first carrier.
+/// Each chunk comes paired with its shard's effect buffer.
 fn split_chunks<'a>(
-    carriers: &'a [u32],
-    ranges: &[(u32, u32)],
+    inputs: &SampleInputs<'a>,
     mut nodes: &'a mut [DirqNode],
     mut cells: &'a mut [SensorCell],
-    width: usize,
     mut samplers: Option<&'a mut [Vec<Sampler>]>,
     shards: &'a mut [UpkeepShard],
-) -> Vec<SampleChunk<'a>> {
-    let n = nodes.len();
-    let mut chunks = Vec::with_capacity(ranges.len());
-    let mut first = 0;
-    for (k, (&(start, end), shard)) in ranges.iter().zip(shards).enumerate() {
-        let next =
-            ranges.get(k + 1).map_or(n, |&(next_start, _)| carriers[next_start as usize] as usize);
+) -> Vec<(SampleChunk<'a>, &'a mut Vec<Effect>)> {
+    let (carriers, width, n, count) = (inputs.carriers, inputs.width, nodes.len(), shards.len());
+    let mut chunks = Vec::with_capacity(count);
+    let (mut start, mut first) = (0, 0);
+    for (k, UpkeepShard { effects, outgoing }) in shards.iter_mut().enumerate() {
+        let end = carriers.len() * (k + 1) / count;
+        if end == start {
+            continue;
+        }
+        let next = carriers.get(end).map_or(n, |&c| c as usize);
         let len = next - first;
-        chunks.push(SampleChunk {
+        let chunk = SampleChunk {
             first,
-            width,
-            carriers: &carriers[start as usize..end as usize],
+            carriers: &carriers[start..end],
             nodes: split_front(&mut nodes, len),
             cells: split_front(&mut cells, len * width),
             samplers: samplers.as_mut().map(|rows| split_front(rows, len)),
-            shard,
-        });
-        first = next;
+            outgoing,
+        };
+        chunks.push((chunk, effects));
+        (start, first) = (end, next);
     }
     chunks
 }
@@ -627,18 +530,31 @@ fn reading_rows(world: &SensorWorld) -> Vec<&[f64]> {
     world.catalog().types().map(|t| world.readings(t)).collect()
 }
 
-/// Split `items` work items into at most `nshards` contiguous non-empty
-/// `[start, end)` chunks of near-equal size.
-fn fill_chunks(chunks: &mut Vec<(u32, u32)>, items: usize, nshards: usize) {
-    chunks.clear();
-    let mut start = 0usize;
-    for k in 0..nshards {
-        let end = items * (k + 1) / nshards;
-        if end > start {
-            chunks.push((start as u32, end as u32));
-            start = end;
-        }
+/// Run one reading of `stype` through `cell`, entering `node` only when
+/// the reading escapes its own tuple; a contained reading appends nothing
+/// and leaves the node untouched. The one-reading form of the engine's
+/// sampling pass, kept as the model its tests compare against.
+#[cfg(test)]
+pub(crate) fn sample(
+    node: &mut DirqNode,
+    cell: &mut SensorCell,
+    stype: SensorType,
+    reading: f64,
+    span: f64,
+    alpha: f64,
+    out: &mut Vec<Outgoing>,
+) {
+    if !cell.observe(reading, span, alpha) {
+        debug_assert_eq!(
+            cell.window(),
+            node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
+            "escape window out of step with node {:?}'s own tuple",
+            node.id()
+        );
+        return;
     }
+    node.sample(stype, reading, out);
+    cell.set_window(node.table(stype).and_then(|t| t.own()));
 }
 
 #[cfg(test)]
@@ -842,7 +758,8 @@ mod tests {
 
 #[cfg(test)]
 mod block_tests {
-    //! The block sampling routine against the one-pass loop it replaced.
+    //! The sampling pass, serial and sharded, against the one-pass loop
+    //! its block routine replaced.
 
     use std::sync::Arc;
 
@@ -863,15 +780,15 @@ mod block_tests {
         /// The one-pass loop the block routine replaced: sample carrier
         /// `i`'s sensors in type order — the predictive gate, the world
         /// read, the plane step through [`sample`] and the
-        /// sampler's update from the cell's window — deferring MAC enqueues
-        /// into the shard's effects.
+        /// sampler's update from the cell's window — appending the routed
+        /// MAC enqueues to `effects`.
         fn sample_carrier(
             &self,
             i: usize,
             node: &mut DirqNode,
             row: &mut [SensorCell],
             mut samplers: Option<&mut [Sampler]>,
-            shard: &mut UpkeepShard,
+            effects: &mut Vec<Effect>,
         ) {
             if !self.alive[i] {
                 return;
@@ -891,10 +808,12 @@ mod block_tests {
                 }
                 let stype = SensorType(idx as u8);
                 let cell = &mut row[idx];
-                let outs = &mut shard.outgoing;
-                sample(node, cell, stype, reading, self.spans[idx], self.alpha, outs);
-                if !outs.is_empty() {
-                    queue_outgoing(node, NodeId::from_index(i), outs, &mut shard.effects);
+                let mut outs = Vec::new();
+                sample(node, cell, stype, reading, self.spans[idx], self.alpha, &mut outs);
+                for out in outs {
+                    if let Some((dest, msg)) = route(node, out) {
+                        effects.push(Effect { from: NodeId::from_index(i), dest, msg });
+                    }
                 }
                 if let Some(s) = samplers.as_deref_mut() {
                     s[idx].on_sampled(reading, cell.window());
@@ -914,60 +833,37 @@ mod block_tests {
     impl State {
         /// The model: the one-pass loop over every carrier, effects in
         /// carrier order.
-        fn run_model(&mut self, inputs: &SampleInputs<'_>, carriers: &[u32]) -> Vec<Effect> {
+        fn run_model(&mut self, inputs: &SampleInputs<'_>) -> Vec<Effect> {
             let width = SPANS.len();
-            let mut shard = UpkeepShard::default();
-            for &ci in carriers {
+            let mut effects = Vec::new();
+            for &ci in inputs.carriers {
                 let i = ci as usize;
                 let row = &mut self.cells[i * width..(i + 1) * width];
                 let samplers = self.samplers.as_mut().map(|rows| rows[i].as_mut_slice());
-                inputs.sample_carrier(i, &mut self.nodes[i], row, samplers, &mut shard);
+                inputs.sample_carrier(i, &mut self.nodes[i], row, samplers, &mut effects);
             }
-            shard.effects
+            effects
         }
 
-        /// The block routine as the serial pass runs it: one chunk, each
-        /// escape's effects taken as soon as it queues them.
-        fn run_serial(&mut self, inputs: &SampleInputs<'_>, carriers: &[u32]) -> Vec<Effect> {
-            let mut shard = UpkeepShard::default();
-            let mut chunk = SampleChunk {
-                first: 0,
-                width: SPANS.len(),
-                carriers,
-                nodes: &mut self.nodes,
-                cells: &mut self.cells,
-                samplers: self.samplers.as_deref_mut(),
-                shard: &mut shard,
-            };
-            let mut taken = Vec::new();
-            chunk.sample(inputs, |effects| taken.append(effects));
-            assert!(shard.effects.is_empty(), "the serial pass left effects behind");
-            taken
-        }
-
-        /// The block routine as the sharded pass runs it on `threads`
-        /// chunks, effects collected in chunk order.
-        fn run_sharded(
-            &mut self,
-            inputs: &SampleInputs<'_>,
-            carriers: &[u32],
-            threads: usize,
-        ) -> Vec<Effect> {
-            let mut ranges = Vec::new();
-            fill_chunks(&mut ranges, carriers.len(), threads);
+        /// [`sample_pass`] on `threads` shards, the effects in the order it
+        /// sends them; every shard is empty afterwards.
+        fn run_pass(&mut self, inputs: &SampleInputs<'_>, threads: usize) -> Vec<Effect> {
             let mut shards: Vec<UpkeepShard> =
                 (0..threads).map(|_| UpkeepShard::default()).collect();
-            let mut chunks = split_chunks(
-                carriers,
-                &ranges,
+            let mut sent = Vec::new();
+            sample_pass(
+                inputs,
                 &mut self.nodes,
                 &mut self.cells,
-                SPANS.len(),
                 self.samplers.as_deref_mut(),
                 &mut shards,
+                |e| sent.push(e),
             );
-            runner::for_each_mut(&mut chunks, threads, |chunk| chunk.sample(inputs, |_| {}));
-            shards.into_iter().flat_map(|s| s.effects).collect()
+            assert!(
+                shards.iter().all(|s| s.effects.is_empty() && s.outgoing.is_empty()),
+                "the pass left effects behind"
+            );
+            sent
         }
     }
 
@@ -999,7 +895,7 @@ mod block_tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Serial, 2-chunk and 3-chunk runs of the block routine are
+        /// Serial, 2-chunk and 3-chunk runs of the sampling pass are
         /// bit-equal to the one-pass loop over several epochs: cells,
         /// nodes, samplers, and the effects in order. Carrier counts cross
         /// the block size; the first epoch escapes everywhere; readings go
@@ -1102,18 +998,17 @@ mod block_tests {
                 let inputs = SampleInputs {
                     alive: &alive,
                     masks: &masks,
+                    carriers: &carriers,
                     rows: &row_refs,
+                    width,
                     spans: &SPANS,
                     alpha: ALPHA,
                     read_ahead: true,
                 };
-                let want = model.run_model(&inputs, &carriers);
+                let want = model.run_model(&inputs);
                 let (want_cells, want_state) = bits_of(&model);
                 for (k, run) in runs.iter_mut().enumerate() {
-                    let got = match k {
-                        0 => run.run_serial(&inputs, &carriers),
-                        threads => run.run_sharded(&inputs, &carriers, threads + 1),
-                    };
+                    let got = run.run_pass(&inputs, k + 1);
                     let (cells, state) = bits_of(run);
                     let label = ["serial", "2 chunks", "3 chunks"][k];
                     prop_assert!(cells == want_cells, "epoch {}, {}: cells differ", epoch, label);

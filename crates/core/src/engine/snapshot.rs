@@ -14,14 +14,13 @@ impl Engine {
     /// Static structure — topology, tree construction, churn plan, world
     /// fields, node configuration, worker counts — is rebuilt
     /// deterministically by [`Engine::new`] from the same
-    /// [`ScenarioConfig`], so only the state that evolves per epoch is
-    /// captured: the MAC (with in-flight frames), the world's stochastic
-    /// processes and readings, per-node protocol state, the pending query
-    /// set, metrics, RNG positions and the root-side control loop.
+    /// [`ScenarioConfig`](super::ScenarioConfig), so only the state that
+    /// evolves per epoch is captured: the MAC (with in-flight frames), the
+    /// world's stochastic processes and readings, per-node protocol state,
+    /// the pending query set, metrics, RNG positions and the root-side
+    /// control loop.
     /// [`Engine::restore`] overlays it onto a freshly built engine;
     /// resuming must be bit-identical to never having stopped.
-    ///
-    /// [`ScenarioConfig`]: super::ScenarioConfig
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.snapshot_into(&mut w);
@@ -73,12 +72,10 @@ impl Engine {
 
     /// Overlay a snapshot body captured by [`Engine::snapshot`] onto this
     /// engine, which must be freshly built from the **same**
-    /// [`ScenarioConfig`] (same seed, preset and scheme — the snapshot
-    /// carries no static structure to check against, only counts).
-    /// On success the engine continues from the captured epoch exactly as
-    /// the snapshotted one would have.
-    ///
-    /// [`ScenarioConfig`]: super::ScenarioConfig
+    /// [`ScenarioConfig`](super::ScenarioConfig) (same seed, preset and
+    /// scheme — the snapshot carries no static structure to check against,
+    /// only counts). On success the engine continues from the captured
+    /// epoch exactly as the snapshotted one would have.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.topo.len();
         self.tree_version += 1;
@@ -141,9 +138,7 @@ impl Engine {
         self.delta_trace =
             (0..traces).map(|_| Ok((r.u64()?, r.f64()?))).collect::<Result<_, SnapError>>()?;
         self.queries_injected = r.u64()? as usize;
-        // The restored assignment may differ from the one the carrier
-        // index was built against; force a rebuild on the next sample.
-        self.sample_index.version = None;
+        self.sample_scratch.invalidate();
         r.expect_eof()
     }
 

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use dirq_lmac::Destination;
+use dirq_net::churn::ChurnEvent;
 use dirq_net::{NodeId, SpanningTree};
 
 use crate::flooding::FloodingNode;
@@ -16,6 +17,66 @@ use super::Engine;
 /// Epochs a node stays detached before the repair fallback adopts an
 /// attached MAC neighbour directly.
 const DETACH_FALLBACK_EPOCHS: u64 = 25;
+
+/// The tree plane's scratch, reused across epochs: the attachment (each
+/// node's depth and parent in the protocol tree, recomputed in place by
+/// [`TreeScratch::attach`]) and the churn and repair buffers.
+#[derive(Default)]
+pub(super) struct TreeScratch {
+    /// Per-node depth in the protocol tree (`None` = detached).
+    depth: Vec<Option<u32>>,
+    /// Per-node parent in the protocol tree (`None` for the root and
+    /// detached nodes). Query calibration and ground truth read it (see
+    /// [`Engine::query_parents`]).
+    pub(super) parent: Vec<Option<NodeId>>,
+    /// `tree_version` as of the last [`TreeScratch::attach`]; while it
+    /// still matches, `depth` and `parent` are current.
+    version: Option<u64>,
+    /// BFS worklist for [`TreeScratch::attach`].
+    queue: Vec<NodeId>,
+    /// Churn events due this epoch.
+    churn: Vec<ChurnEvent>,
+    /// Per-orphan `(gateway_dist, neighbour)` candidates for the repair
+    /// pass (reused across orphans and epochs).
+    candidates: Vec<(u16, NodeId)>,
+}
+
+impl TreeScratch {
+    /// Scratch for `n` nodes, with no attachment computed yet.
+    pub(super) fn new(n: usize) -> Self {
+        let (depth, parent, queue) = (vec![None; n], vec![None; n], Vec::with_capacity(n));
+        TreeScratch { depth, parent, queue, ..TreeScratch::default() }
+    }
+
+    /// Recompute the attachment depths and parents — the same traversal
+    /// as [`Engine::protocol_tree`] (children lists + matching parent
+    /// pointers) without building a tree or allocating — and record
+    /// `version`, the `tree_version` they reflect.
+    fn attach(&mut self, nodes: &[DirqNode], alive: &[bool], version: u64) {
+        self.depth.fill(None);
+        self.parent.fill(None);
+        self.version = Some(version);
+        self.queue.clear();
+        self.depth[NodeId::ROOT.index()] = Some(0);
+        self.queue.push(NodeId::ROOT);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            let du = self.depth[u.index()].expect("queued nodes are attached");
+            for &c in nodes[u.index()].children() {
+                if alive[c.index()]
+                    && self.depth[c.index()].is_none()
+                    && nodes[c.index()].parent() == Some(u)
+                {
+                    self.depth[c.index()] = Some(du + 1);
+                    self.parent[c.index()] = Some(u);
+                    self.queue.push(c);
+                }
+            }
+        }
+    }
+}
 
 impl Engine {
     /// Reconstruct the spanning tree implied by the protocol state
@@ -49,7 +110,7 @@ impl Engine {
         // The events are staged through an engine-owned scratch buffer so
         // the plan's borrow ends before the mutations below (and quiet
         // epochs allocate nothing).
-        let mut events = std::mem::take(&mut self.churn_buf);
+        let mut events = std::mem::take(&mut self.tree_scratch.churn);
         events.clear();
         events.extend(self.churn.at_epoch(self.epoch));
         if !events.is_empty() {
@@ -57,12 +118,12 @@ impl Engine {
         }
         for ev in events.drain(..) {
             match ev {
-                dirq_net::churn::ChurnEvent::Death(node) => {
+                ChurnEvent::Death(node) => {
                     self.alive[node.index()] = false;
                     self.mac.set_alive(node, false);
                     self.detached_since[node.index()] = None;
                 }
-                dirq_net::churn::ChurnEvent::Birth(node) => {
+                ChurnEvent::Birth(node) => {
                     self.alive[node.index()] = true;
                     self.mac.set_alive(node, true);
                     // Fresh protocol state: the node joins from scratch.
@@ -77,7 +138,7 @@ impl Engine {
                 }
             }
         }
-        self.churn_buf = events;
+        self.tree_scratch.churn = events;
     }
 
     /// Re-attach detached nodes.
@@ -111,21 +172,22 @@ impl Engine {
         if self.repaired_version == Some(self.tree_version) {
             #[cfg(debug_assertions)]
             {
-                self.compute_attachment();
+                self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
+                let depth = &self.tree_scratch.depth;
                 debug_assert!(
-                    (1..self.nodes.len()).all(|i| !self.alive[i] || self.attach_depth[i].is_some()),
+                    (1..self.nodes.len()).all(|i| !self.alive[i] || depth[i].is_some()),
                     "repair skipped with a detached node at epoch {}",
                     self.epoch
                 );
             }
             return;
         }
-        self.compute_attachment();
+        self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
 
         // Track how long each alive node has been detached from the root.
         let mut all_attached = true;
         for i in 1..self.nodes.len() {
-            if !self.alive[i] || self.attach_depth[i].is_some() {
+            if !self.alive[i] || self.tree_scratch.depth[i].is_some() {
                 self.detached_since[i] = None;
             } else {
                 all_attached = false;
@@ -142,7 +204,7 @@ impl Engine {
         // Primary: orphans (no parent at all) use the MAC gateway metric.
         // The candidate list reuses an engine-owned scratch buffer across
         // orphans and epochs.
-        let mut candidates = std::mem::take(&mut self.repair_candidates);
+        let mut candidates = std::mem::take(&mut self.tree_scratch.candidates);
         for i in 1..self.nodes.len() {
             let node = NodeId::from_index(i);
             if !self.alive[i] || self.nodes[i].parent().is_some() {
@@ -163,7 +225,7 @@ impl Engine {
             self.handle(node, |n, out| n.set_parent(Some(parent), out));
             self.tree_version += 1;
         }
-        self.repair_candidates = candidates;
+        self.tree_scratch.candidates = candidates;
 
         // Fallback: long-detached nodes (orphan heads without usable
         // metrics, or interiors of dangling regions) adopt an attached
@@ -177,23 +239,21 @@ impl Engine {
             if self.epoch.saturating_sub(since) < DETACH_FALLBACK_EPOCHS {
                 continue;
             }
-            let attach_depth = &self.attach_depth;
+            let depth = &self.tree_scratch.depth;
             let new_parent = self
                 .mac
                 .neighbor_table(node)
                 .nodes()
-                .filter(|&nb| attach_depth[nb.index()].is_some())
-                .min_by_key(|&nb| (attach_depth[nb.index()].unwrap_or(u32::MAX), nb));
+                .filter(|&nb| depth[nb.index()].is_some())
+                .min_by_key(|&nb| (depth[nb.index()].unwrap_or(u32::MAX), nb));
             let Some(new_parent) = new_parent else { continue };
             if self.nodes[i].parent() == Some(new_parent) {
                 continue;
             }
             // Tell the old parent (if any, still alive) to drop us.
             if let Some(old) = self.nodes[i].parent() {
-                if self.alive[old.index()]
-                    && self.mac.enqueue(node, Destination::unicast(old), DirqMessage::Detach)
-                {
-                    self.record_tx(&DirqMessage::Detach);
+                if self.alive[old.index()] {
+                    self.outbox().send(node, Destination::unicast(old), DirqMessage::Detach);
                 }
             }
             self.detached_since[i] = None;
@@ -209,52 +269,21 @@ impl Engine {
         self.repaired_version == Some(self.tree_version)
     }
 
-    /// Recompute the protocol tree's attachment depths and parents into the
-    /// scratch buffers — the same traversal as [`Engine::protocol_tree`]
-    /// (children lists + matching parent pointers) without building a tree
-    /// or allocating — and record the `tree_version` they reflect. Runs for
-    /// every repair pass that is not gated off, and for a query injection
-    /// when the tree has changed since ([`Engine::query_parents`]).
-    fn compute_attachment(&mut self) {
-        self.attach_depth.fill(None);
-        self.attach_parent.fill(None);
-        self.attach_version = Some(self.tree_version);
-        self.attach_queue.clear();
-        self.attach_depth[NodeId::ROOT.index()] = Some(0);
-        self.attach_queue.push(NodeId::ROOT);
-        let mut head = 0;
-        while head < self.attach_queue.len() {
-            let u = self.attach_queue[head];
-            head += 1;
-            let du = self.attach_depth[u.index()].expect("queued nodes are attached");
-            for &c in self.nodes[u.index()].children() {
-                if self.alive[c.index()]
-                    && self.attach_depth[c.index()].is_none()
-                    && self.nodes[c.index()].parent() == Some(u)
-                {
-                    self.attach_depth[c.index()] = Some(du + 1);
-                    self.attach_parent[c.index()] = Some(u);
-                    self.attach_queue.push(c);
-                }
-            }
-        }
-    }
-
-    /// Bring `attach_parent` up to date for query calibration and ground
-    /// truth: recompute the attachment only when `tree_version` has moved
-    /// since the last [`Engine::compute_attachment`]. Debug builds check
+    /// Bring the attachment parents up to date for query calibration and
+    /// ground truth: recompute the attachment only when `tree_version` has
+    /// moved since the last [`TreeScratch::attach`]. Debug builds check
     /// the scratch against [`Engine::protocol_tree`] at every use.
     pub(super) fn query_parents(&mut self) {
-        if self.attach_version != Some(self.tree_version) {
-            self.compute_attachment();
+        if self.tree_scratch.version != Some(self.tree_version) {
+            self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
         }
         debug_assert!(
-            self.attach_parent == self.protocol_tree().parents(),
+            self.tree_scratch.parent == self.protocol_tree().parents(),
             "stale attachment scratch at epoch {}",
             self.epoch
         );
         #[cfg(test)]
-        self.query_parents_log.push((self.attach_parent.clone(), self.protocol_tree()));
+        self.query_parents_log.push((self.tree_scratch.parent.clone(), self.protocol_tree()));
     }
 
     fn would_cycle(&self, node: NodeId, candidate_parent: NodeId) -> bool {

@@ -217,11 +217,6 @@ impl WorldConfig {
 /// epoch's window.
 const DRAW_BUDGET_LOG2: u32 = 3;
 
-/// Below this node count the sharded advance is not worth starting
-/// threads for (the whole epoch is a few microseconds); the serial loop
-/// runs at any worker count. Results are identical either way.
-const PARALLEL_MIN_NODES: usize = 512;
-
 /// Per-type dynamic state.
 struct TypeState {
     /// `field.value(position(node))` — the field is static, so its
@@ -399,17 +394,11 @@ impl SensorWorld {
     }
 
     /// Configure the parallel advance: shard the per-epoch generation over
-    /// `workers` threads (1 keeps the serial loop). Worlds below
-    /// `PARALLEL_MIN_NODES` nodes always run serially, and the count is
-    /// clamped to the machine's available parallelism, so a 1-core host
-    /// runs serially too — worker counts only ever change speed, never
-    /// results.
+    /// `workers` threads (1 keeps the serial loop), resolved by
+    /// [`runner::shard_workers`] — small worlds and 1-core hosts run
+    /// serially. Worker counts only ever change speed, never results.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = if workers > 1 && self.assignment.len() >= PARALLEL_MIN_NODES {
-            workers.min(runner::host_threads())
-        } else {
-            1
-        };
+        self.workers = runner::shard_workers(workers, self.assignment.len());
     }
 
     /// Run the sharded advance at `workers` threads (clamped to the

@@ -115,9 +115,44 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Deployments below this node count run their per-node sharded passes
+/// serially: the whole pass takes a few microseconds, less than starting
+/// the threads.
+const SHARD_MIN_NODES: usize = 512;
+
+/// The worker count a per-node sharded pass (the world advance, sensor
+/// sampling) runs at over `nodes` nodes when `requested` are asked for:
+/// 1 when `requested` is at most 1 or `nodes` is below a 512-node floor,
+/// otherwise `requested` clamped to [`host_threads`], so a 1-core host
+/// runs serially too. The host is queried only past the first two
+/// checks. Worker counts only ever change speed, never results.
+pub fn shard_workers(requested: usize, nodes: usize) -> usize {
+    if requested > 1 && nodes >= SHARD_MIN_NODES {
+        requested.min(host_threads())
+    } else {
+        1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_workers_follow_the_request_the_floor_and_the_host() {
+        let host = host_threads();
+        for nodes in [0, 1, SHARD_MIN_NODES - 1, SHARD_MIN_NODES, 50_000] {
+            for requested in [0, 1] {
+                assert_eq!(shard_workers(requested, nodes), 1, "{requested} of {nodes}");
+            }
+        }
+        for requested in [2, 4, 64] {
+            assert_eq!(shard_workers(requested, SHARD_MIN_NODES - 1), 1, "below the floor");
+            for nodes in [SHARD_MIN_NODES, 50_000] {
+                assert_eq!(shard_workers(requested, nodes), requested.min(host));
+            }
+        }
+    }
 
     #[test]
     fn empty_sweep() {
