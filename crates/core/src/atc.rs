@@ -205,8 +205,8 @@ impl AtcController {
     /// is malformed.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         self.delta_pct = restore_delta(r)?;
-        self.sent_in_window = r.u64()?;
-        self.epochs_in_window = r.u64()?;
+        self.sent_in_window = r.count()?;
+        self.epochs_in_window = r.count()?;
         self.rate = Ewma::unsnap(r)?;
         self.budget_per_epoch = r.opt_f64()?;
         Ok(())

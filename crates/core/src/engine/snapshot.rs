@@ -81,7 +81,7 @@ impl Engine {
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
-        self.epoch = r.u64()?;
+        self.epoch = r.count()?;
         self.mac.restore(&mut r, DirqMessage::unsnap)?;
         self.world.restore(&mut r)?;
         let pos = r.position();
@@ -137,8 +137,7 @@ impl Engine {
         let traces = r.seq_len(16)?;
         self.delta_trace =
             (0..traces).map(|_| Ok((r.u64()?, r.f64()?))).collect::<Result<_, SnapError>>()?;
-        self.queries_injected = r.u64()? as usize;
-        self.sample_scratch.invalidate();
+        self.queries_injected = r.count()? as usize;
         r.expect_eof()
     }
 

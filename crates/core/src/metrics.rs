@@ -245,8 +245,8 @@ impl Metrics {
         let measure_from_epoch = r.u64()?;
         let mut costs = [CategoryCost::default(); 3];
         for c in &mut costs {
-            c.tx = r.u64()?;
-            c.rx = r.u64()?;
+            c.tx = r.count()?;
+            c.rx = r.count()?;
         }
         let updates_per_bucket = TimeSeries::unsnap(r)?;
         let overshoot = Welford::unsnap(r)?;

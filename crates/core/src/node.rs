@@ -576,7 +576,7 @@ impl DirqNode {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
         self.geo = (!geo.is_empty()).then(|| Box::new(geo));
-        self.updates_sent = r.u64()?;
+        self.updates_sent = r.count()?;
         for (idx, cell) in row.iter_mut().enumerate() {
             cell.set_window(
                 self.tables.get(idx).and_then(Option::as_ref).and_then(RangeTable::own),

@@ -172,8 +172,8 @@ impl PendingSet {
                     what: "query node flags disagree with the deployment size",
                 });
             }
-            let tx = r.u64()?;
-            let rx = r.u64()?;
+            let tx = r.count()?;
+            let rx = r.count()?;
             self.insert(PendingQuery { query, epoch, truth, received, tx, rx });
         }
         Ok(())

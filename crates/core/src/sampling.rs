@@ -162,8 +162,8 @@ impl Sampler {
         self.drift = Ewma::unsnap(r)?;
         self.volatility = Ewma::unsnap(r)?;
         self.skip_remaining = r.u64()?;
-        self.samples_taken = r.u64()?;
-        self.samples_skipped = r.u64()?;
+        self.samples_taken = r.count()?;
+        self.samples_skipped = r.count()?;
         Ok(())
     }
 }

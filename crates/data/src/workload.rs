@@ -383,10 +383,11 @@ impl Candidate {
     }
 }
 
-/// The largest id cursor a restored generator accepts. No run hands out
-/// 2^63 ids, so a cursor past it comes only from a corrupt image, and
-/// every accepted cursor has 2^63 increments left before it overflows.
-const MAX_ID_CURSOR: u64 = 1 << 63;
+/// The largest id cursor a restored generator accepts: the counter bound
+/// of every restore. No run hands out 2^63 ids, so a cursor past it comes
+/// only from a corrupt image, and every accepted cursor has 2^63
+/// increments left before it overflows.
+const MAX_ID_CURSOR: u64 = dirq_sim::snap::MAX_COUNT;
 
 /// Cold-start calibration: candidate window centres per query.
 const COLD_CANDIDATES: usize = 8;
@@ -515,7 +516,7 @@ impl QueryGenerator {
             });
         }
         self.rng = r.rng()?;
-        self.probes = r.u64()?;
+        self.probes = r.count()?;
         self.warm_width = restore_warm(r, "warm width out of range")?;
         self.warm_half = restore_warm(r, "warm half-size out of range")?;
         Ok(())

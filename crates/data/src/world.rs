@@ -442,7 +442,7 @@ impl SensorWorld {
     /// invalidated.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"WRLD")?;
-        self.epoch = r.u64()?;
+        self.epoch = r.count()?;
         self.assignment.restore(r)?;
         let pos = r.position();
         let n_types = r.seq_len(8)?;

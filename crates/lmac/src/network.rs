@@ -550,20 +550,20 @@ impl<P> LmacNetwork<P> {
     ) -> Result<(), SnapError> {
         r.tag(b"LMAC")?;
         let spf = self.cfg.slots_per_frame;
-        self.frame = r.u64()?;
+        self.frame = r.count()?;
         let pos = r.position();
         self.slot = r.u16()?;
         if self.slot >= spf {
             return Err(SnapError::Malformed { pos, what: "MAC slot out of range" });
         }
-        self.stats.delivered = r.u64()?;
-        self.stats.undeliverable = r.u64()?;
-        self.stats.collisions = r.u64()?;
-        self.stats.slots_surrendered = r.u64()?;
-        self.stats.slots_picked = r.u64()?;
-        self.stats.no_free_slot = r.u64()?;
-        self.stats.deaths_detected = r.u64()?;
-        self.stats.new_neighbors_detected = r.u64()?;
+        self.stats.delivered = r.count()?;
+        self.stats.undeliverable = r.count()?;
+        self.stats.collisions = r.count()?;
+        self.stats.slots_surrendered = r.count()?;
+        self.stats.slots_picked = r.count()?;
+        self.stats.no_free_slot = r.count()?;
+        self.stats.deaths_detected = r.count()?;
+        self.stats.new_neighbors_detected = r.count()?;
         self.data_ledger.restore(r)?;
         self.control_ledger.restore(r)?;
         let n = self.nodes.len();

@@ -104,8 +104,8 @@ impl EnergyLedger {
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag(b"ELDG")?;
         let pos = r.position();
-        let tx = r.u64s()?;
-        let rx = r.u64s()?;
+        let tx = r.counts()?;
+        let rx = r.counts()?;
         if tx.len() != self.tx.len() || rx.len() != self.rx.len() {
             return Err(SnapError::Malformed { pos, what: "ledger node count mismatch" });
         }

@@ -28,6 +28,11 @@ pub const SNAP_FORMAT_VERSION: u32 = 1;
 /// Magic prefix of an image file.
 pub const IMAGE_MAGIC: &[u8; 8] = b"DIRQSNAP";
 
+/// The largest counter [`SnapReader::count`] accepts: 2^63. No run counts
+/// that far, so a larger value comes only from a corrupt image, and every
+/// accepted counter has 2^63 increments left before it overflows.
+pub const MAX_COUNT: u64 = 1 << 63;
+
 /// A snapshot decoding failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapError {
@@ -303,6 +308,23 @@ impl<'a> SnapReader<'a> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
+    /// A counter the step increments: one `u64` no larger than
+    /// [`MAX_COUNT`]; a larger one is [`SnapError::Malformed`].
+    pub fn count(&mut self) -> Result<u64, SnapError> {
+        let pos = self.pos;
+        match self.u64()? {
+            n if n <= MAX_COUNT => Ok(n),
+            _ => Err(SnapError::Malformed { pos, what: "counter out of range" }),
+        }
+    }
+
+    /// A length-prefixed vector of counters, each read by
+    /// [`SnapReader::count`].
+    pub fn counts(&mut self) -> Result<Vec<u64>, SnapError> {
+        let n = self.seq_len(8)?;
+        (0..n).map(|_| self.count()).collect()
+    }
+
     /// A sequence length; rejects lengths the remaining input cannot hold
     /// (`min_elem_bytes` is the smallest possible encoding of one element,
     /// making absurd lengths fail fast instead of attempting a huge
@@ -364,12 +386,6 @@ impl<'a> SnapReader<'a> {
     pub fn f64s(&mut self) -> Result<Vec<f64>, SnapError> {
         let n = self.seq_len(8)?;
         (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// A length-prefixed `u64` vector.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, SnapError> {
-        let n = self.seq_len(8)?;
-        (0..n).map(|_| self.u64()).collect()
     }
 
     /// A length-prefixed `bool` vector.
@@ -498,9 +514,23 @@ mod tests {
         assert_eq!(r.opt_u16().unwrap(), Some(96));
         assert_eq!(r.str().unwrap(), "dirq");
         assert_eq!(r.f64s().unwrap(), vec![1.0, 2.5]);
-        assert_eq!(r.u64s().unwrap(), vec![3, 4, 5]);
+        assert_eq!(r.counts().unwrap(), vec![3, 4, 5]);
         assert_eq!(r.bools().unwrap(), vec![true, false]);
         r.expect_eof().unwrap();
+    }
+
+    #[test]
+    fn counters_past_the_bound_are_malformed() {
+        let mut w = SnapWriter::new();
+        w.u64(MAX_COUNT);
+        w.u64(MAX_COUNT + 1);
+        w.u64s(&[1, u64::MAX]);
+        let buf = w.finish();
+        let mut r = SnapReader::new(&buf);
+        assert_eq!(r.count(), Ok(MAX_COUNT));
+        let malformed = |pos| SnapError::Malformed { pos, what: "counter out of range" };
+        assert_eq!(r.count(), Err(malformed(8)));
+        assert_eq!(r.counts(), Err(malformed(32)));
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl TimeSeries {
             return Err(crate::snap::SnapError::Malformed { pos, what: "zero bucket width" });
         }
         let sums = r.f64s()?;
-        let counts = r.u64s()?;
+        let counts = r.counts()?;
         if sums.len() != counts.len() {
             return Err(crate::snap::SnapError::Malformed {
                 pos,

@@ -25,7 +25,7 @@ impl Welford {
 
     /// Rebuild from a [`Welford::snap`] record.
     pub fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Welford { n: r.u64()?, mean: r.f64()?, m2: r.f64()?, min: r.f64()?, max: r.f64()? })
+        Ok(Welford { n: r.count()?, mean: r.f64()?, m2: r.f64()?, min: r.f64()?, max: r.f64()? })
     }
 }
 

@@ -510,6 +510,91 @@ fn restore_rejects_a_negative_or_non_finite_delta() {
     }
 }
 
+/// Every counter the step increments is bounded at restore: set to
+/// `u64::MAX`, each is a typed error, not an overflow panic (debug) or a
+/// wrapped count (release) at its next increment.
+#[test]
+fn restore_rejects_a_counter_past_the_bound() {
+    fn u64_at(body: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(body[at..at + 8].try_into().unwrap())
+    }
+    fn tag(body: &[u8], t: &[u8; 4], k: usize) -> usize {
+        tag_offsets(body, t)[k]
+    }
+    // The metrics record: "METR", the measurement start, the query,
+    // update and control tx/rx tallies (6 × u64), then the Fig. 6 series
+    // (bucket width, the sums and the counts, each a count and `len`
+    // values) and the overshoot accumulator, whose sample count leads.
+    fn metrics(body: &[u8]) -> usize {
+        tag(body, b"METR", 0)
+    }
+    fn buckets(body: &[u8]) -> usize {
+        u64_at(body, metrics(body) + 68) as usize
+    }
+    // The body ends with the sampler records, the Fig. 6 reference line
+    // (f64), the δ trace (after 25 epochs, epoch 0's point: a count and
+    // one (u64, f64) pair) and the injection count (u64).
+    fn samplers_end(body: &[u8]) -> usize {
+        assert_eq!(u64_at(body, body.len() - 32), 1, "one δ trace point");
+        body.len() - 40
+    }
+    type Offsets = fn(&[u8]) -> Vec<usize>;
+    let cases: [(&str, u8, u64, Offsets); 14] = [
+        // "ENGN", then the epoch.
+        ("engine epoch", 0, 25, |_| vec![4]),
+        // "LMAC" at 12: the frame, the slot (u16), then eight statistics.
+        ("MAC frame", 0, 25, |_| vec![16]),
+        ("MAC statistics", 0, 25, |_| (0..8).map(|k| 26 + 8 * k).collect()),
+        // Each ledger: "ELDG", then the tx and rx tallies of 50 nodes.
+        ("energy ledgers", 0, 25, |b| {
+            tag_offsets(b, b"ELDG").iter().flat_map(|&at| [at + 12, at + 12 + 8 * 50 + 8]).collect()
+        }),
+        // "WRLD", then the world's epoch.
+        ("world epoch", 0, 25, |b| vec![tag(b, b"WRLD", 0) + 4]),
+        // A node record ends with its Update count; node 1's precedes
+        // node 2's record.
+        ("updates sent", 0, 25, |b| vec![tag(b, b"NODE", 2) - 8]),
+        // Under ATC a fresh node's first 5.0 is its δ, then the
+        // controller's presence flag, its δ and its two window counts.
+        ("ATC window counts", 1, 0, |b| {
+            let (one, two) = (tag(b, b"NODE", 1), tag(b, b"NODE", 2));
+            let five = 5.0f64.to_le_bytes();
+            let delta = one + b[one..two].windows(8).position(|w| w == five).unwrap();
+            vec![delta + 17, delta + 25]
+        }),
+        // "QGEN", the id cursor, the RNG (4 × u64), then the probe tally.
+        ("generator probes", 0, 25, |b| vec![tag(b, b"QGEN", 0) + 44]),
+        // The query injected at epoch 20 is in flight; its tx and rx
+        // tallies close the pending set, right before the metrics.
+        ("pending tx and rx", 0, 25, |b| vec![metrics(b) - 16, metrics(b) - 8]),
+        ("metrics tallies", 0, 25, |b| (0..6).map(|k| metrics(b) + 12 + 8 * k).collect()),
+        ("update series counts", 0, 25, |b| vec![metrics(b) + 84 + 8 * buckets(b)]),
+        ("overshoot samples", 0, 25, |b| vec![metrics(b) + 84 + 16 * buckets(b)]),
+        // The last predictive sampler's taken and skipped counts.
+        ("sampler counts", 4, 25, |b| vec![samplers_end(b) - 16, samplers_end(b) - 8]),
+        ("queries injected", 0, 25, |b| vec![b.len() - 8]),
+    ];
+    for (counter, variant, epochs, offsets) in cases {
+        let cfg = variant_config(17, variant, 60);
+        let mut donor = Engine::new(cfg.clone());
+        for _ in 0..epochs {
+            donor.step_epoch();
+        }
+        let body = donor.snapshot();
+        Engine::new(cfg.clone()).restore(&body).expect("the unpatched body restores");
+        for at in offsets(&body) {
+            let mut patched = body.clone();
+            patched[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            match Engine::new(cfg.clone()).restore(&patched) {
+                Err(SnapError::Malformed { what: "counter out of range", pos }) => {
+                    assert_eq!(pos, at, "{counter}: the error names the counter's offset")
+                }
+                other => panic!("{counter} = u64::MAX at byte {at} restored: {other:?}"),
+            }
+        }
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
