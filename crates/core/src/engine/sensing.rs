@@ -17,7 +17,7 @@
 //! refreshes the window.
 
 use dirq_data::sensor::SensorAssignment;
-use dirq_data::{SensorType, SensorWorld};
+use dirq_data::SensorType;
 use dirq_lmac::Destination;
 use dirq_net::NodeId;
 use dirq_sim::runner;
@@ -159,7 +159,8 @@ impl Engine {
         let width = self.plane.width();
         let scratch = &mut self.sample_scratch;
         scratch.refresh(self.world.assignment(), self.nodes.len(), width);
-        let rows = reading_rows(&self.world);
+        let world = &self.world;
+        let rows: Vec<&[f64]> = world.catalog().types().map(|t| world.readings(t)).collect();
         let inputs = SampleInputs {
             alive: &self.alive,
             masks: &scratch.masks,
@@ -232,14 +233,9 @@ impl SampleScratch {
         *self = SampleScratch { force: true, ..SampleScratch::new(workers) };
     }
 
-    /// Rebuild the carrier index on the next pass: a restored assignment
-    /// may differ from the one it was built against.
-    pub(super) fn invalidate(&mut self) {
-        self.version = None;
-    }
-
     /// Rebuild the carrier index when the sensor assignment has changed
-    /// (runtime `add_sensor`/`remove_sensor`; one version probe otherwise).
+    /// (runtime `add_sensor`/`remove_sensor`, or a restore; one version
+    /// probe otherwise).
     /// Only types the world has readings for — the plane's `width` — count.
     fn refresh(&mut self, assignment: &SensorAssignment, n: usize, width: usize) {
         let version = assignment.version();
@@ -523,11 +519,6 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (front, back) = std::mem::take(rest).split_at_mut(len);
     *rest = back;
     front
-}
-
-/// `world`'s current readings per type id (`NaN` = no reading).
-fn reading_rows(world: &SensorWorld) -> Vec<&[f64]> {
-    world.catalog().types().map(|t| world.readings(t)).collect()
 }
 
 /// Run one reading of `stype` through `cell`, entering `node` only when

@@ -19,15 +19,19 @@
 //! * [`messages`] — the wire messages (Update, Retract, Query, EHr, …).
 //! * [`range_table`] — Section 4.1's data structure and update rule.
 //! * [`node`] — the per-node protocol state machine.
-//! * `sensing` (crate-private) — the dense per-(node, type) sampling
-//!   state the engine owns; a node is entered only when a reading escapes
-//!   its own tuple.
 //! * [`atc`] — Section 6's Adaptive Threshold Control (reconstructed; the
 //!   companion paper with the original internals is unavailable).
 //! * [`flooding`] — the Section 5.1 baseline.
 //! * [`metrics`] — per-query outcomes, Fig. 6 time series, cost ledgers.
 //! * [`engine`] — the scenario engine wiring LMAC, the world and the
 //!   protocol together; [`engine::run_scenario`] is the main entry point.
+//!   Its crate-private modules hold one plane each: `config` (the public
+//!   types), `run` (construction and the epoch loop), `snapshot`, `tree`
+//!   (churn, repair, attachment), `dispatch` (the MAC frame, routing and
+//!   the one MAC enqueue, read-ahead, injection, EHr, finalisation) and
+//!   `sensing` (the dense per-(node, type) sampling state and the one
+//!   sampling pass; a node is entered only when a reading escapes its own
+//!   tuple).
 
 #![warn(missing_docs)]
 

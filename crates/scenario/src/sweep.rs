@@ -124,11 +124,11 @@ mod tests {
     fn workers_are_result_invariant() {
         // The intra-run worker knob must never change a report: same
         // fingerprint serial and with 4 workers. (The tiny matrix sits
-        // below the world and upkeep sharding floors, so this pins their
-        // serial resolution; on a multi-core host it engages the MAC's
-        // parallel slot loop. The sharded world and upkeep paths are
-        // pinned by their differential suites, the grid_2000 golden and
-        // the scenario_matrix smoke.)
+        // below the 512-node floor of `runner::shard_workers`, so this pins
+        // the serial resolution of the world and upkeep knobs; the MAC's
+        // slot loop is serial at any count. The sharded world and upkeep
+        // paths are pinned by their differential suites, the grid_2000
+        // golden and the scenario_matrix smoke.)
         let specs = vec![tiny_matrix().remove(1)];
         let serial = run_matrix_report(&specs, &SweepConfig::default());
         let sharded =
