@@ -11,10 +11,22 @@ directory; an inherited CARGO_TARGET_DIR is overridden.
 
 Prints every pair, then for each end-to-end metric of CHANGE_DIR's
 BENCHMARK.json: the median and quartiles per side, the change of the
-median, and in how many pairs the change was lower. Last come the
-`failed` counts per side: runs that gave no result (a failed build or
-gate) and the failed operations the others reported. Exits 1 if either
-is non-zero.
+median, and in how many pairs the change was lower. Under the metric's
+`bound` (a relative change) and `better` direction it then prints one
+verdict:
+
+- "worse beyond bound": the change's median is worse than the parent's
+  by more than the bound;
+- "unresolved": otherwise, the parent's quartile spread (relative to
+  its median) is wider than the bound and not every change run beats
+  every parent run, so the runs cannot tell;
+- "within bound": neither.
+
+It also prints whether the claim rule holds: the change is better in at
+least 9 of every 10 pairs, and the medians differ in its favour by more
+than the parent's quartile spread. Last come the `failed` counts per
+side: runs that gave no result (a failed build or gate) and the failed
+operations the others reported. Exits 1 if either is non-zero.
 """
 
 import json
@@ -51,6 +63,30 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def verdict(metric, parent, change, paired):
+    """The bound verdict and the claim-rule line for one metric."""
+    sign = 1 if metric["better"] == "lower" else -1
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = quartiles(change)[1]
+    worse = sign * (cmed - pmed) / pmed if pmed else float("inf")
+    spread = (pq3 - pq1) / abs(pmed) if pmed else float("inf")
+    beats_all = (max(change) < min(parent)) if sign == 1 else (min(change) > max(parent))
+    if worse > metric["bound"]:
+        bound = "worse beyond bound"
+    elif spread > metric["bound"] and not beats_all:
+        bound = "unresolved"
+    else:
+        bound = "within bound"
+    better = sum(1 for p, c in paired if sign * (c - p) < 0)
+    gap = -sign * (cmed - pmed)
+    holds = bool(paired) and better * 10 >= 9 * len(paired) and gap > pq3 - pq1
+    claim = (f"claim rule {'holds' if holds else 'does not hold'} "
+             f"(better in {better} of {len(paired)} pairs; median gap {gap:+.4f} "
+             f"vs parent quartile spread {pq3 - pq1:.4f})")
+    return (f"{bound} (worse by {worse * 100:+.2f} %, bound {metric['bound'] * 100:.0f} %, "
+            f"parent spread {spread * 100:.2f} %)"), claim
 
 
 def main(argv):
@@ -108,6 +144,8 @@ def main(argv):
             f"change median {cmed:.4f} [q1 {cq1:.4f}, q3 {cq3:.4f}], "
             f"change {delta:+.2f} %, lower in {lower} of {len(paired[name])}"
         )
+        bound, claim = verdict(m, values["parent"][name], values["change"][name], paired[name])
+        print(f"  {name}: {bound}; {claim}")
     for name in sides:
         print(f"failed {name}: {no_result[name]} runs without a result, "
               f"{failed_ops[name]} failed operations")

@@ -7,9 +7,9 @@
 //! sample just replaces the last reading and feeds the variability
 //! estimate ATC reads. So that work lives here, one 32-byte
 //! [`SensorCell`] per `(node, type)`, and the protocol node ([`DirqNode`])
-//! is entered only when a reading escapes. The engine's sampling pass runs
-//! [`SensorCell::observe`] on every reading and [`escape`] on the ones
-//! that leave the window.
+//! is entered only when a reading escapes. The engine's sampling pass,
+//! [`sample_pass`], runs [`SensorCell::observe`] on every reading and
+//! [`escape`] on the ones that leave the window.
 //!
 //! Each cell keeps a copy of its node's own tuple as the escape window.
 //! The own tuple changes only in the escape handler, when a sensor is
@@ -235,8 +235,8 @@ impl SampleScratch {
 
     /// Rebuild the carrier index when the sensor assignment has changed
     /// (runtime `add_sensor`/`remove_sensor`, or a restore; one version
-    /// probe otherwise).
-    /// Only types the world has readings for — the plane's `width` — count.
+    /// probe otherwise). Only types the world has readings for — the
+    /// plane's `width` — count.
     fn refresh(&mut self, assignment: &SensorAssignment, n: usize, width: usize) {
         let version = assignment.version();
         if self.version == Some(version) {
