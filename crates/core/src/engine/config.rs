@@ -161,9 +161,6 @@ pub struct ScenarioConfig {
     pub completion_window: u64,
     /// Warm-up epochs excluded from aggregate statistics.
     pub measure_from_epoch: u64,
-    /// ATC cost target as a fraction of flooding cost (the paper's band is
-    /// 45–55 %, centred at 0.5).
-    pub atc_band_center: f64,
     /// Sensor acquisition strategy (the paper assumes every epoch; the
     /// predictive variant implements its Section 8 future work).
     pub sampling: SamplingStrategy,
@@ -208,7 +205,6 @@ impl ScenarioConfig {
             upkeep_workers: 1,
             completion_window: 16,
             measure_from_epoch: 400,
-            atc_band_center: 0.5,
             sampling: SamplingStrategy::EveryEpoch,
             location_enabled: false,
             spatial_query_fraction: 0.0,

@@ -25,6 +25,10 @@ use super::{CompletedQuery, Engine, Protocol};
 /// 500-node presets and save 4–7 % on grid_2000 and stress_5000.
 const READ_AHEAD_MIN_NODES: usize = 1024;
 
+/// ATC cost target as a fraction of flooding cost (the paper's band is
+/// 45–55 %, centred at 0.5); [`Engine::broadcast_ehr`] budgets for it.
+const ATC_BAND_CENTER: f64 = 0.5;
+
 /// The dispatch plane's scratch, reused across epochs.
 #[derive(Default)]
 pub(super) struct DispatchScratch {
@@ -149,7 +153,7 @@ impl Engine {
         }
         self.query_parents();
         let alive = &self.alive;
-        let truth = dirq_data::workload::ground_truth_for_query(
+        let truth = dirq_data::workload::ground_truth(
             self.world.readings(stype),
             self.topo.positions(),
             &self.tree_scratch.parent,
@@ -171,12 +175,12 @@ impl Engine {
         self.u_max_per_hour =
             costs.f_max().map(|f| f * n_sensing * queries_per_hour).unwrap_or(self.u_max_per_hour);
 
-        // Target: total cost per query = band_center × CF.
+        // Target: total cost per query = ATC_BAND_CENTER × CF.
         // Prior for CQD before any measurement: half the worst case.
         let cqd = self.cqd_estimate.value_or(costs.cqd_max * 0.5);
         let control_overhead_per_query = 2.0; // EHr amortised: ~2N msgs/hour ÷ (hour/period) queries
         let budget_cost =
-            (self.cfg.atc_band_center * costs.flooding - cqd - control_overhead_per_query).max(0.0);
+            (ATC_BAND_CENTER * costs.flooding - cqd - control_overhead_per_query).max(0.0);
         // Each update message costs 2 (tx + rx).
         let updates_per_query = budget_cost / 2.0;
 
@@ -445,7 +449,7 @@ impl Engine {
         for &s in &p.truth.sources {
             self.dispatch_scratch.source_mark[s.index()] = false;
         }
-        self.cqd_estimate.observe((p.tx + p.rx) as f64);
+        self.cqd_estimate.observe(p.tx.saturating_add(p.rx) as f64);
         let outcome = QueryOutcome {
             id: p.query.id,
             epoch: p.epoch,

@@ -483,9 +483,11 @@ fn deploy<R: RadioModel>(
     }
 }
 
-/// Samples taken and skipped over `samplers`.
+/// Samples taken and skipped over `samplers` (each sum saturates).
 fn sample_counts<'a>(samplers: impl Iterator<Item = &'a Sampler>) -> (u64, u64) {
-    samplers.fold((0, 0), |(t, k), s| (t + s.samples_taken(), k + s.samples_skipped()))
+    samplers.fold((0, 0), |(t, k), s| {
+        (t.saturating_add(s.samples_taken()), k.saturating_add(s.samples_skipped()))
+    })
 }
 
 /// Convenience: build and run a scenario in one call.

@@ -32,7 +32,8 @@ pub(super) struct TreeScratch {
     /// `tree_version` as of the last [`TreeScratch::attach`]; while it
     /// still matches, `depth` and `parent` are current.
     version: Option<u64>,
-    /// BFS worklist for [`TreeScratch::attach`].
+    /// BFS worklist for [`TreeScratch::attach`]; after a pass it holds
+    /// the root and then every attached node in the order it attached.
     queue: Vec<NodeId>,
     /// Churn events due this epoch.
     churn: Vec<ChurnEvent>,
@@ -48,10 +49,10 @@ impl TreeScratch {
         TreeScratch { depth, parent, queue, ..TreeScratch::default() }
     }
 
-    /// Recompute the attachment depths and parents — the same traversal
-    /// as [`Engine::protocol_tree`] (children lists + matching parent
-    /// pointers) without building a tree or allocating — and record
-    /// `version`, the `tree_version` they reflect.
+    /// Recompute the attachment depths and parents by a BFS from the root
+    /// over the protocol state (children lists + matching parent
+    /// pointers), without allocating, and record `version`, the
+    /// `tree_version` they reflect.
     fn attach(&mut self, nodes: &[DirqNode], alive: &[bool], version: u64) {
         self.depth.fill(None);
         self.parent.fill(None);
@@ -80,26 +81,24 @@ impl TreeScratch {
 
 impl Engine {
     /// Reconstruct the spanning tree implied by the protocol state
-    /// (children lists + matching parent pointers). Query ground truth
-    /// reads the same traversal's parents from the attachment scratch
-    /// instead of building this tree.
+    /// (children lists + matching parent pointers) from one fresh pass of
+    /// the attachment BFS: attaching its queue in order keeps every
+    /// children list in discovery order. Query ground truth reads the
+    /// cached attachment's parents instead of building this tree.
     pub fn protocol_tree(&self) -> SpanningTree {
-        let n = self.topo.len();
-        let mut tree = SpanningTree::new(n, NodeId::ROOT);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(NodeId::ROOT);
-        while let Some(u) = queue.pop_front() {
-            for &c in self.nodes[u.index()].children() {
-                if self.alive[c.index()]
-                    && !tree.is_attached(c)
-                    && self.nodes[c.index()].parent() == Some(u)
-                {
-                    tree.attach(c, u);
-                    queue.push_back(c);
-                }
-            }
+        let pass = self.fresh_attachment();
+        let mut tree = SpanningTree::new(self.topo.len(), NodeId::ROOT);
+        for &c in &pass.queue[1..] {
+            tree.attach(c, pass.parent[c.index()].expect("an attached non-root node has a parent"));
         }
         tree
+    }
+
+    /// One attachment pass over the current protocol state, in new scratch.
+    fn fresh_attachment(&self) -> TreeScratch {
+        let mut pass = TreeScratch::new(self.topo.len());
+        pass.attach(&self.nodes, &self.alive, self.tree_version);
+        pass
     }
 
     pub(super) fn apply_churn(&mut self) {
@@ -272,13 +271,13 @@ impl Engine {
     /// Bring the attachment parents up to date for query calibration and
     /// ground truth: recompute the attachment only when `tree_version` has
     /// moved since the last [`TreeScratch::attach`]. Debug builds check
-    /// the scratch against [`Engine::protocol_tree`] at every use.
+    /// the cached scratch against a fresh pass at every use.
     pub(super) fn query_parents(&mut self) {
         if self.tree_scratch.version != Some(self.tree_version) {
             self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
         }
         debug_assert!(
-            self.tree_scratch.parent == self.protocol_tree().parents(),
+            self.tree_scratch.parent == self.fresh_attachment().parent,
             "stale attachment scratch at epoch {}",
             self.epoch
         );

@@ -94,9 +94,9 @@ pub struct CategoryCost {
 }
 
 impl CategoryCost {
-    /// Total cost (1 unit per tx + 1 per rx).
+    /// Total cost (1 unit per tx + 1 per rx; the sum saturates).
     pub fn cost(&self) -> f64 {
-        (self.tx + self.rx) as f64
+        self.tx.saturating_add(self.rx) as f64
     }
 }
 

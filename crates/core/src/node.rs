@@ -501,8 +501,10 @@ impl DirqNode {
     /// the same id and config, and onto its sensing-plane `row`, whose
     /// escape windows are rebuilt from the restored tables. An image that
     /// names a node id outside the `n_nodes` deployment, carries a δ that
-    /// is negative, NaN or infinite, or whose sensing records do not fit
-    /// the row and the configured α, is malformed.
+    /// is negative, NaN or infinite, whose sensing records do not fit the
+    /// row and the configured α, or whose duplicate-suppression list is
+    /// longer than `SEEN_QUERIES_CAP` (`on_query` would never evict from
+    /// it again), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -567,7 +569,11 @@ impl DirqNode {
         for cell in row.iter_mut() {
             cell.last = r.f64()?;
         }
+        let pos = r.position();
         let n = r.seq_len(8)?;
+        if n > SEEN_QUERIES_CAP {
+            return Err(SnapError::Malformed { pos, what: "seen-query list too long" });
+        }
         self.seen_queries =
             (0..n).map(|_| r.u64().map(dirq_data::QueryId)).collect::<Result<_, _>>()?;
         let pos = r.position();

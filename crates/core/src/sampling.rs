@@ -134,16 +134,6 @@ impl Sampler {
         self.samples_skipped
     }
 
-    /// Fraction of epochs in which sampling was skipped.
-    pub fn skip_ratio(&self) -> f64 {
-        let total = self.samples_taken + self.samples_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.samples_skipped as f64 / total as f64
-        }
-    }
-
     /// Write the prediction state to `w` (the tuning config is
     /// construction-time and not captured).
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
@@ -248,7 +238,6 @@ mod tests {
         assert_eq!(s.samples_taken(), 5 + sampled);
         assert_eq!(s.samples_skipped(), skipped);
         assert!(skipped > 0, "a static wide window must earn skips");
-        assert!(s.skip_ratio() > 0.0);
     }
 
     #[test]

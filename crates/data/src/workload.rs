@@ -5,8 +5,9 @@
 //! are parameterised by the *percentage of nodes involved in responding to
 //! a query*, which it defines as source nodes **plus** the intermediate
 //! forwarding nodes on the tree paths to them (Section 7.1). The
-//! [`QueryGenerator`] here calibrates each query's value window so that the
-//! involved fraction hits a target (the paper's 20 %, 40 %, 60 %).
+//! [`QueryGenerator`] here calibrates each query's value window, or the
+//! region of a spatially scoped query, so that the involved fraction hits a
+//! target (the paper's 20 %, 40 %, 60 %).
 
 use dirq_net::{NodeId, Position, Rect};
 use dirq_sim::SimRng;
@@ -55,16 +56,19 @@ impl RangeQuery {
     }
 
     /// Whether a reading satisfies the value window (ignores the region;
-    /// see [`RangeQuery::matches_at`]).
+    /// see [`RangeQuery::matches_node`]).
     #[inline]
     pub fn matches(&self, value: f64) -> bool {
         !value.is_nan() && value >= self.lo && value <= self.hi
     }
 
-    /// Whether a reading taken at `pos` fully satisfies the query.
+    /// Whether node `i`'s reading `value` fully satisfies the query: it
+    /// lies in the value window and, for a regional query only, the node's
+    /// position `positions[i]` lies in the region. A value-only query never
+    /// reads `positions`, so its callers may pass none.
     #[inline]
-    pub fn matches_at(&self, value: f64, pos: &Position) -> bool {
-        self.matches(value) && self.region.is_none_or(|r| r.contains(pos))
+    pub fn matches_node(&self, value: f64, positions: &[Position], i: usize) -> bool {
+        self.matches(value) && self.region.is_none_or(|r| r.contains(&positions[i]))
     }
 
     /// Whether an advertised `[min, max]` interval overlaps the query
@@ -141,62 +145,35 @@ impl GroundTruth {
     }
 }
 
-/// Compute the ground truth of a window `[lo, hi]` over `readings` (indexed
-/// by node, `NaN` = no sensor), with forwarding paths taken from `parents`
+/// Compute the ground truth of `query` over `readings` (indexed by node,
+/// `NaN` = no sensor). Its sources are the alive non-root nodes that match
+/// it ([`RangeQuery::matches_node`]: `positions`, indexed by node, are read
+/// only for a regional query). Forwarding paths come from `parents`
 /// (indexed by node; `None` for the root and for detached nodes, as
 /// [`SpanningTree::parents`](dirq_net::SpanningTree::parents) reports them).
 /// `is_alive` filters dead nodes out of the source set.
 ///
 /// Sources detached from the tree (mid-repair orphans) are counted as
 /// involved — they *should* ideally be reached — but contribute no
-/// forwarding path.
+/// forwarding path. Paths are marked by walking parent pointers and
+/// stopping at the first already-involved node — path suffixes towards the
+/// root are shared, so total marking work is O(n) rather than O(n · depth).
 pub fn ground_truth(
     readings: &[f64],
-    parents: &[Option<NodeId>],
-    lo: f64,
-    hi: f64,
-    is_alive: impl Fn(NodeId) -> bool,
-) -> GroundTruth {
-    ground_truth_by(readings.len(), parents, |i| {
-        let node = NodeId::from_index(i);
-        let v = readings[i];
-        !v.is_nan() && v >= lo && v <= hi && is_alive(node)
-    })
-}
-
-/// Ground truth for a full [`RangeQuery`], honouring its optional spatial
-/// region (`positions` indexed by node).
-pub fn ground_truth_for_query(
-    readings: &[f64],
-    positions: &[dirq_net::Position],
+    positions: &[Position],
     parents: &[Option<NodeId>],
     query: &RangeQuery,
     is_alive: impl Fn(NodeId) -> bool,
 ) -> GroundTruth {
-    assert_eq!(readings.len(), positions.len(), "readings/positions must align");
-    ground_truth_by(readings.len(), parents, |i| {
-        is_alive(NodeId::from_index(i)) && query.matches_at(readings[i], &positions[i])
-    })
-}
-
-/// Shared core: sources are the non-root nodes satisfying `is_source`;
-/// involved = sources plus their tree paths (root excluded).
-///
-/// Paths are marked by walking parent pointers and stopping at the first
-/// already-involved node — path suffixes towards the root are shared, so
-/// total marking work is O(n) rather than O(n · depth).
-fn ground_truth_by(
-    n: usize,
-    parents: &[Option<NodeId>],
-    is_source: impl Fn(usize) -> bool,
-) -> GroundTruth {
+    let n = readings.len();
     assert_eq!(parents.len(), n, "readings/parents must align");
+    assert!(query.region.is_none() || positions.len() == n, "readings/positions must align");
     let mut involved = vec![false; n];
     let mut sources = Vec::new();
     let mut involved_count = 0;
-    for i in 0..n {
+    for (i, &reading) in readings.iter().enumerate() {
         let node = NodeId::from_index(i);
-        if node.is_root() || !is_source(i) {
+        if node.is_root() || !(query.matches_node(reading, positions, i) && is_alive(node)) {
             continue;
         }
         sources.push(node);
@@ -270,9 +247,11 @@ impl Involvement {
     /// involved count.
     ///
     /// `sources_at(p)` builds the source predicate (by node index) at
-    /// parameter `p`; it must only gain nodes as `p` grows. Both callers'
-    /// predicates do, because IEEE addition and subtraction round
-    /// monotonically, and every midpoint lies inside the current bracket.
+    /// parameter `p`; it must only gain nodes as `p` grows. The
+    /// calibration's predicate does in both scopes (a value window or a
+    /// region `p` either side of a centre), because IEEE addition and
+    /// subtraction round monotonically, and every midpoint lies inside the
+    /// current bracket.
     /// So the sources at `lo` are sources at every probe, the non-sources
     /// at `hi` are at none, and a probe re-tests only the band between
     /// them; the state then equals what a fresh scan would find.
@@ -372,15 +351,15 @@ struct Candidate {
     count: usize,
 }
 
-impl Candidate {
-    /// The better of a warm and a cold result: the cold one only on a
-    /// strictly smaller error.
-    fn better(warm: Option<Candidate>, cold: Option<Candidate>) -> Option<Candidate> {
-        match (warm, cold) {
-            (Some(a), Some(b)) => Some(if b.err < a.err { b } else { a }),
-            (a, b) => b.or(a),
-        }
-    }
+/// What a calibration varies around a randomly drawn alive carrier. It
+/// indexes the generator's warm-start table.
+#[derive(Clone, Copy)]
+enum Scope {
+    /// The value window's half-width around the carrier's reading.
+    Value = 0,
+    /// The region's half-size around the carrier's position; the value
+    /// window spans every current reading.
+    Region = 1,
 }
 
 /// The largest id cursor a restored generator accepts: the counter bound
@@ -389,43 +368,48 @@ impl Candidate {
 /// increments left before it overflows.
 const MAX_ID_CURSOR: u64 = dirq_sim::snap::MAX_COUNT;
 
-/// Cold-start calibration: candidate window centres per query.
+/// Cold-start calibration: candidate carriers per query.
 const COLD_CANDIDATES: usize = 8;
 /// Cold-start calibration: bisection steps per candidate.
 const COLD_ITERS: usize = 24;
-/// Warm-start calibration: candidate window centres per query.
+/// Warm-start calibration: candidate carriers per query.
 const WARM_CANDIDATES: usize = 3;
 /// Warm-start calibration: bisection steps per candidate (the bracket is
-/// only 64× wide, so 10 steps resolve the width to ~w/128).
+/// only 64× wide, so 10 steps resolve the parameter to ~p/128).
 const WARM_ITERS: usize = 10;
-/// Warm-start bracket half-decades around the previous width.
+/// Warm-start bracket half-decades around the previous parameter.
 const WARM_BRACKET: f64 = 8.0;
 
 /// Generates range queries whose involved fraction approximates a target.
 ///
-/// Calibration **warm-starts from the previous window per sensor type**:
-/// the involved fraction is monotone in the window half-width, and the
-/// target width drifts slowly between consecutive queries of a type (the
-/// world's diurnal/regional components move all readings together), so the
-/// bisection brackets `[w₀/8, 8·w₀]` around the last accepted width with
-/// fewer candidates and steps. A cold full-span calibration runs for the
-/// first query of each type — and as a fallback whenever the warm result
-/// misses the target badly (e.g. after heavy churn reshapes the value
-/// distribution). This cuts the ~200 ground-truth probes per query to
-/// ~35, which is what keeps multi-thousand-node scenario generation fast.
+/// A query varies one parameter around a randomly drawn alive carrier: the
+/// half-width of its value window around the carrier's reading or, for a
+/// spatially scoped query, the half-size of its region around the
+/// carrier's position (the value window then spans every current reading).
+/// Involvement is monotone in either, so one bisection calibrates both.
+///
+/// Calibration **warm-starts from the previous accepted parameter per
+/// scope and sensor type**: the target drifts slowly between consecutive
+/// queries of a type (the world's diurnal/regional components move all
+/// readings together, and a region's size is set by carrier density, not
+/// by the moving readings), so the bisection brackets `[p₀/8, 8·p₀]`
+/// around the last accepted parameter with fewer candidates and steps. A
+/// cold full-span calibration runs for the first query of each scope and
+/// type — and as a fallback whenever the warm result misses the target by
+/// more than half of it (e.g. after heavy churn reshapes the value
+/// distribution). This cuts the ~200 ground-truth probes per query to ~35,
+/// which is what keeps multi-thousand-node scenario generation fast.
 ///
 /// A probe costs the band of sources still undecided between the bracket's
 /// ends, not a rescan: the generator keeps a per-node involvement count
 /// that each probe updates one band source at a time (`Involvement`). Only
 /// the winning candidate builds its [`GroundTruth`], through the same
-/// [`ground_truth`] / [`ground_truth_for_query`] that external queries use.
-/// Paths come from the caller's parent pointers (indexed by node).
+/// [`ground_truth`] that external queries use. Paths come from the caller's
+/// parent pointers (indexed by node).
 pub struct QueryGenerator {
     next_id: u64,
     target_fraction: f64,
     every_epochs: u64,
-    /// Number of candidate window centres evaluated per cold query.
-    candidates: usize,
     /// Probability that a generated query is spatially scoped (requires
     /// node positions — the paper's optional location attribute).
     spatial_fraction: f64,
@@ -433,11 +417,9 @@ pub struct QueryGenerator {
     /// Calibration state: the incremental involvement count and its band
     /// (transient, reused across probes and queries).
     involvement: Involvement,
-    /// Last accepted half-width per sensor type (warm-start state).
-    warm_width: Vec<Option<f64>>,
-    /// Last accepted region half-size per sensor type (spatial warm-start
-    /// state, mirroring `warm_width`).
-    warm_half: Vec<Option<f64>>,
+    /// Warm-start state: the last accepted parameter per [`Scope`] and
+    /// sensor type — value half-widths, then region half-sizes.
+    warm: [Vec<Option<f64>>; 2],
     /// Ground-truth evaluations performed so far (bisection probes plus
     /// final candidate scorings) — observability for the warm-start win.
     probes: u64,
@@ -453,12 +435,10 @@ impl QueryGenerator {
             next_id: 0,
             target_fraction,
             every_epochs,
-            candidates: COLD_CANDIDATES,
             spatial_fraction: 0.0,
             rng,
             involvement: Involvement::default(),
-            warm_width: Vec::new(),
-            warm_half: Vec::new(),
+            warm: [Vec::new(), Vec::new()],
             probes: 0,
         }
     }
@@ -483,21 +463,19 @@ impl QueryGenerator {
         self.next_id
     }
 
-    /// Write the dynamic state (id cursor, RNG position, warm-start
-    /// widths, probe tally) to `w`. Targets, periods and candidate counts
+    /// Write the dynamic state (id cursor, RNG position, probe tally, then
+    /// the warm-start widths and half-sizes) to `w`. Targets and periods
     /// are configuration and are rebuilt by the constructor.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         w.tag(b"QGEN");
         w.u64(self.next_id);
         w.rng(&self.rng);
         w.u64(self.probes);
-        w.len_of(self.warm_width.len());
-        for &v in &self.warm_width {
-            w.opt_f64(v);
-        }
-        w.len_of(self.warm_half.len());
-        for &v in &self.warm_half {
-            w.opt_f64(v);
+        for table in &self.warm {
+            w.len_of(table.len());
+            for &v in table {
+                w.opt_f64(v);
+            }
         }
     }
 
@@ -517,8 +495,10 @@ impl QueryGenerator {
         }
         self.rng = r.rng()?;
         self.probes = r.count()?;
-        self.warm_width = restore_warm(r, "warm width out of range")?;
-        self.warm_half = restore_warm(r, "warm half-size out of range")?;
+        self.warm = [
+            restore_warm(r, "warm width out of range")?,
+            restore_warm(r, "warm half-size out of range")?,
+        ];
         Ok(())
     }
 
@@ -547,7 +527,7 @@ impl QueryGenerator {
     pub fn generate(
         &mut self,
         world: &SensorWorld,
-        positions: &[dirq_net::Position],
+        positions: &[Position],
         parents: &[Option<NodeId>],
         is_alive: impl Fn(NodeId) -> bool + Copy,
     ) -> Option<CalibratedQuery> {
@@ -559,267 +539,112 @@ impl QueryGenerator {
         let spatial = self.spatial_fraction > 0.0
             && !positions.is_empty()
             && self.rng.gen::<f64>() < self.spatial_fraction;
+        let scope = if spatial { Scope::Region } else { Scope::Value };
         let start = self.rng.gen_range(0..types.len());
         types.rotate_left(start);
-        for t in types {
-            let q = if spatial {
-                self.generate_spatial_for_type(t, world, positions, parents, is_alive)
-            } else {
-                self.generate_for_type(t, world, parents, is_alive)
-            };
-            if q.is_some() {
-                return q;
-            }
-        }
-        None
+        types
+            .into_iter()
+            .find_map(|t| self.calibrate(scope, t, world, positions, parents, is_alive))
     }
 
-    /// Generate a spatially scoped query: the value window spans every
-    /// current reading ("all readings of this type"), and the *region* is
-    /// calibrated so that sources + forwarders hit the involvement target.
+    /// Calibrate a query of `stype` in `scope`: per candidate, draw an
+    /// alive carrier and bisect the scope's parameter around it, keeping
+    /// the candidate with the smallest involvement error.
     ///
-    /// Like the value-window path, region calibration **warm-starts from
-    /// the previous accepted half-size per sensor type**: involvement is
-    /// monotone in the region half-size and the target size drifts slowly
-    /// between hotspot queries of a type (it is set by carrier density, not
-    /// by the moving readings), so the warm bracket `[h₀/8, 8·h₀]` with the
-    /// small candidate budget suffices. A cold full-diagonal calibration
-    /// runs for the first spatial query of each type and as a fallback
-    /// whenever the warm result misses the target badly.
-    pub fn generate_spatial_for_type(
+    /// The warm stage bisects inside `[p₀/8, 8·p₀]` around the type's last
+    /// accepted parameter `p₀`, clamped to the full span. The cold stage
+    /// (no warm state, or a warm winner that misses the target by more
+    /// than half of it) bisects the full span with the larger budget; a
+    /// cold candidate beats the warm winner only on a strictly smaller
+    /// error. Returns `None` when the type has no alive carrier or the
+    /// winner no source.
+    fn calibrate(
         &mut self,
+        scope: Scope,
         stype: SensorType,
         world: &SensorWorld,
-        positions: &[dirq_net::Position],
+        positions: &[Position],
         parents: &[Option<NodeId>],
         is_alive: impl Fn(NodeId) -> bool + Copy,
     ) -> Option<CalibratedQuery> {
         let readings = world.readings(stype);
-        let carriers: Vec<usize> = readings
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| !v.is_nan() && is_alive(NodeId::from_index(i)))
-            .map(|(i, _)| i)
-            .collect();
+        let n = readings.len();
+        let carriers: Vec<usize> =
+            (0..n).filter(|&i| !readings[i].is_nan() && is_alive(NodeId::from_index(i))).collect();
         if carriers.is_empty() {
             return None;
         }
-        let (lo, hi) = world.value_range(stype)?;
-        let pad = (hi - lo).max(1.0) * 0.01;
-        // The field diagonal bounds the useful region size.
-        let max_half = positions.iter().map(|p| p.x.max(p.y)).fold(0.0f64, f64::max).max(1.0);
-
-        let warm = self.warm_half.get(stype.index()).copied().flatten();
-        let mut best = match warm {
-            Some(h0) => {
-                let hi_h = (h0 * WARM_BRACKET).min(max_half);
-                let lo_h = (h0 / WARM_BRACKET).min(hi_h * 0.5);
-                self.calibrate_region(
-                    stype,
-                    readings,
-                    &carriers,
-                    positions,
-                    parents,
-                    is_alive,
-                    (lo - pad, hi + pad),
-                    (lo_h, hi_h),
-                    WARM_ITERS,
-                    WARM_CANDIDATES,
-                )
+        // The parameter's full span, and for a region the value window.
+        let (span, window) = match scope {
+            Scope::Value => {
+                let (lo, hi) =
+                    carriers.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &i| {
+                        (lo.min(readings[i]), hi.max(readings[i]))
+                    });
+                ((hi - lo).max(1e-9), None)
             }
-            None => None,
+            Scope::Region => {
+                let (lo, hi) = world.value_range(stype)?;
+                let pad = (hi - lo).max(1.0) * 0.01;
+                // The field diagonal bounds the useful region size.
+                let max_half =
+                    positions.iter().map(|p| p.x.max(p.y)).fold(0.0f64, f64::max).max(1.0);
+                (max_half, Some((lo - pad, hi + pad)))
+            }
         };
-        let tolerance = (0.5 * self.target_fraction).max(2.0 / readings.len() as f64);
-        if !best.as_ref().map(|c| c.err <= tolerance).unwrap_or(false) {
-            let cold = self.calibrate_region(
-                stype,
-                readings,
-                &carriers,
-                positions,
-                parents,
-                is_alive,
-                (lo - pad, hi + pad),
-                (0.0, max_half),
-                COLD_ITERS,
-                self.candidates,
-            );
-            best = Candidate::better(best, cold);
-        }
-
-        let Candidate { query, count, .. } = best?;
-        if count == 0 {
-            return None;
-        }
-        let truth = ground_truth_for_query(readings, positions, parents, &query, is_alive);
-        debug_assert_eq!(truth.involved_count, count, "incremental involvement diverged");
-        let idx = stype.index();
-        if self.warm_half.len() <= idx {
-            self.warm_half.resize(idx + 1, None);
-        }
-        self.warm_half[idx] = query.region.map(|r| 0.5 * (r.x_max - r.x_min));
-        self.next_id += 1;
-        Some(CalibratedQuery { query, truth })
-    }
-
-    /// Core region calibration: evaluate `candidates` random carrier
-    /// centres, bisecting each half-size inside `bracket`, and return the
-    /// candidate with the smallest involvement error.
-    #[allow(clippy::too_many_arguments)] // internal helper behind two entry points
-    fn calibrate_region(
-        &mut self,
-        stype: SensorType,
-        readings: &[f64],
-        carriers: &[usize],
-        positions: &[dirq_net::Position],
-        parents: &[Option<NodeId>],
-        is_alive: impl Fn(NodeId) -> bool + Copy,
-        window: (f64, f64),
-        bracket: (f64, f64),
-        iters: usize,
-        candidates: usize,
-    ) -> Option<Candidate> {
-        let n = readings.len();
         let id = QueryId(self.next_id);
+        let query_at = |carrier: usize, p: f64| match window {
+            None => {
+                let centre = readings[carrier];
+                RangeQuery::value(id, stype, centre - p, centre + p)
+            }
+            Some((lo, hi)) => RangeQuery::value(id, stype, lo, hi)
+                .with_region(Rect::centered(positions[carrier], p)),
+        };
+
+        let warm = self.warm[scope as usize].get(stype.index()).copied().flatten().map(|p0| {
+            let hi = (p0 * WARM_BRACKET).min(span);
+            (((p0 / WARM_BRACKET).min(hi * 0.5), hi), WARM_ITERS, WARM_CANDIDATES)
+        });
+        let cold = ((0.0, span), COLD_ITERS, COLD_CANDIDATES);
+        let tolerance = (0.5 * self.target_fraction).max(2.0 / n as f64);
         let mut best: Option<Candidate> = None;
-        for _ in 0..candidates {
-            let centre = positions[carriers[self.rng.gen_range(0..carriers.len())]];
-            let query_at = |h: f64| {
-                RangeQuery::value(id, stype, window.0, window.1)
-                    .with_region(dirq_net::Rect::centered(centre, h))
-            };
-            let (h, count) =
-                self.involvement.bisect(parents, bracket, iters, self.target_fraction, |h| {
-                    let probe = query_at(h);
-                    move |i: usize| {
-                        is_alive(NodeId::from_index(i))
-                            && probe.matches_at(readings[i], &positions[i])
-                    }
-                });
-            self.probes += iters as u64 + 1;
-            let err = (count as f64 / n as f64 - self.target_fraction).abs();
-            if best.as_ref().map(|c| err < c.err).unwrap_or(true) {
-                best = Some(Candidate { err, query: query_at(h), count });
+        for (bracket, iters, candidates) in warm.into_iter().chain([cold]) {
+            if best.as_ref().is_some_and(|c| c.err <= tolerance) {
+                break;
             }
-        }
-        best
-    }
-
-    /// Generate a calibrated query for a specific sensor type.
-    ///
-    /// Warm path: bisect inside a narrow bracket around the type's last
-    /// accepted width. Cold path (first query of a type, or when the warm
-    /// result misses the target by more than half of it): full-span
-    /// bisection with the larger candidate budget.
-    pub fn generate_for_type(
-        &mut self,
-        stype: SensorType,
-        world: &SensorWorld,
-        parents: &[Option<NodeId>],
-        is_alive: impl Fn(NodeId) -> bool + Copy,
-    ) -> Option<CalibratedQuery> {
-        let readings = world.readings(stype);
-        let alive_values: Vec<f64> = readings
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| !v.is_nan() && is_alive(NodeId::from_index(i)))
-            .map(|(_, &v)| v)
-            .collect();
-        if alive_values.is_empty() {
-            return None;
-        }
-        let span = {
-            let lo = alive_values.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = alive_values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            (hi - lo).max(1e-9)
-        };
-
-        let warm = self.warm_width.get(stype.index()).copied().flatten();
-        let mut best = match warm {
-            Some(w0) => {
-                let hi_w = (w0 * WARM_BRACKET).min(span);
-                let lo_w = (w0 / WARM_BRACKET).min(hi_w * 0.5);
-                self.calibrate_value_window(
-                    stype,
-                    readings,
-                    &alive_values,
-                    parents,
-                    is_alive,
-                    (lo_w, hi_w),
-                    WARM_ITERS,
-                    WARM_CANDIDATES,
-                )
+            for _ in 0..candidates {
+                let carrier = carriers[self.rng.gen_range(0..carriers.len())];
+                let (p, count) =
+                    self.involvement.bisect(parents, bracket, iters, self.target_fraction, |p| {
+                        let probe = query_at(carrier, p);
+                        move |i: usize| {
+                            probe.matches_node(readings[i], positions, i)
+                                && is_alive(NodeId::from_index(i))
+                        }
+                    });
+                self.probes += iters as u64 + 1;
+                let err = (count as f64 / n as f64 - self.target_fraction).abs();
+                if best.as_ref().is_none_or(|c| err < c.err) {
+                    best = Some(Candidate { err, query: query_at(carrier, p), count });
+                }
             }
-            None => None,
-        };
-        let tolerance = (0.5 * self.target_fraction).max(2.0 / readings.len() as f64);
-        if !best.as_ref().map(|c| c.err <= tolerance).unwrap_or(false) {
-            // Cold (re)calibration over the full value span.
-            let cold = self.calibrate_value_window(
-                stype,
-                readings,
-                &alive_values,
-                parents,
-                is_alive,
-                (0.0, span),
-                COLD_ITERS,
-                self.candidates,
-            );
-            best = Candidate::better(best, cold);
         }
 
         let Candidate { query, count, .. } = best?;
         if count == 0 {
             return None;
         }
-        let truth = ground_truth(readings, parents, query.lo, query.hi, is_alive);
+        let truth = ground_truth(readings, positions, parents, &query, is_alive);
         debug_assert_eq!(truth.involved_count, count, "incremental involvement diverged");
-        let idx = stype.index();
-        if self.warm_width.len() <= idx {
-            self.warm_width.resize(idx + 1, None);
+        // The warm parameter is read back from the accepted query.
+        let (warm, idx) = (&mut self.warm[scope as usize], stype.index());
+        if warm.len() <= idx {
+            warm.resize(idx + 1, None);
         }
-        self.warm_width[idx] = Some(0.5 * (query.hi - query.lo));
+        warm[idx] = Some(0.5 * query.region.map_or(query.hi - query.lo, |r| r.x_max - r.x_min));
         self.next_id += 1;
         Some(CalibratedQuery { query, truth })
-    }
-
-    /// Core value-window calibration: evaluate `candidates` random centres,
-    /// bisecting each half-width inside `bracket`, and return the candidate
-    /// with the smallest involvement error.
-    #[allow(clippy::too_many_arguments)] // internal helper behind two entry points
-    fn calibrate_value_window(
-        &mut self,
-        stype: SensorType,
-        readings: &[f64],
-        alive_values: &[f64],
-        parents: &[Option<NodeId>],
-        is_alive: impl Fn(NodeId) -> bool + Copy,
-        bracket: (f64, f64),
-        iters: usize,
-        candidates: usize,
-    ) -> Option<Candidate> {
-        let n = readings.len();
-        let mut best: Option<Candidate> = None;
-        for _ in 0..candidates {
-            let center = alive_values[self.rng.gen_range(0..alive_values.len())];
-            // Bisect the half-width: involvement is monotone in w.
-            let (w, count) =
-                self.involvement.bisect(parents, bracket, iters, self.target_fraction, |w| {
-                    move |i: usize| {
-                        let v = readings[i];
-                        !v.is_nan()
-                            && v >= center - w
-                            && v <= center + w
-                            && is_alive(NodeId::from_index(i))
-                    }
-                });
-            self.probes += iters as u64 + 1;
-            let err = (count as f64 / n as f64 - self.target_fraction).abs();
-            if best.as_ref().map(|c| err < c.err).unwrap_or(true) {
-                let query = RangeQuery::value(QueryId(self.next_id), stype, center - w, center + w);
-                best = Some(Candidate { err, query, count });
-            }
-        }
-        best
     }
 }
 
@@ -899,7 +724,8 @@ mod tests {
         let topo = Topology::from_edges(4, &edges);
         let tree = SpanningTree::bfs(&topo, NodeId::ROOT);
         let readings = vec![f64::NAN, 0.0, 0.0, 5.0];
-        let gt = ground_truth(&readings, tree.parents(), 4.0, 6.0, |_| true);
+        let q = RangeQuery::value(QueryId(0), SensorType(0), 4.0, 6.0);
+        let gt = ground_truth(&readings, &[], tree.parents(), &q, |_| true);
         assert_eq!(gt.sources, vec![NodeId(3)]);
         // Forwarders 1 and 2 are involved; root is not.
         assert_eq!(gt.involved, vec![false, true, true, true]);
@@ -913,7 +739,8 @@ mod tests {
         let topo = Topology::from_edges(4, &edges);
         let tree = SpanningTree::bfs(&topo, NodeId::ROOT);
         let readings = vec![f64::NAN, 5.0, 0.0, 5.0];
-        let gt = ground_truth(&readings, tree.parents(), 4.0, 6.0, |n| n != NodeId(3));
+        let q = RangeQuery::value(QueryId(0), SensorType(0), 4.0, 6.0);
+        let gt = ground_truth(&readings, &[], tree.parents(), &q, |n| n != NodeId(3));
         assert_eq!(gt.sources, vec![NodeId(1)]);
         assert_eq!(gt.involved_count, 1);
     }
@@ -925,7 +752,8 @@ mod tests {
         let center = 20.0;
         let mut prev = 0;
         for w in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
-            let gt = ground_truth(readings, tree.parents(), center - w, center + w, |_| true);
+            let q = RangeQuery::value(QueryId(0), SensorType(0), center - w, center + w);
+            let gt = ground_truth(readings, &[], tree.parents(), &q, |_| true);
             assert!(gt.involved_count >= prev, "involvement must be monotone in width");
             prev = gt.involved_count;
         }
@@ -955,19 +783,20 @@ mod tests {
     }
 
     #[test]
-    fn matches_at_honours_region() {
+    fn matches_node_honours_region() {
         let q = RangeQuery::value(QueryId(1), SensorType(0), 0.0, 10.0)
             .with_region(Rect::new(Position::new(0.0, 0.0), Position::new(5.0, 5.0)));
-        assert!(q.matches_at(5.0, &Position::new(2.0, 2.0)));
-        assert!(!q.matches_at(5.0, &Position::new(9.0, 2.0)), "outside the region");
-        assert!(!q.matches_at(50.0, &Position::new(2.0, 2.0)), "outside the window");
-        // Without a region the position is irrelevant.
+        let positions = [Position::new(2.0, 2.0), Position::new(9.0, 2.0)];
+        assert!(q.matches_node(5.0, &positions, 0));
+        assert!(!q.matches_node(5.0, &positions, 1), "outside the region");
+        assert!(!q.matches_node(50.0, &positions, 0), "outside the window");
+        // Without a region the positions are never read.
         let open = RangeQuery::value(QueryId(2), SensorType(0), 0.0, 10.0);
-        assert!(open.matches_at(5.0, &Position::new(1e6, 1e6)));
+        assert!(open.matches_node(5.0, &[], 7));
     }
 
     #[test]
-    fn ground_truth_for_query_applies_region() {
+    fn ground_truth_applies_region() {
         let edges: Vec<(NodeId, NodeId)> = (0..3).map(|i| (NodeId(i), NodeId(i + 1))).collect();
         let topo = Topology::from_edges(4, &edges);
         let tree = SpanningTree::bfs(&topo, NodeId::ROOT);
@@ -976,7 +805,7 @@ mod tests {
         let positions: Vec<Position> = (0..4).map(|i| Position::new(i as f64, 0.0)).collect();
         let q = RangeQuery::value(QueryId(0), SensorType(0), 4.0, 6.0)
             .with_region(Rect::new(Position::new(2.5, -1.0), Position::new(4.0, 1.0)));
-        let gt = ground_truth_for_query(&readings, &positions, tree.parents(), &q, |_| true);
+        let gt = ground_truth(&readings, &positions, tree.parents(), &q, |_| true);
         assert_eq!(gt.sources, vec![NodeId(3)], "only node 3 is in the region");
         // Forwarders 1 and 2 still count as involved.
         assert_eq!(gt.involved_count, 3);
@@ -1203,7 +1032,8 @@ mod tests {
                     }
                 });
                 prop_assert!(bracket.0 <= w && w <= bracket.1);
-                let truth = ground_truth(&readings, &parents, center - w, center + w, is_alive);
+                let q = RangeQuery::value(QueryId(0), SensorType(0), center - w, center + w);
+                let truth = ground_truth(&readings, &[], &parents, &q, is_alive);
                 prop_assert_eq!(count, truth.involved_count);
                 let query_at = |h: f64| {
                     RangeQuery::value(QueryId(0), SensorType(0), window.0, window.1)
@@ -1211,9 +1041,9 @@ mod tests {
                 };
                 let (h, count) = inv.bisect(&parents, bracket, steps, target, |h| {
                     let (probe, readings, positions) = (query_at(h), &readings, &positions);
-                    move |i: usize| is_alive(NodeId::from_index(i)) && probe.matches_at(readings[i], &positions[i])
+                    move |i: usize| is_alive(NodeId::from_index(i)) && probe.matches_node(readings[i], positions, i)
                 });
-                let truth = ground_truth_for_query(&readings, &positions, &parents, &query_at(h), is_alive);
+                let truth = ground_truth(&readings, &positions, &parents, &query_at(h), is_alive);
                 prop_assert_eq!(count, truth.involved_count);
             }
         }
@@ -1306,7 +1136,7 @@ mod tests {
         let pad = (hi - lo).max(1.0) * 0.01;
         let window = (lo - pad, hi + pad);
         let max_half = positions.iter().map(|p| p.x.max(p.y)).fold(0.0f64, f64::max).max(1.0);
-        let mut best = g.warm_half.get(stype.index()).copied().flatten().and_then(|h0| {
+        let mut best = g.warm[1].get(stype.index()).copied().flatten().and_then(|h0| {
             let hi_h = (h0 * WARM_BRACKET).min(max_half);
             let lo_h = (h0 / WARM_BRACKET).min(hi_h * 0.5);
             let bracket = (lo_h, hi_h);
@@ -1326,7 +1156,7 @@ mod tests {
         });
         let tolerance = (0.5 * g.target_fraction).max(2.0 / readings.len() as f64);
         if !best.as_ref().map(|&(err, _)| err <= tolerance).unwrap_or(false) {
-            let candidates = g.candidates;
+            let candidates = COLD_CANDIDATES;
             let bracket = (0.0, max_half);
             let cold = model_region(
                 g, stype, readings, &carriers, positions, parents, is_alive, window, bracket,
@@ -1339,10 +1169,10 @@ mod tests {
             return None;
         }
         let idx = stype.index();
-        if g.warm_half.len() <= idx {
-            g.warm_half.resize(idx + 1, None);
+        if g.warm[1].len() <= idx {
+            g.warm[1].resize(idx + 1, None);
         }
-        g.warm_half[idx] = cal.query.region.map(|r| 0.5 * (r.x_max - r.x_min));
+        g.warm[1][idx] = cal.query.region.map(|r| 0.5 * (r.x_max - r.x_min));
         g.next_id += 1;
         Some(cal)
     }
@@ -1375,7 +1205,7 @@ mod tests {
                 let probe = query_at(mid, g.next_id);
                 g.probes += 1;
                 let count = model_mark(n, parents, |i| {
-                    is_alive(NodeId::from_index(i)) && probe.matches_at(readings[i], &positions[i])
+                    is_alive(NodeId::from_index(i)) && probe.matches_node(readings[i], positions, i)
                 });
                 if (count as f64 / n as f64) < g.target_fraction {
                     lo_h = mid;
@@ -1385,7 +1215,7 @@ mod tests {
             }
             let query = query_at(0.5 * (lo_h + hi_h), g.next_id);
             g.probes += 1;
-            let truth = ground_truth_for_query(readings, positions, parents, &query, is_alive);
+            let truth = ground_truth(readings, positions, parents, &query, is_alive);
             let err = (truth.involved_fraction() - g.target_fraction).abs();
             if best.as_ref().map(|(e, _)| err < *e).unwrap_or(true) {
                 best = Some((err, CalibratedQuery { query, truth }));
@@ -1412,7 +1242,7 @@ mod tests {
         let lo = alive_values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = alive_values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let span = (hi - lo).max(1e-9);
-        let mut best = g.warm_width.get(stype.index()).copied().flatten().and_then(|w0| {
+        let mut best = g.warm[0].get(stype.index()).copied().flatten().and_then(|w0| {
             let hi_w = (w0 * WARM_BRACKET).min(span);
             let lo_w = (w0 / WARM_BRACKET).min(hi_w * 0.5);
             let bracket = (lo_w, hi_w);
@@ -1430,7 +1260,7 @@ mod tests {
         });
         let tolerance = (0.5 * g.target_fraction).max(2.0 / readings.len() as f64);
         if !best.as_ref().map(|&(err, _)| err <= tolerance).unwrap_or(false) {
-            let candidates = g.candidates;
+            let candidates = COLD_CANDIDATES;
             let cold = model_value(
                 g,
                 stype,
@@ -1449,10 +1279,10 @@ mod tests {
             return None;
         }
         let idx = stype.index();
-        if g.warm_width.len() <= idx {
-            g.warm_width.resize(idx + 1, None);
+        if g.warm[0].len() <= idx {
+            g.warm[0].resize(idx + 1, None);
         }
-        g.warm_width[idx] = Some(0.5 * (cal.query.hi - cal.query.lo));
+        g.warm[0][idx] = Some(0.5 * (cal.query.hi - cal.query.lo));
         g.next_id += 1;
         Some(cal)
     }
@@ -1492,9 +1322,9 @@ mod tests {
             }
             let w = 0.5 * (lo_w + hi_w);
             g.probes += 1;
-            let truth = ground_truth(readings, parents, center - w, center + w, is_alive);
-            let err = (truth.involved_fraction() - g.target_fraction).abs();
             let query = RangeQuery::value(QueryId(g.next_id), stype, center - w, center + w);
+            let truth = ground_truth(readings, &[], parents, &query, is_alive);
+            let err = (truth.involved_fraction() - g.target_fraction).abs();
             if best.as_ref().map(|(e, _)| err < *e).unwrap_or(true) {
                 best = Some((err, CalibratedQuery { query, truth }));
             }
@@ -1555,7 +1385,7 @@ mod tests {
                 (subtree_alive, &subtree_parents),
             ];
             for target in [0.2, 0.4, 0.6] {
-                for spatial in [0.0, 1.0] {
+                for spatial in [0.0, 0.5, 1.0] {
                     for (alive, parents) in &cases {
                         let is_alive = |v: NodeId| alive[v.index()];
                         let fresh = || {
@@ -1580,8 +1410,8 @@ mod tests {
                             );
                             assert_eq!(fast.probes, model.probes, "{ctx}");
                             assert_eq!(fast.next_id, model.next_id, "{ctx}");
-                            assert_eq!(warm_bits(&fast.warm_width), warm_bits(&model.warm_width));
-                            assert_eq!(warm_bits(&fast.warm_half), warm_bits(&model.warm_half));
+                            assert_eq!(warm_bits(&fast.warm[0]), warm_bits(&model.warm[0]));
+                            assert_eq!(warm_bits(&fast.warm[1]), warm_bits(&model.warm[1]));
                             for _ in 0..5 {
                                 world.advance_epoch();
                             }

@@ -2,7 +2,8 @@
 //!
 //! The paper's analytical and simulated comparisons use a unit cost model:
 //! one unit per transmission, one unit per reception (Section 5). The
-//! ledger keeps per-node tallies so experiments can also report hotspots.
+//! ledger keeps per-node tallies; its totals saturate, so a restored image
+//! whose tallies sit at the counter bound cannot overflow them.
 
 use crate::ids::NodeId;
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
@@ -12,20 +13,12 @@ use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 pub struct EnergyLedger {
     tx: Vec<u64>,
     rx: Vec<u64>,
-    tx_cost: f64,
-    rx_cost: f64,
 }
 
 impl EnergyLedger {
-    /// Ledger for `n` nodes with the paper's unit costs (1 tx / 1 rx).
+    /// Ledger for `n` nodes.
     pub fn new(n: usize) -> Self {
-        EnergyLedger::with_costs(n, 1.0, 1.0)
-    }
-
-    /// Ledger with custom per-operation costs (for radio-chip ablations).
-    pub fn with_costs(n: usize, tx_cost: f64, rx_cost: f64) -> Self {
-        assert!(tx_cost >= 0.0 && rx_cost >= 0.0, "costs must be non-negative");
-        EnergyLedger { tx: vec![0; n], rx: vec![0; n], tx_cost, rx_cost }
+        EnergyLedger { tx: vec![0; n], rx: vec![0; n] }
     }
 
     /// Record one transmission by `node`.
@@ -46,53 +39,27 @@ impl EnergyLedger {
         self.rx[node.index()] += count;
     }
 
-    /// Transmissions by `node`.
-    pub fn tx_count(&self, node: NodeId) -> u64 {
-        self.tx[node.index()]
-    }
-
     /// Receptions by `node`.
     pub fn rx_count(&self, node: NodeId) -> u64 {
         self.rx[node.index()]
     }
 
-    /// Total transmissions across all nodes.
+    /// Total transmissions across all nodes (saturating).
     pub fn total_tx(&self) -> u64 {
-        self.tx.iter().sum()
+        saturating_sum(&self.tx)
     }
 
-    /// Total receptions across all nodes.
+    /// Total receptions across all nodes (saturating).
     pub fn total_rx(&self) -> u64 {
-        self.rx.iter().sum()
+        saturating_sum(&self.rx)
     }
 
-    /// Total cost: `tx_cost·Σtx + rx_cost·Σrx`. With unit costs this is the
-    /// paper's `C = CTx + CRx`.
+    /// Total cost under the unit model: the paper's `C = CTx + CRx`.
     pub fn total_cost(&self) -> f64 {
-        self.total_tx() as f64 * self.tx_cost + self.total_rx() as f64 * self.rx_cost
+        self.total_tx() as f64 + self.total_rx() as f64
     }
 
-    /// Cost attributable to a single node.
-    pub fn node_cost(&self, node: NodeId) -> f64 {
-        self.tx[node.index()] as f64 * self.tx_cost + self.rx[node.index()] as f64 * self.rx_cost
-    }
-
-    /// The node with the highest cost (ties broken by lowest id), with its
-    /// cost; `None` for an empty ledger.
-    pub fn hotspot(&self) -> Option<(NodeId, f64)> {
-        (0..self.tx.len())
-            .map(|i| (NodeId::from_index(i), self.node_cost(NodeId::from_index(i))))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
-    }
-
-    /// Zero every tally.
-    pub fn reset(&mut self) {
-        self.tx.fill(0);
-        self.rx.fill(0);
-    }
-
-    /// Write the per-node tallies to `w` (costs are configuration, not
-    /// state — the restored ledger keeps its own).
+    /// Write the per-node tallies to `w`.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.tag(b"ELDG");
         w.u64s(&self.tx);
@@ -113,15 +80,11 @@ impl EnergyLedger {
         self.rx = rx;
         Ok(())
     }
+}
 
-    /// Add another ledger's tallies into this one (sizes must match).
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        assert_eq!(self.tx.len(), other.tx.len(), "ledger size mismatch");
-        for i in 0..self.tx.len() {
-            self.tx[i] += other.tx[i];
-            self.rx[i] += other.rx[i];
-        }
-    }
+/// The sum of `tallies`, saturating at `u64::MAX`.
+fn saturating_sum(tallies: &[u64]) -> u64 {
+    tallies.iter().fold(0, |sum, &t| sum.saturating_add(t))
 }
 
 #[cfg(test)]
@@ -141,60 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn per_node_tallies() {
+    fn totals_saturate() {
         let mut l = EnergyLedger::new(2);
-        l.record_tx(NodeId(1));
-        l.record_tx(NodeId(1));
-        l.record_rx(NodeId(0));
-        assert_eq!(l.tx_count(NodeId(1)), 2);
-        assert_eq!(l.rx_count(NodeId(0)), 1);
-        assert_eq!(l.node_cost(NodeId(1)), 2.0);
-    }
-
-    #[test]
-    fn custom_costs() {
-        let mut l = EnergyLedger::with_costs(1, 2.5, 0.5);
-        l.record_tx(NodeId(0));
-        l.record_rx(NodeId(0));
-        assert_eq!(l.total_cost(), 3.0);
-    }
-
-    #[test]
-    fn hotspot_finds_busiest_node() {
-        let mut l = EnergyLedger::new(3);
-        l.record_tx(NodeId(2));
-        l.record_tx(NodeId(2));
-        l.record_tx(NodeId(0));
-        let (node, cost) = l.hotspot().unwrap();
-        assert_eq!(node, NodeId(2));
-        assert_eq!(cost, 2.0);
-    }
-
-    #[test]
-    fn hotspot_tie_breaks_to_lowest_id() {
-        let mut l = EnergyLedger::new(3);
-        l.record_tx(NodeId(1));
-        l.record_tx(NodeId(2));
-        assert_eq!(l.hotspot().unwrap().0, NodeId(1));
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let mut a = EnergyLedger::new(2);
-        a.record_tx(NodeId(0));
-        let mut b = EnergyLedger::new(2);
-        b.record_rx(NodeId(1));
-        a.merge(&b);
-        assert_eq!(a.total_cost(), 2.0);
-        a.reset();
-        assert_eq!(a.total_cost(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn merge_size_mismatch_panics() {
-        let mut a = EnergyLedger::new(2);
-        let b = EnergyLedger::new(3);
-        a.merge(&b);
+        l.tx = vec![u64::MAX - 1, 2];
+        l.rx = vec![1 << 63, 1 << 63];
+        assert_eq!(l.total_tx(), u64::MAX);
+        assert_eq!(l.total_rx(), u64::MAX);
     }
 }

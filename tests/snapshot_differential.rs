@@ -595,6 +595,89 @@ fn restore_rejects_a_counter_past_the_bound() {
     }
 }
 
+/// Two restored counters at the bound still sum: every sum of counters a
+/// run reads saturates instead of overflowing (a panic in debug, a wrapped
+/// total in release) when the run ends and its cost is read.
+#[test]
+fn restored_counters_at_the_bound_sum_without_overflow() {
+    const BOUND: u64 = 1 << 63;
+    fn u64_at(body: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(body[at..at + 8].try_into().unwrap())
+    }
+    fn metrics(body: &[u8]) -> usize {
+        tag_offsets(body, b"METR")[0]
+    }
+    fn ledger(body: &[u8]) -> usize {
+        tag_offsets(body, b"ELDG")[0]
+    }
+    // Before the first epoch no sampler has sampled, so every sampler
+    // record is 43 bytes: the last reading's absence byte, the drift and
+    // volatility EWMAs (α, an absence byte), then the skip, taken and
+    // skipped counts. The body closes with u_max (f64), the empty δ trace
+    // (a zero count) and the injection count (u64).
+    fn last_samplers_taken(body: &[u8]) -> Vec<usize> {
+        let end = body.len() - 24;
+        assert_eq!(u64_at(body, body.len() - 16), 0, "an empty δ trace");
+        vec![end - 16, end - 43 - 16]
+    }
+    type Offsets = fn(&[u8]) -> Vec<usize>;
+    let cases: [(&str, u8, u64, Offsets); 5] = [
+        // The last two samplers' taken counts: `sample_counts` in `run`.
+        ("sampler counts", 4, 0, last_samplers_taken),
+        // The query injected at epoch 20 is in flight; its tx and rx
+        // close the pending set, right before the metrics.
+        ("pending tx and rx", 0, 25, |b| vec![metrics(b) - 16, metrics(b) - 8]),
+        // "METR", the measurement start, then the query category's tx and
+        // rx: `CategoryCost::cost`.
+        ("query category tallies", 0, 25, |b| vec![metrics(b) + 12, metrics(b) + 20]),
+        // "ELDG", a count, then nodes 0 and 1's transmissions, and after
+        // the 50 nodes another count and their receptions: one ledger's
+        // `total_tx` and `total_rx` in `run`.
+        ("ledger transmissions", 0, 25, |b| vec![ledger(b) + 12, ledger(b) + 20]),
+        ("ledger receptions", 0, 25, |b| vec![ledger(b) + 420, ledger(b) + 428]),
+    ];
+    for (pair, variant, epochs, offsets) in cases {
+        let cfg = variant_config(17, variant, 60);
+        let mut donor = Engine::new(cfg.clone());
+        for _ in 0..epochs {
+            donor.step_epoch();
+        }
+        let mut body = donor.snapshot();
+        for at in offsets(&body) {
+            assert!(u64_at(&body, at) < 1 << 20, "{pair}: byte {at} holds a live counter");
+            body[at..at + 8].copy_from_slice(&BOUND.to_le_bytes());
+        }
+        let mut engine = Engine::new(cfg);
+        engine.restore(&body).expect("counters at the bound restore");
+        let cost = engine.run().cost_per_query();
+        assert!(cost.is_some_and(f64::is_finite), "{pair}: cost per query {cost:?}");
+    }
+}
+
+/// A duplicate-suppression list longer than its cap is a typed error at
+/// restore: `on_query` evicts only at exactly the cap, so a longer list
+/// would grow by one id per query, each scanned on every arrival.
+#[test]
+fn restore_rejects_an_overlong_seen_query_list() {
+    let (body, nodes) = body_at(25);
+    // The root's record ends with its seen-query ids (a count, then one
+    // u64 each), its location table (empty: two absence flags around a
+    // zero child count) and its Update count. By epoch 25 it has seen the
+    // query injected at epoch 20.
+    let ids_end = nodes[1] - 8 - 10;
+    let count_at = ids_end - 16;
+    assert_eq!(u64::from_le_bytes(body[count_at..count_at + 8].try_into().unwrap()), 1);
+    let with_ids = |extra: u64| {
+        let mut patched = body[..ids_end].to_vec();
+        patched[count_at..count_at + 8].copy_from_slice(&(1 + extra).to_le_bytes());
+        patched.extend((0..extra).flat_map(|k| (1_000 + k).to_le_bytes()));
+        patched.extend_from_slice(&body[ids_end..]);
+        patched
+    };
+    Engine::new(variant_config(17, 0, 60)).restore(&with_ids(63)).expect("a full list restores");
+    assert_rejected(&with_ids(64), "seen-query list too long");
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
