@@ -1355,9 +1355,11 @@ mod tests {
 
     /// The band bisection equals the rescanning model bit for bit: query
     /// ids, bounds and regions, ground truth, probe totals, warm-start
-    /// state and the generator's next RNG draw. Covers targets, value and
-    /// spatial workloads and three liveness patterns, with the world
-    /// drifting between queries so warm starts and cold fallbacks both run.
+    /// state and the generator's next RNG draw. Covers targets, value,
+    /// spatial and mixed workloads (the last has one generator calibrate
+    /// both scopes, so it checks the warm table's indexing) and three
+    /// liveness patterns, with the world drifting between queries so warm
+    /// starts and cold fallbacks both run.
     #[test]
     fn band_bisection_matches_the_rescanning_model() {
         for seed in [60, 61, 62] {
