@@ -7,8 +7,8 @@
 # inherited CARGO_TARGET_DIR is overridden), runs the six paper bins with
 # `--quick` and the six examples from the checkout's root, and diffs
 # their stdout. Prints "same" or "DIFFERS" per program, with the diff
-# below a difference. Exits 1 if any stdout differs or any program fails,
-# 2 on a usage error.
+# below a difference. Exits 1 if a build fails, a program fails or any
+# stdout differs, 2 on a usage error.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -25,7 +25,8 @@ run_all() {
     local dir side=$2
     dir=$(cd "$1" && pwd)
     export CARGO_TARGET_DIR="$dir/target"
-    (cd "$dir" && cargo build --release -q -p dirq-bench --bins && cargo build --release -q --examples)
+    (cd "$dir" && cargo build --release -q -p dirq-bench --bins && cargo build --release -q --examples) \
+        || { echo "$side: build failed" >&2; exit 1; }
     mkdir -p "$OUT/$side"
     for bin in $BINS; do
         (cd "$dir" && "$CARGO_TARGET_DIR/release/$bin" --quick) > "$OUT/$side/$bin" \

@@ -637,7 +637,9 @@ impl QueryGenerator {
         }
         let truth = ground_truth(readings, positions, parents, &query, is_alive);
         debug_assert_eq!(truth.involved_count, count, "incremental involvement diverged");
-        // The warm parameter is read back from the accepted query.
+        // Read back from the accepted query, not taken from the bisection:
+        // half of `(c + p) - (c - p)` need not be `p` bit for bit, and the
+        // image carries this value.
         let (warm, idx) = (&mut self.warm[scope as usize], stype.index());
         if warm.len() <= idx {
             warm.resize(idx + 1, None);
