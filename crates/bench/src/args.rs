@@ -9,11 +9,13 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Worker threads (0 = all cores).
     pub threads: usize,
+    /// Whether `--quick` was given.
+    pub quick: bool,
 }
 
 impl Default for HarnessArgs {
     fn default() -> Self {
-        HarnessArgs { epochs: 20_000, seed: 42, threads: 0 }
+        HarnessArgs { epochs: 20_000, seed: 42, threads: 0, quick: false }
     }
 }
 
@@ -45,7 +47,10 @@ impl HarnessArgs {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--threads needs a number"));
                 }
-                "--quick" => out.epochs = 4_000,
+                "--quick" => {
+                    out.epochs = 4_000;
+                    out.quick = true;
+                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown argument {other:?}")),
             }
@@ -56,6 +61,13 @@ impl HarnessArgs {
     /// Parse from the process arguments.
     pub fn from_env() -> Self {
         HarnessArgs::parse(std::env::args().skip(1))
+    }
+
+    /// The line a figure binary prints to stderr before its runs: `what`,
+    /// the epochs per run and, unless `--quick` was given, a hint at it.
+    pub fn banner(&self, what: &str) -> String {
+        let hint = if self.quick { "" } else { " (use --quick for a fast pass)" };
+        format!("{what}, {} epochs each{hint}", self.epochs)
     }
 
     /// Warm-up epochs to exclude from aggregates for this run length.
@@ -100,12 +112,34 @@ mod tests {
     fn quick_mode() {
         let a = parse(&["--quick"]);
         assert_eq!(a.epochs, 4_000);
+        assert!(a.quick && !parse(&[]).quick);
+    }
+
+    #[test]
+    fn banner_hints_at_quick_only_without_it() {
+        assert_eq!(
+            parse(&[]).banner("fig6: 4 policies"),
+            "fig6: 4 policies, 20000 epochs each (use --quick for a fast pass)"
+        );
+        assert_eq!(
+            parse(&["--quick"]).banner("fig6: 4 policies"),
+            "fig6: 4 policies, 4000 epochs each"
+        );
+        assert_eq!(
+            parse(&["--quick", "--epochs", "900"]).banner("cost_ratio: 6 runs"),
+            "cost_ratio: 6 runs, 900 epochs each"
+        );
+        assert_eq!(
+            parse(&["--epochs", "900"]).banner("cost_ratio: 6 runs"),
+            "cost_ratio: 6 runs, 900 epochs each (use --quick for a fast pass)"
+        );
     }
 
     #[test]
     fn measure_from_scales() {
-        assert_eq!(HarnessArgs { epochs: 20_000, seed: 0, threads: 0 }.measure_from(), 2_000);
-        assert_eq!(HarnessArgs { epochs: 4_000, seed: 0, threads: 0 }.measure_from(), 400);
-        assert_eq!(HarnessArgs { epochs: 500, seed: 0, threads: 0 }.measure_from(), 200);
+        let with_epochs = |epochs| HarnessArgs { epochs, ..HarnessArgs::default() };
+        assert_eq!(with_epochs(20_000).measure_from(), 2_000);
+        assert_eq!(with_epochs(4_000).measure_from(), 400);
+        assert_eq!(with_epochs(500).measure_from(), 200);
     }
 }

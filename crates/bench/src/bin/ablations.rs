@@ -12,7 +12,7 @@ use dirq_bench::experiments::ablations;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    eprintln!("ablations: 7 runs, {} epochs each (use --quick for a fast pass)", args.epochs);
+    eprintln!("{}", args.banner("ablations: 7 runs"));
     let table = ablations(&args);
     println!("# Ablations — effect of each design choice (40% relevance, fixed delta = 5%)");
     println!("{}", table.to_ascii());

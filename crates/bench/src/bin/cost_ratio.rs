@@ -9,7 +9,7 @@ use dirq_bench::experiments::cost_ratio;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    eprintln!("cost_ratio: 6 runs, {} epochs each (use --quick for a fast pass)", args.epochs);
+    eprintln!("{}", args.banner("cost_ratio: 6 runs"));
     let table = cost_ratio(&args);
     println!("# Headline — DirQ (ATC) vs flooding cost, per query");
     println!("{}", table.to_ascii());

@@ -15,10 +15,7 @@ use dirq_bench::experiments::fig5;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    eprintln!(
-        "fig5: 2 scenarios x 9 thresholds, {} epochs each (use --quick for a fast pass)",
-        args.epochs
-    );
+    eprintln!("{}", args.banner("fig5: 2 scenarios x 9 thresholds"));
     let table = fig5(&args);
     println!("# Fig. 5 — effect of delta on accuracy (means over measured queries)");
     println!("{}", table.to_ascii());

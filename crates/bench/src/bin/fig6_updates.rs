@@ -12,7 +12,7 @@ use dirq_bench::experiments::fig6;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    eprintln!("fig6: 4 policies, {} epochs each (use --quick for a fast pass)", args.epochs);
+    eprintln!("{}", args.banner("fig6: 4 policies"));
     let (summary, series) = fig6(&args);
     println!("# Fig. 6 — update messages per 100 epochs (40% relevant nodes)");
     println!("{}", summary.to_ascii());

@@ -13,7 +13,7 @@ use dirq_bench::experiments::fig7;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    eprintln!("fig7: 4 policies, {} epochs each (use --quick for a fast pass)", args.epochs);
+    eprintln!("{}", args.banner("fig7: 4 policies"));
     let (summary, series) = fig7(&args);
     println!("# Fig. 7 — overshoot (20% relevant nodes)");
     println!("{}", summary.to_ascii());

@@ -403,7 +403,7 @@ mod tests {
     use super::*;
 
     fn quick() -> HarnessArgs {
-        HarnessArgs { epochs: 600, seed: 7, threads: 0 }
+        HarnessArgs { epochs: 600, seed: 7, ..HarnessArgs::default() }
     }
 
     #[test]
@@ -437,7 +437,8 @@ mod tests {
 
     #[test]
     fn validation_matches_analytic() {
-        let t = analytic_validation(&HarnessArgs { epochs: 600, seed: 7, threads: 0 });
+        let t =
+            analytic_validation(&HarnessArgs { epochs: 600, seed: 7, ..HarnessArgs::default() });
         let csv = t.to_csv();
         for line in csv.lines().skip(1) {
             let rel: f64 = line.split(',').next_back().unwrap().parse().unwrap();

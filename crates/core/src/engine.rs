@@ -20,7 +20,6 @@ use dirq_analytic::TopologyCosts;
 use dirq_data::{QueryGenerator, SensorWorld};
 use dirq_lmac::LmacNetwork;
 use dirq_net::churn::ChurnPlan;
-use dirq_net::Topology;
 use dirq_sim::stats::Ewma;
 use dirq_sim::SimRng;
 
@@ -51,7 +50,7 @@ use tree::TreeScratch;
 /// The simulation engine.
 pub struct Engine {
     cfg: ScenarioConfig,
-    topo: Topology,
+    /// The MAC, which also owns the deployment graph (`mac.topology()`).
     mac: LmacNetwork<DirqMessage>,
     world: SensorWorld,
     nodes: Vec<DirqNode>,

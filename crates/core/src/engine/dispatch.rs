@@ -155,7 +155,7 @@ impl Engine {
         let alive = &self.alive;
         let truth = dirq_data::workload::ground_truth(
             self.world.readings(stype),
-            self.topo.positions(),
+            self.mac.topology().positions(),
             &self.tree_scratch.parent,
             &query,
             |n: NodeId| alive[n.index()],
@@ -169,7 +169,7 @@ impl Engine {
     /// tree (the paper's `EHr` message).
     pub(super) fn broadcast_ehr(&mut self) {
         let tree = self.protocol_tree();
-        let costs = TopologyCosts::compute(&self.topo, &tree);
+        let costs = TopologyCosts::compute(self.mac.topology(), &tree);
         let n_sensing = costs.n.saturating_sub(1).max(1) as f64;
         let queries_per_hour = self.cfg.hour_epochs as f64 / self.cfg.query_period as f64;
         self.u_max_per_hour =
@@ -207,7 +207,7 @@ impl Engine {
         self.query_parents();
         let alive = &self.alive;
         let positions: &[dirq_net::Position] =
-            if self.cfg.location_enabled { self.topo.positions() } else { &[] };
+            if self.cfg.location_enabled { self.mac.topology().positions() } else { &[] };
         let parents = &self.tree_scratch.parent;
         let generated = self.qgen.generate(&self.world, positions, parents, |n| alive[n.index()]);
         if let Some(CalibratedQuery { query, truth }) = generated {
@@ -223,7 +223,7 @@ impl Engine {
             query,
             epoch: self.epoch,
             truth,
-            received: vec![false; self.topo.len()],
+            received: vec![false; self.mac.topology().len()],
             tx: 0,
             rx: 0,
         });
@@ -460,7 +460,7 @@ impl Engine {
             received_should,
             received_should_not: received - received_should,
             sources_reached,
-            n_nodes: self.topo.len(),
+            n_nodes: self.mac.topology().len(),
         };
         if let Some(log) = &mut self.completed {
             log.push(CompletedQuery {

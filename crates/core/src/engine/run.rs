@@ -132,13 +132,15 @@ impl Engine {
         };
 
         // --- MAC --------------------------------------------------------------
-        let mut mac = LmacNetwork::new(cfg.lmac, topo.clone());
+        // The MAC owns the engine's one copy of the topology.
+        let mut mac = LmacNetwork::new(cfg.lmac, topo);
         for (i, &node_alive) in alive.iter().enumerate() {
             if !node_alive {
                 mac.set_alive(NodeId::from_index(i), false);
             }
         }
         mac.assign_slots_greedy();
+        let topo = mac.topology();
 
         // --- world + workload --------------------------------------------------
         let world_cfg = cfg.world.clone().unwrap_or_else(|| WorldConfig::environmental(cfg.side));
@@ -154,7 +156,7 @@ impl Engine {
             cfg.sensor_coverage,
             &mut factory.stream("assignment"),
         );
-        let mut world = SensorWorld::new(&world_cfg, catalog, assignment, &topo, &factory);
+        let mut world = SensorWorld::new(&world_cfg, catalog, assignment, topo, &factory);
         world.set_workers(cfg.world_workers.max(1));
         assert!(
             cfg.spatial_query_fraction == 0.0 || cfg.location_enabled,
@@ -187,7 +189,7 @@ impl Engine {
             }
         }
 
-        let analytic0 = TopologyCosts::compute(&topo, &tree);
+        let analytic0 = TopologyCosts::compute(topo, &tree);
         let queries_per_hour = cfg.hour_epochs as f64 / cfg.query_period as f64;
         let u_max_per_hour = analytic0
             .f_max()
@@ -230,7 +232,6 @@ impl Engine {
             u_max_per_hour,
             analytic0,
             cfg,
-            topo,
             mac,
             world,
             nodes,
@@ -247,7 +248,7 @@ impl Engine {
 
     /// The deployment graph.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.mac.topology()
     }
 
     /// Protocol state of one node.
@@ -389,7 +390,7 @@ impl Engine {
             sample_counts(self.samplers.iter().flatten().flatten());
         RunResult {
             metrics: self.metrics,
-            n_nodes: self.topo.len(),
+            n_nodes: self.mac.topology().len(),
             epochs: self.cfg.epochs,
             analytic: self.analytic0,
             u_max_per_hour: self.u_max_per_hour,
@@ -428,7 +429,7 @@ impl Engine {
                         for i in 1..e.nodes.len() {
                             let node = NodeId::from_index(i);
                             if e.alive[i] {
-                                let pos = e.topo.position(node);
+                                let pos = e.mac.topology().position(node);
                                 e.handle(node, |n, out| n.set_position(pos, out));
                             }
                         }

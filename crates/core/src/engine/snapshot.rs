@@ -77,7 +77,7 @@ impl Engine {
     /// only counts). On success the engine continues from the captured
     /// epoch exactly as the snapshotted one would have.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
-        let n = self.topo.len();
+        let n = self.mac.topology().len();
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;

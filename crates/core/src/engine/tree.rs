@@ -87,7 +87,7 @@ impl Engine {
     /// cached attachment's parents instead of building this tree.
     pub fn protocol_tree(&self) -> SpanningTree {
         let pass = self.fresh_attachment();
-        let mut tree = SpanningTree::new(self.topo.len(), NodeId::ROOT);
+        let mut tree = SpanningTree::new(self.mac.topology().len(), NodeId::ROOT);
         for &c in &pass.queue[1..] {
             tree.attach(c, pass.parent[c.index()].expect("an attached non-root node has a parent"));
         }
@@ -96,7 +96,7 @@ impl Engine {
 
     /// One attachment pass over the current protocol state, in new scratch.
     fn fresh_attachment(&self) -> TreeScratch {
-        let mut pass = TreeScratch::new(self.topo.len());
+        let mut pass = TreeScratch::new(self.mac.topology().len());
         pass.attach(&self.nodes, &self.alive, self.tree_version);
         pass
     }
@@ -129,7 +129,7 @@ impl Engine {
                     self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
                     self.plane.row_mut(node.index()).fill(SensorCell::EMPTY);
                     if self.cfg.location_enabled {
-                        let pos = self.topo.position(node);
+                        let pos = self.mac.topology().position(node);
                         // Orphan: nothing is sent; the advert flows on attach.
                         self.handle(node, |n, out| n.set_position(pos, out));
                     }

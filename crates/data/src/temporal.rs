@@ -40,12 +40,24 @@ impl Ar1 {
         self.value
     }
 
-    /// Advance one step from a caller-supplied standard-normal innovation
-    /// `z` (the split-stream world draws paired innovations and feeds
-    /// them in; see `dirq_sim::rng::sample_std_normal_pair`).
-    pub fn step_std(&mut self, z: f64) -> f64 {
-        self.value = self.phi * self.value + self.sigma * z;
-        self.value
+    /// The value `value` steps to under this process's φ and σ from a
+    /// caller-supplied standard-normal innovation `z`. The world keeps its
+    /// node-local values apart from their shared φ and σ and steps them
+    /// here, feeding in paired innovations (see
+    /// `dirq_sim::rng::sample_std_normal_pair`).
+    #[inline]
+    pub fn next_std(&self, value: f64, z: f64) -> f64 {
+        self.phi * value + self.sigma * z
+    }
+
+    /// This process's φ and σ at `value`.
+    pub fn with_value(&self, value: f64) -> Ar1 {
+        Ar1 { value, ..*self }
+    }
+
+    /// Whether `other` has this process's φ and σ, bit for bit.
+    pub fn same_parameters(&self, other: &Ar1) -> bool {
+        self.phi.to_bits() == other.phi.to_bits() && self.sigma.to_bits() == other.sigma.to_bits()
     }
 
     /// Current value without stepping.

@@ -227,9 +227,12 @@ struct TypeState {
     regional: Ar1,
     /// The type's shared stream, driving the regional AR(1) only.
     regional_rng: SimRng,
-    /// Per-node local AR(1) processes; a process only steps on epochs
-    /// where its node carries the type (lazy per-carrier generation).
-    local: Vec<Ar1>,
+    /// φ and σ of the type's node-local AR(1) processes, stored once, at
+    /// every process's starting value 0.
+    local_process: Ar1,
+    /// Each node's local AR(1) value; a process only steps on epochs where
+    /// its node carries the type (lazy per-carrier generation).
+    local: Vec<f64>,
     /// Per-node counter-stream keys (`split_key` of the type's base key
     /// by node index), hoisted out of the per-epoch loop.
     node_keys: Vec<u64>,
@@ -265,7 +268,8 @@ pub struct SensorWorld {
 /// property the parallel advance's bit-identity rests on.
 #[inline]
 fn generate_cell(
-    local: &mut Ar1,
+    local: &mut f64,
+    process: &Ar1,
     key: u64,
     epoch: u64,
     field: f64,
@@ -274,11 +278,11 @@ fn generate_cell(
 ) -> f64 {
     let mut rng = StreamRng::at(key, epoch << DRAW_BUDGET_LOG2);
     let (z_innovation, z_noise) = sample_std_normal_pair(&mut rng);
-    let local_value = local.step_std(z_innovation);
+    *local = process.next_std(*local, z_innovation);
     // Float addition is not associative: every path must evaluate exactly
     // this expression (the serial and sharded advance both call here) or
     // fixed-seed runs stop being bit-identical across worker counts.
-    field + shared + local_value + noise_sigma * z_noise
+    field + shared + *local + noise_sigma * z_noise
 }
 
 /// One sensor type's cells over one node range: the unit the advance
@@ -289,7 +293,9 @@ struct CellRange<'a> {
     /// The type's bit in `masks`.
     bit: u64,
     readings: &'a mut [f64],
-    local: &'a mut [Ar1],
+    local: &'a mut [f64],
+    /// The type's local φ and σ.
+    local_process: Ar1,
     field: &'a [f64],
     node_keys: &'a [u64],
     /// The type's diurnal and regional components this epoch.
@@ -304,6 +310,7 @@ impl CellRange<'_> {
             self.readings[node] = if mask & self.bit != 0 {
                 generate_cell(
                     &mut self.local[node],
+                    &self.local_process,
                     self.node_keys[node],
                     epoch,
                     self.field[node],
@@ -369,7 +376,8 @@ impl SensorWorld {
                     },
                     regional: Ar1::new(c.regional_phi, c.regional_sigma),
                     regional_rng: rng_factory.indexed_stream("world-regional", t as u64),
-                    local: (0..n).map(|_| Ar1::new(c.local_phi, c.local_sigma)).collect(),
+                    local_process: Ar1::new(c.local_phi, c.local_sigma),
+                    local: vec![0.0; n],
                     node_keys: {
                         let type_key = split_key(local_key, t as u64);
                         (0..n).map(|i| split_key(type_key, i as u64)).collect()
@@ -425,8 +433,8 @@ impl SensorWorld {
             s.regional.snap(w);
             w.rng(&s.regional_rng);
             w.len_of(s.local.len());
-            for a in &s.local {
-                a.snap(w);
+            for &value in &s.local {
+                s.local_process.with_value(value).snap(w);
             }
         }
         w.len_of(self.readings.len());
@@ -460,8 +468,16 @@ impl SensorWorld {
                     what: "world node count mismatch",
                 });
             }
-            for a in &mut s.local {
-                *a = Ar1::unsnap(r)?;
+            for value in &mut s.local {
+                let pos = r.position();
+                let a = Ar1::unsnap(r)?;
+                if !a.same_parameters(&s.local_process) {
+                    return Err(dirq_sim::SnapError::Malformed {
+                        pos,
+                        what: "local AR(1) parameters differ from the type's",
+                    });
+                }
+                *value = a.value();
             }
         }
         let pos = r.position();
@@ -542,7 +558,7 @@ impl SensorWorld {
         for (t, (state, row)) in self.states.iter_mut().zip(&mut self.readings).enumerate() {
             let bit = 1u64 << t;
             let shared = state.diurnal.value(epoch) + state.regional.value();
-            let noise_sigma = state.noise_sigma;
+            let (noise_sigma, local_process) = (state.noise_sigma, state.local_process);
             let slices = row
                 .chunks_mut(chunk)
                 .zip(state.local.chunks_mut(chunk))
@@ -550,7 +566,17 @@ impl SensorWorld {
                 .zip(state.node_keys.chunks(chunk))
                 .zip(masks.chunks(chunk));
             ranges.extend(slices.map(|((((readings, local), field), node_keys), masks)| {
-                CellRange { masks, bit, readings, local, field, node_keys, shared, noise_sigma }
+                CellRange {
+                    masks,
+                    bit,
+                    readings,
+                    local,
+                    local_process,
+                    field,
+                    node_keys,
+                    shared,
+                    noise_sigma,
+                }
             }));
         }
         runner::for_each_mut(&mut ranges, self.workers, |r| r.generate_chunk(epoch));
@@ -717,7 +743,7 @@ mod tests {
         }
         // Lazy generation: the local process of a non-carrier is frozen at
         // its initial state (no draws ever happened for the cell).
-        assert_eq!(world.states[t.index()].local[non_carrier].value(), 0.0);
+        assert_eq!(world.states[t.index()].local[non_carrier], 0.0);
     }
 
     #[test]

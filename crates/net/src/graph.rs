@@ -29,6 +29,20 @@
 //! did. The CSR rows are sorted, so the `Topology` is bit-identical to the
 //! all-pairs one. A model with no finite bound (the `f64::INFINITY`
 //! default) gets a single cell, which is the all-pairs scan.
+//!
+//! ## Deployment
+//!
+//! [`Topology::deploy_connected`] and
+//! [`Topology::deploy_connected_multi_sink`] redraw placements until the
+//! graph is connected, and decide that before any `Topology` exists. Each
+//! draw is bucketed into the cell grid once. A draw in which some node
+//! outside the backbone has no radio link is rejected at once: its probe
+//! stops at the first linked node in the node's own and 8 adjacent cells.
+//! Otherwise the pair scan runs, and a union–find over its edges plus the
+//! backbone must leave one component. Only the accepted draw is built into
+//! CSR form. The draws, the edge order and so the built graph are those of
+//! the old loop over [`Topology::from_positions`] and
+//! [`Topology::is_connected`].
 
 use dirq_sim::SimRng;
 
@@ -100,6 +114,128 @@ impl CellGrid {
         let c = y * self.cols + x;
         &self.members[self.start[c] as usize..self.start[c + 1] as usize]
     }
+
+    /// The undirected edges `radio` induces over `positions` (`i < j`):
+    /// each unordered pair of same-or-adjacent cells is scanned once.
+    fn edges<R: RadioModel>(&self, positions: &[Position], radio: &R) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::new();
+        let mut try_link = |a: u32, b: u32| {
+            let (lo, hi) = ordered(a, b);
+            if radio.connected(lo, &positions[lo], hi, &positions[hi]) {
+                edges.push((NodeId::from_index(lo), NodeId::from_index(hi)));
+            }
+        };
+        for y in 0..self.rows {
+            for x in 0..self.cols {
+                let here = self.cell(x, y);
+                for (k, &a) in here.iter().enumerate() {
+                    for &b in &here[k + 1..] {
+                        try_link(a, b);
+                    }
+                }
+                // The forward half of the 8-neighbourhood visits each
+                // unordered pair of adjacent cells once (`x - 1` wraps to
+                // an out-of-range column at `x = 0`).
+                for (nx, ny) in [(x + 1, y), (x.wrapping_sub(1), y + 1), (x, y + 1), (x + 1, y + 1)]
+                {
+                    if nx < self.cols && ny < self.rows {
+                        for &a in here {
+                            for &b in self.cell(nx, ny) {
+                                try_link(a, b);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    /// Whether every node not marked in `wired` has a radio link. A node's
+    /// probe stops at the first linked node in its own and then the 8
+    /// adjacent cells, testing pairs in the edge scan's `(lo, hi)` order.
+    fn every_node_linked<R: RadioModel>(
+        &self,
+        positions: &[Position],
+        radio: &R,
+        wired: &[bool],
+    ) -> bool {
+        for y in 0..self.rows {
+            for x in 0..self.cols {
+                let (ys, xs) = (
+                    y.saturating_sub(1)..(y + 2).min(self.rows),
+                    x.saturating_sub(1)..(x + 2).min(self.cols),
+                );
+                for &a in self.cell(x, y) {
+                    if wired[a as usize] {
+                        continue;
+                    }
+                    let linked_in = |nx: usize, ny: usize| {
+                        self.cell(nx, ny).iter().any(|&b| {
+                            let (lo, hi) = ordered(a, b);
+                            b != a && radio.connected(lo, &positions[lo], hi, &positions[hi])
+                        })
+                    };
+                    // The own cell first: it holds the likeliest link.
+                    let linked = linked_in(x, y)
+                        || ys
+                            .clone()
+                            .any(|ny| xs.clone().any(|nx| (nx, ny) != (x, y) && linked_in(nx, ny)));
+                    if !linked {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// `(a, b)` as indices, lower first.
+fn ordered(a: u32, b: u32) -> (usize, usize) {
+    if a < b {
+        (a as usize, b as usize)
+    } else {
+        (b as usize, a as usize)
+    }
+}
+
+/// Append the `backbone` links to `edges`, each as `(lo, hi)` and only
+/// where radio does not already join the pair.
+fn add_backbone(edges: &mut Vec<(NodeId, NodeId)>, n: usize, backbone: &[(NodeId, NodeId)]) {
+    for &(a, b) in backbone {
+        assert!(a.index() < n && b.index() < n, "backbone endpoint out of range");
+        assert_ne!(a, b, "backbone self-loops are not allowed");
+        let e = if a < b { (a, b) } else { (b, a) };
+        if !edges.contains(&e) {
+            edges.push(e);
+        }
+    }
+}
+
+/// Whether `edges` join all `n` nodes into one component: a union–find
+/// with path halving that stops once one component is left.
+fn spans(n: usize, edges: &[(NodeId, NodeId)]) -> bool {
+    fn root(parent: &mut [u32], mut v: u32) -> u32 {
+        while parent[v as usize] != v {
+            parent[v as usize] = parent[parent[v as usize] as usize];
+            v = parent[v as usize];
+        }
+        v
+    }
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    let mut components = n;
+    for &(a, b) in edges {
+        if components <= 1 {
+            break;
+        }
+        let (ra, rb) = (root(&mut parent, a.0), root(&mut parent, b.0));
+        if ra != rb {
+            parent[ra.max(rb) as usize] = ra.min(rb);
+            components -= 1;
+        }
+    }
+    components <= 1
 }
 
 /// An immutable radio connectivity graph in CSR layout.
@@ -129,54 +265,15 @@ impl Topology {
         radio: &R,
         backbone: &[(NodeId, NodeId)],
     ) -> Self {
-        let n = positions.len();
         let mut edges = Topology::geometric_edges(&positions, radio);
-        for &(a, b) in backbone {
-            assert!(a.index() < n && b.index() < n, "backbone endpoint out of range");
-            assert_ne!(a, b, "backbone self-loops are not allowed");
-            let e = if a < b { (a, b) } else { (b, a) };
-            if !edges.contains(&e) {
-                edges.push(e);
-            }
-        }
+        add_backbone(&mut edges, positions.len(), backbone);
         Topology::build(positions, &edges, false)
     }
 
     /// The undirected edges `radio` induces over `positions` (`i < j`),
     /// found through the cell grid (see the module docs).
     fn geometric_edges<R: RadioModel>(positions: &[Position], radio: &R) -> Vec<(NodeId, NodeId)> {
-        let grid = CellGrid::new(positions, radio.max_range());
-        let mut edges = Vec::new();
-        let mut try_link = |a: u32, b: u32| {
-            let (lo, hi) = if a < b { (a as usize, b as usize) } else { (b as usize, a as usize) };
-            if radio.connected(lo, &positions[lo], hi, &positions[hi]) {
-                edges.push((NodeId::from_index(lo), NodeId::from_index(hi)));
-            }
-        };
-        for y in 0..grid.rows {
-            for x in 0..grid.cols {
-                let here = grid.cell(x, y);
-                for (k, &a) in here.iter().enumerate() {
-                    for &b in &here[k + 1..] {
-                        try_link(a, b);
-                    }
-                }
-                // The forward half of the 8-neighbourhood visits each
-                // unordered pair of adjacent cells once (`x - 1` wraps to
-                // an out-of-range column at `x = 0`).
-                for (nx, ny) in [(x + 1, y), (x.wrapping_sub(1), y + 1), (x, y + 1), (x + 1, y + 1)]
-                {
-                    if nx < grid.cols && ny < grid.rows {
-                        for &a in here {
-                            for &b in grid.cell(nx, ny) {
-                                try_link(a, b);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        edges
+        CellGrid::new(positions, radio.max_range()).edges(positions, radio)
     }
 
     /// Deploy `n` nodes with `placement`/`sink`, retrying fresh placements
@@ -192,14 +289,7 @@ impl Topology {
         rng: &mut SimRng,
         max_attempts: usize,
     ) -> Option<Self> {
-        for _ in 0..max_attempts {
-            let positions = placement.generate(n, sink, rng);
-            let topo = Topology::from_positions(positions, radio);
-            if topo.is_connected() {
-                return Some(topo);
-            }
-        }
-        None
+        Topology::redraw_until_connected(n, placement, sink, radio, rng, max_attempts, 0)
     }
 
     /// Deploy a **multi-sink** network: like [`Topology::deploy_connected`],
@@ -218,18 +308,60 @@ impl Topology {
         extra_sinks: usize,
     ) -> Option<Self> {
         assert!(extra_sinks + 1 < n, "need at least one non-sink node");
+        Topology::redraw_until_connected(n, placement, sink, radio, rng, max_attempts, extra_sinks)
+    }
+
+    /// The attempt loop of both deploy functions: one `placement.generate`
+    /// per attempt, nodes `1..=extra_sinks` moved onto their sites and
+    /// wired to the root (an empty backbone without extra sinks), and the
+    /// first draw [`Topology::connected_edges`] accepts built.
+    fn redraw_until_connected<R: RadioModel>(
+        n: usize,
+        placement: &Placement,
+        sink: SinkPlacement,
+        radio: &R,
+        rng: &mut SimRng,
+        max_attempts: usize,
+        extra_sinks: usize,
+    ) -> Option<Self> {
         let sites = crate::placement::extra_sink_sites(placement.bounds(), extra_sinks);
         let backbone: Vec<(NodeId, NodeId)> =
             (1..=extra_sinks).map(|i| (NodeId::ROOT, NodeId::from_index(i))).collect();
+        let mut wired = vec![false; n];
+        for &(a, b) in &backbone {
+            wired[a.index()] = true;
+            wired[b.index()] = true;
+        }
         for _ in 0..max_attempts {
             let mut positions = placement.generate(n, sink, rng);
             positions[1..=extra_sinks].copy_from_slice(&sites);
-            let topo = Topology::from_positions_with_backbone(positions, radio, &backbone);
-            if topo.is_connected() {
-                return Some(topo);
+            if let Some(edges) = Topology::connected_edges(&positions, radio, &backbone, &wired) {
+                return Some(Topology::build(positions, &edges, false));
             }
         }
         None
+    }
+
+    /// The edges of `positions` under `radio` plus `backbone`, in
+    /// [`Topology::from_positions_with_backbone`]'s order, if they connect
+    /// every node; `None` otherwise. A node outside `wired` (the backbone's
+    /// endpoints) without a radio link rejects the draw before the pair
+    /// scan. The grid and the union–find are dropped on return.
+    fn connected_edges<R: RadioModel>(
+        positions: &[Position],
+        radio: &R,
+        backbone: &[(NodeId, NodeId)],
+        wired: &[bool],
+    ) -> Option<Vec<(NodeId, NodeId)>> {
+        let n = positions.len();
+        let grid = CellGrid::new(positions, radio.max_range());
+        if n > 1 && !grid.every_node_linked(positions, radio, wired) {
+            return None;
+        }
+        let mut edges = grid.edges(positions, radio);
+        drop(grid);
+        add_backbone(&mut edges, n, backbone);
+        spans(n, &edges).then_some(edges)
     }
 
     /// Build directly from an explicit edge list (used for synthetic exact
@@ -700,6 +832,230 @@ mod tests {
             5,
         );
         assert!(t.is_none());
+    }
+
+    /// The deploy loop the connectivity-first attempt replaced, kept as its
+    /// model: a whole `Topology` and a BFS per draw. Returns the topology
+    /// and the draws taken.
+    fn redraw_model<R: RadioModel>(
+        n: usize,
+        placement: &Placement,
+        radio: &R,
+        rng: &mut SimRng,
+        max_attempts: usize,
+        extra_sinks: usize,
+    ) -> (Option<Topology>, usize) {
+        let sites = crate::placement::extra_sink_sites(placement.bounds(), extra_sinks);
+        let backbone: Vec<(NodeId, NodeId)> =
+            (1..=extra_sinks).map(|i| (NodeId::ROOT, NodeId::from_index(i))).collect();
+        for draw in 1..=max_attempts {
+            let mut positions = placement.generate(n, SinkPlacement::Corner, rng);
+            positions[1..=extra_sinks].copy_from_slice(&sites);
+            let topo = if extra_sinks == 0 {
+                Topology::from_positions(positions, radio)
+            } else {
+                Topology::from_positions_with_backbone(positions, radio, &backbone)
+            };
+            if topo.is_connected() {
+                return (Some(topo), draw);
+            }
+        }
+        (None, max_attempts)
+    }
+
+    /// `Err` naming the first difference between two deployments:
+    /// positions bit for bit, link count and CSR rows.
+    fn same_deployment(got: &Option<Topology>, want: &Option<Topology>) -> Result<(), String> {
+        let (t, m) = match (got, want) {
+            (None, None) => return Ok(()),
+            (Some(t), Some(m)) => (t, m),
+            _ => return Err(format!("deployed {} vs model {}", got.is_some(), want.is_some())),
+        };
+        let bits = |p: &[Position]| p.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect();
+        let (tp, mp): (Vec<_>, Vec<_>) = (bits(t.positions()), bits(m.positions()));
+        if tp != mp {
+            return Err("positions differ".into());
+        }
+        if t.link_count() != m.link_count() {
+            return Err(format!("link_count {} != {}", t.link_count(), m.link_count()));
+        }
+        match m.nodes().find(|&v| t.neighbors(v) != m.neighbors(v)) {
+            Some(v) => Err(format!("CSR row of {v} differs")),
+            None => Ok(()),
+        }
+    }
+
+    /// Deploy through the public entry point for `extra_sinks` and through
+    /// the model from the same stream; `Err` if the deployments or the
+    /// streams' next draws differ. `Ok` carries the model's draw count.
+    fn deploy_vs_model<R: RadioModel>(
+        n: usize,
+        placement: &Placement,
+        radio: &R,
+        seed: u64,
+        max_attempts: usize,
+        extra_sinks: usize,
+    ) -> Result<usize, String> {
+        let mut rng = RngFactory::new(seed).stream("deploy");
+        let mut model_rng = rng.clone();
+        let got = if extra_sinks == 0 {
+            Topology::deploy_connected(
+                n,
+                placement,
+                SinkPlacement::Corner,
+                radio,
+                &mut rng,
+                max_attempts,
+            )
+        } else {
+            Topology::deploy_connected_multi_sink(
+                n,
+                placement,
+                SinkPlacement::Corner,
+                radio,
+                &mut rng,
+                max_attempts,
+                extra_sinks,
+            )
+        };
+        let (want, draws) =
+            redraw_model(n, placement, radio, &mut model_rng, max_attempts, extra_sinks);
+        same_deployment(&got, &want).map_err(|e| format!("{e} (model took {draws} draws)"))?;
+        if rng.gen::<u64>() != model_rng.gen::<u64>() {
+            return Err(format!("the stream moved differently (model took {draws} draws)"));
+        }
+        Ok(draws)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Deciding connectivity before building gives the old loop's
+        /// deployment and leaves the stream where it left it: unit-disk
+        /// and shadowed log-distance radios, uniform and clustered fields,
+        /// one sink or four, at mean degrees from about 2 (many draws, or
+        /// none connected) to about 12.
+        #[test]
+        fn prop_deploy_matches_the_redraw_model(
+            n in 5usize..90,
+            mean_degree in 2.0f64..12.0,
+            clustered in 0u8..2,
+            log_distance in 0u8..2,
+            three_sinks in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let extra_sinks = 3 * three_sinks as usize;
+            let shadowed = LogDistance::forest(seed);
+            let range = if log_distance == 1 { shadowed.nominal_range() } else { 25.0 };
+            let side = range * (std::f64::consts::PI * n as f64 / mean_degree).sqrt();
+            let placement = if clustered == 1 {
+                Placement::Clustered { side, clusters: 1 + (seed % 4) as usize, spread: side / 6.0 }
+            } else {
+                Placement::UniformRandom { side }
+            };
+            let checked = if log_distance == 1 {
+                deploy_vs_model(n, &placement, &shadowed, seed, 40, extra_sinks)
+            } else {
+                deploy_vs_model(n, &placement, &UnitDisk::new(range), seed, 40, extra_sinks)
+            };
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+
+    /// Sparse deployments that take several draws, under both radios and
+    /// with one sink or four, match the model draw for draw.
+    #[test]
+    fn deploy_matches_the_model_across_many_draws() {
+        let mut most = 0;
+        for seed in 0..12u64 {
+            for extra_sinks in [0, 3] {
+                let placement = Placement::UniformRandom { side: 160.0 };
+                let unit =
+                    deploy_vs_model(60, &placement, &UnitDisk::new(25.0), seed, 200, extra_sinks);
+                let shadowed = LogDistance::forest(seed);
+                let placement = Placement::UniformRandom { side: 6.4 * shadowed.nominal_range() };
+                let log = deploy_vs_model(60, &placement, &shadowed, seed, 200, extra_sinks);
+                most = most.max(unit.unwrap()).max(log.unwrap());
+            }
+        }
+        assert!(most >= 5, "no case took several draws (at most {most})");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least the sink node")]
+    fn deploy_of_no_nodes_panics_like_the_placement() {
+        let mut rng = RngFactory::new(1).stream("deploy");
+        let placement = Placement::UniformRandom { side: 10.0 };
+        let _ = Topology::deploy_connected(
+            0,
+            &placement,
+            SinkPlacement::Corner,
+            &UnitDisk::new(1.0),
+            &mut rng,
+            5,
+        );
+    }
+
+    /// A lone sink is connected although it has no radio link.
+    #[test]
+    fn deploy_of_one_node_takes_one_draw() {
+        let placement = Placement::UniformRandom { side: 10.0 };
+        assert_eq!(deploy_vs_model(1, &placement, &UnitDisk::new(1.0), 3, 5, 0), Ok(1));
+        let mut rng = RngFactory::new(3).stream("deploy");
+        let t = Topology::deploy_connected(
+            1,
+            &placement,
+            SinkPlacement::Corner,
+            &UnitDisk::new(1.0),
+            &mut rng,
+            5,
+        )
+        .unwrap();
+        assert_eq!((t.len(), t.link_count()), (1, 0));
+    }
+
+    /// The attempt test on hand-placed draws, against the model's build
+    /// and BFS: `None` exactly where the graph is disconnected, else the
+    /// model's edges in order.
+    #[test]
+    fn connected_edges_agrees_with_build_and_bfs() {
+        let radio = UnitDisk::new(10.0);
+        let p = Position::new;
+        // (positions, node 1 wired to the root, connected)
+        let cases = [
+            // The root has no radio link; the others link up.
+            (vec![p(0.0, 0.0), p(100.0, 0.0), p(105.0, 0.0)], false, false),
+            // A leaf whose only link lies in the cell behind it.
+            (vec![p(0.0, 0.0), p(9.0, 0.0), p(18.0, 0.0), p(3.0, 0.0)], false, true),
+            // Every node linked, yet two components.
+            (vec![p(0.0, 0.0), p(5.0, 0.0), p(100.0, 0.0), p(105.0, 0.0)], false, false),
+            // A backbone endpoint with no radio link joins by its wire.
+            (vec![p(0.0, 0.0), p(500.0, 0.0), p(5.0, 0.0)], true, true),
+            // ... but a node off the backbone without a link still rejects.
+            (vec![p(0.0, 0.0), p(500.0, 0.0), p(5.0, 0.0), p(250.0, 0.0)], true, false),
+            // A backbone pair radio already joins is not added twice.
+            (vec![p(0.0, 0.0), p(5.0, 0.0), p(10.0, 0.0)], true, true),
+        ];
+        for (positions, wire, connected) in cases {
+            let backbone = if wire { vec![(NodeId::ROOT, NodeId(1))] } else { vec![] };
+            let mut wired = vec![false; positions.len()];
+            for &(a, b) in &backbone {
+                wired[a.index()] = true;
+                wired[b.index()] = true;
+            }
+            let model =
+                Topology::from_positions_with_backbone(positions.clone(), &radio, &backbone);
+            assert_eq!(model.is_connected(), connected, "{positions:?}");
+            let got = Topology::connected_edges(&positions, &radio, &backbone, &wired);
+            match got {
+                None => assert!(!connected, "rejected a connected draw: {positions:?}"),
+                Some(edges) => {
+                    assert!(connected, "accepted a disconnected draw: {positions:?}");
+                    let built = Some(Topology::build(positions.clone(), &edges, false));
+                    assert_eq!(same_deployment(&built, &Some(model)), Ok(()), "{positions:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -678,6 +678,34 @@ fn restore_rejects_an_overlong_seen_query_list() {
     assert_rejected(&with_ids(64), "seen-query list too long");
 }
 
+/// The world keeps one φ and σ per sensor type and one value per local
+/// AR(1) cell, while the image still carries (φ, σ, value) per cell. A
+/// cell whose φ or σ differs from its type's is a typed error at restore,
+/// not a process silently stepped under its type's parameters.
+#[test]
+fn restore_rejects_a_local_process_off_its_types_parameters() {
+    let (body, _) = body_at(25);
+    let world = tag_offsets(&body, b"WRLD");
+    assert_eq!(world.len(), 1);
+    // The temperature type's cell count (50 nodes), then its first cell's
+    // φ and σ; each cell is φ, σ and value, 8 bytes each.
+    let t = dirq::data::world::SensorTypeConfig::temperature();
+    let (phi, sigma) = (t.local_phi.to_le_bytes(), t.local_sigma.to_le_bytes());
+    let first = [50u64.to_le_bytes(), phi, sigma].concat();
+    let cells = world[0]
+        + body[world[0]..].windows(24).position(|w| w == first).expect("the temperature cells")
+        + 8;
+    assert_eq!(body[cells + 24 * 49..cells + 24 * 49 + 16], [phi, sigma].concat(), "the last cell");
+    Engine::new(variant_config(17, 0, 60)).restore(&body).expect("the unpatched body restores");
+    // (cell, 0 for φ or 8 for σ, a value Ar1's own range check accepts)
+    for (cell, field, bad) in [(0, 0, 0.5), (0, 8, 0.03), (49, 0, 0.0), (17, 8, 0.0)] {
+        let at = cells + 24 * cell + field;
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&f64::to_le_bytes(bad));
+        assert_rejected(&patched, "local AR(1) parameters differ from the type's");
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
