@@ -38,11 +38,13 @@
 //! draw is bucketed into the cell grid once. A draw in which some node
 //! outside the backbone has no radio link is rejected at once: its probe
 //! stops at the first linked node in the node's own and 8 adjacent cells.
-//! Otherwise the pair scan runs, and a union–find over its edges plus the
-//! backbone must leave one component. Only the accepted draw is built into
-//! CSR form. The draws, the edge order and so the built graph are those of
-//! the old loop over [`Topology::from_positions`] and
-//! [`Topology::is_connected`].
+//! (A radio without a finite reach gets one cell and no probe.) Otherwise
+//! the pair scan runs, and a union–find over its edges plus the backbone
+//! must leave one component. Only the accepted draw is built into
+//! CSR form, without a BFS. The draws, the edge order and so the graph
+//! equal building every draw with [`Topology::from_positions`] (or
+//! [`Topology::from_positions_with_backbone`]) and keeping the first that
+//! [`Topology::is_connected`]; a property test keeps that loop as its model.
 
 use dirq_sim::SimRng;
 
@@ -344,9 +346,10 @@ impl Topology {
 
     /// The edges of `positions` under `radio` plus `backbone`, in
     /// [`Topology::from_positions_with_backbone`]'s order, if they connect
-    /// every node; `None` otherwise. A node outside `wired` (the backbone's
-    /// endpoints) without a radio link rejects the draw before the pair
-    /// scan. The grid and the union–find are dropped on return.
+    /// every node; `None` otherwise. Under a radio with a finite
+    /// `max_range`, a node outside `wired` (the backbone's endpoints)
+    /// without a radio link rejects the draw before the pair scan. The grid
+    /// and the union–find are dropped on return.
     fn connected_edges<R: RadioModel>(
         positions: &[Position],
         radio: &R,
@@ -355,7 +358,11 @@ impl Topology {
     ) -> Option<Vec<(NodeId, NodeId)>> {
         let n = positions.len();
         let grid = CellGrid::new(positions, radio.max_range());
-        if n > 1 && !grid.every_node_linked(positions, radio, wired) {
+        // The probe only pays where cells bound the reach: a radio with no
+        // finite `max_range` gets one cell, where each node's probe would
+        // search every node in index order.
+        let probe = n > 1 && radio.max_range().is_finite();
+        if probe && !grid.every_node_linked(positions, radio, wired) {
             return None;
         }
         let mut edges = grid.edges(positions, radio);
