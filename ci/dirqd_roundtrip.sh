@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # External-daemon round trip: a real dirqd process driven by dirq-cli
 # over TCP — deploy, step, blocking and async queries, poll/drain,
-# snapshot/restore with fingerprint equality, status, clean shutdown.
+# snapshot/restore with fingerprint equality, status, and a clean
+# shutdown with an idle client connected.
 #
 # Scripted values (ids, cursors, epochs, fingerprints) are captured with
 # `dirq-cli --raw FIELD` rather than scraped out of pretty JSON. The
@@ -70,7 +71,21 @@ test "$FA" = "$FB"
 
 test "$(raw serving_threads status)" -ge 1
 cli status
+
+# Shutdown joins every connection handler, so it must close idle
+# connections: hold one open and silent across `shutdown` and require the
+# daemon to exit within 5 s.
+exec 3<> "/dev/tcp/${ADDR%:*}/${ADDR##*:}"
 cli shutdown
+for _ in $(seq 50); do
+    kill -0 "$DAEMON_PID" 2> /dev/null || break
+    sleep 0.1
+done
+if kill -0 "$DAEMON_PID" 2> /dev/null; then
+    echo "dirqd still running 5 s after shutdown with an idle client connected" >&2
+    exit 1
+fi
 wait "$DAEMON_PID"
 DAEMON_PID=
+exec 3<&-
 echo "dirqd round trip: ok"

@@ -55,16 +55,27 @@
 //! aborting startup; recovered ones carry a `recovered` object naming
 //! the slot and epoch they resumed from. `restore` and `--recover`
 //! install an image through the same function.
+//!
+//! ## Shutdown
+//!
+//! `shutdown` stops the accept loop, then tears down in order: the pool
+//! stops and its workers are joined; every command still in a mailbox and
+//! every queued or in-flight blocking query is answered with a typed
+//! `shutdown` error; every open connection is closed for reading, so an
+//! idle handler reads end-of-file while a busy one writes its last reply
+//! (after a one-second grace its socket closes for writing too); and
+//! every connection handler is joined, a panicked one logged. `serve`
+//! returns only after all of that.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dirq_core::{CompletedQuery, Engine};
 use dirq_data::SensorType;
@@ -89,6 +100,11 @@ pub const RESULTS_LOG_CAP: usize = 65_536;
 
 /// Rotating auto-checkpoint slots per deployment.
 pub const CHECKPOINT_SLOTS: u64 = 2;
+
+/// How long shutdown lets connection handlers write their last replies
+/// before it closes their sockets for writing as well, so a client that
+/// never reads cannot hold `serve` open.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
 /// One query waiting in the admission queue.
 struct Submission {
@@ -275,6 +291,40 @@ struct Mailbox {
     scheduled: bool,
 }
 
+impl Slot {
+    /// Once the pool has stopped, answer what no turn will: every command
+    /// left in the mailbox and every queued or in-flight blocking query
+    /// gets a typed `shutdown` error. A lock a panicked turn poisoned is
+    /// entered anyway: its reply channels still need an answer.
+    fn abandon(&self) {
+        let stopped = || err_response(kind::SHUTDOWN, "deployment is shutting down");
+        let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
+        let serving = &mut *guard;
+        let mut mailbox = self.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
+        let queued = mailbox.cmds.drain(..).map(|(_, reply)| reply);
+        let admitted = serving.queue.drain(..).map(|(_, reply)| reply);
+        for reply in queued.chain(admitted).chain(serving.inflight.drain().flat_map(|(_, r)| r)) {
+            let _ = reply.send(stopped());
+        }
+    }
+}
+
+/// One accepted connection: its handler thread and a handle on its socket
+/// that shutdown closes.
+struct Connection {
+    stream: TcpStream,
+    handler: JoinHandle<()>,
+}
+
+impl Connection {
+    /// Join the handler, logging a panic.
+    fn join(self) {
+        if self.handler.join().is_err() {
+            eprintln!("dirqd: a connection handler panicked");
+        }
+    }
+}
+
 /// A deployment with all its checkpoint slots unreadable at `--recover`.
 #[derive(Clone, Debug)]
 pub struct Unrecoverable {
@@ -383,27 +433,33 @@ impl Daemon {
         Ok((local, handle))
     }
 
-    /// Serve until a client issues `shutdown`. Blocks; run on its own
-    /// thread for in-process use (see the loadgen and the tests).
+    /// Serve until a client issues `shutdown`, then tear down (see the
+    /// module docs). Blocks; run on its own thread for in-process use (see
+    /// the loadgen and the tests).
     pub fn serve(self) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
+        let mut connections: Vec<Connection> = Vec::new();
         for conn in self.listener.incoming() {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            let Ok(stream) = conn else { continue };
+            // Join the handlers that have finished, so the list holds the
+            // open connections only.
+            connections.extract_if(.., |c| c.handler.is_finished()).for_each(Connection::join);
+            let Ok(peer) = stream.try_clone() else { continue };
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &shared, addr);
-            });
+            let handler = std::thread::Builder::new()
+                .name("dirqd-conn".into())
+                .spawn(move || {
+                    let _ = handle_connection(stream, &shared, addr);
+                })
+                .expect("spawn connection handler");
+            connections.push(Connection { stream: peer, handler });
         }
         // Stop the pool (under the ready lock so no worker misses the
-        // flag between checking it and blocking on the condvar), join
-        // every worker, and drop the slots — queued ones too — so
-        // serve() returning means the daemon's state is fully torn down.
+        // flag between checking it and blocking on the condvar) and join
+        // every worker.
         {
             let _ready = self.shared.ready.lock().expect("ready queue");
             self.shared.stopping.store(true, Ordering::SeqCst);
@@ -412,6 +468,26 @@ impl Daemon {
         for w in self.workers {
             let _ = w.join();
         }
+        let slots: Vec<Arc<Slot>> =
+            self.shared.deployments.lock().expect("deployment map").values().cloned().collect();
+        for slot in &slots {
+            slot.abandon();
+        }
+        // Close every connection for reading, give the handlers that hold
+        // a reply the grace to write it, then close what is left and join.
+        for c in &connections {
+            let _ = c.stream.shutdown(Shutdown::Read);
+        }
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while connections.iter().any(|c| !c.handler.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for c in connections {
+            let _ = c.stream.shutdown(Shutdown::Both);
+            c.join();
+        }
+        // Drop the slots — queued ones too — so serve() returning means
+        // the daemon's state is fully torn down.
         self.shared.ready.lock().expect("ready queue").clear();
         self.shared.deployments.lock().expect("deployment map").clear();
         Ok(())
@@ -628,12 +704,15 @@ fn lookup(shared: &Shared, name: &str) -> Result<Arc<Slot>, Json> {
 /// deployment yields a typed `timeout` error instead of hanging the
 /// connection handler.
 fn round_trip(shared: &Shared, slot: &Arc<Slot>, cmd: EngineCmd, timeout: Duration) -> Json {
-    if shared.stopping.load(Ordering::SeqCst) {
-        return err_response(kind::SHUTDOWN, "deployment is shutting down");
-    }
     let (reply, rx) = channel();
     {
         let mut mailbox = slot.mailbox.lock().expect("slot mailbox");
+        // Shutdown sets the flag before it empties each mailbox under
+        // this lock, so a command either lands before that and is
+        // answered there, or is refused here.
+        if shared.stopping.load(Ordering::SeqCst) {
+            return err_response(kind::SHUTDOWN, "deployment is shutting down");
+        }
         mailbox.cmds.push_back((cmd, reply));
         if !mailbox.scheduled {
             mailbox.scheduled = true;

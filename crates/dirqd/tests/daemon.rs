@@ -1174,3 +1174,74 @@ fn stalled_deployments_time_out_instead_of_blocking() {
         std::thread::sleep(Duration::from_millis(400));
     });
 }
+
+/// Wait up to `limit` for `handle` to finish, then join it.
+fn join_within<T>(handle: std::thread::JoinHandle<T>, limit: Duration, what: &str) -> T {
+    let deadline = std::time::Instant::now() + limit;
+    while !handle.is_finished() {
+        assert!(std::time::Instant::now() < deadline, "{what} did not finish within {limit:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect(what)
+}
+
+/// Shutdown closes every open connection and joins its handler before
+/// `serve` returns: a client left connected and idle reads end-of-file,
+/// and the serving thread joins promptly. (Detached handlers used to
+/// outlive `serve`, holding the idle socket open.)
+#[test]
+fn shutdown_closes_idle_connections_and_joins_their_handlers() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let (addr, daemon) = Daemon::spawn("127.0.0.1:0").expect("spawn daemon");
+    let mut idle = std::net::TcpStream::connect(addr).expect("connect idle client");
+    // One round trip, so the idle connection's handler is running.
+    idle.write_all(b"{\"cmd\": \"status\"}\n").expect("send status");
+    let mut line = String::new();
+    BufReader::new(idle.try_clone().expect("clone")).read_line(&mut line).expect("status reply");
+    let reply = Json::parse(line.trim()).expect("a JSON reply");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+    idle.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+
+    Client::connect(addr).expect("connect").shutdown().expect("shutdown");
+    join_within(daemon, Duration::from_secs(5), "the serving thread").expect("daemon serve");
+    let mut buf = [0u8; 64];
+    match idle.read(&mut buf) {
+        Ok(0) => {}
+        other => panic!("the idle client must read end-of-file, got {other:?}"),
+    }
+}
+
+/// A command still waiting for a turn when the daemon shuts down is
+/// answered with a typed `shutdown` error, not left to its deadline.
+#[test]
+fn shutdown_answers_a_queued_command_with_a_typed_error() {
+    let options = DaemonOptions { serving_threads: 1, ..DaemonOptions::default() };
+    let (addr, daemon) = Daemon::spawn_with("127.0.0.1:0", options).expect("spawn daemon");
+    let mut c = Client::connect(addr).expect("connect");
+    c.deploy("a", "dense_grid_100", &scaled(0.1)).expect("deploy a");
+    c.deploy("b", "dense_grid_100", &scaled(0.1)).expect("deploy b");
+    // The one pool worker stalls on `a` while `b`'s command waits.
+    let stall = std::thread::spawn(move || {
+        let mut s = Client::connect(addr).expect("connect stall");
+        let mut req = Json::object();
+        req.set("cmd", Json::Str("debug_stall".into()));
+        req.set("deployment", Json::Str("a".into()));
+        req.set("ms", Json::from_u64(600));
+        s.call(&req).expect("the stalled turn completes");
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    let queued = std::thread::spawn(move || {
+        let mut q = Client::connect(addr).expect("connect queued");
+        let mut req = Json::object();
+        req.set("cmd", Json::Str("fingerprint".into()));
+        req.set("deployment", Json::Str("b".into()));
+        req.set("timeout_ms", Json::from_u64(20_000));
+        remote_kind(q.call(&req), "the queued fingerprint")
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    c.shutdown().expect("shutdown");
+    assert_eq!(join_within(queued, Duration::from_secs(5), "the queued client"), "shutdown");
+    join_within(stall, Duration::from_secs(5), "the stall client");
+    join_within(daemon, Duration::from_secs(5), "the serving thread").expect("daemon serve");
+}

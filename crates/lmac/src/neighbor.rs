@@ -11,6 +11,10 @@
 //! resolved once from the MAC's edge-mirror index — a direct indexed store,
 //! no per-event search ([`NeighborArena::heard_at`]).
 //!
+//! The arena keeps no copy of the CSR: row bounds and neighbour ids come
+//! from the [`Topology`] the MAC owns, which every method that walks a
+//! row takes, and each entry holds one neighbour's state in 32 bytes.
+//!
 //! ## Views and cursors
 //!
 //! Readers (the engine's cross-layer tree repair, the MAC's slot selection)
@@ -32,6 +36,7 @@
 //! (`NeighborArena::settle`).
 
 use std::cell::Cell;
+use std::ops::Range;
 
 use dirq_net::{EnergyLedger, NodeId, Topology};
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
@@ -88,50 +93,50 @@ impl SteadyClock {
 }
 
 /// One edge-aligned arena slot: listener `l`'s knowledge of
-/// `neighbors(l)[p]`.
-#[derive(Clone, Debug)]
+/// `neighbors(l)[p]`. The [`NeighborInfo`] fields and the presence flag
+/// side by side, 31 bytes in 32 (`layout_budget`): nesting the info would
+/// pad the entry to 40.
+#[derive(Clone, Copy, Debug)]
 struct EdgeEntry {
+    occupied: SlotSet,
+    last_heard_frame: u64,
+    slot: Option<u16>,
+    gateway_dist: u16,
     present: bool,
-    info: NeighborInfo,
 }
 
 impl EdgeEntry {
-    fn vacant() -> Self {
-        EdgeEntry {
-            present: false,
-            info: NeighborInfo {
-                slot: None,
-                occupied: SlotSet::EMPTY,
-                gateway_dist: u16::MAX,
-                last_heard_frame: 0,
-            },
-        }
-    }
+    /// The entry of a neighbour never heard, or forgotten by `reset_row`.
+    const VACANT: EdgeEntry = EdgeEntry {
+        occupied: SlotSet::EMPTY,
+        last_heard_frame: 0,
+        slot: None,
+        gateway_dist: u16::MAX,
+        present: false,
+    };
 
     /// The entry's knowledge, with `last_heard_frame` taken from `clock`
     /// when the MAC is at its fixed point.
     #[inline]
     fn info_at(&self, clock: Option<SteadyClock>) -> NeighborInfo {
-        let mut info = self.info;
-        if let Some(c) = clock {
-            info.last_heard_frame = c.last_heard(info.slot);
+        NeighborInfo {
+            slot: self.slot,
+            occupied: self.occupied,
+            gateway_dist: self.gateway_dist,
+            last_heard_frame: match clock {
+                Some(c) => c.last_heard(self.slot),
+                None => self.last_heard_frame,
+            },
         }
-        info
     }
 }
 
 /// The global neighbour store: one entry per directed CSR edge of the
-/// topology, aligned so listener `l`'s row occupies
-/// `row_start(l)..row_start(l) + degree(l)`.
+/// topology it was built over, aligned so listener `l`'s row occupies
+/// `row_start(l)..row_start(l) + degree(l)`. Every method that walks a row
+/// takes that topology.
 #[derive(Clone, Debug)]
 pub struct NeighborArena {
-    /// CSR row starts (`row_offsets[l]..row_offsets[l + 1]` indexes the
-    /// edge arrays), mirroring the topology's offsets.
-    row_offsets: Vec<u32>,
-    /// Edge targets (a copy of the CSR target array): `ids[row_start(l) +
-    /// p] == neighbors(l)[p]`. Kept inline so views resolve ids without
-    /// holding the topology.
-    ids: Vec<NodeId>,
     /// Per-edge neighbour knowledge.
     entries: Vec<EdgeEntry>,
     /// Per-node count of present entries.
@@ -147,19 +152,8 @@ impl NeighborArena {
     /// Empty arena (every row vacant) over `topo`'s edge set.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.len();
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut ids = Vec::new();
-        row_offsets.push(0u32);
-        for i in 0..n {
-            let row = topo.neighbors(NodeId::from_index(i));
-            debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "CSR row must be ascending");
-            ids.extend_from_slice(row);
-            row_offsets.push(ids.len() as u32);
-        }
         NeighborArena {
-            row_offsets,
-            entries: vec![EdgeEntry::vacant(); ids.len()],
-            ids,
+            entries: vec![EdgeEntry::VACANT; 2 * topo.link_count()],
             present: vec![0; n],
             occ_cache: (0..n).map(|_| Cell::new(None)).collect(),
             gw_cache: (0..n).map(|_| Cell::new(None)).collect(),
@@ -176,24 +170,32 @@ impl NeighborArena {
         self.present.is_empty()
     }
 
+    /// `node`'s row in the entry array: its CSR row in `topo`, which must
+    /// be the topology the arena was built over.
     #[inline]
-    fn row_bounds(&self, node: NodeId) -> (usize, usize) {
-        let i = node.index();
-        (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize)
+    fn row(&self, topo: &Topology, node: NodeId) -> Range<usize> {
+        debug_assert_eq!(self.entries.len(), 2 * topo.link_count(), "arena of another topology");
+        let lo = topo.row_start(node);
+        lo..lo + topo.degree(node)
     }
 
     /// Typed read view over `node`'s row, reporting the stored
     /// `last_heard_frame`.
     #[inline]
-    pub fn view(&self, node: NodeId) -> NeighborView<'_> {
-        self.view_at(node, None)
+    pub fn view<'a>(&'a self, topo: &'a Topology, node: NodeId) -> NeighborView<'a> {
+        self.view_at(topo, node, None)
     }
 
     /// [`NeighborArena::view`] reporting `last_heard_frame` from `clock`
     /// when the MAC is at its fixed point.
     #[inline]
-    pub(crate) fn view_at(&self, node: NodeId, clock: Option<SteadyClock>) -> NeighborView<'_> {
-        NeighborView { arena: self, node, clock }
+    pub(crate) fn view_at<'a>(
+        &'a self,
+        topo: &'a Topology,
+        node: NodeId,
+        clock: Option<SteadyClock>,
+    ) -> NeighborView<'a> {
+        NeighborView { arena: self, topo, node, clock }
     }
 
     /// Present entries across every row.
@@ -202,11 +204,9 @@ impl NeighborArena {
     }
 
     /// Forget everything `node`'s row knows (death/rebirth reset).
-    pub fn reset_row(&mut self, node: NodeId) {
-        let (lo, hi) = self.row_bounds(node);
-        for e in &mut self.entries[lo..hi] {
-            *e = EdgeEntry::vacant();
-        }
+    pub fn reset_row(&mut self, topo: &Topology, node: NodeId) {
+        let row = self.row(topo, node);
+        self.entries[row].fill(EdgeEntry::VACANT);
         self.present[node.index()] = 0;
         self.occ_cache[node.index()].set(None);
         self.gw_cache[node.index()].set(None);
@@ -216,8 +216,10 @@ impl NeighborArena {
     /// changed ([`Heard::New`] triggers LMAC's new-neighbour upcall).
     /// Resolves the row position by binary search — the cold path; the
     /// reception hot loop uses [`NeighborArena::heard_at`].
+    #[allow(clippy::too_many_arguments)]
     pub fn heard(
         &mut self,
+        topo: &Topology,
         listener: NodeId,
         node: NodeId,
         slot: Option<u16>,
@@ -225,11 +227,11 @@ impl NeighborArena {
         gateway_dist: u16,
         frame: u64,
     ) -> Heard {
-        let (lo, hi) = self.row_bounds(listener);
-        let pos = self.ids[lo..hi]
+        let pos = topo
+            .neighbors(listener)
             .binary_search(&node)
             .unwrap_or_else(|_| panic!("{node} is not in {listener}'s topology row"));
-        self.heard_at(listener, pos, node, slot, occupied, gateway_dist, frame)
+        self.heard_at(topo, listener, pos, node, slot, occupied, gateway_dist, frame)
     }
 
     /// [`NeighborArena::heard`] with the entry position already known (the
@@ -243,6 +245,7 @@ impl NeighborArena {
     #[allow(clippy::too_many_arguments)]
     pub fn heard_at(
         &mut self,
+        topo: &Topology,
         listener: NodeId,
         pos: usize,
         node: NodeId,
@@ -252,39 +255,42 @@ impl NeighborArena {
         frame: u64,
     ) -> Heard {
         let li = listener.index();
-        let (lo, hi) = self.row_bounds(listener);
-        assert!(pos < hi - lo, "heard_at position {pos} outside {listener}'s row");
-        debug_assert_eq!(self.ids[lo + pos], node, "heard_at position does not address {node}");
-        let e = &mut self.entries[lo + pos];
+        let row = self.row(topo, listener);
+        assert!(pos < row.len(), "heard_at position {pos} outside {listener}'s row");
+        debug_assert_eq!(
+            topo.neighbors(listener)[pos],
+            node,
+            "heard_at position does not address {node}"
+        );
+        let e = &mut self.entries[row.start + pos];
         let heard = if !e.present {
-            e.present = true;
             self.present[li] += 1;
             self.occ_cache[li].set(None);
             self.gw_cache[li].set(None);
             Heard::New
         } else {
             let mut heard = Heard::Refreshed;
-            if e.info.slot != slot {
+            if e.slot != slot {
                 self.occ_cache[li].set(None);
                 heard = Heard::Changed;
             }
-            if e.info.gateway_dist != gateway_dist {
+            if e.gateway_dist != gateway_dist {
                 self.gw_cache[li].set(None);
                 heard = Heard::Changed;
             }
             heard
         };
-        e.info = NeighborInfo { slot, occupied, gateway_dist, last_heard_frame: frame };
+        *e = EdgeEntry { occupied, last_heard_frame: frame, slot, gateway_dist, present: true };
         heard
     }
 
     /// Remove `node` from `listener`'s row; returns whether it was present.
-    pub fn remove(&mut self, listener: NodeId, node: NodeId) -> bool {
-        let (lo, hi) = self.row_bounds(listener);
-        let Ok(pos) = self.ids[lo..hi].binary_search(&node) else {
+    pub fn remove(&mut self, topo: &Topology, listener: NodeId, node: NodeId) -> bool {
+        let Ok(pos) = topo.neighbors(listener).binary_search(&node) else {
             return false;
         };
-        let e = &mut self.entries[lo + pos];
+        let at = self.row(topo, listener).start + pos;
+        let e = &mut self.entries[at];
         if !e.present {
             return false;
         }
@@ -301,6 +307,7 @@ impl NeighborArena {
     /// at the MAC's fixed point.
     pub(crate) fn collect_stale(
         &self,
+        topo: &Topology,
         listener: NodeId,
         frame: u64,
         max_missed: u32,
@@ -310,8 +317,8 @@ impl NeighborArena {
         if self.present[listener.index()] == 0 {
             return;
         }
-        let (lo, hi) = self.row_bounds(listener);
-        for (e, &id) in self.entries[lo..hi].iter().zip(&self.ids[lo..hi]) {
+        let entries = &self.entries[self.row(topo, listener)];
+        for (e, &id) in entries.iter().zip(topo.neighbors(listener)) {
             if e.present
                 && frame.saturating_sub(e.info_at(clock).last_heard_frame) > u64::from(max_missed)
             {
@@ -324,19 +331,22 @@ impl NeighborArena {
     /// neighbour transmits below slot `before`, or per present entry when
     /// `before` is `None`: what the listeners of a frame at the fixed
     /// point have heard by then.
-    pub(crate) fn credit_receptions(&self, ledger: &mut EnergyLedger, before: Option<u16>) {
+    pub(crate) fn credit_receptions(
+        &self,
+        topo: &Topology,
+        ledger: &mut EnergyLedger,
+        before: Option<u16>,
+    ) {
         for (i, &count) in self.present.iter().enumerate() {
+            let node = NodeId::from_index(i);
             let heard = match before {
                 None => u64::from(count),
-                Some(s) => {
-                    let (lo, hi) = (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize);
-                    self.entries[lo..hi]
-                        .iter()
-                        .filter(|e| e.present && e.info.slot.is_some_and(|t| t < s))
-                        .count() as u64
-                }
+                Some(s) => self.entries[self.row(topo, node)]
+                    .iter()
+                    .filter(|e| e.present && e.slot.is_some_and(|t| t < s))
+                    .count() as u64,
             };
-            ledger.record_rx_many(NodeId::from_index(i), heard);
+            ledger.record_rx_many(node, heard);
         }
     }
 
@@ -344,7 +354,7 @@ impl NeighborArena {
     /// the MAC is leaving its fixed point and will write entries again.
     pub(crate) fn settle(&mut self, clock: SteadyClock) {
         for e in self.entries.iter_mut().filter(|e| e.present) {
-            e.info.last_heard_frame = clock.last_heard(e.info.slot);
+            e.last_heard_frame = clock.last_heard(e.slot);
         }
     }
 
@@ -367,13 +377,16 @@ impl NeighborArena {
     }
 
     /// Overlay entries captured by [`NeighborArena::snap`] onto this
-    /// arena (which must be built over the same topology). A present
-    /// entry's slot must lie below `slots_per_frame`. Per-row presence
-    /// counts are recomputed and all caches marked dirty.
+    /// arena (which must be built over `topo`, the same topology). A
+    /// present entry's slot must lie below `slots_per_frame`, and it must
+    /// have been heard no later than `frame`, the image's MAC frame.
+    /// Per-row presence counts are recomputed and all caches marked dirty.
     pub(crate) fn restore(
         &mut self,
+        topo: &Topology,
         r: &mut SnapReader<'_>,
         slots_per_frame: u16,
+        frame: u64,
     ) -> Result<(), SnapError> {
         r.tag(b"ARNA")?;
         let pos = r.position();
@@ -382,26 +395,30 @@ impl NeighborArena {
             return Err(SnapError::Malformed { pos, what: "arena edge count mismatch" });
         }
         for e in &mut self.entries {
-            e.present = r.bool()?;
-            e.info = if e.present {
+            *e = if r.bool()? {
                 let pos = r.position();
                 let slot = r.opt_u16()?;
                 if slot.is_some_and(|s| s >= slots_per_frame) {
                     return Err(SnapError::Malformed { pos, what: "neighbour slot out of range" });
                 }
-                NeighborInfo {
-                    slot,
-                    occupied: SlotSet::from_bits(r.u128()?),
-                    gateway_dist: r.u16()?,
-                    last_heard_frame: r.u64()?,
+                let occupied = SlotSet::from_bits(r.u128()?);
+                let gateway_dist = r.u16()?;
+                let pos = r.position();
+                let last_heard_frame = r.u64()?;
+                if last_heard_frame > frame {
+                    return Err(SnapError::Malformed {
+                        pos,
+                        what: "neighbour heard after the image's frame",
+                    });
                 }
+                EdgeEntry { occupied, last_heard_frame, slot, gateway_dist, present: true }
             } else {
-                EdgeEntry::vacant().info
+                EdgeEntry::VACANT
             };
         }
         for i in 0..self.present.len() {
-            let (lo, hi) = (self.row_offsets[i] as usize, self.row_offsets[i + 1] as usize);
-            self.present[i] = self.entries[lo..hi].iter().filter(|e| e.present).count() as u32;
+            let row = self.row(topo, NodeId::from_index(i));
+            self.present[i] = self.entries[row].iter().filter(|e| e.present).count() as u32;
             self.occ_cache[i].set(None);
             self.gw_cache[i].set(None);
         }
@@ -414,19 +431,21 @@ impl NeighborArena {
 #[derive(Clone, Copy)]
 pub struct NeighborView<'a> {
     arena: &'a NeighborArena,
+    /// The topology the arena was built over: the row's bounds and ids.
+    topo: &'a Topology,
     node: NodeId,
     /// The MAC's position at its fixed point, which `last_heard_frame`
     /// follows from; `None` reports the stored value.
     clock: Option<SteadyClock>,
 }
 
-impl NeighborView<'_> {
-    fn row(&self) -> (&[EdgeEntry], &[NodeId]) {
-        let (lo, hi) = self.arena.row_bounds(self.node);
-        (&self.arena.entries[lo..hi], &self.arena.ids[lo..hi])
+impl<'a> NeighborView<'a> {
+    fn row(&self) -> (&'a [EdgeEntry], &'a [NodeId]) {
+        let entries = &self.arena.entries[self.arena.row(self.topo, self.node)];
+        (entries, self.topo.neighbors(self.node))
     }
 
-    fn present(&self) -> impl Iterator<Item = (&EdgeEntry, NodeId)> {
+    fn present(&self) -> impl Iterator<Item = (&'a EdgeEntry, NodeId)> {
         let (entries, ids) = self.row();
         entries.iter().zip(ids.iter().copied()).filter(|(e, _)| e.present)
     }
@@ -439,7 +458,7 @@ impl NeighborView<'_> {
     }
 
     /// All known neighbour ids, ascending.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
         self.present().map(|(_, id)| id)
     }
 
@@ -457,7 +476,7 @@ impl NeighborView<'_> {
     /// candidates for a dead-neighbour upcall at `frame`.
     pub fn stale(&self, frame: u64, max_missed: u32) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.arena.collect_stale(self.node, frame, max_missed, self.clock, &mut out);
+        self.arena.collect_stale(self.topo, self.node, frame, max_missed, self.clock, &mut out);
         out
     }
 
@@ -466,10 +485,10 @@ impl NeighborView<'_> {
     pub fn two_hop_occupancy(&self) -> SlotSet {
         let mut s = SlotSet::EMPTY;
         for (e, _) in self.present() {
-            if let Some(slot) = e.info.slot {
+            if let Some(slot) = e.slot {
                 s.insert(slot);
             }
-            s.union_with(e.info.occupied);
+            s.union_with(e.occupied);
         }
         s
     }
@@ -484,7 +503,7 @@ impl NeighborView<'_> {
         }
         let mut s = SlotSet::EMPTY;
         for (e, _) in self.present() {
-            if let Some(slot) = e.info.slot {
+            if let Some(slot) = e.slot {
                 s.insert(slot);
             }
         }
@@ -499,7 +518,7 @@ impl NeighborView<'_> {
         if let Some(cached) = cache.get() {
             return cached;
         }
-        let min = self.present().map(|(e, _)| e.info.gateway_dist).min().unwrap_or(u16::MAX);
+        let min = self.present().map(|(e, _)| e.gateway_dist).min().unwrap_or(u16::MAX);
         cache.set(Some(min));
         min
     }
@@ -520,17 +539,23 @@ mod tests {
     fn heard_marks_presence_then_updates() {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
-        assert!(a.view(NodeId(0)).is_empty());
-        assert!(a.view(NodeId(0)).get(NodeId(3)).is_none(), "vacant entries are invisible");
-        assert_eq!(a.heard(NodeId(0), NodeId(3), Some(5), SlotSet::EMPTY, 2, 10), Heard::New);
-        assert_eq!(a.heard(NodeId(0), NodeId(3), Some(6), SlotSet::EMPTY, 1, 11), Heard::Changed);
-        let info = a.view(NodeId(0)).get(NodeId(3)).unwrap();
+        assert!(a.view(&topo, NodeId(0)).is_empty());
+        assert!(a.view(&topo, NodeId(0)).get(NodeId(3)).is_none(), "vacant entries are invisible");
+        assert_eq!(
+            a.heard(&topo, NodeId(0), NodeId(3), Some(5), SlotSet::EMPTY, 2, 10),
+            Heard::New
+        );
+        assert_eq!(
+            a.heard(&topo, NodeId(0), NodeId(3), Some(6), SlotSet::EMPTY, 1, 11),
+            Heard::Changed
+        );
+        let info = a.view(&topo, NodeId(0)).get(NodeId(3)).unwrap();
         assert_eq!(info.slot, Some(6));
         assert_eq!(info.gateway_dist, 1);
         assert_eq!(info.last_heard_frame, 11);
-        assert_eq!(a.view(NodeId(0)).len(), 1);
+        assert_eq!(a.view(&topo, NodeId(0)).len(), 1);
         // The leaf's row is untouched.
-        assert!(a.view(NodeId(3)).is_empty());
+        assert!(a.view(&topo, NodeId(3)).is_empty());
     }
 
     #[test]
@@ -538,11 +563,17 @@ mod tests {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
         // Node 0's row is [1, 2, 3, 4]; position 2 addresses NodeId(3).
-        assert_eq!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0), Heard::New);
+        assert_eq!(
+            a.heard_at(&topo, NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0),
+            Heard::New
+        );
         let occupied = [1u16].into_iter().collect();
-        assert_eq!(a.heard_at(NodeId(0), 2, NodeId(3), Some(4), occupied, 2, 1), Heard::Refreshed);
-        assert_eq!(a.view(NodeId(0)).get(NodeId(3)).unwrap().last_heard_frame, 1);
-        assert_eq!(a.view(NodeId(0)).nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
+        assert_eq!(
+            a.heard_at(&topo, NodeId(0), 2, NodeId(3), Some(4), occupied, 2, 1),
+            Heard::Refreshed
+        );
+        assert_eq!(a.view(&topo, NodeId(0)).get(NodeId(3)).unwrap().last_heard_frame, 1);
+        assert_eq!(a.view(&topo, NodeId(0)).nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -560,11 +591,14 @@ mod tests {
         let mut a = NeighborArena::new(&topo);
         for l in topo.nodes() {
             for (p, &nb) in topo.neighbors(l).iter().enumerate() {
-                assert_eq!(a.heard_at(l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1), Heard::New);
+                assert_eq!(
+                    a.heard_at(&topo, l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1),
+                    Heard::New
+                );
             }
         }
         for l in topo.nodes() {
-            let v = a.view(l);
+            let v = a.view(&topo, l);
             assert_eq!(v.len(), topo.degree(l));
             assert_eq!(v.nodes().collect::<Vec<_>>(), topo.neighbors(l));
         }
@@ -574,54 +608,60 @@ mod tests {
     fn remove_and_reset_row() {
         let topo = star(4);
         let mut a = NeighborArena::new(&topo);
-        a.heard(NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 4, 0);
-        a.heard(NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 2, 0);
-        assert_eq!(a.view(NodeId(0)).min_gateway_dist(), 2);
-        assert!(a.remove(NodeId(0), NodeId(2)));
-        assert!(!a.remove(NodeId(0), NodeId(2)), "vacated entries are not present");
-        assert_eq!(a.view(NodeId(0)).min_gateway_dist(), 4);
-        a.reset_row(NodeId(0));
-        assert!(a.view(NodeId(0)).is_empty());
-        assert_eq!(a.view(NodeId(0)).min_gateway_dist(), u16::MAX);
+        a.heard(&topo, NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 4, 0);
+        a.heard(&topo, NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 2, 0);
+        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), 2);
+        assert!(a.remove(&topo, NodeId(0), NodeId(2)));
+        assert!(!a.remove(&topo, NodeId(0), NodeId(2)), "vacated entries are not present");
+        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), 4);
+        a.reset_row(&topo, NodeId(0));
+        assert!(a.view(&topo, NodeId(0)).is_empty());
+        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), u16::MAX);
     }
 
     #[test]
     fn staleness_detection() {
         let topo = star(3);
         let mut a = NeighborArena::new(&topo);
-        a.heard(NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 1, 10);
-        a.heard(NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 1, 14);
+        a.heard(&topo, NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 1, 10);
+        a.heard(&topo, NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 1, 14);
         // max_missed = 3: stale iff frame - last_heard > 3.
-        assert_eq!(a.view(NodeId(0)).stale(14, 3), vec![NodeId(1)]);
-        assert!(a.view(NodeId(0)).stale(13, 3).is_empty());
-        assert_eq!(a.view(NodeId(0)).stale(100, 3), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(a.view(&topo, NodeId(0)).stale(14, 3), vec![NodeId(1)]);
+        assert!(a.view(&topo, NodeId(0)).stale(13, 3).is_empty());
+        assert_eq!(a.view(&topo, NodeId(0)).stale(100, 3), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn occupancy_union_and_caches() {
         let topo = star(3);
         let mut a = NeighborArena::new(&topo);
-        a.heard(NodeId(0), NodeId(1), Some(2), [4u16].into_iter().collect(), 1, 0);
-        a.heard(NodeId(0), NodeId(2), Some(3), [5u16].into_iter().collect(), 1, 0);
-        let v = a.view(NodeId(0));
+        a.heard(&topo, NodeId(0), NodeId(1), Some(2), [4u16].into_iter().collect(), 1, 0);
+        a.heard(&topo, NodeId(0), NodeId(2), Some(3), [5u16].into_iter().collect(), 1, 0);
+        let v = a.view(&topo, NodeId(0));
         assert_eq!(v.one_hop_occupancy().iter().collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(v.two_hop_occupancy().iter().collect::<Vec<_>>(), vec![2, 3, 4, 5]);
         // A same-slot re-advertisement keeps the cache; a slot change
         // invalidates it.
-        a.heard(NodeId(0), NodeId(1), Some(2), SlotSet::EMPTY, 1, 1);
-        assert_eq!(a.view(NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(), vec![2, 3]);
-        a.heard(NodeId(0), NodeId(1), Some(7), SlotSet::EMPTY, 1, 2);
-        assert_eq!(a.view(NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(), vec![3, 7]);
+        a.heard(&topo, NodeId(0), NodeId(1), Some(2), SlotSet::EMPTY, 1, 1);
+        assert_eq!(
+            a.view(&topo, NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(),
+            vec![2, 3]
+        );
+        a.heard(&topo, NodeId(0), NodeId(1), Some(7), SlotSet::EMPTY, 1, 2);
+        assert_eq!(
+            a.view(&topo, NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(),
+            vec![3, 7]
+        );
     }
 
     #[test]
     fn joining_neighbour_without_slot() {
         let topo = star(2);
         let mut a = NeighborArena::new(&topo);
-        a.heard(NodeId(0), NodeId(1), None, SlotSet::EMPTY, u16::MAX, 0);
-        assert!(a.view(NodeId(0)).one_hop_occupancy().is_empty());
-        assert_eq!(a.view(NodeId(0)).min_gateway_dist(), u16::MAX);
-        assert_eq!(a.view(NodeId(0)).len(), 1);
+        a.heard(&topo, NodeId(0), NodeId(1), None, SlotSet::EMPTY, u16::MAX, 0);
+        assert!(a.view(&topo, NodeId(0)).one_hop_occupancy().is_empty());
+        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), u16::MAX);
+        assert_eq!(a.view(&topo, NodeId(0)).len(), 1);
     }
 
     #[test]
@@ -631,6 +671,84 @@ mod tests {
         // a bug in the caller.
         let topo = star(3);
         let mut a = NeighborArena::new(&topo);
-        a.heard(NodeId(1), NodeId(2), None, SlotSet::EMPTY, 0, 0);
+        a.heard(&topo, NodeId(1), NodeId(2), None, SlotSet::EMPTY, 0, 0);
+    }
+
+    /// The arena's per-edge state is one entry, and the per-node
+    /// occupancy cache holds a two-word set: an extra field, or a return
+    /// to 16-byte alignment, fails here.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn layout_budget() {
+        let entry = std::mem::size_of::<EdgeEntry>();
+        let cache = std::mem::size_of::<Cell<Option<SlotSet>>>();
+        assert!(entry <= 32, "EdgeEntry is {entry} bytes, over its 32-byte budget");
+        assert!(cache <= 24, "the occupancy cache is {cache} bytes a node, over its 24");
+    }
+
+    /// Field extremes survive `heard_at`, the views, `snap` and `restore`:
+    /// slot `None`, 0 and 127 of a 128-slot frame, occupancy bits 0, 63,
+    /// 64 and 127 (both words' edges), gateway distance 0 and `u16::MAX`,
+    /// and `last_heard_frame` 0 and the current frame.
+    #[test]
+    fn extreme_fields_round_trip_through_views_and_snapshots() {
+        const FRAME: u64 = 40;
+        let topo = star(5);
+        let bits = |slots: &[u16]| slots.iter().map(|&s| 1u128 << s).sum::<u128>();
+        // (listener, neighbour, slot, occupancy, gateway distance, frame)
+        let cases = [
+            (0, 1, None, bits(&[0]), 0, 0),
+            (0, 2, Some(0), bits(&[63]), u16::MAX, FRAME),
+            (0, 3, Some(127), bits(&[64]), 0, FRAME),
+            (0, 4, Some(127), bits(&[0, 63, 64, 127]), u16::MAX, 0),
+            (4, 0, Some(0), bits(&[127]), 0, FRAME),
+        ];
+        let mut a = NeighborArena::new(&topo);
+        for &(l, nb, slot, occ, gw, frame) in &cases {
+            let (l, nb) = (NodeId(l), NodeId(nb));
+            let pos = topo.neighbors(l).binary_search(&nb).unwrap();
+            let heard = a.heard_at(&topo, l, pos, nb, slot, SlotSet::from_bits(occ), gw, frame);
+            assert_eq!(heard, Heard::New);
+        }
+        let check = |a: &NeighborArena| {
+            for &(l, nb, slot, occ, gw, frame) in &cases {
+                let info = a.view(&topo, NodeId(l)).get(NodeId(nb)).expect("a present entry");
+                let got =
+                    (info.slot, info.occupied.bits(), info.gateway_dist, info.last_heard_frame);
+                assert_eq!(got, (slot, occ, gw, frame), "{l}'s entry for {nb}");
+            }
+            let hub = a.view(&topo, NodeId(0));
+            assert_eq!(hub.nodes().collect::<Vec<_>>(), topo.neighbors(NodeId(0)));
+            assert_eq!(hub.one_hop_occupancy().bits(), bits(&[0, 127]));
+            assert_eq!(hub.two_hop_occupancy().bits(), bits(&[0, 63, 64, 127]));
+            assert_eq!(hub.min_gateway_dist(), 0);
+            assert_eq!(hub.stale(FRAME, 39), vec![NodeId(1), NodeId(4)]);
+            for leaf in 1..4 {
+                assert!(a.view(&topo, NodeId(leaf)).is_empty(), "leaf {leaf} heard nothing");
+            }
+            assert_eq!(a.view(&topo, NodeId(4)).min_gateway_dist(), 0);
+        };
+        check(&a);
+
+        let mut w = SnapWriter::new();
+        a.snap(&mut w, None);
+        let image = w.finish();
+        let mut restored = NeighborArena::new(&topo);
+        restored.restore(&topo, &mut SnapReader::new(&image), 128, FRAME).expect("own image");
+        check(&restored);
+        let mut again = SnapWriter::new();
+        restored.snap(&mut again, None);
+        assert_eq!(again.finish(), image, "a second snapshot is byte-identical");
+
+        // One frame earlier, the entries heard at FRAME lie in the future.
+        let early =
+            NeighborArena::new(&topo).restore(&topo, &mut SnapReader::new(&image), 128, FRAME - 1);
+        assert!(
+            matches!(
+                early,
+                Err(SnapError::Malformed { what: "neighbour heard after the image's frame", .. })
+            ),
+            "{early:?}"
+        );
     }
 }

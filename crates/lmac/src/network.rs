@@ -354,7 +354,16 @@ impl<P> LmacNetwork<P> {
                     let d16 =
                         if d == u32::MAX { u16::MAX } else { d.min(u16::MAX as u32 - 1) as u16 };
                     let s = Some(slot[nb.index()]);
-                    self.arena.heard_at(node, p, nb, s, SlotSet::EMPTY, d16, self.frame);
+                    self.arena.heard_at(
+                        &self.topo,
+                        node,
+                        p,
+                        nb,
+                        s,
+                        SlotSet::EMPTY,
+                        d16,
+                        self.frame,
+                    );
                 }
             }
         }
@@ -383,7 +392,7 @@ impl<P> LmacNetwork<P> {
     /// The node's MAC neighbour view (cross-layer read access — this is
     /// the information DirQ uses to repair its tree).
     pub fn neighbor_table(&self, node: NodeId) -> NeighborView<'_> {
-        self.arena.view_at(node, self.clock())
+        self.arena.view_at(&self.topo, node, self.clock())
     }
 
     /// Hop distance to the gateway as the MAC currently believes it
@@ -392,7 +401,7 @@ impl<P> LmacNetwork<P> {
         if node.is_root() {
             0
         } else {
-            self.arena.view(node).min_gateway_dist().saturating_add(1)
+            self.arena.view(&self.topo, node).min_gateway_dist().saturating_add(1)
         }
     }
 
@@ -456,7 +465,7 @@ impl<P> LmacNetwork<P> {
             self.nodes[idx] = MacNode::offline();
             self.nodes[idx].alive = true;
             self.nodes[idx].listen_remaining = self.cfg.listen_frames_before_pick;
-            self.arena.reset_row(node);
+            self.arena.reset_row(&self.topo, node);
             self.alive_mask.insert(node);
             self.unslotted_alive += 1;
         } else {
@@ -466,7 +475,7 @@ impl<P> LmacNetwork<P> {
             }
             self.nodes[idx].alive = false;
             self.nodes[idx].tx_queue.clear();
-            self.arena.reset_row(node);
+            self.arena.reset_row(&self.topo, node);
             self.alive_mask.remove(node);
         }
     }
@@ -497,7 +506,7 @@ impl<P> LmacNetwork<P> {
             // slots already run, as the per-edge loop would have.
             Some(clock) if clock.slot > 0 => {
                 let mut ledger = self.control_ledger.clone();
-                self.arena.credit_receptions(&mut ledger, Some(clock.slot));
+                self.arena.credit_receptions(&self.topo, &mut ledger, Some(clock.slot));
                 ledger.snap(w);
             }
             _ => self.control_ledger.snap(w),
@@ -540,8 +549,9 @@ impl<P> LmacNetwork<P> {
     ///
     /// Every slot in the image must lie below `slots_per_frame` (the
     /// current slot, each node's slot and each present neighbour entry's),
-    /// and each slot's owner list must hold exactly the nodes that own the
-    /// slot, once each; otherwise restore fails with
+    /// each slot's owner list must hold exactly the nodes that own the
+    /// slot, once each, and no present neighbour entry may have been heard
+    /// after the image's frame; otherwise restore fails with
     /// [`SnapError::Malformed`].
     pub fn restore(
         &mut self,
@@ -635,7 +645,7 @@ impl<P> LmacNetwork<P> {
             let pos = r.position();
             return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
         }
-        self.arena.restore(r, spf)?;
+        self.arena.restore(&self.topo, r, spf, self.frame)?;
         self.alive_mask = NodeBits::new(n);
         self.unslotted_alive = 0;
         for i in 0..n {
@@ -667,7 +677,11 @@ impl<P> LmacNetwork<P> {
     fn leave_fixed_point(&mut self) {
         if let Some(clock) = self.clock() {
             if clock.slot > 0 {
-                self.arena.credit_receptions(&mut self.control_ledger, Some(clock.slot));
+                self.arena.credit_receptions(
+                    &self.topo,
+                    &mut self.control_ledger,
+                    Some(clock.slot),
+                );
             }
             self.arena.settle(clock);
             self.steady = false;
@@ -765,7 +779,7 @@ impl<P> LmacNetwork<P> {
                 continue;
             }
             let (occupied, gw) = if adverts {
-                (self.arena.view(t).one_hop_occupancy(), self.gateway_distance(t))
+                (self.arena.view(&self.topo, t).one_hop_occupancy(), self.gateway_distance(t))
             } else {
                 (SlotSet::EMPTY, u16::MAX)
             };
@@ -969,9 +983,18 @@ impl<P> LmacNetwork<P> {
             self.frame_rx += 1;
             let heard = if full_scan || resolved == AUDIBLE_COLLIDED {
                 // Cold paths resolve by id, as the pre-index loop did.
-                self.arena.heard(l, tx.from, Some(s), tx.occupied, tx.gateway_dist, self.frame)
+                self.arena.heard(
+                    &self.topo,
+                    l,
+                    tx.from,
+                    Some(s),
+                    tx.occupied,
+                    tx.gateway_dist,
+                    self.frame,
+                )
             } else {
                 self.arena.heard_at(
+                    &self.topo,
                     l,
                     (resolved & 0xFFFF_FFFF) as usize,
                     tx.from,
@@ -1042,7 +1065,7 @@ impl<P> LmacNetwork<P> {
         if self.steady {
             // Every alive listener heard each present neighbour once; no
             // entry can be stale and no node is joining.
-            self.arena.credit_receptions(&mut self.control_ledger, None);
+            self.arena.credit_receptions(&self.topo, &mut self.control_ledger, None);
             return;
         }
         // Liveness: stale neighbours are declared dead (cross-layer upcall).
@@ -1054,6 +1077,7 @@ impl<P> LmacNetwork<P> {
             }
             stale_buf.clear();
             self.arena.collect_stale(
+                &self.topo,
                 observer,
                 self.frame,
                 self.cfg.max_missed_frames,
@@ -1061,7 +1085,7 @@ impl<P> LmacNetwork<P> {
                 &mut stale_buf,
             );
             for &dead in &stale_buf {
-                self.arena.remove(observer, dead);
+                self.arena.remove(&self.topo, observer, dead);
                 self.stats.deaths_detected += 1;
                 self.frame_quiet = false;
                 out.push(MacIndication::NeighborDied { observer, dead });
@@ -1091,7 +1115,7 @@ impl<P> LmacNetwork<P> {
                 n.listen_remaining -= 1;
                 continue;
             }
-            let occupied = self.arena.view(node).two_hop_occupancy();
+            let occupied = self.arena.view(&self.topo, node).two_hop_occupancy();
             let free = occupied.free_slots(self.cfg.slots_per_frame);
             if free.is_empty() {
                 self.stats.no_free_slot += 1;
@@ -1646,7 +1670,7 @@ mod tests {
         let mut net = mid_frame_net();
         let (l, nb) = (NodeId(4), net.topology().neighbors(NodeId(4))[0]);
         assert!(net.neighbor_table(l).get(nb).is_some(), "a present entry to patch");
-        let _ = net.arena.heard(l, nb, Some(200), SlotSet::EMPTY, 1, 0);
+        let _ = net.arena.heard(&net.topo, l, nb, Some(200), SlotSet::EMPTY, 1, 0);
         assert_eq!(malformed(restore_image(&net)), "neighbour slot out of range");
     }
 

@@ -2,81 +2,84 @@
 //!
 //! LMAC nodes advertise which slots they believe are taken in their 1-hop
 //! neighbourhood; receivers union those advertisements to learn 2-hop
-//! occupancy. A `u128` bitmap caps frames at 128 slots, far beyond the
-//! paper's scale (50 nodes).
+//! occupancy. A 128-bit bitmap caps frames at 128 slots, far beyond the
+//! paper's scale (50 nodes). It is stored as two `u64` words, so a set is
+//! 8-byte aligned and packs into the MAC's 32-byte neighbour entries.
 
 /// Maximum number of slots per frame supported by [`SlotSet`].
 pub const MAX_SLOTS: u16 = 128;
 
-/// A set of slot indices, backed by a `u128` bitmap.
+/// A set of slot indices, backed by a 128-bit bitmap: slot `s` is bit
+/// `s % 64` of word `s / 64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SlotSet(u128);
+pub struct SlotSet([u64; 2]);
 
 impl SlotSet {
     /// The empty set.
-    pub const EMPTY: SlotSet = SlotSet(0);
+    pub const EMPTY: SlotSet = SlotSet([0; 2]);
 
     /// Set containing exactly `slot`.
     #[inline]
     pub fn single(slot: u16) -> SlotSet {
-        assert!(slot < MAX_SLOTS, "slot {slot} out of range");
-        SlotSet(1u128 << slot)
+        let mut s = SlotSet::EMPTY;
+        s.insert(slot);
+        s
     }
 
     /// Insert `slot`.
     #[inline]
     pub fn insert(&mut self, slot: u16) {
         assert!(slot < MAX_SLOTS, "slot {slot} out of range");
-        self.0 |= 1u128 << slot;
+        self.0[usize::from(slot >> 6)] |= 1u64 << (slot & 63);
     }
 
     /// Remove `slot`.
     #[inline]
     pub fn remove(&mut self, slot: u16) {
         assert!(slot < MAX_SLOTS, "slot {slot} out of range");
-        self.0 &= !(1u128 << slot);
+        self.0[usize::from(slot >> 6)] &= !(1u64 << (slot & 63));
     }
 
     /// Whether `slot` is present.
     #[inline]
     pub fn contains(&self, slot: u16) -> bool {
-        slot < MAX_SLOTS && (self.0 >> slot) & 1 == 1
+        slot < MAX_SLOTS && (self.0[usize::from(slot >> 6)] >> (slot & 63)) & 1 == 1
     }
 
     /// The raw bitmap, for checkpointing.
     #[inline]
     pub fn bits(&self) -> u128 {
-        self.0
+        u128::from(self.0[0]) | u128::from(self.0[1]) << 64
     }
 
     /// Rebuild from a [`SlotSet::bits`] bitmap.
     #[inline]
     pub fn from_bits(bits: u128) -> SlotSet {
-        SlotSet(bits)
+        SlotSet([bits as u64, (bits >> 64) as u64])
     }
 
     /// Union with another set.
     #[inline]
     pub fn union(&self, other: SlotSet) -> SlotSet {
-        SlotSet(self.0 | other.0)
+        SlotSet([self.0[0] | other.0[0], self.0[1] | other.0[1]])
     }
 
     /// In-place union.
     #[inline]
     pub fn union_with(&mut self, other: SlotSet) {
-        self.0 |= other.0;
+        *self = self.union(other);
     }
 
     /// Number of occupied slots.
     #[inline]
     pub fn len(&self) -> u32 {
-        self.0.count_ones()
+        self.0[0].count_ones() + self.0[1].count_ones()
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0 == 0
+        self.0 == [0; 2]
     }
 
     /// Slots in `0..frame_len` *not* present in this set, in ascending
@@ -91,7 +94,7 @@ impl SlotSet {
     #[inline]
     pub fn first_free(&self, frame_len: u16) -> Option<u16> {
         assert!(frame_len <= MAX_SLOTS, "frame too long");
-        let slot = (!self.0).trailing_zeros() as u16;
+        let slot = (!self.bits()).trailing_zeros() as u16;
         (slot < frame_len).then_some(slot)
     }
 
@@ -146,6 +149,19 @@ mod tests {
         assert_eq!(s.first_free(1), None);
         assert_eq!(SlotSet::from_bits(u128::MAX).first_free(MAX_SLOTS), None);
         assert_eq!(SlotSet::from_bits(u128::MAX >> 1).first_free(MAX_SLOTS), Some(127));
+    }
+
+    #[test]
+    fn bits_keep_the_u128_layout_across_the_word_boundary() {
+        for slot in [0u16, 63, 64, 127] {
+            let s = SlotSet::single(slot);
+            assert_eq!(s.bits(), 1u128 << slot);
+            assert_eq!(SlotSet::from_bits(1u128 << slot), s);
+            assert_eq!(s.iter().collect::<Vec<_>>(), vec![slot]);
+        }
+        let all = SlotSet::from_bits(u128::MAX);
+        assert_eq!((all.len(), all.bits()), (128, u128::MAX));
+        assert_eq!(SlotSet::from_bits(!(1u128 << 64)).first_free(MAX_SLOTS), Some(64));
     }
 
     #[test]

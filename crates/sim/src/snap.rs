@@ -131,51 +131,61 @@ impl SnapWriter {
     }
 
     /// A four-byte ASCII section tag (layout-drift tripwire).
+    #[inline]
     pub fn tag(&mut self, tag: &[u8; 4]) {
         self.buf.extend_from_slice(tag);
     }
 
     /// One `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// One `u16`, little-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// One `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// One `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// One `u128`, little-endian.
+    #[inline]
     pub fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// One `usize`, widened to `u64`.
+    #[inline]
     pub fn len_of(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// One `f64` by bit pattern (bit-identical restore, NaNs included).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// One `bool` as a byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// An `Option<f64>`: presence byte plus the value when present.
+    #[inline]
     pub fn opt_f64(&mut self, v: Option<f64>) {
         self.bool(v.is_some());
         if let Some(x) = v {
@@ -184,6 +194,7 @@ impl SnapWriter {
     }
 
     /// An `Option<u64>`: presence byte plus the value when present.
+    #[inline]
     pub fn opt_u64(&mut self, v: Option<u64>) {
         self.bool(v.is_some());
         if let Some(x) = v {
@@ -192,6 +203,7 @@ impl SnapWriter {
     }
 
     /// An `Option<u16>`: presence byte plus the value when present.
+    #[inline]
     pub fn opt_u16(&mut self, v: Option<u16>) {
         self.bool(v.is_some());
         if let Some(x) = v {
@@ -260,6 +272,7 @@ impl<'a> SnapReader<'a> {
         self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
@@ -272,6 +285,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Expect a section tag written by [`SnapWriter::tag`].
+    #[inline]
     pub fn tag(&mut self, expected: &[u8; 4]) -> Result<(), SnapError> {
         let pos = self.pos;
         let got = self.take(4)?;
@@ -284,32 +298,38 @@ impl<'a> SnapReader<'a> {
     }
 
     /// One `u8`.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
     }
 
     /// One `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// One `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// One `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// One `u128`.
+    #[inline]
     pub fn u128(&mut self) -> Result<u128, SnapError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
     /// A counter the step increments: one `u64` no larger than
     /// [`MAX_COUNT`]; a larger one is [`SnapError::Malformed`].
+    #[inline]
     pub fn count(&mut self) -> Result<u64, SnapError> {
         let pos = self.pos;
         match self.u64()? {
@@ -340,11 +360,13 @@ impl<'a> SnapReader<'a> {
     }
 
     /// One `f64` from its bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// One `bool`; any byte other than 0/1 is malformed.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         let pos = self.pos;
         match self.u8()? {
@@ -355,16 +377,19 @@ impl<'a> SnapReader<'a> {
     }
 
     /// An `Option<f64>`.
+    #[inline]
     pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
         Ok(if self.bool()? { Some(self.f64()?) } else { None })
     }
 
     /// An `Option<u64>`.
+    #[inline]
     pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
         Ok(if self.bool()? { Some(self.u64()?) } else { None })
     }
 
     /// An `Option<u16>`.
+    #[inline]
     pub fn opt_u16(&mut self) -> Result<Option<u16>, SnapError> {
         Ok(if self.bool()? { Some(self.u16()?) } else { None })
     }

@@ -706,6 +706,50 @@ fn restore_rejects_a_local_process_off_its_types_parameters() {
     }
 }
 
+/// Every image the MAC writes has each present neighbour entry heard no
+/// later than the image's frame. A later `last_heard_frame` is a typed
+/// error at restore: that entry could never go stale, so a neighbour that
+/// stops transmitting would never be reported dead.
+#[test]
+fn restore_rejects_an_arena_entry_heard_in_the_future() {
+    let (body, _) = body_at(30);
+    // "ENGN", the epoch, "LMAC", then the MAC frame (u64).
+    assert_eq!(&body[12..16], b"LMAC");
+    let frame = u64::from_le_bytes(body[16..24].try_into().unwrap());
+    // "ARNA" and the entry count (u64), then per entry a presence byte;
+    // a present entry goes on with its slot (presence byte, u16 when
+    // present), occupancy (u128), gateway distance (u16) and
+    // `last_heard_frame` (u64).
+    let arena = tag_offsets(&body, b"ARNA");
+    assert_eq!(arena.len(), 1);
+    let entries = u64::from_le_bytes(body[arena[0] + 4..arena[0] + 12].try_into().unwrap());
+    let mut at = arena[0] + 12;
+    let mut heard = Vec::new();
+    for _ in 0..entries {
+        at += 1;
+        if body[at - 1] == 1 {
+            at += 1 + 2 * usize::from(body[at]) + 16 + 2;
+            heard.push(at);
+            at += 8;
+        }
+    }
+    assert!(heard.len() > 100, "a converged MAC knows its neighbours");
+    Engine::new(variant_config(17, 0, 60)).restore(&body).expect("the unpatched body restores");
+    for at in [heard[0], heard[heard.len() - 1]] {
+        let patch = |last_heard: u64| {
+            let mut patched = body.clone();
+            patched[at..at + 8].copy_from_slice(&last_heard.to_le_bytes());
+            patched
+        };
+        Engine::new(variant_config(17, 0, 60))
+            .restore(&patch(frame))
+            .expect("an entry heard in the image's frame restores");
+        for bad in [frame + 1, u64::MAX] {
+            assert_rejected(&patch(bad), "neighbour heard after the image's frame");
+        }
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
