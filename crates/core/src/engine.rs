@@ -11,8 +11,11 @@
 //! * **protocol state** — what nodes actually know (parents, children,
 //!   range tables, MAC neighbour tables). All protocol behaviour, including
 //!   tree repair after deaths, uses only this.
-//! * **oracle state** — the generator's world readings and liveness flags,
-//!   used solely for ground truth and measurement.
+//! * **oracle state** — the generator's world readings, used solely for
+//!   ground truth and measurement, and node liveness. Liveness belongs to
+//!   the MAC, which silences a dead node; the engine reads it as the
+//!   oracle (`LmacNetwork::alive`): a dead node neither samples nor
+//!   repairs, and ground truth counts only alive sources.
 
 use std::sync::Arc;
 
@@ -23,7 +26,7 @@ use dirq_net::churn::ChurnPlan;
 use dirq_sim::stats::Ewma;
 use dirq_sim::SimRng;
 
-use crate::flooding::FloodingNode;
+use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
@@ -44,7 +47,7 @@ pub use config::{
 pub use run::run_scenario;
 
 use dispatch::DispatchScratch;
-use sensing::{SampleScratch, SensingPlane};
+use sensing::{SensingPlane, UpkeepShard};
 use tree::TreeScratch;
 
 /// The simulation engine.
@@ -58,8 +61,8 @@ pub struct Engine {
     node_cfg: Arc<NodeConfig>,
     /// Per-(node, type) sampling state; see [`sensing`].
     plane: SensingPlane,
-    flood: Vec<FloodingNode>,
-    alive: Vec<bool>,
+    /// Flooding's per-node state: the queries each node has rebroadcast.
+    flood: Vec<SeenQueries>,
     qgen: QueryGenerator,
     churn: ChurnPlan,
     pending: PendingSet,
@@ -93,8 +96,9 @@ pub struct Engine {
     /// The dispatch plane's indication, handler-output and finalisation
     /// buffers.
     dispatch_scratch: DispatchScratch,
-    /// The sampling pass's carrier index and per-chunk buffers.
-    sample_scratch: SampleScratch,
+    /// The sampling pass's per-chunk buffers: one per upkeep worker, and
+    /// one alone runs the serial pass.
+    sample_shards: Vec<UpkeepShard>,
     /// Test hook: at every [`Engine::query_parents`], the parents handed to
     /// calibration or ground truth, paired with the protocol tree at that
     /// moment.
@@ -296,8 +300,8 @@ mod tests {
                 e.step_epoch();
             }
             let tree = e.protocol_tree();
-            for i in 1..e.nodes.len() {
-                assert!(!e.alive[i] || tree.is_attached(NodeId::from_index(i)));
+            for v in e.topology().nodes().skip(1) {
+                assert!(!e.is_alive(v) || tree.is_attached(v));
             }
         }
 
@@ -317,9 +321,7 @@ mod tests {
         // itself and adopts a parent again through the repair pass.
         let child = (1..e.nodes.len())
             .map(NodeId::from_index)
-            .find(|c| {
-                e.alive[c.index()] && e.nodes[c.index()].parent().is_some_and(|p| !p.is_root())
-            })
+            .find(|c| e.is_alive(*c) && e.nodes[c.index()].parent().is_some_and(|p| !p.is_root()))
             .expect("a node below a relay");
         let parent = e.nodes[child.index()].parent().unwrap();
         e.dispatch_indication(MacIndication::NeighborDied { observer: child, dead: parent });

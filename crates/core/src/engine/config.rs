@@ -152,7 +152,7 @@ pub struct ScenarioConfig {
     /// it once the benchmark stops setting it.
     pub dispatch_workers: usize,
     /// Worker threads for sensor sampling, the only sharded protocol-upkeep
-    /// pass (carrier chunks run in place on scoped threads, with the MAC
+    /// pass (node-range chunks run in place on scoped threads, with the MAC
     /// enqueues replayed in chunk order; tree repair is always serial).
     /// Resolved like `world_workers`, and like it never affects results —
     /// sharded sampling is bit-identical at any count.

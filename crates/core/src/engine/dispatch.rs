@@ -152,13 +152,13 @@ impl Engine {
             query = query.with_region(r);
         }
         self.query_parents();
-        let alive = &self.alive;
+        let alive = self.mac.alive();
         let truth = dirq_data::workload::ground_truth(
             self.world.readings(stype),
             self.mac.topology().positions(),
             &self.tree_scratch.parent,
             &query,
-            |n: NodeId| alive[n.index()],
+            |n: NodeId| alive.contains(n),
         );
         self.disseminate(query, truth);
         query.id
@@ -205,11 +205,11 @@ impl Engine {
 
     pub(super) fn inject_query(&mut self) {
         self.query_parents();
-        let alive = &self.alive;
+        let alive = self.mac.alive();
         let positions: &[dirq_net::Position] =
             if self.cfg.location_enabled { self.mac.topology().positions() } else { &[] };
         let parents = &self.tree_scratch.parent;
-        let generated = self.qgen.generate(&self.world, positions, parents, |n| alive[n.index()]);
+        let generated = self.qgen.generate(&self.world, positions, parents, |n| alive.contains(n));
         if let Some(CalibratedQuery { query, truth }) = generated {
             self.disseminate(query, truth);
         }
@@ -230,7 +230,7 @@ impl Engine {
         match self.cfg.protocol {
             Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
             Protocol::Flooding => {
-                self.flood[0].should_rebroadcast(query.id);
+                self.flood[0].insert(query.id);
                 let flood = DirqMessage::FloodQuery(query);
                 self.outbox().send(NodeId::ROOT, Destination::Broadcast, flood);
             }
@@ -299,10 +299,8 @@ impl Engine {
         if self.cfg.protocol == Protocol::Dirq
             && matches!(self.cfg.delta_policy, DeltaPolicy::Adaptive(_))
         {
-            for i in 1..self.nodes.len() {
-                if self.alive[i] {
-                    self.nodes[i].end_epoch(self.plane.sigma_hat_pct(i));
-                }
+            for v in self.mac.alive().iter().filter(|v| !v.is_root()) {
+                self.nodes[v.index()].end_epoch(self.plane.sigma_hat_pct(v.index()));
             }
         }
         // Finalise queries whose completion window elapsed (one sweep of
@@ -317,12 +315,11 @@ impl Engine {
         // δ trace every 100 epochs.
         if self.epoch.is_multiple_of(100) {
             let (sum, count) = self
-                .nodes
+                .mac
+                .alive()
                 .iter()
-                .enumerate()
-                .skip(1)
-                .filter(|(i, _)| self.alive[*i])
-                .fold((0.0, 0u32), |(s, c), (_, n)| (s + n.delta_pct(), c + 1));
+                .filter(|v| !v.is_root())
+                .fold((0.0, 0u32), |(s, c), v| (s + self.nodes[v.index()].delta_pct(), c + 1));
             if count > 0 {
                 self.delta_trace.push((self.epoch, sum / f64::from(count)));
             }
@@ -404,7 +401,7 @@ impl Engine {
                     DirqMessage::FloodQuery(q) => {
                         // Zero-copy rebroadcast: forward the interned
                         // payload handle instead of rebuilding the message.
-                        if self.flood[to.index()].should_rebroadcast(q.id) {
+                        if self.flood[to.index()].insert(q.id) {
                             self.outbox().send(to, Destination::Broadcast, payload.clone());
                         }
                     }

@@ -14,14 +14,14 @@ use dirq_sim::runner;
 use dirq_sim::stats::Ewma;
 use dirq_sim::{RngFactory, SimRng};
 
-use crate::flooding::FloodingNode;
+use crate::flooding::SeenQueries;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
 use crate::sampling::{Sampler, SamplingStrategy};
 
 use super::dispatch::DispatchScratch;
-use super::sensing::{SampleScratch, SensingPlane};
+use super::sensing::{SensingPlane, UpkeepShard};
 use super::tree::TreeScratch;
 use super::{
     ChurnSpec, CompletedQuery, Engine, PhaseTimings, Protocol, RadioSpec, RunResult,
@@ -99,21 +99,26 @@ impl Engine {
             }
             ChurnSpec::Explicit(plan) => plan.clone(),
         };
-        let mut alive = vec![true; n];
+
+        // --- MAC --------------------------------------------------------------
+        // The MAC owns the engine's one copy of the topology and of liveness.
+        let mut mac = LmacNetwork::new(cfg.lmac, topo);
         for node in churn.initially_offline() {
-            alive[node.index()] = false;
+            mac.set_alive(node, false);
         }
+        mac.assign_slots_greedy();
+        let topo = mac.topology();
 
         // --- spanning tree over the initially alive nodes --------------------
         let tree = match (tree_opt, cfg.tree) {
             (Some(t), _) => t,
             (None, TreeKind::Bfs) => {
-                SpanningTree::bfs_filtered(&topo, NodeId::ROOT, |v| alive[v.index()])
+                SpanningTree::bfs_filtered(topo, NodeId::ROOT, |v| mac.is_alive(v))
             }
             (None, TreeKind::BoundedRandom { k, d }) => {
                 let mut rng = factory.stream("tree");
                 let mut t = (0..100)
-                    .find_map(|_| SpanningTree::bounded_random(&topo, NodeId::ROOT, k, d, &mut rng))
+                    .find_map(|_| SpanningTree::bounded_random(topo, NodeId::ROOT, k, d, &mut rng))
                     .unwrap_or_else(|| {
                         panic!("bounded_random(k={k}, d={d}) failed 100 times on this topology")
                     });
@@ -130,17 +135,6 @@ impl Engine {
             }
             (None, TreeKind::CompleteKary { .. }) => unreachable!(),
         };
-
-        // --- MAC --------------------------------------------------------------
-        // The MAC owns the engine's one copy of the topology.
-        let mut mac = LmacNetwork::new(cfg.lmac, topo);
-        for (i, &node_alive) in alive.iter().enumerate() {
-            if !node_alive {
-                mac.set_alive(NodeId::from_index(i), false);
-            }
-        }
-        mac.assign_slots_greedy();
-        let topo = mac.topology();
 
         // --- world + workload --------------------------------------------------
         let world_cfg = cfg.world.clone().unwrap_or_else(|| WorldConfig::environmental(cfg.side));
@@ -201,7 +195,7 @@ impl Engine {
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
             mac_rng: factory.stream("mac"),
-            flood: (0..n).map(|_| FloodingNode::new()).collect(),
+            flood: vec![SeenQueries::default(); n],
             cqd_estimate: Ewma::new(0.2),
             budget_multiplier: 1.0,
             updates_at_last_ehr: 0.0,
@@ -220,7 +214,7 @@ impl Engine {
             },
             tree_scratch: TreeScratch::new(n),
             dispatch_scratch: DispatchScratch::new(n),
-            sample_scratch: SampleScratch::new(upkeep_workers),
+            sample_shards: (0..upkeep_workers).map(|_| UpkeepShard::default()).collect(),
             #[cfg(test)]
             query_parents_log: Vec::new(),
             timing: None,
@@ -235,7 +229,6 @@ impl Engine {
             mac,
             world,
             nodes,
-            alive,
             qgen,
             churn,
         }
@@ -256,9 +249,9 @@ impl Engine {
         &self.nodes[id.index()]
     }
 
-    /// Liveness oracle.
+    /// Liveness oracle: the MAC's liveness.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive[id.index()]
+        self.mac.is_alive(id)
     }
 
     /// Collected metrics so far.
@@ -289,7 +282,7 @@ impl Engine {
     #[doc(hidden)]
     pub fn force_sharded_upkeep(&mut self, workers: usize) {
         assert!(workers > 1, "forcing sharded upkeep requires at least two shards");
-        self.sample_scratch.force_sharded(workers);
+        self.sample_shards.resize_with(workers, UpkeepShard::default);
     }
 
     /// Test observability: per-node upkeep state — `(parent + 1, children
@@ -333,6 +326,10 @@ impl Engine {
     /// `node` with an additional sensor at runtime. From the next epoch the
     /// node samples the new type; the resulting Updates create the missing
     /// Range Tables up the tree without any global reconfiguration.
+    ///
+    /// # Panics
+    /// Panics when `stype` is not in the world's sensor catalog: no world
+    /// draws readings of such a type.
     pub fn add_sensor(&mut self, node: NodeId, stype: dirq_data::SensorType) {
         self.world.assignment_mut().add(node.index(), stype);
     }
@@ -428,7 +425,7 @@ impl Engine {
                         // first frames.
                         for i in 1..e.nodes.len() {
                             let node = NodeId::from_index(i);
-                            if e.alive[i] {
+                            if e.mac.is_alive(node) {
                                 let pos = e.mac.topology().position(node);
                                 e.handle(node, |n, out| n.set_position(pos, out));
                             }

@@ -16,10 +16,11 @@
 //! removed, when a node is born and on restore, and each of those sites
 //! refreshes the window.
 
-use dirq_data::sensor::SensorAssignment;
+use std::ops::Range;
+
 use dirq_data::SensorType;
 use dirq_lmac::Destination;
-use dirq_net::NodeId;
+use dirq_net::{NodeBits, NodeId};
 use dirq_sim::runner;
 
 use crate::messages::DirqMessage;
@@ -141,40 +142,25 @@ pub(crate) fn escape(
 
 // --- the sampling pass: the one sharded upkeep pass ------------------------
 
-/// Below this many carrier nodes to sample the fan-out costs more than
-/// the work; the serial loop runs at any upkeep worker count.
-const UPKEEP_MIN_ITEMS: usize = 256;
-
-/// Carriers per sampling block. Its escape bits live on the stack, and in
-/// the serial pass each escape's enqueues are sent right away, so no
-/// buffer grows with the block.
+/// Nodes per sampling block. Its escape bits live on the stack, and the
+/// serial pass sends each block's enqueues before the next block, so no
+/// buffer grows with the pass.
 const SAMPLE_BLOCK: usize = 64;
 
 impl Engine {
-    /// Sample every carrier's sensors through [`sample_pass`], at the
-    /// resolved upkeep worker count once the pass has enough carriers to
-    /// feed them, and send the enqueues through the engine's [`Outbox`].
+    /// Sample every alive node's carried sensors through [`sample_pass`],
+    /// over one shard per resolved upkeep worker, and send the enqueues
+    /// through the engine's [`Outbox`].
     pub(super) fn sample_sensors(&mut self) {
-        let read_ahead = self.reads_ahead();
-        let width = self.plane.width();
-        let scratch = &mut self.sample_scratch;
-        scratch.refresh(self.world.assignment(), self.nodes.len(), width);
         let world = &self.world;
         let rows: Vec<&[f64]> = world.catalog().types().map(|t| world.readings(t)).collect();
         let inputs = SampleInputs {
-            alive: &self.alive,
-            masks: &scratch.masks,
-            carriers: &scratch.carriers,
+            masks: world.assignment().masks(),
             rows: &rows,
-            width,
+            width: self.plane.width(),
             spans: &self.node_cfg.reference_spans,
             alpha: self.node_cfg.variability_alpha,
-            read_ahead,
-        };
-        let threads = if scratch.force || scratch.carriers.len() >= UPKEEP_MIN_ITEMS {
-            scratch.shards.len()
-        } else {
-            1
+            read_ahead: self.reads_ahead(),
         };
         let mut outbox = Outbox {
             mac: &mut self.mac,
@@ -187,81 +173,35 @@ impl Engine {
             &mut self.nodes,
             self.plane.cells_mut(),
             self.samplers.as_deref_mut(),
-            &mut scratch.shards[..threads],
-            |e| outbox.send(e.from, e.dest, e.msg),
+            &mut self.sample_shards,
+            &mut outbox,
         );
     }
 }
 
-/// The sampling plane's scratch, reused across epochs: the carrier index
-/// over the sensor assignment and one shard per upkeep worker.
-///
-/// The index lists the ascending nodes carrying at least one sensor plus
-/// their carried-type masks, rebuilt only when the assignment version
-/// changes. Iterating carriers node-outer with mask bits ascending visits
-/// exactly the `(node, type)` pairs a full `1..n` × catalog scan visits,
-/// in the same order — so the indexed pass stays bit-identical to that
-/// scan while skipping non-carriers entirely.
-#[derive(Default)]
-pub(super) struct SampleScratch {
-    /// Assignment version the index was built against.
-    version: Option<u64>,
-    /// Carried-type mask per node (bit `t.index()`; the environmental
-    /// catalog `Engine::new` pins has 4 types, and the masks cover the
-    /// first 64 type ids).
-    masks: Vec<u64>,
-    /// Ascending node indices with a non-zero mask (the root excluded).
-    carriers: Vec<u32>,
-    /// Per-chunk buffers: one per upkeep worker, and one alone runs the
-    /// serial pass. The `upkeep_workers` knob resolves to this count
-    /// through `runner::shard_workers`.
-    shards: Vec<UpkeepShard>,
-    /// Test hook: shard sampling regardless of size thresholds.
-    force: bool,
+/// Where the sampling pass reads liveness and sends its enqueues: the
+/// engine's [`Outbox`] over the MAC, which owns liveness.
+pub(super) trait SampleSink {
+    /// Every node's liveness.
+    fn alive(&self) -> &NodeBits;
+    /// Send one enqueue.
+    fn emit(&mut self, e: Effect);
 }
 
-impl SampleScratch {
-    /// Scratch for `workers` upkeep workers, with no index built yet.
-    pub(super) fn new(workers: usize) -> Self {
-        let shards = (0..workers).map(|_| UpkeepShard::default()).collect();
-        SampleScratch { shards, ..SampleScratch::default() }
+impl SampleSink for Outbox<'_> {
+    fn alive(&self) -> &NodeBits {
+        self.mac.alive()
     }
 
-    /// Shard every pass over `workers` chunks, bypassing the size
-    /// thresholds (see [`Engine::force_sharded_upkeep`]).
-    pub(super) fn force_sharded(&mut self, workers: usize) {
-        *self = SampleScratch { force: true, ..SampleScratch::new(workers) };
-    }
-
-    /// Rebuild the carrier index when the sensor assignment has changed
-    /// (runtime `add_sensor`/`remove_sensor`, or a restore; one version
-    /// probe otherwise). Only types the world has readings for — the
-    /// plane's `width` — count.
-    fn refresh(&mut self, assignment: &SensorAssignment, n: usize, width: usize) {
-        let version = assignment.version();
-        if self.version == Some(version) {
-            return;
-        }
-        let sampled = u64::MAX >> (64 - width.clamp(1, 64));
-        self.masks.clear();
-        self.masks.resize(n, 0);
-        self.carriers.clear();
-        for i in 1..n {
-            let mask = assignment.carried_mask(i) & sampled;
-            self.masks[i] = mask;
-            if mask != 0 {
-                self.carriers.push(i as u32);
-            }
-        }
-        self.version = Some(version);
+    fn emit(&mut self, e: Effect) {
+        self.send(e.from, e.dest, e.msg);
     }
 }
 
 /// One sampling chunk's buffers, reused across epochs.
 #[derive(Default)]
 pub(super) struct UpkeepShard {
-    /// A sharded chunk's enqueues, sent in chunk order after the chunks
-    /// run.
+    /// The chunk's deferred enqueues (see [`sample_pass`]).
     effects: Vec<Effect>,
     /// What the escape handler appends; routed after each reading.
     outgoing: Vec<Outgoing>,
@@ -276,13 +216,10 @@ pub(super) struct Effect {
     msg: DirqMessage,
 }
 
-/// What every carrier of one sampling pass reads.
+/// What every node of one sampling pass reads.
 pub(super) struct SampleInputs<'a> {
-    alive: &'a [bool],
-    /// Carried-type mask per node (see [`SampleScratch`]).
+    /// Carried-type mask per node (the sensor assignment's).
     masks: &'a [u64],
-    /// The carriers to sample, ascending.
-    carriers: &'a [u32],
     /// Current readings per type id (`NaN` = no reading), mirroring
     /// `SensorWorld::reading`.
     rows: &'a [&'a [f64]],
@@ -297,94 +234,107 @@ pub(super) struct SampleInputs<'a> {
     read_ahead: bool,
 }
 
-/// The one sampling pass, over explicit parts: sample every carrier of
-/// `inputs` against the state of every node — `nodes`, their plane
-/// `cells` and their `samplers` — and hand each MAC enqueue an escape
-/// queues to `send`, in carrier and type order.
+/// The one sampling pass, over explicit parts: sample the carried sensors
+/// of every non-root node alive by `sink` against the state of every node
+/// — `nodes`, their plane `cells` and their `samplers` — and hand each MAC
+/// enqueue an escape queues to `sink`, in node and type order.
 ///
-/// With one shard, one chunk samples every carrier and `send` runs as
-/// each escape queues. With several, [`split_chunks`] splits the carriers
-/// over the shards; the chunks run in place on scoped threads, each
-/// deferring its enqueues into its shard, and `send` runs on them
-/// afterwards in chunk order — the serial order. Sampling reads no MAC,
-/// metrics or pending state, so deferring changes nothing.
+/// [`split_chunks`] cuts the nodes into one contiguous range per shard.
+/// One chunk runs here and sends each block's enqueues before the next
+/// block. Several run in place on scoped threads, each deferring its
+/// enqueues into its shard, and `sink` takes them afterwards in chunk
+/// order — the serial order. Sampling reads no MAC queue, metrics or
+/// pending state, so deferring changes nothing.
 pub(super) fn sample_pass(
     inputs: &SampleInputs<'_>,
     nodes: &mut [DirqNode],
     cells: &mut [SensorCell],
     samplers: Option<&mut [Vec<Sampler>]>,
     shards: &mut [UpkeepShard],
-    mut send: impl FnMut(Effect),
+    sink: &mut impl SampleSink,
 ) {
-    if let [shard] = shards {
-        let outgoing = &mut shard.outgoing;
-        let carriers = inputs.carriers;
-        SampleChunk { first: 0, carriers, nodes, cells, samplers, outgoing }.sample(inputs, send);
+    let threads = shards.len();
+    let mut chunks = split_chunks(inputs.width, nodes, cells, samplers, shards);
+    if let [chunk] = chunks.as_mut_slice() {
+        for block in blocks(chunk.range()) {
+            chunk.sample(inputs, sink.alive(), block);
+            chunk.shard.effects.drain(..).for_each(|e| sink.emit(e));
+        }
         return;
     }
-    let threads = shards.len();
-    let mut chunks = split_chunks(inputs, nodes, cells, samplers, shards);
-    runner::for_each_mut(&mut chunks, threads, |(chunk, effects)| {
-        chunk.sample(inputs, |e| effects.push(e));
+    let alive = sink.alive();
+    runner::for_each_mut(&mut chunks, threads, |chunk| {
+        for block in blocks(chunk.range()) {
+            chunk.sample(inputs, alive, block);
+        }
     });
-    for shard in shards {
-        shard.effects.drain(..).for_each(&mut send);
+    for chunk in &mut chunks {
+        chunk.shard.effects.drain(..).for_each(|e| sink.emit(e));
     }
 }
 
+/// The sampling blocks of `nodes`, [`SAMPLE_BLOCK`] nodes each, without
+/// the root: the gateway never samples.
+fn blocks(nodes: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = nodes.end;
+    (nodes.start.max(1)..end).step_by(SAMPLE_BLOCK).map(move |b| b..end.min(b + SAMPLE_BLOCK))
+}
+
 /// One sampling chunk's share of the engine: the state of nodes
-/// `first..first + nodes.len()` (`width` plane cells per node), the
-/// chunk's carriers among them, and its shard's handler-output buffer.
-/// The serial pass is one chunk over every node.
+/// `first..first + nodes.len()` (`width` plane cells per node) and its
+/// shard's buffers. The serial pass is one chunk over every node.
 struct SampleChunk<'a> {
     first: usize,
-    carriers: &'a [u32],
     nodes: &'a mut [DirqNode],
     cells: &'a mut [SensorCell],
     /// Per-node sampler rows; `None` under `SamplingStrategy::EveryEpoch`.
     samplers: Option<&'a mut [Vec<Sampler>]>,
-    outgoing: &'a mut Vec<Outgoing>,
+    shard: &'a mut UpkeepShard,
 }
 
 impl SampleChunk<'_> {
-    /// Sample the chunk's carriers, the one sampling routine: per block of
-    /// [`SAMPLE_BLOCK`] carriers, a plane pass over every carried cell,
-    /// then an escape pass over the readings that left their window, which
-    /// hands each enqueue to `emit`.
-    ///
-    /// This is bit-equal to sampling each carrier's types in one pass:
-    /// a cell's step touches only that cell, its sampler and, on an
-    /// escape, its node's table for that type, and sampling reads no MAC,
-    /// metrics or pending state. Escapes still run in carrier and type
-    /// order, so the enqueue order is the same too.
-    fn sample(&mut self, inputs: &SampleInputs<'_>, mut emit: impl FnMut(Effect)) {
-        for block in self.carriers.chunks(SAMPLE_BLOCK) {
-            let mut escaped = [0u64; SAMPLE_BLOCK];
-            self.plane_pass(inputs, block, &mut escaped);
-            self.escape_pass(inputs, block, &escaped, &mut emit);
-        }
+    /// The chunk's nodes.
+    fn range(&self) -> Range<usize> {
+        self.first..self.first + self.nodes.len()
     }
 
-    /// Per carrier, in type order: the predictive gate, the world read and
-    /// the cell step. A reading inside its window updates its sampler here;
-    /// one that escapes sets its type's bit in `escaped` for the escape
-    /// pass.
+    /// Sample one block of the chunk's nodes, the one sampling routine: a
+    /// plane pass over every carried cell of the `alive` nodes, then an
+    /// escape pass over the readings that left their window, which queues
+    /// each enqueue in the shard.
+    ///
+    /// This is bit-equal to sampling each node's types in one pass: a
+    /// cell's step touches only that cell, its sampler and, on an escape,
+    /// its node's table for that type, and sampling reads no MAC, metrics
+    /// or pending state. Escapes still run in node and type order, so the
+    /// enqueue order is the same too.
+    fn sample(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits, block: Range<usize>) {
+        let mut escaped = [0u64; SAMPLE_BLOCK];
+        self.plane_pass(inputs, alive, block.clone(), &mut escaped);
+        self.escape_pass(inputs, block, &escaped);
+    }
+
+    /// Per alive node with a carried sensor, in type order: the predictive
+    /// gate, the world read and the cell step. A reading inside its window
+    /// updates its sampler here; one that escapes sets its type's bit in
+    /// `escaped` for the escape pass.
     fn plane_pass(
         &mut self,
         inputs: &SampleInputs<'_>,
-        block: &[u32],
+        alive: &NodeBits,
+        block: Range<usize>,
         escaped: &mut [u64; SAMPLE_BLOCK],
     ) {
         let width = inputs.width;
-        for (&ci, escaped) in block.iter().zip(escaped) {
-            let i = ci as usize;
-            if !inputs.alive[i] {
+        for (i, escaped) in block.zip(escaped) {
+            let mask = inputs.masks[i];
+            if mask == 0 || !alive.contains(NodeId::from_index(i)) {
                 continue;
             }
             let j = i - self.first;
             let row = &mut self.cells[j * width..(j + 1) * width];
             let mut samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
-            for idx in bits(inputs.masks[i]) {
+            for idx in bits(mask) {
                 if let Some(s) = samplers.as_deref_mut() {
                     if !s[idx].should_sample() {
                         continue;
@@ -415,25 +365,24 @@ impl SampleChunk<'_> {
     }
 
     /// Read ahead of the block's escaping nodes through [`warm_up`], then,
-    /// in carrier and type order, run each escape through [`escape`],
-    /// route its handler output to `emit`, and update its sampler from the
-    /// refreshed window.
+    /// in node and type order, run each escape through [`escape`], route
+    /// its handler output into the shard's effects, and update its sampler
+    /// from the refreshed window.
     fn escape_pass(
         &mut self,
         inputs: &SampleInputs<'_>,
-        block: &[u32],
+        block: Range<usize>,
         escaped: &[u64; SAMPLE_BLOCK],
-        emit: &mut impl FnMut(Effect),
     ) {
         let (first, width) = (self.first, inputs.width);
         if inputs.read_ahead {
             let nodes = &*self.nodes;
             let escapes = || {
                 block
-                    .iter()
+                    .clone()
                     .zip(escaped)
                     .filter(|&(_, &mask)| mask != 0)
-                    .map(|(&ci, &mask)| (&nodes[ci as usize - first], mask))
+                    .map(|(i, &mask)| (&nodes[i - first], mask))
             };
             warm_up(escapes().map(|(node, _)| node), || {
                 escapes().flat_map(|(node, mask)| {
@@ -441,11 +390,11 @@ impl SampleChunk<'_> {
                 })
             });
         }
-        for (&ci, &mask) in block.iter().zip(escaped) {
+        let UpkeepShard { effects, outgoing } = &mut *self.shard;
+        for (i, &mask) in block.zip(escaped) {
             if mask == 0 {
                 continue;
             }
-            let i = ci as usize;
             let j = i - first;
             let node = &mut self.nodes[j];
             let row = &mut self.cells[j * width..(j + 1) * width];
@@ -453,10 +402,10 @@ impl SampleChunk<'_> {
             for idx in bits(mask) {
                 let reading = inputs.rows[idx][i];
                 let cell = &mut row[idx];
-                escape(node, cell, SensorType(idx as u8), reading, self.outgoing);
-                for out in self.outgoing.drain(..) {
+                escape(node, cell, SensorType(idx as u8), reading, outgoing);
+                for out in outgoing.drain(..) {
                     if let Some((dest, msg)) = route(node, out) {
-                        emit(Effect { from: node.id(), dest, msg });
+                        effects.push(Effect { from: node.id(), dest, msg });
                     }
                 }
                 if let Some(s) = samplers.as_deref_mut() {
@@ -479,37 +428,32 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Split the sampling state over `shards`: shard k takes the k-th of
-/// near-equal contiguous runs of the carriers (none when there are fewer
-/// carriers than shards) and the nodes, plane rows and sampler rows from
-/// the end of the previous chunk up to the next chunk's first carrier.
-/// Each chunk comes paired with its shard's effect buffer.
+/// near-equal contiguous node ranges (none when there are fewer nodes than
+/// shards) with those nodes' plane rows (`width` cells each) and sampler
+/// rows.
 fn split_chunks<'a>(
-    inputs: &SampleInputs<'a>,
+    width: usize,
     mut nodes: &'a mut [DirqNode],
     mut cells: &'a mut [SensorCell],
     mut samplers: Option<&'a mut [Vec<Sampler>]>,
     shards: &'a mut [UpkeepShard],
-) -> Vec<(SampleChunk<'a>, &'a mut Vec<Effect>)> {
-    let (carriers, width, n, count) = (inputs.carriers, inputs.width, nodes.len(), shards.len());
+) -> Vec<SampleChunk<'a>> {
+    let (n, count) = (nodes.len(), shards.len());
     let mut chunks = Vec::with_capacity(count);
-    let (mut start, mut first) = (0, 0);
-    for (k, UpkeepShard { effects, outgoing }) in shards.iter_mut().enumerate() {
-        let end = carriers.len() * (k + 1) / count;
-        if end == start {
+    let mut first = 0;
+    for (k, shard) in shards.iter_mut().enumerate() {
+        let len = n * (k + 1) / count - first;
+        if len == 0 {
             continue;
         }
-        let next = carriers.get(end).map_or(n, |&c| c as usize);
-        let len = next - first;
-        let chunk = SampleChunk {
+        chunks.push(SampleChunk {
             first,
-            carriers: &carriers[start..end],
             nodes: split_front(&mut nodes, len),
             cells: split_front(&mut cells, len * width),
             samplers: samplers.as_mut().map(|rows| split_front(rows, len)),
-            outgoing,
-        };
-        chunks.push((chunk, effects));
-        (start, first) = (end, next);
+            shard,
+        });
+        first += len;
     }
     chunks
 }
@@ -768,8 +712,8 @@ mod block_tests {
     const EPOCHS: usize = 6;
 
     impl SampleInputs<'_> {
-        /// The one-pass loop the block routine replaced: sample carrier
-        /// `i`'s sensors in type order — the predictive gate, the world
+        /// The one-pass loop the block routine replaced: sample node `i`'s
+        /// sensors in type order — the predictive gate, the world
         /// read, the plane step through [`sample`] and the
         /// sampler's update from the cell's window — appending the routed
         /// MAC enqueues to `effects`.
@@ -781,9 +725,6 @@ mod block_tests {
             mut samplers: Option<&mut [Sampler]>,
             effects: &mut Vec<Effect>,
         ) {
-            if !self.alive[i] {
-                return;
-            }
             let mut mask = self.masks[i];
             while mask != 0 {
                 let idx = mask.trailing_zeros() as usize;
@@ -813,6 +754,22 @@ mod block_tests {
         }
     }
 
+    /// A sink that records what the pass sends, under a fixed liveness.
+    struct Recorder<'a> {
+        alive: &'a NodeBits,
+        sent: Vec<Effect>,
+    }
+
+    impl SampleSink for Recorder<'_> {
+        fn alive(&self) -> &NodeBits {
+            self.alive
+        }
+
+        fn emit(&mut self, e: Effect) {
+            self.sent.push(e);
+        }
+    }
+
     /// Everything a sampling pass mutates.
     #[derive(Clone)]
     struct State {
@@ -822,13 +779,12 @@ mod block_tests {
     }
 
     impl State {
-        /// The model: the one-pass loop over every carrier, effects in
-        /// carrier order.
-        fn run_model(&mut self, inputs: &SampleInputs<'_>) -> Vec<Effect> {
+        /// The model: the one-pass loop over every alive non-root node,
+        /// effects in node order.
+        fn run_model(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits) -> Vec<Effect> {
             let width = SPANS.len();
             let mut effects = Vec::new();
-            for &ci in inputs.carriers {
-                let i = ci as usize;
+            for i in (1..self.nodes.len()).filter(|&i| alive.contains(NodeId::from_index(i))) {
                 let row = &mut self.cells[i * width..(i + 1) * width];
                 let samplers = self.samplers.as_mut().map(|rows| rows[i].as_mut_slice());
                 inputs.sample_carrier(i, &mut self.nodes[i], row, samplers, &mut effects);
@@ -838,23 +794,28 @@ mod block_tests {
 
         /// [`sample_pass`] on `threads` shards, the effects in the order it
         /// sends them; every shard is empty afterwards.
-        fn run_pass(&mut self, inputs: &SampleInputs<'_>, threads: usize) -> Vec<Effect> {
+        fn run_pass(
+            &mut self,
+            inputs: &SampleInputs<'_>,
+            alive: &NodeBits,
+            threads: usize,
+        ) -> Vec<Effect> {
             let mut shards: Vec<UpkeepShard> =
                 (0..threads).map(|_| UpkeepShard::default()).collect();
-            let mut sent = Vec::new();
+            let mut sink = Recorder { alive, sent: Vec::new() };
             sample_pass(
                 inputs,
                 &mut self.nodes,
                 &mut self.cells,
                 self.samplers.as_deref_mut(),
                 &mut shards,
-                |e| sent.push(e),
+                &mut sink,
             );
             assert!(
                 shards.iter().all(|s| s.effects.is_empty() && s.outgoing.is_empty()),
                 "the pass left effects behind"
             );
-            sent
+            sink.sent
         }
     }
 
@@ -929,10 +890,13 @@ mod block_tests {
                     left -= 1;
                 }
             }
-            let carriers: Vec<u32> =
-                (1..n).filter(|&i| masks[i] != 0).map(|i| i as u32).collect();
-            prop_assert_eq!(carriers.len(), carrier_count);
-            let alive: Vec<bool> = (0..n).map(|_| unit(&mut rng) < 0.85).collect();
+            prop_assert_eq!(masks.iter().filter(|&&m| m != 0).count(), carrier_count);
+            let mut alive = NodeBits::new(n);
+            for i in 0..n {
+                if unit(&mut rng) < 0.85 {
+                    alive.insert(NodeId::from_index(i));
+                }
+            }
 
             let mut nodes = Vec::with_capacity(n);
             for i in 0..n {
@@ -987,19 +951,17 @@ mod block_tests {
                     .collect();
                 let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
                 let inputs = SampleInputs {
-                    alive: &alive,
                     masks: &masks,
-                    carriers: &carriers,
                     rows: &row_refs,
                     width,
                     spans: &SPANS,
                     alpha: ALPHA,
                     read_ahead: true,
                 };
-                let want = model.run_model(&inputs);
+                let want = model.run_model(&inputs, &alive);
                 let (want_cells, want_state) = bits_of(&model);
                 for (k, run) in runs.iter_mut().enumerate() {
-                    let got = run.run_pass(&inputs, k + 1);
+                    let got = run.run_pass(&inputs, &alive, k + 1);
                     let (cells, state) = bits_of(run);
                     let label = ["serial", "2 chunks", "3 chunks"][k];
                     prop_assert!(cells == want_cells, "epoch {}, {}: cells differ", epoch, label);

@@ -41,7 +41,11 @@ impl Engine {
         for f in &self.flood {
             f.snap(w);
         }
-        w.bools(&self.alive);
+        // The MAC owns liveness; the engine's section repeats it.
+        w.len_of(self.nodes.len());
+        for v in self.mac.topology().nodes() {
+            w.bool(self.mac.is_alive(v));
+        }
         self.qgen.snap(w);
         self.pending.snap(w);
         self.metrics.snap(w);
@@ -76,14 +80,23 @@ impl Engine {
     /// scheme — the snapshot carries no static structure to check against,
     /// only counts). On success the engine continues from the captured
     /// epoch exactly as the snapshotted one would have.
+    ///
+    /// An image is [`SnapError::Malformed`] where its sections disagree on
+    /// what a step leaves behind: the MAC at slot 0 of frame `epoch`, the
+    /// world at epoch `epoch − 1` (0 before the second step), and the
+    /// engine's liveness section equal to the MAC's.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.mac.topology().len();
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
         self.epoch = r.count()?;
+        let mac_at = r.position();
         self.mac.restore(&mut r, DirqMessage::unsnap)?;
         self.world.restore(&mut r)?;
+        if self.mac.now() != (self.epoch, 0) || self.world.epoch() != self.epoch.saturating_sub(1) {
+            return Err(SnapError::Malformed { pos: mac_at, what: "section clocks disagree" });
+        }
         let pos = r.position();
         if r.seq_len(1)? != n {
             return Err(SnapError::Malformed { pos, what: "engine node count mismatch" });
@@ -95,11 +108,9 @@ impl Engine {
             f.restore(&mut r)?;
         }
         let pos = r.position();
-        let alive = r.bools()?;
-        if alive.len() != n {
-            return Err(SnapError::Malformed { pos, what: "alive bitmap length mismatch" });
+        if !r.bools()?.into_iter().eq(self.mac.topology().nodes().map(|v| self.mac.is_alive(v))) {
+            return Err(SnapError::Malformed { pos, what: "liveness disagrees with the MAC's" });
         }
-        self.alive = alive;
         self.qgen.restore(&mut r)?;
         self.pending.restore(&mut r, n, self.qgen.next_id())?;
         let pos = r.position();

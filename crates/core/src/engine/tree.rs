@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use dirq_lmac::Destination;
 use dirq_net::churn::ChurnEvent;
-use dirq_net::{NodeId, SpanningTree};
+use dirq_net::{NodeBits, NodeId, SpanningTree};
 
-use crate::flooding::FloodingNode;
+use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::node::DirqNode;
 
@@ -51,9 +51,9 @@ impl TreeScratch {
 
     /// Recompute the attachment depths and parents by a BFS from the root
     /// over the protocol state (children lists + matching parent
-    /// pointers), without allocating, and record `version`, the
-    /// `tree_version` they reflect.
-    fn attach(&mut self, nodes: &[DirqNode], alive: &[bool], version: u64) {
+    /// pointers) through `alive` nodes, without allocating, and record
+    /// `version`, the `tree_version` they reflect.
+    fn attach(&mut self, nodes: &[DirqNode], alive: &NodeBits, version: u64) {
         self.depth.fill(None);
         self.parent.fill(None);
         self.version = Some(version);
@@ -66,7 +66,7 @@ impl TreeScratch {
             head += 1;
             let du = self.depth[u.index()].expect("queued nodes are attached");
             for &c in nodes[u.index()].children() {
-                if alive[c.index()]
+                if alive.contains(c)
                     && self.depth[c.index()].is_none()
                     && nodes[c.index()].parent() == Some(u)
                 {
@@ -97,7 +97,7 @@ impl Engine {
     /// One attachment pass over the current protocol state, in new scratch.
     fn fresh_attachment(&self) -> TreeScratch {
         let mut pass = TreeScratch::new(self.mac.topology().len());
-        pass.attach(&self.nodes, &self.alive, self.tree_version);
+        pass.attach(&self.nodes, self.mac.alive(), self.tree_version);
         pass
     }
 
@@ -118,12 +118,10 @@ impl Engine {
         for ev in events.drain(..) {
             match ev {
                 ChurnEvent::Death(node) => {
-                    self.alive[node.index()] = false;
                     self.mac.set_alive(node, false);
                     self.detached_since[node.index()] = None;
                 }
                 ChurnEvent::Birth(node) => {
-                    self.alive[node.index()] = true;
                     self.mac.set_alive(node, true);
                     // Fresh protocol state: the node joins from scratch.
                     self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
@@ -133,7 +131,7 @@ impl Engine {
                         // Orphan: nothing is sent; the advert flows on attach.
                         self.handle(node, |n, out| n.set_position(pos, out));
                     }
-                    self.flood[node.index()] = FloodingNode::new();
+                    self.flood[node.index()] = SeenQueries::default();
                 }
             }
         }
@@ -171,22 +169,24 @@ impl Engine {
         if self.repaired_version == Some(self.tree_version) {
             #[cfg(debug_assertions)]
             {
-                self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
+                let alive = self.mac.alive();
+                self.tree_scratch.attach(&self.nodes, alive, self.tree_version);
                 let depth = &self.tree_scratch.depth;
                 debug_assert!(
-                    (1..self.nodes.len()).all(|i| !self.alive[i] || depth[i].is_some()),
+                    alive.iter().all(|v| depth[v.index()].is_some()),
                     "repair skipped with a detached node at epoch {}",
                     self.epoch
                 );
             }
             return;
         }
-        self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
+        let alive = self.mac.alive();
+        self.tree_scratch.attach(&self.nodes, alive, self.tree_version);
 
         // Track how long each alive node has been detached from the root.
         let mut all_attached = true;
         for i in 1..self.nodes.len() {
-            if !self.alive[i] || self.tree_scratch.depth[i].is_some() {
+            if !alive.contains(NodeId::from_index(i)) || self.tree_scratch.depth[i].is_some() {
                 self.detached_since[i] = None;
             } else {
                 all_attached = false;
@@ -206,7 +206,7 @@ impl Engine {
         let mut candidates = std::mem::take(&mut self.tree_scratch.candidates);
         for i in 1..self.nodes.len() {
             let node = NodeId::from_index(i);
-            if !self.alive[i] || self.nodes[i].parent().is_some() {
+            if !self.mac.is_alive(node) || self.nodes[i].parent().is_some() {
                 continue;
             }
             let table = self.mac.neighbor_table(node);
@@ -231,7 +231,7 @@ impl Engine {
         // MAC neighbour directly.
         for i in 1..self.nodes.len() {
             let node = NodeId::from_index(i);
-            if !self.alive[i] {
+            if !self.mac.is_alive(node) {
                 continue;
             }
             let Some(since) = self.detached_since[i] else { continue };
@@ -251,7 +251,7 @@ impl Engine {
             }
             // Tell the old parent (if any, still alive) to drop us.
             if let Some(old) = self.nodes[i].parent() {
-                if self.alive[old.index()] {
+                if self.mac.is_alive(old) {
                     self.outbox().send(node, Destination::unicast(old), DirqMessage::Detach);
                 }
             }
@@ -274,7 +274,7 @@ impl Engine {
     /// the cached scratch against a fresh pass at every use.
     pub(super) fn query_parents(&mut self) {
         if self.tree_scratch.version != Some(self.tree_version) {
-            self.tree_scratch.attach(&self.nodes, &self.alive, self.tree_version);
+            self.tree_scratch.attach(&self.nodes, self.mac.alive(), self.tree_version);
         }
         debug_assert!(
             self.tree_scratch.parent == self.fresh_attachment().parent,

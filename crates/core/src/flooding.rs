@@ -8,56 +8,68 @@
 //! Each node therefore rebroadcasts every query exactly once — even a node
 //! whose only neighbour is the one it heard the query from. Total cost on N
 //! nodes with L links: `N` transmissions + `2L` receptions (Eq. 3).
+//!
+//! A flooding node's only state is its [`SeenQueries`], the same
+//! duplicate-query memory a DirQ node keeps.
 
 use dirq_data::QueryId;
+use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
-/// Per-node flooding state: which query ids this node has already
-/// rebroadcast.
+/// A node's memory of the query ids it has handled, oldest first. A
+/// flooding node rebroadcasts a query only while it is new; a DirQ node
+/// ignores a repeated query (possible transiently after tree repairs).
 #[derive(Clone, Debug, Default)]
-pub struct FloodingNode {
-    seen: Vec<QueryId>,
+pub struct SeenQueries {
+    ids: Vec<QueryId>,
 }
 
 /// Bound on remembered query ids (queries are one-shot and arrive every 20
 /// epochs; 64 is ample).
 const SEEN_CAP: usize = 64;
 
-impl FloodingNode {
-    /// Fresh state.
-    pub fn new() -> Self {
-        FloodingNode::default()
-    }
-
-    /// Process a received (or injected) query. Returns `true` exactly once
-    /// per query id: the caller must then rebroadcast.
-    pub fn should_rebroadcast(&mut self, id: QueryId) -> bool {
-        if self.seen.contains(&id) {
+impl SeenQueries {
+    /// Record `id`. Returns `true` exactly once per remembered id; when the
+    /// memory is full, the oldest id is forgotten.
+    pub fn insert(&mut self, id: QueryId) -> bool {
+        if self.ids.contains(&id) {
             return false;
         }
-        if self.seen.len() == SEEN_CAP {
-            self.seen.remove(0);
+        if self.ids.len() == SEEN_CAP {
+            self.ids.remove(0);
         }
-        self.seen.push(id);
+        self.ids.push(id);
         true
     }
 
-    /// Number of distinct queries seen.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
+    /// Number of remembered ids.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
     }
 
-    /// Write the duplicate-suppression memory to `w`.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
-        w.len_of(self.seen.len());
-        for q in &self.seen {
+    /// The oldest remembered id.
+    pub(crate) fn oldest(&self) -> Option<QueryId> {
+        self.ids.first().copied()
+    }
+
+    /// Write the ids to `w`: a count, then one `u64` per id.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        w.len_of(self.ids.len());
+        for q in &self.ids {
             w.u64(q.0);
         }
     }
 
-    /// Overlay memory captured by [`FloodingNode::snap`].
-    pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
+    /// Overlay ids captured by [`SeenQueries::snap`]. A list longer than
+    /// the cap is malformed: [`SeenQueries::insert`] evicts only at
+    /// exactly the cap, so it would grow by one id per query, each scanned
+    /// on every arrival.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let pos = r.position();
         let n = r.seq_len(8)?;
-        self.seen = (0..n).map(|_| r.u64().map(QueryId)).collect::<Result<_, _>>()?;
+        if n > SEEN_CAP {
+            return Err(SnapError::Malformed { pos, what: "seen-query list too long" });
+        }
+        self.ids = (0..n).map(|_| r.u64().map(QueryId)).collect::<Result<_, _>>()?;
         Ok(())
     }
 }
@@ -68,23 +80,23 @@ mod tests {
 
     #[test]
     fn rebroadcasts_exactly_once() {
-        let mut n = FloodingNode::new();
-        assert!(n.should_rebroadcast(QueryId(1)));
-        assert!(!n.should_rebroadcast(QueryId(1)));
-        assert!(n.should_rebroadcast(QueryId(2)));
-        assert!(!n.should_rebroadcast(QueryId(2)));
-        assert_eq!(n.seen_count(), 2);
+        let mut n = SeenQueries::default();
+        assert!(n.insert(QueryId(1)));
+        assert!(!n.insert(QueryId(1)));
+        assert!(n.insert(QueryId(2)));
+        assert!(!n.insert(QueryId(2)));
+        assert_eq!(n.len(), 2);
     }
 
     #[test]
     fn memory_bounded() {
-        let mut n = FloodingNode::new();
+        let mut n = SeenQueries::default();
         for i in 0..200 {
-            assert!(n.should_rebroadcast(QueryId(i)));
+            assert!(n.insert(QueryId(i)));
         }
-        assert_eq!(n.seen_count(), SEEN_CAP);
+        assert_eq!(n.len(), SEEN_CAP);
         // Very old ids have been forgotten (acceptable: queries are
         // one-shot and short-lived).
-        assert!(n.should_rebroadcast(QueryId(0)));
+        assert!(n.insert(QueryId(0)));
     }
 }

@@ -24,13 +24,14 @@
 
 use std::sync::Arc;
 
-use dirq_data::{QueryId, RangeQuery, SensorType};
+use dirq_data::{RangeQuery, SensorType};
 use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 use crate::atc::{restore_delta, AtcController, DeltaPolicy};
 use crate::engine::sensing::SensorCell;
+use crate::flooding::SeenQueries;
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
 use crate::range_table::{RangeEntry, RangeTable};
@@ -84,7 +85,7 @@ pub struct DirqNode {
     /// The threshold controller; only [`DeltaPolicy::Adaptive`] has one.
     atc: Option<Box<AtcController>>,
     /// Query ids already processed (duplicate suppression after repairs).
-    seen_queries: Vec<QueryId>,
+    seen_queries: SeenQueries,
     /// Location extension: subtree bounding boxes, allocated on the first
     /// write (`None` reads as an empty table — DirQ works without
     /// localisation). Read it through [`DirqNode::geo`].
@@ -92,9 +93,6 @@ pub struct DirqNode {
     updates_sent: u64,
     cfg: Arc<NodeConfig>,
 }
-
-/// Bound on the duplicate-suppression memory.
-const SEEN_QUERIES_CAP: usize = 64;
 
 /// What a node without a location table reads.
 static NO_GEO: GeoTable = GeoTable::new();
@@ -122,7 +120,7 @@ impl DirqNode {
             tables: vec![None; n_types],
             delta_pct,
             atc,
-            seen_queries: Vec::new(),
+            seen_queries: SeenQueries::default(),
             geo: None,
             updates_sent: 0,
             cfg,
@@ -352,13 +350,9 @@ impl DirqNode {
     /// Duplicate query ids (possible transiently after tree repairs) are
     /// ignored.
     pub fn on_query(&mut self, query: &RangeQuery, out: &mut Vec<Outgoing>) {
-        if self.seen_queries.contains(&query.id) {
+        if !self.seen_queries.insert(query.id) {
             return;
         }
-        if self.seen_queries.len() == SEEN_QUERIES_CAP {
-            self.seen_queries.remove(0);
-        }
-        self.seen_queries.push(query.id);
 
         if let Some(table) = self.table(query.stype) {
             let geo = self.geo_table();
@@ -438,7 +432,7 @@ impl DirqNode {
     pub(crate) fn touch_lists(&self, stype: SensorType, query: bool) -> usize {
         let table = self.tables.get(stype.index()).map_or(0, |t| usize::from(t.is_some()));
         let child = self.children.first().map_or(0, |c| c.index());
-        let seen = if query { self.seen_queries.first().map_or(0, |q| q.0 as usize) } else { 0 };
+        let seen = if query { self.seen_queries.oldest().map_or(0, |q| q.0 as usize) } else { 0 };
         table ^ child ^ seen
     }
 
@@ -489,10 +483,7 @@ impl DirqNode {
         for cell in row {
             w.f64(cell.last);
         }
-        w.len_of(self.seen_queries.len());
-        for q in &self.seen_queries {
-            w.u64(q.0);
-        }
+        self.seen_queries.snap(w);
         self.geo_table().snap(w);
         w.u64(self.updates_sent);
     }
@@ -503,8 +494,7 @@ impl DirqNode {
     /// names a node id outside the `n_nodes` deployment, carries a δ that
     /// is negative, NaN or infinite, whose sensing records do not fit the
     /// row and the configured α, or whose duplicate-suppression list is
-    /// longer than `SEEN_QUERIES_CAP` (`on_query` would never evict from
-    /// it again), is malformed.
+    /// over its cap ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -569,13 +559,7 @@ impl DirqNode {
         for cell in row.iter_mut() {
             cell.last = r.f64()?;
         }
-        let pos = r.position();
-        let n = r.seq_len(8)?;
-        if n > SEEN_QUERIES_CAP {
-            return Err(SnapError::Malformed { pos, what: "seen-query list too long" });
-        }
-        self.seen_queries =
-            (0..n).map(|_| r.u64().map(dirq_data::QueryId)).collect::<Result<_, _>>()?;
+        self.seen_queries.restore(r)?;
         let pos = r.position();
         let geo = GeoTable::unsnap(r)?;
         if !geo.children().iter().all(|(c, _)| inside(c)) {

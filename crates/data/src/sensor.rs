@@ -97,20 +97,27 @@ impl SensorCatalog {
     }
 }
 
-/// Which sensors each node carries.
+/// Which sensors each node carries: one bitmask per node, bit
+/// `t.index()` set when the node carries `t`, over the catalog of at most
+/// 64 types the assignment was built for.
 #[derive(Clone, Debug)]
 pub struct SensorAssignment {
-    /// `has[node][type.index()]`.
-    has: Vec<Vec<bool>>,
-    /// Bumped on every mutation, so carried-mask caches (the world's hot
-    /// generation loop keeps one) can invalidate without deep comparison.
-    version: u64,
+    masks: Vec<u64>,
+    /// Types in that catalog.
+    width: usize,
+}
+
+/// `t`'s bit in a carried-type mask (0 past the 64 representable types).
+fn bit(t: SensorType) -> u64 {
+    1u64.checked_shl(u32::from(t.0)).unwrap_or(0)
 }
 
 impl SensorAssignment {
     /// Every node carries every type (TinyDB-style homogeneous network).
     pub fn homogeneous(n_nodes: usize, n_types: usize) -> Self {
-        SensorAssignment { has: vec![vec![true; n_types]; n_nodes], version: 0 }
+        assert!(n_types <= 64, "carried-type masks cover at most 64 sensor types");
+        let all = u64::MAX.checked_shr(64 - n_types as u32).unwrap_or(0);
+        SensorAssignment { masks: vec![all; n_nodes], width: n_types }
     }
 
     /// Heterogeneous assignment: each type is carried by a random subset of
@@ -119,111 +126,117 @@ impl SensorAssignment {
     pub fn heterogeneous(n_nodes: usize, n_types: usize, coverage: f64, rng: &mut SimRng) -> Self {
         assert!(n_nodes >= 2, "need at least the root and one sensing node");
         assert!((0.0..=1.0).contains(&coverage), "coverage must be a fraction");
-        let mut has = vec![vec![false; n_types]; n_nodes];
+        assert!(n_types <= 64, "carried-type masks cover at most 64 sensor types");
+        let mut masks = vec![0u64; n_nodes];
         let candidates: Vec<usize> = (1..n_nodes).collect();
-        #[allow(clippy::needless_range_loop)] // `t` indexes the inner axis
         for t in 0..n_types {
             let count = ((candidates.len() as f64 * coverage).round() as usize).max(1);
             let mut chosen = candidates.clone();
             chosen.shuffle(rng);
             for &node in chosen.iter().take(count) {
-                has[node][t] = true;
+                masks[node] |= 1 << t;
             }
         }
         // Every sensing node should carry at least one type, so no node is
         // permanently silent in the experiments.
-        for row in has.iter_mut().skip(1) {
-            if !row.iter().any(|&b| b) {
-                let t = rng.gen_range(0..n_types);
-                row[t] = true;
+        for mask in masks.iter_mut().skip(1) {
+            if *mask == 0 {
+                *mask = 1 << rng.gen_range(0..n_types);
             }
         }
-        SensorAssignment { has, version: 0 }
-    }
-
-    /// Mutation counter: changes whenever the assignment does.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+        SensorAssignment { masks, width: n_types }
     }
 
     /// Whether `node` carries `t`.
     #[inline]
     pub fn has(&self, node: usize, t: SensorType) -> bool {
-        self.has[node].get(t.index()).copied().unwrap_or(false)
+        self.masks[node] & bit(t) != 0
     }
 
-    /// `node`'s carried types as a bitmask (bit `t.index()`), for hot
-    /// loops that test several types per node: one row fetch instead of a
-    /// pointer chase per `(node, type)` pair. Types beyond 64 (far above
-    /// the u8 catalog space actually in use) are not representable.
+    /// Every node's carried types as a bitmask (bit `t.index()`), for hot
+    /// loops that test several types per node.
     #[inline]
-    pub fn carried_mask(&self, node: usize) -> u64 {
-        self.has[node].iter().take(64).enumerate().fold(0u64, |m, (i, &b)| m | (u64::from(b) << i))
+    pub fn masks(&self) -> &[u64] {
+        &self.masks
+    }
+
+    /// Types in the catalog the assignment was built for.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Add a sensor to a node at runtime (post-deployment extension).
+    ///
+    /// # Panics
+    /// Panics when `t` is outside the catalog the assignment was built
+    /// for: no world draws readings of such a type.
     pub fn add(&mut self, node: usize, t: SensorType) {
-        if self.has[node].len() <= t.index() {
-            self.has[node].resize(t.index() + 1, false);
-        }
-        self.has[node][t.index()] = true;
-        self.version += 1;
+        assert!(
+            t.index() < self.width,
+            "sensor type {t} is outside the {}-type catalog",
+            self.width
+        );
+        self.masks[node] |= bit(t);
     }
 
     /// Remove a sensor from a node.
     pub fn remove(&mut self, node: usize, t: SensorType) {
-        if let Some(slot) = self.has[node].get_mut(t.index()) {
-            *slot = false;
-            self.version += 1;
-        }
+        self.masks[node] &= !bit(t);
     }
 
-    /// Write the carried-sensor matrix to `w` (the version counter is
-    /// cache bookkeeping, not state — restore bumps it instead).
+    /// Write the carried-sensor matrix to `w`: per node, one flag per
+    /// catalog type.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         w.tag(b"ASGN");
-        w.len_of(self.has.len());
-        for row in &self.has {
-            w.bools(row);
+        w.len_of(self.masks.len());
+        for &mask in &self.masks {
+            w.len_of(self.width);
+            for t in 0..self.width {
+                w.bool((mask >> t) & 1 == 1);
+            }
         }
     }
 
     /// Overlay a matrix captured by [`SensorAssignment::snap`]. The node
-    /// count must match; the version is bumped so carried-mask caches
-    /// rebuild.
+    /// count and every row's length, the catalog's type count, must match.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"ASGN")?;
         let pos = r.position();
         let n = r.seq_len(8)?;
-        if n != self.has.len() {
+        if n != self.masks.len() {
             return Err(dirq_sim::SnapError::Malformed {
                 pos,
                 what: "assignment node count mismatch",
             });
         }
-        let mut has = Vec::with_capacity(n);
-        for _ in 0..n {
-            has.push(r.bools()?);
-        }
-        self.has = has;
-        self.version += 1;
+        let width = self.width;
+        let masks = (0..n)
+            .map(|_| {
+                let pos = r.position();
+                if r.seq_len(1)? != width {
+                    let what = "assignment row length differs from the catalog";
+                    return Err(dirq_sim::SnapError::Malformed { pos, what });
+                }
+                (0..width).try_fold(0u64, |mask, t| Ok(mask | (u64::from(r.bool()?) << t)))
+            })
+            .collect::<Result<_, _>>()?;
+        self.masks = masks;
         Ok(())
     }
 
     /// Nodes carrying `t`.
     pub fn carriers(&self, t: SensorType) -> Vec<usize> {
-        (0..self.has.len()).filter(|&n| self.has(n, t)).collect()
+        (0..self.masks.len()).filter(|&n| self.has(n, t)).collect()
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.has.len()
+        self.masks.len()
     }
 
     /// Whether there are no nodes.
     pub fn is_empty(&self) -> bool {
-        self.has.is_empty()
+        self.masks.is_empty()
     }
 }
 
@@ -288,11 +301,20 @@ mod tests {
     fn runtime_add_remove() {
         let mut rng = RngFactory::new(9).stream("assign2");
         let mut a = SensorAssignment::heterogeneous(10, 2, 0.5, &mut rng);
-        let new_type = SensorType(5);
-        assert!(!a.has(3, new_type));
-        a.add(3, new_type);
-        assert!(a.has(3, new_type));
-        a.remove(3, new_type);
-        assert!(!a.has(3, new_type));
+        let (node, t) = (1..10)
+            .flat_map(|n| (0..2u8).map(move |t| (n, SensorType(t))))
+            .find(|&(n, t)| !a.has(n, t))
+            .expect("some node lacks a type");
+        a.add(node, t);
+        assert!(a.has(node, t));
+        a.remove(node, t);
+        assert!(!a.has(node, t));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2-type catalog")]
+    fn adding_a_type_outside_the_catalog_panics() {
+        let mut a = SensorAssignment::homogeneous(3, 2);
+        a.add(1, SensorType(5));
     }
 }

@@ -179,9 +179,8 @@ impl SensorTypeConfig {
 
 /// Whole-world generator configuration.
 ///
-/// At most 64 sensor types: the split-stream generation loop tests
-/// carriers through per-node `u64` bitmasks ([`SensorWorld::new`]
-/// asserts this loudly). The paper's scenario uses 4.
+/// At most 64 sensor types: the generation loop tests carriers through
+/// the assignment's per-node `u64` bitmasks. The paper's scenario uses 4.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// One config per sensor type, indexed by [`SensorType`].
@@ -247,12 +246,6 @@ pub struct SensorWorld {
     /// `readings[type][node]`, `NaN` = node lacks the sensor.
     readings: Vec<Vec<f64>>,
     epoch: u64,
-    /// Flat per-node carried-type masks, rebuilt only when the assignment
-    /// version moves — the generation loop reads one sequential `u64`
-    /// array instead of chasing `Vec<Vec<bool>>` rows per node.
-    mask_cache: Vec<u64>,
-    /// Assignment version [`SensorAssignment::version`] the cache mirrors.
-    mask_version: Option<u64>,
     /// Threads for the sharded advance, resolved by
     /// [`SensorWorld::set_workers`]; 1 runs the serial loop.
     workers: usize,
@@ -339,7 +332,7 @@ impl SensorWorld {
             "one SensorTypeConfig per catalog type required"
         );
         assert_eq!(assignment.len(), topo.len(), "assignment size must match topology");
-        assert!(config.types.len() <= 64, "carried-mask generation supports at most 64 types");
+        assert_eq!(assignment.width(), catalog.len(), "assignment must cover the catalog");
         let n = topo.len();
         let mut field_rng = rng_factory.stream("world-fields");
         let local_key = rng_factory.stream_key("world-local", 0);
@@ -392,8 +385,6 @@ impl SensorWorld {
             assignment,
             states,
             epoch: 0,
-            mask_cache: Vec::new(),
-            mask_version: None,
             workers: 1,
             force_sharded: false,
         };
@@ -446,8 +437,7 @@ impl SensorWorld {
     /// Overlay state captured by [`SensorWorld::snap`] onto a freshly
     /// constructed world of the same configuration. Readings are restored
     /// verbatim — regenerating them would re-step the local AR(1)
-    /// processes and break bit-identity. The carried-mask cache is
-    /// invalidated.
+    /// processes and break bit-identity.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"WRLD")?;
         self.epoch = r.count()?;
@@ -499,7 +489,6 @@ impl SensorWorld {
             }
             *row = restored;
         }
-        self.mask_version = None;
         Ok(())
     }
 
@@ -541,10 +530,6 @@ impl SensorWorld {
     fn regenerate_readings(&mut self) {
         let n = self.assignment.len();
         let epoch = self.epoch;
-        if self.mask_version != Some(self.assignment.version()) || self.mask_cache.len() != n {
-            self.mask_cache = (0..n).map(|i| self.assignment.carried_mask(i)).collect();
-            self.mask_version = Some(self.assignment.version());
-        }
         // The serial advance is one range per type over every node. The
         // sharded one cuts chunks of at least 64 nodes, ~4 per worker for
         // balance.
@@ -553,7 +538,7 @@ impl SensorWorld {
         } else {
             n.max(1)
         };
-        let masks = &self.mask_cache;
+        let masks = self.assignment.masks();
         let mut ranges = Vec::new();
         for (t, (state, row)) in self.states.iter_mut().zip(&mut self.readings).enumerate() {
             let bit = 1u64 << t;

@@ -85,17 +85,19 @@ pub struct MacStats {
 }
 
 /// Per-node MAC state. Neighbour knowledge does **not** live here — it is
-/// network-owned, in the edge-aligned [`NeighborArena`].
+/// network-owned, in the edge-aligned [`NeighborArena`] — and neither is
+/// liveness (`LmacNetwork::alive_mask`).
 struct MacNode<P> {
-    alive: bool,
     my_slot: Option<u16>,
     listen_remaining: u32,
     tx_queue: VecDeque<(Destination, PayloadHandle<P>)>,
 }
 
 impl<P> MacNode<P> {
-    fn offline() -> Self {
-        MacNode { alive: false, my_slot: None, listen_remaining: 0, tx_queue: VecDeque::new() }
+    /// A node without a slot that listens `listen_remaining` frames
+    /// before it picks one.
+    fn joining(listen_remaining: u32) -> Self {
+        MacNode { my_slot: None, listen_remaining, tx_queue: VecDeque::new() }
     }
 }
 
@@ -203,9 +205,9 @@ pub struct LmacNetwork<P> {
     /// placed) this count short-circuits it entirely.
     unslotted_alive: usize,
     scratch: FrameScratch<P>,
-    /// Compact mirror of per-node liveness — the reception loops test
-    /// liveness per neighbour per slot, and a bit probe beats pulling a
-    /// whole `MacNode` cache line.
+    /// Per-node liveness, the deployment's one copy: the upper layer reads
+    /// it through [`LmacNetwork::alive`], and the reception loops probe it
+    /// per neighbour per slot.
     alive_mask: NodeBits,
     /// Edge-aligned mirror positions: for the CSR edge slot holding
     /// `neighbors(u)[p] == v`, the value is `v`'s row position of `u` —
@@ -234,11 +236,7 @@ impl<P> LmacNetwork<P> {
     pub fn new(cfg: LmacConfig, topo: Topology) -> Self {
         cfg.validate();
         let n = topo.len();
-        let mut nodes: Vec<MacNode<P>> = (0..n).map(|_| MacNode::offline()).collect();
-        for node in nodes.iter_mut() {
-            node.alive = true;
-            node.listen_remaining = cfg.listen_frames_before_pick;
-        }
+        let nodes = (0..n).map(|_| MacNode::joining(cfg.listen_frames_before_pick)).collect();
         let mut alive_mask = NodeBits::new(n);
         for i in 0..n {
             alive_mask.insert(NodeId::from_index(i));
@@ -374,6 +372,11 @@ impl<P> LmacNetwork<P> {
         &self.topo
     }
 
+    /// The current frame and the slot within it.
+    pub fn now(&self) -> (u64, u16) {
+        (self.frame, self.slot)
+    }
+
     /// Configuration in use.
     pub fn config(&self) -> &LmacConfig {
         &self.cfg
@@ -381,7 +384,12 @@ impl<P> LmacNetwork<P> {
 
     /// Whether `node` is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].alive
+        self.alive_mask.contains(node)
+    }
+
+    /// Every node's liveness.
+    pub fn alive(&self) -> &NodeBits {
+        &self.alive_mask
     }
 
     /// Slot owned by `node`, if it has converged.
@@ -444,11 +452,10 @@ impl<P> LmacNetwork<P> {
         dest: Destination,
         payload: PayloadHandle<P>,
     ) -> bool {
-        let node = &mut self.nodes[from.index()];
-        if !node.alive {
+        if !self.alive_mask.contains(from) {
             return false;
         }
-        node.tx_queue.push_back((dest, payload));
+        self.nodes[from.index()].tx_queue.push_back((dest, payload));
         true
     }
 
@@ -457,14 +464,12 @@ impl<P> LmacNetwork<P> {
     /// join procedure: listen, then pick a free slot.
     pub fn set_alive(&mut self, node: NodeId, alive: bool) {
         let idx = node.index();
-        if self.nodes[idx].alive == alive {
+        if self.alive_mask.contains(node) == alive {
             return;
         }
         self.leave_fixed_point();
         if alive {
-            self.nodes[idx] = MacNode::offline();
-            self.nodes[idx].alive = true;
-            self.nodes[idx].listen_remaining = self.cfg.listen_frames_before_pick;
+            self.nodes[idx] = MacNode::joining(self.cfg.listen_frames_before_pick);
             self.arena.reset_row(&self.topo, node);
             self.alive_mask.insert(node);
             self.unslotted_alive += 1;
@@ -473,7 +478,6 @@ impl<P> LmacNetwork<P> {
                 Some(s) => self.slot_owners[s as usize].retain(|&n| n != node),
                 None => self.unslotted_alive -= 1,
             }
-            self.nodes[idx].alive = false;
             self.nodes[idx].tx_queue.clear();
             self.arena.reset_row(&self.topo, node);
             self.alive_mask.remove(node);
@@ -512,8 +516,8 @@ impl<P> LmacNetwork<P> {
             _ => self.control_ledger.snap(w),
         }
         w.len_of(self.nodes.len());
-        for node in &self.nodes {
-            w.bool(node.alive);
+        for (i, node) in self.nodes.iter().enumerate() {
+            w.bool(self.alive_mask.contains(NodeId::from_index(i)));
             w.opt_u16(node.my_slot);
             w.u32(node.listen_remaining);
             w.len_of(node.tx_queue.len());
@@ -543,9 +547,9 @@ impl<P> LmacNetwork<P> {
 
     /// Overlay state captured by [`LmacNetwork::snap`] onto this network,
     /// which must be freshly built over the same configuration and
-    /// topology. The liveness bitmap and unslotted-alive count are
-    /// recomputed; slot advancement resumes exactly where the snapshot
-    /// left off, outside the fixed point.
+    /// topology. The unslotted-alive count is recomputed; slot
+    /// advancement resumes exactly where the snapshot left off, outside
+    /// the fixed point.
     ///
     /// Every slot in the image must lie below `slots_per_frame` (the
     /// current slot, each node's slot and each present neighbour entry's),
@@ -589,8 +593,11 @@ impl<P> LmacNetwork<P> {
             }
             Ok(NodeId::from_index(idx))
         };
-        for node in self.nodes.iter_mut() {
-            node.alive = r.bool()?;
+        self.alive_mask.clear();
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if r.bool()? {
+                self.alive_mask.insert(NodeId::from_index(i));
+            }
             let pos = r.position();
             node.my_slot = r.opt_u16()?;
             if node.my_slot.is_some_and(|s| s >= spf) {
@@ -646,16 +653,8 @@ impl<P> LmacNetwork<P> {
             return Err(SnapError::Malformed { pos, what: "slot owner list mismatch" });
         }
         self.arena.restore(&self.topo, r, spf, self.frame)?;
-        self.alive_mask = NodeBits::new(n);
-        self.unslotted_alive = 0;
-        for i in 0..n {
-            if self.nodes[i].alive {
-                self.alive_mask.insert(NodeId::from_index(i));
-                if self.nodes[i].my_slot.is_none() {
-                    self.unslotted_alive += 1;
-                }
-            }
-        }
+        self.unslotted_alive =
+            self.alive_mask.iter().filter(|v| self.nodes[v.index()].my_slot.is_none()).count();
         // The image says nothing about the frames before it: the gate
         // reopens after a full frame observed from here.
         self.steady = false;
@@ -1072,7 +1071,7 @@ impl<P> LmacNetwork<P> {
         let mut stale_buf = std::mem::take(&mut self.scratch.stale_buf);
         for i in 0..self.nodes.len() {
             let observer = NodeId::from_index(i);
-            if !self.nodes[i].alive {
+            if !self.alive_mask.contains(observer) {
                 continue;
             }
             stale_buf.clear();
@@ -1108,7 +1107,7 @@ impl<P> LmacNetwork<P> {
         for i in 0..self.nodes.len() {
             let node = NodeId::from_index(i);
             let n = &mut self.nodes[i];
-            if !n.alive || n.my_slot.is_some() {
+            if !self.alive_mask.contains(node) || n.my_slot.is_some() {
                 continue;
             }
             if n.listen_remaining > 0 {
@@ -1133,13 +1132,13 @@ impl<P> LmacNetwork<P> {
     /// own the same slot. Returns the violating pairs (empty = converged).
     pub fn schedule_conflicts(&self) -> Vec<(NodeId, NodeId)> {
         let mut conflicts = Vec::new();
+        let alive = |v: NodeId| self.alive_mask.contains(v);
         for a in self.topo.nodes() {
-            let (Some(sa), true) = (self.nodes[a.index()].my_slot, self.nodes[a.index()].alive)
-            else {
+            let (Some(sa), true) = (self.nodes[a.index()].my_slot, alive(a)) else {
                 continue;
             };
             for &b in self.topo.neighbors(a) {
-                if !self.nodes[b.index()].alive {
+                if !alive(b) {
                     continue;
                 }
                 if b > a && self.nodes[b.index()].my_slot == Some(sa) {
@@ -1149,7 +1148,7 @@ impl<P> LmacNetwork<P> {
                     if c > a
                         && c != a
                         && !self.topo.has_link(a, c)
-                        && self.nodes[c.index()].alive
+                        && alive(c)
                         && self.nodes[c.index()].my_slot == Some(sa)
                     {
                         conflicts.push((a, c));
@@ -1164,7 +1163,7 @@ impl<P> LmacNetwork<P> {
 
     /// Whether every alive node currently owns a slot.
     pub fn all_converged(&self) -> bool {
-        self.nodes.iter().all(|n| !n.alive || n.my_slot.is_some())
+        self.alive_mask.iter().all(|v| self.nodes[v.index()].my_slot.is_some())
     }
 }
 

@@ -750,6 +750,126 @@ fn restore_rejects_an_arena_entry_heard_in_the_future() {
     }
 }
 
+/// A `variant` body snapshotted at `epoch`, and restoring a patched copy
+/// of it fails with the typed error `what`.
+fn variant_body(variant: u8, epoch: u64) -> (Vec<u8>, impl Fn(&[u8], &str)) {
+    let cfg = variant_config(17, variant, 60);
+    let mut donor = Engine::new(cfg.clone());
+    for _ in 0..epoch {
+        donor.step_epoch();
+    }
+    let body = donor.snapshot();
+    Engine::new(cfg.clone()).restore(&body).expect("the unpatched body restores");
+    let rejected = move |patched: &[u8], what: &str| match Engine::new(cfg.clone()).restore(patched)
+    {
+        Err(SnapError::Malformed { what: got, .. }) => assert_eq!(got, what),
+        other => panic!("expected the typed error {what:?}, got {other:?}"),
+    };
+    (body, rejected)
+}
+
+/// The engine's liveness section is the 50-node bitmap (a count, then one
+/// byte per node) right before the query generator's record.
+fn liveness_at(body: &[u8]) -> usize {
+    let at = tag_offsets(body, b"QGEN")[0] - 8 - 50;
+    assert_eq!(body[at..at + 8], 50u64.to_le_bytes(), "the liveness bitmap's count");
+    at + 8
+}
+
+/// Liveness belongs to the MAC, and the engine's section repeats it. A
+/// section that disagrees with the MAC's is a typed error at restore, not
+/// an engine that samples, repairs and scores queries by one liveness
+/// while the MAC delivers by another.
+#[test]
+fn restore_rejects_engine_liveness_that_disagrees_with_the_mac() {
+    // Four deaths land in epochs 15..30.
+    let (body, rejected) = variant_body(3, 40);
+    let at = liveness_at(&body);
+    let dead: Vec<usize> = (0..50).filter(|&i| body[at + i] == 0).collect();
+    assert!(!dead.is_empty(), "the churn window killed a node");
+    let alive = (1..50).find(|&i| body[at + i] == 1).expect("an alive node");
+    for (node, flipped) in [(dead[0], 1), (alive, 0)] {
+        let mut patched = body.clone();
+        patched[at + node] = flipped;
+        rejected(&patched, "liveness disagrees with the MAC's");
+    }
+}
+
+/// Between steps the MAC stands at slot 0 of frame `epoch`. An image whose
+/// MAC frame is off the engine's epoch is a typed error at restore, not a
+/// run whose frames and epochs drift apart.
+#[test]
+fn restore_rejects_a_mac_frame_off_the_engine_epoch() {
+    let (body, rejected) = variant_body(0, 30);
+    // "ENGN", the epoch, "LMAC", then the MAC frame (u64).
+    assert_eq!(&body[12..16], b"LMAC");
+    assert_eq!(body[16..24], body[4..12], "the MAC frame is the engine epoch");
+    for frame in [29u64, 31] {
+        let mut patched = body.clone();
+        patched[16..24].copy_from_slice(&frame.to_le_bytes());
+        rejected(&patched, "section clocks disagree");
+    }
+}
+
+/// Between steps the world stands one epoch behind the engine (at 0
+/// before the second step). An image whose world epoch is off is a typed
+/// error at restore, not readings drawn from the wrong counter window and
+/// diurnal phase.
+#[test]
+fn restore_rejects_a_world_epoch_off_the_engine_epoch() {
+    let (body, rejected) = variant_body(0, 30);
+    // "WRLD", then the world's epoch (u64).
+    let at = tag_offsets(&body, b"WRLD")[0] + 4;
+    assert_eq!(body[at..at + 8], 29u64.to_le_bytes());
+    for epoch in [28u64, 30] {
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&epoch.to_le_bytes());
+        rejected(&patched, "section clocks disagree");
+    }
+}
+
+/// A flooding node's duplicate-query memory holds its cap of 64 ids at
+/// restore, as a DirQ node's does: a longer list would never shrink back
+/// and would grow by one id per query.
+#[test]
+fn restore_rejects_an_overlong_flooding_seen_list() {
+    // Before the first query (epoch 20) every flooding record is empty: a
+    // zero count. They precede the liveness section, node 49's last.
+    let (body, rejected) = variant_body(2, 10);
+    let records_end = liveness_at(&body) - 8;
+    assert!(body[records_end - 8 * 50..records_end].iter().all(|&b| b == 0));
+    let with_ids = |ids: u64| {
+        let mut patched = body[..records_end].to_vec();
+        let last = records_end - 8;
+        patched[last..].copy_from_slice(&ids.to_le_bytes());
+        patched.extend((0..ids).flat_map(|k| (1_000 + k).to_le_bytes()));
+        patched.extend_from_slice(&body[records_end..]);
+        patched
+    };
+    let cfg = variant_config(17, 2, 60);
+    Engine::new(cfg).restore(&with_ids(64)).expect("a full list restores");
+    rejected(&with_ids(65), "seen-query list too long");
+}
+
+/// Every node's carried-sensor row is as long as the catalog. A longer
+/// row would set flags for types no world draws; a shorter one, drop the
+/// catalog's last types. Either is a typed error at restore.
+#[test]
+fn restore_rejects_an_assignment_row_off_the_catalog() {
+    let (body, rejected) = variant_body(0, 25);
+    // "ASGN", the node count, then per node a flag count and one byte per
+    // type: node 1's row follows the root's 12 bytes.
+    let row = tag_offsets(&body, b"ASGN")[0] + 12 + 12;
+    assert_eq!(body[row..row + 8], 4u64.to_le_bytes(), "four catalog types");
+    for types in [3usize, 5] {
+        let mut patched = body[..row].to_vec();
+        patched.extend((types as u64).to_le_bytes());
+        patched.extend(body[row + 8..row + 12].iter().chain(&[0]).take(types));
+        patched.extend_from_slice(&body[row + 12..]);
+        rejected(&patched, "assignment row length differs from the catalog");
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]

@@ -1,12 +1,13 @@
 //! Differential property tests for the sharded protocol upkeep.
 //!
 //! With `upkeep_workers > 1` sensor sampling, the only sharded upkeep
-//! pass, runs the real decision path per carrier chunk on scoped threads
+//! pass, runs the real decision path per node chunk on scoped threads
 //! and replays the shared-state effects in chunk order; the serial loop
 //! is the reference implementation. Tree repair is serial at every
 //! worker count, so under churn the suite also checks that sharded
 //! sampling leaves the repair outcomes untouched. 256 sampled cases pin,
-//! across churn × adaptive-sampling × multi-sink scenario families:
+//! across churn × adaptive-sampling × multi-sink × assignment-change
+//! scenario families:
 //!
 //! * **sharded ≡ serial** — engines with 2 and 4 forced-sharded upkeep
 //!   workers stay bit-equal to the serial reference at every epoch on
@@ -32,7 +33,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Forced-sharded upkeep at 2 and 4 workers is bit-equal to the
-    /// serial reference across the churn × sampling × sink families.
+    /// serial reference across the churn × sampling × sink × assignment
+    /// change families.
     #[test]
     fn sharded_upkeep_matches_serial_reference(
         n in 32usize..64,
@@ -41,6 +43,7 @@ proptest! {
         churn in 0u8..2,
         predictive in 0u8..2,
         multi_sink in 0u8..2,
+        sensors in 0u8..2,
     ) {
         let (churn, predictive, multi_sink) = (churn == 1, predictive == 1, multi_sink == 1);
         let cfg = ScenarioConfig {
@@ -78,12 +81,32 @@ proptest! {
         };
         let mut reference = build(&cfg, 1);
         let mut sharded: Vec<Engine> = [2usize, 4].iter().map(|&w| build(&cfg, w)).collect();
+        // Assignment changes, on every engine alike: at a third of the run
+        // a few nodes lose every sensor, so some have none to sample; at
+        // half of it one type comes back on one of them.
+        let victims: Vec<NodeId> = (0..3)
+            .map(|k| NodeId::from_index(1 + (seed as usize + 7 * k) % (n - 1)))
+            .collect();
+        let change = |e: &mut Engine, epoch: u64| {
+            if sensors == 1 && epoch == epochs / 3 {
+                for &v in &victims {
+                    for t in 0..4 {
+                        e.remove_sensor(v, SensorType(t));
+                    }
+                }
+            }
+            if sensors == 1 && epoch == epochs / 2 {
+                e.add_sensor(victims[0], SensorType((seed % 4) as u8));
+            }
+        };
 
         for epoch in 0..epochs {
+            change(&mut reference, epoch);
             reference.step_epoch();
             let want_pending = reference.pending_snapshot();
             let want_upkeep = reference.upkeep_snapshot();
             for (i, engine) in sharded.iter_mut().enumerate() {
+                change(engine, epoch);
                 engine.step_epoch();
                 prop_assert_eq!(
                     &engine.pending_snapshot(),
