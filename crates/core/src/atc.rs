@@ -45,6 +45,7 @@
 //! budget — exactly the autonomy the paper claims.
 
 use dirq_sim::stats::Ewma;
+use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 /// How a node's threshold is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -93,11 +94,10 @@ impl Default for AtcConfig {
     }
 }
 
-/// Per-node ATC state.
+/// Per-node ATC state. The node owns δ and its shared config the tuning;
+/// both come in as arguments.
 #[derive(Clone, Debug)]
 pub struct AtcController {
-    cfg: AtcConfig,
-    delta_pct: f64,
     /// Updates sent in the current adjustment window.
     sent_in_window: u64,
     epochs_in_window: u64,
@@ -107,8 +107,8 @@ pub struct AtcController {
 }
 
 impl AtcController {
-    /// Fresh controller at the configured initial δ.
-    pub fn new(cfg: AtcConfig) -> Self {
+    /// Fresh controller; its node starts at `cfg.initial_delta_pct`.
+    pub fn new(cfg: &AtcConfig) -> Self {
         assert!(cfg.initial_delta_pct > 0.0, "initial delta must be positive");
         assert!(
             cfg.min_delta_pct > 0.0 && cfg.min_delta_pct <= cfg.max_delta_pct,
@@ -118,18 +118,11 @@ impl AtcController {
         assert!(cfg.max_step > 1.0, "max_step must exceed 1");
         assert!((0.0..=1.0).contains(&cfg.feedforward_weight), "blend weight in [0,1]");
         AtcController {
-            delta_pct: cfg.initial_delta_pct,
             sent_in_window: 0,
             epochs_in_window: 0,
             rate: Ewma::new(cfg.rate_alpha),
             budget_per_epoch: None,
-            cfg,
         }
-    }
-
-    /// Current δ in percent of the reference span.
-    pub fn delta_pct(&self) -> f64 {
-        self.delta_pct
     }
 
     /// The most recent per-node budget (updates/epoch), if any EHr arrived.
@@ -149,13 +142,13 @@ impl AtcController {
         }
     }
 
-    /// Advance one epoch; `sigma_hat` is the node's current estimate of the
-    /// per-epoch absolute signal change **in percent of the reference
-    /// span** (same unit as δ). Returns `Some(new_delta_pct)` when an
-    /// adjustment fired this epoch.
-    pub fn on_epoch_end(&mut self, sigma_hat_pct: Option<f64>) -> Option<f64> {
+    /// Advance one epoch of a node at δ = `delta` percent; `sigma` is the
+    /// node's current estimate σ̂ of the per-epoch absolute signal change
+    /// **in percent of the reference span** (same unit as δ). Returns
+    /// `Some(new δ)` when an adjustment fired this epoch.
+    pub fn on_epoch_end(&mut self, cfg: &AtcConfig, delta: f64, sigma: Option<f64>) -> Option<f64> {
         self.epochs_in_window += 1;
-        if self.epochs_in_window < self.cfg.adjust_period {
+        if self.epochs_in_window < cfg.adjust_period {
             return None;
         }
         let window_rate = self.sent_in_window as f64 / self.epochs_in_window as f64;
@@ -172,28 +165,26 @@ impl AtcController {
 
         // Feedback: steer the observed rate towards the budget.
         let observed = self.rate.value_or(window_rate).max(budget / 16.0);
-        let fb = self.delta_pct * (observed / budget).powf(self.cfg.gain);
+        let fb = delta * (observed / budget).powf(cfg.gain);
 
         // Feedforward: drift model  rate ≈ σ̂ / (2δ)  ⇒  δ* = σ̂/(2·budget).
-        let target = match sigma_hat_pct {
+        let target = match sigma {
             Some(s) if s > 0.0 => {
                 let ff = s / (2.0 * budget);
-                let w = self.cfg.feedforward_weight;
+                let w = cfg.feedforward_weight;
                 fb.powf(1.0 - w) * ff.powf(w)
             }
             _ => fb,
         };
 
-        let step = (target / self.delta_pct).clamp(1.0 / self.cfg.max_step, self.cfg.max_step);
-        self.delta_pct =
-            (self.delta_pct * step).clamp(self.cfg.min_delta_pct, self.cfg.max_delta_pct);
-        Some(self.delta_pct)
+        let step = (target / delta).clamp(1.0 / cfg.max_step, cfg.max_step);
+        Some((delta * step).clamp(cfg.min_delta_pct, cfg.max_delta_pct))
     }
 
-    /// Write the adaptive state to `w` (the tuning config is
-    /// construction-time and not captured).
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
-        w.f64(self.delta_pct);
+    /// Write the adaptive state to `w`, with the node's `delta` where the
+    /// record keeps a δ (the tuning config is not captured).
+    pub fn snap(&self, w: &mut SnapWriter, delta: f64) {
+        w.f64(delta);
         w.u64(self.sent_in_window);
         w.u64(self.epochs_in_window);
         self.rate.snap(w);
@@ -201,13 +192,16 @@ impl AtcController {
     }
 
     /// Overlay state captured by [`AtcController::snap`] onto a controller
-    /// built with the same config; a δ that is negative, NaN or infinite
-    /// is malformed.
-    pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
-        self.delta_pct = restore_delta(r)?;
+    /// built with the same config; a δ that is negative, NaN or infinite,
+    /// or not the node's `delta`, is malformed.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>, delta: f64) -> Result<(), SnapError> {
+        let pos = r.position();
+        if restore_delta(r)?.to_bits() != delta.to_bits() {
+            return Err(SnapError::Malformed { pos, what: "ATC delta off its node's" });
+        }
         self.sent_in_window = r.count()?;
         self.epochs_in_window = r.count()?;
-        self.rate = Ewma::unsnap(r)?;
+        self.rate.restore(r)?;
         self.budget_per_epoch = r.opt_f64()?;
         Ok(())
     }
@@ -216,14 +210,11 @@ impl AtcController {
 /// Read a threshold δ captured by a `snap`, rejecting one that is
 /// negative, NaN or infinite: every reading's tuple `[R − δ, R + δ]`
 /// assumes a finite, non-negative δ.
-pub(crate) fn restore_delta(r: &mut dirq_sim::SnapReader<'_>) -> Result<f64, dirq_sim::SnapError> {
+pub(crate) fn restore_delta(r: &mut SnapReader<'_>) -> Result<f64, SnapError> {
     let pos = r.position();
     match r.f64()? {
         delta if delta.is_finite() && delta >= 0.0 => Ok(delta),
-        _ => Err(dirq_sim::SnapError::Malformed {
-            pos,
-            what: "threshold delta negative or not finite",
-        }),
+        _ => Err(SnapError::Malformed { pos, what: "threshold delta negative or not finite" }),
     }
 }
 
@@ -235,9 +226,40 @@ mod tests {
         AtcConfig { adjust_period: period, ..Default::default() }
     }
 
+    /// A controller with the δ and the config its node would hold.
+    struct Node {
+        cfg: AtcConfig,
+        delta: f64,
+        c: AtcController,
+    }
+
+    impl Node {
+        fn new(cfg: AtcConfig) -> Self {
+            Node { c: AtcController::new(&cfg), delta: cfg.initial_delta_pct, cfg }
+        }
+
+        fn on_epoch_end(&mut self, sigma_hat_pct: Option<f64>) -> Option<f64> {
+            let new = self.c.on_epoch_end(&self.cfg, self.delta, sigma_hat_pct);
+            self.delta = new.unwrap_or(self.delta);
+            new
+        }
+
+        fn delta_pct(&self) -> f64 {
+            self.delta
+        }
+
+        fn on_update_sent(&mut self) {
+            self.c.on_update_sent();
+        }
+
+        fn on_budget(&mut self, budget: f64) {
+            self.c.on_budget(budget);
+        }
+    }
+
     #[test]
     fn no_adjustment_before_period() {
-        let mut c = AtcController::new(cfg(10));
+        let mut c = Node::new(cfg(10));
         c.on_budget(0.1);
         for _ in 0..9 {
             assert_eq!(c.on_epoch_end(Some(1.0)), None);
@@ -247,7 +269,7 @@ mod tests {
 
     #[test]
     fn no_adjustment_without_budget() {
-        let mut c = AtcController::new(cfg(5));
+        let mut c = Node::new(cfg(5));
         for _ in 0..20 {
             c.on_update_sent();
             let _ = c.on_epoch_end(Some(1.0));
@@ -257,7 +279,7 @@ mod tests {
 
     #[test]
     fn over_budget_raises_delta() {
-        let mut c = AtcController::new(AtcConfig {
+        let mut c = Node::new(AtcConfig {
             adjust_period: 10,
             feedforward_weight: 0.0,
             ..Default::default()
@@ -281,7 +303,7 @@ mod tests {
 
     #[test]
     fn under_budget_lowers_delta() {
-        let mut c = AtcController::new(AtcConfig {
+        let mut c = Node::new(AtcConfig {
             adjust_period: 10,
             feedforward_weight: 0.0,
             ..Default::default()
@@ -301,7 +323,7 @@ mod tests {
 
     #[test]
     fn clamps_respected() {
-        let mut c = AtcController::new(AtcConfig {
+        let mut c = Node::new(AtcConfig {
             adjust_period: 1,
             min_delta_pct: 1.0,
             max_delta_pct: 10.0,
@@ -325,7 +347,7 @@ mod tests {
     fn feedforward_converges_near_model_optimum() {
         // Pure feedforward: σ̂ = 2 %/epoch, budget = 0.2 updates/epoch
         // ⇒ δ* = 2 / (2·0.2) = 5 %.
-        let mut c = AtcController::new(AtcConfig {
+        let mut c = Node::new(AtcConfig {
             adjust_period: 5,
             feedforward_weight: 1.0,
             initial_delta_pct: 20.0,
@@ -344,7 +366,7 @@ mod tests {
 
     #[test]
     fn step_clamp_limits_swing() {
-        let mut c = AtcController::new(AtcConfig {
+        let mut c = Node::new(AtcConfig {
             adjust_period: 1,
             max_step: 1.5,
             feedforward_weight: 0.0,
@@ -362,17 +384,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "adjust period")]
     fn zero_period_rejected() {
-        let _ = AtcController::new(AtcConfig { adjust_period: 0, ..Default::default() });
+        let _ = AtcController::new(&AtcConfig { adjust_period: 0, ..Default::default() });
     }
 
     #[test]
     fn invalid_budget_ignored() {
-        let mut c = AtcController::new(cfg(5));
+        let mut c = Node::new(cfg(5));
         c.on_budget(f64::NAN);
-        assert_eq!(c.budget(), None);
+        assert_eq!(c.c.budget(), None);
         c.on_budget(-1.0);
-        assert_eq!(c.budget(), None);
+        assert_eq!(c.c.budget(), None);
         c.on_budget(0.25);
-        assert_eq!(c.budget(), Some(0.25));
+        assert_eq!(c.c.budget(), Some(0.25));
     }
 }

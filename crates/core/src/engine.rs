@@ -31,7 +31,6 @@ use crate::messages::DirqMessage;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
-use crate::sampling::Sampler;
 
 mod config;
 mod dispatch;
@@ -59,7 +58,8 @@ pub struct Engine {
     nodes: Vec<DirqNode>,
     /// The configuration every protocol node shares (births reuse it).
     node_cfg: Arc<NodeConfig>,
-    /// Per-(node, type) sampling state; see [`sensing`].
+    /// Per-(node, type) sampling state and predictive samplers; see
+    /// [`sensing`].
     plane: SensingPlane,
     /// Flooding's per-node state: the queries each node has rebroadcast.
     flood: Vec<SeenQueries>,
@@ -88,9 +88,6 @@ pub struct Engine {
     /// `tree_version` as of the last repair pass that found every alive
     /// node attached; while it still matches, repair has nothing to do.
     repaired_version: Option<u64>,
-    /// Predictive samplers per (node, sensor type); `None` under
-    /// `SamplingStrategy::EveryEpoch`.
-    samplers: Option<Vec<Vec<Sampler>>>,
     /// The tree plane's attachment, churn and repair buffers.
     tree_scratch: TreeScratch,
     /// The dispatch plane's indication, handler-output and finalisation

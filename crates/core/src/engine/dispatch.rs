@@ -451,7 +451,7 @@ impl Engine {
             id: p.query.id,
             epoch: p.epoch,
             stype: p.query.stype,
-            should_receive: p.truth.involved_count,
+            should_receive: p.truth.involved_count(),
             true_sources: p.truth.sources.len(),
             received,
             received_should,

@@ -18,7 +18,7 @@ use crate::flooding::SeenQueries;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
-use crate::sampling::{Sampler, SamplingStrategy};
+use crate::sampling::Sampler;
 
 use super::dispatch::DispatchScratch;
 use super::sensing::{SensingPlane, UpkeepShard};
@@ -151,7 +151,7 @@ impl Engine {
             &mut factory.stream("assignment"),
         );
         let mut world = SensorWorld::new(&world_cfg, catalog, assignment, topo, &factory);
-        world.set_workers(cfg.world_workers.max(1));
+        world.set_workers(runner::shard_workers(cfg.world_workers, n));
         assert!(
             cfg.spatial_query_fraction == 0.0 || cfg.location_enabled,
             "spatial queries require location_enabled"
@@ -202,16 +202,8 @@ impl Engine {
             detached_since: vec![None; n],
             tree_version: 0,
             repaired_version: None,
-            plane: SensingPlane::new(n, world.catalog().len()),
+            plane: SensingPlane::new(n, world.catalog().len(), cfg.sampling.predictive()),
             node_cfg,
-            samplers: match cfg.sampling {
-                SamplingStrategy::EveryEpoch => None,
-                SamplingStrategy::Predictive(pc) => Some(
-                    (0..n)
-                        .map(|_| (0..world.catalog().len()).map(|_| Sampler::new(pc)).collect())
-                        .collect(),
-                ),
-            },
             tree_scratch: TreeScratch::new(n),
             dispatch_scratch: DispatchScratch::new(n),
             sample_shards: (0..upkeep_workers).map(|_| UpkeepShard::default()).collect(),
@@ -275,13 +267,15 @@ impl Engine {
         self.timing.as_deref().copied()
     }
 
-    /// Test hook: shard sensor sampling, the only sharded upkeep pass,
-    /// over `workers` shards and threads every epoch, bypassing the size
-    /// thresholds and the host's core count (the upkeep differential suite
-    /// pins this path bit-equal to the serial reference).
+    /// Test hook: shard both sharded passes, the world advance and sensor
+    /// sampling, over `workers` threads every epoch, bypassing the size
+    /// floor and the host's core count that `Engine::new` resolves them
+    /// through (the upkeep differential suite pins this path bit-equal to
+    /// the serial reference).
     #[doc(hidden)]
-    pub fn force_sharded_upkeep(&mut self, workers: usize) {
-        assert!(workers > 1, "forcing sharded upkeep requires at least two shards");
+    pub fn force_sharded(&mut self, workers: usize) {
+        assert!(workers > 1, "forcing sharded passes requires at least two workers");
+        self.world.set_workers(workers);
         self.sample_shards.resize_with(workers, UpkeepShard::default);
     }
 
@@ -297,7 +291,9 @@ impl Engine {
                 for &c in self.nodes[i].children() {
                     h.u64(c.index() as u64);
                 }
-                let (taken, skipped) = sample_counts(self.samplers.iter().flat_map(|r| &r[i]));
+                let w = self.plane.width;
+                let (taken, skipped) =
+                    sample_counts(self.plane.samplers.iter().flat_map(|s| &s[i * w..(i + 1) * w]));
                 (
                     self.nodes[i].parent().map_or(0, |p| p.index() as u64 + 1),
                     h.finish(),
@@ -336,12 +332,14 @@ impl Engine {
 
     /// Remove a sensor from a node at runtime; the node retracts or shrinks
     /// its advertisement accordingly.
+    ///
+    /// # Panics
+    /// Panics when `stype` is not in the world's sensor catalog, as
+    /// [`Engine::add_sensor`] does.
     pub fn remove_sensor(&mut self, node: NodeId, stype: dirq_data::SensorType) {
         self.world.assignment_mut().remove(node.index(), stype);
         self.handle(node, |n, out| n.drop_own_sensor(stype, out));
-        if let Some(cell) = self.plane.row_mut(node.index()).get_mut(stype.index()) {
-            cell.set_window(None);
-        }
+        self.plane.row_mut(node.index())[stype.index()].set_window(None);
     }
 
     /// The scenario configuration this engine runs.
@@ -383,8 +381,7 @@ impl Engine {
         let final_delta_pcts = self.nodes.iter().map(|n| n.delta_pct()).collect();
         // Exact bookkeeping is kept only in the predictive mode; otherwise
         // every alive sensing (node, type) pair samples each epoch.
-        let (samples_taken, samples_skipped) =
-            sample_counts(self.samplers.iter().flatten().flatten());
+        let (samples_taken, samples_skipped) = sample_counts(self.plane.samplers.iter().flatten());
         RunResult {
             metrics: self.metrics,
             n_nodes: self.mac.topology().len(),

@@ -1,5 +1,5 @@
 //! The sensing plane: the per-(node, sensor type) state every sample
-//! touches, in one dense node-major array owned by the engine.
+//! touches, in dense node-major arrays owned by the engine.
 //!
 //! DirQ nodes sample every epoch, but a node acts on a reading only when
 //! it leaves the node's own `[R − δ, R + δ]` tuple (Fig. 1): only then can
@@ -26,7 +26,7 @@ use dirq_sim::runner;
 use crate::messages::DirqMessage;
 use crate::node::{DirqNode, Outgoing};
 use crate::range_table::RangeEntry;
-use crate::sampling::Sampler;
+use crate::sampling::{PredictiveConfig, Sampler};
 
 use super::dispatch::{route, warm_up, Outbox};
 use super::Engine;
@@ -82,19 +82,20 @@ impl SensorCell {
 /// One [`SensorCell`] per `(node, type)`, node-major: node `i`'s row is
 /// `cells[i * width..(i + 1) * width]`, indexed by [`SensorType::index`].
 pub(crate) struct SensingPlane {
-    width: usize,
+    /// Sensor types per row: the catalog's.
+    pub(super) width: usize,
     cells: Vec<SensorCell>,
+    /// One predictive sampler per `(node, type)`, indexed like the cells;
+    /// `None` under `SamplingStrategy::EveryEpoch`.
+    pub(super) samplers: Option<Vec<Sampler>>,
 }
 
 impl SensingPlane {
-    /// An empty plane for `n` nodes and `width` sensor types.
-    pub(crate) fn new(n: usize, width: usize) -> Self {
-        SensingPlane { width, cells: vec![SensorCell::EMPTY; n * width] }
-    }
-
-    /// Sensor types per row.
-    pub(crate) fn width(&self) -> usize {
-        self.width
+    /// An empty plane for `n` nodes and `width` sensor types, with fresh
+    /// samplers under `predictive` sampling.
+    pub(crate) fn new(n: usize, width: usize, predictive: Option<&PredictiveConfig>) -> Self {
+        let samplers = predictive.map(|pc| vec![Sampler::new(pc); n * width]);
+        SensingPlane { width, cells: vec![SensorCell::EMPTY; n * width], samplers }
     }
 
     /// Node `i`'s row.
@@ -105,12 +106,6 @@ impl SensingPlane {
     /// Node `i`'s row, mutably.
     pub(crate) fn row_mut(&mut self, i: usize) -> &mut [SensorCell] {
         &mut self.cells[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Every row, node-major, for chunks that each own a disjoint run of
-    /// rows.
-    pub(crate) fn cells_mut(&mut self) -> &mut [SensorCell] {
-        &mut self.cells
     }
 
     /// Node `i`'s smoothed signal variability for ATC, in percent of span:
@@ -157,9 +152,10 @@ impl Engine {
         let inputs = SampleInputs {
             masks: world.assignment().masks(),
             rows: &rows,
-            width: self.plane.width(),
+            width: self.plane.width,
             spans: &self.node_cfg.reference_spans,
             alpha: self.node_cfg.variability_alpha,
+            predictive: self.cfg.sampling.predictive(),
             read_ahead: self.reads_ahead(),
         };
         let mut outbox = Outbox {
@@ -171,8 +167,8 @@ impl Engine {
         sample_pass(
             &inputs,
             &mut self.nodes,
-            self.plane.cells_mut(),
-            self.samplers.as_deref_mut(),
+            &mut self.plane.cells,
+            self.plane.samplers.as_deref_mut(),
             &mut self.sample_shards,
             &mut outbox,
         );
@@ -230,13 +226,16 @@ pub(super) struct SampleInputs<'a> {
     spans: &'a [f64],
     /// The variability EWMA's smoothing factor.
     alpha: f64,
+    /// The samplers' tuning; `None` unless sampling is predictive.
+    predictive: Option<&'a PredictiveConfig>,
     /// Whether the escape pass reads ahead ([`Engine::reads_ahead`]).
     read_ahead: bool,
 }
 
 /// The one sampling pass, over explicit parts: sample the carried sensors
 /// of every non-root node alive by `sink` against the state of every node
-/// — `nodes`, their plane `cells` and their `samplers` — and hand each MAC
+/// — `nodes`, their plane `cells` and, under predictive sampling, their
+/// `samplers`, node-major like the cells — and hand each MAC
 /// enqueue an escape queues to `sink`, in node and type order.
 ///
 /// [`split_chunks`] cuts the nodes into one contiguous range per shard.
@@ -249,7 +248,7 @@ pub(super) fn sample_pass(
     inputs: &SampleInputs<'_>,
     nodes: &mut [DirqNode],
     cells: &mut [SensorCell],
-    samplers: Option<&mut [Vec<Sampler>]>,
+    samplers: Option<&mut [Sampler]>,
     shards: &mut [UpkeepShard],
     sink: &mut impl SampleSink,
 ) {
@@ -281,14 +280,15 @@ fn blocks(nodes: Range<usize>) -> impl Iterator<Item = Range<usize>> {
 }
 
 /// One sampling chunk's share of the engine: the state of nodes
-/// `first..first + nodes.len()` (`width` plane cells per node) and its
-/// shard's buffers. The serial pass is one chunk over every node.
+/// `first..first + nodes.len()` (`width` plane cells and samplers per
+/// node) and its shard's buffers. The serial pass is one chunk over every
+/// node.
 struct SampleChunk<'a> {
     first: usize,
     nodes: &'a mut [DirqNode],
     cells: &'a mut [SensorCell],
-    /// Per-node sampler rows; `None` under `SamplingStrategy::EveryEpoch`.
-    samplers: Option<&'a mut [Vec<Sampler>]>,
+    /// `None` unless sampling is predictive.
+    samplers: Option<&'a mut [Sampler]>,
     shard: &'a mut UpkeepShard,
 }
 
@@ -333,12 +333,11 @@ impl SampleChunk<'_> {
             }
             let j = i - self.first;
             let row = &mut self.cells[j * width..(j + 1) * width];
-            let mut samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
+            let mut samplers =
+                self.samplers.as_deref_mut().map(|s| &mut s[j * width..(j + 1) * width]);
             for idx in bits(mask) {
-                if let Some(s) = samplers.as_deref_mut() {
-                    if !s[idx].should_sample() {
-                        continue;
-                    }
+                if samplers.as_deref_mut().is_some_and(|s| !s[idx].should_sample()) {
+                    continue;
                 }
                 let reading = inputs.rows[idx][i];
                 if reading.is_nan() {
@@ -357,8 +356,8 @@ impl SampleChunk<'_> {
                         .map(|e| (e.min, e.max)),
                     "escape window out of step with node {i}'s own tuple"
                 );
-                if let Some(s) = samplers.as_deref_mut() {
-                    s[idx].on_sampled(reading, cell.window());
+                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
+                    s[idx].on_sampled(pc, reading, cell.window());
                 }
             }
         }
@@ -398,7 +397,8 @@ impl SampleChunk<'_> {
             let j = i - first;
             let node = &mut self.nodes[j];
             let row = &mut self.cells[j * width..(j + 1) * width];
-            let mut samplers = self.samplers.as_deref_mut().map(|rows| rows[j].as_mut_slice());
+            let mut samplers =
+                self.samplers.as_deref_mut().map(|s| &mut s[j * width..(j + 1) * width]);
             for idx in bits(mask) {
                 let reading = inputs.rows[idx][i];
                 let cell = &mut row[idx];
@@ -408,8 +408,8 @@ impl SampleChunk<'_> {
                         effects.push(Effect { from: node.id(), dest, msg });
                     }
                 }
-                if let Some(s) = samplers.as_deref_mut() {
-                    s[idx].on_sampled(reading, cell.window());
+                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
+                    s[idx].on_sampled(pc, reading, cell.window());
                 }
             }
         }
@@ -429,13 +429,13 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// Split the sampling state over `shards`: shard k takes the k-th of
 /// near-equal contiguous node ranges (none when there are fewer nodes than
-/// shards) with those nodes' plane rows (`width` cells each) and sampler
-/// rows.
+/// shards) with those nodes' plane cells and samplers (`width` each per
+/// node).
 fn split_chunks<'a>(
     width: usize,
     mut nodes: &'a mut [DirqNode],
     mut cells: &'a mut [SensorCell],
-    mut samplers: Option<&'a mut [Vec<Sampler>]>,
+    mut samplers: Option<&'a mut [Sampler]>,
     shards: &'a mut [UpkeepShard],
 ) -> Vec<SampleChunk<'a>> {
     let (n, count) = (nodes.len(), shards.len());
@@ -450,7 +450,7 @@ fn split_chunks<'a>(
             first,
             nodes: split_front(&mut nodes, len),
             cells: split_front(&mut cells, len * width),
-            samplers: samplers.as_mut().map(|rows| split_front(rows, len)),
+            samplers: samplers.as_mut().map(|s| split_front(s, len * width)),
             shard,
         });
         first += len;
@@ -651,7 +651,7 @@ mod tests {
                     prop_assert_eq!(own, model.node.table(s).and_then(|t| t.own()));
                     prop_assert_eq!(cell.window(), own.map(|e| (e.min, e.max)));
                 }
-                let mut plane = SensingPlane::new(1, SPANS.len());
+                let mut plane = SensingPlane::new(1, SPANS.len(), None);
                 plane.row_mut(0).copy_from_slice(&row);
                 prop_assert_eq!(
                     plane.sigma_hat_pct(0).map(f64::to_bits),
@@ -664,7 +664,7 @@ mod tests {
 
     #[test]
     fn variability_estimate_tracks_changes() {
-        let mut plane = SensingPlane::new(2, SPANS.len());
+        let mut plane = SensingPlane::new(2, SPANS.len(), None);
         let mut node = attached(&cfg(5.0));
         assert_eq!(plane.sigma_hat_pct(1), None);
         let t0 = SensorType(0);
@@ -747,8 +747,8 @@ mod block_tests {
                         effects.push(Effect { from: NodeId::from_index(i), dest, msg });
                     }
                 }
-                if let Some(s) = samplers.as_deref_mut() {
-                    s[idx].on_sampled(reading, cell.window());
+                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), self.predictive) {
+                    s[idx].on_sampled(pc, reading, cell.window());
                 }
             }
         }
@@ -775,7 +775,7 @@ mod block_tests {
     struct State {
         nodes: Vec<DirqNode>,
         cells: Vec<SensorCell>,
-        samplers: Option<Vec<Vec<Sampler>>>,
+        samplers: Option<Vec<Sampler>>,
     }
 
     impl State {
@@ -786,7 +786,7 @@ mod block_tests {
             let mut effects = Vec::new();
             for i in (1..self.nodes.len()).filter(|&i| alive.contains(NodeId::from_index(i))) {
                 let row = &mut self.cells[i * width..(i + 1) * width];
-                let samplers = self.samplers.as_mut().map(|rows| rows[i].as_mut_slice());
+                let samplers = self.samplers.as_mut().map(|s| &mut s[i * width..(i + 1) * width]);
                 inputs.sample_carrier(i, &mut self.nodes[i], row, samplers, &mut effects);
             }
             effects
@@ -838,7 +838,7 @@ mod block_tests {
         for (i, node) in state.nodes.iter().enumerate() {
             node.snap(&mut w, &state.cells[i * width..(i + 1) * width]);
         }
-        for s in state.samplers.iter().flatten().flatten() {
+        for s in state.samplers.iter().flatten() {
             s.snap(&mut w);
         }
         (cells, w.finish())
@@ -918,9 +918,9 @@ mod block_tests {
                 volatility_factor: 0.0,
                 ..PredictiveConfig::default()
             };
-            let samplers = [None, Some(PredictiveConfig::default()), Some(eager)]
-                [usize::from(predictive)]
-                .map(|pc| (0..n).map(|_| (0..width).map(|_| Sampler::new(pc)).collect()).collect());
+            let predictive =
+                [None, Some(PredictiveConfig::default()), Some(eager)][usize::from(predictive)];
+            let samplers = predictive.map(|pc| vec![Sampler::new(&pc); n * width]);
             let mut model = State { nodes, cells: vec![SensorCell::EMPTY; n * width], samplers };
             let mut runs = [model.clone(), model.clone(), model.clone()];
 
@@ -956,6 +956,7 @@ mod block_tests {
                     width,
                     spans: &SPANS,
                     alpha: ALPHA,
+                    predictive: predictive.as_ref(),
                     read_ahead: true,
                 };
                 let want = model.run_model(&inputs, &alive);

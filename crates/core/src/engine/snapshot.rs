@@ -1,6 +1,5 @@
 //! Snapshot and restore of the engine's dynamic state.
 
-use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 use crate::messages::DirqMessage;
@@ -56,14 +55,10 @@ impl Engine {
         for &d in &self.detached_since {
             w.opt_u64(d);
         }
-        w.bool(self.samplers.is_some());
-        if let Some(samplers) = &self.samplers {
-            for row in samplers {
-                w.len_of(row.len());
-                for s in row {
-                    s.snap(w);
-                }
-            }
+        w.bool(self.plane.samplers.is_some());
+        for row in self.plane.samplers.iter().flat_map(|s| s.chunks(self.plane.width)) {
+            w.len_of(row.len());
+            row.iter().for_each(|s| s.snap(w));
         }
         w.f64(self.u_max_per_hour);
         w.len_of(self.delta_trace.len());
@@ -84,15 +79,29 @@ impl Engine {
     /// An image is [`SnapError::Malformed`] where its sections disagree on
     /// what a step leaves behind: the MAC at slot 0 of frame `epoch`, the
     /// world at epoch `epoch − 1` (0 before the second step), and the
-    /// engine's liveness section equal to the MAC's.
+    /// engine's liveness section equal to the MAC's. So is one whose copy
+    /// of a fact disagrees with the fact's owner: a queued `Update` or
+    /// `Retract` of a type outside the catalog, and an EWMA off its
+    /// configured smoothing factor.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.mac.topology().len();
+        let width = self.plane.width;
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
         self.epoch = r.count()?;
         let mac_at = r.position();
-        self.mac.restore(&mut r, DirqMessage::unsnap)?;
+        self.mac.restore(&mut r, |r| {
+            let (pos, msg) = (r.position(), DirqMessage::unsnap(r)?);
+            match msg {
+                DirqMessage::Update { stype, .. } | DirqMessage::Retract { stype }
+                    if stype.index() >= width =>
+                {
+                    Err(SnapError::Malformed { pos, what: "update type outside the catalog" })
+                }
+                _ => Ok(msg),
+            }
+        })?;
         self.world.restore(&mut r)?;
         if self.mac.now() != (self.epoch, 0) || self.world.epoch() != self.epoch.saturating_sub(1) {
             return Err(SnapError::Malformed { pos: mac_at, what: "section clocks disagree" });
@@ -120,27 +129,29 @@ impl Engine {
         }
         self.metrics = metrics;
         self.mac_rng = r.rng()?;
-        self.cqd_estimate = Ewma::unsnap(&mut r)?;
+        self.cqd_estimate.restore(&mut r)?;
         self.budget_multiplier = r.f64()?;
         self.updates_at_last_ehr = r.f64()?;
         for d in &mut self.detached_since {
             *d = r.opt_u64()?;
         }
         let pos = r.position();
-        if r.bool()? != self.samplers.is_some() {
+        if r.bool()? != self.plane.samplers.is_some() {
             return Err(SnapError::Malformed {
                 pos,
                 what: "sampler presence disagrees with the sampling strategy",
             });
         }
-        if let Some(samplers) = &mut self.samplers {
-            for row in samplers {
+        if let (Some(samplers), Some(pc)) =
+            (&mut self.plane.samplers, self.cfg.sampling.predictive())
+        {
+            for row in samplers.chunks_mut(width) {
                 let pos = r.position();
                 if r.seq_len(1)? != row.len() {
                     return Err(SnapError::Malformed { pos, what: "sampler row length mismatch" });
                 }
                 for s in row {
-                    s.restore(&mut r)?;
+                    s.restore(&mut r, pc)?;
                 }
             }
         }

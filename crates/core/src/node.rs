@@ -65,10 +65,9 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Reference span for `stype` (falls back to 1.0 for unknown types so
-    /// late-registered sensors still work).
+    /// Reference span for `stype`, a type of the catalog.
     pub fn reference_span(&self, stype: SensorType) -> f64 {
-        self.reference_spans.get(stype.index()).copied().unwrap_or(1.0)
+        self.reference_spans[stype.index()]
     }
 }
 
@@ -78,9 +77,11 @@ pub struct DirqNode {
     id: NodeId,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// One table slot per sensor type, indexed by `SensorType::index`
-    /// (`None`: no table — the type is absent from this node's subtree).
+    /// One table slot per catalog sensor type, indexed by
+    /// `SensorType::index` (`None`: no table — the type is absent from
+    /// this node's subtree).
     tables: Vec<Option<RangeTable>>,
+    /// The node's one δ, which the ATC controller adjusts.
     delta_pct: f64,
     /// The threshold controller; only [`DeltaPolicy::Adaptive`] has one.
     atc: Option<Box<AtcController>>,
@@ -106,32 +107,20 @@ impl DirqNode {
                 (pct, None)
             }
             DeltaPolicy::Adaptive(acfg) => {
-                let c = AtcController::new(acfg);
-                (c.delta_pct(), Some(Box::new(c)))
+                (acfg.initial_delta_pct, Some(Box::new(AtcController::new(&acfg))))
             }
         };
-        // Pre-size the table array from the configured spans; types
-        // registered after deployment grow it on demand.
-        let n_types = cfg.reference_spans.len();
         DirqNode {
             id,
             parent: None,
             children: Vec::new(),
-            tables: vec![None; n_types],
+            tables: vec![None; cfg.reference_spans.len()],
             delta_pct,
             atc,
             seen_queries: SeenQueries::default(),
             geo: None,
             updates_sent: 0,
             cfg,
-        }
-    }
-
-    /// Grow the table array so `idx` is addressable (late-registered
-    /// sensor types).
-    fn ensure_type(&mut self, idx: usize) {
-        if self.tables.len() <= idx {
-            self.tables.resize(idx + 1, None);
         }
     }
 
@@ -283,10 +272,8 @@ impl DirqNode {
     /// keeps the last reading and variability; a contained reading is a
     /// no-op here too.
     pub fn sample(&mut self, stype: SensorType, reading: f64, out: &mut Vec<Outgoing>) {
-        let idx = stype.index();
-        self.ensure_type(idx);
         let delta = self.delta_abs(stype);
-        let table = self.tables[idx].get_or_insert_with(RangeTable::new);
+        let table = self.tables[stype.index()].get_or_insert_with(RangeTable::new);
         if table.observe_own(reading, delta) {
             self.flush_table(stype, out);
         }
@@ -294,13 +281,7 @@ impl DirqNode {
 
     /// The node's sensor for `stype` was removed.
     pub fn drop_own_sensor(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
-        let changed = self
-            .tables
-            .get_mut(stype.index())
-            .and_then(|t| t.as_mut())
-            .map(|t| t.clear_own())
-            .unwrap_or(false);
-        if changed {
+        if self.tables[stype.index()].as_mut().is_some_and(RangeTable::clear_own) {
             self.flush_table(stype, out);
         }
     }
@@ -317,7 +298,6 @@ impl DirqNode {
         out: &mut Vec<Outgoing>,
     ) {
         self.add_child(from);
-        self.ensure_type(stype.index());
         let table = self.tables[stype.index()].get_or_insert_with(RangeTable::new);
         let changed = table.set_child(from, RangeEntry { min, max });
         if changed {
@@ -327,13 +307,7 @@ impl DirqNode {
 
     /// A Retract arrived from a child.
     pub fn on_retract(&mut self, from: NodeId, stype: SensorType, out: &mut Vec<Outgoing>) {
-        let changed = self
-            .tables
-            .get_mut(stype.index())
-            .and_then(|t| t.as_mut())
-            .map(|t| t.remove_child(from))
-            .unwrap_or(false);
-        if changed {
+        if self.tables[stype.index()].as_mut().is_some_and(|t| t.remove_child(from)) {
             self.flush_table(stype, out);
         }
     }
@@ -405,8 +379,8 @@ impl DirqNode {
     /// the node's smoothed signal variability in percent of span (the
     /// sensing plane's maximum over the node's carried types).
     pub fn end_epoch(&mut self, sigma: Option<f64>) {
-        if let Some(atc) = &mut self.atc {
-            if let Some(new_delta) = atc.on_epoch_end(sigma) {
+        if let (Some(atc), DeltaPolicy::Adaptive(acfg)) = (&mut self.atc, &self.cfg.delta_policy) {
+            if let Some(new_delta) = atc.on_epoch_end(acfg, self.delta_pct, sigma) {
                 self.delta_pct = new_delta;
             }
         }
@@ -469,7 +443,7 @@ impl DirqNode {
         w.f64(self.delta_pct);
         w.bool(self.atc.is_some());
         if let Some(atc) = &self.atc {
-            atc.snap(w);
+            atc.snap(w, self.delta_pct);
         }
         w.len_of(row.len());
         for cell in row {
@@ -491,9 +465,10 @@ impl DirqNode {
     /// Overlay state captured by [`DirqNode::snap`] onto a node built with
     /// the same id and config, and onto its sensing-plane `row`, whose
     /// escape windows are rebuilt from the restored tables. An image that
-    /// names a node id outside the `n_nodes` deployment, carries a δ that
-    /// is negative, NaN or infinite, whose sensing records do not fit the
-    /// row and the configured α, or whose duplicate-suppression list is
+    /// names a node id outside the `n_nodes` deployment, holds a table
+    /// array off the catalog's width, carries a δ that is negative, NaN,
+    /// infinite or off its fixed policy, whose sensing records do not fit
+    /// the row and the configured α, or whose duplicate-suppression list is
     /// over its cap ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
@@ -508,9 +483,12 @@ impl DirqNode {
         self.parent = if r.bool()? { Some(NodeId(r.u32()?)) } else { None };
         let n = r.seq_len(4)?;
         self.children = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
-        let n = r.seq_len(1)?;
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
+        let width = r.position();
+        if r.seq_len(1)? != self.tables.len() {
+            return Err(SnapError::Malformed { pos: width, what: "table count off the catalog" });
+        }
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for _ in 0..self.tables.len() {
             tables.push(if r.bool()? { Some(RangeTable::unsnap(r)?) } else { None });
         }
         if !(self.parent.iter().chain(&self.children).all(inside)
@@ -519,7 +497,13 @@ impl DirqNode {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
         self.tables = tables;
+        let pos = r.position();
         self.delta_pct = restore_delta(r)?;
+        if let DeltaPolicy::Fixed(p) = self.cfg.delta_policy {
+            if p.to_bits() != self.delta_pct.to_bits() {
+                return Err(SnapError::Malformed { pos, what: "fixed delta off its policy" });
+            }
+        }
         let pos = r.position();
         if r.bool()? != self.atc.is_some() {
             return Err(SnapError::Malformed {
@@ -528,7 +512,7 @@ impl DirqNode {
             });
         }
         if let Some(atc) = &mut self.atc {
-            atc.restore(r)?;
+            atc.restore(r, self.delta_pct)?;
         }
         let pos = r.position();
         if r.seq_len(1)? != row.len() {
@@ -537,17 +521,12 @@ impl DirqNode {
         for cell in row.iter_mut() {
             cell.variability = f64::NAN;
             if r.bool()? {
-                let pos = r.position();
-                let e = Ewma::unsnap(r)?;
+                let (pos, mut e) = (r.position(), Ewma::new(self.cfg.variability_alpha));
+                e.restore(r)?;
                 match e.value() {
-                    Some(v) if !v.is_nan() && e.alpha() == self.cfg.variability_alpha => {
-                        cell.variability = v;
-                    }
+                    Some(v) if !v.is_nan() => cell.variability = v,
                     _ => {
-                        return Err(SnapError::Malformed {
-                            pos,
-                            what: "variability record disagrees with the node config",
-                        })
+                        return Err(SnapError::Malformed { pos, what: "variability record empty" })
                     }
                 }
             }
@@ -567,10 +546,8 @@ impl DirqNode {
         }
         self.geo = (!geo.is_empty()).then(|| Box::new(geo));
         self.updates_sent = r.count()?;
-        for (idx, cell) in row.iter_mut().enumerate() {
-            cell.set_window(
-                self.tables.get(idx).and_then(Option::as_ref).and_then(RangeTable::own),
-            );
+        for (cell, table) in row.iter_mut().zip(&self.tables) {
+            cell.set_window(table.as_ref().and_then(RangeTable::own));
         }
         Ok(())
     }
@@ -582,7 +559,7 @@ impl DirqNode {
     /// sending (its "parent" is the wired server).
     fn flush_table(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
         let delta = self.delta_abs(stype) * self.cfg.tx_threshold_factor;
-        let Some(table) = self.tables.get_mut(stype.index()).and_then(|t| t.as_mut()) else {
+        let Some(table) = self.tables[stype.index()].as_mut() else {
             return;
         };
         if table.pending_retract() {
@@ -659,6 +636,17 @@ mod tests {
         let table = std::mem::size_of::<RangeTable>();
         assert!(node <= 128, "DirqNode is {node} bytes, over its 128-byte budget");
         assert!(table <= 72, "RangeTable is {table} bytes, over its 72-byte budget");
+    }
+
+    /// The ATC controller and the predictive sampler keep no copy of δ or
+    /// of their tuning: the node owns δ, the shared config the tuning.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn controller_and_sampler_layout_budget() {
+        let atc = std::mem::size_of::<AtcController>();
+        let sampler = std::mem::size_of::<crate::sampling::Sampler>();
+        assert!(atc <= 56, "AtcController is {atc} bytes, over its 56-byte budget");
+        assert!(sampler <= 88, "Sampler is {sampler} bytes, over its 88-byte budget");
     }
 
     #[test]

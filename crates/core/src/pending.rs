@@ -190,7 +190,7 @@ mod tests {
         PendingQuery {
             query: RangeQuery::value(QueryId(id), SensorType(0), 0.0, 1.0),
             epoch,
-            truth: GroundTruth { sources: Vec::new(), involved: Vec::new(), involved_count: 0 },
+            truth: GroundTruth { sources: Vec::new(), involved: Vec::new() },
             received: Vec::new(),
             tx: 0,
             rx: 0,

@@ -16,6 +16,7 @@
 //! ranges. The `ablations` binary quantifies the trade-off.
 
 use dirq_sim::stats::Ewma;
+use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
 /// When nodes acquire sensor readings.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,6 +25,16 @@ pub enum SamplingStrategy {
     EveryEpoch,
     /// Model-driven skipping (the paper's future-work proposal).
     Predictive(PredictiveConfig),
+}
+
+impl SamplingStrategy {
+    /// The predictive sampler's tuning, if sampling is predictive.
+    pub(crate) fn predictive(&self) -> Option<&PredictiveConfig> {
+        match self {
+            SamplingStrategy::EveryEpoch => None,
+            SamplingStrategy::Predictive(pc) => Some(pc),
+        }
+    }
 }
 
 /// Tuning of the predictive sampler.
@@ -48,10 +59,10 @@ impl Default for PredictiveConfig {
     }
 }
 
-/// Per-(node, sensor-type) prediction state.
+/// Per-(node, sensor-type) prediction state. The tuning is the run's
+/// [`PredictiveConfig`], passed in by the sampling pass.
 #[derive(Clone, Debug)]
 pub struct Sampler {
-    cfg: PredictiveConfig,
     last_value: Option<f64>,
     drift: Ewma,
     volatility: Ewma,
@@ -62,7 +73,7 @@ pub struct Sampler {
 
 impl Sampler {
     /// Fresh sampler.
-    pub fn new(cfg: PredictiveConfig) -> Self {
+    pub fn new(cfg: &PredictiveConfig) -> Self {
         assert!((0.0..1.0).contains(&cfg.safety_margin), "safety margin must be in [0, 1)");
         assert!(cfg.volatility_factor >= 0.0, "volatility factor must be non-negative");
         Sampler {
@@ -72,7 +83,6 @@ impl Sampler {
             skip_remaining: 0,
             samples_taken: 0,
             samples_skipped: 0,
-            cfg,
         }
     }
 
@@ -91,7 +101,7 @@ impl Sampler {
     /// Record an acquired reading together with the tuple bounds currently
     /// advertised (`None` when the node has no tuple yet — e.g. first
     /// sample). Decides how many future epochs may be skipped.
-    pub fn on_sampled(&mut self, value: f64, window: Option<(f64, f64)>) {
+    pub fn on_sampled(&mut self, cfg: &PredictiveConfig, value: f64, window: Option<(f64, f64)>) {
         self.samples_taken += 1;
         if let Some(prev) = self.last_value {
             let delta = value - prev;
@@ -109,17 +119,17 @@ impl Sampler {
             return;
         };
         // Usable distance to the nearer window edge after the margin.
-        let usable = (1.0 - self.cfg.safety_margin) * (value - lo).min(hi - value);
+        let usable = (1.0 - cfg.safety_margin) * (value - lo).min(hi - value);
         if usable <= 0.0 {
             self.skip_remaining = 0;
             return;
         }
         // Projected movement per epoch: |drift| plus a volatility cushion.
-        let per_epoch = drift.abs() + self.cfg.volatility_factor * vol;
+        let per_epoch = drift.abs() + cfg.volatility_factor * vol;
         let skips = if per_epoch <= f64::EPSILON {
-            self.cfg.max_skip
+            cfg.max_skip
         } else {
-            ((usable / per_epoch).floor() as u64).saturating_sub(1).min(self.cfg.max_skip)
+            ((usable / per_epoch).floor() as u64).saturating_sub(1).min(cfg.max_skip)
         };
         self.skip_remaining = skips;
     }
@@ -136,7 +146,7 @@ impl Sampler {
 
     /// Write the prediction state to `w` (the tuning config is
     /// construction-time and not captured).
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter) {
         w.opt_f64(self.last_value);
         self.drift.snap(w);
         self.volatility.snap(w);
@@ -146,12 +156,20 @@ impl Sampler {
     }
 
     /// Overlay state captured by [`Sampler::snap`] onto a sampler built
-    /// with the same config.
-    pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
+    /// with `cfg`; a skip count above `cfg.max_skip` is malformed.
+    pub fn restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        cfg: &PredictiveConfig,
+    ) -> Result<(), SnapError> {
         self.last_value = r.opt_f64()?;
-        self.drift = Ewma::unsnap(r)?;
-        self.volatility = Ewma::unsnap(r)?;
+        self.drift.restore(r)?;
+        self.volatility.restore(r)?;
+        let pos = r.position();
         self.skip_remaining = r.u64()?;
+        if self.skip_remaining > cfg.max_skip {
+            return Err(SnapError::Malformed { pos, what: "sampler skip above max_skip" });
+        }
         self.samples_taken = r.count()?;
         self.samples_skipped = r.count()?;
         Ok(())
@@ -168,19 +186,19 @@ mod tests {
 
     #[test]
     fn first_samples_never_skip() {
-        let mut s = Sampler::new(cfg());
+        let mut s = Sampler::new(&cfg());
         assert!(s.should_sample());
-        s.on_sampled(20.0, Some((19.0, 21.0)));
+        s.on_sampled(&cfg(), 20.0, Some((19.0, 21.0)));
         // Only one observation: no drift estimate yet → no skipping.
         assert!(s.should_sample());
     }
 
     #[test]
     fn static_signal_earns_max_skip() {
-        let mut s = Sampler::new(cfg());
+        let mut s = Sampler::new(&cfg());
         for _ in 0..10 {
             let _ = s.should_sample();
-            s.on_sampled(20.0, Some((19.0, 21.0)));
+            s.on_sampled(&cfg(), 20.0, Some((19.0, 21.0)));
         }
         // Zero drift and volatility: next decision skips the cap.
         let mut skipped = 0;
@@ -192,10 +210,10 @@ mod tests {
 
     #[test]
     fn fast_drift_prevents_skipping() {
-        let mut s = Sampler::new(cfg());
+        let mut s = Sampler::new(&cfg());
         let mut v = 20.0;
         for _ in 0..10 {
-            s.on_sampled(v, Some((v - 0.5, v + 0.5)));
+            s.on_sampled(&cfg(), v, Some((v - 0.5, v + 0.5)));
             v += 0.4; // moves ~80% of the window per epoch
         }
         assert!(s.should_sample(), "near-edge fast drift must sample immediately");
@@ -203,34 +221,34 @@ mod tests {
 
     #[test]
     fn near_edge_readings_sample_immediately() {
-        let mut s = Sampler::new(cfg());
-        s.on_sampled(20.0, Some((19.0, 21.0)));
-        s.on_sampled(20.001, Some((19.0, 21.0)));
+        let mut s = Sampler::new(&cfg());
+        s.on_sampled(&cfg(), 20.0, Some((19.0, 21.0)));
+        s.on_sampled(&cfg(), 20.001, Some((19.0, 21.0)));
         // Reading essentially on the boundary of the usable zone.
-        s.on_sampled(20.95, Some((19.0, 21.0)));
+        s.on_sampled(&cfg(), 20.95, Some((19.0, 21.0)));
         assert!(s.should_sample());
     }
 
     #[test]
     fn missing_window_disables_skipping() {
-        let mut s = Sampler::new(cfg());
-        s.on_sampled(20.0, None);
-        s.on_sampled(20.0, None);
+        let mut s = Sampler::new(&cfg());
+        s.on_sampled(&cfg(), 20.0, None);
+        s.on_sampled(&cfg(), 20.0, None);
         assert!(s.should_sample());
     }
 
     #[test]
     fn counters_track_activity() {
-        let mut s = Sampler::new(cfg());
+        let mut s = Sampler::new(&cfg());
         for _ in 0..5 {
-            s.on_sampled(10.0, Some((0.0, 20.0)));
+            s.on_sampled(&cfg(), 10.0, Some((0.0, 20.0)));
         }
         let mut sampled = 0;
         let mut skipped = 0;
         for _ in 0..20 {
             if s.should_sample() {
                 sampled += 1;
-                s.on_sampled(10.0, Some((0.0, 20.0)));
+                s.on_sampled(&cfg(), 10.0, Some((0.0, 20.0)));
             } else {
                 skipped += 1;
             }
@@ -243,6 +261,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "safety margin")]
     fn invalid_margin_rejected() {
-        let _ = Sampler::new(PredictiveConfig { safety_margin: 1.0, ..cfg() });
+        let _ = Sampler::new(&PredictiveConfig { safety_margin: 1.0, ..cfg() });
     }
 }

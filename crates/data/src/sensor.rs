@@ -171,17 +171,25 @@ impl SensorAssignment {
     /// Panics when `t` is outside the catalog the assignment was built
     /// for: no world draws readings of such a type.
     pub fn add(&mut self, node: usize, t: SensorType) {
+        self.masks[node] |= self.bit_in_catalog(t);
+    }
+
+    /// Remove a sensor from a node.
+    ///
+    /// # Panics
+    /// Panics when `t` is outside the catalog, as [`SensorAssignment::add`]
+    /// does.
+    pub fn remove(&mut self, node: usize, t: SensorType) {
+        self.masks[node] &= !self.bit_in_catalog(t);
+    }
+
+    fn bit_in_catalog(&self, t: SensorType) -> u64 {
         assert!(
             t.index() < self.width,
             "sensor type {t} is outside the {}-type catalog",
             self.width
         );
-        self.masks[node] |= bit(t);
-    }
-
-    /// Remove a sensor from a node.
-    pub fn remove(&mut self, node: usize, t: SensorType) {
-        self.masks[node] &= !bit(t);
+        bit(t)
     }
 
     /// Write the carried-sensor matrix to `w`: per node, one flag per

@@ -110,38 +110,48 @@ pub struct GroundTruth {
     /// `involved[node]`: the node is a source or lies on a tree path from
     /// the root to a source (root itself excluded — it injects the query).
     pub involved: Vec<bool>,
-    /// Number of involved nodes.
-    pub involved_count: usize,
 }
 
 impl GroundTruth {
+    /// Number of involved nodes.
+    pub fn involved_count(&self) -> usize {
+        self.involved.iter().filter(|&&i| i).count()
+    }
+
     /// Involved fraction of the whole network (including the root in the
     /// denominator, matching the paper's percentages).
     pub fn involved_fraction(&self) -> f64 {
         if self.involved.is_empty() {
             0.0
         } else {
-            self.involved_count as f64 / self.involved.len() as f64
+            self.involved_count() as f64 / self.involved.len() as f64
         }
     }
 
-    /// Write the full truth record to `w`.
+    /// Write the full truth record to `w`, closed by the involved count.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
         w.len_of(self.sources.len());
         for s in &self.sources {
             w.u32(s.0);
         }
         w.bools(&self.involved);
-        w.len_of(self.involved_count);
+        w.len_of(self.involved_count());
     }
 
-    /// Rebuild a record captured by [`GroundTruth::snap`].
+    /// Rebuild a record captured by [`GroundTruth::snap`]; a recorded
+    /// involved count that is not the count of its flags is malformed.
     pub fn unsnap(r: &mut dirq_sim::SnapReader<'_>) -> Result<Self, dirq_sim::SnapError> {
         let n = r.seq_len(4)?;
         let sources = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
-        let involved = r.bools()?;
-        let involved_count = r.u64()? as usize;
-        Ok(GroundTruth { sources, involved, involved_count })
+        let truth = GroundTruth { sources, involved: r.bools()? };
+        let pos = r.position();
+        if r.u64()? != truth.involved_count() as u64 {
+            return Err(dirq_sim::SnapError::Malformed {
+                pos,
+                what: "involved count off its flags",
+            });
+        }
+        Ok(truth)
     }
 }
 
@@ -170,7 +180,6 @@ pub fn ground_truth(
     assert!(query.region.is_none() || positions.len() == n, "readings/positions must align");
     let mut involved = vec![false; n];
     let mut sources = Vec::new();
-    let mut involved_count = 0;
     for (i, &reading) in readings.iter().enumerate() {
         let node = NodeId::from_index(i);
         if node.is_root() || !(query.matches_node(reading, positions, i) && is_alive(node)) {
@@ -180,11 +189,10 @@ pub fn ground_truth(
         let mut cur = Some(node);
         while let Some(v) = cur.filter(|v| !v.is_root() && !involved[v.index()]) {
             involved[v.index()] = true;
-            involved_count += 1;
             cur = parents[v.index()];
         }
     }
-    GroundTruth { sources, involved, involved_count }
+    GroundTruth { sources, involved }
 }
 
 /// The involved set of a changing source set, kept up to date one source
@@ -194,7 +202,7 @@ pub fn ground_truth(
 /// children, so `v` is involved exactly while `k[v] > 0`. Like
 /// [`ground_truth`], a walk up the parent chain stops at the root (never
 /// involved) and at a `None` parent (a detached source counts but adds no
-/// path), so `count` always equals the `involved_count` of the truth over
+/// path), so `count` always equals the `involved_count()` of the truth over
 /// the same sources.
 #[derive(Clone, Debug, Default)]
 struct Involvement {
@@ -636,7 +644,7 @@ impl QueryGenerator {
             return None;
         }
         let truth = ground_truth(readings, positions, parents, &query, is_alive);
-        debug_assert_eq!(truth.involved_count, count, "incremental involvement diverged");
+        debug_assert_eq!(truth.involved_count(), count, "incremental involvement diverged");
         // Read back from the accepted query, not taken from the bisection:
         // half of `(c + p) - (c - p)` need not be `p` bit for bit, and the
         // image carries this value.
@@ -731,7 +739,7 @@ mod tests {
         assert_eq!(gt.sources, vec![NodeId(3)]);
         // Forwarders 1 and 2 are involved; root is not.
         assert_eq!(gt.involved, vec![false, true, true, true]);
-        assert_eq!(gt.involved_count, 3);
+        assert_eq!(gt.involved_count(), 3);
         assert!((gt.involved_fraction() - 0.75).abs() < 1e-12);
     }
 
@@ -744,7 +752,7 @@ mod tests {
         let q = RangeQuery::value(QueryId(0), SensorType(0), 4.0, 6.0);
         let gt = ground_truth(&readings, &[], tree.parents(), &q, |n| n != NodeId(3));
         assert_eq!(gt.sources, vec![NodeId(1)]);
-        assert_eq!(gt.involved_count, 1);
+        assert_eq!(gt.involved_count(), 1);
     }
 
     #[test]
@@ -756,8 +764,8 @@ mod tests {
         for w in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
             let q = RangeQuery::value(QueryId(0), SensorType(0), center - w, center + w);
             let gt = ground_truth(readings, &[], tree.parents(), &q, |_| true);
-            assert!(gt.involved_count >= prev, "involvement must be monotone in width");
-            prev = gt.involved_count;
+            assert!(gt.involved_count() >= prev, "involvement must be monotone in width");
+            prev = gt.involved_count();
         }
     }
 
@@ -810,7 +818,7 @@ mod tests {
         let gt = ground_truth(&readings, &positions, tree.parents(), &q, |_| true);
         assert_eq!(gt.sources, vec![NodeId(3)], "only node 3 is in the region");
         // Forwarders 1 and 2 still count as involved.
-        assert_eq!(gt.involved_count, 3);
+        assert_eq!(gt.involved_count(), 3);
     }
 
     #[test]
@@ -1036,7 +1044,7 @@ mod tests {
                 prop_assert!(bracket.0 <= w && w <= bracket.1);
                 let q = RangeQuery::value(QueryId(0), SensorType(0), center - w, center + w);
                 let truth = ground_truth(&readings, &[], &parents, &q, is_alive);
-                prop_assert_eq!(count, truth.involved_count);
+                prop_assert_eq!(count, truth.involved_count());
                 let query_at = |h: f64| {
                     RangeQuery::value(QueryId(0), SensorType(0), window.0, window.1)
                         .with_region(Rect::centered(centre, h))
@@ -1046,7 +1054,7 @@ mod tests {
                     move |i: usize| is_alive(NodeId::from_index(i)) && probe.matches_node(readings[i], positions, i)
                 });
                 let truth = ground_truth(&readings, &positions, &parents, &query_at(h), is_alive);
-                prop_assert_eq!(count, truth.involved_count);
+                prop_assert_eq!(count, truth.involved_count());
             }
         }
     }
@@ -1347,7 +1355,7 @@ mod tests {
             q.region.map(|r| [r.x_min, r.y_min, r.x_max, r.y_max].map(f64::to_bits)),
             &c.truth.sources,
             &c.truth.involved,
-            c.truth.involved_count,
+            c.truth.involved_count(),
         )
     }
 

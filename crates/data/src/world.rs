@@ -246,12 +246,9 @@ pub struct SensorWorld {
     /// `readings[type][node]`, `NaN` = node lacks the sensor.
     readings: Vec<Vec<f64>>,
     epoch: u64,
-    /// Threads for the sharded advance, resolved by
-    /// [`SensorWorld::set_workers`]; 1 runs the serial loop.
+    /// Threads for the sharded advance, set by
+    /// [`SensorWorld::set_workers`]; at most 1 runs the serial loop.
     workers: usize,
-    /// Run the sharded advance even at one thread or in a small world
-    /// (test hook; results are identical).
-    force_sharded: bool,
 }
 
 /// One `(node, type)` reading: step the local AR(1) and draw the noise
@@ -386,29 +383,18 @@ impl SensorWorld {
             states,
             epoch: 0,
             workers: 1,
-            force_sharded: false,
         };
         world.regenerate_readings();
         world
     }
 
-    /// Configure the parallel advance: shard the per-epoch generation over
-    /// `workers` threads (1 keeps the serial loop), resolved by
-    /// [`runner::shard_workers`] — small worlds and 1-core hosts run
-    /// serially. Worker counts only ever change speed, never results.
+    /// Shard the per-epoch generation over `workers` threads, taken as
+    /// given (at most 1 keeps the serial loop); a caller that wants small
+    /// worlds and 1-core hosts to run serially resolves the count through
+    /// [`runner::shard_workers`] first, as the engine does. Worker counts
+    /// only ever change speed, never results.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = runner::shard_workers(workers, self.assignment.len());
-    }
-
-    /// Run the sharded advance at `workers` threads (clamped to the
-    /// host) even on 1-core hosts and below the small-world threshold.
-    /// Differential-test hook; results are identical to the serial loop
-    /// either way.
-    #[doc(hidden)]
-    pub fn force_sharded_advance(&mut self, workers: usize) {
-        assert!(workers > 1, "sharded advance requires more than one worker");
-        self.workers = workers.min(runner::host_threads());
-        self.force_sharded = true;
+        self.workers = workers;
     }
 
     /// Write the dynamic world state — epoch cursor, assignment, per-type
@@ -533,11 +519,7 @@ impl SensorWorld {
         // The serial advance is one range per type over every node. The
         // sharded one cuts chunks of at least 64 nodes, ~4 per worker for
         // balance.
-        let chunk = if self.force_sharded || self.workers > 1 {
-            n.div_ceil(self.workers * 4).max(64)
-        } else {
-            n.max(1)
-        };
+        let chunk = if self.workers > 1 { n.div_ceil(self.workers * 4).max(64) } else { n.max(1) };
         let masks = self.assignment.masks();
         let mut ranges = Vec::new();
         for (t, (state, row)) in self.states.iter_mut().zip(&mut self.readings).enumerate() {
@@ -662,7 +644,7 @@ mod tests {
     fn sharded_advance_matches_serial() {
         let (mut serial, _) = build_world(40);
         let (mut sharded, _) = build_world(40);
-        sharded.force_sharded_advance(4);
+        sharded.set_workers(4);
         assert_eq!(snapshot(&serial), snapshot(&sharded), "construction must agree");
         for epoch in 1..=20u64 {
             serial.advance_epoch();
@@ -675,8 +657,8 @@ mod tests {
     fn worker_count_never_changes_readings() {
         let (mut w2, _) = build_world(41);
         let (mut w4, _) = build_world(41);
-        w2.force_sharded_advance(2);
-        w4.force_sharded_advance(4);
+        w2.set_workers(2);
+        w4.set_workers(4);
         for _ in 0..10 {
             w2.advance_epoch();
             w4.advance_epoch();

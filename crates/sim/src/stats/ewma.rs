@@ -41,11 +41,6 @@ impl Ewma {
         self.value.unwrap_or(default)
     }
 
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Forget all history.
     pub fn reset(&mut self) {
         self.value = None;
@@ -57,11 +52,16 @@ impl Ewma {
         w.opt_f64(self.value);
     }
 
-    /// Rebuild from a [`Ewma::snap`] record.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let alpha = r.f64()?;
-        let value = r.opt_f64()?;
-        Ok(Ewma { alpha, value })
+    /// Overlay a [`Ewma::snap`] record onto this EWMA, built with its
+    /// configured smoothing factor; a record whose factor differs bit for
+    /// bit is malformed.
+    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let pos = r.position();
+        if r.f64()?.to_bits() != self.alpha.to_bits() {
+            return Err(SnapError::Malformed { pos, what: "EWMA smoothing factor off its config" });
+        }
+        self.value = r.opt_f64()?;
+        Ok(())
     }
 }
 
@@ -101,6 +101,23 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0, 1]")]
     fn zero_alpha_rejected() {
         let _ = Ewma::new(0.0);
+    }
+
+    #[test]
+    fn restore_overlays_the_estimate_and_rejects_another_alpha() {
+        let mut e = Ewma::new(0.25);
+        e.observe(3.0);
+        let mut w = SnapWriter::new();
+        e.snap(&mut w);
+        let image = w.finish();
+        let mut same = Ewma::new(0.25);
+        same.restore(&mut SnapReader::new(&image)).expect("own image");
+        assert_eq!(same.value(), Some(3.0));
+        let mut other = Ewma::new(0.5);
+        assert!(matches!(
+            other.restore(&mut SnapReader::new(&image)),
+            Err(SnapError::Malformed { pos: 0, .. })
+        ));
     }
 
     #[test]

@@ -870,6 +870,223 @@ fn restore_rejects_an_assignment_row_off_the_catalog() {
     }
 }
 
+/// Offset of node `i`'s δ in a body snapshotted before the first step: a
+/// fresh node holds no range table yet, so the first 5.0 in its record is
+/// its δ.
+fn fresh_delta_at(body: &[u8], i: usize) -> usize {
+    let nodes = tag_offsets(body, b"NODE");
+    let five = 5.0f64.to_le_bytes();
+    let record = &body[nodes[i]..nodes[i + 1]];
+    nodes[i] + record.windows(8).position(|w| w == five).expect("the node's δ")
+}
+
+/// Under a fixed-δ policy every node's δ is the policy's. Another δ is a
+/// typed error at restore, not a node whose tuples, and so its update
+/// traffic, follow a δ the run never set.
+#[test]
+fn restore_rejects_a_fixed_delta_off_its_policy() {
+    let (body, rejected) = variant_body(0, 0);
+    let delta = fresh_delta_at(&body, 1);
+    let mut patched = body.clone();
+    patched[delta..delta + 8].copy_from_slice(&7.3f64.to_le_bytes());
+    rejected(&patched, "fixed delta off its policy");
+}
+
+/// Under ATC the node owns δ, and its controller's record repeats it
+/// right after the controller's presence flag. Either copy edited alone is
+/// a typed error at restore, not a node that adapts from one δ and builds
+/// its tuples on another.
+#[test]
+fn restore_rejects_an_atc_delta_off_its_nodes() {
+    let (body, rejected) = variant_body(1, 0);
+    let delta = fresh_delta_at(&body, 5);
+    assert_eq!(body[delta + 8], 1, "node 5 carries an ATC controller");
+    assert_eq!(body[delta..delta + 8], body[delta + 9..delta + 17], "the controller's δ");
+    for (at, bad) in [(delta, 17.0f64), (delta + 9, 13.3)] {
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        rejected(&patched, "ATC delta off its node's");
+    }
+}
+
+/// Every node's range-table array is as wide as the catalog. A wider one
+/// would hold tables for types no sensor reads; a narrower one, lose the
+/// catalog's last types. Either is a typed error at restore.
+#[test]
+fn restore_rejects_a_table_array_off_the_catalog() {
+    let (body, rejected) = variant_body(0, 0);
+    // The root's record: "NODE", the parent flag (none), the child count
+    // (u64) and ids (u32), then the table count and, before the first
+    // sample, one absent-table byte per type.
+    let root = tag_offsets(&body, b"NODE")[0] + 4;
+    assert_eq!(body[root], 0, "the root has no parent");
+    let children = u64::from_le_bytes(body[root + 1..root + 9].try_into().unwrap()) as usize;
+    let count = root + 9 + 4 * children;
+    assert_eq!(body[count..count + 8], 4u64.to_le_bytes(), "four catalog types");
+    assert_eq!(body[count + 8..count + 12], [0; 4], "no table yet");
+    for types in [3usize, 9] {
+        let mut patched = body[..count].to_vec();
+        patched.extend((types as u64).to_le_bytes());
+        patched.extend(vec![0u8; types]);
+        patched.extend_from_slice(&body[count + 12..]);
+        rejected(&patched, "table count off the catalog");
+    }
+}
+
+/// Offsets of the payloads queued in the MAC of a `variant_config` body
+/// without spatial queries. The two 50-node ledgers ("ELDG", then a count
+/// and 50 tallies, twice each) precede the node count; per node follow its
+/// liveness, slot (a presence byte and a u16), listen countdown (u32) and
+/// queue, each entry a destination (broadcast, or a multicast's count and
+/// ids) and a payload.
+fn queued_payloads(body: &[u8]) -> Vec<usize> {
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = tag_offsets(body, b"ELDG")[1] + 4 + 2 * (8 + 8 * 50);
+    assert_eq!(u64_at(at), 50, "the MAC's node count");
+    at += 8;
+    let mut payloads = Vec::new();
+    for _ in 0..50 {
+        at += 1;
+        at += if body[at] == 1 { 3 } else { 1 };
+        let queue = u64_at(at + 4);
+        at += 12;
+        for _ in 0..queue {
+            at += if body[at] == 1 { 9 + 4 * u64_at(at + 1) } else { 1 };
+            payloads.push(at);
+            // Update (type, min, max), Retract (type), a value query (id,
+            // type, bounds, no region), EHr (two f64), Attach, Detach.
+            at += match body[at] {
+                0 => 18,
+                1 => 2,
+                2 | 7 if body[at + 26] == 0 => 27,
+                3 => 17,
+                4 | 5 => 1,
+                other => panic!("unexpected payload {other} at byte {at}"),
+            };
+        }
+    }
+    payloads
+}
+
+/// A queued Update or Retract names a type of the catalog. Delivered, one
+/// outside it would grow range tables for a type no node carries, so
+/// either is a typed error at restore.
+#[test]
+fn restore_rejects_a_queued_update_type_outside_the_catalog() {
+    let cfg = variant_config(17, 0, 60);
+    let mut donor = Engine::new(cfg.clone());
+    for _ in 0..25 {
+        donor.step_epoch();
+    }
+    // A leaf that loses its only source of a type queues a Retract.
+    let t = SensorType(0);
+    let leaf = (1..50)
+        .map(NodeId::from_index)
+        .find(|&v| {
+            let node = donor.node(v);
+            node.children().is_empty()
+                && node.parent().is_some()
+                && node.table(t).is_some_and(|table| table.own().is_some())
+        })
+        .expect("an attached leaf sensing type 0");
+    donor.remove_sensor(leaf, t);
+    let body = donor.snapshot();
+    Engine::new(cfg.clone()).restore(&body).expect("the unpatched body restores");
+    let payloads = queued_payloads(&body);
+    for (kind, name) in [(0u8, "Update"), (1, "Retract")] {
+        let at = *payloads.iter().find(|&&at| body[at] == kind).expect(name);
+        assert!(body[at + 1] < 4, "a queued {name} of a catalog type");
+        let mut patched = body.clone();
+        patched[at + 1] = 9;
+        match Engine::new(cfg.clone()).restore(&patched) {
+            Err(SnapError::Malformed { what, .. }) => {
+                assert_eq!(what, "update type outside the catalog")
+            }
+            other => panic!("a queued {name} of type 9 restored: {other:?}"),
+        }
+    }
+}
+
+/// Every EWMA an image carries repeats its configured smoothing factor:
+/// the root's cost estimate (0.2), ATC's rate (`rate_alpha`) and a
+/// predictive sampler's drift (`alpha`). A factor off its config is a
+/// typed error at restore, not an estimate smoothed at a rate the run
+/// never set.
+#[test]
+fn restore_rejects_an_ewma_alpha_off_its_config() {
+    type At = fn(&[u8]) -> usize;
+    let cases: [(&str, u8, f64, At); 3] = [
+        // Before the first step the body closes with the cost estimate (α,
+        // an absence byte), the budget multiplier and the update count
+        // (f64), 50 absent detachment epochs, the sampler flag (none),
+        // u_max (f64), the empty δ trace and the injection count (u64).
+        ("root cost estimate", 0, 0.2, |b| b.len() - 8 - 8 - 8 - 1 - 50 - 8 - 8 - 1 - 8),
+        // Node 1's δ, the controller's flag and δ, its two window counts,
+        // then its rate's α.
+        ("ATC rate", 1, AtcConfig::default().rate_alpha, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16),
+        // Before the first step every sampler record is 43 bytes (see
+        // `restored_counters_at_the_bound_sum_without_overflow`); the last
+        // one's drift α follows its absence byte.
+        ("sampler drift", 4, PredictiveConfig::default().alpha, |b| b.len() - 24 - 43 + 1),
+    ];
+    for (ewma, variant, alpha, at) in cases {
+        let (body, rejected) = variant_body(variant, 0);
+        let at = at(&body);
+        assert_eq!(body[at..at + 8], alpha.to_le_bytes(), "{ewma}: its α");
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&2.0f64.to_le_bytes());
+        rejected(&patched, "EWMA smoothing factor off its config");
+    }
+}
+
+/// A predictive sampler skips at most `max_skip` epochs in a row. A larger
+/// skip count is a typed error at restore: at `u64::MAX` the sensor would
+/// never be read again.
+#[test]
+fn restore_rejects_a_sampler_skip_above_max_skip() {
+    let (body, rejected) = variant_body(4, 0);
+    // The last sampler record closes with its skip, taken and skipped
+    // counts, 24 bytes before the body's end (see above).
+    let at = body.len() - 24 - 24;
+    assert_eq!(body[at..at + 8], 0u64.to_le_bytes(), "nothing skipped yet");
+    let with_skip = |skip: u64| {
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&skip.to_le_bytes());
+        patched
+    };
+    let max_skip = PredictiveConfig::default().max_skip;
+    let cfg = variant_config(17, 4, 60);
+    Engine::new(cfg).restore(&with_skip(max_skip)).expect("a full skip restores");
+    for skip in [max_skip + 1, u64::MAX] {
+        rejected(&with_skip(skip), "sampler skip above max_skip");
+    }
+}
+
+/// A query's ground truth records its involved count after its involved
+/// flags. A count off the flags is a typed error at restore, not a query
+/// scored against nodes that were never involved.
+#[test]
+fn restore_rejects_an_involved_count_off_its_flags() {
+    // At epoch 25 the query injected at epoch 20 is in flight: its source
+    // count lies 46 bytes past "PEND" (see
+    // `restore_rejects_a_query_source_outside_the_deployment`), and the
+    // source ids (u32), the flags (a count and a byte per node) and the
+    // involved count follow.
+    let (body, rejected) = variant_body(0, 25);
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let sources = tag_offsets(&body, b"PEND")[0] + 46;
+    let flags = sources + 8 + 4 * u64_at(sources) as usize;
+    assert_eq!(u64_at(flags), 50, "one flag per node");
+    let count = flags + 8 + 50;
+    let involved = body[flags + 8..count].iter().filter(|&&f| f == 1).count() as u64;
+    assert!(involved > 0 && u64_at(count) == involved, "the recorded count is the flags'");
+    for bad in [involved - 1, involved + 1000] {
+        let mut patched = body.clone();
+        patched[count..count + 8].copy_from_slice(&bad.to_le_bytes());
+        rejected(&patched, "involved count off its flags");
+    }
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]

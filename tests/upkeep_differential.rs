@@ -9,8 +9,9 @@
 //! across churn × adaptive-sampling × multi-sink × assignment-change
 //! scenario families:
 //!
-//! * **sharded ≡ serial** — engines with 2 and 4 forced-sharded upkeep
-//!   workers stay bit-equal to the serial reference at every epoch on
+//! * **sharded ≡ serial** — engines forced to 2 and 4 workers
+//!   (`Engine::force_sharded`, which shards the world advance as well as
+//!   sampling) stay bit-equal to the serial reference at every epoch on
 //!   the in-flight pending set (which transitively pins the readings
 //!   dispatched and the MAC enqueue order feeding later epochs) and on
 //!   the per-node upkeep state (parent pointers, children sets,
@@ -24,7 +25,7 @@ use proptest::prelude::*;
 fn build(cfg: &ScenarioConfig, forced_workers: usize) -> Engine {
     let mut engine = Engine::new(cfg.clone());
     if forced_workers > 1 {
-        engine.force_sharded_upkeep(forced_workers);
+        engine.force_sharded(forced_workers);
     }
     engine
 }
@@ -32,7 +33,7 @@ fn build(cfg: &ScenarioConfig, forced_workers: usize) -> Engine {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Forced-sharded upkeep at 2 and 4 workers is bit-equal to the
+    /// Forced-sharded passes at 2 and 4 workers are bit-equal to the
     /// serial reference across the churn × sampling × sink × assignment
     /// change families.
     #[test]

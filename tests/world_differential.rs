@@ -6,8 +6,8 @@
 //! 256 sampled cases pin, on arbitrary deployments, sensor coverage and
 //! assignment churn:
 //!
-//! * **parallel ≡ serial** — worlds advancing with 2 and 4 forced-sharded
-//!   workers are bit-equal to the serial reference on every reading and
+//! * **parallel ≡ serial** — worlds advancing with 2 and 4 sharded
+//!   workers (`set_workers`, which takes the count as given) are bit-equal to the serial reference on every reading and
 //!   every per-type aggregate, at every epoch;
 //! * **stream isolation** — removing and re-adding sensors on victim
 //!   nodes (the world-level effect of churn deaths/births and of the
@@ -87,7 +87,7 @@ proptest! {
             .iter()
             .map(|&w| {
                 let mut world = build_world(n, coverage, seed);
-                world.force_sharded_advance(w);
+                world.set_workers(w);
                 world
             })
             .collect();
@@ -141,7 +141,7 @@ proptest! {
         let mut control = build_world(n, coverage, seed);
         let mut churned = build_world(n, coverage, seed);
         if workers > 1 {
-            churned.force_sharded_advance(workers);
+            churned.set_workers(workers);
         }
         let victim_nodes: Vec<usize> = victims.iter().map(|&v| v as usize % n).collect();
         let is_victim = |node: usize| victim_nodes.contains(&node);
