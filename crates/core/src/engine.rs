@@ -434,6 +434,60 @@ mod tests {
         );
     }
 
+    /// A node that dies and is born again starts its predictive samplers
+    /// from their first read: no skip left over from before its death and
+    /// no drift measured across it, with the tallies kept. A churn plan
+    /// lets a node be born only before it dies, so the birth comes from a
+    /// second plan swapped in after the death.
+    #[test]
+    fn a_reborn_node_predicts_nothing_across_its_death() {
+        use crate::sampling::{PredictiveConfig, Sampler, SamplingStrategy};
+        use dirq_data::SensorType;
+        use dirq_net::churn::ChurnEvent;
+        use dirq_sim::SnapWriter;
+        let pc = PredictiveConfig::default();
+        let base = ScenarioConfig { sampling: SamplingStrategy::Predictive(pc), ..small(41) };
+        let probe = Engine::new(base.clone());
+        let masks = probe.world.assignment().masks();
+        let leaf = (1..masks.len())
+            .map(NodeId::from_index)
+            .find(|&v| probe.node(v).children().is_empty() && masks[v.index()] != 0)
+            .expect("a sensing leaf");
+        let death = ChurnPlan::new(vec![(40, ChurnEvent::Death(leaf))]);
+        let mut e = Engine::new(ScenarioConfig { churn: ChurnSpec::Explicit(death), ..base });
+        while e.epoch() < 60 {
+            e.step_epoch();
+        }
+        assert!(!e.is_alive(leaf));
+        e.churn = ChurnPlan::new(vec![(60, ChurnEvent::Birth(leaf))]);
+        let row = leaf.index() * e.plane.width..(leaf.index() + 1) * e.plane.width;
+        let before = e.plane.samplers.as_ref().unwrap()[row.clone()].to_vec();
+        // The birth, then the leaf's first sampling pass.
+        e.step_epoch();
+        // A sampler's record without its two tallies, the last 16 bytes.
+        let prediction = |s: &Sampler| {
+            let mut w = SnapWriter::new();
+            s.snap(&mut w);
+            let mut bytes = w.finish();
+            bytes.truncate(bytes.len() - 16);
+            bytes
+        };
+        let after = &e.plane.samplers.as_ref().unwrap()[row];
+        let mask = e.world.assignment().masks()[leaf.index()];
+        for (idx, (old, new)) in before.iter().zip(after).enumerate() {
+            if mask & 1 << idx == 0 {
+                continue;
+            }
+            let reading = e.world.readings(SensorType(idx as u8))[leaf.index()];
+            assert!(!reading.is_nan() && old.samples_taken() > 0, "type {idx} was read");
+            let mut first = Sampler::new(&pc);
+            first.on_sampled(&pc, reading, None);
+            assert_eq!(prediction(new), prediction(&first), "type {idx}: state from before death");
+            assert_eq!(new.samples_taken(), old.samples_taken() + 1, "type {idx}: taken");
+            assert_eq!(new.samples_skipped(), old.samples_skipped(), "type {idx}: skipped");
+        }
+    }
+
     #[test]
     fn atc_policy_runs_and_adapts() {
         let r = run_scenario(ScenarioConfig {

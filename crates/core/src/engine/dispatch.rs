@@ -103,10 +103,10 @@ pub(super) fn route(node: &DirqNode, out: Outgoing) -> Option<(Destination, Dirq
 /// whole batch, so the cache misses of different nodes overlap instead of
 /// each call walking its own chain of cold loads: every node of `nodes`;
 /// then, per `(node, type, query)` of `tables`, the node's table slot and
-/// child list (and its duplicate list for a query); then that table's
-/// first child tuple. It only reads, into `black_box`, so it cannot move
-/// a result. Dispatch runs it before each slot's deliveries, and the
-/// sampling pass before each block's escapes.
+/// child list (and its duplicate list for a query); then the node's child
+/// tuples. It only reads, into `black_box`, so it cannot move a result.
+/// Dispatch runs it before each slot's deliveries, and the sampling pass
+/// before each block's escapes.
 pub(super) fn warm_up<'a, T>(nodes: impl Iterator<Item = &'a DirqNode>, tables: impl Fn() -> T)
 where
     T: Iterator<Item = (&'a DirqNode, SensorType, bool)>,
@@ -117,8 +117,8 @@ where
     for (node, stype, query) in tables() {
         black_box(node.touch_lists(stype, query));
     }
-    for (node, stype, _) in tables() {
-        black_box(node.touch_tuples(stype));
+    for (node, _, _) in tables() {
+        black_box(node.touch_tuples());
     }
 }
 

@@ -19,7 +19,7 @@
 use std::ops::Range;
 
 use dirq_data::SensorType;
-use dirq_lmac::Destination;
+use dirq_lmac::{Destination, PayloadHandle};
 use dirq_net::{NodeBits, NodeId};
 use dirq_sim::runner;
 
@@ -108,6 +108,17 @@ impl SensingPlane {
         &mut self.cells[i * self.width..(i + 1) * self.width]
     }
 
+    /// Start node `i` afresh at its birth: an empty row and, under
+    /// `predictive` sampling, samplers reset to their first read (their
+    /// tallies stay).
+    pub(crate) fn reset_row(&mut self, i: usize, predictive: Option<&PredictiveConfig>) {
+        let cells = i * self.width..(i + 1) * self.width;
+        self.cells[cells.clone()].fill(SensorCell::EMPTY);
+        if let (Some(samplers), Some(pc)) = (self.samplers.as_mut(), predictive) {
+            samplers[cells].iter_mut().for_each(|s| s.reset(pc));
+        }
+    }
+
     /// Node `i`'s smoothed signal variability for ATC, in percent of span:
     /// the maximum over its present estimates, folded in type order (the
     /// most volatile sensor drives the update rate).
@@ -190,26 +201,28 @@ impl SampleSink for Outbox<'_> {
     }
 
     fn emit(&mut self, e: Effect) {
-        self.send(e.from, e.dest, e.msg);
+        self.send(e.from, e.dest, e.payload);
     }
 }
 
 /// One sampling chunk's buffers, reused across epochs.
 #[derive(Default)]
 pub(super) struct UpkeepShard {
-    /// The chunk's deferred enqueues (see [`sample_pass`]).
+    /// The chunk's deferred enqueues (see [`sample_pass`]); between
+    /// sharded passes, room for at most one per node of the chunk.
     effects: Vec<Effect>,
     /// What the escape handler appends; routed after each reading.
     outgoing: Vec<Outgoing>,
 }
 
 /// One MAC enqueue an escape queued: [`route`]'s destination and message
-/// for the escaping node.
+/// for the escaping node, the message interned as the MAC will hold it,
+/// so a deferred enqueue takes a pointer, not the message.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(super) struct Effect {
     from: NodeId,
     dest: Destination,
-    msg: DirqMessage,
+    payload: PayloadHandle<DirqMessage>,
 }
 
 /// What every node of one sampling pass reads.
@@ -243,7 +256,10 @@ pub(super) struct SampleInputs<'a> {
 /// block. Several run in place on scoped threads, each deferring its
 /// enqueues into its shard, and `sink` takes them afterwards in chunk
 /// order — the serial order. Sampling reads no MAC queue, metrics or
-/// pending state, so deferring changes nothing.
+/// pending state, so deferring changes nothing. A shard keeps room for
+/// one enqueue per node of its chunk between passes: only epoch 0, where
+/// every carried cell escapes, needs more (stress_20000's later passes
+/// need at most 0.43 per node), and it gives that room back.
 pub(super) fn sample_pass(
     inputs: &SampleInputs<'_>,
     nodes: &mut [DirqNode],
@@ -268,7 +284,9 @@ pub(super) fn sample_pass(
         }
     });
     for chunk in &mut chunks {
-        chunk.shard.effects.drain(..).for_each(|e| sink.emit(e));
+        let effects = &mut chunk.shard.effects;
+        effects.drain(..).for_each(|e| sink.emit(e));
+        effects.shrink_to(chunk.nodes.len());
     }
 }
 
@@ -405,7 +423,8 @@ impl SampleChunk<'_> {
                 escape(node, cell, SensorType(idx as u8), reading, outgoing);
                 for out in outgoing.drain(..) {
                     if let Some((dest, msg)) = route(node, out) {
-                        effects.push(Effect { from: node.id(), dest, msg });
+                        let payload = PayloadHandle::new(msg);
+                        effects.push(Effect { from: node.id(), dest, payload });
                     }
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
@@ -744,7 +763,8 @@ mod block_tests {
                 sample(node, cell, stype, reading, self.spans[idx], self.alpha, &mut outs);
                 for out in outs {
                     if let Some((dest, msg)) = route(node, out) {
-                        effects.push(Effect { from: NodeId::from_index(i), dest, msg });
+                        let payload = PayloadHandle::new(msg);
+                        effects.push(Effect { from: NodeId::from_index(i), dest, payload });
                     }
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), self.predictive) {

@@ -11,7 +11,6 @@ use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::node::DirqNode;
 
-use super::sensing::SensorCell;
 use super::Engine;
 
 /// Epochs a node stays detached before the repair fallback adopts an
@@ -125,7 +124,7 @@ impl Engine {
                     self.mac.set_alive(node, true);
                     // Fresh protocol state: the node joins from scratch.
                     self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
-                    self.plane.row_mut(node.index()).fill(SensorCell::EMPTY);
+                    self.plane.reset_row(node.index(), self.cfg.sampling.predictive());
                     if self.cfg.location_enabled {
                         let pos = self.mac.topology().position(node);
                         // Orphan: nothing is sent; the advert flows on attach.

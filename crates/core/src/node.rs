@@ -1,7 +1,7 @@
 //! The per-node DirQ protocol state machine.
 //!
 //! [`DirqNode`] holds a node's protocol state: its place in the spanning
-//! tree (parent + children), one [`RangeTable`] per sensor type with range
+//! tree (parent + children), a [`RangeTable`] per sensor type with range
 //! information anywhere in its subtree, and the threshold controller. All
 //! handlers are pure state transitions that append [`Outgoing`] actions to
 //! a caller-owned buffer; the scenario engine maps those onto LMAC
@@ -9,18 +9,20 @@
 //! the protocol unit-testable without a simulator.
 //!
 //! Every Update and query reads a cold node, so the node stays within 128
-//! bytes: the ATC controller is boxed and allocated only under
-//! [`DeltaPolicy::Adaptive`], and the location table is boxed and
-//! allocated on its first write (a position, a child's advert or a
-//! restored non-empty table). Without one, reads see an empty table.
+//! bytes: the child list is a boxed slice, the ATC controller is boxed and
+//! allocated only under [`DeltaPolicy::Adaptive`], and the location table
+//! is boxed and allocated on its first write (a position, a child's advert
+//! or a restored non-empty table). Without one, reads see an empty table.
 //!
 //! What every sample touches — the last reading, the variability estimate
 //! and a copy of the own tuple — lives in the engine's dense sensing plane
 //! (the crate-private `sensing` module), and a node is entered only when a
 //! reading escapes its own tuple ([`DirqNode::sample`]). The range tables
-//! are a dense array indexed by [`SensorType::index`]; iteration over types
-//! ascends the index, so message emission order follows the type order.
-//! Every node of a deployment shares one [`NodeConfig`].
+//! are one store of two allocations at most (see [`crate::range_table`]):
+//! a slot array indexed by [`SensorType::index`] and one child-tuple list.
+//! Iteration over types ascends the index, so message emission order
+//! follows the type order. Every node of a deployment shares one
+//! [`NodeConfig`].
 
 use std::sync::Arc;
 
@@ -34,7 +36,7 @@ use crate::engine::sensing::SensorCell;
 use crate::flooding::SeenQueries;
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
-use crate::range_table::{RangeEntry, RangeTable};
+use crate::range_table::{RangeEntry, RangeTable, RangeTables};
 
 /// An action requested by a protocol handler.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,12 +77,15 @@ impl NodeConfig {
 #[derive(Clone, Debug)]
 pub struct DirqNode {
     id: NodeId,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    /// One table slot per catalog sensor type, indexed by
-    /// `SensorType::index` (`None`: no table — the type is absent from
-    /// this node's subtree).
-    tables: Vec<Option<RangeTable>>,
+    /// The parent, or [`NO_PARENT`] while orphaned; read it through
+    /// [`DirqNode::parent`].
+    parent: NodeId,
+    /// The children, ascending and exactly as long as the list: it changes
+    /// only when the tree does.
+    children: Box<[NodeId]>,
+    /// One table per catalog sensor type, present while the type is
+    /// somewhere in this node's subtree.
+    tables: RangeTables,
     /// The node's one δ, which the ATC controller adjusts.
     delta_pct: f64,
     /// The threshold controller; only [`DeltaPolicy::Adaptive`] has one.
@@ -98,6 +103,10 @@ pub struct DirqNode {
 /// What a node without a location table reads.
 static NO_GEO: GeoTable = GeoTable::new();
 
+/// The parent of an orphan: no deployment is that large (restore rejects
+/// any id outside the deployment before storing a parent).
+const NO_PARENT: NodeId = NodeId(u32::MAX);
+
 impl DirqNode {
     /// Fresh node with no tree links and empty tables.
     pub fn new(id: NodeId, cfg: Arc<NodeConfig>) -> Self {
@@ -112,9 +121,9 @@ impl DirqNode {
         };
         DirqNode {
             id,
-            parent: None,
-            children: Vec::new(),
-            tables: vec![None; cfg.reference_spans.len()],
+            parent: NO_PARENT,
+            children: Box::default(),
+            tables: RangeTables::new(cfg.reference_spans.len()),
             delta_pct,
             atc,
             seen_queries: SeenQueries::default(),
@@ -131,7 +140,7 @@ impl DirqNode {
 
     /// Current parent.
     pub fn parent(&self) -> Option<NodeId> {
-        self.parent
+        (self.parent != NO_PARENT).then_some(self.parent)
     }
 
     /// Current children (protocol view).
@@ -155,18 +164,14 @@ impl DirqNode {
     }
 
     /// Range table for `stype`, if present.
-    pub fn table(&self, stype: SensorType) -> Option<&RangeTable> {
-        self.tables.get(stype.index()).and_then(|t| t.as_ref())
+    pub fn table(&self, stype: SensorType) -> Option<RangeTable<'_>> {
+        self.tables.table(stype)
     }
 
     /// Sensor types with a table at this node (i.e. present somewhere in
     /// its subtree — the paper's Fig. 4), ascending.
     pub fn table_types(&self) -> impl Iterator<Item = SensorType> + '_ {
-        self.tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_some())
-            .map(|(i, _)| SensorType(i as u8))
+        self.tables.types()
     }
 
     // --- tree maintenance ---------------------------------------------------
@@ -175,21 +180,20 @@ impl DirqNode {
     /// messages to send to the new parent: an `Attach` followed by a full
     /// re-advertisement of every non-empty table aggregate.
     pub fn set_parent(&mut self, parent: Option<NodeId>, out: &mut Vec<Outgoing>) {
-        self.parent = parent;
+        self.parent = parent.unwrap_or(NO_PARENT);
         if parent.is_some() {
             out.push(Outgoing::ToParent(DirqMessage::Attach));
             let mut sent = 0;
-            for (idx, slot) in self.tables.iter_mut().enumerate() {
-                let Some(table) = slot else { continue };
-                if let Some(agg) = table.aggregate() {
-                    table.mark_transmitted(agg);
-                    out.push(Outgoing::ToParent(DirqMessage::Update {
-                        stype: SensorType(idx as u8),
-                        min: agg.min,
-                        max: agg.max,
-                    }));
-                    sent += 1;
-                }
+            for idx in 0..self.tables.width() {
+                let stype = SensorType(idx as u8);
+                let Some(agg) = self.table(stype).and_then(|t| t.aggregate()) else { continue };
+                self.tables.mark_transmitted(stype, agg);
+                out.push(Outgoing::ToParent(DirqMessage::Update {
+                    stype,
+                    min: agg.min,
+                    max: agg.max,
+                }));
+                sent += 1;
             }
             self.updates_sent += sent;
             if let Some(atc) = &mut self.atc {
@@ -235,7 +239,7 @@ impl DirqNode {
         let Some(geo) = &mut self.geo else { return };
         let Some(rect) = geo.pending_advert() else { return };
         geo.mark_advertised(rect);
-        if !self.id.is_root() && self.parent.is_some() {
+        if !self.id.is_root() && self.parent().is_some() {
             out.push(Outgoing::ToParent(DirqMessage::GeoAdvert(rect)));
         }
     }
@@ -243,7 +247,8 @@ impl DirqNode {
     /// Register `child` (idempotent).
     pub fn add_child(&mut self, child: NodeId) {
         if let Err(i) = self.children.binary_search(&child) {
-            self.children.insert(i, child);
+            let old = &self.children;
+            self.children = old[..i].iter().chain([&child]).chain(&old[i..]).copied().collect();
         }
     }
 
@@ -251,12 +256,13 @@ impl DirqNode {
     /// list and every table, cascading updates/retracts upward.
     pub fn on_child_lost(&mut self, child: NodeId, out: &mut Vec<Outgoing>) {
         if let Ok(i) = self.children.binary_search(&child) {
-            self.children.remove(i);
+            let old = &self.children;
+            self.children = old[..i].iter().chain(&old[i + 1..]).copied().collect();
         }
-        for idx in 0..self.tables.len() {
-            let changed = self.tables[idx].as_mut().map(|t| t.remove_child(child)).unwrap_or(false);
-            if changed {
-                self.flush_table(SensorType(idx as u8), out);
+        for idx in 0..self.tables.width() {
+            let stype = SensorType(idx as u8);
+            if self.tables.remove_child(stype, child) {
+                self.flush_table(stype, out);
             }
         }
         if self.geo.as_mut().is_some_and(|g| g.remove_child(child)) {
@@ -273,15 +279,14 @@ impl DirqNode {
     /// no-op here too.
     pub fn sample(&mut self, stype: SensorType, reading: f64, out: &mut Vec<Outgoing>) {
         let delta = self.delta_abs(stype);
-        let table = self.tables[stype.index()].get_or_insert_with(RangeTable::new);
-        if table.observe_own(reading, delta) {
+        if self.tables.observe_own(stype, reading, delta) {
             self.flush_table(stype, out);
         }
     }
 
     /// The node's sensor for `stype` was removed.
     pub fn drop_own_sensor(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
-        if self.tables[stype.index()].as_mut().is_some_and(RangeTable::clear_own) {
+        if self.tables.clear_own(stype) {
             self.flush_table(stype, out);
         }
     }
@@ -298,16 +303,15 @@ impl DirqNode {
         out: &mut Vec<Outgoing>,
     ) {
         self.add_child(from);
-        let table = self.tables[stype.index()].get_or_insert_with(RangeTable::new);
-        let changed = table.set_child(from, RangeEntry { min, max });
-        if changed {
+        self.tables.reserve_children(self.children.len());
+        if self.tables.set_child(stype, from, RangeEntry { min, max }) {
             self.flush_table(stype, out);
         }
     }
 
     /// A Retract arrived from a child.
     pub fn on_retract(&mut self, from: NodeId, stype: SensorType, out: &mut Vec<Outgoing>) {
-        if self.tables[stype.index()].as_mut().is_some_and(|t| t.remove_child(from)) {
+        if self.tables.remove_child(stype, from) {
             self.flush_table(stype, out);
         }
     }
@@ -371,7 +375,7 @@ impl DirqNode {
             atc.on_budget(msg.per_node_budget_per_epoch);
         }
         if !self.children.is_empty() {
-            out.push(Outgoing::ToChildren(self.children.as_slice().into(), DirqMessage::Ehr(msg)));
+            out.push(Outgoing::ToChildren(self.children[..].into(), DirqMessage::Ehr(msg)));
         }
     }
 
@@ -397,23 +401,23 @@ impl DirqNode {
     /// Stage one: the node itself — the words the later stages follow.
     #[inline]
     pub(crate) fn touch(&self) -> usize {
-        self.tables.len() ^ self.children.len() ^ self.seen_queries.len()
+        self.tables.width() ^ self.children.len() ^ self.seen_queries.len()
     }
 
     /// Stage two: the table slot for `stype`, the child list and, for a
     /// query, the duplicate-suppression list.
     #[inline]
     pub(crate) fn touch_lists(&self, stype: SensorType, query: bool) -> usize {
-        let table = self.tables.get(stype.index()).map_or(0, |t| usize::from(t.is_some()));
+        let slot = self.tables.touch_slot(stype);
         let child = self.children.first().map_or(0, |c| c.index());
         let seen = if query { self.seen_queries.oldest().map_or(0, |q| q.0 as usize) } else { 0 };
-        table ^ child ^ seen
+        slot ^ child ^ seen
     }
 
-    /// Stage three: the first child tuple of the `stype` table.
+    /// Stage three: the child tuples of every table, in one list.
     #[inline]
-    pub(crate) fn touch_tuples(&self, stype: SensorType) -> usize {
-        self.table(stype).and_then(|t| t.child_ids().next()).map_or(0, |c| c.index())
+    pub(crate) fn touch_tuples(&self) -> usize {
+        self.tables.touch_children()
     }
 
     // --- snapshot -------------------------------------------------------------
@@ -425,21 +429,15 @@ impl DirqNode {
     /// engine constructor and not captured.
     pub(crate) fn snap(&self, w: &mut SnapWriter, row: &[SensorCell]) {
         w.tag(b"NODE");
-        w.bool(self.parent.is_some());
-        if let Some(p) = self.parent {
+        w.bool(self.parent().is_some());
+        if let Some(p) = self.parent() {
             w.u32(p.0);
         }
         w.len_of(self.children.len());
-        for c in &self.children {
+        for c in self.children.iter() {
             w.u32(c.0);
         }
-        w.len_of(self.tables.len());
-        for slot in &self.tables {
-            w.bool(slot.is_some());
-            if let Some(t) = slot {
-                t.snap(w);
-            }
-        }
+        self.tables.snap(w);
         w.f64(self.delta_pct);
         w.bool(self.atc.is_some());
         if let Some(atc) = &self.atc {
@@ -465,11 +463,11 @@ impl DirqNode {
     /// Overlay state captured by [`DirqNode::snap`] onto a node built with
     /// the same id and config, and onto its sensing-plane `row`, whose
     /// escape windows are rebuilt from the restored tables. An image that
-    /// names a node id outside the `n_nodes` deployment, holds a table
-    /// array off the catalog's width, carries a δ that is negative, NaN,
-    /// infinite or off its fixed policy, whose sensing records do not fit
-    /// the row and the configured α, or whose duplicate-suppression list is
-    /// over its cap ([`SeenQueries::restore`]), is malformed.
+    /// names a node id outside the `n_nodes` deployment, holds tables no
+    /// run writes ([`RangeTables::restore`]), carries a δ that is negative,
+    /// NaN, infinite or off its fixed policy, whose sensing records do not
+    /// fit the row and the configured α, or whose duplicate-suppression
+    /// list is over its cap ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -480,22 +478,16 @@ impl DirqNode {
         let inside = |id: &NodeId| id.index() < n_nodes;
         r.tag(b"NODE")?;
         let pos = r.position();
-        self.parent = if r.bool()? { Some(NodeId(r.u32()?)) } else { None };
+        let parent = if r.bool()? { Some(NodeId(r.u32()?)) } else { None };
         let n = r.seq_len(4)?;
         self.children = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
-        let width = r.position();
-        if r.seq_len(1)? != self.tables.len() {
-            return Err(SnapError::Malformed { pos: width, what: "table count off the catalog" });
-        }
-        let mut tables = Vec::with_capacity(self.tables.len());
-        for _ in 0..self.tables.len() {
-            tables.push(if r.bool()? { Some(RangeTable::unsnap(r)?) } else { None });
-        }
-        if !(self.parent.iter().chain(&self.children).all(inside)
-            && tables.iter().flatten().all(|t: &RangeTable| t.child_ids().all(|c| inside(&c))))
+        let tables = RangeTables::restore(r, self.tables.width())?;
+        if !(parent.iter().chain(self.children.iter()).all(inside)
+            && tables.child_ids().all(|c| inside(&c)))
         {
             return Err(SnapError::Malformed { pos, what: OUTSIDE });
         }
+        self.parent = parent.unwrap_or(NO_PARENT);
         self.tables = tables;
         let pos = r.position();
         self.delta_pct = restore_delta(r)?;
@@ -546,8 +538,8 @@ impl DirqNode {
         }
         self.geo = (!geo.is_empty()).then(|| Box::new(geo));
         self.updates_sent = r.count()?;
-        for (cell, table) in row.iter_mut().zip(&self.tables) {
-            cell.set_window(table.as_ref().and_then(RangeTable::own));
+        for (idx, cell) in row.iter_mut().enumerate() {
+            cell.set_window(self.table(SensorType(idx as u8)).and_then(|t| t.own()));
         }
         Ok(())
     }
@@ -559,13 +551,10 @@ impl DirqNode {
     /// sending (its "parent" is the wired server).
     fn flush_table(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
         let delta = self.delta_abs(stype) * self.cfg.tx_threshold_factor;
-        let Some(table) = self.tables[stype.index()].as_mut() else {
-            return;
-        };
+        let table = self.tables.view(stype);
         if table.pending_retract() {
-            table.mark_retracted();
-            self.tables[stype.index()] = None;
-            if !self.id.is_root() && self.parent.is_some() {
+            self.tables.mark_retracted(stype);
+            if !self.id.is_root() && self.parent().is_some() {
                 self.updates_sent += 1;
                 if let Some(atc) = &mut self.atc {
                     atc.on_update_sent();
@@ -573,8 +562,8 @@ impl DirqNode {
                 out.push(Outgoing::ToParent(DirqMessage::Retract { stype }));
             }
         } else if let Some(agg) = table.pending_update(delta) {
-            table.mark_transmitted(agg);
-            if !self.id.is_root() && self.parent.is_some() {
+            self.tables.mark_transmitted(stype, agg);
+            if !self.id.is_root() && self.parent().is_some() {
                 self.updates_sent += 1;
                 if let Some(atc) = &mut self.atc {
                     atc.on_update_sent();
@@ -627,15 +616,44 @@ mod tests {
         out
     }
 
-    /// Every Update and query pulls a node, and a range table, into cache;
-    /// a new inline field must not silently undo the budget.
+    /// Every Update and query pulls a node, a table slot and the child
+    /// tuples into cache; a new inline field must not silently undo the
+    /// budget.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn layout_budget() {
+        use crate::range_table::{ChildTuple, Slot};
         let node = std::mem::size_of::<DirqNode>();
-        let table = std::mem::size_of::<RangeTable>();
+        let slot = std::mem::size_of::<Slot>();
+        let tuple = std::mem::size_of::<ChildTuple>();
         assert!(node <= 128, "DirqNode is {node} bytes, over its 128-byte budget");
-        assert!(table <= 72, "RangeTable is {table} bytes, over its 72-byte budget");
+        assert!(slot <= 32, "a table slot is {slot} bytes, over its 32-byte budget");
+        assert!(tuple <= 24, "a child tuple is {tuple} bytes, over its 24-byte budget");
+    }
+
+    /// A leaf with a table for every catalog type holds one table
+    /// allocation, its slot array; a parent's child tuples of every type
+    /// share one list.
+    #[test]
+    fn tables_take_one_allocation_per_leaf_and_two_per_parent() {
+        let cfg = Arc::new(NodeConfig { reference_spans: vec![20.0; 4], ..(*cfg()).clone() });
+        let mut leaf = DirqNode::new(NodeId(1), Arc::clone(&cfg));
+        leaf.set_parent(Some(NodeId(0)), &mut Vec::new());
+        for t in 0..4 {
+            leaf.sample(SensorType(t), 10.0, &mut Vec::new());
+        }
+        assert_eq!(leaf.table_types().count(), 4);
+        assert_eq!(leaf.tables.footprint(), (4 * 32, 0), "one 128-byte slot array, no list");
+
+        let mut parent = DirqNode::new(NodeId(2), cfg);
+        for (child, t) in [(5, 3), (4, 0), (5, 0), (4, 2)] {
+            parent.on_update(NodeId(child), SensorType(t), 1.0, 2.0, &mut Vec::new());
+        }
+        let ids: Vec<u32> = parent.tables.child_ids().map(|c| c.0).collect();
+        assert_eq!(ids, [4, 5, 4, 5], "one list ascending by (type, child id)");
+        let types: Vec<u8> = parent.table_types().map(|t| t.0).collect();
+        assert_eq!(types, [0, 2, 3]);
+        assert_eq!(parent.tables.footprint(), (4 * 32, 2 * 4), "room for each child's four types");
     }
 
     /// The ATC controller and the predictive sampler keep no copy of δ or

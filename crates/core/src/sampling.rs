@@ -134,6 +134,14 @@ impl Sampler {
         self.skip_remaining = skips;
     }
 
+    /// Forget the prediction — last value, drift, volatility and pending
+    /// skips — back to what [`Sampler::new`] gives, keeping the tallies: a
+    /// node born again predicts nothing across its death.
+    pub(crate) fn reset(&mut self, cfg: &PredictiveConfig) {
+        let (samples_taken, samples_skipped) = (self.samples_taken, self.samples_skipped);
+        *self = Sampler { samples_taken, samples_skipped, ..Sampler::new(cfg) };
+    }
+
     /// Sensor acquisitions performed.
     pub fn samples_taken(&self) -> u64 {
         self.samples_taken

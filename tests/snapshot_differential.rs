@@ -1087,6 +1087,125 @@ fn restore_rejects_an_involved_count_off_its_flags() {
     }
 }
 
+/// Where one present range table sits in a `variant_config` body: its own
+/// tuple's presence byte, its child-tuple count (the ids, the mins and the
+/// maxes follow as three counted sequences) and that count, and its
+/// transmitted tuple's presence byte. A present tuple's two bounds follow
+/// its presence byte.
+struct TableAt {
+    own: usize,
+    children: usize,
+    count: usize,
+    tx: usize,
+}
+
+/// Every present range table of every node in `body`. A node record holds
+/// "NODE", the parent flag and id, the child ids (a count, then u32s), the
+/// table count and, per type, a presence byte and a present table.
+fn table_records(body: &[u8]) -> Vec<TableAt> {
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) as usize;
+    let nodes = tag_offsets(body, b"NODE");
+    assert_eq!(nodes.len(), 50, "one NODE record per node");
+    let mut tables = Vec::new();
+    for node in nodes {
+        let mut at = node + 4;
+        at += if body[at] == 1 { 5 } else { 1 };
+        at += 8 + 4 * u64_at(at);
+        let width = u64_at(at);
+        at += 8;
+        for _ in 0..width {
+            at += 1;
+            if body[at - 1] == 0 {
+                continue;
+            }
+            let own = at;
+            at += if body[at] == 1 { 17 } else { 1 };
+            let (children, count) = (at, u64_at(at));
+            at += 3 * 8 + 20 * count;
+            tables.push(TableAt { own, children, count, tx: at });
+            at += if body[at] == 1 { 17 } else { 1 };
+        }
+    }
+    tables
+}
+
+/// Copies of `body` whose tuple, with bounds at `min` and `max`, holds each
+/// pair no run writes: a NaN bound, an infinite one, and `min > max`.
+fn bad_intervals(body: &[u8], min: usize, max: usize) -> Vec<Vec<u8>> {
+    let f64_at = |at: usize| f64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let (lo, hi) = (f64_at(min), f64_at(max));
+    assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "a finite interval to start from");
+    [(f64::NAN, hi), (lo, f64::NAN), (lo, f64::INFINITY), (f64::NEG_INFINITY, hi), (hi + 1.0, hi)]
+        .into_iter()
+        .map(|(a, b)| {
+            let mut patched = body.to_vec();
+            patched[min..min + 8].copy_from_slice(&a.to_le_bytes());
+            patched[max..max + 8].copy_from_slice(&b.to_le_bytes());
+            patched
+        })
+        .collect()
+}
+
+/// A present own tuple is `[R − δ, R + δ]` around a reading. One with a
+/// NaN or infinite bound, or with `min > max`, is a typed error at restore,
+/// not an escape window that holds no reading and an aggregate that drops
+/// the bound.
+#[test]
+fn restore_rejects_an_own_tuple_that_is_not_a_finite_interval() {
+    let (body, rejected) = variant_body(0, 25);
+    let own = table_records(&body).iter().map(|t| t.own).find(|&at| body[at] == 1);
+    let own = own.expect("a table with an own tuple");
+    for patched in bad_intervals(&body, own + 1, own + 9) {
+        rejected(&patched, "range tuple not a finite interval");
+    }
+}
+
+/// A child tuple is an aggregate the child advertised. One with a NaN or
+/// infinite bound, or with `min > max`, is a typed error at restore, not a
+/// child that drops out of its parent's aggregate and is never routed a
+/// query.
+#[test]
+fn restore_rejects_a_child_tuple_that_is_not_a_finite_interval() {
+    let (body, rejected) = variant_body(0, 25);
+    let tables = table_records(&body);
+    let table = tables.iter().find(|t| t.count > 1).expect("a table with two child tuples");
+    // The second child's bounds, in the mins and in the maxes.
+    let mins = table.children + 8 + 4 * table.count + 8;
+    let maxs = mins + 8 * table.count + 8;
+    for patched in bad_intervals(&body, mins + 8, maxs + 8) {
+        rejected(&patched, "range tuple not a finite interval");
+    }
+}
+
+/// The last transmitted tuple is an aggregate of tuples a run holds. One
+/// with a NaN or infinite bound, or with `min > max`, is a typed error at
+/// restore, not a table whose next Update test compares against it.
+#[test]
+fn restore_rejects_a_transmitted_tuple_that_is_not_a_finite_interval() {
+    let (body, rejected) = variant_body(0, 25);
+    let tx = table_records(&body)[0].tx;
+    assert_eq!(body[tx], 1, "a present table carries its transmitted tuple");
+    for patched in bad_intervals(&body, tx + 1, tx + 9) {
+        rejected(&patched, "range tuple not a finite interval");
+    }
+}
+
+/// A table exists from its first advertised aggregate until its Retract,
+/// so a present table always carries its last transmitted tuple. One
+/// without it is a typed error at restore, not a table that exists
+/// without ever having been advertised.
+#[test]
+fn restore_rejects_a_table_without_a_transmitted_tuple() {
+    let (body, rejected) = variant_body(0, 25);
+    let tables = table_records(&body);
+    assert!(tables.iter().all(|t| body[t.tx] == 1), "every table carries its transmitted tuple");
+    let tx = tables[0].tx;
+    let mut patched = body[..tx].to_vec();
+    patched.push(0);
+    patched.extend_from_slice(&body[tx + 17..]);
+    rejected(&patched, "range table without a transmitted tuple");
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]

@@ -5,10 +5,12 @@
 //! structures:
 //!
 //! * [`RefTable`] — a naive `BTreeMap`-backed Range Table with the paper's
-//!   Fig. 1–3 semantics written the obvious way. The SoA
-//!   `RangeTable` must agree on every observable (aggregate, pending
-//!   update/retract, overlap sweep hits *and their order*) after any
-//!   operation sequence.
+//!   Fig. 1–3 semantics written the obvious way, one per type of a
+//!   [`RefNode`]. A `DirqNode`'s range tables — one slot array and one
+//!   child-tuple list for every type — must agree with it on every
+//!   observable (messages sent, table presence, aggregate, pending
+//!   update/retract, overlap sweep hits *and their order*, snapshot
+//!   record) after any handler sequence.
 //! * `advance_slot_full_scan_into` — the pre-index MAC slot loop (process
 //!   every slot, probe `has_link` per listener × transmitter), kept in
 //!   `dirq_lmac` as the reference. A network driven by the indexed fast
@@ -25,13 +27,14 @@
 //! and snapshot bytes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use dirq::core::{RangeEntry, RangeTable};
+use dirq::core::{DirqMessage, NodeConfig, Outgoing, RangeEntry};
 use dirq::prelude::*;
 use dirq::sim::SnapWriter;
 use proptest::prelude::*;
 
-// --- Range Table vs naive BTreeMap model --------------------------------
+// --- Range Tables vs naive BTreeMap model -------------------------------
 
 /// The obvious implementation of Section 4.1: one `BTreeMap` of child
 /// tuples, aggregates folded in id order.
@@ -88,93 +91,258 @@ impl RefTable {
     fn overlapping(&self, lo: f64, hi: f64) -> Vec<NodeId> {
         self.children.iter().filter(|(_, e)| e.overlaps(lo, hi)).map(|(&c, _)| c).collect()
     }
+
+    /// The table's snapshot record: own tuple, child ids, mins, maxes, then
+    /// the last transmission.
+    fn snap(&self, w: &mut SnapWriter) {
+        let entry = |w: &mut SnapWriter, e: Option<RangeEntry>| {
+            w.bool(e.is_some());
+            if let Some(e) = e {
+                w.f64(e.min);
+                w.f64(e.max);
+            }
+        };
+        entry(w, self.own);
+        w.len_of(self.children.len());
+        for id in self.children.keys() {
+            w.u32(id.0);
+        }
+        w.len_of(self.children.len());
+        for e in self.children.values() {
+            w.f64(e.min);
+        }
+        w.len_of(self.children.len());
+        for e in self.children.values() {
+            w.f64(e.max);
+        }
+        entry(w, self.last_tx);
+    }
 }
 
-/// One sampled table operation.
-fn apply_op(soa: &mut RangeTable, reference: &mut RefTable, op: (u8, u32, f64, f64)) {
-    let (kind, id, a, w) = op;
-    let child = NodeId(id);
-    match kind % 5 {
-        0 => {
-            let got = soa.observe_own(a, w);
-            let want = reference.observe_own(a, w);
-            assert_eq!(got, want, "observe_own({a}, {w}) change flag diverged");
-        }
-        1 => {
-            let entry = RangeEntry { min: a, max: a + w };
-            let got = soa.set_child(child, entry);
-            let want = reference.set_child(child, entry);
-            assert_eq!(got, want, "set_child({child}) change flag diverged");
-        }
-        2 => {
-            let got = soa.remove_child(child);
-            let want = reference.remove_child(child);
-            assert_eq!(got, want, "remove_child({child}) diverged");
-        }
-        3 => {
-            assert_eq!(soa.clear_own(), reference.own.take().is_some(), "clear_own diverged");
-        }
-        _ => {
-            // Transmit whatever is pending, as the protocol would.
-            match (soa.pending_update(w), reference.pending_update(w)) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(x, y, "pending aggregates diverged");
-                    soa.mark_transmitted(x);
-                    reference.last_tx = Some(y);
-                }
-                (None, None) => {
-                    if soa.pending_retract() {
-                        soa.mark_retracted();
-                        reference.last_tx = None;
-                    }
-                }
-                (x, y) => panic!("pending_update diverged: soa {x:?} vs reference {y:?}"),
-            }
+/// Reference spans of the four catalog types.
+const SPANS: [f64; 4] = [20.0, 40.0, 100.0, 10.0];
+
+/// A non-root node's handlers over one [`RefTable`] per type (`None`: no
+/// table), written the obvious way: every change is flushed under Fig. 3,
+/// an Update when the aggregate moved and, once a table empties, a Retract
+/// and the table dropped. Messages go out only while attached.
+struct RefNode {
+    tables: Vec<Option<RefTable>>,
+    attached: bool,
+    updates_sent: u64,
+}
+
+impl RefNode {
+    fn new() -> Self {
+        RefNode {
+            tables: (0..SPANS.len()).map(|_| None).collect(),
+            attached: false,
+            updates_sent: 0,
         }
     }
+
+    fn flush(&mut self, t: usize, delta: f64, out: &mut Vec<Outgoing>) {
+        let stype = SensorType(t as u8);
+        let Some(table) = self.tables[t].as_mut() else { return };
+        let msg = if table.pending_retract() {
+            self.tables[t] = None;
+            DirqMessage::Retract { stype }
+        } else if let Some(agg) = table.pending_update(delta) {
+            table.last_tx = Some(agg);
+            DirqMessage::Update { stype, min: agg.min, max: agg.max }
+        } else {
+            return;
+        };
+        if self.attached {
+            self.updates_sent += 1;
+            out.push(Outgoing::ToParent(msg));
+        }
+    }
+
+    /// `f` changed table `t` (creating it first when `create`): flush it.
+    fn change(
+        &mut self,
+        t: usize,
+        delta: f64,
+        create: bool,
+        out: &mut Vec<Outgoing>,
+        f: impl FnOnce(&mut RefTable) -> bool,
+    ) {
+        if create {
+            self.tables[t].get_or_insert_with(RefTable::default);
+        }
+        if self.tables[t].as_mut().is_some_and(f) {
+            self.flush(t, delta, out);
+        }
+    }
+
+    /// Attach to a parent: an Attach, then every non-empty aggregate
+    /// re-advertised and marked transmitted.
+    fn attach(&mut self, out: &mut Vec<Outgoing>) {
+        self.attached = true;
+        out.push(Outgoing::ToParent(DirqMessage::Attach));
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            let Some(agg) = table.as_ref().and_then(RefTable::aggregate) else { continue };
+            table.as_mut().unwrap().last_tx = Some(agg);
+            self.updates_sent += 1;
+            let stype = SensorType(t as u8);
+            out.push(Outgoing::ToParent(DirqMessage::Update { stype, min: agg.min, max: agg.max }));
+        }
+    }
+}
+
+fn fresh_node(cfg: &Arc<NodeConfig>) -> DirqNode {
+    DirqNode::new(NodeId(1), Arc::clone(cfg))
+}
+
+/// One sampled handler call on the node and the model; both must send the
+/// same messages.
+fn apply_op(
+    node: &mut DirqNode,
+    model: &mut RefNode,
+    cfg: &Arc<NodeConfig>,
+    op: (u8, u8, u32, f64, f64),
+) -> Result<(), TestCaseError> {
+    let (kind, t, id, a, w) = op;
+    let (stype, idx, child) = (SensorType(t), usize::from(t), NodeId(id));
+    let delta = node.delta_abs(stype);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    match kind % 9 {
+        // Own readings, scaled to the type's span.
+        0 | 1 => {
+            let reading = a / 100.0 * SPANS[idx];
+            node.sample(stype, reading, &mut got);
+            model.change(idx, delta, true, &mut want, |t| t.observe_own(reading, delta));
+        }
+        // A child's Update: insert or replace.
+        2 | 3 => {
+            let entry = RangeEntry { min: a, max: a + w };
+            node.on_update(child, stype, entry.min, entry.max, &mut got);
+            model.change(idx, delta, true, &mut want, |t| t.set_child(child, entry));
+        }
+        4 => {
+            node.on_retract(child, stype, &mut got);
+            model.change(idx, delta, false, &mut want, |t| t.remove_child(child));
+        }
+        5 => {
+            node.drop_own_sensor(stype, &mut got);
+            model.change(idx, delta, false, &mut want, |t| t.own.take().is_some());
+        }
+        // A child lost: its tuple leaves every type, flushed in type order.
+        6 => {
+            node.on_child_lost(child, &mut got);
+            for k in 0..SPANS.len() {
+                let delta = node.delta_abs(SensorType(k as u8));
+                model.change(k, delta, false, &mut want, |t| t.remove_child(child));
+            }
+        }
+        // Orphaned, or attached again with a full re-advertisement.
+        7 => {
+            if model.attached {
+                node.set_parent(None, &mut got);
+                model.attached = false;
+            } else {
+                node.set_parent(Some(NodeId::ROOT), &mut got);
+                model.attach(&mut want);
+            }
+        }
+        // Rebirth: fresh state on both sides, attached again.
+        _ => {
+            *node = fresh_node(cfg);
+            *model = RefNode::new();
+            node.set_parent(Some(NodeId::ROOT), &mut got);
+            model.attach(&mut want);
+        }
+    }
+    prop_assert_eq!(got, want, "op {:?}: messages", op);
+    prop_assert_eq!(node.updates_sent(), model.updates_sent);
+    Ok(())
+}
+
+/// Every observable of every type's table agrees with the model.
+fn check_tables(
+    node: &DirqNode,
+    model: &RefNode,
+    queries: &[(f64, f64)],
+    delta: f64,
+) -> Result<(), TestCaseError> {
+    let present: Vec<SensorType> = (0..SPANS.len())
+        .filter(|&t| model.tables[t].is_some())
+        .map(|t| SensorType(t as u8))
+        .collect();
+    prop_assert_eq!(node.table_types().collect::<Vec<_>>(), present);
+    for (t, reference) in model.tables.iter().enumerate() {
+        let stype = SensorType(t as u8);
+        let (table, reference) = match (node.table(stype), reference) {
+            (Some(table), Some(reference)) => (table, reference),
+            (None, None) => continue,
+            (table, _) => return Err(TestCaseError::fail(format!("type {t}: presence {table:?}"))),
+        };
+        prop_assert_eq!(table.own(), reference.own);
+        prop_assert_eq!(table.last_transmitted(), reference.last_tx);
+        prop_assert_eq!(table.aggregate(), reference.aggregate());
+        prop_assert_eq!(table.pending_update(delta), reference.pending_update(delta));
+        prop_assert_eq!(table.pending_retract(), reference.pending_retract());
+        prop_assert_eq!(
+            table.len(),
+            usize::from(reference.own.is_some()) + reference.children.len()
+        );
+        prop_assert_eq!(table.is_empty(), reference.own.is_none() && reference.children.is_empty());
+        for &(lo, w) in queries {
+            let hi = lo + w;
+            let mut hits = Vec::new();
+            table.for_overlapping_children(lo, hi, |c| hits.push(c));
+            prop_assert_eq!(
+                hits,
+                reference.overlapping(lo, hi),
+                "type {}: overlap sweep diverged for [{}, {}]",
+                t,
+                lo,
+                hi
+            );
+        }
+        for id in 0..24 {
+            let id = NodeId(id);
+            prop_assert_eq!(table.child_entry(id), reference.children.get(&id).copied());
+        }
+        let (mut got, mut want) = (SnapWriter::new(), SnapWriter::new());
+        table.snap(&mut got);
+        reference.snap(&mut want);
+        prop_assert!(got.finish() == want.finish(), "type {}: snapshot records differ", t);
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// After any operation sequence, the SoA table and the BTreeMap model
-    /// agree on aggregate, update/retract pendings and — for arbitrary
-    /// query windows — on the overlapping children and their visit order.
+    /// After any handler sequence on a node carrying four types — own
+    /// readings, child inserts, replacements, retracts and losses, sensor
+    /// removal, re-parenting and rebirth — the node's range tables and the
+    /// BTreeMap model agree on the messages sent, which tables exist,
+    /// aggregates, update/retract pendings, own and transmitted tuples,
+    /// per-child lookups, the overlapping children of arbitrary query
+    /// windows *and their visit order*, and each table's snapshot record.
     #[test]
     fn range_table_matches_btreemap_model(
         ops in proptest::collection::vec(
-            (0u8..8, 0u32..24, -100.0f64..100.0, 0.0f64..10.0), 1..40),
+            (0u8..18, 0u8..4, 0u32..24, -100.0f64..100.0, 0.0f64..10.0), 1..60),
         queries in proptest::collection::vec((-120.0f64..120.0, 0.0f64..60.0), 1..8),
         delta in 0.01f64..5.0,
     ) {
-        let mut soa = RangeTable::new();
-        let mut reference = RefTable::default();
+        let cfg = Arc::new(NodeConfig {
+            delta_policy: DeltaPolicy::Fixed(5.0),
+            reference_spans: SPANS.to_vec(),
+            variability_alpha: 0.2,
+            tx_threshold_factor: 1.0,
+        });
+        let mut node = fresh_node(&cfg);
+        let mut model = RefNode::new();
+        node.set_parent(Some(NodeId::ROOT), &mut Vec::new());
+        model.attach(&mut Vec::new());
         for op in ops {
-            apply_op(&mut soa, &mut reference, op);
-
-            prop_assert_eq!(soa.aggregate(), reference.aggregate());
-            prop_assert_eq!(soa.pending_update(delta), reference.pending_update(delta));
-            prop_assert_eq!(soa.pending_retract(), reference.pending_retract());
-            prop_assert_eq!(soa.len(), usize::from(reference.own.is_some()) + reference.children.len());
-            prop_assert_eq!(soa.is_empty(), reference.own.is_none() && reference.children.is_empty());
-
-            for &(lo, w) in &queries {
-                let hi = lo + w;
-                let mut hits = Vec::new();
-                soa.for_overlapping_children(lo, hi, |c| hits.push(c));
-                prop_assert_eq!(
-                    hits,
-                    reference.overlapping(lo, hi),
-                    "overlap sweep diverged for [{}, {}]", lo, hi
-                );
-            }
-        }
-        // Per-child lookups agree too.
-        for id in 0..24 {
-            prop_assert_eq!(
-                soa.child_entry(NodeId(id)),
-                reference.children.get(&NodeId(id)).copied()
-            );
+            apply_op(&mut node, &mut model, &cfg, op)?;
+            check_tables(&node, &model, &queries, delta)?;
         }
     }
 }
