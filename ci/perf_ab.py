@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark on two checkouts.
 
-    python3 ci/perf_ab.py PARENT_DIR CHANGE_DIR WORKLOAD PAIRS SECONDS SEED0
+    python3 ci/perf_ab.py [--trace] PARENT_DIR CHANGE_DIR WORKLOAD PAIRS SECONDS SEED0
 
 Runs `perfbench/run.py --workload WORKLOAD --seconds SECONDS --trace 0`
 in both checkouts PAIRS times. Pair k uses seed SEED0 + k on both sides
@@ -27,6 +27,13 @@ least 9 of every 10 pairs, and the medians differ in its favour by more
 than the parent's quartile spread. Last come the `failed` counts per
 side: runs that gave no result (a failed build or gate) and the failed
 operations the others reported. Exits 1 if either is non-zero.
+
+With `--trace` the runs are traced (`--trace 1`), and the report covers
+BENCHMARK.json's `per_layer` metrics instead: per side the median and
+quartiles, the change of the median and the lower-in count, with no
+bound verdict and no claim rule (a traced run's timings carry the
+tracer's cost). Metrics that read 0 in every run of both sides (another
+workload's) are left out, and so are the per-pair rows.
 """
 
 import json
@@ -90,13 +97,15 @@ def verdict(metric, parent, change, paired):
 
 
 def main(argv):
+    trace = "--trace" in argv[1:]
+    argv = [a for a in argv if a != "--trace"]
     if len(argv) != 7:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     parent, change = os.path.abspath(argv[1]), os.path.abspath(argv[2])
     workload, pairs, seconds, seed0 = argv[3], int(argv[4]), argv[5], int(argv[6])
     with open(os.path.join(change, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        metrics = json.load(f)["per_layer" if trace else "end_to_end"]
 
     sides = {"parent": parent, "change": change}
     values = {name: {m["name"]: [] for m in metrics} for name in sides}
@@ -106,7 +115,7 @@ def main(argv):
     for k in range(pairs):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         args = ["--workload", workload, "--seed", str(seed0 + k), "--seconds", seconds,
-                "--trace", "0"]
+                "--trace", "1" if trace else "0"]
         got = {}
         for name in order:
             code, result = bench(sides[name], args)
@@ -125,14 +134,19 @@ def main(argv):
                 paired[name].append((got["parent"][name], got["change"][name]))
                 row.append(f"{name} {got['parent'][name]:.4f} -> {got['change'][name]:.4f}")
         first = "parent first" if order[0] == "parent" else "change first"
+        if trace:
+            row = [f"{side} {'ok' if side in got else 'failed'}" for side in order]
         print(f"pair {k + 1}/{pairs} seed {seed0 + k} ({first}): " + ("; ".join(row) or "failed"),
               flush=True)
 
-    print(f"\n{workload}: {pairs} alternating pairs at --seconds {seconds}")
+    print(f"\n{workload}: {pairs} alternating {'traced ' if trace else ''}pairs "
+          f"at --seconds {seconds}")
     for m in metrics:
         name, unit = m["name"], m["unit"]
         if not values["parent"][name] or not values["change"][name]:
             print(f"{name}: no successful runs on one side")
+            continue
+        if trace and not any(values["parent"][name] + values["change"][name]):
             continue
         pq1, pmed, pq3 = quartiles(values["parent"][name])
         cq1, cmed, cq3 = quartiles(values["change"][name])
@@ -144,6 +158,8 @@ def main(argv):
             f"change median {cmed:.4f} [q1 {cq1:.4f}, q3 {cq3:.4f}], "
             f"change {delta:+.2f} %, lower in {lower} of {len(paired[name])}"
         )
+        if trace:
+            continue
         bound, claim = verdict(m, values["parent"][name], values["change"][name], paired[name])
         print(f"  {name}: {bound}; {claim}")
     for name in sides:

@@ -62,6 +62,7 @@ pub struct Engine {
     /// [`sensing`].
     plane: SensingPlane,
     /// Flooding's per-node state: the queries each node has rebroadcast.
+    /// Empty under DirQ, whose nodes keep their own seen-query memory.
     flood: Vec<SeenQueries>,
     qgen: QueryGenerator,
     churn: ChurnPlan,

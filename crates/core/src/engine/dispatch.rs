@@ -11,7 +11,7 @@ use dirq_lmac::{Destination, LmacNetwork, MacIndication, PayloadHandle};
 use dirq_net::NodeId;
 
 use crate::atc::DeltaPolicy;
-use crate::messages::{DirqMessage, EhrMessage};
+use crate::messages::{DirqMessage, EhrMessage, MessageCategory};
 use crate::metrics::{Metrics, QueryOutcome};
 use crate::node::{DirqNode, Outgoing};
 use crate::pending::{PendingQuery, PendingSet};
@@ -53,7 +53,9 @@ impl DispatchScratch {
 }
 
 /// What a MAC enqueue touches: the MAC and, when it takes the message,
-/// the transmission tallies. [`Outbox::send`] is the engine's one enqueue.
+/// the transmission tallies. [`Outbox::send`] is the engine's one enqueue
+/// of a new message, and [`Outbox::forward`] its one re-enqueue of a
+/// stored one.
 pub(super) struct Outbox<'a> {
     pub(super) mac: &'a mut LmacNetwork<DirqMessage>,
     pub(super) metrics: &'a mut Metrics,
@@ -62,23 +64,36 @@ pub(super) struct Outbox<'a> {
 }
 
 impl Outbox<'_> {
-    /// Queue `payload` at `from` for `dest` and, if the MAC takes it
-    /// (`from` is alive), count the transmission in the metrics and
-    /// against its query. A payload handle passes through as is, so a
-    /// rebroadcast forwards the handle it received.
-    pub(super) fn send(
+    /// Queue `msg` at `from` for `dest` and, if the MAC takes it (`from`
+    /// is alive), count the transmission in the metrics and against its
+    /// query.
+    pub(super) fn send(&mut self, from: NodeId, dest: Destination, msg: DirqMessage) {
+        let (category, query) = (msg.category(), query_id_of(&msg));
+        if self.mac.enqueue(from, dest, msg) {
+            self.count_tx(category, query);
+        }
+    }
+
+    /// [`Outbox::send`] for a payload the MAC already holds: a rebroadcast
+    /// forwards the handle it received, so the message is not stored
+    /// again.
+    pub(super) fn forward(
         &mut self,
         from: NodeId,
         dest: Destination,
-        payload: impl Into<PayloadHandle<DirqMessage>>,
+        payload: PayloadHandle<DirqMessage>,
     ) {
-        let payload = payload.into();
-        let (category, query) = (payload.category(), query_id_of(&payload));
+        let msg = self.mac.payload(payload);
+        let (category, query) = (msg.category(), query_id_of(msg));
         if self.mac.enqueue_shared(from, dest, payload) {
-            self.metrics.on_tx(category, self.epoch);
-            if let Some(p) = query.and_then(|id| self.pending.get_mut(id)) {
-                p.tx += 1;
-            }
+            self.count_tx(category, query);
+        }
+    }
+
+    fn count_tx(&mut self, category: MessageCategory, query: Option<QueryId>) {
+        self.metrics.on_tx(category, self.epoch);
+        if let Some(p) = query.and_then(|id| self.pending.get_mut(id)) {
+            p.tx += 1;
         }
     }
 }
@@ -268,18 +283,20 @@ impl Engine {
     }
 
     /// Read ahead of one slot's deliveries through [`warm_up`]: every
-    /// destination's protocol node and MAC queue, and for Update, Retract
+    /// destination's protocol node and MAC record, and for Update, Retract
     /// and Query payloads the destination's table for the payload's type.
     /// Dispatch then runs in its unchanged order.
     fn read_ahead(&self, slot: &[MacIndication<DirqMessage>]) {
         let delivered = || {
             slot.iter().filter_map(|ind| match ind {
-                MacIndication::Delivered { to, payload, .. } => Some((*to, &**payload)),
+                MacIndication::Delivered { to, payload, .. } => {
+                    Some((*to, self.mac.payload(*payload)))
+                }
                 _ => None,
             })
         };
         let nodes = delivered().map(|(to, _)| {
-            black_box(self.mac.queue_len(to));
+            black_box(self.mac.queue_is_empty(to));
             &self.nodes[to.index()]
         });
         warm_up(nodes, || {
@@ -356,8 +373,9 @@ impl Engine {
     pub(super) fn dispatch_indication(&mut self, ind: MacIndication<DirqMessage>) {
         match ind {
             MacIndication::Delivered { to, from, payload } => {
-                self.metrics.on_rx(payload.category(), self.epoch);
-                if let Some(p) = query_id_of(&payload).and_then(|id| self.pending.get_mut(id)) {
+                let msg = *self.mac.payload(payload);
+                self.metrics.on_rx(msg.category(), self.epoch);
+                if let Some(p) = query_id_of(&msg).and_then(|id| self.pending.get_mut(id)) {
                     p.rx += 1;
                     // The root hears flooding's rebroadcasts too (that
                     // reception is part of flooding's 2·links cost) but
@@ -367,16 +385,16 @@ impl Engine {
                         p.received[to.index()] = true;
                     }
                 }
-                match &*payload {
+                match msg {
                     DirqMessage::Update { stype, min, max } => {
                         let children = self.nodes[to.index()].children().len();
-                        self.handle(to, |n, out| n.on_update(from, *stype, *min, *max, out));
+                        self.handle(to, |n, out| n.on_update(from, stype, min, max, out));
                         if self.nodes[to.index()].children().len() != children {
                             self.tree_version += 1;
                         }
                     }
                     DirqMessage::Retract { stype } => {
-                        self.handle(to, |n, out| n.on_retract(from, *stype, out));
+                        self.handle(to, |n, out| n.on_retract(from, stype, out));
                     }
                     DirqMessage::Attach => {
                         self.tree_version += 1;
@@ -390,19 +408,19 @@ impl Engine {
                     }
                     DirqMessage::GeoAdvert(rect) => {
                         self.tree_version += 1;
-                        self.handle(to, |n, out| n.on_geo_advert(from, *rect, out));
+                        self.handle(to, |n, out| n.on_geo_advert(from, rect, out));
                     }
                     DirqMessage::Ehr(msg) => {
-                        self.handle(to, |n, out| n.on_ehr(*msg, out));
+                        self.handle(to, |n, out| n.on_ehr(msg, out));
                     }
                     DirqMessage::Query(q) => {
-                        self.handle(to, |n, out| n.on_query(q, out));
+                        self.handle(to, |n, out| n.on_query(&q, out));
                     }
                     DirqMessage::FloodQuery(q) => {
-                        // Zero-copy rebroadcast: forward the interned
-                        // payload handle instead of rebuilding the message.
+                        // Zero-copy rebroadcast: forward the stored
+                        // payload's handle instead of storing it again.
                         if self.flood[to.index()].insert(q.id) {
-                            self.outbox().send(to, Destination::Broadcast, payload.clone());
+                            self.outbox().forward(to, Destination::Broadcast, payload);
                         }
                     }
                 }

@@ -195,7 +195,10 @@ impl Engine {
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
             mac_rng: factory.stream("mac"),
-            flood: vec![SeenQueries::default(); n],
+            flood: match cfg.protocol {
+                Protocol::Flooding => vec![SeenQueries::default(); n],
+                Protocol::Dirq => Vec::new(),
+            },
             cqd_estimate: Ewma::new(0.2),
             budget_multiplier: 1.0,
             updates_at_last_ehr: 0.0,

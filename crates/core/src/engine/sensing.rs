@@ -19,7 +19,7 @@
 use std::ops::Range;
 
 use dirq_data::SensorType;
-use dirq_lmac::{Destination, PayloadHandle};
+use dirq_lmac::Destination;
 use dirq_net::{NodeBits, NodeId};
 use dirq_sim::runner;
 
@@ -201,7 +201,7 @@ impl SampleSink for Outbox<'_> {
     }
 
     fn emit(&mut self, e: Effect) {
-        self.send(e.from, e.dest, e.payload);
+        self.send(e.from, e.dest, e.msg);
     }
 }
 
@@ -216,13 +216,12 @@ pub(super) struct UpkeepShard {
 }
 
 /// One MAC enqueue an escape queued: [`route`]'s destination and message
-/// for the escaping node, the message interned as the MAC will hold it,
-/// so a deferred enqueue takes a pointer, not the message.
+/// for the escaping node.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub(super) struct Effect {
     from: NodeId,
     dest: Destination,
-    payload: PayloadHandle<DirqMessage>,
+    msg: DirqMessage,
 }
 
 /// What every node of one sampling pass reads.
@@ -423,8 +422,7 @@ impl SampleChunk<'_> {
                 escape(node, cell, SensorType(idx as u8), reading, outgoing);
                 for out in outgoing.drain(..) {
                     if let Some((dest, msg)) = route(node, out) {
-                        let payload = PayloadHandle::new(msg);
-                        effects.push(Effect { from: node.id(), dest, payload });
+                        effects.push(Effect { from: node.id(), dest, msg });
                     }
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
@@ -763,8 +761,7 @@ mod block_tests {
                 sample(node, cell, stype, reading, self.spans[idx], self.alpha, &mut outs);
                 for out in outs {
                     if let Some((dest, msg)) = route(node, out) {
-                        let payload = PayloadHandle::new(msg);
-                        effects.push(Effect { from: NodeId::from_index(i), dest, payload });
+                        effects.push(Effect { from: NodeId::from_index(i), dest, msg });
                     }
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), self.predictive) {

@@ -2,10 +2,11 @@
 
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
+use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::metrics::Metrics;
 
-use super::Engine;
+use super::{Engine, Protocol};
 
 impl Engine {
     /// Serialize the engine's full dynamic state to a snapshot body.
@@ -37,8 +38,11 @@ impl Engine {
         for (i, node) in self.nodes.iter().enumerate() {
             node.snap(w, self.plane.row(i));
         }
-        for f in &self.flood {
-            f.snap(w);
+        // DirQ builds no flooding lists; its image holds an empty one per
+        // node.
+        let empty = SeenQueries::default();
+        for i in 0..self.nodes.len() {
+            self.flood.get(i).unwrap_or(&empty).snap(w);
         }
         // The MAC owns liveness; the engine's section repeats it.
         w.len_of(self.nodes.len());
@@ -82,10 +86,13 @@ impl Engine {
     /// engine's liveness section equal to the MAC's. So is one whose copy
     /// of a fact disagrees with the fact's owner: a queued `Update` or
     /// `Retract` of a type outside the catalog, and an EWMA off its
-    /// configured smoothing factor.
+    /// configured smoothing factor. Under DirQ, which builds no flooding
+    /// state, so is a non-empty flooding seen list or a queued
+    /// `FloodQuery`.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.mac.topology().len();
         let width = self.plane.width;
+        let dirq = self.cfg.protocol == Protocol::Dirq;
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
@@ -98,6 +105,9 @@ impl Engine {
                     if stype.index() >= width =>
                 {
                     Err(SnapError::Malformed { pos, what: "update type outside the catalog" })
+                }
+                DirqMessage::FloodQuery(_) if dirq => {
+                    Err(SnapError::Malformed { pos, what: "flooding query queued under DirQ" })
                 }
                 _ => Ok(msg),
             }
@@ -113,8 +123,14 @@ impl Engine {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             node.restore(&mut r, self.plane.row_mut(i), n)?;
         }
-        for f in &mut self.flood {
-            f.restore(&mut r)?;
+        let mut unused = SeenQueries::default();
+        for i in 0..n {
+            let pos = r.position();
+            let seen = self.flood.get_mut(i).unwrap_or(&mut unused);
+            seen.restore(&mut r)?;
+            if dirq && seen.len() > 0 {
+                return Err(SnapError::Malformed { pos, what: "flooding seen list under DirQ" });
+            }
         }
         let pos = r.position();
         if !r.bools()?.into_iter().eq(self.mac.topology().nodes().map(|v| self.mac.is_alive(v))) {

@@ -130,7 +130,9 @@ impl Engine {
                         // Orphan: nothing is sent; the advert flows on attach.
                         self.handle(node, |n, out| n.set_position(pos, out));
                     }
-                    self.flood[node.index()] = SeenQueries::default();
+                    if let Some(seen) = self.flood.get_mut(node.index()) {
+                        *seen = SeenQueries::default();
+                    }
                 }
             }
         }

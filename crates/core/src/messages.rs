@@ -20,8 +20,9 @@ pub struct EhrMessage {
     pub per_node_budget_per_epoch: f64,
 }
 
-/// A DirQ/flooding protocol message.
-#[derive(Clone, Debug, PartialEq)]
+/// A DirQ/flooding protocol message. `Copy`: the MAC stores each queued
+/// message once, and dispatch copies a delivered one out.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DirqMessage {
     /// Range-aggregate advertisement from a child to its parent
     /// (Section 4.1's Update Message: the `(min(THmin), max(THmax))`

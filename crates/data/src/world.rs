@@ -424,6 +424,13 @@ impl SensorWorld {
     /// constructed world of the same configuration. Readings are restored
     /// verbatim — regenerating them would re-step the local AR(1)
     /// processes and break bit-identity.
+    ///
+    /// What the next advance steps must be what it can step:
+    /// [`SnapError::Malformed`](dirq_sim::SnapError::Malformed) for an
+    /// AR(1) process, regional or local, whose φ or σ differ from its
+    /// type's, or whose value is not finite, and for an infinite reading.
+    /// A NaN reading stays legal: it is a node that read nothing (a
+    /// carrier added since the last advance reads NaN until the next).
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"WRLD")?;
         self.epoch = r.count()?;
@@ -433,8 +440,21 @@ impl SensorWorld {
         if n_types != self.states.len() {
             return Err(dirq_sim::SnapError::Malformed { pos, what: "world type count mismatch" });
         }
+        let process = |r: &mut dirq_sim::SnapReader<'_>, of: &Ar1, what| {
+            let pos = r.position();
+            let a = Ar1::unsnap(r)?;
+            if !a.same_parameters(of) {
+                return Err(dirq_sim::SnapError::Malformed { pos, what });
+            }
+            if !a.value().is_finite() {
+                return Err(dirq_sim::SnapError::Malformed { pos, what: "AR(1) value not finite" });
+            }
+            Ok(a.value())
+        };
         for s in &mut self.states {
-            s.regional = Ar1::unsnap(r)?;
+            let regional =
+                process(r, &s.regional, "regional AR(1) parameters differ from the type's")?;
+            s.regional = s.regional.with_value(regional);
             s.regional_rng = r.rng()?;
             let pos = r.position();
             let n_local = r.seq_len(24)?;
@@ -445,15 +465,8 @@ impl SensorWorld {
                 });
             }
             for value in &mut s.local {
-                let pos = r.position();
-                let a = Ar1::unsnap(r)?;
-                if !a.same_parameters(&s.local_process) {
-                    return Err(dirq_sim::SnapError::Malformed {
-                        pos,
-                        what: "local AR(1) parameters differ from the type's",
-                    });
-                }
-                *value = a.value();
+                *value =
+                    process(r, &s.local_process, "local AR(1) parameters differ from the type's")?;
             }
         }
         let pos = r.position();
@@ -472,6 +485,9 @@ impl SensorWorld {
                     pos,
                     what: "readings node count mismatch",
                 });
+            }
+            if restored.iter().any(|v| v.is_infinite()) {
+                return Err(dirq_sim::SnapError::Malformed { pos, what: "infinite reading" });
             }
             *row = restored;
         }

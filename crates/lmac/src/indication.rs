@@ -4,16 +4,65 @@
 //! these events: message deliveries, dead-neighbour detections and
 //! new-neighbour detections.
 //!
-//! Payloads are **interned once per transmission**: the MAC wraps each
-//! queued payload in a [`PayloadHandle`] and every indication for it —
-//! one per receiver on a broadcast, one per unreachable destination —
-//! shares the same allocation. Cloning an indication is a reference-count
-//! bump, never a payload copy.
+//! Payloads are **stored once per enqueue**: the MAC keeps each queued
+//! payload in its message store and every indication for it — one per
+//! receiver on a broadcast, one per unreachable destination — carries the
+//! same 4-byte [`PayloadHandle`], read through
+//! [`LmacNetwork::payload`](crate::LmacNetwork::payload). Copying an
+//! indication copies the handle, never the payload.
+
+use std::fmt;
+use std::marker::PhantomData;
 
 use dirq_net::{NodeId, NodeList};
 
-/// Shared handle to one transmitted payload. `Deref`s to `P`.
-pub type PayloadHandle<P> = std::sync::Arc<P>;
+/// A payload in the MAC's message store: a 4-byte index, read through
+/// [`LmacNetwork::payload`](crate::LmacNetwork::payload).
+///
+/// A handle in an indication stays valid until the MAC next advances or
+/// restores. Queued again before then with
+/// [`LmacNetwork::enqueue_shared`](crate::LmacNetwork::enqueue_shared), it
+/// names the same stored payload for the new message (flooding's
+/// rebroadcast), with no copy.
+pub struct PayloadHandle<P> {
+    index: u32,
+    payload: PhantomData<fn() -> P>,
+}
+
+impl<P> PayloadHandle<P> {
+    pub(crate) fn new(index: u32) -> Self {
+        PayloadHandle { index, payload: PhantomData }
+    }
+
+    /// The payload's slot in the store.
+    pub(crate) fn index(self) -> u32 {
+        self.index
+    }
+}
+
+// Manual impls: a handle is an index whatever `P` is, so none of these
+// needs a bound on `P` (the derives would add one).
+impl<P> Clone for PayloadHandle<P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for PayloadHandle<P> {}
+
+impl<P> PartialEq for PayloadHandle<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+    }
+}
+
+impl<P> Eq for PayloadHandle<P> {}
+
+impl<P> fmt::Debug for PayloadHandle<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PayloadHandle").field(&self.index).finish()
+    }
+}
 
 /// Addressing of one data message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +99,7 @@ impl Destination {
 }
 
 /// One MAC-to-upper-layer event.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MacIndication<P> {
     /// A data message addressed to `to` arrived from one-hop neighbour
     /// `from`.
@@ -59,7 +108,7 @@ pub enum MacIndication<P> {
         to: NodeId,
         /// Transmitting (one-hop) node.
         from: NodeId,
-        /// Shared handle to the upper-layer payload.
+        /// The upper-layer payload.
         payload: PayloadHandle<P>,
     },
     /// `observer`'s MAC declared one-hop neighbour `dead` unreachable
@@ -85,31 +134,9 @@ pub enum MacIndication<P> {
         from: NodeId,
         /// Intended receiver that could not be reached.
         to: NodeId,
-        /// Shared handle to the undelivered payload.
+        /// The undelivered payload.
         payload: PayloadHandle<P>,
     },
-}
-
-/// Manual impl: payloads are behind shared handles, so cloning an
-/// indication is a refcount bump and needs no `P: Clone` (the derive
-/// would demand one).
-impl<P> Clone for MacIndication<P> {
-    fn clone(&self) -> Self {
-        match self {
-            MacIndication::Delivered { to, from, payload } => {
-                MacIndication::Delivered { to: *to, from: *from, payload: payload.clone() }
-            }
-            MacIndication::NeighborDied { observer, dead } => {
-                MacIndication::NeighborDied { observer: *observer, dead: *dead }
-            }
-            MacIndication::NeighborNew { observer, new } => {
-                MacIndication::NeighborNew { observer: *observer, new: *new }
-            }
-            MacIndication::Undeliverable { from, to, payload } => {
-                MacIndication::Undeliverable { from: *from, to: *to, payload: payload.clone() }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,21 +153,5 @@ mod tests {
         let u = Destination::unicast(NodeId(4));
         assert!(u.includes(NodeId(4)));
         assert!(!u.includes(NodeId(5)));
-    }
-
-    #[test]
-    fn payload_handles_share_one_allocation() {
-        let p: PayloadHandle<String> = PayloadHandle::new("query".to_string());
-        let a = MacIndication::Delivered { to: NodeId(1), from: NodeId(0), payload: p.clone() };
-        let b = MacIndication::Delivered { to: NodeId(2), from: NodeId(0), payload: p.clone() };
-        match (&a, &b) {
-            (
-                MacIndication::Delivered { payload: pa, .. },
-                MacIndication::Delivered { payload: pb, .. },
-            ) => {
-                assert!(PayloadHandle::ptr_eq(pa, pb), "per-receiver copies must share storage");
-            }
-            _ => unreachable!(),
-        }
     }
 }

@@ -21,6 +21,9 @@
 //!   last-heard tracking, read through typed per-node views.
 //! * [`indication`] — the upcall stream handed to the upper layer
 //!   (deliveries, dead-neighbour and new-neighbour events).
+//! * `store` — the message store: every node's transmit queue as an index
+//!   list in one slab of 12-byte entries, and every queued payload once,
+//!   in a slab of reference-counted slots.
 //! * [`network`] — [`network::LmacNetwork`], the slot-synchronous state
 //!   machine simulating every node's MAC instance over a shared
 //!   [`dirq_net::Topology`].
@@ -46,6 +49,7 @@ pub mod indication;
 pub mod neighbor;
 pub mod network;
 pub mod slots;
+mod store;
 
 pub use config::LmacConfig;
 pub use indication::{Destination, MacIndication, PayloadHandle};

@@ -11,8 +11,13 @@
 //! `slots_per_frame` slots per run), so it is engineered for zero
 //! steady-state allocations:
 //!
-//! * queued payloads are interned once into a [`PayloadHandle`] and shared
-//!   by every per-receiver indication instead of cloned;
+//! * every node's transmit queue lives in one message store: 12-byte
+//!   entries linked by `u32` indices in one chunked slab, with a head and
+//!   tail per node, and each payload stored once in a slab of
+//!   reference-counted slots. Every per-receiver indication carries the
+//!   same 4-byte [`PayloadHandle`], a flooding rebroadcast queues that
+//!   handle again, and an enqueue allocates only when a burst needs a new
+//!   slab chunk (a chunk no recent frame needs is freed once it empties);
 //! * per-slot working state (transmitter set, listener set, collision set,
 //!   audible list, per-transmitter records) lives in a persistent
 //!   `FrameScratch` of flat vectors and [`NodeBits`] bitsets, reused
@@ -51,8 +56,6 @@
 //! tests; both paths must produce identical indication streams,
 //! statistics, ledgers, neighbour views and snapshots.
 
-use std::collections::VecDeque;
-
 use dirq_net::{EnergyLedger, NodeBits, NodeId, Topology};
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dirq_sim::SimRng;
@@ -62,6 +65,7 @@ use crate::config::LmacConfig;
 use crate::indication::{Destination, MacIndication, PayloadHandle};
 use crate::neighbor::{Heard, NeighborArena, NeighborView, SteadyClock};
 use crate::slots::SlotSet;
+use crate::store::{MessageStore, Queue};
 
 /// Aggregate MAC statistics for a run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -86,18 +90,19 @@ pub struct MacStats {
 
 /// Per-node MAC state. Neighbour knowledge does **not** live here — it is
 /// network-owned, in the edge-aligned [`NeighborArena`] — and neither is
-/// liveness (`LmacNetwork::alive_mask`).
-struct MacNode<P> {
+/// liveness (`LmacNetwork::alive_mask`) or the queued messages (the
+/// network's message store; `queue` names this node's).
+struct MacNode {
     my_slot: Option<u16>,
     listen_remaining: u32,
-    tx_queue: VecDeque<(Destination, PayloadHandle<P>)>,
+    queue: Queue,
 }
 
-impl<P> MacNode<P> {
+impl MacNode {
     /// A node without a slot that listens `listen_remaining` frames
     /// before it picks one.
     fn joining(listen_remaining: u32) -> Self {
-        MacNode { my_slot: None, listen_remaining, tx_queue: VecDeque::new() }
+        MacNode { my_slot: None, listen_remaining, queue: Queue::EMPTY }
     }
 }
 
@@ -189,7 +194,9 @@ impl<P> FrameScratch<P> {
 pub struct LmacNetwork<P> {
     cfg: LmacConfig,
     topo: Topology,
-    nodes: Vec<MacNode<P>>,
+    nodes: Vec<MacNode>,
+    /// Every node's queued messages and their payloads.
+    store: MessageStore<P>,
     /// Network-owned neighbour knowledge, edge-aligned to `topo`'s CSR
     /// rows (`Topology::row_start(listener) + mirror_pos`).
     arena: NeighborArena,
@@ -278,6 +285,7 @@ impl<P> LmacNetwork<P> {
             cfg,
             topo,
             nodes,
+            store: MessageStore::new(n),
             frame: 0,
             slot: 0,
             stats: MacStats::default(),
@@ -432,20 +440,46 @@ impl<P> LmacNetwork<P> {
         &self.stats
     }
 
-    /// Number of messages waiting in `node`'s transmit queue.
+    /// Number of messages waiting in `node`'s transmit queue (a walk of
+    /// its list).
     pub fn queue_len(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].tx_queue.len()
+        self.store.iter(self.nodes[node.index()].queue).count()
+    }
+
+    /// Whether `node`'s transmit queue is empty: one read of its MAC
+    /// record, which an enqueue at `node` touches first.
+    pub fn queue_is_empty(&self, node: NodeId) -> bool {
+        self.nodes[node.index()].queue.is_empty()
+    }
+
+    /// The payload behind `handle`.
+    ///
+    /// # Panics
+    /// Panics if the payload was released: a handle from an indication is
+    /// valid until the MAC next advances or restores, unless it was queued
+    /// again before then.
+    pub fn payload(&self, handle: PayloadHandle<P>) -> &P {
+        self.store.payload(handle)
     }
 
     /// Queue a data message for transmission in `from`'s next owned slot.
-    /// The payload is interned once; all receiver indications will share
-    /// it. Returns `false` (dropping the message) when `from` is dead.
+    /// The payload is stored once; all receiver indications will name it.
+    /// Returns `false` (dropping the message) when `from` is dead.
     pub fn enqueue(&mut self, from: NodeId, dest: Destination, payload: P) -> bool {
-        self.enqueue_shared(from, dest, PayloadHandle::new(payload))
+        if !self.alive_mask.contains(from) {
+            return false;
+        }
+        let payload = self.store.intern(payload);
+        self.store.push(&mut self.nodes[from.index()].queue, dest, payload);
+        true
     }
 
-    /// Queue an already-interned payload (zero-copy re-forwarding: a
-    /// rebroadcast can pass the handle it received straight back down).
+    /// Queue a payload the MAC already holds (zero-copy re-forwarding: a
+    /// rebroadcast passes the handle it received straight back down,
+    /// before the MAC next advances).
+    ///
+    /// # Panics
+    /// Panics if the payload was released.
     pub fn enqueue_shared(
         &mut self,
         from: NodeId,
@@ -455,7 +489,7 @@ impl<P> LmacNetwork<P> {
         if !self.alive_mask.contains(from) {
             return false;
         }
-        self.nodes[from.index()].tx_queue.push_back((dest, payload));
+        self.store.push(&mut self.nodes[from.index()].queue, dest, payload);
         true
     }
 
@@ -468,6 +502,7 @@ impl<P> LmacNetwork<P> {
             return;
         }
         self.leave_fixed_point();
+        self.store.clear(&mut self.nodes[idx].queue);
         if alive {
             self.nodes[idx] = MacNode::joining(self.cfg.listen_frames_before_pick);
             self.arena.reset_row(&self.topo, node);
@@ -478,7 +513,6 @@ impl<P> LmacNetwork<P> {
                 Some(s) => self.slot_owners[s as usize].retain(|&n| n != node),
                 None => self.unslotted_alive -= 1,
             }
-            self.nodes[idx].tx_queue.clear();
             self.arena.reset_row(&self.topo, node);
             self.alive_mask.remove(node);
         }
@@ -520,8 +554,8 @@ impl<P> LmacNetwork<P> {
             w.bool(self.alive_mask.contains(NodeId::from_index(i)));
             w.opt_u16(node.my_slot);
             w.u32(node.listen_remaining);
-            w.len_of(node.tx_queue.len());
-            for (dest, payload) in &node.tx_queue {
+            w.len_of(self.store.iter(node.queue).count());
+            for (dest, payload) in self.store.iter(node.queue) {
                 match dest {
                     Destination::Broadcast => w.u8(0),
                     Destination::Multicast(list) => {
@@ -594,6 +628,8 @@ impl<P> LmacNetwork<P> {
             Ok(NodeId::from_index(idx))
         };
         self.alive_mask.clear();
+        // Handles from before the restore are spent.
+        self.store = MessageStore::new(n);
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if r.bool()? {
                 self.alive_mask.insert(NodeId::from_index(i));
@@ -604,7 +640,7 @@ impl<P> LmacNetwork<P> {
                 return Err(SnapError::Malformed { pos, what: "node slot out of range" });
             }
             node.listen_remaining = r.u32()?;
-            node.tx_queue.clear();
+            node.queue = Queue::EMPTY;
             let q = r.seq_len(2)?;
             for _ in 0..q {
                 let dest = match r.u8()? {
@@ -624,7 +660,8 @@ impl<P> LmacNetwork<P> {
                         })
                     }
                 };
-                node.tx_queue.push_back((dest, PayloadHandle::new(decode(r)?)));
+                let payload = self.store.intern(decode(r)?);
+                self.store.push(&mut node.queue, dest, payload);
             }
         }
         let pos = r.position();
@@ -699,8 +736,10 @@ impl<P> LmacNetwork<P> {
     }
 
     /// Advance one slot, appending the generated upcalls to `out`.
-    /// Performs no heap allocation in steady state.
+    /// Performs no heap allocation in steady state. The payload handles of
+    /// the previous advance's indications are spent from here on.
     pub fn advance_slot_into(&mut self, rng: &mut SimRng, out: &mut Vec<MacIndication<P>>) {
+        self.store.release_held();
         self.advance_slot_impl(rng, out, false);
     }
 
@@ -717,6 +756,7 @@ impl<P> LmacNetwork<P> {
         rng: &mut SimRng,
         out: &mut Vec<MacIndication<P>>,
     ) {
+        self.store.release_held();
         self.advance_slot_impl(rng, out, true);
     }
 
@@ -752,6 +792,7 @@ impl<P> LmacNetwork<P> {
         if self.slot == self.cfg.slots_per_frame {
             self.slot = 0;
             self.frame += 1;
+            self.store.trim();
             self.frame_boundary(rng, out);
         }
     }
@@ -774,7 +815,7 @@ impl<P> LmacNetwork<P> {
             }
             tx_mark.insert(t);
             self.control_ledger.record_tx(t);
-            if !adverts && self.nodes[t.index()].tx_queue.is_empty() {
+            if !adverts && self.nodes[t.index()].queue.is_empty() {
                 continue;
             }
             let (occupied, gw) = if adverts {
@@ -782,10 +823,10 @@ impl<P> LmacNetwork<P> {
             } else {
                 (SlotSet::EMPTY, u16::MAX)
             };
-            let node = &mut self.nodes[t.index()];
+            let queue = &mut self.nodes[t.index()].queue;
             let data_start = tx_data.len() as u32;
             for _ in 0..self.cfg.data_messages_per_slot {
-                match node.tx_queue.pop_front() {
+                match self.store.pop(queue) {
                     Some(m) => tx_data.push(m),
                     None => break,
                 }
@@ -801,9 +842,10 @@ impl<P> LmacNetwork<P> {
 
     /// Multicast destinations that did not hear the message — dead, out
     /// of range, transmitting or colliding — surface to the upper layer
-    /// in transmitter order; the payload handle is shared, not copied.
-    /// Then the slot's sent payloads drop and its `tx_index` entries
-    /// reset (O(|txs|), never an O(n) fill).
+    /// in transmitter order, with the message's payload handle. Then the
+    /// slot's sent messages drop (the store holds their payloads until
+    /// the next advance) and its `tx_index` entries reset (O(|txs|), never
+    /// an O(n) fill).
     fn finish_slot(&mut self, scratch: &mut FrameScratch<P>, out: &mut Vec<MacIndication<P>>) {
         let FrameScratch { tx_mark, txs, tx_data, collided_mark, tx_index, .. } = scratch;
         for tx in txs.iter() {
@@ -819,7 +861,7 @@ impl<P> LmacNetwork<P> {
                             out.push(MacIndication::Undeliverable {
                                 from: tx.from,
                                 to: d,
-                                payload: payload.clone(),
+                                payload: *payload,
                             });
                         }
                     }
@@ -878,7 +920,7 @@ impl<P> LmacNetwork<P> {
                 out.push(MacIndication::Delivered {
                     to: l,
                     from: txs[ti as usize].from,
-                    payload: tx_data[k as usize].1.clone(),
+                    payload: tx_data[k as usize].1,
                 });
             }
         }
@@ -1014,11 +1056,7 @@ impl<P> LmacNetwork<P> {
                 if dest.includes(l) {
                     self.data_ledger.record_rx(l);
                     self.stats.delivered += 1;
-                    out.push(MacIndication::Delivered {
-                        to: l,
-                        from: tx.from,
-                        payload: payload.clone(),
-                    });
+                    out.push(MacIndication::Delivered { to: l, from: tx.from, payload: *payload });
                 }
             }
         }
@@ -1038,12 +1076,15 @@ impl<P> LmacNetwork<P> {
         self.scratch = scratch;
     }
 
-    /// Advance a whole frame (`slots_per_frame` slots).
+    /// Advance a whole frame (`slots_per_frame` slots). Every payload
+    /// handle in the returned indications stays valid until the MAC next
+    /// advances.
     pub fn advance_frame(&mut self, rng: &mut SimRng) -> Vec<MacIndication<P>> {
+        self.store.release_held();
         let mut out = Vec::new();
         let start_frame = self.frame;
         while self.frame == start_frame {
-            self.advance_slot_into(rng, &mut out);
+            self.advance_slot_impl(rng, &mut out, false);
         }
         out
     }
@@ -1182,6 +1223,8 @@ mod tests {
     use dirq_net::placement::{Placement, SinkPlacement};
     use dirq_net::radio::UnitDisk;
     use dirq_sim::RngFactory;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     type Net = LmacNetwork<u32>;
 
@@ -1294,7 +1337,9 @@ mod tests {
         let delivered: Vec<_> = inds
             .iter()
             .filter_map(|i| match i {
-                MacIndication::Delivered { to, from, payload } => Some((*to, *from, **payload)),
+                MacIndication::Delivered { to, from, payload } => {
+                    Some((*to, *from, *net.payload(*payload)))
+                }
                 _ => None,
             })
             .collect();
@@ -1326,7 +1371,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_shares_one_payload_allocation() {
+    fn broadcast_shares_one_stored_payload() {
         let mut rng = RngFactory::new(4).stream("bc-shared");
         let topo = Topology::from_edges(
             4,
@@ -1336,18 +1381,19 @@ mod tests {
         net.assign_slots_greedy();
         net.enqueue(NodeId(0), Destination::Broadcast, 7);
         let inds = net.advance_frame(&mut rng);
-        let handles: Vec<&PayloadHandle<u32>> = inds
+        let handles: Vec<PayloadHandle<u32>> = inds
             .iter()
             .filter_map(|i| match i {
-                MacIndication::Delivered { payload, .. } => Some(payload),
+                MacIndication::Delivered { payload, .. } => Some(*payload),
                 _ => None,
             })
             .collect();
         assert_eq!(handles.len(), 3);
         assert!(
-            handles.windows(2).all(|w| PayloadHandle::ptr_eq(w[0], w[1])),
-            "every receiver's indication must share the interned payload"
+            handles.windows(2).all(|w| w[0] == w[1]),
+            "every receiver's indication must name the one stored payload"
         );
+        assert_eq!(*net.payload(handles[0]), 7);
     }
 
     #[test]
@@ -1433,7 +1479,7 @@ mod tests {
         assert!(inds.iter().any(|i| matches!(
             i,
             MacIndication::Undeliverable { from, to, payload }
-                if *from == NodeId(0) && *to == NodeId(1) && **payload == 5
+                if *from == NodeId(0) && *to == NodeId(1) && *net.payload(*payload) == 5
         )));
         assert_eq!(net.stats().undeliverable, 1);
     }
@@ -1699,6 +1745,203 @@ mod tests {
         );
         net.slot_owners[s].push(other);
         assert_eq!(malformed(restore_image(&net)), "slot owner list mismatch");
+    }
+
+    /// One node's queue as the store holds it: destinations and payloads.
+    fn queued(net: &Net, node: NodeId) -> Vec<(Destination, u32)> {
+        net.store.iter(net.nodes[node.index()].queue).map(|(d, &p)| (d, p)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The message store keeps every node's queue as a per-node
+        /// `VecDeque` would, under random unicast, multicast, broadcast
+        /// and shared enqueues, slot advances, deaths and births, and
+        /// snapshot–restore: each slot sends the first messages of each
+        /// owner's queue in order, every indication names a payload its
+        /// sender sent, and once every queue has drained and one more slot
+        /// ran, no entry or payload is live.
+        #[test]
+        fn prop_store_matches_a_queue_model(
+            n in 3usize..20,
+            chords in proptest::collection::vec((0u32..64, 0u32..64), 0..12),
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec((0u8..7, 0u32..64, 0u32..64), 0..80),
+        ) {
+            // A chain with chords; 48 slots exceed any 2-hop neighbourhood
+            // of 20 nodes.
+            let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+            edges.extend(chords.iter().map(|&(a, b)| (a as usize % n, b as usize % n)));
+            edges.retain(|&(a, b)| a < b);
+            edges.sort_unstable();
+            edges.dedup();
+            let edges: Vec<_> =
+                edges.into_iter().map(|(a, b)| (NodeId::from_index(a), NodeId::from_index(b))).collect();
+            let topo = Topology::from_edges(n, &edges);
+            let cfg = LmacConfig {
+                slots_per_frame: 48,
+                data_messages_per_slot: 2,
+                ..LmacConfig::default()
+            };
+            let mut net = Net::new(cfg, topo.clone());
+            net.assign_slots_greedy();
+            let mut rng = RngFactory::new(seed).stream("store-model");
+            let mut model: Vec<VecDeque<(Destination, u32)>> = vec![VecDeque::new(); n];
+            let mut next_value = 0u32;
+            let mut out = Vec::new();
+            let node = |raw: u32| NodeId::from_index(raw as usize % n);
+            let mut advance = |net: &mut Net,
+                               model: &mut Vec<VecDeque<(Destination, u32)>>,
+                               out: &mut Vec<MacIndication<u32>>|
+             -> Result<(), TestCaseError> {
+                let (_, s) = net.now();
+                let mut sent: Vec<(NodeId, u32)> = Vec::new();
+                for v in net.topology().nodes() {
+                    if net.is_alive(v) && net.slot_of(v) == Some(s) {
+                        let q = &mut model[v.index()];
+                        for _ in 0..cfg.data_messages_per_slot.min(q.len()) {
+                            sent.push((v, q.pop_front().expect("queued").1));
+                        }
+                    }
+                }
+                out.clear();
+                net.advance_slot_into(&mut rng, out);
+                for ind in out.iter() {
+                    if let MacIndication::Delivered { from, payload, .. }
+                    | MacIndication::Undeliverable { from, payload, .. } = ind
+                    {
+                        let value = *net.payload(*payload);
+                        prop_assert!(sent.contains(&(*from, value)), "{from} never sent {value}");
+                    }
+                }
+                Ok(())
+            };
+            for (op, a, b) in ops {
+                let (from, to) = (node(a), node(b));
+                match op {
+                    0..=2 => {
+                        let dest = match op {
+                            0 => Destination::unicast(to),
+                            1 => Destination::multicast([to, node(b + 1)]),
+                            _ => Destination::Broadcast,
+                        };
+                        next_value += 1;
+                        if net.enqueue(from, dest.clone(), next_value) {
+                            model[from.index()].push_back((dest, next_value));
+                        }
+                    }
+                    3 => {
+                        // Queue again a payload the last slot sent.
+                        let handles: Vec<PayloadHandle<u32>> = out
+                            .iter()
+                            .filter_map(|i| match i {
+                                MacIndication::Delivered { payload, .. }
+                                | MacIndication::Undeliverable { payload, .. } => Some(*payload),
+                                _ => None,
+                            })
+                            .collect();
+                        if let Some(&h) = handles.get(b as usize % handles.len().max(1)) {
+                            let value = *net.payload(h);
+                            if net.enqueue_shared(from, Destination::Broadcast, h) {
+                                model[from.index()].push_back((Destination::Broadcast, value));
+                            }
+                        }
+                    }
+                    4 => {
+                        for _ in 0..1 + b % 40 {
+                            advance(&mut net, &mut model, &mut out)?;
+                        }
+                    }
+                    5 if !from.is_root() => {
+                        net.set_alive(from, !net.is_alive(from));
+                        model[from.index()].clear();
+                    }
+                    6 => {
+                        let mut w = SnapWriter::new();
+                        net.snap(&mut w, |w, p| w.u32(*p));
+                        let image = w.finish();
+                        net = Net::new(cfg, topo.clone());
+                        net.restore(&mut SnapReader::new(&image), |r| r.u32())
+                            .expect("own image");
+                        out.clear();
+                    }
+                    _ => {}
+                }
+                for v in topo.nodes() {
+                    prop_assert!(
+                        queued(&net, v).iter().eq(model[v.index()].iter()),
+                        "{v}'s queue diverged after op {op}"
+                    );
+                }
+            }
+            // Drain every queue, then run one more slot: the store is empty.
+            for _ in 0..64 * cfg.slots_per_frame {
+                if model.iter().all(VecDeque::is_empty) {
+                    break;
+                }
+                advance(&mut net, &mut model, &mut out)?;
+            }
+            prop_assert!(model.iter().all(VecDeque::is_empty), "queues never drained");
+            advance(&mut net, &mut model, &mut out)?;
+            prop_assert_eq!(net.store.live(), (0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn burst_capacity_is_given_back_once_it_drains() {
+        let mut rng = RngFactory::new(13).stream("burst");
+        let mut net = Net::new(LmacConfig::default(), random_topo(50, 13));
+        net.assign_slots_greedy();
+        let chunk = 1 << crate::store::chunk_bits(50);
+        let burst = 8 * chunk;
+        for i in 0..burst {
+            net.enqueue(NodeId::from_index(i % 50), Destination::Broadcast, i as u32);
+        }
+        let (entries, payloads) = net.store.capacity();
+        assert!(entries >= burst && payloads >= burst, "{entries} / {payloads}");
+        // A steady trickle of one message a frame while the burst drains.
+        let mut frames = 0;
+        while (0..50).any(|i| !net.queue_is_empty(NodeId(i))) {
+            net.enqueue(NodeId(1), Destination::Broadcast, u32::MAX);
+            net.advance_frame(&mut rng);
+            frames += 1;
+            assert!(frames < 200, "the burst never drained");
+        }
+        net.enqueue(NodeId(1), Destination::Broadcast, u32::MAX);
+        net.advance_frame(&mut rng);
+        assert_eq!(net.store.capacity(), (chunk, chunk), "the trickle keeps one chunk each");
+    }
+
+    #[test]
+    #[should_panic(expected = "payload handle read after release")]
+    fn reading_a_released_handle_panics() {
+        let mut rng = RngFactory::new(14).stream("released");
+        let cfg = LmacConfig { data_messages_per_slot: 1, ..LmacConfig::default() };
+        let mut net = Net::new(cfg, line_topo(2));
+        net.assign_slots_greedy();
+        // The second message stays queued, so its chunk stays allocated.
+        net.enqueue(NodeId(0), Destination::unicast(NodeId(1)), 1);
+        net.enqueue(NodeId(0), Destination::unicast(NodeId(1)), 2);
+        let mut out = Vec::new();
+        let handle = loop {
+            out.clear();
+            net.advance_slot_into(&mut rng, &mut out);
+            if let Some(MacIndication::Delivered { payload, .. }) = out.first() {
+                break *payload;
+            }
+        };
+        assert_eq!(*net.payload(handle), 1);
+        net.advance_slot_into(&mut rng, &mut out);
+        assert_eq!(net.queue_len(NodeId(0)), 1);
+        net.payload(handle);
+    }
+
+    #[test]
+    fn layout_budget() {
+        // A node's MAC record: its slot, its listen countdown and its
+        // queue's two indices.
+        assert!(std::mem::size_of::<MacNode>() <= 16, "{}", std::mem::size_of::<MacNode>());
     }
 
     #[test]

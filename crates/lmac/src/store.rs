@@ -1,0 +1,508 @@
+//! The MAC's message store: every node's transmit queue and every queued
+//! payload, in slabs.
+//!
+//! A node's queue is a [`Queue`] (8 bytes in its MAC record): the first and
+//! last of its entries, which are linked by `u32` indices. An entry is 12
+//! bytes: one message's destination as a 4-byte code (broadcast, a unicast's
+//! node id, or a multicast list's index in a third slab), a
+//! [`PayloadHandle`] (the index of the payload's slot) and the link. A
+//! payload is stored once with a reference count: one per queued entry,
+//! plus one for each sent message until the MAC next advances, so the
+//! indications of an advance can name it and a flooding rebroadcast can
+//! queue it again without a copy.
+//!
+//! The slabs grow in chunks, each allocated at its full size once and
+//! never reallocated, so a burst adds chunk after chunk and never copies
+//! one large block at a doubling. A chunk holds about a sixteenth of the
+//! network's node count in slots, from 64 to 1 024 ([`chunk_bits`]), so a
+//! small deployment's store stays small. An insert takes a free slot
+//! of the lowest chunk that has one, so live slots gather in the low
+//! chunks. A chunk is kept while it is empty only if it lies below the
+//! highest chunk the last frame's inserts reached: a steady frame keeps
+//! the chunks it uses, and a chunk beyond them is freed as soon as it
+//! empties. So epoch 0's burst (every carried cell escapes) gives its
+//! chunks back while its frame drains it, and a frame that follows one
+//! burst frees the rest at its end ([`MessageStore::trim`]).
+
+use dirq_net::{NodeId, NodeList};
+
+use crate::indication::{Destination, PayloadHandle};
+
+/// The base-2 logarithm of the slots per chunk for a network of `nodes`:
+/// about `nodes / 16`, from 64 slots to 1 024 (12 KiB of entries and
+/// 88 KiB of 80-byte payloads, from 8 208 nodes up).
+pub(crate) fn chunk_bits(nodes: usize) -> u32 {
+    (nodes / 16).max(1).next_power_of_two().trailing_zeros().clamp(6, 10)
+}
+
+/// The end of a list: of a queue, or of a chunk's free list.
+const NIL: u32 = u32::MAX;
+
+/// A slot's link field. While a slot is free, its chunk's free list runs
+/// through it.
+trait Link {
+    fn set_link(&mut self, link: u32);
+    fn link(&self) -> u32;
+}
+
+/// One chunk of a [`Slab`].
+struct Chunk<T> {
+    /// A chunk's worth of room from its first insert on; none once the
+    /// chunk is freed.
+    slots: Vec<T>,
+    /// The first released slot (`NIL`: none; the room past `slots.len()`
+    /// is free too).
+    free: u32,
+    /// Slots in use.
+    live: u32,
+}
+
+impl<T> Chunk<T> {
+    const EMPTY: Chunk<T> = Chunk { slots: Vec::new(), free: NIL, live: 0 };
+}
+
+/// Slots addressed by `u32` index, in chunks of `1 << bits` slots, each
+/// chunk with its own free list.
+struct Slab<T> {
+    /// Slots per chunk, as a power of two.
+    bits: u32,
+    chunks: Vec<Chunk<T>>,
+    /// Every chunk below this one is full.
+    open: usize,
+    /// One past the highest chunk inserted into since the last trim.
+    used: usize,
+    /// Chunks below this one stay allocated when empty: the last trim's
+    /// `used`.
+    keep: usize,
+}
+
+impl<T: Link> Slab<T> {
+    fn new(bits: u32) -> Self {
+        Slab { bits, chunks: Vec::new(), open: 0, used: 0, keep: 0 }
+    }
+
+    /// Slots per chunk.
+    fn chunk(&self) -> usize {
+        1 << self.bits
+    }
+
+    /// The chunk and the slot within it of slab index `index`.
+    fn split(&self, index: u32) -> (usize, usize) {
+        ((index >> self.bits) as usize, index as usize & (self.chunk() - 1))
+    }
+
+    /// Store `value` in the lowest free slot of the lowest chunk with one.
+    fn insert(&mut self, value: T) -> u32 {
+        let size = self.chunk();
+        while self.chunks.get(self.open).is_some_and(|c| c.free == NIL && c.slots.len() == size) {
+            self.open += 1;
+        }
+        if self.open == self.chunks.len() {
+            self.chunks.push(Chunk::EMPTY);
+        }
+        let c = self.open;
+        self.used = self.used.max(c + 1);
+        let chunk = &mut self.chunks[c];
+        chunk.live += 1;
+        let i = if chunk.free == NIL {
+            if chunk.slots.capacity() == 0 {
+                chunk.slots.reserve_exact(size);
+            }
+            chunk.slots.push(value);
+            chunk.slots.len() - 1
+        } else {
+            let i = chunk.free as usize;
+            chunk.free = chunk.slots[i].link();
+            chunk.slots[i] = value;
+            i
+        };
+        ((c << self.bits) | i) as u32
+    }
+
+    /// Put slot `index` on its chunk's free list, or free the chunk if
+    /// that empties it and it lies at or above `keep`. Whatever the slot
+    /// still holds stays there until the slot is reused or its chunk freed.
+    fn remove(&mut self, index: u32) {
+        let (c, i) = self.split(index);
+        let chunk = &mut self.chunks[c];
+        chunk.slots[i].set_link(chunk.free);
+        chunk.free = i as u32;
+        chunk.live -= 1;
+        self.open = self.open.min(c);
+        if chunk.live == 0 && c >= self.keep {
+            self.free_chunks(c);
+        }
+    }
+
+    fn get(&self, index: u32) -> &T {
+        let (c, i) = self.split(index);
+        &self.chunks[c].slots[i]
+    }
+
+    fn get_mut(&mut self, index: u32) -> &mut T {
+        let (c, i) = self.split(index);
+        &mut self.chunks[c].slots[i]
+    }
+
+    /// Keep, from now on, only the empty chunks below the highest one
+    /// inserted into since the last trim, and free the others.
+    fn trim(&mut self) {
+        (self.keep, self.used) = (self.used, 0);
+        self.free_chunks(self.keep);
+    }
+
+    /// Free every empty chunk from `first` on, and drop the trailing
+    /// records of freed chunks.
+    fn free_chunks(&mut self, first: usize) {
+        for chunk in self.chunks.iter_mut().skip(first) {
+            if chunk.live == 0 {
+                *chunk = Chunk::EMPTY;
+            }
+        }
+        while self.chunks.last().is_some_and(|c| c.slots.capacity() == 0) {
+            self.chunks.pop();
+        }
+        self.open = self.open.min(self.chunks.len());
+    }
+
+    /// Slots in use.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.chunks.iter().map(|c| c.live as usize).sum()
+    }
+
+    /// Slots allocated, in use or not.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.chunks.iter().map(|c| c.slots.capacity()).sum()
+    }
+}
+
+/// The destination code of a broadcast.
+const BROADCAST: u32 = u32::MAX;
+/// The flag of a destination code that indexes the multicast list slab;
+/// a code below it is a unicast's node id.
+const LIST: u32 = 1 << 31;
+
+/// The destination `code` names, with its multicast list, if it has one,
+/// from `list` (called with the list's index).
+fn destination(code: u32, list: impl FnOnce(u32) -> NodeList) -> Destination {
+    match code {
+        BROADCAST => Destination::Broadcast,
+        to if to < LIST => Destination::unicast(NodeId(to)),
+        index => Destination::Multicast(list(index - LIST)),
+    }
+}
+
+/// One queued message, and the next entry of its node's queue.
+struct Entry<P> {
+    /// `BROADCAST`, a unicast's node id, or `LIST` plus the index of the
+    /// message's multicast list.
+    dest: u32,
+    payload: PayloadHandle<P>,
+    next: u32,
+}
+
+impl<P> Link for Entry<P> {
+    fn set_link(&mut self, link: u32) {
+        self.next = link;
+    }
+
+    fn link(&self) -> u32 {
+        self.next
+    }
+}
+
+/// A multicast destination list other than a single node.
+struct List {
+    nodes: NodeList,
+    /// The free list's link while the slot is free.
+    next: u32,
+}
+
+impl Link for List {
+    fn set_link(&mut self, link: u32) {
+        self.next = link;
+    }
+
+    fn link(&self) -> u32 {
+        self.next
+    }
+}
+
+/// One interned payload and its reference count; `value` is `None` once
+/// the last reference lets go.
+struct Payload<P> {
+    value: Option<P>,
+    refs: u32,
+    /// The free list's link while the slot is free.
+    next: u32,
+}
+
+impl<P> Link for Payload<P> {
+    fn set_link(&mut self, link: u32) {
+        self.next = link;
+    }
+
+    fn link(&self) -> u32 {
+        self.next
+    }
+}
+
+/// A node's transmit queue: its first and last entry (`NIL` when empty).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Queue {
+    head: u32,
+    tail: u32,
+}
+
+impl Queue {
+    pub(crate) const EMPTY: Queue = Queue { head: NIL, tail: NIL };
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// Every queue's entries and every payload they reference (see the module
+/// docs).
+pub(crate) struct MessageStore<P> {
+    entries: Slab<Entry<P>>,
+    payloads: Slab<Payload<P>>,
+    lists: Slab<List>,
+    /// The references of the messages sent since the last
+    /// [`MessageStore::release_held`]: the handles in that advance's
+    /// indications.
+    held: Vec<PayloadHandle<P>>,
+}
+
+impl<P> MessageStore<P> {
+    /// An empty store for a network of `nodes`.
+    pub(crate) fn new(nodes: usize) -> Self {
+        let bits = chunk_bits(nodes);
+        MessageStore {
+            entries: Slab::new(bits),
+            payloads: Slab::new(bits),
+            lists: Slab::new(bits),
+            held: Vec::new(),
+        }
+    }
+
+    /// Store `value` once; [`MessageStore::push`] takes its first reference.
+    pub(crate) fn intern(&mut self, value: P) -> PayloadHandle<P> {
+        PayloadHandle::new(self.payloads.insert(Payload { value: Some(value), refs: 0, next: NIL }))
+    }
+
+    /// The payload behind `handle`.
+    ///
+    /// # Panics
+    /// Panics if every reference to it was released.
+    pub(crate) fn payload(&self, handle: PayloadHandle<P>) -> &P {
+        self.payloads.get(handle.index()).value.as_ref().expect("payload handle read after release")
+    }
+
+    /// Append a message for `dest` to `queue`, taking a reference to its
+    /// payload.
+    pub(crate) fn push(&mut self, queue: &mut Queue, dest: Destination, payload: PayloadHandle<P>) {
+        let slot = self.payloads.get_mut(payload.index());
+        assert!(slot.value.is_some(), "payload handle queued after release");
+        slot.refs += 1;
+        let dest = match dest {
+            Destination::Broadcast => BROADCAST,
+            Destination::Multicast(nodes) => match nodes.as_slice() {
+                &[to] if to.0 < LIST => to.0,
+                _ => {
+                    let list = self.lists.insert(List { nodes, next: NIL });
+                    assert!(list < BROADCAST - LIST, "multicast list slab full");
+                    LIST | list
+                }
+            },
+        };
+        let e = self.entries.insert(Entry { dest, payload, next: NIL });
+        match queue.tail {
+            NIL => queue.head = e,
+            tail => self.entries.get_mut(tail).next = e,
+        }
+        queue.tail = e;
+    }
+
+    /// Take the first message off `queue`. Its payload reference moves to
+    /// the held list, so the handle stays readable until
+    /// [`MessageStore::release_held`].
+    pub(crate) fn pop(&mut self, queue: &mut Queue) -> Option<(Destination, PayloadHandle<P>)> {
+        let (dest, payload) = self.unlink(queue)?;
+        self.held.push(payload);
+        Some((dest, payload))
+    }
+
+    /// Drop every message of `queue` and its payload reference.
+    pub(crate) fn clear(&mut self, queue: &mut Queue) {
+        while let Some((_, payload)) = self.unlink(queue) {
+            self.release(payload);
+        }
+    }
+
+    /// Release the references [`MessageStore::pop`] held.
+    pub(crate) fn release_held(&mut self) {
+        while let Some(payload) = self.held.pop() {
+            self.release(payload);
+        }
+    }
+
+    /// `queue`'s messages, first to last.
+    pub(crate) fn iter(&self, queue: Queue) -> impl Iterator<Item = (Destination, &P)> + '_ {
+        let mut at = queue.head;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let entry = self.entries.get(at);
+                at = entry.next;
+                let dest = destination(entry.dest, |i| self.lists.get(i).nodes.clone());
+                (dest, self.payload(entry.payload))
+            })
+        })
+    }
+
+    /// Free the chunks no insert reached since the last trim (see the
+    /// module docs).
+    pub(crate) fn trim(&mut self) {
+        self.entries.trim();
+        self.payloads.trim();
+        self.lists.trim();
+    }
+
+    /// Entries, payloads and multicast lists in use.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> (usize, usize, usize) {
+        (self.entries.live(), self.payloads.live(), self.lists.live())
+    }
+
+    /// Entry and payload slots allocated.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> (usize, usize) {
+        (self.entries.capacity(), self.payloads.capacity())
+    }
+
+    /// Take the first entry off `queue`, with its payload reference.
+    fn unlink(&mut self, queue: &mut Queue) -> Option<(Destination, PayloadHandle<P>)> {
+        if queue.is_empty() {
+            return None;
+        }
+        let e = queue.head;
+        let entry = self.entries.get(e);
+        let (dest, payload, next) = (entry.dest, entry.payload, entry.next);
+        self.entries.remove(e);
+        let dest = destination(dest, |i| {
+            let nodes = std::mem::take(&mut self.lists.get_mut(i).nodes);
+            self.lists.remove(i);
+            nodes
+        });
+        queue.head = next;
+        if next == NIL {
+            queue.tail = NIL;
+        }
+        Some((dest, payload))
+    }
+
+    /// Drop one reference to `payload`; the last one frees its slot.
+    fn release(&mut self, payload: PayloadHandle<P>) {
+        let slot = self.payloads.get_mut(payload.index());
+        slot.refs -= 1;
+        if slot.refs == 0 {
+            slot.value = None;
+            self.payloads.remove(payload.index());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn layout_budget() {
+        // A queued message is one 12-byte entry, and a node's queue state
+        // is two indices.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 10]>>(), 12);
+        assert_eq!(std::mem::size_of::<Queue>(), 8);
+        assert_eq!(std::mem::size_of::<PayloadHandle<[u64; 10]>>(), 4);
+    }
+
+    #[test]
+    fn chunks_grow_with_the_network_up_to_1024_slots() {
+        let slots = |nodes| 1usize << chunk_bits(nodes);
+        assert_eq!([slots(0), slots(100), slots(250), slots(2_000)], [64, 64, 64, 128]);
+        assert_eq!([slots(5_000), slots(20_000), slots(50_000)], [512, 1024, 1024]);
+    }
+
+    #[test]
+    fn queues_are_fifo_and_share_payloads() {
+        let mut store = MessageStore::new(100);
+        let (mut a, mut b) = (Queue::EMPTY, Queue::EMPTY);
+        let shared = store.intern(7u32);
+        store.push(&mut a, Destination::Broadcast, shared);
+        for v in 1..4 {
+            let h = store.intern(v);
+            store.push(&mut a, Destination::unicast(NodeId(v)), h);
+        }
+        store.push(&mut b, Destination::Broadcast, shared);
+        assert_eq!(store.iter(a).map(|(_, &v)| v).collect::<Vec<_>>(), [7, 1, 2, 3]);
+        assert_eq!(store.live(), (5, 4, 0));
+        let (dest, first) = store.pop(&mut a).expect("a queued message");
+        assert_eq!((dest, *store.payload(first)), (Destination::Broadcast, 7));
+        store.clear(&mut a);
+        assert!(a.is_empty());
+        assert_eq!(store.live(), (1, 1, 0), "b's entry and the shared payload");
+        store.release_held();
+        assert_eq!(*store.payload(shared), 7, "b still holds it");
+        store.clear(&mut b);
+        assert_eq!(store.live(), (0, 0, 0));
+    }
+
+    #[test]
+    fn destinations_round_trip_through_their_codes() {
+        let dests = [
+            Destination::Broadcast,
+            Destination::unicast(NodeId(0)),
+            Destination::unicast(NodeId(LIST - 1)),
+            Destination::unicast(NodeId(LIST)),
+            Destination::multicast([NodeId(3), NodeId(5)]),
+            Destination::multicast([NodeId(3), NodeId(3)]),
+            Destination::multicast((0..9).map(NodeId).collect::<Vec<_>>()),
+            Destination::Multicast(NodeList::new()),
+        ];
+        let mut store = MessageStore::new(100);
+        let mut q = Queue::EMPTY;
+        for (v, dest) in dests.iter().enumerate() {
+            let h = store.intern(v);
+            store.push(&mut q, dest.clone(), h);
+        }
+        assert_eq!(store.live(), (8, 8, 5), "one list per multicast but a single node's");
+        assert!(store.iter(q).map(|(d, _)| d).eq(dests.iter().cloned()));
+        for dest in &dests {
+            assert_eq!(&store.pop(&mut q).expect("queued").0, dest);
+        }
+        assert_eq!(store.live(), (0, 8, 0), "the popped payloads are held");
+    }
+
+    #[test]
+    fn inserts_fill_the_lowest_free_slot() {
+        let mut store = MessageStore::new(100);
+        let chunk = 1 << chunk_bits(100);
+        let mut q = Queue::EMPTY;
+        let handles: Vec<_> = (0..2 * chunk as u32)
+            .map(|v| {
+                let h = store.intern(v);
+                store.push(&mut q, Destination::Broadcast, h);
+                h
+            })
+            .collect();
+        // Drain the first chunk's worth: the next insert reuses chunk 0.
+        for _ in 0..chunk {
+            store.pop(&mut q);
+        }
+        store.release_held();
+        let h = store.intern(u32::MAX);
+        assert!((h.index() as usize) < chunk, "{h:?} is not in the first chunk");
+        assert_eq!(*store.payload(handles[chunk]), chunk as u32);
+    }
+}

@@ -851,6 +851,121 @@ fn restore_rejects_an_overlong_flooding_seen_list() {
     rejected(&with_ids(65), "seen-query list too long");
 }
 
+/// A DirQ engine builds no flooding state, and its image holds one empty
+/// flooding seen list per node. A non-empty one is a typed error at
+/// restore, not a list the engine has nowhere to keep.
+#[test]
+fn restore_rejects_a_flooding_seen_list_under_dirq() {
+    let (body, rejected) = variant_body(0, 25);
+    // The 50 flooding lists (a zero count each) precede the liveness
+    // section; patch node 49's, the last.
+    let records_end = liveness_at(&body) - 8;
+    assert!(body[records_end - 8 * 50..records_end].iter().all(|&b| b == 0));
+    let mut patched = body[..records_end - 8].to_vec();
+    patched.extend(1u64.to_le_bytes());
+    patched.extend(1_000u64.to_le_bytes());
+    patched.extend_from_slice(&body[records_end..]);
+    rejected(&patched, "flooding seen list under DirQ");
+}
+
+/// A DirQ engine never queues a flooding query. A queued one is a typed
+/// error at restore: delivered, it would index the flooding seen lists
+/// DirQ does not build.
+#[test]
+fn restore_rejects_a_queued_flood_query_under_dirq() {
+    // The query injected at epoch 20 is still queued at some nodes when
+    // epoch 20 ends; a flooding query is a directed one's bytes under
+    // discriminant 7.
+    let (body, rejected) = variant_body(0, 21);
+    let payloads = queued_payloads(&body);
+    let at = *payloads.iter().find(|&&at| body[at] == 2).expect("a queued directed query");
+    let mut patched = body.clone();
+    patched[at] = 7;
+    rejected(&patched, "flooding query queued under DirQ");
+}
+
+/// Offset of the value of `sensor`'s regional AR(1) process in a
+/// `variant_config` body: its φ and σ, then its value.
+fn regional_value_at(body: &[u8], sensor: &dirq::data::world::SensorTypeConfig) -> usize {
+    let world = tag_offsets(body, b"WRLD")[0];
+    let params = [sensor.regional_phi.to_le_bytes(), sensor.regional_sigma.to_le_bytes()].concat();
+    world + body[world..].windows(16).position(|w| w == params).expect("the regional process") + 16
+}
+
+/// The world steps every regional and local AR(1) value. One that is not
+/// finite is a typed error at restore, not a world whose next readings,
+/// and so its nodes' own tuples, are not finite.
+#[test]
+fn restore_rejects_a_non_finite_ar1_value() {
+    let (body, _) = body_at(25);
+    let t = dirq::data::world::SensorTypeConfig::temperature();
+    let regional = regional_value_at(&body, &t);
+    // The temperature type's local cells follow its regional process and
+    // RNG: the cell count (50), then φ, σ and value per cell.
+    let first = [50u64.to_le_bytes(), t.local_phi.to_le_bytes(), t.local_sigma.to_le_bytes()];
+    let cells = body[regional..].windows(24).position(|w| w == first.concat()).unwrap();
+    let local = regional + cells + 8 + 16;
+    for at in [regional, local, local + 24 * 49] {
+        assert!(f64::from_le_bytes(body[at..at + 8].try_into().unwrap()).is_finite());
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut patched = body.clone();
+            patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert_rejected(&patched, "AR(1) value not finite");
+        }
+    }
+}
+
+/// The world keeps one regional process per sensor type, built from the
+/// type's φ and σ. A regional process whose φ or σ differs is a typed
+/// error at restore, not a drift stepped under parameters the run never
+/// set (σ = +∞ makes the next value infinite).
+#[test]
+fn restore_rejects_a_regional_process_off_its_types_parameters() {
+    let (body, _) = body_at(25);
+    let t = dirq::data::world::SensorTypeConfig::temperature();
+    let value = regional_value_at(&body, &t);
+    Engine::new(variant_config(17, 0, 60)).restore(&body).expect("the unpatched body restores");
+    // (0 for φ or 8 for σ, a value Ar1's own range check accepts)
+    for (field, bad) in [(0, 0.5), (8, 0.03), (8, f64::INFINITY)] {
+        let at = value - 16 + field;
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&f64::to_le_bytes(bad));
+        assert_rejected(&patched, "regional AR(1) parameters differ from the type's");
+    }
+}
+
+/// A reading is finite, or NaN for a node that read nothing (a carrier
+/// added since the last advance reads NaN until the next). An infinite
+/// reading is a typed error at restore, not a sample that escapes into a
+/// node's own tuple.
+#[test]
+fn restore_rejects_an_infinite_reading() {
+    let (body, _) = body_at(25);
+    // The readings close the world section: a row count (4), then per
+    // type a node count (50) and one f64 per node, right before the
+    // engine's node count and the first node record.
+    let rows_end = tag_offsets(&body, b"NODE")[0] - 8;
+    let rows = rows_end - 4 * (8 + 8 * 50);
+    assert_eq!(body[rows - 8..rows], 4u64.to_le_bytes(), "four reading rows");
+    assert_eq!(body[rows..rows + 8], 50u64.to_le_bytes());
+    let reading = |k: usize| rows + 8 + 8 * k;
+    let at = (1..50)
+        .map(reading)
+        .find(|&at| f64::from_le_bytes(body[at..at + 8].try_into().unwrap()).is_finite())
+        .expect("a node reading temperature");
+    let patch = |v: f64| {
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        patched
+    };
+    let mut engine = Engine::new(variant_config(17, 0, 60));
+    engine.restore(&patch(f64::NAN)).expect("a NaN reading restores");
+    engine.step_epoch();
+    for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+        assert_rejected(&patch(bad), "infinite reading");
+    }
+}
+
 /// Every node's carried-sensor row is as long as the catalog. A longer
 /// row would set flags for types no world draws; a shorter one, drop the
 /// catalog's last types. Either is a typed error at restore.
