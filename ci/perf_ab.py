@@ -11,7 +11,10 @@ directory; an inherited CARGO_TARGET_DIR is overridden.
 
 Prints every pair, then for each end-to-end metric of CHANGE_DIR's
 BENCHMARK.json: the median and quartiles per side, the change of the
-median, and in how many pairs the change was lower. Under the metric's
+median, the median and quartiles of the paired change (each pair's
+change / parent - 1), and in how many pairs the change was lower. The
+change of the medians and the median paired change can differ in sign
+when the runs spread. Under the metric's
 `bound` (a relative change) and `better` direction it then prints one
 verdict:
 
@@ -30,7 +33,8 @@ operations the others reported. Exits 1 if either is non-zero.
 
 With `--trace` the runs are traced (`--trace 1`), and the report covers
 BENCHMARK.json's `per_layer` metrics instead: per side the median and
-quartiles, the change of the median and the lower-in count, with no
+quartiles, the change of the median, the paired change and the lower-in
+count, with no
 bound verdict and no claim rule (a traced run's timings carry the
 tracer's cost). Metrics that read 0 in every run of both sides (another
 workload's) are left out, and so are the per-pair rows.
@@ -70,6 +74,13 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def paired_change(paired):
+    """(first quartile, median, third quartile) of each pair's relative
+    change, change / parent - 1, in percent; None without a usable pair."""
+    rel = [(c / p - 1) * 100 for p, c in paired if p]
+    return quartiles(rel) if rel else None
 
 
 def verdict(metric, parent, change, paired):
@@ -152,11 +163,14 @@ def main(argv):
         cq1, cmed, cq3 = quartiles(values["change"][name])
         lower = sum(1 for p, c in paired[name] if c < p)
         delta = (cmed - pmed) / pmed * 100 if pmed else float("nan")
+        rel = paired_change(paired[name])
+        rel = (f"paired change {rel[1]:+.2f} % [q1 {rel[0]:+.2f} %, q3 {rel[2]:+.2f} %]"
+               if rel else "no paired change")
         print(
             f"{name} ({unit}, {m['better']} is better): "
             f"parent median {pmed:.4f} [q1 {pq1:.4f}, q3 {pq3:.4f}], "
             f"change median {cmed:.4f} [q1 {cq1:.4f}, q3 {cq3:.4f}], "
-            f"change {delta:+.2f} %, lower in {lower} of {len(paired[name])}"
+            f"change {delta:+.2f} %, {rel}, lower in {lower} of {len(paired[name])}"
         )
         if trace:
             continue

@@ -37,6 +37,7 @@ use std::path::Path;
 use dirq_bench::{matrix, repo_root};
 use dirq_scenario::{registry, run_matrix_report, ScenarioSpec, SweepConfig};
 use dirq_sim::json::Json;
+use dirq_sim::runner;
 
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
@@ -232,18 +233,19 @@ fn run_smoke(root: &Path, out: &str, cli_cfg: &SweepConfig, floor: f64) {
     }
 
     // Perf-trajectory tripwire: fresh short runs of the large presets
-    // must clear `floor × recorded epochs/s` (BENCH_2 throughput,
-    // matching worker count). Catches perf regressions that land without
-    // re-recording the trajectory.
+    // must clear `floor × recorded epochs/s` (BENCH_2 throughput, at the
+    // worker count the engine resolves). Catches perf regressions that
+    // land without re-recording the trajectory.
     if floor > 0.0 {
         let doc = bench2.expect("BENCH_2.json verified above");
         for name in ["grid_2000", "stress_5000", "stress_20000"] {
             // Short-budget spec: enough run-loop epochs for a stable
             // epochs/s estimate without full-budget wall time.
             let spec = registry::preset(name).expect("registry preset").scaled(0.05);
-            // Baseline at the matching worker count, else the serial one.
-            let Some(recorded) = matrix::recorded_throughput(&doc, name, workers)
-                .or_else(|| matrix::recorded_throughput(&doc, name, 1))
+            // Baseline at the worker count the engine runs, else the
+            // largest recorded count below it.
+            let resolved = runner::shard_workers(workers, spec.n_nodes);
+            let Some((threads, recorded)) = matrix::baseline_throughput(&doc, name, resolved)
             else {
                 eprintln!("FAIL: BENCH_2.json has no recorded throughput for {name}");
                 std::process::exit(1);
@@ -251,8 +253,9 @@ fn run_smoke(root: &Path, out: &str, cli_cfg: &SweepConfig, floor: f64) {
             let (eps, epochs, _) = matrix::measure_throughput(&spec, workers, 2);
             let threshold = recorded * floor;
             println!(
-                "perf floor {name}: fresh {eps:.0} eps ({epochs} epochs, {workers} workers) \
-                 vs recorded {recorded:.0} × floor {floor} = {threshold:.0}"
+                "perf floor {name}: fresh {eps:.0} eps ({epochs} epochs, {workers} workers \
+                 resolved to {resolved}) vs recorded {recorded:.0} at {threads} × floor {floor} \
+                 = {threshold:.0}"
             );
             if eps < threshold {
                 eprintln!(

@@ -9,6 +9,23 @@ use std::time::Instant;
 use dirq_core::Engine;
 use dirq_scenario::{registry, run_matrix_report, ScenarioReport, ScenarioSpec, SweepConfig};
 use dirq_sim::json::Json;
+use dirq_sim::runner;
+
+/// The intra-run worker counts the throughput axis asks for.
+const THROUGHPUT_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// The distinct worker counts `requested` resolve to on this host, as the
+/// engine resolves them for a deployment of `nodes` nodes
+/// ([`runner::shard_workers`]), ascending. A request past the host's
+/// threads runs at a smaller count, so it is measured once, under that
+/// count.
+pub fn resolved_workers(requested: &[usize], nodes: usize) -> Vec<usize> {
+    let mut counts: Vec<usize> =
+        requested.iter().map(|&w| runner::shard_workers(w, nodes)).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
 
 /// Wrap the report in the artifact envelope.
 pub fn artifact(report: &ScenarioReport, cfg: &SweepConfig, wall: f64) -> Json {
@@ -66,8 +83,9 @@ pub fn measure_throughput(spec: &ScenarioSpec, threads: usize, repeats: usize) -
 /// Returns the assembled report.
 ///
 /// The throughput axis runs each large preset at 1, 2 and 4 intra-run
-/// workers; the run fingerprint must be identical across the axis —
-/// worker counts may only change speed, and this asserts it.
+/// workers, each row labelled with the count the engine resolves (see
+/// [`resolved_workers`]); the run fingerprint must be identical across the
+/// axis — worker counts may only change speed, and this asserts it.
 pub fn run_and_record(specs: &[ScenarioSpec], cfg: &SweepConfig, out: &str) -> ScenarioReport {
     let t0 = Instant::now();
     let report = run_matrix_report(specs, cfg);
@@ -98,7 +116,7 @@ pub fn run_and_record(specs: &[ScenarioSpec], cfg: &SweepConfig, out: &str) -> S
         }
         let spec = registry::preset(name).expect("registry preset").scaled(cfg.epoch_scale);
         let mut serial_fp = None;
-        for threads in [1usize, 2, 4] {
+        for threads in resolved_workers(&THROUGHPUT_WORKERS, spec.n_nodes) {
             // Best of two runs: the run loop is deterministic, so repeats
             // only differ by scheduling noise — keep the cleaner sample.
             let (eps, epochs, fp) = measure_throughput(&spec, threads, 2);
@@ -131,16 +149,48 @@ pub fn run_and_record(specs: &[ScenarioSpec], cfg: &SweepConfig, out: &str) -> S
     report
 }
 
-/// The `epochs_per_sec` recorded in `doc`'s throughput section for
-/// `(scenario, threads)`, if present.
-pub fn recorded_throughput(doc: &Json, scenario: &str, threads: usize) -> Option<f64> {
-    doc.get("throughput")?.as_array()?.iter().find_map(|o| {
-        let matches = o.get("scenario")?.as_str()? == scenario
-            && o.get("threads")?.as_f64()? as usize == threads;
-        if matches {
-            o.get("epochs_per_sec")?.as_f64()
-        } else {
-            None
-        }
-    })
+/// The baseline in `doc`'s throughput section for `scenario` run at
+/// `workers` resolved workers: the row recorded at that count, else the
+/// row at the largest recorded count below it. Returns `(threads,
+/// epochs_per_sec)` of that row.
+pub fn baseline_throughput(doc: &Json, scenario: &str, workers: usize) -> Option<(usize, f64)> {
+    let row = |o: &Json| {
+        let threads = o.get("threads")?.as_f64()? as usize;
+        let matches = o.get("scenario")?.as_str()? == scenario && threads <= workers;
+        matches.then_some((threads, o.get("epochs_per_sec")?.as_f64()?))
+    };
+    doc.get("throughput")?.as_array()?.iter().filter_map(row).max_by_key(|&(threads, _)| threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn throughput_rows_are_the_distinct_resolved_counts() {
+        let host = runner::host_threads();
+        let counts = resolved_workers(&THROUGHPUT_WORKERS, 2_000);
+        assert!(counts.windows(2).all(|w| w[0] < w[1]), "{counts:?} not distinct");
+        assert!(counts.iter().all(|&w| 1 <= w && w <= host), "{counts:?} past {host} threads");
+        assert_eq!(counts.first(), Some(&1));
+        assert_eq!(counts.last(), Some(&host.min(4)), "the largest request runs at its clamp");
+        assert_eq!(resolved_workers(&THROUGHPUT_WORKERS, 100), [1], "small runs are serial");
+    }
+
+    #[test]
+    fn baseline_falls_back_to_the_largest_count_below() {
+        let doc = Json::parse(
+            r#"{"throughput": [
+                {"scenario": "a", "threads": 1, "epochs_per_sec": 10},
+                {"scenario": "a", "threads": 2, "epochs_per_sec": 20},
+                {"scenario": "b", "threads": 4, "epochs_per_sec": 40}
+            ]}"#,
+        )
+        .unwrap();
+        assert_eq!(baseline_throughput(&doc, "a", 1), Some((1, 10.0)));
+        assert_eq!(baseline_throughput(&doc, "a", 2), Some((2, 20.0)));
+        assert_eq!(baseline_throughput(&doc, "a", 4), Some((2, 20.0)));
+        assert_eq!(baseline_throughput(&doc, "b", 2), None);
+        assert_eq!(baseline_throughput(&doc, "c", 4), None);
+    }
 }

@@ -1,12 +1,9 @@
-//! Message dispatch: the MAC frame, the read-ahead before each slot's
-//! dispatch, the indication handlers, query injection, the hourly `EHr`
-//! and query finalisation.
-
-use std::hint::black_box;
+//! Message dispatch: the MAC frame, the indication handlers, query
+//! injection, the hourly `EHr` and query finalisation.
 
 use dirq_analytic::TopologyCosts;
 use dirq_data::workload::{CalibratedQuery, GroundTruth};
-use dirq_data::{QueryId, SensorType};
+use dirq_data::QueryId;
 use dirq_lmac::{Destination, LmacNetwork, MacIndication, PayloadHandle};
 use dirq_net::NodeId;
 
@@ -17,13 +14,6 @@ use crate::node::{DirqNode, Outgoing};
 use crate::pending::{PendingQuery, PendingSet};
 
 use super::{CompletedQuery, Engine, Protocol};
-
-/// Deployments below this node count skip the read-ahead stages before
-/// dispatch and in the escape pass: their protocol state stays in cache
-/// between uses, so the stages find no miss to overlap and only add work.
-/// Measured per epoch at one worker, the stages cost 2–3 % on the 100- to
-/// 500-node presets and save 4–7 % on grid_2000 and stress_5000.
-const READ_AHEAD_MIN_NODES: usize = 1024;
 
 /// ATC cost target as a fraction of flooding cost (the paper's band is
 /// 45–55 %, centred at 0.5); [`Engine::broadcast_ehr`] budgets for it.
@@ -111,29 +101,6 @@ pub(super) fn route(node: &DirqNode, out: Outgoing) -> Option<(Destination, Dirq
             Some((Destination::Multicast(dests), msg))
         }
         Outgoing::ToChildren(..) | Outgoing::DeliverLocal(_) => None,
-    }
-}
-
-/// Read ahead of a batch of handler calls in three stages, each over the
-/// whole batch, so the cache misses of different nodes overlap instead of
-/// each call walking its own chain of cold loads: every node of `nodes`;
-/// then, per `(node, type, query)` of `tables`, the node's table slot and
-/// child list (and its duplicate list for a query); then the node's child
-/// tuples. It only reads, into `black_box`, so it cannot move a result.
-/// Dispatch runs it before each slot's deliveries, and the sampling pass
-/// before each block's escapes.
-pub(super) fn warm_up<'a, T>(nodes: impl Iterator<Item = &'a DirqNode>, tables: impl Fn() -> T)
-where
-    T: Iterator<Item = (&'a DirqNode, SensorType, bool)>,
-{
-    for node in nodes {
-        black_box(node.touch());
-    }
-    for (node, stype, query) in tables() {
-        black_box(node.touch_lists(stype, query));
-    }
-    for (node, _, _) in tables() {
-        black_box(node.touch_tuples());
     }
 }
 
@@ -257,16 +224,12 @@ impl Engine {
         // The buffer is moved out for the frame so dispatching (which may
         // re-enter the MAC, e.g. flooding rebroadcasts) can borrow `self`.
         let mut buf = std::mem::take(&mut self.dispatch_scratch.indications);
-        let read_ahead = self.reads_ahead();
         for _ in 0..slots {
             buf.clear();
             self.timed(|t| &mut t.mac, |e| e.mac.advance_slot_into(&mut e.mac_rng, &mut buf));
             self.timed(
                 |t| &mut t.dispatch,
                 |e| {
-                    if read_ahead {
-                        e.read_ahead(&buf);
-                    }
                     for ind in buf.drain(..) {
                         e.dispatch_indication(ind);
                     }
@@ -274,40 +237,6 @@ impl Engine {
             );
         }
         self.dispatch_scratch.indications = buf;
-    }
-
-    /// Whether dispatch and sampling read ahead (see
-    /// [`READ_AHEAD_MIN_NODES`]).
-    pub(super) fn reads_ahead(&self) -> bool {
-        self.nodes.len() >= READ_AHEAD_MIN_NODES
-    }
-
-    /// Read ahead of one slot's deliveries through [`warm_up`]: every
-    /// destination's protocol node and MAC record, and for Update, Retract
-    /// and Query payloads the destination's table for the payload's type.
-    /// Dispatch then runs in its unchanged order.
-    fn read_ahead(&self, slot: &[MacIndication<DirqMessage>]) {
-        let delivered = || {
-            slot.iter().filter_map(|ind| match ind {
-                MacIndication::Delivered { to, payload, .. } => {
-                    Some((*to, self.mac.payload(*payload)))
-                }
-                _ => None,
-            })
-        };
-        let nodes = delivered().map(|(to, _)| {
-            black_box(self.mac.queue_is_empty(to));
-            &self.nodes[to.index()]
-        });
-        warm_up(nodes, || {
-            delivered().filter_map(|(to, msg)| match msg {
-                DirqMessage::Update { stype, .. } | DirqMessage::Retract { stype } => {
-                    Some((&self.nodes[to.index()], *stype, false))
-                }
-                DirqMessage::Query(q) => Some((&self.nodes[to.index()], q.stype, true)),
-                _ => None,
-            })
-        });
     }
 
     pub(super) fn end_epoch_housekeeping(&mut self) {

@@ -9,7 +9,8 @@
 //! [`SensorCell`] per `(node, type)`, and the protocol node ([`DirqNode`])
 //! is entered only when a reading escapes. The engine's sampling pass,
 //! [`sample_pass`], runs [`SensorCell::observe`] on every reading and
-//! [`escape`] on the ones that leave the window.
+//! [`escape`] on the ones that leave the window, in one loop per node and
+//! type.
 //!
 //! Each cell keeps a copy of its node's own tuple as the escape window.
 //! The own tuple changes only in the escape handler, when a sensor is
@@ -28,7 +29,7 @@ use crate::node::{DirqNode, Outgoing};
 use crate::range_table::RangeEntry;
 use crate::sampling::{PredictiveConfig, Sampler};
 
-use super::dispatch::{route, warm_up, Outbox};
+use super::dispatch::{route, Outbox};
 use super::Engine;
 
 /// One carried sensor's sampling state. `NaN` marks each field as absent.
@@ -148,9 +149,8 @@ pub(crate) fn escape(
 
 // --- the sampling pass: the one sharded upkeep pass ------------------------
 
-/// Nodes per sampling block. Its escape bits live on the stack, and the
-/// serial pass sends each block's enqueues before the next block, so no
-/// buffer grows with the pass.
+/// Nodes per sampling block: the serial pass sends each block's enqueues
+/// before the next block, so no buffer grows with the pass.
 const SAMPLE_BLOCK: usize = 64;
 
 impl Engine {
@@ -167,7 +167,6 @@ impl Engine {
             spans: &self.node_cfg.reference_spans,
             alpha: self.node_cfg.variability_alpha,
             predictive: self.cfg.sampling.predictive(),
-            read_ahead: self.reads_ahead(),
         };
         let mut outbox = Outbox {
             mac: &mut self.mac,
@@ -240,8 +239,6 @@ pub(super) struct SampleInputs<'a> {
     alpha: f64,
     /// The samplers' tuning; `None` unless sampling is predictive.
     predictive: Option<&'a PredictiveConfig>,
-    /// Whether the escape pass reads ahead ([`Engine::reads_ahead`]).
-    read_ahead: bool,
 }
 
 /// The one sampling pass, over explicit parts: sample the carried sensors
@@ -315,40 +312,21 @@ impl SampleChunk<'_> {
         self.first..self.first + self.nodes.len()
     }
 
-    /// Sample one block of the chunk's nodes, the one sampling routine: a
-    /// plane pass over every carried cell of the `alive` nodes, then an
-    /// escape pass over the readings that left their window, which queues
-    /// each enqueue in the shard.
-    ///
-    /// This is bit-equal to sampling each node's types in one pass: a
-    /// cell's step touches only that cell, its sampler and, on an escape,
-    /// its node's table for that type, and sampling reads no MAC, metrics
-    /// or pending state. Escapes still run in node and type order, so the
-    /// enqueue order is the same too.
+    /// Sample the carried sensors of the `alive` nodes of `block`, the one
+    /// sampling routine. Per node, in type order: the predictive gate, the
+    /// world read and the cell step; on an escape, [`escape`] and [`route`]
+    /// into the shard's effects; then the sampler's update from the cell's
+    /// window.
     fn sample(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits, block: Range<usize>) {
-        let mut escaped = [0u64; SAMPLE_BLOCK];
-        self.plane_pass(inputs, alive, block.clone(), &mut escaped);
-        self.escape_pass(inputs, block, &escaped);
-    }
-
-    /// Per alive node with a carried sensor, in type order: the predictive
-    /// gate, the world read and the cell step. A reading inside its window
-    /// updates its sampler here; one that escapes sets its type's bit in
-    /// `escaped` for the escape pass.
-    fn plane_pass(
-        &mut self,
-        inputs: &SampleInputs<'_>,
-        alive: &NodeBits,
-        block: Range<usize>,
-        escaped: &mut [u64; SAMPLE_BLOCK],
-    ) {
         let width = inputs.width;
-        for (i, escaped) in block.zip(escaped) {
+        let UpkeepShard { effects, outgoing } = &mut *self.shard;
+        for i in block {
             let mask = inputs.masks[i];
             if mask == 0 || !alive.contains(NodeId::from_index(i)) {
                 continue;
             }
             let j = i - self.first;
+            let node = &mut self.nodes[j];
             let row = &mut self.cells[j * width..(j + 1) * width];
             let mut samplers =
                 self.samplers.as_deref_mut().map(|s| &mut s[j * width..(j + 1) * width]);
@@ -360,70 +338,20 @@ impl SampleChunk<'_> {
                 if reading.is_nan() {
                     continue;
                 }
-                let cell = &mut row[idx];
+                let (cell, stype) = (&mut row[idx], SensorType(idx as u8));
                 if cell.observe(reading, inputs.spans[idx], inputs.alpha) {
-                    *escaped |= 1 << idx;
-                    continue;
-                }
-                debug_assert_eq!(
-                    cell.window(),
-                    self.nodes[j]
-                        .table(SensorType(idx as u8))
-                        .and_then(|t| t.own())
-                        .map(|e| (e.min, e.max)),
-                    "escape window out of step with node {i}'s own tuple"
-                );
-                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
-                    s[idx].on_sampled(pc, reading, cell.window());
-                }
-            }
-        }
-    }
-
-    /// Read ahead of the block's escaping nodes through [`warm_up`], then,
-    /// in node and type order, run each escape through [`escape`], route
-    /// its handler output into the shard's effects, and update its sampler
-    /// from the refreshed window.
-    fn escape_pass(
-        &mut self,
-        inputs: &SampleInputs<'_>,
-        block: Range<usize>,
-        escaped: &[u64; SAMPLE_BLOCK],
-    ) {
-        let (first, width) = (self.first, inputs.width);
-        if inputs.read_ahead {
-            let nodes = &*self.nodes;
-            let escapes = || {
-                block
-                    .clone()
-                    .zip(escaped)
-                    .filter(|&(_, &mask)| mask != 0)
-                    .map(|(i, &mask)| (&nodes[i - first], mask))
-            };
-            warm_up(escapes().map(|(node, _)| node), || {
-                escapes().flat_map(|(node, mask)| {
-                    bits(mask).map(move |idx| (node, SensorType(idx as u8), false))
-                })
-            });
-        }
-        let UpkeepShard { effects, outgoing } = &mut *self.shard;
-        for (i, &mask) in block.zip(escaped) {
-            if mask == 0 {
-                continue;
-            }
-            let j = i - first;
-            let node = &mut self.nodes[j];
-            let row = &mut self.cells[j * width..(j + 1) * width];
-            let mut samplers =
-                self.samplers.as_deref_mut().map(|s| &mut s[j * width..(j + 1) * width]);
-            for idx in bits(mask) {
-                let reading = inputs.rows[idx][i];
-                let cell = &mut row[idx];
-                escape(node, cell, SensorType(idx as u8), reading, outgoing);
-                for out in outgoing.drain(..) {
-                    if let Some((dest, msg)) = route(node, out) {
-                        effects.push(Effect { from: node.id(), dest, msg });
+                    escape(node, cell, stype, reading, outgoing);
+                    for out in outgoing.drain(..) {
+                        if let Some((dest, msg)) = route(node, out) {
+                            effects.push(Effect { from: node.id(), dest, msg });
+                        }
                     }
+                } else {
+                    debug_assert_eq!(
+                        cell.window(),
+                        node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
+                        "escape window out of step with node {i}'s own tuple"
+                    );
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
                     s[idx].on_sampled(pc, reading, cell.window());
@@ -710,8 +638,9 @@ mod tests {
 
 #[cfg(test)]
 mod block_tests {
-    //! The sampling pass, serial and sharded, against the one-pass loop
-    //! its block routine replaced.
+    //! The sampling pass, serial and sharded, against a one-pass model
+    //! built on the one-reading [`sample`], and the serial pass's
+    //! buffering.
 
     use std::sync::Arc;
 
@@ -729,11 +658,10 @@ mod block_tests {
     const EPOCHS: usize = 6;
 
     impl SampleInputs<'_> {
-        /// The one-pass loop the block routine replaced: sample node `i`'s
-        /// sensors in type order — the predictive gate, the world
-        /// read, the plane step through [`sample`] and the
-        /// sampler's update from the cell's window — appending the routed
-        /// MAC enqueues to `effects`.
+        /// The model of the block routine: sample node `i`'s sensors in
+        /// type order — the predictive gate, the world read, the plane
+        /// step through [`sample`] and the sampler's update from the cell's
+        /// window — appending the routed MAC enqueues to `effects`.
         fn sample_carrier(
             &self,
             i: usize,
@@ -974,7 +902,6 @@ mod block_tests {
                     spans: &SPANS,
                     alpha: ALPHA,
                     predictive: predictive.as_ref(),
-                    read_ahead: true,
                 };
                 let want = model.run_model(&inputs, &alive);
                 let (want_cells, want_state) = bits_of(&model);
@@ -988,5 +915,51 @@ mod block_tests {
                 }
             }
         }
+    }
+
+    /// The serial pass sends each block's enqueues before the next block,
+    /// so its shard never buffers more than one block's: on a fresh plane,
+    /// as at epoch 0, every carried cell escapes and a pass that sent only
+    /// at its end would hold every node's Updates at once.
+    #[test]
+    fn serial_pass_buffers_at_most_one_block() {
+        let (n, width) = (1 + 5 * SAMPLE_BLOCK, SPANS.len());
+        let cfg = Arc::new(NodeConfig {
+            delta_policy: DeltaPolicy::Fixed(5.0),
+            reference_spans: SPANS.to_vec(),
+            variability_alpha: ALPHA,
+            tx_threshold_factor: 1.0,
+        });
+        let masks = vec![(1u64 << width) - 1; n];
+        let mut alive = NodeBits::new(n);
+        let mut nodes = Vec::with_capacity(n);
+        for i in 0..n {
+            alive.insert(NodeId::from_index(i));
+            let mut node = DirqNode::new(NodeId::from_index(i), Arc::clone(&cfg));
+            if i > 0 {
+                node.set_parent(Some(NodeId::ROOT), &mut Vec::new());
+            }
+            nodes.push(node);
+        }
+        let rows: Vec<Vec<f64>> = SPANS
+            .iter()
+            .map(|&span| (0..n).map(|i| span * (i % 7) as f64 / 7.0).collect())
+            .collect();
+        let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let inputs = SampleInputs {
+            masks: &masks,
+            rows: &row_refs,
+            width,
+            spans: &SPANS,
+            alpha: ALPHA,
+            predictive: None,
+        };
+        let mut cells = vec![SensorCell::EMPTY; n * width];
+        let mut shards = [UpkeepShard::default()];
+        let mut sink = Recorder { alive: &alive, sent: Vec::new() };
+        sample_pass(&inputs, &mut nodes, &mut cells, None, &mut shards, &mut sink);
+        assert_eq!(sink.sent.len(), (n - 1) * width, "every carried cell escapes");
+        let held = shards[0].effects.capacity();
+        assert!(held <= SAMPLE_BLOCK * width, "the serial pass buffered {held} enqueues");
     }
 }

@@ -46,11 +46,6 @@ impl SeenQueries {
         self.ids.len()
     }
 
-    /// The oldest remembered id.
-    pub(crate) fn oldest(&self) -> Option<QueryId> {
-        self.ids.first().copied()
-    }
-
     /// Write the ids to `w`: a count, then one `u64` per id.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.len_of(self.ids.len());

@@ -28,7 +28,7 @@
 //!   Its crate-private modules hold one plane each: `config` (the public
 //!   types), `run` (construction and the epoch loop), `snapshot`, `tree`
 //!   (churn, repair, attachment), `dispatch` (the MAC frame, routing and
-//!   the one MAC enqueue, read-ahead, injection, EHr, finalisation) and
+//!   the one MAC enqueue, injection, EHr, finalisation) and
 //!   `sensing` (the dense per-(node, type) sampling state and the one
 //!   sampling pass; a node is entered only when a reading escapes its own
 //!   tuple).

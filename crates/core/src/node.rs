@@ -390,36 +390,6 @@ impl DirqNode {
         }
     }
 
-    // --- read-ahead -------------------------------------------------------------
-    //
-    // The engine reads ahead of a batch of handler calls in three stages,
-    // each over the whole batch, so the loads of different nodes overlap
-    // instead of forming one dependent chain per message. Each stage
-    // returns a word built from what it loaded, for the caller to fold
-    // into `std::hint::black_box`; none changes state.
-
-    /// Stage one: the node itself — the words the later stages follow.
-    #[inline]
-    pub(crate) fn touch(&self) -> usize {
-        self.tables.width() ^ self.children.len() ^ self.seen_queries.len()
-    }
-
-    /// Stage two: the table slot for `stype`, the child list and, for a
-    /// query, the duplicate-suppression list.
-    #[inline]
-    pub(crate) fn touch_lists(&self, stype: SensorType, query: bool) -> usize {
-        let slot = self.tables.touch_slot(stype);
-        let child = self.children.first().map_or(0, |c| c.index());
-        let seen = if query { self.seen_queries.oldest().map_or(0, |q| q.0 as usize) } else { 0 };
-        slot ^ child ^ seen
-    }
-
-    /// Stage three: the child tuples of every table, in one list.
-    #[inline]
-    pub(crate) fn touch_tuples(&self) -> usize {
-        self.tables.touch_children()
-    }
-
     // --- snapshot -------------------------------------------------------------
 
     /// Write the node's full dynamic state to `w`, with its sensing-plane

@@ -261,20 +261,6 @@ impl RangeTables {
         (std::mem::size_of_val(&*self.slots), self.children.capacity())
     }
 
-    /// Read-ahead stage two: `stype`'s slot.
-    #[inline]
-    pub(crate) fn touch_slot(&self, stype: SensorType) -> usize {
-        self.slots.get(stype.index()).map_or(0, |s| s.last_tx.min.to_bits() as usize)
-    }
-
-    /// Read-ahead stage three: every child tuple, each an independent load,
-    /// so the list's lines are in flight together before the searches
-    /// that walk it.
-    #[inline]
-    pub(crate) fn touch_children(&self) -> usize {
-        self.children.iter().fold(0, |acc, c| acc ^ c.key as usize)
-    }
-
     /// Write the table array: its width, then per type a presence flag and
     /// a present table's record ([`RangeTable::snap`]).
     pub(crate) fn snap(&self, w: &mut SnapWriter) {

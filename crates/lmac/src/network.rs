@@ -446,12 +446,6 @@ impl<P> LmacNetwork<P> {
         self.store.iter(self.nodes[node.index()].queue).count()
     }
 
-    /// Whether `node`'s transmit queue is empty: one read of its MAC
-    /// record, which an enqueue at `node` touches first.
-    pub fn queue_is_empty(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].queue.is_empty()
-    }
-
     /// The payload behind `handle`.
     ///
     /// # Panics
@@ -1902,7 +1896,7 @@ mod tests {
         assert!(entries >= burst && payloads >= burst, "{entries} / {payloads}");
         // A steady trickle of one message a frame while the burst drains.
         let mut frames = 0;
-        while (0..50).any(|i| !net.queue_is_empty(NodeId(i))) {
+        while (0..50).any(|i| net.queue_len(NodeId(i)) > 0) {
             net.enqueue(NodeId(1), Destination::Broadcast, u32::MAX);
             net.advance_frame(&mut rng);
             frames += 1;
