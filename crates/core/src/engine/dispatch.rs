@@ -74,7 +74,7 @@ impl Outbox<'_> {
         payload: PayloadHandle<DirqMessage>,
     ) {
         let msg = self.mac.payload(payload);
-        let (category, query) = (msg.category(), query_id_of(msg));
+        let (category, query) = (msg.category(), query_id_of(&msg));
         if self.mac.enqueue_shared(from, dest, payload) {
             self.count_tx(category, query);
         }
@@ -302,7 +302,7 @@ impl Engine {
     pub(super) fn dispatch_indication(&mut self, ind: MacIndication<DirqMessage>) {
         match ind {
             MacIndication::Delivered { to, from, payload } => {
-                let msg = *self.mac.payload(payload);
+                let msg = self.mac.payload(payload);
                 self.metrics.on_rx(msg.category(), self.epoch);
                 if let Some(p) = query_id_of(&msg).and_then(|id| self.pending.get_mut(id)) {
                     p.rx += 1;

@@ -20,16 +20,16 @@
 use std::ops::Range;
 
 use dirq_data::SensorType;
-use dirq_lmac::Destination;
+use dirq_lmac::{Destination, Payload};
 use dirq_net::{NodeBits, NodeId};
 use dirq_sim::runner;
 
-use crate::messages::DirqMessage;
+use crate::messages::{CompactMessage, DirqMessage};
 use crate::node::{DirqNode, Outgoing};
 use crate::range_table::RangeEntry;
 use crate::sampling::{PredictiveConfig, Sampler};
 
-use super::dispatch::{route, Outbox};
+use super::dispatch::Outbox;
 use super::Engine;
 
 /// One carried sensor's sampling state. `NaN` marks each field as absent.
@@ -200,7 +200,8 @@ impl SampleSink for Outbox<'_> {
     }
 
     fn emit(&mut self, e: Effect) {
-        self.send(e.from, e.dest, e.msg);
+        let (from, dest, msg) = e.enqueue();
+        self.send(from, dest, msg);
     }
 }
 
@@ -214,13 +215,30 @@ pub(super) struct UpkeepShard {
     outgoing: Vec<Outgoing>,
 }
 
-/// One MAC enqueue an escape queued: [`route`]'s destination and message
-/// for the escaping node.
-#[cfg_attr(test, derive(Debug, PartialEq))]
+/// One MAC enqueue an escape queued. An escape appends only Updates and
+/// Retracts for the node's parent (`DirqNode::flush_table`), so an effect
+/// is the sender, its parent and the message's compact form: 32 bytes.
 pub(super) struct Effect {
     from: NodeId,
-    dest: Destination,
-    msg: DirqMessage,
+    parent: NodeId,
+    msg: CompactMessage,
+}
+
+impl Effect {
+    /// The enqueue `dispatch::route` makes of `node`'s escape output
+    /// `out`: none while the node is orphaned.
+    fn new(node: &DirqNode, out: Outgoing) -> Option<Effect> {
+        let Outgoing::ToParent(msg) = out else {
+            unreachable!("an escape sends only to the parent")
+        };
+        let msg = msg.compact().expect("an escape sends only Updates and Retracts");
+        Some(Effect { from: node.id(), parent: node.parent()?, msg })
+    }
+
+    /// The enqueue as [`Outbox::send`] takes it.
+    fn enqueue(self) -> (NodeId, Destination, DirqMessage) {
+        (self.from, Destination::unicast(self.parent), DirqMessage::expand(self.msg))
+    }
 }
 
 /// What every node of one sampling pass reads.
@@ -314,9 +332,9 @@ impl SampleChunk<'_> {
 
     /// Sample the carried sensors of the `alive` nodes of `block`, the one
     /// sampling routine. Per node, in type order: the predictive gate, the
-    /// world read and the cell step; on an escape, [`escape`] and [`route`]
-    /// into the shard's effects; then the sampler's update from the cell's
-    /// window.
+    /// world read and the cell step; on an escape, [`escape`] and its
+    /// output into the shard's effects ([`Effect::new`]); then the
+    /// sampler's update from the cell's window.
     fn sample(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits, block: Range<usize>) {
         let width = inputs.width;
         let UpkeepShard { effects, outgoing } = &mut *self.shard;
@@ -341,11 +359,7 @@ impl SampleChunk<'_> {
                 let (cell, stype) = (&mut row[idx], SensorType(idx as u8));
                 if cell.observe(reading, inputs.spans[idx], inputs.alpha) {
                     escape(node, cell, stype, reading, outgoing);
-                    for out in outgoing.drain(..) {
-                        if let Some((dest, msg)) = route(node, out) {
-                            effects.push(Effect { from: node.id(), dest, msg });
-                        }
-                    }
+                    effects.extend(outgoing.drain(..).filter_map(|out| Effect::new(node, out)));
                 } else {
                     debug_assert_eq!(
                         cell.window(),
@@ -624,6 +638,12 @@ mod tests {
     }
 
     #[test]
+    fn layout_budget() {
+        // A deferred enqueue: the sender, its parent and a compact message.
+        assert!(std::mem::size_of::<Effect>() <= 32, "{}", std::mem::size_of::<Effect>());
+    }
+
+    #[test]
     fn readings_on_the_window_bounds_stay_inside() {
         let mut cell = SensorCell::EMPTY;
         assert!(cell.observe(20.0, 20.0, ALPHA), "no tuple: the first reading escapes");
@@ -650,12 +670,17 @@ mod block_tests {
 
     use super::*;
     use crate::atc::DeltaPolicy;
+    use crate::engine::dispatch::route;
     use crate::node::NodeConfig;
     use crate::sampling::PredictiveConfig;
 
     const SPANS: [f64; 4] = [20.0, 40.0, 100.0, 10.0];
     const ALPHA: f64 = 0.2;
     const EPOCHS: usize = 6;
+
+    /// One MAC enqueue as the model routes it: sender, destination and
+    /// message.
+    type Enqueue = (NodeId, Destination, DirqMessage);
 
     impl SampleInputs<'_> {
         /// The model of the block routine: sample node `i`'s sensors in
@@ -668,7 +693,7 @@ mod block_tests {
             node: &mut DirqNode,
             row: &mut [SensorCell],
             mut samplers: Option<&mut [Sampler]>,
-            effects: &mut Vec<Effect>,
+            effects: &mut Vec<Enqueue>,
         ) {
             let mut mask = self.masks[i];
             while mask != 0 {
@@ -689,7 +714,7 @@ mod block_tests {
                 sample(node, cell, stype, reading, self.spans[idx], self.alpha, &mut outs);
                 for out in outs {
                     if let Some((dest, msg)) = route(node, out) {
-                        effects.push(Effect { from: NodeId::from_index(i), dest, msg });
+                        effects.push((NodeId::from_index(i), dest, msg));
                     }
                 }
                 if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), self.predictive) {
@@ -702,7 +727,7 @@ mod block_tests {
     /// A sink that records what the pass sends, under a fixed liveness.
     struct Recorder<'a> {
         alive: &'a NodeBits,
-        sent: Vec<Effect>,
+        sent: Vec<Enqueue>,
     }
 
     impl SampleSink for Recorder<'_> {
@@ -711,7 +736,7 @@ mod block_tests {
         }
 
         fn emit(&mut self, e: Effect) {
-            self.sent.push(e);
+            self.sent.push(e.enqueue());
         }
     }
 
@@ -726,7 +751,7 @@ mod block_tests {
     impl State {
         /// The model: the one-pass loop over every alive non-root node,
         /// effects in node order.
-        fn run_model(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits) -> Vec<Effect> {
+        fn run_model(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits) -> Vec<Enqueue> {
             let width = SPANS.len();
             let mut effects = Vec::new();
             for i in (1..self.nodes.len()).filter(|&i| alive.contains(NodeId::from_index(i))) {
@@ -744,7 +769,7 @@ mod block_tests {
             inputs: &SampleInputs<'_>,
             alive: &NodeBits,
             threads: usize,
-        ) -> Vec<Effect> {
+        ) -> Vec<Enqueue> {
             let mut shards: Vec<UpkeepShard> =
                 (0..threads).map(|_| UpkeepShard::default()).collect();
             let mut sink = Recorder { alive, sent: Vec::new() };

@@ -2,9 +2,12 @@
 //!
 //! These are the payloads carried by LMAC data sections. Sizes are small
 //! (a few words) — consistent with the paper's premise that update messages
-//! are cheap tuples.
+//! are cheap tuples. Every variant but the three that carry a query or a
+//! rectangle has a 24-byte [`CompactMessage`] form, in which the MAC's
+//! message store keeps it.
 
 use dirq_data::{RangeQuery, SensorType};
+use dirq_lmac::Payload;
 use dirq_net::Rect;
 
 /// Adaptive-threshold parameters broadcast by the root once per "hour"
@@ -22,6 +25,10 @@ pub struct EhrMessage {
 
 /// A DirQ/flooding protocol message. `Copy`: the MAC stores each queued
 /// message once, and dispatch copies a delivered one out.
+///
+/// As a MAC [`Payload`], an Update, Retract, Ehr, Attach or Detach is
+/// small and stored as its [`CompactMessage`]; a Query, FloodQuery or
+/// GeoAdvert is large and stored whole.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DirqMessage {
     /// Range-aggregate advertisement from a child to its parent
@@ -135,6 +142,59 @@ impl DirqMessage {
     }
 }
 
+/// The compact form of a small [`DirqMessage`]: its variant and fields,
+/// in 24 bytes rather than the 80 a query with its region needs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum CompactMessage {
+    /// [`DirqMessage::Update`].
+    Update {
+        /// Sensor type the aggregate covers.
+        stype: SensorType,
+        /// `min(THmin)` over the child's table.
+        min: f64,
+        /// `max(THmax)` over the child's table.
+        max: f64,
+    },
+    /// [`DirqMessage::Retract`].
+    Retract {
+        /// Sensor type to withdraw.
+        stype: SensorType,
+    },
+    /// [`DirqMessage::Ehr`].
+    Ehr(EhrMessage),
+    /// [`DirqMessage::Attach`].
+    Attach,
+    /// [`DirqMessage::Detach`].
+    Detach,
+}
+
+impl Payload for DirqMessage {
+    type Compact = CompactMessage;
+
+    fn compact(&self) -> Option<CompactMessage> {
+        Some(match *self {
+            DirqMessage::Update { stype, min, max } => CompactMessage::Update { stype, min, max },
+            DirqMessage::Retract { stype } => CompactMessage::Retract { stype },
+            DirqMessage::Ehr(e) => CompactMessage::Ehr(e),
+            DirqMessage::Attach => CompactMessage::Attach,
+            DirqMessage::Detach => CompactMessage::Detach,
+            DirqMessage::Query(_) | DirqMessage::FloodQuery(_) | DirqMessage::GeoAdvert(_) => {
+                return None
+            }
+        })
+    }
+
+    fn expand(compact: CompactMessage) -> Self {
+        match compact {
+            CompactMessage::Update { stype, min, max } => DirqMessage::Update { stype, min, max },
+            CompactMessage::Retract { stype } => DirqMessage::Retract { stype },
+            CompactMessage::Ehr(e) => DirqMessage::Ehr(e),
+            CompactMessage::Attach => DirqMessage::Attach,
+            CompactMessage::Detach => DirqMessage::Detach,
+        }
+    }
+}
+
 /// Cost-accounting buckets mirroring the paper's Section 5 decomposition:
 /// `CTD = CQD + CUD` (plus the small control category the paper folds into
 /// the update mechanism).
@@ -152,6 +212,53 @@ pub enum MessageCategory {
 mod tests {
     use super::*;
     use dirq_data::QueryId;
+
+    #[test]
+    fn layout_budget() {
+        // A small message's stored form, and the message itself.
+        assert_eq!(std::mem::size_of::<CompactMessage>(), 24);
+        assert_eq!(std::mem::size_of::<DirqMessage>(), 80);
+    }
+
+    /// `msg` as the snapshot encodes it: discriminant, type and every
+    /// float's bits.
+    fn image(msg: &DirqMessage) -> Vec<u8> {
+        let mut w = dirq_sim::SnapWriter::new();
+        msg.snap(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn small_messages_round_trip_through_their_compact_form_bit_for_bit() {
+        let odd = [0.0, -0.0, f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001), 1e-310];
+        let mut small = vec![
+            DirqMessage::Retract { stype: SensorType(3) },
+            DirqMessage::Attach,
+            DirqMessage::Detach,
+        ];
+        for (k, &a) in odd.iter().enumerate() {
+            let b = odd[(k + 1) % odd.len()];
+            small.push(DirqMessage::Update { stype: SensorType(k as u8), min: a, max: b });
+            small.push(DirqMessage::Ehr(EhrMessage {
+                queries_per_hour: a,
+                per_node_budget_per_epoch: b,
+            }));
+        }
+        for msg in small {
+            let compact = msg.compact().unwrap_or_else(|| panic!("{msg:?} has no compact form"));
+            assert_eq!(image(&DirqMessage::expand(compact)), image(&msg), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn queries_and_adverts_have_no_compact_form() {
+        let rect = Rect { x_min: 1.0, y_min: 2.0, x_max: 3.0, y_max: 4.0 };
+        let q = RangeQuery::value(QueryId(1), SensorType(0), 0.0, 1.0).with_region(rect);
+        for msg in [DirqMessage::Query(q), DirqMessage::FloodQuery(q), DirqMessage::GeoAdvert(rect)]
+        {
+            assert_eq!(msg.compact(), None, "{msg:?}");
+        }
+    }
 
     #[test]
     fn categories() {

@@ -5,19 +5,54 @@
 //! new-neighbour detections.
 //!
 //! Payloads are **stored once per enqueue**: the MAC keeps each queued
-//! payload in its message store and every indication for it — one per
-//! receiver on a broadcast, one per unreachable destination — carries the
-//! same 4-byte [`PayloadHandle`], read through
-//! [`LmacNetwork::payload`](crate::LmacNetwork::payload). Copying an
-//! indication copies the handle, never the payload.
+//! payload in its message store, in the slot its [`Payload`] class picks,
+//! and every indication for it — one per receiver on a broadcast, one per
+//! unreachable destination — carries the same 4-byte [`PayloadHandle`],
+//! read through [`LmacNetwork::payload`](crate::LmacNetwork::payload).
+//! Copying an indication copies the handle, never the payload.
 
 use std::fmt;
 use std::marker::PhantomData;
 
 use dirq_net::{NodeId, NodeList};
 
-/// A payload in the MAC's message store: a 4-byte index, read through
-/// [`LmacNetwork::payload`](crate::LmacNetwork::payload).
+/// An upper-layer payload type, as the MAC's message store keeps it. A
+/// value with a compact form is small: the store keeps that form, at most
+/// 24 bytes, in a 32-byte slot. Any other value is large and takes a slot
+/// sized for `Self`. The MAC never inspects a payload otherwise.
+pub trait Payload: Copy {
+    /// The form a small value is stored in: at most 24 bytes.
+    type Compact: Copy;
+
+    /// The value's compact form, or `None` if it is large.
+    fn compact(&self) -> Option<Self::Compact>;
+
+    /// The value `compact` is the form of, bit for bit.
+    fn expand(compact: Self::Compact) -> Self;
+}
+
+/// Integers are small: their compact form is the value.
+macro_rules! small_integer {
+    ($($t:ty),*) => {$(
+        impl Payload for $t {
+            type Compact = $t;
+
+            fn compact(&self) -> Option<$t> {
+                Some(*self)
+            }
+
+            fn expand(compact: $t) -> $t {
+                compact
+            }
+        }
+    )*};
+}
+
+small_integer!(u8, u32);
+
+/// A payload in the MAC's message store: a 4-byte index whose top bit
+/// names the payload's slab (small or large) and whose other bits its
+/// slot, read through [`LmacNetwork::payload`](crate::LmacNetwork::payload).
 ///
 /// A handle in an indication stays valid until the MAC next advances or
 /// restores. Queued again before then with

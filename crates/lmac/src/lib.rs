@@ -23,7 +23,8 @@
 //!   (deliveries, dead-neighbour and new-neighbour events).
 //! * `store` — the message store: every node's transmit queue as an index
 //!   list in one slab of 12-byte entries, and every queued payload once,
-//!   in a slab of reference-counted slots.
+//!   in reference-counted slots of one of two sizes by its [`Payload`]
+//!   class.
 //! * [`network`] — [`network::LmacNetwork`], the slot-synchronous state
 //!   machine simulating every node's MAC instance over a shared
 //!   [`dirq_net::Topology`].
@@ -52,7 +53,7 @@ pub mod slots;
 mod store;
 
 pub use config::LmacConfig;
-pub use indication::{Destination, MacIndication, PayloadHandle};
+pub use indication::{Destination, MacIndication, Payload, PayloadHandle};
 pub use neighbor::{NeighborArena, NeighborInfo, NeighborView};
 pub use network::LmacNetwork;
 pub use slots::SlotSet;

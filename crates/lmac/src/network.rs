@@ -13,11 +13,12 @@
 //!
 //! * every node's transmit queue lives in one message store: 12-byte
 //!   entries linked by `u32` indices in one chunked slab, with a head and
-//!   tail per node, and each payload stored once in a slab of
-//!   reference-counted slots. Every per-receiver indication carries the
-//!   same 4-byte [`PayloadHandle`], a flooding rebroadcast queues that
-//!   handle again, and an enqueue allocates only when a burst needs a new
-//!   slab chunk (a chunk no recent frame needs is freed once it empties);
+//!   tail per node, and each payload stored once in a reference-counted
+//!   slot of the slab its [`Payload`] class picks (32 bytes for a small
+//!   one). Every per-receiver indication carries the same 4-byte
+//!   [`PayloadHandle`], a flooding rebroadcast queues that handle again,
+//!   and an enqueue allocates only when a burst needs a new slab chunk (a
+//!   chunk no recent frame needs is freed once it empties);
 //! * per-slot working state (transmitter set, listener set, collision set,
 //!   audible list, per-transmitter records) lives in a persistent
 //!   `FrameScratch` of flat vectors and [`NodeBits`] bitsets, reused
@@ -62,7 +63,7 @@ use dirq_sim::SimRng;
 use rand::Rng;
 
 use crate::config::LmacConfig;
-use crate::indication::{Destination, MacIndication, PayloadHandle};
+use crate::indication::{Destination, MacIndication, Payload, PayloadHandle};
 use crate::neighbor::{Heard, NeighborArena, NeighborView, SteadyClock};
 use crate::slots::SlotSet;
 use crate::store::{MessageStore, Queue};
@@ -190,8 +191,9 @@ impl<P> FrameScratch<P> {
 
 /// The simulated LMAC network.
 ///
-/// Generic over the upper-layer payload `P`; the MAC never inspects it.
-pub struct LmacNetwork<P> {
+/// Generic over the upper-layer payload `P`; the MAC reads only its
+/// [`Payload`] class.
+pub struct LmacNetwork<P: Payload> {
     cfg: LmacConfig,
     topo: Topology,
     nodes: Vec<MacNode>,
@@ -236,7 +238,7 @@ pub struct LmacNetwork<P> {
     frame_rx: u64,
 }
 
-impl<P> LmacNetwork<P> {
+impl<P: Payload> LmacNetwork<P> {
     /// Create a network over `topo` with every node alive but no slots
     /// assigned yet; nodes acquire slots through the join protocol. All
     /// per-slot working buffers are pre-sized from the topology.
@@ -446,13 +448,13 @@ impl<P> LmacNetwork<P> {
         self.store.iter(self.nodes[node.index()].queue).count()
     }
 
-    /// The payload behind `handle`.
+    /// A copy of the payload behind `handle`.
     ///
     /// # Panics
     /// Panics if the payload was released: a handle from an indication is
     /// valid until the MAC next advances or restores, unless it was queued
     /// again before then.
-    pub fn payload(&self, handle: PayloadHandle<P>) -> &P {
+    pub fn payload(&self, handle: PayloadHandle<P>) -> P {
         self.store.payload(handle)
     }
 
@@ -463,7 +465,6 @@ impl<P> LmacNetwork<P> {
         if !self.alive_mask.contains(from) {
             return false;
         }
-        let payload = self.store.intern(payload);
         self.store.push(&mut self.nodes[from.index()].queue, dest, payload);
         true
     }
@@ -483,7 +484,7 @@ impl<P> LmacNetwork<P> {
         if !self.alive_mask.contains(from) {
             return false;
         }
-        self.store.push(&mut self.nodes[from.index()].queue, dest, payload);
+        self.store.push_shared(&mut self.nodes[from.index()].queue, dest, payload);
         true
     }
 
@@ -560,7 +561,7 @@ impl<P> LmacNetwork<P> {
                         }
                     }
                 }
-                encode(w, payload);
+                encode(w, &payload);
             }
         }
         w.len_of(self.slot_owners.len());
@@ -654,8 +655,7 @@ impl<P> LmacNetwork<P> {
                         })
                     }
                 };
-                let payload = self.store.intern(decode(r)?);
-                self.store.push(&mut node.queue, dest, payload);
+                self.store.push(&mut node.queue, dest, decode(r)?);
             }
         }
         let pos = r.position();
@@ -1203,7 +1203,7 @@ impl<P> LmacNetwork<P> {
 }
 
 #[cfg(test)]
-impl<P> LmacNetwork<P> {
+impl<P: Payload> LmacNetwork<P> {
     /// Whether the control plane is at its fixed point (a test accessor,
     /// not a [`MacStats`] field: statistics feed fingerprints and images).
     pub(crate) fn at_fixed_point(&self) -> bool {
@@ -1219,6 +1219,8 @@ mod tests {
     use dirq_sim::RngFactory;
     use proptest::prelude::*;
     use std::collections::VecDeque;
+
+    use crate::store::tests::Mixed;
 
     type Net = LmacNetwork<u32>;
 
@@ -1332,7 +1334,7 @@ mod tests {
             .iter()
             .filter_map(|i| match i {
                 MacIndication::Delivered { to, from, payload } => {
-                    Some((*to, *from, *net.payload(*payload)))
+                    Some((*to, *from, net.payload(*payload)))
                 }
                 _ => None,
             })
@@ -1387,7 +1389,7 @@ mod tests {
             handles.windows(2).all(|w| w[0] == w[1]),
             "every receiver's indication must name the one stored payload"
         );
-        assert_eq!(*net.payload(handles[0]), 7);
+        assert_eq!(net.payload(handles[0]), 7);
     }
 
     #[test]
@@ -1473,7 +1475,7 @@ mod tests {
         assert!(inds.iter().any(|i| matches!(
             i,
             MacIndication::Undeliverable { from, to, payload }
-                if *from == NodeId(0) && *to == NodeId(1) && *net.payload(*payload) == 5
+                if *from == NodeId(0) && *to == NodeId(1) && net.payload(*payload) == 5
         )));
         assert_eq!(net.stats().undeliverable, 1);
     }
@@ -1741,9 +1743,12 @@ mod tests {
         assert_eq!(malformed(restore_image(&net)), "slot owner list mismatch");
     }
 
+    /// A network whose payloads come in both classes.
+    type MixedNet = LmacNetwork<Mixed>;
+
     /// One node's queue as the store holds it: destinations and payloads.
-    fn queued(net: &Net, node: NodeId) -> Vec<(Destination, u32)> {
-        net.store.iter(net.nodes[node.index()].queue).map(|(d, &p)| (d, p)).collect()
+    fn queued(net: &MixedNet, node: NodeId) -> Vec<(Destination, Mixed)> {
+        net.store.iter(net.nodes[node.index()].queue).collect()
     }
 
     proptest! {
@@ -1751,11 +1756,12 @@ mod tests {
 
         /// The message store keeps every node's queue as a per-node
         /// `VecDeque` would, under random unicast, multicast, broadcast
-        /// and shared enqueues, slot advances, deaths and births, and
-        /// snapshot–restore: each slot sends the first messages of each
-        /// owner's queue in order, every indication names a payload its
-        /// sender sent, and once every queue has drained and one more slot
-        /// ran, no entry or payload is live.
+        /// and shared enqueues of small and large payloads, slot advances,
+        /// deaths and births, and snapshot–restore: each slot sends the
+        /// first messages of each owner's queue in order, every indication
+        /// names a payload its sender sent, and once every queue has
+        /// drained and one more slot ran, no entry or payload of either
+        /// class is live.
         #[test]
         fn prop_store_matches_a_queue_model(
             n in 3usize..20,
@@ -1778,19 +1784,19 @@ mod tests {
                 data_messages_per_slot: 2,
                 ..LmacConfig::default()
             };
-            let mut net = Net::new(cfg, topo.clone());
+            let mut net = MixedNet::new(cfg, topo.clone());
             net.assign_slots_greedy();
             let mut rng = RngFactory::new(seed).stream("store-model");
-            let mut model: Vec<VecDeque<(Destination, u32)>> = vec![VecDeque::new(); n];
+            let mut model: Vec<VecDeque<(Destination, Mixed)>> = vec![VecDeque::new(); n];
             let mut next_value = 0u32;
             let mut out = Vec::new();
             let node = |raw: u32| NodeId::from_index(raw as usize % n);
-            let mut advance = |net: &mut Net,
-                               model: &mut Vec<VecDeque<(Destination, u32)>>,
-                               out: &mut Vec<MacIndication<u32>>|
+            let mut advance = |net: &mut MixedNet,
+                               model: &mut Vec<VecDeque<(Destination, Mixed)>>,
+                               out: &mut Vec<MacIndication<Mixed>>|
              -> Result<(), TestCaseError> {
                 let (_, s) = net.now();
-                let mut sent: Vec<(NodeId, u32)> = Vec::new();
+                let mut sent: Vec<(NodeId, Mixed)> = Vec::new();
                 for v in net.topology().nodes() {
                     if net.is_alive(v) && net.slot_of(v) == Some(s) {
                         let q = &mut model[v.index()];
@@ -1805,8 +1811,8 @@ mod tests {
                     if let MacIndication::Delivered { from, payload, .. }
                     | MacIndication::Undeliverable { from, payload, .. } = ind
                     {
-                        let value = *net.payload(*payload);
-                        prop_assert!(sent.contains(&(*from, value)), "{from} never sent {value}");
+                        let value = net.payload(*payload);
+                        prop_assert!(sent.contains(&(*from, value)), "{from} never sent {value:?}");
                     }
                 }
                 Ok(())
@@ -1821,13 +1827,14 @@ mod tests {
                             _ => Destination::Broadcast,
                         };
                         next_value += 1;
-                        if net.enqueue(from, dest.clone(), next_value) {
-                            model[from.index()].push_back((dest, next_value));
+                        let value = Mixed::new(next_value);
+                        if net.enqueue(from, dest.clone(), value) {
+                            model[from.index()].push_back((dest, value));
                         }
                     }
                     3 => {
                         // Queue again a payload the last slot sent.
-                        let handles: Vec<PayloadHandle<u32>> = out
+                        let handles: Vec<PayloadHandle<Mixed>> = out
                             .iter()
                             .filter_map(|i| match i {
                                 MacIndication::Delivered { payload, .. }
@@ -1836,7 +1843,7 @@ mod tests {
                             })
                             .collect();
                         if let Some(&h) = handles.get(b as usize % handles.len().max(1)) {
-                            let value = *net.payload(h);
+                            let value = net.payload(h);
                             if net.enqueue_shared(from, Destination::Broadcast, h) {
                                 model[from.index()].push_back((Destination::Broadcast, value));
                             }
@@ -1853,10 +1860,10 @@ mod tests {
                     }
                     6 => {
                         let mut w = SnapWriter::new();
-                        net.snap(&mut w, |w, p| w.u32(*p));
+                        net.snap(&mut w, |w, p| w.u32(p.value()));
                         let image = w.finish();
-                        net = Net::new(cfg, topo.clone());
-                        net.restore(&mut SnapReader::new(&image), |r| r.u32())
+                        net = MixedNet::new(cfg, topo.clone());
+                        net.restore(&mut SnapReader::new(&image), |r| r.u32().map(Mixed::new))
                             .expect("own image");
                         out.clear();
                     }
@@ -1878,12 +1885,14 @@ mod tests {
             }
             prop_assert!(model.iter().all(VecDeque::is_empty), "queues never drained");
             advance(&mut net, &mut model, &mut out)?;
-            prop_assert_eq!(net.store.live(), (0, 0, 0));
+            prop_assert_eq!(net.store.live(), (0, 0, 0, 0));
         }
     }
 
     #[test]
     fn burst_capacity_is_given_back_once_it_drains() {
+        // A burst of small payloads, as epoch 0's Updates: it takes no
+        // large-payload chunk.
         let mut rng = RngFactory::new(13).stream("burst");
         let mut net = Net::new(LmacConfig::default(), random_topo(50, 13));
         net.assign_slots_greedy();
@@ -1892,8 +1901,8 @@ mod tests {
         for i in 0..burst {
             net.enqueue(NodeId::from_index(i % 50), Destination::Broadcast, i as u32);
         }
-        let (entries, payloads) = net.store.capacity();
-        assert!(entries >= burst && payloads >= burst, "{entries} / {payloads}");
+        let (entries, small, large) = net.store.capacity();
+        assert!(entries >= burst && small >= burst && large == 0, "{entries} / {small} / {large}");
         // A steady trickle of one message a frame while the burst drains.
         let mut frames = 0;
         while (0..50).any(|i| net.queue_len(NodeId(i)) > 0) {
@@ -1904,19 +1913,21 @@ mod tests {
         }
         net.enqueue(NodeId(1), Destination::Broadcast, u32::MAX);
         net.advance_frame(&mut rng);
-        assert_eq!(net.store.capacity(), (chunk, chunk), "the trickle keeps one chunk each");
+        assert_eq!(net.store.capacity(), (chunk, chunk, 0), "the trickle keeps one chunk each");
     }
 
-    #[test]
-    #[should_panic(expected = "payload handle read after release")]
-    fn reading_a_released_handle_panics() {
+    /// Send `payloads[0]` from node 0 of a two-node line while
+    /// `payloads[1]`, of the same class, stays queued behind it (so their
+    /// chunk stays allocated), then read the sent one's handle after the
+    /// next slot released it.
+    fn read_after_release(payloads: [Mixed; 2]) {
         let mut rng = RngFactory::new(14).stream("released");
         let cfg = LmacConfig { data_messages_per_slot: 1, ..LmacConfig::default() };
-        let mut net = Net::new(cfg, line_topo(2));
+        let mut net = MixedNet::new(cfg, line_topo(2));
         net.assign_slots_greedy();
-        // The second message stays queued, so its chunk stays allocated.
-        net.enqueue(NodeId(0), Destination::unicast(NodeId(1)), 1);
-        net.enqueue(NodeId(0), Destination::unicast(NodeId(1)), 2);
+        for p in payloads {
+            net.enqueue(NodeId(0), Destination::unicast(NodeId(1)), p);
+        }
         let mut out = Vec::new();
         let handle = loop {
             out.clear();
@@ -1925,10 +1936,22 @@ mod tests {
                 break *payload;
             }
         };
-        assert_eq!(*net.payload(handle), 1);
+        assert_eq!(net.payload(handle), payloads[0]);
         net.advance_slot_into(&mut rng, &mut out);
         assert_eq!(net.queue_len(NodeId(0)), 1);
         net.payload(handle);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload handle read after release")]
+    fn reading_a_released_small_handle_panics() {
+        read_after_release([Mixed::Small(1), Mixed::Small(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload handle read after release")]
+    fn reading_a_released_large_handle_panics() {
+        read_after_release([Mixed::Large(1, [1; 8]), Mixed::Large(2, [2; 8])]);
     }
 
     #[test]

@@ -4,12 +4,18 @@
 //! A node's queue is a [`Queue`] (8 bytes in its MAC record): the first and
 //! last of its entries, which are linked by `u32` indices. An entry is 12
 //! bytes: one message's destination as a 4-byte code (broadcast, a unicast's
-//! node id, or a multicast list's index in a third slab), a
-//! [`PayloadHandle`] (the index of the payload's slot) and the link. A
-//! payload is stored once with a reference count: one per queued entry,
-//! plus one for each sent message until the MAC next advances, so the
-//! indications of an advance can name it and a flooding rebroadcast can
-//! queue it again without a copy.
+//! node id, or a multicast list's index in a list slab), a
+//! [`PayloadHandle`] and the link. A payload is stored once with a
+//! reference count: one per queued entry, plus one for each sent message
+//! until the MAC next advances, so the indications of an advance can name
+//! it and a flooding rebroadcast can queue it again without a copy.
+//!
+//! Payloads are kept by their [`Payload`] class in one of two slabs: a
+//! small payload's compact form, with its count and link, in a 32-byte
+//! slot, and a large payload whole in a slot sized for its type. A
+//! handle's top bit names the slab and its other bits the slot. So an
+//! Update, one tuple, takes 32 bytes and not the 88 of a slot that could
+//! hold a query with its region.
 //!
 //! The slabs grow in chunks, each allocated at its full size once and
 //! never reallocated, so a burst adds chunk after chunk and never copies
@@ -22,15 +28,17 @@
 //! the chunks it uses, and a chunk beyond them is freed as soon as it
 //! empties. So epoch 0's burst (every carried cell escapes) gives its
 //! chunks back while its frame drains it, and a frame that follows one
-//! burst frees the rest at its end ([`MessageStore::trim`]).
+//! burst frees the rest at its end ([`MessageStore::trim`]). Each slab
+//! keeps its own chunks by these rules.
 
 use dirq_net::{NodeId, NodeList};
 
-use crate::indication::{Destination, PayloadHandle};
+use crate::indication::{Destination, Payload, PayloadHandle};
 
 /// The base-2 logarithm of the slots per chunk for a network of `nodes`:
-/// about `nodes / 16`, from 64 slots to 1 024 (12 KiB of entries and
-/// 88 KiB of 80-byte payloads, from 8 208 nodes up).
+/// about `nodes / 16`, from 64 slots to 1 024 (12 KiB of entries, 32 KiB
+/// of small payload slots and, for `DirqMessage`, 88 KiB of large ones,
+/// from 8 208 nodes up).
 pub(crate) fn chunk_bits(nodes: usize) -> u32 {
     (nodes / 16).max(1).next_power_of_two().trailing_zeros().clamp(6, 10)
 }
@@ -230,22 +238,58 @@ impl Link for List {
     }
 }
 
-/// One interned payload and its reference count; `value` is `None` once
-/// the last reference lets go.
-struct Payload<P> {
-    value: Option<P>,
+/// One stored payload (a small payload's compact form or a large payload)
+/// and its reference count; the slot is free once the count is 0.
+struct Slot<T> {
+    value: T,
     refs: u32,
     /// The free list's link while the slot is free.
     next: u32,
 }
 
-impl<P> Link for Payload<P> {
+impl<T> Link for Slot<T> {
     fn set_link(&mut self, link: u32) {
         self.next = link;
     }
 
     fn link(&self) -> u32 {
         self.next
+    }
+}
+
+/// The handle bit of the large payload slab; a handle without it indexes
+/// the small one.
+const LARGE: u32 = 1 << 31;
+
+impl<T: Copy> Slab<Slot<T>> {
+    /// Store `value` with one reference, and return its slot.
+    fn intern(&mut self, value: T) -> u32 {
+        let index = self.insert(Slot { value, refs: 1, next: NIL });
+        assert!(index < LARGE, "payload slab full");
+        index
+    }
+
+    /// The value in slot `index`.
+    fn read(&self, index: u32) -> T {
+        let slot = self.get(index);
+        assert!(slot.refs > 0, "payload handle read after release");
+        slot.value
+    }
+
+    /// Take one more reference to slot `index`.
+    fn retain(&mut self, index: u32) {
+        let slot = self.get_mut(index);
+        assert!(slot.refs > 0, "payload handle queued after release");
+        slot.refs += 1;
+    }
+
+    /// Drop one reference to slot `index`; the last one frees the slot.
+    fn release(&mut self, index: u32) {
+        let slot = self.get_mut(index);
+        slot.refs -= 1;
+        if slot.refs == 0 {
+            self.remove(index);
+        }
     }
 }
 
@@ -266,9 +310,10 @@ impl Queue {
 
 /// Every queue's entries and every payload they reference (see the module
 /// docs).
-pub(crate) struct MessageStore<P> {
+pub(crate) struct MessageStore<P: Payload> {
     entries: Slab<Entry<P>>,
-    payloads: Slab<Payload<P>>,
+    small: Slab<Slot<P::Compact>>,
+    large: Slab<Slot<P>>,
     lists: Slab<List>,
     /// The references of the messages sent since the last
     /// [`MessageStore::release_held`]: the handles in that advance's
@@ -276,54 +321,63 @@ pub(crate) struct MessageStore<P> {
     held: Vec<PayloadHandle<P>>,
 }
 
-impl<P> MessageStore<P> {
+impl<P: Payload> MessageStore<P> {
     /// An empty store for a network of `nodes`.
     pub(crate) fn new(nodes: usize) -> Self {
+        const { assert!(std::mem::size_of::<P::Compact>() <= 24, "a compact form fits 24 bytes") };
         let bits = chunk_bits(nodes);
         MessageStore {
             entries: Slab::new(bits),
-            payloads: Slab::new(bits),
+            small: Slab::new(bits),
+            large: Slab::new(bits),
             lists: Slab::new(bits),
             held: Vec::new(),
         }
-    }
-
-    /// Store `value` once; [`MessageStore::push`] takes its first reference.
-    pub(crate) fn intern(&mut self, value: P) -> PayloadHandle<P> {
-        PayloadHandle::new(self.payloads.insert(Payload { value: Some(value), refs: 0, next: NIL }))
     }
 
     /// The payload behind `handle`.
     ///
     /// # Panics
     /// Panics if every reference to it was released.
-    pub(crate) fn payload(&self, handle: PayloadHandle<P>) -> &P {
-        self.payloads.get(handle.index()).value.as_ref().expect("payload handle read after release")
+    pub(crate) fn payload(&self, handle: PayloadHandle<P>) -> P {
+        match handle.index() {
+            i if i < LARGE => P::expand(self.small.read(i)),
+            i => self.large.read(i - LARGE),
+        }
     }
 
-    /// Append a message for `dest` to `queue`, taking a reference to its
-    /// payload.
-    pub(crate) fn push(&mut self, queue: &mut Queue, dest: Destination, payload: PayloadHandle<P>) {
-        let slot = self.payloads.get_mut(payload.index());
-        assert!(slot.value.is_some(), "payload handle queued after release");
-        slot.refs += 1;
-        let dest = match dest {
-            Destination::Broadcast => BROADCAST,
-            Destination::Multicast(nodes) => match nodes.as_slice() {
-                &[to] if to.0 < LIST => to.0,
-                _ => {
-                    let list = self.lists.insert(List { nodes, next: NIL });
-                    assert!(list < BROADCAST - LIST, "multicast list slab full");
-                    LIST | list
-                }
-            },
-        };
-        let e = self.entries.insert(Entry { dest, payload, next: NIL });
-        match queue.tail {
-            NIL => queue.head = e,
-            tail => self.entries.get_mut(tail).next = e,
+    /// Append a message for `dest` to `queue`, storing `value` once in its
+    /// class's slab, and return the payload's handle.
+    pub(crate) fn push(
+        &mut self,
+        queue: &mut Queue,
+        dest: Destination,
+        value: P,
+    ) -> PayloadHandle<P> {
+        let payload = PayloadHandle::new(match value.compact() {
+            Some(compact) => self.small.intern(compact),
+            None => LARGE | self.large.intern(value),
+        });
+        self.append(queue, dest, payload);
+        payload
+    }
+
+    /// Append a message for `dest` to `queue` that names a payload the
+    /// store already holds, taking a reference to it.
+    ///
+    /// # Panics
+    /// Panics if every reference to it was released.
+    pub(crate) fn push_shared(
+        &mut self,
+        queue: &mut Queue,
+        dest: Destination,
+        payload: PayloadHandle<P>,
+    ) {
+        match payload.index() {
+            i if i < LARGE => self.small.retain(i),
+            i => self.large.retain(i - LARGE),
         }
-        queue.tail = e;
+        self.append(queue, dest, payload);
     }
 
     /// Take the first message off `queue`. Its payload reference moves to
@@ -350,7 +404,7 @@ impl<P> MessageStore<P> {
     }
 
     /// `queue`'s messages, first to last.
-    pub(crate) fn iter(&self, queue: Queue) -> impl Iterator<Item = (Destination, &P)> + '_ {
+    pub(crate) fn iter(&self, queue: Queue) -> impl Iterator<Item = (Destination, P)> + '_ {
         let mut at = queue.head;
         std::iter::from_fn(move || {
             (at != NIL).then(|| {
@@ -366,20 +420,43 @@ impl<P> MessageStore<P> {
     /// module docs).
     pub(crate) fn trim(&mut self) {
         self.entries.trim();
-        self.payloads.trim();
+        self.small.trim();
+        self.large.trim();
         self.lists.trim();
     }
 
-    /// Entries, payloads and multicast lists in use.
+    /// Entries, small and large payloads, and multicast lists in use.
     #[cfg(test)]
-    pub(crate) fn live(&self) -> (usize, usize, usize) {
-        (self.entries.live(), self.payloads.live(), self.lists.live())
+    pub(crate) fn live(&self) -> (usize, usize, usize, usize) {
+        (self.entries.live(), self.small.live(), self.large.live(), self.lists.live())
     }
 
-    /// Entry and payload slots allocated.
+    /// Entry, small payload and large payload slots allocated.
     #[cfg(test)]
-    pub(crate) fn capacity(&self) -> (usize, usize) {
-        (self.entries.capacity(), self.payloads.capacity())
+    pub(crate) fn capacity(&self) -> (usize, usize, usize) {
+        (self.entries.capacity(), self.small.capacity(), self.large.capacity())
+    }
+
+    /// Append a message for `dest` to `queue` whose payload reference the
+    /// caller took.
+    fn append(&mut self, queue: &mut Queue, dest: Destination, payload: PayloadHandle<P>) {
+        let dest = match dest {
+            Destination::Broadcast => BROADCAST,
+            Destination::Multicast(nodes) => match nodes.as_slice() {
+                &[to] if to.0 < LIST => to.0,
+                _ => {
+                    let list = self.lists.insert(List { nodes, next: NIL });
+                    assert!(list < BROADCAST - LIST, "multicast list slab full");
+                    LIST | list
+                }
+            },
+        };
+        let e = self.entries.insert(Entry { dest, payload, next: NIL });
+        match queue.tail {
+            NIL => queue.head = e,
+            tail => self.entries.get_mut(tail).next = e,
+        }
+        queue.tail = e;
     }
 
     /// Take the first entry off `queue`, with its payload reference.
@@ -405,26 +482,64 @@ impl<P> MessageStore<P> {
 
     /// Drop one reference to `payload`; the last one frees its slot.
     fn release(&mut self, payload: PayloadHandle<P>) {
-        let slot = self.payloads.get_mut(payload.index());
-        slot.refs -= 1;
-        if slot.refs == 0 {
-            slot.value = None;
-            self.payloads.remove(payload.index());
+        match payload.index() {
+            i if i < LARGE => self.small.release(i),
+            i => self.large.release(i - LARGE),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A test payload of both classes: `Small` is stored through its
+    /// compact form, the value, and `Large` whole.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Mixed {
+        Small(u32),
+        Large(u32, [u64; 8]),
+    }
+
+    impl Mixed {
+        /// `value` in the class it picks: every third value is large.
+        pub(crate) fn new(value: u32) -> Self {
+            match value % 3 {
+                0 => Mixed::Large(value, [u64::from(value); 8]),
+                _ => Mixed::Small(value),
+            }
+        }
+
+        pub(crate) fn value(self) -> u32 {
+            match self {
+                Mixed::Small(v) | Mixed::Large(v, _) => v,
+            }
+        }
+    }
+
+    impl Payload for Mixed {
+        type Compact = u32;
+
+        fn compact(&self) -> Option<u32> {
+            match *self {
+                Mixed::Small(v) => Some(v),
+                Mixed::Large(..) => None,
+            }
+        }
+
+        fn expand(compact: u32) -> Self {
+            Mixed::Small(compact)
+        }
+    }
 
     #[test]
     fn layout_budget() {
-        // A queued message is one 12-byte entry, and a node's queue state
-        // is two indices.
-        assert_eq!(std::mem::size_of::<Entry<[u64; 10]>>(), 12);
+        // A queued message is one 12-byte entry, a node's queue state is
+        // two indices, and a small payload is a 32-byte slot.
+        assert_eq!(std::mem::size_of::<Entry<Mixed>>(), 12);
         assert_eq!(std::mem::size_of::<Queue>(), 8);
-        assert_eq!(std::mem::size_of::<PayloadHandle<[u64; 10]>>(), 4);
+        assert_eq!(std::mem::size_of::<PayloadHandle<Mixed>>(), 4);
+        assert_eq!(std::mem::size_of::<Slot<[u64; 3]>>(), 32);
     }
 
     #[test]
@@ -435,27 +550,32 @@ mod tests {
     }
 
     #[test]
-    fn queues_are_fifo_and_share_payloads() {
+    fn queues_are_fifo_and_share_payloads_of_both_classes() {
         let mut store = MessageStore::new(100);
         let (mut a, mut b) = (Queue::EMPTY, Queue::EMPTY);
-        let shared = store.intern(7u32);
-        store.push(&mut a, Destination::Broadcast, shared);
+        let (small, large) = (Mixed::new(7), Mixed::new(9));
+        let shared = [small, large].map(|p| store.push(&mut a, Destination::Broadcast, p));
+        assert!(shared[0].index() < LARGE && shared[1].index() >= LARGE, "{shared:?}");
         for v in 1..4 {
-            let h = store.intern(v);
-            store.push(&mut a, Destination::unicast(NodeId(v)), h);
+            store.push(&mut a, Destination::unicast(NodeId(v)), Mixed::new(v));
         }
-        store.push(&mut b, Destination::Broadcast, shared);
-        assert_eq!(store.iter(a).map(|(_, &v)| v).collect::<Vec<_>>(), [7, 1, 2, 3]);
-        assert_eq!(store.live(), (5, 4, 0));
+        for h in shared {
+            store.push_shared(&mut b, Destination::Broadcast, h);
+        }
+        let values =
+            |store: &MessageStore<Mixed>, q| store.iter(q).map(|(_, p)| p).collect::<Vec<_>>();
+        assert_eq!(values(&store, a), [7, 9, 1, 2, 3].map(Mixed::new));
+        assert_eq!(values(&store, b), [small, large]);
+        assert_eq!(store.live(), (7, 3, 2, 0));
         let (dest, first) = store.pop(&mut a).expect("a queued message");
-        assert_eq!((dest, *store.payload(first)), (Destination::Broadcast, 7));
+        assert_eq!((dest, store.payload(first)), (Destination::Broadcast, small));
         store.clear(&mut a);
         assert!(a.is_empty());
-        assert_eq!(store.live(), (1, 1, 0), "b's entry and the shared payload");
+        assert_eq!(store.live(), (2, 1, 1, 0), "b's entries and the shared payloads");
         store.release_held();
-        assert_eq!(*store.payload(shared), 7, "b still holds it");
+        assert_eq!(shared.map(|h| store.payload(h)), [small, large], "b still holds them");
         store.clear(&mut b);
-        assert_eq!(store.live(), (0, 0, 0));
+        assert_eq!(store.live(), (0, 0, 0, 0));
     }
 
     #[test]
@@ -473,15 +593,14 @@ mod tests {
         let mut store = MessageStore::new(100);
         let mut q = Queue::EMPTY;
         for (v, dest) in dests.iter().enumerate() {
-            let h = store.intern(v);
-            store.push(&mut q, dest.clone(), h);
+            store.push(&mut q, dest.clone(), v as u32);
         }
-        assert_eq!(store.live(), (8, 8, 5), "one list per multicast but a single node's");
+        assert_eq!(store.live(), (8, 8, 0, 5), "one list per multicast but a single node's");
         assert!(store.iter(q).map(|(d, _)| d).eq(dests.iter().cloned()));
         for dest in &dests {
             assert_eq!(&store.pop(&mut q).expect("queued").0, dest);
         }
-        assert_eq!(store.live(), (0, 8, 0), "the popped payloads are held");
+        assert_eq!(store.live(), (0, 8, 0, 0), "the popped payloads are held");
     }
 
     #[test]
@@ -489,20 +608,15 @@ mod tests {
         let mut store = MessageStore::new(100);
         let chunk = 1 << chunk_bits(100);
         let mut q = Queue::EMPTY;
-        let handles: Vec<_> = (0..2 * chunk as u32)
-            .map(|v| {
-                let h = store.intern(v);
-                store.push(&mut q, Destination::Broadcast, h);
-                h
-            })
-            .collect();
+        let handles: Vec<_> =
+            (0..2 * chunk as u32).map(|v| store.push(&mut q, Destination::Broadcast, v)).collect();
         // Drain the first chunk's worth: the next insert reuses chunk 0.
         for _ in 0..chunk {
             store.pop(&mut q);
         }
         store.release_held();
-        let h = store.intern(u32::MAX);
+        let h = store.push(&mut q, Destination::Broadcast, u32::MAX);
         assert!((h.index() as usize) < chunk, "{h:?} is not in the first chunk");
-        assert_eq!(*store.payload(handles[chunk]), chunk as u32);
+        assert_eq!(store.payload(handles[chunk]), chunk as u32);
     }
 }

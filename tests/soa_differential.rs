@@ -371,9 +371,9 @@ type Net = LmacNetwork<u32>;
 fn read_payloads(net: &Net, out: &[MacIndication<u32>]) -> Vec<(u8, NodeId, NodeId, u32)> {
     out.iter()
         .map(|ind| match *ind {
-            MacIndication::Delivered { to, from, payload } => (0, to, from, *net.payload(payload)),
+            MacIndication::Delivered { to, from, payload } => (0, to, from, net.payload(payload)),
             MacIndication::Undeliverable { from, to, payload } => {
-                (1, to, from, *net.payload(payload))
+                (1, to, from, net.payload(payload))
             }
             MacIndication::NeighborDied { observer, dead } => (2, observer, dead, 0),
             MacIndication::NeighborNew { observer, new } => (3, observer, new, 0),
