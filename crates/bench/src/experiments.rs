@@ -5,7 +5,7 @@
 //! sweeps run parameter points in parallel with deterministic per-point
 //! seeds, so results are independent of thread count.
 
-use dirq_core::{run_scenario, AtcConfig, DeltaPolicy, Protocol, RunResult, ScenarioConfig};
+use dirq_core::{run_scenario, DeltaPolicy, Protocol, RunResult, ScenarioConfig};
 use dirq_sim::report::{fnum, Table};
 use dirq_sim::runner::run_sweep;
 
@@ -17,7 +17,7 @@ pub fn figure_policies() -> Vec<(&'static str, DeltaPolicy)> {
         ("delta=3%", DeltaPolicy::Fixed(3.0)),
         ("delta=5%", DeltaPolicy::Fixed(5.0)),
         ("delta=9%", DeltaPolicy::Fixed(9.0)),
-        ("ATC", DeltaPolicy::Adaptive(AtcConfig::default())),
+        ("ATC", DeltaPolicy::Adaptive),
     ]
 }
 
@@ -271,7 +271,7 @@ pub fn cost_ratio(args: &HarnessArgs) -> Table {
     for &target in &[0.2, 0.4, 0.6] {
         points.push(Point {
             target,
-            policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+            policy: DeltaPolicy::Adaptive,
             protocol: Protocol::Dirq,
             label: "DirQ (ATC)",
         });
@@ -320,7 +320,7 @@ pub fn cost_ratio(args: &HarnessArgs) -> Table {
 /// update traffic, cost, accuracy and (where applicable) sensor-sampling
 /// savings.
 pub fn ablations(args: &HarnessArgs) -> Table {
-    use dirq_core::{PredictiveConfig, SamplingStrategy, TreeKind};
+    use dirq_core::{SamplingStrategy, TreeKind};
     use dirq_data::world::{FieldStyle, WorldConfig};
 
     #[derive(Clone)]
@@ -356,10 +356,7 @@ pub fn ablations(args: &HarnessArgs) -> Table {
         },
         Case {
             label: "sampling: predictive",
-            cfg: ScenarioConfig {
-                sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
-                ..base.clone()
-            },
+            cfg: ScenarioConfig { sampling: SamplingStrategy::Predictive, ..base.clone() },
         },
         Case {
             label: "mac: 1 msg/slot",

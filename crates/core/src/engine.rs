@@ -416,12 +416,10 @@ mod tests {
 
     #[test]
     fn predictive_sampling_cuts_acquisitions() {
-        use crate::sampling::{PredictiveConfig, SamplingStrategy};
+        use crate::sampling::SamplingStrategy;
         let baseline = run_scenario(small(14));
-        let predictive = run_scenario(ScenarioConfig {
-            sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
-            ..small(14)
-        });
+        let predictive =
+            run_scenario(ScenarioConfig { sampling: SamplingStrategy::Predictive, ..small(14) });
         assert!(predictive.samples_skipped > 0, "predictive mode must skip something");
         let skip_ratio = predictive.samples_skipped as f64
             / (predictive.samples_taken + predictive.samples_skipped) as f64;
@@ -442,12 +440,11 @@ mod tests {
     /// second plan swapped in after the death.
     #[test]
     fn a_reborn_node_predicts_nothing_across_its_death() {
-        use crate::sampling::{PredictiveConfig, Sampler, SamplingStrategy};
+        use crate::sampling::{Sampler, SamplingStrategy};
         use dirq_data::SensorType;
         use dirq_net::churn::ChurnEvent;
         use dirq_sim::SnapWriter;
-        let pc = PredictiveConfig::default();
-        let base = ScenarioConfig { sampling: SamplingStrategy::Predictive(pc), ..small(41) };
+        let base = ScenarioConfig { sampling: SamplingStrategy::Predictive, ..small(41) };
         let probe = Engine::new(base.clone());
         let masks = probe.world.assignment().masks();
         let leaf = (1..masks.len())
@@ -481,8 +478,8 @@ mod tests {
             }
             let reading = e.world.readings(SensorType(idx as u8))[leaf.index()];
             assert!(!reading.is_nan() && old.samples_taken() > 0, "type {idx} was read");
-            let mut first = Sampler::new(&pc);
-            first.on_sampled(&pc, reading, None);
+            let mut first = Sampler::default();
+            first.on_sampled(reading, None);
             assert_eq!(prediction(new), prediction(&first), "type {idx}: state from before death");
             assert_eq!(new.samples_taken(), old.samples_taken() + 1, "type {idx}: taken");
             assert_eq!(new.samples_skipped(), old.samples_skipped(), "type {idx}: skipped");
@@ -492,7 +489,7 @@ mod tests {
     #[test]
     fn atc_policy_runs_and_adapts() {
         let r = run_scenario(ScenarioConfig {
-            delta_policy: DeltaPolicy::Adaptive(crate::atc::AtcConfig::default()),
+            delta_policy: DeltaPolicy::Adaptive,
             epochs: 1500,
             measure_from_epoch: 500,
             ..ScenarioConfig::paper(12)

@@ -29,16 +29,12 @@ pub(super) struct DispatchScratch {
     outgoing: Vec<Outgoing>,
     /// Queries due for finalisation this epoch.
     due: Vec<PendingQuery>,
-    /// True-source membership bits for [`Engine::finalize_query`] (set and
-    /// cleared per query).
-    source_mark: Vec<bool>,
 }
 
 impl DispatchScratch {
-    /// Scratch for `n` nodes.
-    pub(super) fn new(n: usize) -> Self {
-        let (indications, source_mark) = (Vec::with_capacity(64), vec![false; n]);
-        DispatchScratch { indications, source_mark, ..DispatchScratch::default() }
+    /// Empty scratch with room for one slot's usual indications.
+    pub(super) fn new() -> Self {
+        DispatchScratch { indications: Vec::with_capacity(64), ..DispatchScratch::default() }
     }
 }
 
@@ -242,9 +238,7 @@ impl Engine {
     pub(super) fn end_epoch_housekeeping(&mut self) {
         // Only ATC has per-node epoch-end work; under fixed δ the node
         // pass would compute σ̂ and discard it.
-        if self.cfg.protocol == Protocol::Dirq
-            && matches!(self.cfg.delta_policy, DeltaPolicy::Adaptive(_))
-        {
+        if self.cfg.protocol == Protocol::Dirq && self.cfg.delta_policy == DeltaPolicy::Adaptive {
             for v in self.mac.alive().iter().filter(|v| !v.is_root()) {
                 self.nodes[v.index()].end_epoch(self.plane.sigma_hat_pct(v.index()));
             }
@@ -374,25 +368,10 @@ impl Engine {
 
     pub(super) fn finalize_query(&mut self, p: PendingQuery) {
         let received = p.received.iter().filter(|&&r| r).count();
-        // Mark the true sources once, so per-node membership is a bit probe
-        // instead of a scan of the source list (O(n) per query, not
-        // O(n × sources)).
-        for &s in &p.truth.sources {
-            self.dispatch_scratch.source_mark[s.index()] = true;
-        }
-        let mut received_should = 0;
-        let mut sources_reached = 0;
-        for (i, &r) in p.received.iter().enumerate() {
-            if r && p.truth.involved[i] {
-                received_should += 1;
-            }
-            if r && self.dispatch_scratch.source_mark[i] {
-                sources_reached += 1;
-            }
-        }
-        for &s in &p.truth.sources {
-            self.dispatch_scratch.source_mark[s.index()] = false;
-        }
+        let received_should =
+            p.received.iter().zip(&p.truth.involved).filter(|&(&r, &inv)| r && inv).count();
+        // Sources are distinct (strictly ascending), so each counts once.
+        let sources_reached = p.truth.sources.iter().filter(|s| p.received[s.index()]).count();
         self.cqd_estimate.observe(p.tx.saturating_add(p.rx) as f64);
         let outcome = QueryOutcome {
             id: p.query.id,

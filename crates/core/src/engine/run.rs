@@ -164,7 +164,6 @@ impl Engine {
         let node_cfg = Arc::new(NodeConfig {
             delta_policy: cfg.delta_policy,
             reference_spans: world_cfg.reference_spans(),
-            variability_alpha: 0.2,
             tx_threshold_factor: cfg.tx_threshold_factor,
         });
         let mut nodes: Vec<DirqNode> =
@@ -205,10 +204,10 @@ impl Engine {
             detached_since: vec![None; n],
             tree_version: 0,
             repaired_version: None,
-            plane: SensingPlane::new(n, world.catalog().len(), cfg.sampling.predictive()),
+            plane: SensingPlane::new(n, world.catalog().len(), cfg.sampling),
             node_cfg,
             tree_scratch: TreeScratch::new(n),
-            dispatch_scratch: DispatchScratch::new(n),
+            dispatch_scratch: DispatchScratch::new(),
             sample_shards: (0..upkeep_workers).map(|_| UpkeepShard::default()).collect(),
             #[cfg(test)]
             query_parents_log: Vec::new(),

@@ -27,10 +27,14 @@ use dirq_sim::runner;
 use crate::messages::{CompactMessage, DirqMessage};
 use crate::node::{DirqNode, Outgoing};
 use crate::range_table::RangeEntry;
-use crate::sampling::{PredictiveConfig, Sampler};
+use crate::sampling::{Sampler, SamplingStrategy};
 
 use super::dispatch::Outbox;
 use super::Engine;
+
+/// EWMA smoothing factor of the signal-variability estimate
+/// ([`SensorCell::variability`]).
+pub(crate) const VARIABILITY_ALPHA: f64 = 0.2;
 
 /// One carried sensor's sampling state. `NaN` marks each field as absent.
 #[derive(Clone, Copy, Debug)]
@@ -52,17 +56,18 @@ impl SensorCell {
         SensorCell { last: f64::NAN, variability: f64::NAN, lo: f64::NAN, hi: f64::NAN };
 
     /// Record `reading`: swap in the new last reading and update the
-    /// variability with `Ewma::observe`'s expression (the first observation
-    /// is taken as is). Returns whether the reading escaped the own tuple;
-    /// with no tuple (`NaN` bounds) every reading escapes, as
-    /// [`RangeEntry::contains`] decides.
+    /// variability with `Ewma::observe`'s expression at
+    /// [`VARIABILITY_ALPHA`] (the first observation is taken as is).
+    /// Returns whether the reading escaped the own tuple; with no tuple
+    /// (`NaN` bounds) every reading escapes, as [`RangeEntry::contains`]
+    /// decides.
     #[inline]
-    pub(crate) fn observe(&mut self, reading: f64, span: f64, alpha: f64) -> bool {
+    pub(crate) fn observe(&mut self, reading: f64, span: f64) -> bool {
         let prev = std::mem::replace(&mut self.last, reading);
         if !prev.is_nan() {
             let pct = ((reading - prev).abs() / span) * 100.0;
             let v = self.variability;
-            self.variability = if v.is_nan() { pct } else { v + alpha * (pct - v) };
+            self.variability = if v.is_nan() { pct } else { v + VARIABILITY_ALPHA * (pct - v) };
         }
         !(self.lo <= reading && reading <= self.hi)
     }
@@ -93,9 +98,10 @@ pub(crate) struct SensingPlane {
 
 impl SensingPlane {
     /// An empty plane for `n` nodes and `width` sensor types, with fresh
-    /// samplers under `predictive` sampling.
-    pub(crate) fn new(n: usize, width: usize, predictive: Option<&PredictiveConfig>) -> Self {
-        let samplers = predictive.map(|pc| vec![Sampler::new(pc); n * width]);
+    /// samplers under predictive `sampling`.
+    pub(crate) fn new(n: usize, width: usize, sampling: SamplingStrategy) -> Self {
+        let samplers =
+            (sampling == SamplingStrategy::Predictive).then(|| vec![Sampler::default(); n * width]);
         SensingPlane { width, cells: vec![SensorCell::EMPTY; n * width], samplers }
     }
 
@@ -110,13 +116,13 @@ impl SensingPlane {
     }
 
     /// Start node `i` afresh at its birth: an empty row and, under
-    /// `predictive` sampling, samplers reset to their first read (their
+    /// predictive sampling, samplers reset to their first read (their
     /// tallies stay).
-    pub(crate) fn reset_row(&mut self, i: usize, predictive: Option<&PredictiveConfig>) {
+    pub(crate) fn reset_row(&mut self, i: usize) {
         let cells = i * self.width..(i + 1) * self.width;
         self.cells[cells.clone()].fill(SensorCell::EMPTY);
-        if let (Some(samplers), Some(pc)) = (self.samplers.as_mut(), predictive) {
-            samplers[cells].iter_mut().for_each(|s| s.reset(pc));
+        if let Some(samplers) = self.samplers.as_mut() {
+            samplers[cells].iter_mut().for_each(Sampler::reset);
         }
     }
 
@@ -165,8 +171,6 @@ impl Engine {
             rows: &rows,
             width: self.plane.width,
             spans: &self.node_cfg.reference_spans,
-            alpha: self.node_cfg.variability_alpha,
-            predictive: self.cfg.sampling.predictive(),
         };
         let mut outbox = Outbox {
             mac: &mut self.mac,
@@ -253,10 +257,6 @@ pub(super) struct SampleInputs<'a> {
     /// Reference span per type id (δ and the variability are relative to
     /// it).
     spans: &'a [f64],
-    /// The variability EWMA's smoothing factor.
-    alpha: f64,
-    /// The samplers' tuning; `None` unless sampling is predictive.
-    predictive: Option<&'a PredictiveConfig>,
 }
 
 /// The one sampling pass, over explicit parts: sample the carried sensors
@@ -357,7 +357,7 @@ impl SampleChunk<'_> {
                     continue;
                 }
                 let (cell, stype) = (&mut row[idx], SensorType(idx as u8));
-                if cell.observe(reading, inputs.spans[idx], inputs.alpha) {
+                if cell.observe(reading, inputs.spans[idx]) {
                     escape(node, cell, stype, reading, outgoing);
                     effects.extend(outgoing.drain(..).filter_map(|out| Effect::new(node, out)));
                 } else {
@@ -367,8 +367,8 @@ impl SampleChunk<'_> {
                         "escape window out of step with node {i}'s own tuple"
                     );
                 }
-                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), inputs.predictive) {
-                    s[idx].on_sampled(pc, reading, cell.window());
+                if let Some(s) = samplers.as_deref_mut() {
+                    s[idx].on_sampled(reading, cell.window());
                 }
             }
         }
@@ -435,10 +435,9 @@ pub(crate) fn sample(
     stype: SensorType,
     reading: f64,
     span: f64,
-    alpha: f64,
     out: &mut Vec<Outgoing>,
 ) {
-    if !cell.observe(reading, span, alpha) {
+    if !cell.observe(reading, span) {
         debug_assert_eq!(
             cell.window(),
             node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
@@ -463,14 +462,12 @@ mod tests {
     use crate::atc::DeltaPolicy;
     use crate::node::NodeConfig;
 
-    const ALPHA: f64 = 0.2;
     const SPANS: [f64; 2] = [20.0, 40.0];
 
     fn cfg(delta_pct: f64) -> Arc<NodeConfig> {
         Arc::new(NodeConfig {
             delta_policy: DeltaPolicy::Fixed(delta_pct),
             reference_spans: SPANS.to_vec(),
-            variability_alpha: ALPHA,
             tx_threshold_factor: 1.0,
         })
     }
@@ -514,7 +511,9 @@ mod tests {
             let prev = std::mem::replace(&mut self.last_reading[idx], reading);
             if !prev.is_nan() {
                 let pct = ((reading - prev).abs() / span) * 100.0;
-                self.variability[idx].get_or_insert_with(|| Ewma::new(ALPHA)).observe(pct);
+                self.variability[idx]
+                    .get_or_insert_with(|| Ewma::new(VARIABILITY_ALPHA))
+                    .observe(pct);
             }
             run(|o| self.node.sample(stype, reading, o))
         }
@@ -585,9 +584,9 @@ mod tests {
                         // `sample` decides on the cell's own copy of the
                         // same step; probe it on a copy first.
                         let mut probe = row[idx];
-                        let escaped = probe.observe(reading, SPANS[idx], ALPHA);
+                        let escaped = probe.observe(reading, SPANS[idx]);
                         let got = run(|o| {
-                            sample(&mut node, &mut row[idx], stype, reading, SPANS[idx], ALPHA, o)
+                            sample(&mut node, &mut row[idx], stype, reading, SPANS[idx], o)
                         });
                         prop_assert_eq!(escaped, escapes, "step {}: escape decision", k);
                         prop_assert_eq!(got, want, "step {}: messages", k);
@@ -610,7 +609,7 @@ mod tests {
                     prop_assert_eq!(own, model.node.table(s).and_then(|t| t.own()));
                     prop_assert_eq!(cell.window(), own.map(|e| (e.min, e.max)));
                 }
-                let mut plane = SensingPlane::new(1, SPANS.len(), None);
+                let mut plane = SensingPlane::new(1, SPANS.len(), SamplingStrategy::EveryEpoch);
                 plane.row_mut(0).copy_from_slice(&row);
                 prop_assert_eq!(
                     plane.sigma_hat_pct(0).map(f64::to_bits),
@@ -623,15 +622,14 @@ mod tests {
 
     #[test]
     fn variability_estimate_tracks_changes() {
-        let mut plane = SensingPlane::new(2, SPANS.len(), None);
+        let mut plane = SensingPlane::new(2, SPANS.len(), SamplingStrategy::EveryEpoch);
         let mut node = attached(&cfg(5.0));
         assert_eq!(plane.sigma_hat_pct(1), None);
         let t0 = SensorType(0);
-        sample(&mut node, &mut plane.row_mut(1)[0], t0, 20.0, SPANS[0], ALPHA, &mut Vec::new());
+        sample(&mut node, &mut plane.row_mut(1)[0], t0, 20.0, SPANS[0], &mut Vec::new());
         assert_eq!(plane.sigma_hat_pct(1), None, "one reading has no change yet");
         // |Δ| = 1.0 = 5 % of span 20, inside the ±1.0 tuple: no escape.
-        let out =
-            run(|o| sample(&mut node, &mut plane.row_mut(1)[0], t0, 21.0, SPANS[0], ALPHA, o));
+        let out = run(|o| sample(&mut node, &mut plane.row_mut(1)[0], t0, 21.0, SPANS[0], o));
         assert!(out.is_empty());
         let sigma = plane.sigma_hat_pct(1).unwrap();
         assert!((sigma - 5.0).abs() < 1e-9, "sigma {sigma}");
@@ -646,13 +644,13 @@ mod tests {
     #[test]
     fn readings_on_the_window_bounds_stay_inside() {
         let mut cell = SensorCell::EMPTY;
-        assert!(cell.observe(20.0, 20.0, ALPHA), "no tuple: the first reading escapes");
+        assert!(cell.observe(20.0, 20.0), "no tuple: the first reading escapes");
         cell.set_window(Some(RangeEntry::around(20.0, 1.0)));
-        assert!(!cell.observe(19.0, 20.0, ALPHA));
-        assert!(!cell.observe(21.0, 20.0, ALPHA));
-        assert!(cell.observe(21.0 + 1e-9, 20.0, ALPHA));
+        assert!(!cell.observe(19.0, 20.0));
+        assert!(!cell.observe(21.0, 20.0));
+        assert!(cell.observe(21.0 + 1e-9, 20.0));
         cell.set_window(None);
-        assert!(cell.observe(20.0, 20.0, ALPHA), "a cleared window escapes");
+        assert!(cell.observe(20.0, 20.0), "a cleared window escapes");
     }
 }
 
@@ -672,10 +670,8 @@ mod block_tests {
     use crate::atc::DeltaPolicy;
     use crate::engine::dispatch::route;
     use crate::node::NodeConfig;
-    use crate::sampling::PredictiveConfig;
 
     const SPANS: [f64; 4] = [20.0, 40.0, 100.0, 10.0];
-    const ALPHA: f64 = 0.2;
     const EPOCHS: usize = 6;
 
     /// One MAC enqueue as the model routes it: sender, destination and
@@ -711,14 +707,14 @@ mod block_tests {
                 let stype = SensorType(idx as u8);
                 let cell = &mut row[idx];
                 let mut outs = Vec::new();
-                sample(node, cell, stype, reading, self.spans[idx], self.alpha, &mut outs);
+                sample(node, cell, stype, reading, self.spans[idx], &mut outs);
                 for out in outs {
                     if let Some((dest, msg)) = route(node, out) {
                         effects.push((NodeId::from_index(i), dest, msg));
                     }
                 }
-                if let (Some(s), Some(pc)) = (samplers.as_deref_mut(), self.predictive) {
-                    s[idx].on_sampled(pc, reading, cell.window());
+                if let Some(s) = samplers.as_deref_mut() {
+                    s[idx].on_sampled(reading, cell.window());
                 }
             }
         }
@@ -822,12 +818,11 @@ mod block_tests {
         /// nodes, samplers, and the effects in order. Carrier counts cross
         /// the block size; the first epoch escapes everywhere; readings go
         /// missing, walk, and land on or just past window bounds. Samplers
-        /// are off, at their defaults, or tuned to skip whenever the window
-        /// leaves room, so the window they see after an escape matters.
+        /// are off or on, so the window they see after an escape matters.
         #[test]
         fn block_routine_matches_the_one_pass_loop(
             pick in 0usize..12,
-            predictive in 0u8..3,
+            predictive in 0u8..2,
             delta_pct in 0.5f64..12.0,
             seed in 0u64..u64::MAX,
         ) {
@@ -847,7 +842,6 @@ mod block_tests {
             let cfg = Arc::new(NodeConfig {
                 delta_policy: DeltaPolicy::Fixed(delta_pct),
                 reference_spans: SPANS.to_vec(),
-                variability_alpha: ALPHA,
                 tx_threshold_factor: 1.0,
             });
 
@@ -883,14 +877,7 @@ mod block_tests {
                 }
                 nodes.push(node);
             }
-            let eager = PredictiveConfig {
-                safety_margin: 0.0,
-                volatility_factor: 0.0,
-                ..PredictiveConfig::default()
-            };
-            let predictive =
-                [None, Some(PredictiveConfig::default()), Some(eager)][usize::from(predictive)];
-            let samplers = predictive.map(|pc| vec![Sampler::new(&pc); n * width]);
+            let samplers = (predictive == 1).then(|| vec![Sampler::default(); n * width]);
             let mut model = State { nodes, cells: vec![SensorCell::EMPTY; n * width], samplers };
             let mut runs = [model.clone(), model.clone(), model.clone()];
 
@@ -925,8 +912,6 @@ mod block_tests {
                     rows: &row_refs,
                     width,
                     spans: &SPANS,
-                    alpha: ALPHA,
-                    predictive: predictive.as_ref(),
                 };
                 let want = model.run_model(&inputs, &alive);
                 let (want_cells, want_state) = bits_of(&model);
@@ -952,7 +937,6 @@ mod block_tests {
         let cfg = Arc::new(NodeConfig {
             delta_policy: DeltaPolicy::Fixed(5.0),
             reference_spans: SPANS.to_vec(),
-            variability_alpha: ALPHA,
             tx_threshold_factor: 1.0,
         });
         let masks = vec![(1u64 << width) - 1; n];
@@ -971,14 +955,7 @@ mod block_tests {
             .map(|&span| (0..n).map(|i| span * (i % 7) as f64 / 7.0).collect())
             .collect();
         let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let inputs = SampleInputs {
-            masks: &masks,
-            rows: &row_refs,
-            width,
-            spans: &SPANS,
-            alpha: ALPHA,
-            predictive: None,
-        };
+        let inputs = SampleInputs { masks: &masks, rows: &row_refs, width, spans: &SPANS };
         let mut cells = vec![SensorCell::EMPTY; n * width];
         let mut shards = [UpkeepShard::default()];
         let mut sink = Recorder { alive: &alive, sent: Vec::new() };

@@ -158,16 +158,14 @@ impl Engine {
                 what: "sampler presence disagrees with the sampling strategy",
             });
         }
-        if let (Some(samplers), Some(pc)) =
-            (&mut self.plane.samplers, self.cfg.sampling.predictive())
-        {
+        if let Some(samplers) = &mut self.plane.samplers {
             for row in samplers.chunks_mut(width) {
                 let pos = r.position();
                 if r.seq_len(1)? != row.len() {
                     return Err(SnapError::Malformed { pos, what: "sampler row length mismatch" });
                 }
                 for s in row {
-                    s.restore(&mut r, pc)?;
+                    s.restore(&mut r)?;
                 }
             }
         }

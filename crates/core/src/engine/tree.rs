@@ -124,7 +124,7 @@ impl Engine {
                     self.mac.set_alive(node, true);
                     // Fresh protocol state: the node joins from scratch.
                     self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
-                    self.plane.reset_row(node.index(), self.cfg.sampling.predictive());
+                    self.plane.reset_row(node.index());
                     if self.cfg.location_enabled {
                         let pos = self.mac.topology().position(node);
                         // Orphan: nothing is sent; the advert flows on attach.

@@ -46,7 +46,7 @@ mod pending;
 pub mod range_table;
 pub mod sampling;
 
-pub use atc::{AtcConfig, AtcController, DeltaPolicy};
+pub use atc::{AtcController, DeltaPolicy};
 pub use engine::{
     run_scenario, ChurnSpec, CompletedQuery, Engine, PhaseTimings, Protocol, RadioSpec, RunResult,
     ScenarioConfig, TreeKind,
@@ -56,4 +56,4 @@ pub use messages::{DirqMessage, EhrMessage, MessageCategory};
 pub use metrics::{Metrics, QueryOutcome};
 pub use node::{DirqNode, NodeConfig, Outgoing};
 pub use range_table::{RangeEntry, RangeTable};
-pub use sampling::{PredictiveConfig, Sampler, SamplingStrategy};
+pub use sampling::{Sampler, SamplingStrategy};

@@ -31,8 +31,8 @@ use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapWriter};
 
-use crate::atc::{restore_delta, AtcController, DeltaPolicy};
-use crate::engine::sensing::SensorCell;
+use crate::atc::{restore_delta, AtcController, DeltaPolicy, INITIAL_DELTA_PCT};
+use crate::engine::sensing::{SensorCell, VARIABILITY_ALPHA};
 use crate::flooding::SeenQueries;
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
@@ -59,8 +59,6 @@ pub struct NodeConfig {
     /// Reference span per sensor type (δ% is relative to this), indexed by
     /// `SensorType`.
     pub reference_spans: Vec<f64>,
-    /// EWMA smoothing for the signal-variability estimate.
-    pub variability_alpha: f64,
     /// Multiplier on δ for the *transmission* test (Fig. 3). 1.0 = the
     /// paper's rule; 0.0 = transmit on every aggregate change (ablation).
     pub tx_threshold_factor: f64,
@@ -115,9 +113,7 @@ impl DirqNode {
                 assert!(pct > 0.0, "fixed δ must be positive");
                 (pct, None)
             }
-            DeltaPolicy::Adaptive(acfg) => {
-                (acfg.initial_delta_pct, Some(Box::new(AtcController::new(&acfg))))
-            }
+            DeltaPolicy::Adaptive => (INITIAL_DELTA_PCT, Some(Box::default())),
         };
         DirqNode {
             id,
@@ -383,10 +379,10 @@ impl DirqNode {
     /// the node's smoothed signal variability in percent of span (the
     /// sensing plane's maximum over the node's carried types).
     pub fn end_epoch(&mut self, sigma: Option<f64>) {
-        if let (Some(atc), DeltaPolicy::Adaptive(acfg)) = (&mut self.atc, &self.cfg.delta_policy) {
-            if let Some(new_delta) = atc.on_epoch_end(acfg, self.delta_pct, sigma) {
-                self.delta_pct = new_delta;
-            }
+        if let Some(new_delta) =
+            self.atc.as_mut().and_then(|a| a.on_epoch_end(self.delta_pct, sigma))
+        {
+            self.delta_pct = new_delta;
         }
     }
 
@@ -394,7 +390,7 @@ impl DirqNode {
 
     /// Write the node's full dynamic state to `w`, with its sensing-plane
     /// `row` in the variability and last-reading records (each present
-    /// variability as an EWMA record at the configured α). Static
+    /// variability as an EWMA record at `VARIABILITY_ALPHA`). Static
     /// configuration (id, spans, threshold policy) is rebuilt by the
     /// engine constructor and not captured.
     pub(crate) fn snap(&self, w: &mut SnapWriter, row: &[SensorCell]) {
@@ -417,7 +413,7 @@ impl DirqNode {
         for cell in row {
             w.bool(!cell.variability.is_nan());
             if !cell.variability.is_nan() {
-                w.f64(self.cfg.variability_alpha);
+                w.f64(VARIABILITY_ALPHA);
                 w.opt_f64(Some(cell.variability));
             }
         }
@@ -436,7 +432,7 @@ impl DirqNode {
     /// names a node id outside the `n_nodes` deployment, holds tables no
     /// run writes ([`RangeTables::restore`]), carries a δ that is negative,
     /// NaN, infinite or off its fixed policy, whose sensing records do not
-    /// fit the row and the configured α, or whose duplicate-suppression
+    /// fit the row and `VARIABILITY_ALPHA`, or whose duplicate-suppression
     /// list is over its cap ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
@@ -483,7 +479,7 @@ impl DirqNode {
         for cell in row.iter_mut() {
             cell.variability = f64::NAN;
             if r.bool()? {
-                let (pos, mut e) = (r.position(), Ewma::new(self.cfg.variability_alpha));
+                let (pos, mut e) = (r.position(), Ewma::new(VARIABILITY_ALPHA));
                 e.restore(r)?;
                 match e.value() {
                     Some(v) if !v.is_nan() => cell.variability = v,
@@ -557,7 +553,6 @@ mod tests {
         Arc::new(NodeConfig {
             delta_policy: DeltaPolicy::Fixed(5.0),
             reference_spans: vec![20.0, 40.0],
-            variability_alpha: 0.2,
             tx_threshold_factor: 1.0,
         })
     }

@@ -122,10 +122,11 @@ impl PendingSet {
     /// re-inserting each entry in the captured order. `insert` appends,
     /// so the finalisation-order contract is reproduced exactly. The set
     /// must be empty (freshly constructed), and every entry must describe
-    /// the `n_nodes` deployment: sources below `n_nodes` and one involved
-    /// and received flag per node. Ids must be distinct and below
-    /// `id_cursor`, the restored generator's next id, as every id the
-    /// generator handed out is.
+    /// the `n_nodes` deployment: sources below `n_nodes` and strictly
+    /// ascending, as `ground_truth` lists them (finalisation counts each
+    /// listed source it reached), and one involved and received flag per
+    /// node. Ids must be distinct and below `id_cursor`, the restored
+    /// generator's next id, as every id the generator handed out is.
     pub(crate) fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
@@ -164,6 +165,12 @@ impl PendingSet {
                 return Err(dirq_sim::SnapError::Malformed {
                     pos,
                     what: "query source outside the deployment",
+                });
+            }
+            if !truth.sources.windows(2).all(|w| w[0] < w[1]) {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "query sources not strictly ascending",
                 });
             }
             if truth.involved.len() != n_nodes || received.len() != n_nodes {

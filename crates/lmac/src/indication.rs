@@ -147,7 +147,7 @@ pub enum MacIndication<P> {
         payload: PayloadHandle<P>,
     },
     /// `observer`'s MAC declared one-hop neighbour `dead` unreachable
-    /// (unheard for `max_missed_frames` frames).
+    /// (unheard for more than `MAX_MISSED_FRAMES` frames).
     NeighborDied {
         /// Node whose neighbour table changed.
         observer: NodeId,

@@ -62,7 +62,7 @@ use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 use dirq_sim::SimRng;
 use rand::Rng;
 
-use crate::config::LmacConfig;
+use crate::config::{LmacConfig, LISTEN_FRAMES_BEFORE_PICK, MAX_MISSED_FRAMES};
 use crate::indication::{Destination, MacIndication, Payload, PayloadHandle};
 use crate::neighbor::{Heard, NeighborArena, NeighborView, SteadyClock};
 use crate::slots::SlotSet;
@@ -245,7 +245,7 @@ impl<P: Payload> LmacNetwork<P> {
     pub fn new(cfg: LmacConfig, topo: Topology) -> Self {
         cfg.validate();
         let n = topo.len();
-        let nodes = (0..n).map(|_| MacNode::joining(cfg.listen_frames_before_pick)).collect();
+        let nodes = (0..n).map(|_| MacNode::joining(LISTEN_FRAMES_BEFORE_PICK)).collect();
         let mut alive_mask = NodeBits::new(n);
         for i in 0..n {
             alive_mask.insert(NodeId::from_index(i));
@@ -499,7 +499,7 @@ impl<P: Payload> LmacNetwork<P> {
         self.leave_fixed_point();
         self.store.clear(&mut self.nodes[idx].queue);
         if alive {
-            self.nodes[idx] = MacNode::joining(self.cfg.listen_frames_before_pick);
+            self.nodes[idx] = MacNode::joining(LISTEN_FRAMES_BEFORE_PICK);
             self.arena.reset_row(&self.topo, node);
             self.alive_mask.insert(node);
             self.unslotted_alive += 1;
@@ -1063,7 +1063,7 @@ impl<P: Payload> LmacNetwork<P> {
                 self.stats.slots_surrendered += 1;
                 self.unslotted_alive += 1;
                 self.nodes[t.index()].listen_remaining =
-                    self.cfg.listen_frames_before_pick + rng.gen_range(0..2u32);
+                    LISTEN_FRAMES_BEFORE_PICK + rng.gen_range(0..2u32);
             }
         }
         self.finish_slot(&mut scratch, out);
@@ -1114,7 +1114,7 @@ impl<P: Payload> LmacNetwork<P> {
                 &self.topo,
                 observer,
                 self.frame,
-                self.cfg.max_missed_frames,
+                MAX_MISSED_FRAMES,
                 None,
                 &mut stale_buf,
             );
@@ -1419,8 +1419,7 @@ mod tests {
     #[test]
     fn dead_neighbor_detected_within_timeout() {
         let mut rng = RngFactory::new(6).stream("death");
-        let cfg = LmacConfig { max_missed_frames: 3, ..Default::default() };
-        let mut net = Net::new(cfg, line_topo(3));
+        let mut net = Net::new(LmacConfig::default(), line_topo(3));
         net.assign_slots_greedy();
         // Run a few frames so tables are warm.
         for _ in 0..3 {
@@ -1625,7 +1624,7 @@ mod tests {
     #[test]
     fn fixed_point_gate_opens_closes_and_reopens() {
         let mut rng = RngFactory::new(33).stream("gate");
-        let cfg = LmacConfig { max_missed_frames: 2, ..LmacConfig::default() };
+        let cfg = LmacConfig::default();
         let mut net = Net::new(cfg, random_topo(40, 33));
         net.assign_slots_greedy();
         assert!(!net.at_fixed_point(), "the gate opens only at a frame boundary");

@@ -7,7 +7,7 @@
 //! epochs). [`ScenarioSpec::config`] lowers a spec to the engine's
 //! [`ScenarioConfig`] for one concrete `(scheme, seed)` pair.
 
-use dirq_core::{AtcConfig, ChurnSpec, DeltaPolicy, Protocol, RadioSpec, ScenarioConfig, TreeKind};
+use dirq_core::{ChurnSpec, DeltaPolicy, Protocol, RadioSpec, ScenarioConfig, TreeKind};
 use dirq_lmac::LmacConfig;
 use dirq_net::churn::{ChurnEvent, ChurnPlan};
 use dirq_net::placement::{Placement, SinkPlacement};
@@ -57,7 +57,7 @@ impl Scheme {
             }
             Scheme::DirqAtc => {
                 cfg.protocol = Protocol::Dirq;
-                cfg.delta_policy = DeltaPolicy::Adaptive(AtcConfig::default());
+                cfg.delta_policy = DeltaPolicy::Adaptive;
             }
             Scheme::Flooding => {
                 cfg.protocol = Protocol::Flooding;
@@ -405,7 +405,7 @@ mod tests {
         }
         assert_eq!(cfg.n_nodes, 120);
         assert_eq!(cfg.side, 250.0);
-        assert!(matches!(cfg.delta_policy, DeltaPolicy::Adaptive(_)));
+        assert_eq!(cfg.delta_policy, DeltaPolicy::Adaptive);
         assert_eq!(cfg.protocol, Protocol::Dirq);
         let flood = s.config(Scheme::Flooding, 7);
         assert_eq!(flood.protocol, Protocol::Flooding);

@@ -14,7 +14,7 @@ fn main() {
     let r = run_scenario(ScenarioConfig {
         epochs,
         measure_from_epoch: 800,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         target_fraction: 0.4,
         ..ScenarioConfig::paper(21)
     });

@@ -18,7 +18,7 @@ fn main() {
         measure_from_epoch: 600,
         sensor_coverage: 0.6, // heterogeneous: ~60% of nodes carry each type
         target_fraction: 0.4,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         ..ScenarioConfig::paper(7)
     };
     let catalog = SensorCatalog::environmental();

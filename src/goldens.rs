@@ -22,10 +22,7 @@
 //! mode recomputes every pin fresh and fails CI when a stale golden (or a
 //! stale `BENCH_2.json` or `BENCH_3.json`) was left behind.
 
-use dirq_core::{
-    run_scenario, AtcConfig, ChurnSpec, DeltaPolicy, PredictiveConfig, SamplingStrategy,
-    ScenarioConfig,
-};
+use dirq_core::{run_scenario, ChurnSpec, DeltaPolicy, SamplingStrategy, ScenarioConfig};
 use dirq_scenario::registry;
 use dirq_scenario::{run_matrix_report, ScenarioSpec, SweepConfig};
 
@@ -49,7 +46,7 @@ pub fn atc_churn_scenario() -> ScenarioConfig {
         n_nodes: 64,
         epochs: 1_200,
         measure_from_epoch: 200,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         churn: ChurnSpec::RandomDeaths { deaths: 4, from_epoch: 300, until_epoch: 600 },
         ..ScenarioConfig::paper(64_002)
     }
@@ -64,7 +61,7 @@ pub fn predictive_scenario() -> ScenarioConfig {
         epochs: 1_200,
         measure_from_epoch: 200,
         delta_policy: DeltaPolicy::Fixed(5.0),
-        sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
+        sampling: SamplingStrategy::Predictive,
         churn: ChurnSpec::RandomDeaths { deaths: 4, from_epoch: 300, until_epoch: 600 },
         ..ScenarioConfig::paper(64_003)
     }
@@ -113,7 +110,7 @@ pub fn snapshot_scenario() -> ScenarioConfig {
         n_nodes: 50,
         epochs: 240,
         measure_from_epoch: 48,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         churn: ChurnSpec::RandomDeaths { deaths: 3, from_epoch: 40, until_epoch: 120 },
         ..ScenarioConfig::paper_small(50_001)
     }

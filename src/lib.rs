@@ -57,9 +57,8 @@ pub use dirq_sim as sim;
 pub mod prelude {
     pub use dirq_analytic::{KaryCosts, TopologyCosts};
     pub use dirq_core::{
-        run_scenario, AtcConfig, ChurnSpec, DeltaPolicy, DirqNode, Engine, GeoTable,
-        PredictiveConfig, Protocol, RadioSpec, RunResult, SamplingStrategy, ScenarioConfig,
-        TreeKind,
+        run_scenario, ChurnSpec, DeltaPolicy, DirqNode, Engine, GeoTable, Protocol, RadioSpec,
+        RunResult, SamplingStrategy, ScenarioConfig, TreeKind,
     };
     pub use dirq_data::{
         QueryGenerator, QueryId, RangeQuery, SensorCatalog, SensorType, SensorWorld, WorldConfig,

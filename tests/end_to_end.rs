@@ -93,7 +93,7 @@ fn atc_lands_near_the_cost_band() {
     let r = run_scenario(ScenarioConfig {
         epochs: 4_000,
         measure_from_epoch: 1_000,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         ..ScenarioConfig::paper(8)
     });
     let ratio = r.cost_ratio_vs_flooding().unwrap();

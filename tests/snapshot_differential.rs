@@ -8,6 +8,8 @@
 //! Also pins the image format (magic + version + header round-trip) and
 //! exercises the typed error paths: malformed input must never panic.
 
+use dirq::core::atc::{ADJUST_PERIOD, RATE_ALPHA};
+use dirq::core::sampling::{DRIFT_ALPHA, MAX_SKIP};
 use dirq::prelude::*;
 use dirq::sim::json::Json;
 use dirq::sim::snap::{frame_image, parse_image, IMAGE_MAGIC, SNAP_FORMAT_VERSION};
@@ -28,7 +30,7 @@ fn variant_config(seed: u64, variant: u8, epochs: u64) -> ScenarioConfig {
         // Fixed δ on the steady-state hot path.
         0 => base,
         // Adaptive Threshold Control: EHr loop, budget multiplier, δ trace.
-        1 => ScenarioConfig { delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()), ..base },
+        1 => ScenarioConfig { delta_policy: DeltaPolicy::Adaptive, ..base },
         // The flooding baseline (per-node rebroadcast dedup state).
         2 => ScenarioConfig { protocol: Protocol::Flooding, ..base },
         // Mid-run deaths: splits inside `[from, until)` land mid-churn,
@@ -42,10 +44,7 @@ fn variant_config(seed: u64, variant: u8, epochs: u64) -> ScenarioConfig {
             ..base
         },
         // Predictive sampling: per-(node, type) sampler models.
-        4 => ScenarioConfig {
-            sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
-            ..base
-        },
+        4 => ScenarioConfig { sampling: SamplingStrategy::Predictive, ..base },
         // The location extension with a spatially scoped workload.
         5 => ScenarioConfig { location_enabled: true, spatial_query_fraction: 0.6, ..base },
         _ => unreachable!("variant out of range"),
@@ -125,7 +124,7 @@ fn atc_churn_resume_long_run() {
     let cfg = ScenarioConfig {
         epochs: 400,
         measure_from_epoch: 80,
-        delta_policy: DeltaPolicy::Adaptive(AtcConfig::default()),
+        delta_policy: DeltaPolicy::Adaptive,
         churn: ChurnSpec::RandomDeaths { deaths: 5, from_epoch: 100, until_epoch: 250 },
         ..ScenarioConfig::paper_small(40_417)
     };
@@ -211,10 +210,8 @@ fn restore_rejects_mismatched_configs() {
     );
 
     // Predictive sampling expects sampler rows the donor never wrote.
-    let cfg = ScenarioConfig {
-        sampling: SamplingStrategy::Predictive(PredictiveConfig::default()),
-        ..variant_config(11, 0, 60)
-    };
+    let cfg =
+        ScenarioConfig { sampling: SamplingStrategy::Predictive, ..variant_config(11, 0, 60) };
     assert!(
         matches!(
             Engine::new(cfg).restore(&body),
@@ -350,6 +347,28 @@ fn restore_rejects_a_query_source_outside_the_deployment() {
     assert!(u64::from_le_bytes(body[sources..sources + 8].try_into().unwrap()) > 0);
     body[sources + 8..sources + 12].copy_from_slice(&60_000u32.to_le_bytes());
     assert_rejected(&body, "query source outside the deployment");
+}
+
+/// A query's ground truth lists its sources strictly ascending, as
+/// `ground_truth` writes them. A repeated or out-of-order source is a typed
+/// error at restore, not a source counted twice when the query is scored.
+#[test]
+fn restore_rejects_query_sources_not_strictly_ascending() {
+    let (body, _) = body_at(25);
+    // The first in-flight query's source count and ids (see above).
+    let sources = tag_offsets(&body, b"PEND")[0] + 46;
+    assert!(u64::from_le_bytes(body[sources..sources + 8].try_into().unwrap()) >= 2);
+    let (first, second) = (sources + 8, sources + 12);
+    let id = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+    assert!(id(first) < id(second), "sources ascend");
+    let mut swapped = body.clone();
+    swapped[first..first + 4].copy_from_slice(&body[second..second + 4]);
+    swapped[second..second + 4].copy_from_slice(&body[first..first + 4]);
+    let mut repeated = body.clone();
+    repeated[second..second + 4].copy_from_slice(&body[first..first + 4]);
+    for patched in [swapped, repeated] {
+        assert_rejected(&patched, "query sources not strictly ascending");
+    }
 }
 
 /// Offset of the first in-flight query's id in a `body_at` body: "PEND",
@@ -1024,6 +1043,51 @@ fn restore_rejects_an_atc_delta_off_its_nodes() {
     }
 }
 
+/// Offset of the ATC controller's record in node `i`'s record of an ATC
+/// body snapshotted before the first adjustment: the node's δ (still
+/// 5.0), the controller's presence flag, then the record, which opens with
+/// its own copy of δ.
+fn atc_record_at(body: &[u8], i: usize) -> usize {
+    let nodes = tag_offsets(body, b"NODE");
+    let five = 5.0f64.to_le_bytes();
+    let pattern: Vec<u8> = five.iter().chain(&[1]).chain(&five).copied().collect();
+    let record = &body[nodes[i]..nodes[i + 1]];
+    nodes[i] + 9 + record.windows(17).position(|w| w == pattern).expect("the ATC record")
+}
+
+/// An ATC controller's budget is one `on_budget` accepts, and its window
+/// count is below `ADJUST_PERIOD`, where a step resets it. A budget that
+/// is negative, NaN or infinite, or a window at or past the period, is a
+/// typed error at restore, not a δ that turns NaN at the next adjustment.
+#[test]
+fn restore_rejects_an_atc_budget_or_window_no_step_writes() {
+    // At epoch 20 node 1 holds the first EHr's budget and has counted 20
+    // epochs of its first window, with no rate observed yet.
+    let (body, rejected) = variant_body(1, 20);
+    let atc = atc_record_at(&body, 1);
+    let (window, rate_flag) = (atc + 16, atc + 32);
+    assert_eq!(body[window..window + 8], 20u64.to_le_bytes(), "20 epochs into the window");
+    assert_eq!(body[atc + 24..rate_flag], RATE_ALPHA.to_le_bytes(), "the rate's α");
+    assert_eq!(body[rate_flag], 0, "no rate observed yet");
+    let budget = rate_flag + 2;
+    assert_eq!(body[budget - 1], 1, "node 1 holds a budget");
+    for bad in [f64::INFINITY, f64::NAN, -0.5] {
+        let mut patched = body.clone();
+        patched[budget..budget + 8].copy_from_slice(&bad.to_le_bytes());
+        rejected(&patched, "ATC budget negative or not finite");
+    }
+    let with_window = |epochs: u64| {
+        let mut patched = body.clone();
+        patched[window..window + 8].copy_from_slice(&epochs.to_le_bytes());
+        patched
+    };
+    let cfg = variant_config(17, 1, 60);
+    Engine::new(cfg).restore(&with_window(ADJUST_PERIOD - 1)).expect("a full window restores");
+    for epochs in [ADJUST_PERIOD, ADJUST_PERIOD + 1] {
+        rejected(&with_window(epochs), "ATC window at or past its period");
+    }
+}
+
 /// Every node's range-table array is as wide as the catalog. A wider one
 /// would hold tables for types no sensor reads; a narrower one, lose the
 /// catalog's last types. Either is a typed error at restore.
@@ -1122,11 +1186,10 @@ fn restore_rejects_a_queued_update_type_outside_the_catalog() {
     }
 }
 
-/// Every EWMA an image carries repeats its configured smoothing factor:
-/// the root's cost estimate (0.2), ATC's rate (`rate_alpha`) and a
-/// predictive sampler's drift (`alpha`). A factor off its config is a
-/// typed error at restore, not an estimate smoothed at a rate the run
-/// never set.
+/// Every EWMA an image carries repeats its fixed smoothing factor: the
+/// root's cost estimate (0.2), ATC's rate (`RATE_ALPHA`) and a predictive
+/// sampler's drift (`DRIFT_ALPHA`). A factor off it is a typed error at
+/// restore, not an estimate smoothed at a rate the run never set.
 #[test]
 fn restore_rejects_an_ewma_alpha_off_its_config() {
     type At = fn(&[u8]) -> usize;
@@ -1138,11 +1201,11 @@ fn restore_rejects_an_ewma_alpha_off_its_config() {
         ("root cost estimate", 0, 0.2, |b| b.len() - 8 - 8 - 8 - 1 - 50 - 8 - 8 - 1 - 8),
         // Node 1's δ, the controller's flag and δ, its two window counts,
         // then its rate's α.
-        ("ATC rate", 1, AtcConfig::default().rate_alpha, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16),
+        ("ATC rate", 1, RATE_ALPHA, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16),
         // Before the first step every sampler record is 43 bytes (see
         // `restored_counters_at_the_bound_sum_without_overflow`); the last
         // one's drift α follows its absence byte.
-        ("sampler drift", 4, PredictiveConfig::default().alpha, |b| b.len() - 24 - 43 + 1),
+        ("sampler drift", 4, DRIFT_ALPHA, |b| b.len() - 24 - 43 + 1),
     ];
     for (ewma, variant, alpha, at) in cases {
         let (body, rejected) = variant_body(variant, 0);
@@ -1154,7 +1217,7 @@ fn restore_rejects_an_ewma_alpha_off_its_config() {
     }
 }
 
-/// A predictive sampler skips at most `max_skip` epochs in a row. A larger
+/// A predictive sampler skips at most `MAX_SKIP` epochs in a row. A larger
 /// skip count is a typed error at restore: at `u64::MAX` the sensor would
 /// never be read again.
 #[test]
@@ -1169,10 +1232,9 @@ fn restore_rejects_a_sampler_skip_above_max_skip() {
         patched[at..at + 8].copy_from_slice(&skip.to_le_bytes());
         patched
     };
-    let max_skip = PredictiveConfig::default().max_skip;
     let cfg = variant_config(17, 4, 60);
-    Engine::new(cfg).restore(&with_skip(max_skip)).expect("a full skip restores");
-    for skip in [max_skip + 1, u64::MAX] {
+    Engine::new(cfg).restore(&with_skip(MAX_SKIP)).expect("a full skip restores");
+    for skip in [MAX_SKIP + 1, u64::MAX] {
         rejected(&with_skip(skip), "sampler skip above max_skip");
     }
 }

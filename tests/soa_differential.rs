@@ -333,7 +333,6 @@ proptest! {
         let cfg = Arc::new(NodeConfig {
             delta_policy: DeltaPolicy::Fixed(5.0),
             reference_spans: SPANS.to_vec(),
-            variability_alpha: 0.2,
             tx_threshold_factor: 1.0,
         });
         let mut node = fresh_node(&cfg);

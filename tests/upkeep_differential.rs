@@ -65,7 +65,7 @@ proptest! {
             // engines, so it never affects the differential property.
             lmac: LmacConfig { slots_per_frame: 64, ..LmacConfig::default() },
             sampling: if predictive {
-                SamplingStrategy::Predictive(PredictiveConfig::default())
+                SamplingStrategy::Predictive
             } else {
                 SamplingStrategy::EveryEpoch
             },
