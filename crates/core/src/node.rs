@@ -432,8 +432,10 @@ impl DirqNode {
     /// names a node id outside the `n_nodes` deployment, holds tables no
     /// run writes ([`RangeTables::restore`]), carries a δ that is negative,
     /// NaN, infinite or off its fixed policy, whose sensing records do not
-    /// fit the row and `VARIABILITY_ALPHA`, or whose duplicate-suppression
-    /// list is over its cap ([`SeenQueries::restore`]), is malformed.
+    /// fit the row and `VARIABILITY_ALPHA` or hold a variability that is not
+    /// finite or a last reading that is infinite (NaN is one not taken
+    /// yet), or whose duplicate-suppression list is over its cap
+    /// ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -482,8 +484,8 @@ impl DirqNode {
                 let (pos, mut e) = (r.position(), Ewma::new(VARIABILITY_ALPHA));
                 e.restore(r)?;
                 match e.value() {
-                    Some(v) if !v.is_nan() => cell.variability = v,
-                    _ => {
+                    Some(v) => cell.variability = v,
+                    None => {
                         return Err(SnapError::Malformed { pos, what: "variability record empty" })
                     }
                 }
@@ -494,7 +496,11 @@ impl DirqNode {
             return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
         }
         for cell in row.iter_mut() {
+            let pos = r.position();
             cell.last = r.f64()?;
+            if cell.last.is_infinite() {
+                return Err(SnapError::Malformed { pos, what: "sensing last reading infinite" });
+            }
         }
         self.seen_queries.restore(r)?;
         let pos = r.position();

@@ -143,10 +143,17 @@ impl Sampler {
         w.u64(self.samples_skipped);
     }
 
-    /// Overlay state captured by [`Sampler::snap`] onto a sampler; a skip
-    /// count above [`MAX_SKIP`] is malformed.
+    /// Overlay state captured by [`Sampler::snap`] onto a sampler; a last
+    /// value that is not finite (the sampling pass feeds only readings it
+    /// took, and from such a value the drift and volatility would read NaN
+    /// for good), an estimator [`Ewma::restore`] rejects and a skip count
+    /// above [`MAX_SKIP`] are malformed.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let pos = r.position();
         self.last_value = r.opt_f64()?;
+        if self.last_value.is_some_and(|v| !v.is_finite()) {
+            return Err(SnapError::Malformed { pos, what: "sampler last value not finite" });
+        }
         self.drift.restore(r)?;
         self.volatility.restore(r)?;
         let pos = r.position();

@@ -55,5 +55,5 @@ mod store;
 pub use config::LmacConfig;
 pub use indication::{Destination, MacIndication, Payload, PayloadHandle};
 pub use neighbor::{NeighborArena, NeighborInfo, NeighborView};
-pub use network::LmacNetwork;
+pub use network::{LmacNetwork, MacFootprint};
 pub use slots::SlotSet;

@@ -7,22 +7,25 @@
 //! aligned to the topology's CSR edge slots**: the entry describing
 //! neighbour `neighbors(l)[p]` as seen by listener `l` lives at
 //! `Topology::row_start(l) + p`. Listener-loop stores therefore walk one
-//! contiguous array in listener order, and the per-transmission position is
-//! resolved once from the MAC's edge-mirror index — a direct indexed store,
-//! no per-event search ([`NeighborArena::heard_at`]).
+//! contiguous array in listener order; a reception finds the transmitter's
+//! position in the listener's sorted row by binary search
+//! ([`NeighborArena::heard`]), about four probes into a row of a dozen.
 //!
 //! The arena keeps no copy of the CSR: row bounds and neighbour ids come
 //! from the [`Topology`] the MAC owns, which every method that walks a
-//! row takes, and each entry holds one neighbour's state in 32 bytes.
+//! row takes, and each entry holds one neighbour's state in 24 bytes: the
+//! slot in one byte and `last_heard_frame` in 32 bits, widened back to 64
+//! against the MAC's current frame (`Clock`).
 //!
 //! ## Views and cursors
 //!
-//! Readers (the engine's cross-layer tree repair, the MAC's slot selection)
-//! go through [`NeighborView`], a typed cursor over one node's row. The
-//! aggregate views the MAC reads every slot — 1-hop slot occupancy and the
-//! minimum advertised gateway distance — are cached per node and recomputed
-//! lazily only when an update could have changed them; in steady state the
-//! caches never invalidate.
+//! Readers (the engine's cross-layer tree repair, the MAC's slot selection
+//! and advertisements) go through [`NeighborView`], a typed cursor over
+//! one node's row. The aggregate views — 1-hop and 2-hop slot occupancy
+//! and the minimum advertised gateway distance — fold the row when called.
+//! The MAC calls them only off its fixed point (a slot's advertisements, a
+//! joining node's slot pick), and a row holds about a dozen entries, so the
+//! arena caches no aggregate.
 //!
 //! ## Implicit liveness
 //!
@@ -30,18 +33,17 @@
 //! the arena: every alive listener hears each present neighbour exactly
 //! once per frame, in the neighbour's slot. A present entry's
 //! `last_heard_frame` is then implied by its stored slot and the MAC's
-//! position in the frame (`SteadyClock`). Views and snapshots taken
-//! through the MAC report that value; when the MAC leaves the fixed point
-//! it writes the value back into every present entry
+//! position in the frame (`Clock::steady_slot`). Views and snapshots
+//! taken through the MAC report that value; when the MAC leaves the fixed
+//! point it writes the value back into every present entry
 //! (`NeighborArena::settle`).
 
-use std::cell::Cell;
 use std::ops::Range;
 
 use dirq_net::{EnergyLedger, NodeId, Topology};
 use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::slots::SlotSet;
+use crate::slots::{SlotSet, MAX_SLOTS};
 
 /// What a node knows about one neighbour.
 #[derive(Clone, Copy, Debug)]
@@ -69,39 +71,54 @@ pub enum Heard {
     Refreshed,
 }
 
-/// The MAC's position in a frame at the control plane's fixed point,
-/// from which every present entry's `last_heard_frame` follows.
+/// The MAC's clock, as the arena reads `last_heard_frame` from it.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct SteadyClock {
-    /// The current frame; at least 1, because the fixed point is only
-    /// entered at a frame boundary.
+pub(crate) struct Clock {
+    /// The current frame. An entry keeps the low 32 bits of the frame it
+    /// was heard in, and reads back as the latest frame at or before this
+    /// one with those bits: exact for an entry less than 2^32 frames old.
     pub(crate) frame: u64,
-    /// The next slot to run: neighbours owning a lower slot have already
-    /// been heard in `frame`.
-    pub(crate) slot: u16,
+    /// At the control plane's fixed point, the next slot to run: a present
+    /// entry was last heard in `frame` if its neighbour's slot lies below
+    /// it, else in `frame - 1` (the fixed point is only entered at a frame
+    /// boundary, so `frame` is at least 1). `None` off the fixed point,
+    /// where the stored frame is read.
+    pub(crate) steady_slot: Option<u16>,
 }
 
-impl SteadyClock {
-    /// When a neighbour that transmits in `slot` was last heard.
+impl Clock {
+    /// Off the fixed point at `frame`.
+    pub(crate) fn at(frame: u64) -> Self {
+        Clock { frame, steady_slot: None }
+    }
+
+    /// When `e`'s neighbour was last heard.
     #[inline]
-    fn last_heard(self, slot: Option<u16>) -> u64 {
-        match slot {
-            Some(s) if s < self.slot => self.frame,
-            _ => self.frame - 1,
+    fn last_heard(self, e: &EdgeEntry) -> u64 {
+        match self.steady_slot {
+            Some(next) if e.slot().is_some_and(|s| s < next) => self.frame,
+            Some(_) => self.frame - 1,
+            None => self.frame - u64::from((self.frame as u32).wrapping_sub(e.last_heard)),
         }
     }
 }
 
+/// `EdgeEntry::slot` of a neighbour without a slot; every slot lies below
+/// [`MAX_SLOTS`].
+const NO_SLOT: u8 = u8::MAX;
+
 /// One edge-aligned arena slot: listener `l`'s knowledge of
-/// `neighbors(l)[p]`. The [`NeighborInfo`] fields and the presence flag
-/// side by side, 31 bytes in 32 (`layout_budget`): nesting the info would
-/// pad the entry to 40.
+/// `neighbors(l)[p]`. The [`NeighborInfo`] fields, narrowed, and the
+/// presence flag side by side in 24 bytes (`layout_budget`).
 #[derive(Clone, Copy, Debug)]
 struct EdgeEntry {
     occupied: SlotSet,
-    last_heard_frame: u64,
-    slot: Option<u16>,
+    /// The low 32 bits of the frame the neighbour was last heard in
+    /// ([`Clock`] widens them back).
+    last_heard: u32,
     gateway_dist: u16,
+    /// The neighbour's slot, or `NO_SLOT`.
+    slot: u8,
     present: bool,
 }
 
@@ -109,24 +126,39 @@ impl EdgeEntry {
     /// The entry of a neighbour never heard, or forgotten by `reset_row`.
     const VACANT: EdgeEntry = EdgeEntry {
         occupied: SlotSet::EMPTY,
-        last_heard_frame: 0,
-        slot: None,
+        last_heard: 0,
         gateway_dist: u16::MAX,
+        slot: NO_SLOT,
         present: false,
     };
 
-    /// The entry's knowledge, with `last_heard_frame` taken from `clock`
-    /// when the MAC is at its fixed point.
+    /// The present entry of a neighbour heard in `frame`.
+    ///
+    /// # Panics
+    /// Panics on a slot at or above [`MAX_SLOTS`].
     #[inline]
-    fn info_at(&self, clock: Option<SteadyClock>) -> NeighborInfo {
+    fn heard(slot: Option<u16>, occupied: SlotSet, gateway_dist: u16, frame: u64) -> Self {
+        let slot = slot.map_or(NO_SLOT, |s| {
+            assert!(s < MAX_SLOTS, "slot {s} out of range");
+            s as u8
+        });
+        EdgeEntry { occupied, last_heard: frame as u32, gateway_dist, slot, present: true }
+    }
+
+    /// The neighbour's slot.
+    #[inline]
+    fn slot(&self) -> Option<u16> {
+        (self.slot != NO_SLOT).then_some(u16::from(self.slot))
+    }
+
+    /// The entry's knowledge, with `last_heard_frame` read from `clock`.
+    #[inline]
+    fn info_at(&self, clock: Clock) -> NeighborInfo {
         NeighborInfo {
-            slot: self.slot,
+            slot: self.slot(),
             occupied: self.occupied,
             gateway_dist: self.gateway_dist,
-            last_heard_frame: match clock {
-                Some(c) => c.last_heard(self.slot),
-                None => self.last_heard_frame,
-            },
+            last_heard_frame: clock.last_heard(self),
         }
     }
 }
@@ -141,33 +173,21 @@ pub struct NeighborArena {
     entries: Vec<EdgeEntry>,
     /// Per-node count of present entries.
     present: Vec<u32>,
-    /// Per-node cached 1-hop occupancy (`None` = dirty).
-    occ_cache: Vec<Cell<Option<SlotSet>>>,
-    /// Per-node cached minimum advertised gateway distance (`None` =
-    /// dirty).
-    gw_cache: Vec<Cell<Option<u16>>>,
 }
 
 impl NeighborArena {
     /// Empty arena (every row vacant) over `topo`'s edge set.
     pub fn new(topo: &Topology) -> Self {
-        let n = topo.len();
         NeighborArena {
             entries: vec![EdgeEntry::VACANT; 2 * topo.link_count()],
-            present: vec![0; n],
-            occ_cache: (0..n).map(|_| Cell::new(None)).collect(),
-            gw_cache: (0..n).map(|_| Cell::new(None)).collect(),
+            present: vec![0; topo.len()],
         }
     }
 
-    /// Number of node rows.
-    pub fn len(&self) -> usize {
-        self.present.len()
-    }
-
-    /// Whether the arena has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+    /// Heap bytes held: the entries and the per-node present counts.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<EdgeEntry>()
+            + self.present.capacity() * std::mem::size_of::<u32>()
     }
 
     /// `node`'s row in the entry array: its CSR row in `topo`, which must
@@ -179,21 +199,14 @@ impl NeighborArena {
         lo..lo + topo.degree(node)
     }
 
-    /// Typed read view over `node`'s row, reporting the stored
-    /// `last_heard_frame`.
+    /// Typed read view over `node`'s row, reading `last_heard_frame` from
+    /// the MAC's `clock`.
     #[inline]
-    pub fn view<'a>(&'a self, topo: &'a Topology, node: NodeId) -> NeighborView<'a> {
-        self.view_at(topo, node, None)
-    }
-
-    /// [`NeighborArena::view`] reporting `last_heard_frame` from `clock`
-    /// when the MAC is at its fixed point.
-    #[inline]
-    pub(crate) fn view_at<'a>(
+    pub(crate) fn view<'a>(
         &'a self,
         topo: &'a Topology,
         node: NodeId,
-        clock: Option<SteadyClock>,
+        clock: Clock,
     ) -> NeighborView<'a> {
         NeighborView { arena: self, topo, node, clock }
     }
@@ -208,14 +221,16 @@ impl NeighborArena {
         let row = self.row(topo, node);
         self.entries[row].fill(EdgeEntry::VACANT);
         self.present[node.index()] = 0;
-        self.occ_cache[node.index()].set(None);
-        self.gw_cache[node.index()].set(None);
     }
 
     /// Record `listener` hearing `node` in `frame` and report what that
-    /// changed ([`Heard::New`] triggers LMAC's new-neighbour upcall).
-    /// Resolves the row position by binary search — the cold path; the
-    /// reception hot loop uses [`NeighborArena::heard_at`].
+    /// changed ([`Heard::New`] triggers LMAC's new-neighbour upcall). The
+    /// entry's position is `node`'s in `listener`'s sorted topology row,
+    /// found by binary search.
+    ///
+    /// # Panics
+    /// Panics if `node` is not in `listener`'s topology row, or on a slot
+    /// at or above [`MAX_SLOTS`].
     #[allow(clippy::too_many_arguments)]
     pub fn heard(
         &mut self,
@@ -231,56 +246,18 @@ impl NeighborArena {
             .neighbors(listener)
             .binary_search(&node)
             .unwrap_or_else(|_| panic!("{node} is not in {listener}'s topology row"));
-        self.heard_at(topo, listener, pos, node, slot, occupied, gateway_dist, frame)
-    }
-
-    /// [`NeighborArena::heard`] with the entry position already known (the
-    /// transmitter's position in `listener`'s topology row, from the MAC's
-    /// edge-mirror index) — the reception hot path. `pos` must address
-    /// `node`'s entry.
-    ///
-    /// # Panics
-    /// Panics when `pos` lies outside `listener`'s row.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn heard_at(
-        &mut self,
-        topo: &Topology,
-        listener: NodeId,
-        pos: usize,
-        node: NodeId,
-        slot: Option<u16>,
-        occupied: SlotSet,
-        gateway_dist: u16,
-        frame: u64,
-    ) -> Heard {
-        let li = listener.index();
-        let row = self.row(topo, listener);
-        assert!(pos < row.len(), "heard_at position {pos} outside {listener}'s row");
-        debug_assert_eq!(
-            topo.neighbors(listener)[pos],
-            node,
-            "heard_at position does not address {node}"
-        );
-        let e = &mut self.entries[row.start + pos];
+        let (li, at) = (listener.index(), self.row(topo, listener).start + pos);
+        let new = EdgeEntry::heard(slot, occupied, gateway_dist, frame);
+        let e = &mut self.entries[at];
         let heard = if !e.present {
             self.present[li] += 1;
-            self.occ_cache[li].set(None);
-            self.gw_cache[li].set(None);
             Heard::New
+        } else if e.slot != new.slot || e.gateway_dist != new.gateway_dist {
+            Heard::Changed
         } else {
-            let mut heard = Heard::Refreshed;
-            if e.slot != slot {
-                self.occ_cache[li].set(None);
-                heard = Heard::Changed;
-            }
-            if e.gateway_dist != gateway_dist {
-                self.gw_cache[li].set(None);
-                heard = Heard::Changed;
-            }
-            heard
+            Heard::Refreshed
         };
-        *e = EdgeEntry { occupied, last_heard_frame: frame, slot, gateway_dist, present: true };
+        *e = new;
         heard
     }
 
@@ -296,22 +273,19 @@ impl NeighborArena {
         }
         e.present = false;
         self.present[listener.index()] -= 1;
-        self.occ_cache[listener.index()].set(None);
-        self.gw_cache[listener.index()].set(None);
         true
     }
 
     /// Append `listener`'s neighbours unheard since `frame - max_missed`
     /// (exclusive) — candidates for a dead-neighbour upcall — to a
-    /// caller-owned buffer, ascending. `clock` supplies `last_heard_frame`
-    /// at the MAC's fixed point.
+    /// caller-owned buffer, ascending. `clock` supplies `last_heard_frame`.
     pub(crate) fn collect_stale(
         &self,
         topo: &Topology,
         listener: NodeId,
         frame: u64,
         max_missed: u32,
-        clock: Option<SteadyClock>,
+        clock: Clock,
         out: &mut Vec<NodeId>,
     ) {
         if self.present[listener.index()] == 0 {
@@ -319,9 +293,7 @@ impl NeighborArena {
         }
         let entries = &self.entries[self.row(topo, listener)];
         for (e, &id) in entries.iter().zip(topo.neighbors(listener)) {
-            if e.present
-                && frame.saturating_sub(e.info_at(clock).last_heard_frame) > u64::from(max_missed)
-            {
+            if e.present && frame.saturating_sub(clock.last_heard(e)) > u64::from(max_missed) {
                 out.push(id);
             }
         }
@@ -343,7 +315,7 @@ impl NeighborArena {
                 None => u64::from(count),
                 Some(s) => self.entries[self.row(topo, node)]
                     .iter()
-                    .filter(|e| e.present && e.slot.is_some_and(|t| t < s))
+                    .filter(|e| e.present && e.slot().is_some_and(|t| t < s))
                     .count() as u64,
             };
             ledger.record_rx_many(node, heard);
@@ -352,16 +324,16 @@ impl NeighborArena {
 
     /// Store `clock`'s implied `last_heard_frame` in every present entry:
     /// the MAC is leaving its fixed point and will write entries again.
-    pub(crate) fn settle(&mut self, clock: SteadyClock) {
+    pub(crate) fn settle(&mut self, clock: Clock) {
         for e in self.entries.iter_mut().filter(|e| e.present) {
-            e.last_heard_frame = clock.last_heard(e.slot);
+            e.last_heard = clock.last_heard(e) as u32;
         }
     }
 
-    /// Write every edge entry to `w`, with `last_heard_frame` from `clock`
-    /// at the MAC's fixed point. Row structure is topology-derived and not
-    /// serialized; only the dynamic knowledge is.
-    pub(crate) fn snap(&self, w: &mut SnapWriter, clock: Option<SteadyClock>) {
+    /// Write every edge entry to `w`, with `last_heard_frame` read from
+    /// `clock`. Row structure is topology-derived and not serialized; only
+    /// the dynamic knowledge is.
+    pub(crate) fn snap(&self, w: &mut SnapWriter, clock: Clock) {
         w.tag(b"ARNA");
         w.len_of(self.entries.len());
         for e in &self.entries {
@@ -379,8 +351,9 @@ impl NeighborArena {
     /// Overlay entries captured by [`NeighborArena::snap`] onto this
     /// arena (which must be built over `topo`, the same topology). A
     /// present entry's slot must lie below `slots_per_frame`, and it must
-    /// have been heard no later than `frame`, the image's MAC frame.
-    /// Per-row presence counts are recomputed and all caches marked dirty.
+    /// have been heard no later than `frame`, the image's MAC frame, and
+    /// less than 2^32 frames before it (what an entry's 32 bits carry).
+    /// Per-row presence counts are recomputed.
     pub(crate) fn restore(
         &mut self,
         topo: &Topology,
@@ -411,7 +384,13 @@ impl NeighborArena {
                         what: "neighbour heard after the image's frame",
                     });
                 }
-                EdgeEntry { occupied, last_heard_frame, slot, gateway_dist, present: true }
+                if frame - last_heard_frame > u64::from(u32::MAX) {
+                    return Err(SnapError::Malformed {
+                        pos,
+                        what: "neighbour heard 2^32 or more frames before the image's frame",
+                    });
+                }
+                EdgeEntry::heard(slot, occupied, gateway_dist, last_heard_frame)
             } else {
                 EdgeEntry::VACANT
             };
@@ -419,8 +398,6 @@ impl NeighborArena {
         for i in 0..self.present.len() {
             let row = self.row(topo, NodeId::from_index(i));
             self.present[i] = self.entries[row].iter().filter(|e| e.present).count() as u32;
-            self.occ_cache[i].set(None);
-            self.gw_cache[i].set(None);
         }
         Ok(())
     }
@@ -434,9 +411,8 @@ pub struct NeighborView<'a> {
     /// The topology the arena was built over: the row's bounds and ids.
     topo: &'a Topology,
     node: NodeId,
-    /// The MAC's position at its fixed point, which `last_heard_frame`
-    /// follows from; `None` reports the stored value.
-    clock: Option<SteadyClock>,
+    /// The MAC's clock, which `last_heard_frame` is read from.
+    clock: Clock,
 }
 
 impl<'a> NeighborView<'a> {
@@ -485,7 +461,7 @@ impl<'a> NeighborView<'a> {
     pub fn two_hop_occupancy(&self) -> SlotSet {
         let mut s = SlotSet::EMPTY;
         for (e, _) in self.present() {
-            if let Some(slot) = e.slot {
+            if let Some(slot) = e.slot() {
                 s.insert(slot);
             }
             s.union_with(e.occupied);
@@ -494,33 +470,19 @@ impl<'a> NeighborView<'a> {
     }
 
     /// Slots owned by direct neighbours only (1-hop occupancy) — what a
-    /// node advertises in its own control section. Cached; O(1) in steady
-    /// state.
+    /// node advertises in its own control section. A fold of the row.
     pub fn one_hop_occupancy(&self) -> SlotSet {
-        let cache = &self.arena.occ_cache[self.node.index()];
-        if let Some(cached) = cache.get() {
-            return cached;
-        }
         let mut s = SlotSet::EMPTY;
-        for (e, _) in self.present() {
-            if let Some(slot) = e.slot {
-                s.insert(slot);
-            }
+        for slot in self.present().filter_map(|(e, _)| e.slot()) {
+            s.insert(slot);
         }
-        cache.set(Some(s));
         s
     }
 
     /// Smallest advertised gateway distance among neighbours
-    /// (`u16::MAX` when none known). Cached; O(1) in steady state.
+    /// (`u16::MAX` when none known). A fold of the row.
     pub fn min_gateway_dist(&self) -> u16 {
-        let cache = &self.arena.gw_cache[self.node.index()];
-        if let Some(cached) = cache.get() {
-            return cached;
-        }
-        let min = self.present().map(|(e, _)| e.gateway_dist).min().unwrap_or(u16::MAX);
-        cache.set(Some(min));
-        min
+        self.present().map(|(e, _)| e.gateway_dist).min().unwrap_or(u16::MAX)
     }
 }
 
@@ -539,8 +501,11 @@ mod tests {
     fn heard_marks_presence_then_updates() {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
-        assert!(a.view(&topo, NodeId(0)).is_empty());
-        assert!(a.view(&topo, NodeId(0)).get(NodeId(3)).is_none(), "vacant entries are invisible");
+        assert!(a.view(&topo, NodeId(0), Clock::at(0)).is_empty());
+        assert!(
+            a.view(&topo, NodeId(0), Clock::at(0)).get(NodeId(3)).is_none(),
+            "vacant entries are invisible"
+        );
         assert_eq!(
             a.heard(&topo, NodeId(0), NodeId(3), Some(5), SlotSet::EMPTY, 2, 10),
             Heard::New
@@ -549,31 +514,26 @@ mod tests {
             a.heard(&topo, NodeId(0), NodeId(3), Some(6), SlotSet::EMPTY, 1, 11),
             Heard::Changed
         );
-        let info = a.view(&topo, NodeId(0)).get(NodeId(3)).unwrap();
+        let info = a.view(&topo, NodeId(0), Clock::at(11)).get(NodeId(3)).unwrap();
         assert_eq!(info.slot, Some(6));
         assert_eq!(info.gateway_dist, 1);
         assert_eq!(info.last_heard_frame, 11);
-        assert_eq!(a.view(&topo, NodeId(0)).len(), 1);
+        assert_eq!(a.view(&topo, NodeId(0), Clock::at(11)).len(), 1);
         // The leaf's row is untouched.
-        assert!(a.view(&topo, NodeId(3)).is_empty());
+        assert!(a.view(&topo, NodeId(3), Clock::at(11)).is_empty());
     }
 
     #[test]
-    fn heard_at_is_a_direct_indexed_store() {
+    fn a_new_occupancy_alone_refreshes() {
         let topo = star(5);
         let mut a = NeighborArena::new(&topo);
-        // Node 0's row is [1, 2, 3, 4]; position 2 addresses NodeId(3).
-        assert_eq!(
-            a.heard_at(&topo, NodeId(0), 2, NodeId(3), Some(4), SlotSet::EMPTY, 2, 0),
-            Heard::New
-        );
+        assert_eq!(a.heard(&topo, NodeId(0), NodeId(3), Some(4), SlotSet::EMPTY, 2, 0), Heard::New);
         let occupied = [1u16].into_iter().collect();
-        assert_eq!(
-            a.heard_at(&topo, NodeId(0), 2, NodeId(3), Some(4), occupied, 2, 1),
-            Heard::Refreshed
-        );
-        assert_eq!(a.view(&topo, NodeId(0)).get(NodeId(3)).unwrap().last_heard_frame, 1);
-        assert_eq!(a.view(&topo, NodeId(0)).nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
+        assert_eq!(a.heard(&topo, NodeId(0), NodeId(3), Some(4), occupied, 2, 1), Heard::Refreshed);
+        let view = a.view(&topo, NodeId(0), Clock::at(1));
+        assert_eq!(view.get(NodeId(3)).unwrap().last_heard_frame, 1);
+        assert_eq!(view.get(NodeId(3)).unwrap().occupied, occupied);
+        assert_eq!(view.nodes().collect::<Vec<_>>(), vec![NodeId(3)]);
     }
 
     #[test]
@@ -591,16 +551,16 @@ mod tests {
         let mut a = NeighborArena::new(&topo);
         for l in topo.nodes() {
             for (p, &nb) in topo.neighbors(l).iter().enumerate() {
-                assert_eq!(
-                    a.heard_at(&topo, l, p, nb, Some(p as u16), SlotSet::EMPTY, 7, 1),
-                    Heard::New
-                );
+                assert_eq!(a.heard(&topo, l, nb, Some(p as u16), SlotSet::EMPTY, 7, 1), Heard::New);
             }
         }
         for l in topo.nodes() {
-            let v = a.view(&topo, l);
+            let v = a.view(&topo, l, Clock::at(1));
             assert_eq!(v.len(), topo.degree(l));
             assert_eq!(v.nodes().collect::<Vec<_>>(), topo.neighbors(l));
+            for (p, &nb) in topo.neighbors(l).iter().enumerate() {
+                assert_eq!(v.get(nb).unwrap().slot, Some(p as u16), "{l}'s entry for {nb}");
+            }
         }
     }
 
@@ -610,13 +570,13 @@ mod tests {
         let mut a = NeighborArena::new(&topo);
         a.heard(&topo, NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 4, 0);
         a.heard(&topo, NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 2, 0);
-        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), 2);
+        assert_eq!(a.view(&topo, NodeId(0), Clock::at(0)).min_gateway_dist(), 2);
         assert!(a.remove(&topo, NodeId(0), NodeId(2)));
         assert!(!a.remove(&topo, NodeId(0), NodeId(2)), "vacated entries are not present");
-        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), 4);
+        assert_eq!(a.view(&topo, NodeId(0), Clock::at(0)).min_gateway_dist(), 4);
         a.reset_row(&topo, NodeId(0));
-        assert!(a.view(&topo, NodeId(0)).is_empty());
-        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), u16::MAX);
+        assert!(a.view(&topo, NodeId(0), Clock::at(0)).is_empty());
+        assert_eq!(a.view(&topo, NodeId(0), Clock::at(0)).min_gateway_dist(), u16::MAX);
     }
 
     #[test]
@@ -626,32 +586,30 @@ mod tests {
         a.heard(&topo, NodeId(0), NodeId(1), Some(0), SlotSet::EMPTY, 1, 10);
         a.heard(&topo, NodeId(0), NodeId(2), Some(1), SlotSet::EMPTY, 1, 14);
         // max_missed = 3: stale iff frame - last_heard > 3.
-        assert_eq!(a.view(&topo, NodeId(0)).stale(14, 3), vec![NodeId(1)]);
-        assert!(a.view(&topo, NodeId(0)).stale(13, 3).is_empty());
-        assert_eq!(a.view(&topo, NodeId(0)).stale(100, 3), vec![NodeId(1), NodeId(2)]);
+        let view = a.view(&topo, NodeId(0), Clock::at(14));
+        assert_eq!(view.stale(14, 3), vec![NodeId(1)]);
+        assert!(view.stale(13, 3).is_empty());
+        assert_eq!(view.stale(100, 3), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]
-    fn occupancy_union_and_caches() {
+    fn occupancy_unions_follow_slot_changes() {
         let topo = star(3);
         let mut a = NeighborArena::new(&topo);
         a.heard(&topo, NodeId(0), NodeId(1), Some(2), [4u16].into_iter().collect(), 1, 0);
         a.heard(&topo, NodeId(0), NodeId(2), Some(3), [5u16].into_iter().collect(), 1, 0);
-        let v = a.view(&topo, NodeId(0));
+        let v = a.view(&topo, NodeId(0), Clock::at(0));
         assert_eq!(v.one_hop_occupancy().iter().collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(v.two_hop_occupancy().iter().collect::<Vec<_>>(), vec![2, 3, 4, 5]);
-        // A same-slot re-advertisement keeps the cache; a slot change
-        // invalidates it.
+        // A same-slot re-advertisement keeps the 1-hop set; a slot change
+        // moves it.
         a.heard(&topo, NodeId(0), NodeId(1), Some(2), SlotSet::EMPTY, 1, 1);
-        assert_eq!(
-            a.view(&topo, NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(),
-            vec![2, 3]
-        );
+        let one_hop = |a: &NeighborArena| {
+            a.view(&topo, NodeId(0), Clock::at(2)).one_hop_occupancy().iter().collect::<Vec<_>>()
+        };
+        assert_eq!(one_hop(&a), vec![2, 3]);
         a.heard(&topo, NodeId(0), NodeId(1), Some(7), SlotSet::EMPTY, 1, 2);
-        assert_eq!(
-            a.view(&topo, NodeId(0)).one_hop_occupancy().iter().collect::<Vec<_>>(),
-            vec![3, 7]
-        );
+        assert_eq!(one_hop(&a), vec![3, 7]);
     }
 
     #[test]
@@ -659,9 +617,11 @@ mod tests {
         let topo = star(2);
         let mut a = NeighborArena::new(&topo);
         a.heard(&topo, NodeId(0), NodeId(1), None, SlotSet::EMPTY, u16::MAX, 0);
-        assert!(a.view(&topo, NodeId(0)).one_hop_occupancy().is_empty());
-        assert_eq!(a.view(&topo, NodeId(0)).min_gateway_dist(), u16::MAX);
-        assert_eq!(a.view(&topo, NodeId(0)).len(), 1);
+        let view = a.view(&topo, NodeId(0), Clock::at(0));
+        assert!(view.one_hop_occupancy().is_empty());
+        assert_eq!(view.min_gateway_dist(), u16::MAX);
+        assert_eq!(view.len(), 1);
+        assert_eq!(view.get(NodeId(1)).unwrap().slot, None);
     }
 
     #[test]
@@ -674,19 +634,43 @@ mod tests {
         a.heard(&topo, NodeId(1), NodeId(2), None, SlotSet::EMPTY, 0, 0);
     }
 
-    /// The arena's per-edge state is one entry, and the per-node
-    /// occupancy cache holds a two-word set: an extra field, or a return
-    /// to 16-byte alignment, fails here.
+    #[test]
+    #[should_panic(expected = "slot 128 out of range")]
+    fn a_slot_past_the_largest_frame_is_rejected() {
+        let topo = star(2);
+        let mut a = NeighborArena::new(&topo);
+        a.heard(&topo, NodeId(0), NodeId(1), Some(MAX_SLOTS), SlotSet::EMPTY, 0, 0);
+    }
+
+    /// The arena's per-edge state is one 24-byte entry: an extra field, a
+    /// wider slot or a 64-bit frame fails here.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn layout_budget() {
         let entry = std::mem::size_of::<EdgeEntry>();
-        let cache = std::mem::size_of::<Cell<Option<SlotSet>>>();
-        assert!(entry <= 32, "EdgeEntry is {entry} bytes, over its 32-byte budget");
-        assert!(cache <= 24, "the occupancy cache is {cache} bytes a node, over its 24");
+        assert!(entry <= 24, "EdgeEntry is {entry} bytes, over its 24-byte budget");
     }
 
-    /// Field extremes survive `heard_at`, the views, `snap` and `restore`:
+    /// The image bytes of `entries` (`None`: vacant) as
+    /// [`NeighborArena::snap`] writes them, from the 64-bit
+    /// `last_heard_frame` of [`NeighborInfo`].
+    fn image_of(entries: &[Option<NeighborInfo>]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.tag(b"ARNA");
+        w.len_of(entries.len());
+        for e in entries {
+            w.bool(e.is_some());
+            if let Some(info) = e {
+                w.opt_u16(info.slot);
+                w.u128(info.occupied.bits());
+                w.u16(info.gateway_dist);
+                w.u64(info.last_heard_frame);
+            }
+        }
+        w.finish()
+    }
+
+    /// Field extremes survive `heard`, the views, `snap` and `restore`:
     /// slot `None`, 0 and 127 of a 128-slot frame, occupancy bits 0, 63,
     /// 64 and 127 (both words' edges), gateway distance 0 and `u16::MAX`,
     /// and `last_heard_frame` 0 and the current frame.
@@ -705,39 +689,44 @@ mod tests {
         ];
         let mut a = NeighborArena::new(&topo);
         for &(l, nb, slot, occ, gw, frame) in &cases {
-            let (l, nb) = (NodeId(l), NodeId(nb));
-            let pos = topo.neighbors(l).binary_search(&nb).unwrap();
-            let heard = a.heard_at(&topo, l, pos, nb, slot, SlotSet::from_bits(occ), gw, frame);
+            let heard =
+                a.heard(&topo, NodeId(l), NodeId(nb), slot, SlotSet::from_bits(occ), gw, frame);
             assert_eq!(heard, Heard::New);
         }
         let check = |a: &NeighborArena| {
             for &(l, nb, slot, occ, gw, frame) in &cases {
-                let info = a.view(&topo, NodeId(l)).get(NodeId(nb)).expect("a present entry");
+                let info = a
+                    .view(&topo, NodeId(l), Clock::at(FRAME))
+                    .get(NodeId(nb))
+                    .expect("a present entry");
                 let got =
                     (info.slot, info.occupied.bits(), info.gateway_dist, info.last_heard_frame);
                 assert_eq!(got, (slot, occ, gw, frame), "{l}'s entry for {nb}");
             }
-            let hub = a.view(&topo, NodeId(0));
+            let hub = a.view(&topo, NodeId(0), Clock::at(FRAME));
             assert_eq!(hub.nodes().collect::<Vec<_>>(), topo.neighbors(NodeId(0)));
             assert_eq!(hub.one_hop_occupancy().bits(), bits(&[0, 127]));
             assert_eq!(hub.two_hop_occupancy().bits(), bits(&[0, 63, 64, 127]));
             assert_eq!(hub.min_gateway_dist(), 0);
             assert_eq!(hub.stale(FRAME, 39), vec![NodeId(1), NodeId(4)]);
             for leaf in 1..4 {
-                assert!(a.view(&topo, NodeId(leaf)).is_empty(), "leaf {leaf} heard nothing");
+                assert!(
+                    a.view(&topo, NodeId(leaf), Clock::at(FRAME)).is_empty(),
+                    "leaf {leaf} heard nothing"
+                );
             }
-            assert_eq!(a.view(&topo, NodeId(4)).min_gateway_dist(), 0);
+            assert_eq!(a.view(&topo, NodeId(4), Clock::at(FRAME)).min_gateway_dist(), 0);
         };
         check(&a);
 
         let mut w = SnapWriter::new();
-        a.snap(&mut w, None);
+        a.snap(&mut w, Clock::at(FRAME));
         let image = w.finish();
         let mut restored = NeighborArena::new(&topo);
         restored.restore(&topo, &mut SnapReader::new(&image), 128, FRAME).expect("own image");
         check(&restored);
         let mut again = SnapWriter::new();
-        restored.snap(&mut again, None);
+        restored.snap(&mut again, Clock::at(FRAME));
         assert_eq!(again.finish(), image, "a second snapshot is byte-identical");
 
         // One frame earlier, the entries heard at FRAME lie in the future.
@@ -749,6 +738,73 @@ mod tests {
                 Err(SnapError::Malformed { what: "neighbour heard after the image's frame", .. })
             ),
             "{early:?}"
+        );
+    }
+
+    /// An entry keeps 32 bits of its frame, and reads back exactly what a
+    /// 64-bit field holds across 2^32: entries heard at 2^32 − 1, 2^32 and
+    /// 2^32 + 1 and read at 2^32 + 2 give the same views, `stale` sets and
+    /// snapshot bytes. An image may hold an entry up to 2^32 − 1 frames
+    /// older than its frame, and not one 2^32 frames older.
+    #[test]
+    fn the_32_bit_frame_is_exact_across_2_pow_32() {
+        const WRAP: u64 = 1 << 32;
+        const NOW: u64 = WRAP + 2;
+        let topo = star(5);
+        // Neighbour 4 stays vacant.
+        let heard = [(1, Some(3), WRAP - 1), (2, None, WRAP), (3, Some(127), WRAP + 1)];
+        let mut a = NeighborArena::new(&topo);
+        for &(nb, slot, frame) in &heard {
+            let occupied = SlotSet::single(nb);
+            a.heard(&topo, NodeId(0), NodeId(nb as u32), slot, occupied, nb, frame);
+        }
+        let view = a.view(&topo, NodeId(0), Clock::at(NOW));
+        for &(nb, slot, frame) in &heard {
+            let info = view.get(NodeId(nb as u32)).expect("a present entry");
+            assert_eq!((info.slot, info.gateway_dist, info.last_heard_frame), (slot, nb, frame));
+        }
+        // Ages 3, 2 and 1 at NOW.
+        assert_eq!(view.stale(NOW, 2), vec![NodeId(1)]);
+        assert_eq!(view.stale(NOW, 1), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(view.stale(NOW, 0), vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(view.stale(WRAP - 1, 0), Vec::<NodeId>::new());
+
+        // The hub's row, then the four leaves' single entries.
+        let mut expected = vec![None; 8];
+        for &(nb, slot, frame) in &heard {
+            let occupied = SlotSet::single(nb);
+            expected[usize::from(nb) - 1] =
+                Some(NeighborInfo { slot, occupied, gateway_dist: nb, last_heard_frame: frame });
+        }
+        let mut w = SnapWriter::new();
+        a.snap(&mut w, Clock::at(NOW));
+        let image = w.finish();
+        assert_eq!(image, image_of(&expected), "the bytes a 64-bit field writes");
+
+        // The oldest entry, at 2^32 − 1, is 2^32 frames old at 2^33 − 1.
+        let restore_at = |frame: u64| {
+            let mut b = NeighborArena::new(&topo);
+            b.restore(&topo, &mut SnapReader::new(&image), 128, frame).map(|()| b)
+        };
+        let oldest = WRAP - 1;
+        let b = restore_at(oldest + WRAP - 1).expect("2^32 - 1 frames old restores");
+        let view = b.view(&topo, NodeId(0), Clock::at(oldest + WRAP - 1));
+        for &(nb, _, frame) in &heard {
+            assert_eq!(view.get(NodeId(nb as u32)).unwrap().last_heard_frame, frame);
+        }
+        let mut w = SnapWriter::new();
+        b.snap(&mut w, Clock::at(oldest + WRAP - 1));
+        assert_eq!(w.finish(), image, "a restored arena writes its image again");
+        let old = restore_at(oldest + WRAP).map(|_| ());
+        assert!(
+            matches!(
+                old,
+                Err(SnapError::Malformed {
+                    what: "neighbour heard 2^32 or more frames before the image's frame",
+                    ..
+                })
+            ),
+            "{old:?}"
         );
     }
 }

@@ -33,9 +33,10 @@
 //!   transmitter — the listeners × transmitters scan of `has_link`
 //!   probes that dominated dense frames is gone;
 //! * neighbour knowledge is network-owned in an **edge-aligned
-//!   [`NeighborArena`]** (`Topology::row_start(listener) + mirror_pos`),
-//!   so the listener loop's stores land sequentially in listener order on
-//!   one contiguous array instead of hopping through per-node heap vecs;
+//!   [`NeighborArena`]** of 24-byte entries, so the listener loop's stores
+//!   land sequentially in listener order on one contiguous array; only
+//!   slots off the fixed point touch it, so a reception finds its entry by
+//!   binary search of the listener's row, with no per-edge index beside it;
 //! * at the control plane's **fixed point** — once a full frame changed
 //!   no neighbour entry's slot, gateway distance or presence — slots skip
 //!   the per-edge control pass altogether and carry data only: every
@@ -64,7 +65,7 @@ use rand::Rng;
 
 use crate::config::{LmacConfig, LISTEN_FRAMES_BEFORE_PICK, MAX_MISSED_FRAMES};
 use crate::indication::{Destination, MacIndication, Payload, PayloadHandle};
-use crate::neighbor::{Heard, NeighborArena, NeighborView, SteadyClock};
+use crate::neighbor::{Clock, Heard, NeighborArena, NeighborView};
 use crate::slots::SlotSet;
 use crate::store::{MessageStore, Queue};
 
@@ -89,6 +90,34 @@ pub struct MacStats {
     pub new_neighbors_detected: u64,
 }
 
+/// The heap bytes an [`LmacNetwork`] holds, by part, from the lengths and
+/// capacities of its buffers ([`LmacNetwork::footprint`]). The topology
+/// it runs over is not counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MacFootprint {
+    /// The neighbour arena: an entry per directed edge, and a count of
+    /// present entries per node.
+    pub arena: usize,
+    /// The per-node MAC records and the liveness mask.
+    pub nodes: usize,
+    /// The message store: queue entries, payload slots, multicast lists
+    /// and the handles held until the next advance.
+    pub store: usize,
+    /// The per-slot working state.
+    pub scratch: usize,
+    /// The data and control ledgers.
+    pub ledgers: usize,
+    /// The owner list of every slot.
+    pub slot_owners: usize,
+}
+
+impl MacFootprint {
+    /// Every part's bytes together.
+    pub fn total(&self) -> usize {
+        self.arena + self.nodes + self.store + self.scratch + self.ledgers + self.slot_owners
+    }
+}
+
 /// Per-node MAC state. Neighbour knowledge does **not** live here — it is
 /// network-owned, in the edge-aligned [`NeighborArena`] — and neither is
 /// liveness (`LmacNetwork::alive_mask`) or the queued messages (the
@@ -108,9 +137,9 @@ impl MacNode {
 }
 
 /// `FrameScratch::audible_tx` sentinel: no transmitter audible yet.
-const AUDIBLE_NONE: u64 = u64::MAX;
+const AUDIBLE_NONE: u32 = u32::MAX;
 /// `FrameScratch::audible_tx` sentinel: two or more transmitters audible.
-const AUDIBLE_COLLIDED: u64 = u64::MAX - 1;
+const AUDIBLE_COLLIDED: u32 = u32::MAX - 1;
 
 /// One transmission within the current slot; its data messages live in
 /// `FrameScratch::tx_data[data_start..data_end]`.
@@ -139,7 +168,7 @@ struct FrameScratch<P> {
     /// node → audibility resolution for this slot: `AUDIBLE_NONE`, a
     /// single tx index, or `AUDIBLE_COLLIDED`. Written while marking
     /// listeners, consumed (and reset) by the listener loop.
-    audible_tx: Vec<u64>,
+    audible_tx: Vec<u32>,
     /// node → index into `txs` for this slot (`u32::MAX` = no record).
     /// Reset by iterating `txs`, never by an O(n) fill.
     tx_index: Vec<u32>,
@@ -171,6 +200,20 @@ impl<P> FrameScratch<P> {
         }
     }
 
+    /// Heap bytes held.
+    fn heap_bytes(&self) -> usize {
+        [&self.tx_mark, &self.listener_mark, &self.collided_mark]
+            .iter()
+            .map(|bits| bits.heap_bytes())
+            .sum::<usize>()
+            + self.txs.capacity() * std::mem::size_of::<TxRecord>()
+            + self.tx_data.capacity() * std::mem::size_of::<(Destination, PayloadHandle<P>)>()
+            + (self.audible.capacity() + self.audible_tx.capacity() + self.tx_index.capacity())
+                * std::mem::size_of::<u32>()
+            + self.stale_buf.capacity() * std::mem::size_of::<NodeId>()
+            + self.deliveries.capacity() * std::mem::size_of::<(NodeId, u32, u32)>()
+    }
+
     /// Empty scratch (used only while the real one is temporarily moved
     /// out to satisfy the borrow checker).
     fn placeholder() -> Self {
@@ -200,7 +243,8 @@ pub struct LmacNetwork<P: Payload> {
     /// Every node's queued messages and their payloads.
     store: MessageStore<P>,
     /// Network-owned neighbour knowledge, edge-aligned to `topo`'s CSR
-    /// rows (`Topology::row_start(listener) + mirror_pos`).
+    /// rows: listener `l`'s entry for `neighbors(l)[p]` sits at
+    /// `Topology::row_start(l) + p`.
     arena: NeighborArena,
     /// slot → owners (normally ≤1 per 2-hop area; >1 during joins).
     slot_owners: Vec<Vec<NodeId>>,
@@ -218,12 +262,6 @@ pub struct LmacNetwork<P: Payload> {
     /// it through [`LmacNetwork::alive`], and the reception loops probe it
     /// per neighbour per slot.
     alive_mask: NodeBits,
-    /// Edge-aligned mirror positions: for the CSR edge slot holding
-    /// `neighbors(u)[p] == v`, the value is `v`'s row position of `u` —
-    /// i.e. where `u` sits in `v`'s (row-aligned) arena row. Lets the
-    /// reception loop update the listener's row with a direct indexed
-    /// store instead of a per-event search.
-    mirror_pos: Vec<u32>,
     /// Whether the control plane is at its fixed point: the last full
     /// frame changed nothing (see [`LmacNetwork::frame_boundary`]) and no
     /// `set_alive` or `restore` came after it. Slots then skip the
@@ -250,28 +288,6 @@ impl<P: Payload> LmacNetwork<P> {
         for i in 0..n {
             alive_mask.insert(NodeId::from_index(i));
         }
-        // Edge-aligned mirror positions (see the field docs). Rows are
-        // ascending and links symmetric, so walking `u` in ascending order
-        // meets each `v`'s row entries in row order: a per-node cursor
-        // gives every reverse position without a search.
-        let mut mirror_pos = vec![0u32; 2 * topo.link_count()];
-        let mut cursor = vec![0u32; n];
-        for i in 0..n {
-            let u = NodeId::from_index(i);
-            let base = topo.row_start(u);
-            for (p, &v) in topo.neighbors(u).iter().enumerate() {
-                let back = &mut cursor[v.index()];
-                debug_assert_eq!(topo.neighbors(v)[*back as usize], u, "undirected edge");
-                mirror_pos[base + p] = *back;
-                *back += 1;
-            }
-        }
-        // Each row consumed exactly: every mirror position lies inside its
-        // row.
-        assert!(
-            topo.nodes().all(|v| cursor[v.index()] as usize == topo.degree(v)),
-            "topology rows must be symmetric"
-        );
         LmacNetwork {
             slot_owners: vec![Vec::new(); cfg.slots_per_frame as usize],
             data_ledger: EnergyLedger::new(n),
@@ -279,7 +295,6 @@ impl<P: Payload> LmacNetwork<P> {
             scratch: FrameScratch::new(&topo, &cfg),
             arena: NeighborArena::new(&topo),
             alive_mask,
-            mirror_pos,
             steady: false,
             frame_quiet: true,
             frame_rx: 0,
@@ -344,9 +359,7 @@ impl<P: Payload> LmacNetwork<P> {
         // Pre-populate neighbour tables as if a full frame had elapsed.
         // Gateway distances settle within a few frames of real traffic;
         // seed them from graph hop counts, which is what LMAC converges to.
-        // Arena rows are the topology rows, so a neighbour's row position
-        // is its index in `neighbors(node)`; every alive neighbour now has
-        // its entry in `slot`.
+        // Every alive neighbour now has its entry in `slot`.
         if slot.is_empty() {
             return; // no root to measure hops from
         }
@@ -356,22 +369,13 @@ impl<P: Payload> LmacNetwork<P> {
             if !self.alive_mask.contains(node) {
                 continue;
             }
-            for (p, &nb) in self.topo.neighbors(node).iter().enumerate() {
+            for &nb in self.topo.neighbors(node) {
                 if self.alive_mask.contains(nb) {
                     let d = hops[nb.index()];
                     let d16 =
                         if d == u32::MAX { u16::MAX } else { d.min(u16::MAX as u32 - 1) as u16 };
                     let s = Some(slot[nb.index()]);
-                    self.arena.heard_at(
-                        &self.topo,
-                        node,
-                        p,
-                        nb,
-                        s,
-                        SlotSet::EMPTY,
-                        d16,
-                        self.frame,
-                    );
+                    self.arena.heard(&self.topo, node, nb, s, SlotSet::EMPTY, d16, self.frame);
                 }
             }
         }
@@ -410,7 +414,23 @@ impl<P: Payload> LmacNetwork<P> {
     /// The node's MAC neighbour view (cross-layer read access — this is
     /// the information DirQ uses to repair its tree).
     pub fn neighbor_table(&self, node: NodeId) -> NeighborView<'_> {
-        self.arena.view_at(&self.topo, node, self.clock())
+        self.arena.view(&self.topo, node, self.clock())
+    }
+
+    /// The heap bytes the network holds, by part. Computed on demand from
+    /// lengths and capacities; nothing the MAC steps reads it.
+    pub fn footprint(&self) -> MacFootprint {
+        MacFootprint {
+            arena: self.arena.heap_bytes(),
+            nodes: self.nodes.capacity() * std::mem::size_of::<MacNode>()
+                + self.alive_mask.heap_bytes(),
+            store: self.store.heap_bytes(),
+            scratch: self.scratch.heap_bytes(),
+            ledgers: self.data_ledger.heap_bytes() + self.control_ledger.heap_bytes(),
+            slot_owners: self.slot_owners.capacity() * std::mem::size_of::<Vec<NodeId>>()
+                + self.slot_owners.iter().map(Vec::capacity).sum::<usize>()
+                    * std::mem::size_of::<NodeId>(),
+        }
     }
 
     /// Hop distance to the gateway as the MAC currently believes it
@@ -419,7 +439,7 @@ impl<P: Payload> LmacNetwork<P> {
         if node.is_root() {
             0
         } else {
-            self.arena.view(&self.topo, node).min_gateway_dist().saturating_add(1)
+            self.neighbor_table(node).min_gateway_dist().saturating_add(1)
         }
     }
 
@@ -534,15 +554,14 @@ impl<P: Payload> LmacNetwork<P> {
             w.u64(v);
         }
         self.data_ledger.snap(w);
-        match self.clock() {
+        if self.steady && self.slot > 0 {
             // Mid-frame at the fixed point: add the receptions of the
             // slots already run, as the per-edge loop would have.
-            Some(clock) if clock.slot > 0 => {
-                let mut ledger = self.control_ledger.clone();
-                self.arena.credit_receptions(&self.topo, &mut ledger, Some(clock.slot));
-                ledger.snap(w);
-            }
-            _ => self.control_ledger.snap(w),
+            let mut ledger = self.control_ledger.clone();
+            self.arena.credit_receptions(&self.topo, &mut ledger, Some(self.slot));
+            ledger.snap(w);
+        } else {
+            self.control_ledger.snap(w);
         }
         w.len_of(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
@@ -582,10 +601,12 @@ impl<P: Payload> LmacNetwork<P> {
     ///
     /// Every slot in the image must lie below `slots_per_frame` (the
     /// current slot, each node's slot and each present neighbour entry's),
-    /// each slot's owner list must hold exactly the nodes that own the
-    /// slot, once each, and no present neighbour entry may have been heard
-    /// after the image's frame; otherwise restore fails with
-    /// [`SnapError::Malformed`].
+    /// no node may listen more frames before it picks a slot than a
+    /// collision's backoff gives it (`LISTEN_FRAMES_BEFORE_PICK` + 1), each
+    /// slot's owner list must hold exactly the nodes that own the slot,
+    /// once each, and every present neighbour entry must have been heard
+    /// no later than the image's frame and less than 2^32 frames before
+    /// it; otherwise restore fails with [`SnapError::Malformed`].
     pub fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -634,7 +655,11 @@ impl<P: Payload> LmacNetwork<P> {
             if node.my_slot.is_some_and(|s| s >= spf) {
                 return Err(SnapError::Malformed { pos, what: "node slot out of range" });
             }
+            let pos = r.position();
             node.listen_remaining = r.u32()?;
+            if node.listen_remaining > LISTEN_FRAMES_BEFORE_PICK + 1 {
+                return Err(SnapError::Malformed { pos, what: "node listen count out of range" });
+            }
             node.queue = Queue::EMPTY;
             let q = r.seq_len(2)?;
             for _ in 0..q {
@@ -694,10 +719,10 @@ impl<P: Payload> LmacNetwork<P> {
         Ok(())
     }
 
-    /// The MAC's position in the frame while the control plane is at its
-    /// fixed point.
-    fn clock(&self) -> Option<SteadyClock> {
-        self.steady.then_some(SteadyClock { frame: self.frame, slot: self.slot })
+    /// The MAC's clock as the arena reads it: the current frame, and the
+    /// next slot to run while the control plane is at its fixed point.
+    fn clock(&self) -> Clock {
+        Clock { frame: self.frame, steady_slot: self.steady.then_some(self.slot) }
     }
 
     /// Close the gate before a change the fixed point does not cover:
@@ -705,15 +730,11 @@ impl<P: Payload> LmacNetwork<P> {
     /// store every present entry's implied `last_heard_frame`, and keep
     /// the gate closed at least until the next frame boundary.
     fn leave_fixed_point(&mut self) {
-        if let Some(clock) = self.clock() {
-            if clock.slot > 0 {
-                self.arena.credit_receptions(
-                    &self.topo,
-                    &mut self.control_ledger,
-                    Some(clock.slot),
-                );
+        if self.steady {
+            if self.slot > 0 {
+                self.arena.credit_receptions(&self.topo, &mut self.control_ledger, Some(self.slot));
             }
-            self.arena.settle(clock);
+            self.arena.settle(self.clock());
             self.steady = false;
         }
         self.frame_quiet = false;
@@ -813,7 +834,7 @@ impl<P: Payload> LmacNetwork<P> {
                 continue;
             }
             let (occupied, gw) = if adverts {
-                (self.arena.view(&self.topo, t).one_hop_occupancy(), self.gateway_distance(t))
+                (self.neighbor_table(t).one_hop_occupancy(), self.gateway_distance(t))
             } else {
                 (SlotSet::EMPTY, u16::MAX)
             };
@@ -961,18 +982,12 @@ impl<P: Payload> LmacNetwork<P> {
         // exactly one transmitter, so a single node→tx slot suffices and
         // the collided sentinel flags the (rare) join transients.
         for (ti, tx) in txs.iter().enumerate() {
-            let base = self.topo.row_start(tx.from);
-            for (p, &nb) in self.topo.neighbors(tx.from).iter().enumerate() {
+            for &nb in self.topo.neighbors(tx.from) {
                 if self.alive_mask.contains(nb) && !tx_mark.contains(nb) {
                     listener_mark.insert(nb);
                     let slot_entry = &mut audible_tx[nb.index()];
-                    // Pack (tx index, the transmitter's position in the
-                    // listener's row) for the delivery hot path.
-                    *slot_entry = if *slot_entry == AUDIBLE_NONE {
-                        ((ti as u64) << 32) | u64::from(self.mirror_pos[base + p])
-                    } else {
-                        AUDIBLE_COLLIDED
-                    };
+                    *slot_entry =
+                        if *slot_entry == AUDIBLE_NONE { ti as u32 } else { AUDIBLE_COLLIDED };
                 }
             }
         }
@@ -1001,7 +1016,7 @@ impl<P: Payload> LmacNetwork<P> {
                     }
                 }
             } else {
-                audible.push((resolved >> 32) as u32);
+                audible.push(resolved);
             }
             if audible.len() > 1 {
                 // Collision: l hears garbage and will advertise it; every
@@ -1016,29 +1031,15 @@ impl<P: Payload> LmacNetwork<P> {
             let tx = &txs[audible[0] as usize];
             self.control_ledger.record_rx(l);
             self.frame_rx += 1;
-            let heard = if full_scan || resolved == AUDIBLE_COLLIDED {
-                // Cold paths resolve by id, as the pre-index loop did.
-                self.arena.heard(
-                    &self.topo,
-                    l,
-                    tx.from,
-                    Some(s),
-                    tx.occupied,
-                    tx.gateway_dist,
-                    self.frame,
-                )
-            } else {
-                self.arena.heard_at(
-                    &self.topo,
-                    l,
-                    (resolved & 0xFFFF_FFFF) as usize,
-                    tx.from,
-                    Some(s),
-                    tx.occupied,
-                    tx.gateway_dist,
-                    self.frame,
-                )
-            };
+            let heard = self.arena.heard(
+                &self.topo,
+                l,
+                tx.from,
+                Some(s),
+                tx.occupied,
+                tx.gateway_dist,
+                self.frame,
+            );
             if heard != Heard::Refreshed {
                 self.frame_quiet = false;
             }
@@ -1103,6 +1104,11 @@ impl<P: Payload> LmacNetwork<P> {
             return;
         }
         // Liveness: stale neighbours are declared dead (cross-layer upcall).
+        // Stored frames widen against the frame that just ended, which
+        // every entry was heard in or before: restore admits an entry
+        // 2^32 - 1 frames older than its frame, which the new frame already
+        // puts 2^32 frames back.
+        let heard_by = Clock::at(self.frame - 1);
         let mut stale_buf = std::mem::take(&mut self.scratch.stale_buf);
         for i in 0..self.nodes.len() {
             let observer = NodeId::from_index(i);
@@ -1115,7 +1121,7 @@ impl<P: Payload> LmacNetwork<P> {
                 observer,
                 self.frame,
                 MAX_MISSED_FRAMES,
-                None,
+                heard_by,
                 &mut stale_buf,
             );
             for &dead in &stale_buf {
@@ -1149,7 +1155,8 @@ impl<P: Payload> LmacNetwork<P> {
                 n.listen_remaining -= 1;
                 continue;
             }
-            let occupied = self.arena.view(&self.topo, node).two_hop_occupancy();
+            let occupied =
+                self.arena.view(&self.topo, node, Clock::at(self.frame)).two_hop_occupancy();
             let free = occupied.free_slots(self.cfg.slots_per_frame);
             if free.is_empty() {
                 self.stats.no_free_slot += 1;
@@ -1220,6 +1227,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
+    use crate::slots::MAX_SLOTS;
     use crate::store::tests::Mixed;
 
     type Net = LmacNetwork<u32>;
@@ -1710,8 +1718,121 @@ mod tests {
         let mut net = mid_frame_net();
         let (l, nb) = (NodeId(4), net.topology().neighbors(NodeId(4))[0]);
         assert!(net.neighbor_table(l).get(nb).is_some(), "a present entry to patch");
-        let _ = net.arena.heard(&net.topo, l, nb, Some(200), SlotSet::EMPTY, 1, 0);
+        let _ = net.arena.heard(&net.topo, l, nb, Some(MAX_SLOTS - 1), SlotSet::EMPTY, 1, 0);
         assert_eq!(malformed(restore_image(&net)), "neighbour slot out of range");
+    }
+
+    /// A joining node listens `LISTEN_FRAMES_BEFORE_PICK` frames, or one
+    /// more after a collision's backoff. A longer count is a typed error at
+    /// restore, not a node kept unslotted, and the MAC off its fixed
+    /// point, for that many frames.
+    #[test]
+    fn restore_rejects_a_listen_count_no_step_writes() {
+        let with_listen = |frames: u32| {
+            let mut net = mid_frame_net();
+            let v = NodeId(5);
+            let s = net.nodes[5].my_slot.take().expect("a slotted node");
+            net.slot_owners[usize::from(s)].retain(|&n| n != v);
+            net.nodes[5].listen_remaining = frames;
+            restore_image(&net)
+        };
+        with_listen(LISTEN_FRAMES_BEFORE_PICK + 1).expect("a backoff's count restores");
+        for frames in [LISTEN_FRAMES_BEFORE_PICK + 2, u32::MAX] {
+            assert_eq!(malformed(with_listen(frames)), "node listen count out of range");
+        }
+    }
+
+    /// `net`, at a frame boundary at its fixed point, moved to `frame`: its
+    /// image reads as a network that ran `frame` frames, each entry last
+    /// heard in the frame before.
+    fn at_frame(mut net: Net, frame: u64) -> Net {
+        assert!(net.at_fixed_point() && net.now().1 == 0, "a frame boundary at the fixed point");
+        net.frame = frame;
+        net
+    }
+
+    /// `net`'s image restored into a fresh network over its topology.
+    fn restored(net: &Net) -> Net {
+        let mut w = SnapWriter::new();
+        net.snap(&mut w, |w, p| w.u32(*p));
+        let mut fresh = Net::new(*net.config(), net.topology().clone());
+        fresh.restore(&mut SnapReader::new(&w.finish()), |r| r.u32()).expect("own image");
+        fresh
+    }
+
+    /// An entry keeps 32 bits of its frame. A network restored a few
+    /// frames below 2^32 and stepped across it off the fixed point (the
+    /// reference loop never takes it) reads every entry's
+    /// `last_heard_frame` as a 64-bit field would: the frame its
+    /// neighbour's slot last ran in. Its image at every frame boundary is
+    /// the fast path's, which reaches the fixed point and infers the
+    /// frame from the slot instead.
+    #[test]
+    fn entries_read_their_frame_across_2_pow_32() {
+        const START: u64 = (1 << 32) - 3;
+        let mut rng = RngFactory::new(34).stream("wrap");
+        let topo = random_topo(30, 34);
+        let mut net = Net::new(LmacConfig::default(), topo.clone());
+        net.assign_slots_greedy();
+        net.advance_frame(&mut rng);
+        let image_net = at_frame(net, START);
+        let (mut full, mut fast) = (restored(&image_net), restored(&image_net));
+        let (mut rng_fast, mut out) = (rng.clone(), Vec::new());
+        while full.now().0 < START + 6 {
+            full.advance_slot_full_scan_into(&mut rng, &mut out);
+            fast.advance_slot_into(&mut rng_fast, &mut out);
+            let (frame, next) = full.now();
+            for l in topo.nodes() {
+                let view = full.neighbor_table(l);
+                for &nb in topo.neighbors(l) {
+                    let info = view.get(nb).expect("every neighbour stays known");
+                    let heard_in =
+                        if info.slot.expect("slotted") < next { frame } else { frame - 1 };
+                    assert_eq!(info.last_heard_frame, heard_in, "{l}'s entry for {nb} at {frame}");
+                }
+            }
+            if next == 0 {
+                assert!(fast.at_fixed_point() && !full.at_fixed_point());
+                let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
+                full.snap(&mut a, |w, p| w.u32(*p));
+                fast.snap(&mut b, |w, p| w.u32(*p));
+                assert_eq!(a.finish(), b.finish(), "images at frame {frame}");
+            }
+        }
+        assert_eq!(full.stats().deaths_detected, 0);
+    }
+
+    /// An image may hold an entry 2^32 − 1 frames older than its frame.
+    /// At the next frame boundary that entry is 2^32 frames old: the stale
+    /// scan reads it against the frame that just ended, so it is declared
+    /// dead there, as a 64-bit field would have it, and not read as heard
+    /// in the new frame.
+    #[test]
+    fn an_entry_restored_2_pow_32_minus_1_frames_old_dies_at_the_next_boundary() {
+        const IMAGE: u64 = (1 << 32) + 1;
+        let mut rng = RngFactory::new(35).stream("old");
+        let topo = random_topo(30, 35);
+        let mut net = Net::new(LmacConfig::default(), topo.clone());
+        net.assign_slots_greedy();
+        net.advance_frame(&mut rng);
+        let mut net = at_frame(net, IMAGE);
+        // Its other neighbours last heard `dead` in the frame before.
+        let (dead, observer) = (NodeId(9), topo.neighbors(NodeId(9))[0]);
+        let slot = net.slot_of(dead);
+        net.set_alive(dead, false);
+        let oldest = IMAGE - u64::from(u32::MAX);
+        let _ = net.arena.heard(&net.topo, observer, dead, slot, SlotSet::EMPTY, 1, oldest);
+        let mut net = restored(&net);
+        assert_eq!(net.neighbor_table(observer).get(dead).unwrap().last_heard_frame, oldest);
+        let died: Vec<_> = net
+            .advance_frame(&mut rng)
+            .into_iter()
+            .filter_map(|i| match i {
+                MacIndication::NeighborDied { observer, dead } => Some((observer, dead)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(died, vec![(observer, dead)]);
     }
 
     #[test]
@@ -1958,6 +2079,33 @@ mod tests {
         // A node's MAC record: its slot, its listen countdown and its
         // queue's two indices.
         assert!(std::mem::size_of::<MacNode>() <= 16, "{}", std::mem::size_of::<MacNode>());
+    }
+
+    /// Every part of the footprint is counted from its buffers: the arena
+    /// at 24 bytes a directed edge and 4 a node, the nodes at their
+    /// records and mask, and a queued burst in the store until it drains.
+    #[test]
+    fn footprint_counts_each_part() {
+        let mut rng = RngFactory::new(15).stream("footprint");
+        let topo = random_topo(50, 15);
+        let edges = 2 * topo.link_count();
+        let mut net = Net::new(LmacConfig::default(), topo);
+        net.assign_slots_greedy();
+        let idle = net.footprint();
+        assert_eq!(idle.arena, 24 * edges + 4 * 50);
+        assert_eq!(idle.nodes, 50 * std::mem::size_of::<MacNode>() + 8);
+        assert_eq!(idle.ledgers, 4 * 8 * 50);
+        assert_eq!(idle.store, 0, "nothing queued");
+        for i in 0..200 {
+            net.enqueue(NodeId::from_index(i % 50), Destination::Broadcast, i as u32);
+        }
+        let busy = net.footprint();
+        assert!(busy.store >= 200 * 12, "at least the queue entries: {busy:?}");
+        assert_eq!(busy.total() - busy.store, idle.total() - idle.store);
+        for _ in 0..8 {
+            net.advance_frame(&mut rng);
+        }
+        assert!(net.footprint().store < busy.store, "the drained burst is given back");
     }
 
     #[test]

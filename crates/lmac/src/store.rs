@@ -173,6 +173,12 @@ impl<T: Link> Slab<T> {
         self.open = self.open.min(self.chunks.len());
     }
 
+    /// Heap bytes held: every allocated chunk and the chunk table.
+    fn heap_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk<T>>()
+    }
+
     /// Slots in use.
     #[cfg(test)]
     fn live(&self) -> usize {
@@ -180,7 +186,6 @@ impl<T: Link> Slab<T> {
     }
 
     /// Slots allocated, in use or not.
-    #[cfg(test)]
     fn capacity(&self) -> usize {
         self.chunks.iter().map(|c| c.slots.capacity()).sum()
     }
@@ -423,6 +428,16 @@ impl<P: Payload> MessageStore<P> {
         self.small.trim();
         self.large.trim();
         self.lists.trim();
+    }
+
+    /// Heap bytes held: the four slabs and the held handles. A multicast
+    /// list of more than four ids keeps its spill outside this count.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.heap_bytes()
+            + self.small.heap_bytes()
+            + self.large.heap_bytes()
+            + self.lists.heap_bytes()
+            + self.held.capacity() * std::mem::size_of::<PayloadHandle<P>>()
     }
 
     /// Entries, small and large payloads, and multicast lists in use.

@@ -25,6 +25,11 @@ impl NodeBits {
         self.n
     }
 
+    /// Heap bytes held: the word array's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Insert `node`; returns `true` when it was not present before.
     #[inline]
     pub fn insert(&mut self, node: NodeId) -> bool {

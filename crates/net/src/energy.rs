@@ -21,6 +21,11 @@ impl EnergyLedger {
         EnergyLedger { tx: vec![0; n], rx: vec![0; n] }
     }
 
+    /// Heap bytes held: the two tally arrays' capacities.
+    pub fn heap_bytes(&self) -> usize {
+        (self.tx.capacity() + self.rx.capacity()) * std::mem::size_of::<u64>()
+    }
+
     /// Record one transmission by `node`.
     #[inline]
     pub fn record_tx(&mut self, node: NodeId) {

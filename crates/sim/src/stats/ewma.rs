@@ -54,13 +54,19 @@ impl Ewma {
 
     /// Overlay a [`Ewma::snap`] record onto this EWMA, built with its
     /// configured smoothing factor; a record whose factor differs bit for
-    /// bit is malformed.
+    /// bit, or whose estimate is not finite, is malformed. Finite
+    /// observations keep the estimate finite, and a non-finite one never
+    /// leaves it: every later estimate would read NaN or infinite.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let pos = r.position();
         if r.f64()?.to_bits() != self.alpha.to_bits() {
             return Err(SnapError::Malformed { pos, what: "EWMA smoothing factor off its config" });
         }
+        let pos = r.position();
         self.value = r.opt_f64()?;
+        if self.value.is_some_and(|v| !v.is_finite()) {
+            return Err(SnapError::Malformed { pos, what: "EWMA estimate not finite" });
+        }
         Ok(())
     }
 }
@@ -118,6 +124,20 @@ mod tests {
             other.restore(&mut SnapReader::new(&image)),
             Err(SnapError::Malformed { pos: 0, .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_an_estimate_that_is_not_finite() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut w = SnapWriter::new();
+            w.f64(0.25);
+            w.opt_f64(Some(bad));
+            let image = w.finish();
+            assert!(matches!(
+                Ewma::new(0.25).restore(&mut SnapReader::new(&image)),
+                Err(SnapError::Malformed { pos: 8, what: "EWMA estimate not finite" })
+            ));
+        }
     }
 
     #[test]

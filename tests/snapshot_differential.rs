@@ -1239,6 +1239,106 @@ fn restore_rejects_a_sampler_skip_above_max_skip() {
     }
 }
 
+/// `body` with the absence byte at `at` replaced by a presence byte and
+/// `value`: an `Option<f64>` that was `None`, now `Some(value)`.
+fn with_present(body: &[u8], at: usize, value: f64) -> Vec<u8> {
+    assert_eq!(body[at], 0, "an absent value at byte {at}");
+    let mut patched = body[..at].to_vec();
+    patched.push(1);
+    patched.extend_from_slice(&value.to_le_bytes());
+    patched.extend_from_slice(&body[at + 1..]);
+    patched
+}
+
+/// Every EWMA a run keeps observes finite values only, so its estimate
+/// stays finite, and one that is not finite would never leave it. An
+/// estimate that is NaN or infinite is a typed error at restore, for each
+/// of the five users: the engine's cost estimate, ATC's rate, the
+/// predictive sampler's drift and volatility, and a node's sensing
+/// variability. A finite one restores.
+#[test]
+fn restore_rejects_an_ewma_estimate_that_is_not_finite() {
+    type At = fn(&[u8]) -> usize;
+    // Before the first step every estimate is absent; each offset is its
+    // absence byte, right after its α (see
+    // `restore_rejects_an_ewma_alpha_off_its_config`).
+    let cases: [(&str, u8, At); 5] = [
+        ("root cost estimate", 0, |b| b.len() - 8 - 8 - 8 - 1 - 50 - 8 - 8 - 1),
+        ("ATC rate", 1, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16 + 8),
+        ("sampler drift", 4, |b| b.len() - 24 - 43 + 1 + 8),
+        ("sampler volatility", 4, |b| b.len() - 24 - 43 + 1 + 8 + 1 + 8),
+        // A fixed-δ node's δ, the absent controller's flag, the sensing
+        // row's length (4), then type 0's variability record: absent, or
+        // a presence byte and the EWMA (α 0.2, its estimate).
+        ("sensing variability", 0, |b| {
+            let delta = fresh_delta_at(b, 1);
+            assert_eq!(b[delta + 9..delta + 17], 4u64.to_le_bytes(), "four sensing cells");
+            delta + 17
+        }),
+    ];
+    for (ewma, variant, at) in cases {
+        let (body, rejected) = variant_body(variant, 0);
+        let at = at(&body);
+        let estimate = |value: f64| {
+            if ewma == "sensing variability" {
+                let record = [&[1u8][..], &0.2f64.to_le_bytes()].concat();
+                let mut b = body[..at].to_vec();
+                b.extend_from_slice(&record);
+                b.extend_from_slice(&body[at..]);
+                with_present(&b, at + record.len(), value)
+            } else {
+                with_present(&body, at, value)
+            }
+        };
+        let cfg = variant_config(17, variant, 60);
+        Engine::new(cfg).restore(&estimate(2.5)).unwrap_or_else(|e| panic!("{ewma}: {e:?}"));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejected(&estimate(bad), "EWMA estimate not finite");
+        }
+    }
+}
+
+/// A predictive sampler's last value is a reading the sampling pass took,
+/// which is finite (a NaN reading is skipped before the sampler sees it).
+/// One that is not finite is a typed error at restore, not a sampler
+/// whose drift and volatility read NaN from its next sample on, so that
+/// it skips no more than its restored count.
+#[test]
+fn restore_rejects_a_sampler_last_value_that_is_not_finite() {
+    let (body, rejected) = variant_body(4, 0);
+    // The last sampler record opens with its last value's absence byte.
+    let at = body.len() - 24 - 43;
+    let cfg = variant_config(17, 4, 60);
+    Engine::new(cfg).restore(&with_present(&body, at, 12.5)).expect("a reading restores");
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        rejected(&with_present(&body, at, bad), "sampler last value not finite");
+    }
+}
+
+/// A node's last sensing reading is one the world gave it, which is
+/// finite, or NaN before its first. An infinite one is a typed error at
+/// restore, not a variability that turns NaN at the next reading.
+#[test]
+fn restore_rejects_a_sensing_last_reading_that_is_infinite() {
+    let (body, rejected) = variant_body(0, 0);
+    // After node 1's δ: the absent controller's flag, the four absent
+    // variability records, the row's length again, then type 0's last
+    // reading (NaN before the first step).
+    let delta = fresh_delta_at(&body, 1);
+    let at = delta + 8 + 1 + 8 + 4 + 8;
+    assert_eq!(body[at - 8..at], 4u64.to_le_bytes(), "four last readings");
+    assert!(f64::from_le_bytes(body[at..at + 8].try_into().unwrap()).is_nan());
+    let patch = |v: f64| {
+        let mut patched = body.clone();
+        patched[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        patched
+    };
+    Engine::new(variant_config(17, 0, 60)).restore(&patch(12.5)).expect("a reading restores");
+    for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+        rejected(&patch(bad), "sensing last reading infinite");
+    }
+}
+
 /// A query's ground truth records its involved count after its involved
 /// flags. A count off the flags is a typed error at restore, not a query
 /// scored against nodes that were never involved.
