@@ -48,7 +48,7 @@
 //! constants below.
 
 use dirq_sim::stats::Ewma;
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 /// How a node's threshold is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -157,7 +157,7 @@ impl AtcController {
 
     /// Write the adaptive state to `w`, with the node's `delta` where the
     /// record keeps a δ.
-    pub fn snap(&self, w: &mut SnapWriter, delta: f64) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>, delta: f64) {
         w.f64(delta);
         w.u64(self.sent_in_window);
         w.u64(self.epochs_in_window);

@@ -40,8 +40,8 @@ mod snapshot;
 mod tree;
 
 pub use config::{
-    ChurnSpec, CompletedQuery, PhaseTimings, Protocol, RadioSpec, RunResult, ScenarioConfig,
-    TreeKind,
+    ChurnSpec, CompletedQuery, EngineFootprint, PhaseTimings, Protocol, RadioSpec, RunResult,
+    ScenarioConfig, TreeKind,
 };
 pub use run::run_scenario;
 

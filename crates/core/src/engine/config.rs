@@ -4,7 +4,7 @@
 use dirq_analytic::TopologyCosts;
 use dirq_data::WorldConfig;
 use dirq_lmac::network::MacStats;
-use dirq_lmac::LmacConfig;
+use dirq_lmac::{LmacConfig, MacFootprint};
 use dirq_net::churn::ChurnPlan;
 use dirq_net::placement::{Placement, SinkPlacement};
 
@@ -344,6 +344,29 @@ pub struct PhaseTimings {
     /// Seconds in end-of-epoch housekeeping: the per-node ATC step (under
     /// adaptive δ only), query finalisation and the δ trace.
     pub finalize: f64,
+}
+
+/// The heap bytes an engine holds in three of its parts, from the lengths
+/// and capacities of their buffers
+/// ([`Engine::footprint`](super::Engine::footprint)). The world, the
+/// topology, the metrics and the pending queries are not counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EngineFootprint {
+    /// The MAC, by part.
+    pub mac: MacFootprint,
+    /// The protocol nodes: their records, child-id slices, child-tuple
+    /// lists, ATC and location boxes and seen-query lists (flooding's
+    /// too).
+    pub nodes: usize,
+    /// The sensing plane: its cells, sent tuples and predictive samplers.
+    pub sensing: usize,
+}
+
+impl EngineFootprint {
+    /// Every part's bytes together.
+    pub fn total(&self) -> usize {
+        self.mac.total() + self.nodes + self.sensing
+    }
 }
 
 /// A finalised query as reported to external consumers: the scored

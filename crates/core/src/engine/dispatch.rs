@@ -12,6 +12,7 @@ use crate::messages::{DirqMessage, EhrMessage, MessageCategory};
 use crate::metrics::{Metrics, QueryOutcome};
 use crate::node::{DirqNode, Outgoing};
 use crate::pending::{PendingQuery, PendingSet};
+use crate::range_table::RowMut;
 
 use super::{CompletedQuery, Engine, Protocol};
 
@@ -178,7 +179,7 @@ impl Engine {
             self.budget_multiplier * updates_per_query / (self.cfg.query_period as f64 * n_sensing);
 
         let msg = EhrMessage { queries_per_hour, per_node_budget_per_epoch };
-        self.handle(NodeId::ROOT, |n, out| n.on_ehr(msg, out));
+        self.handle(NodeId::ROOT, |n, _, out| n.on_ehr(msg, out));
     }
 
     pub(super) fn inject_query(&mut self) {
@@ -206,7 +207,9 @@ impl Engine {
             rx: 0,
         });
         match self.cfg.protocol {
-            Protocol::Dirq => self.handle(NodeId::ROOT, |n, out| n.on_query(&query, out)),
+            Protocol::Dirq => {
+                self.handle(NodeId::ROOT, |n, row, out| n.on_query(row.as_row(), &query, out))
+            }
             Protocol::Flooding => {
                 self.flood[0].insert(query.id);
                 let flood = DirqMessage::FloodQuery(query);
@@ -276,15 +279,16 @@ impl Engine {
         }
     }
 
-    /// Run one protocol handler on node `at` over the engine's reused
-    /// outgoing buffer, then route what it appended into the MAC.
+    /// Run one protocol handler on node `at` and its row of the sensing
+    /// plane over the engine's reused outgoing buffer, then route what it
+    /// appended into the MAC.
     pub(super) fn handle(
         &mut self,
         at: NodeId,
-        handler: impl FnOnce(&mut DirqNode, &mut Vec<Outgoing>),
+        handler: impl FnOnce(&mut DirqNode, RowMut<'_>, &mut Vec<Outgoing>),
     ) {
         let mut outs = std::mem::take(&mut self.dispatch_scratch.outgoing);
-        handler(&mut self.nodes[at.index()], &mut outs);
+        handler(&mut self.nodes[at.index()], self.plane.row_mut(at.index()), &mut outs);
         for out in outs.drain(..) {
             if let Some((dest, msg)) = route(&self.nodes[at.index()], out) {
                 self.outbox().send(at, dest, msg);
@@ -311,13 +315,13 @@ impl Engine {
                 match msg {
                     DirqMessage::Update { stype, min, max } => {
                         let children = self.nodes[to.index()].children().len();
-                        self.handle(to, |n, out| n.on_update(from, stype, min, max, out));
+                        self.handle(to, |n, row, out| n.on_update(row, from, stype, min, max, out));
                         if self.nodes[to.index()].children().len() != children {
                             self.tree_version += 1;
                         }
                     }
                     DirqMessage::Retract { stype } => {
-                        self.handle(to, |n, out| n.on_retract(from, stype, out));
+                        self.handle(to, |n, row, out| n.on_retract(row, from, stype, out));
                     }
                     DirqMessage::Attach => {
                         self.tree_version += 1;
@@ -327,17 +331,17 @@ impl Engine {
                     }
                     DirqMessage::Detach => {
                         self.tree_version += 1;
-                        self.handle(to, |n, out| n.on_child_lost(from, out));
+                        self.handle(to, |n, row, out| n.on_child_lost(row, from, out));
                     }
                     DirqMessage::GeoAdvert(rect) => {
                         self.tree_version += 1;
-                        self.handle(to, |n, out| n.on_geo_advert(from, rect, out));
+                        self.handle(to, |n, _, out| n.on_geo_advert(from, rect, out));
                     }
                     DirqMessage::Ehr(msg) => {
-                        self.handle(to, |n, out| n.on_ehr(msg, out));
+                        self.handle(to, |n, _, out| n.on_ehr(msg, out));
                     }
                     DirqMessage::Query(q) => {
-                        self.handle(to, |n, out| n.on_query(&q, out));
+                        self.handle(to, |n, row, out| n.on_query(row.as_row(), &q, out));
                     }
                     DirqMessage::FloodQuery(q) => {
                         // Zero-copy rebroadcast: forward the stored
@@ -354,9 +358,9 @@ impl Engine {
                 }
                 self.tree_version += 1;
                 if self.nodes[observer.index()].parent() == Some(dead) {
-                    self.handle(observer, |n, out| n.set_parent(None, out));
+                    self.handle(observer, |n, row, out| n.set_parent(row, None, out));
                 } else if self.nodes[observer.index()].children().contains(&dead) {
-                    self.handle(observer, |n, out| n.on_child_lost(dead, out));
+                    self.handle(observer, |n, row, out| n.on_child_lost(row, dead, out));
                 }
             }
             // Attachment is initiated by the joining node via the repair

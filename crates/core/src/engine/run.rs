@@ -18,14 +18,15 @@ use crate::flooding::SeenQueries;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
+use crate::range_table::RangeTable;
 use crate::sampling::Sampler;
 
 use super::dispatch::DispatchScratch;
 use super::sensing::{SensingPlane, UpkeepShard};
 use super::tree::TreeScratch;
 use super::{
-    ChurnSpec, CompletedQuery, Engine, PhaseTimings, Protocol, RadioSpec, RunResult,
-    ScenarioConfig, TreeKind,
+    ChurnSpec, CompletedQuery, Engine, EngineFootprint, PhaseTimings, Protocol, RadioSpec,
+    RunResult, ScenarioConfig, TreeKind,
 };
 
 impl Engine {
@@ -168,13 +169,14 @@ impl Engine {
         });
         let mut nodes: Vec<DirqNode> =
             (0..n).map(|i| DirqNode::new(NodeId::from_index(i), Arc::clone(&node_cfg))).collect();
+        let mut plane = SensingPlane::new(n, world.catalog().len(), cfg.sampling);
         // Quiet tree initialisation: both endpoints already agree, so the
         // Attach handshakes are skipped.
         let mut quiet = Vec::new();
         for (i, node) in nodes.iter_mut().enumerate() {
             let id = NodeId::from_index(i);
             if let Some(p) = tree.parent(id) {
-                node.set_parent(Some(p), &mut quiet);
+                node.set_parent(plane.row_mut(i), Some(p), &mut quiet);
                 quiet.clear();
             }
             for &c in tree.children(id) {
@@ -204,7 +206,7 @@ impl Engine {
             detached_since: vec![None; n],
             tree_version: 0,
             repaired_version: None,
-            plane: SensingPlane::new(n, world.catalog().len(), cfg.sampling),
+            plane,
             node_cfg,
             tree_scratch: TreeScratch::new(n),
             dispatch_scratch: DispatchScratch::new(),
@@ -241,6 +243,28 @@ impl Engine {
     /// Protocol state of one node.
     pub fn node(&self, id: NodeId) -> &DirqNode {
         &self.nodes[id.index()]
+    }
+
+    /// Range table for `stype` at node `id`, if present: its own and
+    /// last-transmitted tuples in the sensing plane and its child tuples.
+    pub fn table(&self, id: NodeId, stype: dirq_data::SensorType) -> Option<RangeTable<'_>> {
+        self.nodes[id.index()].table(self.plane.row(id.index()), stype)
+    }
+
+    /// The heap bytes the engine holds in the MAC, the protocol nodes and
+    /// the sensing plane, from the lengths and capacities of their buffers.
+    /// Computed on demand; nothing that steps reads it.
+    pub fn footprint(&self) -> EngineFootprint {
+        use std::mem::size_of;
+        let seen = self.flood.capacity() * size_of::<SeenQueries>()
+            + self.flood.iter().map(SeenQueries::heap_bytes).sum::<usize>();
+        EngineFootprint {
+            mac: self.mac.footprint(),
+            nodes: self.nodes.capacity() * size_of::<DirqNode>()
+                + self.nodes.iter().map(DirqNode::heap_bytes).sum::<usize>()
+                + seen,
+            sensing: self.plane.heap_bytes(),
+        }
     }
 
     /// Liveness oracle: the MAC's liveness.
@@ -340,8 +364,7 @@ impl Engine {
     /// [`Engine::add_sensor`] does.
     pub fn remove_sensor(&mut self, node: NodeId, stype: dirq_data::SensorType) {
         self.world.assignment_mut().remove(node.index(), stype);
-        self.handle(node, |n, out| n.drop_own_sensor(stype, out));
-        self.plane.row_mut(node.index())[stype.index()].set_window(None);
+        self.handle(node, |n, row, out| n.drop_own_sensor(row, stype, out));
     }
 
     /// The scenario configuration this engine runs.
@@ -426,7 +449,7 @@ impl Engine {
                             let node = NodeId::from_index(i);
                             if e.mac.is_alive(node) {
                                 let pos = e.mac.topology().position(node);
-                                e.handle(node, |n, out| n.set_position(pos, out));
+                                e.handle(node, |n, _, out| n.set_position(pos, out));
                             }
                         }
                     }

@@ -8,14 +8,16 @@
 //! estimate ATC reads. So that work lives here, one 32-byte
 //! [`SensorCell`] per `(node, type)`, and the protocol node ([`DirqNode`])
 //! is entered only when a reading escapes. The engine's sampling pass,
-//! [`sample_pass`], runs [`SensorCell::observe`] on every reading and
-//! [`escape`] on the ones that leave the window, in one loop per node and
-//! type.
+//! [`sample_pass`], runs [`SensorCell::observe`] on every reading and the
+//! node's escape handler ([`DirqNode::sample`]) on the ones that leave the
+//! tuple, in one loop per node and type.
 //!
-//! Each cell keeps a copy of its node's own tuple as the escape window.
-//! The own tuple changes only in the escape handler, when a sensor is
-//! removed, when a node is born and on restore, and each of those sites
-//! refreshes the window.
+//! The plane is the one home of the node's range-table tuples (see
+//! [`crate::range_table`]): a cell's bounds are the own tuple itself, and
+//! the aggregate each node last transmitted per type sits in a parallel
+//! node-major array the sampling pass never reads, so the pass's stride
+//! stays 32 bytes. Node `i`'s row is its cells and sent tuples, which every
+//! handler that reads or writes a tuple takes.
 
 use std::ops::Range;
 
@@ -26,7 +28,7 @@ use dirq_sim::runner;
 
 use crate::messages::{CompactMessage, DirqMessage};
 use crate::node::{DirqNode, Outgoing};
-use crate::range_table::RangeEntry;
+use crate::range_table::{RangeEntry, Row, RowMut, ABSENT};
 use crate::sampling::{Sampler, SamplingStrategy};
 
 use super::dispatch::Outbox;
@@ -44,7 +46,8 @@ pub(crate) struct SensorCell {
     /// EWMA of |Δreading| per epoch, in percent of the reference span —
     /// the signal variability ATC reads.
     pub(crate) variability: f64,
-    /// Lower bound of the node's own tuple: the escape window.
+    /// Lower bound of the node's own tuple, the escape window; the tuple
+    /// lives here and nowhere else.
     pub(crate) lo: f64,
     /// Upper bound of the node's own tuple.
     pub(crate) hi: f64,
@@ -77,20 +80,17 @@ impl SensorCell {
     pub(crate) fn window(&self) -> Option<(f64, f64)> {
         (!self.lo.is_nan()).then_some((self.lo, self.hi))
     }
-
-    /// Copy the node's own tuple into the escape window (`None` clears it).
-    #[inline]
-    pub(crate) fn set_window(&mut self, own: Option<RangeEntry>) {
-        (self.lo, self.hi) = own.map_or((f64::NAN, f64::NAN), |e| (e.min, e.max));
-    }
 }
 
-/// One [`SensorCell`] per `(node, type)`, node-major: node `i`'s row is
-/// `cells[i * width..(i + 1) * width]`, indexed by [`SensorType::index`].
+/// One [`SensorCell`] and one sent tuple per `(node, type)`, node-major:
+/// node `i`'s row is `i * width..(i + 1) * width` of each, indexed by
+/// [`SensorType::index`].
 pub(crate) struct SensingPlane {
     /// Sensor types per row: the catalog's.
     pub(super) width: usize,
     cells: Vec<SensorCell>,
+    /// The aggregate each node last transmitted per type (`NaN` = absent).
+    sent: Vec<RangeEntry>,
     /// One predictive sampler per `(node, type)`, indexed like the cells;
     /// `None` under `SamplingStrategy::EveryEpoch`.
     pub(super) samplers: Option<Vec<Sampler>>,
@@ -102,27 +102,35 @@ impl SensingPlane {
     pub(crate) fn new(n: usize, width: usize, sampling: SamplingStrategy) -> Self {
         let samplers =
             (sampling == SamplingStrategy::Predictive).then(|| vec![Sampler::default(); n * width]);
-        SensingPlane { width, cells: vec![SensorCell::EMPTY; n * width], samplers }
+        let (cells, sent) = (vec![SensorCell::EMPTY; n * width], vec![ABSENT; n * width]);
+        SensingPlane { width, cells, sent, samplers }
+    }
+
+    /// Node `i`'s part of each array.
+    fn span(&self, i: usize) -> Range<usize> {
+        i * self.width..(i + 1) * self.width
     }
 
     /// Node `i`'s row.
-    pub(crate) fn row(&self, i: usize) -> &[SensorCell] {
-        &self.cells[i * self.width..(i + 1) * self.width]
+    pub(crate) fn row(&self, i: usize) -> Row<'_> {
+        Row::new(&self.cells[self.span(i)], &self.sent[self.span(i)])
     }
 
     /// Node `i`'s row, mutably.
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [SensorCell] {
-        &mut self.cells[i * self.width..(i + 1) * self.width]
+    pub(crate) fn row_mut(&mut self, i: usize) -> RowMut<'_> {
+        let span = self.span(i);
+        RowMut::new(&mut self.cells[span.clone()], &mut self.sent[span])
     }
 
-    /// Start node `i` afresh at its birth: an empty row and, under
-    /// predictive sampling, samplers reset to their first read (their
-    /// tallies stay).
+    /// Start node `i` afresh at its birth: an empty row (no reading and no
+    /// tuple) and, under predictive sampling, samplers reset to their first
+    /// read (their tallies stay).
     pub(crate) fn reset_row(&mut self, i: usize) {
-        let cells = i * self.width..(i + 1) * self.width;
-        self.cells[cells.clone()].fill(SensorCell::EMPTY);
+        let span = self.span(i);
+        self.cells[span.clone()].fill(SensorCell::EMPTY);
+        self.sent[span.clone()].fill(ABSENT);
         if let Some(samplers) = self.samplers.as_mut() {
-            samplers[cells].iter_mut().for_each(Sampler::reset);
+            samplers[span].iter_mut().for_each(Sampler::reset);
         }
     }
 
@@ -130,27 +138,20 @@ impl SensingPlane {
     /// the maximum over its present estimates, folded in type order (the
     /// most volatile sensor drives the update rate).
     pub(crate) fn sigma_hat_pct(&self, i: usize) -> Option<f64> {
-        self.row(i)
+        self.cells[self.span(i)]
             .iter()
             .map(|c| c.variability)
             .filter(|v| !v.is_nan())
             .fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.max(v))))
     }
-}
 
-/// Enter `node` with a reading of `stype` that escaped `cell`'s window:
-/// the escape handler appends its messages to `out`, and the window is
-/// refreshed from the node's new own tuple.
-#[inline]
-pub(crate) fn escape(
-    node: &mut DirqNode,
-    cell: &mut SensorCell,
-    stype: SensorType,
-    reading: f64,
-    out: &mut Vec<Outgoing>,
-) {
-    node.sample(stype, reading, out);
-    cell.set_window(node.table(stype).and_then(|t| t.own()));
+    /// The plane's heap bytes: cells, sent tuples and samplers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.cells.capacity() * size_of::<SensorCell>()
+            + self.sent.capacity() * size_of::<RangeEntry>()
+            + self.samplers.as_ref().map_or(0, |s| s.capacity() * size_of::<Sampler>())
+    }
 }
 
 // --- the sampling pass: the one sharded upkeep pass ------------------------
@@ -182,6 +183,7 @@ impl Engine {
             &inputs,
             &mut self.nodes,
             &mut self.plane.cells,
+            &mut self.plane.sent,
             self.plane.samplers.as_deref_mut(),
             &mut self.sample_shards,
             &mut outbox,
@@ -261,9 +263,9 @@ pub(super) struct SampleInputs<'a> {
 
 /// The one sampling pass, over explicit parts: sample the carried sensors
 /// of every non-root node alive by `sink` against the state of every node
-/// — `nodes`, their plane `cells` and, under predictive sampling, their
-/// `samplers`, node-major like the cells — and hand each MAC
-/// enqueue an escape queues to `sink`, in node and type order.
+/// — `nodes`, their plane `cells` and `sent` tuples and, under predictive
+/// sampling, their `samplers`, node-major like the cells — and hand each
+/// MAC enqueue an escape queues to `sink`, in node and type order.
 ///
 /// [`split_chunks`] cuts the nodes into one contiguous range per shard.
 /// One chunk runs here and sends each block's enqueues before the next
@@ -278,12 +280,13 @@ pub(super) fn sample_pass(
     inputs: &SampleInputs<'_>,
     nodes: &mut [DirqNode],
     cells: &mut [SensorCell],
+    sent: &mut [RangeEntry],
     samplers: Option<&mut [Sampler]>,
     shards: &mut [UpkeepShard],
     sink: &mut impl SampleSink,
 ) {
     let threads = shards.len();
-    let mut chunks = split_chunks(inputs.width, nodes, cells, samplers, shards);
+    let mut chunks = split_chunks(inputs.width, nodes, cells, sent, samplers, shards);
     if let [chunk] = chunks.as_mut_slice() {
         for block in blocks(chunk.range()) {
             chunk.sample(inputs, sink.alive(), block);
@@ -312,13 +315,14 @@ fn blocks(nodes: Range<usize>) -> impl Iterator<Item = Range<usize>> {
 }
 
 /// One sampling chunk's share of the engine: the state of nodes
-/// `first..first + nodes.len()` (`width` plane cells and samplers per
-/// node) and its shard's buffers. The serial pass is one chunk over every
-/// node.
+/// `first..first + nodes.len()` (`width` plane cells, sent tuples and
+/// samplers per node) and its shard's buffers. The serial pass is one
+/// chunk over every node.
 struct SampleChunk<'a> {
     first: usize,
     nodes: &'a mut [DirqNode],
     cells: &'a mut [SensorCell],
+    sent: &'a mut [RangeEntry],
     /// `None` unless sampling is predictive.
     samplers: Option<&'a mut [Sampler]>,
     shard: &'a mut UpkeepShard,
@@ -332,9 +336,10 @@ impl SampleChunk<'_> {
 
     /// Sample the carried sensors of the `alive` nodes of `block`, the one
     /// sampling routine. Per node, in type order: the predictive gate, the
-    /// world read and the cell step; on an escape, [`escape`] and its
-    /// output into the shard's effects ([`Effect::new`]); then the
-    /// sampler's update from the cell's window.
+    /// world read and the cell step; on an escape, the node's escape
+    /// handler over its row and its output into the shard's effects
+    /// ([`Effect::new`]); then the sampler's update from the cell's new
+    /// window.
     fn sample(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits, block: Range<usize>) {
         let width = inputs.width;
         let UpkeepShard { effects, outgoing } = &mut *self.shard;
@@ -346,6 +351,7 @@ impl SampleChunk<'_> {
             let j = i - self.first;
             let node = &mut self.nodes[j];
             let row = &mut self.cells[j * width..(j + 1) * width];
+            let sent = &mut self.sent[j * width..(j + 1) * width];
             let mut samplers =
                 self.samplers.as_deref_mut().map(|s| &mut s[j * width..(j + 1) * width]);
             for idx in bits(mask) {
@@ -356,19 +362,13 @@ impl SampleChunk<'_> {
                 if reading.is_nan() {
                     continue;
                 }
-                let (cell, stype) = (&mut row[idx], SensorType(idx as u8));
-                if cell.observe(reading, inputs.spans[idx]) {
-                    escape(node, cell, stype, reading, outgoing);
+                if row[idx].observe(reading, inputs.spans[idx]) {
+                    let stype = SensorType(idx as u8);
+                    node.sample(RowMut::new(row, sent), stype, reading, outgoing);
                     effects.extend(outgoing.drain(..).filter_map(|out| Effect::new(node, out)));
-                } else {
-                    debug_assert_eq!(
-                        cell.window(),
-                        node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
-                        "escape window out of step with node {i}'s own tuple"
-                    );
                 }
                 if let Some(s) = samplers.as_deref_mut() {
-                    s[idx].on_sampled(reading, cell.window());
+                    s[idx].on_sampled(reading, row[idx].window());
                 }
             }
         }
@@ -388,12 +388,13 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// Split the sampling state over `shards`: shard k takes the k-th of
 /// near-equal contiguous node ranges (none when there are fewer nodes than
-/// shards) with those nodes' plane cells and samplers (`width` each per
-/// node).
+/// shards) with those nodes' plane cells, sent tuples and samplers
+/// (`width` each per node).
 fn split_chunks<'a>(
     width: usize,
     mut nodes: &'a mut [DirqNode],
     mut cells: &'a mut [SensorCell],
+    mut sent: &'a mut [RangeEntry],
     mut samplers: Option<&'a mut [Sampler]>,
     shards: &'a mut [UpkeepShard],
 ) -> Vec<SampleChunk<'a>> {
@@ -409,6 +410,7 @@ fn split_chunks<'a>(
             first,
             nodes: split_front(&mut nodes, len),
             cells: split_front(&mut cells, len * width),
+            sent: split_front(&mut sent, len * width),
             samplers: samplers.as_mut().map(|s| split_front(s, len * width)),
             shard,
         });
@@ -424,30 +426,23 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     front
 }
 
-/// Run one reading of `stype` through `cell`, entering `node` only when
-/// the reading escapes its own tuple; a contained reading appends nothing
-/// and leaves the node untouched. The one-reading form of the engine's
-/// sampling pass, kept as the model its tests compare against.
+/// Run one reading of `stype` through its cell in `row`, entering `node`
+/// only when the reading escapes its own tuple; a contained reading
+/// appends nothing and leaves the node untouched. The one-reading form of
+/// the engine's sampling pass, kept as the model its tests compare
+/// against.
 #[cfg(test)]
 pub(crate) fn sample(
     node: &mut DirqNode,
-    cell: &mut SensorCell,
+    row: RowMut<'_>,
     stype: SensorType,
     reading: f64,
     span: f64,
     out: &mut Vec<Outgoing>,
 ) {
-    if !cell.observe(reading, span) {
-        debug_assert_eq!(
-            cell.window(),
-            node.table(stype).and_then(|t| t.own()).map(|e| (e.min, e.max)),
-            "escape window out of step with node {:?}'s own tuple",
-            node.id()
-        );
-        return;
+    if row.cells[stype.index()].observe(reading, span) {
+        node.sample(row, stype, reading, out);
     }
-    node.sample(stype, reading, out);
-    cell.set_window(node.table(stype).and_then(|t| t.own()));
 }
 
 #[cfg(test)]
@@ -461,6 +456,7 @@ mod tests {
     use super::*;
     use crate::atc::DeltaPolicy;
     use crate::node::NodeConfig;
+    use crate::range_table::RowBuf;
 
     const SPANS: [f64; 2] = [20.0, 40.0];
 
@@ -473,9 +469,9 @@ mod tests {
     }
 
     /// A node with a parent, so escapes emit Updates.
-    fn attached(cfg: &Arc<NodeConfig>) -> DirqNode {
+    fn attached(cfg: &Arc<NodeConfig>, row: RowMut<'_>) -> DirqNode {
         let mut n = DirqNode::new(NodeId(1), Arc::clone(cfg));
-        n.set_parent(Some(NodeId(0)), &mut Vec::new());
+        n.set_parent(row, Some(NodeId(0)), &mut Vec::new());
         n
     }
 
@@ -487,17 +483,21 @@ mod tests {
     }
 
     /// The sampling state a node kept before the plane existed: the last
-    /// reading and a variability EWMA per type, next to the node itself.
+    /// reading and a variability EWMA per type, next to the node and a row
+    /// that holds nothing but its tuples.
     struct Model {
         node: DirqNode,
+        row: RowBuf,
         last_reading: Vec<f64>,
         variability: Vec<Option<Ewma>>,
     }
 
     impl Model {
         fn new(cfg: &Arc<NodeConfig>) -> Self {
+            let mut row = RowBuf::new(SPANS.len());
             Model {
-                node: attached(cfg),
+                node: attached(cfg, row.row_mut()),
+                row,
                 last_reading: vec![f64::NAN; SPANS.len()],
                 variability: vec![None; SPANS.len()],
             }
@@ -515,7 +515,11 @@ mod tests {
                     .get_or_insert_with(|| Ewma::new(VARIABILITY_ALPHA))
                     .observe(pct);
             }
-            run(|o| self.node.sample(stype, reading, o))
+            run(|o| self.node.sample(self.row.row_mut(), stype, reading, o))
+        }
+
+        fn own(&self, stype: SensorType) -> Option<RangeEntry> {
+            self.node.table(self.row.row(), stype).and_then(|t| t.own())
         }
 
         fn sigma_hat_pct(&self) -> Option<f64> {
@@ -525,6 +529,11 @@ mod tests {
                 .filter_map(|e| e.value())
                 .fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.max(v))))
         }
+    }
+
+    /// A one-node plane, its row holding the node's tuples.
+    fn one_node_plane() -> SensingPlane {
+        SensingPlane::new(1, SPANS.len(), SamplingStrategy::EveryEpoch)
     }
 
     proptest! {
@@ -540,59 +549,57 @@ mod tests {
         ) {
             let cfg = cfg(delta_pct);
             let mut model = Model::new(&cfg);
-            let mut node = attached(&cfg);
-            let mut row = [SensorCell::EMPTY; SPANS.len()];
+            let mut plane = one_node_plane();
+            let mut node = attached(&cfg, plane.row_mut(0));
             for (k, &(kind, raw)) in steps.iter().enumerate() {
                 let stype = SensorType(kind % 2);
                 let idx = stype.index();
                 match kind {
                     // Drop the own sensor: the window clears with the tuple.
                     10 => {
-                        let want = run(|o| model.node.drop_own_sensor(stype, o));
-                        let got = run(|o| node.drop_own_sensor(stype, o));
+                        let want = run(|o| model.node.drop_own_sensor(model.row.row_mut(), stype, o));
+                        let got = run(|o| node.drop_own_sensor(plane.row_mut(0), stype, o));
                         prop_assert_eq!(got, want, "step {}: drop_own_sensor", k);
-                        row[idx].set_window(node.table(stype).and_then(|t| t.own()));
                     }
                     // Rebirth: a fresh node and a reset row.
                     11 => {
                         model = Model::new(&cfg);
-                        node = attached(&cfg);
-                        row = [SensorCell::EMPTY; SPANS.len()];
+                        plane.reset_row(0);
+                        node = attached(&cfg, plane.row_mut(0));
                     }
                     // A child's Update widens or moves the aggregate; the
                     // own tuple and the window stay.
                     12 => {
                         let (min, max) = (SPANS[idx] * raw, SPANS[idx] * (raw + 0.2));
-                        let want = run(|o| model.node.on_update(NodeId(7), stype, min, max, o));
-                        let got = run(|o| node.on_update(NodeId(7), stype, min, max, o));
+                        let want = run(|o| {
+                            model.node.on_update(model.row.row_mut(), NodeId(7), stype, min, max, o)
+                        });
+                        let got =
+                            run(|o| node.on_update(plane.row_mut(0), NodeId(7), stype, min, max, o));
                         prop_assert_eq!(got, want, "step {}: child update", k);
                     }
                     _ => {
                         // Readings drift around 50 % of the span; kinds 6..10
                         // land exactly on a bound of the current window.
-                        let reading = match (kind, row[idx].window()) {
+                        let reading = match (kind, plane.cells[idx].window()) {
                             (6 | 7, Some((lo, _))) => lo,
                             (8 | 9, Some((_, hi))) => hi,
                             _ => SPANS[idx] * (0.3 + 0.4 * raw),
                         };
-                        let escapes = !model
-                            .node
-                            .table(stype)
-                            .and_then(|t| t.own())
-                            .is_some_and(|e| e.contains(reading));
+                        let escapes = !model.own(stype).is_some_and(|e| e.contains(reading));
                         let want = model.sample(stype, reading);
                         // `sample` decides on the cell's own copy of the
                         // same step; probe it on a copy first.
-                        let mut probe = row[idx];
+                        let mut probe = plane.cells[idx];
                         let escaped = probe.observe(reading, SPANS[idx]);
                         let got = run(|o| {
-                            sample(&mut node, &mut row[idx], stype, reading, SPANS[idx], o)
+                            sample(&mut node, plane.row_mut(0), stype, reading, SPANS[idx], o)
                         });
                         prop_assert_eq!(escaped, escapes, "step {}: escape decision", k);
                         prop_assert_eq!(got, want, "step {}: messages", k);
                     }
                 }
-                for (t, cell) in row.iter().enumerate() {
+                for (t, cell) in plane.cells.iter().enumerate() {
                     let s = SensorType(t as u8);
                     prop_assert_eq!(
                         cell.last.to_bits(),
@@ -605,12 +612,10 @@ mod tests {
                         var.map(f64::to_bits),
                         "step {}: variability of type {}", k, t
                     );
-                    let own = node.table(s).and_then(|t| t.own());
-                    prop_assert_eq!(own, model.node.table(s).and_then(|t| t.own()));
+                    let own = node.table(plane.row(0), s).and_then(|t| t.own());
+                    prop_assert_eq!(own, model.own(s));
                     prop_assert_eq!(cell.window(), own.map(|e| (e.min, e.max)));
                 }
-                let mut plane = SensingPlane::new(1, SPANS.len(), SamplingStrategy::EveryEpoch);
-                plane.row_mut(0).copy_from_slice(&row);
                 prop_assert_eq!(
                     plane.sigma_hat_pct(0).map(f64::to_bits),
                     model.sigma_hat_pct().map(f64::to_bits)
@@ -623,13 +628,13 @@ mod tests {
     #[test]
     fn variability_estimate_tracks_changes() {
         let mut plane = SensingPlane::new(2, SPANS.len(), SamplingStrategy::EveryEpoch);
-        let mut node = attached(&cfg(5.0));
+        let mut node = attached(&cfg(5.0), plane.row_mut(1));
         assert_eq!(plane.sigma_hat_pct(1), None);
         let t0 = SensorType(0);
-        sample(&mut node, &mut plane.row_mut(1)[0], t0, 20.0, SPANS[0], &mut Vec::new());
+        sample(&mut node, plane.row_mut(1), t0, 20.0, SPANS[0], &mut Vec::new());
         assert_eq!(plane.sigma_hat_pct(1), None, "one reading has no change yet");
         // |Δ| = 1.0 = 5 % of span 20, inside the ±1.0 tuple: no escape.
-        let out = run(|o| sample(&mut node, &mut plane.row_mut(1)[0], t0, 21.0, SPANS[0], o));
+        let out = run(|o| sample(&mut node, plane.row_mut(1), t0, 21.0, SPANS[0], o));
         assert!(out.is_empty());
         let sigma = plane.sigma_hat_pct(1).unwrap();
         assert!((sigma - 5.0).abs() < 1e-9, "sigma {sigma}");
@@ -645,11 +650,11 @@ mod tests {
     fn readings_on_the_window_bounds_stay_inside() {
         let mut cell = SensorCell::EMPTY;
         assert!(cell.observe(20.0, 20.0), "no tuple: the first reading escapes");
-        cell.set_window(Some(RangeEntry::around(20.0, 1.0)));
+        (cell.lo, cell.hi) = (19.0, 21.0);
         assert!(!cell.observe(19.0, 20.0));
         assert!(!cell.observe(21.0, 20.0));
         assert!(cell.observe(21.0 + 1e-9, 20.0));
-        cell.set_window(None);
+        (cell.lo, cell.hi) = (f64::NAN, f64::NAN);
         assert!(cell.observe(20.0, 20.0), "a cleared window escapes");
     }
 }
@@ -678,48 +683,6 @@ mod block_tests {
     /// message.
     type Enqueue = (NodeId, Destination, DirqMessage);
 
-    impl SampleInputs<'_> {
-        /// The model of the block routine: sample node `i`'s sensors in
-        /// type order — the predictive gate, the world read, the plane
-        /// step through [`sample`] and the sampler's update from the cell's
-        /// window — appending the routed MAC enqueues to `effects`.
-        fn sample_carrier(
-            &self,
-            i: usize,
-            node: &mut DirqNode,
-            row: &mut [SensorCell],
-            mut samplers: Option<&mut [Sampler]>,
-            effects: &mut Vec<Enqueue>,
-        ) {
-            let mut mask = self.masks[i];
-            while mask != 0 {
-                let idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(s) = samplers.as_deref_mut() {
-                    if !s[idx].should_sample() {
-                        continue;
-                    }
-                }
-                let reading = self.rows[idx][i];
-                if reading.is_nan() {
-                    continue;
-                }
-                let stype = SensorType(idx as u8);
-                let cell = &mut row[idx];
-                let mut outs = Vec::new();
-                sample(node, cell, stype, reading, self.spans[idx], &mut outs);
-                for out in outs {
-                    if let Some((dest, msg)) = route(node, out) {
-                        effects.push((NodeId::from_index(i), dest, msg));
-                    }
-                }
-                if let Some(s) = samplers.as_deref_mut() {
-                    s[idx].on_sampled(reading, cell.window());
-                }
-            }
-        }
-    }
-
     /// A sink that records what the pass sends, under a fixed liveness.
     struct Recorder<'a> {
         alive: &'a NodeBits,
@@ -741,6 +704,7 @@ mod block_tests {
     struct State {
         nodes: Vec<DirqNode>,
         cells: Vec<SensorCell>,
+        sent: Vec<RangeEntry>,
         samplers: Option<Vec<Sampler>>,
     }
 
@@ -748,14 +712,53 @@ mod block_tests {
         /// The model: the one-pass loop over every alive non-root node,
         /// effects in node order.
         fn run_model(&mut self, inputs: &SampleInputs<'_>, alive: &NodeBits) -> Vec<Enqueue> {
-            let width = SPANS.len();
             let mut effects = Vec::new();
             for i in (1..self.nodes.len()).filter(|&i| alive.contains(NodeId::from_index(i))) {
-                let row = &mut self.cells[i * width..(i + 1) * width];
-                let samplers = self.samplers.as_mut().map(|s| &mut s[i * width..(i + 1) * width]);
-                inputs.sample_carrier(i, &mut self.nodes[i], row, samplers, &mut effects);
+                self.sample_carrier(inputs, i, &mut effects);
             }
             effects
+        }
+
+        /// The model of the block routine: sample node `i`'s sensors in
+        /// type order — the predictive gate, the world read, the plane
+        /// step through [`sample`] and the sampler's update from the cell's
+        /// window — appending the routed MAC enqueues to `effects`.
+        fn sample_carrier(
+            &mut self,
+            inputs: &SampleInputs<'_>,
+            i: usize,
+            effects: &mut Vec<Enqueue>,
+        ) {
+            let span = i * SPANS.len()..(i + 1) * SPANS.len();
+            let node = &mut self.nodes[i];
+            let (cells, sent) = (&mut self.cells[span.clone()], &mut self.sent[span.clone()]);
+            let mut samplers = self.samplers.as_mut().map(|s| &mut s[span]);
+            let mut mask = inputs.masks[i];
+            while mask != 0 {
+                let idx = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                if let Some(s) = samplers.as_deref_mut() {
+                    if !s[idx].should_sample() {
+                        continue;
+                    }
+                }
+                let reading = inputs.rows[idx][i];
+                if reading.is_nan() {
+                    continue;
+                }
+                let stype = SensorType(idx as u8);
+                let mut outs = Vec::new();
+                let span = inputs.spans[idx];
+                sample(node, RowMut::new(cells, sent), stype, reading, span, &mut outs);
+                for out in outs {
+                    if let Some((dest, msg)) = route(node, out) {
+                        effects.push((NodeId::from_index(i), dest, msg));
+                    }
+                }
+                if let Some(s) = samplers.as_deref_mut() {
+                    s[idx].on_sampled(reading, cells[idx].window());
+                }
+            }
         }
 
         /// [`sample_pass`] on `threads` shards, the effects in the order it
@@ -773,6 +776,7 @@ mod block_tests {
                 inputs,
                 &mut self.nodes,
                 &mut self.cells,
+                &mut self.sent,
                 self.samplers.as_deref_mut(),
                 &mut shards,
                 &mut sink,
@@ -785,14 +789,20 @@ mod block_tests {
         }
     }
 
+    /// Node `i`'s row of node-major `cells` and `sent`.
+    fn row_of<'a>(cells: &'a mut [SensorCell], sent: &'a mut [RangeEntry], i: usize) -> RowMut<'a> {
+        let span = i * SPANS.len()..(i + 1) * SPANS.len();
+        RowMut::new(&mut cells[span.clone()], &mut sent[span])
+    }
+
     /// A uniform float in `[0, 1)` from `state`.
     fn unit(state: &mut u64) -> f64 {
         (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bit-level view of one state for comparison: every cell's four
-    /// fields, every node's snapshot (tables, child lists, δ, updates
-    /// sent) and every sampler's snapshot.
+    /// fields, every node's snapshot (tables over its row, child lists, δ,
+    /// updates sent) and every sampler's snapshot.
     fn bits_of(state: &State) -> (Vec<[u64; 4]>, Vec<u8>) {
         let width = SPANS.len();
         let cells = state
@@ -802,7 +812,8 @@ mod block_tests {
             .collect();
         let mut w = SnapWriter::new();
         for (i, node) in state.nodes.iter().enumerate() {
-            node.snap(&mut w, &state.cells[i * width..(i + 1) * width]);
+            let span = i * width..(i + 1) * width;
+            node.snap(&mut w, Row::new(&state.cells[span.clone()], &state.sent[span]));
         }
         for s in state.samplers.iter().flatten() {
             s.snap(&mut w);
@@ -862,23 +873,26 @@ mod block_tests {
                 }
             }
 
+            let (mut cells, mut sent) = (vec![SensorCell::EMPTY; n * width], vec![ABSENT; n * width]);
             let mut nodes = Vec::with_capacity(n);
             for i in 0..n {
                 let mut node = DirqNode::new(NodeId::from_index(i), Arc::clone(&cfg));
                 if i > 0 && unit(&mut rng) < 0.9 {
-                    node.set_parent(Some(NodeId::ROOT), &mut Vec::new());
+                    let row = row_of(&mut cells, &mut sent, i);
+                    node.set_parent(row, Some(NodeId::ROOT), &mut Vec::new());
                 }
                 // Some nodes hold child tuples, so aggregates mix in children.
                 if unit(&mut rng) < 0.3 {
                     let t = (splitmix64(&mut rng) % width as u64) as usize;
                     let lo = SPANS[t] * unit(&mut rng);
-                    let child = NodeId::from_index(n + i);
-                    node.on_update(child, SensorType(t as u8), lo, lo + 1.0, &mut Vec::new());
+                    let (child, stype) = (NodeId::from_index(n + i), SensorType(t as u8));
+                    let row = row_of(&mut cells, &mut sent, i);
+                    node.on_update(row, child, stype, lo, lo + 1.0, &mut Vec::new());
                 }
                 nodes.push(node);
             }
             let samplers = (predictive == 1).then(|| vec![Sampler::default(); n * width]);
-            let mut model = State { nodes, cells: vec![SensorCell::EMPTY; n * width], samplers };
+            let mut model = State { nodes, cells, sent, samplers };
             let mut runs = [model.clone(), model.clone(), model.clone()];
 
             for epoch in 0..EPOCHS {
@@ -941,12 +955,14 @@ mod block_tests {
         });
         let masks = vec![(1u64 << width) - 1; n];
         let mut alive = NodeBits::new(n);
+        let (mut cells, mut sent) = (vec![SensorCell::EMPTY; n * width], vec![ABSENT; n * width]);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             alive.insert(NodeId::from_index(i));
             let mut node = DirqNode::new(NodeId::from_index(i), Arc::clone(&cfg));
             if i > 0 {
-                node.set_parent(Some(NodeId::ROOT), &mut Vec::new());
+                let row = row_of(&mut cells, &mut sent, i);
+                node.set_parent(row, Some(NodeId::ROOT), &mut Vec::new());
             }
             nodes.push(node);
         }
@@ -956,10 +972,9 @@ mod block_tests {
             .collect();
         let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let inputs = SampleInputs { masks: &masks, rows: &row_refs, width, spans: &SPANS };
-        let mut cells = vec![SensorCell::EMPTY; n * width];
         let mut shards = [UpkeepShard::default()];
         let mut sink = Recorder { alive: &alive, sent: Vec::new() };
-        sample_pass(&inputs, &mut nodes, &mut cells, None, &mut shards, &mut sink);
+        sample_pass(&inputs, &mut nodes, &mut cells, &mut sent, None, &mut shards, &mut sink);
         assert_eq!(sink.sent.len(), (n - 1) * width, "every carried cell escapes");
         let held = shards[0].effects.capacity();
         assert!(held <= SAMPLE_BLOCK * width, "the serial pass buffered {held} enqueues");

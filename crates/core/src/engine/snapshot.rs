@@ -1,6 +1,6 @@
 //! Snapshot and restore of the engine's dynamic state.
 
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{ByteCount, Fnv, SnapError, SnapReader, SnapSink, SnapWriter};
 
 use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
@@ -29,7 +29,7 @@ impl Engine {
 
     /// Append the [`Engine::snapshot`] body to `w`, so an image can be
     /// encoded in one buffer (`dirq_sim::snap::encode_image`).
-    pub fn snapshot_into(&self, w: &mut SnapWriter) {
+    pub fn snapshot_into(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.tag(b"ENGN");
         w.u64(self.epoch);
         self.mac.snap(w, |w, p: &DirqMessage| p.snap(w));
@@ -120,8 +120,9 @@ impl Engine {
         if r.seq_len(1)? != n {
             return Err(SnapError::Malformed { pos, what: "engine node count mismatch" });
         }
+        let masks = self.world.assignment().masks();
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.restore(&mut r, self.plane.row_mut(i), n)?;
+            node.restore(&mut r, self.plane.row_mut(i), masks[i], n)?;
         }
         let mut unused = SeenQueries::default();
         for i in 0..n {
@@ -179,23 +180,40 @@ impl Engine {
 
     /// Order-sensitive FNV-1a fingerprint over the full snapshot body —
     /// the daemon's cheap state-equality check (two engines with equal
-    /// fingerprints are byte-for-byte the same dynamic state).
+    /// fingerprints are byte-for-byte the same dynamic state). Equal to
+    /// [`Engine::body_fingerprint`] of [`Engine::snapshot`], without
+    /// holding the body: one pass through the encoder counts its bytes,
+    /// since the hash takes the length first, and a second hashes them.
     pub fn state_fingerprint(&self) -> u64 {
-        Engine::body_fingerprint(&self.snapshot())
+        let mut counter = SnapWriter::with_sink(ByteCount::default());
+        self.snapshot_into(&mut counter);
+        let ByteCount(len) = counter.into_sink();
+        let mut hasher = SnapWriter::with_sink(body_hash_head(len));
+        self.snapshot_into(&mut hasher);
+        body_hash_tail(hasher.into_sink(), len)
     }
 
     /// [`Engine::state_fingerprint`] of the engine that wrote `body` with
     /// [`Engine::snapshot`], for a caller that already holds the body.
     pub fn body_fingerprint(body: &[u8]) -> u64 {
-        let mut h = crate::metrics::Fnv::new();
-        h.u64(body.len() as u64);
-        let mut words = body.chunks_exact(8);
-        for c in &mut words {
-            h.u64(u64::from_le_bytes(c.try_into().expect("exact 8-byte chunk")));
-        }
-        let mut last = [0u8; 8];
-        last[..words.remainder().len()].copy_from_slice(words.remainder());
-        h.u64(u64::from_le_bytes(last));
-        h.finish()
+        let mut h = body_hash_head(body.len());
+        h.bytes(body);
+        body_hash_tail(h, body.len())
     }
+}
+
+/// A body fingerprint's hash before the body: FNV-1a over the body's
+/// length as 8 little-endian bytes.
+fn body_hash_head(len: usize) -> Fnv {
+    let mut h = Fnv::new();
+    h.u64(len as u64);
+    h
+}
+
+/// A body fingerprint from `h`, the hash through the `len` body bytes: the
+/// zero bytes that complete one more 8-byte word (eight when `len` is a
+/// multiple of 8) end it.
+fn body_hash_tail(mut h: Fnv, len: usize) -> u64 {
+    h.bytes(&[0; 8][len % 8..]);
+    h.finish()
 }

@@ -122,13 +122,14 @@ impl Engine {
                 }
                 ChurnEvent::Birth(node) => {
                     self.mac.set_alive(node, true);
-                    // Fresh protocol state: the node joins from scratch.
+                    // Fresh protocol state and an empty row, tuples
+                    // included: the node joins as if new.
                     self.nodes[node.index()] = DirqNode::new(node, Arc::clone(&self.node_cfg));
                     self.plane.reset_row(node.index());
                     if self.cfg.location_enabled {
                         let pos = self.mac.topology().position(node);
                         // Orphan: nothing is sent; the advert flows on attach.
-                        self.handle(node, |n, out| n.set_position(pos, out));
+                        self.handle(node, |n, _, out| n.set_position(pos, out));
                     }
                     if let Some(seen) = self.flood.get_mut(node.index()) {
                         *seen = SeenQueries::default();
@@ -222,7 +223,7 @@ impl Engine {
             else {
                 continue;
             };
-            self.handle(node, |n, out| n.set_parent(Some(parent), out));
+            self.handle(node, |n, row, out| n.set_parent(row, Some(parent), out));
             self.tree_version += 1;
         }
         self.tree_scratch.candidates = candidates;
@@ -257,7 +258,7 @@ impl Engine {
                 }
             }
             self.detached_since[i] = None;
-            self.handle(node, |n, out| n.set_parent(Some(new_parent), out));
+            self.handle(node, |n, row, out| n.set_parent(row, Some(new_parent), out));
             self.tree_version += 1;
         }
     }

@@ -13,7 +13,7 @@
 //! duplicate-query memory a DirQ node keeps.
 
 use dirq_data::QueryId;
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 /// A node's memory of the query ids it has handled, oldest first. A
 /// flooding node rebroadcasts a query only while it is new; a DirQ node
@@ -46,8 +46,13 @@ impl SeenQueries {
         self.ids.len()
     }
 
+    /// The list's heap bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<QueryId>()
+    }
+
     /// Write the ids to `w`: a count, then one `u64` per id.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.len_of(self.ids.len());
         for q in &self.ids {
             w.u64(q.0);

@@ -89,6 +89,11 @@ impl GeoTable {
         &self.children
     }
 
+    /// The child list's heap bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.children.capacity() * std::mem::size_of::<(NodeId, Rect)>()
+    }
+
     /// Hull of the own position and every child box — the subtree's
     /// bounding box.
     pub fn aggregate(&self) -> Option<Rect> {
@@ -118,7 +123,7 @@ impl GeoTable {
     }
 
     /// Write the full table state to `w`.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.bool(self.own.is_some());
         if let Some(p) = self.own {
             p.snap(w);

@@ -29,7 +29,8 @@
 //!   types), `run` (construction and the epoch loop), `snapshot`, `tree`
 //!   (churn, repair, attachment), `dispatch` (the MAC frame, routing and
 //!   the one MAC enqueue, injection, EHr, finalisation) and
-//!   `sensing` (the dense per-(node, type) sampling state and the one
+//!   `sensing` (the dense per-(node, type) sampling state, which also
+//!   holds every node's own and last-transmitted range tuples, and the one
 //!   sampling pass; a node is entered only when a reading escapes its own
 //!   tuple).
 
@@ -48,12 +49,12 @@ pub mod sampling;
 
 pub use atc::{AtcController, DeltaPolicy};
 pub use engine::{
-    run_scenario, ChurnSpec, CompletedQuery, Engine, PhaseTimings, Protocol, RadioSpec, RunResult,
-    ScenarioConfig, TreeKind,
+    run_scenario, ChurnSpec, CompletedQuery, Engine, EngineFootprint, PhaseTimings, Protocol,
+    RadioSpec, RunResult, ScenarioConfig, TreeKind,
 };
 pub use geo::GeoTable;
 pub use messages::{DirqMessage, EhrMessage, MessageCategory};
 pub use metrics::{Metrics, QueryOutcome};
 pub use node::{DirqNode, NodeConfig, Outgoing};
-pub use range_table::{RangeEntry, RangeTable};
+pub use range_table::{RangeEntry, RangeTable, Row, RowBuf, RowMut};
 pub use sampling::{Sampler, SamplingStrategy};

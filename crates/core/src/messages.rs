@@ -71,7 +71,7 @@ pub enum DirqMessage {
 impl DirqMessage {
     /// Write the message to `w`: one discriminant byte plus the payload.
     /// Used by the engine snapshot to capture in-flight MAC frames.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         match self {
             DirqMessage::Update { stype, min, max } => {
                 w.u8(0);

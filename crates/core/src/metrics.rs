@@ -211,7 +211,7 @@ impl Metrics {
     }
 
     /// Write every collected measurement to `w`.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"METR");
         w.u64(self.measure_from_epoch);
         for c in [&self.query_cost, &self.update_cost, &self.control_cost] {

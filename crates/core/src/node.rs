@@ -8,18 +8,22 @@
 //! transmissions and reuses one buffer for every handler call. This keeps
 //! the protocol unit-testable without a simulator.
 //!
-//! Every Update and query reads a cold node, so the node stays within 128
+//! Every Update and query reads a cold node, so the node stays within 112
 //! bytes: the child list is a boxed slice, the ATC controller is boxed and
 //! allocated only under [`DeltaPolicy::Adaptive`], and the location table
 //! is boxed and allocated on its first write (a position, a child's advert
 //! or a restored non-empty table). Without one, reads see an empty table.
+//! Under fixed δ a new node allocates nothing.
 //!
 //! What every sample touches — the last reading, the variability estimate
-//! and a copy of the own tuple — lives in the engine's dense sensing plane
-//! (the crate-private `sensing` module), and a node is entered only when a
-//! reading escapes its own tuple ([`DirqNode::sample`]). The range tables
-//! are one store of two allocations at most (see [`crate::range_table`]):
-//! a slot array indexed by [`SensorType::index`] and one child-tuple list.
+//! and the own tuple — lives in the engine's dense sensing plane (the
+//! crate-private `sensing` module), and a node is entered only when a
+//! reading escapes its own tuple ([`DirqNode::sample`]). The plane also
+//! holds the aggregate the node last transmitted per type, so the node's
+//! own part of its range tables is one child-tuple list (see
+//! [`crate::range_table`]), and every handler that reads or writes a tuple
+//! takes the node's row of the plane ([`Row`], [`RowMut`]; a node outside
+//! an engine keeps one in a [`RowBuf`](crate::range_table::RowBuf)).
 //! Iteration over types ascends the index, so message emission order
 //! follows the type order. Every node of a deployment shares one
 //! [`NodeConfig`].
@@ -29,14 +33,14 @@ use std::sync::Arc;
 use dirq_data::{RangeQuery, SensorType};
 use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 use crate::atc::{restore_delta, AtcController, DeltaPolicy, INITIAL_DELTA_PCT};
-use crate::engine::sensing::{SensorCell, VARIABILITY_ALPHA};
+use crate::engine::sensing::VARIABILITY_ALPHA;
 use crate::flooding::SeenQueries;
 use crate::geo::GeoTable;
 use crate::messages::{DirqMessage, EhrMessage};
-use crate::range_table::{RangeEntry, RangeTable, RangeTables};
+use crate::range_table::{RangeEntry, RangeTable, RangeTables, Row, RowMut};
 
 /// An action requested by a protocol handler.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,7 +85,8 @@ pub struct DirqNode {
     /// The children, ascending and exactly as long as the list: it changes
     /// only when the tree does.
     children: Box<[NodeId]>,
-    /// One table per catalog sensor type, present while the type is
+    /// The child tuples of the tables; with the node's row of the sensing
+    /// plane, one table per catalog sensor type, present while the type is
     /// somewhere in this node's subtree.
     tables: RangeTables,
     /// The node's one δ, which the ATC controller adjusts.
@@ -119,7 +124,7 @@ impl DirqNode {
             id,
             parent: NO_PARENT,
             children: Box::default(),
-            tables: RangeTables::new(cfg.reference_spans.len()),
+            tables: RangeTables::default(),
             delta_pct,
             atc,
             seen_queries: SeenQueries::default(),
@@ -159,15 +164,21 @@ impl DirqNode {
         self.updates_sent
     }
 
-    /// Range table for `stype`, if present.
-    pub fn table(&self, stype: SensorType) -> Option<RangeTable<'_>> {
-        self.tables.table(stype)
+    /// Range table for `stype` over the node's `row`, if present. The
+    /// sensor types with a table at this node (i.e. present somewhere in
+    /// its subtree — the paper's Fig. 4) are [`Row::table_types`].
+    pub fn table(&self, row: Row<'_>, stype: SensorType) -> Option<RangeTable<'_>> {
+        self.tables.table(row, stype)
     }
 
-    /// Sensor types with a table at this node (i.e. present somewhere in
-    /// its subtree — the paper's Fig. 4), ascending.
-    pub fn table_types(&self) -> impl Iterator<Item = SensorType> + '_ {
-        self.tables.types()
+    /// The heap bytes the node holds: its child ids and child tuples, the
+    /// ATC and location boxes and the seen-query list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.children)
+            + self.tables.heap_bytes()
+            + self.atc.as_ref().map_or(0, |_| std::mem::size_of::<AtcController>())
+            + self.seen_queries.heap_bytes()
+            + self.geo.as_ref().map_or(0, |g| std::mem::size_of::<GeoTable>() + g.heap_bytes())
     }
 
     // --- tree maintenance ---------------------------------------------------
@@ -175,15 +186,21 @@ impl DirqNode {
     /// Adopt a new parent (or become an orphan with `None`). Appends the
     /// messages to send to the new parent: an `Attach` followed by a full
     /// re-advertisement of every non-empty table aggregate.
-    pub fn set_parent(&mut self, parent: Option<NodeId>, out: &mut Vec<Outgoing>) {
+    pub fn set_parent(
+        &mut self,
+        mut row: RowMut<'_>,
+        parent: Option<NodeId>,
+        out: &mut Vec<Outgoing>,
+    ) {
         self.parent = parent.unwrap_or(NO_PARENT);
         if parent.is_some() {
             out.push(Outgoing::ToParent(DirqMessage::Attach));
             let mut sent = 0;
-            for idx in 0..self.tables.width() {
+            for idx in 0..row.width() {
                 let stype = SensorType(idx as u8);
-                let Some(agg) = self.table(stype).and_then(|t| t.aggregate()) else { continue };
-                self.tables.mark_transmitted(stype, agg);
+                let table = self.table(row.as_row(), stype);
+                let Some(agg) = table.and_then(|t| t.aggregate()) else { continue };
+                row.mark_transmitted(stype, agg);
                 out.push(Outgoing::ToParent(DirqMessage::Update {
                     stype,
                     min: agg.min,
@@ -250,15 +267,15 @@ impl DirqNode {
 
     /// A child vanished (death or re-parenting): drop it from the child
     /// list and every table, cascading updates/retracts upward.
-    pub fn on_child_lost(&mut self, child: NodeId, out: &mut Vec<Outgoing>) {
+    pub fn on_child_lost(&mut self, mut row: RowMut<'_>, child: NodeId, out: &mut Vec<Outgoing>) {
         if let Ok(i) = self.children.binary_search(&child) {
             let old = &self.children;
             self.children = old[..i].iter().chain(&old[i + 1..]).copied().collect();
         }
-        for idx in 0..self.tables.width() {
+        for idx in 0..row.width() {
             let stype = SensorType(idx as u8);
             if self.tables.remove_child(stype, child) {
-                self.flush_table(stype, out);
+                self.flush_table(&mut row, stype, out);
             }
         }
         if self.geo.as_mut().is_some_and(|g| g.remove_child(child)) {
@@ -268,22 +285,33 @@ impl DirqNode {
 
     // --- sensing ------------------------------------------------------------
 
-    /// A reading of a carried sensor type escaped the node's own tuple
-    /// (Fig. 1): replace the tuple and flush the table (Fig. 3). The
-    /// engine's sensing plane filters the readings that stay inside and
+    /// A reading of a carried sensor type escaped the node's own tuple in
+    /// its `row` (Fig. 1): replace the tuple and flush the table (Fig. 3).
+    /// The engine's sensing plane filters the readings that stay inside and
     /// keeps the last reading and variability; a contained reading is a
     /// no-op here too.
-    pub fn sample(&mut self, stype: SensorType, reading: f64, out: &mut Vec<Outgoing>) {
+    pub fn sample(
+        &mut self,
+        mut row: RowMut<'_>,
+        stype: SensorType,
+        reading: f64,
+        out: &mut Vec<Outgoing>,
+    ) {
         let delta = self.delta_abs(stype);
-        if self.tables.observe_own(stype, reading, delta) {
-            self.flush_table(stype, out);
+        if row.observe_own(stype, reading, delta) {
+            self.flush_table(&mut row, stype, out);
         }
     }
 
     /// The node's sensor for `stype` was removed.
-    pub fn drop_own_sensor(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
-        if self.tables.clear_own(stype) {
-            self.flush_table(stype, out);
+    pub fn drop_own_sensor(
+        &mut self,
+        mut row: RowMut<'_>,
+        stype: SensorType,
+        out: &mut Vec<Outgoing>,
+    ) {
+        if row.clear_own(stype) {
+            self.flush_table(&mut row, stype, out);
         }
     }
 
@@ -292,6 +320,7 @@ impl DirqNode {
     /// An Update arrived from a child.
     pub fn on_update(
         &mut self,
+        mut row: RowMut<'_>,
         from: NodeId,
         stype: SensorType,
         min: f64,
@@ -299,16 +328,22 @@ impl DirqNode {
         out: &mut Vec<Outgoing>,
     ) {
         self.add_child(from);
-        self.tables.reserve_children(self.children.len());
+        self.tables.reserve_children(self.children.len(), row.width());
         if self.tables.set_child(stype, from, RangeEntry { min, max }) {
-            self.flush_table(stype, out);
+            self.flush_table(&mut row, stype, out);
         }
     }
 
     /// A Retract arrived from a child.
-    pub fn on_retract(&mut self, from: NodeId, stype: SensorType, out: &mut Vec<Outgoing>) {
+    pub fn on_retract(
+        &mut self,
+        mut row: RowMut<'_>,
+        from: NodeId,
+        stype: SensorType,
+        out: &mut Vec<Outgoing>,
+    ) {
         if self.tables.remove_child(stype, from) {
-            self.flush_table(stype, out);
+            self.flush_table(&mut row, stype, out);
         }
     }
 
@@ -323,12 +358,12 @@ impl DirqNode {
     ///
     /// Duplicate query ids (possible transiently after tree repairs) are
     /// ignored.
-    pub fn on_query(&mut self, query: &RangeQuery, out: &mut Vec<Outgoing>) {
+    pub fn on_query(&mut self, row: Row<'_>, query: &RangeQuery, out: &mut Vec<Outgoing>) {
         if !self.seen_queries.insert(query.id) {
             return;
         }
 
-        if let Some(table) = self.table(query.stype) {
+        if let Some(table) = self.table(row, query.stype) {
             let geo = self.geo_table();
             if let Some(own) = table.own() {
                 // Local delivery: value overlap, plus (when both the query
@@ -389,11 +424,11 @@ impl DirqNode {
     // --- snapshot -------------------------------------------------------------
 
     /// Write the node's full dynamic state to `w`, with its sensing-plane
-    /// `row` in the variability and last-reading records (each present
-    /// variability as an EWMA record at `VARIABILITY_ALPHA`). Static
-    /// configuration (id, spans, threshold policy) is rebuilt by the
-    /// engine constructor and not captured.
-    pub(crate) fn snap(&self, w: &mut SnapWriter, row: &[SensorCell]) {
+    /// `row` in the table records and in the variability and last-reading
+    /// records (each present variability as an EWMA record at
+    /// `VARIABILITY_ALPHA`). Static configuration (id, spans, threshold
+    /// policy) is rebuilt by the engine constructor and not captured.
+    pub(crate) fn snap(&self, w: &mut SnapWriter<impl SnapSink>, row: Row<'_>) {
         w.tag(b"NODE");
         w.bool(self.parent().is_some());
         if let Some(p) = self.parent() {
@@ -403,22 +438,23 @@ impl DirqNode {
         for c in self.children.iter() {
             w.u32(c.0);
         }
-        self.tables.snap(w);
+        self.tables.snap(w, row);
         w.f64(self.delta_pct);
         w.bool(self.atc.is_some());
         if let Some(atc) = &self.atc {
             atc.snap(w, self.delta_pct);
         }
-        w.len_of(row.len());
-        for cell in row {
+        let cells = row.cells;
+        w.len_of(cells.len());
+        for cell in cells {
             w.bool(!cell.variability.is_nan());
             if !cell.variability.is_nan() {
                 w.f64(VARIABILITY_ALPHA);
                 w.opt_f64(Some(cell.variability));
             }
         }
-        w.len_of(row.len());
-        for cell in row {
+        w.len_of(cells.len());
+        for cell in cells {
             w.f64(cell.last);
         }
         self.seen_queries.snap(w);
@@ -427,19 +463,21 @@ impl DirqNode {
     }
 
     /// Overlay state captured by [`DirqNode::snap`] onto a node built with
-    /// the same id and config, and onto its sensing-plane `row`, whose
-    /// escape windows are rebuilt from the restored tables. An image that
-    /// names a node id outside the `n_nodes` deployment, holds tables no
-    /// run writes ([`RangeTables::restore`]), carries a δ that is negative,
-    /// NaN, infinite or off its fixed policy, whose sensing records do not
-    /// fit the row and `VARIABILITY_ALPHA` or hold a variability that is not
-    /// finite or a last reading that is infinite (NaN is one not taken
-    /// yet), or whose duplicate-suppression list is over its cap
+    /// the same id and config, and onto its sensing-plane `row`, which
+    /// takes the restored tuples. An image that names a node id outside the
+    /// `n_nodes` deployment, holds tables no run writes
+    /// ([`RangeTables::restore`]; `carried` is the node's carried-type
+    /// mask), carries a δ that is negative, NaN, infinite or off its fixed
+    /// policy, whose sensing records do not fit the row and
+    /// `VARIABILITY_ALPHA` or hold a variability that is not finite or a
+    /// last reading that is infinite (NaN is one not taken yet), or whose
+    /// duplicate-suppression list is over its cap
     /// ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
-        row: &mut [SensorCell],
+        mut row: RowMut<'_>,
+        carried: u64,
         n_nodes: usize,
     ) -> Result<(), SnapError> {
         const OUTSIDE: &str = "node id outside the deployment";
@@ -449,7 +487,7 @@ impl DirqNode {
         let parent = if r.bool()? { Some(NodeId(r.u32()?)) } else { None };
         let n = r.seq_len(4)?;
         self.children = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
-        let tables = RangeTables::restore(r, self.tables.width())?;
+        let tables = RangeTables::restore(r, &mut row, carried)?;
         if !(parent.iter().chain(self.children.iter()).all(inside)
             && tables.child_ids().all(|c| inside(&c)))
         {
@@ -474,11 +512,12 @@ impl DirqNode {
         if let Some(atc) = &mut self.atc {
             atc.restore(r, self.delta_pct)?;
         }
+        let cells = &mut *row.cells;
         let pos = r.position();
-        if r.seq_len(1)? != row.len() {
+        if r.seq_len(1)? != cells.len() {
             return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
         }
-        for cell in row.iter_mut() {
+        for cell in cells.iter_mut() {
             cell.variability = f64::NAN;
             if r.bool()? {
                 let (pos, mut e) = (r.position(), Ewma::new(VARIABILITY_ALPHA));
@@ -492,10 +531,10 @@ impl DirqNode {
             }
         }
         let pos = r.position();
-        if r.seq_len(8)? != row.len() {
+        if r.seq_len(8)? != cells.len() {
             return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
         }
-        for cell in row.iter_mut() {
+        for cell in cells.iter_mut() {
             let pos = r.position();
             cell.last = r.f64()?;
             if cell.last.is_infinite() {
@@ -510,22 +549,19 @@ impl DirqNode {
         }
         self.geo = (!geo.is_empty()).then(|| Box::new(geo));
         self.updates_sent = r.count()?;
-        for (idx, cell) in row.iter_mut().enumerate() {
-            cell.set_window(self.table(SensorType(idx as u8)).and_then(|t| t.own()));
-        }
         Ok(())
     }
 
     // --- internals ------------------------------------------------------------
 
     /// After a table mutation: emit an Update or Retract to the parent per
-    /// the Fig. 3 rule. The root marks aggregates transmitted without
-    /// sending (its "parent" is the wired server).
-    fn flush_table(&mut self, stype: SensorType, out: &mut Vec<Outgoing>) {
+    /// the Fig. 3 rule, marking it in `row`. The root marks aggregates
+    /// transmitted without sending (its "parent" is the wired server).
+    fn flush_table(&mut self, row: &mut RowMut<'_>, stype: SensorType, out: &mut Vec<Outgoing>) {
         let delta = self.delta_abs(stype) * self.cfg.tx_threshold_factor;
-        let table = self.tables.view(stype);
+        let table = self.tables.view(row.as_row(), stype);
         if table.pending_retract() {
-            self.tables.mark_retracted(stype);
+            row.mark_retracted(stype);
             if !self.id.is_root() && self.parent().is_some() {
                 self.updates_sent += 1;
                 if let Some(atc) = &mut self.atc {
@@ -534,7 +570,7 @@ impl DirqNode {
                 out.push(Outgoing::ToParent(DirqMessage::Retract { stype }));
             }
         } else if let Some(agg) = table.pending_update(delta) {
-            self.tables.mark_transmitted(stype, agg);
+            row.mark_transmitted(stype, agg);
             if !self.id.is_root() && self.parent().is_some() {
                 self.updates_sent += 1;
                 if let Some(atc) = &mut self.atc {
@@ -552,7 +588,10 @@ impl DirqNode {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::{Deref, DerefMut};
+
     use super::*;
+    use crate::range_table::RowBuf;
     use dirq_data::QueryId;
 
     fn cfg() -> Arc<NodeConfig> {
@@ -571,8 +610,86 @@ mod tests {
         RangeQuery::value(QueryId(id), t0(), lo, hi)
     }
 
-    fn mk(id: u32) -> DirqNode {
-        let mut n = DirqNode::new(NodeId(id), cfg());
+    /// A node with a row of its own, driven through handlers that take
+    /// it.
+    #[derive(Clone)]
+    struct Node {
+        node: DirqNode,
+        row: RowBuf,
+    }
+
+    impl Deref for Node {
+        type Target = DirqNode;
+
+        fn deref(&self) -> &DirqNode {
+            &self.node
+        }
+    }
+
+    impl DerefMut for Node {
+        fn deref_mut(&mut self) -> &mut DirqNode {
+            &mut self.node
+        }
+    }
+
+    impl Node {
+        fn new(id: NodeId, cfg: Arc<NodeConfig>) -> Self {
+            let row = RowBuf::new(cfg.reference_spans.len());
+            Node { node: DirqNode::new(id, cfg), row }
+        }
+
+        fn set_parent(&mut self, parent: Option<NodeId>, out: &mut Vec<Outgoing>) {
+            self.node.set_parent(self.row.row_mut(), parent, out);
+        }
+
+        fn on_child_lost(&mut self, child: NodeId, out: &mut Vec<Outgoing>) {
+            self.node.on_child_lost(self.row.row_mut(), child, out);
+        }
+
+        fn sample(&mut self, stype: SensorType, reading: f64, out: &mut Vec<Outgoing>) {
+            self.node.sample(self.row.row_mut(), stype, reading, out);
+        }
+
+        fn on_update(
+            &mut self,
+            from: NodeId,
+            stype: SensorType,
+            min: f64,
+            max: f64,
+            out: &mut Vec<Outgoing>,
+        ) {
+            self.node.on_update(self.row.row_mut(), from, stype, min, max, out);
+        }
+
+        fn on_query(&mut self, query: &RangeQuery, out: &mut Vec<Outgoing>) {
+            self.node.on_query(self.row.row(), query, out);
+        }
+
+        fn table(&self, stype: SensorType) -> Option<RangeTable<'_>> {
+            self.node.table(self.row.row(), stype)
+        }
+
+        fn table_types(&self) -> impl Iterator<Item = SensorType> + '_ {
+            self.row.row().table_types()
+        }
+
+        /// The node's record, with its row.
+        fn snap(&self, w: &mut SnapWriter) {
+            self.node.snap(w, self.row.row());
+        }
+
+        /// A fresh node of the same id restored from `image`.
+        fn restored(&self, image: &[u8]) -> Node {
+            let mut copy = Node::new(self.id(), cfg());
+            let carried = (1 << self.row.row().width()) - 1;
+            let mut r = SnapReader::new(image);
+            copy.node.restore(&mut r, copy.row.row_mut(), carried, 8).expect("own image");
+            copy
+        }
+    }
+
+    fn mk(id: u32) -> Node {
+        let mut n = Node::new(NodeId(id), cfg());
         if id != 0 {
             // Give non-root nodes a parent so updates are emitted.
             n.set_parent(Some(NodeId(0)), &mut Vec::new());
@@ -587,36 +704,37 @@ mod tests {
         out
     }
 
-    /// Every Update and query pulls a node, a table slot and the child
-    /// tuples into cache; a new inline field must not silently undo the
-    /// budget.
+    /// Every Update and query pulls a node and the child tuples into
+    /// cache, and every sample a sensor cell; a new inline field must not
+    /// silently undo the budget.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn layout_budget() {
-        use crate::range_table::{ChildTuple, Slot};
+        use crate::engine::sensing::SensorCell;
+        use crate::range_table::ChildTuple;
         let node = std::mem::size_of::<DirqNode>();
-        let slot = std::mem::size_of::<Slot>();
+        let cell = std::mem::size_of::<SensorCell>();
         let tuple = std::mem::size_of::<ChildTuple>();
-        assert!(node <= 128, "DirqNode is {node} bytes, over its 128-byte budget");
-        assert!(slot <= 32, "a table slot is {slot} bytes, over its 32-byte budget");
-        assert!(tuple <= 24, "a child tuple is {tuple} bytes, over its 24-byte budget");
+        assert!(node <= 112, "DirqNode is {node} bytes, over its 112-byte budget");
+        assert_eq!(cell, 32, "a sensor cell is {cell} bytes, not the sampling pass's 32");
+        assert_eq!(tuple, 24, "a child tuple is {tuple} bytes, not 24");
     }
 
-    /// A leaf with a table for every catalog type holds one table
-    /// allocation, its slot array; a parent's child tuples of every type
-    /// share one list.
+    /// A leaf's tables allocate nothing: its own and transmitted tuples are
+    /// its row's. A parent's child tuples of every type share one list.
     #[test]
-    fn tables_take_one_allocation_per_leaf_and_two_per_parent() {
+    fn leaf_tables_allocate_nothing_and_a_parents_take_one_list() {
         let cfg = Arc::new(NodeConfig { reference_spans: vec![20.0; 4], ..(*cfg()).clone() });
-        let mut leaf = DirqNode::new(NodeId(1), Arc::clone(&cfg));
+        let mut leaf = Node::new(NodeId(1), Arc::clone(&cfg));
+        assert_eq!(leaf.heap_bytes(), 0, "a new node under fixed δ allocates nothing");
         leaf.set_parent(Some(NodeId(0)), &mut Vec::new());
         for t in 0..4 {
             leaf.sample(SensorType(t), 10.0, &mut Vec::new());
         }
         assert_eq!(leaf.table_types().count(), 4);
-        assert_eq!(leaf.tables.footprint(), (4 * 32, 0), "one 128-byte slot array, no list");
+        assert_eq!(leaf.heap_bytes(), 0, "four tables, no allocation");
 
-        let mut parent = DirqNode::new(NodeId(2), cfg);
+        let mut parent = Node::new(NodeId(2), cfg);
         for (child, t) in [(5, 3), (4, 0), (5, 0), (4, 2)] {
             parent.on_update(NodeId(child), SensorType(t), 1.0, 2.0, &mut Vec::new());
         }
@@ -624,7 +742,7 @@ mod tests {
         assert_eq!(ids, [4, 5, 4, 5], "one list ascending by (type, child id)");
         let types: Vec<u8> = parent.table_types().map(|t| t.0).collect();
         assert_eq!(types, [0, 2, 3]);
-        assert_eq!(parent.tables.footprint(), (4 * 32, 2 * 4), "room for each child's four types");
+        assert_eq!(parent.tables.heap_bytes(), 2 * 4 * 24, "room for each child's four types");
     }
 
     /// The ATC controller and the predictive sampler keep no copy of δ or
@@ -665,18 +783,15 @@ mod tests {
         assert_eq!(n.position(), None);
 
         // An absent table snaps as an empty one and restores as absent.
-        let row = [SensorCell::EMPTY; 2];
         let mut w = SnapWriter::new();
-        n.snap(&mut w, &row);
+        n.snap(&mut w);
         let image = w.finish();
         let mut boxed = n.clone();
         boxed.geo = Some(Box::default());
         let mut w = SnapWriter::new();
-        boxed.snap(&mut w, &row);
+        boxed.snap(&mut w);
         assert!(w.finish() == image, "an absent table snaps as an empty one");
-        let mut copy = DirqNode::new(NodeId(1), cfg());
-        copy.restore(&mut SnapReader::new(&image), &mut row.clone(), 8).expect("own image");
-        assert!(copy.geo.is_none());
+        assert!(n.restored(&image).geo.is_none());
 
         let mut other = mk(2);
         other.on_geo_advert(NodeId(4), Rect::point(Position::new(1.0, 2.0)), &mut Vec::new());
@@ -684,11 +799,9 @@ mod tests {
         n.set_position(Position::new(3.0, 4.0), &mut Vec::new());
         assert_eq!(n.position(), Some(Position::new(3.0, 4.0)));
         let mut w = SnapWriter::new();
-        n.snap(&mut w, &row);
+        n.snap(&mut w);
         let image = w.finish();
-        let mut copy = DirqNode::new(NodeId(1), cfg());
-        copy.restore(&mut SnapReader::new(&image), &mut row.clone(), 8).expect("own image");
-        assert_eq!(copy.position(), Some(Position::new(3.0, 4.0)));
+        assert_eq!(n.restored(&image).position(), Some(Position::new(3.0, 4.0)));
     }
 
     #[test]
@@ -768,7 +881,7 @@ mod tests {
 
     #[test]
     fn root_absorbs_updates_without_sending() {
-        let mut root = DirqNode::new(NodeId::ROOT, cfg());
+        let mut root = Node::new(NodeId::ROOT, cfg());
         let out = run(|o| root.on_update(NodeId(3), t0(), 1.0, 2.0, o));
         assert!(out.is_empty(), "root has no parent to update");
         assert_eq!(root.updates_sent(), 0);

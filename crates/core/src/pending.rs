@@ -105,7 +105,7 @@ impl PendingSet {
 
     /// Write every in-flight entry (in the legacy vec order) to `w`. The
     /// window is construction-time config and not captured.
-    pub(crate) fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub(crate) fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"PEND");
         w.len_of(self.entries.len());
         for p in &self.entries {

@@ -14,16 +14,20 @@
 //!
 //! ## Layout
 //!
-//! A node keeps every table in one `RangeTables` store of at most two
-//! allocations. The own and last-transmitted tuples of each catalog type
-//! share one 32-byte `Slot`, all slots in one boxed array indexed by
-//! [`SensorType::index`], with `NaN` marking a tuple absent. The child
-//! tuples of every type sit in one `Vec` ordered by (type, child id), so a
-//! type's children are one contiguous run and a leaf owns no list at all.
-//! A table is present exactly while its last-transmitted tuple is: the
-//! node flushes every change it makes, which marks a non-empty aggregate
-//! transmitted, and drops a table only by marking its Retract.
-//! [`RangeTable`] is the read view of one type's slot and run.
+//! A node's tables live in two places. Its own tuple and its
+//! last-transmitted aggregate of each catalog type are its row of the
+//! engine's sensing plane ([`Row`], [`RowMut`]): the own tuple is the
+//! bounds of the type's sensor cell, which the sampling pass tests every
+//! reading against, and the transmitted aggregate sits in a parallel
+//! array the pass never reads; `NaN` marks either absent. The child tuples
+//! of every type sit in the node's one `RangeTables` list ordered by
+//! (type, child id), so a type's children are one contiguous run and a
+//! leaf owns no list at all. A table is present exactly while its
+//! last-transmitted tuple is: the node flushes every change it makes,
+//! which marks a non-empty aggregate transmitted, and drops a table only
+//! by marking its Retract. [`RangeTable`] is the read view of one type's
+//! two tuples and run. A node driven outside an engine keeps its row in a
+//! [`RowBuf`].
 //!
 //! The aggregate recomputation and the per-query child-overlap test both
 //! visit a run in ascending id order, so merge order and emitted child
@@ -33,7 +37,9 @@ use std::ops::Range;
 
 use dirq_data::SensorType;
 use dirq_net::NodeId;
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
+
+use crate::engine::sensing::SensorCell;
 
 /// A `[THmin, THmax]` tuple.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,8 +81,8 @@ impl RangeEntry {
     }
 }
 
-/// The absent tuple in a [`Slot`].
-const ABSENT: RangeEntry = RangeEntry { min: f64::NAN, max: f64::NAN };
+/// The absent tuple.
+pub(crate) const ABSENT: RangeEntry = RangeEntry { min: f64::NAN, max: f64::NAN };
 
 /// `entry`, unless it is [`ABSENT`].
 #[inline]
@@ -84,15 +90,131 @@ fn present(entry: RangeEntry) -> Option<RangeEntry> {
     (!entry.min.is_nan()).then_some(entry)
 }
 
-/// One type's own tuple and last-transmitted aggregate (`NaN` = absent).
+/// A node's row of the sensing plane, read-only: per catalog type, indexed
+/// by [`SensorType::index`], its own tuple (the bounds of the type's
+/// sensor cell) and the aggregate it last transmitted.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Slot {
-    own: RangeEntry,
-    last_tx: RangeEntry,
+pub struct Row<'a> {
+    pub(crate) cells: &'a [SensorCell],
+    sent: &'a [RangeEntry],
 }
 
-impl Slot {
-    const ABSENT: Slot = Slot { own: ABSENT, last_tx: ABSENT };
+impl<'a> Row<'a> {
+    /// The row of `cells` and `sent`, one of each per catalog type.
+    #[inline]
+    pub(crate) fn new(cells: &'a [SensorCell], sent: &'a [RangeEntry]) -> Self {
+        debug_assert_eq!(cells.len(), sent.len(), "one sent tuple per cell");
+        Row { cells, sent }
+    }
+
+    /// Catalog types.
+    pub fn width(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Types with a present table, ascending.
+    pub fn table_types(self) -> impl Iterator<Item = SensorType> + 'a {
+        let sent = self.sent;
+        (0..sent.len()).filter(move |&i| present(sent[i]).is_some()).map(|i| SensorType(i as u8))
+    }
+
+    /// `stype`'s own tuple ([`ABSENT`] while the node has none).
+    #[inline]
+    fn own(&self, stype: SensorType) -> RangeEntry {
+        let cell = &self.cells[stype.index()];
+        RangeEntry { min: cell.lo, max: cell.hi }
+    }
+}
+
+/// A node's row of the sensing plane ([`Row`]), mutable: what each
+/// protocol handler that writes a tuple takes.
+#[derive(Debug)]
+pub struct RowMut<'a> {
+    pub(crate) cells: &'a mut [SensorCell],
+    sent: &'a mut [RangeEntry],
+}
+
+impl<'a> RowMut<'a> {
+    /// The row of `cells` and `sent`, one of each per catalog type.
+    #[inline]
+    pub(crate) fn new(cells: &'a mut [SensorCell], sent: &'a mut [RangeEntry]) -> Self {
+        debug_assert_eq!(cells.len(), sent.len(), "one sent tuple per cell");
+        RowMut { cells, sent }
+    }
+
+    /// Catalog types.
+    pub fn width(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The read-only view.
+    #[inline]
+    pub fn as_row(&self) -> Row<'_> {
+        Row { cells: self.cells, sent: self.sent }
+    }
+
+    /// Apply a new own reading of `stype` under threshold `delta` (Fig. 1).
+    /// Returns `true` when the own tuple was (re)placed — i.e. the reading
+    /// escaped the previous interval or there was none (an absent tuple
+    /// contains nothing). The reading is never `NaN`: that tuple would read
+    /// as absent.
+    pub(crate) fn observe_own(&mut self, stype: SensorType, reading: f64, delta: f64) -> bool {
+        debug_assert!(!reading.is_nan(), "a NaN reading has no tuple");
+        if self.as_row().own(stype).contains(reading) {
+            return false;
+        }
+        self.set_own(stype, RangeEntry::around(reading, delta));
+        true
+    }
+
+    /// Drop `stype`'s own tuple (sensor removed); returns whether there was
+    /// one.
+    pub(crate) fn clear_own(&mut self, stype: SensorType) -> bool {
+        let had = present(self.as_row().own(stype)).is_some();
+        self.set_own(stype, ABSENT);
+        had
+    }
+
+    /// Record that `entry` was transmitted up the tree for `stype`.
+    pub(crate) fn mark_transmitted(&mut self, stype: SensorType, entry: RangeEntry) {
+        self.sent[stype.index()] = entry;
+    }
+
+    /// Record that a Retract was transmitted for `stype`: its table is gone
+    /// (a Retract is due only once it holds no tuple).
+    pub(crate) fn mark_retracted(&mut self, stype: SensorType) {
+        self.sent[stype.index()] = ABSENT;
+    }
+
+    fn set_own(&mut self, stype: SensorType, own: RangeEntry) {
+        let cell = &mut self.cells[stype.index()];
+        (cell.lo, cell.hi) = (own.min, own.max);
+    }
+}
+
+/// A row of its own, for a node driven outside an engine (tests and
+/// reference models): no tuple, until its node's handlers write one.
+#[derive(Clone, Debug)]
+pub struct RowBuf {
+    cells: Box<[SensorCell]>,
+    sent: Box<[RangeEntry]>,
+}
+
+impl RowBuf {
+    /// An empty row for a catalog of `width` types.
+    pub fn new(width: usize) -> Self {
+        RowBuf { cells: vec![SensorCell::EMPTY; width].into(), sent: vec![ABSENT; width].into() }
+    }
+
+    /// The read-only view.
+    pub fn row(&self) -> Row<'_> {
+        Row::new(&self.cells, &self.sent)
+    }
+
+    /// The mutable view.
+    pub fn row_mut(&mut self) -> RowMut<'_> {
+        RowMut::new(&mut self.cells, &mut self.sent)
+    }
 }
 
 /// One child's advertised aggregate tuple for one type, keyed by the type
@@ -116,48 +238,32 @@ impl ChildTuple {
     }
 }
 
-/// A node's Range Tables, one per catalog sensor type: the slots and the
-/// one child-tuple list of the module's layout. The node's handlers mutate
-/// it and flush every change; everything else reads [`RangeTable`] views.
-#[derive(Clone, Debug)]
+/// A node's child tuples, the one list of the module's layout; with the
+/// node's row they are its Range Tables. The node's handlers mutate both
+/// and flush every change; everything else reads [`RangeTable`] views.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct RangeTables {
-    /// One slot per catalog type, indexed by [`SensorType::index`].
-    slots: Box<[Slot]>,
     /// Every child tuple, ascending by (type, child id).
     children: Vec<ChildTuple>,
 }
 
 impl RangeTables {
-    /// No table, for a catalog of `width` types.
-    pub(crate) fn new(width: usize) -> Self {
-        RangeTables { slots: vec![Slot::ABSENT; width].into_boxed_slice(), children: Vec::new() }
-    }
-
-    /// Catalog types (present or not).
-    pub(crate) fn width(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The table for `stype`, if present (never for a type outside the
-    /// catalog).
+    /// The table for `stype` over `row`, if present (never for a type
+    /// outside the catalog).
     #[inline]
-    pub(crate) fn table(&self, stype: SensorType) -> Option<RangeTable<'_>> {
-        let slot = self.slots.get(stype.index())?;
-        present(slot.last_tx)?;
-        Some(RangeTable { slot, children: &self.children[self.run(stype)] })
+    pub(crate) fn table(&self, row: Row<'_>, stype: SensorType) -> Option<RangeTable<'_>> {
+        let sent = *row.sent.get(stype.index())?;
+        present(sent)?;
+        Some(RangeTable { own: row.own(stype), sent, children: &self.children[self.run(stype)] })
     }
 
-    /// `stype`'s slot and run whether or not the table is present yet: the
-    /// flush after a table's first tuple reads it before marking it
+    /// `stype`'s tuples and run whether or not the table is present yet:
+    /// the flush after a table's first tuple reads it before marking it
     /// transmitted.
     #[inline]
-    pub(crate) fn view(&self, stype: SensorType) -> RangeTable<'_> {
-        RangeTable { slot: &self.slots[stype.index()], children: &self.children[self.run(stype)] }
-    }
-
-    /// Types with a present table, ascending.
-    pub(crate) fn types(&self) -> impl Iterator<Item = SensorType> + '_ {
-        (0..self.width()).map(|i| SensorType(i as u8)).filter(|&t| self.table(t).is_some())
+    pub(crate) fn view(&self, row: Row<'_>, stype: SensorType) -> RangeTable<'_> {
+        let children = &self.children[self.run(stype)];
+        RangeTable { own: row.own(stype), sent: row.sent[stype.index()], children }
     }
 
     /// Every child id with a tuple, ascending by (type, id).
@@ -178,28 +284,6 @@ impl RangeTables {
 
     fn find(&self, stype: SensorType, child: NodeId) -> Result<usize, usize> {
         self.children.binary_search_by_key(&ChildTuple::key(stype, child), |c| c.key)
-    }
-
-    /// Apply a new own reading of `stype` under threshold `delta` (Fig. 1).
-    /// Returns `true` when the own tuple was (re)placed — i.e. the reading
-    /// escaped the previous interval or there was none (an absent tuple
-    /// contains nothing). The reading is never `NaN`: that tuple would read
-    /// as absent.
-    pub(crate) fn observe_own(&mut self, stype: SensorType, reading: f64, delta: f64) -> bool {
-        debug_assert!(!reading.is_nan(), "a NaN reading has no tuple");
-        let own = &mut self.slots[stype.index()].own;
-        if own.contains(reading) {
-            return false;
-        }
-        *own = RangeEntry::around(reading, delta);
-        true
-    }
-
-    /// Drop `stype`'s own tuple (sensor removed); returns whether there was
-    /// one.
-    pub(crate) fn clear_own(&mut self, stype: SensorType) -> bool {
-        let own = std::mem::replace(&mut self.slots[stype.index()].own, ABSENT);
-        present(own).is_some()
     }
 
     /// Insert or replace a child's aggregate tuple for `stype`. Returns
@@ -228,12 +312,12 @@ impl RangeTables {
         }
     }
 
-    /// Make room for one tuple of every type from each of `children`
-    /// children, the list's full size, so a parent's list is allocated
-    /// once instead of regrown tuple by tuple (regrowing it left
+    /// Make room for one tuple of each of `width` types from each of
+    /// `children` children, the list's full size, so a parent's list is
+    /// allocated once instead of regrown tuple by tuple (regrowing it left
     /// `run_20k`'s peak RSS about 0.7 MiB higher on a 2-vCPU host).
-    pub(crate) fn reserve_children(&mut self, children: usize) {
-        let room = children * self.width();
+    pub(crate) fn reserve_children(&mut self, children: usize, width: usize) {
+        let room = children * width;
         if self.children.capacity() < room {
             self.children.reserve_exact(room - self.children.len());
         }
@@ -244,29 +328,17 @@ impl RangeTables {
         self.find(stype, child).map(|i| self.children.remove(i)).is_ok()
     }
 
-    /// Record that `entry` was transmitted up the tree for `stype`.
-    pub(crate) fn mark_transmitted(&mut self, stype: SensorType, entry: RangeEntry) {
-        self.slots[stype.index()].last_tx = entry;
+    /// The child list's heap bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.children.capacity() * std::mem::size_of::<ChildTuple>()
     }
 
-    /// Record that a Retract was transmitted for `stype`: its table is gone
-    /// (a Retract is due only once it holds no tuple).
-    pub(crate) fn mark_retracted(&mut self, stype: SensorType) {
-        self.slots[stype.index()].last_tx = ABSENT;
-    }
-
-    /// The slot array's bytes and the child list's capacity in tuples.
-    #[cfg(test)]
-    pub(crate) fn footprint(&self) -> (usize, usize) {
-        (std::mem::size_of_val(&*self.slots), self.children.capacity())
-    }
-
-    /// Write the table array: its width, then per type a presence flag and
-    /// a present table's record ([`RangeTable::snap`]).
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.len_of(self.width());
-        for i in 0..self.width() {
-            let table = self.table(SensorType(i as u8));
+    /// Write the table array over `row`: its width, then per type a
+    /// presence flag and a present table's record ([`RangeTable::snap`]).
+    pub(crate) fn snap(&self, w: &mut SnapWriter<impl SnapSink>, row: Row<'_>) {
+        w.len_of(row.width());
+        for i in 0..row.width() {
+            let table = self.table(row, SensorType(i as u8));
             w.bool(table.is_some());
             if let Some(table) = table {
                 table.snap(w);
@@ -274,28 +346,53 @@ impl RangeTables {
         }
     }
 
-    /// Rebuild a table array captured by [`RangeTables::snap`] for a catalog
-    /// of `width` types. No run writes another width, a tuple that is not a
-    /// finite interval (a `NaN` or infinite bound, or `min > max`) or a
-    /// present table without a transmitted aggregate, so each is malformed.
-    pub(crate) fn restore(r: &mut SnapReader<'_>, width: usize) -> Result<Self, SnapError> {
-        let pos = r.position();
+    /// Rebuild a table array captured by [`RangeTables::snap`], writing its
+    /// tuples straight into `row` and returning the child list. No run
+    /// writes a width other than the row's, a tuple that is not a finite
+    /// interval (a `NaN` or infinite bound, or `min > max`), a present
+    /// table without a transmitted aggregate or an own tuple of a type
+    /// outside `carried` (the node's carried-type mask: removing a sensor
+    /// drops its tuple), so each is malformed.
+    pub(crate) fn restore(
+        r: &mut SnapReader<'_>,
+        row: &mut RowMut<'_>,
+        carried: u64,
+    ) -> Result<Self, SnapError> {
+        let (pos, width) = (r.position(), row.width());
         if r.seq_len(1)? != width {
             return Err(SnapError::Malformed { pos, what: "table count off the catalog" });
         }
-        let mut tables = RangeTables::new(width);
+        let mut tables = RangeTables::default();
         for i in 0..width {
+            let stype = SensorType(i as u8);
+            row.set_own(stype, ABSENT);
+            row.mark_retracted(stype);
             if r.bool()? {
-                tables.unsnap_table(r, SensorType(i as u8))?;
+                let carries = carried >> i & 1 == 1;
+                tables.unsnap_table(r, row, stype, carries)?;
             }
         }
         Ok(tables)
     }
 
-    /// Read one table record of [`RangeTable::snap`] into `stype`'s slot
-    /// and run; types arrive ascending, so the run is appended.
-    fn unsnap_table(&mut self, r: &mut SnapReader<'_>, stype: SensorType) -> Result<(), SnapError> {
+    /// Read one table record of [`RangeTable::snap`] into `stype`'s tuples
+    /// in `row` and its run; types arrive ascending, so the run is
+    /// appended.
+    fn unsnap_table(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        row: &mut RowMut<'_>,
+        stype: SensorType,
+        carries: bool,
+    ) -> Result<(), SnapError> {
+        let pos = r.position();
         let own = unsnap_entry(r)?;
+        if own.is_some() && !carries {
+            return Err(SnapError::Malformed {
+                pos,
+                what: "own tuple of a type the node does not carry",
+            });
+        }
         let pos = r.position();
         let n = r.seq_len(4)?;
         let ids: Vec<NodeId> = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
@@ -312,13 +409,14 @@ impl RangeTables {
             return malformed(NOT_AN_INTERVAL);
         }
         let pos = r.position();
-        let Some(last_tx) = unsnap_entry(r)? else {
+        let Some(sent) = unsnap_entry(r)? else {
             return Err(SnapError::Malformed {
                 pos,
                 what: "range table without a transmitted tuple",
             });
         };
-        self.slots[stype.index()] = Slot { own: own.unwrap_or(ABSENT), last_tx };
+        row.set_own(stype, own.unwrap_or(ABSENT));
+        row.mark_transmitted(stype, sent);
         let tuples = ids.into_iter().zip(mins.into_iter().zip(maxs));
         let tuple = |(id, (min, max))| ChildTuple { key: ChildTuple::key(stype, id), min, max };
         self.children.extend(tuples.map(tuple));
@@ -327,10 +425,13 @@ impl RangeTables {
 }
 
 /// The Range Table of one sensor type at one node: a read view of the
-/// type's slot and child-tuple run in its node's `RangeTables` store.
+/// type's two tuples in the node's row and its child-tuple run.
 #[derive(Clone, Copy, Debug)]
 pub struct RangeTable<'a> {
-    slot: &'a Slot,
+    /// The own tuple ([`ABSENT`] without one).
+    own: RangeEntry,
+    /// The last-transmitted aggregate ([`ABSENT`] before the first).
+    sent: RangeEntry,
     /// The type's child tuples, ascending by child id.
     children: &'a [ChildTuple],
 }
@@ -338,13 +439,13 @@ pub struct RangeTable<'a> {
 impl<'a> RangeTable<'a> {
     /// This node's own tuple (`None`: the node does not carry the sensor).
     pub fn own(&self) -> Option<RangeEntry> {
-        present(self.slot.own)
+        present(self.own)
     }
 
     /// The aggregate most recently transmitted up the tree
     /// (`prev_min(THmin)`, `prev_max(THmax)` in the paper).
     pub fn last_transmitted(&self) -> Option<RangeEntry> {
-        present(self.slot.last_tx)
+        present(self.sent)
     }
 
     /// A child's stored tuple.
@@ -427,7 +528,7 @@ impl<'a> RangeTable<'a> {
 
     /// Write the table's record to `w`: the own tuple, then the child ids,
     /// mins and maxes as three sequences, then the last transmission.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         snap_entry(w, self.own());
         w.len_of(self.children.len());
         for c in self.children {
@@ -453,7 +554,7 @@ fn is_interval(min: f64, max: f64) -> bool {
     min.is_finite() && max.is_finite() && min <= max
 }
 
-fn snap_entry(w: &mut SnapWriter, e: Option<RangeEntry>) {
+fn snap_entry(w: &mut SnapWriter<impl SnapSink>, e: Option<RangeEntry>) {
     w.bool(e.is_some());
     if let Some(e) = e {
         w.f64(e.min);
@@ -481,9 +582,62 @@ mod tests {
 
     const T: SensorType = SensorType(0);
 
+    /// A node's tables over a row of its own: the child list and the
+    /// row's tuples, driven through the calls its handlers make.
+    struct Tables {
+        list: RangeTables,
+        row: RowBuf,
+    }
+
+    impl Tables {
+        fn new(width: usize) -> Self {
+            Tables { list: RangeTables::default(), row: RowBuf::new(width) }
+        }
+
+        fn observe_own(&mut self, stype: SensorType, reading: f64, delta: f64) -> bool {
+            self.row.row_mut().observe_own(stype, reading, delta)
+        }
+
+        fn clear_own(&mut self, stype: SensorType) -> bool {
+            self.row.row_mut().clear_own(stype)
+        }
+
+        fn mark_transmitted(&mut self, stype: SensorType, entry: RangeEntry) {
+            self.row.row_mut().mark_transmitted(stype, entry);
+        }
+
+        fn mark_retracted(&mut self, stype: SensorType) {
+            self.row.row_mut().mark_retracted(stype);
+        }
+
+        fn set_child(&mut self, stype: SensorType, child: NodeId, entry: RangeEntry) -> bool {
+            self.list.set_child(stype, child, entry)
+        }
+
+        fn remove_child(&mut self, stype: SensorType, child: NodeId) -> bool {
+            self.list.remove_child(stype, child)
+        }
+
+        fn child_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.list.child_ids()
+        }
+
+        fn table(&self, stype: SensorType) -> Option<RangeTable<'_>> {
+            self.list.table(self.row.row(), stype)
+        }
+
+        fn view(&self, stype: SensorType) -> RangeTable<'_> {
+            self.list.view(self.row.row(), stype)
+        }
+
+        fn types(&self) -> impl Iterator<Item = SensorType> + '_ {
+            self.row.row().table_types()
+        }
+    }
+
     /// A store of two types; the tests drive type 0.
-    fn tables() -> RangeTables {
-        RangeTables::new(2)
+    fn tables() -> Tables {
+        Tables::new(2)
     }
 
     #[test]
@@ -621,7 +775,7 @@ mod tests {
     /// aggregates, lookups or sweeps.
     #[test]
     fn types_keep_separate_runs() {
-        let mut t = RangeTables::new(3);
+        let mut t = Tables::new(3);
         let (a, b, c) = (SensorType(0), SensorType(1), SensorType(2));
         t.set_child(c, NodeId(1), RangeEntry { min: 100.0, max: 101.0 });
         t.set_child(a, NodeId(7), RangeEntry { min: 0.0, max: 1.0 });

@@ -18,7 +18,7 @@
 //! `ablations` binary quantifies the trade-off.
 
 use dirq_sim::stats::Ewma;
-use dirq_sim::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 /// When nodes acquire sensor readings.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,7 +134,7 @@ impl Sampler {
     }
 
     /// Write the prediction state to `w`.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.opt_f64(self.last_value);
         self.drift.snap(w);
         self.volatility.snap(w);

@@ -194,7 +194,7 @@ impl SensorAssignment {
 
     /// Write the carried-sensor matrix to `w`: per node, one flag per
     /// catalog type.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"ASGN");
         w.len_of(self.masks.len());
         for &mask in &self.masks {

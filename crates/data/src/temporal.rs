@@ -71,7 +71,7 @@ impl Ar1 {
     }
 
     /// Write the full process state (parameters and current value) to `w`.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.f64(self.phi);
         w.f64(self.sigma);
         w.f64(self.value);

@@ -79,7 +79,7 @@ impl RangeQuery {
     }
 
     /// Write the query to `w` (value bounds by bit pattern).
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.u64(self.id.0);
         w.u8(self.stype.0);
         w.f64(self.lo);
@@ -129,7 +129,7 @@ impl GroundTruth {
     }
 
     /// Write the full truth record to `w`, closed by the involved count.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.len_of(self.sources.len());
         for s in &self.sources {
             w.u32(s.0);
@@ -474,7 +474,7 @@ impl QueryGenerator {
     /// Write the dynamic state (id cursor, RNG position, probe tally, then
     /// the warm-start widths and half-sizes) to `w`. Targets and periods
     /// are configuration and are rebuilt by the constructor.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"QGEN");
         w.u64(self.next_id);
         w.rng(&self.rng);

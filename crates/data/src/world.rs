@@ -401,7 +401,7 @@ impl SensorWorld {
     /// AR(1) positions and RNG streams, and the current readings matrix —
     /// to `w`. Static structure (spatial fields, node keys, diurnal
     /// parameters) is rebuilt deterministically by [`SensorWorld::new`].
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"WRLD");
         w.u64(self.epoch);
         self.assignment.snap(w);

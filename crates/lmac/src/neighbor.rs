@@ -41,7 +41,7 @@
 use std::ops::Range;
 
 use dirq_net::{EnergyLedger, NodeId, Topology};
-use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::snap::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 use crate::slots::{SlotSet, MAX_SLOTS};
 
@@ -333,7 +333,7 @@ impl NeighborArena {
     /// Write every edge entry to `w`, with `last_heard_frame` read from
     /// `clock`. Row structure is topology-derived and not serialized; only
     /// the dynamic knowledge is.
-    pub(crate) fn snap(&self, w: &mut SnapWriter, clock: Clock) {
+    pub(crate) fn snap(&self, w: &mut SnapWriter<impl SnapSink>, clock: Clock) {
         w.tag(b"ARNA");
         w.len_of(self.entries.len());
         for e in &self.entries {

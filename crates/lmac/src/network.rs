@@ -59,7 +59,7 @@
 //! statistics, ledgers, neighbour views and snapshots.
 
 use dirq_net::{EnergyLedger, NodeBits, NodeId, Topology};
-use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::snap::{SnapError, SnapReader, SnapSink, SnapWriter};
 use dirq_sim::SimRng;
 use rand::Rng;
 
@@ -537,7 +537,11 @@ impl<P: Payload> LmacNetwork<P> {
     /// join/queue state, slot ownership, neighbour knowledge) to `w`.
     /// `encode` serializes one queued payload; the MAC never inspects
     /// payloads, so their codec belongs to the upper layer.
-    pub fn snap(&self, w: &mut SnapWriter, mut encode: impl FnMut(&mut SnapWriter, &P)) {
+    pub fn snap<S: SnapSink>(
+        &self,
+        w: &mut SnapWriter<S>,
+        mut encode: impl FnMut(&mut SnapWriter<S>, &P),
+    ) {
         w.tag(b"LMAC");
         w.u64(self.frame);
         w.u16(self.slot);

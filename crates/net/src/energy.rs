@@ -6,7 +6,7 @@
 //! whose tallies sit at the counter bound cannot overflow them.
 
 use crate::ids::NodeId;
-use dirq_sim::snap::{SnapError, SnapReader, SnapWriter};
+use dirq_sim::snap::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 /// Per-node transmission/reception tallies under a unit cost model.
 #[derive(Clone, Debug)]
@@ -65,7 +65,7 @@ impl EnergyLedger {
     }
 
     /// Write the per-node tallies to `w`.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.tag(b"ELDG");
         w.u64s(&self.tx);
         w.u64s(&self.rx);

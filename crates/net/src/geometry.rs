@@ -35,7 +35,7 @@ impl Position {
     }
 
     /// Write both coordinates to `w` by bit pattern.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.f64(self.x);
         w.f64(self.y);
     }
@@ -111,7 +111,7 @@ impl Rect {
     }
 
     /// Write the four bounds to `w` by bit pattern.
-    pub fn snap(&self, w: &mut dirq_sim::SnapWriter) {
+    pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.f64(self.x_min);
         w.f64(self.y_min);
         w.f64(self.x_max);

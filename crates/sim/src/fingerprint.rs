@@ -24,10 +24,7 @@ impl Fnv {
 
     /// Mix one `u64` (little-endian byte order).
     pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Mix a float by bit pattern — runs must be bit-identical, so exact
@@ -36,13 +33,19 @@ impl Fnv {
         self.u64(v.to_bits());
     }
 
-    /// Mix a byte string (length-prefixed so concatenations can't collide).
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for &b in s.as_bytes() {
+    /// Mix `bytes` as they are, in order, with no length prefix: `u64`
+    /// mixes the same as its eight little-endian bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
+    }
+
+    /// Mix a byte string (length-prefixed so concatenations can't collide).
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
     }
 
     /// The accumulated fingerprint.

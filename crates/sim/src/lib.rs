@@ -34,4 +34,4 @@ pub mod stats;
 pub use fingerprint::Fnv;
 pub use json::Json;
 pub use rng::{split_key, RngFactory, SimRng, StreamRng};
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{ByteCount, SnapError, SnapReader, SnapSink, SnapWriter};

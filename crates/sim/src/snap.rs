@@ -17,6 +17,7 @@
 //! a panic. Section tags make layout drift fail loudly at the boundary
 //! where reader and writer disagree instead of megabytes later.
 
+use crate::fingerprint::Fnv;
 use crate::json::Json;
 use crate::rng::SimRng;
 
@@ -103,10 +104,58 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// Append-only encoder for one snapshot body.
+/// Where a [`SnapWriter`]'s bytes go: the body itself (`Vec<u8>`), or a
+/// running count ([`ByteCount`]) or FNV-1a hash ([`Fnv`]) of it, so a body
+/// can be sized or hashed through the calls that encode it without being
+/// held. Encoders are generic over the sink, so the body's writes compile
+/// to plain appends.
+pub trait SnapSink {
+    /// Take `bytes`, in order.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Take one byte.
+    #[inline]
+    fn put_byte(&mut self, byte: u8) {
+        self.put(&[byte]);
+    }
+}
+
+impl SnapSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_byte(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// A sink that keeps only the number of bytes written.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl SnapSink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// FNV-1a over every byte written, in order.
+impl SnapSink for Fnv {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+}
+
+/// Append-only encoder for one snapshot body, into a [`SnapSink`]: the body
+/// by default.
 #[derive(Debug, Default)]
-pub struct SnapWriter {
-    buf: Vec<u8>,
+pub struct SnapWriter<S = Vec<u8>> {
+    sink: S,
 }
 
 impl SnapWriter {
@@ -117,53 +166,65 @@ impl SnapWriter {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.sink.len()
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.sink.is_empty()
     }
 
     /// Consume the writer, yielding the encoded body.
     pub fn finish(self) -> Vec<u8> {
-        self.buf
+        self.sink
+    }
+}
+
+impl<S: SnapSink> SnapWriter<S> {
+    /// A writer into `sink`.
+    pub fn with_sink(sink: S) -> Self {
+        SnapWriter { sink }
+    }
+
+    /// The sink, with everything written.
+    pub fn into_sink(self) -> S {
+        self.sink
     }
 
     /// A four-byte ASCII section tag (layout-drift tripwire).
     #[inline]
     pub fn tag(&mut self, tag: &[u8; 4]) {
-        self.buf.extend_from_slice(tag);
+        self.sink.put(tag);
     }
 
     /// One `u8`.
     #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.sink.put_byte(v);
     }
 
     /// One `u16`, little-endian.
     #[inline]
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// One `u32`, little-endian.
     #[inline]
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// One `u64`, little-endian.
     #[inline]
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// One `u128`, little-endian.
     #[inline]
     pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// One `usize`, widened to `u64`.
@@ -181,7 +242,7 @@ impl SnapWriter {
     /// One `bool` as a byte.
     #[inline]
     pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+        self.u8(u8::from(v));
     }
 
     /// An `Option<f64>`: presence byte plus the value when present.
@@ -214,7 +275,7 @@ impl SnapWriter {
     /// A length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.len_of(v.len());
-        self.buf.extend_from_slice(v);
+        self.sink.put(v);
     }
 
     /// A length-prefixed UTF-8 string.
@@ -450,8 +511,8 @@ pub fn encode_image(
 ) -> (Vec<u8>, usize) {
     let header_text = header.render();
     let mut w =
-        SnapWriter { buf: Vec::with_capacity(8 + 4 + 8 + header_text.len() + 8 + body_hint) };
-    w.buf.extend_from_slice(IMAGE_MAGIC);
+        SnapWriter::with_sink(Vec::with_capacity(8 + 4 + 8 + header_text.len() + 8 + body_hint));
+    w.sink.put(IMAGE_MAGIC);
     w.u32(SNAP_FORMAT_VERSION);
     w.str(&header_text);
     let len_at = w.len();
@@ -459,13 +520,14 @@ pub fn encode_image(
     let start = w.len();
     encode(&mut w);
     let body_len = (w.len() - start) as u64;
-    w.buf[len_at..start].copy_from_slice(&body_len.to_le_bytes());
-    (w.buf, start)
+    let mut buf = w.finish();
+    buf[len_at..start].copy_from_slice(&body_len.to_le_bytes());
+    (buf, start)
 }
 
 /// Frame a snapshot `body` into an on-disk image (see [`encode_image`]).
 pub fn frame_image(header: &Json, body: &[u8]) -> Vec<u8> {
-    encode_image(header, body.len(), |w| w.buf.extend_from_slice(body)).0
+    encode_image(header, body.len(), |w| w.sink.put(body)).0
 }
 
 /// Structurally validate an image and return just its header: magic,
@@ -504,6 +566,37 @@ pub fn parse_image(bytes: &[u8]) -> Result<(Json, &[u8]), SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every kind of write, into any sink.
+    fn encode(w: &mut SnapWriter<impl SnapSink>) {
+        w.tag(b"TEST");
+        w.u8(7);
+        w.u16(513);
+        w.u32(70_000);
+        w.u128(u128::MAX - 5);
+        w.opt_u64(Some(9));
+        w.bool(false);
+        w.bytes(b"dirq");
+        w.f64s(&[1.0, 2.5]);
+        w.bools(&[true, false, true]);
+    }
+
+    /// A counting sink counts, and a hashing sink hashes, exactly the bytes
+    /// a body writer keeps.
+    #[test]
+    fn counting_and_hashing_sinks_see_the_body_bytes() {
+        let mut w = SnapWriter::new();
+        encode(&mut w);
+        let body = w.finish();
+        let mut counter = SnapWriter::with_sink(ByteCount::default());
+        encode(&mut counter);
+        assert_eq!(counter.into_sink(), ByteCount(body.len()));
+        let mut hasher = SnapWriter::with_sink(Fnv::new());
+        encode(&mut hasher);
+        let mut want = Fnv::new();
+        want.bytes(&body);
+        assert_eq!(hasher.into_sink().finish(), want.finish());
+    }
 
     #[test]
     fn primitive_round_trip() {

@@ -1,6 +1,6 @@
 //! Exponentially weighted moving average.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{SnapError, SnapReader, SnapSink, SnapWriter};
 
 /// EWMA with smoothing factor `alpha` ∈ (0, 1].
 ///
@@ -47,7 +47,7 @@ impl Ewma {
     }
 
     /// Write the full state (smoothing factor and estimate) to `w`.
-    pub fn snap(&self, w: &mut SnapWriter) {
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.f64(self.alpha);
         w.opt_f64(self.value);
     }

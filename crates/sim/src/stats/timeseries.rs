@@ -76,7 +76,7 @@ impl TimeSeries {
     }
 
     /// Write the full series state to `w`.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
+    pub fn snap(&self, w: &mut crate::snap::SnapWriter<impl crate::snap::SnapSink>) {
         w.u64(self.bucket_width);
         w.f64s(&self.sums);
         w.u64s(&self.counts);

@@ -15,7 +15,7 @@ pub struct Welford {
 
 impl Welford {
     /// Write the full accumulator state to `w`.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
+    pub fn snap(&self, w: &mut crate::snap::SnapWriter<impl crate::snap::SnapSink>) {
         w.u64(self.n);
         w.f64(self.mean);
         w.f64(self.m2);

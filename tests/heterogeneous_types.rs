@@ -25,7 +25,7 @@ fn tables_exist_only_where_the_type_exists_in_the_subtree() {
             if !tree.is_attached(n) || n.is_root() {
                 continue;
             }
-            if engine.node(n).table(t).is_some() {
+            if engine.table(n, t).is_some() {
                 let subtree = tree.subtree(n);
                 let carried = subtree.iter().any(|m| world.assignment().has(m.index(), t));
                 assert!(carried, "{n} holds a table for {t} but no node in its subtree carries it");
@@ -59,7 +59,7 @@ fn aggregates_contain_every_subtree_reading() {
         if n.is_root() || !tree.is_attached(n) {
             continue;
         }
-        let Some(table) = engine.node(n).table(t) else { continue };
+        let Some(table) = engine.table(n, t) else { continue };
         let Some(tx) = table.last_transmitted() else { continue };
         for m in tree.subtree(n) {
             if let Some(reading) = world.reading(m.index(), t) {
@@ -103,11 +103,11 @@ fn sensor_added_after_deployment_becomes_queryable() {
     }
     // The node now advertises the type: its parent's table has an entry.
     let parent = engine.node(node).parent().unwrap();
-    let entry = engine.node(parent).table(t).and_then(|tab| tab.child_entry(node));
+    let entry = engine.table(parent, t).and_then(|tab| tab.child_entry(node));
     assert!(entry.is_some(), "parent {parent} never learned about {node}'s new sensor");
     // And the root can route a query covering the node's reading.
     let reading = engine.world().reading(node.index(), t).unwrap();
-    let root_table = engine.node(NodeId::ROOT).table(t).expect("root table exists");
+    let root_table = engine.table(NodeId::ROOT, t).expect("root table exists");
     let agg = root_table.aggregate().expect("root aggregate exists");
     assert!(
         agg.min <= reading && reading <= agg.max,
@@ -146,11 +146,11 @@ fn sensor_removal_retracts_tables() {
         engine.step_epoch();
     }
     assert!(
-        engine.node(node).table(t).is_none(),
+        engine.table(node, t).is_none(),
         "leaf's own table should be gone after sensor removal"
     );
     let parent = engine.node(node).parent().unwrap();
-    let parent_entry = engine.node(parent).table(t).and_then(|tab| tab.child_entry(node));
+    let parent_entry = engine.table(parent, t).and_then(|tab| tab.child_entry(node));
     assert!(parent_entry.is_none(), "parent must have processed the Retract for {node}");
 }
 

@@ -147,6 +147,28 @@ fn snapshot_state_fingerprint_is_pinned() {
 /// External queries share the generator id space, come out of the
 /// drained completed log, and leave the engine on the same deterministic
 /// trajectory as an engine that received the identical call sequence.
+/// The fingerprint the engine streams through its encoder, without holding
+/// the body, is the hash of the body it would write: for every variant, at
+/// several epochs.
+#[test]
+fn state_fingerprint_is_the_fingerprint_of_the_body() {
+    for variant in 0..6 {
+        let mut engine = Engine::new(variant_config(29, variant, 60));
+        for epoch in 0..=45 {
+            if epoch % 9 == 0 {
+                let body = engine.snapshot();
+                assert_eq!(
+                    engine.state_fingerprint(),
+                    Engine::body_fingerprint(&body),
+                    "variant {variant} at epoch {epoch} ({} body bytes)",
+                    body.len()
+                );
+            }
+            engine.step_epoch();
+        }
+    }
+}
+
 #[test]
 fn external_queries_complete_and_stay_deterministic() {
     let cfg = variant_config(91, 0, 120);
@@ -1165,7 +1187,7 @@ fn restore_rejects_a_queued_update_type_outside_the_catalog() {
             let node = donor.node(v);
             node.children().is_empty()
                 && node.parent().is_some()
-                && node.table(t).is_some_and(|table| table.own().is_some())
+                && donor.table(v, t).is_some_and(|table| table.own().is_some())
         })
         .expect("an attached leaf sensing type 0");
     donor.remove_sensor(leaf, t);
@@ -1481,6 +1503,34 @@ fn restore_rejects_a_table_without_a_transmitted_tuple() {
     patched.push(0);
     patched.extend_from_slice(&body[tx + 17..]);
     rejected(&patched, "range table without a transmitted tuple");
+}
+
+/// A node holds an own tuple only of a type it carries: removing a sensor
+/// drops the tuple with it, and a born node starts with none. An own tuple
+/// of a type the image's assignment section does not give the node is a
+/// typed error at restore, not a node that keeps the tuple in the
+/// aggregate it advertises and is delivered that type's overlapping
+/// queries as a source.
+#[test]
+fn restore_rejects_an_own_tuple_of_a_type_the_node_does_not_carry() {
+    let mut donor = Engine::new(variant_config(17, 0, 60));
+    for _ in 0..10 {
+        donor.step_epoch();
+    }
+    let t = SensorType(0);
+    let v = (1..50)
+        .map(NodeId::from_index)
+        .find(|&v| donor.table(v, t).is_some_and(|table| table.own().is_some()))
+        .expect("a node with an own tuple of type 0");
+    let body = donor.snapshot();
+    // "ASGN", the node count, then per node a flag count and one byte per
+    // type.
+    let flag = tag_offsets(&body, b"ASGN")[0] + 12 + 12 * v.index() + 8;
+    assert_eq!(body[flag - 8..flag], 4u64.to_le_bytes(), "node {v:?}'s four flags");
+    assert_eq!(body[flag], 1, "node {v:?} carries type 0");
+    let mut patched = body.clone();
+    patched[flag] = 0;
+    assert_rejected(&patched, "own tuple of a type the node does not carry");
 }
 
 /// The on-disk image format: magic, version, JSON header, byte-exact

@@ -6,8 +6,8 @@
 //!
 //! * [`RefTable`] — a naive `BTreeMap`-backed Range Table with the paper's
 //!   Fig. 1–3 semantics written the obvious way, one per type of a
-//!   [`RefNode`]. A `DirqNode`'s range tables — one slot array and one
-//!   child-tuple list for every type — must agree with it on every
+//!   [`RefNode`]. A `DirqNode`'s range tables — its row's own and sent
+//!   tuples and one child-tuple list for every type — must agree with it on every
 //!   observable (messages sent, table presence, aggregate, pending
 //!   update/retract, overlap sweep hits *and their order*, snapshot
 //!   record) after any handler sequence.
@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dirq::core::{DirqMessage, NodeConfig, Outgoing, RangeEntry};
+use dirq::core::{DirqMessage, NodeConfig, Outgoing, RangeEntry, RowBuf};
 use dirq::prelude::*;
 use dirq::sim::SnapWriter;
 use proptest::prelude::*;
@@ -195,10 +195,11 @@ fn fresh_node(cfg: &Arc<NodeConfig>) -> DirqNode {
     DirqNode::new(NodeId(1), Arc::clone(cfg))
 }
 
-/// One sampled handler call on the node and the model; both must send the
-/// same messages.
+/// One sampled handler call on the node over its `row` and on the model;
+/// both must send the same messages.
 fn apply_op(
     node: &mut DirqNode,
+    row: &mut RowBuf,
     model: &mut RefNode,
     cfg: &Arc<NodeConfig>,
     op: (u8, u8, u32, f64, f64),
@@ -211,26 +212,26 @@ fn apply_op(
         // Own readings, scaled to the type's span.
         0 | 1 => {
             let reading = a / 100.0 * SPANS[idx];
-            node.sample(stype, reading, &mut got);
+            node.sample(row.row_mut(), stype, reading, &mut got);
             model.change(idx, delta, true, &mut want, |t| t.observe_own(reading, delta));
         }
         // A child's Update: insert or replace.
         2 | 3 => {
             let entry = RangeEntry { min: a, max: a + w };
-            node.on_update(child, stype, entry.min, entry.max, &mut got);
+            node.on_update(row.row_mut(), child, stype, entry.min, entry.max, &mut got);
             model.change(idx, delta, true, &mut want, |t| t.set_child(child, entry));
         }
         4 => {
-            node.on_retract(child, stype, &mut got);
+            node.on_retract(row.row_mut(), child, stype, &mut got);
             model.change(idx, delta, false, &mut want, |t| t.remove_child(child));
         }
         5 => {
-            node.drop_own_sensor(stype, &mut got);
+            node.drop_own_sensor(row.row_mut(), stype, &mut got);
             model.change(idx, delta, false, &mut want, |t| t.own.take().is_some());
         }
         // A child lost: its tuple leaves every type, flushed in type order.
         6 => {
-            node.on_child_lost(child, &mut got);
+            node.on_child_lost(row.row_mut(), child, &mut got);
             for k in 0..SPANS.len() {
                 let delta = node.delta_abs(SensorType(k as u8));
                 model.change(k, delta, false, &mut want, |t| t.remove_child(child));
@@ -239,18 +240,19 @@ fn apply_op(
         // Orphaned, or attached again with a full re-advertisement.
         7 => {
             if model.attached {
-                node.set_parent(None, &mut got);
+                node.set_parent(row.row_mut(), None, &mut got);
                 model.attached = false;
             } else {
-                node.set_parent(Some(NodeId::ROOT), &mut got);
+                node.set_parent(row.row_mut(), Some(NodeId::ROOT), &mut got);
                 model.attach(&mut want);
             }
         }
         // Rebirth: fresh state on both sides, attached again.
         _ => {
             *node = fresh_node(cfg);
+            *row = RowBuf::new(SPANS.len());
             *model = RefNode::new();
-            node.set_parent(Some(NodeId::ROOT), &mut got);
+            node.set_parent(row.row_mut(), Some(NodeId::ROOT), &mut got);
             model.attach(&mut want);
         }
     }
@@ -259,9 +261,11 @@ fn apply_op(
     Ok(())
 }
 
-/// Every observable of every type's table agrees with the model.
+/// Every observable of every type's table over the node's `row` agrees
+/// with the model.
 fn check_tables(
     node: &DirqNode,
+    row: &RowBuf,
     model: &RefNode,
     queries: &[(f64, f64)],
     delta: f64,
@@ -270,10 +274,10 @@ fn check_tables(
         .filter(|&t| model.tables[t].is_some())
         .map(|t| SensorType(t as u8))
         .collect();
-    prop_assert_eq!(node.table_types().collect::<Vec<_>>(), present);
+    prop_assert_eq!(row.row().table_types().collect::<Vec<_>>(), present);
     for (t, reference) in model.tables.iter().enumerate() {
         let stype = SensorType(t as u8);
-        let (table, reference) = match (node.table(stype), reference) {
+        let (table, reference) = match (node.table(row.row(), stype), reference) {
             (Some(table), Some(reference)) => (table, reference),
             (None, None) => continue,
             (table, _) => return Err(TestCaseError::fail(format!("type {t}: presence {table:?}"))),
@@ -336,12 +340,13 @@ proptest! {
             tx_threshold_factor: 1.0,
         });
         let mut node = fresh_node(&cfg);
+        let mut row = RowBuf::new(SPANS.len());
         let mut model = RefNode::new();
-        node.set_parent(Some(NodeId::ROOT), &mut Vec::new());
+        node.set_parent(row.row_mut(), Some(NodeId::ROOT), &mut Vec::new());
         model.attach(&mut Vec::new());
         for op in ops {
-            apply_op(&mut node, &mut model, &cfg, op)?;
-            check_tables(&node, &model, &queries, delta)?;
+            apply_op(&mut node, &mut row, &mut model, &cfg, op)?;
+            check_tables(&node, &row, &model, &queries, delta)?;
         }
     }
 }
