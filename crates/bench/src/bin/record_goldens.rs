@@ -33,7 +33,7 @@ const BENCH3_FILE: &str = "BENCH_3.json";
 
 /// The schema [`refresh_bench3`] writes; bump it when the row fields
 /// change.
-const BENCH3_SCHEMA: &str = "dirqd-serving-goldens/3";
+const BENCH3_SCHEMA: &str = "dirqd-serving-goldens/4";
 
 /// Rewrite `const NAME: u64 = 0x…;` in `file` to `value`. Returns whether
 /// the stored value changed.
@@ -87,8 +87,9 @@ impl Bench3Recipe {
 
 /// Refresh `BENCH_3.json` (its text is `text`) from the recipe each row
 /// records — preset, scale, scheme, seed and warm-up. Per row it
-/// recomputes the engine's `state_fingerprint` after the warm-up and the
-/// epochs-to-answer histogram of the barriered [`dirqd::loadmodel`]
+/// recomputes the engine's `state_fingerprint` and snapshot body length
+/// (`body_bytes`, so a layout change shows its size) after the warm-up,
+/// and the epochs-to-answer histogram of the barriered [`dirqd::loadmodel`]
 /// sequence, replayed engine-level; the replay deploys the preset's
 /// default seed, so a row must record that seed.
 ///
@@ -124,13 +125,19 @@ fn refresh_bench3(text: &str) -> Result<(Json, Vec<String>), String> {
             engine.step_epoch();
         }
         let fingerprint = Json::Str(format!("{:#018X}", engine.state_fingerprint()));
+        let body_bytes = Json::from_u64(engine.snapshot().len() as u64);
         let hist = histogram_counts(&reference_epochs_histogram(&r.preset, r.scale, r.warmup));
         let hist = Json::Arr(
             hist.into_iter()
                 .map(|(epochs, n)| Json::Arr(vec![Json::from_u64(epochs), Json::from_u64(n)]))
                 .collect(),
         );
-        for (field, value) in [("state_fingerprint", &fingerprint), ("epochs_to_answer", &hist)] {
+        let gated = [
+            ("state_fingerprint", &fingerprint),
+            ("body_bytes", &body_bytes),
+            ("epochs_to_answer", &hist),
+        ];
+        for (field, value) in gated {
             let recorded = row.get(field);
             let status = if recorded == Some(value) { "ok" } else { "DRIFTED" };
             println!("  {:<26} {}  {status}", format!("BENCH_3:{label}:{field}"), value.render());
@@ -150,6 +157,7 @@ fn refresh_bench3(text: &str) -> Result<(Json, Vec<String>), String> {
         fresh.set("seed", Json::from_u64(r.seed));
         fresh.set("warmup_epochs", Json::from_u64(r.warmup));
         fresh.set("state_fingerprint", fingerprint);
+        fresh.set("body_bytes", body_bytes);
         fresh.set("epochs_to_answer", hist);
         fresh_rows.push(fresh);
     }

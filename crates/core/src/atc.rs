@@ -155,10 +155,9 @@ impl AtcController {
         Some((delta * step).clamp(MIN_DELTA_PCT, MAX_DELTA_PCT))
     }
 
-    /// Write the adaptive state to `w`, with the node's `delta` where the
-    /// record keeps a δ.
-    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>, delta: f64) {
-        w.f64(delta);
+    /// Write the adaptive state to `w`. δ is the node's, and its record
+    /// holds it.
+    pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.u64(self.sent_in_window);
         w.u64(self.epochs_in_window);
         self.rate.snap(w);
@@ -166,15 +165,10 @@ impl AtcController {
     }
 
     /// Overlay state captured by [`AtcController::snap`] onto a controller.
-    /// A δ that is negative, NaN or infinite, or not the node's `delta`, a
-    /// window count at or past [`ADJUST_PERIOD`] (a step resets it there)
+    /// A window count at or past [`ADJUST_PERIOD`] (a step resets it there)
     /// and a budget [`AtcController::on_budget`] would ignore are
     /// malformed.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>, delta: f64) -> Result<(), SnapError> {
-        let pos = r.position();
-        if restore_delta(r)?.to_bits() != delta.to_bits() {
-            return Err(SnapError::Malformed { pos, what: "ATC delta off its node's" });
-        }
+    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.sent_in_window = r.count()?;
         let pos = r.position();
         self.epochs_in_window = r.count()?;

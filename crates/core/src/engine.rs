@@ -26,7 +26,6 @@ use dirq_net::churn::ChurnPlan;
 use dirq_sim::stats::Ewma;
 use dirq_sim::SimRng;
 
-use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
@@ -61,9 +60,6 @@ pub struct Engine {
     /// Per-(node, type) sampling state and predictive samplers; see
     /// [`sensing`].
     plane: SensingPlane,
-    /// Flooding's per-node state: the queries each node has rebroadcast.
-    /// Empty under DirQ, whose nodes keep their own seen-query memory.
-    flood: Vec<SeenQueries>,
     qgen: QueryGenerator,
     churn: ChurnPlan,
     pending: PendingSet,

@@ -211,7 +211,7 @@ impl Engine {
                 self.handle(NodeId::ROOT, |n, row, out| n.on_query(row.as_row(), &query, out))
             }
             Protocol::Flooding => {
-                self.flood[0].insert(query.id);
+                self.nodes[0].first_sight(query.id);
                 let flood = DirqMessage::FloodQuery(query);
                 self.outbox().send(NodeId::ROOT, Destination::Broadcast, flood);
             }
@@ -346,7 +346,7 @@ impl Engine {
                     DirqMessage::FloodQuery(q) => {
                         // Zero-copy rebroadcast: forward the stored
                         // payload's handle instead of storing it again.
-                        if self.flood[to.index()].insert(q.id) {
+                        if self.nodes[to.index()].first_sight(q.id) {
                             self.outbox().forward(to, Destination::Broadcast, payload);
                         }
                     }

@@ -14,7 +14,6 @@ use dirq_sim::runner;
 use dirq_sim::stats::Ewma;
 use dirq_sim::{RngFactory, SimRng};
 
-use crate::flooding::SeenQueries;
 use crate::metrics::Metrics;
 use crate::node::{DirqNode, NodeConfig};
 use crate::pending::PendingSet;
@@ -196,10 +195,6 @@ impl Engine {
         Engine {
             metrics: Metrics::new(cfg.measure_from_epoch),
             mac_rng: factory.stream("mac"),
-            flood: match cfg.protocol {
-                Protocol::Flooding => vec![SeenQueries::default(); n],
-                Protocol::Dirq => Vec::new(),
-            },
             cqd_estimate: Ewma::new(0.2),
             budget_multiplier: 1.0,
             updates_at_last_ehr: 0.0,
@@ -256,13 +251,10 @@ impl Engine {
     /// Computed on demand; nothing that steps reads it.
     pub fn footprint(&self) -> EngineFootprint {
         use std::mem::size_of;
-        let seen = self.flood.capacity() * size_of::<SeenQueries>()
-            + self.flood.iter().map(SeenQueries::heap_bytes).sum::<usize>();
         EngineFootprint {
             mac: self.mac.footprint(),
             nodes: self.nodes.capacity() * size_of::<DirqNode>()
-                + self.nodes.iter().map(DirqNode::heap_bytes).sum::<usize>()
-                + seen,
+                + self.nodes.iter().map(DirqNode::heap_bytes).sum::<usize>(),
             sensing: self.plane.heap_bytes(),
         }
     }

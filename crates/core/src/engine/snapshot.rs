@@ -2,9 +2,9 @@
 
 use dirq_sim::{ByteCount, Fnv, SnapError, SnapReader, SnapSink, SnapWriter};
 
-use crate::flooding::SeenQueries;
+use crate::atc::{restore_delta, DeltaPolicy};
 use crate::messages::DirqMessage;
-use crate::metrics::Metrics;
+use crate::sampling::SamplingStrategy;
 
 use super::{Engine, Protocol};
 
@@ -15,10 +15,34 @@ impl Engine {
     /// fields, node configuration, worker counts — is rebuilt
     /// deterministically by [`Engine::new`] from the same
     /// [`ScenarioConfig`](super::ScenarioConfig), so only the state that
-    /// evolves per epoch is captured: the MAC (with in-flight frames), the
-    /// world's stochastic processes and readings, per-node protocol state,
-    /// the pending query set, metrics, RNG positions and the root-side
-    /// control loop.
+    /// evolves per epoch is captured, each fact once, in this order:
+    ///
+    /// 1. `ENGN` and the config record: the protocol, the δ policy (a
+    ///    fixed δ, or none under ATC), the sampling strategy and the
+    ///    measurement window, the config values [`Engine::restore`]
+    ///    checks;
+    /// 2. the epoch;
+    /// 3. the MAC (`LMAC`, with in-flight frames and liveness);
+    /// 4. the world (`WRLD`: the assignment, the AR(1) processes, their
+    ///    RNGs and the readings);
+    /// 5. one `NODE` record per node: tree links, range tables, δ and the
+    ///    ATC record under ATC only, the sensing row and the node's
+    ///    seen-query list (DirQ's duplicate memory, or flooding's
+    ///    rebroadcast memory);
+    /// 6. the query generator (`QGEN`), the pending set (`PEND`) and the
+    ///    metrics (`METR`);
+    /// 7. the MAC's RNG; the root's control loop (the cost estimate, the
+    ///    budget multiplier, the update count at the last EHr) and the
+    ///    detachment epochs; then the predictive samplers (none under
+    ///    every-epoch sampling), Umax, the δ trace and the injection count.
+    ///
+    /// The body leaves to the config the catalog's width (every row's
+    /// length), a fixed-δ node's δ, which nodes carry an ATC controller,
+    /// whether samplers exist and each outcome's network size; and to the
+    /// code each EWMA's smoothing factor and the update series' bucket
+    /// width. A fact another section holds is not repeated: liveness is
+    /// the MAC's, a query's involved count its flags', an outcome's
+    /// wrongly-reached count its received minus its received-should.
     /// [`Engine::restore`] overlays it onto a freshly built engine;
     /// resuming must be bit-identical to never having stopped.
     pub fn snapshot(&self) -> Vec<u8> {
@@ -31,23 +55,16 @@ impl Engine {
     /// encoded in one buffer (`dirq_sim::snap::encode_image`).
     pub fn snapshot_into(&self, w: &mut SnapWriter<impl SnapSink>) {
         w.tag(b"ENGN");
+        w.bool(self.cfg.protocol == Protocol::Flooding);
+        w.opt_f64(fixed_delta(self.cfg.delta_policy));
+        w.bool(self.cfg.sampling == SamplingStrategy::Predictive);
+        w.u64(self.cfg.measure_from_epoch);
         w.u64(self.epoch);
         self.mac.snap(w, |w, p: &DirqMessage| p.snap(w));
         self.world.snap(w);
         w.len_of(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
             node.snap(w, self.plane.row(i));
-        }
-        // DirQ builds no flooding lists; its image holds an empty one per
-        // node.
-        let empty = SeenQueries::default();
-        for i in 0..self.nodes.len() {
-            self.flood.get(i).unwrap_or(&empty).snap(w);
-        }
-        // The MAC owns liveness; the engine's section repeats it.
-        w.len_of(self.nodes.len());
-        for v in self.mac.topology().nodes() {
-            w.bool(self.mac.is_alive(v));
         }
         self.qgen.snap(w);
         self.pending.snap(w);
@@ -59,10 +76,8 @@ impl Engine {
         for &d in &self.detached_since {
             w.opt_u64(d);
         }
-        w.bool(self.plane.samplers.is_some());
-        for row in self.plane.samplers.iter().flat_map(|s| s.chunks(self.plane.width)) {
-            w.len_of(row.len());
-            row.iter().for_each(|s| s.snap(w));
+        for s in self.plane.samplers.iter().flatten() {
+            s.snap(w);
         }
         w.f64(self.u_max_per_hour);
         w.len_of(self.delta_trace.len());
@@ -76,19 +91,22 @@ impl Engine {
     /// Overlay a snapshot body captured by [`Engine::snapshot`] onto this
     /// engine, which must be freshly built from the **same**
     /// [`ScenarioConfig`](super::ScenarioConfig) (same seed, preset and
-    /// scheme — the snapshot carries no static structure to check against,
-    /// only counts). On success the engine continues from the captured
-    /// epoch exactly as the snapshotted one would have.
+    /// scheme). The config record is checked against this engine's config:
+    /// another protocol, δ policy, fixed δ, sampling strategy or
+    /// measurement window is [`SnapError::Malformed`]. Beyond it the body
+    /// carries no static structure to check against, only counts. On
+    /// success the engine continues from the captured epoch exactly as the
+    /// snapshotted one would have.
     ///
-    /// An image is [`SnapError::Malformed`] where its sections disagree on
-    /// what a step leaves behind: the MAC at slot 0 of frame `epoch`, the
-    /// world at epoch `epoch − 1` (0 before the second step), and the
-    /// engine's liveness section equal to the MAC's. So is one whose copy
-    /// of a fact disagrees with the fact's owner: a queued `Update` or
-    /// `Retract` of a type outside the catalog, and an EWMA off its
-    /// configured smoothing factor. Under DirQ, which builds no flooding
-    /// state, so is a non-empty flooding seen list or a queued
-    /// `FloodQuery`.
+    /// An image is also [`SnapError::Malformed`] where its sections
+    /// disagree on what a step leaves behind: the MAC at slot 0 of frame
+    /// `epoch` and the world at epoch `epoch − 1` (0 before the second
+    /// step). So is a queued `Update` or `Retract` of a type outside the
+    /// catalog, a queued `FloodQuery` under DirQ, and a root control loop
+    /// no step leaves: a budget multiplier outside the `[0.05, 10]` its
+    /// updates clamp it to (or NaN), an update count at the last EHr that
+    /// is negative, not finite or above the restored update series' total,
+    /// and a Umax that is negative or not finite.
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.mac.topology().len();
         let width = self.plane.width;
@@ -96,6 +114,7 @@ impl Engine {
         self.tree_version += 1;
         let mut r = SnapReader::new(body);
         r.tag(b"ENGN")?;
+        self.restore_config(&mut r)?;
         self.epoch = r.count()?;
         let mac_at = r.position();
         self.mac.restore(&mut r, |r| {
@@ -124,58 +143,70 @@ impl Engine {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             node.restore(&mut r, self.plane.row_mut(i), masks[i], n)?;
         }
-        let mut unused = SeenQueries::default();
-        for i in 0..n {
-            let pos = r.position();
-            let seen = self.flood.get_mut(i).unwrap_or(&mut unused);
-            seen.restore(&mut r)?;
-            if dirq && seen.len() > 0 {
-                return Err(SnapError::Malformed { pos, what: "flooding seen list under DirQ" });
-            }
-        }
-        let pos = r.position();
-        if !r.bools()?.into_iter().eq(self.mac.topology().nodes().map(|v| self.mac.is_alive(v))) {
-            return Err(SnapError::Malformed { pos, what: "liveness disagrees with the MAC's" });
-        }
         self.qgen.restore(&mut r)?;
         self.pending.restore(&mut r, n, self.qgen.next_id())?;
-        let pos = r.position();
-        let metrics = Metrics::unsnap(&mut r)?;
-        if metrics.measure_from_epoch != self.cfg.measure_from_epoch {
-            return Err(SnapError::Malformed { pos, what: "measurement window mismatch" });
-        }
-        self.metrics = metrics;
+        self.metrics.restore(&mut r, n)?;
         self.mac_rng = r.rng()?;
         self.cqd_estimate.restore(&mut r)?;
+        let malformed = |pos, what| Err(SnapError::Malformed { pos, what });
+        let pos = r.position();
         self.budget_multiplier = r.f64()?;
+        if !(0.05..=10.0).contains(&self.budget_multiplier) {
+            return malformed(pos, "budget multiplier outside [0.05, 10]");
+        }
+        let pos = r.position();
         self.updates_at_last_ehr = r.f64()?;
+        let total = self.metrics.updates_per_bucket.total();
+        if !(self.updates_at_last_ehr.is_finite()
+            && (0.0..=total).contains(&self.updates_at_last_ehr))
+        {
+            return malformed(pos, "update count at the last EHr out of range");
+        }
         for d in &mut self.detached_since {
             *d = r.opt_u64()?;
         }
+        for s in self.plane.samplers.iter_mut().flatten() {
+            s.restore(&mut r)?;
+        }
         let pos = r.position();
-        if r.bool()? != self.plane.samplers.is_some() {
-            return Err(SnapError::Malformed {
-                pos,
-                what: "sampler presence disagrees with the sampling strategy",
-            });
-        }
-        if let Some(samplers) = &mut self.plane.samplers {
-            for row in samplers.chunks_mut(width) {
-                let pos = r.position();
-                if r.seq_len(1)? != row.len() {
-                    return Err(SnapError::Malformed { pos, what: "sampler row length mismatch" });
-                }
-                for s in row {
-                    s.restore(&mut r)?;
-                }
-            }
-        }
         self.u_max_per_hour = r.f64()?;
+        if !(self.u_max_per_hour.is_finite() && self.u_max_per_hour >= 0.0) {
+            return malformed(pos, "Umax negative or not finite");
+        }
         let traces = r.seq_len(16)?;
         self.delta_trace =
             (0..traces).map(|_| Ok((r.u64()?, r.f64()?))).collect::<Result<_, SnapError>>()?;
         self.queries_injected = r.count()? as usize;
         r.expect_eof()
+    }
+
+    /// Check the config record [`Engine::snapshot_into`] writes at the head
+    /// of the body against this engine's config.
+    fn restore_config(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let malformed = |pos, what| Err(SnapError::Malformed { pos, what });
+        let pos = r.position();
+        if r.bool()? != (self.cfg.protocol == Protocol::Flooding) {
+            return malformed(pos, "protocol mismatch");
+        }
+        let (pos, fixed) = (r.position(), fixed_delta(self.cfg.delta_policy));
+        if r.bool()? != fixed.is_some() {
+            return malformed(pos, "ATC presence disagrees with the threshold policy");
+        }
+        if let Some(delta) = fixed {
+            let pos = r.position();
+            if restore_delta(r)?.to_bits() != delta.to_bits() {
+                return malformed(pos, "fixed delta off its policy");
+            }
+        }
+        let pos = r.position();
+        if r.bool()? != (self.cfg.sampling == SamplingStrategy::Predictive) {
+            return malformed(pos, "sampler presence disagrees with the sampling strategy");
+        }
+        let pos = r.position();
+        if r.u64()? != self.cfg.measure_from_epoch {
+            return malformed(pos, "measurement window mismatch");
+        }
+        Ok(())
     }
 
     /// Order-sensitive FNV-1a fingerprint over the full snapshot body —
@@ -199,6 +230,14 @@ impl Engine {
         let mut h = body_hash_head(body.len());
         h.bytes(body);
         body_hash_tail(h, body.len())
+    }
+}
+
+/// The δ every node keeps under `policy`, if it is fixed.
+fn fixed_delta(policy: DeltaPolicy) -> Option<f64> {
+    match policy {
+        DeltaPolicy::Fixed(delta) => Some(delta),
+        DeltaPolicy::Adaptive => None,
     }
 }
 

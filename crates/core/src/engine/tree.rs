@@ -7,7 +7,6 @@ use dirq_lmac::Destination;
 use dirq_net::churn::ChurnEvent;
 use dirq_net::{NodeBits, NodeId, SpanningTree};
 
-use crate::flooding::SeenQueries;
 use crate::messages::DirqMessage;
 use crate::node::DirqNode;
 
@@ -130,9 +129,6 @@ impl Engine {
                         let pos = self.mac.topology().position(node);
                         // Orphan: nothing is sent; the advert flows on attach.
                         self.handle(node, |n, _, out| n.set_position(pos, out));
-                    }
-                    if let Some(seen) = self.flood.get_mut(node.index()) {
-                        *seen = SeenQueries::default();
                     }
                 }
             }

@@ -9,8 +9,9 @@
 //! whose only neighbour is the one it heard the query from. Total cost on N
 //! nodes with L links: `N` transmissions + `2L` receptions (Eq. 3).
 //!
-//! A flooding node's only state is its [`SeenQueries`], the same
-//! duplicate-query memory a DirQ node keeps.
+//! A flooding node's only state is its [`SeenQueries`]: the engine keeps
+//! it in the node's protocol state, as the list a DirQ node suppresses
+//! duplicate queries with.
 
 use dirq_data::QueryId;
 use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
@@ -39,11 +40,6 @@ impl SeenQueries {
         }
         self.ids.push(id);
         true
-    }
-
-    /// Number of remembered ids.
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
     }
 
     /// The list's heap bytes.
@@ -85,7 +81,7 @@ mod tests {
         assert!(!n.insert(QueryId(1)));
         assert!(n.insert(QueryId(2)));
         assert!(!n.insert(QueryId(2)));
-        assert_eq!(n.len(), 2);
+        assert_eq!(n.ids.len(), 2);
     }
 
     #[test]
@@ -94,7 +90,7 @@ mod tests {
         for i in 0..200 {
             assert!(n.insert(QueryId(i)));
         }
-        assert_eq!(n.len(), SEEN_CAP);
+        assert_eq!(n.ids.len(), SEEN_CAP);
         // Very old ids have been forgotten (acceptable: queries are
         // one-shot and short-lived).
         assert!(n.insert(QueryId(0)));

@@ -210,10 +210,12 @@ impl Metrics {
         h.finish()
     }
 
-    /// Write every collected measurement to `w`.
+    /// Write every collected measurement to `w`. The measurement window is
+    /// config and the series' bucket width a constant, and an outcome's
+    /// wrongly-reached count and network size follow from the rest, so the
+    /// record leaves them out.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"METR");
-        w.u64(self.measure_from_epoch);
         for c in [&self.query_cost, &self.update_cost, &self.control_cost] {
             w.u64(c.tx);
             w.u64(c.rx);
@@ -225,56 +227,67 @@ impl Metrics {
             w.u64(o.id.0);
             w.u64(o.epoch);
             w.u8(o.stype.0);
-            for v in [
-                o.should_receive,
-                o.true_sources,
-                o.received,
-                o.received_should,
-                o.received_should_not,
-                o.sources_reached,
-                o.n_nodes,
-            ] {
+            for v in
+                [o.should_receive, o.true_sources, o.received, o.received_should, o.sources_reached]
+            {
                 w.len_of(v);
             }
         }
     }
 
-    /// Rebuild a collector captured by [`Metrics::snap`].
-    pub fn unsnap(r: &mut dirq_sim::SnapReader<'_>) -> Result<Self, dirq_sim::SnapError> {
+    /// Overlay measurements captured by [`Metrics::snap`] onto a collector
+    /// built for the same run over `n_nodes` nodes. Each outcome's network
+    /// size is `n_nodes` and its wrongly-reached count is `received −
+    /// received_should`; an outcome with a count above `n_nodes`, or with
+    /// more nodes reached that should be than were reached, is malformed.
+    pub fn restore(
+        &mut self,
+        r: &mut dirq_sim::SnapReader<'_>,
+        n_nodes: usize,
+    ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"METR")?;
-        let measure_from_epoch = r.u64()?;
-        let mut costs = [CategoryCost::default(); 3];
-        for c in &mut costs {
+        for c in [&mut self.query_cost, &mut self.update_cost, &mut self.control_cost] {
             c.tx = r.count()?;
             c.rx = r.count()?;
         }
-        let updates_per_bucket = TimeSeries::unsnap(r)?;
-        let overshoot = Welford::unsnap(r)?;
-        let n = r.seq_len(8 + 8 + 1 + 7 * 8)?;
+        self.updates_per_bucket.restore(r)?;
+        self.overshoot = Welford::unsnap(r)?;
+        let n = r.seq_len(8 + 8 + 1 + 5 * 8)?;
         let mut outcomes = Vec::with_capacity(n);
         for _ in 0..n {
+            let (id, epoch, stype) = (QueryId(r.u64()?), r.u64()?, SensorType(r.u8()?));
+            let pos = r.position();
+            let mut counts = [0; 5];
+            for c in &mut counts {
+                *c = r.u64()?;
+            }
+            let [should_receive, true_sources, received, received_should, sources_reached] =
+                counts.map(|c| c as usize);
+            if counts.iter().any(|&c| c > n_nodes as u64) {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "query outcome count above the deployment size",
+                });
+            }
+            if received_should > received {
+                let what = "query outcome received-should above received";
+                return Err(dirq_sim::SnapError::Malformed { pos, what });
+            }
             outcomes.push(QueryOutcome {
-                id: QueryId(r.u64()?),
-                epoch: r.u64()?,
-                stype: SensorType(r.u8()?),
-                should_receive: r.u64()? as usize,
-                true_sources: r.u64()? as usize,
-                received: r.u64()? as usize,
-                received_should: r.u64()? as usize,
-                received_should_not: r.u64()? as usize,
-                sources_reached: r.u64()? as usize,
-                n_nodes: r.u64()? as usize,
+                id,
+                epoch,
+                stype,
+                should_receive,
+                true_sources,
+                received,
+                received_should,
+                received_should_not: received - received_should,
+                sources_reached,
+                n_nodes,
             });
         }
-        Ok(Metrics {
-            outcomes,
-            updates_per_bucket,
-            overshoot,
-            query_cost: costs[0],
-            update_cost: costs[1],
-            control_cost: costs[2],
-            measure_from_epoch,
-        })
+        self.outcomes = outcomes;
+        Ok(())
     }
 
     /// Mean of a per-outcome statistic over the measurement window.

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use dirq_data::{RangeQuery, SensorType};
+use dirq_data::{QueryId, RangeQuery, SensorType};
 use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
@@ -93,7 +93,8 @@ pub struct DirqNode {
     delta_pct: f64,
     /// The threshold controller; only [`DeltaPolicy::Adaptive`] has one.
     atc: Option<Box<AtcController>>,
-    /// Query ids already processed (duplicate suppression after repairs).
+    /// Query ids already processed: DirQ's duplicate suppression after
+    /// repairs, and a flooding node's rebroadcast-once memory.
     seen_queries: SeenQueries,
     /// Location extension: subtree bounding boxes, allocated on the first
     /// write (`None` reads as an empty table — DirQ works without
@@ -352,6 +353,12 @@ impl DirqNode {
         self.add_child(from);
     }
 
+    /// Remember query `id`; whether the node had not seen it before (a
+    /// flooding node rebroadcasts a query only then).
+    pub(crate) fn first_sight(&mut self, id: QueryId) -> bool {
+        self.seen_queries.insert(id)
+    }
+
     /// A query arrived (or was injected, at the root). Appends the local
     /// delivery (if the node's own advertised range matches) and the
     /// forwarding multicast to the children whose aggregates overlap.
@@ -359,7 +366,7 @@ impl DirqNode {
     /// Duplicate query ids (possible transiently after tree repairs) are
     /// ignored.
     pub fn on_query(&mut self, row: Row<'_>, query: &RangeQuery, out: &mut Vec<Outgoing>) {
-        if !self.seen_queries.insert(query.id) {
+        if !self.first_sight(query.id) {
             return;
         }
 
@@ -425,9 +432,11 @@ impl DirqNode {
 
     /// Write the node's full dynamic state to `w`, with its sensing-plane
     /// `row` in the table records and in the variability and last-reading
-    /// records (each present variability as an EWMA record at
-    /// `VARIABILITY_ALPHA`). Static configuration (id, spans, threshold
-    /// policy) is rebuilt by the engine constructor and not captured.
+    /// records (each variability as an EWMA record, absent while `NaN`).
+    /// δ and the ATC record are written only under ATC: a fixed δ is the
+    /// policy's. Static configuration (id, spans, threshold policy, the
+    /// catalog's width) is rebuilt by the engine constructor and not
+    /// captured.
     pub(crate) fn snap(&self, w: &mut SnapWriter<impl SnapSink>, row: Row<'_>) {
         w.tag(b"NODE");
         w.bool(self.parent().is_some());
@@ -439,21 +448,14 @@ impl DirqNode {
             w.u32(c.0);
         }
         self.tables.snap(w, row);
-        w.f64(self.delta_pct);
-        w.bool(self.atc.is_some());
         if let Some(atc) = &self.atc {
-            atc.snap(w, self.delta_pct);
+            w.f64(self.delta_pct);
+            atc.snap(w);
         }
         let cells = row.cells;
-        w.len_of(cells.len());
         for cell in cells {
-            w.bool(!cell.variability.is_nan());
-            if !cell.variability.is_nan() {
-                w.f64(VARIABILITY_ALPHA);
-                w.opt_f64(Some(cell.variability));
-            }
+            w.opt_f64((!cell.variability.is_nan()).then_some(cell.variability));
         }
-        w.len_of(cells.len());
         for cell in cells {
             w.f64(cell.last);
         }
@@ -467,12 +469,10 @@ impl DirqNode {
     /// takes the restored tuples. An image that names a node id outside the
     /// `n_nodes` deployment, holds tables no run writes
     /// ([`RangeTables::restore`]; `carried` is the node's carried-type
-    /// mask), carries a δ that is negative, NaN, infinite or off its fixed
-    /// policy, whose sensing records do not fit the row and
-    /// `VARIABILITY_ALPHA` or hold a variability that is not finite or a
-    /// last reading that is infinite (NaN is one not taken yet), or whose
-    /// duplicate-suppression list is over its cap
-    /// ([`SeenQueries::restore`]), is malformed.
+    /// mask), carries an ATC δ that is negative, NaN or infinite, holds a
+    /// variability that is not finite or a last reading that is infinite
+    /// (NaN is one not taken yet), or whose duplicate-suppression list is
+    /// over its cap ([`SeenQueries::restore`]), is malformed.
     pub(crate) fn restore(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -495,44 +495,15 @@ impl DirqNode {
         }
         self.parent = parent.unwrap_or(NO_PARENT);
         self.tables = tables;
-        let pos = r.position();
-        self.delta_pct = restore_delta(r)?;
-        if let DeltaPolicy::Fixed(p) = self.cfg.delta_policy {
-            if p.to_bits() != self.delta_pct.to_bits() {
-                return Err(SnapError::Malformed { pos, what: "fixed delta off its policy" });
-            }
-        }
-        let pos = r.position();
-        if r.bool()? != self.atc.is_some() {
-            return Err(SnapError::Malformed {
-                pos,
-                what: "ATC presence disagrees with the threshold policy",
-            });
-        }
         if let Some(atc) = &mut self.atc {
-            atc.restore(r, self.delta_pct)?;
+            self.delta_pct = restore_delta(r)?;
+            atc.restore(r)?;
         }
         let cells = &mut *row.cells;
-        let pos = r.position();
-        if r.seq_len(1)? != cells.len() {
-            return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
-        }
         for cell in cells.iter_mut() {
-            cell.variability = f64::NAN;
-            if r.bool()? {
-                let (pos, mut e) = (r.position(), Ewma::new(VARIABILITY_ALPHA));
-                e.restore(r)?;
-                match e.value() {
-                    Some(v) => cell.variability = v,
-                    None => {
-                        return Err(SnapError::Malformed { pos, what: "variability record empty" })
-                    }
-                }
-            }
-        }
-        let pos = r.position();
-        if r.seq_len(8)? != cells.len() {
-            return Err(SnapError::Malformed { pos, what: "sensing row length mismatch" });
+            let mut variability = Ewma::new(VARIABILITY_ALPHA);
+            variability.restore(r)?;
+            cell.variability = variability.value().unwrap_or(f64::NAN);
         }
         for cell in cells.iter_mut() {
             let pos = r.position();

@@ -333,10 +333,9 @@ impl RangeTables {
         self.children.capacity() * std::mem::size_of::<ChildTuple>()
     }
 
-    /// Write the table array over `row`: its width, then per type a
-    /// presence flag and a present table's record ([`RangeTable::snap`]).
+    /// Write the table array over `row`: per catalog type a presence flag
+    /// and a present table's record ([`RangeTable::snap`]).
     pub(crate) fn snap(&self, w: &mut SnapWriter<impl SnapSink>, row: Row<'_>) {
-        w.len_of(row.width());
         for i in 0..row.width() {
             let table = self.table(row, SensorType(i as u8));
             w.bool(table.is_some());
@@ -348,22 +347,18 @@ impl RangeTables {
 
     /// Rebuild a table array captured by [`RangeTables::snap`], writing its
     /// tuples straight into `row` and returning the child list. No run
-    /// writes a width other than the row's, a tuple that is not a finite
-    /// interval (a `NaN` or infinite bound, or `min > max`), a present
-    /// table without a transmitted aggregate or an own tuple of a type
-    /// outside `carried` (the node's carried-type mask: removing a sensor
-    /// drops its tuple), so each is malformed.
+    /// writes a tuple that is not a finite interval (a `NaN` or infinite
+    /// bound, or `min > max`), a present table without a transmitted
+    /// aggregate or an own tuple of a type outside `carried` (the node's
+    /// carried-type mask: removing a sensor drops its tuple), so each is
+    /// malformed.
     pub(crate) fn restore(
         r: &mut SnapReader<'_>,
         row: &mut RowMut<'_>,
         carried: u64,
     ) -> Result<Self, SnapError> {
-        let (pos, width) = (r.position(), row.width());
-        if r.seq_len(1)? != width {
-            return Err(SnapError::Malformed { pos, what: "table count off the catalog" });
-        }
         let mut tables = RangeTables::default();
-        for i in 0..width {
+        for i in 0..row.width() {
             let stype = SensorType(i as u8);
             row.set_own(stype, ABSENT);
             row.mark_retracted(stype);

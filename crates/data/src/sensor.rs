@@ -193,42 +193,32 @@ impl SensorAssignment {
     }
 
     /// Write the carried-sensor matrix to `w`: per node, one flag per
-    /// catalog type.
+    /// catalog type (the catalog's width is the reader's own).
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"ASGN");
         w.len_of(self.masks.len());
         for &mask in &self.masks {
-            w.len_of(self.width);
             for t in 0..self.width {
                 w.bool((mask >> t) & 1 == 1);
             }
         }
     }
 
-    /// Overlay a matrix captured by [`SensorAssignment::snap`]. The node
-    /// count and every row's length, the catalog's type count, must match.
+    /// Overlay a matrix captured by [`SensorAssignment::snap`]; the node
+    /// count must match.
     pub fn restore(&mut self, r: &mut dirq_sim::SnapReader<'_>) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"ASGN")?;
         let pos = r.position();
-        let n = r.seq_len(8)?;
+        let n = r.seq_len(self.width)?;
         if n != self.masks.len() {
             return Err(dirq_sim::SnapError::Malformed {
                 pos,
                 what: "assignment node count mismatch",
             });
         }
-        let width = self.width;
-        let masks = (0..n)
-            .map(|_| {
-                let pos = r.position();
-                if r.seq_len(1)? != width {
-                    let what = "assignment row length differs from the catalog";
-                    return Err(dirq_sim::SnapError::Malformed { pos, what });
-                }
-                (0..width).try_fold(0u64, |mask, t| Ok(mask | (u64::from(r.bool()?) << t)))
-            })
-            .collect::<Result<_, _>>()?;
-        self.masks = masks;
+        for mask in &mut self.masks {
+            *mask = (0..self.width).try_fold(0, |m, t| Ok(m | (u64::from(r.bool()?) << t)))?;
+        }
         Ok(())
     }
 

@@ -70,26 +70,25 @@ impl Ar1 {
         self.sigma / (1.0 - self.phi * self.phi).sqrt()
     }
 
-    /// Write the full process state (parameters and current value) to `w`.
+    /// Write the process's φ and σ to `w`. Its value is the caller's to
+    /// write: one φ and σ can serve many values.
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.f64(self.phi);
         w.f64(self.sigma);
-        w.f64(self.value);
     }
 
-    /// Rebuild a process captured by [`Ar1::snap`].
+    /// Rebuild a process's φ and σ captured by [`Ar1::snap`], at value 0.
     pub fn unsnap(r: &mut dirq_sim::SnapReader<'_>) -> Result<Self, dirq_sim::SnapError> {
         let pos = r.position();
         let phi = r.f64()?;
         let sigma = r.f64()?;
-        let value = r.f64()?;
         if !(0.0..1.0).contains(&phi) || sigma.is_nan() || sigma < 0.0 {
             return Err(dirq_sim::SnapError::Malformed {
                 pos,
                 what: "AR(1) parameters out of range",
             });
         }
-        Ok(Ar1 { phi, sigma, value })
+        Ok(Ar1 { phi, sigma, value: 0.0 })
     }
 }
 

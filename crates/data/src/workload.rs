@@ -128,30 +128,21 @@ impl GroundTruth {
         }
     }
 
-    /// Write the full truth record to `w`, closed by the involved count.
+    /// Write the truth record to `w`: the sources, then the involved
+    /// flags (their count is computed from them).
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.len_of(self.sources.len());
         for s in &self.sources {
             w.u32(s.0);
         }
         w.bools(&self.involved);
-        w.len_of(self.involved_count());
     }
 
-    /// Rebuild a record captured by [`GroundTruth::snap`]; a recorded
-    /// involved count that is not the count of its flags is malformed.
+    /// Rebuild a record captured by [`GroundTruth::snap`].
     pub fn unsnap(r: &mut dirq_sim::SnapReader<'_>) -> Result<Self, dirq_sim::SnapError> {
         let n = r.seq_len(4)?;
         let sources = (0..n).map(|_| r.u32().map(NodeId)).collect::<Result<_, _>>()?;
-        let truth = GroundTruth { sources, involved: r.bools()? };
-        let pos = r.position();
-        if r.u64()? != truth.involved_count() as u64 {
-            return Err(dirq_sim::SnapError::Malformed {
-                pos,
-                what: "involved count off its flags",
-            });
-        }
-        Ok(truth)
+        Ok(GroundTruth { sources, involved: r.bools()? })
     }
 }
 

@@ -399,7 +399,9 @@ impl SensorWorld {
 
     /// Write the dynamic world state — epoch cursor, assignment, per-type
     /// AR(1) positions and RNG streams, and the current readings matrix —
-    /// to `w`. Static structure (spatial fields, node keys, diurnal
+    /// to `w`. Per type: the regional process's φ, σ and value, its RNG,
+    /// then the node-local processes' shared φ and σ once and each node's
+    /// local value. Static structure (spatial fields, node keys, diurnal
     /// parameters) is rebuilt deterministically by [`SensorWorld::new`].
     pub fn snap(&self, w: &mut dirq_sim::SnapWriter<impl dirq_sim::SnapSink>) {
         w.tag(b"WRLD");
@@ -408,11 +410,10 @@ impl SensorWorld {
         w.len_of(self.states.len());
         for s in &self.states {
             s.regional.snap(w);
+            w.f64(s.regional.value());
             w.rng(&s.regional_rng);
-            w.len_of(s.local.len());
-            for &value in &s.local {
-                s.local_process.with_value(value).snap(w);
-            }
+            s.local_process.snap(w);
+            w.f64s(&s.local);
         }
         w.len_of(self.readings.len());
         for row in &self.readings {
@@ -440,34 +441,32 @@ impl SensorWorld {
         if n_types != self.states.len() {
             return Err(dirq_sim::SnapError::Malformed { pos, what: "world type count mismatch" });
         }
-        let process = |r: &mut dirq_sim::SnapReader<'_>, of: &Ar1, what| {
+        let parameters = |r: &mut dirq_sim::SnapReader<'_>, of: &Ar1, what| {
             let pos = r.position();
-            let a = Ar1::unsnap(r)?;
-            if !a.same_parameters(of) {
-                return Err(dirq_sim::SnapError::Malformed { pos, what });
+            match Ar1::unsnap(r)?.same_parameters(of) {
+                true => Ok(()),
+                false => Err(dirq_sim::SnapError::Malformed { pos, what }),
             }
-            if !a.value().is_finite() {
-                return Err(dirq_sim::SnapError::Malformed { pos, what: "AR(1) value not finite" });
-            }
-            Ok(a.value())
         };
         for s in &mut self.states {
-            let regional =
-                process(r, &s.regional, "regional AR(1) parameters differ from the type's")?;
-            s.regional = s.regional.with_value(regional);
-            s.regional_rng = r.rng()?;
+            parameters(r, &s.regional, "regional AR(1) parameters differ from the type's")?;
             let pos = r.position();
-            let n_local = r.seq_len(24)?;
-            if n_local != s.local.len() {
+            let regional = r.f64()?;
+            s.regional_rng = r.rng()?;
+            parameters(r, &s.local_process, "local AR(1) parameters differ from the type's")?;
+            let local_pos = r.position();
+            let local = r.f64s()?;
+            if local.len() != s.local.len() {
                 return Err(dirq_sim::SnapError::Malformed {
-                    pos,
+                    pos: local_pos,
                     what: "world node count mismatch",
                 });
             }
-            for value in &mut s.local {
-                *value =
-                    process(r, &s.local_process, "local AR(1) parameters differ from the type's")?;
+            if !local.iter().chain([&regional]).all(|v| v.is_finite()) {
+                return Err(dirq_sim::SnapError::Malformed { pos, what: "AR(1) value not finite" });
             }
+            s.regional = s.regional.with_value(regional);
+            s.local = local;
         }
         let pos = r.position();
         let n_rows = r.seq_len(8)?;

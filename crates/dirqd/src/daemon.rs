@@ -50,10 +50,13 @@
 //! (`<name>.<slot>.dirqsnap`) at startup, validates every frame, and
 //! resumes each deployment from its newest valid image — a torn or
 //! truncated newest slot (the expected wreckage of `kill -9` mid-write)
-//! falls back to the older slot. Deployments whose slots are all
-//! unreadable are reported under `unrecoverable` in `status` instead of
-//! aborting startup; recovered ones carry a `recovered` object naming
-//! the slot and epoch they resumed from. `restore` and `--recover`
+//! falls back to the older slot, and so does a slot written under another
+//! snapshot format version (`dirq_sim::snap::SNAP_FORMAT_VERSION`): the
+//! body layout changes with the version, so such an image never restores.
+//! Deployments whose slots are all unreadable, or all of another version,
+//! are reported under `unrecoverable` in `status`, with the version named,
+//! instead of aborting startup; recovered ones carry a `recovered` object
+//! naming the slot and epoch they resumed from. `restore` and `--recover`
 //! install an image through the same function.
 //!
 //! ## Shutdown

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use dirq_sim::json::Json;
-use dirq_sim::snap::frame_image;
+use dirq_sim::snap::{frame_image, SnapError, SNAP_FORMAT_VERSION};
 use dirqd::loadmodel::{replay_serving, ServingOp};
 use dirqd::protocol::ImageHeader;
 use dirqd::{Client, ClientError, Daemon, DaemonOptions, DeployOptions};
@@ -1077,20 +1077,68 @@ fn recovery_resumes_from_the_newest_valid_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A torn newest slot (the expected wreckage of `kill -9` mid-write)
-/// falls back to the older intact slot.
+/// A torn newest slot (the expected wreckage of `kill -9` mid-write), or
+/// one written under an older format version, falls back to the older
+/// intact slot.
 #[test]
 fn torn_newest_checkpoint_falls_back_to_the_older_slot() {
-    let dir = fresh_dir("fallback");
+    type Wreck = fn(&[u8]) -> Vec<u8>;
+    let wrecks: [(&str, Wreck); 2] = [
+        ("torn", |bytes| bytes[..bytes.len() / 3].to_vec()),
+        // The version field follows the 8-byte magic.
+        ("version 1", |bytes| [&bytes[..8], &1u32.to_le_bytes(), &bytes[12..]].concat()),
+    ];
+    for (wreck, wrecked) in wrecks {
+        let dir = fresh_dir("fallback");
+        with_daemon(|_, c| {
+            c.deploy("t", "dense_grid_100", &checkpointed(0.05, 10, &dir, 9)).expect("deploy");
+            c.step("t", 25).expect("step");
+        });
+        // Slot 0 (epoch 20) is the newest; wreck it. Slot 1 (epoch 10)
+        // stays intact.
+        let newest = dir.join("t.0.dirqsnap");
+        let bytes = std::fs::read(&newest).expect("read newest");
+        std::fs::write(&newest, wrecked(&bytes)).expect("wreck newest");
+
+        let recover = DaemonOptions {
+            recover: Some(dir.to_string_lossy().into_owned()),
+            ..DaemonOptions::default()
+        };
+        with_daemon_opts(recover, |_, c| {
+            let status = c.status_full().expect("status");
+            assert!(status.unrecoverable.is_empty(), "{wreck}: the older slot must rescue it");
+            assert_eq!(status.deployments.len(), 1);
+            assert_eq!(status.deployments[0].epoch, 10, "{wreck}: must fall back to the older");
+            assert_eq!(status.deployments[0].recovered, Some((1, 10)));
+
+            let clean =
+                DeployOptions { scale: Some(0.05), seed: Some(9), ..DeployOptions::default() };
+            c.deploy("clean", "dense_grid_100", &clean).expect("deploy clean");
+            c.step("clean", 10).expect("step clean");
+            let (_, fp_t) = c.fingerprint("t").expect("fingerprint t");
+            let (_, fp_clean) = c.fingerprint("clean").expect("fingerprint clean");
+            assert_eq!(fp_t, fp_clean, "{wreck}: fallback state diverged from a straight run");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A deployment whose only checkpoint was written under an older format
+/// version is unrecoverable, with the version named, and the daemon still
+/// starts and serves.
+#[test]
+fn a_checkpoint_of_another_format_version_is_unrecoverable() {
+    let dir = fresh_dir("oldversion");
     with_daemon(|_, c| {
-        c.deploy("t", "dense_grid_100", &checkpointed(0.05, 10, &dir, 9)).expect("deploy");
-        c.step("t", 25).expect("step");
+        c.deploy("old", "dense_grid_100", &checkpointed(0.05, 10, &dir, 3)).expect("deploy");
+        c.step("old", 15).expect("step");
     });
-    // Slot 0 (epoch 20) is the newest; tear it. Slot 1 (epoch 10)
-    // stays intact.
-    let newest = dir.join("t.0.dirqsnap");
-    let bytes = std::fs::read(&newest).expect("read newest");
-    std::fs::write(&newest, &bytes[..bytes.len() / 3]).expect("tear newest");
+    let slots: Vec<_> =
+        std::fs::read_dir(&dir).expect("list").map(|e| e.expect("entry").path()).collect();
+    assert_eq!(slots.len(), 1, "one checkpoint by epoch 15: {slots:?}");
+    let mut bytes = std::fs::read(&slots[0]).expect("read slot");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&slots[0], &bytes).expect("rewrite slot");
 
     let recover = DaemonOptions {
         recover: Some(dir.to_string_lossy().into_owned()),
@@ -1098,17 +1146,15 @@ fn torn_newest_checkpoint_falls_back_to_the_older_slot() {
     };
     with_daemon_opts(recover, |_, c| {
         let status = c.status_full().expect("status");
-        assert!(status.unrecoverable.is_empty(), "the older slot must rescue the deployment");
-        assert_eq!(status.deployments.len(), 1);
-        assert_eq!(status.deployments[0].epoch, 10, "must fall back to the older image");
-        assert_eq!(status.deployments[0].recovered, Some((1, 10)));
+        assert!(status.deployments.is_empty(), "nothing to resume");
+        assert_eq!(status.unrecoverable.len(), 1);
+        let (name, error) = &status.unrecoverable[0];
+        assert_eq!(name, "old");
+        let bad_version = SnapError::BadVersion { found: 1, expected: SNAP_FORMAT_VERSION };
+        assert!(error.contains(&bad_version.to_string()), "{error}");
 
-        let clean = DeployOptions { scale: Some(0.05), seed: Some(9), ..DeployOptions::default() };
-        c.deploy("clean", "dense_grid_100", &clean).expect("deploy clean");
-        c.step("clean", 10).expect("step clean");
-        let (_, fp_t) = c.fingerprint("t").expect("fingerprint t");
-        let (_, fp_clean) = c.fingerprint("clean").expect("fingerprint clean");
-        assert_eq!(fp_t, fp_clean, "fallback state diverged from a straight run");
+        c.deploy("fresh", "dense_grid_100", &scaled(0.05)).expect("deploy after recovery");
+        c.query("fresh", 0, 12.0, 26.0, None).expect("the daemon serves");
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,7 +24,18 @@ use crate::rng::SimRng;
 /// Version of the snapshot body layout. Bump on any change to what the
 /// engine layers write; restore refuses images recorded under a different
 /// version (the golden image pin catches accidental drift).
-pub const SNAP_FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 writes each fact once. A config record at the head of the
+/// body holds the protocol, the δ policy with its fixed value, the
+/// sampling strategy and the measurement window; restore checks each one
+/// there. Version 1 also wrote each EWMA's smoothing factor, the update
+/// series' bucket width, the catalog width in every assignment row, table
+/// array, sensing row and sampler row, each local AR(1) cell's φ and σ,
+/// every fixed-δ node's δ, every ATC flag and the ATC record's own δ, the
+/// sampler flag, the engine's liveness beside the MAC's, a query truth's
+/// involved count, each outcome's wrongly-reached count and network size,
+/// and an empty flooding seen list per DirQ node.
+pub const SNAP_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of an image file.
 pub const IMAGE_MAGIC: &[u8; 8] = b"DIRQSNAP";

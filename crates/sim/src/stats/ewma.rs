@@ -46,22 +46,18 @@ impl Ewma {
         self.value = None;
     }
 
-    /// Write the full state (smoothing factor and estimate) to `w`.
+    /// Write the estimate to `w`. The smoothing factor is its owner's
+    /// constant, so the record leaves it out.
     pub fn snap(&self, w: &mut SnapWriter<impl SnapSink>) {
-        w.f64(self.alpha);
         w.opt_f64(self.value);
     }
 
     /// Overlay a [`Ewma::snap`] record onto this EWMA, built with its
-    /// configured smoothing factor; a record whose factor differs bit for
-    /// bit, or whose estimate is not finite, is malformed. Finite
-    /// observations keep the estimate finite, and a non-finite one never
-    /// leaves it: every later estimate would read NaN or infinite.
+    /// owner's smoothing factor; an estimate that is not finite is
+    /// malformed. Finite observations keep the estimate finite, and a
+    /// non-finite one never leaves it: every later estimate would read NaN
+    /// or infinite.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let pos = r.position();
-        if r.f64()?.to_bits() != self.alpha.to_bits() {
-            return Err(SnapError::Malformed { pos, what: "EWMA smoothing factor off its config" });
-        }
         let pos = r.position();
         self.value = r.opt_f64()?;
         if self.value.is_some_and(|v| !v.is_finite()) {
@@ -110,7 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_overlays_the_estimate_and_rejects_another_alpha() {
+    fn restore_overlays_the_estimate() {
         let mut e = Ewma::new(0.25);
         e.observe(3.0);
         let mut w = SnapWriter::new();
@@ -119,23 +115,17 @@ mod tests {
         let mut same = Ewma::new(0.25);
         same.restore(&mut SnapReader::new(&image)).expect("own image");
         assert_eq!(same.value(), Some(3.0));
-        let mut other = Ewma::new(0.5);
-        assert!(matches!(
-            other.restore(&mut SnapReader::new(&image)),
-            Err(SnapError::Malformed { pos: 0, .. })
-        ));
     }
 
     #[test]
     fn restore_rejects_an_estimate_that_is_not_finite() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut w = SnapWriter::new();
-            w.f64(0.25);
             w.opt_f64(Some(bad));
             let image = w.finish();
             assert!(matches!(
                 Ewma::new(0.25).restore(&mut SnapReader::new(&image)),
-                Err(SnapError::Malformed { pos: 8, what: "EWMA estimate not finite" })
+                Err(SnapError::Malformed { pos: 0, what: "EWMA estimate not finite" })
             ));
         }
     }

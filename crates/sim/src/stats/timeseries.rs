@@ -75,29 +75,32 @@ impl TimeSeries {
         self.sums.iter().sum()
     }
 
-    /// Write the full series state to `w`.
+    /// Write the buckets' sums and counts to `w`. The bucket width is its
+    /// owner's constant, so the record leaves it out.
     pub fn snap(&self, w: &mut crate::snap::SnapWriter<impl crate::snap::SnapSink>) {
-        w.u64(self.bucket_width);
         w.f64s(&self.sums);
         w.u64s(&self.counts);
     }
 
-    /// Rebuild from a [`TimeSeries::snap`] record.
-    pub fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
+    /// Overlay a [`TimeSeries::snap`] record onto this series, built with
+    /// its owner's bucket width. A sum that is not finite is malformed:
+    /// [`TimeSeries::total`] would read NaN or infinite for good.
+    pub fn restore(
+        &mut self,
+        r: &mut crate::snap::SnapReader<'_>,
+    ) -> Result<(), crate::snap::SnapError> {
         let pos = r.position();
-        let bucket_width = r.u64()?;
-        if bucket_width == 0 {
-            return Err(crate::snap::SnapError::Malformed { pos, what: "zero bucket width" });
-        }
         let sums = r.f64s()?;
         let counts = r.counts()?;
+        let malformed = |what| Err(crate::snap::SnapError::Malformed { pos, what });
         if sums.len() != counts.len() {
-            return Err(crate::snap::SnapError::Malformed {
-                pos,
-                what: "sum/count bucket mismatch",
-            });
+            return malformed("sum/count bucket mismatch");
         }
-        Ok(TimeSeries { bucket_width, sums, counts })
+        if !sums.iter().all(|s| s.is_finite()) {
+            return malformed("series sum not finite");
+        }
+        (self.sums, self.counts) = (sums, counts);
+        Ok(())
     }
 }
 
@@ -153,5 +156,37 @@ mod tests {
     #[should_panic(expected = "bucket width must be positive")]
     fn zero_width_rejected() {
         let _ = TimeSeries::new(0);
+    }
+
+    use crate::snap::{SnapError, SnapReader, SnapWriter};
+
+    #[test]
+    fn restore_overlays_the_buckets() {
+        let mut ts = TimeSeries::new(10);
+        ts.record(5, 2.0);
+        ts.record(27, 4.5);
+        let mut w = SnapWriter::new();
+        ts.snap(&mut w);
+        let image = w.finish();
+        let mut restored = TimeSeries::new(10);
+        restored.restore(&mut SnapReader::new(&image)).expect("own image");
+        assert_eq!((restored.len(), restored.total(), restored.count(2)), (3, 6.5, 1));
+    }
+
+    /// A sum that is not finite would make the total NaN or infinite for
+    /// good; restore rejects it.
+    #[test]
+    fn restore_rejects_a_sum_that_is_not_finite() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut w = SnapWriter::new();
+            w.f64s(&[1.0, bad]);
+            w.u64s(&[1, 1]);
+            let image = w.finish();
+            assert_eq!(
+                TimeSeries::new(10).restore(&mut SnapReader::new(&image)).unwrap_err(),
+                SnapError::Malformed { pos: 0, what: "series sum not finite" },
+                "a sum of {bad}"
+            );
+        }
     }
 }

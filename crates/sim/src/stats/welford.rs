@@ -4,13 +4,21 @@
 ///
 /// Used to summarise per-query overshoot (the paper's headline "average
 /// overshoot of 3.6 %") without storing every sample.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct Welford {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty accumulator, [`Welford::new`] (a derived default's zero
+/// minimum and maximum would survive the first observation).
+impl Default for Welford {
+    fn default() -> Self {
+        Welford::new()
+    }
 }
 
 impl Welford {
@@ -23,9 +31,27 @@ impl Welford {
         w.f64(self.max);
     }
 
-    /// Rebuild from a [`Welford::snap`] record.
+    /// Rebuild from a [`Welford::snap`] record. Observing finite values
+    /// leaves only two kinds of state, so anything else is malformed: with
+    /// no sample, exactly [`Welford::new`]'s; with samples, a finite mean,
+    /// minimum and maximum with the minimum no larger, and a finite,
+    /// non-negative m2.
     pub fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Welford { n: r.count()?, mean: r.f64()?, m2: r.f64()?, min: r.f64()?, max: r.f64()? })
+        let pos = r.position();
+        let w =
+            Welford { n: r.count()?, mean: r.f64()?, m2: r.f64()?, min: r.f64()?, max: r.f64()? };
+        let fields = |w: &Welford| [w.mean, w.m2, w.min, w.max].map(f64::to_bits);
+        let (ok, what) = if w.n == 0 {
+            (fields(&w) == fields(&Welford::new()), "empty accumulator off the empty state")
+        } else {
+            let finite = [w.mean, w.m2, w.min, w.max].iter().all(|v| v.is_finite());
+            (finite && w.m2 >= 0.0 && w.min <= w.max, "accumulator statistics out of range")
+        };
+        if ok {
+            Ok(w)
+        } else {
+            Err(crate::snap::SnapError::Malformed { pos, what })
+        }
     }
 }
 
@@ -146,6 +172,64 @@ mod tests {
         w.observe(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.variance(), 0.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        let mut w = Welford::default();
+        w.observe(5.0);
+        assert_eq!((w.min(), w.max()), (Some(5.0), Some(5.0)));
+    }
+
+    /// The record `[n, mean, m2, min, max]` as [`Welford::snap`] writes it.
+    fn record(n: u64, fields: [f64; 4]) -> Vec<u8> {
+        let mut w = crate::snap::SnapWriter::new();
+        w.u64(n);
+        fields.into_iter().for_each(|v| w.f64(v));
+        w.finish()
+    }
+
+    fn unsnap(image: &[u8]) -> Result<Welford, crate::snap::SnapError> {
+        Welford::unsnap(&mut crate::snap::SnapReader::new(image))
+    }
+
+    /// The empty state and an accumulator's own record restore; an empty
+    /// record off the empty state, and a non-empty one with a statistic
+    /// that is not finite, a negative m2 or its minimum above its maximum,
+    /// are malformed.
+    #[test]
+    fn unsnap_rejects_a_state_no_observation_leaves() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let mut seen = Welford::new();
+        [2.0, 4.0, 9.0].into_iter().for_each(|x| seen.observe(x));
+        let mut own = crate::snap::SnapWriter::new();
+        seen.snap(&mut own);
+        assert_eq!(unsnap(&own.finish()).expect("own record").mean(), 5.0);
+        unsnap(&record(0, [0.0, 0.0, inf, -inf])).expect("the empty state");
+        for fields in [[nan, 0.0, inf, -inf], [0.0, 1.0, inf, -inf], [0.0, 0.0, 0.0, 0.0]] {
+            let err = unsnap(&record(0, fields)).unwrap_err();
+            assert_eq!(
+                err,
+                crate::snap::SnapError::Malformed {
+                    pos: 0,
+                    what: "empty accumulator off the empty state"
+                },
+                "{fields:?}"
+            );
+        }
+        let good = [5.0, 26.0, 2.0, 9.0];
+        for (at, bad) in [(0, nan), (0, inf), (1, -1.0), (1, nan), (2, -inf), (3, nan), (2, 9.5)] {
+            let mut fields = good;
+            fields[at] = bad;
+            assert_eq!(
+                unsnap(&record(3, fields)).unwrap_err(),
+                crate::snap::SnapError::Malformed {
+                    pos: 0,
+                    what: "accumulator statistics out of range"
+                },
+                "{fields:?}"
+            );
+        }
     }
 
     proptest! {

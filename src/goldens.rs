@@ -204,7 +204,7 @@ pub const GOLDEN_STRESS_50000: u64 = 0x9551369E79F990A7;
 
 /// Golden fingerprint of [`snapshot_state_fingerprint`] — the snapshot
 /// codec pin (`tests/snapshot_differential.rs`).
-pub const GOLDEN_SNAPSHOT_STATE: u64 = 0x5778F391E49DF93C;
+pub const GOLDEN_SNAPSHOT_STATE: u64 = 0x756A5C87D8FE5FCD;
 
 /// Golden fingerprint of the [`medium_spec`] sweep report.
 pub const GOLDEN_MEDIUM: u64 = 0x889291EC21F8E973;

@@ -8,8 +8,8 @@
 //! Also pins the image format (magic + version + header round-trip) and
 //! exercises the typed error paths: malformed input must never panic.
 
-use dirq::core::atc::{ADJUST_PERIOD, RATE_ALPHA};
-use dirq::core::sampling::{DRIFT_ALPHA, MAX_SKIP};
+use dirq::core::atc::ADJUST_PERIOD;
+use dirq::core::sampling::MAX_SKIP;
 use dirq::prelude::*;
 use dirq::sim::json::Json;
 use dirq::sim::snap::{frame_image, parse_image, IMAGE_MAGIC, SNAP_FORMAT_VERSION};
@@ -244,6 +244,31 @@ fn restore_rejects_mismatched_configs() {
         ),
         "sampler-presence mismatch accepted"
     );
+
+    // The config record at the head of the body names the δ policy, its
+    // fixed δ and the protocol once; each differing is a typed error.
+    let cases = [
+        (
+            "fixed δ 3 % against 5 %",
+            DeltaPolicy::Fixed(3.0),
+            Protocol::Dirq,
+            "fixed delta off its policy",
+        ),
+        (
+            "ATC against fixed δ",
+            DeltaPolicy::Adaptive,
+            Protocol::Dirq,
+            "ATC presence disagrees with the threshold policy",
+        ),
+        ("flooding against DirQ", DeltaPolicy::Fixed(5.0), Protocol::Flooding, "protocol mismatch"),
+    ];
+    for (case, delta_policy, protocol, what) in cases {
+        let cfg = ScenarioConfig { delta_policy, protocol, ..variant_config(11, 0, 60) };
+        match Engine::new(cfg).restore(&body) {
+            Err(SnapError::Malformed { what: got, .. }) => assert_eq!(got, what, "{case}"),
+            other => panic!("{case}: expected the typed error {what:?}, got {other:?}"),
+        }
+    }
 }
 
 /// Every truncation of a valid body fails loudly; a valid body with
@@ -287,10 +312,9 @@ fn restore_rejects_an_out_of_range_mac_slot() {
         donor.step_epoch();
     }
     let mut body = donor.snapshot();
-    // The body opens with "ENGN", the epoch (u64), "LMAC", the MAC frame
-    // (u64) and the MAC slot (u16).
-    assert_eq!(&body[12..16], b"LMAC");
-    body[24..26].copy_from_slice(&500u16.to_le_bytes());
+    // "LMAC", then the MAC frame (u64) and the MAC slot (u16).
+    let slot = lmac_at(&body) + 12;
+    body[slot..slot + 2].copy_from_slice(&500u16.to_le_bytes());
     assert!(
         matches!(
             Engine::new(variant_config(17, 0, 60)).restore(&body),
@@ -303,6 +327,16 @@ fn restore_rejects_an_out_of_range_mac_slot() {
 /// Byte offsets of every occurrence of `tag` in a snapshot body.
 fn tag_offsets(body: &[u8], tag: &[u8; 4]) -> Vec<usize> {
     body.windows(4).enumerate().filter(|(_, w)| w == tag).map(|(i, _)| i).collect()
+}
+
+/// Offset of the MAC's "LMAC" tag in a body: after "ENGN", the config
+/// record (the flooding flag, the fixed δ's presence byte and the δ, the
+/// predictive-sampling flag, the measurement window) and the engine's
+/// epoch (u64).
+fn lmac_at(body: &[u8]) -> usize {
+    let at = if body[5] == 1 { 4 + 1 + 9 + 1 + 8 + 8 } else { 4 + 1 + 1 + 1 + 8 + 8 };
+    assert_eq!(&body[at..at + 4], b"LMAC");
+    at
 }
 
 /// A `paper_small` body (fixed δ, 50 nodes) snapshotted at `epoch`, with
@@ -513,39 +547,27 @@ fn restore_rejects_a_negative_warm_half() {
     }
 }
 
-/// A threshold δ that is negative, NaN or infinite — the node's own, or
-/// its ATC controller's — is a typed error at restore, not a panic in
-/// `RangeEntry::around` (debug) or a tuple built on it (release) at the
-/// next sample.
+/// A threshold δ that is negative, NaN or infinite — the fixed δ of the
+/// config record, or an ATC node's own — is a typed error at restore, not
+/// a panic in `RangeEntry::around` (debug) or a tuple built on it
+/// (release) at the next sample.
 #[test]
 fn restore_rejects_a_negative_or_non_finite_delta() {
-    // Fixed δ, then ATC: the node record alone, then the controller too.
+    // Fixed δ: the config record's, after "ENGN", the flooding flag and
+    // its presence byte; ATC: node 1's, right after its table array.
     for variant in [0, 1] {
         let cfg = variant_config(17, variant, 60);
         let body = Engine::new(cfg.clone()).snapshot();
-        let nodes = tag_offsets(&body, b"NODE");
-        // A fresh node holds no range table yet, so the first 5.0 in its
-        // record is its δ. Under ATC the controller's presence flag and
-        // the controller's own δ follow it.
-        let five = 5.0f64.to_le_bytes();
-        let record = &body[nodes[1]..nodes[2]];
-        let delta = nodes[1] + record.windows(8).position(|w| w == five).expect("node 1's δ");
-        let mut deltas = vec![delta];
-        if variant == 1 {
-            assert_eq!(body[delta + 8], 1, "node 1 carries an ATC controller");
-            assert_eq!(body[delta + 9..delta + 17], five, "the controller's δ");
-            deltas.push(delta + 9);
-        }
-        for at in deltas {
-            for bad in [-1.0f64, f64::NAN, f64::INFINITY] {
-                let mut patched = body.clone();
-                patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-                match Engine::new(cfg.clone()).restore(&patched) {
-                    Err(SnapError::Malformed { what, .. }) => {
-                        assert_eq!(what, "threshold delta negative or not finite")
-                    }
-                    other => panic!("δ = {bad} at byte {at} restored: {other:?}"),
+        let delta = if variant == 0 { 6 } else { after_tables(&body, 1) };
+        assert_eq!(body[delta..delta + 8], 5.0f64.to_le_bytes(), "the δ");
+        for bad in [-1.0f64, f64::NAN, f64::INFINITY] {
+            let mut patched = body.clone();
+            patched[delta..delta + 8].copy_from_slice(&bad.to_le_bytes());
+            match Engine::new(cfg.clone()).restore(&patched) {
+                Err(SnapError::Malformed { what, .. }) => {
+                    assert_eq!(what, "threshold delta negative or not finite")
                 }
+                other => panic!("δ = {bad} at byte {delta} restored: {other:?}"),
             }
         }
     }
@@ -562,15 +584,15 @@ fn restore_rejects_a_counter_past_the_bound() {
     fn tag(body: &[u8], t: &[u8; 4], k: usize) -> usize {
         tag_offsets(body, t)[k]
     }
-    // The metrics record: "METR", the measurement start, the query,
-    // update and control tx/rx tallies (6 × u64), then the Fig. 6 series
-    // (bucket width, the sums and the counts, each a count and `len`
-    // values) and the overshoot accumulator, whose sample count leads.
+    // The metrics record: "METR", the query, update and control tx/rx
+    // tallies (6 × u64), then the Fig. 6 series (the sums and the counts,
+    // each a count and `len` values) and the overshoot accumulator, whose
+    // sample count leads.
     fn metrics(body: &[u8]) -> usize {
         tag(body, b"METR", 0)
     }
     fn buckets(body: &[u8]) -> usize {
-        u64_at(body, metrics(body) + 68) as usize
+        u64_at(body, metrics(body) + 52) as usize
     }
     // The body ends with the sampler records, the Fig. 6 reference line
     // (f64), the δ trace (after 25 epochs, epoch 0's point: a count and
@@ -581,11 +603,11 @@ fn restore_rejects_a_counter_past_the_bound() {
     }
     type Offsets = fn(&[u8]) -> Vec<usize>;
     let cases: [(&str, u8, u64, Offsets); 14] = [
-        // "ENGN", then the epoch.
-        ("engine epoch", 0, 25, |_| vec![4]),
-        // "LMAC" at 12: the frame, the slot (u16), then eight statistics.
-        ("MAC frame", 0, 25, |_| vec![16]),
-        ("MAC statistics", 0, 25, |_| (0..8).map(|k| 26 + 8 * k).collect()),
+        // The engine's epoch precedes "LMAC".
+        ("engine epoch", 0, 25, |b| vec![lmac_at(b) - 8]),
+        // "LMAC", the frame, the slot (u16), then eight statistics.
+        ("MAC frame", 0, 25, |b| vec![lmac_at(b) + 4]),
+        ("MAC statistics", 0, 25, |b| (0..8).map(|k| lmac_at(b) + 14 + 8 * k).collect()),
         // Each ledger: "ELDG", then the tx and rx tallies of 50 nodes.
         ("energy ledgers", 0, 25, |b| {
             tag_offsets(b, b"ELDG").iter().flat_map(|&at| [at + 12, at + 12 + 8 * 50 + 8]).collect()
@@ -595,22 +617,17 @@ fn restore_rejects_a_counter_past_the_bound() {
         // A node record ends with its Update count; node 1's precedes
         // node 2's record.
         ("updates sent", 0, 25, |b| vec![tag(b, b"NODE", 2) - 8]),
-        // Under ATC a fresh node's first 5.0 is its δ, then the
-        // controller's presence flag, its δ and its two window counts.
-        ("ATC window counts", 1, 0, |b| {
-            let (one, two) = (tag(b, b"NODE", 1), tag(b, b"NODE", 2));
-            let five = 5.0f64.to_le_bytes();
-            let delta = one + b[one..two].windows(8).position(|w| w == five).unwrap();
-            vec![delta + 17, delta + 25]
-        }),
+        // Under ATC a node's δ follows its table array, then the ATC
+        // record's two window counts.
+        ("ATC window counts", 1, 0, |b| vec![after_tables(b, 1) + 8, after_tables(b, 1) + 16]),
         // "QGEN", the id cursor, the RNG (4 × u64), then the probe tally.
         ("generator probes", 0, 25, |b| vec![tag(b, b"QGEN", 0) + 44]),
         // The query injected at epoch 20 is in flight; its tx and rx
         // tallies close the pending set, right before the metrics.
         ("pending tx and rx", 0, 25, |b| vec![metrics(b) - 16, metrics(b) - 8]),
-        ("metrics tallies", 0, 25, |b| (0..6).map(|k| metrics(b) + 12 + 8 * k).collect()),
-        ("update series counts", 0, 25, |b| vec![metrics(b) + 84 + 8 * buckets(b)]),
-        ("overshoot samples", 0, 25, |b| vec![metrics(b) + 84 + 16 * buckets(b)]),
+        ("metrics tallies", 0, 25, |b| (0..6).map(|k| metrics(b) + 4 + 8 * k).collect()),
+        ("update series counts", 0, 25, |b| vec![metrics(b) + 68 + 8 * buckets(b)]),
+        ("overshoot samples", 0, 25, |b| vec![metrics(b) + 68 + 16 * buckets(b)]),
         // The last predictive sampler's taken and skipped counts.
         ("sampler counts", 4, 25, |b| vec![samplers_end(b) - 16, samplers_end(b) - 8]),
         ("queries injected", 0, 25, |b| vec![b.len() - 8]),
@@ -652,14 +669,14 @@ fn restored_counters_at_the_bound_sum_without_overflow() {
         tag_offsets(body, b"ELDG")[0]
     }
     // Before the first epoch no sampler has sampled, so every sampler
-    // record is 43 bytes: the last reading's absence byte, the drift and
-    // volatility EWMAs (α, an absence byte), then the skip, taken and
-    // skipped counts. The body closes with u_max (f64), the empty δ trace
-    // (a zero count) and the injection count (u64).
+    // record is 27 bytes: the absence bytes of the last reading and of the
+    // drift and volatility estimates, then the skip, taken and skipped
+    // counts. The body closes with u_max (f64), the empty δ trace (a zero
+    // count) and the injection count (u64).
     fn last_samplers_taken(body: &[u8]) -> Vec<usize> {
         let end = body.len() - 24;
         assert_eq!(u64_at(body, body.len() - 16), 0, "an empty δ trace");
-        vec![end - 16, end - 43 - 16]
+        vec![end - 16, end - SAMPLER - 16]
     }
     type Offsets = fn(&[u8]) -> Vec<usize>;
     let cases: [(&str, u8, u64, Offsets); 5] = [
@@ -668,9 +685,8 @@ fn restored_counters_at_the_bound_sum_without_overflow() {
         // The query injected at epoch 20 is in flight; its tx and rx
         // close the pending set, right before the metrics.
         ("pending tx and rx", 0, 25, |b| vec![metrics(b) - 16, metrics(b) - 8]),
-        // "METR", the measurement start, then the query category's tx and
-        // rx: `CategoryCost::cost`.
-        ("query category tallies", 0, 25, |b| vec![metrics(b) + 12, metrics(b) + 20]),
+        // "METR", then the query category's tx and rx: `CategoryCost::cost`.
+        ("query category tallies", 0, 25, |b| vec![metrics(b) + 4, metrics(b) + 12]),
         // "ELDG", a count, then nodes 0 and 1's transmissions, and after
         // the 50 nodes another count and their receptions: one ledger's
         // `total_tx` and `total_rx` in `run`.
@@ -719,28 +735,29 @@ fn restore_rejects_an_overlong_seen_query_list() {
     assert_rejected(&with_ids(64), "seen-query list too long");
 }
 
-/// The world keeps one φ and σ per sensor type and one value per local
-/// AR(1) cell, while the image still carries (φ, σ, value) per cell. A
-/// cell whose φ or σ differs from its type's is a typed error at restore,
-/// not a process silently stepped under its type's parameters.
+/// Offset of `sensor`'s node-local AR(1) record in a `variant_config`
+/// body: the type's one φ and σ, then the cell count (50) and one value
+/// per cell.
+fn local_params_at(body: &[u8], sensor: &dirq::data::world::SensorTypeConfig) -> usize {
+    let world = tag_offsets(body, b"WRLD")[0];
+    let (phi, sigma) = (sensor.local_phi.to_le_bytes(), sensor.local_sigma.to_le_bytes());
+    let record = [phi, sigma, 50u64.to_le_bytes()].concat();
+    world + body[world..].windows(24).position(|w| w == record).expect("the local processes")
+}
+
+/// The world keeps one φ and σ per sensor type for its node-local AR(1)
+/// processes, and the image carries them once per type, beside the
+/// regional process. A φ or σ that differs from its type's is a typed
+/// error at restore, not processes silently stepped under their type's
+/// parameters.
 #[test]
 fn restore_rejects_a_local_process_off_its_types_parameters() {
     let (body, _) = body_at(25);
-    let world = tag_offsets(&body, b"WRLD");
-    assert_eq!(world.len(), 1);
-    // The temperature type's cell count (50 nodes), then its first cell's
-    // φ and σ; each cell is φ, σ and value, 8 bytes each.
-    let t = dirq::data::world::SensorTypeConfig::temperature();
-    let (phi, sigma) = (t.local_phi.to_le_bytes(), t.local_sigma.to_le_bytes());
-    let first = [50u64.to_le_bytes(), phi, sigma].concat();
-    let cells = world[0]
-        + body[world[0]..].windows(24).position(|w| w == first).expect("the temperature cells")
-        + 8;
-    assert_eq!(body[cells + 24 * 49..cells + 24 * 49 + 16], [phi, sigma].concat(), "the last cell");
+    let params = local_params_at(&body, &dirq::data::world::SensorTypeConfig::temperature());
     Engine::new(variant_config(17, 0, 60)).restore(&body).expect("the unpatched body restores");
-    // (cell, 0 for φ or 8 for σ, a value Ar1's own range check accepts)
-    for (cell, field, bad) in [(0, 0, 0.5), (0, 8, 0.03), (49, 0, 0.0), (17, 8, 0.0)] {
-        let at = cells + 24 * cell + field;
+    // (0 for φ or 8 for σ, a value Ar1's own range check accepts)
+    for (field, bad) in [(0, 0.5), (8, 0.03), (0, 0.0), (8, 0.0)] {
+        let at = params + field;
         let mut patched = body.clone();
         patched[at..at + 8].copy_from_slice(&f64::to_le_bytes(bad));
         assert_rejected(&patched, "local AR(1) parameters differ from the type's");
@@ -754,9 +771,9 @@ fn restore_rejects_a_local_process_off_its_types_parameters() {
 #[test]
 fn restore_rejects_an_arena_entry_heard_in_the_future() {
     let (body, _) = body_at(30);
-    // "ENGN", the epoch, "LMAC", then the MAC frame (u64).
-    assert_eq!(&body[12..16], b"LMAC");
-    let frame = u64::from_le_bytes(body[16..24].try_into().unwrap());
+    // "LMAC", then the MAC frame (u64).
+    let at = lmac_at(&body) + 4;
+    let frame = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
     // "ARNA" and the entry count (u64), then per entry a presence byte;
     // a present entry goes on with its slot (presence byte, u16 when
     // present), occupancy (u128), gateway distance (u16) and
@@ -791,6 +808,11 @@ fn restore_rejects_an_arena_entry_heard_in_the_future() {
     }
 }
 
+/// Bytes of a predictive sampler record before its first sample: the
+/// absence bytes of its last reading and of its drift and volatility
+/// estimates, then its skip, taken and skipped counts.
+const SAMPLER: usize = 3 + 24;
+
 /// A `variant` body snapshotted at `epoch`, and restoring a patched copy
 /// of it fails with the typed error `what`.
 fn variant_body(variant: u8, epoch: u64) -> (Vec<u8>, impl Fn(&[u8], &str)) {
@@ -809,45 +831,18 @@ fn variant_body(variant: u8, epoch: u64) -> (Vec<u8>, impl Fn(&[u8], &str)) {
     (body, rejected)
 }
 
-/// The engine's liveness section is the 50-node bitmap (a count, then one
-/// byte per node) right before the query generator's record.
-fn liveness_at(body: &[u8]) -> usize {
-    let at = tag_offsets(body, b"QGEN")[0] - 8 - 50;
-    assert_eq!(body[at..at + 8], 50u64.to_le_bytes(), "the liveness bitmap's count");
-    at + 8
-}
-
-/// Liveness belongs to the MAC, and the engine's section repeats it. A
-/// section that disagrees with the MAC's is a typed error at restore, not
-/// an engine that samples, repairs and scores queries by one liveness
-/// while the MAC delivers by another.
-#[test]
-fn restore_rejects_engine_liveness_that_disagrees_with_the_mac() {
-    // Four deaths land in epochs 15..30.
-    let (body, rejected) = variant_body(3, 40);
-    let at = liveness_at(&body);
-    let dead: Vec<usize> = (0..50).filter(|&i| body[at + i] == 0).collect();
-    assert!(!dead.is_empty(), "the churn window killed a node");
-    let alive = (1..50).find(|&i| body[at + i] == 1).expect("an alive node");
-    for (node, flipped) in [(dead[0], 1), (alive, 0)] {
-        let mut patched = body.clone();
-        patched[at + node] = flipped;
-        rejected(&patched, "liveness disagrees with the MAC's");
-    }
-}
-
 /// Between steps the MAC stands at slot 0 of frame `epoch`. An image whose
 /// MAC frame is off the engine's epoch is a typed error at restore, not a
 /// run whose frames and epochs drift apart.
 #[test]
 fn restore_rejects_a_mac_frame_off_the_engine_epoch() {
     let (body, rejected) = variant_body(0, 30);
-    // "ENGN", the epoch, "LMAC", then the MAC frame (u64).
-    assert_eq!(&body[12..16], b"LMAC");
-    assert_eq!(body[16..24], body[4..12], "the MAC frame is the engine epoch");
-    for frame in [29u64, 31] {
+    // The engine's epoch, "LMAC", then the MAC frame (u64).
+    let frame = lmac_at(&body) + 4;
+    assert_eq!(body[frame..frame + 8], body[frame - 12..frame - 4], "the frame is the epoch");
+    for epoch in [29u64, 31] {
         let mut patched = body.clone();
-        patched[16..24].copy_from_slice(&frame.to_le_bytes());
+        patched[frame..frame + 8].copy_from_slice(&epoch.to_le_bytes());
         rejected(&patched, "section clocks disagree");
     }
 }
@@ -874,39 +869,23 @@ fn restore_rejects_a_world_epoch_off_the_engine_epoch() {
 /// and would grow by one id per query.
 #[test]
 fn restore_rejects_an_overlong_flooding_seen_list() {
-    // Before the first query (epoch 20) every flooding record is empty: a
-    // zero count. They precede the liveness section, node 49's last.
+    // Before the first query (epoch 20) every seen list is empty: a zero
+    // count. Node 49's record, the last before "QGEN", ends with its list,
+    // its empty location table (10 bytes) and its Update count.
     let (body, rejected) = variant_body(2, 10);
-    let records_end = liveness_at(&body) - 8;
-    assert!(body[records_end - 8 * 50..records_end].iter().all(|&b| b == 0));
+    let ids_end = tag_offsets(&body, b"QGEN")[0] - 8 - 10;
+    let count_at = ids_end - 8;
+    assert_eq!(body[count_at..ids_end], 0u64.to_le_bytes(), "node 49's empty list");
     let with_ids = |ids: u64| {
-        let mut patched = body[..records_end].to_vec();
-        let last = records_end - 8;
-        patched[last..].copy_from_slice(&ids.to_le_bytes());
+        let mut patched = body[..ids_end].to_vec();
+        patched[count_at..].copy_from_slice(&ids.to_le_bytes());
         patched.extend((0..ids).flat_map(|k| (1_000 + k).to_le_bytes()));
-        patched.extend_from_slice(&body[records_end..]);
+        patched.extend_from_slice(&body[ids_end..]);
         patched
     };
     let cfg = variant_config(17, 2, 60);
     Engine::new(cfg).restore(&with_ids(64)).expect("a full list restores");
     rejected(&with_ids(65), "seen-query list too long");
-}
-
-/// A DirQ engine builds no flooding state, and its image holds one empty
-/// flooding seen list per node. A non-empty one is a typed error at
-/// restore, not a list the engine has nowhere to keep.
-#[test]
-fn restore_rejects_a_flooding_seen_list_under_dirq() {
-    let (body, rejected) = variant_body(0, 25);
-    // The 50 flooding lists (a zero count each) precede the liveness
-    // section; patch node 49's, the last.
-    let records_end = liveness_at(&body) - 8;
-    assert!(body[records_end - 8 * 50..records_end].iter().all(|&b| b == 0));
-    let mut patched = body[..records_end - 8].to_vec();
-    patched.extend(1u64.to_le_bytes());
-    patched.extend(1_000u64.to_le_bytes());
-    patched.extend_from_slice(&body[records_end..]);
-    rejected(&patched, "flooding seen list under DirQ");
 }
 
 /// A DirQ engine never queues a flooding query. A queued one is a typed
@@ -941,12 +920,10 @@ fn restore_rejects_a_non_finite_ar1_value() {
     let (body, _) = body_at(25);
     let t = dirq::data::world::SensorTypeConfig::temperature();
     let regional = regional_value_at(&body, &t);
-    // The temperature type's local cells follow its regional process and
-    // RNG: the cell count (50), then φ, σ and value per cell.
-    let first = [50u64.to_le_bytes(), t.local_phi.to_le_bytes(), t.local_sigma.to_le_bytes()];
-    let cells = body[regional..].windows(24).position(|w| w == first.concat()).unwrap();
-    let local = regional + cells + 8 + 16;
-    for at in [regional, local, local + 24 * 49] {
+    // The temperature type's local values follow its local φ and σ and
+    // the cell count (50).
+    let local = local_params_at(&body, &t) + 24;
+    for at in [regional, local, local + 8 * 49] {
         assert!(f64::from_le_bytes(body[at..at + 8].try_into().unwrap()).is_finite());
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let mut patched = body.clone();
@@ -1007,74 +984,27 @@ fn restore_rejects_an_infinite_reading() {
     }
 }
 
-/// Every node's carried-sensor row is as long as the catalog. A longer
-/// row would set flags for types no world draws; a shorter one, drop the
-/// catalog's last types. Either is a typed error at restore.
-#[test]
-fn restore_rejects_an_assignment_row_off_the_catalog() {
-    let (body, rejected) = variant_body(0, 25);
-    // "ASGN", the node count, then per node a flag count and one byte per
-    // type: node 1's row follows the root's 12 bytes.
-    let row = tag_offsets(&body, b"ASGN")[0] + 12 + 12;
-    assert_eq!(body[row..row + 8], 4u64.to_le_bytes(), "four catalog types");
-    for types in [3usize, 5] {
-        let mut patched = body[..row].to_vec();
-        patched.extend((types as u64).to_le_bytes());
-        patched.extend(body[row + 8..row + 12].iter().chain(&[0]).take(types));
-        patched.extend_from_slice(&body[row + 12..]);
-        rejected(&patched, "assignment row length differs from the catalog");
-    }
-}
-
-/// Offset of node `i`'s δ in a body snapshotted before the first step: a
-/// fresh node holds no range table yet, so the first 5.0 in its record is
-/// its δ.
-fn fresh_delta_at(body: &[u8], i: usize) -> usize {
-    let nodes = tag_offsets(body, b"NODE");
-    let five = 5.0f64.to_le_bytes();
-    let record = &body[nodes[i]..nodes[i + 1]];
-    nodes[i] + record.windows(8).position(|w| w == five).expect("the node's δ")
-}
-
-/// Under a fixed-δ policy every node's δ is the policy's. Another δ is a
-/// typed error at restore, not a node whose tuples, and so its update
-/// traffic, follow a δ the run never set.
+/// Under a fixed-δ policy every node's δ is the policy's, and the image
+/// carries it once, in the config record. Another δ there is a typed error
+/// at restore, not a run whose tuples, and so its update traffic, follow a
+/// δ it never set.
 #[test]
 fn restore_rejects_a_fixed_delta_off_its_policy() {
     let (body, rejected) = variant_body(0, 0);
-    let delta = fresh_delta_at(&body, 1);
+    // "ENGN", the flooding flag, then the fixed δ's presence byte and δ.
+    assert_eq!(body[5..14], [&[1u8][..], &5.0f64.to_le_bytes()].concat()[..]);
     let mut patched = body.clone();
-    patched[delta..delta + 8].copy_from_slice(&7.3f64.to_le_bytes());
+    patched[6..14].copy_from_slice(&7.3f64.to_le_bytes());
     rejected(&patched, "fixed delta off its policy");
 }
 
-/// Under ATC the node owns δ, and its controller's record repeats it
-/// right after the controller's presence flag. Either copy edited alone is
-/// a typed error at restore, not a node that adapts from one δ and builds
-/// its tuples on another.
-#[test]
-fn restore_rejects_an_atc_delta_off_its_nodes() {
-    let (body, rejected) = variant_body(1, 0);
-    let delta = fresh_delta_at(&body, 5);
-    assert_eq!(body[delta + 8], 1, "node 5 carries an ATC controller");
-    assert_eq!(body[delta..delta + 8], body[delta + 9..delta + 17], "the controller's δ");
-    for (at, bad) in [(delta, 17.0f64), (delta + 9, 13.3)] {
-        let mut patched = body.clone();
-        patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
-        rejected(&patched, "ATC delta off its node's");
-    }
-}
-
 /// Offset of the ATC controller's record in node `i`'s record of an ATC
-/// body snapshotted before the first adjustment: the node's δ (still
-/// 5.0), the controller's presence flag, then the record, which opens with
-/// its own copy of δ.
+/// body snapshotted before the first adjustment: it follows the node's δ
+/// (still 5.0), right after the table array.
 fn atc_record_at(body: &[u8], i: usize) -> usize {
-    let nodes = tag_offsets(body, b"NODE");
-    let five = 5.0f64.to_le_bytes();
-    let pattern: Vec<u8> = five.iter().chain(&[1]).chain(&five).copied().collect();
-    let record = &body[nodes[i]..nodes[i + 1]];
-    nodes[i] + 9 + record.windows(17).position(|w| w == pattern).expect("the ATC record")
+    let delta = after_tables(body, i);
+    assert_eq!(body[delta..delta + 8], 5.0f64.to_le_bytes(), "node {i}'s δ");
+    delta + 8
 }
 
 /// An ATC controller's budget is one `on_budget` accepts, and its window
@@ -1087,9 +1017,8 @@ fn restore_rejects_an_atc_budget_or_window_no_step_writes() {
     // epochs of its first window, with no rate observed yet.
     let (body, rejected) = variant_body(1, 20);
     let atc = atc_record_at(&body, 1);
-    let (window, rate_flag) = (atc + 16, atc + 32);
+    let (window, rate_flag) = (atc + 8, atc + 16);
     assert_eq!(body[window..window + 8], 20u64.to_le_bytes(), "20 epochs into the window");
-    assert_eq!(body[atc + 24..rate_flag], RATE_ALPHA.to_le_bytes(), "the rate's α");
     assert_eq!(body[rate_flag], 0, "no rate observed yet");
     let budget = rate_flag + 2;
     assert_eq!(body[budget - 1], 1, "node 1 holds a budget");
@@ -1107,30 +1036,6 @@ fn restore_rejects_an_atc_budget_or_window_no_step_writes() {
     Engine::new(cfg).restore(&with_window(ADJUST_PERIOD - 1)).expect("a full window restores");
     for epochs in [ADJUST_PERIOD, ADJUST_PERIOD + 1] {
         rejected(&with_window(epochs), "ATC window at or past its period");
-    }
-}
-
-/// Every node's range-table array is as wide as the catalog. A wider one
-/// would hold tables for types no sensor reads; a narrower one, lose the
-/// catalog's last types. Either is a typed error at restore.
-#[test]
-fn restore_rejects_a_table_array_off_the_catalog() {
-    let (body, rejected) = variant_body(0, 0);
-    // The root's record: "NODE", the parent flag (none), the child count
-    // (u64) and ids (u32), then the table count and, before the first
-    // sample, one absent-table byte per type.
-    let root = tag_offsets(&body, b"NODE")[0] + 4;
-    assert_eq!(body[root], 0, "the root has no parent");
-    let children = u64::from_le_bytes(body[root + 1..root + 9].try_into().unwrap()) as usize;
-    let count = root + 9 + 4 * children;
-    assert_eq!(body[count..count + 8], 4u64.to_le_bytes(), "four catalog types");
-    assert_eq!(body[count + 8..count + 12], [0; 4], "no table yet");
-    for types in [3usize, 9] {
-        let mut patched = body[..count].to_vec();
-        patched.extend((types as u64).to_le_bytes());
-        patched.extend(vec![0u8; types]);
-        patched.extend_from_slice(&body[count + 12..]);
-        rejected(&patched, "table count off the catalog");
     }
 }
 
@@ -1208,37 +1113,6 @@ fn restore_rejects_a_queued_update_type_outside_the_catalog() {
     }
 }
 
-/// Every EWMA an image carries repeats its fixed smoothing factor: the
-/// root's cost estimate (0.2), ATC's rate (`RATE_ALPHA`) and a predictive
-/// sampler's drift (`DRIFT_ALPHA`). A factor off it is a typed error at
-/// restore, not an estimate smoothed at a rate the run never set.
-#[test]
-fn restore_rejects_an_ewma_alpha_off_its_config() {
-    type At = fn(&[u8]) -> usize;
-    let cases: [(&str, u8, f64, At); 3] = [
-        // Before the first step the body closes with the cost estimate (α,
-        // an absence byte), the budget multiplier and the update count
-        // (f64), 50 absent detachment epochs, the sampler flag (none),
-        // u_max (f64), the empty δ trace and the injection count (u64).
-        ("root cost estimate", 0, 0.2, |b| b.len() - 8 - 8 - 8 - 1 - 50 - 8 - 8 - 1 - 8),
-        // Node 1's δ, the controller's flag and δ, its two window counts,
-        // then its rate's α.
-        ("ATC rate", 1, RATE_ALPHA, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16),
-        // Before the first step every sampler record is 43 bytes (see
-        // `restored_counters_at_the_bound_sum_without_overflow`); the last
-        // one's drift α follows its absence byte.
-        ("sampler drift", 4, DRIFT_ALPHA, |b| b.len() - 24 - 43 + 1),
-    ];
-    for (ewma, variant, alpha, at) in cases {
-        let (body, rejected) = variant_body(variant, 0);
-        let at = at(&body);
-        assert_eq!(body[at..at + 8], alpha.to_le_bytes(), "{ewma}: its α");
-        let mut patched = body.clone();
-        patched[at..at + 8].copy_from_slice(&2.0f64.to_le_bytes());
-        rejected(&patched, "EWMA smoothing factor off its config");
-    }
-}
-
 /// A predictive sampler skips at most `MAX_SKIP` epochs in a row. A larger
 /// skip count is a typed error at restore: at `u64::MAX` the sensor would
 /// never be read again.
@@ -1246,7 +1120,8 @@ fn restore_rejects_an_ewma_alpha_off_its_config() {
 fn restore_rejects_a_sampler_skip_above_max_skip() {
     let (body, rejected) = variant_body(4, 0);
     // The last sampler record closes with its skip, taken and skipped
-    // counts, 24 bytes before the body's end (see above).
+    // counts, 24 bytes before the body's end (see
+    // `restored_counters_at_the_bound_sum_without_overflow`).
     let at = body.len() - 24 - 24;
     assert_eq!(body[at..at + 8], 0u64.to_le_bytes(), "nothing skipped yet");
     let with_skip = |skip: u64| {
@@ -1281,37 +1156,25 @@ fn with_present(body: &[u8], at: usize, value: f64) -> Vec<u8> {
 #[test]
 fn restore_rejects_an_ewma_estimate_that_is_not_finite() {
     type At = fn(&[u8]) -> usize;
-    // Before the first step every estimate is absent; each offset is its
-    // absence byte, right after its α (see
-    // `restore_rejects_an_ewma_alpha_off_its_config`).
+    // Before the first step every estimate is absent, and an EWMA record
+    // is its estimate's absence byte alone.
     let cases: [(&str, u8, At); 5] = [
-        ("root cost estimate", 0, |b| b.len() - 8 - 8 - 8 - 1 - 50 - 8 - 8 - 1),
-        ("ATC rate", 1, |b| fresh_delta_at(b, 1) + 8 + 1 + 8 + 16 + 8),
-        ("sampler drift", 4, |b| b.len() - 24 - 43 + 1 + 8),
-        ("sampler volatility", 4, |b| b.len() - 24 - 43 + 1 + 8 + 1 + 8),
-        // A fixed-δ node's δ, the absent controller's flag, the sensing
-        // row's length (4), then type 0's variability record: absent, or
-        // a presence byte and the EWMA (α 0.2, its estimate).
-        ("sensing variability", 0, |b| {
-            let delta = fresh_delta_at(b, 1);
-            assert_eq!(b[delta + 9..delta + 17], 4u64.to_le_bytes(), "four sensing cells");
-            delta + 17
-        }),
+        // The body closes with the cost estimate, the budget multiplier
+        // and the update count (f64), 50 absent detachment epochs, u_max
+        // (f64), the empty δ trace and the injection count (u64).
+        ("root cost estimate", 0, |b| b.len() - 8 - 8 - 8 - 50 - 8 - 8 - 1),
+        // Node 1's δ, its ATC record's two window counts, then its rate.
+        ("ATC rate", 1, |b| atc_record_at(b, 1) + 16),
+        // The last sampler record: its last reading, drift and volatility.
+        ("sampler drift", 4, |b| b.len() - 24 - SAMPLER + 1),
+        ("sampler volatility", 4, |b| b.len() - 24 - SAMPLER + 2),
+        // A fixed-δ node's table array, then type 0's variability record.
+        ("sensing variability", 0, |b| after_tables(b, 1)),
     ];
     for (ewma, variant, at) in cases {
         let (body, rejected) = variant_body(variant, 0);
         let at = at(&body);
-        let estimate = |value: f64| {
-            if ewma == "sensing variability" {
-                let record = [&[1u8][..], &0.2f64.to_le_bytes()].concat();
-                let mut b = body[..at].to_vec();
-                b.extend_from_slice(&record);
-                b.extend_from_slice(&body[at..]);
-                with_present(&b, at + record.len(), value)
-            } else {
-                with_present(&body, at, value)
-            }
-        };
+        let estimate = |value: f64| with_present(&body, at, value);
         let cfg = variant_config(17, variant, 60);
         Engine::new(cfg).restore(&estimate(2.5)).unwrap_or_else(|e| panic!("{ewma}: {e:?}"));
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -1329,7 +1192,7 @@ fn restore_rejects_an_ewma_estimate_that_is_not_finite() {
 fn restore_rejects_a_sampler_last_value_that_is_not_finite() {
     let (body, rejected) = variant_body(4, 0);
     // The last sampler record opens with its last value's absence byte.
-    let at = body.len() - 24 - 43;
+    let at = body.len() - 24 - SAMPLER;
     let cfg = variant_config(17, 4, 60);
     Engine::new(cfg).restore(&with_present(&body, at, 12.5)).expect("a reading restores");
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -1343,12 +1206,10 @@ fn restore_rejects_a_sampler_last_value_that_is_not_finite() {
 #[test]
 fn restore_rejects_a_sensing_last_reading_that_is_infinite() {
     let (body, rejected) = variant_body(0, 0);
-    // After node 1's δ: the absent controller's flag, the four absent
-    // variability records, the row's length again, then type 0's last
-    // reading (NaN before the first step).
-    let delta = fresh_delta_at(&body, 1);
-    let at = delta + 8 + 1 + 8 + 4 + 8;
-    assert_eq!(body[at - 8..at], 4u64.to_le_bytes(), "four last readings");
+    // After node 1's table array: the four absent variability records,
+    // then type 0's last reading (NaN before the first step).
+    let at = after_tables(&body, 1) + 4;
+    assert_eq!(body[at - 4..at], [0; 4], "four absent variability records");
     assert!(f64::from_le_bytes(body[at..at + 8].try_into().unwrap()).is_nan());
     let patch = |v: f64| {
         let mut patched = body.clone();
@@ -1358,31 +1219,6 @@ fn restore_rejects_a_sensing_last_reading_that_is_infinite() {
     Engine::new(variant_config(17, 0, 60)).restore(&patch(12.5)).expect("a reading restores");
     for bad in [f64::INFINITY, f64::NEG_INFINITY] {
         rejected(&patch(bad), "sensing last reading infinite");
-    }
-}
-
-/// A query's ground truth records its involved count after its involved
-/// flags. A count off the flags is a typed error at restore, not a query
-/// scored against nodes that were never involved.
-#[test]
-fn restore_rejects_an_involved_count_off_its_flags() {
-    // At epoch 25 the query injected at epoch 20 is in flight: its source
-    // count lies 46 bytes past "PEND" (see
-    // `restore_rejects_a_query_source_outside_the_deployment`), and the
-    // source ids (u32), the flags (a count and a byte per node) and the
-    // involved count follow.
-    let (body, rejected) = variant_body(0, 25);
-    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
-    let sources = tag_offsets(&body, b"PEND")[0] + 46;
-    let flags = sources + 8 + 4 * u64_at(sources) as usize;
-    assert_eq!(u64_at(flags), 50, "one flag per node");
-    let count = flags + 8 + 50;
-    let involved = body[flags + 8..count].iter().filter(|&&f| f == 1).count() as u64;
-    assert!(involved > 0 && u64_at(count) == involved, "the recorded count is the flags'");
-    for bad in [involved - 1, involved + 1000] {
-        let mut patched = body.clone();
-        patched[count..count + 8].copy_from_slice(&bad.to_le_bytes());
-        rejected(&patched, "involved count off its flags");
     }
 }
 
@@ -1398,34 +1234,44 @@ struct TableAt {
     tx: usize,
 }
 
-/// Every present range table of every node in `body`. A node record holds
-/// "NODE", the parent flag and id, the child ids (a count, then u32s), the
-/// table count and, per type, a presence byte and a present table.
-fn table_records(body: &[u8]) -> Vec<TableAt> {
+/// The present range tables of the node record whose "NODE" tag is at
+/// `node`, and the offset right after its table array. A node record holds
+/// "NODE", the parent flag and id, the child ids (a count, then u32s) and,
+/// per catalog type (four), a presence byte and a present table. Under
+/// ATC the node's δ follows the table array, then the ATC record; then one
+/// variability record per type.
+fn walk_tables(body: &[u8], node: usize) -> (Vec<TableAt>, usize) {
     let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) as usize;
+    let mut tables = Vec::new();
+    let mut at = node + 4;
+    at += if body[at] == 1 { 5 } else { 1 };
+    at += 8 + 4 * u64_at(at);
+    for _ in 0..4 {
+        at += 1;
+        if body[at - 1] == 0 {
+            continue;
+        }
+        let own = at;
+        at += if body[at] == 1 { 17 } else { 1 };
+        let (children, count) = (at, u64_at(at));
+        at += 3 * 8 + 20 * count;
+        tables.push(TableAt { own, children, count, tx: at });
+        at += if body[at] == 1 { 17 } else { 1 };
+    }
+    (tables, at)
+}
+
+/// Every present range table of every node in `body`.
+fn table_records(body: &[u8]) -> Vec<TableAt> {
     let nodes = tag_offsets(body, b"NODE");
     assert_eq!(nodes.len(), 50, "one NODE record per node");
-    let mut tables = Vec::new();
-    for node in nodes {
-        let mut at = node + 4;
-        at += if body[at] == 1 { 5 } else { 1 };
-        at += 8 + 4 * u64_at(at);
-        let width = u64_at(at);
-        at += 8;
-        for _ in 0..width {
-            at += 1;
-            if body[at - 1] == 0 {
-                continue;
-            }
-            let own = at;
-            at += if body[at] == 1 { 17 } else { 1 };
-            let (children, count) = (at, u64_at(at));
-            at += 3 * 8 + 20 * count;
-            tables.push(TableAt { own, children, count, tx: at });
-            at += if body[at] == 1 { 17 } else { 1 };
-        }
-    }
-    tables
+    nodes.into_iter().flat_map(|node| walk_tables(body, node).0).collect()
+}
+
+/// Offset right after node `i`'s table array in `body`: its δ under ATC,
+/// else its first variability record.
+fn after_tables(body: &[u8], i: usize) -> usize {
+    walk_tables(body, tag_offsets(body, b"NODE")[i]).1
 }
 
 /// Copies of `body` whose tuple, with bounds at `min` and `max`, holds each
@@ -1523,14 +1369,166 @@ fn restore_rejects_an_own_tuple_of_a_type_the_node_does_not_carry() {
         .find(|&v| donor.table(v, t).is_some_and(|table| table.own().is_some()))
         .expect("a node with an own tuple of type 0");
     let body = donor.snapshot();
-    // "ASGN", the node count, then per node a flag count and one byte per
-    // type.
-    let flag = tag_offsets(&body, b"ASGN")[0] + 12 + 12 * v.index() + 8;
-    assert_eq!(body[flag - 8..flag], 4u64.to_le_bytes(), "node {v:?}'s four flags");
+    // "ASGN", the node count, then per node one byte per catalog type.
+    let flag = tag_offsets(&body, b"ASGN")[0] + 12 + 4 * v.index();
     assert_eq!(body[flag], 1, "node {v:?} carries type 0");
     let mut patched = body.clone();
     patched[flag] = 0;
     assert_rejected(&patched, "own tuple of a type the node does not carry");
+}
+
+/// Offsets of the root control loop in a `variant_config` body with one
+/// δ trace point: the budget multiplier, the update count at the last EHr
+/// (two f64s before the 50 detachment epochs, all absent while every node
+/// is attached) and Umax (f64), which precedes the δ trace (a count and
+/// one (u64, f64) pair) and the injection count (u64).
+fn control_loop_at(body: &[u8]) -> (usize, usize, usize) {
+    let trace = body.len() - 8 - 16 - 8;
+    assert_eq!(body[trace..trace + 8], 1u64.to_le_bytes(), "one δ trace point");
+    let umax = trace - 8;
+    assert!(body[umax - 50..umax].iter().all(|&b| b == 0), "no node detached");
+    (umax - 50 - 16, umax - 50 - 8, umax)
+}
+
+/// A body of `paper_small` (fixed δ 5 %, seed 17) at epoch 45, past its
+/// second EHr, whose f64 at `at` is `value`.
+fn with_f64(body: &[u8], at: usize, value: f64) -> Vec<u8> {
+    let mut patched = body.to_vec();
+    patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    patched
+}
+
+/// The root's budget multiplier starts at 1.0 and every EHr clamps it to
+/// [0.05, 10]. One outside that range, or NaN, is a typed error at
+/// restore: a NaN survives the clamp, so every later EHr would hand out a
+/// NaN budget, which ATC ignores, keeping its last budget for good.
+#[test]
+fn restore_rejects_a_budget_multiplier_outside_its_clamp() {
+    let (body, rejected) = variant_body(0, 45);
+    let (multiplier, _, _) = control_loop_at(&body);
+    let cfg = variant_config(17, 0, 60);
+    for edge in [0.05, 10.0] {
+        Engine::new(cfg.clone()).restore(&with_f64(&body, multiplier, edge)).expect("the clamp");
+    }
+    for bad in [f64::NAN, 0.04, 10.5, -1.0, f64::INFINITY] {
+        rejected(&with_f64(&body, multiplier, bad), "budget multiplier outside [0.05, 10]");
+    }
+}
+
+/// The update count at the last EHr is the update series' total at that
+/// EHr, and the total only grows. One that is negative, not finite or
+/// above the restored series' total is a typed error at restore, not an
+/// hour whose realised traffic reads negative or NaN.
+#[test]
+fn restore_rejects_an_update_count_off_the_update_series() {
+    let cfg = variant_config(17, 0, 60);
+    let mut donor = Engine::new(cfg.clone());
+    for _ in 0..45 {
+        donor.step_epoch();
+    }
+    let total = donor.metrics().updates_per_bucket.total();
+    assert!(total > 0.0, "updates flowed");
+    let body = donor.snapshot();
+    let (_, updates, _) = control_loop_at(&body);
+    for fine in [0.0, total] {
+        Engine::new(cfg.clone()).restore(&with_f64(&body, updates, fine)).expect("a count");
+    }
+    for bad in [-1.0, f64::NAN, f64::INFINITY, total + 1.0] {
+        match Engine::new(cfg.clone()).restore(&with_f64(&body, updates, bad)) {
+            Err(SnapError::Malformed { what, .. }) => {
+                assert_eq!(what, "update count at the last EHr out of range")
+            }
+            other => panic!("an update count of {bad} restored: {other:?}"),
+        }
+    }
+}
+
+/// Umax, the Fig. 6 reference line, is the analytic worst case: finite
+/// and non-negative. One that is negative or not finite is a typed error
+/// at restore.
+#[test]
+fn restore_rejects_a_umax_negative_or_not_finite() {
+    let (body, rejected) = variant_body(0, 45);
+    let (_, _, umax) = control_loop_at(&body);
+    let cfg = variant_config(17, 0, 60);
+    Engine::new(cfg).restore(&with_f64(&body, umax, 0.0)).expect("a zero Umax");
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        rejected(&with_f64(&body, umax, bad), "Umax negative or not finite");
+    }
+}
+
+/// Offset of the metrics record's update-series sums (a count, then one
+/// f64 per bucket) and of its overshoot accumulator (the sample count,
+/// the mean, m2, the minimum and the maximum) in a `variant_config` body.
+fn series_and_overshoot_at(body: &[u8]) -> (usize, usize) {
+    // "METR" and the six tallies, then the sums and the counts.
+    let sums = tag_offsets(body, b"METR")[0] + 4 + 48;
+    let buckets = u64::from_le_bytes(body[sums..sums + 8].try_into().unwrap()) as usize;
+    (sums, sums + 16 + 16 * buckets)
+}
+
+/// An update-series sum counts Update transmissions, so it is finite. One
+/// that is not is a typed error at restore, not a total that reads NaN
+/// for good, with the budget multiplier climbing to its cap every hour.
+#[test]
+fn restore_rejects_an_update_series_sum_that_is_not_finite() {
+    let (body, rejected) = variant_body(0, 25);
+    let (sums, _) = series_and_overshoot_at(&body);
+    let first = sums + 8;
+    assert!(f64::from_le_bytes(body[first..first + 8].try_into().unwrap()) > 0.0);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        rejected(&with_f64(&body, first, bad), "series sum not finite");
+    }
+}
+
+/// The overshoot accumulator holds only what observing finite overshoots
+/// leaves: the empty state, or a finite mean, minimum and maximum in order
+/// and a finite, non-negative m2. Anything else is a typed error at
+/// restore, not a NaN mean overshoot in every report.
+#[test]
+fn restore_rejects_an_overshoot_accumulator_no_observation_leaves() {
+    let (empty, rejected) = variant_body(0, 0);
+    let (_, acc) = series_and_overshoot_at(&empty);
+    assert_eq!(empty[acc..acc + 8], 0u64.to_le_bytes(), "no sample yet");
+    for (field, bad) in [(8, 1.0), (16, 2.0), (24, 0.0), (32, f64::NAN)] {
+        rejected(&with_f64(&empty, acc + field, bad), "empty accumulator off the empty state");
+    }
+    let (body, rejected) = variant_body(0, 55);
+    let (_, acc) = series_and_overshoot_at(&body);
+    assert!(u64::from_le_bytes(body[acc..acc + 8].try_into().unwrap()) > 0, "an overshoot");
+    let max = f64::from_le_bytes(body[acc + 32..acc + 40].try_into().unwrap());
+    for (field, bad) in [(8, f64::NAN), (16, -1.0), (16, f64::INFINITY), (24, max + 1.0)] {
+        rejected(&with_f64(&body, acc + field, bad), "accumulator statistics out of range");
+    }
+}
+
+/// A finalised query's counts are of nodes: none is above the deployment's
+/// size, and the nodes reached that should be are among those reached. An
+/// outcome off either is a typed error at restore, not an overshoot or a
+/// wrongly-reached count no run scores.
+#[test]
+fn restore_rejects_a_query_outcome_no_run_scores() {
+    let (body, rejected) = variant_body(0, 55);
+    // The outcomes follow the overshoot accumulator: a count, then per
+    // outcome its id and epoch (u64), its type (u8) and five counts
+    // (u64): should receive, true sources, received, received-should and
+    // sources reached.
+    let (_, acc) = series_and_overshoot_at(&body);
+    let outcomes = acc + 40;
+    assert!(u64::from_le_bytes(body[outcomes..outcomes + 8].try_into().unwrap()) > 0);
+    let counts = outcomes + 8 + 17;
+    let count_at = |k: usize| counts + 8 * k;
+    let received = u64::from_le_bytes(body[count_at(2)..count_at(2) + 8].try_into().unwrap());
+    assert!(received < 50, "a directed query misses a node");
+    let patch = |k: usize, v: u64| {
+        let mut patched = body.clone();
+        patched[count_at(k)..count_at(k) + 8].copy_from_slice(&v.to_le_bytes());
+        patched
+    };
+    for k in 0..5 {
+        rejected(&patch(k, 51), "query outcome count above the deployment size");
+    }
+    rejected(&patch(3, received + 1), "query outcome received-should above received");
 }
 
 /// The on-disk image format: magic, version, JSON header, byte-exact
@@ -1540,7 +1538,7 @@ fn image_format_is_pinned() {
     // The wire constants are a compatibility promise; bumping them must
     // be a conscious act (update this test + the daemon docs together).
     assert_eq!(IMAGE_MAGIC, b"DIRQSNAP");
-    assert_eq!(SNAP_FORMAT_VERSION, 1);
+    assert_eq!(SNAP_FORMAT_VERSION, 2);
 
     let mut engine = Engine::new(variant_config(5, 0, 60));
     for _ in 0..15 {
