@@ -1,30 +1,34 @@
 //! One-pass golden re-record tool.
 //!
 //! Recomputes **every** pinned fingerprint in the workspace — the
-//! engine-level and report-level pins of the [`dirq::goldens`] manifest,
-//! the smoke golden, the full-budget registry golden and the serving
-//! goldens of `BENCH_3.json` — and either:
+//! engine-level and report-level pins of the [`dirq::goldens`] manifest
+//! (the smoke golden among them), the full-budget registry's report
+//! fingerprint, whose one copy is `BENCH_2.json`, and the serving goldens
+//! of `BENCH_3.json` — and either:
 //!
-//! * **default (record)** — rewrites the constants in place
-//!   (`src/goldens.rs`, `crates/scenario/src/registry.rs`), regenerates
-//!   `BENCH_2.json` from the same full matrix run and rewrites
-//!   `BENCH_3.json` from the recipes it records, so an intentional
-//!   behaviour break lands as one consistent commit; or
+//! * **default (record)** — rewrites the manifest constants in place
+//!   (`src/goldens.rs`), writes `BENCH_2.json` from a full matrix run
+//!   with its large-preset throughput rows and history trail, and
+//!   rewrites `BENCH_3.json` from the recipes it records, so an
+//!   intentional behaviour break lands as one consistent commit; or
 //! * **`--check`** — recomputes everything fresh, compares against the
-//!   checked-in values (constants, the `BENCH_2.json` report
-//!   fingerprint and the `BENCH_3.json` rows) and exits non-zero on any
-//!   mismatch. This is the CI staleness gate: a behaviour change cannot
-//!   land with half-recorded goldens.
+//!   checked-in values (constants, the `BENCH_2.json` report fingerprint
+//!   and throughput rows, and the `BENCH_3.json` rows) and exits non-zero
+//!   on any mismatch. This is the CI staleness gate: a behaviour change
+//!   cannot land with half-recorded goldens.
 //!
 //! Usage: `record_goldens [--check] [--out PATH]`
 
 use std::path::Path;
+use std::time::Instant;
 
 use dirq::goldens::{self, GoldenPin};
 use dirq::scenario::registry;
+use dirq_bench::matrix::{self, THROUGHPUT_PRESETS};
 use dirq_bench::repo_root;
 use dirq_scenario::{run_matrix_report, Scheme, SweepConfig};
 use dirq_sim::json::Json;
+use dirq_sim::runner;
 use dirq_sim::snap::SNAP_FORMAT_VERSION;
 use dirqd::loadmodel::{histogram_counts, reference_epochs_histogram};
 
@@ -55,10 +59,129 @@ fn patch_const(file: &Path, name: &str, value: u64) -> bool {
     true
 }
 
-/// The report fingerprint `BENCH_2.json` records, if readable.
-fn bench2_fingerprint(path: &Path) -> Option<String> {
-    let doc = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    Some(doc.get("report")?.get("report_fingerprint")?.as_str()?.to_string())
+/// The intra-run worker counts the throughput axis asks for.
+const THROUGHPUT_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// The distinct worker counts `requested` resolve to on this host, as the
+/// engine resolves them for a deployment of `nodes` nodes
+/// ([`runner::shard_workers`]), ascending. A request past the host's
+/// threads runs at a smaller count, so it is measured once, under that
+/// count.
+fn resolved_workers(requested: &[usize], nodes: usize) -> Vec<usize> {
+    let mut counts: Vec<usize> =
+        requested.iter().map(|&w| runner::shard_workers(w, nodes)).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
+/// Run the full registry matrix, measure the large-preset throughput
+/// axis, and write the scenario-matrix artifact to `out`, carrying its
+/// history trail forward. Returns the report fingerprint, the registry's
+/// pin.
+///
+/// The throughput axis runs each large preset at 1, 2 and 4 intra-run
+/// workers, each row labelled with the count the engine resolves (see
+/// [`resolved_workers`]); the run fingerprint must be identical across the
+/// axis — worker counts may only change speed, and this asserts it.
+fn record_bench2(out: &Path) -> u64 {
+    let cfg = SweepConfig::default();
+    let t0 = Instant::now();
+    let report = run_matrix_report(&registry::registry(), &cfg);
+    let wall = (t0.elapsed().as_secs_f64() * 100.0).round() / 100.0;
+    let fingerprint = report.stable_fingerprint();
+
+    print!("{}", report.summary_table().to_ascii());
+    println!("comparisons (scheme / flooding, same scenario):");
+    for c in &report.comparisons {
+        println!("  {:<18} {:<22} {:>7.3}", c.scenario, c.metric, c.ratio);
+    }
+    println!(
+        "report fingerprint: {fingerprint:#018X}  ({} rows, {wall:.1}s wall)",
+        report.rows.len()
+    );
+
+    let mut doc = Json::object();
+    doc.set("schema", Json::Str("dirq-scenario-matrix-v1".to_string()));
+    doc.set("epoch_scale", Json::Num(cfg.epoch_scale));
+    doc.set("replicates", Json::Num(cfg.replicates as f64));
+    doc.set("wall_seconds", Json::Num(wall));
+    doc.set("report", report.to_json());
+    doc.set("tool", Json::Str("crates/bench/src/bin/record_goldens.rs".to_string()));
+    // Per-epoch throughput of the largest presets, measured on the run
+    // loop only (setup excluded) — the trajectory the ROADMAP perf work is
+    // gated on, and the baseline of the CI perf floor.
+    let mut throughput = Vec::new();
+    for name in THROUGHPUT_PRESETS {
+        let spec = registry::preset(name).expect("registry preset");
+        let mut serial_fp = None;
+        for threads in resolved_workers(&THROUGHPUT_WORKERS, spec.n_nodes) {
+            // Best of two runs: the run loop is deterministic, so repeats
+            // only differ by scheduling noise — keep the cleaner sample.
+            let (eps, epochs, fp) = matrix::measure_throughput(&spec, threads, 2);
+            assert_eq!(
+                *serial_fp.get_or_insert(fp),
+                fp,
+                "{name}: {threads} workers changed the run fingerprint"
+            );
+            println!(
+                "{name}: {eps:.0} epochs/s ({epochs} epochs, run loop only, {threads} threads)"
+            );
+            let mut o = Json::object();
+            o.set("scenario", Json::Str(name.to_string()));
+            o.set("threads", Json::Num(threads as f64));
+            o.set("epochs", Json::Num(epochs as f64));
+            o.set("epochs_per_sec", Json::Num(eps.round()));
+            o.set("fingerprint", Json::Str(format!("{fp:#018X}")));
+            throughput.push(o);
+        }
+    }
+    doc.set("throughput", Json::Arr(throughput));
+    // Carry the recorded trajectory forward: previous (wall, fingerprint,
+    // rows) entries stay in the artifact as its scale history.
+    let mut history: Vec<Json> = std::fs::read_to_string(out)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+        .and_then(|doc| doc.get("history").and_then(Json::as_array).map(<[Json]>::to_vec))
+        .unwrap_or_default();
+    let mut entry = Json::object();
+    entry.set("wall_seconds", Json::Num(wall));
+    entry.set("report_fingerprint", Json::Str(format!("{fingerprint:#018X}")));
+    entry.set("rows", Json::Num(report.rows.len() as f64));
+    history.push(entry);
+    doc.set("history", Json::Arr(history));
+    std::fs::write(out, doc.render_pretty())
+        .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    println!("wrote {}", out.display());
+    fingerprint
+}
+
+/// Compare the scenario-matrix artifact `file` (its text is `text`) with
+/// `registry`, the fingerprint of a fresh full-registry sweep. Returns
+/// one line per difference: a report fingerprint that is missing or off
+/// `registry`, and each perf-floor preset without a one-worker throughput
+/// row. Unparseable text is one difference.
+fn bench2_diffs(file: &str, text: &str, registry: u64) -> Vec<String> {
+    let doc = match Json::parse(text) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("{file}: unparseable: {e:?}")],
+    };
+    let recorded =
+        doc.get("report").and_then(|r| r.get("report_fingerprint")).and_then(Json::as_str);
+    let fresh = format!("{registry:#018X}");
+    let status = if recorded == Some(fresh.as_str()) { "ok" } else { "DRIFTED" };
+    println!("  {:<26} {fresh}  {status}", format!("{file}:report_fingerprint"));
+    let mut diffs = Vec::new();
+    if recorded != Some(fresh.as_str()) {
+        let recorded = recorded.unwrap_or("no report fingerprint");
+        diffs.push(format!("{file}: records {recorded}, fresh registry is {fresh}"));
+    }
+    for name in THROUGHPUT_PRESETS {
+        if matrix::baseline_throughput(&doc, name, 1).is_none() {
+            diffs.push(format!("{file}: no one-worker throughput row for {name}"));
+        }
+    }
+    diffs
 }
 
 /// One `BENCH_3.json` row's recipe, as the file records it.
@@ -211,29 +334,13 @@ fn main() {
     }
 
     if check {
-        // Full-budget registry sweep, compared against the constant and
-        // the checked-in artifact (no writes in check mode).
-        let report = run_matrix_report(&registry::registry(), &SweepConfig::default());
-        let registry_fp = report.stable_fingerprint();
-        println!(
-            "  {:<26} {:#018X}  {}",
-            "REGISTRY_GOLDEN_FINGERPRINT",
-            registry_fp,
-            if registry_fp == registry::REGISTRY_GOLDEN_FINGERPRINT { "ok" } else { "DRIFTED" }
-        );
-        if registry_fp != registry::REGISTRY_GOLDEN_FINGERPRINT {
-            mismatches.push(format!(
-                "REGISTRY_GOLDEN_FINGERPRINT: recorded {:#018X}, fresh {registry_fp:#018X}",
-                registry::REGISTRY_GOLDEN_FINGERPRINT
-            ));
-        }
-        let recorded_artifact = bench2_fingerprint(&root.join(&out));
-        let expected = format!("{registry_fp:#018X}");
-        if recorded_artifact.as_deref() != Some(expected.as_str()) {
-            mismatches.push(format!(
-                "{out}: records {}, fresh registry is {expected}",
-                recorded_artifact.as_deref().unwrap_or("<missing/unparseable>")
-            ));
+        // Full-budget registry sweep, compared against the checked-in
+        // artifact (no writes in check mode).
+        let registry_fp =
+            run_matrix_report(&registry::registry(), &SweepConfig::default()).stable_fingerprint();
+        match std::fs::read_to_string(root.join(&out)) {
+            Ok(text) => mismatches.extend(bench2_diffs(&out, &text, registry_fp)),
+            Err(e) => mismatches.push(format!("{out}: {e}")),
         }
         match std::fs::read_to_string(root.join(BENCH3_FILE)) {
             Ok(text) => match refresh_bench3(&text) {
@@ -255,28 +362,15 @@ fn main() {
     }
 
     // Record mode: patch the manifest constants, then regenerate the
-    // artifact from the same behaviour and pin its registry fingerprint.
+    // artifact from the same behaviour.
     let mut patched = 0usize;
     for (pin, value) in &fresh {
-        if patch_const(&root.join(pin.file), pin.name, *value) {
-            println!("  patched {} in {}", pin.name, pin.file);
+        if patch_const(&root.join(goldens::GOLDENS_FILE), pin.name, *value) {
+            println!("  patched {} in {}", pin.name, goldens::GOLDENS_FILE);
             patched += 1;
         }
     }
-    let out_abs = root.join(&out).to_string_lossy().into_owned();
-    let report = dirq_bench::matrix::run_and_record(
-        &registry::registry(),
-        &SweepConfig::default(),
-        &out_abs,
-    );
-    if patch_const(
-        &root.join(goldens::REGISTRY_FILE),
-        "REGISTRY_GOLDEN_FINGERPRINT",
-        report.stable_fingerprint(),
-    ) {
-        println!("  patched REGISTRY_GOLDEN_FINGERPRINT in {}", goldens::REGISTRY_FILE);
-        patched += 1;
-    }
+    let registry_fp = record_bench2(&root.join(&out));
     let bench3 = root.join(BENCH3_FILE);
     let text = std::fs::read_to_string(&bench3)
         .unwrap_or_else(|e| panic!("read {}: {e}", bench3.display()));
@@ -285,8 +379,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("write {}: {e}", bench3.display()));
     println!(
         "done: {patched} constant(s) rewritten, {out} regenerated \
-         (fingerprint {:#018X}), {BENCH3_FILE} rewritten ({} difference(s))",
-        report.stable_fingerprint(),
+         (fingerprint {registry_fp:#018X}), {BENCH3_FILE} rewritten ({} difference(s))",
         diffs.len()
     );
     if patched > 0 {
@@ -297,6 +390,63 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn throughput_rows_are_the_distinct_resolved_counts() {
+        let host = runner::host_threads();
+        let counts = resolved_workers(&THROUGHPUT_WORKERS, 2_000);
+        assert!(counts.windows(2).all(|w| w[0] < w[1]), "{counts:?} not distinct");
+        assert!(counts.iter().all(|&w| 1 <= w && w <= host), "{counts:?} past {host} threads");
+        assert_eq!(counts.first(), Some(&1));
+        assert_eq!(counts.last(), Some(&host.min(4)), "the largest request runs at its clamp");
+        assert_eq!(resolved_workers(&THROUGHPUT_WORKERS, 100), [1], "small runs are serial");
+    }
+
+    /// The checked-in `BENCH_2.json` records the registry pin it was
+    /// written with and a one-worker throughput row for each preset the
+    /// perf floor reads. A flipped fingerprint digit is exactly one
+    /// difference, named by the file; a copy without a report, or without
+    /// the throughput rows, is a difference per missing fact, not a panic.
+    #[test]
+    fn bench2_carries_its_pin_and_the_perf_floor_rows() {
+        let file = "BENCH_2.json";
+        let text = std::fs::read_to_string(repo_root().join(file)).expect("read");
+        let doc = Json::parse(&text).expect("parse");
+        let fp = doc
+            .get("report")
+            .and_then(|r| r.get("report_fingerprint"))
+            .and_then(Json::as_str)
+            .expect("report fingerprint");
+        let pin = u64::from_str_radix(&fp[2..], 16).expect("hex fingerprint");
+        assert!(
+            bench2_diffs(file, &text, pin).is_empty(),
+            "{file} is not in the form it is checked in"
+        );
+        for name in THROUGHPUT_PRESETS {
+            let row = matrix::baseline_throughput(&doc, name, 1);
+            assert_eq!(row.map(|(threads, _)| threads), Some(1), "{name}: no one-worker row");
+        }
+
+        let flipped = if fp.ends_with('0') { '1' } else { '0' };
+        let copy = text.replacen(fp, &format!("{}{flipped}", &fp[..fp.len() - 1]), 1);
+        assert_ne!(copy, text);
+        let diffs = bench2_diffs(file, &copy, pin);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].contains(file), "{:?} does not name {file}", diffs[0]);
+
+        let no_report = text.replacen("\"report\":", "\"no_report\":", 1);
+        let diffs = bench2_diffs(file, &no_report, pin);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].contains("no report fingerprint"), "{:?}", diffs[0]);
+
+        let no_rows = text.replacen("\"throughput\":", "\"no_throughput\":", 1);
+        let diffs = bench2_diffs(file, &no_rows, pin);
+        assert_eq!(diffs.len(), THROUGHPUT_PRESETS.len(), "{diffs:?}");
+        for (diff, name) in diffs.iter().zip(THROUGHPUT_PRESETS) {
+            assert!(diff.contains(name), "{diff:?} does not name {name}");
+        }
+        assert_eq!(bench2_diffs(file, "", pin).len(), 1, "unparseable text is one difference");
+    }
 
     /// The checked-in `BENCH_3.json` is current and in the form record
     /// mode writes; a flipped fingerprint digit is exactly one difference,

@@ -1,8 +1,10 @@
 //! # dirq-bench — the reproduction harness
 //!
 //! One binary per figure/result of the paper's evaluation (Section 5 and
-//! Section 7), plus the scenario-matrix (`scenario_matrix`) and
-//! golden-record (`record_goldens`) tools.
+//! Section 7), plus two tools: `record_goldens` records every golden pin
+//! and is the one writer of `BENCH_2.json` and `BENCH_3.json` (`--check`
+//! compares instead), and `scenario_matrix --workers W` is the smoke of
+//! the sharded engine and the perf floor, and writes nothing.
 //!
 //! | Paper artefact | Binary | What it prints |
 //! |---|---|---|

@@ -106,7 +106,12 @@ impl Engine {
     /// no step leaves: a budget multiplier outside the `[0.05, 10]` its
     /// updates clamp it to (or NaN), an update count at the last EHr that
     /// is negative, not finite or above the restored update series' total,
-    /// and a Umax that is negative or not finite.
+    /// and a Umax that is negative or not finite. So is an epoch stamp no
+    /// step writes: a step stamps its own epoch, below the image's, so a
+    /// node's detachment epoch and each δ-trace epoch lie below it, the
+    /// δ-trace epochs strictly ascending; a trace value, a mean of δs, is
+    /// finite and non-negative. (The pending set and the metrics check
+    /// their own inject epochs.)
     pub fn restore(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let n = self.mac.topology().len();
         let width = self.plane.width;
@@ -144,8 +149,8 @@ impl Engine {
             node.restore(&mut r, self.plane.row_mut(i), masks[i], n)?;
         }
         self.qgen.restore(&mut r)?;
-        self.pending.restore(&mut r, n, self.qgen.next_id())?;
-        self.metrics.restore(&mut r, n)?;
+        self.pending.restore(&mut r, n, self.qgen.next_id(), self.epoch)?;
+        self.metrics.restore(&mut r, n, self.epoch)?;
         self.mac_rng = r.rng()?;
         self.cqd_estimate.restore(&mut r)?;
         let malformed = |pos, what| Err(SnapError::Malformed { pos, what });
@@ -163,7 +168,11 @@ impl Engine {
             return malformed(pos, "update count at the last EHr out of range");
         }
         for d in &mut self.detached_since {
+            let pos = r.position();
             *d = r.opt_u64()?;
+            if d.is_some_and(|since| since >= self.epoch) {
+                return malformed(pos, "detachment at or after the image's epoch");
+            }
         }
         for s in self.plane.samplers.iter_mut().flatten() {
             s.restore(&mut r)?;
@@ -174,8 +183,19 @@ impl Engine {
             return malformed(pos, "Umax negative or not finite");
         }
         let traces = r.seq_len(16)?;
-        self.delta_trace =
-            (0..traces).map(|_| Ok((r.u64()?, r.f64()?))).collect::<Result<_, SnapError>>()?;
+        self.delta_trace = Vec::with_capacity(traces);
+        for _ in 0..traces {
+            let pos = r.position();
+            let (at, delta) = (r.u64()?, r.f64()?);
+            let after = self.delta_trace.last().map_or(0, |&(last, _)| last + 1);
+            if !(after..self.epoch).contains(&at) {
+                return malformed(pos, "delta trace epochs not ascending below the image's epoch");
+            }
+            if !(delta.is_finite() && delta >= 0.0) {
+                return malformed(pos, "delta trace value negative or not finite");
+            }
+            self.delta_trace.push((at, delta));
+        }
         self.queries_injected = r.count()? as usize;
         r.expect_eof()
     }

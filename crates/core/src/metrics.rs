@@ -236,14 +236,17 @@ impl Metrics {
     }
 
     /// Overlay measurements captured by [`Metrics::snap`] onto a collector
-    /// built for the same run over `n_nodes` nodes. Each outcome's network
-    /// size is `n_nodes` and its wrongly-reached count is `received −
-    /// received_should`; an outcome with a count above `n_nodes`, or with
-    /// more nodes reached that should be than were reached, is malformed.
+    /// built for the same run over `n_nodes` nodes, imaged at `epoch`.
+    /// Each outcome's network size is `n_nodes` and its wrongly-reached
+    /// count is `received − received_should`; an outcome with a count above
+    /// `n_nodes`, with more nodes reached that should be than were reached,
+    /// or injected at or after `epoch` (a step finalises only queries
+    /// injected by its own epoch, below the image's) is malformed.
     pub fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
         n_nodes: usize,
+        epoch: u64,
     ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"METR")?;
         for c in [&mut self.query_cost, &mut self.update_cost, &mut self.control_cost] {
@@ -255,7 +258,14 @@ impl Metrics {
         let n = r.seq_len(8 + 8 + 1 + 5 * 8)?;
         let mut outcomes = Vec::with_capacity(n);
         for _ in 0..n {
-            let (id, epoch, stype) = (QueryId(r.u64()?), r.u64()?, SensorType(r.u8()?));
+            let id = QueryId(r.u64()?);
+            let pos = r.position();
+            let injected = r.u64()?;
+            if injected >= epoch {
+                let what = "query outcome injected at or after the image's epoch";
+                return Err(dirq_sim::SnapError::Malformed { pos, what });
+            }
+            let stype = SensorType(r.u8()?);
             let pos = r.position();
             let mut counts = [0; 5];
             for c in &mut counts {
@@ -275,7 +285,7 @@ impl Metrics {
             }
             outcomes.push(QueryOutcome {
                 id,
-                epoch,
+                epoch: injected,
                 stype,
                 should_receive,
                 true_sources,

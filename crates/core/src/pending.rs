@@ -126,12 +126,16 @@ impl PendingSet {
     /// ascending, as `ground_truth` lists them (finalisation counts each
     /// listed source it reached), and one involved and received flag per
     /// node. Ids must be distinct and below `id_cursor`, the restored
-    /// generator's next id, as every id the generator handed out is.
+    /// generator's next id, as every id the generator handed out is. An
+    /// inject epoch is at most `epoch`, the image's: a step injects at its
+    /// own epoch, below the image's, and an external query between steps
+    /// at the image's.
     pub(crate) fn restore(
         &mut self,
         r: &mut dirq_sim::SnapReader<'_>,
         n_nodes: usize,
         id_cursor: u64,
+        epoch: u64,
     ) -> Result<(), dirq_sim::SnapError> {
         r.tag(b"PEND")?;
         let pos = r.position();
@@ -157,7 +161,14 @@ impl PendingSet {
                     what: "duplicate in-flight query id",
                 });
             }
-            let epoch = r.u64()?;
+            let pos = r.position();
+            let injected = r.u64()?;
+            if injected > epoch {
+                return Err(dirq_sim::SnapError::Malformed {
+                    pos,
+                    what: "in-flight query injected after the image's epoch",
+                });
+            }
             let pos = r.position();
             let truth = GroundTruth::unsnap(r)?;
             let received = r.bools()?;
@@ -181,7 +192,7 @@ impl PendingSet {
             }
             let tx = r.count()?;
             let rx = r.count()?;
-            self.insert(PendingQuery { query, epoch, truth, received, tx, rx });
+            self.insert(PendingQuery { query, epoch: injected, truth, received, tx, rx });
         }
         Ok(())
     }

@@ -6,21 +6,25 @@
 //!
 //! * [`spec`] — a declarative [`ScenarioSpec`] (topology family + size,
 //!   churn schedule, workload mix, sensor-type profile, schemes under
-//!   test, epoch budget, seed) with a builder API. Churn and measurement
-//!   windows are run-relative, so a spec scales to quick smoke runs and
-//!   full-budget sweeps without changing shape.
-//! * [`registry`](mod@registry) — named presets spanning 100–5 000 nodes: dense grid,
+//!   test, epoch budget, seed): public fields, set in a struct literal over
+//!   [`ScenarioSpec::new`]'s defaults. Churn and measurement windows are
+//!   run-relative, so a spec scales to quick smoke runs and full-budget
+//!   sweeps without changing shape.
+//! * [`registry`](mod@registry) — named presets spanning 100–50 000 nodes: dense grid,
 //!   sparse random, corridor, clustered hotspot workload, heavy churn,
-//!   heterogeneous sensor types, a flooding head-to-head and the
-//!   5 000-node stress deployment.
+//!   heterogeneous sensor types, lossy radios, staged births, multiple
+//!   sinks, a flooding head-to-head and the 2 000- to 50 000-node scale
+//!   points.
 //! * [`sweep`] — a deterministic executor fanning the scenario matrix
 //!   (specs × schemes × seed replicates) over worker threads.
 //! * [`report`] — per-run [`ScenarioOutcome`]s, cross-scenario
 //!   comparisons, a stable fingerprint and JSON rendering.
 //!
 //! Fixed seeds reproduce bit-identical [`ScenarioReport`]s across runs
-//! and thread counts; `tests/scenario_golden.rs` (workspace root) and the
-//! `scenario_matrix` bench binary pin the fingerprints.
+//! and thread counts. `tests/scenario_golden.rs` (workspace root) pins
+//! the report fingerprints of single presets, and `BENCH_2.json`, which
+//! the `record_goldens` bench binary writes and checks, that of the whole
+//! registry.
 //!
 //! ## Example
 //!
@@ -28,11 +32,12 @@
 //! use dirq_scenario::{run_matrix_report, ScenarioSpec, Scheme, SweepConfig};
 //!
 //! // A small head-to-head: DirQ vs flooding on the same 40-node world.
-//! let spec = ScenarioSpec::builder("demo", 40)
-//!     .epochs(300)
-//!     .schemes(vec![Scheme::DirqFixed(5.0), Scheme::Flooding])
-//!     .seed(7)
-//!     .build();
+//! let spec = ScenarioSpec {
+//!     epochs: 300,
+//!     schemes: vec![Scheme::DirqFixed(5.0), Scheme::Flooding],
+//!     seed: 7,
+//!     ..ScenarioSpec::new("demo", 40)
+//! };
 //!
 //! let report = run_matrix_report(&[spec], &SweepConfig::default());
 //! assert_eq!(report.rows.len(), 2);
@@ -53,5 +58,5 @@ pub mod sweep;
 
 pub use registry::{preset, registry, smoke};
 pub use report::{Comparison, ScenarioOutcome, ScenarioReport, ScenarioRow};
-pub use spec::{ChurnProfile, ScenarioSpec, ScenarioSpecBuilder, Scheme};
+pub use spec::{ChurnProfile, ScenarioSpec, Scheme};
 pub use sweep::{replicate_seed, run_matrix_report, SweepConfig};

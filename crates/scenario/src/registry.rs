@@ -16,82 +16,86 @@ use crate::spec::{ChurnProfile, ScenarioSpec, Scheme};
 /// 100 nodes on a jittered grid at high density — the regular-deployment
 /// baseline every other preset is judged against.
 pub fn dense_grid_100() -> ScenarioSpec {
-    ScenarioSpec::builder("dense_grid_100", 100)
-        .placement(Placement::JitteredGrid { side: 180.0, jitter: 4.0 }, SinkPlacement::Corner)
-        .radio_range(35.0)
-        .epochs(4_000)
-        .seed(1_001)
-        .build()
+    ScenarioSpec {
+        placement: Placement::JitteredGrid { side: 180.0, jitter: 4.0 },
+        radio_range: 35.0,
+        epochs: 4_000,
+        seed: 1_001,
+        ..ScenarioSpec::new("dense_grid_100", 100)
+    }
 }
 
 /// 250 nodes uniformly random at low density — deep irregular trees and
 /// long routes.
 pub fn sparse_random_250() -> ScenarioSpec {
-    ScenarioSpec::builder("sparse_random_250", 250)
-        .placement(Placement::UniformRandom { side: 400.0 }, SinkPlacement::Corner)
-        .radio_range(45.0)
-        .epochs(2_400)
-        .completion_window(40)
-        .seed(1_002)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 400.0 },
+        radio_range: 45.0,
+        epochs: 2_400,
+        completion_window: 40,
+        seed: 1_002,
+        ..ScenarioSpec::new("sparse_random_250", 250)
+    }
 }
 
 /// 400 nodes along a 2 km corridor (pipeline/road monitoring): ~50-hop
 /// routes, the deepest trees of any preset.
 pub fn corridor_400() -> ScenarioSpec {
-    ScenarioSpec::builder("corridor_400", 400)
-        .placement(Placement::Corridor { length: 2_000.0, width: 60.0 }, SinkPlacement::Corner)
-        .radio_range(40.0)
-        .epochs(2_000)
-        .completion_window(96)
-        .seed(1_003)
-        .build()
+    ScenarioSpec {
+        placement: Placement::Corridor { length: 2_000.0, width: 60.0 },
+        radio_range: 40.0,
+        epochs: 2_000,
+        completion_window: 96,
+        seed: 1_003,
+        ..ScenarioSpec::new("corridor_400", 400)
+    }
 }
 
 /// 200 nodes in clustered blobs with a spatially scoped (hotspot)
 /// workload: 80 % of queries target a region around a random carrier.
 pub fn hotspot_workload_200() -> ScenarioSpec {
-    ScenarioSpec::builder("hotspot_workload_200", 200)
-        .placement(
-            Placement::Clustered { side: 300.0, clusters: 8, spread: 55.0 },
-            SinkPlacement::Center,
-        )
-        .radio_range(35.0)
-        .epochs(2_400)
-        .workload(0.3, 20)
-        .spatial_fraction(0.8)
-        .slots_per_frame(96)
-        .completion_window(32)
-        .seed(1_004)
-        .build()
+    ScenarioSpec {
+        placement: Placement::Clustered { side: 300.0, clusters: 8, spread: 55.0 },
+        sink: SinkPlacement::Center,
+        radio_range: 35.0,
+        epochs: 2_400,
+        target_fraction: 0.3,
+        spatial_query_fraction: 0.8,
+        slots_per_frame: 96,
+        completion_window: 32,
+        seed: 1_004,
+        ..ScenarioSpec::new("hotspot_workload_200", 200)
+    }
 }
 
 /// 150 nodes with 20 % of the network dying mid-run — the repair path
 /// under sustained pressure.
 pub fn heavy_churn_150() -> ScenarioSpec {
-    ScenarioSpec::builder("heavy_churn_150", 150)
-        .placement(Placement::UniformRandom { side: 220.0 }, SinkPlacement::Corner)
-        .radio_range(35.0)
-        .epochs(3_000)
-        .churn(ChurnProfile::RandomDeaths { fraction: 0.2, from: 0.25, until: 0.6 })
-        .completion_window(32)
-        .seed(1_005)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 220.0 },
+        radio_range: 35.0,
+        epochs: 3_000,
+        churn: ChurnProfile::RandomDeaths { fraction: 0.2, from: 0.25, until: 0.6 },
+        completion_window: 32,
+        seed: 1_005,
+        ..ScenarioSpec::new("heavy_churn_150", 150)
+    }
 }
 
 /// 300 nodes where each sensor type is carried by only 30 % of the nodes —
 /// the heterogeneous-deployment stress the paper contrasts with TinyDB.
 pub fn hetero_types_300() -> ScenarioSpec {
-    ScenarioSpec::builder("hetero_types_300", 300)
-        .placement(Placement::UniformRandom { side: 380.0 }, SinkPlacement::Corner)
-        .radio_range(42.0)
-        .epochs(2_400)
-        .workload(0.3, 20)
-        .sensor_coverage(0.3)
-        .schemes(vec![Scheme::DirqAtc])
-        .completion_window(40)
-        .seed(1_006)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 380.0 },
+        radio_range: 42.0,
+        epochs: 2_400,
+        target_fraction: 0.3,
+        sensor_coverage: 0.3,
+        schemes: vec![Scheme::DirqAtc],
+        completion_window: 40,
+        seed: 1_006,
+        ..ScenarioSpec::new("hetero_types_300", 300)
+    }
 }
 
 /// 300 nodes under log-distance path loss with 4 dB shadowing — the lossy
@@ -99,18 +103,19 @@ pub fn hetero_types_300() -> ScenarioSpec {
 /// disk. The 46 dB link budget gives a ~35 m mean range at γ = 3.0;
 /// raising γ shrinks it (see the exponent-sweep registry test).
 pub fn lossy_log_distance_300() -> ScenarioSpec {
-    ScenarioSpec::builder("lossy_log_distance_300", 300)
-        .placement(Placement::UniformRandom { side: 310.0 }, SinkPlacement::Corner)
-        .radio(RadioSpec::LogDistance {
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 310.0 },
+        radio: RadioSpec::LogDistance {
             exponent: 3.0,
             shadowing_sigma_db: 4.0,
             link_budget_db: 46.0,
-        })
-        .epochs(2_000)
-        .slots_per_frame(96)
-        .completion_window(48)
-        .seed(1_010)
-        .build()
+        },
+        epochs: 2_000,
+        slots_per_frame: 96,
+        completion_window: 48,
+        seed: 1_010,
+        ..ScenarioSpec::new("lossy_log_distance_300", 300)
+    }
 }
 
 /// 150 nodes deployed in two waves: 15 % of the network (the highest ids)
@@ -118,14 +123,15 @@ pub fn lossy_log_distance_300() -> ScenarioSpec {
 /// nodes" dynamic, exercising LMAC joins, tree attachment and range-table
 /// growth on a live network.
 pub fn redeploy_150() -> ScenarioSpec {
-    ScenarioSpec::builder("redeploy_150", 150)
-        .placement(Placement::UniformRandom { side: 220.0 }, SinkPlacement::Corner)
-        .radio_range(35.0)
-        .epochs(2_400)
-        .churn(ChurnProfile::LateBirths { fraction: 0.15, from: 0.3, until: 0.5 })
-        .completion_window(32)
-        .seed(1_012)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 220.0 },
+        radio_range: 35.0,
+        epochs: 2_400,
+        churn: ChurnProfile::LateBirths { fraction: 0.15, from: 0.3, until: 0.5 },
+        completion_window: 32,
+        seed: 1_012,
+        ..ScenarioSpec::new("redeploy_150", 150)
+    }
 }
 
 /// 250 nodes under shadowed log-distance path loss **and** run-relative
@@ -133,19 +139,20 @@ pub fn redeploy_150() -> ScenarioSpec {
 /// express: repair decisions made over irregular, shadowed neighbourhoods
 /// while 12 % of the network dies.
 pub fn churn_lossy_250() -> ScenarioSpec {
-    ScenarioSpec::builder("churn_lossy_250", 250)
-        .placement(Placement::UniformRandom { side: 280.0 }, SinkPlacement::Corner)
-        .radio(RadioSpec::LogDistance {
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 280.0 },
+        radio: RadioSpec::LogDistance {
             exponent: 3.0,
             shadowing_sigma_db: 4.0,
             link_budget_db: 46.0,
-        })
-        .epochs(1_600)
-        .churn(ChurnProfile::RandomDeaths { fraction: 0.12, from: 0.3, until: 0.6 })
-        .slots_per_frame(96)
-        .completion_window(48)
-        .seed(1_013)
-        .build()
+        },
+        epochs: 1_600,
+        churn: ChurnProfile::RandomDeaths { fraction: 0.12, from: 0.3, until: 0.6 },
+        slots_per_frame: 96,
+        completion_window: 48,
+        seed: 1_013,
+        ..ScenarioSpec::new("churn_lossy_250", 250)
+    }
 }
 
 /// 400 nodes on a jittered grid drained by the corner sink plus three
@@ -153,66 +160,71 @@ pub fn churn_lossy_250() -> ScenarioSpec {
 /// its nearest sink, cutting route depth versus the single-sink variant
 /// (pinned by the registry's depth test).
 pub fn multi_sink_grid_400() -> ScenarioSpec {
-    ScenarioSpec::builder("multi_sink_grid_400", 400)
-        .placement(Placement::JitteredGrid { side: 400.0, jitter: 4.0 }, SinkPlacement::Corner)
-        .radio_range(35.0)
-        .extra_sinks(3)
-        .epochs(1_200)
-        .completion_window(48)
-        .seed(1_014)
-        .build()
+    ScenarioSpec {
+        placement: Placement::JitteredGrid { side: 400.0, jitter: 4.0 },
+        radio_range: 35.0,
+        extra_sinks: 3,
+        epochs: 1_200,
+        completion_window: 48,
+        seed: 1_014,
+        ..ScenarioSpec::new("multi_sink_grid_400", 400)
+    }
 }
 
 /// 500 nodes running DirQ (ATC) and flooding over the identical
 /// deployment — the head-to-head the report's comparisons are built from.
 pub fn head_to_head_500() -> ScenarioSpec {
-    ScenarioSpec::builder("head_to_head_500", 500)
-        .placement(Placement::UniformRandom { side: 500.0 }, SinkPlacement::Corner)
-        .radio_range(42.0)
-        .epochs(1_600)
-        .schemes(vec![Scheme::DirqAtc, Scheme::Flooding])
-        .completion_window(48)
-        .seed(1_007)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 500.0 },
+        radio_range: 42.0,
+        epochs: 1_600,
+        schemes: vec![Scheme::DirqAtc, Scheme::Flooding],
+        completion_window: 48,
+        seed: 1_007,
+        ..ScenarioSpec::new("head_to_head_500", 500)
+    }
 }
 
 /// 2 000 nodes on a jittered grid — the first production-scale point of
 /// the trajectory (and the ≥2 000-node deployment the bench matrix pins).
 pub fn grid_2000() -> ScenarioSpec {
-    ScenarioSpec::builder("grid_2000", 2_000)
-        .placement(Placement::JitteredGrid { side: 800.0, jitter: 4.0 }, SinkPlacement::Corner)
-        .radio_range(30.0)
-        .epochs(400)
-        .completion_window(80)
-        .seed(1_008)
-        .build()
+    ScenarioSpec {
+        placement: Placement::JitteredGrid { side: 800.0, jitter: 4.0 },
+        radio_range: 30.0,
+        epochs: 400,
+        completion_window: 80,
+        seed: 1_008,
+        ..ScenarioSpec::new("grid_2000", 2_000)
+    }
 }
 
 /// 5 000 nodes uniformly random: the smallest stress deployment, run end
 /// to end inside tier-1 `cargo test`.
 pub fn stress_5000() -> ScenarioSpec {
-    ScenarioSpec::builder("stress_5000", 5_000)
-        .placement(Placement::UniformRandom { side: 1_000.0 }, SinkPlacement::Corner)
-        .radio_range(28.0)
-        .epochs(240)
-        .slots_per_frame(96)
-        .completion_window(96)
-        .seed(1_009)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 1_000.0 },
+        radio_range: 28.0,
+        epochs: 240,
+        slots_per_frame: 96,
+        completion_window: 96,
+        seed: 1_009,
+        ..ScenarioSpec::new("stress_5000", 5_000)
+    }
 }
 
 /// 20 000 nodes uniformly random at the stress_5000 density (mean degree
 /// ≈ 12) — the first point past the protocol-plane serial wall, and the
 /// deployment the CI perf-trajectory gate runs.
 pub fn stress_20000() -> ScenarioSpec {
-    ScenarioSpec::builder("stress_20000", 20_000)
-        .placement(Placement::UniformRandom { side: 2_000.0 }, SinkPlacement::Corner)
-        .radio_range(28.0)
-        .epochs(200)
-        .slots_per_frame(96)
-        .completion_window(192)
-        .seed(1_015)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 2_000.0 },
+        radio_range: 28.0,
+        epochs: 200,
+        slots_per_frame: 96,
+        completion_window: 192,
+        seed: 1_015,
+        ..ScenarioSpec::new("stress_20000", 20_000)
+    }
 }
 
 /// 50 000 nodes uniformly random, same density — the registry's scale
@@ -220,14 +232,15 @@ pub fn stress_20000() -> ScenarioSpec {
 /// several full query generations *and* their ~100-hop completion
 /// windows, so the preset scores queries instead of merely deploying.
 pub fn stress_50000() -> ScenarioSpec {
-    ScenarioSpec::builder("stress_50000", 50_000)
-        .placement(Placement::UniformRandom { side: 3_162.0 }, SinkPlacement::Corner)
-        .radio_range(28.0)
-        .epochs(600)
-        .slots_per_frame(96)
-        .completion_window(96)
-        .seed(1_016)
-        .build()
+    ScenarioSpec {
+        placement: Placement::UniformRandom { side: 3_162.0 },
+        radio_range: 28.0,
+        epochs: 600,
+        slots_per_frame: 96,
+        completion_window: 96,
+        seed: 1_016,
+        ..ScenarioSpec::new("stress_50000", 50_000)
+    }
 }
 
 /// The pre-steady-state budget [`stress_50000`] shipped with (120
@@ -235,14 +248,11 @@ pub fn stress_50000() -> ScenarioSpec {
 /// preset so quick scale smoke runs and the perf trajectory retain a
 /// cheap 50 000-node point.
 pub fn stress_50000_short() -> ScenarioSpec {
-    let mut spec = stress_50000();
-    spec.name = "stress_50000_short".into();
-    spec.epochs = 120;
-    spec
+    ScenarioSpec { name: "stress_50000_short".into(), epochs: 120, ..stress_50000() }
 }
 
-/// Every preset, smallest first — the matrix the `scenario_matrix` bench
-/// runs and `BENCH_2.json` records.
+/// Every preset, smallest first — the matrix `record_goldens` runs and
+/// `BENCH_2.json` records.
 pub fn registry() -> Vec<ScenarioSpec> {
     vec![
         dense_grid_100(),
@@ -269,31 +279,12 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
     registry().into_iter().find(|s| s.name == name)
 }
 
-/// The CI smoke scenario: the 100-node grid preset at a tenth of its
+/// The smoke scenario: the 100-node grid preset at a tenth of its
 /// epoch budget — small enough for debug-mode tests, large enough to
 /// exercise deployment, calibration, MAC and scoring end to end.
 pub fn smoke() -> ScenarioSpec {
     dense_grid_100().scaled(0.1)
 }
-
-/// Recorded [`crate::ScenarioReport::stable_fingerprint`] of a
-/// single-replicate sweep over [`smoke`]. Pinned by the workspace golden
-/// test and verified by `scenario_matrix --smoke` in CI; after an
-/// intentional behaviour change re-record every pin in one pass with
-/// `cargo run --release -p dirq-bench --bin record_goldens` (this
-/// constant is rewritten in place — keep its shape machine-editable).
-pub const SMOKE_GOLDEN_FINGERPRINT: u64 = 0xCC93F65979BB4548;
-
-/// Recorded [`crate::ScenarioReport::stable_fingerprint`] of the full
-/// single-replicate registry sweep — the value `BENCH_2.json` carries.
-/// `scenario_matrix --smoke` (CI) asserts the checked-in artifact still
-/// records it, and `record_goldens --check` re-derives it fresh, so
-/// behaviour changes cannot land without re-running the matrix.
-/// Re-record (together with `BENCH_2.json` and every manifest pin) via
-/// `cargo run --release -p dirq-bench --bin record_goldens`, which
-/// rewrites this constant in place. (Last re-recorded for the PR 5
-/// split-stream world generator — an intentional full-behaviour break.)
-pub const REGISTRY_GOLDEN_FINGERPRINT: u64 = 0xC1B67142D94FD6B3;
 
 #[cfg(test)]
 mod tests {

@@ -99,7 +99,8 @@ pub enum ChurnProfile {
     },
 }
 
-/// One named experiment setup. Construct via [`ScenarioSpec::builder`].
+/// One named experiment setup: [`ScenarioSpec::new`]'s defaults, with the
+/// fields a preset changes set in a struct literal over them.
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
     /// Registry name (stable identifier in reports).
@@ -147,29 +148,27 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Start building a spec with the registry defaults.
-    pub fn builder(name: &str, n_nodes: usize) -> ScenarioSpecBuilder {
-        ScenarioSpecBuilder {
-            spec: ScenarioSpec {
-                name: name.to_string(),
-                n_nodes,
-                placement: Placement::UniformRandom { side: 100.0 },
-                sink: SinkPlacement::Corner,
-                extra_sinks: 0,
-                radio_range: 28.0,
-                radio: RadioSpec::UnitDisk,
-                epochs: 2_000,
-                query_period: 20,
-                target_fraction: 0.4,
-                spatial_query_fraction: 0.0,
-                sensor_coverage: 0.8,
-                schemes: vec![Scheme::DirqFixed(5.0)],
-                churn: ChurnProfile::None,
-                tree: TreeKind::Bfs,
-                slots_per_frame: 64,
-                completion_window: 24,
-                seed: 42,
-            },
+    /// A spec with the registry defaults.
+    pub fn new(name: &str, n_nodes: usize) -> ScenarioSpec {
+        ScenarioSpec {
+            name: name.to_string(),
+            n_nodes,
+            placement: Placement::UniformRandom { side: 100.0 },
+            sink: SinkPlacement::Corner,
+            extra_sinks: 0,
+            radio_range: 28.0,
+            radio: RadioSpec::UnitDisk,
+            epochs: 2_000,
+            query_period: 20,
+            target_fraction: 0.4,
+            spatial_query_fraction: 0.0,
+            sensor_coverage: 0.8,
+            schemes: vec![Scheme::DirqFixed(5.0)],
+            churn: ChurnProfile::None,
+            tree: TreeKind::Bfs,
+            slots_per_frame: 64,
+            completion_window: 24,
+            seed: 42,
         }
     }
 
@@ -189,7 +188,29 @@ impl ScenarioSpec {
     }
 
     /// Lower to an engine configuration for one `(scheme, seed)` pair.
+    ///
+    /// # Panics
+    /// Panics on a structurally invalid spec (no schemes, bad fractions,
+    /// too few nodes or epochs) — specs are authored, not parsed, so a
+    /// loud failure before any engine is built is the useful behaviour.
     pub fn config(&self, scheme: Scheme, seed: u64) -> ScenarioConfig {
+        let name = &self.name;
+        assert!(self.n_nodes >= 2, "{name}: need at least the sink and one node");
+        assert!(!self.schemes.is_empty(), "{name}: at least one scheme required");
+        assert!(
+            [self.target_fraction, self.sensor_coverage, self.spatial_query_fraction]
+                .iter()
+                .all(|f| (0.0..=1.0).contains(f)),
+            "{name}: fractions must be in [0, 1]"
+        );
+        assert!(self.epochs >= 4 * self.query_period, "{name}: too few epochs to score queries");
+        assert!(self.extra_sinks + 1 < self.n_nodes, "{name}: too many extra sinks");
+        if let ChurnProfile::RandomDeaths { fraction, from, until }
+        | ChurnProfile::LateBirths { fraction, from, until } = self.churn
+        {
+            assert!((0.0..1.0).contains(&fraction), "{name}: churn fraction out of range");
+            assert!(0.0 <= from && from < until && until <= 1.0, "{name}: bad churn window");
+        }
         let churn = match self.churn {
             ChurnProfile::None => ChurnSpec::None,
             ChurnProfile::RandomDeaths { fraction, from, until } => {
@@ -241,149 +262,29 @@ impl ScenarioSpec {
     }
 }
 
-/// Chained construction of a [`ScenarioSpec`]; [`ScenarioSpecBuilder::build`]
-/// validates the result.
-#[derive(Clone, Debug)]
-pub struct ScenarioSpecBuilder {
-    spec: ScenarioSpec,
-}
-
-impl ScenarioSpecBuilder {
-    /// Set the node layout and sink position.
-    pub fn placement(mut self, placement: Placement, sink: SinkPlacement) -> Self {
-        self.spec.placement = placement;
-        self.spec.sink = sink;
-        self
-    }
-
-    /// Add wired secondary sinks (nearest-sink attachment).
-    pub fn extra_sinks(mut self, count: usize) -> Self {
-        self.spec.extra_sinks = count;
-        self
-    }
-
-    /// Set the radio range, metres.
-    pub fn radio_range(mut self, metres: f64) -> Self {
-        self.spec.radio_range = metres;
-        self
-    }
-
-    /// Replace the radio connectivity model (lossy-radio scenarios).
-    pub fn radio(mut self, radio: RadioSpec) -> Self {
-        self.spec.radio = radio;
-        self
-    }
-
-    /// Set the epoch budget.
-    pub fn epochs(mut self, epochs: u64) -> Self {
-        self.spec.epochs = epochs;
-        self
-    }
-
-    /// Set the workload: involvement target and query period.
-    pub fn workload(mut self, target_fraction: f64, query_period: u64) -> Self {
-        self.spec.target_fraction = target_fraction;
-        self.spec.query_period = query_period;
-        self
-    }
-
-    /// Make a share of the queries spatially scoped (hotspot workloads).
-    pub fn spatial_fraction(mut self, fraction: f64) -> Self {
-        self.spec.spatial_query_fraction = fraction;
-        self
-    }
-
-    /// Set the heterogeneous sensor-coverage fraction.
-    pub fn sensor_coverage(mut self, coverage: f64) -> Self {
-        self.spec.sensor_coverage = coverage;
-        self
-    }
-
-    /// Replace the schemes under test.
-    pub fn schemes(mut self, schemes: Vec<Scheme>) -> Self {
-        self.spec.schemes = schemes;
-        self
-    }
-
-    /// Set the churn profile.
-    pub fn churn(mut self, churn: ChurnProfile) -> Self {
-        self.spec.churn = churn;
-        self
-    }
-
-    /// Set the spanning-tree construction.
-    pub fn tree(mut self, tree: TreeKind) -> Self {
-        self.spec.tree = tree;
-        self
-    }
-
-    /// Set the LMAC frame size (for dense deployments).
-    pub fn slots_per_frame(mut self, slots: u16) -> Self {
-        self.spec.slots_per_frame = slots;
-        self
-    }
-
-    /// Set the query completion window (scale with tree depth).
-    pub fn completion_window(mut self, epochs: u64) -> Self {
-        self.spec.completion_window = epochs;
-        self
-    }
-
-    /// Set the base seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Validate and return the spec.
-    ///
-    /// # Panics
-    /// Panics on structurally invalid specs (no schemes, bad fractions,
-    /// too few nodes or epochs) — specs are authored, not parsed, so a
-    /// loud failure at construction is the useful behaviour.
-    pub fn build(self) -> ScenarioSpec {
-        let s = &self.spec;
-        assert!(s.n_nodes >= 2, "{}: need at least the sink and one node", s.name);
-        assert!(!s.schemes.is_empty(), "{}: at least one scheme required", s.name);
-        assert!(
-            (0.0..=1.0).contains(&s.target_fraction)
-                && (0.0..=1.0).contains(&s.sensor_coverage)
-                && (0.0..=1.0).contains(&s.spatial_query_fraction),
-            "{}: fractions must be in [0, 1]",
-            s.name
-        );
-        assert!(s.epochs >= 4 * s.query_period, "{}: too few epochs to score queries", s.name);
-        assert!(s.extra_sinks + 1 < s.n_nodes, "{}: too many extra sinks", s.name);
-        if let ChurnProfile::RandomDeaths { fraction, from, until }
-        | ChurnProfile::LateBirths { fraction, from, until } = s.churn
-        {
-            assert!((0.0..1.0).contains(&fraction), "{}: churn fraction out of range", s.name);
-            assert!(0.0 <= from && from < until && until <= 1.0, "{}: bad churn window", s.name);
-        }
-        self.spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn demo() -> ScenarioSpec {
-        ScenarioSpec::builder("demo", 120)
-            .placement(Placement::UniformRandom { side: 250.0 }, SinkPlacement::Center)
-            .radio_range(40.0)
-            .epochs(1_000)
-            .workload(0.3, 25)
-            .sensor_coverage(0.5)
-            .schemes(vec![Scheme::DirqAtc, Scheme::Flooding])
-            .churn(ChurnProfile::RandomDeaths { fraction: 0.1, from: 0.2, until: 0.6 })
-            .completion_window(40)
-            .seed(7)
-            .build()
+        ScenarioSpec {
+            placement: Placement::UniformRandom { side: 250.0 },
+            sink: SinkPlacement::Center,
+            radio_range: 40.0,
+            epochs: 1_000,
+            query_period: 25,
+            target_fraction: 0.3,
+            sensor_coverage: 0.5,
+            schemes: vec![Scheme::DirqAtc, Scheme::Flooding],
+            churn: ChurnProfile::RandomDeaths { fraction: 0.1, from: 0.2, until: 0.6 },
+            completion_window: 40,
+            seed: 7,
+            ..ScenarioSpec::new("demo", 120)
+        }
     }
 
     #[test]
-    fn builder_sets_every_field() {
+    fn a_literal_over_new_sets_every_field() {
         let s = demo();
         assert_eq!(s.n_nodes, 120);
         assert_eq!(s.sink, SinkPlacement::Center);
@@ -429,7 +330,7 @@ mod tests {
 
     #[test]
     fn extra_sinks_lower_into_the_engine_config() {
-        let s = ScenarioSpec::builder("multi", 60).extra_sinks(3).build();
+        let s = ScenarioSpec { extra_sinks: 3, ..ScenarioSpec::new("multi", 60) };
         let cfg = s.config(Scheme::DirqFixed(5.0), 1);
         assert_eq!(cfg.extra_sinks, 3);
         assert_eq!(demo().config(Scheme::Flooding, 7).extra_sinks, 0);
@@ -437,10 +338,11 @@ mod tests {
 
     #[test]
     fn late_births_lower_to_a_deterministic_explicit_plan() {
-        let s = ScenarioSpec::builder("births", 100)
-            .epochs(1_000)
-            .churn(ChurnProfile::LateBirths { fraction: 0.1, from: 0.3, until: 0.5 })
-            .build();
+        let s = ScenarioSpec {
+            epochs: 1_000,
+            churn: ChurnProfile::LateBirths { fraction: 0.1, from: 0.3, until: 0.5 },
+            ..ScenarioSpec::new("births", 100)
+        };
         let cfg = s.config(Scheme::DirqFixed(5.0), 1);
         let ChurnSpec::Explicit(plan) = cfg.churn else {
             panic!("births must lower to an explicit plan");
@@ -465,12 +367,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "too many extra sinks")]
     fn oversubscribed_extra_sinks_rejected() {
-        let _ = ScenarioSpec::builder("bad", 4).extra_sinks(3).build();
+        let _ = ScenarioSpec { extra_sinks: 3, ..ScenarioSpec::new("bad", 4) }
+            .config(Scheme::DirqFixed(5.0), 1);
     }
 
     #[test]
     fn spatial_workload_enables_location() {
-        let s = ScenarioSpec::builder("spatial", 50).spatial_fraction(0.5).build();
+        let s = ScenarioSpec { spatial_query_fraction: 0.5, ..ScenarioSpec::new("spatial", 50) };
         let cfg = s.config(Scheme::DirqFixed(5.0), 1);
         assert!(cfg.location_enabled);
         assert_eq!(cfg.spatial_query_fraction, 0.5);
@@ -486,14 +389,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one scheme")]
     fn empty_schemes_rejected() {
-        let _ = ScenarioSpec::builder("bad", 50).schemes(vec![]).build();
+        let _ = ScenarioSpec { schemes: vec![], ..ScenarioSpec::new("bad", 50) }
+            .config(Scheme::DirqFixed(5.0), 1);
     }
 
     #[test]
     #[should_panic(expected = "bad churn window")]
     fn inverted_churn_window_rejected() {
-        let _ = ScenarioSpec::builder("bad", 50)
-            .churn(ChurnProfile::RandomDeaths { fraction: 0.1, from: 0.8, until: 0.2 })
-            .build();
+        let _ = ScenarioSpec {
+            churn: ChurnProfile::RandomDeaths { fraction: 0.1, from: 0.8, until: 0.2 },
+            ..ScenarioSpec::new("bad", 50)
+        }
+        .config(Scheme::DirqFixed(5.0), 1);
     }
 }

@@ -89,11 +89,12 @@ mod tests {
         // the debug-mode test stays quick.
         vec![
             registry::smoke().scaled(0.5),
-            ScenarioSpec::builder("tiny_h2h", 40)
-                .epochs(300)
-                .schemes(vec![Scheme::DirqFixed(5.0), Scheme::Flooding])
-                .seed(9)
-                .build(),
+            ScenarioSpec {
+                epochs: 300,
+                schemes: vec![Scheme::DirqFixed(5.0), Scheme::Flooding],
+                seed: 9,
+                ..ScenarioSpec::new("tiny_h2h", 40)
+            },
         ]
     }
 
@@ -128,7 +129,7 @@ mod tests {
         // the serial resolution of the world and upkeep knobs; the MAC's
         // slot loop is serial at any count. The sharded world and upkeep
         // paths are pinned by their differential suites, the grid_2000
-        // golden and the scenario_matrix smoke.)
+        // golden and `scenario_matrix --workers W`.)
         let specs = vec![tiny_matrix().remove(1)];
         let serial = run_matrix_report(&specs, &SweepConfig::default());
         let sharded =

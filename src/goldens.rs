@@ -8,9 +8,9 @@
 //! workspace golden tests
 //! (`tests/determinism_golden.rs`, `tests/scenario_golden.rs`) assert
 //! against this manifest, and the `record_goldens` bench binary
-//! regenerates it (plus `crates/scenario/src/registry.rs`,
-//! `BENCH_2.json` and the serving goldens of `BENCH_3.json`) in one
-//! pass:
+//! regenerates it (plus `BENCH_2.json`, whose report fingerprint is the
+//! full-budget registry's one pin, and the serving goldens of
+//! `BENCH_3.json`) in one pass:
 //!
 //! ```text
 //! cargo run --release -p dirq-bench --bin record_goldens            # re-record
@@ -130,8 +130,8 @@ pub fn snapshot_state_fingerprint() -> u64 {
 
 // --- report-level pins (tests/scenario_golden.rs) ------------------------
 
-/// Small: the CI smoke preset — 100-node jittered grid, 400 epochs.
-/// Pinned by [`registry::SMOKE_GOLDEN_FINGERPRINT`].
+/// Small: the smoke preset — 100-node jittered grid, 400 epochs.
+/// Pinned by [`SMOKE_GOLDEN_FINGERPRINT`].
 pub fn small_spec() -> ScenarioSpec {
     registry::smoke()
 }
@@ -181,6 +181,9 @@ pub fn report_fingerprint(spec: ScenarioSpec) -> u64 {
 // Every constant below is rewritten in place by `record_goldens`; keep the
 // `pub const NAME: u64 = 0x...;` shape machine-editable.
 
+/// Golden fingerprint of the [`small_spec`] sweep report.
+pub const SMOKE_GOLDEN_FINGERPRINT: u64 = 0xCC93F65979BB4548;
+
 /// Golden fingerprint of [`fixed_delta_scenario`].
 pub const GOLDEN_FIXED: u64 = 0x5A2824B6634C0AD8;
 
@@ -226,118 +229,99 @@ pub const GOLDEN_REDEPLOY: u64 = 0x21E9433A6A9A391D;
 
 // --- the manifest ---------------------------------------------------------
 
-/// Repo-relative path of this file (the target `record_goldens` patches).
+/// Repo-relative path of this file, which declares every recorded
+/// constant (the one file `record_goldens` patches).
 pub const GOLDENS_FILE: &str = "src/goldens.rs";
 
-/// Repo-relative path of the registry constants file.
-pub const REGISTRY_FILE: &str = "crates/scenario/src/registry.rs";
-
-/// One recorded fingerprint: where it lives, what it currently says and
-/// how to recompute it from scratch.
+/// One recorded fingerprint: what it currently says and how to recompute
+/// it from scratch.
 pub struct GoldenPin {
-    /// Constant name as it appears in [`GoldenPin::file`].
+    /// Constant name as it appears in [`GOLDENS_FILE`].
     pub name: &'static str,
-    /// Repo-relative path of the file declaring the constant.
-    pub file: &'static str,
     /// The checked-in value.
     pub recorded: u64,
     /// Recompute the fingerprint from scratch (full deterministic run).
     pub compute: fn() -> u64,
 }
 
-/// Every pinned fingerprint except the full-budget registry golden
-/// ([`registry::REGISTRY_GOLDEN_FINGERPRINT`]), which `record_goldens`
-/// recomputes from the same full matrix run that rewrites `BENCH_2.json`.
+/// Every pinned constant. The full-budget registry's pin is not one:
+/// it is `BENCH_2.json`'s report fingerprint, which `record_goldens`
+/// writes from a full matrix run and checks against a fresh one.
 /// Ordered cheapest-first so a sequential pass fails fast.
 pub fn pins() -> Vec<GoldenPin> {
     vec![
         GoldenPin {
             name: "GOLDEN_FIXED",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_FIXED,
             compute: || run_scenario(fixed_delta_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_ATC_CHURN",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_ATC_CHURN,
             compute: || run_scenario(atc_churn_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_PREDICTIVE",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_PREDICTIVE,
             compute: || run_scenario(predictive_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_SNAPSHOT_STATE",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_SNAPSHOT_STATE,
             compute: snapshot_state_fingerprint,
         },
         GoldenPin {
             name: "SMOKE_GOLDEN_FINGERPRINT",
-            file: REGISTRY_FILE,
-            recorded: registry::SMOKE_GOLDEN_FINGERPRINT,
+            recorded: SMOKE_GOLDEN_FINGERPRINT,
             compute: || report_fingerprint(small_spec()),
         },
         GoldenPin {
             name: "GOLDEN_MEDIUM",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_MEDIUM,
             compute: || report_fingerprint(medium_spec()),
         },
         GoldenPin {
             name: "GOLDEN_MULTI_SINK",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_MULTI_SINK,
             compute: || report_fingerprint(multi_sink_spec()),
         },
         GoldenPin {
             name: "GOLDEN_CHURN_LOSSY",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_CHURN_LOSSY,
             compute: || report_fingerprint(churn_lossy_spec()),
         },
         GoldenPin {
             name: "GOLDEN_REDEPLOY",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_REDEPLOY,
             compute: || report_fingerprint(redeploy_spec()),
         },
         GoldenPin {
             name: "GOLDEN_GRID_2000",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_GRID_2000,
             compute: || run_scenario(grid_2000_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_STRESS_5000",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_STRESS_5000,
             compute: || run_scenario(stress_5000_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_LARGE",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_LARGE,
             compute: || report_fingerprint(large_spec()),
         },
         GoldenPin {
             name: "GOLDEN_XLARGE",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_XLARGE,
             compute: || report_fingerprint(xlarge_spec()),
         },
         GoldenPin {
             name: "GOLDEN_STRESS_20000",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_STRESS_20000,
             compute: || run_scenario(stress_20000_scenario()).stable_fingerprint(),
         },
         GoldenPin {
             name: "GOLDEN_STRESS_50000",
-            file: GOLDENS_FILE,
             recorded: GOLDEN_STRESS_50000,
             compute: || run_scenario(stress_50000_scenario()).stable_fingerprint(),
         },
@@ -349,19 +333,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_names_are_unique_and_files_known() {
+    fn manifest_names_are_unique() {
         let all = pins();
         let mut names: Vec<&str> = all.iter().map(|p| p.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len(), "duplicate pin names");
-        for p in &all {
-            assert!(
-                p.file == GOLDENS_FILE || p.file == REGISTRY_FILE,
-                "{}: unknown golden file {}",
-                p.name,
-                p.file
-            );
-        }
     }
 }

@@ -5,8 +5,9 @@
 //! sweep executor and report assembly — is bit-deterministic for a fixed
 //! seed, across runs and thread counts. The spec constructors and the
 //! recorded fingerprints live in the [`dirq::goldens`] manifest; the
-//! full-budget 5 000-node registry run is pinned by the release-mode
-//! `scenario_matrix` bench via `BENCH_2.json`.
+//! full-budget registry run (16 presets, 100 to 50 000 nodes) is pinned
+//! by `BENCH_2.json`'s report fingerprint, which the release-mode
+//! `record_goldens --check` recomputes.
 //!
 //! If a PR changes behaviour *intentionally* (protocol feature, RNG
 //! stream change, calibration tweak), re-record every pin in one pass:
@@ -15,10 +16,9 @@
 use dirq::goldens::{
     churn_lossy_spec, large_spec, medium_spec, multi_sink_spec, redeploy_spec, small_spec,
     xlarge_spec, GOLDEN_CHURN_LOSSY, GOLDEN_LARGE, GOLDEN_MEDIUM, GOLDEN_MULTI_SINK,
-    GOLDEN_REDEPLOY, GOLDEN_XLARGE,
+    GOLDEN_REDEPLOY, GOLDEN_XLARGE, SMOKE_GOLDEN_FINGERPRINT,
 };
 use dirq::prelude::*;
-use dirq::scenario::registry::SMOKE_GOLDEN_FINGERPRINT;
 
 fn report_for(spec: ScenarioSpec, threads: usize) -> ScenarioReport {
     run_matrix_report(&[spec], &SweepConfig { threads, ..SweepConfig::default() })
@@ -107,8 +107,8 @@ fn report_identical_across_intra_run_workers() {
     // preset's 100 nodes both pools resolve to the serial loops — the
     // sharded paths themselves are pinned by world_differential.rs,
     // upkeep_differential.rs and the grid_2000 golden at two workers; the
-    // smoke-scaled registry gate in `scenario_matrix --smoke` covers the
-    // ≥2 000-node presets where the shard paths really engage.)
+    // smoke-scaled registry gate of `scenario_matrix --workers W` (W > 1)
+    // covers the ≥2 000-node presets where the shard paths really engage.)
     let serial = report_for(small_spec(), 1);
     let sharded = run_matrix_report(
         &[small_spec()],

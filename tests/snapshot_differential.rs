@@ -1531,6 +1531,106 @@ fn restore_rejects_a_query_outcome_no_run_scores() {
     rejected(&patch(3, received + 1), "query outcome received-should above received");
 }
 
+/// A step injects at its own epoch, below the image's, and an external
+/// query between steps at the image's. An in-flight query injected after
+/// the image's epoch is a typed error at restore, not a query whose
+/// completion window closes late.
+#[test]
+fn restore_rejects_a_pending_query_injected_after_the_image() {
+    let (body, rejected) = variant_body(0, 25);
+    // The first in-flight query's inject epoch follows its id (u64), type
+    // (u8), bounds (2 × f64) and region flag.
+    let at = first_pending_id_at(&body) + 26;
+    assert_eq!(body[at..at + 8], 20u64.to_le_bytes(), "the query of epoch 20 is in flight");
+    let cfg = variant_config(17, 0, 60);
+    Engine::new(cfg).restore(&with_u64(&body, at, 25)).expect("an inject epoch of the image's");
+    for bad in [26, u64::MAX] {
+        rejected(&with_u64(&body, at, bad), "in-flight query injected after the image's epoch");
+    }
+}
+
+/// A step finalises only queries injected by its own epoch, below the
+/// image's. A finalised query injected at or after the image's epoch is
+/// a typed error at restore.
+#[test]
+fn restore_rejects_an_outcome_injected_at_or_after_the_image() {
+    let (body, rejected) = variant_body(0, 55);
+    // The first outcome's inject epoch follows the outcome count and its
+    // id (u64).
+    let (_, acc) = series_and_overshoot_at(&body);
+    let at = acc + 40 + 8 + 8;
+    assert!(u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) < 55);
+    let cfg = variant_config(17, 0, 60);
+    Engine::new(cfg).restore(&with_u64(&body, at, 54)).expect("an epoch before the image's");
+    for bad in [55, u64::MAX] {
+        rejected(&with_u64(&body, at, bad), "query outcome injected at or after the image's epoch");
+    }
+}
+
+/// The repair pass stamps a node's detachment with its step's epoch,
+/// below the image's. A detachment at or after the image's epoch is a
+/// typed error at restore, not a node that waits past the fallback
+/// deadline or adopts a parent at once.
+#[test]
+fn restore_rejects_a_detachment_at_or_after_the_image() {
+    let (body, rejected) = variant_body(0, 45);
+    // Node 7's detachment, absent, becomes a presence byte and an epoch.
+    let (_, _, umax) = control_loop_at(&body);
+    let at = umax - 50 + 7;
+    let detached = |since: u64| {
+        let mut patched = body[..at].to_vec();
+        patched.push(1);
+        patched.extend_from_slice(&since.to_le_bytes());
+        patched.extend_from_slice(&body[at + 1..]);
+        patched
+    };
+    let cfg = variant_config(17, 0, 60);
+    Engine::new(cfg).restore(&detached(44)).expect("a detachment before the image's epoch");
+    for bad in [45, u64::MAX] {
+        rejected(&detached(bad), "detachment at or after the image's epoch");
+    }
+}
+
+/// The δ trace gains at most one point per step, stamped with the step's
+/// epoch, and each value is a mean of δs, finite and non-negative. A trace
+/// whose epochs do not ascend strictly below the image's, or with a value
+/// off that range, is a typed error at restore.
+#[test]
+fn restore_rejects_a_delta_trace_no_step_writes() {
+    let (body, rejected) = variant_body(0, 45);
+    // The trace: a count, then (epoch u64, mean δ f64) pairs; the
+    // injection count (u64) ends the body.
+    let (_, _, umax) = control_loop_at(&body);
+    let trace = umax + 8;
+    let with_trace = |points: &[(u64, f64)]| {
+        let mut patched = body[..trace].to_vec();
+        patched.extend_from_slice(&(points.len() as u64).to_le_bytes());
+        for &(epoch, delta) in points {
+            patched.extend_from_slice(&epoch.to_le_bytes());
+            patched.extend_from_slice(&delta.to_le_bytes());
+        }
+        patched.extend_from_slice(&body[body.len() - 8..]);
+        patched
+    };
+    assert_eq!(with_trace(&[(0, 5.0)]), body, "one point, δ = 5 % at epoch 0");
+    let cfg = variant_config(17, 0, 60);
+    Engine::new(cfg).restore(&with_trace(&[(0, 5.0), (44, 0.0)])).expect("a trace a run writes");
+    for bad in [&[(45, 5.0)][..], &[(u64::MAX, 5.0)], &[(0, 5.0), (0, 5.0)], &[(9, 5.0), (3, 5.0)]]
+    {
+        rejected(&with_trace(bad), "delta trace epochs not ascending below the image's epoch");
+    }
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        rejected(&with_trace(&[(0, bad)]), "delta trace value negative or not finite");
+    }
+}
+
+/// A copy of `body` whose u64 at `at` is `value`.
+fn with_u64(body: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut patched = body.to_vec();
+    patched[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    patched
+}
+
 /// The on-disk image format: magic, version, JSON header, byte-exact
 /// body recovery, and typed rejection of foreign or future files.
 #[test]
