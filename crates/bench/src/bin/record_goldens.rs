@@ -104,7 +104,6 @@ fn record_bench2(out: &Path) -> u64 {
     let mut doc = Json::object();
     doc.set("schema", Json::Str("dirq-scenario-matrix-v1".to_string()));
     doc.set("epoch_scale", Json::Num(cfg.epoch_scale));
-    doc.set("replicates", Json::Num(cfg.replicates as f64));
     doc.set("wall_seconds", Json::Num(wall));
     doc.set("report", report.to_json());
     doc.set("tool", Json::Str("crates/bench/src/bin/record_goldens.rs".to_string()));

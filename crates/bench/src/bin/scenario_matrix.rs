@@ -86,7 +86,7 @@ fn check_worker_invariance(workers: usize) {
     );
     let sharded = run_matrix_report(
         &registry::registry(),
-        &SweepConfig { threads: 4, epoch_scale: registry_scale, workers, ..SweepConfig::default() },
+        &SweepConfig { threads: 4, epoch_scale: registry_scale, workers },
     );
     if serial.stable_fingerprint() != sharded.stable_fingerprint() {
         eprintln!(

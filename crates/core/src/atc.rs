@@ -202,6 +202,18 @@ pub(crate) fn restore_delta(r: &mut SnapReader<'_>) -> Result<f64, SnapError> {
     }
 }
 
+/// Read an ATC node's δ captured by a `snap`, rejecting one outside
+/// [`MIN_DELTA_PCT`, `MAX_DELTA_PCT`] (NaN included): a node starts at
+/// [`INITIAL_DELTA_PCT`], inside that range, and every adjustment clamps
+/// to it.
+pub(crate) fn restore_adaptive_delta(r: &mut SnapReader<'_>) -> Result<f64, SnapError> {
+    let pos = r.position();
+    match r.f64()? {
+        delta if (MIN_DELTA_PCT..=MAX_DELTA_PCT).contains(&delta) => Ok(delta),
+        _ => Err(SnapError::Malformed { pos, what: "ATC delta outside its clamp" }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

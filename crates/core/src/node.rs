@@ -35,7 +35,7 @@ use dirq_net::{NodeId, NodeList, Position};
 use dirq_sim::stats::Ewma;
 use dirq_sim::{SnapError, SnapReader, SnapSink, SnapWriter};
 
-use crate::atc::{restore_delta, AtcController, DeltaPolicy, INITIAL_DELTA_PCT};
+use crate::atc::{restore_adaptive_delta, AtcController, DeltaPolicy, INITIAL_DELTA_PCT};
 use crate::engine::sensing::VARIABILITY_ALPHA;
 use crate::flooding::SeenQueries;
 use crate::geo::GeoTable;
@@ -469,7 +469,7 @@ impl DirqNode {
     /// takes the restored tuples. An image that names a node id outside the
     /// `n_nodes` deployment, holds tables no run writes
     /// ([`RangeTables::restore`]; `carried` is the node's carried-type
-    /// mask), carries an ATC δ that is negative, NaN or infinite, holds a
+    /// mask), carries an ATC δ outside the controller's clamp, holds a
     /// variability that is not finite or a last reading that is infinite
     /// (NaN is one not taken yet), or whose duplicate-suppression list is
     /// over its cap ([`SeenQueries::restore`]), is malformed.
@@ -496,7 +496,7 @@ impl DirqNode {
         self.parent = parent.unwrap_or(NO_PARENT);
         self.tables = tables;
         if let Some(atc) = &mut self.atc {
-            self.delta_pct = restore_delta(r)?;
+            self.delta_pct = restore_adaptive_delta(r)?;
             atc.restore(r)?;
         }
         let cells = &mut *row.cells;

@@ -372,14 +372,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Bind to `addr` with default options (use port 0 for an ephemeral
-    /// port; see [`Daemon::local_addr`]).
-    pub fn bind(addr: &str) -> io::Result<Daemon> {
-        Daemon::bind_with(addr, DaemonOptions::default())
-    }
-
-    /// Bind to `addr`, size the serving pool, and run the `--recover`
-    /// scan (if any) before any connection is accepted.
+    /// Bind to `addr` (port 0 for an ephemeral port; see
+    /// [`Daemon::local_addr`]), size the serving pool, and run the
+    /// `--recover` scan (if any) before any connection is accepted.
     pub fn bind_with(addr: &str, options: DaemonOptions) -> io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         let threads = match options.serving_threads {
@@ -416,13 +411,8 @@ impl Daemon {
     }
 
     /// Bind and serve on a background thread — the in-process form the
-    /// load generator and the integration tests use. Returns the bound
-    /// address and the serving thread's handle (joins after `shutdown`).
-    pub fn spawn(addr: &str) -> io::Result<(SocketAddr, JoinHandle<io::Result<()>>)> {
-        Daemon::spawn_with(addr, DaemonOptions::default())
-    }
-
-    /// [`Daemon::spawn`] with explicit [`DaemonOptions`].
+    /// integration tests and the benchmark use. Returns the bound address
+    /// and the serving thread's handle (joins after `shutdown`).
     pub fn spawn_with(
         addr: &str,
         options: DaemonOptions,
@@ -437,8 +427,8 @@ impl Daemon {
     }
 
     /// Serve until a client issues `shutdown`, then tear down (see the
-    /// module docs). Blocks; run on its own thread for in-process use (see
-    /// the loadgen and the tests).
+    /// module docs). Blocks; run on its own thread for in-process use
+    /// ([`Daemon::spawn_with`]).
     pub fn serve(self) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
         let mut connections: Vec<Connection> = Vec::new();

@@ -7,7 +7,7 @@
 //! clients and answering them with scored outcomes once the protocol's
 //! completion window has elapsed.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`daemon`] — the server: deployments multiplexed over a fixed-size
 //!   serving pool, epoch-boundary batching of client queries,
@@ -16,12 +16,13 @@
 //! * [`client`] — a blocking protocol client ([`Client`]).
 //! * [`protocol`] — the wire format: bounded newline-JSON lines and the
 //!   snapshot image header.
+//! * [`loadmodel`] — the engine-level replay of the serving loop, which
+//!   the tests, the golden recorder and the benchmark hold the daemon to.
 //!
-//! Binaries: `dirqd` (serve), `dirq-cli` (one-shot protocol calls from
-//! the shell) and `loadgen` (the daemon's end-to-end smoke check, which
-//! CI runs; it takes no flags and writes nothing). The daemon's
-//! throughput and latency are measured by the benchmark's
-//! `serve_mixed` workload, not here.
+//! Binaries: `dirqd` (serve) and `dirq-cli` (one-shot protocol calls
+//! from the shell). The integration tests (`tests/daemon.rs`) are the
+//! daemon's one end-to-end check; its throughput and latency are
+//! measured by the benchmark's `serve_mixed` workload, not here.
 //!
 //! ## Determinism contract
 //!
@@ -30,8 +31,7 @@
 //! concurrent query submissions by content at each epoch boundary. Two
 //! daemons fed the same barriered call sequence produce byte-identical
 //! engine state — `state_fingerprint` equality after a
-//! snapshot/restore round trip is asserted by the integration tests and
-//! `loadgen`.
+//! snapshot/restore round trip is asserted by the integration tests.
 
 #![warn(missing_docs)]
 

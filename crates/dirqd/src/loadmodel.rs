@@ -1,5 +1,5 @@
-//! The deterministic query-load model shared by `loadgen`, the golden
-//! recorder and the benchmark.
+//! The deterministic query-load model shared by the daemon's integration
+//! tests, the golden recorder and the benchmark.
 //!
 //! The histogram sequence is [`HIST_QUERIES`] barriered queries
 //! (submit, wait for completion, submit the next) with content from
@@ -7,9 +7,10 @@
 //! at the next epoch boundary and steps until it finalises, the
 //! *epochs-to-answer* of every query is a deterministic function of the
 //! deployment recipe. [`reference_epochs_histogram`] reproduces it
-//! engine-level, with no daemon involved: `loadgen` asserts the daemon
-//! against it, and `record_goldens` records and checks the
-//! `BENCH_3.json` histogram with it.
+//! engine-level, with no daemon involved: the daemon's integration tests
+//! assert the daemon against it, and `record_goldens` records and checks
+//! the `BENCH_3.json` histogram with it. It and [`replay_serving`] run the
+//! one replay of the serving loop.
 
 use dirq_core::Engine;
 use dirq_data::SensorType;
@@ -29,36 +30,21 @@ pub fn hist_query(k: usize) -> (u8, f64, f64) {
     (stype, lo, hi)
 }
 
+/// The histogram phase as a serving script: a `warmup`-epoch step, then
+/// the [`HIST_QUERIES`] barriered queries.
+pub fn histogram_script(warmup: u64) -> Vec<ServingOp> {
+    let queries = (0..HIST_QUERIES).map(|k| {
+        let (stype, lo, hi) = hist_query(k);
+        ServingOp::Query(stype, lo, hi)
+    });
+    std::iter::once(ServingOp::Step(warmup)).chain(queries).collect()
+}
+
 /// Replay the histogram phase engine-level: build the preset's default
 /// deployment, step `warmup` epochs, then run the barriered sequence,
 /// returning each query's epochs-to-answer in submission order.
-///
-/// This mirrors the daemon's serving loop exactly — a barriered
-/// submission injects at the current epoch boundary and the engine
-/// steps until it finalises, stopping on the boundary after the
-/// finalising epoch.
 pub fn reference_epochs_histogram(preset: &str, scale: f64, warmup: u64) -> Vec<u64> {
-    let (spec, scheme) =
-        resolve_deployment(preset, scale, None).unwrap_or_else(|e| panic!("resolve {preset}: {e}"));
-    let seed = spec.seed;
-    let mut engine = Engine::new(spec.config(scheme, seed));
-    engine.enable_completed_log();
-    for _ in 0..warmup {
-        engine.step_epoch();
-    }
-    let mut latencies = Vec::with_capacity(HIST_QUERIES);
-    for k in 0..HIST_QUERIES {
-        let (stype, lo, hi) = hist_query(k);
-        let id = engine.submit_external_query(SensorType(stype), lo, hi, None);
-        loop {
-            engine.step_epoch();
-            if let Some(done) = engine.drain_completed().find(|done| done.outcome.id == id) {
-                latencies.push(done.answered_epoch - done.outcome.epoch);
-                break;
-            }
-        }
-    }
-    latencies
+    replay(preset, scale, None, &histogram_script(warmup)).2
 }
 
 /// One step of a barriered serving script ([`replay_serving`]).
@@ -72,13 +58,8 @@ pub enum ServingOp {
 }
 
 /// Replay a barriered op sequence engine-level, with no daemon
-/// involved, and return the final `(epoch, state_fingerprint)`.
-///
-/// This mirrors one deployment's scheduled turns in the serving pool
-/// exactly: a blocking query is admitted and injected at the current
-/// epoch boundary, the engine steps one epoch per turn until the query
-/// finalises, and an explicit `step` never admits anything. The daemon
-/// differential tests pin that a deployment multiplexed over any
+/// involved, and return the final `(epoch, state_fingerprint)`. The
+/// daemon differential tests pin that a deployment multiplexed over any
 /// `--serving-threads` count walks this exact trajectory.
 pub fn replay_serving(
     preset: &str,
@@ -86,11 +67,27 @@ pub fn replay_serving(
     seed: Option<u64>,
     ops: &[ServingOp],
 ) -> (u64, u64) {
+    let (epoch, fingerprint, _) = replay(preset, scale, seed, ops);
+    (epoch, fingerprint)
+}
+
+/// The one replay of the serving loop: build the preset's deployment at
+/// `seed` (its registered seed when `None`), run `ops`, and return the
+/// final epoch, the state fingerprint and each query's epochs-to-answer
+/// in script order.
+///
+/// This mirrors one deployment's scheduled turns in the serving pool
+/// exactly: a blocking query is admitted and injected at the current
+/// epoch boundary, the engine steps one epoch per turn until the query
+/// finalises, stopping on the boundary after the finalising epoch, and an
+/// explicit `step` never admits anything.
+fn replay(preset: &str, scale: f64, seed: Option<u64>, ops: &[ServingOp]) -> (u64, u64, Vec<u64>) {
     let (spec, scheme) =
         resolve_deployment(preset, scale, None).unwrap_or_else(|e| panic!("resolve {preset}: {e}"));
     let seed = seed.unwrap_or(spec.seed);
     let mut engine = Engine::new(spec.config(scheme, seed));
     engine.enable_completed_log();
+    let mut epochs_to_answer = Vec::new();
     for op in ops {
         match *op {
             ServingOp::Step(epochs) => {
@@ -102,14 +99,16 @@ pub fn replay_serving(
                 let id = engine.submit_external_query(SensorType(stype), lo, hi, None);
                 loop {
                     engine.step_epoch();
-                    if engine.drain_completed().any(|done| done.outcome.id == id) {
+                    if let Some(done) = engine.drain_completed().find(|done| done.outcome.id == id)
+                    {
+                        epochs_to_answer.push(done.answered_epoch - done.outcome.epoch);
                         break;
                     }
                 }
             }
         }
     }
-    (engine.epoch(), engine.state_fingerprint())
+    (engine.epoch(), engine.state_fingerprint(), epochs_to_answer)
 }
 
 /// Collapse per-query latencies into sorted `(epochs, count)` pairs —

@@ -39,8 +39,8 @@
 //! ordered by **content** (not arrival time), with the request's
 //! `client` tag as the tie-break, so a fixed sequence of barriered
 //! batches drives the engine along a reproducible trajectory regardless
-//! of socket scheduling — the property the load generator's fingerprint
-//! checks pin. Blocking queries reply once the query completes;
+//! of socket scheduling — the property the integration tests'
+//! fingerprint checks pin. Blocking queries reply once the query completes;
 //! `async: true` queries reply with the assigned id at injection, and
 //! the outcome is fetched later via `poll` (one id) or `drain` (every
 //! completion since a client-held cursor, backed by the deployment's

@@ -1,13 +1,18 @@
 //! End-to-end daemon tests over real TCP sockets: deploy, step, query
 //! (blocking and async), poll/drain, snapshot, restore, fingerprint
-//! equality, the typed protocol error surface and clean shutdowns — the
-//! same invariants `loadgen` gates in CI, at debug-tier scale.
+//! equality, epochs-to-answer and trajectories against the engine-level
+//! replay, the serving pool, crash recovery, the typed protocol error
+//! surface and clean shutdowns. They are the daemon's one end-to-end
+//! check; CI runs them in release too.
 
 use std::time::Duration;
 
 use dirq_sim::json::Json;
 use dirq_sim::snap::{frame_image, SnapError, SNAP_FORMAT_VERSION};
-use dirqd::loadmodel::{replay_serving, ServingOp};
+use dirqd::loadmodel::{
+    hist_query, histogram_script, reference_epochs_histogram, replay_serving, ServingOp,
+    HIST_QUERIES,
+};
 use dirqd::protocol::ImageHeader;
 use dirqd::{Client, ClientError, Daemon, DaemonOptions, DeployOptions};
 
@@ -157,7 +162,8 @@ fn daemon_end_to_end() {
     // with_daemon joined the serving thread; the port must be dead.
     // (The OS may accept a queued connection briefly; a call must fail
     // either way.)
-    let (addr, daemon) = Daemon::spawn("127.0.0.1:0").expect("spawn daemon");
+    let (addr, daemon) =
+        Daemon::spawn_with("127.0.0.1:0", DaemonOptions::default()).expect("spawn daemon");
     let mut c = Client::connect(addr).expect("connect");
     c.shutdown().expect("shutdown");
     daemon.join().expect("join daemon thread").expect("daemon serve");
@@ -821,6 +827,82 @@ fn async_submissions_resolve_through_poll_and_drain() {
     });
 }
 
+/// How [`hist_epochs`] resolves each async submission.
+#[derive(Clone, Copy)]
+enum Resolve {
+    Poll,
+    Drain,
+}
+
+/// Submit the [`HIST_QUERIES`] barriered async queries to `name`, each
+/// resolved before the next is submitted, and return their
+/// epochs-to-answer in submission order. `Drain` reads from cursor 0, so
+/// `name` must have completed no query before.
+fn hist_epochs(c: &mut Client, name: &str, resolve: Resolve) -> Vec<u64> {
+    let mut cursor = 0;
+    (0..HIST_QUERIES)
+        .map(|k| {
+            let (stype, lo, hi) = hist_query(k);
+            let (id, _) = c.query_async(name, stype, lo, hi, None, None).expect("submit");
+            loop {
+                let done = match resolve {
+                    Resolve::Poll => c.poll(name, id).expect("poll"),
+                    Resolve::Drain => {
+                        let batch = c.drain(name, cursor).expect("drain");
+                        assert!(batch.cursor >= cursor, "drain cursor went backwards");
+                        cursor = batch.cursor;
+                        batch.results.iter().map(|&(_, r)| r).find(|r| r.id == id)
+                    }
+                };
+                match done {
+                    Some(report) => break report.epochs_to_answer,
+                    None => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+        })
+        .collect()
+}
+
+/// The barriered histogram sequence on a deployment and on its restored
+/// snapshot: after a 20-epoch warm-up, the [`HIST_QUERIES`] async queries
+/// answer in the engine-level replay's epochs-to-answer on both sides,
+/// resolved through `poll` on the original and `drain` on the restore,
+/// both end on the replay's epoch and fingerprint, and `status` lists
+/// the originals and the restores.
+#[test]
+fn histogram_queries_answer_like_the_replay_before_and_after_restore() {
+    const WARMUP: u64 = 20;
+    let dir = fresh_dir("hist");
+    with_daemon(|_, c| {
+        for preset in ["dense_grid_100", "hotspot_workload_200"] {
+            c.deploy(preset, preset, &scaled(0.1)).expect("deploy");
+            assert_eq!(c.step(preset, WARMUP).expect("warm-up"), WARMUP);
+            let (epoch, fp) = c.fingerprint(preset).expect("fingerprint");
+            assert_eq!(epoch, WARMUP);
+            let image = dir.join(format!("{preset}.dirqsnap")).to_string_lossy().into_owned();
+            assert_eq!(c.snapshot(preset, &image).expect("snapshot").fingerprint, fp);
+            let restored = format!("{preset}@restored");
+            c.restore(&restored, &image, &DeployOptions::default()).expect("restore");
+
+            let reference = reference_epochs_histogram(preset, 0.1, WARMUP);
+            assert_eq!(hist_epochs(c, preset, Resolve::Poll), reference, "{preset}");
+            assert_eq!(hist_epochs(c, &restored, Resolve::Drain), reference, "{restored}");
+            let replayed = replay_serving(preset, 0.1, None, &histogram_script(WARMUP));
+            assert_eq!(c.fingerprint(preset).expect("fingerprint"), replayed, "{preset}");
+            assert_eq!(c.fingerprint(&restored).expect("fingerprint"), replayed, "{restored}");
+        }
+        let names: Vec<String> = c.status().expect("status").into_iter().map(|d| d.name).collect();
+        let originals_and_restores = [
+            "dense_grid_100",
+            "dense_grid_100@restored",
+            "hotspot_workload_200",
+            "hotspot_workload_200@restored",
+        ];
+        assert_eq!(names, originals_and_restores);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Queries against a deployment whose preset epoch budget has been
 /// spent still answer: the serving loop steps the engine past the
 /// budget rather than wedging the caller.
@@ -855,11 +937,36 @@ fn run_ops(c: &mut Client, name: &str, ops: &[ServingOp]) {
     }
 }
 
+/// Deployments in the pool test's fleet: twice the largest pool, so
+/// turns wait for a worker.
+const FLEET: usize = 8;
+
+/// Drain `name` from cursor 0 until nothing is pending, returning the
+/// ids in drain order.
+fn drain_all(c: &mut Client, name: &str) -> Vec<u64> {
+    let (mut cursor, mut ids) = (0, Vec::new());
+    loop {
+        let batch = c.drain(name, cursor).expect("drain");
+        cursor = batch.cursor;
+        ids.extend(batch.results.iter().map(|&(_, r)| r.id));
+        if batch.results.is_empty() {
+            if batch.pending == 0 {
+                return ids;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
 /// The tentpole differential test: several deployments with interleaved
 /// barriered op scripts, served by pools of 1, 2 and 4 workers, must
 /// all walk the exact trajectory of the engine-level replay — the pool
 /// size (and therefore which worker runs which turn, and how turns of
 /// different deployments interleave in time) is invisible to results.
+/// A fleet of [`FLEET`] more deployments then takes one pipelined async
+/// query each: `status` reports the pool size and lists every deployment
+/// in name order, each fleet drain returns exactly its own id, and each
+/// fleet deployment ends on the replay of its one query.
 #[test]
 fn pool_trajectories_match_the_engine_replay_at_any_thread_count() {
     let scripts: &[(&str, u64, &[ServingOp])] = &[
@@ -885,9 +992,14 @@ fn pool_trajectories_match_the_engine_replay_at_any_thread_count() {
         ),
         ("d2", 33, &[ServingOp::Query(0, 12.0, 20.0), ServingOp::Query(0, 13.0, 21.0)]),
     ];
+    let fleet: Vec<(String, u64, (u8, f64, f64))> =
+        (0..FLEET).map(|i| (format!("fleet-{i}"), 1_000 + i as u64, hist_query(i))).collect();
     let reference: Vec<(u64, u64)> = scripts
         .iter()
         .map(|&(_, seed, ops)| replay_serving("dense_grid_100", 0.05, Some(seed), ops))
+        .chain(fleet.iter().map(|&(_, seed, (stype, lo, hi))| {
+            replay_serving("dense_grid_100", 0.05, Some(seed), &[ServingOp::Query(stype, lo, hi)])
+        }))
         .collect();
     for threads in [1, 2, 4] {
         let mut observed = Vec::new();
@@ -914,6 +1026,30 @@ fn pool_trajectories_match_the_engine_replay_at_any_thread_count() {
                     }
                 }
                 for &(name, _, _) in scripts {
+                    observed.push(c.fingerprint(name).expect("fingerprint"));
+                }
+
+                for (name, seed, _) in &fleet {
+                    let opts = DeployOptions {
+                        scale: Some(0.05),
+                        seed: Some(*seed),
+                        ..DeployOptions::default()
+                    };
+                    c.deploy(name, "dense_grid_100", &opts).expect("deploy fleet");
+                }
+                let ids: Vec<u64> = fleet
+                    .iter()
+                    .map(|(name, _, (stype, lo, hi))| {
+                        c.query_async(name, *stype, *lo, *hi, None, None).expect("submit").0
+                    })
+                    .collect();
+                let status = c.status_full().expect("status");
+                assert_eq!(status.serving_threads, threads as u64, "the pool size");
+                let names: Vec<&str> = status.deployments.iter().map(|d| d.name.as_str()).collect();
+                assert_eq!(names.len(), scripts.len() + FLEET, "{names:?}");
+                assert!(names.windows(2).all(|w| w[0] < w[1]), "not in name order: {names:?}");
+                for ((name, _, _), id) in fleet.iter().zip(ids) {
+                    assert_eq!(drain_all(c, name), [id], "{name} drained another's completions");
                     observed.push(c.fingerprint(name).expect("fingerprint"));
                 }
             },
@@ -1239,7 +1375,8 @@ fn join_within<T>(handle: std::thread::JoinHandle<T>, limit: Duration, what: &st
 fn shutdown_closes_idle_connections_and_joins_their_handlers() {
     use std::io::{BufRead, BufReader, Read, Write};
 
-    let (addr, daemon) = Daemon::spawn("127.0.0.1:0").expect("spawn daemon");
+    let (addr, daemon) =
+        Daemon::spawn_with("127.0.0.1:0", DaemonOptions::default()).expect("spawn daemon");
     let mut idle = std::net::TcpStream::connect(addr).expect("connect idle client");
     // One round trip, so the idle connection's handler is running.
     idle.write_all(b"{\"cmd\": \"status\"}\n").expect("send status");

@@ -49,8 +49,7 @@
 //!   short-circuits slots nobody owns: an empty slot advances the clock
 //!   without touching the scratch buffers at all;
 //! * callers that want full reuse drive [`LmacNetwork::advance_slot_into`]
-//!   with a long-lived output buffer ([`LmacNetwork::advance_slot`] remains
-//!   as a convenience wrapper).
+//!   with a long-lived output buffer.
 //!
 //! [`LmacNetwork::advance_slot_full_scan_into`] keeps the pre-index
 //! reference semantics (scan every transmitter per listener, process empty
@@ -742,16 +741,6 @@ impl<P: Payload> LmacNetwork<P> {
             self.steady = false;
         }
         self.frame_quiet = false;
-    }
-
-    /// Advance one slot, returning the upcalls generated in it.
-    ///
-    /// Convenience wrapper over [`LmacNetwork::advance_slot_into`]; hot
-    /// callers should hold a reusable buffer and call that directly.
-    pub fn advance_slot(&mut self, rng: &mut SimRng) -> Vec<MacIndication<P>> {
-        let mut out = Vec::new();
-        self.advance_slot_into(rng, &mut out);
-        out
     }
 
     /// Advance one slot, appending the generated upcalls to `out`.
@@ -1685,8 +1674,9 @@ mod tests {
         let mut net = Net::new(LmacConfig::default(), random_topo(20, 12));
         net.assign_slots_greedy();
         net.enqueue(NodeId(2), Destination::Broadcast, 1);
+        let mut out = Vec::new();
         for _ in 0..45 {
-            net.advance_slot(&mut rng);
+            net.advance_slot_into(&mut rng, &mut out);
         }
         net
     }

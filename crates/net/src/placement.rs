@@ -18,8 +18,6 @@ pub enum SinkPlacement {
     Corner,
     /// Sink at the centre — shallow trees.
     Center,
-    /// Sink placed like every other node.
-    Random,
 }
 
 /// Deterministic positions for `count` secondary sinks spread over a
@@ -115,11 +113,10 @@ impl Placement {
         assert!(bx > 0.0 && by > 0.0, "deployment area must have positive extent");
         let mut positions = Vec::with_capacity(n);
 
-        // Sink first so the remaining draws are identical across sink modes.
+        // The sink draws nothing, so the other draws are the same in both sink modes.
         positions.push(match sink {
             SinkPlacement::Corner => Position::new(0.0, 0.0),
             SinkPlacement::Center => Position::new(bx / 2.0, by / 2.0),
-            SinkPlacement::Random => Position::new(rng.gen_range(0.0..bx), rng.gen_range(0.0..by)),
         });
 
         match *self {
@@ -193,7 +190,7 @@ mod tests {
     #[test]
     fn uniform_positions_inside_square() {
         let p = Placement::UniformRandom { side: 100.0 };
-        let pos = p.generate(200, SinkPlacement::Random, &mut rng());
+        let pos = p.generate(200, SinkPlacement::Corner, &mut rng());
         assert_eq!(pos.len(), 200);
         for q in &pos {
             assert!((0.0..=100.0).contains(&q.x) && (0.0..=100.0).contains(&q.y));

@@ -16,7 +16,8 @@
 //!   sinks, a flooding head-to-head and the 2 000- to 50 000-node scale
 //!   points.
 //! * [`sweep`] — a deterministic executor fanning the scenario matrix
-//!   (specs × schemes × seed replicates) over worker threads.
+//!   (specs × schemes, one run per cell at the spec's seed) over worker
+//!   threads.
 //! * [`report`] — per-run [`ScenarioOutcome`]s, cross-scenario
 //!   comparisons, a stable fingerprint and JSON rendering.
 //!
@@ -57,6 +58,6 @@ pub mod spec;
 pub mod sweep;
 
 pub use registry::{preset, registry, smoke};
-pub use report::{Comparison, ScenarioOutcome, ScenarioReport, ScenarioRow};
+pub use report::{Comparison, ScenarioOutcome, ScenarioReport};
 pub use spec::{ChurnProfile, ScenarioSpec, Scheme};
-pub use sweep::{replicate_seed, run_matrix_report, SweepConfig};
+pub use sweep::{run_matrix_report, SweepConfig};

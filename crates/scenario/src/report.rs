@@ -13,7 +13,7 @@ pub struct ScenarioOutcome {
     pub scenario: String,
     /// Scheme label (see [`crate::Scheme::label`]).
     pub scheme: String,
-    /// Concrete seed of this replicate.
+    /// Seed of this run.
     pub seed: u64,
     /// Deployment size.
     pub n_nodes: usize,
@@ -98,55 +98,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Mean ± standard deviation of one metric across a row's seed
-/// replicates.
-///
-/// The deviation is the *population* standard deviation (divisor `n`), so
-/// a single-replicate sweep reports a well-defined `0.0` rather than an
-/// undefined sample estimate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReplicateStats {
-    /// Mean over the replicates.
-    pub mean: f64,
-    /// Population standard deviation over the replicates.
-    pub stddev: f64,
-}
-
-/// One `(scenario, scheme)` cell with its seed replicates.
-#[derive(Clone, Debug)]
-pub struct ScenarioRow {
-    /// Scenario (preset) name.
-    pub scenario: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Outcomes, one per replicate, in replicate order.
-    pub replicates: Vec<ScenarioOutcome>,
-}
-
-impl ScenarioRow {
-    /// Mean of `f` over the replicates.
-    pub fn mean(&self, f: impl Fn(&ScenarioOutcome) -> f64) -> f64 {
-        if self.replicates.is_empty() {
-            return 0.0;
-        }
-        self.replicates.iter().map(f).sum::<f64>() / self.replicates.len() as f64
-    }
-
-    /// Mean ± population standard deviation of `f` over the replicates.
-    pub fn stats(&self, f: impl Fn(&ScenarioOutcome) -> f64) -> ReplicateStats {
-        if self.replicates.is_empty() {
-            return ReplicateStats { mean: 0.0, stddev: 0.0 };
-        }
-        let n = self.replicates.len() as f64;
-        let mean = self.replicates.iter().map(&f).sum::<f64>() / n;
-        let var = self.replicates.iter().map(|o| (f(o) - mean).powi(2)).sum::<f64>() / n;
-        ReplicateStats { mean, stddev: var.sqrt() }
-    }
-}
-
-/// Extractor of one summarisable outcome metric.
-type MetricFn = fn(&ScenarioOutcome) -> f64;
-
 /// A cross-scenario/scheme ratio computed by the report.
 #[derive(Clone, Debug)]
 pub struct Comparison {
@@ -158,17 +109,17 @@ pub struct Comparison {
     pub scheme: String,
     /// Scheme in the denominator.
     pub baseline: String,
-    /// `scheme / baseline` mean-over-replicates ratio.
+    /// `scheme / baseline` ratio.
     pub ratio: f64,
 }
 
-/// The structured result of a sweep: per-cell rows plus derived
+/// The structured result of a sweep: per-cell outcomes plus derived
 /// comparisons. Bit-deterministic for a fixed seed regardless of thread
 /// count — [`ScenarioReport::stable_fingerprint`] pins that.
 #[derive(Clone, Debug)]
 pub struct ScenarioReport {
-    /// One row per `(scenario, scheme)` in matrix order.
-    pub rows: Vec<ScenarioRow>,
+    /// One outcome per `(scenario, scheme)` in matrix order.
+    pub rows: Vec<ScenarioOutcome>,
     /// Derived comparisons (scheme vs in-scenario flooding baseline).
     pub comparisons: Vec<Comparison>,
 }
@@ -177,7 +128,7 @@ impl ScenarioReport {
     /// Assemble a report and derive its comparisons: inside every scenario
     /// that ran a `flooding` baseline, each other scheme gets
     /// `tx_per_delivered` and `energy_per_node_epoch` ratios against it.
-    pub fn new(rows: Vec<ScenarioRow>) -> Self {
+    pub fn new(rows: Vec<ScenarioOutcome>) -> Self {
         let mut comparisons = Vec::new();
         for row in &rows {
             if row.scheme == "flooding" {
@@ -193,14 +144,14 @@ impl ScenarioReport {
                 ("tx_per_delivered", (|o: &ScenarioOutcome| o.tx_per_delivered) as Metric),
                 ("energy_per_node_epoch", |o: &ScenarioOutcome| o.energy_per_node_epoch),
             ] {
-                let denom = base.mean(f);
+                let denom = f(base);
                 if denom > 0.0 {
                     comparisons.push(Comparison {
                         scenario: row.scenario.clone(),
                         metric: metric.to_string(),
                         scheme: row.scheme.clone(),
                         baseline: "flooding".to_string(),
-                        ratio: row.mean(f) / denom,
+                        ratio: f(row) / denom,
                     });
                 }
             }
@@ -210,17 +161,18 @@ impl ScenarioReport {
 
     /// Order-sensitive fingerprint over every outcome and comparison.
     /// Equal seeds and equal code yield equal fingerprints across runs,
-    /// machines and thread counts.
+    /// machines and thread counts. Each outcome is mixed after its
+    /// scenario, its scheme and a `1`: the report once kept several seed
+    /// runs per cell and mixed their count there, and the `1` keeps every
+    /// recorded fingerprint.
     pub fn stable_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.rows.len() as u64);
-        for row in &self.rows {
-            h.str(&row.scenario);
-            h.str(&row.scheme);
-            h.u64(row.replicates.len() as u64);
-            for o in &row.replicates {
-                o.mix(&mut h);
-            }
+        for o in &self.rows {
+            h.str(&o.scenario);
+            h.str(&o.scheme);
+            h.u64(1);
+            o.mix(&mut h);
         }
         for c in &self.comparisons {
             h.str(&c.scenario);
@@ -231,51 +183,11 @@ impl ScenarioReport {
         h.finish()
     }
 
-    /// The metrics summarised per row by the replicate-variance section
-    /// of the JSON report.
-    const SUMMARY_METRICS: [(&'static str, MetricFn); 4] = [
-        ("delivery_ratio", |o| o.delivery_ratio),
-        ("tx_per_delivered", |o| o.tx_per_delivered),
-        ("energy_per_node_epoch", |o| o.energy_per_node_epoch),
-        ("cost_ratio_vs_flooding", |o| o.cost_ratio_vs_flooding),
-    ];
-
     /// Render the full report as a JSON document.
     pub fn to_json(&self) -> Json {
         let mut doc = Json::object();
         doc.set("schema", Json::Str("dirq-scenario-report-v1".to_string()));
-        doc.set(
-            "scenarios",
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .flat_map(|row| row.replicates.iter().map(ScenarioOutcome::to_json))
-                    .collect(),
-            ),
-        );
-        // Replicate-variance summary: mean ± stddev per (scenario, scheme)
-        // cell. Derived from the outcomes above, so it carries no extra
-        // fingerprint weight.
-        doc.set(
-            "rows",
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .map(|row| {
-                        let mut o = Json::object();
-                        o.set("scenario", Json::Str(row.scenario.clone()));
-                        o.set("scheme", Json::Str(row.scheme.clone()));
-                        o.set("replicates", Json::Num(row.replicates.len() as f64));
-                        for (name, f) in Self::SUMMARY_METRICS {
-                            let s = row.stats(f);
-                            o.set(&format!("{name}_mean"), Json::Num(round6(s.mean)));
-                            o.set(&format!("{name}_stddev"), Json::Num(round6(s.stddev)));
-                        }
-                        o
-                    })
-                    .collect(),
-            ),
-        );
+        doc.set("scenarios", Json::Arr(self.rows.iter().map(ScenarioOutcome::to_json).collect()));
         doc.set(
             "comparisons",
             Json::Arr(
@@ -297,7 +209,7 @@ impl ScenarioReport {
         doc
     }
 
-    /// Human-readable summary table (means over replicates per row).
+    /// Human-readable summary table, one row per outcome.
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new([
             "scenario",
@@ -310,19 +222,17 @@ impl ScenarioReport {
             "vs_flooding",
             "probes/query",
         ]);
-        for row in &self.rows {
-            let n = row.replicates.first().map(|o| o.n_nodes).unwrap_or(0);
-            let epochs = row.replicates.first().map(|o| o.epochs).unwrap_or(0);
+        for o in &self.rows {
             t.row([
-                row.scenario.clone(),
-                row.scheme.clone(),
-                n.to_string(),
-                epochs.to_string(),
-                fnum(row.mean(|o| o.delivery_ratio), 3),
-                fnum(row.mean(|o| o.tx_per_delivered), 2),
-                fnum(row.mean(|o| o.energy_per_node_epoch), 3),
-                fnum(row.mean(|o| o.cost_ratio_vs_flooding), 3),
-                fnum(row.mean(|o| o.calibration_probes_per_query), 0),
+                o.scenario.clone(),
+                o.scheme.clone(),
+                o.n_nodes.to_string(),
+                o.epochs.to_string(),
+                fnum(o.delivery_ratio, 3),
+                fnum(o.tx_per_delivered, 2),
+                fnum(o.energy_per_node_epoch, 3),
+                fnum(o.cost_ratio_vs_flooding, 3),
+                fnum(o.calibration_probes_per_query, 0),
             ]);
         }
         t
@@ -360,21 +270,9 @@ mod tests {
 
     fn report() -> ScenarioReport {
         ScenarioReport::new(vec![
-            ScenarioRow {
-                scenario: "h2h".into(),
-                scheme: "dirq-atc".into(),
-                replicates: vec![outcome("h2h", "dirq-atc", 2.0, 0.4)],
-            },
-            ScenarioRow {
-                scenario: "h2h".into(),
-                scheme: "flooding".into(),
-                replicates: vec![outcome("h2h", "flooding", 8.0, 1.6)],
-            },
-            ScenarioRow {
-                scenario: "solo".into(),
-                scheme: "dirq-atc".into(),
-                replicates: vec![outcome("solo", "dirq-atc", 3.0, 0.5)],
-            },
+            outcome("h2h", "dirq-atc", 2.0, 0.4),
+            outcome("h2h", "flooding", 8.0, 1.6),
+            outcome("solo", "dirq-atc", 3.0, 0.5),
         ])
     }
 
@@ -392,7 +290,7 @@ mod tests {
         let a = report();
         let mut b = report();
         assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());
-        b.rows[0].replicates[0].fingerprint ^= 1;
+        b.rows[0].fingerprint ^= 1;
         let b = ScenarioReport::new(b.rows);
         assert_ne!(a.stable_fingerprint(), b.stable_fingerprint());
     }
@@ -407,68 +305,6 @@ mod tests {
         assert_eq!(parsed.get("scenarios").and_then(Json::as_array).unwrap().len(), 3);
         let fp = parsed.get("report_fingerprint").and_then(Json::as_str).unwrap();
         assert_eq!(fp, format!("{:#018X}", r.stable_fingerprint()));
-    }
-
-    #[test]
-    fn replicate_stats_mean_and_stddev() {
-        let mut row = ScenarioRow {
-            scenario: "s".into(),
-            scheme: "k".into(),
-            replicates: vec![
-                outcome("s", "k", 2.0, 0.1),
-                outcome("s", "k", 4.0, 0.3),
-                outcome("s", "k", 6.0, 0.5),
-            ],
-        };
-        let s = row.stats(|o| o.tx_per_delivered);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        // Population stddev of {2, 4, 6} = sqrt(8/3).
-        assert!((s.stddev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12, "stddev {}", s.stddev);
-        // A single replicate has zero spread, not NaN.
-        row.replicates.truncate(1);
-        let s = row.stats(|o| o.tx_per_delivered);
-        assert_eq!((s.mean, s.stddev), (2.0, 0.0));
-        row.replicates.clear();
-        assert_eq!(row.stats(|o| o.tx_per_delivered), ReplicateStats { mean: 0.0, stddev: 0.0 });
-    }
-
-    #[test]
-    fn replicate_summary_round_trips_through_json() {
-        let mut base = report();
-        // Give the head-to-head DirQ row a second replicate with spread.
-        base.rows[0].replicates.push(outcome("h2h", "dirq-atc", 4.0, 0.8));
-        let r = ScenarioReport::new(base.rows);
-        let text = r.to_json().render_pretty();
-        let parsed = dirq_sim::json::Json::parse(&text).expect("report JSON must parse");
-        let rows = parsed.get("rows").and_then(Json::as_array).expect("rows section");
-        assert_eq!(rows.len(), r.rows.len(), "one summary row per (scenario, scheme)");
-        for (json_row, row) in rows.iter().zip(&r.rows) {
-            assert_eq!(
-                json_row.get("scenario").and_then(Json::as_str),
-                Some(row.scenario.as_str())
-            );
-            assert_eq!(json_row.get("scheme").and_then(Json::as_str), Some(row.scheme.as_str()));
-            assert_eq!(
-                json_row.get("replicates").and_then(Json::as_f64),
-                Some(row.replicates.len() as f64)
-            );
-            for (name, f) in ScenarioReport::SUMMARY_METRICS {
-                let stats = row.stats(f);
-                let mean = json_row.get(&format!("{name}_mean")).and_then(Json::as_f64).unwrap();
-                let sd = json_row.get(&format!("{name}_stddev")).and_then(Json::as_f64).unwrap();
-                assert!((mean - stats.mean).abs() < 1e-6, "{name} mean drifted");
-                assert!((sd - stats.stddev).abs() < 1e-6, "{name} stddev drifted");
-            }
-        }
-        // The two-replicate row really reports spread.
-        let first = &rows[0];
-        assert!(first.get("tx_per_delivered_stddev").and_then(Json::as_f64).unwrap() > 0.0);
-        // Adding the derived section must not disturb the pinned
-        // fingerprint (it would invalidate every golden).
-        assert_eq!(
-            ScenarioReport::new(report().rows).stable_fingerprint(),
-            report().stable_fingerprint()
-        );
     }
 
     #[test]

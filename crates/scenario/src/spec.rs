@@ -143,7 +143,7 @@ pub struct ScenarioSpec {
     pub slots_per_frame: u16,
     /// Epochs a query waits before scoring (scale with tree depth).
     pub completion_window: u64,
-    /// Base seed; replicates derive from it.
+    /// The seed every sweep run of this spec uses.
     pub seed: u64,
 }
 

@@ -1,16 +1,16 @@
 //! The deterministic sweep executor.
 //!
-//! Expands a scenario matrix — every spec × its schemes × seed replicates
-//! — into independent simulation jobs, fans them over
-//! [`dirq_sim::runner::run_matrix`] worker threads, and assembles the
+//! Expands a scenario matrix — every spec × its schemes — into
+//! independent simulation jobs, fans them over
+//! [`dirq_sim::runner::run_sweep`] worker threads, and assembles the
 //! ordered [`ScenarioReport`]. Individual runs are single-threaded and
 //! deterministic and the executor preserves matrix order, so the report
 //! (and its fingerprint) is identical across runs and thread counts.
 
 use dirq_core::run_scenario;
-use dirq_sim::runner::run_matrix;
+use dirq_sim::runner::run_sweep;
 
-use crate::report::{ScenarioOutcome, ScenarioReport, ScenarioRow};
+use crate::report::{ScenarioOutcome, ScenarioReport};
 use crate::spec::ScenarioSpec;
 
 /// Execution parameters of one sweep.
@@ -19,8 +19,6 @@ pub struct SweepConfig {
     /// Worker threads fanning runs of the matrix (0 = all cores). Never
     /// affects results.
     pub threads: usize,
-    /// Seed replicates per `(scenario, scheme)` cell.
-    pub replicates: usize,
     /// Multiplier on every spec's epoch budget (quick runs / CI smoke).
     pub epoch_scale: f64,
     /// Intra-run workers inside each simulation: sets
@@ -35,46 +33,28 @@ pub struct SweepConfig {
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig { threads: 0, replicates: 1, epoch_scale: 1.0, workers: 1 }
+        SweepConfig { threads: 0, epoch_scale: 1.0, workers: 1 }
     }
 }
 
-/// Derive the seed of replicate `rep` from a spec's base seed. Replicate 0
-/// uses the base seed itself, so single-replicate sweeps match direct
-/// [`ScenarioSpec::config`] runs.
-pub fn replicate_seed(base: u64, rep: usize) -> u64 {
-    base ^ (rep as u64).wrapping_mul(0x9E3779B97F4A7C15)
-}
-
-/// Run the full matrix and assemble the report.
+/// Run the full matrix, one run per `(spec, scheme)` cell at the spec's
+/// seed, and assemble the report.
 pub fn run_matrix_report(specs: &[ScenarioSpec], cfg: &SweepConfig) -> ScenarioReport {
-    assert!(cfg.replicates > 0, "at least one replicate required");
-    // One cell per (spec, scheme); replication is the matrix's second axis.
     let cells: Vec<(usize, usize)> = specs
         .iter()
         .enumerate()
         .flat_map(|(si, s)| (0..s.schemes.len()).map(move |ki| (si, ki)))
         .collect();
-    let results = run_matrix(&cells, cfg.replicates, cfg.threads, |&(si, ki), rep| {
+    let rows = run_sweep(&cells, cfg.threads, |&(si, ki)| {
         let spec = specs[si].scaled(cfg.epoch_scale);
         let scheme = spec.schemes[ki];
-        let seed = replicate_seed(spec.seed, rep);
-        let mut run_cfg = spec.config(scheme, seed);
+        let mut run_cfg = spec.config(scheme, spec.seed);
         let workers = cfg.workers.max(1);
         run_cfg.world_workers = workers;
         run_cfg.upkeep_workers = workers;
         let run = run_scenario(run_cfg);
-        ScenarioOutcome::from_run(&spec.name, &scheme.label(), seed, &run)
+        ScenarioOutcome::from_run(&spec.name, &scheme.label(), spec.seed, &run)
     });
-    let rows = cells
-        .into_iter()
-        .zip(results)
-        .map(|((si, ki), replicates)| ScenarioRow {
-            scenario: specs[si].name.clone(),
-            scheme: specs[si].schemes[ki].label(),
-            replicates,
-        })
-        .collect();
     ScenarioReport::new(rows)
 }
 
@@ -107,18 +87,6 @@ mod tests {
         let b = run_matrix_report(&specs, &cfg4);
         assert_eq!(a.stable_fingerprint(), b.stable_fingerprint());
         assert_eq!(a.rows.len(), 3, "one row per (scenario, scheme)");
-    }
-
-    #[test]
-    fn replicates_get_distinct_seeds_and_stable_order() {
-        let specs = vec![tiny_matrix().remove(1)];
-        let cfg = SweepConfig { threads: 0, replicates: 2, ..SweepConfig::default() };
-        let r = run_matrix_report(&specs, &cfg);
-        for row in &r.rows {
-            assert_eq!(row.replicates.len(), 2);
-            assert_ne!(row.replicates[0].seed, row.replicates[1].seed);
-            assert_eq!(row.replicates[0].seed, replicate_seed(9, 0));
-        }
     }
 
     #[test]
@@ -155,6 +123,6 @@ mod tests {
         let specs = vec![tiny_matrix().remove(1)];
         let cfg = SweepConfig { epoch_scale: 0.5, ..SweepConfig::default() };
         let r = run_matrix_report(&specs, &cfg);
-        assert_eq!(r.rows[0].replicates[0].epochs, 150);
+        assert_eq!(r.rows[0].epochs, 150);
     }
 }

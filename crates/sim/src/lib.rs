@@ -10,10 +10,10 @@
 //!   independent, seed-derived stream.
 //! * [`stats`] — EWMAs, Welford accumulators and bucketed time series
 //!   used by the measurement harness.
-//! * [`runner`] — a parallel parameter-sweep/matrix executor (one
-//!   simulation per thread, deterministic output ordering, seed
-//!   replication) over the scoped-thread fan-out that also shards the
-//!   engine's world advance and sensor sampling.
+//! * [`runner`] — a parallel parameter-sweep executor (one simulation
+//!   per thread, deterministic output ordering) over the scoped-thread
+//!   fan-out that also shards the engine's world advance and sensor
+//!   sampling.
 //! * [`report`] — tiny CSV/ASCII-table emitters for experiment output.
 //! * [`json`] — a deterministic JSON writer/parser for bench artifacts,
 //!   scenario reports and the daemon wire protocol.

@@ -73,36 +73,6 @@ where
     cells.into_iter().map(|(_, r)| r.expect("every sweep cell ran")).collect()
 }
 
-/// Run a parameter matrix with seed replication: every element of
-/// `params` is evaluated `replicates` times (`f(param, replicate)`), all
-/// cells fanned out in one [`run_sweep`], and the results returned as
-/// `out[param_index][replicate]`.
-///
-/// Like [`run_sweep`], output ordering is independent of `threads`, so a
-/// fingerprint over the returned matrix is reproducible across machines
-/// and thread counts. `f` receives the replicate index so callers can
-/// derive per-replicate seeds deterministically.
-///
-/// ```
-/// let m = dirq_sim::runner::run_matrix(&[10u64, 20], 3, 2, |&p, rep| p + rep as u64);
-/// assert_eq!(m, vec![vec![10, 11, 12], vec![20, 21, 22]]);
-/// ```
-pub fn run_matrix<P, R, F>(params: &[P], replicates: usize, threads: usize, f: F) -> Vec<Vec<R>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, usize) -> R + Sync,
-{
-    let cells: Vec<(usize, usize)> =
-        (0..params.len()).flat_map(|i| (0..replicates).map(move |r| (i, r))).collect();
-    let flat = run_sweep(&cells, threads, |&(i, r)| f(&params[i], r));
-    let mut rows: Vec<Vec<R>> = (0..params.len()).map(|_| Vec::with_capacity(replicates)).collect();
-    for ((i, _), result) in cells.into_iter().zip(flat) {
-        rows[i].push(result);
-    }
-    rows
-}
-
 /// Decide how many worker threads to use for `jobs` work items.
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
     let t = if requested == 0 { host_threads() } else { requested };
@@ -192,38 +162,6 @@ mod tests {
         assert_eq!(effective_threads(4, 2), 2);
         assert_eq!(effective_threads(1, 100), 1);
         assert!(effective_threads(0, 100) >= 1);
-    }
-
-    #[test]
-    fn matrix_groups_by_param_in_order() {
-        let params: Vec<u64> = (0..9).collect();
-        let m = run_matrix(&params, 4, 3, |&p, rep| p * 10 + rep as u64);
-        assert_eq!(m.len(), 9);
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(
-                row,
-                &vec![i as u64 * 10, i as u64 * 10 + 1, i as u64 * 10 + 2, i as u64 * 10 + 3]
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_is_thread_count_invariant() {
-        let params = [3u64, 1, 4, 1, 5];
-        let runs: Vec<Vec<Vec<u64>>> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| run_matrix(&params, 2, t, |&p, rep| p ^ rep as u64))
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
-    }
-
-    #[test]
-    fn matrix_handles_empty_axes() {
-        let none: Vec<Vec<u32>> = run_matrix(&[] as &[u32], 3, 2, |&x, _| x);
-        assert!(none.is_empty());
-        let zero_reps = run_matrix(&[1u32, 2], 0, 2, |&x, _| x);
-        assert_eq!(zero_reps, vec![Vec::<u32>::new(), Vec::new()]);
     }
 
     #[test]

@@ -550,7 +550,8 @@ fn restore_rejects_a_negative_warm_half() {
 /// A threshold δ that is negative, NaN or infinite — the fixed δ of the
 /// config record, or an ATC node's own — is a typed error at restore, not
 /// a panic in `RangeEntry::around` (debug) or a tuple built on it
-/// (release) at the next sample.
+/// (release) at the next sample. An ATC node's δ must also lie in the
+/// controller's clamp, [0.2, 40] percent, where every step keeps it.
 #[test]
 fn restore_rejects_a_negative_or_non_finite_delta() {
     // Fixed δ: the config record's, after "ENGN", the flooding flag and
@@ -560,14 +561,25 @@ fn restore_rejects_a_negative_or_non_finite_delta() {
         let body = Engine::new(cfg.clone()).snapshot();
         let delta = if variant == 0 { 6 } else { after_tables(&body, 1) };
         assert_eq!(body[delta..delta + 8], 5.0f64.to_le_bytes(), "the δ");
-        for bad in [-1.0f64, f64::NAN, f64::INFINITY] {
+        let with = |value: f64| {
             let mut patched = body.clone();
-            patched[delta..delta + 8].copy_from_slice(&bad.to_le_bytes());
-            match Engine::new(cfg.clone()).restore(&patched) {
-                Err(SnapError::Malformed { what, .. }) => {
-                    assert_eq!(what, "threshold delta negative or not finite")
-                }
-                other => panic!("δ = {bad} at byte {delta} restored: {other:?}"),
+            patched[delta..delta + 8].copy_from_slice(&value.to_le_bytes());
+            Engine::new(cfg.clone()).restore(&patched)
+        };
+        let (bad, what): (&[f64], _) = if variant == 0 {
+            (&[-1.0, f64::NAN, f64::INFINITY], "threshold delta negative or not finite")
+        } else {
+            (&[f64::MAX, 0.1, 41.0, -1.0, f64::NAN, f64::INFINITY], "ATC delta outside its clamp")
+        };
+        for &value in bad {
+            match with(value) {
+                Err(SnapError::Malformed { what: got, .. }) => assert_eq!(got, what),
+                other => panic!("δ = {value} at byte {delta} restored: {other:?}"),
+            }
+        }
+        if variant == 1 {
+            for value in [0.2, 5.0, 40.0] {
+                assert_eq!(with(value), Ok(()), "ATC δ = {value}");
             }
         }
     }
